@@ -1,12 +1,12 @@
 """Fused external-product kernel: bootstraps/sec vs the pre-fusion path.
 
-The PR-4 tentpole rewrites the blind-rotation hot loop as one fused kernel
-per external product — all ``(k+1)`` blocks gadget-decomposed into a single
-digit stack, **one** stacked forward, one ``spectrum_contract`` against the
-packed ``(rows, k+1, N/2)`` key tensor, **one** stacked backward, the
-``(X^p − 1)·ACC`` rotate-and-subtract fused straight into the decomposition's
-offset buffer, and all scratch staged through a reusable
-:class:`~repro.tfhe.tgsw.BootstrapWorkspace`.
+Every blind-rotation step is one kernel over ``(B, k+1, N)`` accumulators —
+``X^p·ACC`` read as a window of ``[ACC, −ACC, ACC]``, all ``(k+1)`` blocks of
+``window − ACC`` gadget-decomposed into a single digit stack, **one** stacked
+forward, one ``spectrum_contract`` against the packed ``(rows, k+1, N/2)`` key
+tensor, **one** stacked backward, and all scratch staged through a reusable
+:class:`~repro.tfhe.tgsw.BootstrapWorkspace`.  The single-stream row times
+that kernel at ``B = 1``, the batch row at ``B = 64``.
 
 This bench measures gate bootstrapping throughput (double-FFT engine,
 test-tiny parameters) for the fused path against a **verbatim reproduction of
@@ -205,8 +205,8 @@ def run(record_result=None):
         f"{ref_batch_bs:>12.1f} {fused_batch_bs / ref_batch_bs:>7.2f}x",
         "",
         "fused = one digit stack + one stacked forward + spectrum_contract + "
-        "one stacked backward per external product, rotate-and-subtract fused "
-        "into the decomposition, workspace-reused scratch; pre-PR = verbatim "
+        "one stacked backward per external product, X^p·ACC read as a window "
+        "of [ACC, -ACC, ACC], workspace-reused scratch; pre-PR = verbatim "
         "pre-fusion implementation (per-plane transforms, materialised "
         "rotation, per-level keyswitch, historical engine bodies).  Outputs "
         "asserted bit-identical before timing; best-of-" + str(BEST_OF) + " timings.",

@@ -12,7 +12,8 @@ Two blind-rotation strategies are provided:
 
 * :class:`CmuxBlindRotator` — the classical TFHE-library strategy
   (``ACC ← CMux(BK_i, X^{ā_i}·ACC, ACC)``), one secret-key bit per external
-  product;
+  product, every step one call of the step kernel
+  (:func:`repro.tfhe.tgsw.tgsw_batch_cmux_rotate`) whatever the batch width;
 * :class:`repro.core.bku.UnrolledBlindRotator` — bootstrapping-key unrolling
   (Figure 5), ``m`` secret-key bits per external product using a bundle built
   from ``2^m − 1`` TGSW keys.  MATCHA's pipelined datapath targets this form.
@@ -32,9 +33,8 @@ from repro.tfhe.params import DigitEncoding, TFHEParameters
 from repro.tfhe.tgsw import (
     BootstrapWorkspace,
     TransformedTgswSample,
-    _cmux_rotate_data,
+    _cmux_rotate_step,
     tgsw_batch_cmux_reference,
-    tgsw_batch_cmux_rotate,
     tgsw_cmux_reference,
 )
 from repro.tfhe.tlwe import (
@@ -93,13 +93,15 @@ class BlindRotator(Protocol):
 class CmuxBlindRotator:
     """Classical blind rotation: one CMux (external product) per key bit.
 
-    Every step runs the fused kernel of :func:`repro.tfhe.tgsw.tgsw_cmux_rotate`
-    — the ``(X^{ā_i} − 1)·ACC`` difference is one gather-subtract, the
-    external product one stacked forward/contract/backward — staged through a
+    Every step is the one step kernel of :mod:`repro.tfhe.tgsw` over the
+    ``(B, k+1, N)`` accumulator stack (:meth:`rotate` is :meth:`rotate_batch`
+    on a one-row view) — ``X^{ā_i}·ACC`` read as a window of
+    ``[ACC, −ACC, ACC]``, the external product one stacked
+    forward/contract/backward — staged through a
     :class:`repro.tfhe.tgsw.BootstrapWorkspace` shared across all ``n`` steps
-    (and across every bootstrapping that reuses this rotator).  The pre-fusion
-    path is preserved as :meth:`rotate_reference` /
-    :meth:`rotate_batch_reference` for property tests and benchmarks.
+    (and across every bootstrapping that reuses this rotator).
+    :meth:`rotate_reference` / :meth:`rotate_batch_reference` are the
+    per-digit-plane oracle for property tests and benchmarks.
     """
 
     def __init__(
@@ -117,47 +119,47 @@ class CmuxBlindRotator:
         return len(self.bootstrapping_key)
 
     def rotate(self, accumulator: TlweSample, bara: np.ndarray) -> TlweSample:
-        data = accumulator.data
-        transform = self.transform
-        workspace = self.workspace
-        powers = np.asarray(bara).tolist()  # plain ints, hoisted out of the loop
-        if len(powers) < len(self.bootstrapping_key):
-            raise ValueError(
-                f"blind rotation needs one rotation amount per key bit: got "
-                f"{len(powers)} for {len(self.bootstrapping_key)} key bits"
-            )
-        for bk_i, power in zip(self.bootstrapping_key, powers):
-            if power == 0:
-                continue
-            data = _cmux_rotate_data(bk_i, data, power, transform, workspace)
-        return TlweSample(data)
+        """Blind-rotate one accumulator: :meth:`rotate_batch` on a 1-row view."""
+        batch = TlweBatch(accumulator.data[None])
+        return TlweSample(self.rotate_batch(batch, np.asarray(bara)[None]).data[0])
 
     def rotate_batch(self, accumulators: TlweBatch, bara: np.ndarray) -> TlweBatch:
         """Rotate every in-flight accumulator in lockstep over the key bits.
 
-        A ciphertext whose rotation amount is zero at step ``i`` still passes
-        through the (vectorised) fused CMux, but its ``(X^0 − 1)·ACC``
-        difference is exactly zero, so its accumulator comes back
-        bit-identical to the sequential path's skip.
+        A step at which every row's rotation amount is zero is skipped; a
+        zero row inside an active step contributes an exactly-zero
+        ``(X^0 − 1)·ACC`` difference, so its accumulator passes through
+        unchanged.
         """
-        acc = accumulators
-        for i, bk_i in enumerate(self.bootstrapping_key):
-            powers = bara[:, i]
-            if not powers.any():
-                continue
-            acc = tgsw_batch_cmux_rotate(
-                bk_i, acc, powers, self.transform, self.workspace
+        bara = np.asarray(bara)
+        steps = len(self.bootstrapping_key)
+        if (
+            bara.ndim != 2
+            or bara.shape[0] != accumulators.batch_size
+            or bara.shape[1] < steps
+        ):
+            raise ValueError(
+                f"blind rotation needs one rotation amount per row and key bit: "
+                f"got shape {bara.shape} for {accumulators.batch_size} rows and "
+                f"{steps} key bits"
             )
-        return acc
+        # Window offsets (−ā_i) mod 2N of every step, hoisted out of the loop.
+        starts = np.ascontiguousarray(-bara.T[:steps] % (2 * accumulators.degree))
+        active = starts.any(axis=1).tolist()
+        data = accumulators.data
+        transform = self.transform
+        workspace = self.workspace
+        for bk_i, step_starts, step_active in zip(self.bootstrapping_key, starts, active):
+            if step_active:
+                data = _cmux_rotate_step(bk_i, data, step_starts, transform, workspace)
+        return TlweBatch(data)
 
-    # -- pre-fusion ground truth (property tests / benchmark baseline) -------
+    # -- per-digit-plane oracle (property tests / benchmark baseline) --------
     def rotate_reference(self, accumulator: TlweSample, bara: np.ndarray) -> TlweSample:
-        """The historical step: materialised rotation + per-digit-plane CMux.
+        """The reference step: materialised rotation + per-digit-plane CMux.
 
-        Faithful to the pre-fusion implementation including its per-row
-        rotation loop, so the external-product benchmark's baseline measures
-        the path this PR replaced (the current :func:`tlwe_rotate` is
-        vectorised).
+        Rotates row by row (unlike the vectorised :func:`tlwe_rotate`), which
+        is the baseline the external-product benchmark measures against.
         """
         from repro.tfhe.polynomial import poly_mul_by_xk
 
@@ -180,7 +182,7 @@ class CmuxBlindRotator:
     def rotate_batch_reference(
         self, accumulators: TlweBatch, bara: np.ndarray
     ) -> TlweBatch:
-        """Batched pre-fusion blind rotation (ground truth)."""
+        """Batched reference blind rotation (ground truth)."""
         acc = accumulators
         for i, bk_i in enumerate(self.bootstrapping_key):
             powers = bara[:, i]

@@ -287,8 +287,9 @@ class CupyNegacyclicTransform(NegacyclicTransform):
     ) -> np.ndarray:
         """Raw int64 product ``TGSW ⊡ ((X^power − 1)·ACC)``, device-side.
 
-        The caller (:func:`repro.tfhe.tgsw._cmux_rotate_data`) adds the
-        accumulator back and wraps mod 2^32, exactly like the CPU path.
+        The caller (:func:`repro.tfhe.tgsw._cmux_rotate_step`, for one-row
+        steps) adds the accumulator back and wraps mod 2^32, exactly like the
+        CPU path.
         """
         cp = self._cp
         dev = self._to_device(np.ascontiguousarray(data)).view(cp.uint32)

@@ -161,13 +161,10 @@ def poly_mul_by_xk_powers(polys: np.ndarray, powers: np.ndarray) -> np.ndarray:
 def poly_mul_by_xk_minus_one(poly: np.ndarray, power: int) -> np.ndarray:
     """Compute ``(X^power - 1) * poly`` modulo ``X^N + 1``, fused.
 
-    This is the rotate-and-subtract at the heart of every blind-rotation step
-    (Algorithm 1 line 6: the CMux difference ``X^{ā_i}·ACC − ACC``) and of the
-    BKU bundle construction of Figure 5.  The rotation and the subtraction are
-    fused into one sign-gather-subtract over the precomputed index tables —
-    no intermediate ``X^power · poly`` polynomial is materialised and the
-    torus reduction runs once instead of twice.  The result is bit-identical
-    to ``poly_sub(poly_mul_by_xk(poly, power), poly)`` (both reduce the same
+    The rotation and the subtraction run as one pass — no intermediate
+    ``X^power · poly`` polynomial is materialised and the torus reduction runs
+    once instead of twice.  Bit-identical to
+    ``poly_sub(poly_mul_by_xk(poly, power), poly)`` (both reduce the same
     integer mod ``2^32``).
 
     ``poly`` may be a stack ``(..., N)`` of either ``int32`` (torus) or
@@ -183,14 +180,12 @@ def poly_mul_by_xk_minus_one(poly: np.ndarray, power: int) -> np.ndarray:
     power = int(power) % (2 * degree)
     negate_all = power >= degree
     shift = power % degree
-    # A single power means the gather index table degenerates to two
-    # contiguous segments (the wrapped head, negated, and the shifted tail),
-    # so the gather runs as two block copies straight into the difference
-    # buffer — cheaper than the per-row fancy-index tables of
-    # :func:`poly_mul_by_xk_minus_one_powers`.  For torus (int32) input the
-    # whole difference is computed in uint32 — every operation is taken mod
-    # 2^32 anyway, so wrap-around arithmetic *is* the torus reduction and the
-    # int64 widening plus the final reduction pass disappear.
+    # A single power means the gather degenerates to two contiguous segments
+    # (the wrapped head, negated, and the shifted tail), so it runs as two
+    # block copies straight into the difference buffer.  For torus (int32)
+    # input the whole difference is computed in uint32 — every operation is
+    # taken mod 2^32 anyway, so wrap-around arithmetic *is* the torus
+    # reduction and the int64 widening plus the final reduction pass disappear.
     if poly.dtype == np.int32:
         unsigned = poly.view(np.uint32)
         diff = np.empty(poly.shape, dtype=np.uint32)
@@ -213,40 +208,6 @@ def poly_mul_by_xk_minus_one(poly: np.ndarray, power: int) -> np.ndarray:
         np.negative(diff, out=diff)
     diff -= poly
     return torus32_from_int64(diff)
-
-
-def poly_mul_by_xk_minus_one_powers(polys: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Compute ``(X^powers[i] - 1) * polys[i]`` for a whole stack, fused.
-
-    The batched counterpart of :func:`poly_mul_by_xk_minus_one`: ``powers``
-    broadcasts against the leading batch axes of ``polys`` exactly like in
-    :func:`poly_mul_by_xk_powers`, and a row whose power reduces to zero mod
-    ``2N`` comes out as the zero polynomial (``X^0 − 1 = 0``).  One gather +
-    subtract + torus reduction over the whole stack; bit-identical to
-    ``poly_sub(poly_mul_by_xk_powers(polys, powers), polys)``.
-    """
-    polys = np.asarray(polys)
-    if polys.dtype not in (np.int32, np.int64):
-        raise TypeError(
-            "poly_mul_by_xk_minus_one_powers expects int32 or int64 input, "
-            f"got {polys.dtype}"
-        )
-    degree = polys.shape[-1]
-    powers = np.asarray(powers, dtype=np.int64) % (2 * degree)
-    src, negate = _rotation_tables(degree, powers)
-    shape = np.broadcast_shapes(polys.shape, src.shape)
-    rotated = np.take_along_axis(
-        np.broadcast_to(polys, shape), np.broadcast_to(src, shape), axis=-1
-    )
-    if polys.dtype == np.int32:
-        # Gather, sign-flip and subtract all mod 2^32 — no widening, and the
-        # wrap-around arithmetic is itself the torus reduction.
-        unsigned = rotated.view(np.uint32)
-        diff = np.where(negate, -unsigned, unsigned)
-        diff -= polys.view(np.uint32)
-        return diff.view(np.int32)
-    sign = np.where(negate, np.int64(-1), np.int64(1))
-    return torus32_from_int64(sign * rotated.astype(np.int64) - polys)
 
 
 def negacyclic_convolution(int_poly: np.ndarray, torus_poly: np.ndarray) -> np.ndarray:

@@ -22,13 +22,25 @@ stack, the stack goes through one stacked ``forward``, one
 ``(rows, ..., k+1, N/2)`` spectral tensor, and one stacked ``backward``
 produces every output column at once
 (:meth:`repro.tfhe.transform.NegacyclicTransform.contract_accumulate`).
-Scratch arrays stage through a reusable :class:`BootstrapWorkspace` so the
-``n``-step blind-rotation loop allocates no per-step decomposition buffers.
 The engine counters are topped up to the *logical* per-polynomial transform
 counts after each fused call, so the Figure-1 FFT/IFFT breakdown reports the
-same numbers as the historical per-digit-plane loop — which is preserved
-verbatim as :func:`tgsw_external_product_reference` (the property-test and
-benchmark ground truth).
+same numbers as the per-digit-plane loop of
+:func:`tgsw_external_product_reference` (the property-test and benchmark
+ground truth).
+
+Blind-rotation step
+-------------------
+
+A blind-rotation step ``ACC ← CMux(BK_i, X^p·ACC, ACC)`` is one kernel,
+:func:`_cmux_rotate_step`, over ``(B, k+1, N)`` accumulators with one power
+per row (:func:`tgsw_batch_cmux_rotate`; :func:`tgsw_cmux_rotate` is the same
+kernel on a one-row view).  ``X^p·ACC`` is never built by index tables: it is
+the length-``N`` window starting at ``(−p) mod 2N`` of the uint32 buffer
+``[ACC, −ACC, ACC]``, so ``window − ACC = (X^p − 1)·ACC`` is one subtraction
+into scratch, fed to the fused external product unreduced, and the CMux
+add-back shares the product's single wrap mod 2^32.  All scratch stages
+through a reusable :class:`BootstrapWorkspace`, so the ``n``-step loop
+allocates nothing but the engines' outputs.
 """
 
 from __future__ import annotations
@@ -40,13 +52,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.tfhe.params import TgswParams, TlweParams
-from repro.tfhe.tlwe import (
-    TlweBatch,
-    TlweKey,
-    TlweSample,
-    tlwe_batch_mul_by_xk_minus_one,
-    tlwe_encrypt,
-)
+from repro.tfhe.tlwe import TlweBatch, TlweKey, TlweSample, tlwe_encrypt
 from repro.tfhe.torus import torus32_from_int64
 from repro.tfhe.transform import NegacyclicTransform, Spectrum
 from repro.utils.rng import SeedLike, make_rng
@@ -109,18 +115,19 @@ class TransformedTgswSample:
 class BootstrapWorkspace:
     """Reusable scratch buffers for the fused external-product kernel.
 
-    One workspace amortises the decomposition scratch arrays (the int64
-    shifted/digit temporaries and the int32 digit stack) across every
-    external product that shares it: all ``n`` steps of a blind rotation,
-    every gate of an evaluator, and every flush of a batch scheduler reuse
-    the same buffers instead of allocating fresh ones per step.
+    One workspace amortises the decomposition scratch arrays (the uint32
+    shifted/digit temporaries and the int32 digit stack) and the blind-rotation
+    step's rotation window across every external product that shares it: all
+    ``n`` steps of a blind rotation, every gate of an evaluator, and every
+    flush of a batch scheduler reuse the same buffers instead of allocating
+    fresh ones per step.
 
     Lifetime / reuse rules:
 
     * buffers are keyed by shape — mixing scalar and batched external
       products (or different batch widths) through one workspace is safe,
       each shape gets its own buffer set, and at most :attr:`MAX_SHAPES`
-      shapes are held at once (oldest evicted);
+      shapes are held at once per buffer family (oldest evicted);
     * workspace memory is only ever *input* scratch: every kernel output is
       freshly allocated by the engines, so results never alias workspace
       buffers and remain valid after later calls reuse the workspace;
@@ -129,55 +136,93 @@ class BootstrapWorkspace:
       concurrently evaluating contexts.
     """
 
-    __slots__ = ("_decompose",)
+    __slots__ = ("_decompose", "_rotation")
 
-    #: Max distinct shapes cached per workspace.  A long-lived context can see
-    #: many batch widths over its lifetime (scheduler flushes vary with load);
-    #: beyond this bound the oldest shape's buffers are dropped so scratch
-    #: memory stays proportional to the active working set instead of growing
-    #: with every width ever seen.
+    #: Max distinct shapes cached per buffer family.  A long-lived context can
+    #: see many batch widths over its lifetime (scheduler flushes vary with
+    #: load); beyond this bound the oldest shape's buffers are dropped so
+    #: scratch memory stays proportional to the active working set instead of
+    #: growing with every width ever seen.
     MAX_SHAPES = 8
 
     def __init__(self) -> None:
-        self._decompose: Dict[Tuple[Tuple[int, ...], int], Tuple[np.ndarray, ...]] = {}
+        self._decompose: Dict[tuple, Tuple[np.ndarray, ...]] = {}
+        self._rotation: Dict[tuple, Tuple[np.ndarray, ...]] = {}
+
+    def _remember(self, store: dict, key: tuple, entry: tuple) -> tuple:
+        """Insert ``entry``, evicting the oldest-inserted shape when full (no
+        recency bookkeeping on the hot path)."""
+        if len(store) >= self.MAX_SHAPES:
+            store.pop(next(iter(store)))
+        store[key] = entry
+        return entry
 
     def decompose_buffers(
         self, data_shape: Tuple[int, ...], length: int, rows: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The ``(shifted, scratch, digits, offset)`` buffers of the fused kernel.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(shifted, scratch, digits)`` buffers of the gadget decomposition.
 
-        One dict hit per external product (the decomposition is the hot
-        loop).  At most :attr:`MAX_SHAPES` shape entries are kept
-        (oldest-inserted evicted first — no recency bookkeeping on the hot
-        path).
+        One dict hit per external product (the decomposition is the hot loop).
         """
         key = (data_shape, length)
         entry = self._decompose.get(key)
         if entry is None:
             batch = data_shape[:-2]
             degree = data_shape[-1]
-            entry = (
-                np.empty(data_shape, dtype=np.uint32),
-                np.empty((length,) + data_shape, dtype=np.uint32),
-                np.empty((rows,) + batch + (degree,), dtype=np.int32),
-                np.empty(data_shape, dtype=np.uint32),
+            entry = self._remember(
+                self._decompose,
+                key,
+                (
+                    np.empty(data_shape, dtype=np.uint32),
+                    np.empty((length,) + data_shape, dtype=np.uint32),
+                    np.empty((rows,) + batch + (degree,), dtype=np.int32),
+                ),
             )
-            if len(self._decompose) >= self.MAX_SHAPES:
-                self._decompose.pop(next(iter(self._decompose)))
-            self._decompose[key] = entry
         return entry
+
+    def rotation_buffers(
+        self, data_shape: Tuple[int, ...]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(extended, windows, rows, difference)`` buffers of one
+        blind-rotation step over ``(B, k+1, N)`` accumulators.
+
+        ``extended`` is the ``(B, k+1, 3N)`` uint32 buffer the step fills with
+        ``[ACC, −ACC, ACC]``; ``windows`` is its length-``N`` sliding-window
+        view ``(B, k+1, 2N+1, N)`` (built once — ``windows[b, :, s]`` *is*
+        ``X^{−s}·ACC_b``), ``rows`` the ``arange(B)`` gather index and
+        ``difference`` the ``(B, k+1, N)`` uint32 buffer ``(X^p − 1)·ACC``
+        lands in.
+        """
+        entry = self._rotation.get(data_shape)
+        if entry is None:
+            degree = data_shape[-1]
+            extended = np.empty(data_shape[:-1] + (3 * degree,), dtype=np.uint32)
+            entry = self._remember(
+                self._rotation,
+                data_shape,
+                (
+                    extended,
+                    np.lib.stride_tricks.sliding_window_view(extended, degree, axis=-1),
+                    np.arange(data_shape[0]),
+                    np.empty(data_shape, dtype=np.uint32),
+                ),
+            )
+        return entry
+
+    def _owned(self):
+        """Every array that owns workspace memory (views excluded)."""
+        for entry in (*self._decompose.values(), *self._rotation.values()):
+            yield from (buffer for buffer in entry if buffer.base is None)
 
     @property
     def buffer_count(self) -> int:
         """Number of distinct buffers currently held (for tests/telemetry)."""
-        return 4 * len(self._decompose)
+        return sum(1 for _ in self._owned())
 
     @property
     def nbytes(self) -> int:
         """Total bytes held by the workspace."""
-        return sum(
-            buffer.nbytes for entry in self._decompose.values() for buffer in entry
-        )
+        return sum(buffer.nbytes for buffer in self._owned())
 
 
 def gadget_values(params: TgswParams) -> np.ndarray:
@@ -299,9 +344,7 @@ def gadget_decompose_rows(
         scratch = np.empty((length,) + data.shape, dtype=np.uint32)
         digits = np.empty((rows,) + batch + (degree,), dtype=np.int32)
     else:
-        shifted, scratch, digits, _ = workspace.decompose_buffers(
-            data.shape, length, rows
-        )
+        shifted, scratch, digits = workspace.decompose_buffers(data.shape, length, rows)
 
     np.add(data.view(np.uint32), offset, out=shifted)
     _extract_digit_planes(shifted, scratch, digits, shifts, mask, half_base)
@@ -336,59 +379,6 @@ def _extract_digit_planes(
         (ndim - 2, 0, *range(1, ndim - 2), ndim - 1)
     )
     digits.reshape((blocks, length) + batch + (degree,))[...] = planes
-
-
-def _decompose_rotated_difference(
-    data: np.ndarray,
-    power: int,
-    params: TgswParams,
-    workspace: Optional[BootstrapWorkspace],
-) -> np.ndarray:
-    """Digit stack of ``(X^power − 1)·data``, with the rotation fused in.
-
-    The blind-rotation step's rotate-and-subtract feeds the decomposition's
-    offset-shifted buffer directly: with ``off = offset − data`` (one pass,
-    all mod 2^32), the negacyclic gather segments add or subtract straight
-    into the shifted buffer, so **no difference polynomial is ever
-    materialised**.  Bit-identical to
-    ``gadget_decompose_rows(poly_mul_by_xk_minus_one(data, power), ...)``.
-    """
-    degree = int(data.shape[-1])
-    blocks = int(data.shape[-2])
-    length = params.decomp_length
-    rows = blocks * length
-    offset, shifts, mask, half_base = _decompose_constants_for(params)
-
-    if workspace is None:
-        shifted = np.empty(data.shape, dtype=np.uint32)
-        scratch = np.empty((length,) + data.shape, dtype=np.uint32)
-        digits = np.empty((rows,) + data.shape[:-2] + (degree,), dtype=np.int32)
-        off_acc = np.empty(data.shape, dtype=np.uint32)
-    else:
-        shifted, scratch, digits, off_acc = workspace.decompose_buffers(
-            data.shape, length, rows
-        )
-
-    unsigned = data.view(np.uint32)
-    np.subtract(offset, unsigned, out=off_acc)
-    power = int(power) % (2 * degree)
-    shift = power % degree
-    negate_all = power >= degree
-    if shift:
-        head = unsigned[..., degree - shift :]
-        tail = unsigned[..., : degree - shift]
-        if negate_all:
-            np.add(off_acc[..., :shift], head, out=shifted[..., :shift])
-            np.subtract(off_acc[..., shift:], tail, out=shifted[..., shift:])
-        else:
-            np.subtract(off_acc[..., :shift], head, out=shifted[..., :shift])
-            np.add(off_acc[..., shift:], tail, out=shifted[..., shift:])
-    elif negate_all:
-        np.subtract(off_acc, unsigned, out=shifted)
-    else:
-        np.add(off_acc, unsigned, out=shifted)
-    _extract_digit_planes(shifted, scratch, digits, shifts, mask, half_base)
-    return digits
 
 
 def gadget_recompose(digits: np.ndarray, params: TgswParams) -> np.ndarray:
@@ -708,44 +698,15 @@ def tgsw_cmux_rotate(
     transform: NegacyclicTransform,
     workspace: Optional[BootstrapWorkspace] = None,
 ) -> TlweSample:
-    """One fused blind-rotation step: ``CMux(BK, X^power·ACC, ACC)``.
+    """One blind-rotation step ``CMux(BK, X^power·ACC, ACC)`` on one sample.
 
-    The CMux difference ``X^power·ACC − ACC = (X^power − 1)·ACC`` is formed
-    directly by one sign-gather-subtract over precomputed index tables (no
-    rotated accumulator is ever materialised), fed through the fused external
-    product, and added back onto the accumulator.  Bit-identical to
-    ``tgsw_cmux(selector, tlwe_rotate(acc, power), acc, transform)``.
+    The step kernel of :func:`tgsw_batch_cmux_rotate` on a 1-row view.
+    Bit-identical to ``tgsw_cmux(selector, tlwe_rotate(acc, power), acc,
+    transform)``.
     """
-    _check_compatible(selector, accumulator)
-    return TlweSample(
-        _cmux_rotate_data(selector, accumulator.data, power, transform, workspace)
-    )
-
-
-def _cmux_rotate_data(
-    selector: TransformedTgswSample,
-    data: np.ndarray,
-    power: int,
-    transform: NegacyclicTransform,
-    workspace: Optional[BootstrapWorkspace],
-) -> np.ndarray:
-    """Raw-array core of :func:`tgsw_cmux_rotate` (the blind-rotation hot loop).
-
-    The ``(X^power − 1)·ACC`` difference is fused straight into the gadget
-    decomposition (:func:`_decompose_rotated_difference`) and the CMux
-    add-back folds into the product's single torus reduction (wrapping mod
-    2^32 commutes with the int64 addition).
-    """
-    device_path = getattr(transform, "device_cmux_rotate", None)
-    if device_path is not None:
-        raw = device_path(selector.tensor, data, power, selector.params)
-    else:
-        digits = _decompose_rotated_difference(data, power, selector.params, workspace)
-        raw = transform.contract_accumulate(digits, selector.tensor, reduce=False)
-    _count_logical_transforms(transform, selector)
-    raw += data
-    raw &= 0xFFFFFFFF
-    return raw.astype(np.uint32).view(np.int32)
+    batch = TlweBatch(accumulator.data[None])
+    stepped = tgsw_batch_cmux_rotate(selector, batch, [power], transform, workspace)
+    return TlweSample(stepped.data[0])
 
 
 def tgsw_batch_cmux(
@@ -784,17 +745,66 @@ def tgsw_batch_cmux_rotate(
     transform: NegacyclicTransform,
     workspace: Optional[BootstrapWorkspace] = None,
 ) -> TlweBatch:
-    """One fused batched blind-rotation step with per-ciphertext powers.
+    """One blind-rotation step ``CMux(BK, X^{p_b}·ACC_b, ACC_b)`` per row.
 
+    Every ciphertext of the ``(B, k+1, N)`` batch rotates by its own power.
     Rows whose power reduces to zero mod ``2N`` contribute an exactly-zero
-    difference, so their accumulators come back bit-identical to the scalar
-    path's skip.  Bit-identical to ``tgsw_batch_cmux(selector,
-    tlwe_batch_rotate(acc, powers), acc, transform)``.
+    difference, so their accumulators come back unchanged.  Bit-identical to
+    ``tgsw_batch_cmux(selector, tlwe_batch_rotate(acc, powers), acc,
+    transform)``.
     """
     _check_compatible(selector, accumulators)
-    difference = tlwe_batch_mul_by_xk_minus_one(accumulators, powers)
-    raw = _external_product_data(
-        selector, difference.data, transform, workspace, reduce=False
+    starts = -np.asarray(powers, dtype=np.int64) % (2 * accumulators.degree)
+    if starts.shape != (accumulators.batch_size,):
+        raise ValueError("one rotation power per batched ciphertext is required")
+    if workspace is None:
+        workspace = BootstrapWorkspace()
+    return TlweBatch(
+        _cmux_rotate_step(selector, accumulators.data, starts, transform, workspace)
     )
-    raw += accumulators.data
-    return TlweBatch(torus32_from_int64(raw))
+
+
+def _cmux_rotate_step(
+    selector: TransformedTgswSample,
+    data: np.ndarray,
+    starts: np.ndarray,
+    transform: NegacyclicTransform,
+    workspace: BootstrapWorkspace,
+) -> np.ndarray:
+    """The blind-rotation step kernel on raw ``(B, k+1, N)`` accumulators.
+
+    ``starts[b] = (−p_b) mod 2N``.  Negacyclic rotation is a window read: in
+    ``[ACC, −ACC, ACC]`` (uint32, negation mod 2^32 *is* the sign flip plus
+    torus reduction) the length-``N`` window starting at ``starts[b]`` is
+    ``X^{p_b}·ACC_b`` — a plain slice for one row, one sliding-window gather
+    for a batch.  ``window − ACC`` goes through the fused external product
+    unreduced and the CMux add-back folds into the product's single torus
+    reduction (wrapping mod 2^32 commutes with the int64 addition).
+    """
+    one_row = len(starts) == 1
+    device_step = getattr(transform, "device_cmux_rotate", None)
+    if device_step is not None and one_row:
+        # Device engines rotate, decompose and contract one power on the
+        # device; mixed per-row powers form the difference on the host and
+        # reach the device through the external product's own hook.
+        raw = device_step(selector.tensor, data, -int(starts[0]), selector.params)
+        _count_logical_transforms(transform, selector)
+    else:
+        degree = data.shape[-1]
+        extended, windows, rows, difference = workspace.rotation_buffers(data.shape)
+        unsigned = data.view(np.uint32)
+        extended[..., :degree] = unsigned
+        np.negative(unsigned, out=extended[..., degree : 2 * degree])
+        extended[..., 2 * degree :] = unsigned
+        if one_row:
+            start = int(starts[0])
+            rotated = extended[..., start : start + degree]
+        else:
+            rotated = windows[rows, :, starts]
+        np.subtract(rotated, unsigned, out=difference)
+        raw = _external_product_data(
+            selector, difference.view(np.int32), transform, workspace, reduce=False
+        )
+    raw += data
+    raw &= 0xFFFFFFFF
+    return raw.astype(np.uint32).view(np.int32)

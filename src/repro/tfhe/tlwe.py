@@ -22,8 +22,6 @@ from repro.tfhe.params import LweParams, TlweParams
 from repro.tfhe.polynomial import (
     poly_add,
     poly_mul_by_xk,
-    poly_mul_by_xk_minus_one,
-    poly_mul_by_xk_minus_one_powers,
     poly_mul_by_xk_powers,
     poly_sub,
 )
@@ -196,16 +194,6 @@ def tlwe_rotate(sample: TlweSample, power: int) -> TlweSample:
     return TlweSample(poly_mul_by_xk(sample.data, power))
 
 
-def tlwe_mul_by_xk_minus_one(sample: TlweSample, power: int) -> TlweSample:
-    """Compute ``(X^power − 1) · sample`` in one fused gather-subtract.
-
-    This is the CMux difference of a blind-rotation step
-    (``X^{ā_i}·ACC − ACC``) without materialising the rotated accumulator —
-    bit-identical to ``tlwe_sub(tlwe_rotate(sample, power), sample)``.
-    """
-    return TlweSample(poly_mul_by_xk_minus_one(sample.data, power))
-
-
 def tlwe_extract_lwe_key(key: TlweKey) -> LweKey:
     """Extract the scalar LWE key corresponding to a ring key (KeyExtract).
 
@@ -281,21 +269,6 @@ def tlwe_batch_rotate(batch: TlweBatch, powers: np.ndarray) -> TlweBatch:
         raise ValueError("one rotation power per batched ciphertext is required")
     rotated = poly_mul_by_xk_powers(batch.data, powers[:, None])
     return TlweBatch(rotated.astype(np.int32))
-
-
-def tlwe_batch_mul_by_xk_minus_one(batch: TlweBatch, powers: np.ndarray) -> TlweBatch:
-    """Compute ``(X^{powers[i]} − 1) · batch[i]`` for a whole batch, fused.
-
-    The batched CMux difference of the blind rotation: every ciphertext uses
-    its own power, rows whose power reduces to zero mod ``2N`` come out
-    exactly zero, and nothing rotates through a materialised intermediate —
-    bit-identical to ``tlwe_batch_sub(tlwe_batch_rotate(batch, powers),
-    batch)``.
-    """
-    powers = np.asarray(powers, dtype=np.int64)
-    if powers.shape != (batch.batch_size,):
-        raise ValueError("one rotation power per batched ciphertext is required")
-    return TlweBatch(poly_mul_by_xk_minus_one_powers(batch.data, powers[:, None]))
 
 
 def tlwe_batch_sample_extract(batch: TlweBatch, index: int = 0) -> LweBatch:

@@ -20,7 +20,7 @@ from repro.tfhe.lwe import (
     lwe_noise,
 )
 from repro.tfhe.params import TEST_TINY
-from repro.tfhe.tlwe import tlwe_extract_lwe_key
+from repro.tfhe.tlwe import tlwe_batch_trivial, tlwe_extract_lwe_key
 from repro.tfhe.torus import torus_distance
 
 
@@ -104,3 +104,40 @@ class TestGateBootstrap:
     def test_rotator_counts_external_products(self, tiny_keys_naive):
         _, cloud = tiny_keys_naive
         assert cloud.blind_rotator.external_products_per_bootstrap == TEST_TINY.n
+
+
+class TestRotateInputValidation:
+    """``bara`` must be ``(B, ≥ n)``: one typed error, both entry points."""
+
+    @staticmethod
+    def _accumulators(width):
+        return tlwe_batch_trivial(make_test_vector(TEST_TINY, int(MU)), TEST_TINY.k, width)
+
+    def test_too_few_rotation_amounts_raise_the_same_value_error(self, tiny_keys_naive):
+        _, cloud = tiny_keys_naive
+        rotator = cloud.blind_rotator
+        short = np.ones(TEST_TINY.n - 1, dtype=np.int64)
+        batch = self._accumulators(2)
+        with pytest.raises(ValueError, match="one rotation amount per row and key bit"):
+            rotator.rotate(batch[0], short)
+        with pytest.raises(ValueError, match="one rotation amount per row and key bit"):
+            rotator.rotate_batch(batch, np.stack([short, short]))
+
+    def test_batch_rejects_one_dimensional_and_mismatched_bara(self, tiny_keys_naive):
+        _, cloud = tiny_keys_naive
+        rotator = cloud.blind_rotator
+        full = np.ones(TEST_TINY.n, dtype=np.int64)
+        with pytest.raises(ValueError, match="one rotation amount per row and key bit"):
+            rotator.rotate_batch(self._accumulators(1), full)
+        with pytest.raises(ValueError, match="one rotation amount per row and key bit"):
+            rotator.rotate_batch(self._accumulators(3), np.stack([full, full]))
+
+    def test_extra_trailing_amounts_are_ignored(self, tiny_keys_naive):
+        _, cloud = tiny_keys_naive
+        rotator = cloud.blind_rotator
+        full = np.arange(1, TEST_TINY.n + 1, dtype=np.int64)
+        batch = self._accumulators(1)
+        exact = rotator.rotate_batch(batch, full[None])
+        padded = rotator.rotate_batch(batch, np.append(full, 9)[None])
+        assert np.array_equal(exact.data, padded.data)
+        assert np.array_equal(rotator.rotate(batch[0], np.append(full, 9)).data, exact.data[0])

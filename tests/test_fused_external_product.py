@@ -1,13 +1,15 @@
-"""Bit-identity of the fused external-product kernel vs the pre-fusion path.
+"""Bit-identity of the fused external product and the blind-rotation step kernel.
 
-The PR-4 fusion (packed ``(rows, k+1, N/2)`` key tensors, one stacked
-forward / ``spectrum_contract`` / stacked backward per external product, the
-``(X^p − 1)·ACC`` rotate-and-subtract folded into the decomposition, shared
-:class:`~repro.tfhe.tgsw.BootstrapWorkspace` scratch) must be **bit-identical**
-to the historical loop for every engine and both rotators.  These tests pin
-that down against the reference implementations kept in-tree
-(``tgsw_*_reference`` / ``rotate_reference`` / ``keyswitch_apply_reference``),
-including rotation edge powers and workspace aliasing across calls.
+The fused external product (packed ``(rows, k+1, N/2)`` key tensors, one
+stacked forward / ``spectrum_contract`` / stacked backward) and the one
+blind-rotation step kernel built on it (``X^p·ACC`` read as a window of
+``[ACC, −ACC, ACC]``, shared :class:`~repro.tfhe.tgsw.BootstrapWorkspace`
+scratch) must be **bit-identical** to the per-digit-plane reference loop for
+every engine, every batch width and both rotators.  These tests pin that down
+against the reference implementations kept in-tree (``tgsw_*_reference`` /
+``rotate[_batch]_reference`` / ``keyswitch_apply_reference``), including
+rotation edge powers, per-row test vectors, workspace aliasing across calls,
+the logical transform counters and the device-engine hooks.
 """
 
 from __future__ import annotations
@@ -16,26 +18,37 @@ import numpy as np
 import pytest
 
 from repro.core.bku import UnrolledBlindRotator, generate_unrolled_bootstrapping_key
-from repro.tfhe.bootstrap import CmuxBlindRotator
+from repro.tfhe.bootstrap import (
+    CmuxBlindRotator,
+    gate_bootstrap,
+    gate_bootstrap_batch,
+    programmable_bootstrap,
+    programmable_bootstrap_batch,
+)
+from repro.tfhe.gates import MU
 from repro.tfhe.keys import generate_keys, generate_secret_key
 from repro.tfhe.keyswitch import (
     keyswitch_apply,
     keyswitch_apply_batch,
     keyswitch_apply_reference,
 )
-from repro.tfhe.lwe import LweBatch, gate_message, lwe_encrypt
-from repro.tfhe.params import TEST_TINY
+from repro.tfhe.lwe import (
+    LweBatch,
+    decrypt_digit,
+    encrypt_digit,
+    gate_message,
+    lwe_encrypt,
+)
+from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
 from repro.tfhe.polynomial import (
+    poly_add,
     poly_mul_by_xk,
     poly_mul_by_xk_minus_one,
-    poly_mul_by_xk_minus_one_powers,
-    poly_mul_by_xk_powers,
     poly_sub,
 )
 from repro.tfhe.tgsw import (
     BootstrapWorkspace,
     gadget_decompose_rows,
-    tgsw_batch_cmux,
     tgsw_batch_cmux_reference,
     tgsw_batch_cmux_rotate,
     tgsw_batch_external_product,
@@ -51,23 +64,42 @@ from repro.tfhe.tgsw import (
 from repro.tfhe.tlwe import (
     TlweBatch,
     TlweSample,
-    tlwe_batch_mul_by_xk_minus_one,
     tlwe_batch_rotate,
     tlwe_batch_sample_extract,
-    tlwe_batch_sub,
     tlwe_encrypt,
     tlwe_key_generate,
-    tlwe_mul_by_xk_minus_one,
     tlwe_rotate,
     tlwe_sample_extract,
-    tlwe_sub,
 )
-from repro.tfhe.transform import make_transform
+from repro.tfhe.transform import (
+    DoubleFFTNegacyclicTransform,
+    available_engines,
+    make_transform,
+)
 
 PARAMS = TEST_TINY
 ENGINES = ("naive", "double", "approx")
 #: Rotation edge powers: identity, boundary, negacyclic wrap, full cycle.
 EDGE_POWERS = (0, 1, PARAMS.N - 1, PARAMS.N, PARAMS.N + 3, 2 * PARAMS.N - 1, 2 * PARAMS.N)
+#: The step-kernel suite: every CPU engine (``compiled`` skips with the
+#: registry's reason when unusable) × the one-row slice path and two gather
+#: widths, powers drawn from the window edges with zero rows mixed in.
+KERNEL_ENGINES = ENGINES + ("compiled",)
+KERNEL_WIDTHS = (1, 2, 7)
+KERNEL_POWERS = (0, 1, PARAMS.N - 1, PARAMS.N, PARAMS.N + 1, 2 * PARAMS.N - 1)
+
+
+def _engine_or_skip(kind: str, degree: int):
+    reason = available_engines()[kind]
+    if reason is not None:
+        pytest.skip(f"engine {kind!r} unavailable: {reason}")
+    return make_transform(kind, degree)
+
+
+def _random_batch(rng, width: int, params=PARAMS) -> TlweBatch:
+    return TlweBatch(
+        rng.integers(-(2**31), 2**31, (width, params.k + 1, params.N)).astype(np.int32)
+    )
 
 
 def _sample_equal(a, b) -> bool:
@@ -200,6 +232,141 @@ class TestBlindRotationBitIdentity:
         assert np.array_equal(fused_batch.data, reference_batch.data)
 
 
+@pytest.fixture(scope="module", params=KERNEL_ENGINES)
+def kernel_setup(request):
+    """One engine's transform, a TGSW selector and a full cloud key."""
+    transform = _engine_or_skip(request.param, PARAMS.N)
+    key = tlwe_key_generate(PARAMS.tlwe, rng=131)
+    selector = tgsw_transform(
+        tgsw_encrypt(key, 1, PARAMS.tgsw, transform, rng=132), transform
+    )
+    secret, cloud = generate_keys(PARAMS, transform, rng=133)
+    return transform, selector, secret, cloud
+
+
+def _edge_powers(rng, shape) -> np.ndarray:
+    """Powers drawn from the window edges; zero is one draw in six."""
+    return rng.choice(np.array(KERNEL_POWERS, dtype=np.int64), size=shape)
+
+
+class TestStepKernel:
+    """The one blind-rotation step kernel vs the reference, every width."""
+
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    def test_step_matches_reference_at_every_edge_power(self, kernel_setup, width):
+        transform, selector, _, _ = kernel_setup
+        rng = np.random.default_rng(140 + width)
+        batch = _random_batch(rng, width)
+        # Slide the edge powers across the rows so every row sees every edge
+        # and zero / non-zero rows share a batch.
+        for offset in range(len(KERNEL_POWERS)):
+            powers = np.array(
+                [KERNEL_POWERS[(offset + row) % len(KERNEL_POWERS)] for row in range(width)],
+                dtype=np.int64,
+            )
+            stepped = tgsw_batch_cmux_rotate(selector, batch, powers, transform)
+            reference = tgsw_batch_cmux_reference(
+                selector, tlwe_batch_rotate(batch, powers), batch, transform
+            )
+            assert np.array_equal(stepped.data, reference.data), powers
+            if width > 1:
+                zero_rows = powers % (2 * PARAMS.N) == 0
+                assert np.array_equal(stepped.data[zero_rows], batch.data[zero_rows])
+
+    def test_scalar_entry_point_is_the_one_row_kernel(self, kernel_setup):
+        transform, selector, _, _ = kernel_setup
+        rng = np.random.default_rng(150)
+        sample = TlweSample(_random_batch(rng, 1).data[0])
+        for power in EDGE_POWERS + (-1, -PARAMS.N - 2):
+            scalar = tgsw_cmux_rotate(selector, sample, power, transform)
+            batched = tgsw_batch_cmux_rotate(
+                selector, TlweBatch(sample.data[None]), np.array([power]), transform
+            )
+            assert np.array_equal(scalar.data, batched.data[0])
+
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    def test_rotator_matches_reference(self, kernel_setup, width):
+        _, _, _, cloud = kernel_setup
+        rotator = cloud.blind_rotator
+        assert isinstance(rotator, CmuxBlindRotator)
+        rng = np.random.default_rng(160 + width)
+        bara = _edge_powers(rng, (width, PARAMS.n))
+        bara[:, 3] = 0  # a step every row skips
+        bara[0, :2] = 0  # leading zero rows inside active steps
+        batch = _random_batch(rng, width)
+        fused = rotator.rotate_batch(batch.copy(), bara)
+        reference = rotator.rotate_batch_reference(batch.copy(), bara)
+        assert np.array_equal(fused.data, reference.data)
+        for row in range(width):
+            scalar = rotator.rotate(TlweSample(batch.data[row].copy()), bara[row])
+            assert np.array_equal(scalar.data, fused.data[row])
+        first = rotator.rotate_reference(TlweSample(batch.data[0].copy()), bara[0])
+        assert np.array_equal(first.data, fused.data[0])
+
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    def test_gate_bootstrap_both_entry_points_agree(self, kernel_setup, width):
+        _, _, secret, cloud = kernel_setup
+        samples = [
+            lwe_encrypt(secret.lwe_key, gate_message(i % 2), rng=170 + i)
+            for i in range(width)
+        ]
+        rotator, ksk = cloud.blind_rotator, cloud.keyswitch_key
+        batched = gate_bootstrap_batch(
+            LweBatch.from_samples(samples), MU, rotator, ksk, PARAMS
+        )
+        for row, sample in enumerate(samples):
+            scalar = gate_bootstrap(sample, MU, rotator, ksk, PARAMS)
+            assert np.array_equal(batched.a[row], scalar.a)
+            assert np.int32(batched.b[row]) == np.int32(scalar.b)
+
+
+class _ReferenceRotator:
+    """A rotator whose entry points are the pre-fusion reference loops."""
+
+    def __init__(self, rotator: CmuxBlindRotator) -> None:
+        self.rotate = rotator.rotate_reference
+        self.rotate_batch = rotator.rotate_batch_reference
+
+
+class TestPerRowTestVectors:
+    """Per-row LUT test vectors ride the same step kernel."""
+
+    ENCODING = DigitEncoding(message_bits=2)
+    TABLES = ([3, 0, 2, 1], [0, 1, 2, 3], [1, 1, 0, 2], [2, 3, 3, 0], [0, 0, 0, 0])
+
+    @pytest.fixture(scope="class", params=ENGINES)
+    def pbs(self, request):
+        transform = make_transform(request.param, TEST_PBS.N)
+        return generate_keys(TEST_PBS, transform, rng=181)
+
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    def test_programmable_bootstrap_batch_matches_reference(self, pbs, width):
+        secret, cloud = pbs
+        rotator, ksk = cloud.blind_rotator, cloud.keyswitch_key
+        digits = [(3 * row + 1) % self.ENCODING.space for row in range(width)]
+        tables = [self.TABLES[row % len(self.TABLES)] for row in range(width)]
+        samples = [
+            encrypt_digit(secret.lwe_key, digit, self.ENCODING, rng=190 + row)
+            for row, digit in enumerate(digits)
+        ]
+        batch = LweBatch.from_samples(samples)
+        fused = programmable_bootstrap_batch(
+            batch, tables, self.ENCODING, rotator, ksk, TEST_PBS
+        )
+        reference = programmable_bootstrap_batch(
+            batch, tables, self.ENCODING, _ReferenceRotator(rotator), ksk, TEST_PBS
+        )
+        assert np.array_equal(fused.a, reference.a)
+        assert np.array_equal(fused.b, reference.b)
+        for row, (sample, table, digit) in enumerate(zip(samples, tables, digits)):
+            scalar = programmable_bootstrap(
+                sample, table, self.ENCODING, rotator, ksk, TEST_PBS
+            )
+            assert np.array_equal(fused.a[row], scalar.a)
+            assert np.int32(fused.b[row]) == np.int32(scalar.b)
+            assert decrypt_digit(secret.lwe_key, scalar, self.ENCODING) == table[digit]
+
+
 class TestWorkspace:
     def test_results_independent_of_workspace_reuse(self, setup):
         transform, key, selector, tlwe = setup
@@ -253,6 +420,192 @@ class TestWorkspace:
             )
             tgsw_batch_external_product(selector, batch, transform, workspace)
         assert len(workspace._decompose) <= BootstrapWorkspace.MAX_SHAPES
+
+
+def _workspace_arrays(workspace: BootstrapWorkspace):
+    for store in (workspace._decompose, workspace._rotation):
+        for entry in store.values():
+            yield from entry
+
+
+class TestStepWorkspace:
+    def test_two_widths_through_one_workspace_do_not_alias_or_clobber(self, setup):
+        transform, _, selector, _ = setup
+        workspace = BootstrapWorkspace()
+        rng = np.random.default_rng(200)
+        wide, narrow = _random_batch(rng, 3), _random_batch(rng, 1)
+        wide_powers = np.array([1, 0, PARAMS.N + 1], dtype=np.int64)
+        first = tgsw_batch_cmux_rotate(selector, wide, wide_powers, transform, workspace)
+        first_snapshot = first.data.copy()
+        second = tgsw_batch_cmux_rotate(
+            selector, narrow, np.array([2 * PARAMS.N - 1]), transform, workspace
+        )
+        second_snapshot = second.data.copy()
+        # Same shapes again: every workspace buffer of both widths is rewritten.
+        tgsw_batch_cmux_rotate(selector, narrow, np.array([5]), transform, workspace)
+        tgsw_batch_cmux_rotate(selector, wide, wide_powers[::-1], transform, workspace)
+        for result, snapshot in ((first, first_snapshot), (second, second_snapshot)):
+            assert np.array_equal(result.data, snapshot)
+            assert not any(
+                np.shares_memory(result.data, buffer)
+                for buffer in _workspace_arrays(workspace)
+            )
+        assert np.array_equal(
+            first.data,
+            tgsw_batch_cmux_rotate(selector, wide, wide_powers, transform).data,
+        )
+
+    def test_rotator_results_survive_a_later_rotation_of_another_width(self, setup):
+        transform, _, _, _ = setup
+        _, cloud = generate_keys(
+            PARAMS, make_transform(transform.engine_kind, PARAMS.N), rng=201
+        )
+        rotator = cloud.blind_rotator
+        rng = np.random.default_rng(202)
+        batch, single = _random_batch(rng, 2), _random_batch(rng, 1)
+        bara = rng.integers(0, 2 * PARAMS.N, (2, PARAMS.n), dtype=np.int64)
+        first = rotator.rotate_batch(batch, bara)
+        snapshot = first.data.copy()
+        second = rotator.rotate(TlweSample(single.data[0]), bara[1])
+        assert np.array_equal(first.data, snapshot)
+        for result in (first, second):
+            assert not any(
+                np.shares_memory(result.data, buffer)
+                for buffer in _workspace_arrays(rotator.workspace)
+            )
+
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    def test_nbytes_and_buffer_count_account_for_the_step_buffers(self, setup, width):
+        transform, _, selector, _ = setup
+        workspace = BootstrapWorkspace()
+        batch = _random_batch(np.random.default_rng(203), width)
+        powers = np.arange(1, width + 1, dtype=np.int64)
+        tgsw_batch_cmux_rotate(selector, batch, powers, transform, workspace)
+        block = width * (PARAMS.k + 1) * PARAMS.N * 4  # one (B, k+1, N) uint32 array
+        decompose = block + PARAMS.l * block + block * PARAMS.l  # shifted, scratch, digits
+        rotation = 3 * block + block + width * 8  # [ACC, −ACC, ACC], difference, row index
+        assert workspace.nbytes == decompose + rotation
+        assert workspace.buffer_count == 6
+        tgsw_batch_cmux_rotate(selector, batch, powers[::-1], transform, workspace)
+        assert workspace.buffer_count == 6
+        # A plain external product of the same shape adds nothing: it shares
+        # the decomposition buffers and needs no rotation window.
+        tgsw_batch_external_product(selector, batch, transform, workspace)
+        assert workspace.nbytes == decompose + rotation
+
+
+class TestBootstrapCounters:
+    """Engine counters per bootstrap: one logical external product per active step."""
+
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    def test_counts_per_blind_rotation(self, width):
+        transform = make_transform("double", PARAMS.N)
+        _, cloud = generate_keys(PARAMS, transform, rng=210)
+        rotator = cloud.blind_rotator
+        rng = np.random.default_rng(211)
+        bara = rng.integers(1, 2 * PARAMS.N, (width, PARAMS.n), dtype=np.int64)
+        bara[:, 5] = 0  # skipped by every row: no transforms at this step
+        bara[0, 7] = 0  # a zero row: costs the step unless it is the only row
+        active = PARAMS.n - (2 if width == 1 else 1)
+        rows, cols = (PARAMS.k + 1) * PARAMS.l, PARAMS.k + 1
+        batch = _random_batch(rng, width)
+
+        def counts(run):
+            transform.reset_stats()
+            run()
+            stats = transform.stats
+            return stats.forward_calls, stats.backward_calls, stats.pointwise_ops
+
+        expected = (active * rows, active * cols, active * 2 * rows * cols)
+        assert counts(lambda: rotator.rotate_batch(batch, bara)) == expected
+        assert counts(lambda: rotator.rotate_batch_reference(batch, bara)) == expected
+        if width == 1:
+            sample = TlweSample(batch.data[0])
+            assert counts(lambda: rotator.rotate(sample, bara[0])) == expected
+            assert counts(lambda: rotator.rotate_reference(sample, bara[0])) == expected
+
+
+class _HookedEngine(DoubleFFTNegacyclicTransform):
+    """A host engine exposing the device hooks, recording how it was entered."""
+
+    def __init__(self, degree: int) -> None:
+        super().__init__(degree)
+        self.calls = []
+
+    def device_external_product(self, tensor, data, params, reduce=True):
+        self.calls.append(("external_product", np.array(data), reduce))
+        digits = gadget_decompose_rows(data, params)
+        return self.contract_accumulate(digits, tensor, reduce=reduce)
+
+    def device_cmux_rotate(self, tensor, data, power, params):
+        self.calls.append(("cmux_rotate", int(power) % (2 * self.degree)))
+        digits = gadget_decompose_rows(poly_mul_by_xk_minus_one(data, power), params)
+        return self.contract_accumulate(digits, tensor, reduce=False)
+
+
+class TestDeviceHooks:
+    """The step kernel honours a device engine's hooks (no GPU needed)."""
+
+    @pytest.fixture()
+    def hooked(self):
+        engine, host = _HookedEngine(PARAMS.N), make_transform("double", PARAMS.N)
+        key = tlwe_key_generate(PARAMS.tlwe, rng=220)
+        selector = tgsw_transform(tgsw_encrypt(key, 1, PARAMS.tgsw, host, rng=221), host)
+        return engine, host, selector
+
+    def test_one_row_step_runs_device_cmux_rotate(self, hooked):
+        engine, host, selector = hooked
+        batch = _random_batch(np.random.default_rng(222), 1)
+        for power in KERNEL_POWERS[1:]:
+            engine.calls.clear()
+            stepped = tgsw_batch_cmux_rotate(selector, batch, np.array([power]), engine)
+            assert engine.calls == [("cmux_rotate", power)]
+            expected = tgsw_batch_cmux_rotate(selector, batch, np.array([power]), host)
+            assert np.array_equal(stepped.data, expected.data)
+
+    def test_batched_step_runs_device_external_product_unreduced(self, hooked):
+        engine, host, selector = hooked
+        batch = _random_batch(np.random.default_rng(223), 3)
+        powers = np.array([0, PARAMS.N - 1, PARAMS.N + 1], dtype=np.int64)
+        stepped = tgsw_batch_cmux_rotate(selector, batch, powers, engine)
+        [(name, difference, reduce)] = engine.calls
+        assert (name, reduce) == ("external_product", False)
+        for row, power in enumerate(powers):
+            assert np.array_equal(
+                difference[row], poly_mul_by_xk_minus_one(batch.data[row], int(power))
+            )
+        expected = tgsw_batch_cmux_rotate(selector, batch, powers, host)
+        assert np.array_equal(stepped.data, expected.data)
+
+    def test_plain_external_product_runs_device_external_product(self, hooked):
+        engine, host, selector = hooked
+        batch = _random_batch(np.random.default_rng(224), 2)
+        product = tgsw_batch_external_product(selector, batch, engine)
+        assert [(name, reduce) for name, _, reduce in engine.calls] == [
+            ("external_product", True)
+        ]
+        expected = tgsw_batch_external_product(selector, batch, host)
+        assert np.array_equal(product.data, expected.data)
+
+    def test_both_rotator_entry_points_use_the_hooks_and_keep_the_counters(self, hooked):
+        engine, host, _ = hooked
+        _, cloud = generate_keys(PARAMS, host, rng=225)
+        rotator = CmuxBlindRotator(cloud.blind_rotator.bootstrapping_key, engine)
+        reference = cloud.blind_rotator
+        rng = np.random.default_rng(226)
+        bara = rng.integers(1, 2 * PARAMS.N, (2, PARAMS.n), dtype=np.int64)
+        batch = _random_batch(rng, 2)
+        host.reset_stats()
+        expected = reference.rotate_batch(batch, bara)
+        engine.reset_stats()
+        assert np.array_equal(rotator.rotate_batch(batch, bara).data, expected.data)
+        assert {call[0] for call in engine.calls} == {"external_product"}
+        assert engine.stats.forward_calls == host.stats.forward_calls
+        assert engine.stats.backward_calls == host.stats.backward_calls
+        engine.calls.clear()
+        single = rotator.rotate(TlweSample(batch.data[0]), bara[0])
+        assert np.array_equal(single.data, expected.data[0])
+        assert [call[0] for call in engine.calls] == ["cmux_rotate"] * PARAMS.n
 
 
 class TestLogicalCounters:
@@ -317,16 +670,21 @@ class TestDigitStack:
                     row = block * PARAMS.l + j
                     assert np.array_equal(stack[row], digits[j])
 
-    def test_fused_rotated_difference_matches_decompose_of_difference(self):
-        from repro.tfhe.tgsw import _decompose_rotated_difference
-
+    def test_step_kernel_decomposes_the_rotated_difference(self):
+        # The step hands ``window − ACC`` to the fused external product, so a
+        # step must equal "external product of (X^p − 1)·ACC, plus ACC".
+        transform = make_transform("double", PARAMS.N)
+        key = tlwe_key_generate(PARAMS.tlwe, rng=114)
+        selector = tgsw_transform(
+            tgsw_encrypt(key, 1, PARAMS.tgsw, transform, rng=115), transform
+        )
         rng = np.random.default_rng(105)
         data = rng.integers(-(2**31), 2**31, (PARAMS.k + 1, PARAMS.N)).astype(np.int32)
         for power in EDGE_POWERS:
-            fused = _decompose_rotated_difference(data, power, PARAMS.tgsw, None)
-            difference = poly_mul_by_xk_minus_one(data, power)
-            reference = gadget_decompose_rows(difference, PARAMS.tgsw)
-            assert np.array_equal(fused, reference), f"power {power}"
+            stepped = tgsw_cmux_rotate(selector, TlweSample(data), power, transform)
+            difference = TlweSample(poly_mul_by_xk_minus_one(data, power))
+            product = tgsw_external_product(selector, difference, transform)
+            assert np.array_equal(stepped.data, poly_add(product.data, data)), power
 
 
 class TestVectorisedTlwe:
@@ -342,16 +700,6 @@ class TestVectorisedTlwe:
         ).astype(np.int32)
         assert np.array_equal(vectorised.data, per_row)
 
-    @pytest.mark.parametrize("power", EDGE_POWERS)
-    def test_mul_by_xk_minus_one_matches_rotate_then_subtract(self, power):
-        rng = np.random.default_rng(107)
-        sample = TlweSample(
-            rng.integers(-(2**31), 2**31, (PARAMS.k + 1, PARAMS.N)).astype(np.int32)
-        )
-        fused = tlwe_mul_by_xk_minus_one(sample, power)
-        reference = tlwe_sub(tlwe_rotate(sample, power), sample)
-        assert np.array_equal(fused.data, reference.data)
-
     def test_poly_minus_one_matches_poly_sub_for_int64(self):
         rng = np.random.default_rng(108)
         poly = rng.integers(-(2**40), 2**40, PARAMS.N)
@@ -359,27 +707,6 @@ class TestVectorisedTlwe:
             fused = poly_mul_by_xk_minus_one(poly, power)
             reference = poly_sub(poly_mul_by_xk(poly, power), poly)
             assert np.array_equal(fused, reference)
-
-    def test_batch_minus_one_matches_batch_rotate_then_subtract(self):
-        rng = np.random.default_rng(109)
-        batch = TlweBatch(
-            rng.integers(
-                -(2**31), 2**31, (len(EDGE_POWERS), PARAMS.k + 1, PARAMS.N)
-            ).astype(np.int32)
-        )
-        powers = np.array(EDGE_POWERS, dtype=np.int64)
-        fused = tlwe_batch_mul_by_xk_minus_one(batch, powers)
-        reference = tlwe_batch_sub(tlwe_batch_rotate(batch, powers), batch)
-        assert np.array_equal(fused.data, reference.data)
-
-    def test_poly_minus_one_powers_matches_poly_mul_by_xk_powers(self):
-        rng = np.random.default_rng(110)
-        polys = rng.integers(-(2**31), 2**31, (4, PARAMS.N)).astype(np.int32)
-        powers = np.array([0, 1, PARAMS.N, 2 * PARAMS.N - 1], dtype=np.int64)
-        fused = poly_mul_by_xk_minus_one_powers(polys, powers[:, None])
-        rotated = poly_mul_by_xk_powers(polys, powers[:, None])
-        reference = poly_sub(rotated, polys)
-        assert np.array_equal(fused, reference)
 
     @pytest.mark.parametrize("index", [0, 1, PARAMS.N - 1])
     def test_batch_sample_extract_matches_scalar(self, index):

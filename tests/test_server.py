@@ -19,13 +19,18 @@ from __future__ import annotations
 
 import io
 import json
+import pathlib
+import signal
 import socket
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.runtime.protocol import (
+    DEFAULT_MAX_FRAME,
     ServerBusy,
     ServerError,
     ServingClient,
@@ -420,3 +425,40 @@ def test_disconnect_with_pending_jobs_keeps_server_clean(server_factory, wire_ke
             "or", encrypt_bit(secret, 1, rng=620), encrypt_bit(secret, 0, rng=621)
         )
         assert decrypt_bit(secret, out) == 1
+
+
+# --------------------------------------------------------------------------- #
+# tools/serve.py --max-frame                                                  #
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("raised", [False, True])
+def test_serve_cli_max_frame_admits_frames_above_the_default(raised):
+    """A frame above ``DEFAULT_MAX_FRAME`` (a paper-110bit ``register_key``
+    is ~108 MiB) is refused by default and read once ``--max-frame`` allows it."""
+    serve = pathlib.Path(__file__).resolve().parent.parent / "tools" / "serve.py"
+    flags = ["--max-frame", str(2 * DEFAULT_MAX_FRAME)] if raised else []
+    process = subprocess.Popen(
+        [sys.executable, str(serve), "--port", "0", *flags],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        banner = process.stdout.readline()
+        assert "listening on" in banner, banner
+        port = int(banner.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=60.0) as sock:
+            # The reader checks the declared size on the prefix, so the body
+            # need only follow when the frame is going to be admitted.
+            frame = encode_frame({"op": "hello", "id": 7}, bytes(DEFAULT_MAX_FRAME))
+            sock.sendall(frame if raised else frame[:64])
+            header, _ = read_frame(sock)
+        if raised:
+            assert header["id"] == 7 and header["server"] == "repro-serve"
+        else:
+            assert header["error"]["kind"] == "protocol"
+            assert str(DEFAULT_MAX_FRAME) in header["error"]["message"]
+    finally:
+        process.send_signal(signal.SIGTERM)
+        process.wait(timeout=30.0)
+        process.stdout.close()

@@ -22,6 +22,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.runtime.protocol import DEFAULT_MAX_FRAME  # noqa: E402
 from repro.runtime.server import serve  # noqa: E402
 from repro.runtime.workers import WorkerPool  # noqa: E402
 
@@ -65,6 +66,15 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         help="chunk bound for one batched bootstrapping call",
+    )
+    parser.add_argument(
+        "--max-frame",
+        type=int,
+        default=DEFAULT_MAX_FRAME,
+        help=(
+            "largest request frame accepted, in bytes; a paper-110bit cloud "
+            "key is a ~108 MiB register_key frame, above the default"
+        ),
     )
     parser.add_argument(
         "--engine",
@@ -127,6 +137,7 @@ def main(argv=None) -> int:
                 max_inflight=args.max_inflight,
                 flush_interval=args.flush_interval,
                 max_rows_per_call=args.max_rows_per_call,
+                max_frame=args.max_frame,
                 engine=args.engine,
                 drain_timeout=args.drain_timeout,
             )
