@@ -1,15 +1,11 @@
-"""Cross-session batch scheduling of gate and circuit jobs.
+"""Cross-session batch scheduling of gate, lut and circuit jobs.
 
-PR 1 made one *caller's* batch cheap and PR 2 packed one *circuit's*
-dependency levels; this module turns the batch axis into a **multi-tenant
-throughput mechanism**, the way the paper's accelerator keeps the
-bootstrapping key resident and streams independent ciphertexts past it.  A
-:class:`BatchScheduler` accepts jobs from many independent
-:class:`EvaluationSession` objects and coalesces every job that shares a
-cloud key into single mixed-gate batched bootstrappings
-(:meth:`repro.tfhe.gates.BatchGateEvaluator.gate_rows` — the PR 2 path), so
-sixteen clients submitting one NAND each cost one blind rotation sweep
-instead of sixteen.
+The batch axis is a **multi-tenant throughput mechanism**, the way the
+paper's accelerator keeps the bootstrapping key resident and streams
+independent ciphertexts past it.  A :class:`BatchScheduler` accepts jobs from
+many independent :class:`EvaluationSession` objects and coalesces every row
+that shares a cloud key into one batched bootstrapping, so sixteen clients
+submitting one NAND each cost one blind rotation sweep instead of sixteen.
 
 Model
 -----
@@ -23,27 +19,31 @@ Model
   ciphertexts of different keys are algebraically incompatible — so the
   scheduler groups work per client.
 * ``submit_gate``/``submit_lut``/``submit_circuit`` enqueue work and return
-  handles (futures); linear operations (NOT/constant) resolve immediately,
-  they never cost a bootstrap.  Operands may be *handles* of earlier jobs of
-  the same session, so chains of gates schedule like circuit levels.
+  handles (futures); linear operations (NOT/constant/copy) resolve
+  immediately, they never cost a bootstrap.  Operands may be *handles* of
+  earlier jobs of the same client, so chains of gates schedule like circuit
+  levels.  A job whose operand handle failed fails with the same typed
+  exception and leaves the queue; nobody else's flush is affected.
 * ``flush()`` drains the queue in rounds: each round gathers, per client,
-  every row every ready job wants bootstrapped next — single gates are one
-  row, a circuit job contributes its current dependency level — and issues
-  them as one batched call (optionally chunked by ``max_rows_per_call``).
-  Gate-only chunks take the exact ``gate_rows`` path; chunks containing lut
-  rows fuse per-row test vectors through ``bootstrap_rows`` instead, so
-  lookup jobs and boolean gates still share one blind rotation sweep.
-  Jobs whose operands resolved in an earlier round
+  every row every ready job wants bootstrapped next — a gate or lut job is
+  one row, a circuit job contributes the current wave of its
+  :class:`repro.tfhe.executor.LevelWalker` — and hands them to the
+  dispatcher as one list of ``("gate", name, ca, cb)`` / ``("lut", table,
+  operands)`` tuples.  Jobs whose operands resolved in an earlier round
   become ready in the next, so chained work schedules level-by-level across
   all sessions in lockstep.
+* :func:`execute_rows` is what finally runs a row list, in whichever process
+  the dispatcher picked: per chunk of at most ``max_rows_per_call`` rows, one
+  stack of operands and one :meth:`repro.tfhe.gates.BatchGateEvaluator.rows`
+  call (row → spec → affine pass → ``bootstrap_rows``).  Gate rows and lut
+  rows differ only in the spec each row resolves to.
 
-PR 7 split this module into a **front-end** and a pluggable execution
-back-end.  The front-end owns the job graph (handles, readiness, rounds),
-the per-client coalescing and the admission control; the rows each round
-produces are handed to a :class:`RowDispatcher`:
+The front-end owns the job graph (handles, readiness, rounds), the per-client
+coalescing and the admission control; *where* rows run is the
+:class:`RowDispatcher`'s business:
 
-* :class:`InlineDispatcher` (the default) executes rows in-process through
-  :func:`execute_rows` — exactly the historical single-process path;
+* :class:`InlineDispatcher` (the default) calls :func:`execute_rows`
+  in-process;
 * :class:`repro.runtime.workers.WorkerPool` shards the rows of one round
   across a pool of worker processes (rows of one batched bootstrapping are
   embarrassingly parallel), requeueing rows lost to worker crashes.
@@ -60,27 +60,18 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.runtime.context import FheContext
 from repro.telemetry.metrics import ROWS_PER_CALL_BUCKETS
 from repro.tfhe.transform import EngineFault
-from repro.tfhe.executor import LevelSchedule, _gather_inputs, schedule_circuit
-from repro.tfhe.gates import (
-    MIXED_GATE_SPECS,
-    gate_affine_batch,
-    lut_affine_batch,
-    require_lut_spec,
-)
+from repro.tfhe.executor import LevelSchedule, LevelWalker, schedule_circuit
+from repro.tfhe.gates import Row, row_spec, split_rows
 from repro.tfhe.keys import TFHECloudKey
-from repro.tfhe.lut import lut_test_vector
 from repro.tfhe.lwe import (
     LweBatch,
     LweSample,
     gate_message,
-    lwe_batch_concat,
     lwe_encrypt_trivial,
     lwe_negate,
 )
@@ -158,13 +149,6 @@ class JobHandle:
 
 Operand = Union[LweSample, JobHandle]
 
-#: One bootstrap row of a flush round: ``("gate", name, ca, cb)`` for a
-#: two-input boolean gate, ``("lut", table, operands)`` for a k-input lookup.
-Row = Union[
-    Tuple[str, str, LweSample, LweSample],
-    Tuple[str, int, Tuple[LweSample, ...]],
-]
-
 
 def _resolve_operand(operand: Operand) -> Optional[LweSample]:
     """The ciphertext behind an operand, or ``None`` if still pending."""
@@ -173,49 +157,30 @@ def _resolve_operand(operand: Operand) -> Optional[LweSample]:
     return operand
 
 
+def _resolve_operands(
+    operands: Sequence[Operand], handle: JobHandle
+) -> Optional[List[LweSample]]:
+    """The ciphertexts behind a job's operands, or ``None`` if not all are ready.
+
+    An operand handle that *failed* can never become ready: the dependent
+    job's own ``handle`` is failed with the same typed exception (and
+    ``None`` returned), so the job settles instead of raising out of the
+    flush that happens to look at it.
+    """
+    for operand in operands:
+        if isinstance(operand, JobHandle) and operand.failed:
+            handle._fail(operand._exception)
+            return None
+    resolved = [_resolve_operand(operand) for operand in operands]
+    return None if any(value is None for value in resolved) else resolved
+
+
 class SchedulerBusy(RuntimeError):
     """Raised when a bounded scheduler queue rejects a new submission.
 
     The job was **not** enqueued; the caller may retry after a flush drains
     the queue (the serving front turns this into await-or-reject semantics).
     """
-
-
-def _mixed_rows(evaluator, part: List[Row]) -> LweBatch:
-    """One fused bootstrapping over gate rows *and* lut rows.
-
-    Each row assembles its own affine combination and test vector; the
-    whole chunk then shares a single
-    :meth:`repro.tfhe.gates.BatchGateEvaluator.bootstrap_rows` sweep —
-    the same mechanism the level-parallel executor uses for mixed waves,
-    applied across sessions.
-    """
-    params = evaluator.context.params
-    combined: List[LweBatch] = []
-    vectors: List[np.ndarray] = []
-    for row in part:
-        if row[0] == "lut":
-            _, table, operands = row
-            spec = require_lut_spec(table, len(operands))
-            combined.append(
-                lut_affine_batch(
-                    spec,
-                    [LweBatch.from_samples([op]) for op in operands],
-                )
-            )
-            vectors.append(lut_test_vector(params, spec))
-        else:
-            _, name, ca, cb = row
-            combined.append(
-                gate_affine_batch(
-                    name,
-                    LweBatch.from_samples([ca]),
-                    LweBatch.from_samples([cb]),
-                )
-            )
-            vectors.append(evaluator.gate_test_vector())
-    evaluator.counters.gates += len(part)
-    return evaluator.bootstrap_rows(lwe_batch_concat(combined), np.stack(vectors))
 
 
 def execute_rows(
@@ -227,16 +192,20 @@ def execute_rows(
     """Bootstrap one round's rows against ``context`` and return the outputs.
 
     This is the single-process execution kernel shared by the inline
-    dispatcher and by every pool worker: gate-only chunks take the exact
-    :meth:`repro.tfhe.gates.BatchGateEvaluator.gate_rows` path, chunks with
-    lut rows fuse per-row test vectors through ``bootstrap_rows``.  Output
-    row ``i`` corresponds to input row ``i`` regardless of chunking, and the
-    results are bit-identical however the row list is split (the batch path
-    is row-wise bit-identical to the sequential path — the PR 1 property).
+    dispatcher and by every pool worker.  Each chunk of at most
+    ``max_rows_per_call`` rows is one stack of operands and one
+    :meth:`repro.tfhe.gates.BatchGateEvaluator.rows` call, whatever mix of
+    gate and lut rows it holds.  Output row ``i`` corresponds to input row
+    ``i`` regardless of chunking, and the results are bit-identical however
+    the row list is split (every batched row equals the scalar evaluator's).
+    An empty row list returns ``[]`` without touching the engine or any
+    counter.
     """
-    evaluator = context.batch_evaluator(1)  # row entry points take any count
-    outputs: List[LweSample] = []
     rows = list(rows)
+    if not rows:
+        return []
+    evaluator = context.batch_evaluator(1)  # the row path takes any row count
+    outputs: List[LweSample] = []
     chunk = max_rows_per_call or len(rows)
     tel = getattr(context, "telemetry", None)
     metered = tel is not None and tel.metrics_enabled
@@ -244,13 +213,7 @@ def execute_rows(
         engine_before = context.engine.stats.snapshot()
     for start in range(0, len(rows), chunk):
         part = rows[start : start + chunk]
-        if any(row[0] == "lut" for row in part):
-            result = _mixed_rows(evaluator, part)
-        else:
-            names = [name for _, name, _, _ in part]
-            ca = LweBatch.from_samples([a for _, _, a, _ in part])
-            cb = LweBatch.from_samples([b for _, _, _, b in part])
-            result = evaluator.gate_rows(names, ca, cb)
+        result = evaluator.rows(*split_rows(part, LweBatch.from_samples))
         if stats is not None:
             stats.batched_calls += 1
             stats.max_rows_per_call = max(stats.max_rows_per_call, len(part))
@@ -365,37 +328,16 @@ class InlineDispatcher(RowDispatcher):
             return execute_rows(context, rows, stats, max_rows_per_call)
 
 
-class _GateJob:
-    """One two-input bootstrapped gate; contributes a single row when ready."""
-
-    def __init__(self, name: str, ca: Operand, cb: Operand, handle: JobHandle) -> None:
-        self.name = name
-        self.ca = ca
-        self.cb = cb
-        self.handle = handle
-
-    @property
-    def done(self) -> bool:
-        return self.handle.done
-
-    def pending_rows(self) -> List[Row]:
-        ca = _resolve_operand(self.ca)
-        cb = _resolve_operand(self.cb)
-        if ca is None or cb is None:
-            return []  # blocked on an earlier job; retry next round
-        return [("gate", self.name, ca, cb)]
-
-    def deliver(self, outputs: Sequence[LweSample]) -> None:
-        self.handle._resolve(outputs[0])
-
-
-class _LutJob:
-    """One k-input boolean lookup; contributes a single row when ready."""
+class _RowJob:
+    """One bootstrapped row — a gate or a lut; contributes it once its operands are ready."""
 
     def __init__(
-        self, table: int, operands: Sequence[Operand], handle: JobHandle
+        self,
+        make_row: Callable[..., Row],
+        operands: Sequence[Operand],
+        handle: JobHandle,
     ) -> None:
-        self.table = table
+        self.make_row = make_row
         self.operands = list(operands)
         self.handle = handle
 
@@ -404,104 +346,37 @@ class _LutJob:
         return self.handle.done
 
     def pending_rows(self) -> List[Row]:
-        resolved = [_resolve_operand(op) for op in self.operands]
-        if any(value is None for value in resolved):
-            return []  # blocked on an earlier job; retry next round
-        return [("lut", self.table, tuple(resolved))]
+        resolved = _resolve_operands(self.operands, self.handle)
+        if resolved is None:
+            return []  # blocked on an earlier job (retry next round), or failed with it
+        return [self.make_row(*resolved)]
 
     def deliver(self, outputs: Sequence[LweSample]) -> None:
         self.handle._resolve(outputs[0])
 
 
 class _CircuitJob:
-    """One netlist evaluated level-by-level; each round contributes one wave."""
+    """One netlist walked level by level; each round contributes one wave."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        schedule: LevelSchedule,
-        inputs: Mapping[str, Sequence[LweSample]],
-        dimension: int,
-        handle: JobHandle,
-    ) -> None:
-        self.circuit = circuit
-        self.schedule = schedule
+    def __init__(self, walker: LevelWalker, handle: JobHandle) -> None:
+        self.walker = walker
         self.handle = handle
-        self.dimension = dimension
-        self.level = 0
-        live = circuit.live_nodes(schedule.output_names)
-        self.values: Dict[int, LweSample] = {}
-        for wire, value in _gather_inputs(circuit, inputs, live).items():
-            resolved = _resolve_operand(value)
-            if resolved is None:
-                raise ValueError(
-                    "circuit inputs must be resolved ciphertexts, not "
-                    "pending job handles"
-                )
-            self.values[wire] = resolved
-        self._resolve_linear(self.schedule.linear[0])
-        if self.schedule.depth == 0:
-            self._finish()
+        self._settle()
 
     @property
     def done(self) -> bool:
         return self.handle.done
 
-    def _resolve_linear(self, node_ids: Sequence[int]) -> None:
-        for nid in node_ids:
-            node = self.circuit.node(nid)
-            if node.op == "input":
-                continue
-            if node.op == "const":
-                self.values[nid] = lwe_encrypt_trivial(
-                    self.dimension, gate_message(node.value)
-                )
-            elif node.op == "not":
-                self.values[nid] = lwe_negate(self.values[node.args[0]])
-            elif node.op == "copy":
-                self.values[nid] = self.values[node.args[0]].copy()
-
     def pending_rows(self) -> List[Row]:
-        if self.done:
-            return []
-        rows: List[Row] = []
-        for nid in self.schedule.waves[self.level]:
-            node = self.circuit.node(nid)
-            if node.op == "lut":
-                rows.append(
-                    (
-                        "lut",
-                        node.value,
-                        tuple(self.values[arg] for arg in node.args),
-                    )
-                )
-            else:
-                rows.append(
-                    (
-                        "gate",
-                        node.op,
-                        self.values[node.args[0]],
-                        self.values[node.args[1]],
-                    )
-                )
-        return rows
+        return [] if self.done else self.walker.rows()
 
     def deliver(self, outputs: Sequence[LweSample]) -> None:
-        wave = self.schedule.waves[self.level]
-        for nid, out in zip(wave, outputs):
-            self.values[nid] = out
-        self.level += 1
-        self._resolve_linear(self.schedule.linear[self.level])
-        if self.level == self.schedule.depth:
-            self._finish()
+        self.walker.advance(outputs)
+        self._settle()
 
-    def _finish(self) -> None:
-        self.handle._resolve(
-            {
-                name: [self.values[w] for w in self.circuit.output_wires[name]]
-                for name in self.schedule.output_names
-            }
-        )
+    def _settle(self) -> None:
+        if self.walker.done:
+            self.handle._resolve(self.walker.outputs())
 
 
 @dataclass
@@ -509,7 +384,7 @@ class SchedulerStats:
     """Aggregate throughput counters of one :class:`BatchScheduler`."""
 
     flushes: int = 0
-    #: Mixed-gate batched bootstrapping calls issued (``gate_rows`` calls).
+    #: Batched bootstrapping calls issued (one per chunk of a round's rows).
     batched_calls: int = 0
     #: Total ciphertext rows bootstrapped across all calls.
     rows_bootstrapped: int = 0
@@ -517,7 +392,8 @@ class SchedulerStats:
     max_rows_per_call: int = 0
     #: Jobs (single-gate or whole-circuit) fully completed.
     jobs_completed: int = 0
-    #: Jobs failed with a typed error (force-deregistration aborts).
+    #: Jobs failed with a typed error (force-deregistration aborts, and jobs
+    #: whose operand handle had failed).
     jobs_aborted: int = 0
     #: Times a faulting engine was quarantined and its client's context
     #: rebuilt on a fallback engine mid-flush.
@@ -570,6 +446,10 @@ class EvaluationSession:
         # care chain the NOT after a flush instead.)
         return self.submit_gate("nand", ca, ca)
 
+    def copy(self, ca: LweSample) -> LweSample:
+        """Identity on a ciphertext (a fresh copy; no bootstrap, no queue)."""
+        return ca.copy()
+
     def _check_operand(self, operand: Operand) -> Operand:
         if isinstance(operand, JobHandle) and operand.client_id != self.client_id:
             raise ValueError(
@@ -580,21 +460,30 @@ class EvaluationSession:
         return operand
 
     # -- queued bootstrapped work -------------------------------------------
+    def _submit_row(
+        self,
+        kind: str,
+        op,
+        make_row: Callable[..., Row],
+        operands: Sequence[Operand],
+        trace_id: Optional[str],
+    ) -> JobHandle:
+        # Fail fast, at submit rather than at flush: unknown gate, infeasible
+        # table, or a parameter set not rated for the ±1/8 encoding.
+        row_spec(self.context.params, op)
+        handle = JobHandle(self.client_id)
+        job = _RowJob(make_row, [self._check_operand(o) for o in operands], handle)
+        self.scheduler._enqueue(self.client_id, job, op=kind, trace_id=trace_id)
+        return handle
+
     def submit_gate(
         self, name: str, ca: Operand, cb: Operand, trace_id: Optional[str] = None
     ) -> JobHandle:
         """Queue one two-input gate; operands may be earlier jobs' handles
         of the **same** client."""
-        if name not in MIXED_GATE_SPECS:
-            raise ValueError(f"unknown gate {name!r}")
-        handle = JobHandle(self.client_id)
-        self.scheduler._enqueue(
-            self.client_id,
-            _GateJob(name, self._check_operand(ca), self._check_operand(cb), handle),
-            op="gate",
-            trace_id=trace_id,
+        return self._submit_row(
+            "gate", name, lambda a, b: ("gate", name, a, b), (ca, cb), trace_id
         )
-        return handle
 
     def submit_lut(
         self,
@@ -608,18 +497,16 @@ class EvaluationSession:
         (:func:`repro.tfhe.lut.boolean_lut_spec`) — checked here, at submit
         time, so infeasible tables fail fast rather than at flush.  The row
         coalesces with gate and circuit rows of the same client into one
-        fused mixed-test-vector bootstrapping.
+        batched bootstrapping.
         """
-        operands = [self._check_operand(op) for op in operands]
-        require_lut_spec(table, len(operands))  # fail fast on infeasible tables
-        handle = JobHandle(self.client_id)
-        self.scheduler._enqueue(
-            self.client_id,
-            _LutJob(table, operands, handle),
-            op="lut",
-            trace_id=trace_id,
+        operands = list(operands)
+        return self._submit_row(
+            "lut",
+            (table, len(operands)),
+            lambda *resolved: ("lut", table, resolved),
+            operands,
+            trace_id,
         )
-        return handle
 
     def submit_circuit(
         self,
@@ -633,18 +520,26 @@ class EvaluationSession:
 
         The job advances one dependency level per flush round, so its levels
         coalesce with every other same-key job in flight.  The handle
-        resolves to ``{output name: list of bit ciphertexts}``.
+        resolves to ``{output name: list of bit ciphertexts}``.  Inputs must
+        be ciphertexts or *settled* handles; a failed input handle fails the
+        returned handle with the same exception.
         """
         if schedule is None:
             schedule = schedule_circuit(circuit, outputs)
-        checked = {
-            name: [self._check_operand(bit) for bit in bits]
-            for name, bits in inputs.items()
-        }
         handle = JobHandle(self.client_id)
-        job = _CircuitJob(
-            circuit, schedule, checked, self.context.params.n, handle
-        )
+        resolved: Dict[str, List[LweSample]] = {}
+        for name, bits in inputs.items():
+            word = _resolve_operands([self._check_operand(bit) for bit in bits], handle)
+            if handle.failed:
+                self.scheduler.stats.jobs_aborted += 1
+                return handle
+            if word is None:
+                raise ValueError(
+                    "circuit inputs must be resolved ciphertexts, not "
+                    "pending job handles"
+                )
+            resolved[name] = word
+        job = _CircuitJob(LevelWalker(schedule, resolved, self), handle)
         self.scheduler._enqueue(self.client_id, job, op="circuit", trace_id=trace_id)
         return handle
 
@@ -934,8 +829,8 @@ class BatchScheduler:
     def flush(self) -> int:
         """Run every pending job to completion; returns the rows bootstrapped.
 
-        Each round issues, per client, **one** mixed-gate batched
-        bootstrapping over every row every ready job wants next (chunked by
+        Each round issues, per client, **one** batched bootstrapping over
+        every row every ready job wants next (chunked by
         ``max_rows_per_call`` when set).  Rounds repeat until no job makes
         progress, i.e. chained handles resolve level-by-level.
 
@@ -963,6 +858,8 @@ class BatchScheduler:
                     if job_rows:
                         contributions.append((job, len(job_rows)))
                         rows.extend(job_rows)
+                    elif job.handle.failed:  # settled by a failed operand
+                        self.stats.jobs_aborted += 1
                 if not rows:
                     continue
                 round_ctx = None

@@ -409,13 +409,6 @@ def context_gate_bootstrap(context, sample: LweSample, mu: int) -> LweSample:
     )
 
 
-def context_gate_bootstrap_batch(context, batch: LweBatch, mu: int) -> LweBatch:
-    """Batched :func:`context_gate_bootstrap` (one vectorised pass per call)."""
-    return gate_bootstrap_batch(
-        batch, mu, context.rotator, context.keyswitch_key, context.params
-    )
-
-
 # --------------------------------------------------------------------------- #
 # programmable bootstrapping                                                  #
 # --------------------------------------------------------------------------- #

@@ -1,28 +1,35 @@
 """Level-parallel execution of circuit netlists.
 
-The scheduler half of this module turns a :class:`repro.tfhe.netlist.Circuit`
-into a :class:`LevelSchedule`: the netlist is exported to the architecture
-package's :class:`repro.arch.dfg.DataFlowGraph` and levelized with its ASAP
-machinery — bootstrapped gates advance the level, linear nodes (inputs,
-constants, NOT, copy) are free — so every level is a set of mutually
-independent bootstrapped gates.  This is the paper's compile-to-DFG /
+:func:`schedule_circuit` turns a :class:`repro.tfhe.netlist.Circuit` into a
+:class:`LevelSchedule`: the netlist is exported to the architecture package's
+:class:`repro.arch.dfg.DataFlowGraph` and levelized with its ASAP machinery —
+bootstrapped nodes (gates and luts) advance the level, linear nodes (inputs,
+constants, NOT, copy) are free — so every level is a *wave* of mutually
+independent bootstrapped nodes.  This is the paper's compile-to-DFG /
 solve-dependencies flow (Section 5) applied to whole circuits instead of the
 inside of one gate.
 
-The executor half then *feeds the batched bootstrapping engine*: each level's
-gates, over all words of the data batch, become **one**
-:meth:`repro.tfhe.gates.BatchGateEvaluator.gate_rows` call — a single mixed
-affine combination, blind rotation, extraction and key switch over
-``gates_in_level × words`` rows.  Against the eager gate-by-gate path the
-executor therefore wins twice: the level width multiplies the row count of
-every batched call (level parallelism), and the data batch multiplies it
-again (word parallelism); :func:`repro.core.pipeline.circuit_level_cycles`
-is the analytic counterpart on the accelerator model.
+:class:`LevelWalker` is the one traversal of such a schedule: it hands out the
+current wave as bootstrap rows (``("gate", name, ca, cb)`` / ``("lut", table,
+operands)``), takes the wave's outputs back, and resolves the linear nodes in
+between.  It never bootstraps anything itself, so whoever drives it decides
+where the rows run:
 
-Both paths are bit-identical: :func:`execute` is the eager reference (works
-with the scalar and the batched evaluator alike) and
-:class:`CircuitExecutor.run` is the levelized engine; the test-suite
-property-checks that their output ciphertexts match bit for bit.
+* :meth:`CircuitExecutor.run` packs each wave, over all words of the data
+  batch, into **one** :meth:`repro.tfhe.gates.BatchGateEvaluator.rows` call —
+  a single affine pass, blind rotation, extraction and key switch over
+  ``nodes_in_wave × words`` rows.  Against the eager node-by-node path it
+  wins twice: the wave width multiplies the row count of every batched call
+  (level parallelism) and the data batch multiplies it again (word
+  parallelism); :func:`repro.core.pipeline.circuit_level_cycles` is the
+  analytic counterpart on the accelerator model.
+* the scheduler's circuit job (:mod:`repro.runtime.scheduler`) contributes
+  each wave to the flush round it is ready in, where it coalesces with every
+  other row of the same client.
+
+:func:`execute` is the eager reference (works with the scalar and the batched
+evaluator alike); the test-suite property-checks that all three produce the
+same output ciphertexts bit for bit.
 """
 
 from __future__ import annotations
@@ -30,18 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from repro.arch.ops import OpType
-from repro.tfhe.gates import (
-    BatchGateEvaluator,
-    gate_affine_batch,
-    lut_affine_batch,
-    require_lut_spec,
-)
-from repro.tfhe.lut import lut_test_vector
+from repro.tfhe.gates import BatchGateEvaluator, Row, split_rows
 from repro.tfhe.lwe import LweBatch, LweSample, lwe_batch_concat
-from repro.tfhe.netlist import Circuit
+from repro.tfhe.netlist import Circuit, Node
 
 
 @dataclass(frozen=True)
@@ -152,6 +151,81 @@ def _gather_inputs(
     return values
 
 
+def _linear_node(evaluator, node: Node, operands: Sequence):
+    """Evaluate one bootstrap-free node (``const``/``not``/``copy``)."""
+    if node.op == "const":
+        return evaluator.constant(node.value)
+    if node.op == "not":
+        return evaluator.not_(operands[0])
+    return evaluator.copy(operands[0])
+
+
+class LevelWalker:
+    """Walks one :class:`LevelSchedule` wave by wave.
+
+    ``linear`` is whatever provides ``constant``/``not_``/``copy`` over the
+    wire values — a :class:`BatchGateEvaluator` for bit planes, a scheduler
+    session for scalar samples; the walker is otherwise indifferent to what
+    a wire carries.  :meth:`rows` is the current wave, :meth:`advance` takes
+    its outputs (one per row, same order) and settles every linear node up
+    to the next wave; once :attr:`done`, :meth:`outputs` is the result.
+    """
+
+    def __init__(
+        self, schedule: LevelSchedule, inputs: Mapping[str, Sequence], linear
+    ) -> None:
+        self.schedule = schedule
+        self.linear = linear
+        circuit = schedule.circuit
+        self.values = _gather_inputs(
+            circuit, inputs, circuit.live_nodes(schedule.output_names)
+        )
+        self.level = 0
+        self._settle_linear()
+
+    @property
+    def done(self) -> bool:
+        return self.level == self.schedule.depth
+
+    def _settle_linear(self) -> None:
+        circuit = self.schedule.circuit
+        while True:
+            for nid in self.schedule.linear[self.level]:
+                node = circuit.node(nid)
+                if node.op != "input":  # inputs were gathered up front
+                    self.values[nid] = _linear_node(
+                        self.linear, node, [self.values[a] for a in node.args]
+                    )
+            if self.done or self.schedule.waves[self.level]:
+                return
+            self.level += 1  # an empty wave costs no call
+
+    def rows(self) -> List[Row]:
+        """The current wave as bootstrap rows, in wave order."""
+        rows: List[Row] = []
+        for nid in self.schedule.waves[self.level]:
+            node = self.schedule.circuit.node(nid)
+            operands = tuple(self.values[a] for a in node.args)
+            if node.op == "lut":
+                rows.append(("lut", node.value, operands))
+            else:
+                rows.append(("gate", node.op, *operands))
+        return rows
+
+    def advance(self, outputs: Sequence) -> None:
+        """Store the current wave's outputs and move to the next wave."""
+        self.values.update(zip(self.schedule.waves[self.level], outputs))
+        self.level += 1
+        self._settle_linear()
+
+    def outputs(self) -> Dict[str, List]:
+        circuit = self.schedule.circuit
+        return {
+            name: [self.values[w] for w in circuit.output_wires[name]]
+            for name in self.schedule.output_names
+        }
+
+
 def execute(
     circuit: Circuit,
     evaluator,
@@ -175,20 +249,13 @@ def execute(
     for node in circuit.nodes:
         if node.node_id not in live or node.op == "input":
             continue
-        if node.op == "const":
-            values[node.node_id] = evaluator.constant(node.value)
-        elif node.op == "not":
-            values[node.node_id] = evaluator.not_(values[node.args[0]])
-        elif node.op == "copy":
-            values[node.node_id] = evaluator.copy(values[node.args[0]])
-        elif node.op == "lut":
-            values[node.node_id] = evaluator.lut(
-                node.value, [values[a] for a in node.args]
-            )
+        operands = [values[a] for a in node.args]
+        if node.op == "lut":
+            values[node.node_id] = evaluator.lut(node.value, operands)
+        elif node.is_bootstrapped:
+            values[node.node_id] = evaluator.gate(node.op, *operands)
         else:
-            values[node.node_id] = evaluator.gate(
-                node.op, values[node.args[0]], values[node.args[1]]
-            )
+            values[node.node_id] = _linear_node(evaluator, node, operands)
     return {
         name: [values[w] for w in circuit.output_wires[name]] for name in output_names
     }
@@ -201,8 +268,8 @@ class CircuitExecutor:
     ``batch_size`` is the number of *words* processed per run (wires carry
     :class:`LweBatch` bit planes of that width; use ``batch_size=1`` with
     :meth:`run_samples` for plain single-word circuits).  Every dependency
-    level of the schedule becomes one
-    :meth:`~repro.tfhe.gates.BatchGateEvaluator.gate_rows` call of
+    level of the schedule — gates and luts alike — becomes one
+    :meth:`~repro.tfhe.gates.BatchGateEvaluator.rows` call of
     ``level width × batch_size`` rows::
 
         executor = CircuitExecutor(BatchGateEvaluator(cloud, batch_size=16))
@@ -256,7 +323,6 @@ class CircuitExecutor:
                 f"not {tuple(outputs)}; reschedule or drop the outputs argument"
             )
         words = self.batch_size
-        live = circuit.live_nodes(schedule.output_names)
         for name in circuit.input_wires:
             for plane in inputs.get(name, ()):
                 if plane.batch_size != words:
@@ -264,81 +330,17 @@ class CircuitExecutor:
                         f"input {name!r} has batch width {plane.batch_size}, "
                         f"executor expects {words}"
                     )
-        values = _gather_inputs(circuit, inputs, live)
-
-        def resolve_linear(node_ids: Sequence[int]) -> None:
-            for nid in node_ids:
-                node = circuit.node(nid)
-                if node.op == "input":
-                    continue  # already gathered
-                if node.op == "const":
-                    values[nid] = self.evaluator.constant(node.value)
-                elif node.op == "not":
-                    values[nid] = self.evaluator.not_(values[node.args[0]])
-                elif node.op == "copy":
-                    values[nid] = self.evaluator.copy(values[node.args[0]])
-
-        resolve_linear(schedule.linear[0])
-        for level, wave in enumerate(schedule.waves, start=1):
-            if wave:
-                if any(circuit.node(n).op == "lut" for n in wave):
-                    out = self._mixed_wave(circuit, wave, values, words)
-                else:
-                    names: List[str] = []
-                    for nid in wave:
-                        names.extend([circuit.node(nid).op] * words)
-                    ca = lwe_batch_concat(values[circuit.node(n).args[0]] for n in wave)
-                    cb = lwe_batch_concat(values[circuit.node(n).args[1]] for n in wave)
-                    out = self.evaluator.gate_rows(names, ca, cb)
-                self.level_calls += 1
-                for i, nid in enumerate(wave):
-                    values[nid] = out.rows(i * words, (i + 1) * words)
-            resolve_linear(schedule.linear[level])
-        return {
-            name: [values[w] for w in circuit.output_wires[name]]
-            for name in schedule.output_names
-        }
-
-    def _mixed_wave(
-        self,
-        circuit: Circuit,
-        wave: Sequence[int],
-        values: Dict[int, LweBatch],
-        words: int,
-    ) -> LweBatch:
-        """Issue one wave mixing boolean gates and lut nodes as a single call.
-
-        Every node contributes ``words`` rows: its affine combination plus
-        its own test vector.  The whole wave then shares one fused blind
-        rotation through
-        :meth:`repro.tfhe.gates.BatchGateEvaluator.bootstrap_rows` — rows
-        bootstrapping against the all-``mu`` gate vector sit next to rows
-        bootstrapping against arbitrary lookup tables.
-        """
-        params = self.evaluator.context.params
-        combined: List[LweBatch] = []
-        vectors: List[np.ndarray] = []
-        for nid in wave:
-            node = circuit.node(nid)
-            if node.op == "lut":
-                spec = require_lut_spec(node.value, len(node.args))
-                combined.append(
-                    lut_affine_batch(spec, [values[a] for a in node.args])
-                )
-                vectors.append(lut_test_vector(params, spec))
-            else:
-                combined.append(
-                    gate_affine_batch(
-                        node.op, values[node.args[0]], values[node.args[1]]
-                    )
-                )
-                vectors.append(self.evaluator.gate_test_vector())
-        rows = lwe_batch_concat(combined)
-        stack = np.concatenate(
-            [np.broadcast_to(v, (words, params.N)) for v in vectors]
-        )
-        self.evaluator.counters.gates += rows.batch_size
-        return self.evaluator.bootstrap_rows(rows, stack)
+        walker = LevelWalker(schedule, inputs, self.evaluator)
+        while not walker.done:
+            ops, operands = split_rows(walker.rows(), lwe_batch_concat)
+            out = self.evaluator.rows(
+                [op for op in ops for _ in range(words)], operands
+            )
+            self.level_calls += 1
+            walker.advance(
+                [out.rows(i * words, (i + 1) * words) for i in range(len(ops))]
+            )
+        return walker.outputs()
 
     def run_samples(
         self,

@@ -1,29 +1,45 @@
-"""Homomorphic Boolean gates.
+"""Homomorphic Boolean gates: the bootstrap-row path.
 
-Every two-input gate is a fixed affine combination of the input ciphertexts
-followed by a gate bootstrapping to the messages ``±1/8`` (Section 2,
-``Logic[c0, c1]``).  The affine combinations follow the reference TFHE
-library; e.g. a NAND gate computes ``(0, 1/8) − c_a − c_b`` and bootstraps the
-result, so the output encrypts *true* unless both inputs are true.
+Every bootstrapped gate is the same datapath — an affine combination of the
+input ciphertexts, then one blind rotation against a test polynomial
+(Section 2, ``Logic[c0, c1]``).  A *row* names the function and its operands;
+everything that evaluates one goes through the same four steps:
 
-``NOT`` and ``COPY``/``CONSTANT`` are purely linear and need no bootstrapping,
-which is why the paper reports the latency of the bootstrapped gates only
-(they are all dominated by the same bootstrapping).
+1. :func:`row_spec` resolves the row's function — a gate name, or a
+   ``(truth table, arity)`` pair — to ``(offset in eighths, weights, test
+   vector)``.  A two-input gate is a lookup with a fixed all-``mu`` test
+   vector and the weights of :data:`MIXED_GATE_SPECS` (e.g. NAND is
+   ``(0, 1/8) − c_a − c_b``); a lut takes its weights and slice-valued vector
+   from :mod:`repro.tfhe.lut`.  This is the only place the two differ, and
+   where the ±1/8 encoding's 8-ary message-space rating is checked.
+2. :func:`affine_rows` forms ``offset·MU + Σ wᵢ·cᵢ`` for a whole batch of
+   rows of any mix of arities in one vectorised pass.
+3. :meth:`BatchGateEvaluator.bootstrap_rows` blind-rotates, extracts and
+   key-switches the batch — one shared test vector when every row carries
+   the same one, a per-row stack otherwise.
+4. :meth:`BatchGateEvaluator.rows` is steps 1–3 for one batch;
+   :func:`split_rows` packs ``("gate", …)`` / ``("lut", …)`` row tuples into
+   its arguments.
+
+:class:`TFHEGateEvaluator` runs the same spec through the *scalar* sample
+arithmetic and the scalar blind rotation; it is the reference the batched
+path is bit-identical to, row for row.  ``NOT`` and ``COPY``/``CONSTANT`` are
+purely linear and need no bootstrapping, which is why the paper reports the
+latency of the bootstrapped gates only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.tfhe.bootstrap import (
+    _require_gate_space,
     blind_rotate_and_extract,
     blind_rotate_and_extract_batch,
-    bootstrap_without_keyswitch_batch,
-    context_gate_bootstrap,
-    context_gate_bootstrap_batch,
     make_test_vector,
 )
 from repro.tfhe.keyswitch import keyswitch_apply, keyswitch_apply_batch
@@ -33,31 +49,27 @@ from repro.tfhe.lwe import (
     LweSample,
     gate_message,
     lwe_add,
-    lwe_add_constant,
-    lwe_batch_add,
     lwe_batch_decrypt_bits,
     lwe_batch_negate,
-    lwe_batch_scale,
-    lwe_batch_sub,
     lwe_batch_trivial,
     lwe_decrypt_bit,
     lwe_encrypt,
     lwe_encrypt_trivial,
     lwe_negate,
     lwe_scale,
-    lwe_sub,
 )
 from repro.tfhe.lut import BooleanLutSpec, boolean_lut_spec, lut_test_vector
+from repro.tfhe.params import TFHEParameters
 from repro.tfhe.torus import double_to_torus32, torus32_from_int64
 from repro.utils.rng import SeedLike, make_rng
 
 #: Gate-bootstrapping message: 1/8 on the torus.
 MU = np.int32(double_to_torus32(0.125))
 
-#: Affine combination of every plain two-input bootstrapped gate:
-#: name → (offset in eighths of the torus, sign of ca, sign of cb).  Shared by
-#: the scalar and the batched evaluator so the two can never diverge.
-BINARY_GATE_SPECS: Dict[str, Tuple[int, int, int]] = {
+#: Affine combination of every two-input bootstrapped gate: ``name → (offset
+#: in eighths of the torus, weight of ca, weight of cb)``.  XOR/XNOR fit the
+#: same shape with weight ±2 (``(0, 1/4) + 2·(ca + cb)`` and its negation).
+MIXED_GATE_SPECS: Dict[str, Tuple[int, int, int]] = {
     "nand": (1, -1, -1),
     "and": (-1, 1, 1),
     "or": (1, 1, 1),
@@ -66,20 +78,25 @@ BINARY_GATE_SPECS: Dict[str, Tuple[int, int, int]] = {
     "andyn": (-1, 1, -1),
     "orny": (1, -1, 1),
     "oryn": (1, 1, -1),
-}
-
-#: Every two-input bootstrapped gate as ``name → (offset in eighths of the
-#: torus, coefficient of ca, coefficient of cb)``.  XOR/XNOR fit the same
-#: affine shape with coefficient ±2 (``(0, 1/4) + 2·(ca + cb)`` and its
-#: negation), so a *mixed* batch of rows — each row evaluating a possibly
-#: different gate — is still one affine combination followed by one batched
-#: bootstrapping.  This is what lets the level-parallel circuit executor
-#: issue a whole dependency level as a single call.
-MIXED_GATE_SPECS: Dict[str, Tuple[int, int, int]] = {
-    **BINARY_GATE_SPECS,
     "xor": (2, 2, 2),
     "xnor": (-2, -2, -2),
 }
+
+#: The function of one bootstrapped row: a gate name, or ``(truth table,
+#: arity)`` for a lookup.
+RowOp = Union[str, Tuple[int, int]]
+
+#: One bootstrap row with its operands: ``("gate", name, ca, cb)`` for a
+#: two-input gate, ``("lut", table, operands)`` for a k-input lookup.  The
+#: operands are scalar samples, or bit planes of one common width.
+Row = Union[Tuple[str, str, object, object], Tuple[str, int, Tuple[object, ...]]]
+
+
+def _gate_spec(name: str) -> Tuple[int, int, int]:
+    try:
+        return MIXED_GATE_SPECS[name]
+    except KeyError:
+        raise ValueError(f"unknown gate {name!r}") from None
 
 
 def require_lut_spec(table: int, arity: int) -> BooleanLutSpec:
@@ -93,64 +110,86 @@ def require_lut_spec(table: int, arity: int) -> BooleanLutSpec:
     return spec
 
 
-def lut_affine(spec: BooleanLutSpec, inputs) -> LweSample:
-    """The affine combination entering a scalar lut bootstrapping."""
-    inputs = list(inputs)
-    if len(inputs) != spec.arity:
+def row_spec(
+    params: TFHEParameters, op: RowOp
+) -> Tuple[int, Tuple[int, ...], np.ndarray]:
+    """``(offset in eighths, weights, test vector)`` of one bootstrapped row.
+
+    Raises ``ValueError`` for an unknown gate, a table with no
+    single-bootstrap realisation, or a parameter set not rated for the 8-ary
+    message space every ±1/8 row needs.  The vectors are memoised per ring,
+    so rows of equal function share one vector *object*.
+    """
+    _require_gate_space(params)
+    if isinstance(op, str):
+        offset, *weights = _gate_spec(op)
+        return offset, tuple(weights), make_test_vector(params, int(MU))
+    spec = require_lut_spec(*op)
+    return spec.offset_eighths, spec.weights, lut_test_vector(params, spec)
+
+
+def affine_rows(offsets, weights, operands: Sequence[LweBatch]) -> LweBatch:
+    """``offsets[r]·MU + Σⱼ weights[r][j]·operands[j][r]`` for every row ``r``.
+
+    ``operands[j]`` holds operand ``j`` of all rows; ``offsets`` is ``(R,)``
+    and ``weights`` ``(R, k)``, or one row of each broadcast over the batch.
+    A row of lower arity carries weight zero in the positions it does not
+    use.  Row for row bit-identical to the scalar ``lwe_add``/``lwe_scale``
+    chain (the arithmetic is exact modulo ``2³²``).
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.int64)
+    if weights.shape[-1] != len(operands):
         raise ValueError(
-            f"lut of arity {spec.arity} got {len(inputs)} operands"
+            f"{weights.shape[-1]} weights per row but {len(operands)} operand batches"
         )
-    combined = lwe_encrypt_trivial(
-        inputs[0].dimension, np.int32(spec.offset_eighths * int(MU))
+    a = sum(
+        weights[:, j, None] * operand.a.astype(np.int64)
+        for j, operand in enumerate(operands)
     )
-    for weight, operand in zip(spec.weights, inputs):
-        if weight:
-            combined = lwe_add(combined, lwe_scale(weight, operand))
-    return combined
+    b = offsets * np.int64(MU) + sum(
+        weights[:, j] * operand.b.astype(np.int64)
+        for j, operand in enumerate(operands)
+    )
+    return LweBatch(a=torus32_from_int64(a), b=torus32_from_int64(b))
 
 
 def gate_affine_batch(name: str, ca: LweBatch, cb: LweBatch) -> LweBatch:
-    """The affine combination entering one batched boolean gate.
-
-    Row-for-row the same arithmetic as
-    :meth:`BatchGateEvaluator.gate_rows`, exposed so mixed gate/lut batches
-    can assemble their rows before one shared bootstrapping.
-    """
-    try:
-        offset, sign_a, sign_b = MIXED_GATE_SPECS[name]
-    except KeyError:
-        raise ValueError(f"unknown gate {name!r}") from None
-    a = torus32_from_int64(
-        np.int64(sign_a) * ca.a.astype(np.int64)
-        + np.int64(sign_b) * cb.a.astype(np.int64)
-    )
-    b = torus32_from_int64(
-        np.int64(offset) * np.int64(MU)
-        + np.int64(sign_a) * ca.b.astype(np.int64)
-        + np.int64(sign_b) * cb.b.astype(np.int64)
-    )
-    return LweBatch(a=a, b=b)
+    """The affine combination entering one batched boolean gate."""
+    offset, *weights = _gate_spec(name)
+    return affine_rows([offset], [weights], [ca, cb])
 
 
 def lut_affine_batch(spec: BooleanLutSpec, inputs) -> LweBatch:
-    """The affine combination entering a batched lut bootstrapping.
-
-    Row ``i`` of the result is bit-identical to :func:`lut_affine` on row
-    ``i`` of the operand batches.
-    """
+    """The affine combination entering a batched lut bootstrapping."""
     inputs = list(inputs)
     if len(inputs) != spec.arity:
         raise ValueError(
             f"lut of arity {spec.arity} got {len(inputs)} operand batches"
         )
-    width = inputs[0].batch_size
-    a = np.zeros((width, inputs[0].dimension), dtype=np.int64)
-    b = np.full(width, np.int64(spec.offset_eighths) * np.int64(MU), dtype=np.int64)
-    for weight, operand in zip(spec.weights, inputs):
-        if weight:
-            a += np.int64(weight) * operand.a.astype(np.int64)
-            b += np.int64(weight) * operand.b.astype(np.int64)
-    return LweBatch(a=torus32_from_int64(a), b=torus32_from_int64(b))
+    return affine_rows([spec.offset_eighths], [spec.weights], inputs)
+
+
+def split_rows(
+    rows: Iterable[Row], stack: Callable[[Iterable], LweBatch]
+) -> Tuple[List[RowOp], List[LweBatch]]:
+    """Row tuples → the ``(ops, operands)`` of :meth:`BatchGateEvaluator.rows`.
+
+    ``stack`` packs one operand position of every row into a batch:
+    ``LweBatch.from_samples`` for scalar operands, ``lwe_batch_concat`` for
+    bit planes (each row then stands for ``width`` batch rows).  A row of
+    lower arity than the widest repeats its first operand in the positions
+    it does not use; :meth:`~BatchGateEvaluator.rows` weights them zero.
+    """
+    split = [
+        ((row[1], len(row[2])), row[2]) if row[0] == "lut" else (row[1], row[2:])
+        for row in rows
+    ]
+    arity = max(len(operands) for _, operands in split)
+    return [op for op, _ in split], [
+        stack(operands[j] if j < len(operands) else operands[0] for _, operands in split)
+        for j in range(arity)
+    ]
 
 
 def _resolve_context(key):
@@ -187,7 +226,82 @@ class GateCounters:
         self.bootstraps = 0
 
 
-class TFHEGateEvaluator:
+class _BootstrappedGates:
+    """The bootstrapped-gate surface shared by both evaluators.
+
+    Every method is one row function handed to the evaluator's ``_apply(op,
+    operands)``; operands are :class:`LweSample` bits on the scalar evaluator
+    and ``batch_size``-row :class:`LweBatch` bit planes on the batched one.
+    """
+
+    def gate(self, name: str, ca, cb):
+        """Evaluate a two-input gate by name (``"nand"``, ``"xor"``, ...)."""
+        return self._apply(name, [ca, cb])
+
+    def lut(self, table: int, inputs):
+        """Evaluate a k-input boolean LUT in one bootstrapping.
+
+        ``table`` is the truth table (bit ``m`` is the output for the input
+        combination whose bit ``i`` is ``inputs[i]``).  Raises ``ValueError``
+        for tables with no single-bootstrap realisation.
+        """
+        inputs = list(inputs)
+        return self._apply((table, len(inputs)), inputs)
+
+    def nand(self, ca, cb):
+        """Homomorphic NAND: bootstrap of ``(0, 1/8) − ca − cb``."""
+        return self.gate("nand", ca, cb)
+
+    def and_(self, ca, cb):
+        """Homomorphic AND: bootstrap of ``(0, −1/8) + ca + cb``."""
+        return self.gate("and", ca, cb)
+
+    def or_(self, ca, cb):
+        """Homomorphic OR: bootstrap of ``(0, 1/8) + ca + cb``."""
+        return self.gate("or", ca, cb)
+
+    def nor(self, ca, cb):
+        """Homomorphic NOR: bootstrap of ``(0, −1/8) − ca − cb``."""
+        return self.gate("nor", ca, cb)
+
+    def andny(self, ca, cb):
+        """Homomorphic (NOT a) AND b."""
+        return self.gate("andny", ca, cb)
+
+    def andyn(self, ca, cb):
+        """Homomorphic a AND (NOT b)."""
+        return self.gate("andyn", ca, cb)
+
+    def orny(self, ca, cb):
+        """Homomorphic (NOT a) OR b."""
+        return self.gate("orny", ca, cb)
+
+    def oryn(self, ca, cb):
+        """Homomorphic a OR (NOT b)."""
+        return self.gate("oryn", ca, cb)
+
+    def xor(self, ca, cb):
+        """Homomorphic XOR: bootstrap of ``(0, 1/4) + 2·(ca + cb)``."""
+        return self.gate("xor", ca, cb)
+
+    def xnor(self, ca, cb):
+        """Homomorphic XNOR: bootstrap of ``(0, −1/4) − 2·(ca + cb)``."""
+        return self.gate("xnor", ca, cb)
+
+    def mux(self, sel, if_true, if_false):
+        """Homomorphic multiplexer ``sel ? if_true : if_false``.
+
+        Implemented as ``OR(AND(sel, if_true), ANDNY(sel, if_false))`` — three
+        bootstrapped gates.  (The TFHE library has a cheaper two-bootstrap MUX
+        using an intermediate key switch; the composition used here is the
+        simplest correct form.)
+        """
+        picked_true = self.and_(sel, if_true)
+        picked_false = self.andny(sel, if_false)
+        return self.or_(picked_true, picked_false)
+
+
+class TFHEGateEvaluator(_BootstrappedGates):
     """Evaluates homomorphic Boolean gates with a given cloud key.
 
     The evaluator is the main public entry point of the functional library::
@@ -202,22 +316,21 @@ class TFHEGateEvaluator:
         self.cloud_key = self.context.cloud_key
         self.counters = GateCounters()
 
-    # -- internal helpers --------------------------------------------------
-    def _bootstrap(self, sample: LweSample) -> LweSample:
-        self.counters.bootstraps += 1
-        return context_gate_bootstrap(self.context, sample, int(MU))
-
-    def _binary_gate(
-        self, offset_eighths: int, ca: LweSample, cb: LweSample, sign_a: int, sign_b: int
-    ) -> LweSample:
-        """Generic bootstrapped gate: ``(0, offset/8) + sign_a·ca + sign_b·cb``."""
+    def _apply(self, op: RowOp, operands: Sequence[LweSample]) -> LweSample:
+        """One row on scalar samples: affine chain, then the scalar bootstrap."""
+        params = self.context.params
+        offset, weights, test_vector = row_spec(params, op)
         self.counters.gates += 1
+        self.counters.bootstraps += 1
         combined = lwe_encrypt_trivial(
-            ca.dimension, np.int32(offset_eighths * int(MU))
+            operands[0].dimension, torus32_from_int64(offset * int(MU))
         )
-        combined = lwe_add(combined, lwe_scale(sign_a, ca))
-        combined = lwe_add(combined, lwe_scale(sign_b, cb))
-        return self._bootstrap(combined)
+        for weight, operand in zip(weights, operands):
+            combined = lwe_add(combined, lwe_scale(weight, operand))
+        extracted = blind_rotate_and_extract(
+            combined, test_vector, self.context.rotator, params
+        )
+        return keyswitch_apply(self.context.keyswitch_key, extracted)
 
     # -- linear (bootstrapping-free) gates ----------------------------------
     def constant(self, bit: int) -> LweSample:
@@ -235,123 +348,18 @@ class TFHEGateEvaluator:
         self.counters.gates += 1
         return ca.copy()
 
-    # -- bootstrapped two-input gates ---------------------------------------
-    def _spec_gate(self, name: str, ca: LweSample, cb: LweSample) -> LweSample:
-        offset, sign_a, sign_b = BINARY_GATE_SPECS[name]
-        return self._binary_gate(offset, ca, cb, sign_a, sign_b)
 
-    def nand(self, ca: LweSample, cb: LweSample) -> LweSample:
-        """Homomorphic NAND: bootstrap of ``(0, 1/8) − ca − cb``."""
-        return self._spec_gate("nand", ca, cb)
-
-    def and_(self, ca: LweSample, cb: LweSample) -> LweSample:
-        """Homomorphic AND: bootstrap of ``(0, −1/8) + ca + cb``."""
-        return self._spec_gate("and", ca, cb)
-
-    def or_(self, ca: LweSample, cb: LweSample) -> LweSample:
-        """Homomorphic OR: bootstrap of ``(0, 1/8) + ca + cb``."""
-        return self._spec_gate("or", ca, cb)
-
-    def nor(self, ca: LweSample, cb: LweSample) -> LweSample:
-        """Homomorphic NOR: bootstrap of ``(0, −1/8) − ca − cb``."""
-        return self._spec_gate("nor", ca, cb)
-
-    def andny(self, ca: LweSample, cb: LweSample) -> LweSample:
-        """Homomorphic (NOT a) AND b."""
-        return self._spec_gate("andny", ca, cb)
-
-    def andyn(self, ca: LweSample, cb: LweSample) -> LweSample:
-        """Homomorphic a AND (NOT b)."""
-        return self._spec_gate("andyn", ca, cb)
-
-    def orny(self, ca: LweSample, cb: LweSample) -> LweSample:
-        """Homomorphic (NOT a) OR b."""
-        return self._spec_gate("orny", ca, cb)
-
-    def oryn(self, ca: LweSample, cb: LweSample) -> LweSample:
-        """Homomorphic a OR (NOT b)."""
-        return self._spec_gate("oryn", ca, cb)
-
-    def xor(self, ca: LweSample, cb: LweSample) -> LweSample:
-        """Homomorphic XOR: bootstrap of ``(0, 1/4) + 2·(ca + cb)``."""
-        self.counters.gates += 1
-        combined = lwe_encrypt_trivial(ca.dimension, np.int32(2 * int(MU)))
-        combined = lwe_add(combined, lwe_scale(2, lwe_add(ca, cb)))
-        return self._bootstrap(combined)
-
-    def xnor(self, ca: LweSample, cb: LweSample) -> LweSample:
-        """Homomorphic XNOR: bootstrap of ``(0, −1/4) − 2·(ca + cb)``."""
-        self.counters.gates += 1
-        combined = lwe_encrypt_trivial(ca.dimension, np.int32(-2 * int(MU)))
-        combined = lwe_sub(combined, lwe_scale(2, lwe_add(ca, cb)))
-        return self._bootstrap(combined)
-
-    def mux(self, sel: LweSample, if_true: LweSample, if_false: LweSample) -> LweSample:
-        """Homomorphic multiplexer ``sel ? if_true : if_false``.
-
-        Implemented as ``OR(AND(sel, if_true), ANDNY(sel, if_false))`` — three
-        bootstrapped gates.  (The TFHE library has a cheaper two-bootstrap MUX
-        using an intermediate key switch; the composition used here is the
-        simplest correct form.)
-        """
-        picked_true = self.and_(sel, if_true)
-        picked_false = self.andny(sel, if_false)
-        return self.or_(picked_true, picked_false)
-
-    #: Name → bound method lookup used by the circuit examples and benches.
-    GATE_NAMES = (
-        "nand",
-        "and",
-        "or",
-        "nor",
-        "xor",
-        "xnor",
-        "andny",
-        "andyn",
-        "orny",
-        "oryn",
-    )
-
-    def gate(self, name: str, ca: LweSample, cb: LweSample) -> LweSample:
-        """Evaluate a two-input gate by name (``"nand"``, ``"xor"``, ...)."""
-        if name in BINARY_GATE_SPECS:
-            return self._spec_gate(name, ca, cb)
-        if name == "xor":
-            return self.xor(ca, cb)
-        if name == "xnor":
-            return self.xnor(ca, cb)
-        raise ValueError(f"unknown gate {name!r}")
-
-    def lut(self, table: int, inputs) -> LweSample:
-        """Evaluate a k-input boolean LUT in one bootstrapping.
-
-        ``table`` is the truth table (bit ``m`` is the output for the input
-        combination whose bit ``i`` is ``inputs[i]``).  Raises ``ValueError``
-        for tables with no single-bootstrap realisation.
-        """
-        inputs = list(inputs)
-        spec = require_lut_spec(table, len(inputs))
-        self.counters.gates += 1
-        self.counters.bootstraps += 1
-        combined = lut_affine(spec, inputs)
-        test_vector = lut_test_vector(self.context.params, spec)
-        extracted = blind_rotate_and_extract(
-            combined, test_vector, self.context.rotator, self.context.params
-        )
-        return keyswitch_apply(self.context.keyswitch_key, extracted)
-
-
-class BatchGateEvaluator:
+class BatchGateEvaluator(_BootstrappedGates):
     """Evaluates homomorphic Boolean gates over *batches* of ciphertexts.
 
-    Every method takes :class:`repro.tfhe.lwe.LweBatch` operands of width
-    ``batch_size`` and evaluates the gate on all rows with **one** batched
-    bootstrapping — the affine combination, blind rotation, extraction and
-    key switch are each a single vectorised NumPy pass, which amortises the
-    per-gate Python overhead across the batch (the software analogue of the
-    paper's amortisation of blind-rotation work across concurrent
-    bootstrappings).  Row ``i`` of every output is bit-identical to running
-    :class:`TFHEGateEvaluator` on row ``i`` of the inputs.
+    Every named method takes :class:`repro.tfhe.lwe.LweBatch` operands of
+    width ``batch_size`` and evaluates the gate on all rows with **one**
+    batched bootstrapping — the affine combination, blind rotation,
+    extraction and key switch are each a single vectorised NumPy pass, which
+    amortises the per-gate Python overhead across the batch (the software
+    analogue of the paper's amortisation of blind-rotation work across
+    concurrent bootstrappings).  Row ``i`` of every output is bit-identical
+    to running :class:`TFHEGateEvaluator` on row ``i`` of the inputs.
 
     The method names mirror :class:`TFHEGateEvaluator`, so the circuit
     building blocks of :mod:`repro.tfhe.circuits` work unchanged with either
@@ -360,6 +368,10 @@ class BatchGateEvaluator:
 
         evaluator = BatchGateEvaluator(cloud, batch_size=64)
         sums = circuits.add(evaluator, a_bit_planes, b_bit_planes)
+
+    :meth:`rows`, :meth:`gate_rows` and :meth:`bootstrap_rows` accept **any**
+    row count, not just ``batch_size``: the level executor and the scheduler
+    pack however many rows a level or a flush round holds.
     """
 
     def __init__(self, cloud_key, batch_size: int) -> None:
@@ -370,7 +382,6 @@ class BatchGateEvaluator:
         self.batch_size = int(batch_size)
         self.counters = GateCounters()
 
-    # -- internal helpers --------------------------------------------------
     def _check(self, *batches: LweBatch) -> None:
         for batch in batches:
             if batch.batch_size != self.batch_size:
@@ -379,32 +390,70 @@ class BatchGateEvaluator:
                     f"evaluator batch width {self.batch_size}"
                 )
 
-    def _bootstrap(self, batch: LweBatch) -> LweBatch:
-        self.counters.bootstraps += batch.batch_size
+    def _apply(self, op: RowOp, operands: Sequence[LweBatch]) -> LweBatch:
+        """The same row function on all ``batch_size`` rows."""
+        self._check(*operands)
+        return self.rows([op] * self.batch_size, operands)
+
+    # -- the row path --------------------------------------------------------
+    def rows(self, ops: Iterable[RowOp], operands: Sequence[LweBatch]) -> LweBatch:
+        """Evaluate a possibly *different* function on every row — one bootstrapping.
+
+        ``ops[i]`` (a gate name or ``(truth table, arity)``) is applied to
+        row ``i`` of the operand batches; ``operands[j]`` holds operand ``j``
+        of every row, and a row ignores the positions past its arity.  The
+        affine combinations are one vectorised pass and all rows share one
+        fused blind rotation, so a dependency level of a circuit — whose
+        nodes are independent but heterogeneous — costs the same as a
+        homogeneous batch of equal width.  Row ``i`` of the result is
+        bit-identical to the scalar evaluator on row ``i`` of the inputs.
+        """
+        ops = list(ops)
+        operands = list(operands)
+        if any(batch.batch_size != operands[0].batch_size for batch in operands):
+            raise ValueError("operand batches must have the same width")
+        if len(ops) != operands[0].batch_size:
+            raise ValueError("one gate name per row is required")
+        offsets, weights, vectors = zip(
+            *(row_spec(self.context.params, op) for op in ops)
+        )
+        arity = len(operands)
+        if max(map(len, weights)) > arity:
+            raise ValueError("a row takes more operands than were supplied")
+        combined = affine_rows(
+            offsets, [w + (0,) * (arity - len(w)) for w in weights], operands
+        )
+        shared = all(vector is vectors[0] for vector in vectors)
+        self.counters.gates += len(ops)
+        return self.bootstrap_rows(combined, vectors[0] if shared else np.stack(vectors))
+
+    def gate_rows(self, names, ca: LweBatch, cb: LweBatch) -> LweBatch:
+        """:meth:`rows` for two-input gates: ``names[i]`` on row ``i`` of ``ca``/``cb``."""
+        return self.rows(names, [ca, cb])
+
+    def bootstrap_rows(self, combined: LweBatch, test_vectors: np.ndarray) -> LweBatch:
+        """Blind-rotate, extract and key-switch a batch of combined rows.
+
+        ``test_vectors`` is one shared ``(N,)`` polynomial or a ``(B, N)``
+        stack giving every row its own — gate rows next to lut rows, each
+        refreshed against its own lookup table inside a single fused pass.
+        Inside a traced round the two stages record ``engine_contract`` and
+        ``keyswitch`` spans against the round's traces.
+        """
+        self.counters.bootstraps += combined.batch_size
         tel = getattr(self.context, "telemetry", None)
-        if tel is None or not tel.tracing_active:
-            return context_gate_bootstrap_batch(self.context, batch, int(MU))
-        # Traced path: same computation split at the key-switch boundary so
-        # each stage records its own span against the round's traces.
-        with tel.stage("engine_contract", rows=batch.batch_size):
-            extracted = bootstrap_without_keyswitch_batch(
-                batch, int(MU), self.context.rotator, self.context.params
+        # Telemetry.stage is itself a no-op outside a traced round.
+        stage = tel.stage if tel is not None else (lambda name, **attrs: nullcontext())
+        with stage("engine_contract", rows=combined.batch_size):
+            extracted = blind_rotate_and_extract_batch(
+                combined, test_vectors, self.context.rotator, self.context.params
             )
-        with tel.stage("keyswitch", rows=batch.batch_size):
+        with stage("keyswitch", rows=combined.batch_size):
             return keyswitch_apply_batch(self.context.keyswitch_key, extracted)
 
-    def _binary_gate(
-        self, offset_eighths: int, ca: LweBatch, cb: LweBatch, sign_a: int, sign_b: int
-    ) -> LweBatch:
-        """Generic bootstrapped gate: ``(0, offset/8) + sign_a·ca + sign_b·cb``."""
-        self._check(ca, cb)
-        self.counters.gates += self.batch_size
-        combined = lwe_batch_trivial(
-            self.batch_size, ca.dimension, np.int32(offset_eighths * int(MU))
-        )
-        combined = lwe_batch_add(combined, lwe_batch_scale(sign_a, ca))
-        combined = lwe_batch_add(combined, lwe_batch_scale(sign_b, cb))
-        return self._bootstrap(combined)
+    def gate_test_vector(self) -> np.ndarray:
+        """The shared all-``mu`` test vector of the plain boolean gates."""
+        return make_test_vector(self.context.params, int(MU))
 
     # -- linear (bootstrapping-free) gates ----------------------------------
     def constant(self, bit: int) -> LweBatch:
@@ -435,159 +484,6 @@ class BatchGateEvaluator:
         self._check(ca)
         self.counters.gates += self.batch_size
         return ca.copy()
-
-    # -- bootstrapped two-input gates ---------------------------------------
-    def _spec_gate(self, name: str, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        offset, sign_a, sign_b = BINARY_GATE_SPECS[name]
-        return self._binary_gate(offset, ca, cb, sign_a, sign_b)
-
-    def nand(self, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Batched homomorphic NAND: bootstrap of ``(0, 1/8) − ca − cb``."""
-        return self._spec_gate("nand", ca, cb)
-
-    def and_(self, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Batched homomorphic AND: bootstrap of ``(0, −1/8) + ca + cb``."""
-        return self._spec_gate("and", ca, cb)
-
-    def or_(self, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Batched homomorphic OR: bootstrap of ``(0, 1/8) + ca + cb``."""
-        return self._spec_gate("or", ca, cb)
-
-    def nor(self, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Batched homomorphic NOR: bootstrap of ``(0, −1/8) − ca − cb``."""
-        return self._spec_gate("nor", ca, cb)
-
-    def andny(self, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Batched homomorphic (NOT a) AND b."""
-        return self._spec_gate("andny", ca, cb)
-
-    def andyn(self, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Batched homomorphic a AND (NOT b)."""
-        return self._spec_gate("andyn", ca, cb)
-
-    def orny(self, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Batched homomorphic (NOT a) OR b."""
-        return self._spec_gate("orny", ca, cb)
-
-    def oryn(self, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Batched homomorphic a OR (NOT b)."""
-        return self._spec_gate("oryn", ca, cb)
-
-    def xor(self, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Batched homomorphic XOR: bootstrap of ``(0, 1/4) + 2·(ca + cb)``."""
-        self._check(ca, cb)
-        self.counters.gates += self.batch_size
-        combined = lwe_batch_trivial(self.batch_size, ca.dimension, np.int32(2 * int(MU)))
-        combined = lwe_batch_add(combined, lwe_batch_scale(2, lwe_batch_add(ca, cb)))
-        return self._bootstrap(combined)
-
-    def xnor(self, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Batched homomorphic XNOR: bootstrap of ``(0, −1/4) − 2·(ca + cb)``."""
-        self._check(ca, cb)
-        self.counters.gates += self.batch_size
-        combined = lwe_batch_trivial(self.batch_size, ca.dimension, np.int32(-2 * int(MU)))
-        combined = lwe_batch_sub(combined, lwe_batch_scale(2, lwe_batch_add(ca, cb)))
-        return self._bootstrap(combined)
-
-    def mux(self, sel: LweBatch, if_true: LweBatch, if_false: LweBatch) -> LweBatch:
-        """Batched homomorphic multiplexer ``sel ? if_true : if_false``.
-
-        Same three-bootstrapped-gate composition as the scalar evaluator:
-        ``OR(AND(sel, if_true), ANDNY(sel, if_false))``.
-        """
-        picked_true = self.and_(sel, if_true)
-        picked_false = self.andny(sel, if_false)
-        return self.or_(picked_true, picked_false)
-
-    def gate(self, name: str, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Evaluate a two-input gate by name (``"nand"``, ``"xor"``, ...)."""
-        if name in BINARY_GATE_SPECS:
-            return self._spec_gate(name, ca, cb)
-        if name == "xor":
-            return self.xor(ca, cb)
-        if name == "xnor":
-            return self.xnor(ca, cb)
-        raise ValueError(f"unknown gate {name!r}")
-
-    def gate_rows(self, names, ca: LweBatch, cb: LweBatch) -> LweBatch:
-        """Evaluate a possibly *different* gate on every row — one bootstrapping.
-
-        ``names[i]`` picks the gate applied to row ``i`` of ``ca``/``cb``
-        (any key of :data:`MIXED_GATE_SPECS`, i.e. every two-input
-        bootstrapped gate including XOR/XNOR).  The per-row affine
-        combinations are a single vectorised pass and the whole mixed batch
-        shares one batched bootstrapping, so a dependency level of a circuit
-        — whose gates are independent but heterogeneous — costs the same as a
-        homogeneous batch of equal width.
-
-        Unlike the homogeneous methods this entry point accepts **any** row
-        count, not just ``self.batch_size``: the level-parallel executor
-        packs ``gates_in_level × words`` rows per call, which varies level to
-        level.  Row ``i`` of the result is bit-identical to calling the
-        scalar evaluator's gate ``names[i]`` on row ``i`` of the inputs.
-        """
-        names = list(names)
-        if ca.batch_size != cb.batch_size:
-            raise ValueError("operand batches must have the same width")
-        if len(names) != ca.batch_size:
-            raise ValueError("one gate name per row is required")
-        try:
-            specs = [MIXED_GATE_SPECS[name] for name in names]
-        except KeyError as exc:
-            raise ValueError(f"unknown gate {exc.args[0]!r}") from None
-        offsets = np.array([s[0] for s in specs], dtype=np.int64)
-        coef_a = np.array([s[1] for s in specs], dtype=np.int64)
-        coef_b = np.array([s[2] for s in specs], dtype=np.int64)
-        a = torus32_from_int64(
-            coef_a[:, None] * ca.a.astype(np.int64)
-            + coef_b[:, None] * cb.a.astype(np.int64)
-        )
-        b = torus32_from_int64(
-            offsets * np.int64(MU)
-            + coef_a * ca.b.astype(np.int64)
-            + coef_b * cb.b.astype(np.int64)
-        )
-        self.counters.gates += ca.batch_size
-        return self._bootstrap(LweBatch(a=a, b=b))
-
-    def bootstrap_rows(self, combined: LweBatch, test_vectors: np.ndarray) -> LweBatch:
-        """One fused blind rotation where every row owns its test vector.
-
-        ``test_vectors`` is a ``(B, N)`` stack (or one shared ``(N,)``
-        polynomial); this is the primitive underneath every mixed batch —
-        boolean-gate rows next to lut rows, each refreshed against its own
-        lookup table, all inside a single batched
-        blind-rotate/extract/key-switch pass.  Like :meth:`gate_rows` it
-        accepts any row count, not just ``self.batch_size``.
-        """
-        self.counters.bootstraps += combined.batch_size
-        tel = getattr(self.context, "telemetry", None)
-        if tel is None or not tel.tracing_active:
-            extracted = blind_rotate_and_extract_batch(
-                combined, test_vectors, self.context.rotator, self.context.params
-            )
-            return keyswitch_apply_batch(self.context.keyswitch_key, extracted)
-        with tel.stage("engine_contract", rows=combined.batch_size):
-            extracted = blind_rotate_and_extract_batch(
-                combined, test_vectors, self.context.rotator, self.context.params
-            )
-        with tel.stage("keyswitch", rows=combined.batch_size):
-            return keyswitch_apply_batch(self.context.keyswitch_key, extracted)
-
-    def lut(self, table: int, inputs) -> LweBatch:
-        """Evaluate a k-input boolean LUT on every row in one bootstrapping."""
-        inputs = list(inputs)
-        spec = require_lut_spec(table, len(inputs))
-        self._check(*inputs)
-        self.counters.gates += self.batch_size
-        combined = lut_affine_batch(spec, inputs)
-        return self.bootstrap_rows(
-            combined, lut_test_vector(self.context.params, spec)
-        )
-
-    def gate_test_vector(self) -> np.ndarray:
-        """The shared all-``mu`` test vector of the plain boolean gates."""
-        return make_test_vector(self.context.params, int(MU))
 
 
 def encrypt_bit(secret: TFHESecretKey, bit: int, rng: SeedLike = None) -> LweSample:

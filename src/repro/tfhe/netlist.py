@@ -45,11 +45,11 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.arch.dfg import DataFlowGraph
 from repro.arch.ops import OpType
-from repro.tfhe.gates import BINARY_GATE_SPECS
+from repro.tfhe.gates import MIXED_GATE_SPECS
 from repro.tfhe.lut import MAX_LUT_ARITY, boolean_lut_spec
 
 #: Two-input ops that require a gate bootstrapping when evaluated.
-BOOTSTRAPPED_OPS: Tuple[str, ...] = tuple(BINARY_GATE_SPECS) + ("xor", "xnor")
+BOOTSTRAPPED_OPS: Tuple[str, ...] = tuple(MIXED_GATE_SPECS)
 
 #: Ops that are purely linear over ciphertexts (no bootstrapping, ~free).
 LINEAR_OPS: Tuple[str, ...] = ("not", "copy")

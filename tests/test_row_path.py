@@ -1,0 +1,212 @@
+"""Behaviour of the one bootstrap-row path.
+
+A gate is a lut with a fixed test vector, so whatever holds for one kind of
+row holds for the other on every entry point: the 8-ary message-space check,
+an empty round, a failed operand, and — on random compiler-produced
+netlists — the output ciphertexts of the three circuit drivers.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.compiler.passes import DEFAULT_PIPELINE, LUT_PIPELINE, PassManager
+from repro.runtime.context import FheContext
+from repro.runtime.scheduler import (
+    BatchScheduler,
+    InlineDispatcher,
+    JobAborted,
+    SchedulerStats,
+    execute_rows,
+)
+from repro.runtime.workers import WorkerPool
+from repro.telemetry import Telemetry
+from repro.tfhe.executor import CircuitExecutor, execute
+from repro.tfhe.gates import (
+    BatchGateEvaluator,
+    TFHEGateEvaluator,
+    decrypt_bit,
+    encrypt_bit,
+    encrypt_bits,
+)
+from repro.tfhe.keys import generate_keys
+from repro.tfhe.lwe import LweBatch
+from repro.tfhe.netlist import Circuit, adder_netlist
+from repro.tfhe.params import TEST_TINY
+from repro.tfhe.transform import NaiveNegacyclicTransform
+
+from test_compiler_passes import _random_netlist
+
+
+# --------------------------------------------------------------------------- #
+# the 8-ary message-space check follows the row                               #
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def cramped_keys():
+    """``test-tiny`` rated for a 4-ary space: too small for any ±1/8 row."""
+    params = replace(TEST_TINY, message_space=4)
+    return generate_keys(params, NaiveNegacyclicTransform(params.N), rng=11)
+
+
+def _lut_circuit() -> Circuit:
+    c = Circuit("one_lut")
+    a = c.inputs("a", 3)
+    c.output("out", [c.lut(0x96, a)])
+    return c
+
+
+ENTRY_POINTS = {
+    "execute_rows: gate row in a mixed chunk": lambda cloud, bits: execute_rows(
+        FheContext(cloud),
+        [("lut", 0x96, tuple(bits)), ("gate", "nand", bits[0], bits[1])],
+    ),
+    "execute_rows: lut row": lambda cloud, bits: execute_rows(
+        FheContext(cloud), [("lut", 0x96, tuple(bits))]
+    ),
+    "TFHEGateEvaluator.lut": lambda cloud, bits: TFHEGateEvaluator(cloud).lut(0x96, bits),
+    "BatchGateEvaluator.lut": lambda cloud, bits: BatchGateEvaluator(cloud, 1).lut(
+        0x96, [LweBatch.from_samples([bit]) for bit in bits]
+    ),
+    "CircuitExecutor.run: lut node": lambda cloud, bits: CircuitExecutor(
+        BatchGateEvaluator(cloud, 1)
+    ).run_samples(_lut_circuit(), {"a": bits}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_boolean_row_needs_the_8ary_space(cramped_keys, entry):
+    secret, cloud = cramped_keys
+    bits = encrypt_bits(secret, [1, 0, 1], rng=12)
+    with pytest.raises(ValueError, match="needs the 8-ary message space"):
+        ENTRY_POINTS[entry](cloud, bits)
+
+
+def test_unrated_rows_fail_at_submit_not_at_flush(cramped_keys):
+    secret, cloud = cramped_keys
+    bits = encrypt_bits(secret, [1, 0, 1], rng=13)
+    scheduler = BatchScheduler()
+    scheduler.register_client("alice", cloud)
+    session = scheduler.session("alice")
+    with pytest.raises(ValueError, match="needs the 8-ary message space"):
+        session.submit_gate("nand", bits[0], bits[1])
+    with pytest.raises(ValueError, match="needs the 8-ary message space"):
+        session.submit_lut(0x96, bits)
+    assert scheduler.pending_jobs == 0
+
+
+# --------------------------------------------------------------------------- #
+# a failed operand handle settles its dependents, not the flush               #
+# --------------------------------------------------------------------------- #
+
+
+def test_failed_operand_fails_the_dependent_job_only(tiny_keys_naive):
+    secret, cloud = tiny_keys_naive
+    scheduler = BatchScheduler()
+    scheduler.register_client("alice", cloud)
+    scheduler.register_client("bob", cloud)
+    one, zero = encrypt_bit(secret, 1, rng=20), encrypt_bit(secret, 0, rng=21)
+
+    stale = scheduler.session("alice").submit_gate("and", one, one)
+    scheduler.deregister_client("alice", force=True)
+    assert stale.failed
+    scheduler.register_client("alice", cloud)
+
+    alice = scheduler.session("alice")
+    dependent_gate = alice.submit_gate("or", stale, zero)
+    dependent_lut = alice.submit_lut(0x96, [one, stale, zero])
+    dependent_circuit = alice.submit_circuit(adder_netlist(1), {"a": [stale], "b": [one]})
+    healthy = alice.submit_gate("and", one, one)
+    other = scheduler.session("bob").submit_gate("nand", one, one)
+    aborted_before = scheduler.stats.jobs_aborted
+
+    assert scheduler.flush() == 2
+    assert decrypt_bit(secret, healthy.result()) == 1
+    assert decrypt_bit(secret, other.result()) == 0
+    for handle in (dependent_gate, dependent_lut, dependent_circuit):
+        assert handle.failed
+        with pytest.raises(JobAborted):
+            handle.result()
+    assert scheduler.pending_jobs == 0
+    # two queued dependents settled by this flush; the circuit failed at submit
+    assert scheduler.stats.jobs_aborted == aborted_before + 2
+    assert scheduler.flush() == 0
+
+
+# --------------------------------------------------------------------------- #
+# an empty round is the same no-op on every dispatcher                        #
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("make_dispatcher", [InlineDispatcher, lambda: WorkerPool(1)])
+def test_empty_round_returns_no_rows_and_counts_nothing(tiny_keys_naive, make_dispatcher):
+    _, cloud = tiny_keys_naive
+    context = FheContext(cloud)
+    context.telemetry = Telemetry(metrics=True, tracing=False)
+    stats = SchedulerStats()
+    dispatcher = make_dispatcher()
+    try:
+        assert dispatcher.run_rows("alice", context, [], stats, max_rows_per_call=4) == []
+    finally:
+        getattr(dispatcher, "close", lambda: None)()
+    assert execute_rows(context, [], stats) == []
+    assert stats == SchedulerStats()
+    assert context.batch_evaluator(1).counters.bootstraps == 0
+    assert "fhe_batched_calls_total" not in context.telemetry.render_prometheus()
+
+
+# --------------------------------------------------------------------------- #
+# three drivers, one walker, one row path: bit-identical circuits             #
+# --------------------------------------------------------------------------- #
+
+
+def _same_ciphertexts(left, right) -> bool:
+    return left.keys() == right.keys() and all(
+        np.array_equal(x.a, y.a) and int(x.b) == int(y.b)
+        for name in left
+        for x, y in zip(left[name], right[name], strict=True)
+    )
+
+
+def _assert_drivers_agree(cloud, circuit, inputs):
+    eager = execute(circuit, TFHEGateEvaluator(cloud), inputs)
+    levelized = CircuitExecutor(BatchGateEvaluator(cloud, 1)).run_samples(circuit, inputs)
+    scheduler = BatchScheduler(max_rows_per_call=5)
+    scheduler.register_client("alice", cloud)
+    handle = scheduler.session("alice").submit_circuit(circuit, inputs)
+    scheduler.flush()
+    assert _same_ciphertexts(levelized, eager)
+    assert _same_ciphertexts(handle.result(), eager)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    pipeline=st.sampled_from([None, DEFAULT_PIPELINE, LUT_PIPELINE]),
+)
+def test_drivers_agree_on_random_compiled_netlists(tiny_keys_naive, seed, pipeline):
+    secret, cloud = tiny_keys_naive
+    rng = np.random.default_rng(seed)
+    circuit = _random_netlist(2, rng, n_ops=24)
+    if pipeline is not None:
+        circuit = PassManager(passes=pipeline, verify=True, trials=8, rng=seed).run(circuit)
+    inputs = {name: encrypt_bits(secret, rng.integers(0, 2, 2), rng) for name in "ab"}
+    _assert_drivers_agree(cloud, circuit, inputs)
+
+
+def test_drivers_agree_on_the_lut_lowered_adder(tiny_keys_naive):
+    secret, cloud = tiny_keys_naive
+    circuit = PassManager(passes=LUT_PIPELINE, verify=True, trials=8, rng=6).run(
+        adder_netlist(4)
+    )
+    assert any(node.op == "lut" for node in circuit.nodes)
+    inputs = {
+        "a": encrypt_bits(secret, [1, 0, 1, 1], rng=30),
+        "b": encrypt_bits(secret, [1, 1, 0, 1], rng=31),
+    }
+    _assert_drivers_agree(cloud, circuit, inputs)

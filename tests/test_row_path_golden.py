@@ -1,0 +1,178 @@
+"""Golden digests of the bootstrap-row path.
+
+Every entry point that turns a gate or a lut into a bootstrapping — the
+scalar evaluator, the batched evaluator, ``execute_rows``, the level-parallel
+executor and the scheduler's jobs — is run on one seeded ``test-tiny`` key
+with the exact ``naive`` engine, and the sha256 of the output ciphertext
+bytes is compared with the value recorded before the paths were unified.
+The engine is integer-exact, so the digests depend only on the seeded key
+and input streams; should a NumPy release ever change ``Generator.normal``,
+rebuild the fixture's noise from ``rng.integers`` rather than loosening the
+comparison.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.runtime.context import FheContext
+from repro.runtime.scheduler import BatchScheduler, execute_rows
+from repro.tfhe.executor import CircuitExecutor, execute
+from repro.tfhe.gates import (
+    BatchGateEvaluator,
+    TFHEGateEvaluator,
+    encrypt_bit,
+    encrypt_bit_batch,
+)
+from repro.tfhe.lwe import LweBatch
+from repro.tfhe.netlist import Circuit
+
+GATES = ("nand", "and", "or", "nor", "xor", "xnor", "andny", "andyn", "orny", "oryn")
+#: (truth table, arity): NOT, identity, XOR, AND, XOR3, MAJ3.
+LUTS = ((0b01, 1), (0b10, 1), (0x6, 2), (0x8, 2), (0x96, 3), (0xE8, 3))
+
+GOLDEN = {
+    "batch.gate": "1b9f67a1ed3c58ef381027d688b9244d1e1a04cda867e6b61618efa3f89857e6",
+    "batch.gate_rows": "5260ab9e2a1142122b1642a28b0e26d2c38ec622982e8fe653b26d32c5ddcbde",
+    "batch.lut": "b2f50647d305466573160973dfb78026765f5461c5ed4473eee8f0e16b856021",
+    "execute.eager": "b4e579e36f5da29e2d6c8efb2ce10d153bc38a659f3577767778b1fae35065db",
+    "execute_rows.gates[1]": "5260ab9e2a1142122b1642a28b0e26d2c38ec622982e8fe653b26d32c5ddcbde",
+    "execute_rows.gates[3]": "5260ab9e2a1142122b1642a28b0e26d2c38ec622982e8fe653b26d32c5ddcbde",
+    "execute_rows.gates[None]": "5260ab9e2a1142122b1642a28b0e26d2c38ec622982e8fe653b26d32c5ddcbde",
+    "execute_rows.mixed[1]": "a4e0a43828d2264794cb60ef8ffd9c0d59199a3ee8782c2ce16944d71687bca0",
+    "execute_rows.mixed[3]": "a4e0a43828d2264794cb60ef8ffd9c0d59199a3ee8782c2ce16944d71687bca0",
+    "execute_rows.mixed[None]": "a4e0a43828d2264794cb60ef8ffd9c0d59199a3ee8782c2ce16944d71687bca0",
+    "executor.run": "8bdf87548ace87311849e3929f7a2f82d389d1efd711732549746ba9276de00a",
+    "executor.run_samples": "b4e579e36f5da29e2d6c8efb2ce10d153bc38a659f3577767778b1fae35065db",
+    "scalar": "75f052ebf72f34b597ab9002d7ab97d3b69fa96e4f2377347f3f7fe132cd57c2",
+    "scheduler.chain": "82488a04521e76a012042cce80572f9f555f79e57f45616697cda51982fce8a4",
+    "scheduler.circuit": "b4e579e36f5da29e2d6c8efb2ce10d153bc38a659f3577767778b1fae35065db",
+    "scheduler.depth0": "e42d7f00cfe0ce6a564ba0eeae2bec9cb50f9ad82d10994e649eb4418ed88510",
+}
+
+
+def digest(samples) -> str:
+    """sha256 over the ``a`` then ``b`` bytes of every ciphertext, in order."""
+    h = hashlib.sha256()
+    for s in samples:
+        h.update(s.a.tobytes())
+        h.update(s.b.tobytes())
+    return h.hexdigest()
+
+
+def mixed_circuit() -> Circuit:
+    """const, not, copy, gates and luts over three dependency levels."""
+    c = Circuit("mixed")
+    a = c.inputs("a", 2)
+    b = c.inputs("b", 2)
+    one = c.constant(1)
+    t0 = c.gate("xor", a[0], b[0])
+    t1 = c.gate("andyn", a[1], c.not_(b[1]))
+    t2 = c.lut(0xE8, [a[0], b[0], one])
+    u0 = c.lut(0x96, [t0, t1, c.copy(t2)])
+    u1 = c.gate("nor", c.not_(t1), t2)
+    v0 = c.gate("orny", u0, u1)
+    c.output("out", [v0, c.copy(u0), c.not_(u1), one])
+    return c
+
+
+def depth0_circuit() -> Circuit:
+    c = Circuit("depth0")
+    a = c.inputs("a", 2)
+    c.output("out", [c.copy(a[0]), c.not_(a[1]), c.constant(0)])
+    return c
+
+
+def flatten(result) -> list:
+    """Output words of a circuit result as one list of scalar samples."""
+    flat = []
+    for name in sorted(result):
+        for bit in result[name]:
+            flat.extend(bit.to_samples() if isinstance(bit, LweBatch) else [bit])
+    return flat
+
+
+@pytest.fixture(scope="module")
+def digests(tiny_keys_naive):
+    secret, cloud = tiny_keys_naive
+    bits = [encrypt_bit(secret, (i >> 1) & 1 ^ (i & 1), rng=9000 + i) for i in range(8)]
+    planes = [
+        encrypt_bit_batch(secret, [(w >> i) & 1 for w in (5, 2, 7, 0)], rng=9100 + i)
+        for i in range(3)
+    ]
+    out = {}
+
+    scalar = TFHEGateEvaluator(cloud)
+    out["scalar"] = digest(
+        [scalar.gate(name, bits[0], bits[1]) for name in GATES]
+        + [scalar.mux(bits[2], bits[3], bits[4])]
+        + [scalar.lut(table, bits[:arity]) for table, arity in LUTS]
+    )
+
+    batch = BatchGateEvaluator(cloud, batch_size=4)
+    out["batch.gate"] = digest(
+        s for name in GATES for s in batch.gate(name, planes[0], planes[1]).to_samples()
+    )
+    out["batch.lut"] = digest(
+        s for table, arity in LUTS for s in batch.lut(table, planes[:arity]).to_samples()
+    )
+    ca = LweBatch.from_samples(bits[i % 8] for i in range(len(GATES)))
+    cb = LweBatch.from_samples(bits[(i + 3) % 8] for i in range(len(GATES)))
+    out["batch.gate_rows"] = digest(batch.gate_rows(GATES, ca, cb).to_samples())
+
+    context = FheContext(cloud)
+    gate_rows = [
+        ("gate", name, bits[i % 8], bits[(i + 3) % 8]) for i, name in enumerate(GATES)
+    ]
+    lut_rows = [
+        ("lut", table, tuple(bits[(j + k) % 8] for k in range(arity)))
+        for j, (table, arity) in enumerate(LUTS)
+    ]
+    mixed_rows = [row for pair in zip(gate_rows, lut_rows) for row in pair] + gate_rows[6:]
+    for chunk in (None, 1, 3):
+        out[f"execute_rows.gates[{chunk}]"] = digest(
+            execute_rows(context, gate_rows, max_rows_per_call=chunk)
+        )
+        out[f"execute_rows.mixed[{chunk}]"] = digest(
+            execute_rows(context, mixed_rows, max_rows_per_call=chunk)
+        )
+
+    circuit = mixed_circuit()
+    word_inputs = {"a": planes[:2], "b": [planes[2], planes[0]]}
+    bit_inputs = {"a": bits[:2], "b": bits[2:4]}
+    out["executor.run"] = digest(
+        flatten(CircuitExecutor(BatchGateEvaluator(cloud, 4)).run(circuit, word_inputs))
+    )
+    out["executor.run_samples"] = digest(
+        flatten(CircuitExecutor.for_context(context, 1).run_samples(circuit, bit_inputs))
+    )
+    out["execute.eager"] = digest(flatten(execute(circuit, scalar, bit_inputs)))
+
+    scheduler = BatchScheduler()
+    scheduler.register_client("alice", cloud)
+    first, second = scheduler.session("alice"), scheduler.session("alice")
+    circuit_handle = first.submit_circuit(circuit, bit_inputs)
+    depth0_handle = second.submit_circuit(depth0_circuit(), {"a": bits[4:6]})
+    gate_handle = first.submit_gate("nand", bits[5], bits[6])
+    lut_handle = second.submit_lut(0x96, [gate_handle, bits[7], bits[0]])
+    scheduler.flush()
+    out["scheduler.circuit"] = digest(flatten(circuit_handle.result()))
+    out["scheduler.depth0"] = digest(flatten(depth0_handle.result()))
+    out["scheduler.chain"] = digest([gate_handle.result(), lut_handle.result()])
+    return out
+
+
+def test_every_entry_point_is_recorded(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_digest_matches_recorded(digests, label):
+    assert digests[label] == GOLDEN[label]
+
+
+def test_scheduler_and_executor_agree_with_eager(digests):
+    assert digests["executor.run_samples"] == digests["execute.eager"]
+    assert digests["scheduler.circuit"] == digests["execute.eager"]
