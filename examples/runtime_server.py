@@ -57,7 +57,7 @@ def main() -> None:
         secret, cloud = generate_keys(
             params, transform, unroll_factor=1, rng=seed, eager=False
         )
-        cloud_path = workdir / f"{name}.cloud.npz"
+        cloud_path = workdir / f"{name}.cloud.tfhe"
         save_cloud_key(cloud_path, cloud)
         clients[name] = {"secret": secret, "cloud_path": cloud_path}
         print(
@@ -77,7 +77,7 @@ def main() -> None:
         for i in range(args.sessions):
             session = scheduler.session(name)
             bit_a, bit_b = i & 1, (i >> 1) & 1
-            ct_path = workdir / f"{name}.gate{i}.npz"
+            ct_path = workdir / f"{name}.gate{i}.tfhe"
             save_lwe_sample(ct_path, encrypt_bit(secret, bit_a, rng=100 + i))
             ca = load_lwe_sample(ct_path)  # ciphertexts travel as files too
             cb = encrypt_bit(secret, bit_b, rng=200 + i)
@@ -110,7 +110,7 @@ def main() -> None:
         secret = clients[name]["secret"]
         if kind == "gate":
             bit_a, bit_b = payload
-            result_path = workdir / f"{name}.result.npz"
+            result_path = workdir / f"{name}.result.tfhe"
             save_lwe_sample(result_path, handle.result())
             got = decrypt_bit(secret, load_lwe_sample(result_path))
             expected = 1 - (bit_a & bit_b)

@@ -21,7 +21,8 @@ This layer turns the TFHE substrate into something a server can run:
 * :class:`repro.runtime.server.FheServer` /
   :class:`repro.runtime.protocol.ServingClient` — the network front: an
   asyncio socket server speaking CRC-protected length-prefixed frames that
-  carry the npz and JSON artifacts of :mod:`repro.tfhe.serialize`, with
+  carry the flat-container artifacts and circuit JSON of
+  :mod:`repro.tfhe.serialize`, with
   per-connection key namespaces, durable client sessions (idempotent
   retries answered from a bounded reply cache), bounded-queue backpressure,
   deadline-aware load shedding, graceful drain, and a live metrics

@@ -7,15 +7,17 @@ One frame is::
 with little-endian fixed-width prefixes (matching the shared-memory segment
 layout in :mod:`repro.runtime.workers`).  The **header** is a UTF-8 JSON
 object — ``{"op": ..., "id": ...}`` plus op-specific fields — and the
-**body** carries binary payloads: the PR 3/6 npz artifacts (cloud keys,
-ciphertexts, radix integers) and JSON circuit text travel verbatim, so the
-wire format is exactly the on-disk format.  Multi-artifact bodies use
-:func:`pack_parts` / :func:`unpack_parts` (``u32 count | (u64 len | bytes)*``)
-because npz archives are not self-delimiting.  The ``crc32`` field covers
-``header JSON + body``, so a bit-flipped frame is caught *before* any npz
-deserialization — CRC32 detects every single-bit and burst-under-32-bit
-corruption the checks inside the npz parser would otherwise see (or worse,
-miss).
+**body** carries binary payloads: the :mod:`repro.tfhe.serialize` artifacts
+(cloud keys, ciphertexts, radix integers) travel verbatim, so the wire format
+is exactly the on-disk format, and circuit JSON rides in the header.  A body
+holds one or more artifacts — a gate's two operands, a LUT's operand list —
+as :func:`pack_parts` parts (``u32 count | (u64 len | bytes)*``);
+:func:`unpack_parts` checks the count and every length and hands out
+zero-copy views of the body.  The ``crc32`` field covers
+``header JSON + body``, so a bit-flipped frame is caught *before* any
+artifact is decoded — CRC32 detects every single-bit and burst-under-32-bit
+corruption, which the artifact reader's structural checks cannot (a flipped
+payload bit is still a valid ciphertext).
 
 Robustness contract (exercised by the protocol fuzz suite):
 
@@ -94,13 +96,14 @@ __all__ = [
     "ServingClient",
 ]
 
-#: Frame magic of protocol 2 (CRC-protected frames).
+#: Frame magic of the CRC-protected frame layout (protocol 2 onwards).
 MAGIC = b"rTF2"
 #: Frame magic of the retired protocol 1 (no frame checksum) — recognised
 #: so old peers get a typed :class:`UnsupportedVersion`, not :class:`BadMagic`.
 LEGACY_MAGIC = b"rTFS"
-#: Bumped on incompatible wire changes; ``hello`` reports it.
-PROTOCOL_VERSION = 2
+#: Bumped on incompatible wire changes; ``hello`` reports it.  Version 3:
+#: same frames, bodies carry format-3 artifacts (flat container, not npz).
+PROTOCOL_VERSION = 3
 #: Hard ceiling on ``header_len`` (headers are small JSON objects; circuit
 #: JSON rides here too, hence megabyte-scale rather than kilobyte-scale).
 MAX_HEADER_LEN = 8 * 1024 * 1024
@@ -378,29 +381,31 @@ def pack_parts(parts: Sequence[bytes]) -> bytes:
     return b"".join(pieces)
 
 
-def unpack_parts(body: bytes, expected: Optional[int] = None) -> List[bytes]:
-    """Split a :func:`pack_parts` body; strict about counts and lengths."""
-    if len(body) < 4:
+def unpack_parts(body: bytes, expected: Optional[int] = None) -> List[memoryview]:
+    """Split a :func:`pack_parts` body into zero-copy views of it; strict
+    about counts and lengths."""
+    view = memoryview(body)
+    if len(view) < 4:
         raise ProtocolError("multi-part body shorter than its count prefix")
-    (count,) = struct.unpack_from("<I", body, 0)
+    (count,) = struct.unpack_from("<I", view, 0)
     if expected is not None and count != expected:
         raise ProtocolError(f"expected {expected} body parts, frame has {count}")
     offset = 4
-    parts: List[bytes] = []
+    parts: List[memoryview] = []
     for index in range(count):
-        if offset + 8 > len(body):
+        if offset + 8 > len(view):
             raise ProtocolError(f"body part {index} is missing its length prefix")
-        (length,) = struct.unpack_from("<Q", body, offset)
+        (length,) = struct.unpack_from("<Q", view, offset)
         offset += 8
-        if offset + length > len(body):
+        if offset + length > len(view):
             raise ProtocolError(
                 f"body part {index} claims {length} bytes but only "
-                f"{len(body) - offset} remain"
+                f"{len(view) - offset} remain"
             )
-        parts.append(body[offset : offset + length])
+        parts.append(view[offset : offset + length])
         offset += length
-    if offset != len(body):
-        raise ProtocolError(f"{len(body) - offset} trailing bytes after body parts")
+    if offset != len(view):
+        raise ProtocolError(f"{len(view) - offset} trailing bytes after body parts")
     return parts
 
 
@@ -515,7 +520,7 @@ class ServingClient:
         return header
 
     def register_key(self, cloud_key, engine: Optional[str] = None) -> Dict[str, Any]:
-        """Upload this connection's cloud key (npz bytes over the wire).
+        """Upload this connection's cloud key (its serialized artifact).
 
         ``engine`` optionally requests the server-side evaluation backend: a
         registry kind (``"double"``, ``"compiled"``, ``"cupy"``, ...) or

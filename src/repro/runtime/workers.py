@@ -10,7 +10,8 @@ stops being capped by one Python interpreter:
 
 * **Shared read-only cloud-key state.**  Per registered client the parent
   writes one :class:`multiprocessing.shared_memory.SharedMemory` segment
-  holding the serialized cloud key (the PR 3 npz wire format) and — for the
+  holding the serialized cloud key (the :mod:`repro.tfhe.serialize`
+  artifact, byte for byte what travels on the wire) and — for the
   classical rotator under a plain-ndarray engine — the *packed spectral
   tensors* of the parent's spectrum cache.  Workers map the segment and
   build their :class:`repro.runtime.context.FheContext` around zero-copy
@@ -141,11 +142,11 @@ def _align(offset: int) -> int:
 def _pack_client_segment(context: FheContext) -> shared_memory.SharedMemory:
     """Write one client's shareable key state into a fresh shared segment.
 
-    Layout: ``u64 header_len | header JSON | cloud-key npz bytes | (aligned)
-    packed spectral tensor bytes``.  The spectrum section is present only
-    when the parent's cache is a stack of plain ndarrays of one dtype/shape
-    (classical rotator, naive/double engines); otherwise workers rebuild
-    their cache from the key bytes.
+    Layout: ``u64 header_len | header JSON | cloud-key artifact bytes |
+    (aligned) packed spectral tensor bytes``.  The spectrum section is
+    present only when the parent's cache is a stack of plain ndarrays of one
+    dtype/shape (classical rotator, naive/double engines); otherwise workers
+    rebuild their cache from the key bytes.
     """
     key_bytes = to_bytes(context.cloud_key)
     spectrum_meta: Optional[Dict[str, Any]] = None
@@ -219,18 +220,19 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 def _context_from_segment(segment: shared_memory.SharedMemory) -> FheContext:
     """Rebuild a worker-side context around a shared segment.
 
-    The cloud key is deserialized from the shared npz bytes; when the
-    segment carries packed spectra, the blind rotator is assembled from
+    The cloud key is decoded straight from the shared pages (its arrays are
+    the worker's own copies, the artifact bytes are never duplicated); when
+    the segment carries packed spectra, the blind rotator is assembled from
     **read-only views into the shared pages** — no per-worker copy of the
     spectrum cache exists.  The returned context keeps the segment's buffer
     alive through those views; the caller must keep ``segment`` open for the
     context's lifetime.
     """
-    (header_len,) = struct.unpack("<Q", bytes(segment.buf[0:8]))
+    (header_len,) = struct.unpack_from("<Q", segment.buf)
     header = json.loads(bytes(segment.buf[8 : 8 + header_len]).decode("utf-8"))
     key_offset = 8 + header_len
     key_len = int(header["key_len"])
-    cloud = from_bytes(bytes(segment.buf[key_offset : key_offset + key_len]))
+    cloud = from_bytes(segment.buf[key_offset : key_offset + key_len])
     engine_payload = header.get("engine")
     engine = (
         TransformSpec.from_json(engine_payload).create(cloud.params.N)

@@ -77,8 +77,8 @@ class KeySwitchParams:
     noise_stddev: float
 
     def __post_init__(self) -> None:
-        if self.base_bits <= 0:
-            raise ValueError("key-switch base bits must be positive")
+        if not 1 <= self.base_bits <= 31:
+            raise ValueError("key-switch base bits must lie in [1, 31]")
         if self.length <= 0:
             raise ValueError("key-switch length must be positive")
 

@@ -1,34 +1,40 @@
-"""Versioned on-disk serialization of keys and ciphertexts (npz format).
+"""Versioned serialization of keys and ciphertexts (one flat container).
 
 This is the client/server story of the runtime layer: a client generates a
 keypair with :mod:`repro.tfhe.keys` (or ``tools/keygen.py``), ships the cloud
-key to a server, and exchanges ciphertexts as files or byte streams.  Every
-artifact is written as a NumPy ``.npz`` archive whose ``__meta__`` entry is a
-JSON header::
+key to a server, and exchanges ciphertexts as files or byte streams.  On disk,
+on the wire and in the worker pool's shared segment an artifact is the same
+self-delimiting byte string::
 
-    {"format": "repro-tfhe", "version": 1, "artifact": "cloud_key", ...}
+    magic "rTFA" | container version u8 | header_len u32 | header JSON
+    | the arrays' little-endian int32 payloads, in directory order
 
-Loaders reject unknown formats and mismatched versions with
-:class:`SerializationError` before touching any array, so format evolution is
-explicit.  Cloud keys serialize their *coefficient-domain* TGSW material plus
-the :class:`repro.tfhe.transform.TransformSpec` of the engine they were
-generated for; the Lagrange-domain spectrum cache is deliberately **not**
-serialized — it is rebuilt (once) by the
-:class:`repro.runtime.context.FheContext` that loads the key, which also
-allows evaluating a loaded key under a different engine.
+    {"format": "repro-tfhe", "version": 3, "artifact": "lwe_sample",
+     "arrays": [["a", [630]], ["b", []]]}
 
-Five npz artifact kinds are supported: ``secret_key``, ``cloud_key``,
+The compact JSON header carries format, version, artifact kind, the artifact's
+own metadata and the ``arrays`` directory of ``[name, shape]`` entries, each
+owning ``4·prod(shape)`` payload bytes.  Every array is int32: the dtype
+belongs to the container, so writers refuse anything else rather than cast it
+and readers have no dtype to trust.  A reader checks prefix, header and the
+whole directory against the bytes present (**no trailing bytes**) before it
+builds one array, and each loader checks its entries against the shapes its
+own header implies; every failure is a :class:`SerializationError`.  Cloud
+keys serialize their *coefficient-domain* TGSW material plus the
+:class:`repro.tfhe.transform.TransformSpec` of the engine they were generated
+for; the spectrum cache is deliberately **not** serialized — the
+:class:`repro.runtime.context.FheContext` that loads the key rebuilds it
+(once), which also allows evaluating a loaded key under a different engine.
+
+Five artifact kinds are supported: ``secret_key``, ``cloud_key``,
 ``lwe_sample``, ``lwe_batch`` and ``radix_int`` (a radix-decomposed integer
 ciphertext: its digit rows plus the digit encoding and noise-bound metadata
 needed to resume homomorphic evaluation).  :func:`save` / :func:`load`
 dispatch on the object / header; the per-artifact functions are also public.
-Array payloads are validated *strictly* on load — an entry with the wrong
-dtype or rank is rejected rather than silently cast, so a corrupted or
-hand-edited archive cannot smuggle garbage into a ciphertext.
 
-Compiled circuits travel as *JSON text* rather than npz — a netlist is pure
-structure (no arrays) and a human-diffable artifact is worth more than a
-binary one for compiler output.  :func:`circuit_to_json` /
+Compiled circuits travel as *JSON text* rather than in the container — a
+netlist is pure structure (no arrays) and a human-diffable artifact is worth
+more than a binary one for compiler output.  :func:`circuit_to_json` /
 :func:`circuit_from_json` round-trip a :class:`repro.tfhe.netlist.Circuit`
 under the same versioning discipline (``repro-tfhe-circuit`` format header,
 version rejection, structural validation on load), so a client can trace and
@@ -39,20 +45,18 @@ path-level helpers.
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import pathlib
+import struct
 from dataclasses import asdict
-from typing import Any, BinaryIO, Dict, List, Union
+from typing import Any, BinaryIO, Dict, List, Tuple, Union
 
 import numpy as np
 
+from repro.core.bku import group_indices
 from repro.tfhe.integers import RadixInt
-from repro.tfhe.keys import (
-    RawUnrolledGroup,
-    TFHECloudKey,
-    TFHESecretKey,
-)
+from repro.tfhe.keys import RawUnrolledGroup, TFHECloudKey, TFHESecretKey
 from repro.tfhe.keyswitch import KeySwitchKey
 from repro.tfhe.lwe import LweBatch, LweKey, LweSample
 from repro.tfhe.netlist import Circuit, Node
@@ -68,14 +72,25 @@ from repro.tfhe.tgsw import TgswSample
 from repro.tfhe.tlwe import TlweKey, tlwe_extract_lwe_key
 from repro.tfhe.transform import TransformSpec
 
-#: Magic string identifying the archive family.
+#: Format name carried by every artifact header.
 FORMAT = "repro-tfhe"
-#: Current on-disk format version; loaders reject any other version.
-#: Version 2 added the ``radix_int`` artifact (digit ciphertexts with
-#: encoding/bound metadata) and made array dtype validation strict.
-FORMAT_VERSION = 2
+#: Current format version; loaders reject any other.  Version 2 added the
+#: ``radix_int`` artifact; version 3 replaced npz with the flat container.
+FORMAT_VERSION = 3
+#: First bytes of every artifact, and the version of the byte layout itself.
+MAGIC = b"rTFA"
+CONTAINER_VERSION = 1
+
+_PREFIX = struct.Struct("<4sBI")
+_HEADER_JSON = json.JSONEncoder(separators=(",", ":")).encode
+#: No artifact stores an array of higher rank (the cloud-key stacks are 4-d).
+_MAX_RANK = 4
+#: What parsing a hostile header dict into parameter objects can raise
+#: (``OverflowError``: JSON admits ``Infinity``, ``int()`` does not).
+_HEADER_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 PathLike = Union[str, pathlib.Path, BinaryIO]
+Buffer = Union[bytes, bytearray, memoryview]
 
 
 class SerializationError(ValueError):
@@ -87,107 +102,139 @@ class SerializationError(ValueError):
 # --------------------------------------------------------------------------- #
 
 
-def _params_to_dict(params: TFHEParameters) -> Dict[str, Any]:
-    return asdict(params)
-
-
 def _params_from_dict(payload: Dict[str, Any]) -> TFHEParameters:
-    return TFHEParameters(
-        name=payload["name"],
-        security_bits=int(payload["security_bits"]),
-        lwe=LweParams(**payload["lwe"]),
-        tlwe=TlweParams(**payload["tlwe"]),
-        tgsw=TgswParams(**payload["tgsw"]),
-        keyswitch=KeySwitchParams(**payload["keyswitch"]),
-        message_space=int(payload.get("message_space", 8)),
-    )
+    try:
+        return TFHEParameters(
+            name=payload["name"],
+            security_bits=int(payload["security_bits"]),
+            lwe=LweParams(**payload["lwe"]),
+            tlwe=TlweParams(**payload["tlwe"]),
+            tgsw=TgswParams(**payload["tgsw"]),
+            keyswitch=KeySwitchParams(**payload["keyswitch"]),
+            message_space=int(payload.get("message_space", 8)),
+        )
+    except _HEADER_ERRORS as exc:
+        raise SerializationError(f"malformed 'params' header: {exc!r}") from exc
 
 
 # --------------------------------------------------------------------------- #
-# archive plumbing                                                            #
+# the container                                                               #
 # --------------------------------------------------------------------------- #
+
+
+def _encode(meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> List[Any]:
+    """The container as a list of buffers: prefix + header, then the payloads.
+
+    The payloads are the caller's own arrays (C-contiguous int32 is the rule,
+    so nothing is copied here); whoever joins or writes the list makes the one
+    copy.  A non-int32 array is refused, never cast — an ``astype`` would
+    silently wrap torus values.
+    """
+    directory = []
+    for name, array in arrays.items():
+        if not isinstance(array, np.ndarray) or array.dtype != np.int32:
+            kind = getattr(array, "dtype", type(array).__name__)
+            raise SerializationError(f"refusing to write {name!r} as {kind}: int32 only")
+        directory.append([name, list(array.shape)])
+    header = _HEADER_JSON(
+        {"format": FORMAT, "version": FORMAT_VERSION, **meta, "arrays": directory}
+    ).encode("utf-8")
+    payloads = (np.ascontiguousarray(a, dtype="<i4").reshape(-1) for a in arrays.values())
+    return [_PREFIX.pack(MAGIC, CONTAINER_VERSION, len(header)) + header, *payloads]
 
 
 def _write_archive(path: PathLike, meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> None:
-    header = {"format": FORMAT, "version": FORMAT_VERSION, **meta}
-    payload = {"__meta__": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)}
-    payload.update(arrays)
     if isinstance(path, (str, pathlib.Path)):
-        # Write exactly the requested name (np.savez appends ".npz" to bare
-        # string paths, which would break a later load by the same name).
         with open(path, "wb") as handle:
-            np.savez(handle, **payload)
+            handle.writelines(_encode(meta, arrays))
     else:
-        np.savez(path, **payload)
+        path.writelines(_encode(meta, arrays))
 
 
-def _read_archive(path: PathLike, expected_artifact: str | None = None):
-    """Read and validate an archive, returning ``(meta, arrays)``.
+def _decode(data: Buffer, expected_artifact: str | None = None):
+    """Validate a container held in any buffer and return ``(meta, arrays)``.
 
-    Every array is materialized and the underlying NpzFile is closed before
-    returning, so no file handle outlives the call.
+    Prefix, header and the whole directory are checked against the bytes
+    present before the first array is built, so a directory that lies about
+    its shapes cannot make this allocate.  Each array is one ``np.frombuffer``
+    view plus one owning copy: int32, writable, independent of ``data``.
     """
+    view = memoryview(data).cast("B")
+    if len(view) < _PREFIX.size:
+        raise SerializationError(f"truncated artifact: only {len(view)} bytes")
+    magic, container, header_len = _PREFIX.unpack_from(view)
+    if magic != MAGIC or container != CONTAINER_VERSION:
+        npz = " — an npz archive: format versions 1-2, which this build no longer reads"
+        raise SerializationError(
+            f"not a version-{CONTAINER_VERSION} {MAGIC!r} container (starts {magic!r}, "
+            f"version {container})" + (npz if magic[:2] == b"PK" else "")
+        )
+    offset = _PREFIX.size + header_len
+    if offset > len(view):
+        raise SerializationError(f"header length {header_len} overruns {len(view)} bytes")
     try:
-        archive = np.load(path, allow_pickle=False)
-    except Exception as exc:  # zipfile/ValueError: not an npz at all
-        raise SerializationError(f"not a readable npz archive: {exc}") from exc
-    try:
-        if "__meta__" not in archive.files:
-            raise SerializationError("archive has no __meta__ header")
-        try:
-            meta = json.loads(bytes(archive["__meta__"].tobytes()).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SerializationError(f"malformed __meta__ header: {exc}") from exc
-        if meta.get("format") != FORMAT:
+        meta = json.loads(str(view[_PREFIX.size : offset], "utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise SerializationError(f"malformed header: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("arrays"), list):
+        raise SerializationError("header must be a JSON object with an 'arrays' list")
+    expected = {"format": FORMAT, "version": FORMAT_VERSION, "artifact": expected_artifact}
+    for field, want in expected.items():
+        if want is not None and meta.get(field) != want:
+            got = meta.get(field)
+            raise SerializationError(f"archive {field} is {got!r}, expected {want!r}")
+    layout: Dict[str, Tuple[List[int], int]] = {}
+    for entry in meta.pop("arrays"):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and entry[0] not in layout
+            and isinstance(entry[1], list)
+            and len(entry[1]) <= _MAX_RANK
+            and all(type(dim) is int and dim >= 0 for dim in entry[1])
+        ):
+            raise SerializationError(f"malformed or duplicate directory entry {entry!r}")
+        name, shape = entry
+        layout[name] = (shape, offset)
+        offset += 4 * math.prod(shape)
+        if offset > len(view):
             raise SerializationError(
-                f"unknown archive format {meta.get('format')!r} (expected {FORMAT!r})"
+                f"truncated artifact: {name!r} {shape} ends at byte {offset} of {len(view)}"
             )
-        if meta.get("version") != FORMAT_VERSION:
-            raise SerializationError(
-                f"unsupported format version {meta.get('version')!r} "
-                f"(this build reads version {FORMAT_VERSION})"
-            )
-        if expected_artifact is not None and meta.get("artifact") != expected_artifact:
-            raise SerializationError(
-                f"archive holds a {meta.get('artifact')!r}, "
-                f"expected {expected_artifact!r}"
-            )
-        arrays = {name: archive[name] for name in archive.files if name != "__meta__"}
-    finally:
-        archive.close()
+    if offset != len(view):
+        raise SerializationError(f"{len(view) - offset} trailing bytes after the payloads")
+    arrays = {}
+    for name, (shape, start) in layout.items():
+        flat = np.frombuffer(view, "<i4", math.prod(shape), start)
+        arrays[name] = flat.reshape(shape).astype(np.int32)
     return meta, arrays
 
 
-def _require(arrays: Dict[str, np.ndarray], name: str) -> np.ndarray:
-    try:
-        return arrays[name]
-    except KeyError:
-        raise SerializationError(f"archive is missing the {name!r} entry") from None
+def _read_archive(path: PathLike, expected_artifact: str | None = None):
+    """Read a whole file (or binary handle) and :func:`_decode` it."""
+    if isinstance(path, (str, pathlib.Path)):
+        return _decode(pathlib.Path(path).read_bytes(), expected_artifact)
+    return _decode(path.read(), expected_artifact)
 
 
-def _require_i32(
-    arrays: Dict[str, np.ndarray], name: str, ndim: int | None = None
-) -> np.ndarray:
-    """A required entry that must already *be* int32 of the expected rank.
-
-    Every writer in this module stores int32; a float or int64 entry can only
-    come from corruption or tampering, so it is rejected rather than cast —
-    an ``astype`` here would silently truncate torus values.
-    """
-    array = _require(arrays, name)
-    if array.dtype != np.int32:
+def _require(arrays: Dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """A required entry of the given rank; ``None`` leaves an extent free."""
+    array = arrays.get(name)
+    if array is None:
+        raise SerializationError(f"archive is missing the {name!r} entry")
+    if array.ndim != len(shape) or any(
+        want is not None and want != got for want, got in zip(shape, array.shape)
+    ):
         raise SerializationError(
-            f"archive entry {name!r} has dtype {array.dtype}, expected int32"
-        )
-    if ndim is not None and array.ndim != ndim:
-        raise SerializationError(
-            f"archive entry {name!r} has rank {array.ndim}, expected {ndim}"
+            f"archive entry {name!r} has rank {array.ndim} and shape {array.shape}, "
+            f"expected {tuple('*' if want is None else want for want in shape)}"
         )
     return array
 
 
 # --------------------------------------------------------------------------- #
-# secret keys                                                                 #
+# keys                                                                        #
 # --------------------------------------------------------------------------- #
 
 
@@ -195,23 +242,18 @@ def save_secret_key(path: PathLike, secret: TFHESecretKey) -> None:
     """Write a client secret key (LWE + ring key bits; extracted key is derived)."""
     _write_archive(
         path,
-        {"artifact": "secret_key", "params": _params_to_dict(secret.params)},
-        {
-            "lwe_key": secret.lwe_key.key.astype(np.int32),
-            "tlwe_key": secret.tlwe_key.key.astype(np.int32),
-        },
+        {"artifact": "secret_key", "params": asdict(secret.params)},
+        {"lwe_key": secret.lwe_key.key, "tlwe_key": secret.tlwe_key.key},
     )
 
 
 def _secret_key_from_archive(meta, arrays) -> TFHESecretKey:
-    params = _params_from_dict(meta["params"])
-    lwe_key = LweKey(params=params.lwe, key=_require_i32(arrays, "lwe_key", ndim=1))
-    tlwe_key = TlweKey(
-        params=params.tlwe, key=_require_i32(arrays, "tlwe_key", ndim=2)
-    )
+    params = _params_from_dict(meta.get("params"))
+    ring_key = _require(arrays, "tlwe_key", (params.k, params.N))
+    tlwe_key = TlweKey(params=params.tlwe, key=ring_key)
     return TFHESecretKey(
         params=params,
-        lwe_key=lwe_key,
+        lwe_key=LweKey(params=params.lwe, key=_require(arrays, "lwe_key", (params.n,))),
         tlwe_key=tlwe_key,
         extracted_key=tlwe_extract_lwe_key(tlwe_key),
     )
@@ -220,11 +262,6 @@ def _secret_key_from_archive(meta, arrays) -> TFHESecretKey:
 def load_secret_key(path: PathLike) -> TFHESecretKey:
     """Read a secret key; the extracted ring-LWE key is re-derived on load."""
     return _secret_key_from_archive(*_read_archive(path, "secret_key"))
-
-
-# --------------------------------------------------------------------------- #
-# cloud keys                                                                  #
-# --------------------------------------------------------------------------- #
 
 
 def save_cloud_key(path: PathLike, cloud: TFHECloudKey) -> None:
@@ -241,77 +278,60 @@ def save_cloud_key(path: PathLike, cloud: TFHECloudKey) -> None:
         )
     meta: Dict[str, Any] = {
         "artifact": "cloud_key",
-        "params": _params_to_dict(cloud.params),
+        "params": asdict(cloud.params),
         "unroll_factor": cloud.unroll_factor,
         "transform": cloud.transform_spec.to_json(),
     }
-    arrays: Dict[str, np.ndarray] = {
-        "keyswitch": cloud.keyswitch_key.data.astype(np.int32)
-    }
+    arrays: Dict[str, np.ndarray] = {"keyswitch": cloud.keyswitch_key.data}
     if cloud.unroll_factor == 1:
         if cloud.bootstrapping_key is None:
             raise SerializationError("cloud key carries no bootstrapping key material")
-        arrays["bootstrapping_key"] = np.stack(
-            [sample.data for sample in cloud.bootstrapping_key]
-        ).astype(np.int32)
+        arrays["bootstrapping_key"] = np.stack([s.data for s in cloud.bootstrapping_key])
     else:
         if cloud.unrolled_groups is None:
             raise SerializationError("cloud key carries no unrolled key material")
         # Group boundaries are deterministic (group_indices(n, m)), so the
         # flat sample stack plus the unroll factor fully describe the key.
-        flat: List[np.ndarray] = []
-        for group in cloud.unrolled_groups:
-            flat.extend(sample.data for sample in group.samples)
-        arrays["unrolled_key"] = np.stack(flat).astype(np.int32)
+        arrays["unrolled_key"] = np.stack(
+            [sample.data for group in cloud.unrolled_groups for sample in group.samples]
+        )
     _write_archive(path, meta, arrays)
 
 
 def _cloud_key_from_archive(meta, arrays) -> TFHECloudKey:
-    params = _params_from_dict(meta["params"])
-    unroll_factor = int(meta["unroll_factor"])
-    spec = TransformSpec.from_json(meta["transform"])
-    ks_data = _require_i32(arrays, "keyswitch")
+    params = _params_from_dict(meta.get("params"))
+    k, big_n, ks = params.k, params.N, params.keyswitch
     keyswitch_key = KeySwitchKey(
-        params=params.keyswitch,
-        data=ks_data,
-        input_dimension=int(ks_data.shape[0]),
-        output_dimension=int(ks_data.shape[-1]) - 1,
+        params=ks,
+        data=_require(arrays, "keyswitch", (k * big_n, ks.length, ks.base, params.n + 1)),
+        input_dimension=k * big_n,
+        output_dimension=params.n,
     )
+    try:  # n is pinned to real bytes by now, so the group list is bounded
+        unroll_factor = int(meta["unroll_factor"])
+        spec = TransformSpec.from_json(meta["transform"])
+        groups = group_indices(params.n, unroll_factor)
+    except _HEADER_ERRORS as exc:
+        raise SerializationError(f"malformed cloud key header: {exc!r}") from exc
+    tgsw_shape = ((k + 1) * params.l, k + 1, big_n)
     bootstrapping_key = None
     unrolled_groups = None
     if unroll_factor == 1:
-        stacked = _require_i32(arrays, "bootstrapping_key")
-        if stacked.shape[0] != params.n:
-            raise SerializationError(
-                f"bootstrapping key holds {stacked.shape[0]} TGSW samples, "
-                f"expected {params.n} for n={params.n}"
-            )
-        bootstrapping_key = [
-            TgswSample(data=row, params=params.tgsw) for row in stacked
-        ]
+        stacked = _require(arrays, "bootstrapping_key", (params.n, *tgsw_shape))
+        bootstrapping_key = [TgswSample(data=row, params=params.tgsw) for row in stacked]
     else:
-        from repro.core.bku import group_indices
-
-        flat = _require_i32(arrays, "unrolled_key")
-        groups = group_indices(params.n, unroll_factor)
-        expected = sum((1 << len(indices)) - 1 for indices in groups)
-        if flat.shape[0] != expected:
-            raise SerializationError(
-                f"unrolled key holds {flat.shape[0]} TGSW samples, "
-                f"expected {expected} for n={params.n}, m={unroll_factor}"
+        counts = [(1 << len(indices)) - 1 for indices in groups]
+        flat = iter(_require(arrays, "unrolled_key", (sum(counts), *tgsw_shape)))
+        unrolled_groups = [
+            RawUnrolledGroup(
+                indices=list(indices),
+                samples=[
+                    TgswSample(data=next(flat), params=params.tgsw)
+                    for _ in range(count)
+                ],
             )
-        unrolled_groups = []
-        cursor = 0
-        for indices in groups:
-            count = (1 << len(indices)) - 1
-            samples = [
-                TgswSample(data=flat[cursor + j], params=params.tgsw)
-                for j in range(count)
-            ]
-            cursor += count
-            unrolled_groups.append(
-                RawUnrolledGroup(indices=list(indices), samples=samples)
-            )
+            for indices, count in zip(groups, counts)
+        ]
     return TFHECloudKey(
         params=params,
         keyswitch_key=keyswitch_key,
@@ -334,20 +354,13 @@ def load_cloud_key(path: PathLike) -> TFHECloudKey:
 
 def save_lwe_sample(path: PathLike, sample: LweSample) -> None:
     """Write a single LWE ciphertext."""
-    _write_archive(
-        path,
-        {"artifact": "lwe_sample"},
-        {"a": sample.a.astype(np.int32), "b": np.asarray(sample.b, dtype=np.int32)},
-    )
+    arrays = {"a": sample.a, "b": np.asarray(sample.b)}
+    _write_archive(path, {"artifact": "lwe_sample"}, arrays)
 
 
 def _lwe_sample_from_archive(_meta, arrays) -> LweSample:
-    b = _require_i32(arrays, "b")
-    if b.ndim != 0:
-        raise SerializationError(
-            f"archive entry 'b' has rank {b.ndim}, expected a scalar"
-        )
-    return LweSample(a=_require_i32(arrays, "a", ndim=1), b=np.int32(b))
+    a, b = _require(arrays, "a", (None,)), _require(arrays, "b", ())
+    return LweSample(a=a, b=np.int32(b))
 
 
 def load_lwe_sample(path: PathLike) -> LweSample:
@@ -357,18 +370,12 @@ def load_lwe_sample(path: PathLike) -> LweSample:
 
 def save_lwe_batch(path: PathLike, batch: LweBatch) -> None:
     """Write a batch of LWE ciphertexts."""
-    _write_archive(
-        path,
-        {"artifact": "lwe_batch"},
-        {"a": batch.a.astype(np.int32), "b": batch.b.astype(np.int32)},
-    )
+    _write_archive(path, {"artifact": "lwe_batch"}, {"a": batch.a, "b": batch.b})
 
 
 def _lwe_batch_from_archive(_meta, arrays) -> LweBatch:
-    return LweBatch(
-        a=_require_i32(arrays, "a", ndim=2),
-        b=_require_i32(arrays, "b", ndim=1),
-    )
+    a = _require(arrays, "a", (None, None))
+    return LweBatch(a=a, b=_require(arrays, "b", (a.shape[0],)))
 
 
 def load_lwe_batch(path: PathLike) -> LweBatch:
@@ -387,42 +394,27 @@ def save_radix_int(path: PathLike, value: RadixInt) -> None:
         path,
         {
             "artifact": "radix_int",
-            "encoding": {
-                "message_bits": value.encoding.message_bits,
-                "carry_bits": value.encoding.carry_bits,
-            },
+            "encoding": asdict(value.encoding),
             "bounds": list(value.bounds),
         },
         {
-            "a": np.stack([digit.a for digit in value.digits]).astype(np.int32),
-            "b": np.array([digit.b for digit in value.digits], dtype=np.int32),
+            "a": np.stack([digit.a for digit in value.digits]),
+            "b": np.stack([np.asarray(digit.b) for digit in value.digits]),
         },
     )
 
 
 def _radix_int_from_archive(meta, arrays) -> RadixInt:
-    a = _require_i32(arrays, "a", ndim=2)
-    b = _require_i32(arrays, "b", ndim=1)
-    if a.shape[0] != b.shape[0]:
-        raise SerializationError(
-            f"radix digit arrays disagree: {a.shape[0]} 'a' rows vs "
-            f"{b.shape[0]} 'b' entries"
-        )
+    batch = _lwe_batch_from_archive(meta, arrays)
     try:
         encoding = DigitEncoding(
             message_bits=int(meta["encoding"]["message_bits"]),
             carry_bits=int(meta["encoding"]["carry_bits"]),
         )
         bounds = tuple(int(bound) for bound in meta["bounds"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return RadixInt(digits=batch.to_samples(), bounds=bounds, encoding=encoding)
+    except _HEADER_ERRORS as exc:
         raise SerializationError(f"malformed radix metadata: {exc}") from exc
-    digits = [
-        LweSample(a=a[i].copy(), b=np.int32(b[i])) for i in range(a.shape[0])
-    ]
-    try:
-        return RadixInt(digits=digits, bounds=bounds, encoding=encoding)
-    except ValueError as exc:
-        raise SerializationError(f"inconsistent radix ciphertext: {exc}") from exc
 
 
 def load_radix_int(path: PathLike) -> RadixInt:
@@ -451,6 +443,13 @@ _LOADERS = {
 }
 
 
+def _from_archive(meta: Dict[str, Any], arrays: Dict[str, np.ndarray]):
+    artifact = meta.get("artifact")
+    if not isinstance(artifact, str) or artifact not in _LOADERS:
+        raise SerializationError(f"unknown artifact kind {artifact!r}")
+    return _LOADERS[artifact](meta, arrays)
+
+
 def save(path: PathLike, obj) -> None:
     """Write any supported artifact, dispatching on its type."""
     for cls, saver in _SAVERS:
@@ -462,23 +461,25 @@ def save(path: PathLike, obj) -> None:
 
 def load(path: PathLike):
     """Read any supported artifact, dispatching on the archive header."""
-    meta, arrays = _read_archive(path)
-    artifact = meta.get("artifact")
-    if artifact not in _LOADERS:
-        raise SerializationError(f"unknown artifact kind {artifact!r}")
-    return _LOADERS[artifact](meta, arrays)
+    return _from_archive(*_read_archive(path))
+
+
+class _Pieces(list):
+    """A write-only handle that keeps the buffers it is handed (for one join)."""
+
+    writelines = list.extend
 
 
 def to_bytes(obj) -> bytes:
     """Serialize any supported artifact to an in-memory byte string."""
-    buffer = io.BytesIO()
-    save(buffer, obj)
-    return buffer.getvalue()
+    pieces = _Pieces()
+    save(pieces, obj)
+    return b"".join(pieces)
 
 
-def from_bytes(data: bytes):
-    """Deserialize an artifact previously produced by :func:`to_bytes`."""
-    return load(io.BytesIO(data))
+def from_bytes(data: Buffer):
+    """Deserialize an artifact from any buffer holding :func:`to_bytes` output."""
+    return _from_archive(*_decode(data))
 
 
 # --------------------------------------------------------------------------- #

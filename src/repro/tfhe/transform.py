@@ -164,6 +164,8 @@ class TransformSpec:
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "TransformSpec":
+        if not isinstance(payload["kind"], str):
+            raise TypeError(f"transform kind must be a string, got {payload['kind']!r}")
         return cls.from_options(payload["kind"], **payload.get("kwargs", {}))
 
 

@@ -230,6 +230,27 @@ def test_parts_round_trip():
     assert unpack_parts(pack_parts([]), expected=0) == []
 
 
+def test_parts_are_views_of_the_body():
+    """Splitting a body copies nothing — a 108 MiB key part is the body's memory."""
+    for body in (pack_parts([b"alpha", b"", b"gamma" * 9]), bytearray(pack_parts([b"key"]))):
+        backing = np.frombuffer(body, dtype=np.uint8)
+        parts = unpack_parts(body)
+        assert parts == unpack_parts(bytes(body))  # same content either way
+        for part in parts:
+            assert isinstance(part, memoryview) and part.obj is body
+            if len(part):  # an empty view has no byte to share
+                assert np.shares_memory(np.frombuffer(part, dtype=np.uint8), backing)
+    # truncated, over-long and trailing bodies are refused whatever holds them
+    body = pack_parts([b"abc", b"def"])
+    for wrap in (bytes, bytearray, memoryview):
+        with pytest.raises(ProtocolError):
+            unpack_parts(wrap(body[:-1]))
+        with pytest.raises(ProtocolError, match="trailing"):
+            unpack_parts(wrap(body + b"!"))
+        with pytest.raises(ProtocolError, match="claims"):
+            unpack_parts(wrap(body[:4] + struct.pack("<Q", 1 << 40) + body[12:]))
+
+
 def test_parts_count_mismatch():
     with pytest.raises(ProtocolError, match="expected 2"):
         unpack_parts(pack_parts([b"only"]), expected=2)

@@ -44,7 +44,7 @@ from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import LweBatch
 from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
-from repro.tfhe.serialize import to_bytes
+from repro.tfhe.serialize import circuit_to_json, to_bytes
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
@@ -206,32 +206,83 @@ def test_double_register_rejected(server_factory, wire_keys):
 # --------------------------------------------------------------------------- #
 
 
-def _tamper_npz_version(data: bytes, version: int = 99) -> bytes:
-    """Rewrite the npz __meta__ header to an unsupported format version."""
-    archive = np.load(io.BytesIO(data))
-    meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
-    meta["version"] = version
-    arrays = {name: archive[name] for name in archive.files if name != "__meta__"}
-    arrays["__meta__"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
-    out = io.BytesIO()
-    np.savez(out, **arrays)
-    return out.getvalue()
+def _bad_request(client, op, parts, **fields):
+    """Send hand-built body parts; the reply must be a typed ``bad_request``."""
+    request = client.submit(op, pack_parts(parts), **fields)
+    with pytest.raises(ServerError) as excinfo:
+        client.result(request)
+    assert excinfo.value.kind == "bad_request", str(excinfo.value)
+    # The connection survived the bad artifact.
+    assert client.hello()["server"] == "repro-serve"
+    return str(excinfo.value)
 
 
-def test_bad_npz_version_is_a_clean_error(server_factory, wire_keys):
+def test_bad_artifact_version_is_a_clean_error(server_factory, wire_keys, edit_artifact):
     _secret, cloud = wire_keys
     server = server_factory()
     with ServingClient(port=server.port) as client:
-        bad = _tamper_npz_version(to_bytes(cloud))
-        request = client.submit("register_key", pack_parts([bad]))
-        with pytest.raises(ServerError) as excinfo:
-            client.result(request)
-        assert excinfo.value.kind == "bad_request"
-        assert "version" in str(excinfo.value)
-        # The connection survived the bad artifact.
-        assert client.hello()["server"] == "repro-serve"
+        bad = edit_artifact(to_bytes(cloud), lambda m: m.__setitem__("version", 99))
+        assert "version" in _bad_request(client, "register_key", [bad])
+
+
+def test_old_npz_key_is_a_clean_error(server_factory, wire_keys):
+    """A format-2 (npz) client gets a refusal that names the container."""
+    _secret, cloud = wire_keys
+    out = io.BytesIO()
+    np.savez(out, keyswitch=cloud.keyswitch_key.data)
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        assert "npz" in _bad_request(client, "register_key", [out.getvalue()])
+
+
+def test_malformed_key_header_is_a_bad_request_not_internal(
+    server_factory, wire_keys, edit_artifact
+):
+    """Header damage used to escape ``from_bytes`` as KeyError/TypeError and
+    be answered ``internal``; it is the client's fault and is reported so."""
+    _secret, cloud = wire_keys
+    blob = to_bytes(cloud)
+    damage = [
+        lambda m: m.pop("params"),
+        lambda m: m.__setitem__("params", None),
+        lambda m: m.pop("unroll_factor"),
+        lambda m: m.pop("transform"),
+        lambda m: m.__setitem__("transform", {"kind": 7}),
+    ]
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        for mutate in damage:
+            _bad_request(client, "register_key", [edit_artifact(blob, mutate)])
+        assert client.register_key(cloud)["params"] == TEST_TINY.name
+
+
+def test_inconsistent_shapes_are_refused_at_load(server_factory, wire_keys, edit_artifact):
+    """A key whose arrays contradict its own params is refused by
+    ``register_key`` (it used to be accepted and fail inside the first gate),
+    and a batch with more ``a`` rows than ``b`` entries by ``circuit``."""
+    secret, cloud = wire_keys
+    n, big_n, k, l = TEST_TINY.n, TEST_TINY.N, TEST_TINY.k, TEST_TINY.l
+
+    def half_degree(meta):
+        assert meta["arrays"][1] == ["bootstrapping_key", [n, (k + 1) * l, k + 1, big_n]]
+        meta["arrays"][1][1] = [n, (k + 1) * l, 2 * (k + 1), big_n // 2]
+
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        message = _bad_request(
+            client, "register_key", [edit_artifact(to_bytes(cloud), half_degree)]
+        )
+        assert "bootstrapping_key" in message
+        client.register_key(cloud)
+        circuit = adder_netlist(1)
+        bits = LweBatch.from_samples([encrypt_bit(secret, 1, rng=i) for i in range(3)])
+        lopsided = edit_artifact(
+            to_bytes(bits), lambda m: m["arrays"].__setitem__(1, ["b", [2]])
+        )[:-4]
+        message = _bad_request(
+            client, "circuit", [lopsided], circuit=json.loads(circuit_to_json(circuit))
+        )
+        assert "'b'" in message
 
 
 def test_wrong_artifact_type_rejected(server_factory, wire_keys):

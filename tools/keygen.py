@@ -2,8 +2,8 @@
 """Generate a TFHE keypair and save it with :mod:`repro.tfhe.serialize`.
 
 The client-side half of the runtime's client/server story: generate a secret
-key plus the matching cloud key and write both as versioned ``.npz`` archives
-the server can load (see ``examples/runtime_server.py``).
+key plus the matching cloud key and write both as versioned ``.tfhe``
+artifacts the server can load (see ``examples/runtime_server.py``).
 
 Run:  PYTHONPATH=src python tools/keygen.py --params test-small --out-dir keys/
 """
@@ -81,13 +81,13 @@ def main(argv=None) -> int:
     )
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    secret_path = args.out_dir / f"{args.prefix}.secret.npz"
-    cloud_path = args.out_dir / f"{args.prefix}.cloud.npz"
+    secret_path = args.out_dir / f"{args.prefix}.secret.tfhe"
+    cloud_path = args.out_dir / f"{args.prefix}.cloud.tfhe"
     save_secret_key(secret_path, secret)
     save_cloud_key(cloud_path, cloud)
     for path in (secret_path, cloud_path):
         print(f"wrote {path} ({path.stat().st_size / 1024:.1f} KiB)")
-    print("keep the .secret.npz private; ship only the .cloud.npz to the server")
+    print("keep the .secret.tfhe private; ship only the .cloud.tfhe to the server")
     return 0
 
 

@@ -6,7 +6,7 @@ Binds an :class:`repro.runtime.server.FheServer` and (optionally) a
 bootstrapping rows across worker processes sharing the cloud-key spectrum
 cache via shared memory.  Clients connect with
 :class:`repro.runtime.protocol.ServingClient`, upload their cloud key, and
-exchange npz/JSON artifacts over length-prefixed frames — see
+exchange serialized artifacts over length-prefixed frames — see
 ``examples/serving_clients.py`` for the client side.
 
 Run:  PYTHONPATH=src python tools/serve.py --port 8470 --workers 4
