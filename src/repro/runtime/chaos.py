@@ -306,9 +306,9 @@ class FlakyEngine(NegacyclicTransform):
         self._tick()
         return self.base.forward(coeffs)
 
-    def contract_accumulate(self, int_stack, tensor, reduce: bool = True):
+    def contract_accumulate(self, *args, **kwargs):
         self._tick()
-        return self.base.contract_accumulate(int_stack, tensor, reduce)
+        return self.base.contract_accumulate(*args, **kwargs)
 
     def multiply(self, int_poly, torus_poly):
         self._tick()

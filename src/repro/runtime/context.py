@@ -266,7 +266,7 @@ class FheContext:
         extracted = bootstrap_without_keyswitch(
             sample, int(MU) if mu is None else int(mu), self.rotator, self.params
         )
-        return keyswitch_apply(self.keyswitch_key, extracted)
+        return keyswitch_apply(self.keyswitch_key, extracted, self.workspace)
 
     def bootstrap_batch(self, batch: LweBatch, mu: Optional[int] = None) -> LweBatch:
         """Gate-bootstrap a whole batch with this context's cached key state."""
@@ -275,7 +275,7 @@ class FheContext:
         extracted = bootstrap_without_keyswitch_batch(
             batch, int(MU) if mu is None else int(mu), self.rotator, self.params
         )
-        return keyswitch_apply_batch(self.keyswitch_key, extracted)
+        return keyswitch_apply_batch(self.keyswitch_key, extracted, self.workspace)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -97,9 +97,10 @@ class CmuxBlindRotator:
     ``(B, k+1, N)`` accumulator stack (:meth:`rotate` is :meth:`rotate_batch`
     on a one-row view) — ``X^{ā_i}·ACC`` read as a window of
     ``[ACC, −ACC, ACC]``, the external product one stacked
-    forward/contract/backward — staged through a
+    forward/contract/backward — with every intermediate in a
     :class:`repro.tfhe.tgsw.BootstrapWorkspace` shared across all ``n`` steps
-    (and across every bootstrapping that reuses this rotator).
+    (and across every bootstrapping that reuses this rotator), so a step
+    allocates only the accumulator it returns.
     :meth:`rotate_reference` / :meth:`rotate_batch_reference` are the
     per-digit-plane oracle for property tests and benchmarks.
     """

@@ -43,7 +43,11 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.tfhe.transform import DoubleFFTNegacyclicTransform, _align_contraction_axes
+from repro.tfhe.transform import (
+    DoubleFFTNegacyclicTransform,
+    NegacyclicTransform,
+    _align_contraction_axes,
+)
 
 _DEFAULT_BLOCK = 65536  # spectral elements per fallback contraction block
 
@@ -238,6 +242,11 @@ class CompiledNegacyclicTransform(DoubleFFTNegacyclicTransform):
             return np.array_equal(cout, cref)
         except Exception:
             return False
+
+    #: The parent stages ``forward → spectrum_contract → backward`` through
+    #: workspace buffers with its own NumPy glue; this engine's kernels *are*
+    #: its overrides of those three methods, so it composes them generically.
+    contract_accumulate = NegacyclicTransform.contract_accumulate
 
     # -- conversions --------------------------------------------------------
     def forward(self, coeffs: np.ndarray) -> np.ndarray:

@@ -330,7 +330,9 @@ class TFHEGateEvaluator(_BootstrappedGates):
         extracted = blind_rotate_and_extract(
             combined, test_vector, self.context.rotator, params
         )
-        return keyswitch_apply(self.context.keyswitch_key, extracted)
+        return keyswitch_apply(
+            self.context.keyswitch_key, extracted, self.context.workspace
+        )
 
     # -- linear (bootstrapping-free) gates ----------------------------------
     def constant(self, bit: int) -> LweSample:
@@ -449,7 +451,9 @@ class BatchGateEvaluator(_BootstrappedGates):
                 combined, test_vectors, self.context.rotator, self.context.params
             )
         with stage("keyswitch", rows=combined.batch_size):
-            return keyswitch_apply_batch(self.context.keyswitch_key, extracted)
+            return keyswitch_apply_batch(
+                self.context.keyswitch_key, extracted, self.context.workspace
+            )
 
     def gate_test_vector(self) -> np.ndarray:
         """The shared all-``mu`` test vector of the plain boolean gates."""

@@ -37,29 +37,20 @@ class KeySwitchKey:
     data: np.ndarray
     input_dimension: int
     output_dimension: int
-    #: Lazily-built flat gather tables of :func:`_keyswitch_totals`.
-    _flat_data: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _flat_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _digit_shifts: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _gather_tables(self):
-        """``(flat_data, flat_rows, shifts)`` for the one-shot digit gather.
+    @property
+    def table(self) -> np.ndarray:
+        """``data`` as C-contiguous ``(n_in·t·base, n_out + 1)`` sample rows.
 
-        ``flat_data`` is the key viewed as ``(n_in·t·base, n_out + 1)``;
-        ``flat_rows[j, i] = (i·t + j)·base`` is the flat offset of sample
-        ``(i, j, digit 0)``, so ``flat_rows + digits`` indexes every selected
-        sample of every digit level in one ``take``.
+        Row ``(i·t + j)·base + v`` is sample ``(i, j, v)``.  A view of a
+        contiguous key; a key built on a non-contiguous ``data`` is copied
+        once, here, not on every switch.
         """
-        if self._flat_data is None:
-            t = self.params.length
-            self._flat_data = self.data.reshape(-1, self.data.shape[-1])
-            rows = (np.arange(self.input_dimension, dtype=np.int64) * t)[None, :]
-            self._flat_rows = (rows + np.arange(t, dtype=np.int64)[:, None]) * self.params.base
-            self._digit_shifts = np.array(
-                [32 - self.params.base_bits * (j + 1) for j in range(t)],
-                dtype=np.int64,
-            )
-        return self._flat_data, self._flat_rows, self._digit_shifts
+        if self._table is None:
+            data = np.ascontiguousarray(self.data)
+            self._table = data.reshape(-1, data.shape[-1])
+        return self._table
 
 
 def keyswitch_key_generate(
@@ -103,51 +94,80 @@ def keyswitch_key_generate(
     )
 
 
-def _keyswitch_totals(ks: KeySwitchKey, a: np.ndarray) -> np.ndarray:
-    """Sum of the key-switching samples selected by the digits of ``a``.
+#: int32 words of the gather block of :func:`_keyswitch_totals` (512 KiB): big
+#: enough that a block's few NumPy calls vanish against its gather, small
+#: enough to stay cache-resident between the gather and the reduction.
+KEYSWITCH_BLOCK_WORDS = 1 << 17
 
-    ``a`` is an int32 mask array of shape ``(..., n_in)``; the result has
-    shape ``(..., n_out + 1)``.  Shared by the scalar and the batched apply.
+
+def _block_layout(shape: tuple) -> list:
+    """The gather block as a workspace layout: one flat int32 buffer."""
+    return [(shape, np.int32)]
+
+
+def _keyswitch_totals(ks: KeySwitchKey, a: np.ndarray, workspace=None) -> np.ndarray:
+    """Sum mod ``2^32`` of the key-switching samples selected by the digits of ``a``.
+
+    ``a`` is a ``(B, n_in)`` int32 mask array; the result is the
+    ``(B, n_out + 1)`` **uint32** total.  Callers only ever use the total
+    mod ``2^32``, so the wrapping uint32 accumulation is exact.
+
+    The digits of every coefficient become flat row indices into
+    :attr:`KeySwitchKey.table` once; the rows are then gathered a block at a
+    time into one fixed-size buffer (the ``workspace``'s, else a fresh one) and
+    reduced into the total, so peak memory is the block plus ``O(B)`` rows —
+    never the ``(B, n_in·t, n_out + 1)`` gather.
     """
     params = ks.params
     base_bits = params.base_bits
     t = params.length
-    mask = params.base - 1
+    table = ks.table
+    width = table.shape[1]
+    batch, n_in = a.shape
 
-    # Round the mask coefficients to the precision kept by the decomposition.
-    # The rounded value must be re-reduced modulo 2^32: coefficients near the
-    # torus wrap-around (a ≈ 2^32 − 1) otherwise carry into bit 32, outside
-    # the torus representation.
-    rounding = 1 << (32 - base_bits * t - 1) if 32 - base_bits * t - 1 >= 0 else 0
-    a_in = ((a.astype(np.int64) & 0xFFFFFFFF) + rounding) & 0xFFFFFFFF
+    # Round the mask coefficients to the precision kept by the decomposition;
+    # the wrapping uint32 add is the re-reduction mod 2^32 that coefficients
+    # near the torus wrap-around (a ≈ 2^32 − 1) need.
+    rounded = np.asarray(a).astype(np.uint32)
+    if 32 - base_bits * t - 1 >= 0:
+        rounded += np.uint32(1 << (32 - base_bits * t - 1))
+    shifts = np.arange(32 - base_bits, 32 - base_bits * (t + 1), -base_bits, dtype=np.uint32)
+    index = np.empty((batch, n_in, t), dtype=np.intp)
+    np.right_shift(rounded[:, :, None], shifts, out=index)
+    index &= params.base - 1
+    index += np.arange(0, n_in * t * params.base, params.base, dtype=np.intp).reshape(n_in, t)
+    index = index.reshape(batch, n_in * t)
 
-    flat_data, flat_rows, shifts = ks._gather_tables()
-    # All digit levels extract in one broadcast shift/mask and gather through
-    # one flat `take` (integer addition is exact, so the single fused
-    # reduction is bit-identical to the historical per-level accumulation).
-    # For very wide batches the (t, B, n_in, n_out+1) gather is chunked so the
-    # peak stays bounded (~t times the per-level footprint of one chunk).
-    shifts = shifts.reshape((t,) + (1,) * a_in.ndim)
-    flat_rows = flat_rows.reshape((t,) + (1,) * (a_in.ndim - 1) + (ks.input_dimension,))
-    if a_in.ndim == 2 and a_in.shape[0] > 64:
-        totals = np.empty(a_in.shape[:-1] + (ks.output_dimension + 1,), dtype=np.int64)
-        for start in range(0, a_in.shape[0], 64):
-            chunk = a_in[start : start + 64]
-            digits = (chunk[None] >> shifts) & mask
-            selected = flat_data.take(flat_rows + digits, axis=0)
-            totals[start : start + 64] = selected.sum(axis=(0, -2), dtype=np.int64)
-        return totals
-    digits = (a_in[None] >> shifts) & mask  # (t, ..., n_in)
-    selected = flat_data.take(flat_rows + digits, axis=0)  # (t, ..., n_in, n_out+1)
-    return selected.sum(axis=(0, -2), dtype=np.int64)
+    if workspace is None:
+        block = np.empty(KEYSWITCH_BLOCK_WORDS, dtype=np.int32)
+    else:
+        (block,) = workspace.buffers("keyswitch", (KEYSWITCH_BLOCK_WORDS,), _block_layout)
+    capacity = block.size // width  # table rows one block holds
+    group = min(batch, capacity)  # ciphertexts per block ...
+    run = capacity // group  # ... and table rows of each
+    totals = np.zeros((batch, width), dtype=np.uint32)
+    partial = np.empty((group, width), dtype=np.uint32)
+    for first in range(0, batch, group):
+        rows = index[first : first + group]
+        total = totals[first : first + group]
+        subtotal = partial[: len(rows)]
+        for start in range(0, n_in * t, run):
+            chosen = rows[:, start : start + run]
+            gathered = block[: chosen.size * width].reshape(chosen.shape + (width,))
+            # Indices are in range by construction; any mode but "raise"
+            # lets `take` write straight into `out` unbuffered.
+            table.take(chosen, axis=0, out=gathered, mode="clip")
+            np.add.reduce(gathered.view(np.uint32), axis=1, dtype=np.uint32, out=subtotal)
+            total += subtotal
+    return totals
 
 
 def _keyswitch_totals_reference(ks: KeySwitchKey, a: np.ndarray) -> np.ndarray:
     """The historical per-digit-level accumulation (ground truth).
 
-    Kept verbatim as the bit-identity reference of the one-shot gather in
-    :func:`_keyswitch_totals` (integer addition is exact, so the two orders
-    agree bit for bit) and as the benchmark's pre-fusion baseline epilogue.
+    Kept verbatim as the reference of the blocked accumulation in
+    :func:`_keyswitch_totals` (integer addition is exact, so the two agree
+    mod ``2^32``) and as the benchmark's pre-fusion baseline epilogue.
     """
     params = ks.params
     base_bits = params.base_bits
@@ -188,26 +208,28 @@ def keyswitch_apply_batch_reference(ks: KeySwitchKey, batch: LweBatch) -> LweBat
     return LweBatch(a=a_out, b=b_out)
 
 
-def keyswitch_apply(ks: KeySwitchKey, sample: LweSample) -> LweSample:
-    """Switch ``sample`` (under the input key) to the output key."""
-    if sample.dimension != ks.input_dimension:
-        raise ValueError("sample dimension does not match key-switching key")
-    n_out = ks.output_dimension
-    totals = _keyswitch_totals(ks, sample.a)
-    a_out = torus32_from_int64(-totals[:n_out])
-    b_out = torus32_from_int64(int(np.int64(sample.b)) - int(totals[n_out]))
-    return LweSample(a=a_out, b=np.int32(b_out))
+def keyswitch_apply(ks: KeySwitchKey, sample: LweSample, workspace=None) -> LweSample:
+    """Switch ``sample`` (under the input key) to the output key.
+
+    :func:`keyswitch_apply_batch` on a one-row view.
+    """
+    switched = keyswitch_apply_batch(
+        ks, LweBatch(a=sample.a[None], b=np.asarray(sample.b)[None]), workspace
+    )
+    return LweSample(a=switched.a[0], b=np.int32(switched.b[0]))
 
 
-def keyswitch_apply_batch(ks: KeySwitchKey, batch: LweBatch) -> LweBatch:
-    """Switch a whole batch of samples in one vectorised gather/sum.
+def keyswitch_apply_batch(ks: KeySwitchKey, batch: LweBatch, workspace=None) -> LweBatch:
+    """Switch a whole batch of samples through one blocked accumulation.
 
-    Bit-identical to applying :func:`keyswitch_apply` to every row.
+    ``workspace`` (a :class:`repro.tfhe.tgsw.BootstrapWorkspace`) lends the
+    gather block; without one the call allocates its own.  Bit-identical to
+    applying :func:`keyswitch_apply_reference` to every row.
     """
     if batch.dimension != ks.input_dimension:
         raise ValueError("sample dimension does not match key-switching key")
     n_out = ks.output_dimension
-    totals = _keyswitch_totals(ks, batch.a)  # (B, n_out + 1)
-    a_out = torus32_from_int64(-totals[..., :n_out])
-    b_out = torus32_from_int64(batch.b.astype(np.int64) - totals[..., n_out])
+    totals = _keyswitch_totals(ks, batch.a, workspace)  # (B, n_out + 1) uint32
+    a_out = np.negative(totals[:, :n_out]).view(np.int32)
+    b_out = (np.asarray(batch.b).astype(np.uint32) - totals[:, n_out]).view(np.int32)
     return LweBatch(a=a_out, b=b_out)

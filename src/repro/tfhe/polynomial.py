@@ -158,58 +158,6 @@ def poly_mul_by_xk_powers(polys: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return product
 
 
-def poly_mul_by_xk_minus_one(poly: np.ndarray, power: int) -> np.ndarray:
-    """Compute ``(X^power - 1) * poly`` modulo ``X^N + 1``, fused.
-
-    The rotation and the subtraction run as one pass — no intermediate
-    ``X^power · poly`` polynomial is materialised and the torus reduction runs
-    once instead of twice.  Bit-identical to
-    ``poly_sub(poly_mul_by_xk(poly, power), poly)`` (both reduce the same
-    integer mod ``2^32``).
-
-    ``poly`` may be a stack ``(..., N)`` of either ``int32`` (torus) or
-    ``int64`` (plain integer) polynomials; the result is always reduced onto
-    the 32-bit torus, like :func:`poly_sub`.
-    """
-    poly = np.asarray(poly)
-    if poly.dtype not in (np.int32, np.int64):
-        raise TypeError(
-            f"poly_mul_by_xk_minus_one expects int32 or int64 input, got {poly.dtype}"
-        )
-    degree = poly.shape[-1]
-    power = int(power) % (2 * degree)
-    negate_all = power >= degree
-    shift = power % degree
-    # A single power means the gather degenerates to two contiguous segments
-    # (the wrapped head, negated, and the shifted tail), so it runs as two
-    # block copies straight into the difference buffer.  For torus (int32)
-    # input the whole difference is computed in uint32 — every operation is
-    # taken mod 2^32 anyway, so wrap-around arithmetic *is* the torus
-    # reduction and the int64 widening plus the final reduction pass disappear.
-    if poly.dtype == np.int32:
-        unsigned = poly.view(np.uint32)
-        diff = np.empty(poly.shape, dtype=np.uint32)
-        if shift:
-            np.negative(unsigned[..., degree - shift :], out=diff[..., :shift])
-            diff[..., shift:] = unsigned[..., : degree - shift]
-        else:
-            diff[...] = unsigned
-        if negate_all:
-            np.negative(diff, out=diff)
-        diff -= unsigned
-        return diff.view(np.int32)
-    diff = np.empty(poly.shape, dtype=np.int64)
-    if shift:
-        np.negative(poly[..., degree - shift :], out=diff[..., :shift])
-        diff[..., shift:] = poly[..., : degree - shift]
-    else:
-        diff[...] = poly
-    if negate_all:
-        np.negative(diff, out=diff)
-    diff -= poly
-    return torus32_from_int64(diff)
-
-
 def negacyclic_convolution(int_poly: np.ndarray, torus_poly: np.ndarray) -> np.ndarray:
     """Exact negacyclic product of an integer polynomial and a torus polynomial.
 

@@ -36,17 +36,21 @@ A blind-rotation step ``ACC ← CMux(BK_i, X^p·ACC, ACC)`` is one kernel,
 per row (:func:`tgsw_batch_cmux_rotate`; :func:`tgsw_cmux_rotate` is the same
 kernel on a one-row view).  ``X^p·ACC`` is never built by index tables: it is
 the length-``N`` window starting at ``(−p) mod 2N`` of the uint32 buffer
-``[ACC, −ACC, ACC]``, so ``window − ACC = (X^p − 1)·ACC`` is one subtraction
-into scratch, fed to the fused external product unreduced, and the CMux
-add-back shares the product's single wrap mod 2^32.  All scratch stages
-through a reusable :class:`BootstrapWorkspace`, so the ``n``-step loop
-allocates nothing but the engines' outputs.
+``[ACC, −ACC, ACC]``, filled with the decomposition offset already added, so
+``window − ACC`` is the offset-added ``(X^p − 1)·ACC`` the digit extraction
+starts from, and the engine's ``contract_accumulate`` adds ``ACC`` back inside
+the product's single wrap mod 2^32.  Every intermediate — window, digit
+planes, and (for the double-precision engine) folded digits, spectra, row
+products and rounded coefficients — lives in a :class:`BootstrapWorkspace`,
+so the ``n``-step loop allocates nothing but each step's result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -113,116 +117,84 @@ class TransformedTgswSample:
 
 
 class BootstrapWorkspace:
-    """Reusable scratch buffers for the fused external-product kernel.
+    """Reusable scratch memory of the bootstrap hot path.
 
-    One workspace amortises the decomposition scratch arrays (the uint32
-    shifted/digit temporaries and the int32 digit stack) and the blind-rotation
-    step's rotation window across every external product that shares it: all
-    ``n`` steps of a blind rotation, every gate of an evaluator, and every
-    flush of a batch scheduler reuse the same buffers instead of allocating
-    fresh ones per step.
+    Every kernel on that path — the blind-rotation step and the gadget
+    decomposition here, the double-precision engine's fused
+    ``contract_accumulate``, the key switch's gather block — stages its
+    intermediates through buffers it requests from the workspace by *family*
+    and *shape* (:meth:`buffers`), so all ``n`` steps of a blind rotation,
+    every gate of an evaluator and every flush of a batch scheduler run in the
+    same memory instead of allocating per step.
 
     Lifetime / reuse rules:
 
-    * buffers are keyed by shape — mixing scalar and batched external
-      products (or different batch widths) through one workspace is safe,
-      each shape gets its own buffer set, and at most :attr:`MAX_SHAPES`
-      shapes are held at once per buffer family (oldest evicted);
-    * workspace memory is only ever *input* scratch: every kernel output is
-      freshly allocated by the engines, so results never alias workspace
-      buffers and remain valid after later calls reuse the workspace;
+    * each family owns **one pool**, sized to the largest shape it has seen;
+      every shape's buffers are cached views carved from the front of that
+      pool, so mixing batch widths through one workspace is safe and its
+      memory tracks the widest batch, not the number of widths;
+    * buffers of one family overlap across shapes and are overwritten by the
+      next call: they carry nothing between kernel calls;
+    * the result of a kernel is the only fresh array it allocates; everything
+      else is workspace scratch, so results never alias workspace memory and
+      remain valid after later calls reuse it;
     * a workspace is **not** thread-safe — share it within one evaluation
       context (as :class:`repro.runtime.context.FheContext` does), not across
       concurrently evaluating contexts.
     """
 
-    __slots__ = ("_decompose", "_rotation")
+    __slots__ = ("_pools", "_entries")
 
-    #: Max distinct shapes cached per buffer family.  A long-lived context can
-    #: see many batch widths over its lifetime (scheduler flushes vary with
-    #: load); beyond this bound the oldest shape's buffers are dropped so
-    #: scratch memory stays proportional to the active working set instead of
-    #: growing with every width ever seen.
-    MAX_SHAPES = 8
+    #: Buffers start at multiples of this many bytes into their pool.
+    ALIGNMENT = 64
 
     def __init__(self) -> None:
-        self._decompose: Dict[tuple, Tuple[np.ndarray, ...]] = {}
-        self._rotation: Dict[tuple, Tuple[np.ndarray, ...]] = {}
+        self._pools: Dict[str, np.ndarray] = {}
+        self._entries: Dict[tuple, object] = {}
 
-    def _remember(self, store: dict, key: tuple, entry: tuple) -> tuple:
-        """Insert ``entry``, evicting the oldest-inserted shape when full (no
-        recency bookkeeping on the hot path)."""
-        if len(store) >= self.MAX_SHAPES:
-            store.pop(next(iter(store)))
-        store[key] = entry
-        return entry
+    def buffers(self, family: str, shape: tuple, layout, prepare=None):
+        """The scratch of ``family`` for ``shape`` (one dict hit when cached).
 
-    def decompose_buffers(
-        self, data_shape: Tuple[int, ...], length: int, rows: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``(shifted, scratch, digits)`` buffers of the gadget decomposition.
-
-        One dict hit per external product (the decomposition is the hot loop).
+        ``layout(shape)`` lists the ``(array shape, dtype)`` of every buffer;
+        on first use they are carved from the family's pool (grown when this
+        shape needs more than any before it); the list of them — or, given
+        ``prepare``, the object ``prepare(*arrays)`` a kernel builds its views
+        in once per shape — is cached and returned.
         """
-        key = (data_shape, length)
-        entry = self._decompose.get(key)
+        entry = self._entries.get((family, shape))
         if entry is None:
-            batch = data_shape[:-2]
-            degree = data_shape[-1]
-            entry = self._remember(
-                self._decompose,
-                key,
-                (
-                    np.empty(data_shape, dtype=np.uint32),
-                    np.empty((length,) + data_shape, dtype=np.uint32),
-                    np.empty((rows,) + batch + (degree,), dtype=np.int32),
-                ),
-            )
+            entry = self._carve(family, layout(shape))
+            if prepare is not None:
+                entry = prepare(*entry)
+            self._entries[(family, shape)] = entry
         return entry
 
-    def rotation_buffers(
-        self, data_shape: Tuple[int, ...]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The ``(extended, windows, rows, difference)`` buffers of one
-        blind-rotation step over ``(B, k+1, N)`` accumulators.
-
-        ``extended`` is the ``(B, k+1, 3N)`` uint32 buffer the step fills with
-        ``[ACC, −ACC, ACC]``; ``windows`` is its length-``N`` sliding-window
-        view ``(B, k+1, 2N+1, N)`` (built once — ``windows[b, :, s]`` *is*
-        ``X^{−s}·ACC_b``), ``rows`` the ``arange(B)`` gather index and
-        ``difference`` the ``(B, k+1, N)`` uint32 buffer ``(X^p − 1)·ACC``
-        lands in.
-        """
-        entry = self._rotation.get(data_shape)
-        if entry is None:
-            degree = data_shape[-1]
-            extended = np.empty(data_shape[:-1] + (3 * degree,), dtype=np.uint32)
-            entry = self._remember(
-                self._rotation,
-                data_shape,
-                (
-                    extended,
-                    np.lib.stride_tricks.sliding_window_view(extended, degree, axis=-1),
-                    np.arange(data_shape[0]),
-                    np.empty(data_shape, dtype=np.uint32),
-                ),
-            )
-        return entry
-
-    def _owned(self):
-        """Every array that owns workspace memory (views excluded)."""
-        for entry in (*self._decompose.values(), *self._rotation.values()):
-            yield from (buffer for buffer in entry if buffer.base is None)
+    def _carve(self, family: str, specs) -> List[np.ndarray]:
+        align = self.ALIGNMENT
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+        offsets = list(accumulate((-(-size // align) * align for size in sizes), initial=0))
+        total = offsets.pop()
+        pool = self._pools.get(family)
+        if pool is None or pool.size < total:
+            # Cached views of the outgrown pool would pin it: drop them.
+            self._entries = {
+                key: entry for key, entry in self._entries.items() if key[0] != family
+            }
+            pool = self._pools[family] = np.empty(total, dtype=np.uint8)
+        return [
+            pool[offset : offset + size].view(dtype).reshape(shape)
+            for offset, size, (shape, dtype) in zip(offsets, sizes, specs)
+        ]
 
     @property
     def buffer_count(self) -> int:
-        """Number of distinct buffers currently held (for tests/telemetry)."""
-        return sum(1 for _ in self._owned())
+        """Number of pools currently held (one per family in use)."""
+        return len(self._pools)
 
     @property
     def nbytes(self) -> int:
         """Total bytes held by the workspace."""
-        return sum(buffer.nbytes for buffer in self._owned())
+        return sum(pool.nbytes for pool in self._pools.values())
 
 
 def gadget_values(params: TgswParams) -> np.ndarray:
@@ -309,6 +281,38 @@ def _decompose_constants(params: TgswParams):
     )
 
 
+def _decompose_layout(shape: tuple) -> list:
+    """Scratch of one gadget decomposition: ``shape`` is the ``(..., k+1, N)``
+    data shape plus ``(l,)``."""
+    *data_shape, length = shape
+    data_shape = tuple(data_shape)
+    rows = data_shape[-2] * length
+    return [
+        (data_shape, np.uint32),  # offset-added coefficients
+        ((length,) + data_shape, np.uint32),  # shifted/masked digit planes
+        ((rows,) + data_shape[:-2] + data_shape[-1:], np.int32),  # the digit stack
+    ]
+
+
+class _DigitBuffers:
+    """The arrays of :func:`_decompose_layout` plus the two reordering views
+    that land digit plane ``j`` of block ``block`` in stack row ``block·l + j``."""
+
+    __slots__ = ("shifted", "scratch", "planes", "digits", "stack")
+
+    def __init__(self, shifted: np.ndarray, scratch: np.ndarray, digits: np.ndarray) -> None:
+        length = scratch.shape[0]
+        blocks = shifted.shape[-2]
+        ndim = scratch.ndim
+        self.shifted = shifted
+        self.scratch = scratch
+        self.digits = digits
+        # Both of shape (k+1, l, ..., N): the planes block-major, and the
+        # uint32 stack with its row axis split into (block, digit).
+        self.planes = scratch.transpose((ndim - 2, 0, *range(1, ndim - 2), ndim - 1))
+        self.stack = digits.view(np.uint32).reshape((blocks, length) + digits.shape[1:])
+
+
 def gadget_decompose_rows(
     data: np.ndarray,
     params: TgswParams,
@@ -326,59 +330,37 @@ def gadget_decompose_rows(
     to the reference int64 path of :func:`gadget_decompose` per block: the
     offset-add carry past bit 31 only ever reaches digit positions the
     per-digit mask discards, and the ``− Bg/2`` wrap-around reinterprets as
-    exactly the signed digit.  With a :class:`BootstrapWorkspace` the scratch
-    tensors and the digit stack itself are reused across calls of the same
-    shape (the stack is pure input scratch — the engines copy it during
-    ``forward``).
+    exactly the signed digit.  The stack is the ``workspace``'s buffer (pure
+    input scratch — the engines read it during ``forward``), overwritten by
+    the next decomposition of any shape through the same workspace.
     """
     data = np.asarray(data)
-    blocks = int(data.shape[-2])
-    degree = int(data.shape[-1])
-    batch = data.shape[:-2]
-    length = params.decomp_length
-    rows = blocks * length
-    offset, shifts, mask, half_base = _decompose_constants_for(params)
-
     if workspace is None:
-        shifted = np.empty(data.shape, dtype=np.uint32)
-        scratch = np.empty((length,) + data.shape, dtype=np.uint32)
-        digits = np.empty((rows,) + batch + (degree,), dtype=np.int32)
-    else:
-        shifted, scratch, digits = workspace.decompose_buffers(data.shape, length, rows)
-
-    np.add(data.view(np.uint32), offset, out=shifted)
-    _extract_digit_planes(shifted, scratch, digits, shifts, mask, half_base)
-    return digits
+        workspace = BootstrapWorkspace()
+    offset, shifts, mask, half_base = _decompose_constants_for(params)
+    buffers = workspace.buffers(
+        "decompose", data.shape + (params.decomp_length,), _decompose_layout, _DigitBuffers
+    )
+    np.add(data.view(np.uint32), offset, out=buffers.shifted)
+    _extract_digit_planes(buffers, shifts, mask, half_base)
+    return buffers.digits
 
 
 def _extract_digit_planes(
-    shifted: np.ndarray,
-    scratch: np.ndarray,
-    digits: np.ndarray,
-    shifts: np.ndarray,
-    mask: np.uint32,
-    half_base: np.uint32,
+    buffers: _DigitBuffers, shifts: np.ndarray, mask: np.uint32, half_base: np.uint32
 ) -> None:
-    """Shared digit-extraction tail of the fused decomposition.
+    """Digit-extraction tail of the fused decomposition.
 
-    ``shifted`` holds the offset-added uint32 coefficients ``(..., k+1, N)``;
-    every digit plane extracts in one broadcast shift/mask/subtract into
-    ``scratch`` ``(l, ..., k+1, N)`` and lands in the ``(rows, ..., N)``
-    ``digits`` stack (row ``block·l + j``) through one strided copy — both
-    reorderings are views.
+    ``buffers.shifted`` holds the offset-added uint32 coefficients
+    ``(..., k+1, N)``; every digit plane extracts in one broadcast shift and
+    mask into ``buffers.scratch`` ``(l, ..., k+1, N)``, and the ``− Bg/2``
+    subtraction writes the planes straight into the ``(rows, ..., N)`` digit
+    stack (row ``block·l + j``).
     """
-    length = scratch.shape[0]
-    blocks = shifted.shape[-2]
-    degree = shifted.shape[-1]
-    batch = shifted.shape[:-2]
-    np.right_shift(shifted, shifts.reshape((length,) + (1,) * shifted.ndim), out=scratch)
-    scratch &= mask
-    scratch -= half_base
-    ndim = scratch.ndim
-    planes = scratch.view(np.int32).transpose(
-        (ndim - 2, 0, *range(1, ndim - 2), ndim - 1)
-    )
-    digits.reshape((blocks, length) + batch + (degree,))[...] = planes
+    shifted, scratch = buffers.shifted, buffers.scratch
+    np.right_shift(shifted, shifts.reshape(shifts.shape + (1,) * shifted.ndim), out=scratch)
+    np.bitwise_and(scratch, mask, out=scratch)
+    np.subtract(buffers.planes, half_base, out=buffers.stack)
 
 
 def gadget_recompose(digits: np.ndarray, params: TgswParams) -> np.ndarray:
@@ -488,7 +470,7 @@ def _external_product_data(
     data: np.ndarray,
     transform: NegacyclicTransform,
     workspace: Optional[BootstrapWorkspace] = None,
-    reduce: bool = True,
+    addend: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Shared fused external-product core on raw TLWE coefficient arrays.
 
@@ -498,16 +480,35 @@ def _external_product_data(
     ``k+1`` blocks decompose into one digit stack and the whole product runs
     through :meth:`repro.tfhe.transform.NegacyclicTransform.contract_accumulate`
     — one stacked forward, one spectral contraction, one stacked backward —
-    bit-identical to :func:`_external_product_data_reference`.
+    bit-identical to :func:`_external_product_data_reference`.  ``addend``
+    (the CMux add-back) joins the product before its single torus reduction.
     """
     device_path = getattr(transform, "device_external_product", None)
     if device_path is not None:
         # Device engines (the CuPy backend) decompose on the device so the
-        # ciphertext crosses the bus once; same digits, same reduce contract.
-        result = device_path(tgsw.tensor, data, tgsw.params, reduce=reduce)
-    else:
-        digits = gadget_decompose_rows(data, tgsw.params, workspace)
-        result = transform.contract_accumulate(digits, tgsw.tensor, reduce=reduce)
+        # ciphertext crosses the bus once; same digits, same reduction.
+        result = device_path(tgsw.tensor, data, tgsw.params, reduce=addend is None)
+        if addend is not None:
+            result = torus32_from_int64(result + addend)
+        _count_logical_transforms(transform, tgsw)
+        return result
+    if workspace is None:
+        workspace = BootstrapWorkspace()
+    digits = gadget_decompose_rows(data, tgsw.params, workspace)
+    return _contract_digits(tgsw, digits, transform, workspace, addend)
+
+
+def _contract_digits(
+    tgsw: TransformedTgswSample,
+    digits: np.ndarray,
+    transform: NegacyclicTransform,
+    workspace: BootstrapWorkspace,
+    addend: Optional[np.ndarray],
+) -> np.ndarray:
+    """The engine's fused core on a decomposed operand, counted logically."""
+    result = transform.contract_accumulate(
+        digits, tgsw.tensor, addend=addend, workspace=workspace
+    )
     _count_logical_transforms(transform, tgsw)
     return result
 
@@ -764,6 +765,39 @@ def tgsw_batch_cmux_rotate(
     )
 
 
+def _step_layout(shape: tuple) -> list:
+    """Scratch of one blind-rotation step over ``(B, k+1, N)`` accumulators
+    (``shape`` is that shape plus ``(l,)``): the rotation window ahead of the
+    decomposition it feeds."""
+    batch, blocks, degree, _ = shape
+    return [
+        ((batch, blocks, 3 * degree), np.uint32),  # [ACC, −ACC, ACC] + offset
+    ] + _decompose_layout(shape)
+
+
+class _StepBuffers(_DigitBuffers):
+    """:class:`_DigitBuffers` behind the step's rotation window.
+
+    ``windows`` is the length-``N`` sliding-window view ``(B, k+1, 2N+1, N)``
+    of ``extended`` (built once — ``windows[b, :, s]`` *is* ``X^{−s}·ACC_b``
+    plus the decomposition offset) and ``rows`` the ``arange(B)`` index of
+    its per-row gather (constant data, so not pool memory, which the next
+    shape overwrites).
+    """
+
+    __slots__ = ("extended", "head", "middle", "tail", "windows", "rows")
+
+    def __init__(self, extended, shifted, scratch, digits) -> None:
+        super().__init__(shifted, scratch, digits)
+        degree = shifted.shape[-1]
+        self.rows = np.arange(len(extended))
+        self.extended = extended
+        self.head = extended[..., :degree]
+        self.middle = extended[..., degree : 2 * degree]
+        self.tail = extended[..., 2 * degree :]
+        self.windows = np.lib.stride_tricks.sliding_window_view(extended, degree, axis=-1)
+
+
 def _cmux_rotate_step(
     selector: TransformedTgswSample,
     data: np.ndarray,
@@ -777,9 +811,11 @@ def _cmux_rotate_step(
     ``[ACC, −ACC, ACC]`` (uint32, negation mod 2^32 *is* the sign flip plus
     torus reduction) the length-``N`` window starting at ``starts[b]`` is
     ``X^{p_b}·ACC_b`` — a plain slice for one row, one sliding-window gather
-    for a batch.  ``window − ACC`` goes through the fused external product
-    unreduced and the CMux add-back folds into the product's single torus
-    reduction (wrapping mod 2^32 commutes with the int64 addition).
+    for a batch.  The window is filled with the decomposition offset already
+    added, so ``window − ACC`` is the offset-added ``(X^p − 1)·ACC`` the digit
+    extraction starts from; the digits go through the engine's fused core,
+    which adds ``ACC`` back inside the product's single torus reduction.
+    Everything but the returned array is workspace scratch.
     """
     one_row = len(starts) == 1
     device_step = getattr(transform, "device_cmux_rotate", None)
@@ -789,22 +825,28 @@ def _cmux_rotate_step(
         # reach the device through the external product's own hook.
         raw = device_step(selector.tensor, data, -int(starts[0]), selector.params)
         _count_logical_transforms(transform, selector)
+        return torus32_from_int64(raw + data)
+    params = selector.params
+    offset, shifts, mask, half_base = _decompose_constants_for(params)
+    on_device = hasattr(transform, "device_external_product")
+    if on_device:
+        offset = np.uint32(0)  # the device hook adds it after the upload
+    buffers = workspace.buffers(
+        "step", data.shape + (params.decomp_length,), _step_layout, _StepBuffers
+    )
+    unsigned = data.view(np.uint32)
+    np.add(unsigned, offset, out=buffers.head)
+    np.subtract(offset, unsigned, out=buffers.middle)
+    np.copyto(buffers.tail, buffers.head)
+    if one_row:
+        start = int(starts[0])
+        rotated = buffers.extended[..., start : start + data.shape[-1]]
     else:
-        degree = data.shape[-1]
-        extended, windows, rows, difference = workspace.rotation_buffers(data.shape)
-        unsigned = data.view(np.uint32)
-        extended[..., :degree] = unsigned
-        np.negative(unsigned, out=extended[..., degree : 2 * degree])
-        extended[..., 2 * degree :] = unsigned
-        if one_row:
-            start = int(starts[0])
-            rotated = extended[..., start : start + degree]
-        else:
-            rotated = windows[rows, :, starts]
-        np.subtract(rotated, unsigned, out=difference)
-        raw = _external_product_data(
-            selector, difference.view(np.int32), transform, workspace, reduce=False
+        rotated = buffers.windows[buffers.rows, :, starts]
+    np.subtract(rotated, unsigned, out=buffers.shifted)
+    if on_device:
+        return _external_product_data(
+            selector, buffers.shifted.view(np.int32), transform, workspace, addend=data
         )
-    raw += data
-    raw &= 0xFFFFFFFF
-    return raw.astype(np.uint32).view(np.int32)
+    _extract_digit_planes(buffers, shifts, mask, half_base)
+    return _contract_digits(selector, buffers.digits, transform, workspace, data)

@@ -43,12 +43,17 @@ The fused external-product core lives here too: ``spectrum_contract``
 contracts a stacked digit spectrum against a packed ``(rows, ..., k+1, N/2)``
 TGSW tensor and ``contract_accumulate`` wraps one stacked forward, the
 contraction and one stacked backward — both ``multiply_accumulate`` and
-:func:`repro.tfhe.tgsw.tgsw_external_product` route through it.
+:func:`repro.tfhe.tgsw.tgsw_external_product` route through it.  The base
+class composes the engine's own three methods; the double-precision engine
+runs the same operations through buffers of the caller's
+:class:`repro.tfhe.tgsw.BootstrapWorkspace`, so a blind-rotation step
+allocates only its result.
 """
 
 from __future__ import annotations
 
 import abc
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
@@ -112,6 +117,69 @@ def _align_contraction_axes(
             operand.shape[:1] + (1,) * (target - operand.ndim) + operand.shape[1:]
         )
     return expanded, operand
+
+
+def _transform_layout(shape: tuple) -> list:
+    """Scratch of the double-precision fused core for a ``(rows, ..., N)``
+    digit stack against ``cols`` output columns (``shape`` is the stack's
+    shape plus ``(cols,)``)."""
+    *lead, degree, cols = shape
+    rows, batch, half = lead[0], tuple(lead[1:]), degree // 2
+    return [
+        ((rows,) + batch + (half,), np.complex128),  # folded, twisted digits
+        ((rows,) + batch + (half,), np.complex128),  # their spectra
+        ((rows,) + batch + (cols, half), np.complex128),  # row products
+        (batch + (cols, half), np.complex128),  # spectral accumulator
+        (batch + (cols, half), np.complex128),  # its FFT, untwisted in place
+        (batch + (cols, degree), np.int64),  # rounded coefficients
+    ]
+
+
+class _TransformBuffers:
+    """The arrays of :func:`_transform_layout` plus the views the fused core
+    needs every call, built once per shape."""
+
+    __slots__ = (
+        "folded",
+        "folded_real",
+        "folded_imag",
+        "spectra",
+        "spectra_expanded",
+        "products",
+        "accumulator",
+        "unfolded",
+        "unfolded_floats",
+        "unfolded_parts",
+        "coeff_parts",
+        "low_words",
+    )
+
+    def __init__(self, folded, spectra, products, accumulator, unfolded, coeffs) -> None:
+        half = folded.shape[-1]
+        self.folded = folded
+        self.spectra = spectra
+        self.spectra_expanded = spectra[..., None, :]
+        self.products = products
+        self.accumulator = accumulator
+        self.unfolded = unfolded
+        self.folded_real, self.folded_imag = folded.real, folded.imag
+        self.unfolded_floats = unfolded.view(np.float64)
+        # (..., 2, N/2) views: part 0 is the real components / the low half
+        # of a coefficient vector, part 1 the imaginary / high half.
+        self.unfolded_parts = np.moveaxis(
+            self.unfolded_floats.reshape(unfolded.shape + (2,)), -1, -2
+        )
+        self.coeff_parts = coeffs.reshape(coeffs.shape[:-1] + (2, half))
+        # The low 32-bit word of every int64 coefficient: its value mod 2^32.
+        self.low_words = coeffs.view(np.uint32)[..., (sys.byteorder == "big") :: 2]
+
+
+def _into(out: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """``values``, copied into ``out`` when one is given."""
+    if out is None:
+        return values
+    out[...] = values
+    return out
 
 
 @dataclass
@@ -311,7 +379,12 @@ class NegacyclicTransform(abc.ABC):
         return torus32_from_int64(self.backward(product))
 
     def contract_accumulate(
-        self, int_stack: np.ndarray, tensor: Spectrum, reduce: bool = True
+        self,
+        int_stack: np.ndarray,
+        tensor: Spectrum,
+        reduce: bool = True,
+        addend: Optional[np.ndarray] = None,
+        workspace=None,
     ) -> np.ndarray:
         """The fused external-product core: one forward, one contraction, one backward.
 
@@ -325,15 +398,23 @@ class NegacyclicTransform(abc.ABC):
         :func:`repro.tfhe.tgsw.tgsw_external_product` route through this
         single implementation.
 
-        With ``reduce=False`` the raw int64 coefficients come back unwrapped,
-        so a caller that immediately adds another torus operand (the CMux
-        add-back) can fold that addition into its own single reduction —
-        wrapping mod ``2^32`` commutes with integer addition, so the result
-        is bit-identical either way.
+        ``addend`` is an int32 torus array of the result's shape (the CMux
+        add-back ``ACC``) added to the product before its single reduction
+        mod ``2^32`` — wrapping commutes with integer addition, so the result
+        is bit-identical to reducing first and adding after.  With
+        ``reduce=False`` the int64 coefficients come back unwrapped.
+
+        ``workspace`` (a :class:`repro.tfhe.tgsw.BootstrapWorkspace`) offers
+        scratch memory to engines that stage their intermediates through it;
+        this generic composition of the engine's own ``forward`` /
+        ``spectrum_contract`` / ``backward`` ignores it.  Either way the
+        result is a fresh array that never aliases the workspace.
         """
         dec_spectra = self.forward(np.asarray(int_stack))
         acc = self.spectrum_contract(dec_spectra, tensor)
         coeffs = self.backward(acc)
+        if addend is not None:
+            coeffs += addend
         return torus32_from_int64(coeffs) if reduce else coeffs
 
     def multiply_accumulate(
@@ -462,21 +543,23 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         self._untwist_normalised = self._untwist / half
         self._inverse_norm = 1.0 / half
 
-    def _fft(self, values: np.ndarray) -> np.ndarray:
+    def _fft(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Unnormalised complex FFT along the last axis (bit-identical to np.fft.fft)."""
-        if _pocketfft_gufuncs is not None:
+        if _pocketfft_gufuncs is None:
+            return _into(out, np.fft.fft(values, axis=-1))
+        if out is None:
             out = np.empty(values.shape, dtype=np.complex128)
-            _pocketfft_gufuncs.fft(values, 1.0, out=out)
-            return out
-        return np.fft.fft(values, axis=-1)
+        _pocketfft_gufuncs.fft(values, 1.0, out=out)
+        return out
 
-    def _ifft(self, values: np.ndarray) -> np.ndarray:
+    def _ifft(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """1/n-normalised inverse FFT along the last axis (bit-identical to np.fft.ifft)."""
-        if _pocketfft_gufuncs is not None:
+        if _pocketfft_gufuncs is None:
+            return _into(out, np.fft.ifft(values, axis=-1))
+        if out is None:
             out = np.empty(values.shape, dtype=np.complex128)
-            _pocketfft_gufuncs.ifft(values, self._inverse_norm, out=out)
-            return out
-        return np.fft.ifft(values, axis=-1)
+        _pocketfft_gufuncs.ifft(values, self._inverse_norm, out=out)
+        return out
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         self.stats.forward_calls += 1
@@ -508,6 +591,60 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         coeffs[..., :half] = folded.real
         coeffs[..., half:] = folded.imag
         return coeffs
+
+    def contract_accumulate(
+        self,
+        int_stack: np.ndarray,
+        tensor: np.ndarray,
+        reduce: bool = True,
+        addend: Optional[np.ndarray] = None,
+        workspace=None,
+    ) -> np.ndarray:
+        """``forward → spectrum_contract → backward`` through workspace buffers.
+
+        The same operations in the same order as the three methods it fuses
+        (so bit-identical to them), each writing into a buffer the
+        ``workspace`` owns; the low 32-bit words of the rounded coefficients
+        plus ``addend`` — one wrapping uint32 add — are the only fresh array.
+        Without a workspace (or for unreduced output) the generic composition
+        runs instead.
+        """
+        if workspace is None or not reduce:
+            return super().contract_accumulate(int_stack, tensor, reduce, addend)
+        int_stack = np.asarray(int_stack)
+        tensor = np.asarray(tensor)
+        if int_stack.shape[-1] != self.degree:
+            raise ValueError("polynomial degree mismatch")
+        if int_stack.shape[0] == 0:
+            raise ValueError("cannot contract an empty digit stack")
+        stats = self.stats
+        stats.forward_calls += 1
+        stats.pointwise_ops += 2
+        stats.backward_calls += 1
+        buffers = workspace.buffers(
+            "transform", int_stack.shape + (tensor.shape[-2],), _transform_layout, _TransformBuffers
+        )
+        # forward: fold (p_s, p_{s+N/2}) into one complex sample, twist, IFFT.
+        half = self._half
+        np.copyto(buffers.folded_real, int_stack[..., :half])
+        np.copyto(buffers.folded_imag, int_stack[..., half:])
+        folded = buffers.folded
+        np.multiply(folded, self._twist_scaled, out=folded)
+        self._ifft(folded, out=buffers.spectra)
+        # contract: broadcast product, then the sequential row-order fold.
+        expanded, operand = _align_contraction_axes(buffers.spectra_expanded, tensor)
+        np.multiply(expanded, operand, out=buffers.products)
+        np.add.reduce(buffers.products, axis=0, out=buffers.accumulator)
+        # backward: FFT, untwist, round half-even, unfold to int64.
+        unfolded = self._fft(buffers.accumulator, out=buffers.unfolded)
+        np.multiply(unfolded, self._untwist_normalised, out=unfolded)
+        # Componentwise rounding on the contiguous float view, then one
+        # casting copy — integral float64 → int64 is exact.
+        np.rint(buffers.unfolded_floats, out=buffers.unfolded_floats)
+        np.copyto(buffers.coeff_parts, buffers.unfolded_parts, casting="unsafe")
+        if addend is None:
+            return buffers.low_words.copy().view(np.int32)
+        return np.add(buffers.low_words, addend.view(np.uint32)).view(np.int32)
 
     def spectrum_zero(self) -> np.ndarray:
         return np.zeros(self._half, dtype=np.complex128)

@@ -14,9 +14,11 @@ import asyncio
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from repro.runtime.chaos import ChaosProxy, FlakyEngine, SlowDispatcher
+from repro.runtime.context import FheContext
 from repro.runtime.protocol import (
     ServerError,
     ServingClient,
@@ -27,6 +29,7 @@ from repro.runtime.resilient import ResilientClient
 from repro.runtime.scheduler import BatchScheduler
 from repro.tfhe.gates import decrypt_bit, encrypt_bit
 from repro.tfhe.keys import generate_keys
+from repro.tfhe.lwe import LweBatch
 from repro.tfhe.params import TEST_TINY
 from repro.tfhe.serialize import from_bytes, to_bytes
 from repro.tfhe.transform import (
@@ -228,6 +231,29 @@ def test_flaky_engine_failover_bitidentical(wire_keys):
         assert context.engine.engine_kind != "compiled"
     finally:
         clear_engine_quarantine()
+
+
+def test_flaky_engine_that_never_faults_is_bit_identical_to_the_bare_engine(wire_keys):
+    """The proxy forwards every ``contract_accumulate`` argument (the CMux
+    addend, the workspace): a wrapped ``double`` engine that never reaches its
+    fault computes exactly the bare engine's gate outputs."""
+    secret, cloud = wire_keys
+    pairs = _encrypt_pairs(secret, seed=510)
+    ca = LweBatch.from_samples([a for a, _ in pairs])
+    cb = LweBatch.from_samples([b for _, b in pairs])
+    bare = FheContext(cloud, DoubleFFTNegacyclicTransform(TEST_TINY.N))
+    flaky_engine = FlakyEngine(DoubleFFTNegacyclicTransform(TEST_TINY.N), fail_on_call=10**9)
+    flaky = FheContext(cloud, flaky_engine)
+    for width, names in ((1, ["nand"]), (len(pairs), ["nand", "xor", "or", "andny"])):
+        want = bare.batch_evaluator(width).gate_rows(names, ca.rows(0, width), cb.rows(0, width))
+        got = flaky.batch_evaluator(width).gate_rows(names, ca.rows(0, width), cb.rows(0, width))
+        assert np.array_equal(got.a, want.a)
+        assert np.array_equal(got.b, want.b)
+    assert flaky_engine.faults_raised == 0
+    assert flaky_engine.calls > 0
+    # The wrapped engine staged its intermediates through the context's
+    # workspace — the argument the old fixed signature would have dropped.
+    assert "transform" in flaky.workspace._pools
 
 
 # --------------------------------------------------------------------------- #

@@ -40,12 +40,7 @@ from repro.tfhe.lwe import (
     lwe_encrypt,
 )
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
-from repro.tfhe.polynomial import (
-    poly_add,
-    poly_mul_by_xk,
-    poly_mul_by_xk_minus_one,
-    poly_sub,
-)
+from repro.tfhe.polynomial import poly_add, poly_mul_by_xk, poly_sub
 from repro.tfhe.tgsw import (
     BootstrapWorkspace,
     gadget_decompose_rows,
@@ -71,10 +66,14 @@ from repro.tfhe.tlwe import (
     tlwe_rotate,
     tlwe_sample_extract,
 )
+from repro.tfhe import transform as transform_module
+from repro.tfhe.torus import torus32_from_int64
 from repro.tfhe.transform import (
     DoubleFFTNegacyclicTransform,
+    NegacyclicTransform,
     available_engines,
     make_transform,
+    usable_engines,
 )
 
 PARAMS = TEST_TINY
@@ -87,6 +86,12 @@ EDGE_POWERS = (0, 1, PARAMS.N - 1, PARAMS.N, PARAMS.N + 3, 2 * PARAMS.N - 1, 2 *
 KERNEL_ENGINES = ENGINES + ("compiled",)
 KERNEL_WIDTHS = (1, 2, 7)
 KERNEL_POWERS = (0, 1, PARAMS.N - 1, PARAMS.N, PARAMS.N + 1, 2 * PARAMS.N - 1)
+
+
+def poly_mul_by_xk_minus_one(poly: np.ndarray, power: int) -> np.ndarray:
+    """``(X^power − 1)·poly`` on the torus, by definition: the difference the
+    step kernel must hand to the external product."""
+    return poly_sub(poly_mul_by_xk(poly, power), poly)
 
 
 def _engine_or_skip(kind: str, degree: int):
@@ -395,37 +400,40 @@ class TestWorkspace:
         tgsw_cmux_rotate(selector, other, 5, transform, workspace)
         assert np.array_equal(first.data, snapshot)
 
-    def test_buffer_count_stabilises_across_same_shape_calls(self, setup):
+    def test_footprint_stabilises_across_same_shape_calls(self, setup):
         transform, _, selector, tlwe = setup
         workspace = BootstrapWorkspace()
         tgsw_cmux_rotate(selector, tlwe, 3, transform, workspace)
-        count = workspace.buffer_count
+        count, nbytes = workspace.buffer_count, workspace.nbytes
         assert count > 0
-        assert workspace.nbytes > 0
+        assert nbytes > 0
         for power in (1, PARAMS.N - 1, PARAMS.N):
             tgsw_cmux_rotate(selector, tlwe, power, transform, workspace)
-        assert workspace.buffer_count == count  # no growth, buffers reused
+        assert (workspace.buffer_count, workspace.nbytes) == (count, nbytes)
 
-    def test_scratch_memory_is_bounded_across_many_shapes(self, setup):
+    def test_scratch_memory_tracks_the_widest_batch_not_the_number_of_widths(self, setup):
         transform, _, selector, _ = setup
-        workspace = BootstrapWorkspace()
         rng = np.random.default_rng(113)
+
+        def footprint_after(widths) -> int:
+            workspace = BootstrapWorkspace()
+            for width in widths:
+                tgsw_batch_external_product(
+                    selector, _random_batch(rng, width), transform, workspace
+                )
+            return workspace.nbytes
+
         # Many distinct batch widths (a long-lived server under varying
-        # load): the workspace must evict old shapes, not grow forever.
-        for width in range(1, 3 * BootstrapWorkspace.MAX_SHAPES):
-            batch = TlweBatch(
-                rng.integers(
-                    -(2**31), 2**31, (width, PARAMS.k + 1, PARAMS.N)
-                ).astype(np.int32)
-            )
-            tgsw_batch_external_product(selector, batch, transform, workspace)
-        assert len(workspace._decompose) <= BootstrapWorkspace.MAX_SHAPES
+        # load), ascending, descending and shuffled: one pool per family,
+        # sized to the widest — never one buffer set per width.
+        widest = footprint_after([24])
+        assert footprint_after(range(1, 25)) == widest
+        assert footprint_after(range(24, 0, -1)) == widest
+        assert footprint_after(rng.permutation(np.arange(1, 25))) == widest
 
 
 def _workspace_arrays(workspace: BootstrapWorkspace):
-    for store in (workspace._decompose, workspace._rotation):
-        for entry in store.values():
-            yield from entry
+    return workspace._pools.values()
 
 
 class TestStepWorkspace:
@@ -475,7 +483,7 @@ class TestStepWorkspace:
             )
 
     @pytest.mark.parametrize("width", KERNEL_WIDTHS)
-    def test_nbytes_and_buffer_count_account_for_the_step_buffers(self, setup, width):
+    def test_nbytes_accounts_for_the_step_buffers(self, setup, width):
         transform, _, selector, _ = setup
         workspace = BootstrapWorkspace()
         batch = _random_batch(np.random.default_rng(203), width)
@@ -483,15 +491,150 @@ class TestStepWorkspace:
         tgsw_batch_cmux_rotate(selector, batch, powers, transform, workspace)
         block = width * (PARAMS.k + 1) * PARAMS.N * 4  # one (B, k+1, N) uint32 array
         decompose = block + PARAMS.l * block + block * PARAMS.l  # shifted, scratch, digits
-        rotation = 3 * block + block + width * 8  # [ACC, −ACC, ACC], difference, row index
-        assert workspace.nbytes == decompose + rotation
-        assert workspace.buffer_count == 6
+        rotation = 3 * block  # [ACC, −ACC, ACC]
+        step = decompose + rotation
+        slack = 4 * BootstrapWorkspace.ALIGNMENT  # each buffer starts on a cache line
+        assert step <= workspace._pools["step"].nbytes <= step + slack
+        families = {"step", "transform"} if transform.engine_kind == "double" else {"step"}
+        assert set(workspace._pools) == families
+        before = workspace.nbytes
         tgsw_batch_cmux_rotate(selector, batch, powers[::-1], transform, workspace)
-        assert workspace.buffer_count == 6
-        # A plain external product of the same shape adds nothing: it shares
-        # the decomposition buffers and needs no rotation window.
+        assert workspace.nbytes == before
+        # A plain external product of the same shape decomposes in its own
+        # family and shares the engine's.
         tgsw_batch_external_product(selector, batch, transform, workspace)
-        assert workspace.nbytes == decompose + rotation
+        assert decompose <= workspace._pools["decompose"].nbytes <= decompose + slack
+        assert set(workspace._pools) == families | {"decompose"}
+
+
+class _PassThroughEngine(NegacyclicTransform):
+    """An ad-hoc engine delegating every primitive to a ``double`` engine.
+
+    It overrides nothing of ``contract_accumulate``, so the step kernel must
+    reach it through the base class's generic composition.
+    """
+
+    def __init__(self, degree: int) -> None:
+        super().__init__(degree)
+        self.base = DoubleFFTNegacyclicTransform(degree)
+        self.stats = self.base.stats
+
+    def forward(self, coeffs):
+        return self.base.forward(coeffs)
+
+    def backward(self, spectrum):
+        return self.base.backward(spectrum)
+
+    def spectrum_zero(self):
+        return self.base.spectrum_zero()
+
+    def spectrum_add(self, a, b):
+        return self.base.spectrum_add(a, b)
+
+    def spectrum_mul(self, a, b):
+        return self.base.spectrum_mul(a, b)
+
+    def spectrum_contract(self, stack, operand):
+        return self.base.spectrum_contract(stack, operand)
+
+
+def _step_engine(kind: str):
+    if kind == "pass-through":
+        return _PassThroughEngine(PARAMS.N)
+    return make_transform(kind, PARAMS.N)
+
+
+#: Every engine this machine can build, plus an unregistered proxy.  Device
+#: engines enter the step through their own hooks, which
+#: ``TestDeviceHooks`` pins down.
+STEP_ENGINES = tuple(
+    kind for kind in usable_engines() if kind != "cupy"
+) + ("pass-through",)
+
+
+class TestStepKernelAgainstTheEnginesOwnPrimitives:
+    """The step is the engine's own forward → contract → backward, plus ACC.
+
+    Whatever body ``contract_accumulate`` resolves to for an engine — the
+    workspace-buffered one of ``double``, the generic composition every other
+    engine (and ``compiled``, whose kernels are its three overrides) takes —
+    its output must equal that engine's public primitives applied to the
+    decomposed ``(X^p − 1)·ACC``, with the logical transform counts.
+    """
+
+    @staticmethod
+    def _selector(engine):
+        key = tlwe_key_generate(PARAMS.tlwe, rng=230)
+        return tgsw_transform(tgsw_encrypt(key, 1, PARAMS.tgsw, engine, rng=231), engine)
+
+    @staticmethod
+    def _expected(engine, selector, batch, powers):
+        difference = np.stack(
+            [poly_mul_by_xk_minus_one(row, int(p)) for row, p in zip(batch.data, powers)]
+        )
+        digits = gadget_decompose_rows(difference, PARAMS.tgsw).copy()
+        spectra = engine.forward(digits)
+        coeffs = engine.backward(engine.spectrum_contract(spectra, selector.tensor))
+        return poly_add(torus32_from_int64(coeffs), batch.data)
+
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    @pytest.mark.parametrize("kind", STEP_ENGINES)
+    def test_step_equals_primitives_plus_add_back(self, kind, width):
+        engine = _step_engine(kind)
+        selector = self._selector(engine)
+        rng = np.random.default_rng(232 + width)
+        batch = _random_batch(rng, width)
+        powers = rng.choice(KERNEL_POWERS, width)
+        expected = self._expected(engine, selector, batch, powers)
+        workspace = BootstrapWorkspace()
+        engine.reset_stats()
+        stepped = tgsw_batch_cmux_rotate(selector, batch, powers, engine, workspace)
+        rows, cols = (PARAMS.k + 1) * PARAMS.l, PARAMS.k + 1
+        stats = engine.stats
+        assert (stats.forward_calls, stats.backward_calls) == (rows, cols)
+        assert stats.pointwise_ops == 2 * rows * cols
+        assert stepped.data.dtype == np.int32
+        assert np.array_equal(stepped.data, expected)
+        # Same again through the warm workspace, and with a throw-away one.
+        again = tgsw_batch_cmux_rotate(selector, batch, powers, engine, workspace)
+        assert np.array_equal(again.data, expected)
+        assert np.array_equal(
+            tgsw_batch_cmux_rotate(selector, batch, powers, engine).data, expected
+        )
+
+    def test_compiled_engine_keeps_its_own_kernels(self):
+        # It subclasses ``double`` but must not inherit the buffered body,
+        # which would bypass its forward/backward/spectrum_contract.
+        from repro.tfhe.engine_compiled import CompiledNegacyclicTransform
+
+        assert (
+            CompiledNegacyclicTransform.contract_accumulate
+            is NegacyclicTransform.contract_accumulate
+        )
+        assert (
+            DoubleFFTNegacyclicTransform.contract_accumulate
+            is not NegacyclicTransform.contract_accumulate
+        )
+
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    def test_np_fft_fallback_is_bit_identical(self, monkeypatch, width):
+        engine = make_transform("double", PARAMS.N)
+        selector = self._selector(engine)
+        rng = np.random.default_rng(240 + width)
+        batch = _random_batch(rng, width)
+        powers = rng.choice(KERNEL_POWERS[1:], width)
+        fast = tgsw_batch_cmux_rotate(selector, batch, powers, engine)
+        product = tgsw_batch_external_product(selector, batch, engine)
+        monkeypatch.setattr(transform_module, "_pocketfft_gufuncs", None)
+        assert np.array_equal(
+            tgsw_batch_cmux_rotate(selector, batch, powers, engine).data, fast.data
+        )
+        assert np.array_equal(
+            tgsw_batch_external_product(selector, batch, engine).data, product.data
+        )
+        assert np.array_equal(
+            self._expected(engine, selector, batch, powers), fast.data
+        )
 
 
 class TestBootstrapCounters:
@@ -699,14 +842,6 @@ class TestVectorisedTlwe:
             [poly_mul_by_xk(sample.data[row], power) for row in range(PARAMS.k + 1)]
         ).astype(np.int32)
         assert np.array_equal(vectorised.data, per_row)
-
-    def test_poly_minus_one_matches_poly_sub_for_int64(self):
-        rng = np.random.default_rng(108)
-        poly = rng.integers(-(2**40), 2**40, PARAMS.N)
-        for power in EDGE_POWERS:
-            fused = poly_mul_by_xk_minus_one(poly, power)
-            reference = poly_sub(poly_mul_by_xk(poly, power), poly)
-            assert np.array_equal(fused, reference)
 
     @pytest.mark.parametrize("index", [0, 1, PARAMS.N - 1])
     def test_batch_sample_extract_matches_scalar(self, index):

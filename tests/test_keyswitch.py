@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.tfhe.keyswitch import keyswitch_apply, keyswitch_key_generate
+from repro.tfhe import keyswitch
+from repro.tfhe.keyswitch import (
+    KeySwitchKey,
+    keyswitch_apply,
+    keyswitch_apply_batch,
+    keyswitch_key_generate,
+)
 from repro.tfhe.lwe import (
+    LweBatch,
     gate_message,
     lwe_decrypt_bit,
     lwe_encrypt,
@@ -12,7 +19,8 @@ from repro.tfhe.lwe import (
     lwe_noise,
     lwe_phase,
 )
-from repro.tfhe.params import TEST_SMALL, TEST_TINY
+from repro.tfhe.params import TEST_SMALL, TEST_TINY, KeySwitchParams
+from repro.tfhe.tgsw import BootstrapWorkspace
 from repro.tfhe.torus import torus_distance
 
 
@@ -161,3 +169,136 @@ class TestTinyParameters:
         ks = keyswitch_key_generate(input_key, output_key, params.keyswitch, rng=65)
         sample = lwe_encrypt(input_key, gate_message(1), rng=66)
         assert lwe_decrypt_bit(output_key, keyswitch_apply(ks, sample)) == 1
+
+
+class TestBlockedAccumulation:
+    """The blocked uint32 accumulation against the per-level int64 reference."""
+
+    N_IN, N_OUT = 24, 9
+
+    @staticmethod
+    def _synthetic_key(ks_params, n_in, n_out, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(
+            -(2**31), 2**31, (n_in, ks_params.length, ks_params.base, n_out + 1)
+        ).astype(np.int32)
+        return KeySwitchKey(
+            params=ks_params, data=data, input_dimension=n_in, output_dimension=n_out
+        )
+
+    @staticmethod
+    def _masks(rng, batch, n_in, ks_params):
+        """Random masks with the wrap-around and rounding-carry edges mixed in."""
+        a = rng.integers(-(2**31), 2**31, (batch, n_in)).astype(np.int32)
+        kept = ks_params.base_bits * ks_params.length
+        half_ulp = 1 << (31 - kept) if kept < 32 else 0
+        edges = np.array(
+            [
+                -1,  # ≡ 2^32 − 1: rounding carries out of bit 31
+                0,
+                2**31 - 1,
+                -(2**31),
+                -half_ulp,  # exactly the carry threshold below the wrap
+                -half_ulp - 1,
+                half_ulp,
+                half_ulp - 1 if half_ulp else 1,
+            ],
+            dtype=np.int64,
+        ).astype(np.int32)
+        a[0, : len(edges)] = edges
+        if batch > 1:
+            a[1] = -1
+        if batch > 2:
+            a[2] = 0
+        return a
+
+    @pytest.mark.parametrize("batch", [1, 2, 65, 200])
+    @pytest.mark.parametrize(
+        "ks_params",
+        [
+            KeySwitchParams(base_bits=2, length=3, noise_stddev=0.0),
+            KeySwitchParams(base_bits=4, length=8, noise_stddev=0.0),  # 32 bits: no rounding bit
+        ],
+        ids=["2x3", "4x8-no-rounding"],
+    )
+    # Table rows per block: one block for everything, a divisor of n_in·t
+    # (72 and 192), a non-divisor, and fewer rows than wide batches have
+    # ciphertexts (several ciphertext groups, one row each).
+    @pytest.mark.parametrize("block_rows", [4096, 24, 7, 50])
+    def test_totals_match_reference_mod_2_32(self, monkeypatch, ks_params, batch, block_rows):
+        ks = self._synthetic_key(ks_params, self.N_IN, self.N_OUT, seed=70)
+        monkeypatch.setattr(
+            keyswitch, "KEYSWITCH_BLOCK_WORDS", block_rows * (self.N_OUT + 1)
+        )
+        a = self._masks(np.random.default_rng(71 + batch), batch, self.N_IN, ks_params)
+        totals = keyswitch._keyswitch_totals(ks, a)
+        reference = keyswitch._keyswitch_totals_reference(ks, a)
+        assert totals.dtype == np.uint32
+        assert totals.shape == (batch, self.N_OUT + 1)
+        assert np.array_equal(totals, (reference & 0xFFFFFFFF).astype(np.uint32))
+        b = np.random.default_rng(72).integers(-(2**31), 2**31, batch).astype(np.int32)
+        switched = keyswitch_apply_batch(ks, LweBatch(a=a, b=b))
+        expected = keyswitch.keyswitch_apply_batch_reference(ks, LweBatch(a=a, b=b))
+        assert switched.a.dtype == switched.b.dtype == np.int32
+        assert np.array_equal(switched.a, expected.a)
+        assert np.array_equal(switched.b, expected.b)
+
+    def test_workspace_block_is_reused_and_results_do_not_alias_it(self):
+        ks = self._synthetic_key(
+            KeySwitchParams(base_bits=2, length=3, noise_stddev=0.0), self.N_IN, self.N_OUT, 73
+        )
+        rng = np.random.default_rng(74)
+        workspace = BootstrapWorkspace()
+        results = []
+        for batch in (3, 1, 5):
+            a = self._masks(rng, batch, self.N_IN, ks.params)
+            sample = LweBatch(a=a, b=np.arange(batch, dtype=np.int32))
+            results.append((sample, keyswitch_apply_batch(ks, sample, workspace)))
+            assert set(workspace._pools) == {"keyswitch"}
+            assert workspace.nbytes == 4 * keyswitch.KEYSWITCH_BLOCK_WORDS
+        for sample, switched in results:
+            expected = keyswitch.keyswitch_apply_batch_reference(ks, sample)
+            assert np.array_equal(switched.a, expected.a)
+            assert np.array_equal(switched.b, expected.b)
+            assert not np.shares_memory(switched.a, workspace._pools["keyswitch"])
+
+    def test_scalar_apply_is_the_batch_on_one_row(self, keys):
+        _, input_key, _, ks = keys
+        sample = lwe_encrypt(input_key, gate_message(1), rng=75)
+        switched = keyswitch_apply(ks, sample)
+        reference = keyswitch.keyswitch_apply_reference(ks, sample)
+        assert np.array_equal(switched.a, reference.a)
+        assert switched.b == reference.b
+        assert isinstance(switched.b, np.int32)
+
+    def test_non_contiguous_key_is_flattened_once_not_per_call(self):
+        ks_params = KeySwitchParams(base_bits=2, length=3, noise_stddev=0.0)
+        dense = self._synthetic_key(ks_params, self.N_IN, 2 * self.N_OUT + 1, seed=76)
+        strided = KeySwitchKey(
+            params=ks_params,
+            data=dense.data[..., ::2],  # every other column: not C-contiguous
+            input_dimension=self.N_IN,
+            output_dimension=self.N_OUT,
+        )
+        assert not strided.data.flags.c_contiguous
+        assert np.shares_memory(dense.table, dense.data)  # contiguous keys: a view
+        table = strided.table
+        a = self._masks(np.random.default_rng(77), 3, self.N_IN, ks_params)
+        sample = LweBatch(a=a, b=np.zeros(3, dtype=np.int32))
+        first = keyswitch_apply_batch(strided, sample)
+        second = keyswitch_apply_batch(strided, sample)
+        assert strided.table is table  # the one flattened copy, cached
+        expected = keyswitch.keyswitch_apply_batch_reference(strided, sample)
+        for switched in (first, second):
+            assert np.array_equal(switched.a, expected.a)
+            assert np.array_equal(switched.b, expected.b)
+
+    def test_replacing_the_key_data_does_not_inherit_the_flattened_table(self):
+        from dataclasses import replace
+
+        ks_params = KeySwitchParams(base_bits=2, length=3, noise_stddev=0.0)
+        first = self._synthetic_key(ks_params, self.N_IN, self.N_OUT, seed=78)
+        first.table
+        other = self._synthetic_key(ks_params, self.N_IN, self.N_OUT, seed=79)
+        replaced = replace(first, data=other.data)
+        assert np.shares_memory(replaced.table, other.data)

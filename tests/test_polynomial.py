@@ -11,7 +11,6 @@ from repro.tfhe.polynomial import (
     poly_add,
     poly_equal,
     poly_mul_by_xk,
-    poly_mul_by_xk_minus_one,
     poly_neg,
     poly_scale,
     poly_sub,
@@ -76,11 +75,6 @@ class TestRotation:
         rotated = poly_mul_by_xk(poly, 1)  # X * X^3 = X^4 = -1
         assert rotated[0] == -7
         assert not rotated[1:].any()
-
-    @given(coeff_arrays, st.integers(min_value=0, max_value=2 * DEGREE))
-    def test_xk_minus_one_matches_definition(self, a, k):
-        expected = poly_sub(poly_mul_by_xk(a, k), a)
-        assert poly_equal(poly_mul_by_xk_minus_one(a, k), expected)
 
 
 class TestConvolution:
