@@ -25,7 +25,9 @@ keeps working bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.tfhe.bootstrap import BlindRotator, CmuxBlindRotator
 from repro.tfhe.gates import MU, BatchGateEvaluator, TFHEGateEvaluator
@@ -38,7 +40,7 @@ from repro.tfhe.keys import (
 )
 from repro.tfhe.keyswitch import KeySwitchKey, keyswitch_apply, keyswitch_apply_batch
 from repro.tfhe.lwe import LweBatch, LweSample
-from repro.tfhe.tgsw import BootstrapWorkspace, tgsw_transform
+from repro.tfhe.tgsw import BootstrapWorkspace, TgswSample, tgsw_transform
 from repro.tfhe.transform import (
     EngineFault,
     NegacyclicTransform,
@@ -48,6 +50,43 @@ from repro.tfhe.transform import (
     select_best_engine,
 )
 from repro.utils.rng import SeedLike, make_rng
+
+
+def same_cloud_key(a: TFHECloudKey, b: TFHECloudKey) -> bool:
+    """Whether two cloud keys are the *identical* key, array for array.
+
+    Exact, not a digest: a checksum can be forged, and a false match would
+    run one tenant's ciphertexts under another's context.  Compared
+    cheapest-first — parameters, unroll factor and transform spec, then the
+    TGSW samples one by one (a different key differs in its first), the big
+    key-switching table last — so only a genuine duplicate pays for a full
+    pass over the arrays.
+    """
+    if a is b:
+        return True
+    if (a.params, a.unroll_factor, a.transform_spec) != (
+        b.params,
+        b.unroll_factor,
+        b.transform_spec,
+    ):
+        return False
+    samples_a, samples_b = _tgsw_samples(a), _tgsw_samples(b)
+    return (
+        len(samples_a) == len(samples_b)
+        and all(np.array_equal(x.data, y.data) for x, y in zip(samples_a, samples_b))
+        and np.array_equal(a.keyswitch_key.data, b.keyswitch_key.data)
+    )
+
+
+def _tgsw_samples(cloud_key: TFHECloudKey) -> List[TgswSample]:
+    """Every coefficient-domain TGSW sample of a key, classical or unrolled."""
+    if cloud_key.bootstrapping_key is not None:
+        return cloud_key.bootstrapping_key
+    return [
+        sample
+        for group in cloud_key.unrolled_groups or ()
+        for sample in group.samples
+    ]
 
 
 def resolve_engine(
@@ -210,13 +249,42 @@ class FheContext:
                 f"compatible fallback remains: {exc}"
             ) from None
         self.engine = make_transform(new_kind, self.params.N)
+        self.release()
+        self.engine_failovers += 1
+        return new_kind
+
+    def release(self) -> None:
+        """Drop everything derived from the key: spectrum cache, evaluators,
+        workspace.
+
+        The evaluators point back at the context, so a context that is merely
+        forgotten keeps its spectra until a cyclic GC pass; ``release`` breaks
+        that cycle and frees the derived memory *now* — the scheduler calls it
+        when a key's last client leaves.  A released context someone still
+        holds stays usable: everything is rebuilt lazily on next use.
+        """
         self._rotator = None
         self._scalar_evaluator = None
         self._batch_evaluators = {}
         self.cached_tgsw_samples = 0
         self.workspace = BootstrapWorkspace()
-        self.engine_failovers += 1
-        return new_kind
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes this context keeps resident, by arithmetic over its shapes.
+
+        The cloud key's int32 arrays (TGSW coefficients + key-switching
+        table) plus, once built, the spectrum cache at one complex128 per
+        evaluation point (``N/2`` per polynomial).  Workspace scratch is not
+        counted — it tracks the widest batch seen, not the key.
+        """
+        params = self.params
+        tgsw_polys = (params.k + 1) * params.l * (params.k + 1)
+        return (
+            self.cloud_key.keyswitch_key.data.nbytes
+            + self.cloud_key.tgsw_sample_count * tgsw_polys * params.N * 4
+            + self.cached_tgsw_samples * tgsw_polys * (params.N // 2) * 16
+        )
 
     def _build_rotator(self) -> BlindRotator:
         cloud = self.cloud_key

@@ -10,22 +10,28 @@ submitting one NAND each cost one blind rotation sweep instead of sixteen.
 Model
 -----
 
-* ``register_client(client_id, cloud_key)`` installs a client's key and
-  builds (lazily, once) its :class:`repro.runtime.context.FheContext` —
-  one resident spectrum cache per client key.
+* ``register_client(client_id, cloud_key)`` installs a client's key.  The
+  unit the scheduler owns is the **resident key** (:class:`ResidentKey`):
+  one :class:`repro.runtime.context.FheContext` — one spectrum cache — per
+  *distinct* cloud key.  A client that registers a key some resident already
+  holds (the identical key, array for array, under the same engine policy)
+  attaches to that resident instead of building a second copy; the last
+  client to leave takes the resident, and its memory, with it.
 * ``session(client_id)`` opens an :class:`EvaluationSession`; any number of
-  sessions may share a client id (e.g. concurrent connections of one
-  tenant).  Only jobs under the **same** client key can share a bootstrap —
-  ciphertexts of different keys are algebraically incompatible — so the
-  scheduler groups work per client.
+  sessions may share a client id.  Only jobs under the **same** key can
+  share a bootstrap — ciphertexts of different keys are algebraically
+  incompatible — so the scheduler groups work per resident key: every
+  client of one key rides in the same batched call.  Queues, handles and
+  aborts stay per client, and a handle never crosses client ids.
 * ``submit_gate``/``submit_lut``/``submit_circuit`` enqueue work and return
   handles (futures); linear operations (NOT/constant/copy) resolve
   immediately, they never cost a bootstrap.  Operands may be *handles* of
   earlier jobs of the same client, so chains of gates schedule like circuit
   levels.  A job whose operand handle failed fails with the same typed
   exception and leaves the queue; nobody else's flush is affected.
-* ``flush()`` drains the queue in rounds: each round gathers, per client,
-  every row every ready job wants bootstrapped next — a gate or lut job is
+* ``flush()`` drains the queue in rounds: each round gathers, per resident
+  key, every row every ready job of every sharing client wants bootstrapped
+  next — a gate or lut job is
   one row, a circuit job contributes the current wave of its
   :class:`repro.tfhe.executor.LevelWalker` — and hands them to the
   dispatcher as one list of ``("gate", name, ca, cb)`` / ``("lut", table,
@@ -38,7 +44,7 @@ Model
   call (row → spec → affine pass → ``bootstrap_rows``).  Gate rows and lut
   rows differ only in the spec each row resolves to.
 
-The front-end owns the job graph (handles, readiness, rounds), the per-client
+The front-end owns the job graph (handles, readiness, rounds), the per-key
 coalescing and the admission control; *where* rows run is the
 :class:`RowDispatcher`'s business:
 
@@ -62,7 +68,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.runtime.context import FheContext
+from repro.runtime.context import FheContext, same_cloud_key
 from repro.telemetry.metrics import ROWS_PER_CALL_BUCKETS
 from repro.tfhe.transform import EngineFault
 from repro.tfhe.executor import LevelSchedule, LevelWalker, schedule_circuit
@@ -265,7 +271,10 @@ def record_engine_deltas(tel, engine, before) -> None:
 
 
 class RowDispatcher:
-    """Strategy interface executing one round's rows for one client.
+    """Strategy interface executing one round's rows for one resident key.
+
+    The scheduler registers each resident key once, under its label — that
+    label is the ``client_id`` every method here receives.
 
     ``run_rows`` must return one output per input row, in input order, and
     must be bit-identical to :func:`execute_rows` — the dispatcher decides
@@ -297,10 +306,10 @@ class RowDispatcher:
         raise NotImplementedError
 
     def register_client(self, client_id: str, context: FheContext) -> None:
-        """Hook invoked when the scheduler registers a client (optional)."""
+        """Hook invoked when a key becomes resident (optional)."""
 
     def deregister_client(self, client_id: str) -> None:
-        """Hook invoked when the scheduler drops a client (optional)."""
+        """Hook invoked when a resident key is dropped (optional)."""
 
 
 def _round_scope(context: FheContext, round_ctx):
@@ -544,6 +553,33 @@ class EvaluationSession:
         return handle
 
 
+class ResidentKey:
+    """One distinct cloud key held resident, and the clients sharing it.
+
+    ``label`` names the key towards the dispatcher (one registration, one
+    worker-pool segment per key) and outlives whichever client registered
+    first.  ``policy`` is the engine policy the context was built under — a
+    registry kind, ``"auto"`` or ``None`` — or, for a prebuilt context the
+    caller handed in, the context itself: such a resident is shared only by
+    registering the same object again.
+    """
+
+    __slots__ = ("label", "context", "policy", "queues")
+
+    def __init__(self, label: str, context: FheContext, policy) -> None:
+        self.label = label
+        self.context = context
+        self.policy = policy
+        #: client id → that client's queued jobs, in submission order.
+        self.queues: Dict[str, List[object]] = {}
+
+    def holds(self, key: Union[TFHECloudKey, FheContext], policy) -> bool:
+        """Whether registering ``key`` under ``policy`` means *this* key."""
+        if isinstance(key, FheContext):
+            return self.context is key
+        return self.policy == policy and same_cloud_key(self.context.cloud_key, key)
+
+
 class BatchScheduler:
     """Coalesces same-key jobs from many sessions into batched bootstrappings."""
 
@@ -566,8 +602,10 @@ class BatchScheduler:
         #: honour each key's recorded transform spec.
         self.engine = engine
         self.dispatcher: RowDispatcher = dispatcher or InlineDispatcher()
-        self._contexts: Dict[str, FheContext] = {}
-        self._queues: Dict[str, List[object]] = {}
+        #: The one registry: client id → the resident key it computes under.
+        self._clients: Dict[str, ResidentKey] = {}
+        self._labels = 0
+        self._pending = 0
         self.stats = SchedulerStats()
         #: Optional :class:`repro.telemetry.Telemetry` bundle; ``None`` keeps
         #: every instrumentation site behind one ``is None`` check.
@@ -586,6 +624,11 @@ class BatchScheduler:
         return self.telemetry is not None and self.telemetry.tracer.enabled
 
     # -- client management ---------------------------------------------------
+    @property
+    def residents(self) -> List[ResidentKey]:
+        """The distinct resident keys, oldest first."""
+        return list(dict.fromkeys(self._clients.values()))
+
     def register_client(
         self,
         client_id: str,
@@ -594,29 +637,34 @@ class BatchScheduler:
     ) -> FheContext:
         """Install a client's cloud key (or prebuilt context) under an id.
 
-        ``engine`` overrides the scheduler's default engine policy for this
-        client (a registry kind or ``"auto"``); it is rejected for prebuilt
-        contexts, which already carry their engine.
+        A key some resident already holds — the identical key under the same
+        engine policy; for a prebuilt context, the same object — is not
+        installed twice: the client attaches to that resident and shares its
+        context, spectrum cache and batched calls.  ``engine`` overrides the
+        scheduler's default engine policy for this client (a registry kind or
+        ``"auto"``); it is rejected for prebuilt contexts, which already
+        carry their engine.
         """
-        if client_id in self._contexts:
+        if client_id in self._clients:
             raise ValueError(f"client {client_id!r} is already registered")
-        if isinstance(key, FheContext):
-            if engine is not None:
-                raise ValueError(
-                    "cannot override the engine of a prebuilt FheContext"
-                )
-            context = key
-        else:
-            context = FheContext(key, engine=engine or self.engine)
-        if self.telemetry is not None:
-            context.telemetry = self.telemetry
-        self._contexts[client_id] = context
-        self._queues[client_id] = []
-        self.dispatcher.register_client(client_id, context)
-        return context
+        prebuilt = isinstance(key, FheContext)
+        if prebuilt and engine is not None:
+            raise ValueError("cannot override the engine of a prebuilt FheContext")
+        policy = key if prebuilt else engine or self.engine
+        resident = next((r for r in self.residents if r.holds(key, policy)), None)
+        if resident is None:
+            context = key if prebuilt else FheContext(key, engine=policy)
+            if self.telemetry is not None:
+                context.telemetry = self.telemetry
+            self._labels += 1
+            resident = ResidentKey(f"key{self._labels}", context, policy)
+            self.dispatcher.register_client(resident.label, context)
+        resident.queues[client_id] = []
+        self._clients[client_id] = resident
+        return resident.context
 
     def deregister_client(self, client_id: str, force: bool = False) -> None:
-        """Drop a client's context and queue (e.g. its connection closed).
+        """Drop a client and its queue (e.g. its connection closed).
 
         Refuses while the client still has unresolved jobs — silently
         discarding them would leak handles that can never resolve.  With
@@ -624,10 +672,16 @@ class BatchScheduler:
         typed :class:`JobAborted`, so a deregistration racing an in-flight
         flush leaves no handle unresolved: waiters see a retryable error,
         never a hang, and a flush round delivering into an already-failed
-        handle is a no-op (handles settle exactly once).
+        handle is a no-op (handles settle exactly once).  Other clients of
+        the same key are untouched.
+
+        The key leaves with its last client: the resident is dropped from
+        the dispatcher and its context released, so the spectrum cache is
+        freed here, not at some later cyclic GC pass.
         """
-        self.client_context(client_id)  # validate
-        pending = [job for job in self._queues[client_id] if not job.done]
+        resident = self._resident(client_id)
+        queue = resident.queues[client_id]
+        pending = [job for job in queue if not job.done]
         if pending:
             if not force:
                 raise RuntimeError(
@@ -644,19 +698,25 @@ class BatchScheduler:
                     )
                 )
             self.stats.jobs_aborted += len(pending)
-        del self._contexts[client_id]
-        del self._queues[client_id]
-        self.dispatcher.deregister_client(client_id)
+        self._pending -= len(queue)
+        del resident.queues[client_id]
+        del self._clients[client_id]
+        if not resident.queues:
+            resident.context.release()
+            self.dispatcher.deregister_client(resident.label)
 
-    def client_context(self, client_id: str) -> FheContext:
+    def _resident(self, client_id: str) -> ResidentKey:
         try:
-            return self._contexts[client_id]
+            return self._clients[client_id]
         except KeyError:
             raise KeyError(f"unknown client {client_id!r}; register_client first") from None
 
+    def client_context(self, client_id: str) -> FheContext:
+        return self._resident(client_id).context
+
     def session(self, client_id: str) -> EvaluationSession:
         """Open a new session for a registered client."""
-        self.client_context(client_id)  # validate
+        self._resident(client_id)  # validate
         return EvaluationSession(self, client_id)
 
     # -- queue ----------------------------------------------------------------
@@ -718,39 +778,43 @@ class BatchScheduler:
                 duration=0.0,
                 attrs={"op": op, "client": client_id},
             )
-        self._queues[client_id].append(job)
+        self._clients[client_id].queues[client_id].append(job)
+        self._pending += 1
 
     @property
     def pending_jobs(self) -> int:
-        """Jobs enqueued and not yet fully resolved."""
-        return sum(
-            sum(1 for job in queue if not job.done) for queue in self._queues.values()
-        )
+        """Jobs enqueued and not yet fully resolved.
+
+        A count, not a walk: ``_enqueue`` adds one, and the two places a job
+        leaves its queue — the prune that ends every flush round and
+        ``deregister_client`` — subtract what they remove.
+        """
+        return self._pending
 
     # -- execution -------------------------------------------------------------
-    def _republish_client(self, client_id: str, context: FheContext) -> None:
-        """Re-register a client with the dispatcher after its context's
+    def _republish(self, resident: ResidentKey) -> None:
+        """Re-register a resident key with the dispatcher after its context's
         engine changed (a worker pool republishes the shared key segment so
         workers rebuild their contexts on the new engine spec)."""
         try:
-            self.dispatcher.deregister_client(client_id)
+            self.dispatcher.deregister_client(resident.label)
         except Exception:  # noqa: BLE001 - the old registration may be gone
             pass
-        self.dispatcher.register_client(client_id, context)
+        self.dispatcher.register_client(resident.label, resident.context)
 
     def _run_rows_resilient(
-        self, client_id: str, rows: List[Row], round_ctx=None
+        self, resident: ResidentKey, rows: List[Row], round_ctx=None
     ) -> List[LweSample]:
         """Dispatch one round's rows, surviving engine faults and pool failure.
 
         * :class:`repro.tfhe.transform.EngineFault` (from an inline engine,
           or re-raised by a worker pool whose task exhausted retries on one)
-          quarantines the faulting engine kind, fails the client's context
+          quarantines the faulting engine kind, fails the resident's context
           over to the best fallback within its error-model family
           (:meth:`FheContext.failover`), republishes the context to the
-          dispatcher and replays the round there.  No partial results from
-          the faulted attempt are used, so the replay is bit-identical
-          within the ``fft64`` family.
+          dispatcher and replays the round there — once, for every client
+          sharing the key.  No partial results from the faulted attempt are
+          used, so the replay is bit-identical within the ``fft64`` family.
         * ``WorkerPoolError`` (pool retry budget exhausted for a non-engine
           fault) degrades the round to in-process :func:`execute_rows` —
           the pool's health problem must not fail client jobs that a single
@@ -763,13 +827,13 @@ class BatchScheduler:
         # Imported here: workers.py imports this module at import time.
         from repro.runtime.workers import WorkerPoolError
 
-        context = self._contexts[client_id]
+        context = resident.context
         # Omit the kwarg entirely for untraced rounds so pre-telemetry
         # RowDispatcher implementations keep working unchanged.
         ctx_kwargs = {} if round_ctx is None else {"round_ctx": round_ctx}
         try:
             return self.dispatcher.run_rows(
-                client_id,
+                resident.label,
                 context,
                 rows,
                 self.stats,
@@ -780,10 +844,10 @@ class BatchScheduler:
             context.failover(str(exc))
             self.stats.engine_failovers += 1
             self._count("fhe_engine_failovers_total", "Engine quarantines mid-flush.")
-            self._republish_client(client_id, context)
+            self._republish(resident)
             try:
                 return self.dispatcher.run_rows(
-                    client_id,
+                    resident.label,
                     context,
                     rows,
                     self.stats,
@@ -820,7 +884,7 @@ class BatchScheduler:
                 self._count(
                     "fhe_engine_failovers_total", "Engine quarantines mid-flush."
                 )
-                self._republish_client(client_id, context)
+                self._republish(resident)
                 with _round_scope(context, round_ctx):
                     return execute_rows(
                         context, rows, self.stats, self.max_rows_per_call
@@ -829,14 +893,14 @@ class BatchScheduler:
     def flush(self) -> int:
         """Run every pending job to completion; returns the rows bootstrapped.
 
-        Each round issues, per client, **one** batched bootstrapping over
-        every row every ready job wants next (chunked by
-        ``max_rows_per_call`` when set).  Rounds repeat until no job makes
-        progress, i.e. chained handles resolve level-by-level.
+        Each round issues, per resident key, **one** batched bootstrapping
+        over every row every ready job of every sharing client wants next
+        (chunked by ``max_rows_per_call`` when set).  Rounds repeat until no
+        job makes progress, i.e. chained handles resolve level-by-level.
 
-        Robust against concurrent deregistration: rounds iterate a snapshot
-        of the queues and re-check each client still exists before
-        dispatching, so ``deregister_client(force=True)`` racing a flush
+        Robust against concurrent deregistration: each resident's turn reads
+        the queues it holds *then*, so a client deregistered since is simply
+        absent, and ``deregister_client(force=True)`` racing the dispatch
         fails that client's handles with :class:`JobAborted` (handled by the
         exactly-once settle semantics) instead of corrupting the round.
         """
@@ -847,10 +911,14 @@ class BatchScheduler:
         total_rows = 0
         while True:
             progressed = False
-            for client_id, queue in list(self._queues.items()):
-                if client_id not in self._contexts:
-                    continue  # deregistered since the snapshot
-                jobs = [job for job in queue if not job.done]
+            residents = self.residents
+            for resident in residents:
+                jobs = [
+                    job
+                    for queue in list(resident.queues.values())
+                    for job in queue
+                    if not job.done
+                ]
                 contributions: List[Tuple[object, int]] = []
                 rows: List[Row] = []
                 for job in jobs:
@@ -867,10 +935,10 @@ class BatchScheduler:
                     round_ctx = self._record_coalesce(contributions)
                 flush_wall = time.time()
                 flush_perf = time.perf_counter()
-                outputs = self._run_rows_resilient(client_id, rows, round_ctx)
+                outputs = self._run_rows_resilient(resident, rows, round_ctx)
                 if round_ctx is not None:
                     trace_ids, flush_span_id = round_ctx
-                    attrs = {"client": client_id, "rows": len(rows)}
+                    attrs = {"key": resident.label, "rows": len(rows)}
                     if len(trace_ids) > 1:
                         attrs["traces"] = list(trace_ids)
                     tel.tracer.record(
@@ -901,11 +969,13 @@ class BatchScheduler:
                             )
                 total_rows += len(rows)
                 progressed = True
-            # Drop resolved jobs from the queues.
-            for client_id in list(self._queues):
-                self._queues[client_id] = [
-                    job for job in self._queues[client_id] if not job.done
-                ]
+            # Drop settled jobs from the queues (in place: a client
+            # deregistered meanwhile took its queue, and its count, with it).
+            for resident in residents:
+                for queue in list(resident.queues.values()):
+                    live = [job for job in queue if not job.done]
+                    self._pending -= len(queue) - len(live)
+                    queue[:] = live
             if not progressed:
                 break
         if self.pending_jobs:

@@ -23,6 +23,9 @@ Isolation and backpressure:
   key's dimension and job handles cannot cross client ids (enforced by the
   scheduler).  One connection can never read, or compute under, another's
   key material — the cross-client-leakage property the fuzz suite checks.
+  Connections that upload the *identical* key (one tenant, many sockets)
+  share one resident context and one batched call per round; identity is an
+  exact array comparison, never a digest, so sharing cannot be forged.
 * **Bounded queue, reject semantics.**  The scheduler is built with
   ``max_pending_jobs``; a submission beyond it fails fast with a ``busy``
   error frame the client can retry after its in-flight work drains.
@@ -43,13 +46,12 @@ import asyncio
 import json
 import signal
 import time
-import zlib
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.context import FheContext
+from repro.runtime.context import FheContext, same_cloud_key
 from repro.runtime.scheduler import (
     BatchScheduler,
     JobAborted,
@@ -111,7 +113,6 @@ class _SessionState:
         self.client_id = f"sess-{token}"
         self.cache_size = cache_size
         self.registered = False
-        self.key_fingerprint: Optional[int] = None
         self.register_reply: Optional[Tuple[Dict[str, Any], bytes]] = None
         #: request id → (reply header, reply body); success replies only —
         #: errors are never cached, so a retry re-executes them.
@@ -426,6 +427,7 @@ class FheServer:
             return latencies[index]
 
         uptime = time.monotonic() - self._started_at if self._started_at else 0.0
+        residents = self.scheduler.residents
         # Busy time comes from the registry when telemetry is on — the
         # flusher feeds the counter from the same monotonic measurements, so
         # the legacy view and the Prometheus exposition can never disagree.
@@ -439,7 +441,9 @@ class FheServer:
             "uptime_seconds": uptime,
             "busy_fraction": busy / uptime if uptime else 0.0,
             "connections": len(self._connections),
-            "clients": len(self.scheduler._contexts),
+            "clients": sum(len(r.queues) for r in residents),
+            "resident_keys": len(residents),
+            "resident_key_bytes": sum(r.context.resident_bytes for r in residents),
             "queue_depth": self.scheduler.pending_jobs,
             "awaiting_results": len(self._waiters),
             "flushes": stats.flushes,
@@ -519,6 +523,14 @@ class FheServer:
         reg.gauge("fhe_awaiting_results", "Requests awaiting a flushed reply.").set(
             len(self._waiters)
         )
+        residents = self.scheduler.residents
+        reg.gauge("fhe_resident_keys", "Distinct cloud keys held resident.").set(
+            len(residents)
+        )
+        reg.gauge(
+            "fhe_resident_key_bytes",
+            "Bytes of resident cloud keys and their spectrum caches (by shape).",
+        ).set(sum(r.context.resident_bytes for r in residents))
         dispatcher = self.scheduler.dispatcher
         health = getattr(dispatcher, "health", None)
         if health is not None:
@@ -983,7 +995,10 @@ class FheServer:
             # Idempotent re-registration after a reconnect: the same key
             # gets the cached reply; a different key is a hard error (the
             # session's queued results were computed under the old key).
-            if zlib.crc32(key_bytes) != sess.key_fingerprint:
+            # "Same" is the scheduler's exact identity, never a checksum.
+            cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key")
+            held = self.scheduler.client_context(sess.client_id).cloud_key
+            if not same_cloud_key(held, cloud):
                 raise _RequestError(
                     "bad_request", "session already registered a different key"
                 )
@@ -997,8 +1012,9 @@ class FheServer:
         cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key")
         loop = asyncio.get_running_loop()
         async with self._lock:
-            # Building the context warms the spectrum cache (and, for a
-            # worker pool, packs the shared segment) — do it off-loop.
+            # Off-loop: a first-time key builds its context (and, for a
+            # worker pool, packs the shared segment); a key already resident
+            # is compared array by array and attached.
             context = await loop.run_in_executor(
                 None,
                 lambda: self.scheduler.register_client(
@@ -1014,7 +1030,6 @@ class FheServer:
         }
         if sess is not None:
             sess.registered = True
-            sess.key_fingerprint = zlib.crc32(key_bytes)
             sess.register_reply = (dict(reply), b"")
         return reply, b""
 

@@ -8,9 +8,10 @@ path is row-wise bit-identical to the sequential path, the PR 1 property).
 that shards those rows across ``num_workers`` OS processes, so the runtime
 stops being capped by one Python interpreter:
 
-* **Shared read-only cloud-key state.**  Per registered client the parent
-  writes one :class:`multiprocessing.shared_memory.SharedMemory` segment
-  holding the serialized cloud key (the :mod:`repro.tfhe.serialize`
+* **Shared read-only cloud-key state.**  Per registered id — under a
+  ``BatchScheduler`` one per *resident key*, however many clients share
+  it — the parent writes one
+  :class:`multiprocessing.shared_memory.SharedMemory` segment holding the serialized cloud key (the :mod:`repro.tfhe.serialize`
   artifact, byte for byte what travels on the wire) and — for the
   classical rotator under a plain-ndarray engine — the *packed spectral
   tensors* of the parent's spectrum cache.  Workers map the segment and

@@ -217,7 +217,7 @@ def test_flaky_engine_failover_bitidentical(wire_keys):
         chaotic = BatchScheduler()
         chaotic.register_client("chaos", cloud)
         session = chaotic.session("chaos")
-        context = chaotic._contexts["chaos"]
+        context = chaotic.client_context("chaos")
         context.engine = FlakyEngine(
             context.engine, fail_on_call=3, masquerade_kind="compiled"
         )

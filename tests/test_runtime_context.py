@@ -201,3 +201,34 @@ class TestContextSurface:
             FheContext(cloud)
         # but an explicit engine still works
         FheContext(cloud, engine=engine)
+
+    def test_release_drops_derived_state_and_rebuilds_lazily(self):
+        engine = DoubleFFTNegacyclicTransform(TEST_TINY.N)
+        secret, cloud = generate_keys(TEST_TINY, engine, rng=33, eager=False)
+        context = FheContext(cloud)
+        ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
+        before = context.evaluator().nand(ca, cb)
+        workspace, evaluator = context.workspace, context.evaluator()
+
+        context.release()
+        assert not context.spectra_cached and context.cached_tgsw_samples == 0
+        assert context.workspace is not workspace
+        assert context.evaluator() is not evaluator
+        assert context.engine_failovers == 0  # a release is not a failover
+
+        after = context.evaluator().nand(ca, cb)  # same contract as after failover()
+        assert context.cached_tgsw_samples == TEST_TINY.n
+        assert np.array_equal(after.a, before.a) and np.int32(after.b) == np.int32(before.b)
+
+    def test_resident_bytes_is_the_shape_arithmetic(self):
+        engine = DoubleFFTNegacyclicTransform(TEST_TINY.N)
+        _, cloud = generate_keys(TEST_TINY, engine, rng=34, eager=False)
+        context = FheContext(cloud)
+        key_bytes = cloud.keyswitch_key.data.nbytes + sum(
+            sample.data.nbytes for sample in cloud.bootstrapping_key
+        )
+        assert context.resident_bytes == key_bytes  # no spectra yet
+        spectra = sum(s.tensor.nbytes for s in context.rotator.bootstrapping_key)
+        assert context.resident_bytes == key_bytes + spectra
+        context.release()
+        assert context.resident_bytes == key_bytes

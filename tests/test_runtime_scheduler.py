@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.runtime import BatchScheduler, FheContext
+from repro.runtime.chaos import FlakyEngine
+from repro.runtime.context import same_cloud_key
+from repro.runtime.scheduler import InlineDispatcher, JobAborted
+from repro.telemetry import Telemetry
 from repro.tfhe.circuits import bits_to_int, encrypt_integer
 from repro.tfhe.executor import schedule_circuit
 from repro.tfhe.gates import (
@@ -14,10 +22,15 @@ from repro.tfhe.gates import (
     decrypt_bits,
     encrypt_bit,
 )
-from repro.tfhe.keys import generate_keys
+from repro.tfhe.keys import generate_cloud_key, generate_keys, generate_secret_key
 from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.params import TEST_TINY
-from repro.tfhe.transform import NaiveNegacyclicTransform
+from repro.tfhe.serialize import from_bytes, to_bytes
+from repro.tfhe.transform import (
+    DoubleFFTNegacyclicTransform,
+    NaiveNegacyclicTransform,
+    clear_engine_quarantine,
+)
 
 
 @pytest.fixture()
@@ -456,3 +469,287 @@ class TestZeroLevelCircuitJobs:
         assert rows == 2  # the two chained gates, one per round
         assert decrypt_bit(secret, chained.result()) == 1
         assert scheduler.stats.jobs_completed == 3
+
+
+# --------------------------------------------------------------------------- #
+# one resident context per distinct cloud key                                 #
+# --------------------------------------------------------------------------- #
+
+
+def _wire_copy(cloud):
+    """A byte-identical key in fresh arrays — what a second upload decodes to."""
+    return from_bytes(to_bytes(cloud))
+
+
+def _gate_operands(secret, seed):
+    return encrypt_bit(secret, 1, rng=seed), encrypt_bit(secret, 0, rng=seed + 1)
+
+
+class TestResidentKeys:
+    def test_identical_keys_share_one_context_and_one_call(self, tiny_keys_naive):
+        secret, cloud = tiny_keys_naive
+        tel = Telemetry()
+        shared = BatchScheduler(telemetry=tel)
+        context = shared.register_client("a", cloud)
+        assert shared.register_client("b", _wire_copy(cloud)) is context
+        assert shared.client_context("a") is shared.client_context("b")
+        assert len(shared.residents) == 1
+
+        operands = {"a": _gate_operands(secret, 700), "b": _gate_operands(secret, 710)}
+        handles = {
+            cid: shared.session(cid).submit_gate("nand", *operands[cid])
+            for cid in ("a", "b")
+        }
+        assert shared.flush() == 2
+        assert shared.stats.batched_calls == 1
+        snap = tel.registry.snapshot()
+        assert snap["fhe_batched_calls_total"]["series"][0]["value"] == 1
+        (widths,) = snap["fhe_rows_per_call"]["series"]
+        assert (widths["count"], widths["sum"]) == (1, 2)
+
+        # A row's output does not depend on which other rows share its call.
+        for cid in ("a", "b"):
+            alone = BatchScheduler()
+            alone.register_client(cid, cloud)
+            want = alone.session(cid).submit_gate("nand", *operands[cid])
+            alone.flush()
+            got = handles[cid].result()
+            assert np.array_equal(got.a, want.result().a)
+            assert np.int32(got.b) == np.int32(want.result().b)
+            assert decrypt_bit(secret, got) == 1
+
+    def test_a_prebuilt_context_is_shared_by_identity_only(self, tiny_keys_naive):
+        _, cloud = tiny_keys_naive
+        scheduler = BatchScheduler()
+        prebuilt = FheContext(cloud)
+        assert scheduler.register_client("a", prebuilt) is prebuilt
+        assert scheduler.register_client("b", prebuilt) is prebuilt
+        # Neither the raw key nor a second context over it is "the same object".
+        assert scheduler.register_client("c", cloud) is not prebuilt
+        assert scheduler.register_client("d", FheContext(cloud)) is not prebuilt
+        assert len(scheduler.residents) == 3
+
+    def test_different_keys_policies_and_unrollings_do_not_share(self):
+        engine = DoubleFFTNegacyclicTransform(TEST_TINY.N)
+        secret = generate_secret_key(TEST_TINY, rng=90)
+        cloud = generate_cloud_key(secret, engine, 1, rng=91, eager=False)
+        _, other = generate_keys(TEST_TINY, engine, rng=92, eager=False)
+        unrolled = generate_cloud_key(secret, engine, 2, rng=91, eager=False)
+        scheduler = BatchScheduler()
+        contexts = [
+            scheduler.register_client("base", cloud),
+            scheduler.register_client("other-key", other),
+            scheduler.register_client("other-engine", _wire_copy(cloud), engine="naive"),
+            scheduler.register_client("unrolled", unrolled),
+        ]
+        assert len({id(context) for context in contexts}) == 4
+        assert len(scheduler.residents) == 4
+        # ...while the same key under the same requested engine does.
+        again = scheduler.register_client("naive-twin", _wire_copy(cloud), engine="naive")
+        assert again is contexts[2]
+
+    def test_same_cloud_key_is_exact_and_compares_cheapest_first(
+        self, tiny_keys_naive, monkeypatch
+    ):
+        _, cloud = tiny_keys_naive
+        compared = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(
+            np, "array_equal", lambda x, y: compared.append(x.nbytes) or array_equal(x, y)
+        )
+        twin = _wire_copy(cloud)
+        assert same_cloud_key(cloud, twin)
+        # every TGSW sample, then the (largest) key-switching table
+        assert len(compared) == TEST_TINY.n + 1 and compared[-1] == max(compared)
+
+        twin.keyswitch_key.data[-1, -1, -1, -1] ^= 1  # the very last word compared
+        assert not same_cloud_key(cloud, twin)
+        del compared[:]
+        _, other = generate_keys(TEST_TINY, NaiveNegacyclicTransform(TEST_TINY.N), rng=79)
+        assert not same_cloud_key(cloud, other)
+        assert len(compared) == 1  # a different key is told apart at its first sample
+        del compared[:]
+        assert not same_cloud_key(cloud, dataclasses.replace(cloud, unroll_factor=2))
+        assert not compared  # ...and a different shape of key before any array
+
+    def test_handles_do_not_cross_clients_of_one_key(self, tiny_keys_naive):
+        secret, cloud = tiny_keys_naive
+        scheduler = BatchScheduler()
+        scheduler.register_client("a", cloud)
+        scheduler.register_client("b", _wire_copy(cloud))
+        handle = scheduler.session("a").submit_gate("nand", *_gate_operands(secret, 720))
+        with pytest.raises(ValueError, match="different clients"):
+            scheduler.session("b").submit_gate("and", handle, handle)
+        scheduler.flush()
+
+    def test_forced_deregistration_aborts_only_that_clients_jobs(self, tiny_keys_naive):
+        secret, cloud = tiny_keys_naive
+        scheduler = BatchScheduler()
+        scheduler.register_client("a", cloud)
+        scheduler.register_client("b", _wire_copy(cloud))
+        doomed = [
+            scheduler.session("a").submit_gate("nand", *_gate_operands(secret, 730 + 2 * i))
+            for i in range(2)
+        ]
+        kept = scheduler.session("b").submit_gate("or", *_gate_operands(secret, 740))
+        scheduler.deregister_client("a", force=True)
+        assert scheduler.pending_jobs == 1
+        assert scheduler.flush() == 1
+        for handle in doomed:
+            with pytest.raises(JobAborted):
+                handle.result()
+        assert decrypt_bit(secret, kept.result()) == 1
+        assert scheduler.stats.jobs_aborted == 2
+        assert scheduler.client_context("b").spectra_cached  # the key stayed resident
+
+    def test_deregistration_racing_the_dispatch_spares_the_other_sharer(
+        self, tiny_keys_naive
+    ):
+        secret, cloud = tiny_keys_naive
+
+        class DeregisterMidDispatch(InlineDispatcher):
+            def run_rows(self, *args, **kwargs):
+                scheduler.deregister_client("a", force=True)
+                return super().run_rows(*args, **kwargs)
+
+        scheduler = BatchScheduler(dispatcher=DeregisterMidDispatch())
+        scheduler.register_client("a", cloud)
+        scheduler.register_client("b", _wire_copy(cloud))
+        doomed = scheduler.session("a").submit_gate("nand", *_gate_operands(secret, 750))
+        kept = scheduler.session("b").submit_gate("nand", *_gate_operands(secret, 752))
+        assert scheduler.flush() == 2  # both rows were already in the call
+        with pytest.raises(JobAborted):
+            doomed.result()
+        assert decrypt_bit(secret, kept.result()) == 1
+        assert scheduler.pending_jobs == 0
+        assert (scheduler.stats.jobs_completed, scheduler.stats.jobs_aborted) == (1, 1)
+
+    def test_engine_failover_on_a_shared_key_replays_the_round_once(self):
+        engine = DoubleFFTNegacyclicTransform(TEST_TINY.N)
+        secret, cloud = generate_keys(TEST_TINY, engine, rng=93, eager=False)
+        operands = {"a": _gate_operands(secret, 760), "b": _gate_operands(secret, 770)}
+        bare = FheContext(cloud).evaluator()
+        try:
+            scheduler = BatchScheduler()
+            context = scheduler.register_client("a", cloud)
+            scheduler.register_client("b", _wire_copy(cloud))
+            context.engine = FlakyEngine(
+                context.engine, fail_on_call=3, masquerade_kind="compiled"
+            )
+            handles = {
+                cid: scheduler.session(cid).submit_gate("xor", *operands[cid])
+                for cid in ("a", "b")
+            }
+            assert scheduler.flush() == 2
+            assert scheduler.stats.engine_failovers == 1
+            assert scheduler.stats.batched_calls == 1  # the faulted attempt issued none
+            assert scheduler.client_context("b") is context
+            assert context.engine.engine_kind != "compiled"
+            for cid in ("a", "b"):
+                want = bare.gate("xor", *operands[cid])
+                got = handles[cid].result()
+                assert np.array_equal(got.a, want.a)
+                assert np.int32(got.b) == np.int32(want.b)
+        finally:
+            clear_engine_quarantine()
+
+
+class TestKeyMemoryLeavesWithItsLastClient:
+    """Checked with the cyclic collector off: the evaluators point back at the
+    context, so only ``release()`` — not refcounting alone — frees it."""
+
+    @pytest.fixture(autouse=True)
+    def _no_cyclic_gc(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_context_and_key_die_at_the_last_deregistration(self, tiny_keys_naive):
+        secret, cloud = tiny_keys_naive
+        scheduler = BatchScheduler()
+        scheduler.register_client("a", _wire_copy(cloud))
+        scheduler.register_client("b", _wire_copy(cloud))
+        context_ref = weakref.ref(scheduler.client_context("a"))
+        key_ref = weakref.ref(scheduler.client_context("a").cloud_key)
+        for cid in ("a", "b"):
+            scheduler.session(cid).submit_gate("nand", *_gate_operands(secret, 780))
+        scheduler.flush()
+        assert context_ref().spectra_cached
+
+        scheduler.deregister_client("a")  # the first registrant leaves
+        assert context_ref() is not None and key_ref() is not None
+        assert context_ref().spectra_cached
+        scheduler.deregister_client("b")
+        assert scheduler.residents == []
+        assert context_ref() is None and key_ref() is None
+
+    def test_a_released_context_still_held_rebuilds_on_next_use(self, tiny_keys_naive):
+        secret, cloud = tiny_keys_naive
+        context = FheContext(cloud)
+        scheduler = BatchScheduler()
+        scheduler.register_client("a", context)
+        ca, cb = _gate_operands(secret, 790)
+        first = scheduler.session("a").submit_gate("nand", ca, cb)
+        scheduler.flush()
+        scheduler.deregister_client("a")
+        assert not context.spectra_cached and context.cached_tgsw_samples == 0
+
+        again = context.evaluator().nand(ca, cb)
+        assert context.spectra_cached
+        assert np.array_equal(again.a, first.result().a)
+        assert context.batch_evaluator(4) is context.batch_evaluator(4)
+
+
+# --------------------------------------------------------------------------- #
+# pending_jobs is a count, equal to the walk it replaced                      #
+# --------------------------------------------------------------------------- #
+
+
+def _walked_pending(scheduler):
+    return sum(
+        1
+        for resident in scheduler.residents
+        for queue in resident.queues.values()
+        for job in queue
+        if not job.done
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pending_jobs_count_matches_the_walk(tiny_keys_naive, seed):
+    secret, cloud = tiny_keys_naive
+    rng = np.random.default_rng(seed)
+    scheduler = BatchScheduler()
+    clients = ["a", "b", "c"]  # a and b share a key, c brings its own context
+    keys = {"a": cloud, "b": cloud, "c": FheContext(cloud)}
+    for cid in clients:
+        scheduler.register_client(cid, keys[cid])
+    one, zero = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 0, rng=2)
+    handles = {cid: [] for cid in clients}  # live and stale (failed) handles alike
+
+    for _ in range(40):
+        cid = clients[rng.integers(len(clients))]
+        action = rng.choice(["gate", "chain", "lut", "circuit", "flush", "drop"],
+                            p=[0.3, 0.25, 0.1, 0.1, 0.15, 0.1])
+        session = scheduler.session(cid)
+        if action == "gate":
+            handles[cid].append(session.submit_gate("nand", one, zero))
+        elif action == "chain" and handles[cid]:
+            # may pick a handle a forced deregistration failed: its dependent
+            # is settled (not bootstrapped) by the next flush
+            operand = handles[cid][rng.integers(len(handles[cid]))]
+            handles[cid].append(session.submit_gate("and", operand, one))
+        elif action == "lut":
+            handles[cid].append(session.submit_lut(0x96, [one, zero, one]))
+        elif action == "circuit":
+            session.submit_circuit(adder_netlist(2), {"a": [one, zero], "b": [zero, one]})
+        elif action == "flush":
+            scheduler.flush()
+            assert scheduler.pending_jobs == 0
+        elif action == "drop":
+            scheduler.deregister_client(cid, force=True)
+            scheduler.register_client(cid, keys[cid])
+        assert scheduler.pending_jobs == _walked_pending(scheduler)
+    scheduler.flush()
+    assert scheduler.pending_jobs == _walked_pending(scheduler) == 0

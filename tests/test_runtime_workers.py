@@ -16,6 +16,7 @@ the pool's stats/health accounting in the fault-free path.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.runtime.workers import (
     _pack_client_segment,
 )
 from repro.tfhe.gates import decrypt_bit, encrypt_bit
+from repro.tfhe.serialize import from_bytes, to_bytes
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
@@ -237,6 +239,41 @@ def test_multi_client_isolation_through_one_pool(tiny_keys_naive):
         assert decrypt_bit(secret_a, ha.result()) == 0
         assert decrypt_bit(secret_b, hb.result()) == 0
         assert len(pool._segments) == 2
+
+
+def test_sharers_of_one_key_hold_one_segment_until_the_last_leaves(tiny_keys_naive):
+    """The pool is keyed by the resident's label, not by a client id: two
+    sharers publish one segment, it survives the *first* registrant leaving,
+    and the last one unlinks it."""
+    secret, cloud = tiny_keys_naive
+    with WorkerPool(2, task_timeout=60.0) as pool:
+        scheduler = BatchScheduler(dispatcher=pool)
+        scheduler.register_client("first", cloud)
+        scheduler.register_client("second", from_bytes(to_bytes(cloud)))
+        (segment,) = pool._segments.values()
+        handles = [
+            scheduler.session(cid).submit_gate(
+                "nand", encrypt_bit(secret, 1, rng=11), encrypt_bit(secret, 1, rng=12)
+            )
+            for cid in ("first", "second")
+        ]
+        assert scheduler.flush() == 2
+        assert pool.stats.tasks_dispatched == 2  # one 2-row call, split over 2 workers
+        assert all(decrypt_bit(secret, handle.result()) == 0 for handle in handles)
+
+        scheduler.deregister_client("first")
+        assert list(pool._segments.values()) == [segment]
+        late = scheduler.session("second").submit_gate(
+            "nand", encrypt_bit(secret, 0, rng=13), encrypt_bit(secret, 1, rng=14)
+        )
+        scheduler.flush()
+        assert decrypt_bit(secret, late.result()) == 1
+
+        scheduler.deregister_client("second")
+        assert not pool._segments
+        with pytest.raises(FileNotFoundError):
+            _attach_segment(segment.name)
+        assert not os.path.exists(f"/dev/shm/{segment.name.lstrip('/')}")
 
 
 def test_register_deregister_lifecycle(tiny_keys_naive):

@@ -17,6 +17,7 @@ front-end queue unboundedly:
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import pathlib
@@ -25,6 +26,9 @@ import socket
 import struct
 import subprocess
 import sys
+import time
+import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from repro.runtime.protocol import (
     pack_parts,
     read_frame,
 )
+from repro.telemetry import parse_prometheus_text
 from repro.tfhe.gates import decrypt_bit, encrypt_bit
 from repro.tfhe.integers import decrypt_radix, encrypt_radix
 from repro.tfhe.keys import generate_keys
@@ -460,8 +465,6 @@ def test_disconnect_with_pending_jobs_keeps_server_clean(server_factory, wire_ke
         )
     client.close()  # gone before any reply
     # The server drains the orphans and deregisters the namespace.
-    import time
-
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
         if not server._connections and server.scheduler.pending_jobs == 0:
@@ -476,6 +479,117 @@ def test_disconnect_with_pending_jobs_keeps_server_clean(server_factory, wire_ke
             "or", encrypt_bit(secret, 1, rng=620), encrypt_bit(secret, 0, rng=621)
         )
         assert decrypt_bit(secret, out) == 1
+
+
+# --------------------------------------------------------------------------- #
+# one resident context per distinct cloud key                                 #
+# --------------------------------------------------------------------------- #
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+def _scrape(client) -> dict:
+    _, text = client.call("metrics_prom")
+    families = parse_prometheus_text(text.decode("utf-8"))
+    return {
+        name: sum(value for _sample, _labels, value in family["samples"])
+        for name, family in families.items()
+        if family["type"] != "histogram"
+    }
+
+
+def test_connections_uploading_one_key_share_a_resident_and_its_calls(
+    server_factory, wire_keys
+):
+    secret, cloud = wire_keys
+    server = server_factory(flush_interval=0.05)
+    burst = 6
+    with ServingClient(port=server.port) as first, ServingClient(port=server.port) as second:
+        first.register_key(cloud)
+        second.register_key(cloud)
+        residents = server.scheduler.residents
+        assert len(residents) == 1 and len(residents[0].queues) == 2
+        requests = [
+            (client, client.submit_gate(
+                "nand", encrypt_bit(secret, 1, rng=700 + i), encrypt_bit(secret, i & 1, rng=720 + i)
+            ), 1 - (i & 1))
+            for i in range(burst)
+            for client in (first, second)
+        ]
+        for client, request, want in requests:
+            assert decrypt_bit(secret, client.gate_result(request)) == want
+
+        scraped = _scrape(first)
+        assert scraped["fhe_resident_keys"] == 1
+        assert scraped["fhe_resident_key_bytes"] == residents[0].context.resident_bytes
+        assert scraped["fhe_rows_bootstrapped_total"] == 2 * burst
+        assert scraped["fhe_batched_calls_total"] < 2 * burst  # rows of both rode together
+        metrics = first.metrics()
+        assert (metrics["clients"], metrics["resident_keys"]) == (2, 1)
+        assert metrics["resident_key_bytes"] == scraped["fhe_resident_key_bytes"]
+
+    assert _wait_until(lambda: not server._connections)
+    assert server.scheduler.residents == []
+    with ServingClient(port=server.port) as observer:
+        assert _scrape(observer)["fhe_resident_keys"] == 0
+        assert observer.metrics()["resident_key_bytes"] == 0
+
+
+def test_disconnect_releases_the_key_without_a_gc_pass(server_factory, wire_keys):
+    """connect, register_key, one gate, disconnect: the context (and the
+    decoded key under it) is freed by the deregistration itself."""
+    secret, cloud = wire_keys
+    server = server_factory()
+    gc.collect()
+    gc.disable()
+    try:
+        with ServingClient(port=server.port) as client:
+            client.register_key(cloud)
+            out = client.gate("nand", encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2))
+            assert decrypt_bit(secret, out) == 0
+            (resident,) = server.scheduler.residents
+            context_ref = weakref.ref(resident.context)
+            key_ref = weakref.ref(resident.context.cloud_key)
+            assert context_ref().spectra_cached
+            del resident
+        assert _wait_until(lambda: not server._connections)
+        assert server.scheduler.residents == []
+        assert _wait_until(lambda: context_ref() is None, timeout=2.0)
+        assert key_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_session_reregistration_compares_keys_not_checksums(
+    server_factory, wire_keys, monkeypatch
+):
+    """A different key whose CRC collides with the registered one's (forced
+    here; trivially forgeable in general) must not be answered as "same key"."""
+    _secret, cloud = wire_keys
+    _, other = generate_keys(
+        TEST_TINY, DoubleFFTNegacyclicTransform(TEST_TINY.N), rng=62, eager=False
+    )
+    monkeypatch.setattr(zlib, "crc32", lambda data, value=0: 0)
+    server = server_factory()
+    with ServingClient(port=server.port, session="tok-crc") as client:
+        info = client.register_key(cloud)
+    # The reconnect uses fresh request ids: a *resent* id is answered from the
+    # session's reply cache before the op is looked at.
+    with ServingClient(port=server.port, session="tok-crc") as client:
+        forged = client.submit("register_key", pack_parts([to_bytes(other)]), request_id=100)
+        with pytest.raises(ServerError) as excinfo:
+            client.result(forged)
+        assert excinfo.value.kind == "bad_request"
+        assert "different key" in str(excinfo.value)
+        honest = client.submit("register_key", pack_parts([to_bytes(cloud)]), request_id=101)
+        header, _ = client.result(honest)
+        assert header["params"] == info["params"]  # the same key still reconnects
+    assert len(server.scheduler.residents) == 1
 
 
 # --------------------------------------------------------------------------- #
