@@ -4,9 +4,9 @@ The paper's accelerator wins by amortising blind-rotation work across many
 concurrent bootstrappings; the pure-Python functional simulator has the same
 problem in miniature — at batch 1 every gate pays the full NumPy dispatch
 overhead of ``n`` external products, so the benchmark measures Python, not
-arithmetic.  :func:`repro.tfhe.bootstrap.gate_bootstrap_batch` runs the whole
-batch through each vectorised step at once, so the dispatch cost is paid once
-per *batch* instead of once per *ciphertext*.
+arithmetic.  :meth:`repro.runtime.context.FheContext.bootstrap_batch` runs the
+whole batch through each vectorised step at once, so the dispatch cost is paid
+once per *batch* instead of once per *ciphertext*.
 
 This bench reports bootstraps/sec for batch sizes 1, 8, 64 and 256 on the
 double-precision FFT engine (the TFHE-library baseline) under the reduced test
@@ -29,8 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.tfhe.bootstrap import gate_bootstrap, gate_bootstrap_batch
-from repro.tfhe.gates import MU, encrypt_bit
+from repro.tfhe.gates import encrypt_bit
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import LweBatch
 from repro.tfhe.params import TEST_TINY
@@ -45,7 +44,7 @@ def _double_fft_backend():
     params = TEST_TINY
     transform = DoubleFFTNegacyclicTransform(params.N)
     secret, cloud = generate_keys(params, transform, unroll_factor=1, rng=11)
-    return params, secret, cloud
+    return params, secret, cloud.default_context()
 
 
 @pytest.fixture(scope="module")
@@ -53,19 +52,13 @@ def double_fft_backend():
     return _double_fft_backend()
 
 
-def _bootstrap_batch(cloud, batch: LweBatch) -> LweBatch:
-    return gate_bootstrap_batch(
-        batch, int(MU), cloud.blind_rotator, cloud.keyswitch_key, cloud.params
-    )
-
-
-def _measure_rate(cloud, batch: LweBatch, min_seconds: float = 0.4) -> float:
+def _measure_rate(context, batch: LweBatch, min_seconds: float = 0.4) -> float:
     """Bootstraps per second, timed over enough repetitions to be stable."""
-    _bootstrap_batch(cloud, batch)  # warm-up
+    context.bootstrap_batch(batch)  # warm-up
     repetitions = 0
     start = time.perf_counter()
     while True:
-        _bootstrap_batch(cloud, batch)
+        context.bootstrap_batch(batch)
         repetitions += 1
         elapsed = time.perf_counter() - start
         if elapsed >= min_seconds and repetitions >= 3:
@@ -74,14 +67,14 @@ def _measure_rate(cloud, batch: LweBatch, min_seconds: float = 0.4) -> float:
 
 def run(record_result=None):
     """Measure bootstraps/sec per batch size; write the schema JSON."""
-    params, secret, cloud = _double_fft_backend()
+    params, secret, context = _double_fft_backend()
     rng = np.random.default_rng(12)
     base = [encrypt_bit(secret, int(b), rng) for b in rng.integers(0, 2, max(BATCH_SIZES))]
 
     rates = {}
     for size in BATCH_SIZES:
         batch = LweBatch.from_samples(base[:size])
-        rates[size] = _measure_rate(cloud, batch)
+        rates[size] = _measure_rate(context, batch)
 
     lines = [
         "Batched gate bootstrapping, double-FFT engine, "
@@ -118,8 +111,7 @@ def test_batched_bootstraps_per_second(record_result):
 
     # Acceptance criterion: >= 5x bootstraps/sec at batch 64 vs batch 1.
     # Shared CI runners are noisy, so the gate is overridable from the
-    # environment (the CI workflow relaxes it; locally the full bar applies —
-    # typical local speedup is ~20x).
+    # environment (the CI workflow relaxes it; locally the full bar applies).
     minimum = float(os.environ.get("BATCH_SPEEDUP_MIN", "5.0"))
     assert rates[64] >= minimum * rates[1], (
         f"batch=64 rate {rates[64]:.1f}/s is below {minimum}x "
@@ -130,14 +122,12 @@ def test_batched_bootstraps_per_second(record_result):
 
 
 def test_batched_results_are_bit_identical(double_fft_backend):
-    _, secret, cloud = double_fft_backend
+    _, secret, context = double_fft_backend
     rng = np.random.default_rng(13)
     samples = [encrypt_bit(secret, int(b), rng) for b in rng.integers(0, 2, 64)]
     batch = LweBatch.from_samples(samples)
-    out = _bootstrap_batch(cloud, batch)
+    out = context.bootstrap_batch(batch)
     for i, sample in enumerate(samples):
-        ref = gate_bootstrap(
-            sample, int(MU), cloud.blind_rotator, cloud.keyswitch_key, cloud.params
-        )
+        ref = context.bootstrap(sample)
         assert np.array_equal(out.a[i], ref.a)
         assert int(out.b[i]) == int(ref.b)

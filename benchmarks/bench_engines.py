@@ -1,18 +1,15 @@
 """Engine backends: measured throughput of every usable transform engine.
 
-The PR-8 tentpole makes the transform registry pluggable for performance:
-``"compiled"`` JITs the double-FFT engine's glue loops (falling back to a
-cache-blocked NumPy path when Numba is absent) and ``"cupy"`` moves the
-whole bootstrap inner loop onto a CUDA device.  Both claim the ``fft64``
-error-model family, so their outputs are checked against the ``"double"``
-reference *before* any timing — bit-identical for the CPU engines, equal
-after decryption for the device engine (cuFFT may round the last bit
-differently).
+The transform registry is pluggable for performance: ``"compiled"`` JITs the
+double-FFT engine's glue loops (falling back to a cache-blocked NumPy path
+when Numba is absent).  It claims the ``fft64`` error-model family, so its
+outputs are checked bit-identical against the ``"double"`` reference *before*
+any timing.
 
 Measured: one fixed mixed gate/LUT workload (test-small parameters) pushed
 through ``execute_rows`` under every usable ``fft64``-family engine, with
 ``"double"`` as the baseline entry.  Each engine gets one untimed warm-up
-pass (JIT compilation, device upload) and best-of-``BEST_OF`` wall clocks.
+pass (JIT compilation) and best-of-``BEST_OF`` wall clocks.
 Registered-but-unavailable engines are skipped and their reasons recorded.
 
 Acceptance gate: the compiled engine must reach
@@ -46,21 +43,17 @@ from repro.analysis.backend_comparison import (
 )
 from repro.runtime.context import FheContext
 from repro.runtime.scheduler import SchedulerStats, execute_rows
-from repro.tfhe.gates import decrypt_bit, encrypt_bit
+from repro.tfhe.gates import encrypt_bit
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.params import TEST_SMALL
-from repro.tfhe.transform import (
-    DoubleFFTNegacyclicTransform,
-    available_engines,
-    engine_entry,
-)
+from repro.tfhe.transform import DoubleFFTNegacyclicTransform, available_engines
 from repro.utils.benchio import make_entry, write_bench_json
 
 ROWS = 64
 BEST_OF = 3
 BASELINE = "double"
 #: fft64-family engines this bench times, in reporting order.
-CANDIDATES = ("double", "compiled", "cupy")
+CANDIDATES = ("double", "compiled")
 
 
 def _usable_cpus() -> int:
@@ -90,10 +83,6 @@ def _bit_identical(xs, ys) -> bool:
     )
 
 
-def _decrypt_equal(secret, xs, ys) -> bool:
-    return all(decrypt_bit(secret, x) == decrypt_bit(secret, y) for x, y in zip(xs, ys))
-
-
 def run(record_result=None):
     """Check each engine against the double reference, then time it."""
     params = TEST_SMALL
@@ -115,14 +104,12 @@ def run(record_result=None):
         context = FheContext(cloud, engine=kind)
         if kind == "compiled":
             jit_enabled = bool(getattr(context.engine, "jit_enabled", False))
-        # Untimed warm-up: spectrum cache, JIT compilation, device staging.
+        # Untimed warm-up: spectrum cache, JIT compilation.
         out = execute_rows(context, rows, stats=SchedulerStats())
         if kind == BASELINE:
             reference = out
-        elif engine_entry(kind).error_model == "fft64":
+        else:
             assert _bit_identical(out, reference), f"{kind} is not bit-identical"
-        else:  # fft64-device: same arithmetic, last-bit FFT rounding may differ
-            assert _decrypt_equal(secret, out, reference), f"{kind} decrypts wrong"
         best = float("inf")
         for _ in range(BEST_OF):
             start = time.perf_counter()
@@ -183,9 +170,8 @@ def run(record_result=None):
         "",
         render_backend_comparison(comparison),
         "",
-        "every engine's output checked against the double reference before "
-        f"timing (bit-identical for fft64, decrypted-equal for device); "
-        f"warm-up pass untimed; best-of-{BEST_OF} timings.",
+        "every engine's output checked bit-identical to the double reference "
+        f"before timing; warm-up pass untimed; best-of-{BEST_OF} timings.",
     ]
     if record_result is not None:
         record_result("engines", "\n".join(lines))

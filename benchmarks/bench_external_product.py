@@ -90,9 +90,7 @@ class _ReferenceDoubleEngine(DoubleFFTNegacyclicTransform):
 
 
 def _fused_bootstrap(context, params, rotator, sample):
-    from repro.tfhe.bootstrap import gate_bootstrap
-
-    return gate_bootstrap(sample, int(MU), rotator, context.keyswitch_key, params)
+    return context.bootstrap(sample)
 
 
 def _reference_bootstrap(context, params, rotator, sample):

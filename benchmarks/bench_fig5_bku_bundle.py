@@ -43,7 +43,7 @@ def test_fig5_bundle_construction(benchmark, record_result):
     secret = generate_secret_key(params, rng=1)
     key = generate_unrolled_bootstrapping_key(secret, transform, 2, rng=2)
     rotator = UnrolledBlindRotator(key, transform)
-    bara = np.arange(params.n, dtype=np.int64) % (2 * params.N)
+    bara = (np.arange(params.n, dtype=np.int64) % (2 * params.N))[None]  # one row
 
     bundle = benchmark(rotator.build_bundle, key.groups[0], bara)
     assert bundle.rows == (params.k + 1) * params.l

@@ -1,10 +1,10 @@
 """Modeled-vs-measured engine backends: closing the platforms/ loop.
 
 The :mod:`repro.platforms` models predict what the paper's CPU, GPU and
-MATCHA evaluations *should* deliver (Figure 10); the engine registry now
-ships runnable backends for the same three design points — ``"double"`` /
-``"compiled"`` on the CPU, ``"cupy"`` on the GPU, ``"approx"`` for MATCHA's
-integer FFT.  This module lines the two up: every registered engine is
+MATCHA evaluations *should* deliver (Figure 10); the engine registry ships
+runnable backends for two of those design points — ``"double"`` /
+``"compiled"`` on the CPU, ``"approx"`` for MATCHA's integer FFT (the GPU
+stays a model).  This module lines the two up: every registered engine is
 mapped onto its modeled platform and the *relative* throughputs are compared
 (measured bootstraps/sec on the reduced test rings are not comparable to the
 modeled absolute numbers at the paper's 110-bit parameters, but the speedup
@@ -27,13 +27,11 @@ from repro.utils.tables import format_table
 
 #: Engine kind → the platform model it realises.  The CPU engines all map
 #: onto the paper's CPU design point (they differ in software efficiency,
-#: not hardware), the CuPy backend onto the GPU, the approximate integer
-#: FFT onto MATCHA itself.
+#: not hardware), the approximate integer FFT onto MATCHA itself.
 ENGINE_PLATFORM: Dict[str, str] = {
     "naive": "CPU",
     "double": "CPU",
     "compiled": "CPU",
-    "cupy": "GPU",
     "approx": "MATCHA",
 }
 
@@ -43,7 +41,6 @@ class BackendRow:
     """One engine backend lined up against its modeled platform."""
 
     engine: str
-    device: str
     error_model: str
     available: bool
     unavailable_reason: Optional[str]
@@ -60,7 +57,6 @@ class BackendRow:
     def to_json(self) -> Dict[str, Any]:
         return {
             "engine": self.engine,
-            "device": self.device,
             "error_model": self.error_model,
             "available": self.available,
             "unavailable_reason": self.unavailable_reason,
@@ -99,7 +95,6 @@ def backend_comparison(
         rows.append(
             BackendRow(
                 engine=kind,
-                device=entry.device,
                 error_model=entry.error_model,
                 available=reason is None,
                 unavailable_reason=reason,
@@ -129,7 +124,6 @@ def render_backend_comparison(rows: List[BackendRow]) -> str:
         [
             "engine",
             "platform",
-            "device",
             "error model",
             "status",
             "modeled bs/s",
@@ -141,7 +135,6 @@ def render_backend_comparison(rows: List[BackendRow]) -> str:
             (
                 row.engine,
                 row.platform,
-                row.device,
                 row.error_model,
                 "ok" if row.available else row.unavailable_reason,
                 f"{row.modeled_bootstraps_per_sec:.0f}",

@@ -178,7 +178,7 @@ def measure_gate_breakdown(
     proxy = _TimingTransformProxy(make_transform(transform_kind, params.N))
     secret, cloud = generate_keys(params, proxy, unroll_factor=1, rng=rng)
     evaluator = TFHEGateEvaluator(cloud)
-    _ = cloud.blind_rotator  # warm the spectrum cache outside the timed window
+    _ = evaluator.context.rotator  # warm the spectrum cache outside the timed window
     ca, cb = encrypt_bit(secret, 1, rng), encrypt_bit(secret, 0, rng)
 
     proxy.forward_seconds = 0.0

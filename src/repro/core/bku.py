@@ -26,6 +26,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.tfhe.bootstrap import _rotation_amounts
 from repro.tfhe.keys import RawUnrolledGroup, TFHESecretKey
 from repro.tfhe.params import TFHEParameters
 from repro.tfhe.tgsw import (
@@ -36,7 +37,6 @@ from repro.tfhe.tgsw import (
     _reference_row_col,
     tgsw_batch_external_product,
     tgsw_encrypt,
-    tgsw_external_product,
     tgsw_identity,
     tgsw_transform,
 )
@@ -212,6 +212,11 @@ class UnrolledBlindRotator:
        ``X^{e_p} − 1`` in the Lagrange domain and add them to the gadget
        ``h``;
     2. *external product* (EP core): ``ACC ← BKB ⊡ ACC``.
+
+    Both run over the ``(B, k+1, N)`` accumulator stack with one bundle per
+    row (:meth:`rotate` is :meth:`rotate_batch` on a one-row view);
+    :meth:`rotate_reference` / :meth:`rotate_batch_reference` are the
+    per-(row, col) oracle for property tests and benchmarks.
     """
 
     def __init__(
@@ -239,49 +244,44 @@ class UnrolledBlindRotator:
         return self.key.external_products_per_bootstrap
 
     # -- pipeline stage 1: the TGSW cluster --------------------------------
-    def _build_bundle_core(
+    def build_bundle(
         self, group: UnrolledKeyGroup, bara: np.ndarray
     ) -> TransformedTgswSample:
-        """Construct the ``BKB`` bundle(s) for one group as one packed tensor.
+        """Construct the ``BKB`` bundles of one group as one packed tensor.
 
-        ``bara`` has shape ``(n,)`` for a single bootstrapping or ``(B, n)``
-        for a batch (the returned tensor then carries the batch axis between
-        the row and column axes: ``(rows, B, k+1, N/2)``).  Each non-vanishing
-        pattern contributes **one** broadcast spectral multiply-add over the
-        whole ``rows × (k+1)`` key tensor instead of a per-polynomial Python
-        double loop; the engine counters are topped up to the logical
-        per-polynomial pointwise counts.  A per-ciphertext exponent that
-        reduces to zero yields an exactly-zero factor polynomial, so the term
-        vanishes for that ciphertext alone — bit-identical to skipping it; the
-        explicit skip below only fires when the term vanishes for the *whole*
-        stack.
+        ``bara`` has shape ``(B, n)`` — one row of rotation amounts per
+        in-flight ciphertext — and the returned tensor carries the batch axis
+        between the row and column axes: ``(rows, B, k+1, N/2)``.  Each
+        non-vanishing pattern contributes **one** broadcast spectral
+        multiply-add over the whole ``rows × (k+1)`` key tensor instead of a
+        per-polynomial Python double loop; the engine counters are topped up
+        to the logical per-polynomial pointwise counts.  A per-ciphertext
+        exponent that reduces to zero yields an exactly-zero factor
+        polynomial, so the term vanishes for that ciphertext alone —
+        bit-identical to skipping it; the explicit skip below only fires when
+        the term vanishes for the *whole* stack.
         """
         self.bundles_built += 1
         transform = self.transform
         identity = self._identity_spectra
         rows = identity.rows
         cols = identity.mask_count + 1
-        bundle = transform.spectrum_copy(identity.tensor)
         degree = self.key.params.N
-        group_bara = bara[..., group.indices].astype(np.int64)  # (..., size)
-        if group_bara.ndim > 1:
-            # Batched bundles: open the batch axis between rows and columns
-            # so the per-ciphertext pattern terms broadcast against it.
-            bundle = transform.spectrum_expand(bundle, 1)
+        group_bara = np.asarray(bara)[:, group.indices].astype(np.int64)  # (B, size)
+        # Open the batch axis between rows and columns so the per-ciphertext
+        # pattern terms broadcast against it.
+        bundle = transform.spectrum_expand(transform.spectrum_copy(identity.tensor), 1)
         for pattern in range(1, (1 << group.size)):
             bits = ((pattern >> np.arange(group.size)) & 1).astype(np.int64)
-            exponents = group_bara @ bits  # scalar or (B,)
+            exponents = group_bara @ bits  # (B,)
             if not np.any(exponents % (2 * degree)):
                 # X^0 − 1 = 0 everywhere: the term vanishes.
                 continue
             factors = x_power_minus_one_polynomials(degree, exponents)
-            # (H,) → (1, H) or (B, H) → (B, 1, H): broadcasts over the
-            # column axis of the key tensor.
+            # (B, H) → (B, 1, H) against (rows, 1, k+1, H): the factor
+            # broadcasts over the column axis, the key over the batch axis.
             factor_spec = transform.spectrum_expand(transform.forward(factors), -2)
-            key_tensor = group.keys[pattern - 1].tensor  # (rows, k+1, H)
-            if exponents.ndim:
-                # Batched exponents: open a batch axis between rows and cols.
-                key_tensor = transform.spectrum_expand(key_tensor, 1)
+            key_tensor = transform.spectrum_expand(group.keys[pattern - 1].tensor, 1)
             bundle = transform.spectrum_add(
                 bundle, transform.spectrum_mul(factor_spec, key_tensor)
             )
@@ -337,32 +337,18 @@ class UnrolledBlindRotator:
                     )
         return bundle
 
-    def build_bundle(
-        self, group: UnrolledKeyGroup, bara: np.ndarray
-    ) -> TransformedTgswSample:
-        """Construct the bootstrapping key bundle ``BKB`` for one group."""
-        return self._build_bundle_core(group, np.asarray(bara))
-
-    def build_bundle_batch(
-        self, group: UnrolledKeyGroup, bara: np.ndarray
-    ) -> TransformedTgswSample:
-        """Construct the ``BKB`` bundles for one group of a whole batch (``(B, n)``)."""
-        return self._build_bundle_core(group, np.asarray(bara))
-
     # -- pipeline stage 2: the EP core --------------------------------------
     def rotate(self, accumulator: TlweSample, bara: np.ndarray) -> TlweSample:
-        acc = accumulator
-        for group in self.key.groups:
-            bundle = self.build_bundle(group, bara)
-            acc = tgsw_external_product(bundle, acc, self.transform, self.workspace)
-            self.external_products += 1
-        return acc
+        """Blind-rotate one accumulator: :meth:`rotate_batch` on a 1-row view."""
+        batch = TlweBatch(accumulator.data[None])
+        return TlweSample(self.rotate_batch(batch, np.asarray(bara)[None]).data[0])
 
     def rotate_batch(self, accumulators: TlweBatch, bara: np.ndarray) -> TlweBatch:
-        """Batched BKU blind rotation: per-group batched bundles + batched EP."""
+        """BKU blind rotation: per group, one batched bundle then one batched EP."""
+        bara = _rotation_amounts(bara, accumulators.batch_size, self.key.params.n)
         acc = accumulators
         for group in self.key.groups:
-            bundle = self.build_bundle_batch(group, bara)
+            bundle = self.build_bundle(group, bara)
             acc = tgsw_batch_external_product(
                 bundle, acc, self.transform, self.workspace
             )

@@ -16,11 +16,13 @@ it:
   decomposed accumulator polynomials;
 * evaluators, batch evaluators and circuit executors hang off the context and
   share the cache, so scalar gates, batched gates and level-parallel circuit
-  runs all hit the same resident key spectra.
+  runs all hit the same resident key spectra;
+* :meth:`FheContext.bootstrap` / :meth:`FheContext.bootstrap_batch` refresh
+  raw samples through the batch evaluator's ``bootstrap_rows`` — the same
+  rotate → extract → key-switch composition every gate row takes.
 
-The historical free functions remain thin wrappers: ``cloud.blind_rotator``
-lazily builds a *default* context (memoised on the key), so pre-runtime code
-keeps working bit-for-bit.
+``TFHECloudKey.default_context()`` memoises one context on the key, which is
+what ``TFHEGateEvaluator(cloud)`` and ``generate_cloud_key(eager=True)`` use.
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.tfhe.bootstrap import BlindRotator, CmuxBlindRotator
+from repro.tfhe.bootstrap import (
+    BlindRotator,
+    CmuxBlindRotator,
+    _require_gate_space,
+    make_test_vector,
+)
 from repro.tfhe.gates import MU, BatchGateEvaluator, TFHEGateEvaluator
 from repro.tfhe.keys import (
     TFHECloudKey,
@@ -38,7 +45,7 @@ from repro.tfhe.keys import (
     generate_cloud_key,
     generate_secret_key,
 )
-from repro.tfhe.keyswitch import KeySwitchKey, keyswitch_apply, keyswitch_apply_batch
+from repro.tfhe.keyswitch import KeySwitchKey
 from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.tgsw import BootstrapWorkspace, TgswSample, tgsw_transform
 from repro.tfhe.transform import (
@@ -227,8 +234,7 @@ class FheContext:
         the same error-model family is selected, and this context's derived
         state — spectrum cache, evaluators, workspace — is reset so it is
         rebuilt lazily on the new engine.  Within the ``fft64`` family the
-        replay is bit-identical (the cross-engine suite's contract); from
-        ``fft64-device`` the decrypted results still match.
+        replay is bit-identical (the cross-engine suite's contract).
 
         Returns the new engine kind.  Raises :class:`EngineFault` when the
         engine is ad-hoc (no registry kind to quarantine or match against)
@@ -328,22 +334,21 @@ class FheContext:
         return CircuitExecutor(self.batch_evaluator(batch_size))
 
     def bootstrap(self, sample: LweSample, mu: Optional[int] = None) -> LweSample:
-        """Gate-bootstrap one sample with this context's cached key state."""
-        from repro.tfhe.bootstrap import bootstrap_without_keyswitch
-
-        extracted = bootstrap_without_keyswitch(
-            sample, int(MU) if mu is None else int(mu), self.rotator, self.params
-        )
-        return keyswitch_apply(self.keyswitch_key, extracted, self.workspace)
+        """Gate-bootstrap one sample: :meth:`bootstrap_batch` on a one-row batch."""
+        return self.bootstrap_batch(LweBatch.from_samples([sample]), mu)[0]
 
     def bootstrap_batch(self, batch: LweBatch, mu: Optional[int] = None) -> LweBatch:
-        """Gate-bootstrap a whole batch with this context's cached key state."""
-        from repro.tfhe.bootstrap import bootstrap_without_keyswitch_batch
+        """Refresh every row to a fresh sample of ``±mu`` (default ``1/8``).
 
-        extracted = bootstrap_without_keyswitch_batch(
-            batch, int(MU) if mu is None else int(mu), self.rotator, self.params
-        )
-        return keyswitch_apply_batch(self.keyswitch_key, extracted, self.workspace)
+        One call of the batch evaluator's ``bootstrap_rows`` against the
+        all-``mu`` test vector: row ``i`` comes back as ``+mu`` when its phase
+        is positive and ``−mu`` otherwise, under the original key and with
+        input-independent noise.
+        """
+        _require_gate_space(self.params)
+        test_vector = make_test_vector(self.params, int(MU) if mu is None else int(mu))
+        # The row path takes any row count, whatever the evaluator's width.
+        return self.batch_evaluator(1).bootstrap_rows(batch, test_vector)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

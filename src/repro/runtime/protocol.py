@@ -523,10 +523,10 @@ class ServingClient:
         """Upload this connection's cloud key (its serialized artifact).
 
         ``engine`` optionally requests the server-side evaluation backend: a
-        registry kind (``"double"``, ``"compiled"``, ``"cupy"``, ...) or
-        ``"auto"``.  If the server cannot honour it, the call raises a
-        :class:`ServerError` of kind ``unsupported_engine`` whose message
-        lists every backend's availability (e.g. ``cupy: not installed``).
+        registry kind (``"double"``, ``"compiled"``, ...) or ``"auto"``.  If
+        the server cannot honour it, the call raises a :class:`ServerError`
+        of kind ``unsupported_engine`` whose message lists every backend's
+        availability (e.g. ``compiled: quarantined: JIT self-check``).
         The reply header reports the engine actually used
         (``engine_kind``).
         """

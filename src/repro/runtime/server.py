@@ -956,7 +956,7 @@ class FheServer:
         ``unsupported_engine`` error frame whose message carries every
         backend's availability status (the reason strings from
         :func:`repro.tfhe.transform.available_engines`), so the client sees
-        *why* — e.g. ``cupy: not installed`` — not just that it failed.
+        *why* — e.g. ``quarantined: JIT self-check`` — not just that it failed.
         """
         if requested is None:
             return None
@@ -1131,6 +1131,9 @@ class FheServer:
         y = self._artifact(part_y, RadixInt, "operand y")
         if x.encoding != y.encoding:
             raise _RequestError("bad_request", "radix operands use different encodings")
+        for name, operand in (("x", x), ("y", y)):
+            for i, digit in enumerate(operand.digits):
+                self._check_sample(conn, digit, f"operand {name} digit {i}")
         context = self._context(conn)
         loop = asyncio.get_running_loop()
         async with self._lock:

@@ -1,4 +1,4 @@
-"""Gate bootstrapping (Algorithm 1 of the paper).
+"""Gate bootstrapping (Algorithm 1 of the paper): rounding, blind rotation, extraction.
 
 A TFHE logic gate is a linear combination of the input ciphertexts followed by
 a *gate bootstrapping*: the noisy phase of the combined sample is
@@ -7,6 +7,13 @@ accumulator is extracted back to a scalar LWE sample and key-switched to the
 original key.  The blind rotation (the loop over the ``n`` mask coefficients,
 each step an external product) dominates the latency of every gate; its FFT
 and IFFT kernels are the target of MATCHA's approximate integer transforms.
+
+This module holds lines 2–8 of the algorithm —
+:func:`blind_rotate_and_extract_batch` and its scalar twin — and the test
+polynomials they rotate (:func:`make_test_vector`, :func:`encode_lut`).  The
+key switch that completes a bootstrapping is composed with them in exactly one
+place, :meth:`repro.tfhe.gates.BatchGateEvaluator.bootstrap_rows`; the
+programmable bootstraps here hand their rows to it.
 
 Two blind-rotation strategies are provided:
 
@@ -17,17 +24,19 @@ Two blind-rotation strategies are provided:
 * :class:`repro.core.bku.UnrolledBlindRotator` — bootstrapping-key unrolling
   (Figure 5), ``m`` secret-key bits per external product using a bundle built
   from ``2^m − 1`` TGSW keys.  MATCHA's pipelined datapath targets this form.
+
+Both rotate a ``(B, k+1, N)`` accumulator stack; their scalar ``rotate`` is
+``rotate_batch`` on a one-row view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.tfhe.keyswitch import KeySwitchKey, keyswitch_apply, keyswitch_apply_batch
 from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.params import DigitEncoding, TFHEParameters
 from repro.tfhe.tgsw import (
@@ -90,6 +99,18 @@ class BlindRotator(Protocol):
         ...
 
 
+def _rotation_amounts(bara, rows: int, key_bits: int) -> np.ndarray:
+    """``bara`` as a ``(rows, ≥ key_bits)`` array — what every rotator's
+    ``rotate_batch`` takes (amounts past the last key bit are ignored)."""
+    bara = np.asarray(bara)
+    if bara.ndim != 2 or bara.shape[0] != rows or bara.shape[1] < key_bits:
+        raise ValueError(
+            f"blind rotation needs one rotation amount per row and key bit: "
+            f"got shape {bara.shape} for {rows} rows and {key_bits} key bits"
+        )
+    return bara
+
+
 class CmuxBlindRotator:
     """Classical blind rotation: one CMux (external product) per key bit.
 
@@ -132,18 +153,8 @@ class CmuxBlindRotator:
         ``(X^0 − 1)·ACC`` difference, so its accumulator passes through
         unchanged.
         """
-        bara = np.asarray(bara)
         steps = len(self.bootstrapping_key)
-        if (
-            bara.ndim != 2
-            or bara.shape[0] != accumulators.batch_size
-            or bara.shape[1] < steps
-        ):
-            raise ValueError(
-                f"blind rotation needs one rotation amount per row and key bit: "
-                f"got shape {bara.shape} for {accumulators.batch_size} rows and "
-                f"{steps} key bits"
-            )
+        bara = _rotation_amounts(bara, accumulators.batch_size, steps)
         # Window offsets (−ā_i) mod 2N of every step, hoisted out of the loop.
         starts = np.ascontiguousarray(-bara.T[:steps] % (2 * accumulators.degree))
         active = starts.any(axis=1).tolist()
@@ -339,139 +350,51 @@ def _require_gate_space(params: TFHEParameters) -> None:
         )
 
 
-def bootstrap_without_keyswitch(
-    sample: LweSample,
-    mu: int,
-    rotator: BlindRotator,
-    params: TFHEParameters,
-) -> LweSample:
-    """Bootstrap ``sample`` to a fresh sample of ``±mu`` under the extracted key."""
-    _require_gate_space(params)
-    test_vector = make_test_vector(params, mu)
-    return blind_rotate_and_extract(sample, test_vector, rotator, params)
-
-
-def gate_bootstrap(
-    sample: LweSample,
-    mu: int,
-    rotator: BlindRotator,
-    keyswitch_key: KeySwitchKey,
-    params: TFHEParameters,
-) -> LweSample:
-    """Full gate bootstrapping: blind rotate, extract, then key switch.
-
-    The output encrypts ``+mu`` when the phase of ``sample`` is positive and
-    ``-mu`` otherwise, under the original ``n``-dimensional key and with a
-    fresh (input-independent) noise level.
-    """
-    extracted = bootstrap_without_keyswitch(sample, mu, rotator, params)
-    return keyswitch_apply(keyswitch_key, extracted)
-
-
-def bootstrap_without_keyswitch_batch(
-    batch: LweBatch,
-    mu: int,
-    rotator: BlindRotator,
-    params: TFHEParameters,
-) -> LweBatch:
-    """Batched bootstrap to fresh samples of ``±mu`` under the extracted key."""
-    _require_gate_space(params)
-    test_vector = make_test_vector(params, mu)
-    return blind_rotate_and_extract_batch(batch, test_vector, rotator, params)
-
-
-def gate_bootstrap_batch(
-    batch: LweBatch,
-    mu: int,
-    rotator: BlindRotator,
-    keyswitch_key: KeySwitchKey,
-    params: TFHEParameters,
-) -> LweBatch:
-    """Full gate bootstrapping of a whole batch of ciphertexts at once.
-
-    The blind rotation, sample extraction and key switch all run vectorised
-    over the batch axis; the output rows are bit-identical to calling
-    :func:`gate_bootstrap` on each input row.
-    """
-    extracted = bootstrap_without_keyswitch_batch(batch, mu, rotator, params)
-    return keyswitch_apply_batch(keyswitch_key, extracted)
-
-
-def context_gate_bootstrap(context, sample: LweSample, mu: int) -> LweSample:
-    """Gate bootstrapping with all state pulled from an evaluation context.
-
-    ``context`` is anything exposing ``rotator`` / ``keyswitch_key`` /
-    ``params`` (an :class:`repro.runtime.context.FheContext`; duck-typed so
-    this module stays independent of the runtime layer).  Accessing
-    ``context.rotator`` is what builds — once — the cloud-key spectrum cache.
-    """
-    return gate_bootstrap(
-        sample, mu, context.rotator, context.keyswitch_key, context.params
-    )
-
-
 # --------------------------------------------------------------------------- #
 # programmable bootstrapping                                                  #
 # --------------------------------------------------------------------------- #
 
 
 def programmable_bootstrap(
-    sample: LweSample,
-    table,
-    encoding: DigitEncoding,
-    rotator: BlindRotator,
-    keyswitch_key: KeySwitchKey,
-    params: TFHEParameters,
+    context, sample: LweSample, table, encoding: DigitEncoding
 ) -> LweSample:
     """Evaluate ``table[digit]`` homomorphically on one digit ciphertext.
 
-    Exactly the gate-bootstrapping pipeline — mod-switch, blind rotation,
-    sample extraction, key switch — with the all-``mu`` test vector replaced
-    by the redundant encoding of ``table`` (see :func:`encode_lut`).  The
-    output is a fresh digit ciphertext of ``table[digit]``.
+    :func:`programmable_bootstrap_batch` on a one-row batch.  The output is a
+    fresh digit ciphertext of ``table[digit]``.
     """
-    test_vector = encode_lut(
-        params, table, encoding.message_bits, encoding.carry_bits
-    )
-    extracted = blind_rotate_and_extract(sample, test_vector, rotator, params)
-    return keyswitch_apply(keyswitch_key, extracted)
+    row = LweBatch.from_samples([sample])
+    return programmable_bootstrap_batch(context, row, table, encoding)[0]
 
 
 def programmable_bootstrap_batch(
-    batch: LweBatch,
-    tables,
-    encoding: DigitEncoding,
-    rotator: BlindRotator,
-    keyswitch_key: KeySwitchKey,
-    params: TFHEParameters,
+    context, batch: LweBatch, tables, encoding: DigitEncoding
 ) -> LweBatch:
     """Batched programmable bootstrapping with a possibly different LUT per row.
 
-    ``tables`` is either one table applied to every row or a sequence of
-    ``batch_size`` tables; all rows share the single fused blind rotation.
+    Exactly the gate-bootstrapping pipeline with the all-``mu`` test vector
+    replaced by the redundant encoding of a lookup table (:func:`encode_lut`):
+    the digit rows go through the context's
+    :meth:`repro.tfhe.gates.BatchGateEvaluator.bootstrap_rows` like any other
+    bootstrap row.  ``tables`` is either one table applied to every row or a
+    sequence of ``batch_size`` tables; all rows share the single fused blind
+    rotation.  ``context`` is an :class:`repro.runtime.context.FheContext`
+    (duck-typed on ``params`` / ``batch_evaluator`` so this module stays
+    independent of the runtime layer).
     """
+    params = context.params
     tables = list(tables) if _is_table_sequence(tables) else [tables]
-    if len(tables) == 1:
-        test_vector = encode_lut(
-            params, tables[0], encoding.message_bits, encoding.carry_bits
+    if len(tables) not in (1, batch.batch_size):
+        raise ValueError(
+            f"got {len(tables)} lookup tables for {batch.batch_size} rows"
         )
-    else:
-        if len(tables) != batch.batch_size:
-            raise ValueError(
-                f"got {len(tables)} lookup tables for {batch.batch_size} rows"
-            )
-        test_vector = np.stack(
-            [
-                encode_lut(
-                    params, t, encoding.message_bits, encoding.carry_bits
-                )
-                for t in tables
-            ]
-        )
-    extracted = blind_rotate_and_extract_batch(
-        batch, test_vector, rotator, params
-    )
-    return keyswitch_apply_batch(keyswitch_key, extracted)
+    vectors = [
+        encode_lut(params, table, encoding.message_bits, encoding.carry_bits)
+        for table in tables
+    ]
+    test_vector = vectors[0] if len(vectors) == 1 else np.stack(vectors)
+    # The row path takes any row count, whatever the evaluator's width.
+    return context.batch_evaluator(1).bootstrap_rows(batch, test_vector)
 
 
 def _is_table_sequence(tables) -> bool:
@@ -479,21 +402,3 @@ def _is_table_sequence(tables) -> bool:
     if isinstance(tables, np.ndarray):
         return tables.ndim == 2
     return bool(tables) and not np.isscalar(tables[0]) and hasattr(tables[0], "__len__")
-
-
-def context_programmable_bootstrap(
-    context, sample: LweSample, table, encoding: DigitEncoding
-) -> LweSample:
-    """Programmable bootstrap with all state pulled from an evaluation context."""
-    return programmable_bootstrap(
-        sample, table, encoding, context.rotator, context.keyswitch_key, context.params
-    )
-
-
-def context_programmable_bootstrap_batch(
-    context, batch: LweBatch, tables, encoding: DigitEncoding
-) -> LweBatch:
-    """Batched :func:`context_programmable_bootstrap` (one fused blind rotation)."""
-    return programmable_bootstrap_batch(
-        batch, tables, encoding, context.rotator, context.keyswitch_key, context.params
-    )

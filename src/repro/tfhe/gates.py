@@ -16,16 +16,22 @@ everything that evaluates one goes through the same four steps:
    rows of any mix of arities in one vectorised pass.
 3. :meth:`BatchGateEvaluator.bootstrap_rows` blind-rotates, extracts and
    key-switches the batch — one shared test vector when every row carries
-   the same one, a per-row stack otherwise.
+   the same one, a per-row stack otherwise.  It is the one place the three
+   stages are composed: ``FheContext.bootstrap[_batch]``, the programmable
+   bootstraps of :mod:`repro.tfhe.bootstrap` and the radix integers hand it
+   their rows too, so a row of the wrong dimension is refused, the stages
+   are traced and the bootstraps are counted here for every caller.
 4. :meth:`BatchGateEvaluator.rows` is steps 1–3 for one batch;
    :func:`split_rows` packs ``("gate", …)`` / ``("lut", …)`` row tuples into
    its arguments.
 
 :class:`TFHEGateEvaluator` runs the same spec through the *scalar* sample
-arithmetic and the scalar blind rotation; it is the reference the batched
-path is bit-identical to, row for row.  ``NOT`` and ``COPY``/``CONSTANT`` are
-purely linear and need no bootstrapping, which is why the paper reports the
-latency of the bootstrapped gates only.
+arithmetic, the scalar :func:`repro.tfhe.bootstrap.blind_rotate_and_extract`
+and ``keyswitch_apply`` — the only other composition of the three stages,
+kept as the reference the batched path is bit-identical to, row for row.
+``NOT`` and ``COPY``/``CONSTANT`` are purely linear and need no
+bootstrapping, which is why the paper reports the latency of the
+bootstrapped gates only.
 """
 
 from __future__ import annotations
@@ -192,6 +198,15 @@ def split_rows(
     ]
 
 
+def _require_dimension(params: TFHEParameters, dimension: int) -> None:
+    """A combined row must live under the key's ``n``-dimensional LWE key."""
+    if dimension != params.n:
+        raise ValueError(
+            f"ciphertext dimension {dimension} does not match the key's LWE "
+            f"dimension n={params.n} ({params.name!r})"
+        )
+
+
 def _resolve_context(key):
     """Coerce a :class:`TFHECloudKey` or an ``FheContext`` to a context.
 
@@ -320,6 +335,7 @@ class TFHEGateEvaluator(_BootstrappedGates):
         """One row on scalar samples: affine chain, then the scalar bootstrap."""
         params = self.context.params
         offset, weights, test_vector = row_spec(params, op)
+        _require_dimension(params, operands[0].dimension)
         self.counters.gates += 1
         self.counters.bootstraps += 1
         combined = lwe_encrypt_trivial(
@@ -437,11 +453,14 @@ class BatchGateEvaluator(_BootstrappedGates):
         """Blind-rotate, extract and key-switch a batch of combined rows.
 
         ``test_vectors`` is one shared ``(N,)`` polynomial or a ``(B, N)``
-        stack giving every row its own — gate rows next to lut rows, each
-        refreshed against its own lookup table inside a single fused pass.
-        Inside a traced round the two stages record ``engine_contract`` and
-        ``keyswitch`` spans against the round's traces.
+        stack giving every row its own — gate rows next to lut rows next to
+        digit rows, each refreshed against its own lookup table inside a
+        single fused pass.  Inside a traced round the two stages record
+        ``engine_contract`` and ``keyswitch`` spans against the round's
+        traces.  Raises ``ValueError`` when the rows are not ciphertexts of
+        the key's LWE dimension.
         """
+        _require_dimension(self.context.params, combined.dimension)
         self.counters.bootstraps += combined.batch_size
         tel = getattr(self.context, "telemetry", None)
         # Telemetry.stage is itself a no-op outside a traced round.

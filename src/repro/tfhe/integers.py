@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.tfhe.bootstrap import context_programmable_bootstrap_batch
+from repro.tfhe.bootstrap import programmable_bootstrap_batch
 from repro.tfhe.gates import GateCounters
 from repro.tfhe.lwe import (
     LweBatch,
@@ -141,10 +141,10 @@ def trivial_radix(value: int, width: int, encoding: DigitEncoding, dimension: in
 class RadixEvaluator:
     """Homomorphic integer arithmetic on :class:`RadixInt` values.
 
-    Needs an evaluation context (:meth:`repro.runtime.context.FheContext`-style:
-    ``rotator``, ``keyswitch_key``, ``params``) and the digit encoding shared by
-    all operands.  Bootstraps are tallied in :attr:`counters` so benchmarks can
-    compare against the boolean-circuit baseline.
+    Needs an evaluation context (a :class:`repro.runtime.context.FheContext`)
+    and the digit encoding shared by all operands.  Bootstraps are tallied in
+    :attr:`counters` so benchmarks can compare against the boolean-circuit
+    baseline.
     """
 
     def __init__(self, context, encoding: DigitEncoding) -> None:
@@ -189,9 +189,7 @@ class RadixEvaluator:
         """One fused batched blind rotation over ``len(samples)`` LUT rows."""
         batch = LweBatch.from_samples(samples)
         self.counters.bootstraps += batch.batch_size
-        out = context_programmable_bootstrap_batch(
-            self.context, batch, tables, self.encoding
-        )
+        out = programmable_bootstrap_batch(self.context, batch, tables, self.encoding)
         return out.to_samples()
 
     def _split_tables(self) -> Tuple[List[int], List[int]]:

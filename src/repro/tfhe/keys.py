@@ -2,19 +2,19 @@
 
 The client generates a :class:`TFHESecretKey` and derives from it a
 :class:`TFHECloudKey` (bootstrapping key + key-switching key) which is shipped
-to the server.  Since the runtime refactor the cloud key is *pure data*: it
-holds the coefficient-domain TGSW samples of the bootstrapping key, the
-key-switching key and a :class:`repro.tfhe.transform.TransformSpec` naming the
-engine it was generated for — everything a server needs to rebuild the
-evaluation state, and everything :mod:`repro.tfhe.serialize` writes to disk.
+to the server.  The cloud key is *pure data*: it holds the coefficient-domain
+TGSW samples of the bootstrapping key, the key-switching key and a
+:class:`repro.tfhe.transform.TransformSpec` naming the engine it was generated
+for — everything a server needs to rebuild the evaluation state, and
+everything :mod:`repro.tfhe.serialize` writes to disk.
 
 The *evaluation* state — the resolved transform engine and the blind rotator
 whose TGSW rows are forward-transformed into the Lagrange domain — lives in a
 :class:`repro.runtime.context.FheContext`.  The context transforms each
 cloud-key row exactly once and caches the spectra, so gates never re-transform
-key material.  The historical surface is preserved: ``cloud.blind_rotator``
-and ``cloud.transform`` lazily build (and memoise) a default context, so code
-written against the pre-runtime API keeps working bit-for-bit.
+key material.  :meth:`TFHECloudKey.default_context` lazily builds (and
+memoises) one such context on the key; its ``rotator`` and ``engine`` are the
+key's default evaluation state.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.tfhe.keyswitch import KeySwitchKey, keyswitch_key_generate
 from repro.tfhe.lwe import LweKey, lwe_key_generate
 from repro.tfhe.params import TFHEParameters
-from repro.tfhe.tgsw import TgswSample, TransformedTgswSample, tgsw_encrypt, tgsw_transform
+from repro.tfhe.tgsw import TgswSample, tgsw_encrypt
 from repro.tfhe.tlwe import TlweKey, tlwe_extract_lwe_key, tlwe_key_generate
 from repro.tfhe.transform import NegacyclicTransform, TransformSpec, make_transform
 from repro.utils.rng import SeedLike, make_rng
@@ -76,10 +76,10 @@ class TFHECloudKey:
     for ad-hoc engines, e.g. test proxies — such keys still evaluate through
     the attached engine instance but cannot be serialized).
 
-    ``blind_rotator`` / ``transform`` are back-compat accessors that lazily
-    build a default :class:`repro.runtime.context.FheContext` around this key;
-    the context pre-transforms every bootstrapping-key row into the Lagrange
-    domain exactly once (the spectrum cache) and memoises the rotator.
+    :meth:`default_context` lazily builds a default
+    :class:`repro.runtime.context.FheContext` around this key; the context
+    pre-transforms every bootstrapping-key row into the Lagrange domain
+    exactly once (the spectrum cache) and memoises the rotator.
     """
 
     params: TFHEParameters
@@ -103,16 +103,6 @@ class TFHECloudKey:
 
             self._context = FheContext(self, engine=self._engine)
         return self._context
-
-    @property
-    def blind_rotator(self):
-        """The default context's blind rotator (spectrum-cached key rows)."""
-        return self.default_context().rotator
-
-    @property
-    def transform(self) -> NegacyclicTransform:
-        """The default context's transform engine."""
-        return self.default_context().engine
 
     @property
     def tgsw_sample_count(self) -> int:
@@ -159,18 +149,6 @@ def generate_bootstrapping_key_material(
     ]
 
 
-def generate_standard_bootstrapping_key(
-    secret: TFHESecretKey,
-    transform: NegacyclicTransform,
-    rng: SeedLike = None,
-) -> List[TransformedTgswSample]:
-    """The classical bootstrapping key, pre-transformed (historical surface)."""
-    return [
-        tgsw_transform(sample, transform)
-        for sample in generate_bootstrapping_key_material(secret, transform, rng)
-    ]
-
-
 def generate_cloud_key(
     secret: TFHESecretKey,
     transform: Optional[NegacyclicTransform] = None,
@@ -185,9 +163,9 @@ def generate_cloud_key(
     :mod:`repro.core.bku` with ``2^m − 1`` TGSW samples per group of ``m``
     LWE key bits.  With ``eager=True`` (the default) the key's default
     evaluation context is built immediately — the bootstrapping-key spectra
-    are transformed here, at key-generation time, exactly as the historical
-    code did; pass ``eager=False`` to defer the spectrum cache to first use
-    (what :func:`repro.tfhe.serialize.load_cloud_key` does).
+    are transformed here, at key-generation time; pass ``eager=False`` to
+    defer the spectrum cache to first use (what
+    :func:`repro.tfhe.serialize.load_cloud_key` does).
     """
     rng = make_rng(rng)
     params = secret.params

@@ -470,7 +470,6 @@ def _external_product_data(
     data: np.ndarray,
     transform: NegacyclicTransform,
     workspace: Optional[BootstrapWorkspace] = None,
-    addend: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Shared fused external-product core on raw TLWE coefficient arrays.
 
@@ -480,22 +479,12 @@ def _external_product_data(
     ``k+1`` blocks decompose into one digit stack and the whole product runs
     through :meth:`repro.tfhe.transform.NegacyclicTransform.contract_accumulate`
     — one stacked forward, one spectral contraction, one stacked backward —
-    bit-identical to :func:`_external_product_data_reference`.  ``addend``
-    (the CMux add-back) joins the product before its single torus reduction.
+    bit-identical to :func:`_external_product_data_reference`.
     """
-    device_path = getattr(transform, "device_external_product", None)
-    if device_path is not None:
-        # Device engines (the CuPy backend) decompose on the device so the
-        # ciphertext crosses the bus once; same digits, same reduction.
-        result = device_path(tgsw.tensor, data, tgsw.params, reduce=addend is None)
-        if addend is not None:
-            result = torus32_from_int64(result + addend)
-        _count_logical_transforms(transform, tgsw)
-        return result
     if workspace is None:
         workspace = BootstrapWorkspace()
     digits = gadget_decompose_rows(data, tgsw.params, workspace)
-    return _contract_digits(tgsw, digits, transform, workspace, addend)
+    return _contract_digits(tgsw, digits, transform, workspace)
 
 
 def _contract_digits(
@@ -503,30 +492,25 @@ def _contract_digits(
     digits: np.ndarray,
     transform: NegacyclicTransform,
     workspace: BootstrapWorkspace,
-    addend: Optional[np.ndarray],
+    addend: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The engine's fused core on a decomposed operand, counted logically."""
+    """The engine seam: the int32 digit stack into ``contract_accumulate``.
+
+    The fused core issues ONE stacked forward/backward call; the engine
+    counters are topped up to the logical per-polynomial counts (one forward
+    per digit plane, one backward per column) the Figure-1 FFT/IFFT breakdown
+    and the spectrum-cache accounting report.  ``addend`` (the CMux add-back)
+    joins the product before its single torus reduction.
+    """
     result = transform.contract_accumulate(
         digits, tgsw.tensor, addend=addend, workspace=workspace
     )
-    _count_logical_transforms(transform, tgsw)
-    return result
-
-
-def _count_logical_transforms(
-    transform: NegacyclicTransform, tgsw: TransformedTgswSample
-) -> None:
-    """Top the engine counters up to the logical per-polynomial counts.
-
-    The fused kernel issues ONE stacked forward/backward call; the Figure-1
-    FFT/IFFT breakdown (and the spectrum-cache accounting) must keep seeing
-    the per-digit-plane / per-column transform counts of the historical loop.
-    """
     cols = tgsw.mask_count + 1
     stats = transform.stats
     stats.forward_calls += tgsw.rows - 1
     stats.backward_calls += cols - 1
     stats.pointwise_ops += 2 * tgsw.rows * cols - 2
+    return result
 
 
 def _reference_row_col(
@@ -648,15 +632,6 @@ def tgsw_batch_external_product_reference(
     return TlweBatch(_external_product_data_reference(tgsw, tlwe.data, transform))
 
 
-def tgsw_external_product_plain(
-    tgsw: TgswSample,
-    tlwe: TlweSample,
-    transform: NegacyclicTransform,
-) -> TlweSample:
-    """External product with a coefficient-domain TGSW operand (convenience)."""
-    return tgsw_external_product(tgsw_transform(tgsw, transform), tlwe, transform)
-
-
 def tgsw_cmux(
     selector: TransformedTgswSample,
     if_true: TlweSample,
@@ -710,21 +685,6 @@ def tgsw_cmux_rotate(
     return TlweSample(stepped.data[0])
 
 
-def tgsw_batch_cmux(
-    selector: TransformedTgswSample,
-    if_true: TlweBatch,
-    if_false: TlweBatch,
-    transform: NegacyclicTransform,
-    workspace: Optional[BootstrapWorkspace] = None,
-) -> TlweBatch:
-    """Batched CMux over stacks of TLWE ciphertexts (one selector for all rows)."""
-    from repro.tfhe.tlwe import tlwe_batch_add, tlwe_batch_sub
-
-    difference = tlwe_batch_sub(if_true, if_false)
-    product = tgsw_batch_external_product(selector, difference, transform, workspace)
-    return tlwe_batch_add(product, if_false)
-
-
 def tgsw_batch_cmux_reference(
     selector: TransformedTgswSample,
     if_true: TlweBatch,
@@ -751,7 +711,7 @@ def tgsw_batch_cmux_rotate(
     Every ciphertext of the ``(B, k+1, N)`` batch rotates by its own power.
     Rows whose power reduces to zero mod ``2N`` contribute an exactly-zero
     difference, so their accumulators come back unchanged.  Bit-identical to
-    ``tgsw_batch_cmux(selector, tlwe_batch_rotate(acc, powers), acc,
+    ``tgsw_batch_cmux_reference(selector, tlwe_batch_rotate(acc, powers), acc,
     transform)``.
     """
     _check_compatible(selector, accumulators)
@@ -817,20 +777,8 @@ def _cmux_rotate_step(
     which adds ``ACC`` back inside the product's single torus reduction.
     Everything but the returned array is workspace scratch.
     """
-    one_row = len(starts) == 1
-    device_step = getattr(transform, "device_cmux_rotate", None)
-    if device_step is not None and one_row:
-        # Device engines rotate, decompose and contract one power on the
-        # device; mixed per-row powers form the difference on the host and
-        # reach the device through the external product's own hook.
-        raw = device_step(selector.tensor, data, -int(starts[0]), selector.params)
-        _count_logical_transforms(transform, selector)
-        return torus32_from_int64(raw + data)
     params = selector.params
     offset, shifts, mask, half_base = _decompose_constants_for(params)
-    on_device = hasattr(transform, "device_external_product")
-    if on_device:
-        offset = np.uint32(0)  # the device hook adds it after the upload
     buffers = workspace.buffers(
         "step", data.shape + (params.decomp_length,), _step_layout, _StepBuffers
     )
@@ -838,15 +786,11 @@ def _cmux_rotate_step(
     np.add(unsigned, offset, out=buffers.head)
     np.subtract(offset, unsigned, out=buffers.middle)
     np.copyto(buffers.tail, buffers.head)
-    if one_row:
+    if len(starts) == 1:
         start = int(starts[0])
         rotated = buffers.extended[..., start : start + data.shape[-1]]
     else:
         rotated = buffers.windows[buffers.rows, :, starts]
     np.subtract(rotated, unsigned, out=buffers.shifted)
-    if on_device:
-        return _external_product_data(
-            selector, buffers.shifted.view(np.int32), transform, workspace, addend=data
-        )
     _extract_digit_planes(buffers, shifts, mask, half_base)
     return _contract_digits(selector, buffers.digits, transform, workspace, data)

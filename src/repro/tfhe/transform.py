@@ -739,9 +739,6 @@ class EngineEntry:
         * ``"fft64"``: double-precision FFT, **bit-identical** to the
           ``"double"`` reference engine (the compiled CPU fast path makes
           this promise and the cross-engine suite enforces it);
-        * ``"fft64-device"``: double-precision FFT on a device whose FFT
-          kernels round differently in the last bit (cuFFT); decrypted gate
-          results match ``"double"``, raw ciphertext bits may not;
         * ``"approx"``: MATCHA's approximate integer FFT error model
           (validated against the Figure-8 error budget, not bit-identity).
     ``priority``
@@ -750,11 +747,8 @@ class EngineEntry:
     ``availability``
         Optional zero-argument probe returning ``None`` when the engine can
         be constructed here, or a human-readable reason string (e.g.
-        ``"cupy: not installed"``) when it cannot.  Entries without a probe
+        ``"numba: not installed"``) when it cannot.  Entries without a probe
         are always available.
-    ``device``
-        ``"cpu"`` or ``"gpu"`` — used by the capability matrix and the
-        modeled-vs-measured platform comparison.
     """
 
     kind: str
@@ -764,7 +758,6 @@ class EngineEntry:
     error_model: str = "exact"
     priority: int = 0
     availability: Optional[Callable[[], Optional[str]]] = None
-    device: str = "cpu"
 
     def unavailable_reason(self) -> Optional[str]:
         """``None`` when constructible here, else why not (human-readable).
@@ -793,17 +786,16 @@ def register_engine(
     error_model: str = "exact",
     priority: int = 0,
     availability: Optional[Callable[[], Optional[str]]] = None,
-    device: str = "cpu",
 ) -> None:
     """Register a transform engine under ``kind``.
 
     ``factory(degree, **kwargs)`` must return a :class:`NegacyclicTransform`;
     ``valid_kwargs`` lists every keyword argument the factory accepts, so
     :func:`make_transform` can reject typos instead of silently forwarding
-    bogus options.  ``availability`` lets optional-dependency backends (the
-    Numba-compiled and CuPy engines) register unconditionally while still
-    reporting *why* they cannot run here — see :class:`EngineEntry` for the
-    capability fields.  Re-registering a kind replaces the previous entry.
+    bogus options.  ``availability`` lets an optional-dependency backend
+    register unconditionally while still reporting *why* it cannot run here
+    — see :class:`EngineEntry` for the capability fields.  Re-registering a
+    kind replaces the previous entry.
     """
     if not kind:
         raise ValueError("engine kind must be a non-empty string")
@@ -815,19 +807,17 @@ def register_engine(
         error_model=error_model,
         priority=priority,
         availability=availability,
-        device=device,
     )
 
 
 def available_engines() -> Dict[str, Optional[str]]:
     """Every registered engine kind → ``None`` (usable) or why it is not.
 
-    Registered-but-unavailable backends (e.g. the CuPy engine on a machine
-    without CuPy) are **reported with their reason** instead of silently
-    omitted — ``{"compiled": None, "cupy": "cupy: not installed", ...}``.
-    The mapping iterates in sorted kind order, so legacy callers that treat
-    the result as a sequence of kinds (membership tests, ``", ".join``)
-    keep working unchanged.
+    A registered-but-unavailable backend (one whose availability probe
+    fails, or a quarantined kind) is **reported with its reason** instead of
+    silently omitted — ``{"compiled": "quarantined: JIT self-check", ...}``.
+    The mapping iterates in sorted kind order, so callers may treat it as a
+    sequence of kinds (membership tests, ``", ".join``).
     """
     return {kind: _ENGINE_REGISTRY[kind].unavailable_reason()
             for kind in sorted(_ENGINE_REGISTRY)}
@@ -845,7 +835,7 @@ def describe_engines() -> List[str]:
         entry = _ENGINE_REGISTRY[kind]
         status = "available" if reason is None else f"UNAVAILABLE ({reason})"
         lines.append(
-            f"{kind:>10}  [{entry.device}, {entry.error_model:>12}]  {status}"
+            f"{kind:>10}  [{entry.error_model:>6}]  {status}"
             + (f" — {entry.description}" if entry.description else "")
         )
     return lines
@@ -865,22 +855,18 @@ def engine_entry(kind: str) -> EngineEntry:
 def select_best_engine(
     error_model: Optional[str] = None,
     for_spec: Optional["TransformSpec"] = None,
-    allow_device: bool = True,
 ) -> str:
     """The best *available* engine kind, by capability and priority.
 
     Selection order: among the registered engines whose availability probe
-    passes — and, when ``error_model`` or ``for_spec`` constrains the
-    numerical contract, whose error model is compatible — the entry with the
-    highest ``priority`` wins (ties break toward the lexicographically first
-    kind, deterministically).
+    passes and whose error model is the one ``error_model`` names (or
+    ``for_spec``'s engine has; ``fft64`` when neither is given), the entry
+    with the highest ``priority`` wins (ties break deterministically, by
+    kind).
 
-    Compatibility is one-directional: a key generated under ``"double"``
-    (``fft64``) may be evaluated by any ``fft64`` engine bit-identically, or
-    by an ``fft64-device`` engine up to last-bit FFT rounding (decrypted
-    results match) — pass ``allow_device=False`` to demand strict
-    bit-identity.  ``"exact"`` and ``"approx"`` families only ever select
-    within themselves.
+    Every family only ever selects within itself: a key generated under
+    ``"double"`` (``fft64``) is evaluated bit-identically by any ``fft64``
+    engine, and ``"exact"`` / ``"approx"`` keys stay on their own engines.
 
     This is what ``FheContext(key, engine="auto")``, ``tools/serve.py
     --engine auto`` and the engine benchmarks route through.
@@ -889,18 +875,12 @@ def select_best_engine(
         if error_model is not None:
             raise ValueError("pass either error_model or for_spec, not both")
         error_model = engine_entry(for_spec.kind).error_model
-    compatible = {error_model}
-    if error_model in ("fft64", None) and allow_device:
-        compatible.add("fft64-device")
-    if error_model in ("fft64-device", None):
-        # CPU fft64 engines evaluate device-generated keys (same arithmetic
-        # model, strictly deterministic rounding) — the fallback `--engine
-        # auto` takes on a machine without a GPU.
-        compatible.add("fft64")
+    elif error_model is None:
+        error_model = "fft64"
     candidates = [
         entry
         for entry in _ENGINE_REGISTRY.values()
-        if entry.error_model in compatible and entry.unavailable_reason() is None
+        if entry.error_model == error_model and entry.unavailable_reason() is None
     ]
     if not candidates:
         detail = ", ".join(
@@ -916,7 +896,7 @@ def select_best_engine(
 
 def make_transform(kind: str, degree: int, **kwargs) -> NegacyclicTransform:
     """Instantiate a registered engine (``"naive"``, ``"double"``, ``"approx"``,
-    ``"compiled"``, ``"cupy"``, ...).
+    ``"compiled"``, ...).
 
     Keyword arguments are validated against the engine's registered option
     set before the factory runs, so a typo like ``twiddel_bits`` fails with
@@ -967,18 +947,6 @@ def _compiled_factory(degree: int, **kwargs) -> NegacyclicTransform:
     return CompiledNegacyclicTransform(degree, **kwargs)
 
 
-def _cupy_factory(degree: int, **kwargs) -> NegacyclicTransform:
-    from repro.tfhe.engine_cupy import CupyNegacyclicTransform
-
-    return CupyNegacyclicTransform(degree, **kwargs)
-
-
-def _cupy_availability() -> Optional[str]:
-    from repro.tfhe.engine_cupy import cupy_unavailable_reason
-
-    return cupy_unavailable_reason()
-
-
 register_engine(
     "naive",
     NaiveNegacyclicTransform,
@@ -1009,14 +977,4 @@ register_engine(
     ),
     error_model="fft64",
     priority=10,
-)
-register_engine(
-    "cupy",
-    _cupy_factory,
-    valid_kwargs=("block_rows", "pinned_staging"),
-    description="GPU engine on CuPy arrays (cuFFT + device-side gadget decomposition)",
-    error_model="fft64-device",
-    priority=20,
-    availability=_cupy_availability,
-    device="gpu",
 )

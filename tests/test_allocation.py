@@ -4,7 +4,8 @@
 memory a kernel held at once beyond what existed when tracing started.  These
 tests pin the three places scratch used to scale: the key switch's
 ``(B, n_in·t, n_out + 1)`` gather, the blind-rotation step's per-step
-temporaries, and one workspace buffer set per batch width.
+temporaries, and one workspace buffer set per batch width — and that the
+digit-row callers of the bootstrap run in that same workspace.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import pytest
 
 from repro.runtime.context import FheContext
 from repro.tfhe import keyswitch
-from repro.tfhe.bootstrap import CmuxBlindRotator
+from repro.tfhe.bootstrap import CmuxBlindRotator, programmable_bootstrap_batch
 from repro.tfhe.gates import encrypt_bit_batch
+from repro.tfhe.integers import RadixEvaluator, encrypt_radix
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.keyswitch import KeySwitchKey, keyswitch_apply_batch
-from repro.tfhe.lwe import LweBatch
-from repro.tfhe.params import PAPER_110BIT, TEST_SMALL, TEST_TINY
+from repro.tfhe.lwe import LweBatch, encrypt_digit
+from repro.tfhe.params import PAPER_110BIT, TEST_PBS, TEST_SMALL, TEST_TINY, DigitEncoding
 from repro.tfhe.tgsw import BootstrapWorkspace
 from repro.tfhe.tlwe import TlweBatch
 from repro.tfhe.transform import make_transform
@@ -137,3 +139,27 @@ def test_workspace_footprint_tracks_the_widest_batch_through_a_context():
     widest = footprint_after([32])
     assert widest > 0
     assert footprint_after(range(1, 33)) <= 1.5 * widest
+
+
+@pytest.mark.parametrize("caller", ["programmable_bootstrap_batch", "RadixEvaluator.propagate"])
+def test_warm_digit_bootstraps_borrow_the_context_gather_block(caller):
+    """The parameters are small enough that everything a digit bootstrapping
+    allocates itself — accumulators, row indices, results — is a fraction of
+    the key switch's gather block, so a peak below one block means no block
+    was allocated: the call ran in the one its context already owns."""
+    params, encoding = TEST_PBS, DigitEncoding(message_bits=2, carry_bits=2)
+    secret, context = FheContext.generate(params, make_transform("double", params.N), rng=330)
+    if caller == "programmable_bootstrap_batch":
+        rows = LweBatch.from_samples(
+            encrypt_digit(secret.lwe_key, value, encoding, rng=331 + value)
+            for value in (1, 6, 11, 12)
+        )
+        table = [value * value % encoding.space for value in range(encoding.space)]
+        run = lambda: programmable_bootstrap_batch(context, rows, table, encoding)
+    else:
+        radix = RadixEvaluator(context, encoding)
+        x = encrypt_radix(secret.lwe_key, 0b111011, 3, encoding, rng=340)
+        doubled = radix.add(x, x)  # every digit above the base: three sweeps
+        run = lambda: radix.propagate(doubled)
+    run()  # warm: spectrum cache, test vectors, workspace pools
+    assert _traced_peak(run) < 4 * keyswitch.KEYSWITCH_BLOCK_WORDS

@@ -8,7 +8,7 @@ CMux and BKU) and all three polynomial-multiplication engines.
 import numpy as np
 import pytest
 
-from repro.tfhe.bootstrap import gate_bootstrap, gate_bootstrap_batch
+from repro.tfhe.bootstrap import blind_rotate_and_extract, make_test_vector
 from repro.tfhe.circuits import add, decrypt_integers, encrypt_integers, select
 from repro.tfhe.gates import (
     MU,
@@ -49,14 +49,19 @@ class TestBatchedBootstrap:
         samples = [encrypt_bit(secret, int(b), rng) for b in bits]
         batch = LweBatch.from_samples(samples)
 
-        out = gate_bootstrap_batch(
-            batch, int(MU), cloud.blind_rotator, cloud.keyswitch_key, cloud.params
-        )
+        context = cloud.default_context()
+        out = context.bootstrap_batch(batch)
+        # The scalar composition: scalar rounding/extraction, then key switch.
+        test_vector = make_test_vector(cloud.params, int(MU))
         refs = [
-            gate_bootstrap(s, int(MU), cloud.blind_rotator, cloud.keyswitch_key, cloud.params)
+            keyswitch_apply(
+                cloud.keyswitch_key,
+                blind_rotate_and_extract(s, test_vector, context.rotator, cloud.params),
+            )
             for s in samples
         ]
         _assert_batch_equals_samples(out, refs)
+        _assert_batch_equals_samples(out, [context.bootstrap(s) for s in samples])
 
     def test_batch_roundtrip_containers(self, backend):
         secret, _ = backend

@@ -16,7 +16,7 @@ from repro.tfhe.gates import MU, PLAINTEXT_GATES, TFHEGateEvaluator, decrypt_bit
 from repro.tfhe.keys import generate_cloud_key, generate_keys, generate_secret_key
 from repro.tfhe.lwe import gate_message, lwe_encrypt, lwe_phase
 from repro.tfhe.params import TEST_TINY
-from repro.tfhe.bootstrap import bootstrap_without_keyswitch
+from repro.tfhe.bootstrap import blind_rotate_and_extract, make_test_vector
 from repro.tfhe.transform import NaiveNegacyclicTransform
 
 
@@ -116,7 +116,9 @@ class TestUnrolledBlindRotation:
         rotator = UnrolledBlindRotator(key, transform)
         for bit in (0, 1):
             sample = lwe_encrypt(secret.lwe_key, gate_message(bit), rng=87 + bit)
-            extracted = bootstrap_without_keyswitch(sample, int(MU), rotator, TEST_TINY)
+            extracted = blind_rotate_and_extract(
+                sample, make_test_vector(TEST_TINY, int(MU)), rotator, TEST_TINY
+            )
             phase = lwe_phase(secret.extracted_key, extracted)
             assert (int(phase) > 0) == bool(bit)
 
@@ -126,7 +128,9 @@ class TestUnrolledBlindRotation:
         key = generate_unrolled_bootstrapping_key(secret, transform, 2, rng=90)
         rotator = UnrolledBlindRotator(key, transform)
         sample = lwe_encrypt(secret.lwe_key, gate_message(1), rng=91)
-        bootstrap_without_keyswitch(sample, int(MU), rotator, TEST_TINY)
+        blind_rotate_and_extract(
+            sample, make_test_vector(TEST_TINY, int(MU)), rotator, TEST_TINY
+        )
         assert rotator.external_products == key.external_products_per_bootstrap
         assert rotator.bundles_built == rotator.external_products
 

@@ -5,8 +5,6 @@ import pytest
 
 from repro.tfhe.bootstrap import (
     blind_rotate_and_extract,
-    bootstrap_without_keyswitch,
-    gate_bootstrap,
     make_test_vector,
     modswitch_sample,
 )
@@ -48,14 +46,22 @@ class TestModSwitch:
         assert not bara.any()
 
 
+def _extract(cloud, sample):
+    """Lines 2–8 against the all-``MU`` test vector (no key switch)."""
+    return blind_rotate_and_extract(
+        sample,
+        make_test_vector(TEST_TINY, int(MU)),
+        cloud.default_context().rotator,
+        TEST_TINY,
+    )
+
+
 class TestBlindRotateAndExtract:
     @pytest.mark.parametrize("bit", [0, 1])
     def test_extracted_phase_has_correct_sign(self, tiny_keys_naive, bit):
         secret, cloud = tiny_keys_naive
         sample = lwe_encrypt(secret.lwe_key, gate_message(bit), rng=71 + bit)
-        extracted = bootstrap_without_keyswitch(
-            sample, int(MU), cloud.blind_rotator, TEST_TINY
-        )
+        extracted = _extract(cloud, sample)
         phase = lwe_phase(secret.extracted_key, extracted)
         assert (int(phase) > 0) == bool(bit)
 
@@ -63,18 +69,14 @@ class TestBlindRotateAndExtract:
         """Bootstrapping must produce a sample whose noise is input-independent."""
         secret, cloud = tiny_keys_naive
         sample = lwe_encrypt(secret.lwe_key, gate_message(1), rng=73)
-        extracted = bootstrap_without_keyswitch(
-            sample, int(MU), cloud.blind_rotator, TEST_TINY
-        )
+        extracted = _extract(cloud, sample)
         noise = lwe_noise(secret.extracted_key, extracted, MU)
         assert abs(noise) < 1.0 / 16.0
 
     def test_trivial_input_rotates_to_plus_mu(self, tiny_keys_naive):
         secret, cloud = tiny_keys_naive
         sample = lwe_encrypt_trivial(TEST_TINY.n, gate_message(1))
-        extracted = bootstrap_without_keyswitch(
-            sample, int(MU), cloud.blind_rotator, TEST_TINY
-        )
+        extracted = _extract(cloud, sample)
         phase = lwe_phase(secret.extracted_key, extracted)
         assert float(torus_distance(phase, MU)) < 1.0 / 16.0
 
@@ -84,38 +86,36 @@ class TestGateBootstrap:
     def test_full_bootstrap_returns_to_original_key(self, tiny_keys_naive, bit):
         secret, cloud = tiny_keys_naive
         sample = lwe_encrypt(secret.lwe_key, gate_message(bit), rng=75 + bit)
-        refreshed = gate_bootstrap(
-            sample, int(MU), cloud.blind_rotator, cloud.keyswitch_key, TEST_TINY
-        )
+        refreshed = cloud.default_context().bootstrap(sample)
         assert refreshed.dimension == TEST_TINY.n
         assert lwe_decrypt_bit(secret.lwe_key, refreshed) == bit
 
     def test_bootstrap_is_idempotent_on_messages(self, tiny_keys_naive):
         secret, cloud = tiny_keys_naive
         sample = lwe_encrypt(secret.lwe_key, gate_message(1), rng=77)
-        once = gate_bootstrap(
-            sample, int(MU), cloud.blind_rotator, cloud.keyswitch_key, TEST_TINY
-        )
-        twice = gate_bootstrap(
-            once, int(MU), cloud.blind_rotator, cloud.keyswitch_key, TEST_TINY
-        )
+        context = cloud.default_context()
+        twice = context.bootstrap(context.bootstrap(sample))
         assert lwe_decrypt_bit(secret.lwe_key, twice) == 1
 
     def test_rotator_counts_external_products(self, tiny_keys_naive):
         _, cloud = tiny_keys_naive
-        assert cloud.blind_rotator.external_products_per_bootstrap == TEST_TINY.n
+        assert cloud.default_context().rotator.external_products_per_bootstrap == TEST_TINY.n
 
 
 class TestRotateInputValidation:
-    """``bara`` must be ``(B, ≥ n)``: one typed error, both entry points."""
+    """``bara`` must be ``(B, ≥ n)``: one typed error, both entry points of
+    both rotators (classical CMux and BKU ``m = 2``)."""
+
+    @pytest.fixture(params=["tiny_keys_naive", "tiny_keys_naive_m2"], ids=["cmux", "bku-m2"])
+    def rotator(self, request):
+        _, cloud = request.getfixturevalue(request.param)
+        return cloud.default_context().rotator
 
     @staticmethod
     def _accumulators(width):
         return tlwe_batch_trivial(make_test_vector(TEST_TINY, int(MU)), TEST_TINY.k, width)
 
-    def test_too_few_rotation_amounts_raise_the_same_value_error(self, tiny_keys_naive):
-        _, cloud = tiny_keys_naive
-        rotator = cloud.blind_rotator
+    def test_too_few_rotation_amounts_raise_the_same_value_error(self, rotator):
         short = np.ones(TEST_TINY.n - 1, dtype=np.int64)
         batch = self._accumulators(2)
         with pytest.raises(ValueError, match="one rotation amount per row and key bit"):
@@ -123,18 +123,14 @@ class TestRotateInputValidation:
         with pytest.raises(ValueError, match="one rotation amount per row and key bit"):
             rotator.rotate_batch(batch, np.stack([short, short]))
 
-    def test_batch_rejects_one_dimensional_and_mismatched_bara(self, tiny_keys_naive):
-        _, cloud = tiny_keys_naive
-        rotator = cloud.blind_rotator
+    def test_batch_rejects_one_dimensional_and_mismatched_bara(self, rotator):
         full = np.ones(TEST_TINY.n, dtype=np.int64)
         with pytest.raises(ValueError, match="one rotation amount per row and key bit"):
             rotator.rotate_batch(self._accumulators(1), full)
         with pytest.raises(ValueError, match="one rotation amount per row and key bit"):
             rotator.rotate_batch(self._accumulators(3), np.stack([full, full]))
 
-    def test_extra_trailing_amounts_are_ignored(self, tiny_keys_naive):
-        _, cloud = tiny_keys_naive
-        rotator = cloud.blind_rotator
+    def test_extra_trailing_amounts_are_ignored(self, rotator):
         full = np.arange(1, TEST_TINY.n + 1, dtype=np.int64)
         batch = self._accumulators(1)
         exact = rotator.rotate_batch(batch, full[None])

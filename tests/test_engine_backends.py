@@ -1,21 +1,19 @@
 """Cross-engine property suite: every registered backend honours its contract.
 
-The engine registry now carries capabilities (error model, priority,
-availability, device), and the compiled/CuPy fast paths promise specific
-numerical contracts relative to the ``"double"`` reference:
+The engine registry carries capabilities (error model, priority,
+availability), and every engine promises a specific numerical contract
+relative to the ``"double"`` reference:
 
 * ``"exact"`` engines agree with the naive ground truth bit for bit;
 * ``"fft64"`` engines (double, compiled) are **bit-identical to each
   other** — the compiled fast path may be faster, never different;
-* ``"fft64-device"`` engines (cupy) match after decryption (device FFT
-  kernels may round the last bit differently);
 * ``"approx"`` engines only owe functional correctness within the
   Figure-8 error budget.
 
-Every test here parameterizes over **all registered engines** — including
-optional-dependency backends — and skips unavailable ones with the
-registry's own reason string, so the same suite exercises the CuPy engine
-on a GPU machine and documents its absence elsewhere.  Coverage spans the
+Every test here parameterizes over **all registered engines** and skips
+unavailable ones with the registry's own reason string; the availability
+layer itself is exercised through a ``ghost`` backend whose probe always
+fails (no in-tree engine has an optional hard dependency).  Coverage spans the
 full stack: raw external products, gate bootstrap + keyswitch on both
 rotators (classical CMux and BKU m=2), programmable-bootstrap LUTs,
 worker-pool sharding under a non-default engine, the auto-selection layer,
@@ -33,7 +31,7 @@ from repro.runtime import FheContext, WorkerPool
 from repro.runtime.context import resolve_engine
 from repro.runtime.protocol import ServerError, ServingClient
 from repro.runtime.scheduler import SchedulerStats, execute_rows
-from repro.tfhe.bootstrap import context_programmable_bootstrap
+from repro.tfhe.bootstrap import programmable_bootstrap
 from repro.tfhe.gates import PLAINTEXT_GATES, decrypt_bit, encrypt_bit
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import decrypt_digit, encrypt_digit
@@ -41,8 +39,10 @@ from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
 from repro.tfhe.tgsw import tgsw_encrypt, tgsw_external_product, tgsw_transform
 from repro.tfhe.tlwe import tlwe_encrypt, tlwe_key_generate, tlwe_phase
 from repro.tfhe.torus import double_to_torus32, torus_distance
+from repro.tfhe import transform as transform_module
 from repro.tfhe.transform import (
     DoubleFFTNegacyclicTransform,
+    EngineEntry,
     NaiveNegacyclicTransform,
     TransformSpec,
     available_engines,
@@ -80,34 +80,51 @@ def _bit_identical(xs, ys) -> bool:
     )
 
 
+GHOST_REASON = "ghost: not installed"
+
+
+@pytest.fixture
+def ghost_engine(monkeypatch):
+    """A registered backend that can never run here: top priority in the
+    ``fft64`` family, an availability probe that always gives a reason."""
+    entry = EngineEntry(
+        kind="ghost",
+        factory=DoubleFFTNegacyclicTransform,
+        valid_kwargs=frozenset(),
+        error_model="fft64",
+        priority=99,
+        availability=lambda: GHOST_REASON,
+    )
+    monkeypatch.setitem(transform_module._ENGINE_REGISTRY, "ghost", entry)
+    return entry.kind
+
+
 # --------------------------------------------------------------------------- #
 # registry capability layer                                                   #
 # --------------------------------------------------------------------------- #
 
 
 class TestCapabilityReporting:
-    def test_optional_backends_register_with_reasons(self):
+    def test_optional_backends_register_with_reasons(self, ghost_engine):
         engines = available_engines()
         # The compiled fast path always registers AND is always usable (its
-        # NumPy fallback needs nothing optional); cupy registers even when
-        # it cannot run, with a human-readable reason.
+        # NumPy fallback needs nothing optional); a backend that cannot run
+        # still registers, with a human-readable reason.
         assert engines["compiled"] is None
-        assert "cupy" in engines
-        if engines["cupy"] is not None:
-            assert engines["cupy"].startswith("cupy:")
+        assert engines[ghost_engine] == GHOST_REASON
+        assert ghost_engine not in usable_engines()
 
     def test_usable_engines_is_the_available_subset(self):
         engines = available_engines()
         assert usable_engines() == [k for k, r in engines.items() if r is None]
 
-    def test_selection_prefers_priority_within_family(self):
-        # cupy (prio 20) > compiled (10) > double (0) among fft64-compatible.
-        expected = "cupy" if "cupy" in usable_engines() else "compiled"
-        assert select_best_engine() == expected
-        assert select_best_engine(error_model="fft64") == expected
-        assert select_best_engine(error_model="fft64", allow_device=False) == "compiled"
+    def test_selection_prefers_priority_within_family(self, ghost_engine):
+        # compiled (prio 10) > double (0) within fft64; the unavailable ghost
+        # (prio 99) is never selected.
+        assert select_best_engine() == "compiled"
+        assert select_best_engine(error_model="fft64") == "compiled"
         assert select_best_engine(for_spec=TransformSpec.from_options("double")) == (
-            expected
+            "compiled"
         )
 
     def test_exact_and_approx_select_within_themselves(self):
@@ -118,18 +135,15 @@ class TestCapabilityReporting:
         with pytest.raises(ValueError, match="no available engine"):
             select_best_engine(error_model="fft128")
 
-    def test_unavailable_engine_fails_with_reason(self):
-        unavailable = {k: r for k, r in available_engines().items() if r is not None}
-        if not unavailable:
-            pytest.skip("every registered engine is usable on this machine")
-        kind, reason = next(iter(unavailable.items()))
-        with pytest.raises(ValueError, match="registered but unavailable"):
-            make_transform(kind, TEST_TINY.N)
+    def test_unavailable_engine_fails_with_reason(self, ghost_engine):
+        with pytest.raises(ValueError, match="registered but unavailable") as excinfo:
+            make_transform(ghost_engine, TEST_TINY.N)
+        assert GHOST_REASON in str(excinfo.value)
 
     def test_cross_engine_kwarg_hint(self):
         # A kwarg that belongs to a *different* engine names its owner.
-        with pytest.raises(ValueError, match=r"'block_rows' is accepted by cupy"):
-            make_transform("compiled", TEST_TINY.N, block_rows=4)
+        with pytest.raises(ValueError, match=r"'block_size' is accepted by compiled"):
+            make_transform("double", TEST_TINY.N, block_size=4)
 
     def test_compiled_spec_round_trips_options(self):
         engine = make_transform("compiled", TEST_TINY.N, block_size=1024)
@@ -174,12 +188,6 @@ class TestExternalProductConformance:
             assert np.array_equal(product.data, reference["exact"].data)
         elif model == "fft64":
             assert np.array_equal(product.data, reference["fft64"].data)
-        elif model == "fft64-device":
-            drift = torus_distance(
-                tlwe_phase(key, product, naive),
-                tlwe_phase(key, reference["fft64"], naive),
-            )
-            assert drift.max() < 1e-6  # same arithmetic, last-bit FFT rounding
         # Every model, including approx, still owes functional correctness.
         phase = tlwe_phase(key, product, naive)
         assert torus_distance(phase, message).max() < 2e-2
@@ -226,21 +234,14 @@ class TestGateBootstrapConformance:
         for bit_a, bit_b, sample in results:
             assert decrypt_bit(secret, sample) == PLAINTEXT_GATES["nand"](bit_a, bit_b)
 
-        model = _error_model(kind)
-        if model in ("fft64", "fft64-device"):
+        if _error_model(kind) == "fft64":
             ref_context = FheContext(
                 cloud, engine=DoubleFFTNegacyclicTransform(cloud.params.N)
             )
             reference = _gate_sweep(secret, ref_context, "nand")
-            samples = [s for _, _, s in results]
-            ref_samples = [s for _, _, s in reference]
-            if model == "fft64":
-                assert _bit_identical(samples, ref_samples)
-            else:
-                assert all(
-                    decrypt_bit(secret, x) == decrypt_bit(secret, y)
-                    for x, y in zip(samples, ref_samples)
-                )
+            assert _bit_identical(
+                [s for _, _, s in results], [s for _, _, s in reference]
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -272,7 +273,7 @@ class TestProgrammableBootstrapConformance:
         outputs = []
         for value in range(encoding.space):
             sample = encrypt_digit(secret.lwe_key, value, encoding, rng=400 + value)
-            out = context_programmable_bootstrap(context, sample, table, encoding)
+            out = programmable_bootstrap(context, sample, table, encoding)
             assert decrypt_digit(secret.lwe_key, out, encoding) == table[value]
             outputs.append(out)
 
@@ -284,7 +285,7 @@ class TestProgrammableBootstrapConformance:
                 sample = encrypt_digit(
                     secret.lwe_key, value, encoding, rng=400 + value
                 )
-                ref = context_programmable_bootstrap(
+                ref = programmable_bootstrap(
                     ref_context, sample, table, encoding
                 )
                 assert np.array_equal(out.a, ref.a) and int(out.b) == int(ref.b)
@@ -311,7 +312,7 @@ class TestWorkerPoolEngines:
             sharded = pool.run_rows("client", context, rows, SchedulerStats())
         # Workers rebuild the engine from the spec recorded in the shared
         # segment, so sharding is bit-identical to the inline flush even for
-        # non-default (and device) engines.
+        # non-default engines.
         assert _bit_identical(sharded, inline)
 
     def test_auto_engine_resolves_through_selection(self):
@@ -336,18 +337,14 @@ class TestServerEngineRequests:
             assert "registered engines" in str(excinfo.value)
             assert "compiled" in str(excinfo.value)
 
-    def test_unavailable_engine_rejected_with_reason(self, server_factory):
-        unavailable = {k: r for k, r in available_engines().items() if r is not None}
-        if not unavailable:
-            pytest.skip("every registered engine is usable on this machine")
-        kind, reason = next(iter(unavailable.items()))
+    def test_unavailable_engine_rejected_with_reason(self, server_factory, ghost_engine):
         secret, cloud = _gate_keys(1)
         server = server_factory()
         with ServingClient(port=server.port) as client:
             with pytest.raises(ServerError) as excinfo:
-                client.register_key(cloud, engine=kind)
+                client.register_key(cloud, engine=ghost_engine)
             assert excinfo.value.kind == "unsupported_engine"
-            assert reason in str(excinfo.value)
+            assert GHOST_REASON in str(excinfo.value)
 
     def test_requested_engine_used_and_reported(self, server_factory):
         secret, cloud = _gate_keys(1)

@@ -8,8 +8,8 @@ scratch) must be **bit-identical** to the per-digit-plane reference loop for
 every engine, every batch width and both rotators.  These tests pin that down
 against the reference implementations kept in-tree (``tgsw_*_reference`` /
 ``rotate[_batch]_reference`` / ``keyswitch_apply_reference``), including
-rotation edge powers, per-row test vectors, workspace aliasing across calls,
-the logical transform counters and the device-engine hooks.
+rotation edge powers, per-row test vectors, workspace aliasing across calls
+and the logical transform counters.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ import pytest
 from repro.core.bku import UnrolledBlindRotator, generate_unrolled_bootstrapping_key
 from repro.tfhe.bootstrap import (
     CmuxBlindRotator,
-    gate_bootstrap,
-    gate_bootstrap_batch,
+    blind_rotate_and_extract_batch,
+    encode_lut,
     programmable_bootstrap,
     programmable_bootstrap_batch,
 )
-from repro.tfhe.gates import MU
 from repro.tfhe.keys import generate_keys, generate_secret_key
 from repro.tfhe.keyswitch import (
     keyswitch_apply,
@@ -194,7 +193,7 @@ class TestBlindRotationBitIdentity:
         secret, cloud = generate_keys(
             PARAMS, make_transform(transform.engine_kind, PARAMS.N), rng=81
         )
-        rotator = cloud.blind_rotator
+        rotator = cloud.default_context().rotator
         assert isinstance(rotator, CmuxBlindRotator)
         rng = np.random.default_rng(82)
         bara = rng.integers(0, 2 * PARAMS.N, PARAMS.n, dtype=np.int64)
@@ -292,7 +291,7 @@ class TestStepKernel:
     @pytest.mark.parametrize("width", KERNEL_WIDTHS)
     def test_rotator_matches_reference(self, kernel_setup, width):
         _, _, _, cloud = kernel_setup
-        rotator = cloud.blind_rotator
+        rotator = cloud.default_context().rotator
         assert isinstance(rotator, CmuxBlindRotator)
         rng = np.random.default_rng(160 + width)
         bara = _edge_powers(rng, (width, PARAMS.n))
@@ -315,12 +314,10 @@ class TestStepKernel:
             lwe_encrypt(secret.lwe_key, gate_message(i % 2), rng=170 + i)
             for i in range(width)
         ]
-        rotator, ksk = cloud.blind_rotator, cloud.keyswitch_key
-        batched = gate_bootstrap_batch(
-            LweBatch.from_samples(samples), MU, rotator, ksk, PARAMS
-        )
+        context = cloud.default_context()
+        batched = context.bootstrap_batch(LweBatch.from_samples(samples))
         for row, sample in enumerate(samples):
-            scalar = gate_bootstrap(sample, MU, rotator, ksk, PARAMS)
+            scalar = context.bootstrap(sample)
             assert np.array_equal(batched.a[row], scalar.a)
             assert np.int32(batched.b[row]) == np.int32(scalar.b)
 
@@ -347,7 +344,7 @@ class TestPerRowTestVectors:
     @pytest.mark.parametrize("width", KERNEL_WIDTHS)
     def test_programmable_bootstrap_batch_matches_reference(self, pbs, width):
         secret, cloud = pbs
-        rotator, ksk = cloud.blind_rotator, cloud.keyswitch_key
+        context = cloud.default_context()
         digits = [(3 * row + 1) % self.ENCODING.space for row in range(width)]
         tables = [self.TABLES[row % len(self.TABLES)] for row in range(width)]
         samples = [
@@ -355,18 +352,20 @@ class TestPerRowTestVectors:
             for row, digit in enumerate(digits)
         ]
         batch = LweBatch.from_samples(samples)
-        fused = programmable_bootstrap_batch(
-            batch, tables, self.ENCODING, rotator, ksk, TEST_PBS
+        fused = programmable_bootstrap_batch(context, batch, tables, self.ENCODING)
+        vectors = np.stack(
+            [encode_lut(TEST_PBS, table, self.ENCODING.message_bits) for table in tables]
         )
-        reference = programmable_bootstrap_batch(
-            batch, tables, self.ENCODING, _ReferenceRotator(rotator), ksk, TEST_PBS
+        reference = keyswitch_apply_batch(
+            cloud.keyswitch_key,
+            blind_rotate_and_extract_batch(
+                batch, vectors, _ReferenceRotator(context.rotator), TEST_PBS
+            ),
         )
         assert np.array_equal(fused.a, reference.a)
         assert np.array_equal(fused.b, reference.b)
         for row, (sample, table, digit) in enumerate(zip(samples, tables, digits)):
-            scalar = programmable_bootstrap(
-                sample, table, self.ENCODING, rotator, ksk, TEST_PBS
-            )
+            scalar = programmable_bootstrap(context, sample, table, self.ENCODING)
             assert np.array_equal(fused.a[row], scalar.a)
             assert np.int32(fused.b[row]) == np.int32(scalar.b)
             assert decrypt_digit(secret.lwe_key, scalar, self.ENCODING) == table[digit]
@@ -468,7 +467,7 @@ class TestStepWorkspace:
         _, cloud = generate_keys(
             PARAMS, make_transform(transform.engine_kind, PARAMS.N), rng=201
         )
-        rotator = cloud.blind_rotator
+        rotator = cloud.default_context().rotator
         rng = np.random.default_rng(202)
         batch, single = _random_batch(rng, 2), _random_batch(rng, 1)
         bara = rng.integers(0, 2 * PARAMS.N, (2, PARAMS.n), dtype=np.int64)
@@ -544,12 +543,8 @@ def _step_engine(kind: str):
     return make_transform(kind, PARAMS.N)
 
 
-#: Every engine this machine can build, plus an unregistered proxy.  Device
-#: engines enter the step through their own hooks, which
-#: ``TestDeviceHooks`` pins down.
-STEP_ENGINES = tuple(
-    kind for kind in usable_engines() if kind != "cupy"
-) + ("pass-through",)
+#: Every engine this machine can build, plus an unregistered proxy.
+STEP_ENGINES = tuple(usable_engines()) + ("pass-through",)
 
 
 class TestStepKernelAgainstTheEnginesOwnPrimitives:
@@ -644,7 +639,7 @@ class TestBootstrapCounters:
     def test_counts_per_blind_rotation(self, width):
         transform = make_transform("double", PARAMS.N)
         _, cloud = generate_keys(PARAMS, transform, rng=210)
-        rotator = cloud.blind_rotator
+        rotator = cloud.default_context().rotator
         rng = np.random.default_rng(211)
         bara = rng.integers(1, 2 * PARAMS.N, (width, PARAMS.n), dtype=np.int64)
         bara[:, 5] = 0  # skipped by every row: no transforms at this step
@@ -666,89 +661,6 @@ class TestBootstrapCounters:
             sample = TlweSample(batch.data[0])
             assert counts(lambda: rotator.rotate(sample, bara[0])) == expected
             assert counts(lambda: rotator.rotate_reference(sample, bara[0])) == expected
-
-
-class _HookedEngine(DoubleFFTNegacyclicTransform):
-    """A host engine exposing the device hooks, recording how it was entered."""
-
-    def __init__(self, degree: int) -> None:
-        super().__init__(degree)
-        self.calls = []
-
-    def device_external_product(self, tensor, data, params, reduce=True):
-        self.calls.append(("external_product", np.array(data), reduce))
-        digits = gadget_decompose_rows(data, params)
-        return self.contract_accumulate(digits, tensor, reduce=reduce)
-
-    def device_cmux_rotate(self, tensor, data, power, params):
-        self.calls.append(("cmux_rotate", int(power) % (2 * self.degree)))
-        digits = gadget_decompose_rows(poly_mul_by_xk_minus_one(data, power), params)
-        return self.contract_accumulate(digits, tensor, reduce=False)
-
-
-class TestDeviceHooks:
-    """The step kernel honours a device engine's hooks (no GPU needed)."""
-
-    @pytest.fixture()
-    def hooked(self):
-        engine, host = _HookedEngine(PARAMS.N), make_transform("double", PARAMS.N)
-        key = tlwe_key_generate(PARAMS.tlwe, rng=220)
-        selector = tgsw_transform(tgsw_encrypt(key, 1, PARAMS.tgsw, host, rng=221), host)
-        return engine, host, selector
-
-    def test_one_row_step_runs_device_cmux_rotate(self, hooked):
-        engine, host, selector = hooked
-        batch = _random_batch(np.random.default_rng(222), 1)
-        for power in KERNEL_POWERS[1:]:
-            engine.calls.clear()
-            stepped = tgsw_batch_cmux_rotate(selector, batch, np.array([power]), engine)
-            assert engine.calls == [("cmux_rotate", power)]
-            expected = tgsw_batch_cmux_rotate(selector, batch, np.array([power]), host)
-            assert np.array_equal(stepped.data, expected.data)
-
-    def test_batched_step_runs_device_external_product_unreduced(self, hooked):
-        engine, host, selector = hooked
-        batch = _random_batch(np.random.default_rng(223), 3)
-        powers = np.array([0, PARAMS.N - 1, PARAMS.N + 1], dtype=np.int64)
-        stepped = tgsw_batch_cmux_rotate(selector, batch, powers, engine)
-        [(name, difference, reduce)] = engine.calls
-        assert (name, reduce) == ("external_product", False)
-        for row, power in enumerate(powers):
-            assert np.array_equal(
-                difference[row], poly_mul_by_xk_minus_one(batch.data[row], int(power))
-            )
-        expected = tgsw_batch_cmux_rotate(selector, batch, powers, host)
-        assert np.array_equal(stepped.data, expected.data)
-
-    def test_plain_external_product_runs_device_external_product(self, hooked):
-        engine, host, selector = hooked
-        batch = _random_batch(np.random.default_rng(224), 2)
-        product = tgsw_batch_external_product(selector, batch, engine)
-        assert [(name, reduce) for name, _, reduce in engine.calls] == [
-            ("external_product", True)
-        ]
-        expected = tgsw_batch_external_product(selector, batch, host)
-        assert np.array_equal(product.data, expected.data)
-
-    def test_both_rotator_entry_points_use_the_hooks_and_keep_the_counters(self, hooked):
-        engine, host, _ = hooked
-        _, cloud = generate_keys(PARAMS, host, rng=225)
-        rotator = CmuxBlindRotator(cloud.blind_rotator.bootstrapping_key, engine)
-        reference = cloud.blind_rotator
-        rng = np.random.default_rng(226)
-        bara = rng.integers(1, 2 * PARAMS.N, (2, PARAMS.n), dtype=np.int64)
-        batch = _random_batch(rng, 2)
-        host.reset_stats()
-        expected = reference.rotate_batch(batch, bara)
-        engine.reset_stats()
-        assert np.array_equal(rotator.rotate_batch(batch, bara).data, expected.data)
-        assert {call[0] for call in engine.calls} == {"external_product"}
-        assert engine.stats.forward_calls == host.stats.forward_calls
-        assert engine.stats.backward_calls == host.stats.backward_calls
-        engine.calls.clear()
-        single = rotator.rotate(TlweSample(batch.data[0]), bara[0])
-        assert np.array_equal(single.data, expected.data[0])
-        assert [call[0] for call in engine.calls] == ["cmux_rotate"] * PARAMS.n
 
 
 class TestLogicalCounters:

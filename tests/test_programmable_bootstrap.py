@@ -19,12 +19,11 @@ import pytest
 from repro.core.integer_fft import ApproximateNegacyclicTransform
 from repro.runtime.context import FheContext
 from repro.tfhe.bootstrap import (
-    bootstrap_without_keyswitch,
-    context_programmable_bootstrap,
-    context_programmable_bootstrap_batch,
     encode_lut,
+    programmable_bootstrap,
+    programmable_bootstrap_batch,
 )
-from repro.tfhe.gates import MU
+from repro.tfhe.gates import row_spec
 from repro.tfhe.lwe import (
     LweBatch,
     decrypt_digit,
@@ -153,7 +152,7 @@ def test_programmable_bootstrap_square_lut(engine, unroll_factor, message_bits, 
     table = [(v * v) % space for v in range(space)]
     for value in range(space):
         sample = encrypt_digit(secret.lwe_key, value, encoding, rng=rng)
-        out = context_programmable_bootstrap(context, sample, table, encoding)
+        out = programmable_bootstrap(context, sample, table, encoding)
         assert decrypt_digit(secret.lwe_key, out, encoding) == table[value], value
 
 
@@ -166,7 +165,7 @@ def test_programmable_bootstrap_identity_with_carry(engine, unroll_factor, rng):
     table = list(range(encoding.space))
     for value in range(encoding.space):
         sample = encrypt_digit(secret.lwe_key, value, encoding, rng=rng)
-        out = context_programmable_bootstrap(context, sample, table, encoding)
+        out = programmable_bootstrap(context, sample, table, encoding)
         assert decrypt_digit(secret.lwe_key, out, encoding) == value
 
 
@@ -182,11 +181,11 @@ def test_programmable_bootstrap_batch_matches_scalar(rng):
     ]
     values = [5, 11, 0, 15]
     samples = [encrypt_digit(secret.lwe_key, v, encoding, rng=rng) for v in values]
-    batch_out = context_programmable_bootstrap_batch(
+    batch_out = programmable_bootstrap_batch(
         context, LweBatch.from_samples(samples), tables, encoding
     )
     for i, (value, table, sample) in enumerate(zip(values, tables, samples)):
-        ref = context_programmable_bootstrap(context, sample, table, encoding)
+        ref = programmable_bootstrap(context, sample, table, encoding)
         assert np.array_equal(batch_out.a[i], ref.a)
         assert int(batch_out.b[i]) == int(ref.b)
         assert decrypt_digit(secret.lwe_key, ref, encoding) == table[value]
@@ -198,7 +197,7 @@ def test_programmable_bootstrap_batch_shared_table(rng):
     table = [(2 * v + 1) % encoding.space for v in range(encoding.space)]
     values = list(range(encoding.space))
     samples = [encrypt_digit(secret.lwe_key, v, encoding, rng=rng) for v in values]
-    out = context_programmable_bootstrap_batch(
+    out = programmable_bootstrap_batch(
         context, LweBatch.from_samples(samples), table, encoding
     )
     decrypted = [
@@ -213,7 +212,7 @@ def test_programmable_bootstrap_batch_table_count_mismatch(rng):
     table = list(range(encoding.space))
     samples = [encrypt_digit(secret.lwe_key, v, encoding, rng=rng) for v in (0, 1, 2)]
     with pytest.raises(ValueError, match="2 lookup tables for 3 rows"):
-        context_programmable_bootstrap_batch(
+        programmable_bootstrap_batch(
             context, LweBatch.from_samples(samples), [table, table], encoding
         )
 
@@ -294,7 +293,7 @@ def test_gate_bootstrapping_requires_8ary_rating():
     cramped = dataclasses.replace(TEST_PBS, message_space=4)
     assert isinstance(cramped, TFHEParameters)
     with pytest.raises(ValueError, match="needs the 8-ary message space"):
-        bootstrap_without_keyswitch(None, int(MU), None, cramped)
+        row_spec(cramped, "nand")
 
 
 def test_digit_encoding_slots_must_divide_degree():

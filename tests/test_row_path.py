@@ -3,12 +3,18 @@
 A gate is a lut with a fixed test vector, so whatever holds for one kind of
 row holds for the other on every entry point: the 8-ary message-space check,
 an empty round, a failed operand, and — on random compiler-produced
-netlists — the output ciphertexts of the three circuit drivers.
+netlists — the output ciphertexts of the three circuit drivers.  Rotate →
+extract → key switch is composed in one place, so what that place does — the
+dimension check, the stage spans, the bootstrap count — holds for digit rows
+and raw refreshes as well, and nothing else in ``src`` composes it again.
 """
 
 from __future__ import annotations
 
+import ast
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.workers import WorkerPool
 from repro.telemetry import Telemetry
+from repro.tfhe.bootstrap import programmable_bootstrap_batch
 from repro.tfhe.executor import CircuitExecutor, execute
 from repro.tfhe.gates import (
     BatchGateEvaluator,
@@ -33,10 +40,11 @@ from repro.tfhe.gates import (
     encrypt_bit,
     encrypt_bits,
 )
+from repro.tfhe.integers import RadixEvaluator, encrypt_radix
 from repro.tfhe.keys import generate_keys
-from repro.tfhe.lwe import LweBatch
+from repro.tfhe.lwe import LweBatch, LweSample, encrypt_digit
 from repro.tfhe.netlist import Circuit, adder_netlist
-from repro.tfhe.params import TEST_TINY
+from repro.tfhe.params import TEST_TINY, DigitEncoding
 from repro.tfhe.transform import NaiveNegacyclicTransform
 
 from test_compiler_passes import _random_netlist
@@ -76,6 +84,10 @@ ENTRY_POINTS = {
     "CircuitExecutor.run: lut node": lambda cloud, bits: CircuitExecutor(
         BatchGateEvaluator(cloud, 1)
     ).run_samples(_lut_circuit(), {"a": bits}),
+    "FheContext.bootstrap": lambda cloud, bits: FheContext(cloud).bootstrap(bits[0]),
+    "FheContext.bootstrap_batch": lambda cloud, bits: FheContext(cloud).bootstrap_batch(
+        LweBatch.from_samples(bits)
+    ),
 }
 
 
@@ -210,3 +222,137 @@ def test_drivers_agree_on_the_lut_lowered_adder(tiny_keys_naive):
         "b": encrypt_bits(secret, [1, 1, 0, 1], rng=31),
     }
     _assert_drivers_agree(cloud, circuit, inputs)
+
+
+# --------------------------------------------------------------------------- #
+# one composition: its checks, spans and counters reach every caller          #
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("keys", ["tiny_keys_naive", "tiny_keys_naive_m2"], ids=["cmux", "bku-m2"])
+@pytest.mark.parametrize("extra", [3, -3], ids=["n+3", "n-3"])
+def test_wrong_dimension_rows_are_refused_by_both_evaluators(request, keys, extra):
+    _, cloud = request.getfixturevalue(keys)
+    n = cloud.params.n
+    wrong = LweSample(a=np.zeros(n + extra, dtype=np.int32), b=np.int32(0))
+    message = rf"dimension {n + extra} does not match .* n={n}\b"
+    scalar, batch = TFHEGateEvaluator(cloud), BatchGateEvaluator(cloud, 1)
+    plane = LweBatch.from_samples([wrong])
+    with pytest.raises(ValueError, match=message):
+        scalar.nand(wrong, wrong)
+    with pytest.raises(ValueError, match=message):
+        scalar.lut(0x96, [wrong, wrong, wrong])
+    with pytest.raises(ValueError, match=message):
+        batch.nand(plane, plane)
+    with pytest.raises(ValueError, match=message):
+        batch.bootstrap_rows(plane, batch.gate_test_vector())
+    with pytest.raises(ValueError, match=message):
+        FheContext(cloud).bootstrap(wrong)
+    assert scalar.counters.bootstraps == batch.counters.bootstraps == 0
+
+
+#: Base-4 digits with a digit of carry room.  ``test-tiny`` cannot resolve the
+#: 32 torus slots, so the context is a re-rated twin of the key and the calls
+#: below are checked for what they record, not for what they decrypt to.
+ENCODING = DigitEncoding(message_bits=2, carry_bits=2)
+SQUARE = [v * v % ENCODING.space for v in range(ENCODING.space)]
+
+
+def _digit_rows(secret, count):
+    return LweBatch.from_samples(
+        encrypt_digit(secret.lwe_key, 3 * i % ENCODING.space, ENCODING, rng=40 + i)
+        for i in range(count)
+    )
+
+
+def _bootstrap(secret, context, radix):
+    context.bootstrap(_digit_rows(secret, 1)[0])
+
+
+def _bootstrap_batch(secret, context, radix):
+    context.bootstrap_batch(_digit_rows(secret, 3))
+
+
+def _pbs_batch(secret, context, radix):
+    programmable_bootstrap_batch(context, _digit_rows(secret, 4), SQUARE, ENCODING)
+
+
+def _propagate(secret, context, radix):
+    """lo+hi rows for the two lower digits, the lo row alone for the top one."""
+    x = encrypt_radix(secret.lwe_key, 0b111011, 3, ENCODING, rng=50)
+    radix.propagate(radix.add(x, x))
+
+
+def _mul(secret, context, radix):
+    """One call for the 9 partial-product rows; the top column's fifth term
+    forces a sweep of the first layer (2 calls, 3 rows) before the final
+    one-row renormalisation."""
+    x = encrypt_radix(secret.lwe_key, 0b011011, 3, ENCODING, rng=51)
+    y = encrypt_radix(secret.lwe_key, 0b100111, 3, ENCODING, rng=52)
+    radix.mul(x, y)
+
+
+@pytest.mark.parametrize(
+    "call, calls, rows",  # the bootstrap_rows calls it makes, the rows they carry
+    [
+        pytest.param(_bootstrap, 1, 1, id="FheContext.bootstrap"),
+        pytest.param(_bootstrap_batch, 1, 3, id="FheContext.bootstrap_batch"),
+        pytest.param(_pbs_batch, 1, 4, id="programmable_bootstrap_batch"),
+        pytest.param(_propagate, 3, 5, id="RadixEvaluator.propagate"),
+        pytest.param(_mul, 4, 13, id="RadixEvaluator.mul"),
+    ],
+)
+def test_every_caller_of_the_composition_is_traced_and_counted(
+    tiny_keys_naive, call, calls, rows
+):
+    secret, cloud = tiny_keys_naive
+    context = FheContext(
+        replace(cloud, params=replace(cloud.params, message_space=32), _context=None)
+    )
+    context.telemetry = Telemetry()
+    radix = RadixEvaluator(context, ENCODING)
+    with context.telemetry.stage_round(["trace"]):
+        call(secret, context, radix)
+    spans = context.telemetry.tracer.spans("trace")
+    for stage in ("engine_contract", "keyswitch"):
+        recorded = [span.attrs["rows"] for span in spans if span.name == stage]
+        assert len(recorded) == calls, f"{stage}: {recorded}"
+        assert sum(recorded) == rows
+    assert len(spans) == 2 * calls
+    assert context.batch_evaluator(1).counters.bootstraps == rows
+    assert radix.counters.bootstraps in (0, rows)  # the radix tally, when it ran
+
+
+#: The kernels of the two halves of a bootstrapping → the module that defines
+#: each.  Besides that module, only the one batched composition and its
+#: scalar reference may call them: anything else that pairs a blind rotation
+#: with a key switch bypasses the dimension check, the spans and the counters
+#: above.
+KERNEL_HOME = {
+    "keyswitch_apply": "tfhe/keyswitch.py",
+    "keyswitch_apply_batch": "tfhe/keyswitch.py",
+    "blind_rotate_and_extract": "tfhe/bootstrap.py",
+    "blind_rotate_and_extract_batch": "tfhe/bootstrap.py",
+}
+
+
+def test_only_the_row_path_composes_rotation_with_key_switch():
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # escapes in docstrings are not at issue
+            tree = ast.parse(path.read_text())
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(scope):
+                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if KERNEL_HOME.get(name, module) != module:
+                    callers.add((module, scope.name))
+    assert callers == {
+        ("tfhe/gates.py", "_apply"),
+        ("tfhe/gates.py", "bootstrap_rows"),
+    }

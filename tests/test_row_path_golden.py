@@ -1,42 +1,61 @@
 """Golden digests of the bootstrap-row path.
 
-Every entry point that turns a gate or a lut into a bootstrapping — the
-scalar evaluator, the batched evaluator, ``execute_rows``, the level-parallel
-executor and the scheduler's jobs — is run on one seeded ``test-tiny`` key
-with the exact ``naive`` engine, and the sha256 of the output ciphertext
-bytes is compared with the value recorded before the paths were unified.
-The engine is integer-exact, so the digests depend only on the seeded key
-and input streams; should a NumPy release ever change ``Generator.normal``,
-rebuild the fixture's noise from ``rng.integers`` rather than loosening the
-comparison.
+Every entry point that turns a gate, a lut, a digit lookup or a raw refresh
+into a bootstrapping — the scalar evaluator, the batched evaluator,
+``execute_rows``, the level-parallel executor, the scheduler's jobs,
+``FheContext.bootstrap[_batch]``, the programmable bootstraps, the radix
+integers, and both evaluators over a BKU (``unroll_factor=2``) twin key — is
+run on one seeded ``test-tiny`` key with the exact ``naive`` engine, and the
+sha256 of the output ciphertext bytes is compared with the value recorded
+before the paths were unified.  The engine is integer-exact, so the digests
+depend only on the seeded key and input streams; should a NumPy release ever
+change ``Generator.normal``, rebuild the fixture's noise from ``rng.integers``
+rather than loosening the comparison.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from repro.runtime.context import FheContext
 from repro.runtime.scheduler import BatchScheduler, execute_rows
+from repro.tfhe.bootstrap import programmable_bootstrap, programmable_bootstrap_batch
 from repro.tfhe.executor import CircuitExecutor, execute
 from repro.tfhe.gates import (
+    MU,
     BatchGateEvaluator,
     TFHEGateEvaluator,
     encrypt_bit,
     encrypt_bit_batch,
 )
-from repro.tfhe.lwe import LweBatch
+from repro.tfhe.integers import RadixEvaluator, encrypt_radix
+from repro.tfhe.lwe import LweBatch, encrypt_digit
 from repro.tfhe.netlist import Circuit
+from repro.tfhe.params import DigitEncoding
 
 GATES = ("nand", "and", "or", "nor", "xor", "xnor", "andny", "andyn", "orny", "oryn")
 #: (truth table, arity): NOT, identity, XOR, AND, XOR3, MAJ3.
 LUTS = ((0b01, 1), (0b10, 1), (0x6, 2), (0x8, 2), (0x96, 3), (0xE8, 3))
+#: Base-4 digits with a digit of carry room (what ``mul``/``gt`` pack into).
+#: ``test-tiny`` cannot resolve its 32 torus slots, so the digit digests run on
+#: a re-rated twin of the key and pin bytes only — nothing there decrypts.
+ENCODING = DigitEncoding(message_bits=2, carry_bits=2)
+DIGIT_TABLES = tuple(
+    [f(v) % ENCODING.space for v in range(ENCODING.space)]
+    for f in (lambda v: v * v, lambda v: v // 4, lambda v: 15 - v, lambda v: v % 4)
+)
 
 GOLDEN = {
     "batch.gate": "1b9f67a1ed3c58ef381027d688b9244d1e1a04cda867e6b61618efa3f89857e6",
     "batch.gate_rows": "5260ab9e2a1142122b1642a28b0e26d2c38ec622982e8fe653b26d32c5ddcbde",
     "batch.lut": "b2f50647d305466573160973dfb78026765f5461c5ed4473eee8f0e16b856021",
+    "bku2.gate_rows": "d05839498792ab80ca96641c0c176bb7b6a158c2beb00ca6ce12a77308413567",
+    "bku2.scalar": "0fd1133d63630da16fe333d686611db0b135d50b9b5409f11cfc746fe22ae12e",
+    "context.bootstrap": "a812208b532b90eb6dbad9818b063a4ce50f9013ca2ac053cda0733a0993b090",
+    "context.bootstrap_batch": "e8bc2b2fa32cd9c81b8c8fb7453f4c10d8719fe18e37a3387c37d76c03528f19",
     "execute.eager": "b4e579e36f5da29e2d6c8efb2ce10d153bc38a659f3577767778b1fae35065db",
     "execute_rows.gates[1]": "5260ab9e2a1142122b1642a28b0e26d2c38ec622982e8fe653b26d32c5ddcbde",
     "execute_rows.gates[3]": "5260ab9e2a1142122b1642a28b0e26d2c38ec622982e8fe653b26d32c5ddcbde",
@@ -46,6 +65,12 @@ GOLDEN = {
     "execute_rows.mixed[None]": "a4e0a43828d2264794cb60ef8ffd9c0d59199a3ee8782c2ce16944d71687bca0",
     "executor.run": "8bdf87548ace87311849e3929f7a2f82d389d1efd711732549746ba9276de00a",
     "executor.run_samples": "b4e579e36f5da29e2d6c8efb2ce10d153bc38a659f3577767778b1fae35065db",
+    "pbs.batch[per-row]": "52c9e9b52a9db30ee3c1e84ca8c8e3c4c81d284d3ff8d9179eaefb78ab26aead",
+    "pbs.batch[shared]": "b3795d252ac9dd2c8f0dd3017fa2cc32e11beb29c80090f2e0298e2840291966",
+    "pbs.scalar": "52c9e9b52a9db30ee3c1e84ca8c8e3c4c81d284d3ff8d9179eaefb78ab26aead",
+    "radix.add+propagate": "59cd46c28acefe863fa430a653e3341609334e4aa7c60c80dfe48b9ef881fa33",
+    "radix.gt": "9110e56d0cc4b441b4813ebd92db2c7f5be0778934bd8475060b86fb5704765d",
+    "radix.mul": "646a3f34352ae149fd8cbe8761813a727d802f1a50bcc02cd8ad662162219a74",
     "scalar": "75f052ebf72f34b597ab9002d7ab97d3b69fa96e4f2377347f3f7fe132cd57c2",
     "scheduler.chain": "82488a04521e76a012042cce80572f9f555f79e57f45616697cda51982fce8a4",
     "scheduler.circuit": "b4e579e36f5da29e2d6c8efb2ce10d153bc38a659f3577767778b1fae35065db",
@@ -95,7 +120,7 @@ def flatten(result) -> list:
 
 
 @pytest.fixture(scope="module")
-def digests(tiny_keys_naive):
+def digests(tiny_keys_naive, tiny_keys_naive_m2):
     secret, cloud = tiny_keys_naive
     bits = [encrypt_bit(secret, (i >> 1) & 1 ^ (i & 1), rng=9000 + i) for i in range(8)]
     planes = [
@@ -161,6 +186,55 @@ def digests(tiny_keys_naive):
     out["scheduler.circuit"] = digest(flatten(circuit_handle.result()))
     out["scheduler.depth0"] = digest(flatten(depth0_handle.result()))
     out["scheduler.chain"] = digest([gate_handle.result(), lut_handle.result()])
+
+    out["context.bootstrap"] = digest(
+        [context.bootstrap(bit) for bit in bits[:3]]
+        + [context.bootstrap(bits[3], mu=int(MU) // 2)]
+    )
+    out["context.bootstrap_batch"] = digest(
+        context.bootstrap_batch(planes[0]).to_samples()
+        + context.bootstrap_batch(planes[1], mu=int(MU) // 2).to_samples()
+    )
+
+    rated = FheContext(
+        replace(cloud, params=replace(cloud.params, message_space=32), _context=None)
+    )
+    digits = [
+        encrypt_digit(secret.lwe_key, value, ENCODING, rng=9200 + value)
+        for value in (0, 5, 10, 15)
+    ]
+    out["pbs.scalar"] = digest(
+        programmable_bootstrap(rated, digit, table, ENCODING)
+        for digit, table in zip(digits, DIGIT_TABLES)
+    )
+    stacked = LweBatch.from_samples(digits)
+    out["pbs.batch[shared]"] = digest(
+        programmable_bootstrap_batch(rated, stacked, DIGIT_TABLES[0], ENCODING).to_samples()
+    )
+    out["pbs.batch[per-row]"] = digest(
+        programmable_bootstrap_batch(rated, stacked, DIGIT_TABLES, ENCODING).to_samples()
+    )
+
+    radix = RadixEvaluator(rated, ENCODING)
+    x = encrypt_radix(secret.lwe_key, 0b100111, 3, ENCODING, rng=9300)
+    y = encrypt_radix(secret.lwe_key, 0b011110, 3, ENCODING, rng=9301)
+    total = radix.add(radix.add(x, y), y)
+    out["radix.add+propagate"] = digest(total.digits + radix.propagate(total).digits)
+    out["radix.mul"] = digest(radix.mul(x, y).digits)
+    out["radix.gt"] = digest([radix.gt(x, y)])
+
+    secret_m2, cloud_m2 = tiny_keys_naive_m2
+    bits_m2 = [encrypt_bit(secret_m2, (i >> 1) & 1, rng=9400 + i) for i in range(8)]
+    scalar_m2 = TFHEGateEvaluator(cloud_m2)
+    out["bku2.scalar"] = digest(
+        [scalar_m2.gate(name, bits_m2[0], bits_m2[3]) for name in GATES]
+        + [scalar_m2.lut(table, bits_m2[:arity]) for table, arity in LUTS]
+    )
+    ca = LweBatch.from_samples(bits_m2[i % 8] for i in range(len(GATES)))
+    cb = LweBatch.from_samples(bits_m2[(i + 3) % 8] for i in range(len(GATES)))
+    out["bku2.gate_rows"] = digest(
+        BatchGateEvaluator(cloud_m2, 4).gate_rows(GATES, ca, cb).to_samples()
+    )
     return out
 
 

@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 from repro.runtime import FheContext
-from repro.tfhe.bootstrap import CmuxBlindRotator, gate_bootstrap
+from repro.tfhe.bootstrap import (
+    CmuxBlindRotator,
+    blind_rotate_and_extract,
+    make_test_vector,
+)
 from repro.tfhe.circuits import add, decrypt_integer, encrypt_integer
 from repro.tfhe.executor import CircuitExecutor
 from repro.tfhe.gates import (
@@ -27,6 +31,7 @@ from repro.tfhe.gates import (
     encrypt_bit,
 )
 from repro.tfhe.keys import generate_keys
+from repro.tfhe.keyswitch import keyswitch_apply
 from repro.tfhe.lwe import lwe_add, lwe_encrypt_trivial, lwe_scale, lwe_sub
 from repro.tfhe.params import TEST_TINY
 from repro.tfhe.tgsw import tgsw_transform
@@ -46,9 +51,10 @@ def _uncached_gate(cloud, name, ca, cb):
     combined = lwe_encrypt_trivial(ca.dimension, np.int32(offset * int(MU)))
     combined = lwe_add(combined, lwe_scale(coef_a, ca))
     combined = lwe_add(combined, lwe_scale(coef_b, cb))
-    return gate_bootstrap(
-        combined, int(MU), rotator, cloud.keyswitch_key, cloud.params
+    extracted = blind_rotate_and_extract(
+        combined, make_test_vector(cloud.params, int(MU)), rotator, cloud.params
     )
+    return keyswitch_apply(cloud.keyswitch_key, extracted)
 
 
 class TestCachedSpectraBitIdentical:
@@ -124,8 +130,7 @@ class TestContextSurface:
     def test_default_context_is_memoised(self, tiny_keys_naive):
         _, cloud = tiny_keys_naive
         assert cloud.default_context() is cloud.default_context()
-        assert cloud.blind_rotator is cloud.blind_rotator
-        assert cloud.transform is cloud.default_context().engine
+        assert cloud.default_context().rotator is cloud.default_context().rotator
 
     def test_evaluators_share_the_context(self, tiny_keys_naive):
         _, cloud = tiny_keys_naive

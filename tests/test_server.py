@@ -44,9 +44,9 @@ from repro.runtime.protocol import (
 )
 from repro.telemetry import parse_prometheus_text
 from repro.tfhe.gates import decrypt_bit, encrypt_bit
-from repro.tfhe.integers import decrypt_radix, encrypt_radix
+from repro.tfhe.integers import RadixInt, decrypt_radix, encrypt_radix
 from repro.tfhe.keys import generate_keys
-from repro.tfhe.lwe import LweBatch
+from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
 from repro.tfhe.serialize import circuit_to_json, to_bytes
@@ -288,6 +288,29 @@ def test_inconsistent_shapes_are_refused_at_load(server_factory, wire_keys, edit
             client, "circuit", [lopsided], circuit=json.loads(circuit_to_json(circuit))
         )
         assert "'b'" in message
+
+
+def test_radix_operand_of_the_wrong_dimension_is_refused_before_any_bootstrap(
+    server_factory, wire_keys
+):
+    """Every digit of both operands is checked against the key: a mismatched
+    operand is a ``bad_request`` naming the dimension — not NumPy's broadcast
+    error from the digit-wise add, after ``x`` was already carry-propagated."""
+    secret, cloud = wire_keys
+    encoding = DigitEncoding(message_bits=2, carry_bits=1)
+    x = encrypt_radix(secret.lwe_key, 27, 3, encoding, rng=1)
+    x = RadixInt(x.digits, bounds=(4, 4, 4), encoding=encoding)  # add() must propagate
+    wide = LweSample(a=np.zeros(TEST_TINY.n + 3, dtype=np.int32), b=np.int32(0))
+    y = RadixInt([wide] * 3, bounds=(3, 3, 3), encoding=encoding)
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        for parts, operand in (([x, y], "y"), ([y, x], "x")):
+            message = _bad_request(client, "radix_add", [to_bytes(part) for part in parts])
+            assert f"operand {operand} digit 0" in message
+            assert f"dimension {TEST_TINY.n + 3}" in message and f"n={TEST_TINY.n}" in message
+        (resident,) = server.scheduler.residents
+        assert resident.context.batch_evaluator(1).counters.bootstraps == 0
 
 
 def test_wrong_artifact_type_rejected(server_factory, wire_keys):

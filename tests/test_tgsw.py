@@ -14,7 +14,6 @@ from repro.tfhe.tgsw import (
     tgsw_encrypt,
     tgsw_encrypt_zero,
     tgsw_external_product,
-    tgsw_external_product_plain,
     tgsw_identity,
     tgsw_transform,
 )
@@ -107,7 +106,7 @@ class TestExternalProduct:
         tgsw = tgsw_encrypt(key, bit, PARAMS.tgsw, transform, rng=36 + bit)
         message = message_poly()
         tlwe = tlwe_encrypt(key, message, transform, rng=38)
-        product = tgsw_external_product_plain(tgsw, tlwe, transform)
+        product = tgsw_external_product(tgsw_transform(tgsw, transform), tlwe, transform)
         phase = tlwe_phase(key, product, transform)
         expected = message if bit else np.zeros_like(message)
         assert torus_distance(phase, expected).max() < 2e-2

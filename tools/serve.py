@@ -81,7 +81,7 @@ def main(argv=None) -> int:
         default=None,
         help=(
             "transform engine for registered keys: a registry kind "
-            "(double, compiled, cupy, ...), 'auto' to pick the best "
+            "(naive, double, approx, compiled), 'auto' to pick the best "
             "available backend per key, or omit to honour each key's "
             "recorded spec"
         ),
