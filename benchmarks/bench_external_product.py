@@ -6,7 +6,9 @@ Every blind-rotation step is one kernel over ``(B, k+1, N)`` accumulators —
 forward, one ``spectrum_contract`` against the packed ``(rows, k+1, N/2)`` key
 tensor, **one** stacked backward, and all scratch staged through a reusable
 :class:`~repro.tfhe.tgsw.BootstrapWorkspace`.  The single-stream row times
-that kernel at ``B = 1``, the batch row at ``B = 64``.
+that kernel at ``B = 1``, the batch row at ``B = 64``; the two ``rotate``
+rows time ``rotate_batch`` alone — the loop as served, its bound step kernel
+fetched once per call — and report it per step.
 
 This bench measures gate bootstrapping throughput (double-FFT engine,
 test-tiny parameters) for the fused path against a **verbatim reproduction of
@@ -43,6 +45,7 @@ from repro.tfhe.keyswitch import (
 from repro.tfhe.lwe import LweBatch, gate_message, lwe_encrypt
 from repro.tfhe.params import TEST_TINY
 from repro.tfhe.tlwe import (
+    TlweBatch,
     tlwe_batch_rotate,
     tlwe_batch_sample_extract,
     tlwe_batch_trivial,
@@ -61,11 +64,11 @@ BEST_OF = 3
 class _ReferenceDoubleEngine(DoubleFFTNegacyclicTransform):
     """The pre-PR double-FFT ``forward``/``backward`` bodies, verbatim.
 
-    The fused kernel's engine now folds the transform normalisation into the
-    twist tables, rounds in the complex domain and calls the pocketfft
-    gufuncs directly; this subclass restores the historical implementation
-    (bit-identical outputs, historical cost) so the baseline measurement does
-    not silently profit from this PR's engine work.
+    The fused kernel's engine folds the backward normalisation into the
+    untwist table (and never applies the forward one), rounds in the complex
+    domain and calls the pocketfft gufuncs directly; this subclass restores
+    the historical implementation (bit-identical outputs, historical cost) so
+    the baseline measurement does not silently profit from the engine work.
     """
 
     def forward(self, coeffs):
@@ -184,6 +187,32 @@ def run(record_result=None):
     fused_batch_bs = BATCH_WIDTH / fused_batch_seconds
     ref_batch_bs = BATCH_WIDTH / ref_batch_seconds
 
+    # -- the blind-rotation loop as served: rotate_batch alone, per step ------
+    barb, bara = modswitch_batch(batch, params.N)
+    test_vector = np.full(params.N, np.int32(int(MU)), dtype=np.int32)
+    accumulators = tlwe_batch_rotate(
+        tlwe_batch_trivial(test_vector, params.k, BATCH_WIDTH), -barb
+    )
+
+    def time_rotation(rotate, rows, amounts, repeats):
+        def measure():
+            start = time.perf_counter()
+            for _ in range(repeats):
+                rotate(rows, amounts)
+            return (time.perf_counter() - start) / repeats
+
+        return measure
+
+    rotations = {}
+    for width in (1, BATCH_WIDTH):
+        operands = (TlweBatch(accumulators.data[:width]), bara[:width])
+        repeats = SINGLE_STREAM_SAMPLES if width == 1 else 1
+        rotations[width] = (
+            int(operands[1].any(axis=0).sum()),  # active steps
+            _best_of(time_rotation(fused.rotate_batch, *operands, repeats)),
+            _best_of(time_rotation(reference.rotate_batch_reference, *operands, repeats)),
+        )
+
     entries = [
         make_entry(
             "single_stream", "double", params.name, 1, fused_bs, ref_bs
@@ -191,6 +220,11 @@ def run(record_result=None):
         make_entry(
             "batch", "double", params.name, BATCH_WIDTH, fused_batch_bs, ref_batch_bs
         ),
+    ] + [
+        make_entry(
+            "rotate_batch", "double", params.name, width, width / seconds, width / ref
+        )
+        for width, (_steps, seconds, ref) in rotations.items()
     ]
 
     lines = [
@@ -202,9 +236,18 @@ def run(record_result=None):
         f"{'batch-' + str(BATCH_WIDTH):>14} {fused_batch_bs:>11.1f} "
         f"{ref_batch_bs:>12.1f} {fused_batch_bs / ref_batch_bs:>7.2f}x",
         "",
+        f"{'rotate_batch':>14} {'fused us/step':>14} {'pre-PR us/step':>15} {'speedup':>8}",
+    ] + [
+        f"{'rotate-' + str(width):>14} {seconds / steps * 1e6:>14.1f} "
+        f"{ref / steps * 1e6:>15.1f} {ref / seconds:>7.2f}x"
+        for width, (steps, seconds, ref) in rotations.items()
+    ] + [
+        "",
         "fused = one digit stack + one stacked forward + spectrum_contract + "
         "one stacked backward per external product, X^p·ACC read as a window "
-        "of [ACC, -ACC, ACC], workspace-reused scratch; pre-PR = verbatim "
+        "of [ACC, -ACC, ACC], workspace-reused scratch; rotate-B = rotate_batch "
+        "alone over B rows, per active step (the bound step kernel fetched "
+        "once per call); pre-PR = verbatim "
         "pre-fusion implementation (per-plane transforms, materialised "
         "rotation, per-level keyswitch, historical engine bodies).  Outputs "
         "asserted bit-identical before timing; best-of-" + str(BEST_OF) + " timings.",

@@ -26,7 +26,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.tfhe.bootstrap import _rotation_amounts
+from repro.tfhe.bootstrap import _accumulator_data, _rotation_amounts
 from repro.tfhe.keys import RawUnrolledGroup, TFHESecretKey
 from repro.tfhe.params import TFHEParameters
 from repro.tfhe.tgsw import (
@@ -345,7 +345,9 @@ class UnrolledBlindRotator:
 
     def rotate_batch(self, accumulators: TlweBatch, bara: np.ndarray) -> TlweBatch:
         """BKU blind rotation: per group, one batched bundle then one batched EP."""
-        bara = _rotation_amounts(bara, accumulators.batch_size, self.key.params.n)
+        params = self.key.params
+        _accumulator_data(accumulators, params.k, params.N)
+        bara = _rotation_amounts(bara, accumulators.batch_size, params.n)
         acc = accumulators
         for group in self.key.groups:
             bundle = self.build_bundle(group, bara)

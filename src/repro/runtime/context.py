@@ -273,6 +273,7 @@ class FheContext:
         self._scalar_evaluator = None
         self._batch_evaluators = {}
         self.cached_tgsw_samples = 0
+        self.workspace.clear()
         self.workspace = BootstrapWorkspace()
 
     @property

@@ -19,19 +19,21 @@ Two blind-rotation strategies are provided:
 
 * :class:`CmuxBlindRotator` — the classical TFHE-library strategy
   (``ACC ← CMux(BK_i, X^{ā_i}·ACC, ACC)``), one secret-key bit per external
-  product, every step one call of the step kernel
-  (:func:`repro.tfhe.tgsw.tgsw_batch_cmux_rotate`) whatever the batch width;
+  product: a rotation fetches the bound step kernel of its batch shape once
+  (the kernel behind :func:`repro.tfhe.tgsw.tgsw_batch_cmux_rotate`) and every
+  step is one call of it, whatever the batch width;
 * :class:`repro.core.bku.UnrolledBlindRotator` — bootstrapping-key unrolling
   (Figure 5), ``m`` secret-key bits per external product using a bundle built
   from ``2^m − 1`` TGSW keys.  MATCHA's pipelined datapath targets this form.
 
 Both rotate a ``(B, k+1, N)`` accumulator stack; their scalar ``rotate`` is
-``rotate_batch`` on a one-row view.
+``rotate_batch`` on a one-row view.  Rotation inputs are checked once per
+call: integer rotation amounts, one per row and key bit, and int32
+accumulators of the key's ``(k+1, N)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Protocol, Sequence
 
@@ -42,7 +44,7 @@ from repro.tfhe.params import DigitEncoding, TFHEParameters
 from repro.tfhe.tgsw import (
     BootstrapWorkspace,
     TransformedTgswSample,
-    _cmux_rotate_step,
+    _StepKernel,
     tgsw_batch_cmux_reference,
     tgsw_cmux_reference,
 )
@@ -58,28 +60,6 @@ from repro.tfhe.tlwe import (
 )
 from repro.tfhe.torus import modswitch_from_torus32, modswitch_to_torus32
 from repro.tfhe.transform import NegacyclicTransform
-
-
-@dataclass
-class BootstrapProfile:
-    """Operation counts of a bootstrapping, used for the Figure 1 breakdown."""
-
-    forward_transforms: int = 0
-    backward_transforms: int = 0
-    external_products: int = 0
-    pointwise_ops: int = 0
-    linear_ops: int = 0
-    keyswitch_ops: int = 0
-
-    def merge(self, other: "BootstrapProfile") -> "BootstrapProfile":
-        return BootstrapProfile(
-            self.forward_transforms + other.forward_transforms,
-            self.backward_transforms + other.backward_transforms,
-            self.external_products + other.external_products,
-            self.pointwise_ops + other.pointwise_ops,
-            self.linear_ops + other.linear_ops,
-            self.keyswitch_ops + other.keyswitch_ops,
-        )
 
 
 class BlindRotator(Protocol):
@@ -100,15 +80,32 @@ class BlindRotator(Protocol):
 
 
 def _rotation_amounts(bara, rows: int, key_bits: int) -> np.ndarray:
-    """``bara`` as a ``(rows, ≥ key_bits)`` array — what every rotator's
-    ``rotate_batch`` takes (amounts past the last key bit are ignored)."""
+    """``bara`` as a ``(rows, ≥ key_bits)`` integer array — what every
+    rotator's ``rotate_batch`` takes (amounts past the last key bit are
+    ignored)."""
     bara = np.asarray(bara)
     if bara.ndim != 2 or bara.shape[0] != rows or bara.shape[1] < key_bits:
         raise ValueError(
             f"blind rotation needs one rotation amount per row and key bit: "
             f"got shape {bara.shape} for {rows} rows and {key_bits} key bits"
         )
+    if bara.dtype.kind not in "iu":
+        raise ValueError(
+            f"blind rotation amounts are integers mod 2N: got dtype {bara.dtype}"
+        )
     return bara
+
+
+def _accumulator_data(accumulators: TlweBatch, mask_count: int, degree: int) -> np.ndarray:
+    """The ``(B, k+1, N)`` int32 array of ``accumulators`` — what every
+    rotator's ``rotate_batch`` takes for a key of ``mask_count`` and ``degree``."""
+    data = accumulators.data
+    if data.dtype != np.int32 or data.ndim != 3 or data.shape[1:] != (mask_count + 1, degree):
+        raise ValueError(
+            f"blind rotation needs int32 accumulators of shape "
+            f"(B, {mask_count + 1}, {degree}): got {data.dtype} of shape {data.shape}"
+        )
+    return data
 
 
 class CmuxBlindRotator:
@@ -118,10 +115,11 @@ class CmuxBlindRotator:
     ``(B, k+1, N)`` accumulator stack (:meth:`rotate` is :meth:`rotate_batch`
     on a one-row view) — ``X^{ā_i}·ACC`` read as a window of
     ``[ACC, −ACC, ACC]``, the external product one stacked
-    forward/contract/backward — with every intermediate in a
-    :class:`repro.tfhe.tgsw.BootstrapWorkspace` shared across all ``n`` steps
-    (and across every bootstrapping that reuses this rotator), so a step
-    allocates only the accumulator it returns.
+    forward/contract/backward.  A rotation fetches the kernel bound to its
+    batch shape once from the :class:`repro.tfhe.tgsw.BootstrapWorkspace`
+    shared across all ``n`` steps (and across every bootstrapping that reuses
+    this rotator), so a step resolves nothing and allocates only the
+    accumulator it returns.
     :meth:`rotate_reference` / :meth:`rotate_batch_reference` are the
     per-digit-plane oracle for property tests and benchmarks.
     """
@@ -151,20 +149,32 @@ class CmuxBlindRotator:
         A step at which every row's rotation amount is zero is skipped; a
         zero row inside an active step contributes an exactly-zero
         ``(X^0 − 1)·ACC`` difference, so its accumulator passes through
-        unchanged.
+        unchanged.  The engine counters are topped up once, to one logical
+        external product per step that ran — also when a step raises.
         """
+        if not self.bootstrapping_key:
+            return accumulators
+        first = self.bootstrapping_key[0]
+        data = _accumulator_data(accumulators, first.mask_count, first.degree)
         steps = len(self.bootstrapping_key)
-        bara = _rotation_amounts(bara, accumulators.batch_size, steps)
+        bara = _rotation_amounts(bara, len(data), steps)
         # Window offsets (−ā_i) mod 2N of every step, hoisted out of the loop.
-        starts = np.ascontiguousarray(-bara.T[:steps] % (2 * accumulators.degree))
+        starts = np.ascontiguousarray(-bara.T[:steps] % (2 * first.degree))
         active = starts.any(axis=1).tolist()
-        data = accumulators.data
-        transform = self.transform
-        workspace = self.workspace
-        for bk_i, step_starts, step_active in zip(self.bootstrapping_key, starts, active):
-            if step_active:
-                data = _cmux_rotate_step(bk_i, data, step_starts, transform, workspace)
-        return TlweBatch(data)
+        if len(data) == 1:
+            starts = starts[:, 0].tolist()
+        kernel = _StepKernel.fetch(self.workspace, self.transform, first.params, data.shape)
+        step = kernel.step
+        acc = data.view(np.uint32)
+        ran = 0
+        try:
+            for bk_i, start, step_active in zip(self.bootstrapping_key, starts, active):
+                if step_active:
+                    acc = step(acc, bk_i.tensor, start)
+                    ran += 1
+        finally:
+            kernel.count(ran)
+        return TlweBatch(acc.view(np.int32))
 
     # -- per-digit-plane oracle (property tests / benchmark baseline) --------
     def rotate_reference(self, accumulator: TlweSample, bara: np.ndarray) -> TlweSample:

@@ -210,11 +210,11 @@ class CompiledNegacyclicTransform(DoubleFFTNegacyclicTransform):
                 np.float64
             )
             out = np.empty((3, half), dtype=np.complex128)
-            self._kernels["fold_twist"](probe, self._twist_scaled, out)
+            self._kernels["fold_twist"](probe, self._twist, out)
             folded = np.empty((3, half), dtype=np.complex128)
             folded.real = probe[:, :half]
             folded.imag = probe[:, half:]
-            folded *= self._twist_scaled
+            folded *= self._twist
             if not np.array_equal(out, folded):
                 return False
 
@@ -245,8 +245,10 @@ class CompiledNegacyclicTransform(DoubleFFTNegacyclicTransform):
 
     #: The parent stages ``forward → spectrum_contract → backward`` through
     #: workspace buffers with its own NumPy glue; this engine's kernels *are*
-    #: its overrides of those three methods, so it composes them generically.
+    #: its overrides of those three methods, so it composes them generically
+    #: (and binds that composition, not the parent's closure).
     contract_accumulate = NegacyclicTransform.contract_accumulate
+    bind_contraction = NegacyclicTransform.bind_contraction
 
     # -- conversions --------------------------------------------------------
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
@@ -261,7 +263,7 @@ class CompiledNegacyclicTransform(DoubleFFTNegacyclicTransform):
             -1, self.degree
         )
         folded = np.empty((flat.shape[0], self._half), dtype=np.complex128)
-        self._kernels["fold_twist"](flat, self._twist_scaled, folded)
+        self._kernels["fold_twist"](flat, self._twist, folded)
         return self._ifft(folded).reshape(coeffs.shape[:-1] + (self._half,))
 
     def backward(self, spectrum: np.ndarray) -> np.ndarray:

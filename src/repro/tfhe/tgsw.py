@@ -23,35 +23,46 @@ stack, the stack goes through one stacked ``forward``, one
 produces every output column at once
 (:meth:`repro.tfhe.transform.NegacyclicTransform.contract_accumulate`).
 The engine counters are topped up to the *logical* per-polynomial transform
-counts after each fused call, so the Figure-1 FFT/IFFT breakdown reports the
+counts of the fused calls, so the Figure-1 FFT/IFFT breakdown reports the
 same numbers as the per-digit-plane loop of
 :func:`tgsw_external_product_reference` (the property-test and benchmark
 ground truth).
 
-Blind-rotation step
--------------------
+Bound kernels
+-------------
 
-A blind-rotation step ``ACC ← CMux(BK_i, X^p·ACC, ACC)`` is one kernel,
-:func:`_cmux_rotate_step`, over ``(B, k+1, N)`` accumulators with one power
-per row (:func:`tgsw_batch_cmux_rotate`; :func:`tgsw_cmux_rotate` is the same
-kernel on a one-row view).  ``X^p·ACC`` is never built by index tables: it is
-the length-``N`` window starting at ``(−p) mod 2N`` of the uint32 buffer
+The kernel is an object, built once per data shape, parameter set and engine
+and cached in a :class:`BootstrapWorkspace`: :class:`_ProductKernel` owns the
+decomposition's buffers and views, its constants, and the engine's *bound
+contraction* (:meth:`~repro.tfhe.transform.NegacyclicTransform.bind_contraction`)
+— the int32 digit stack into that contraction is the one seam between this
+module and the engines.  :func:`gadget_decompose_rows` and
+:func:`tgsw_batch_external_product` are one call of it.
+
+A blind-rotation step ``ACC ← CMux(BK_i, X^p·ACC, ACC)`` is
+:class:`_StepKernel`, the same kernel behind a rotation window, over
+``(B, k+1, N)`` accumulators with one power per row
+(:func:`tgsw_batch_cmux_rotate`; :func:`tgsw_cmux_rotate` is the same kernel
+on a one-row view).  ``X^p·ACC`` is never built by index tables: it is the
+length-``N`` window starting at ``(−p) mod 2N`` of the uint32 buffer
 ``[ACC, −ACC, ACC]``, filled with the decomposition offset already added, so
 ``window − ACC`` is the offset-added ``(X^p − 1)·ACC`` the digit extraction
-starts from, and the engine's ``contract_accumulate`` adds ``ACC`` back inside
-the product's single wrap mod 2^32.  Every intermediate — window, digit
-planes, and (for the double-precision engine) folded digits, spectra, row
-products and rounded coefficients — lives in a :class:`BootstrapWorkspace`,
-so the ``n``-step loop allocates nothing but each step's result.
+starts from, and the engine's contraction adds ``ACC`` back inside the
+product's single wrap mod 2^32.  A blind rotation fetches the kernel once and
+calls its ``step`` per key bit: nothing is looked up, reshaped or checked per
+step, and every intermediate — window, digit planes, and (for the
+double-precision engine) folded digits, spectra, row products and rounded
+coefficients — is workspace memory, so the ``n``-step loop allocates nothing
+but each step's result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -152,21 +163,23 @@ class BootstrapWorkspace:
         self._pools: Dict[str, np.ndarray] = {}
         self._entries: Dict[tuple, object] = {}
 
-    def buffers(self, family: str, shape: tuple, layout, prepare=None):
+    def buffers(self, family: str, shape: tuple, layout, prepare=None, key: tuple = ()):
         """The scratch of ``family`` for ``shape`` (one dict hit when cached).
 
         ``layout(shape)`` lists the ``(array shape, dtype)`` of every buffer;
         on first use they are carved from the family's pool (grown when this
         shape needs more than any before it); the list of them — or, given
         ``prepare``, the object ``prepare(*arrays)`` a kernel builds its views
-        in once per shape — is cached and returned.
+        in once per shape — is cached and returned.  ``key`` names what a
+        prepared object is bound to beyond its shape (a parameter set, an
+        engine), so two of them never share an entry.
         """
-        entry = self._entries.get((family, shape))
+        entry = self._entries.get((family, shape, key))
         if entry is None:
             entry = self._carve(family, layout(shape))
             if prepare is not None:
                 entry = prepare(*entry)
-            self._entries[(family, shape)] = entry
+            self._entries[(family, shape, key)] = entry
         return entry
 
     def _carve(self, family: str, specs) -> List[np.ndarray]:
@@ -176,15 +189,25 @@ class BootstrapWorkspace:
         total = offsets.pop()
         pool = self._pools.get(family)
         if pool is None or pool.size < total:
-            # Cached views of the outgrown pool would pin it: drop them.
-            self._entries = {
-                key: entry for key, entry in self._entries.items() if key[0] != family
-            }
+            # Cached views of the outgrown pool would pin it, directly or
+            # through a bound kernel of another family: drop every entry (the
+            # other families re-carve theirs from the pools they keep).
+            self._entries = {}
             pool = self._pools[family] = np.empty(total, dtype=np.uint8)
         return [
             pool[offset : offset + size].view(dtype).reshape(shape)
             for offset, size, (shape, dtype) in zip(offsets, sizes, specs)
         ]
+
+    def clear(self) -> None:
+        """Drop every pool and cached entry now.
+
+        A bound kernel of an engine without its own binder points back at the
+        workspace it was built in, so a workspace that is merely forgotten
+        would keep its pools until a cyclic GC pass.
+        """
+        self._pools = {}
+        self._entries = {}
 
     @property
     def buffer_count(self) -> int:
@@ -244,26 +267,6 @@ def gadget_decompose(
     return digits
 
 
-#: Identity-keyed fast path over :func:`_decompose_constants` — parameter-set
-#: objects are module-level singletons, so an ``id`` probe skips the dataclass
-#: hash on the blind-rotation hot loop (the value-keyed cache stays the source
-#: of truth, so equal params still share constants).  Bounded: a server that
-#: deserializes a fresh params object per client key must not pin every one of
-#: them forever.
-_DECOMPOSE_CONSTANTS_BY_ID: Dict[int, Tuple[TgswParams, tuple]] = {}
-_DECOMPOSE_CONSTANTS_BY_ID_MAX = 64
-
-
-def _decompose_constants_for(params: TgswParams) -> tuple:
-    entry = _DECOMPOSE_CONSTANTS_BY_ID.get(id(params))
-    if entry is None or entry[0] is not params:
-        entry = (params, _decompose_constants(params))
-        if len(_DECOMPOSE_CONSTANTS_BY_ID) >= _DECOMPOSE_CONSTANTS_BY_ID_MAX:
-            _DECOMPOSE_CONSTANTS_BY_ID.pop(next(iter(_DECOMPOSE_CONSTANTS_BY_ID)))
-        _DECOMPOSE_CONSTANTS_BY_ID[id(params)] = entry
-    return entry[1]
-
-
 @lru_cache(maxsize=32)
 def _decompose_constants(params: TgswParams):
     """Cached uint32 constants of the gadget decomposition of one parameter set."""
@@ -294,23 +297,162 @@ def _decompose_layout(shape: tuple) -> list:
     ]
 
 
-class _DigitBuffers:
-    """The arrays of :func:`_decompose_layout` plus the two reordering views
-    that land digit plane ``j`` of block ``block`` in stack row ``block·l + j``."""
+def _step_layout(shape: tuple) -> list:
+    """Scratch of one blind-rotation step over ``(B, k+1, N)`` accumulators
+    (``shape`` is that shape plus ``(l,)``): the rotation window ahead of the
+    decomposition it feeds."""
+    batch, blocks, degree, _ = shape
+    return [
+        ((batch, blocks, 3 * degree), np.uint32),  # [ACC, −ACC, ACC] + offset
+    ] + _decompose_layout(shape)
 
-    __slots__ = ("shifted", "scratch", "planes", "digits", "stack")
 
-    def __init__(self, shifted: np.ndarray, scratch: np.ndarray, digits: np.ndarray) -> None:
+class _ProductKernel:
+    """The external product bound to one data shape, parameter set and engine.
+
+    Built once per ``(..., k+1, N)`` shape in a :class:`BootstrapWorkspace`,
+    it owns everything a product needs that does not change between calls:
+    the arrays of :func:`_decompose_layout` and the two reordering views that
+    land digit plane ``j`` of block ``block`` in stack row ``block·l + j``,
+    the decomposition constants with the shift table shaped to broadcast, and
+    the engine's bound contraction (``None`` for a kernel that only
+    decomposes).  Operands and results are *torus words* — the uint32 view of
+    int32 torus data.
+    """
+
+    __slots__ = (
+        "transform", "rows", "cols", "offset", "shifts", "mask", "half_base",
+        "shifted", "scratch", "lower", "planes", "digits", "stack", "contract",
+    )  # fmt: skip
+
+    family, layout = "decompose", staticmethod(_decompose_layout)
+
+    def __init__(self, workspace, transform, params, shifted, scratch, digits) -> None:
         length = scratch.shape[0]
         blocks = shifted.shape[-2]
         ndim = scratch.ndim
+        self.offset, shifts, self.mask, self.half_base = _decompose_constants(params)
+        self.shifts = shifts.reshape(shifts.shape + (1,) * shifted.ndim)
         self.shifted = shifted
         self.scratch = scratch
+        # The top plane is the word's leading Bg bits: the shift alone leaves
+        # nothing above them, so only the planes below it need the mask.
+        self.lower = scratch[1:]
         self.digits = digits
         # Both of shape (k+1, l, ..., N): the planes block-major, and the
         # uint32 stack with its row axis split into (block, digit).
         self.planes = scratch.transpose((ndim - 2, 0, *range(1, ndim - 2), ndim - 1))
         self.stack = digits.view(np.uint32).reshape((blocks, length) + digits.shape[1:])
+        self.transform = transform
+        self.rows, self.cols = blocks * length, blocks
+        self.contract = (
+            None if transform is None
+            else transform.bind_contraction(digits.shape, blocks, workspace)
+        )  # fmt: skip
+
+    @classmethod
+    def fetch(cls, workspace, transform, params: TgswParams, shape: tuple):
+        """The kernel of ``workspace`` (a throw-away one for ``None``) for data
+        of ``shape``: from its cache, bound to ``params`` and ``transform``
+        (``None``: decompose only) on first use."""
+        if workspace is None:
+            workspace = BootstrapWorkspace()
+        return workspace.buffers(
+            cls.family,
+            shape + (params.decomp_length,),
+            cls.layout,
+            partial(cls, workspace, transform, params),
+            (params, transform),
+        )
+
+    def decompose(self, words: np.ndarray) -> np.ndarray:
+        """Gadget-decompose ``words`` into the kernel's int32 digit stack:
+        add the offset, then every plane in one broadcast shift into
+        ``scratch`` ``(l, ..., k+1, N)``, one mask, and the ``− Bg/2``
+        subtraction writing straight into stack row ``block·l + j``."""
+        np.add(words, self.offset, out=self.shifted)
+        np.right_shift(self.shifted, self.shifts, out=self.scratch)
+        np.bitwise_and(self.lower, self.mask, out=self.lower)
+        np.subtract(self.planes, self.half_base, out=self.stack)
+        return self.digits
+
+    def product(self, words: np.ndarray, tensor: Spectrum) -> np.ndarray:
+        """``tensor ⊡ words``: decompose, then the engine's fused core — one
+        stacked forward, one contraction, one stacked backward."""
+        return self.contract(self.decompose(words), tensor)
+
+    def count(self, products: int) -> None:
+        """Top the engine counters up to the logical per-polynomial counts of
+        ``products`` fused calls (each counted itself as one forward, one
+        two-op contraction and one backward): one forward per digit plane,
+        one backward per column — what the Figure-1 FFT/IFFT breakdown and
+        the spectrum-cache accounting report."""
+        stats = self.transform.stats
+        stats.forward_calls += products * (self.rows - 1)
+        stats.backward_calls += products * (self.cols - 1)
+        stats.pointwise_ops += products * (2 * self.rows * self.cols - 2)
+
+
+class _StepKernel(_ProductKernel):
+    """The blind-rotation step ``ACC ← CMux(BK, X^p·ACC, ACC)`` over
+    ``(B, k+1, N)`` accumulators: :class:`_ProductKernel` behind a rotation
+    window.
+
+    Negacyclic rotation is a window read: in ``[ACC, −ACC, ACC]`` (uint32 —
+    negation mod 2^32 *is* the sign flip plus torus reduction) the
+    length-``N`` window starting at ``s = (−p) mod 2N`` is ``X^p·ACC``.  The
+    window is filled with the decomposition offset already added, so
+    ``window − ACC`` is the offset-added ``(X^p − 1)·ACC`` the digit
+    extraction starts from, and the engine's contraction adds ``ACC`` back
+    inside the product's single wrap mod 2^32.  ``windows`` is the sliding
+    view ``(B, k+1, 2N+1, N)`` of the buffer and ``lanes`` the ``arange(B)``
+    index of its per-row gather (constant data, so not pool memory, which the
+    next shape overwrites; ``None`` for one row, which reads a plain slice).
+    """
+
+    __slots__ = ("extended", "head", "middle", "tail", "windows", "lanes", "degree")
+
+    family, layout = "step", staticmethod(_step_layout)
+
+    def __init__(self, workspace, transform, params, extended, shifted, scratch, digits) -> None:
+        super().__init__(workspace, transform, params, shifted, scratch, digits)
+        degree = self.degree = shifted.shape[-1]
+        self.lanes = np.arange(len(extended)) if len(extended) > 1 else None
+        self.extended = extended
+        self.head = extended[..., :degree]
+        self.middle = extended[..., degree : 2 * degree]
+        self.tail = extended[..., 2 * degree :]
+        self.windows = np.lib.stride_tricks.sliding_window_view(extended, degree, axis=-1)
+
+    def step(self, acc: np.ndarray, tensor: Spectrum, start) -> np.ndarray:
+        """One step on torus words.  For one row ``start`` is an ``int`` and
+        the window a plain slice of two slots — ``[ACC, −ACC]``, or
+        ``[−ACC, ACC]`` read ``N`` earlier once the window would leave the
+        first pair; for a batch it is the ``(B,)`` array of per-row starts of
+        one sliding-window gather.  Everything but the returned array is
+        workspace scratch."""
+        offset = self.offset
+        if self.lanes is None:
+            degree = self.degree
+            if start > degree:
+                start -= degree
+                np.subtract(offset, acc, out=self.head)
+                np.add(acc, offset, out=self.middle)
+            else:
+                np.add(acc, offset, out=self.head)
+                np.subtract(offset, acc, out=self.middle)
+            rotated = self.extended[..., start : start + degree]
+        else:
+            np.add(acc, offset, out=self.head)
+            np.subtract(offset, acc, out=self.middle)
+            self.tail[...] = self.head
+            rotated = self.windows[self.lanes, :, start]
+        # The digit extraction of `decompose`, its offset already in the window.
+        np.subtract(rotated, acc, out=self.shifted)
+        np.right_shift(self.shifted, self.shifts, out=self.scratch)
+        np.bitwise_and(self.lower, self.mask, out=self.lower)
+        np.subtract(self.planes, self.half_base, out=self.stack)
+        return self.contract(self.digits, tensor, acc)
 
 
 def gadget_decompose_rows(
@@ -335,32 +477,8 @@ def gadget_decompose_rows(
     the next decomposition of any shape through the same workspace.
     """
     data = np.asarray(data)
-    if workspace is None:
-        workspace = BootstrapWorkspace()
-    offset, shifts, mask, half_base = _decompose_constants_for(params)
-    buffers = workspace.buffers(
-        "decompose", data.shape + (params.decomp_length,), _decompose_layout, _DigitBuffers
-    )
-    np.add(data.view(np.uint32), offset, out=buffers.shifted)
-    _extract_digit_planes(buffers, shifts, mask, half_base)
-    return buffers.digits
-
-
-def _extract_digit_planes(
-    buffers: _DigitBuffers, shifts: np.ndarray, mask: np.uint32, half_base: np.uint32
-) -> None:
-    """Digit-extraction tail of the fused decomposition.
-
-    ``buffers.shifted`` holds the offset-added uint32 coefficients
-    ``(..., k+1, N)``; every digit plane extracts in one broadcast shift and
-    mask into ``buffers.scratch`` ``(l, ..., k+1, N)``, and the ``− Bg/2``
-    subtraction writes the planes straight into the ``(rows, ..., N)`` digit
-    stack (row ``block·l + j``).
-    """
-    shifted, scratch = buffers.shifted, buffers.scratch
-    np.right_shift(shifted, shifts.reshape(shifts.shape + (1,) * shifted.ndim), out=scratch)
-    np.bitwise_and(scratch, mask, out=scratch)
-    np.subtract(buffers.planes, half_base, out=buffers.stack)
+    kernel = _ProductKernel.fetch(workspace, None, params, data.shape)
+    return kernel.decompose(data.view(np.uint32))
 
 
 def gadget_recompose(digits: np.ndarray, params: TgswParams) -> np.ndarray:
@@ -465,54 +583,6 @@ def tgsw_transform(
     )
 
 
-def _external_product_data(
-    tgsw: TransformedTgswSample,
-    data: np.ndarray,
-    transform: NegacyclicTransform,
-    workspace: Optional[BootstrapWorkspace] = None,
-) -> np.ndarray:
-    """Shared fused external-product core on raw TLWE coefficient arrays.
-
-    ``data`` has shape ``(..., k+1, N)`` — a single sample or a batch.  The
-    TGSW operand's packed tensor may itself carry batch axes (a batched BKU
-    bundle); operand batch axes broadcast inside the contraction.  All
-    ``k+1`` blocks decompose into one digit stack and the whole product runs
-    through :meth:`repro.tfhe.transform.NegacyclicTransform.contract_accumulate`
-    — one stacked forward, one spectral contraction, one stacked backward —
-    bit-identical to :func:`_external_product_data_reference`.
-    """
-    if workspace is None:
-        workspace = BootstrapWorkspace()
-    digits = gadget_decompose_rows(data, tgsw.params, workspace)
-    return _contract_digits(tgsw, digits, transform, workspace)
-
-
-def _contract_digits(
-    tgsw: TransformedTgswSample,
-    digits: np.ndarray,
-    transform: NegacyclicTransform,
-    workspace: BootstrapWorkspace,
-    addend: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The engine seam: the int32 digit stack into ``contract_accumulate``.
-
-    The fused core issues ONE stacked forward/backward call; the engine
-    counters are topped up to the logical per-polynomial counts (one forward
-    per digit plane, one backward per column) the Figure-1 FFT/IFFT breakdown
-    and the spectrum-cache accounting report.  ``addend`` (the CMux add-back)
-    joins the product before its single torus reduction.
-    """
-    result = transform.contract_accumulate(
-        digits, tgsw.tensor, addend=addend, workspace=workspace
-    )
-    cols = tgsw.mask_count + 1
-    stats = transform.stats
-    stats.forward_calls += tgsw.rows - 1
-    stats.backward_calls += cols - 1
-    stats.pointwise_ops += 2 * tgsw.rows * cols - 2
-    return result
-
-
 def _reference_row_col(
     tgsw: TransformedTgswSample, transform: NegacyclicTransform, row: int, col: int
 ) -> Spectrum:
@@ -585,14 +655,12 @@ def tgsw_external_product(
 ) -> TlweSample:
     """The external product ``TGSW ⊡ TLWE → TLWE`` (Algorithm 1 line 7).
 
-    The TLWE operand is gadget-decomposed into one ``(k+1)·l`` digit stack,
-    transformed with one stacked forward, contracted against the operand's
-    packed spectral tensor and brought back with one stacked backward (the
-    fused kernel).  Pass a :class:`BootstrapWorkspace` to reuse the
-    decomposition scratch across calls.
+    :func:`tgsw_batch_external_product` on a one-row view.  Pass a
+    :class:`BootstrapWorkspace` to reuse the kernel and its scratch across
+    calls.
     """
-    _check_compatible(tgsw, tlwe)
-    return TlweSample(_external_product_data(tgsw, tlwe.data, transform, workspace))
+    batch = TlweBatch(tlwe.data[None])
+    return TlweSample(tgsw_batch_external_product(tgsw, batch, transform, workspace).data[0])
 
 
 def tgsw_batch_external_product(
@@ -603,12 +671,20 @@ def tgsw_batch_external_product(
 ) -> TlweBatch:
     """Batched external product: one call covers a whole stack of accumulators.
 
-    The decomposition, the stacked forward, the contraction and the stacked
-    backward all run once over the batch axis; the result is bit-identical to
-    applying :func:`tgsw_external_product` per ciphertext.
+    One call of the shape's bound kernel (:class:`_ProductKernel`): all
+    ``k+1`` blocks gadget-decompose into one ``(k+1)·l`` digit stack, which
+    goes through one stacked forward, the contraction against the operand's
+    packed spectral tensor and one stacked backward.  The tensor may itself
+    carry a batch axis (a batched BKU bundle, one per row), which broadcasts
+    inside the contraction.  Bit-identical to applying
+    :func:`tgsw_external_product_reference` per ciphertext.
     """
     _check_compatible(tgsw, tlwe)
-    return TlweBatch(_external_product_data(tgsw, tlwe.data, transform, workspace))
+    data = tlwe.data
+    kernel = _ProductKernel.fetch(workspace, transform, tgsw.params, data.shape)
+    result = kernel.product(data.view(np.uint32), tgsw.tensor)
+    kernel.count(1)
+    return TlweBatch(result.view(np.int32))
 
 
 def tgsw_external_product_reference(
@@ -718,79 +794,9 @@ def tgsw_batch_cmux_rotate(
     starts = -np.asarray(powers, dtype=np.int64) % (2 * accumulators.degree)
     if starts.shape != (accumulators.batch_size,):
         raise ValueError("one rotation power per batched ciphertext is required")
-    if workspace is None:
-        workspace = BootstrapWorkspace()
-    return TlweBatch(
-        _cmux_rotate_step(selector, accumulators.data, starts, transform, workspace)
-    )
-
-
-def _step_layout(shape: tuple) -> list:
-    """Scratch of one blind-rotation step over ``(B, k+1, N)`` accumulators
-    (``shape`` is that shape plus ``(l,)``): the rotation window ahead of the
-    decomposition it feeds."""
-    batch, blocks, degree, _ = shape
-    return [
-        ((batch, blocks, 3 * degree), np.uint32),  # [ACC, −ACC, ACC] + offset
-    ] + _decompose_layout(shape)
-
-
-class _StepBuffers(_DigitBuffers):
-    """:class:`_DigitBuffers` behind the step's rotation window.
-
-    ``windows`` is the length-``N`` sliding-window view ``(B, k+1, 2N+1, N)``
-    of ``extended`` (built once — ``windows[b, :, s]`` *is* ``X^{−s}·ACC_b``
-    plus the decomposition offset) and ``rows`` the ``arange(B)`` index of
-    its per-row gather (constant data, so not pool memory, which the next
-    shape overwrites).
-    """
-
-    __slots__ = ("extended", "head", "middle", "tail", "windows", "rows")
-
-    def __init__(self, extended, shifted, scratch, digits) -> None:
-        super().__init__(shifted, scratch, digits)
-        degree = shifted.shape[-1]
-        self.rows = np.arange(len(extended))
-        self.extended = extended
-        self.head = extended[..., :degree]
-        self.middle = extended[..., degree : 2 * degree]
-        self.tail = extended[..., 2 * degree :]
-        self.windows = np.lib.stride_tricks.sliding_window_view(extended, degree, axis=-1)
-
-
-def _cmux_rotate_step(
-    selector: TransformedTgswSample,
-    data: np.ndarray,
-    starts: np.ndarray,
-    transform: NegacyclicTransform,
-    workspace: BootstrapWorkspace,
-) -> np.ndarray:
-    """The blind-rotation step kernel on raw ``(B, k+1, N)`` accumulators.
-
-    ``starts[b] = (−p_b) mod 2N``.  Negacyclic rotation is a window read: in
-    ``[ACC, −ACC, ACC]`` (uint32, negation mod 2^32 *is* the sign flip plus
-    torus reduction) the length-``N`` window starting at ``starts[b]`` is
-    ``X^{p_b}·ACC_b`` — a plain slice for one row, one sliding-window gather
-    for a batch.  The window is filled with the decomposition offset already
-    added, so ``window − ACC`` is the offset-added ``(X^p − 1)·ACC`` the digit
-    extraction starts from; the digits go through the engine's fused core,
-    which adds ``ACC`` back inside the product's single torus reduction.
-    Everything but the returned array is workspace scratch.
-    """
-    params = selector.params
-    offset, shifts, mask, half_base = _decompose_constants_for(params)
-    buffers = workspace.buffers(
-        "step", data.shape + (params.decomp_length,), _step_layout, _StepBuffers
-    )
-    unsigned = data.view(np.uint32)
-    np.add(unsigned, offset, out=buffers.head)
-    np.subtract(offset, unsigned, out=buffers.middle)
-    np.copyto(buffers.tail, buffers.head)
-    if len(starts) == 1:
-        start = int(starts[0])
-        rotated = buffers.extended[..., start : start + data.shape[-1]]
-    else:
-        rotated = buffers.windows[buffers.rows, :, starts]
-    np.subtract(rotated, unsigned, out=buffers.shifted)
-    _extract_digit_planes(buffers, shifts, mask, half_base)
-    return _contract_digits(selector, buffers.digits, transform, workspace, data)
+    data = accumulators.data
+    kernel = _StepKernel.fetch(workspace, transform, selector.params, data.shape)
+    start = int(starts[0]) if len(starts) == 1 else starts
+    result = kernel.step(data.view(np.uint32), selector.tensor, start)
+    kernel.count(1)
+    return TlweBatch(result.view(np.int32))

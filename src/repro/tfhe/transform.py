@@ -36,7 +36,7 @@ Python/NumPy dispatch overhead, it never changes the arithmetic.  The
 invocation counters count *calls*, not batch elements; callers that need
 per-ciphertext operation counts multiply by the batch width.  (The fused
 external product of :mod:`repro.tfhe.tgsw` additionally tops the counters up
-to the *logical* per-polynomial transform counts after each kernel, so the
+to the *logical* per-polynomial transform counts of its fused calls, so the
 Figure-1 breakdown keeps seeing the paper's FFT/IFFT numbers.)
 
 The fused external-product core lives here too: ``spectrum_contract``
@@ -47,7 +47,12 @@ contraction and one stacked backward — both ``multiply_accumulate`` and
 class composes the engine's own three methods; the double-precision engine
 runs the same operations through buffers of the caller's
 :class:`repro.tfhe.tgsw.BootstrapWorkspace`, so a blind-rotation step
-allocates only its result.
+allocates only its result.  A caller that contracts one stack shape many
+times (the ``n`` steps of a blind rotation) asks the engine once for a *bound
+contraction* (:meth:`NegacyclicTransform.bind_contraction`) and calls that:
+the base binder closes over ``contract_accumulate`` — every engine and proxy
+that overrides it keeps seeing each call — and the double-precision engine
+returns its fused core as a closure over the workspace views, resolved once.
 """
 
 from __future__ import annotations
@@ -95,6 +100,14 @@ _pocketfft_gufuncs = _probe_pocketfft_gufuncs()
 Spectrum = Any
 
 
+def _pad_batch_axes(array: np.ndarray, ndim: int) -> np.ndarray:
+    """``array`` with length-1 axes inserted after its leading row axis up to
+    ``ndim`` dimensions (a view; unchanged when it already has that many)."""
+    if array.ndim >= ndim:
+        return array
+    return array.reshape(array.shape[:1] + (1,) * (ndim - array.ndim) + array.shape[1:])
+
+
 def _align_contraction_axes(
     expanded: np.ndarray, operand: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -108,15 +121,7 @@ def _align_contraction_axes(
     with columns.
     """
     target = max(expanded.ndim, operand.ndim)
-    if expanded.ndim < target:
-        expanded = expanded.reshape(
-            expanded.shape[:1] + (1,) * (target - expanded.ndim) + expanded.shape[1:]
-        )
-    if operand.ndim < target:
-        operand = operand.reshape(
-            operand.shape[:1] + (1,) * (target - operand.ndim) + operand.shape[1:]
-        )
-    return expanded, operand
+    return _pad_batch_axes(expanded, target), _pad_batch_axes(operand, target)
 
 
 def _transform_layout(shape: tuple) -> list:
@@ -133,45 +138,6 @@ def _transform_layout(shape: tuple) -> list:
         (batch + (cols, half), np.complex128),  # its FFT, untwisted in place
         (batch + (cols, degree), np.int64),  # rounded coefficients
     ]
-
-
-class _TransformBuffers:
-    """The arrays of :func:`_transform_layout` plus the views the fused core
-    needs every call, built once per shape."""
-
-    __slots__ = (
-        "folded",
-        "folded_real",
-        "folded_imag",
-        "spectra",
-        "spectra_expanded",
-        "products",
-        "accumulator",
-        "unfolded",
-        "unfolded_floats",
-        "unfolded_parts",
-        "coeff_parts",
-        "low_words",
-    )
-
-    def __init__(self, folded, spectra, products, accumulator, unfolded, coeffs) -> None:
-        half = folded.shape[-1]
-        self.folded = folded
-        self.spectra = spectra
-        self.spectra_expanded = spectra[..., None, :]
-        self.products = products
-        self.accumulator = accumulator
-        self.unfolded = unfolded
-        self.folded_real, self.folded_imag = folded.real, folded.imag
-        self.unfolded_floats = unfolded.view(np.float64)
-        # (..., 2, N/2) views: part 0 is the real components / the low half
-        # of a coefficient vector, part 1 the imaginary / high half.
-        self.unfolded_parts = np.moveaxis(
-            self.unfolded_floats.reshape(unfolded.shape + (2,)), -1, -2
-        )
-        self.coeff_parts = coeffs.reshape(coeffs.shape[:-1] + (2, half))
-        # The low 32-bit word of every int64 coefficient: its value mod 2^32.
-        self.low_words = coeffs.view(np.uint32)[..., (sys.byteorder == "big") :: 2]
 
 
 def _into(out: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
@@ -382,7 +348,6 @@ class NegacyclicTransform(abc.ABC):
         self,
         int_stack: np.ndarray,
         tensor: Spectrum,
-        reduce: bool = True,
         addend: Optional[np.ndarray] = None,
         workspace=None,
     ) -> np.ndarray:
@@ -401,8 +366,7 @@ class NegacyclicTransform(abc.ABC):
         ``addend`` is an int32 torus array of the result's shape (the CMux
         add-back ``ACC``) added to the product before its single reduction
         mod ``2^32`` — wrapping commutes with integer addition, so the result
-        is bit-identical to reducing first and adding after.  With
-        ``reduce=False`` the int64 coefficients come back unwrapped.
+        is bit-identical to reducing first and adding after.
 
         ``workspace`` (a :class:`repro.tfhe.tgsw.BootstrapWorkspace`) offers
         scratch memory to engines that stage their intermediates through it;
@@ -415,7 +379,35 @@ class NegacyclicTransform(abc.ABC):
         coeffs = self.backward(acc)
         if addend is not None:
             coeffs += addend
-        return torus32_from_int64(coeffs) if reduce else coeffs
+        return torus32_from_int64(coeffs)
+
+    def bind_contraction(
+        self, stack_shape: tuple, cols: int, workspace=None
+    ) -> Callable[..., np.ndarray]:
+        """:meth:`contract_accumulate` bound to one stack shape and workspace.
+
+        Returns ``contract(int_stack, tensor, addend=None)`` for digit stacks
+        of ``stack_shape`` against tensors of ``cols`` output columns, which a
+        caller that runs many such contractions (every step of a blind
+        rotation) fetches once and calls per step.  It speaks *torus words*:
+        ``addend`` and the fresh result are the uint32 views of the int32
+        arrays ``contract_accumulate`` takes and returns.
+
+        This base binder closes over ``self.contract_accumulate``, so an
+        engine or proxy that overrides that method intercepts every bound
+        call unchanged; an engine overrides the binder itself to resolve
+        per-shape state (workspace views, tables) once instead of per call.
+        """
+
+        def contract(int_stack, tensor, addend=None):
+            if addend is not None:
+                addend = addend.view(np.int32)
+            result = self.contract_accumulate(
+                int_stack, tensor, addend=addend, workspace=workspace
+            )
+            return result.view(np.uint32)
+
+        return contract
 
     def multiply_accumulate(
         self,
@@ -535,13 +527,12 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         s = np.arange(half)
         self._twist = np.exp(1j * np.pi * s / degree)
         self._untwist = np.exp(-1j * np.pi * s / degree)
-        # half is a power of two, so folding the transform normalisation into
-        # the twist tables is an exact exponent shift: every intermediate of
-        # the FFT scales by exactly 2^±log2(half) and the results stay
-        # bit-identical to twisting and normalising in separate passes.
-        self._twist_scaled = self._twist * half
+        # half is a power of two, so a transform normalisation is an exact
+        # exponent shift that commutes with every rounding of the FFT: the
+        # backward one is folded into the untwist table, and the forward one
+        # (the inverse-sign DFT of `forward` is unnormalised) is never applied
+        # — both bit-identical to normalising in a separate pass.
         self._untwist_normalised = self._untwist / half
-        self._inverse_norm = 1.0 / half
 
     def _fft(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Unnormalised complex FFT along the last axis (bit-identical to np.fft.fft)."""
@@ -553,12 +544,13 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         return out
 
     def _ifft(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """1/n-normalised inverse FFT along the last axis (bit-identical to np.fft.ifft)."""
+        """Unnormalised inverse-sign FFT along the last axis (bit-identical to
+        ``np.fft.ifft(..., norm="forward")``)."""
         if _pocketfft_gufuncs is None:
-            return _into(out, np.fft.ifft(values, axis=-1))
+            return _into(out, np.fft.ifft(values, axis=-1, norm="forward"))
         if out is None:
             out = np.empty(values.shape, dtype=np.complex128)
-        _pocketfft_gufuncs.ifft(values, self._inverse_norm, out=out)
+        _pocketfft_gufuncs.ifft(values, 1.0, out=out)
         return out
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
@@ -573,7 +565,7 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         folded = np.empty(coeffs.shape[:-1] + (half,), dtype=np.complex128)
         folded.real = coeffs[..., :half]
         folded.imag = coeffs[..., half:]
-        folded *= self._twist_scaled
+        folded *= self._twist
         # Unnormalised inverse-sign DFT: S_u = sum_s folded_s e^{+2 pi i u s / half}
         return self._ifft(folded)
 
@@ -596,55 +588,94 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         self,
         int_stack: np.ndarray,
         tensor: np.ndarray,
-        reduce: bool = True,
         addend: Optional[np.ndarray] = None,
         workspace=None,
     ) -> np.ndarray:
         """``forward → spectrum_contract → backward`` through workspace buffers.
 
+        With a ``workspace`` this is the bound contraction of the stack's
+        shape (:meth:`bind_contraction`, cached by the workspace) called once;
+        without one the generic composition runs instead.
+        """
+        if workspace is None:
+            return super().contract_accumulate(int_stack, tensor, addend)
+        int_stack = np.asarray(int_stack)
+        tensor = np.asarray(tensor)
+        contract = self.bind_contraction(int_stack.shape, tensor.shape[-2], workspace)
+        if addend is not None:
+            addend = addend.view(np.uint32)
+        return contract(int_stack, tensor, addend).view(np.int32)
+
+    def bind_contraction(self, stack_shape: tuple, cols: int, workspace=None):
+        """The fused core as a closure over the workspace's views for this shape.
+
         The same operations in the same order as the three methods it fuses
         (so bit-identical to them), each writing into a buffer the
         ``workspace`` owns; the low 32-bit words of the rounded coefficients
         plus ``addend`` — one wrapping uint32 add — are the only fresh array.
-        Without a workspace (or for unreduced output) the generic composition
-        runs instead.
+        The workspace caches the closure per shape and engine.
         """
-        if workspace is None or not reduce:
-            return super().contract_accumulate(int_stack, tensor, reduce, addend)
-        int_stack = np.asarray(int_stack)
-        tensor = np.asarray(tensor)
-        if int_stack.shape[-1] != self.degree:
+        if workspace is None:
+            return super().bind_contraction(stack_shape, cols)
+        if stack_shape[-1] != self.degree:
             raise ValueError("polynomial degree mismatch")
-        if int_stack.shape[0] == 0:
+        if stack_shape[0] == 0:
             raise ValueError("cannot contract an empty digit stack")
-        stats = self.stats
-        stats.forward_calls += 1
-        stats.pointwise_ops += 2
-        stats.backward_calls += 1
-        buffers = workspace.buffers(
-            "transform", int_stack.shape + (tensor.shape[-2],), _transform_layout, _TransformBuffers
+        return workspace.buffers(
+            "transform", stack_shape + (cols,), _transform_layout, self._contraction_over, (self,)
         )
-        # forward: fold (p_s, p_{s+N/2}) into one complex sample, twist, IFFT.
+
+    def _contraction_over(self, folded, spectra, products, accumulator, unfolded, coeffs):
+        """Build the bound fused core over the arrays of :func:`_transform_layout`."""
         half = self._half
-        np.copyto(buffers.folded_real, int_stack[..., :half])
-        np.copyto(buffers.folded_imag, int_stack[..., half:])
-        folded = buffers.folded
-        np.multiply(folded, self._twist_scaled, out=folded)
-        self._ifft(folded, out=buffers.spectra)
-        # contract: broadcast product, then the sequential row-order fold.
-        expanded, operand = _align_contraction_axes(buffers.spectra_expanded, tensor)
-        np.multiply(expanded, operand, out=buffers.products)
-        np.add.reduce(buffers.products, axis=0, out=buffers.accumulator)
-        # backward: FFT, untwist, round half-even, unfold to int64.
-        unfolded = self._fft(buffers.accumulator, out=buffers.unfolded)
-        np.multiply(unfolded, self._untwist_normalised, out=unfolded)
-        # Componentwise rounding on the contiguous float view, then one
-        # casting copy — integral float64 → int64 is exact.
-        np.rint(buffers.unfolded_floats, out=buffers.unfolded_floats)
-        np.copyto(buffers.coeff_parts, buffers.unfolded_parts, casting="unsafe")
-        if addend is None:
-            return buffers.low_words.copy().view(np.int32)
-        return np.add(buffers.low_words, addend.view(np.uint32)).view(np.int32)
+        twist, untwist = self._twist, self._untwist_normalised
+        native = _pocketfft_gufuncs
+        ifft = native.ifft if native else lambda values, _, out: self._ifft(values, out)
+        fft = native.fft if native else lambda values, _, out: self._fft(values, out)
+        multiply, add, add_reduce, rint = np.multiply, np.add, np.add.reduce, np.rint
+        folded_real, folded_imag = folded.real, folded.imag
+        spectra_expanded = spectra[..., None, :]
+        unfolded_floats = unfolded.view(np.float64)
+        # (..., 2, N/2) views: part 0 is the real components / the low half
+        # of a coefficient vector, part 1 the imaginary / high half.
+        unfolded_parts = np.moveaxis(unfolded_floats.reshape(unfolded.shape + (2,)), -1, -2)
+        coeff_parts = coeffs.reshape(coeffs.shape[:-1] + (2, half))
+        # The low 32-bit word of every int64 coefficient: its value mod 2^32.
+        low_words = coeffs.view(np.uint32)[..., (sys.byteorder == "big") :: 2]
+        # An unbatched key tensor (rows, cols, N/2) as it broadcasts against
+        # the batched spectra: length-1 batch axes opened after the rows.
+        operand_ndim = products.ndim
+        unbatched = products.shape[:1] + (1,) * (operand_ndim - 3) + products.shape[-2:]
+
+        def contract(int_stack, tensor, addend=None):
+            stats = self.stats
+            stats.forward_calls += 1
+            stats.pointwise_ops += 2
+            stats.backward_calls += 1
+            # forward: fold (p_s, p_{s+N/2}) into one complex sample, twist, IFFT.
+            folded_real[...] = int_stack[..., :half]
+            folded_imag[...] = int_stack[..., half:]
+            multiply(folded, twist, out=folded)
+            ifft(folded, 1.0, out=spectra)
+            # contract: broadcast product, then the sequential row-order fold.
+            if tensor.ndim < operand_ndim:
+                if tensor.ndim == 3:
+                    tensor = tensor.reshape(unbatched)
+                else:
+                    tensor = _pad_batch_axes(tensor, operand_ndim)
+            multiply(spectra_expanded, tensor, out=products)
+            add_reduce(products, axis=0, out=accumulator)
+            # backward: FFT, untwist, round half-even on the contiguous float
+            # view, then one casting copy — integral float64 → int64 is exact.
+            fft(accumulator, 1.0, out=unfolded)
+            multiply(unfolded, untwist, out=unfolded)
+            rint(unfolded_floats, out=unfolded_floats)
+            coeff_parts[...] = unfolded_parts
+            if addend is None:
+                return low_words.copy()
+            return add(low_words, addend)
+
+        return contract
 
     def spectrum_zero(self) -> np.ndarray:
         return np.zeros(self._half, dtype=np.complex128)

@@ -5,11 +5,15 @@ memory a kernel held at once beyond what existed when tracing started.  These
 tests pin the three places scratch used to scale: the key switch's
 ``(B, n_in·t, n_out + 1)`` gather, the blind-rotation step's per-step
 temporaries, and one workspace buffer set per batch width — and that the
-digit-row callers of the bootstrap run in that same workspace.
+digit-row callers of the bootstrap run in that same workspace.  Beside them,
+under ``sys.setprofile``, the per-step Python a warm rotation makes around its
+ufuncs: the bound step kernel is fetched once per call, not per step.
 """
 
 from __future__ import annotations
 
+import collections
+import sys
 import tracemalloc
 
 import numpy as np
@@ -137,8 +141,78 @@ def test_workspace_footprint_tracks_the_widest_batch_through_a_context():
         return context.workspace.nbytes
 
     widest = footprint_after([32])
-    assert widest > 0
-    assert footprint_after(range(1, 33)) <= 1.5 * widest
+    assert footprint_after(range(1, 33)) == widest
+    assert footprint_after([1, 32, 1, 7]) == widest
+    # By arithmetic over the three families' layouts at B = 32: the bound
+    # kernels are views into these pools, never a second copy of a buffer.
+    block = 32 * (params.k + 1) * params.N * 4  # one (B, k+1, N) uint32 array
+    rows, half = (params.k + 1) * params.l, params.N // 2
+    step = (3 + 1 + 2 * params.l) * block  # window, shifted, planes, digit stack
+    complexes = 2 * rows * 32 * half + (rows + 2) * 32 * (params.k + 1) * half
+    transform = 16 * complexes + 2 * block  # ... and the int64 coefficients
+    assert widest == step + transform + 4 * keyswitch.KEYSWITCH_BLOCK_WORDS
+
+
+def _profiled_calls(run) -> collections.Counter:
+    """Python-level calls ``run()`` makes, by qualified name (``sys.setprofile``
+    ``call`` events: functions and methods defined in Python, not C builtins
+    or ufuncs)."""
+    calls: collections.Counter = collections.Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls[frame.f_code.co_qualname] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_a_warm_rotation_resolves_its_kernel_once_not_once_per_step(width):
+    """The per-step Python around the ufuncs cannot grow back unnoticed: a step
+    is the kernel's ``step``, the engine's bound contraction, and nothing
+    that looks anything up (14 calls per step before the kernel was bound,
+    two of them ``BootstrapWorkspace.buffers``)."""
+    params = TEST_TINY
+    transform = make_transform("double", params.N)
+    _, cloud = generate_keys(params, transform, rng=350)
+    rotator = FheContext(cloud).rotator
+    accumulators, bara = _rotation_inputs(params, rotator.bootstrapping_key, width, seed=351)
+    rotator.rotate_batch(accumulators, bara)  # warm: pools, bound kernel
+    calls = _profiled_calls(lambda: rotator.rotate_batch(accumulators, bara))
+    steps = params.n
+    assert calls["_StepKernel.step"] == steps
+    assert sum(calls.values()) <= 6 * steps + 16
+    assert calls["BootstrapWorkspace.buffers"] == 1
+    per_step = {name for name, count in calls.items() if count >= steps}
+    contract = "DoubleFFTNegacyclicTransform._contraction_over.<locals>.contract"
+    assert per_step == {"_StepKernel.step", contract}
+
+
+def test_every_array_a_bound_kernel_holds_is_a_view_into_the_pools():
+    params, width = TEST_TINY, 5
+    transform = make_transform("double", params.N)
+    _, cloud = generate_keys(params, transform, rng=360)
+    rotator = FheContext(cloud).rotator
+    accumulators, bara = _rotation_inputs(params, rotator.bootstrapping_key, width, seed=361)
+    rotator.rotate_batch(accumulators, bara)
+    workspace = rotator.workspace
+    (kernel,) = [entry for key, entry in workspace._entries.items() if key[0] == "step"]
+    held = [getattr(kernel, name) for cls in type(kernel).__mro__[:-1] for name in cls.__slots__]
+    held += [cell.cell_contents for cell in kernel.contract.__closure__]
+    arrays = [value for value in held if isinstance(value, np.ndarray)]
+    assert len(arrays) > 20
+    outside = [
+        array
+        for array in arrays
+        if not any(np.shares_memory(array, pool) for pool in workspace._pools.values())
+    ]
+    # Constant data only: the gather index, the shift table, the twist tables.
+    assert sum(array.nbytes for array in outside) <= 8 * width + 4 * params.l + 32 * params.N
 
 
 @pytest.mark.parametrize("caller", ["programmable_bootstrap_batch", "RadixEvaluator.propagate"])

@@ -137,3 +137,40 @@ class TestRotateInputValidation:
         padded = rotator.rotate_batch(batch, np.append(full, 9)[None])
         assert np.array_equal(exact.data, padded.data)
         assert np.array_equal(rotator.rotate(batch[0], np.append(full, 9)).data, exact.data[0])
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_non_integer_rotation_amounts_are_refused(self, rotator, width):
+        # A float amount used to be truncated by the one-row CMux path (a
+        # different accumulator than the integer amount's), raise a bare
+        # IndexError from the batched gather, and pass through BKU.
+        batch = self._accumulators(width)
+        amounts = np.tile(np.arange(1, TEST_TINY.n + 1, dtype=np.int64), (width, 1))
+        for bad in (amounts + 0.4, amounts.astype(np.float32), amounts > 3):
+            with pytest.raises(ValueError, match=f"integers mod 2N: got dtype {bad.dtype}"):
+                rotator.rotate_batch(batch, bad)
+        with pytest.raises(ValueError, match="integers mod 2N: got dtype float64"):
+            rotator.rotate(batch[0], amounts[0] + 0.4)
+        for dtype in (np.int32, np.uint16):
+            assert np.array_equal(
+                rotator.rotate_batch(batch, amounts.astype(dtype)).data,
+                rotator.rotate_batch(batch, amounts).data,
+            )
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_accumulators_must_be_int32_of_the_keys_shape(self, rotator, width):
+        good = self._accumulators(width)
+        amounts = np.ones((width, TEST_TINY.n), dtype=np.int64)
+        blocks, degree = TEST_TINY.k + 1, TEST_TINY.N
+        wrong = {
+            "int64": good.data.astype(np.int64),
+            "uint32": good.data.view(np.uint32),
+            rf"\({width}, {blocks}, {degree // 2}\)": good.data[..., : degree // 2],
+            rf"\({width}, {blocks + 1}, {degree}\)": np.concatenate(
+                [good.data, good.data[:, :1]], axis=1
+            ),
+            rf"\({blocks}, {degree}\)": good.data[0],
+        }
+        for named, data in wrong.items():
+            expected = rf"int32 accumulators of shape \(B, {blocks}, {degree}\): got .*{named}"
+            with pytest.raises(ValueError, match=expected):
+                rotator.rotate_batch(type(good)(data), amounts)
