@@ -7,14 +7,16 @@ Topology (see ``docs/architecture.md``)::
 
 The event loop owns all connection state and the scheduler's queues; the
 **flusher task** is the only place bootstrapping happens.  It waits for
-submitted work, lets a short coalescing window pass so concurrent clients'
-jobs land in the same flush, then runs ``scheduler.flush()`` in the default
-thread-pool executor while holding the submit lock — the event loop stays
-responsive (handshakes, metrics, frame parsing) but no job can be enqueued
-while the queues are being drained.  Completed :class:`JobHandle`\\ s resolve
-``asyncio`` futures that per-request handler tasks are awaiting, so replies
-go out as soon as their flush completes, in any order (the protocol's
-request ids keep pipelined clients matched up).
+submitted work, holds a coalescing window open so concurrent clients' jobs
+land in the same flush — until the queue holds every job request the server
+has seen in flight, or ``flush_interval`` at the latest — then runs
+``scheduler.flush()`` in the default thread-pool executor while holding the
+submit lock — the event loop stays responsive (handshakes, metrics, frame
+parsing) but no job can be enqueued while the queues are being drained.
+Completed :class:`JobHandle`\\ s resolve ``asyncio`` futures that per-request
+handler tasks are awaiting, so replies go out as soon as their flush
+completes, in any order (the protocol's request ids keep pipelined clients
+matched up).
 
 Isolation and backpressure:
 
@@ -84,6 +86,19 @@ __all__ = ["FheServer", "serve"]
 
 #: Ops that represent homomorphic work (traced, per-session accounted).
 _JOB_OPS = frozenset({"gate", "lut", "circuit", "radix_add"})
+
+#: ``fhe_coalesce_wait_seconds`` bounds: an early-closed window is tens of
+#: microseconds, a full default one 2 ms.
+_COALESCE_WAIT_BUCKETS = (
+    0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.25, 1.0
+)
+
+
+def _percentile(values: List[float], q: float, default: float = 0.0) -> float:
+    """Nearest-rank percentile of a latency ring (``default`` when empty)."""
+    if not values:
+        return default
+    return sorted(values)[int(q * (len(values) - 1) + 0.5)]
 
 
 class _RequestError(Exception):
@@ -171,8 +186,13 @@ class FheServer:
         Bound on concurrently-processed requests per connection; past it
         the server stops reading that socket until replies drain.
     flush_interval:
-        Coalescing window in seconds between the first queued job and the
-        flush that runs it (more concurrent clients per batched call).
+        Ceiling, in seconds, of the coalescing window between the first
+        queued job and the flush that runs it (more concurrent clients per
+        batched call).  The window closes early once the queue holds as
+        many jobs as the server counted in flight at the end of the
+        previous flush — nobody is left to wait for; that count is
+        forgotten after the queue has sat empty for ``flush_interval``, so
+        a cold or idle server waits the whole window.
     max_rows_per_call:
         Forwarded to the scheduler: chunk bound for one batched bootstrap.
     max_frame:
@@ -228,10 +248,27 @@ class FheServer:
         self._flusher: Optional[asyncio.Task] = None
         self._lock = asyncio.Lock()
         self._work_ready = asyncio.Event()
+        #: Set when the open coalescing window has nothing left to wait for:
+        #: by ``_submit`` (the population is queued), by the window's timer
+        #: (``flush_interval`` passed) or by ``drain``.
+        self._window_closed = asyncio.Event()
+        #: Monotonic time the first job of the open window queued, or None.
+        self._window_opened: Optional[float] = None
+        #: Job requests between entering ``_submit`` and leaving it.
+        self._jobs_inflight = 0
+        #: ``_jobs_inflight`` at the end of the last flush — the jobs it ran
+        #: plus those that blocked on the lock meanwhile, i.e. every job that
+        #: can arrive in the next window.  None while unknown.
+        self._population: Optional[int] = None
+        #: Monotonic time the last flush ended; the population expires once
+        #: the queue has sat empty for ``flush_interval`` past it.
+        self._queue_emptied = 0.0
         self._waiters: List[Tuple[JobHandle, asyncio.Future]] = []
         self._connections: Dict[str, _Connection] = {}
         self._conn_counter = 0
         self._flush_seconds: List[float] = []
+        #: Waited coalescing windows, one per flush (same ring bound).
+        self._window_seconds: List[float] = []
         self._busy_seconds = 0.0
         self._started_at: Optional[float] = None
         self.session_cache_size = session_cache_size
@@ -314,7 +351,9 @@ class FheServer:
                 break
             if deadline is not None and time.monotonic() > deadline:
                 break
-            self._work_ready.set()  # poke the flusher: no new work will arrive
+            # Poke the flusher and close its window: no new work will arrive.
+            self._work_ready.set()
+            self._window_closed.set()
             await asyncio.sleep(0.005)
         self._drain_seconds = time.monotonic() - begin
         return self._drain_seconds
@@ -342,24 +381,40 @@ class FheServer:
         while True:
             await self._work_ready.wait()
             # Coalescing window: let concurrently-arriving jobs join this
-            # flush instead of paying one flush each.
+            # flush instead of paying one flush each.  One event ends it —
+            # set by _submit once everyone known to be around has queued, by
+            # this timer at the flush_interval ceiling, or by drain().
             if self.flush_interval:
-                await asyncio.sleep(self.flush_interval)
+                timer = loop.call_later(self.flush_interval, self._window_closed.set)
+                try:
+                    await self._window_closed.wait()
+                finally:
+                    timer.cancel()
             async with self._lock:
                 self._work_ready.clear()
+                self._window_closed.clear()
+                opened, self._window_opened = self._window_opened, None
                 if not self.scheduler.pending_jobs:
                     self._resolve_waiters()
                     continue
                 begin = time.monotonic()
+                waited = begin - opened if opened is not None else 0.0
                 try:
                     await loop.run_in_executor(None, self.scheduler.flush)
                 except Exception as exc:  # noqa: BLE001 - surfaced per-request
                     self._fail_waiters(exc)
                     continue
-                elapsed = time.monotonic() - begin
+                self._queue_emptied = time.monotonic()
+                # Requests this flush answers are still inside _submit (their
+                # futures resolve below), and so is every one that blocked on
+                # the lock meanwhile: the population of the next window.
+                self._population = self._jobs_inflight
+                elapsed = self._queue_emptied - begin
                 self._busy_seconds += elapsed
                 self._flush_seconds.append(elapsed)
                 del self._flush_seconds[: -self.latency_window]
+                self._window_seconds.append(waited)
+                del self._window_seconds[: -self.latency_window]
                 tel = self.telemetry
                 if tel is not None and tel.metrics_enabled:
                     tel.count(
@@ -372,6 +427,12 @@ class FheServer:
                         elapsed,
                         "Wall time of one scheduler flush.",
                         buckets=DEFAULT_LATENCY_BUCKETS,
+                    )
+                    tel.observe(
+                        "fhe_coalesce_wait_seconds",
+                        waited,
+                        "First queued job to the start of the flush that ran it.",
+                        buckets=_COALESCE_WAIT_BUCKETS,
                     )
                 self._resolve_waiters()
 
@@ -398,18 +459,39 @@ class FheServer:
     async def _submit(self, submit_fn) -> Any:
         """Enqueue one job under the lock and await its flushed result."""
         loop = asyncio.get_running_loop()
-        async with self._lock:
-            try:
-                handle = submit_fn()
-            except SchedulerBusy as exc:
-                raise _RequestError("busy", str(exc)) from None
-            future: asyncio.Future = loop.create_future()
-            self._waiters.append((handle, future))
-            self._work_ready.set()
+        self._jobs_inflight += 1
         try:
-            return await future
-        except JobAborted as exc:
-            raise _RequestError("aborted", str(exc)) from None
+            async with self._lock:
+                try:
+                    handle = submit_fn()
+                except SchedulerBusy as exc:
+                    raise _RequestError("busy", str(exc)) from None
+                future: asyncio.Future = loop.create_future()
+                self._waiters.append((handle, future))
+                self._note_queued()
+            try:
+                return await future
+            except JobAborted as exc:
+                raise _RequestError("aborted", str(exc)) from None
+        finally:
+            # Also on cancellation or a failed submit: a leaked count would
+            # keep every later window open to its ceiling.
+            self._jobs_inflight -= 1
+
+    def _note_queued(self) -> None:
+        """A job was queued (lock held): open the window, or close it."""
+        if self._window_opened is None:
+            self._window_opened = time.monotonic()
+            if self._window_opened - self._queue_emptied > self.flush_interval:
+                # Idle for longer than a window: who is around is no longer
+                # known, so a burst after idle coalesces as on a cold server.
+                self._population = None
+        self._work_ready.set()
+        if (
+            self._population is not None
+            and self.scheduler.pending_jobs >= self._population
+        ):
+            self._window_closed.set()
 
     # ------------------------------------------------------------------ #
     # metrics                                                            #
@@ -418,14 +500,6 @@ class FheServer:
     def metrics(self) -> Dict[str, Any]:
         """Live snapshot: throughput, queue depth, latency, worker health."""
         stats = self.scheduler.stats
-        latencies = sorted(self._flush_seconds)
-
-        def _pct(q: float) -> float:
-            if not latencies:
-                return 0.0
-            index = min(len(latencies) - 1, int(q * (len(latencies) - 1) + 0.5))
-            return latencies[index]
-
         uptime = time.monotonic() - self._started_at if self._started_at else 0.0
         residents = self.scheduler.residents
         # Busy time comes from the registry when telemetry is on — the
@@ -453,8 +527,9 @@ class FheServer:
             "bootstraps_per_sec": (
                 stats.rows_bootstrapped / busy if busy else 0.0
             ),
-            "flush_latency_p50": _pct(0.50),
-            "flush_latency_p99": _pct(0.99),
+            "flush_latency_p50": _percentile(self._flush_seconds, 0.50),
+            "flush_latency_p99": _percentile(self._flush_seconds, 0.99),
+            "coalesce_wait_p50": _percentile(self._window_seconds, 0.50),
             "sessions": len(self._sessions),
             "jobs_deduped": self._jobs_deduped,
             "jobs_shed": self._jobs_shed,
@@ -891,17 +966,18 @@ class FheServer:
         """Deadline-aware load shedding: reject work that cannot make it.
 
         A client may send ``deadline_ms`` (its remaining per-request
-        budget); when the estimated time-to-result — the coalescing window
-        plus the median flush latency — already exceeds it, the job is shed
-        up front with a typed non-retryable error instead of burning a
-        bootstrap whose reply the client will have abandoned.
+        budget); when the estimated time-to-result — the median coalescing
+        window recent flushes waited (``flush_interval`` before the first
+        flush) plus the median flush latency — already exceeds it, the job
+        is shed up front with a typed non-retryable error instead of burning
+        a bootstrap whose reply the client will have abandoned.
         """
         deadline_ms = header.get("deadline_ms")
         if not isinstance(deadline_ms, (int, float)) or isinstance(deadline_ms, bool):
             return
-        latencies = sorted(self._flush_seconds)
-        p50 = latencies[len(latencies) // 2] if latencies else 0.0
-        eta = self.flush_interval + p50
+        eta = _percentile(
+            self._window_seconds, 0.50, default=self.flush_interval
+        ) + _percentile(self._flush_seconds, 0.50)
         if deadline_ms / 1000.0 < eta:
             self._jobs_shed += 1
             self._tel_count(

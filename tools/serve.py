@@ -59,7 +59,9 @@ def main(argv=None) -> int:
         "--flush-interval",
         type=float,
         default=0.002,
-        help="coalescing window (s) between first queued job and its flush",
+        help="ceiling (s) of the coalescing window between the first queued job "
+        "and its flush; the window closes early once every job request seen "
+        "in flight at the end of the previous flush is queued",
     )
     parser.add_argument(
         "--max-rows-per-call",
