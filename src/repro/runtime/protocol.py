@@ -13,7 +13,15 @@ is exactly the on-disk format, and circuit JSON rides in the header.  A body
 holds one or more artifacts — a gate's two operands, a LUT's operand list —
 as :func:`pack_parts` parts (``u32 count | (u64 len | bytes)*``);
 :func:`unpack_parts` checks the count and every length and hands out
-zero-copy views of the body.  The ``crc32`` field covers
+zero-copy views of the body.  A frame is *built* as a list of buffers —
+:func:`frame_pieces` over :func:`parts_pieces` over
+:func:`repro.tfhe.serialize.to_pieces`, the checksum chained over the pieces
+— of which :func:`encode_frame`, :func:`pack_parts` and ``to_bytes`` are the
+joins; a cloud key is sent as those pieces and never joined.  The async
+reader takes a body its stream's buffer limit covers whole and receives a
+larger one in place, into one buffer whose end is 8-byte aligned, so the
+server's ``register_key`` can adopt it as the key's arrays
+(:func:`repro.tfhe.serialize.from_owned_buffer`).  The ``crc32`` field covers
 ``header JSON + body``, so a bit-flipped frame is caught *before* any
 artifact is decoded — CRC32 detects every single-bit and burst-under-32-bit
 corruption, which the artifact reader's structural checks cannot (a flipped
@@ -58,7 +66,9 @@ import json
 import socket
 import struct
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.netlist import Circuit
@@ -66,6 +76,7 @@ from repro.tfhe.serialize import (
     circuit_to_json,
     from_bytes,
     to_bytes,
+    to_pieces,
 )
 
 __all__ = [
@@ -88,7 +99,9 @@ __all__ = [
     "JobAbortedError",
     "error_class_for_kind",
     "raise_for_reply",
+    "frame_pieces",
     "encode_frame",
+    "parts_pieces",
     "pack_parts",
     "unpack_parts",
     "read_frame",
@@ -111,6 +124,12 @@ MAX_HEADER_LEN = 8 * 1024 * 1024
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 
 _PREFIX = struct.Struct("<4sIQI")
+
+#: Anything with the buffer protocol; a *body* is one, or a list of them.
+Buffer = Any
+#: Pieces below this size are joined into sends of about this size; larger
+#: ones are handed to the socket as they are, never copied.
+_SEND_JOIN_BELOW = 1 << 16
 
 
 class ProtocolError(ValueError):
@@ -248,22 +267,29 @@ def raise_for_reply(header: Dict[str, Any]) -> None:
 # --------------------------------------------------------------------------- #
 
 
-def _frame_crc(header_bytes: bytes, body: bytes) -> int:
-    """CRC32 over ``header JSON + body`` (chained, no concatenation copy)."""
-    return zlib.crc32(body, zlib.crc32(header_bytes)) & 0xFFFFFFFF
-
-
-def encode_frame(header: Dict[str, Any], body: bytes = b"") -> bytes:
-    """Serialize one frame; validates sizes before building the bytes."""
+def frame_pieces(
+    header: Dict[str, Any], body: Union[Buffer, Sequence[Buffer]] = b""
+) -> List[Buffer]:
+    """One frame as the buffers that make it up: ``prefix + header JSON``,
+    then the body's own — ``body`` is one buffer or a list of them (see
+    :func:`parts_pieces`), checksummed piece by piece and never joined here.
+    Sizes are validated before anything is built."""
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     if len(header_bytes) > MAX_HEADER_LEN:
         raise FrameTooLarge(
             f"header is {len(header_bytes)} bytes (max {MAX_HEADER_LEN})"
         )
-    prefix = _PREFIX.pack(
-        MAGIC, len(header_bytes), len(body), _frame_crc(header_bytes, body)
-    )
-    return b"".join((prefix, header_bytes, body))
+    pieces = list(body) if isinstance(body, (list, tuple)) else [body]
+    crc, body_len = zlib.crc32(header_bytes), 0
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+        body_len += memoryview(piece).nbytes
+    return [_PREFIX.pack(MAGIC, len(header_bytes), body_len, crc) + header_bytes, *pieces]
+
+
+def encode_frame(header: Dict[str, Any], body: bytes = b"") -> bytes:
+    """Serialize one frame: the join of its :func:`frame_pieces`."""
+    return b"".join(frame_pieces(header, body))
 
 
 def _parse_prefix(prefix: bytes, max_frame: int) -> Tuple[int, int, int]:
@@ -286,8 +312,7 @@ def _parse_prefix(prefix: bytes, max_frame: int) -> Tuple[int, int, int]:
     return header_len, body_len, crc
 
 
-def _check_crc(header_bytes: bytes, body: bytes, expected: int) -> None:
-    actual = _frame_crc(header_bytes, body)
+def _check_crc(actual: int, expected: int) -> None:
     if actual != expected:
         raise ChecksumMismatch(
             f"frame payload fails its checksum (crc32 {actual:#010x}, frame "
@@ -319,6 +344,27 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
+def _send_pieces(sock: socket.socket, pieces: Sequence[Buffer]) -> None:
+    """``sendall`` a frame's pieces: small ones joined into sends of about
+    :data:`_SEND_JOIN_BELOW` bytes (a gate's frame leaves whole), a large one
+    — a cloud key's array — handed to the socket as it is, never copied."""
+    small: List[Buffer] = []
+    held = 0
+    for piece in pieces:
+        size = memoryview(piece).nbytes
+        large = size >= _SEND_JOIN_BELOW
+        if not large:
+            small.append(piece)
+            held += size
+        if small and (large or held >= _SEND_JOIN_BELOW):
+            sock.sendall(b"".join(small))
+            small, held = [], 0
+        if large:
+            sock.sendall(piece)
+    if small:
+        sock.sendall(b"".join(small))
+
+
 def read_frame(
     sock: socket.socket, max_frame: int = DEFAULT_MAX_FRAME
 ) -> Tuple[Dict[str, Any], bytes]:
@@ -334,8 +380,35 @@ def read_frame(
     header_len, body_len, crc = _parse_prefix(prefix, max_frame)
     header_bytes = _recv_exactly(sock, header_len)
     body = _recv_exactly(sock, body_len) if body_len else b""
-    _check_crc(header_bytes, body, crc)
+    _check_crc(zlib.crc32(body, zlib.crc32(header_bytes)), crc)
     return _parse_header(header_bytes), body
+
+
+async def _receive_in_place(
+    reader: asyncio.StreamReader, count: int, crc: int
+) -> Tuple[memoryview, int]:
+    """Receive ``count`` body bytes into a buffer of their own; the CRC rides along.
+
+    One NumPy-owned buffer whose *end* sits on an 8-byte boundary: artifacts
+    put their int32 payloads last and a body's last part ends the body, so a
+    single-artifact body's arrays are aligned where they land and its decoder
+    may adopt them.  ``reader.read`` hands over what the stream has buffered,
+    so other connections run between chunks.
+    """
+    backing = np.empty(count + 7, dtype=np.uint8)
+    start = -(backing.ctypes.data + count) % 8
+    body = memoryview(backing)[start : start + count]
+    received = 0
+    while received < count:
+        chunk = await reader.read(count - received)
+        if not chunk:
+            raise TruncatedFrame(
+                f"connection closed mid-frame ({received} of {count} bytes received)"
+            )
+        body[received : received + len(chunk)] = chunk
+        crc = zlib.crc32(chunk, crc)
+        received += len(chunk)
+    return body, crc
 
 
 async def read_frame_async(
@@ -344,7 +417,10 @@ async def read_frame_async(
     """Async read of one frame from an asyncio stream → ``(header, body)``.
 
     Same contract as :func:`read_frame`: :class:`EOFError` on clean close
-    between frames, :class:`ProtocolError` subclasses on malformed input.
+    between frames, :class:`ProtocolError` subclasses on malformed input.  A
+    body the stream's own buffer limit covers comes back as ``bytes``; a
+    larger one is received in place and comes back as a writable
+    ``memoryview`` of the one buffer that ever holds it.
     """
     try:
         prefix = await reader.readexactly(_PREFIX.size)
@@ -354,16 +430,21 @@ async def read_frame_async(
         raise TruncatedFrame(
             f"connection closed {len(exc.partial)} bytes into the frame prefix"
         ) from None
-    header_len, body_len, crc = _parse_prefix(prefix, max_frame)
+    header_len, body_len, expected = _parse_prefix(prefix, max_frame)
     try:
         header_bytes = await reader.readexactly(header_len)
-        body = await reader.readexactly(body_len) if body_len else b""
+        crc = zlib.crc32(header_bytes)
+        if body_len <= reader._limit:
+            body = await reader.readexactly(body_len) if body_len else b""
+            crc = zlib.crc32(body, crc)
+        else:
+            body, crc = await _receive_in_place(reader, body_len, crc)
     except asyncio.IncompleteReadError as exc:
         raise TruncatedFrame(
             f"connection closed mid-frame ({len(exc.partial)} of "
             f"{exc.expected} bytes received)"
         ) from None
-    _check_crc(header_bytes, body, crc)
+    _check_crc(crc, expected)
     return _parse_header(header_bytes), body
 
 
@@ -372,13 +453,25 @@ async def read_frame_async(
 # --------------------------------------------------------------------------- #
 
 
-def pack_parts(parts: Sequence[bytes]) -> bytes:
-    """Concatenate binary artifacts into one delimited body."""
-    pieces = [struct.pack("<I", len(parts))]
+def parts_pieces(parts: Sequence[Union[Buffer, Sequence[Buffer]]]) -> List[Buffer]:
+    """A delimited body as a list of buffers: the count, then each part's
+    length before the part's own buffer(s) — a part may itself be a list of
+    pieces (:func:`repro.tfhe.serialize.to_pieces`), which stay unjoined."""
+    pieces: List[Buffer] = [struct.pack("<I", len(parts))]
     for part in parts:
-        pieces.append(struct.pack("<Q", len(part)))
-        pieces.append(part)
-    return b"".join(pieces)
+        if isinstance(part, (list, tuple)):
+            pieces.append(struct.pack("<Q", sum(memoryview(b).nbytes for b in part)))
+            pieces.extend(part)
+        else:
+            pieces.append(struct.pack("<Q", memoryview(part).nbytes))
+            pieces.append(part)
+    return pieces
+
+
+def pack_parts(parts: Sequence[bytes]) -> bytes:
+    """Concatenate binary artifacts into one delimited body: the join of
+    their :func:`parts_pieces`."""
+    return b"".join(parts_pieces(parts))
 
 
 def unpack_parts(body: bytes, expected: Optional[int] = None) -> List[memoryview]:
@@ -472,11 +565,14 @@ class ServingClient:
     def submit(
         self,
         op: str,
-        body: bytes = b"",
+        body: Union[Buffer, Sequence[Buffer]] = b"",
         request_id: Optional[int] = None,
         **fields: Any,
     ) -> int:
         """Send one request frame; returns its id (see :meth:`result`).
+
+        ``body`` is one buffer or a list of pieces (:func:`parts_pieces`),
+        which go out unjoined — see :func:`frame_pieces`.
 
         ``request_id`` defaults to the next value of this client's monotonic
         counter; a resubmitting caller (the resilient client, after a
@@ -489,7 +585,7 @@ class ServingClient:
         header = {"op": op, "id": request_id, **fields}
         if self.session is not None:
             header.setdefault("session", self.session)
-        self._sock.sendall(encode_frame(header, body))
+        _send_pieces(self._sock, frame_pieces(header, body))
         return request_id
 
     def result(self, request_id: int) -> Tuple[Dict[str, Any], bytes]:
@@ -534,7 +630,7 @@ class ServingClient:
         if engine is not None:
             fields["engine"] = engine
         header, _ = self.call(
-            "register_key", pack_parts([to_bytes(cloud_key)]), **fields
+            "register_key", parts_pieces([to_pieces(cloud_key)]), **fields
         )
         return header
 

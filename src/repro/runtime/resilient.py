@@ -44,10 +44,17 @@ from repro.runtime.protocol import (
     ServerError,
     ServingClient,
     pack_parts,
+    parts_pieces,
     unpack_parts,
 )
 from repro.tfhe.lwe import LweBatch, LweSample
-from repro.tfhe.serialize import Circuit, circuit_to_json, from_bytes, to_bytes
+from repro.tfhe.serialize import (
+    Circuit,
+    circuit_to_json,
+    from_bytes,
+    to_bytes,
+    to_pieces,
+)
 
 __all__ = ["DeadlineExceeded", "ResilientClient", "RetryStats"]
 
@@ -79,7 +86,8 @@ class _Pending:
     """One unacknowledged request: everything needed to resend it."""
 
     op: str
-    body: bytes
+    #: One buffer, or a list of pieces (a cloud key's own arrays, unjoined).
+    body: Any
     fields: Dict[str, Any] = field(default_factory=dict)
     deadline_at: Optional[float] = None
 
@@ -210,7 +218,7 @@ class ResilientClient:
                 fields["engine"] = engine
             # Idempotent on the server: same session + same key fingerprint
             # returns the cached registration reply.
-            client.call("register_key", pack_parts([to_bytes(cloud_key)]), **fields)
+            client.call("register_key", parts_pieces([to_pieces(cloud_key)]), **fields)
             self._next_id = client._next_id
         # Replies salvaged off the dead connection answer their requests
         # without a round trip.
@@ -369,7 +377,7 @@ class ResilientClient:
         if engine is not None:
             fields["engine"] = engine
         header, _ = self.call(
-            "register_key", pack_parts([to_bytes(cloud_key)]), **fields
+            "register_key", parts_pieces([to_pieces(cloud_key)]), **fields
         )
         self._register_header = dict(header)
         return header

@@ -79,6 +79,7 @@ from repro.tfhe.serialize import (
     SerializationError,
     circuit_from_json,
     from_bytes,
+    from_owned_buffer,
     to_bytes,
 )
 
@@ -92,6 +93,10 @@ _JOB_OPS = frozenset({"gate", "lut", "circuit", "radix_add"})
 _COALESCE_WAIT_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.25, 1.0
 )
+#: ``fhe_register_key_seconds`` bounds: a key already resident is compared
+#: in milliseconds, a first ``paper-110bit`` key under a worker pool packs
+#: its segment for seconds.
+_REGISTER_KEY_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
 
 def _percentile(values: List[float], q: float, default: float = 0.0) -> float:
@@ -269,6 +274,8 @@ class FheServer:
         self._flush_seconds: List[float] = []
         #: Waited coalescing windows, one per flush (same ring bound).
         self._window_seconds: List[float] = []
+        #: ``register_key`` requests, header parsed to reply queued.
+        self._register_seconds: List[float] = []
         self._busy_seconds = 0.0
         self._started_at: Optional[float] = None
         self.session_cache_size = session_cache_size
@@ -391,50 +398,60 @@ class FheServer:
                 finally:
                     timer.cancel()
             async with self._lock:
-                self._work_ready.clear()
-                self._window_closed.clear()
-                opened, self._window_opened = self._window_opened, None
-                if not self.scheduler.pending_jobs:
-                    self._resolve_waiters()
-                    continue
-                begin = time.monotonic()
-                waited = begin - opened if opened is not None else 0.0
-                try:
-                    await loop.run_in_executor(None, self.scheduler.flush)
-                except Exception as exc:  # noqa: BLE001 - surfaced per-request
-                    self._fail_waiters(exc)
-                    continue
-                self._queue_emptied = time.monotonic()
-                # Requests this flush answers are still inside _submit (their
-                # futures resolve below), and so is every one that blocked on
-                # the lock meanwhile: the population of the next window.
-                self._population = self._jobs_inflight
-                elapsed = self._queue_emptied - begin
-                self._busy_seconds += elapsed
-                self._flush_seconds.append(elapsed)
-                del self._flush_seconds[: -self.latency_window]
-                self._window_seconds.append(waited)
-                del self._window_seconds[: -self.latency_window]
-                tel = self.telemetry
-                if tel is not None and tel.metrics_enabled:
-                    tel.count(
-                        "fhe_server_busy_seconds_total",
-                        "Monotonic seconds the flusher spent bootstrapping.",
-                        amount=elapsed,
-                    )
-                    tel.observe(
-                        "fhe_flush_seconds",
-                        elapsed,
-                        "Wall time of one scheduler flush.",
-                        buckets=DEFAULT_LATENCY_BUCKETS,
-                    )
-                    tel.observe(
-                        "fhe_coalesce_wait_seconds",
-                        waited,
-                        "First queued job to the start of the flush that ran it.",
-                        buckets=_COALESCE_WAIT_BUCKETS,
-                    )
-                self._resolve_waiters()
+                await self._flush_queued()
+
+    async def _flush_queued(self) -> None:
+        """One flush of everything queued (lock held).
+
+        Consumes the open window, runs the scheduler off-loop, re-measures
+        who is around for the next window and resolves the waiters — for the
+        flusher, and for a departing connection whose queued jobs nobody
+        else would run.
+        """
+        self._work_ready.clear()
+        self._window_closed.clear()
+        opened, self._window_opened = self._window_opened, None
+        if not self.scheduler.pending_jobs:
+            self._resolve_waiters()
+            return
+        begin = time.monotonic()
+        waited = begin - opened if opened is not None else 0.0
+        try:
+            await asyncio.get_running_loop().run_in_executor(None, self.scheduler.flush)
+        except Exception as exc:  # noqa: BLE001 - surfaced per-request
+            self._fail_waiters(exc)
+            return
+        self._queue_emptied = time.monotonic()
+        # Requests this flush answers are still inside _submit (their
+        # futures resolve below), and so is every one that blocked on
+        # the lock meanwhile: the population of the next window.
+        self._population = self._jobs_inflight
+        elapsed = self._queue_emptied - begin
+        self._busy_seconds += elapsed
+        self._flush_seconds.append(elapsed)
+        del self._flush_seconds[: -self.latency_window]
+        self._window_seconds.append(waited)
+        del self._window_seconds[: -self.latency_window]
+        tel = self.telemetry
+        if tel is not None and tel.metrics_enabled:
+            tel.count(
+                "fhe_server_busy_seconds_total",
+                "Monotonic seconds the flusher spent bootstrapping.",
+                amount=elapsed,
+            )
+            tel.observe(
+                "fhe_flush_seconds",
+                elapsed,
+                "Wall time of one scheduler flush.",
+                buckets=DEFAULT_LATENCY_BUCKETS,
+            )
+            tel.observe(
+                "fhe_coalesce_wait_seconds",
+                waited,
+                "First queued job to the start of the flush that ran it.",
+                buckets=_COALESCE_WAIT_BUCKETS,
+            )
+        self._resolve_waiters()
 
     def _resolve_waiters(self) -> None:
         unresolved = []
@@ -530,6 +547,7 @@ class FheServer:
             "flush_latency_p50": _percentile(self._flush_seconds, 0.50),
             "flush_latency_p99": _percentile(self._flush_seconds, 0.99),
             "coalesce_wait_p50": _percentile(self._window_seconds, 0.50),
+            "register_key_p50": _percentile(self._register_seconds, 0.50),
             "sessions": len(self._sessions),
             "jobs_deduped": self._jobs_deduped,
             "jobs_shed": self._jobs_shed,
@@ -604,7 +622,8 @@ class FheServer:
         )
         reg.gauge(
             "fhe_resident_key_bytes",
-            "Bytes of resident cloud keys and their spectrum caches (by shape).",
+            "Bytes of resident cloud keys and their spectrum caches (by shape); "
+            "an upload lands in the buffer its arrays view, so RSS grows by this.",
         ).set(sum(r.context.resident_bytes for r in residents))
         dispatcher = self.scheduler.dispatcher
         health = getattr(dispatcher, "health", None)
@@ -655,6 +674,9 @@ class FheServer:
                 task = asyncio.create_task(self._run_request(conn, header, body))
                 conn.tasks.add(task)
                 task.add_done_callback(conn.tasks.discard)
+                # The request owns its body now: a key upload that turns out
+                # to be a duplicate is freed with it, not at the next frame.
+                del header, body
         except asyncio.CancelledError:
             # Server stopping with this connection live: end the reader
             # quietly (asyncio's stream callback would log the cancellation
@@ -676,13 +698,12 @@ class FheServer:
                 self._reap_sessions()
         elif conn.registered:
             async with self._lock:
-                loop = asyncio.get_running_loop()
                 try:
                     if self.scheduler.pending_jobs:
                         # Orphaned jobs (client gone before its results):
                         # drain them so the queues stay clean, drop results.
-                        await loop.run_in_executor(None, self.scheduler.flush)
-                        self._resolve_waiters()
+                        # Whoever stays is re-measured, as after any flush.
+                        await self._flush_queued()
                     # force=True: a job enqueued after that flush (racing
                     # request task) gets failed with JobAborted instead of
                     # wedging the teardown — satellite of the abort path.
@@ -922,7 +943,10 @@ class FheServer:
                 self._session_jobs.get(conn.client_id, 0) + 1
             )
         if op == "register_key":
-            return await self._op_register_key(conn, header, body)
+            begin = time.monotonic()
+            reply = await self._op_register_key(conn, header, body)
+            self._note_register_key(time.monotonic() - begin)
+            return reply
         if op == "gate":
             return await self._op_gate(conn, header, body)
         if op == "lut":
@@ -932,6 +956,19 @@ class FheServer:
         if op == "radix_add":
             return await self._op_radix_add(conn, body)
         raise _RequestError("unsupported", f"unknown op {op!r}")
+
+    def _note_register_key(self, elapsed: float) -> None:
+        """What one accepted ``register_key`` cost, header parsed to reply queued."""
+        self._register_seconds.append(elapsed)
+        del self._register_seconds[: -self.latency_window]
+        tel = self.telemetry
+        if tel is not None and tel.metrics_enabled:
+            tel.observe(
+                "fhe_register_key_seconds",
+                elapsed,
+                "One register_key request, header parsed to reply queued.",
+                buckets=_REGISTER_KEY_BUCKETS,
+            )
 
     def _op_trace_export(self, header: Dict[str, Any]) -> Tuple[Dict[str, Any], bytes]:
         """Export the trace ring: Chrome trace-event (default) or span JSON.
@@ -999,9 +1036,9 @@ class FheServer:
             )
         return self.scheduler.client_context(conn.client_id)
 
-    def _artifact(self, data: bytes, expected_type, what: str):
+    def _artifact(self, data: bytes, expected_type, what: str, decode=from_bytes):
         try:
-            artifact = from_bytes(data)
+            artifact = decode(data)
         except SerializationError as exc:
             raise _RequestError("bad_request", f"{what}: {exc}") from None
         if not isinstance(artifact, expected_type):
@@ -1066,13 +1103,16 @@ class FheServer:
         self, conn: _Connection, header: Dict[str, Any], body: bytes
     ) -> Tuple[Dict[str, Any], bytes]:
         sess = conn.session
+        # The key's arrays *are* the request body where the frame was received
+        # in place: nothing else holds that buffer, so both branches adopt it
+        # (a same-key duplicate is one transient key, compared and dropped).
         (key_bytes,) = unpack_parts(body, expected=1)
         if sess is not None and sess.registered:
             # Idempotent re-registration after a reconnect: the same key
             # gets the cached reply; a different key is a hard error (the
             # session's queued results were computed under the old key).
             # "Same" is the scheduler's exact identity, never a checksum.
-            cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key")
+            cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key", from_owned_buffer)
             held = self.scheduler.client_context(sess.client_id).cloud_key
             if not same_cloud_key(held, cloud):
                 raise _RequestError(
@@ -1085,7 +1125,7 @@ class FheServer:
         if conn.registered:
             raise _RequestError("bad_request", "this connection already registered a key")
         engine = self._check_requested_engine(header.get("engine"))
-        cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key")
+        cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key", from_owned_buffer)
         loop = asyncio.get_running_loop()
         async with self._lock:
             # Off-loop: a first-time key builds its context (and, for a

@@ -74,7 +74,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.metrics import ROWS_PER_CALL_BUCKETS
 from repro.tfhe.bootstrap import CmuxBlindRotator
 from repro.tfhe.lwe import LweSample
-from repro.tfhe.serialize import from_bytes, to_bytes
+from repro.tfhe.serialize import from_bytes, to_pieces
 from repro.tfhe.tgsw import TransformedTgswSample
 from repro.tfhe.transform import EngineFault, TransformSpec
 
@@ -149,26 +149,21 @@ def _pack_client_segment(context: FheContext) -> shared_memory.SharedMemory:
     dtype/shape (classical rotator, naive/double engines); otherwise workers
     rebuild their cache from the key bytes.
     """
-    key_bytes = to_bytes(context.cloud_key)
+    key_pieces = [memoryview(p).cast("B") for p in to_pieces(context.cloud_key)]
+    key_len = sum(len(piece) for piece in key_pieces)
     spectrum_meta: Optional[Dict[str, Any]] = None
-    spectrum_view: Optional[np.ndarray] = None
+    tensors: List[np.ndarray] = []
     if context.cloud_key.unroll_factor == 1:
         rotator = context.rotator  # builds the parent cache once
         if isinstance(rotator, CmuxBlindRotator):
             tensors = [sample.tensor for sample in rotator.bootstrapping_key]
-            shapes = {
-                (t.shape, t.dtype.str)
-                for t in tensors
-                if isinstance(t, np.ndarray)
-            }
-            if tensors and len(shapes) == 1 and all(
-                isinstance(t, np.ndarray) for t in tensors
+            if all(isinstance(t, np.ndarray) for t in tensors) and (
+                len({(t.shape, t.dtype.str) for t in tensors}) == 1
             ):
-                spectrum_view = np.stack(tensors)
                 first = rotator.bootstrapping_key[0]
                 spectrum_meta = {
-                    "dtype": spectrum_view.dtype.str,
-                    "shape": list(spectrum_view.shape),
+                    "dtype": tensors[0].dtype.str,
+                    "shape": [len(tensors), *tensors[0].shape],
                     "rows": first.rows,
                     "mask_count": first.mask_count,
                     "degree": first.degree,
@@ -180,28 +175,34 @@ def _pack_client_segment(context: FheContext) -> shared_memory.SharedMemory:
     engine_spec = context.engine.spec()
     header = json.dumps(
         {
-            "key_len": len(key_bytes),
+            "key_len": key_len,
             "spectrum": spectrum_meta,
             "engine": engine_spec.to_json() if engine_spec is not None else None,
         }
     ).encode("utf-8")
     key_offset = 8 + len(header)
-    spectrum_offset = _align(key_offset + len(key_bytes))
+    spectrum_offset = _align(key_offset + key_len)
     total = spectrum_offset + (
-        spectrum_view.nbytes if spectrum_view is not None else 0
+        sum(t.nbytes for t in tensors) if spectrum_meta is not None else 0
     )
     segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
     segment.buf[0:8] = struct.pack("<Q", len(header))
     segment.buf[8:key_offset] = header
-    segment.buf[key_offset : key_offset + len(key_bytes)] = key_bytes
-    if spectrum_view is not None:
+    # The container's pieces and the tensors go into the segment one by one:
+    # neither the joined artifact nor the stacked spectra ever exist here.
+    offset = key_offset
+    for piece in key_pieces:
+        segment.buf[offset : offset + len(piece)] = piece
+        offset += len(piece)
+    if spectrum_meta is not None:
         shared = np.ndarray(
-            spectrum_view.shape,
-            dtype=spectrum_view.dtype,
+            spectrum_meta["shape"],
+            dtype=tensors[0].dtype,
             buffer=segment.buf,
             offset=spectrum_offset,
         )
-        shared[...] = spectrum_view
+        for row, tensor in zip(shared, tensors):
+            row[...] = tensor
     return segment
 
 

@@ -19,7 +19,14 @@ belongs to the container, so writers refuse anything else rather than cast it
 and readers have no dtype to trust.  A reader checks prefix, header and the
 whole directory against the bytes present (**no trailing bytes**) before it
 builds one array, and each loader checks its entries against the shapes its
-own header implies; every failure is a :class:`SerializationError`.  Cloud
+own header implies; every failure is a :class:`SerializationError`.  Writers
+produce the container as a list of buffers (:func:`to_pieces`: prefix +
+header, then the caller's own arrays) that :func:`to_bytes` joins and files,
+sockets and shared segments take piece by piece; readers return independent
+owning arrays (:func:`from_bytes`) — or, for the one caller whose buffer
+exists only to become the artifact, views of that buffer wherever its bytes
+already are an aligned native int32 array (:func:`from_owned_buffer`; same
+validation body, same values).  Cloud
 keys serialize their *coefficient-domain* TGSW material plus the
 :class:`repro.tfhe.transform.TransformSpec` of the engine they were generated
 for; the spectrum cache is deliberately **not** serialized — the
@@ -122,28 +129,40 @@ def _params_from_dict(payload: Dict[str, Any]) -> TFHEParameters:
 # --------------------------------------------------------------------------- #
 
 
-def _encode(meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> List[Any]:
+class _Stacked(list):
+    """Equally shaped arrays written as their ``np.stack`` — without building it."""
+
+
+def _encode(meta: Dict[str, Any], arrays: Dict[str, Any]) -> List[Any]:
     """The container as a list of buffers: prefix + header, then the payloads.
 
     The payloads are the caller's own arrays (C-contiguous int32 is the rule,
-    so nothing is copied here); whoever joins or writes the list makes the one
-    copy.  A non-int32 array is refused, never cast — an ``astype`` would
-    silently wrap torus values.
+    so nothing is copied here); whoever joins, writes or sends the list makes
+    the one copy.  A :class:`_Stacked` entry owns one directory line and one
+    payload per row.  A non-int32 array is refused, never cast — an ``astype``
+    would silently wrap torus values.
     """
-    directory = []
-    for name, array in arrays.items():
-        if not isinstance(array, np.ndarray) or array.dtype != np.int32:
-            kind = getattr(array, "dtype", type(array).__name__)
-            raise SerializationError(f"refusing to write {name!r} as {kind}: int32 only")
-        directory.append([name, list(array.shape)])
+    directory, payloads = [], []
+    for name, entry in arrays.items():
+        stacked = isinstance(entry, _Stacked)
+        for array in entry if stacked else (entry,):
+            if not isinstance(array, np.ndarray) or array.dtype != np.int32:
+                kind = getattr(array, "dtype", type(array).__name__)
+                raise SerializationError(f"refusing to write {name!r} as {kind}: int32 only")
+            payloads.append(np.ascontiguousarray(array, dtype="<i4").reshape(-1))
+        if not stacked:
+            directory.append([name, list(entry.shape)])
+        elif entry and all(row.shape == entry[0].shape for row in entry):
+            directory.append([name, [len(entry), *entry[0].shape]])
+        else:
+            raise SerializationError(f"refusing to stack no or unequal arrays as {name!r}")
     header = _HEADER_JSON(
         {"format": FORMAT, "version": FORMAT_VERSION, **meta, "arrays": directory}
     ).encode("utf-8")
-    payloads = (np.ascontiguousarray(a, dtype="<i4").reshape(-1) for a in arrays.values())
     return [_PREFIX.pack(MAGIC, CONTAINER_VERSION, len(header)) + header, *payloads]
 
 
-def _write_archive(path: PathLike, meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> None:
+def _write_archive(path: PathLike, meta: Dict[str, Any], arrays: Dict[str, Any]) -> None:
     if isinstance(path, (str, pathlib.Path)):
         with open(path, "wb") as handle:
             handle.writelines(_encode(meta, arrays))
@@ -151,15 +170,31 @@ def _write_archive(path: PathLike, meta: Dict[str, Any], arrays: Dict[str, np.nd
         path.writelines(_encode(meta, arrays))
 
 
-def _decode(data: Buffer, expected_artifact: str | None = None):
+def _byte_view(data: Buffer) -> memoryview:
+    """``data`` as a flat view of its bytes, or a refusal naming what it is."""
+    try:
+        return memoryview(data).cast("B")
+    except TypeError as exc:
+        given = type(data).__name__
+        if isinstance(data, memoryview):
+            given = f"a memoryview of format {data.format!r}, shape {data.shape}, strides {data.strides}"
+        raise SerializationError(
+            f"an artifact is read from a C-contiguous byte buffer, not {given}: {exc}"
+        ) from None
+
+
+def _decode(data: Buffer, expected_artifact: str | None = None, adopt: bool = False):
     """Validate a container held in any buffer and return ``(meta, arrays)``.
 
     Prefix, header and the whole directory are checked against the bytes
     present before the first array is built, so a directory that lies about
     its shapes cannot make this allocate.  Each array is one ``np.frombuffer``
-    view plus one owning copy: int32, writable, independent of ``data``.
+    view plus one owning copy: int32, writable, independent of ``data`` —
+    unless the caller gives the buffer up (``adopt``), when a slice that is
+    already an aligned, native-endian, writable int32 array is returned as
+    that view and only the others are copied.
     """
-    view = memoryview(data).cast("B")
+    view = _byte_view(data)
     if len(view) < _PREFIX.size:
         raise SerializationError(f"truncated artifact: only {len(view)} bytes")
     magic, container, header_len = _PREFIX.unpack_from(view)
@@ -207,7 +242,10 @@ def _decode(data: Buffer, expected_artifact: str | None = None):
     arrays = {}
     for name, (shape, start) in layout.items():
         flat = np.frombuffer(view, "<i4", math.prod(shape), start)
-        arrays[name] = flat.reshape(shape).astype(np.int32)
+        if adopt and flat.flags.aligned and flat.flags.writeable and flat.dtype.isnative:
+            arrays[name] = flat.reshape(shape)
+        else:
+            arrays[name] = flat.reshape(shape).astype(np.int32)
     return meta, arrays
 
 
@@ -282,18 +320,18 @@ def save_cloud_key(path: PathLike, cloud: TFHECloudKey) -> None:
         "unroll_factor": cloud.unroll_factor,
         "transform": cloud.transform_spec.to_json(),
     }
-    arrays: Dict[str, np.ndarray] = {"keyswitch": cloud.keyswitch_key.data}
+    arrays: Dict[str, Any] = {"keyswitch": cloud.keyswitch_key.data}
     if cloud.unroll_factor == 1:
         if cloud.bootstrapping_key is None:
             raise SerializationError("cloud key carries no bootstrapping key material")
-        arrays["bootstrapping_key"] = np.stack([s.data for s in cloud.bootstrapping_key])
+        arrays["bootstrapping_key"] = _Stacked(s.data for s in cloud.bootstrapping_key)
     else:
         if cloud.unrolled_groups is None:
             raise SerializationError("cloud key carries no unrolled key material")
         # Group boundaries are deterministic (group_indices(n, m)), so the
         # flat sample stack plus the unroll factor fully describe the key.
-        arrays["unrolled_key"] = np.stack(
-            [sample.data for group in cloud.unrolled_groups for sample in group.samples]
+        arrays["unrolled_key"] = _Stacked(
+            sample.data for group in cloud.unrolled_groups for sample in group.samples
         )
     _write_archive(path, meta, arrays)
 
@@ -465,21 +503,39 @@ def load(path: PathLike):
 
 
 class _Pieces(list):
-    """A write-only handle that keeps the buffers it is handed (for one join)."""
+    """A write-only handle that keeps the buffers it is handed."""
 
     writelines = list.extend
 
 
-def to_bytes(obj) -> bytes:
-    """Serialize any supported artifact to an in-memory byte string."""
+def to_pieces(obj) -> List[Any]:
+    """Any supported artifact as the buffers :func:`to_bytes` would join:
+    prefix + header, then the artifact's own arrays — nothing is copied."""
     pieces = _Pieces()
     save(pieces, obj)
-    return b"".join(pieces)
+    return pieces
+
+
+def to_bytes(obj) -> bytes:
+    """Serialize any supported artifact to an in-memory byte string."""
+    return b"".join(to_pieces(obj))
 
 
 def from_bytes(data: Buffer):
     """Deserialize an artifact from any buffer holding :func:`to_bytes` output."""
     return _from_archive(*_decode(data))
+
+
+def from_owned_buffer(data: Buffer):
+    """:func:`from_bytes` for a caller that gives ``data`` up to the artifact.
+
+    Same checks, same values; the arrays *view* ``data`` wherever its bytes
+    already are an aligned native int32 array in writable memory, so nothing
+    may write to or reuse the buffer afterwards.  For the one receiver whose
+    buffer exists only to become the artifact (the server's ``register_key``);
+    everyone else wants :func:`from_bytes`.
+    """
+    return _from_archive(*_decode(data, adopt=True))
 
 
 # --------------------------------------------------------------------------- #

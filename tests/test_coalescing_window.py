@@ -242,6 +242,44 @@ def test_departed_client_costs_the_survivor_one_window(server_factory, wire_keys
     assert server._jobs_inflight == 0
 
 
+def test_departed_clients_own_flush_remeasures_who_is_around(server_factory, wire_keys):
+    """A plain connection's teardown flushes what is queued — here the
+    survivor's job, which was waiting for the leaver.  That flush re-measures
+    the population like any other, so the survivor's next gate waits for
+    nobody (before: for the rest of the window the departed client opened)."""
+    secret, cloud = wire_keys
+    dispatcher = RecordingDispatcher()
+    server = server_factory(dispatcher=dispatcher, flush_interval=WINDOW)
+    survivor = ServingClient(port=server.port)
+    leaver = ServingClient(port=server.port)
+    try:
+        survivor.register_key(cloud)
+        leaver.register_key(cloud)
+        ca, cb, want = _operands(secret, 0)
+        requests = [(c, c.submit_gate("nand", ca, cb)) for c in (survivor, leaver)]
+        for client, request in requests:
+            assert decrypt_bit(secret, client.gate_result(request)) == want
+        assert dispatcher.widths == [2]  # a population of two
+
+        ca, cb, want = _operands(secret, 1)
+        submitted = time.monotonic()
+        request = survivor.submit_gate("nand", ca, cb)
+        assert _wait_until(lambda: len(server._waiters) == 1)
+        assert dispatcher.widths == [2]  # ... so the lone job is held back
+        leaver.close()  # its teardown flush is what runs the survivor's job
+        assert decrypt_bit(secret, survivor.gate_result(request)) == want
+        assert dispatcher.calls[1][0] - submitted < WINDOW - SLACK
+
+        submitted = _timed_gate(survivor, secret, 2)
+        assert dispatcher.calls[-1][0] - submitted < SLACK
+        assert dispatcher.widths == [2, 1, 1]
+    finally:
+        survivor.close()
+        leaver.close()
+    assert _wait_until(lambda: not server._connections)
+    assert server._jobs_inflight == 0
+
+
 def test_burst_after_idle_coalesces_like_a_cold_server(server_factory, wire_keys):
     secret, cloud = wire_keys
     dispatcher = RecordingDispatcher()
