@@ -1,7 +1,7 @@
 """Engine backends: measured throughput of every usable transform engine.
 
 The transform registry is pluggable for performance: ``"compiled"`` JITs the
-double-FFT engine's glue loops (falling back to a cache-blocked NumPy path
+double-FFT engine's glue loops (falling back to an in-place NumPy path
 when Numba is absent).  It claims the ``fft64`` error-model family, so its
 outputs are checked bit-identical against the ``"double"`` reference *before*
 any timing.
@@ -15,7 +15,7 @@ Registered-but-unavailable engines are skipped and their reasons recorded.
 Acceptance gate: the compiled engine must reach
 ``COMPILED_ENGINE_SPEEDUP_MIN`` (default 2.0x over double) **when its Numba
 tier actually compiled**.  Without Numba the fallback is plain NumPy with
-better cache behaviour — no JIT to gate — so the floor degrades to
+a smaller temporary footprint — no JIT to gate — so the floor degrades to
 ``COMPILED_ENGINE_FALLBACK_MIN`` (default 0.7x): the fallback may not
 *collapse*, but it is not asked to beat the engine it wraps.  Which gate
 applied is recorded in the JSON ``extra`` block.
@@ -46,7 +46,11 @@ from repro.runtime.scheduler import SchedulerStats, execute_rows
 from repro.tfhe.gates import encrypt_bit
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.params import TEST_SMALL
-from repro.tfhe.transform import DoubleFFTNegacyclicTransform, available_engines
+from repro.tfhe.transform import (
+    DoubleFFTNegacyclicTransform,
+    available_engines,
+    make_transform,
+)
 from repro.utils.benchio import make_entry, write_bench_json
 
 ROWS = 64
@@ -101,7 +105,7 @@ def run(record_result=None):
     seconds = {}
     jit_enabled = False
     for kind in usable:
-        context = FheContext(cloud, engine=kind)
+        context = FheContext(cloud, engine=make_transform(kind, params.N))
         if kind == "compiled":
             jit_enabled = bool(getattr(context.engine, "jit_enabled", False))
         # Untimed warm-up: spectrum cache, JIT compilation.

@@ -145,17 +145,8 @@ class _TimingTransformProxy(NegacyclicTransform):
     def spectrum_copy(self, a):
         return self.inner.spectrum_copy(a)
 
-    def spectrum_shape(self, spectrum):
-        return self.inner.spectrum_shape(spectrum)
-
     def spectrum_index(self, spectrum, index):
         return self.inner.spectrum_index(spectrum, index)
-
-    def spectrum_stack(self, spectra):
-        return self.inner.spectrum_stack(spectra)
-
-    def spectrum_sum(self, spectrum):
-        return self.inner.spectrum_sum(spectrum)
 
     def spectrum_expand(self, spectrum, axis):
         return self.inner.spectrum_expand(spectrum, axis)

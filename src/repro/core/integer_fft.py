@@ -278,9 +278,6 @@ class ApproximateNegacyclicTransform(NegacyclicTransform):
         return {"twiddle_bits": self.twiddle_bits, "target_msb": self.target_msb}
 
     # -- stacked-spectrum helpers ------------------------------------------
-    def spectrum_shape(self, spectrum: IntegerSpectrum) -> tuple:
-        return spectrum.values.shape
-
     def spectrum_index(self, spectrum: IntegerSpectrum, index) -> IntegerSpectrum:
         scale = spectrum.scale_bits
         if isinstance(scale, np.ndarray):
@@ -340,38 +337,3 @@ class ApproximateNegacyclicTransform(NegacyclicTransform):
         values = np.round(products.real) + 1j * np.round(products.imag)
         acc = np.add.reduce(values, axis=0)
         return IntegerSpectrum(acc, np.zeros(acc.shape[:-1], dtype=np.int64))
-
-    def spectrum_stack(self, spectra) -> IntegerSpectrum:
-        values = np.stack([s.values for s in spectra])
-        scales = np.stack(
-            [
-                np.broadcast_to(
-                    np.asarray(s.scale_bits, dtype=np.int64), s.values.shape[:-1]
-                )
-                for s in spectra
-            ]
-        )
-        return IntegerSpectrum(values, scales)
-
-    def spectrum_sum(self, spectrum: IntegerSpectrum) -> IntegerSpectrum:
-        scales = np.asarray(spectrum.scale_bits, dtype=np.int64)
-        common = int(scales.reshape(-1)[0]) if scales.size else 0
-        if np.all(scales == common):
-            # The common case (e.g. after a stacked pointwise product, which
-            # normalises every element to scale 0): a plain integer-valued sum,
-            # identical to folding with spectrum_add.
-            self.stats.pointwise_ops += 1
-            summed = spectrum.values.sum(axis=0)
-            out_scale: "int | np.ndarray"
-            if scales.ndim <= 1:
-                out_scale = common
-            else:
-                out_scale = np.full(summed.shape[:-1], common, dtype=np.int64)
-            return IntegerSpectrum(summed, out_scale)
-        # Mixed per-element scales: fold with spectrum_add so the min-scale
-        # rescaling semantics of the scalar path are preserved exactly (the
-        # folded adds do their own pointwise-op counting).
-        acc = self.spectrum_index(spectrum, 0)
-        for j in range(1, spectrum.values.shape[0]):
-            acc = self.spectrum_add(acc, self.spectrum_index(spectrum, j))
-        return acc

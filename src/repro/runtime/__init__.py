@@ -51,7 +51,6 @@ from repro.runtime.protocol import (
     ServerDraining,
     ServerError,
     ServingClient,
-    UnsupportedVersion,
     error_class_for_kind,
 )
 from repro.runtime.resilient import DeadlineExceeded, ResilientClient, RetryStats
@@ -95,7 +94,6 @@ __all__ = [
     "ServerError",
     "ServingClient",
     "SlowDispatcher",
-    "UnsupportedVersion",
     "WorkerHealth",
     "WorkerPool",
     "WorkerPoolError",

@@ -280,7 +280,7 @@ class FlakyEngine(NegacyclicTransform):
         self.stats = base.stats  # one shared op counter, as callers expect
         if masquerade_kind is not None or base.engine_kind is not None:
             # Instance attribute shadowing the ClassVar: failover reads it
-            # via getattr and quarantines this kind in the registry.
+            # through ``spec()`` and quarantines this kind in the registry.
             self.engine_kind = (
                 masquerade_kind if masquerade_kind is not None else base.engine_kind
             )
@@ -330,9 +330,6 @@ class FlakyEngine(NegacyclicTransform):
     def spectrum_copy(self, a):
         return self.base.spectrum_copy(a)
 
-    def spectrum_shape(self, spectrum):
-        return self.base.spectrum_shape(spectrum)
-
     def spectrum_expand(self, spectrum, axis):
         return self.base.spectrum_expand(spectrum, axis)
 
@@ -342,17 +339,8 @@ class FlakyEngine(NegacyclicTransform):
     def spectrum_index(self, spectrum, index):
         return self.base.spectrum_index(spectrum, index)
 
-    def spectrum_stack(self, spectra):
-        return self.base.spectrum_stack(spectra)
-
-    def spectrum_sum(self, spectrum):
-        return self.base.spectrum_sum(spectrum)
-
     def spectrum_contract(self, stack, operand):
         return self.base.spectrum_contract(stack, operand)
-
-    def multiply_accumulate(self, int_polys, spectra):
-        return self.base.multiply_accumulate(int_polys, spectra)
 
 
 # --------------------------------------------------------------------------- #

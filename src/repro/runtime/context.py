@@ -7,9 +7,10 @@ that data into evaluation state, the way the paper's accelerator keeps the
 bootstrapping key resident next to the datapath and streams ciphertexts past
 it:
 
-* the transform engine is resolved from the engine registry (or supplied
-  explicitly, e.g. to evaluate a ``double``-generated key with the ``approx``
-  engine for error studies);
+* the transform engine is the one the key's recorded spec names
+  (:func:`repro.tfhe.transform.engine_for`), or an instance supplied
+  explicitly — e.g. to evaluate a ``double``-generated key with the
+  ``approx`` engine for error studies;
 * every bootstrapping-key row is ``forward()``-transformed into the Lagrange
   domain **exactly once per context** and cached inside the blind rotator —
   the *cloud-key spectrum cache*.  Gates only ever transform the small
@@ -51,10 +52,9 @@ from repro.tfhe.tgsw import BootstrapWorkspace, TgswSample, tgsw_transform
 from repro.tfhe.transform import (
     EngineFault,
     NegacyclicTransform,
-    engine_entry,
-    make_transform,
+    UnsupportedEngine,
+    engine_for,
     quarantine_engine,
-    select_best_engine,
 )
 from repro.utils.rng import SeedLike, make_rng
 
@@ -98,50 +98,38 @@ def _tgsw_samples(cloud_key: TFHECloudKey) -> List[TgswSample]:
 
 def resolve_engine(
     cloud_key: TFHECloudKey,
-    engine: "Optional[NegacyclicTransform | str]" = None,
+    engine: Optional[NegacyclicTransform] = None,
 ) -> NegacyclicTransform:
-    """Resolve an engine argument against a cloud key.
+    """The engine a context of ``cloud_key`` runs on.
 
-    ``engine`` may be ``None`` (rebuild the engine recorded in the key's
-    ``transform_spec``), a registry kind string (``"double"``,
-    ``"compiled"``, ...), the string ``"auto"`` (pick the best available
-    engine compatible with the key's error model via
-    :func:`repro.tfhe.transform.select_best_engine`), or an already-built
-    :class:`NegacyclicTransform` instance, which is returned as-is.
+    An already-built :class:`NegacyclicTransform` instance (in-process error
+    studies, a pool worker rebuilding its parent's engine) is returned as-is;
+    ``None`` builds the engine :func:`repro.tfhe.transform.engine_for` names
+    for the key's recorded ``transform_spec``.
     """
-    if isinstance(engine, NegacyclicTransform):
+    if engine is not None:
         return engine
-    degree = cloud_key.params.N
     spec = cloud_key.transform_spec
-    if engine is None:
-        if spec is None:
-            raise ValueError(
-                "cloud key records no transform spec (ad-hoc engine); "
-                "pass an engine instance explicitly"
-            )
-        return spec.create(degree)
-    if engine == "auto":
-        kind = select_best_engine(for_spec=spec) if spec is not None else select_best_engine()
-        if spec is not None and kind == spec.kind:
-            return spec.create(degree)
-        return make_transform(kind, degree)
-    return make_transform(engine, degree)
+    if spec is None:
+        raise ValueError(
+            "cloud key records no transform spec (ad-hoc engine); "
+            "pass an engine instance explicitly"
+        )
+    return engine_for(spec).create(cloud_key.params.N)
 
 
 class FheContext:
     """Owns the evaluation state derived from one cloud key.
 
-    ``engine`` defaults to the engine recorded in the key's
-    ``transform_spec`` (rebuilt through the registry); pass an instance to
-    override it, a registry kind string to build that engine, or ``"auto"``
-    to let :func:`repro.tfhe.transform.select_best_engine` pick the fastest
-    available backend compatible with the key's error model.
+    ``engine`` defaults to the engine the key's ``transform_spec`` records
+    (see :func:`resolve_engine`); pass an instance to evaluate the key on
+    another engine.
     """
 
     def __init__(
         self,
         cloud_key: TFHECloudKey,
-        engine: "Optional[NegacyclicTransform | str]" = None,
+        engine: Optional[NegacyclicTransform] = None,
     ) -> None:
         self.cloud_key = cloud_key
         self.params: TFHEParameters = cloud_key.params
@@ -226,38 +214,37 @@ class FheContext:
         self.cached_tgsw_samples = int(cached_tgsw_samples)
 
     def failover(self, reason: str = "engine fault") -> str:
-        """Quarantine the current engine kind and rebuild on a fallback.
+        """Quarantine the current engine kind and rebuild on its family twin.
 
         Called when the engine raises :class:`repro.tfhe.transform.EngineFault`
         mid-evaluation (JIT self-check failure, device error).  The faulting
-        kind is quarantined in the registry, the best remaining engine within
-        the same error-model family is selected, and this context's derived
-        state — spectrum cache, evaluators, workspace — is reset so it is
-        rebuilt lazily on the new engine.  Within the ``fft64`` family the
-        replay is bit-identical (the cross-engine suite's contract).
+        kind is quarantined in the registry,
+        :func:`repro.tfhe.transform.engine_for` names the engine that runs
+        its keys meanwhile, and this context's derived state — spectrum
+        cache, evaluators, workspace — is reset so it is rebuilt lazily on
+        the new engine.  Within the ``fft64`` family the replay is
+        bit-identical (the cross-engine suite's contract).
 
         Returns the new engine kind.  Raises :class:`EngineFault` when the
         engine is ad-hoc (no registry kind to quarantine or match against)
-        or no compatible fallback engine remains available.
+        or no usable engine of its error model remains.
         """
-        old_kind = getattr(self.engine, "engine_kind", None)
-        if old_kind is None:
+        spec = self.engine.spec()
+        if spec is None:
             raise EngineFault(
                 f"cannot fail over an ad-hoc (unregistered) engine: {reason}"
             )
-        error_model = engine_entry(old_kind).error_model
-        quarantine_engine(old_kind, reason)
+        quarantine_engine(spec.kind, reason)
         try:
-            new_kind = select_best_engine(error_model=error_model)
-        except ValueError as exc:
+            self.engine = engine_for(spec).create(self.params.N)
+        except UnsupportedEngine as exc:
             raise EngineFault(
-                f"engine {old_kind!r} quarantined ({reason}) and no "
+                f"engine {spec.kind!r} quarantined ({reason}) and no "
                 f"compatible fallback remains: {exc}"
             ) from None
-        self.engine = make_transform(new_kind, self.params.N)
         self.release()
         self.engine_failovers += 1
-        return new_kind
+        return self.engine.engine_kind
 
     def release(self) -> None:
         """Drop everything derived from the key: spectrum cache, evaluators,

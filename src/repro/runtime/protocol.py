@@ -39,9 +39,6 @@ Robustness contract (exercised by the protocol fuzz suite):
   subclasses of :class:`ProtocolError`, which the server maps to one clean
   error frame (or a connection close for desynchronised streams), never a
   hang;
-* protocol-1 frames (magic ``rTFS``, no checksum) are recognised and
-  rejected with the typed :class:`UnsupportedVersion` instead of being
-  misparsed;
 * responses echo the request ``id``, so a pipelined client can have many
   requests in flight and match replies out of order.
 
@@ -81,7 +78,6 @@ from repro.tfhe.serialize import (
 
 __all__ = [
     "MAGIC",
-    "LEGACY_MAGIC",
     "PROTOCOL_VERSION",
     "DEFAULT_MAX_FRAME",
     "MAX_HEADER_LEN",
@@ -91,7 +87,6 @@ __all__ = [
     "TruncatedFrame",
     "FrameTooLarge",
     "ChecksumMismatch",
-    "UnsupportedVersion",
     "ServerError",
     "ServerBusy",
     "ServerDraining",
@@ -111,9 +106,6 @@ __all__ = [
 
 #: Frame magic of the CRC-protected frame layout (protocol 2 onwards).
 MAGIC = b"rTF2"
-#: Frame magic of the retired protocol 1 (no frame checksum) — recognised
-#: so old peers get a typed :class:`UnsupportedVersion`, not :class:`BadMagic`.
-LEGACY_MAGIC = b"rTFS"
 #: Bumped on incompatible wire changes; ``hello`` reports it.  Version 3:
 #: same frames, bodies carry format-3 artifacts (flat container, not npz).
 PROTOCOL_VERSION = 3
@@ -172,10 +164,6 @@ class ChecksumMismatch(ProtocolError):
     """
 
     retryable = True
-
-
-class UnsupportedVersion(ProtocolError):
-    """The peer speaks a retired protocol version (recognised old magic)."""
 
 
 class ServerError(RuntimeError):
@@ -295,12 +283,6 @@ def encode_frame(header: Dict[str, Any], body: bytes = b"") -> bytes:
 def _parse_prefix(prefix: bytes, max_frame: int) -> Tuple[int, int, int]:
     magic, header_len, body_len, crc = _PREFIX.unpack(prefix)
     if magic != MAGIC:
-        if magic == LEGACY_MAGIC:
-            raise UnsupportedVersion(
-                f"peer speaks retired wire protocol 1 (magic {magic!r}, no "
-                f"frame checksum); this build requires protocol "
-                f"{PROTOCOL_VERSION} (magic {MAGIC!r})"
-            )
         raise BadMagic(f"bad frame magic {magic!r} (expected {MAGIC!r})")
     if header_len > MAX_HEADER_LEN:
         raise FrameTooLarge(
@@ -615,23 +597,18 @@ class ServingClient:
         header, _ = self.call("hello")
         return header
 
-    def register_key(self, cloud_key, engine: Optional[str] = None) -> Dict[str, Any]:
+    def register_key(self, cloud_key) -> Dict[str, Any]:
         """Upload this connection's cloud key (its serialized artifact).
 
-        ``engine`` optionally requests the server-side evaluation backend: a
-        registry kind (``"double"``, ``"compiled"``, ...) or ``"auto"``.  If
-        the server cannot honour it, the call raises a :class:`ServerError`
-        of kind ``unsupported_engine`` whose message lists every backend's
-        availability (e.g. ``compiled: quarantined: JIT self-check``).
-        The reply header reports the engine actually used
-        (``engine_kind``).
+        The server evaluates the key on the engine its ``transform_spec``
+        records — or, while that kind is quarantined there, on the usable
+        engine of the same error model; the reply header reports the one in
+        use (``engine_kind``).  If no such engine exists the call raises a
+        :class:`ServerError` of kind ``unsupported_engine`` whose message
+        lists every backend's status (e.g. ``compiled: quarantined: JIT
+        self-check``).
         """
-        fields: Dict[str, Any] = {}
-        if engine is not None:
-            fields["engine"] = engine
-        header, _ = self.call(
-            "register_key", parts_pieces([to_pieces(cloud_key)]), **fields
-        )
+        header, _ = self.call("register_key", parts_pieces([to_pieces(cloud_key)]))
         return header
 
     def submit_gate(self, name: str, ca: LweSample, cb: LweSample) -> int:

@@ -152,7 +152,7 @@ class ResilientClient:
         #: Replies read off a connection before it died, keyed by request
         #: id — re-injected into the next connection's reply buffer.
         self._salvage: Dict[int, Tuple[Dict[str, Any], bytes]] = {}
-        self._key: Optional[Tuple[Any, Optional[str]]] = None
+        self._key: Optional[Any] = None  # the registered cloud key, replayed by _recover
         self._register_header: Optional[Dict[str, Any]] = None
         self.stats = RetryStats()
         #: Optional :class:`repro.telemetry.Telemetry` bundle; when set, the
@@ -212,13 +212,9 @@ class ResilientClient:
         """Re-register the key and resubmit every unacknowledged request."""
         client._next_id = self._next_id
         if self._key is not None and self._register_header is not None:
-            cloud_key, engine = self._key
-            fields: Dict[str, Any] = {}
-            if engine is not None:
-                fields["engine"] = engine
             # Idempotent on the server: same session + same key fingerprint
             # returns the cached registration reply.
-            client.call("register_key", parts_pieces([to_pieces(cloud_key)]), **fields)
+            client.call("register_key", parts_pieces([to_pieces(self._key)]))
             self._next_id = client._next_id
         # Replies salvaged off the dead connection answer their requests
         # without a round trip.
@@ -370,15 +366,10 @@ class ResilientClient:
         header, _ = self.call("hello")
         return header
 
-    def register_key(self, cloud_key, engine: Optional[str] = None) -> Dict[str, Any]:
+    def register_key(self, cloud_key) -> Dict[str, Any]:
         """Upload the cloud key; re-registered automatically after reconnects."""
-        self._key = (cloud_key, engine)
-        fields: Dict[str, Any] = {}
-        if engine is not None:
-            fields["engine"] = engine
-        header, _ = self.call(
-            "register_key", parts_pieces([to_pieces(cloud_key)]), **fields
-        )
+        self._key = cloud_key
+        header, _ = self.call("register_key", parts_pieces([to_pieces(cloud_key)]))
         self._register_header = dict(header)
         return header
 

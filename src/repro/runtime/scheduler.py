@@ -13,10 +13,10 @@ Model
 * ``register_client(client_id, cloud_key)`` installs a client's key.  The
   unit the scheduler owns is the **resident key** (:class:`ResidentKey`):
   one :class:`repro.runtime.context.FheContext` — one spectrum cache — per
-  *distinct* cloud key.  A client that registers a key some resident already
-  holds (the identical key, array for array, under the same engine policy)
-  attaches to that resident instead of building a second copy; the last
-  client to leave takes the resident, and its memory, with it.
+  *distinct* cloud key, on the engine that key's spec records.  A client that
+  registers a key some resident already holds (the identical key, array for
+  array) attaches to that resident instead of building a second copy; the
+  last client to leave takes the resident, and its memory, with it.
 * ``session(client_id)`` opens an :class:`EvaluationSession`; any number of
   sessions may share a client id.  Only jobs under the **same** key can
   share a bootstrap — ciphertexts of different keys are algebraically
@@ -558,26 +558,23 @@ class ResidentKey:
 
     ``label`` names the key towards the dispatcher (one registration, one
     worker-pool segment per key) and outlives whichever client registered
-    first.  ``policy`` is the engine policy the context was built under — a
-    registry kind, ``"auto"`` or ``None`` — or, for a prebuilt context the
-    caller handed in, the context itself: such a resident is shared only by
-    registering the same object again.
+    first.
     """
 
-    __slots__ = ("label", "context", "policy", "queues")
+    __slots__ = ("label", "context", "queues")
 
-    def __init__(self, label: str, context: FheContext, policy) -> None:
+    def __init__(self, label: str, context: FheContext) -> None:
         self.label = label
         self.context = context
-        self.policy = policy
         #: client id → that client's queued jobs, in submission order.
         self.queues: Dict[str, List[object]] = {}
 
-    def holds(self, key: Union[TFHECloudKey, FheContext], policy) -> bool:
-        """Whether registering ``key`` under ``policy`` means *this* key."""
+    def holds(self, key: Union[TFHECloudKey, FheContext]) -> bool:
+        """Whether registering ``key`` means *this* key: the identical cloud
+        key, array for array — or, for a prebuilt context, the same object."""
         if isinstance(key, FheContext):
             return self.context is key
-        return self.policy == policy and same_cloud_key(self.context.cloud_key, key)
+        return same_cloud_key(self.context.cloud_key, key)
 
 
 class BatchScheduler:
@@ -588,7 +585,6 @@ class BatchScheduler:
         max_rows_per_call: Optional[int] = None,
         dispatcher: Optional[RowDispatcher] = None,
         max_pending_jobs: Optional[int] = None,
-        engine: Optional[str] = None,
         telemetry=None,
     ) -> None:
         if max_rows_per_call is not None and max_rows_per_call <= 0:
@@ -597,10 +593,6 @@ class BatchScheduler:
             raise ValueError("max_pending_jobs must be positive")
         self.max_rows_per_call = max_rows_per_call
         self.max_pending_jobs = max_pending_jobs
-        #: Default engine for contexts built from registered cloud keys: a
-        #: registry kind, ``"auto"`` (select_best_engine), or ``None`` to
-        #: honour each key's recorded transform spec.
-        self.engine = engine
         self.dispatcher: RowDispatcher = dispatcher or InlineDispatcher()
         #: The one registry: client id → the resident key it computes under.
         self._clients: Dict[str, ResidentKey] = {}
@@ -630,34 +622,25 @@ class BatchScheduler:
         return list(dict.fromkeys(self._clients.values()))
 
     def register_client(
-        self,
-        client_id: str,
-        key: Union[TFHECloudKey, FheContext],
-        engine: Optional[str] = None,
+        self, client_id: str, key: Union[TFHECloudKey, FheContext]
     ) -> FheContext:
         """Install a client's cloud key (or prebuilt context) under an id.
 
-        A key some resident already holds — the identical key under the same
-        engine policy; for a prebuilt context, the same object — is not
-        installed twice: the client attaches to that resident and shares its
-        context, spectrum cache and batched calls.  ``engine`` overrides the
-        scheduler's default engine policy for this client (a registry kind or
-        ``"auto"``); it is rejected for prebuilt contexts, which already
-        carry their engine.
+        A key some resident already holds — the identical key, array for
+        array; for a prebuilt context, the same object — is not installed
+        twice: the client attaches to that resident and shares its context,
+        spectrum cache and batched calls.  A new key is built on the engine
+        its own ``transform_spec`` records.
         """
         if client_id in self._clients:
             raise ValueError(f"client {client_id!r} is already registered")
-        prebuilt = isinstance(key, FheContext)
-        if prebuilt and engine is not None:
-            raise ValueError("cannot override the engine of a prebuilt FheContext")
-        policy = key if prebuilt else engine or self.engine
-        resident = next((r for r in self.residents if r.holds(key, policy)), None)
+        resident = next((r for r in self.residents if r.holds(key)), None)
         if resident is None:
-            context = key if prebuilt else FheContext(key, engine=policy)
+            context = key if isinstance(key, FheContext) else FheContext(key)
             if self.telemetry is not None:
                 context.telemetry = self.telemetry
             self._labels += 1
-            resident = ResidentKey(f"key{self._labels}", context, policy)
+            resident = ResidentKey(f"key{self._labels}", context)
             self.dispatcher.register_client(resident.label, context)
         resident.queues[client_id] = []
         self._clients[client_id] = resident
@@ -810,7 +793,7 @@ class BatchScheduler:
         * :class:`repro.tfhe.transform.EngineFault` (from an inline engine,
           or re-raised by a worker pool whose task exhausted retries on one)
           quarantines the faulting engine kind, fails the resident's context
-          over to the best fallback within its error-model family
+          over to the other usable engine of its error-model family
           (:meth:`FheContext.failover`), republishes the context to the
           dispatcher and replays the round there — once, for every client
           sharing the key.  No partial results from the faulted attempt are

@@ -82,6 +82,7 @@ from repro.tfhe.serialize import (
     from_owned_buffer,
     to_bytes,
 )
+from repro.tfhe.transform import UnsupportedEngine, quarantined_engines
 
 __all__ = ["FheServer", "serve"]
 
@@ -202,12 +203,6 @@ class FheServer:
         Forwarded to the scheduler: chunk bound for one batched bootstrap.
     max_frame:
         Frame size ceiling for this server's connections.
-    engine:
-        Default engine policy for registered keys: a registry kind,
-        ``"auto"`` (pick the best available backend per key via
-        :func:`repro.tfhe.transform.select_best_engine`), or ``None`` to
-        honour each key's recorded transform spec.  A client may override
-        it per connection in its ``register_key`` request.
     session_cache_size:
         Per-session bound on cached success replies (the idempotent-retry
         window).  Clients advance it faster via the ``ack`` header field.
@@ -227,7 +222,6 @@ class FheServer:
         max_rows_per_call: Optional[int] = None,
         max_frame: int = DEFAULT_MAX_FRAME,
         latency_window: int = 512,
-        engine: Optional[str] = None,
         session_cache_size: int = 256,
         session_ttl: float = 300.0,
         telemetry: bool = True,
@@ -240,7 +234,6 @@ class FheServer:
             max_rows_per_call=max_rows_per_call,
             dispatcher=dispatcher,
             max_pending_jobs=max_pending_jobs,
-            engine=engine,
             telemetry=self.telemetry,
         )
         self.host = host
@@ -564,8 +557,6 @@ class FheServer:
                 key=lambda entry: -entry["jobs"],
             )[:5],
         }
-        from repro.tfhe.transform import quarantined_engines
-
         snapshot["engines_quarantined"] = quarantined_engines()
         dispatcher = self.scheduler.dispatcher
         pool_stats = getattr(dispatcher, "stats", None)
@@ -1061,47 +1052,15 @@ class FheServer:
 
     # -- ops ------------------------------------------------------------
 
-    @staticmethod
-    def _check_requested_engine(requested: Any) -> Optional[str]:
-        """Validate a client-requested engine kind against the registry.
-
-        Unknown or registered-but-unavailable engines fail with an
-        ``unsupported_engine`` error frame whose message carries every
-        backend's availability status (the reason strings from
-        :func:`repro.tfhe.transform.available_engines`), so the client sees
-        *why* — e.g. ``quarantined: JIT self-check`` — not just that it failed.
-        """
-        if requested is None:
-            return None
-        if not isinstance(requested, str):
-            raise _RequestError(
-                "bad_request", "register_key 'engine' field must be a string"
-            )
-        if requested == "auto":
-            return requested
-        from repro.tfhe.transform import available_engines
-
-        engines = available_engines()
-        status = ", ".join(
-            f"{kind}: {reason or 'available'}" for kind, reason in engines.items()
-        )
-        if requested not in engines:
-            raise _RequestError(
-                "unsupported_engine",
-                f"unknown engine {requested!r}; registered engines: {status}",
-            )
-        reason = engines[requested]
-        if reason is not None:
-            raise _RequestError(
-                "unsupported_engine",
-                f"engine {requested!r} is unavailable on this server "
-                f"({reason}); registered engines: {status}",
-            )
-        return requested
-
     async def _op_register_key(
         self, conn: _Connection, header: Dict[str, Any], body: bytes
     ) -> Tuple[Dict[str, Any], bytes]:
+        if "engine" in header:
+            raise _RequestError(
+                "bad_request",
+                "register_key takes no 'engine' field: a key runs on the "
+                "engine its own transform spec records (choose it at keygen)",
+            )
         sess = conn.session
         # The key's arrays *are* the request body where the frame was received
         # in place: nothing else holds that buffer, so both branches adopt it
@@ -1124,19 +1083,18 @@ class FheServer:
             return dict(sess.register_reply[0]), sess.register_reply[1]
         if conn.registered:
             raise _RequestError("bad_request", "this connection already registered a key")
-        engine = self._check_requested_engine(header.get("engine"))
         cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key", from_owned_buffer)
         loop = asyncio.get_running_loop()
         async with self._lock:
             # Off-loop: a first-time key builds its context (and, for a
             # worker pool, packs the shared segment); a key already resident
             # is compared array by array and attached.
-            context = await loop.run_in_executor(
-                None,
-                lambda: self.scheduler.register_client(
-                    conn.client_id, cloud, engine=engine
-                ),
-            )
+            try:
+                context = await loop.run_in_executor(
+                    None, self.scheduler.register_client, conn.client_id, cloud
+                )
+            except UnsupportedEngine as exc:
+                raise _RequestError("unsupported_engine", str(exc)) from None
             conn.registered = True
         reply = {
             "params": context.params.name,

@@ -169,8 +169,8 @@ def _pack_client_segment(context: FheContext) -> shared_memory.SharedMemory:
                     "degree": first.degree,
                 }
     # Record the parent context's engine spec so workers rebuild the SAME
-    # engine even when it overrides the key's recorded transform spec (e.g.
-    # a server running `--engine compiled` over double-generated keys).
+    # engine even when it is not the one the key records (a context failed
+    # over to the family twin, or built on an engine instance in process).
     # Ad-hoc engines have no spec; workers then fall back to the key's.
     engine_spec = context.engine.spec()
     header = json.dumps(

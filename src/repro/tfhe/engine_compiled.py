@@ -23,14 +23,13 @@ Two tiers, chosen at construction time:
   and silently disables the JIT tier on any mismatch — bit-identity is
   enforced, not assumed.
 
-* **Cache-blocked NumPy fallback** (always available): the contraction
-  accumulates row products in place, block by block along the spectral axis,
-  instead of materialising the full ``(rows, ..., k+1, N/2)`` products tensor
-  that the reference engine reduces over.  Every output element still sees
-  the exact sequential row-order addition, so results stay bit-identical;
-  only the peak temporary footprint (and the cache traffic that comes with
-  it) shrinks.  This tier is what registers the ``"compiled"`` engine on
-  machines without Numba.
+* **NumPy fallback** (always available): the contraction accumulates row
+  products in place instead of materialising the full
+  ``(rows, ..., k+1, N/2)`` products tensor that the reference engine reduces
+  over.  Every output element still sees the exact sequential row-order
+  addition, so results stay bit-identical; only the peak temporary footprint
+  shrinks.  This tier is what the ``"compiled"`` engine runs on machines
+  without Numba.
 
 Use ``require_numba=True`` to fail construction when the JIT tier is
 unavailable (the optional-deps CI job does this so the compiled suite cannot
@@ -48,8 +47,6 @@ from repro.tfhe.transform import (
     NegacyclicTransform,
     _align_contraction_axes,
 )
-
-_DEFAULT_BLOCK = 65536  # spectral elements per fallback contraction block
 
 _numba_reason: Optional[str] = None
 try:  # pragma: no cover - depends on the environment
@@ -150,7 +147,7 @@ def _build_jit_kernels(parallel: bool) -> Optional[dict]:  # pragma: no cover
 
 
 class CompiledNegacyclicTransform(DoubleFFTNegacyclicTransform):
-    """JIT-compiled (or cache-blocked) drop-in for the ``"double"`` engine.
+    """JIT-compiled (or in-place NumPy) drop-in for the ``"double"`` engine.
 
     Spectra are plain complex128 ndarrays exactly like the parent's, so
     everything downstream — :class:`~repro.tfhe.tgsw.TransformedTgswSample`
@@ -163,14 +160,10 @@ class CompiledNegacyclicTransform(DoubleFFTNegacyclicTransform):
     def __init__(
         self,
         degree: int,
-        block_size: int = _DEFAULT_BLOCK,
         parallel: bool = False,
         require_numba: bool = False,
     ) -> None:
         super().__init__(degree)
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
-        self.block_size = int(block_size)
         self.parallel = bool(parallel)
         self._kernels = _build_jit_kernels(self.parallel)
         if self._kernels is not None and not self._verify_kernels():
@@ -186,8 +179,6 @@ class CompiledNegacyclicTransform(DoubleFFTNegacyclicTransform):
     # -- registry identity -------------------------------------------------
     def engine_options(self) -> Dict[str, Any]:
         options: Dict[str, Any] = {}
-        if self.block_size != _DEFAULT_BLOCK:
-            options["block_size"] = self.block_size
         if self.parallel:
             options["parallel"] = True
         # require_numba is a construction-time assertion, not an engine
@@ -279,7 +270,7 @@ class CompiledNegacyclicTransform(DoubleFFTNegacyclicTransform):
 
     # -- fused contraction ---------------------------------------------------
     def spectrum_contract(self, stack: np.ndarray, operand: np.ndarray) -> np.ndarray:
-        """Row-fold without the full products tensor (JIT or blocked NumPy).
+        """Row-fold without the full products tensor (JIT or in-place NumPy).
 
         Counts the same two pointwise ops as the reference implementation
         and produces bit-identical results: multiplication is elementwise
@@ -296,7 +287,7 @@ class CompiledNegacyclicTransform(DoubleFFTNegacyclicTransform):
             jitted = self._contract_jit(expanded, operand)
             if jitted is not None:  # pragma: no cover - needs numba
                 return jitted
-        return self._contract_blocked(expanded, operand)
+        return self._contract_in_place(expanded, operand)
 
     def _contract_jit(
         self, expanded: np.ndarray, operand: np.ndarray
@@ -306,7 +297,7 @@ class CompiledNegacyclicTransform(DoubleFFTNegacyclicTransform):
         Handles ``(rows, [B,] 1, half)`` digit stacks against
         ``(rows, [B|1,] C, half)`` key tensors — i.e. everything the fused
         external product and the rotators produce.  Exotic layouts (extra
-        batch axes from ad-hoc callers) fall back to the blocked path.
+        batch axes from ad-hoc callers) fall back to the NumPy path.
         """
         if expanded.ndim == 3 and operand.ndim == 3:
             stack3 = expanded[:, None, 0, :]
@@ -331,33 +322,19 @@ class CompiledNegacyclicTransform(DoubleFFTNegacyclicTransform):
         )
         return out.reshape(out_shape)
 
-    def _contract_blocked(
+    def _contract_in_place(
         self, expanded: np.ndarray, operand: np.ndarray
     ) -> np.ndarray:
-        """In-place sequential row accumulation, blocked along the last axis.
+        """Sequential row accumulation into one output-sized accumulator.
 
-        Peak extra memory is one output-sized accumulator plus one
-        block-sized scratch row, versus the reference's full
-        ``(rows, ..., k+1, N/2)`` products tensor.
+        Peak extra memory is the accumulator plus one scratch of its shape,
+        versus the reference's full ``(rows, ..., k+1, N/2)`` products tensor.
         """
         out_shape = np.broadcast_shapes(expanded.shape, operand.shape)[1:]
         out = np.empty(out_shape, dtype=np.complex128)
-        scratch = np.empty(out_shape[:-1] + (min(self.block_size, out_shape[-1]),),
-                           dtype=np.complex128)
-        rows = expanded.shape[0]
-        width = out_shape[-1]
-        for start in range(0, width, self.block_size):
-            stop = min(start + self.block_size, width)
-            out_blk = out[..., start:stop]
-            scratch_blk = scratch[..., : stop - start]
-            np.multiply(
-                expanded[0, ..., start:stop], operand[0, ..., start:stop], out=out_blk
-            )
-            for row in range(1, rows):
-                np.multiply(
-                    expanded[row, ..., start:stop],
-                    operand[row, ..., start:stop],
-                    out=scratch_blk,
-                )
-                out_blk += scratch_blk
+        scratch = np.empty(out_shape, dtype=np.complex128)
+        np.multiply(expanded[0], operand[0], out=out)
+        for row in range(1, expanded.shape[0]):
+            np.multiply(expanded[row], operand[row], out=scratch)
+            out += scratch
         return out

@@ -42,8 +42,8 @@ Figure-1 breakdown keeps seeing the paper's FFT/IFFT numbers.)
 The fused external-product core lives here too: ``spectrum_contract``
 contracts a stacked digit spectrum against a packed ``(rows, ..., k+1, N/2)``
 TGSW tensor and ``contract_accumulate`` wraps one stacked forward, the
-contraction and one stacked backward — both ``multiply_accumulate`` and
-:func:`repro.tfhe.tgsw.tgsw_external_product` route through it.  The base
+contraction and one stacked backward —
+:func:`repro.tfhe.tgsw.tgsw_external_product` routes through it.  The base
 class composes the engine's own three methods; the double-precision engine
 runs the same operations through buffers of the caller's
 :class:`repro.tfhe.tgsw.BootstrapWorkspace`, so a blind-rotation step
@@ -60,7 +60,7 @@ from __future__ import annotations
 import abc
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -259,10 +259,6 @@ class NegacyclicTransform(abc.ABC):
         return np.array(a, copy=True)
 
     # -- stacked-spectrum helpers ------------------------------------------
-    def spectrum_shape(self, spectrum: Spectrum) -> tuple:
-        """The array shape of a spectrum (batch axes + the spectral axis)."""
-        return np.asarray(spectrum).shape
-
     def spectrum_expand(self, spectrum: Spectrum, axis: int) -> Spectrum:
         """Insert a length-1 axis into a stacked spectrum at ``axis``.
 
@@ -291,19 +287,7 @@ class NegacyclicTransform(abc.ABC):
         """
         return spectrum[index]
 
-    def spectrum_stack(self, spectra: Sequence[Spectrum]) -> Spectrum:
-        """Stack same-shape spectra along a new leading axis.
-
-        Raises ``ValueError`` when the operands cannot be stacked (e.g. the
-        shapes differ); callers fall back to the per-term loop in that case.
-        """
-        return np.stack([np.asarray(s) for s in spectra])
-
-    def spectrum_sum(self, spectrum: Spectrum) -> Spectrum:
-        """Reduce a stacked spectrum along its leading axis (one pointwise op)."""
-        self.stats.pointwise_ops += 1
-        return np.sum(np.asarray(spectrum), axis=0)
-
+    @abc.abstractmethod
     def spectrum_contract(self, stack: Spectrum, operand: Spectrum) -> Spectrum:
         """Contract a digit stack against a packed spectral tensor over rows.
 
@@ -317,26 +301,13 @@ class NegacyclicTransform(abc.ABC):
             result[..., c, :] = sum_r stack[r, ..., :] * operand[r, ..., c, :]
 
         The row accumulation is **sequential** (a left fold in row order), so
-        floating-point engines stay bit-identical to the historical per-row
-        ``spectrum_add``/``spectrum_mul`` loop.  Engine implementations count
-        the contraction as one stacked product plus one reduction (two
-        pointwise ops — call semantics, like every other batched primitive);
-        callers that need logical per-polynomial counts top the counters up
-        themselves.  This generic fallback (used by ad-hoc engines such as
-        test proxies) goes through the ``spectrum_mul``/``spectrum_add``
-        algebra and therefore counts ``2·rows`` pointwise ops instead.
+        floating-point engines stay bit-identical to a per-row
+        ``spectrum_add``/``spectrum_mul`` loop.  Implementations count the
+        contraction as one stacked product plus one reduction (two pointwise
+        ops — call semantics, like every other batched primitive); callers
+        that need logical per-polynomial counts top the counters up
+        themselves.
         """
-        rows = self.spectrum_shape(stack)[0]
-        if rows == 0:
-            raise ValueError("cannot contract an empty digit stack")
-        acc: Optional[Spectrum] = None
-        for row in range(rows):
-            term = self.spectrum_mul(
-                self.spectrum_expand(self.spectrum_index(stack, row), -2),
-                self.spectrum_index(operand, row),
-            )
-            acc = term if acc is None else self.spectrum_add(acc, term)
-        return acc
 
     # -- convenience -------------------------------------------------------
     def multiply(self, int_poly: np.ndarray, torus_poly: np.ndarray) -> np.ndarray:
@@ -358,9 +329,8 @@ class NegacyclicTransform(abc.ABC):
         spectral tensor of shape ``(rows, ..., k+1, N/2)``.  The whole stack
         goes through **one** ``forward``, one :meth:`spectrum_contract` and
         **one** ``backward``; the result is the ``(..., k+1, N)`` torus
-        coefficient array of every output column at once.  Both
-        :meth:`multiply_accumulate` and
-        :func:`repro.tfhe.tgsw.tgsw_external_product` route through this
+        coefficient array of every output column at once.
+        :func:`repro.tfhe.tgsw.tgsw_external_product` routes through this
         single implementation.
 
         ``addend`` is an int32 torus array of the result's shape (the CMux
@@ -408,49 +378,6 @@ class NegacyclicTransform(abc.ABC):
             return result.view(np.uint32)
 
         return contract
-
-    def multiply_accumulate(
-        self,
-        int_polys: Sequence[np.ndarray],
-        spectra: Sequence[Spectrum],
-    ) -> np.ndarray:
-        """Compute ``sum_j int_polys[j] * spectra[j]`` reduced onto the torus.
-
-        This is the inner loop of the external product: the decomposed
-        accumulator rows are transformed, multiplied with the pre-transformed
-        TGSW rows and accumulated in the Lagrange domain, and a single
-        backward transform produces the result polynomial.
-        """
-        if len(int_polys) != len(spectra):
-            raise ValueError("operand counts do not match")
-        if not int_polys:
-            return torus32_from_int64(self.backward(self.spectrum_zero()))
-        polys = [np.asarray(p) for p in int_polys]
-        spectra = list(spectra)
-        # The vectorised path needs uniformly-shaped operands whose batch
-        # axes already agree pairwise; anything else (e.g. batched polys
-        # against scalar spectra, which the per-term loop handles through
-        # broadcasting) takes the reference loop.
-        poly_batch = polys[0].shape[:-1]
-        spec_batch = self.spectrum_shape(spectra[0])[:-1]
-        uniform = (
-            all(p.shape == polys[0].shape for p in polys)
-            and all(self.spectrum_shape(s)[:-1] == spec_batch for s in spectra)
-            and poly_batch == spec_batch
-        )
-        if not uniform:
-            acc = self.spectrum_zero()
-            for poly, spec in zip(polys, spectra):
-                acc = self.spectrum_add(acc, self.spectrum_mul(self.forward(poly), spec))
-            return torus32_from_int64(self.backward(acc))
-        # Vectorised path: route through the shared fused core — the stacked
-        # spectra become a packed tensor with a single output column, so one
-        # forward, one contraction and one backward cover every term.
-        # Counters count calls (not stacked elements), consistent with the
-        # batch semantics documented above.
-        tensor = self.spectrum_expand(self.spectrum_stack(spectra), -2)
-        result = self.contract_accumulate(np.stack(polys), tensor)
-        return result[..., 0, :]
 
     def reset_stats(self) -> None:
         """Reset the engine's invocation counters."""
@@ -722,19 +649,27 @@ class EngineFault(RuntimeError):
     kernel failing its self-check, a device error mid-transform, a poisoned
     buffer.  The fault is typed (rather than a bare ``RuntimeError``) so the
     runtime can react structurally: :meth:`repro.runtime.context.FheContext.failover`
-    quarantines the faulting kind in the registry and transparently rebuilds
-    the evaluation state on the best fallback engine within the same
-    error-model family, and the batch scheduler retries the affected rows
-    there.  Retryable by construction: no partial results escape.
+    quarantines the faulting kind in the registry and rebuilds the evaluation
+    state on the engine :func:`engine_for` names instead — the other usable
+    kind of the same error model — and the batch scheduler retries the
+    affected rows there.  Retryable by construction: no partial results escape.
     """
 
     retryable = True
 
 
+class UnsupportedEngine(ValueError):
+    """No engine here can run what was asked for: the kind is not registered,
+    or it is quarantined and no usable kind shares its error model.  The
+    message carries the registry's status; the serving front answers it with
+    a non-retryable ``unsupported_engine`` error frame."""
+
+
 #: Engine kinds quarantined after a runtime fault → the reason string.
 #: Quarantine is process-wide registry state (matching the registry itself):
-#: a quarantined kind reports as unavailable, so ``select_best_engine`` skips
-#: it and ``make_transform`` refuses it until :func:`clear_engine_quarantine`.
+#: a quarantined kind reports as unavailable, so :func:`engine_for` routes
+#: its keys to the family twin and ``make_transform`` refuses it until
+#: :func:`clear_engine_quarantine`.
 _QUARANTINED: Dict[str, str] = {}
 
 
@@ -761,25 +696,15 @@ def quarantined_engines() -> Dict[str, str]:
 class EngineEntry:
     """One registered polynomial-multiplication engine.
 
-    Beyond the factory, an entry carries the engine's *capabilities*:
+    Beyond the factory, an entry carries the engine's ``error_model`` — the
+    numerical contract its results satisfy:
 
-    ``error_model``
-        The numerical contract the engine's results satisfy —
-
-        * ``"exact"``: exact integer arithmetic (no error at all);
-        * ``"fft64"``: double-precision FFT, **bit-identical** to the
-          ``"double"`` reference engine (the compiled CPU fast path makes
-          this promise and the cross-engine suite enforces it);
-        * ``"approx"``: MATCHA's approximate integer FFT error model
-          (validated against the Figure-8 error budget, not bit-identity).
-    ``priority``
-        Auto-selection rank — :func:`select_best_engine` picks the highest
-        *available* priority within a compatible error-model family.
-    ``availability``
-        Optional zero-argument probe returning ``None`` when the engine can
-        be constructed here, or a human-readable reason string (e.g.
-        ``"numba: not installed"``) when it cannot.  Entries without a probe
-        are always available.
+    * ``"exact"``: exact integer arithmetic (no error at all);
+    * ``"fft64"``: double-precision FFT, **bit-identical** to the
+      ``"double"`` reference engine (the compiled CPU fast path makes
+      this promise and the cross-engine suite enforces it);
+    * ``"approx"``: MATCHA's approximate integer FFT error model
+      (validated against the Figure-8 error budget, not bit-identity).
     """
 
     kind: str
@@ -787,23 +712,6 @@ class EngineEntry:
     valid_kwargs: frozenset
     description: str = ""
     error_model: str = "exact"
-    priority: int = 0
-    availability: Optional[Callable[[], Optional[str]]] = None
-
-    def unavailable_reason(self) -> Optional[str]:
-        """``None`` when constructible here, else why not (human-readable).
-
-        A runtime quarantine (:func:`quarantine_engine`) takes precedence
-        over the static availability probe: an engine that *constructs* fine
-        but faulted mid-evaluation must stop being selectable until the
-        quarantine is lifted.
-        """
-        quarantined = _QUARANTINED.get(self.kind)
-        if quarantined is not None:
-            return f"quarantined: {quarantined}"
-        if self.availability is None:
-            return None
-        return self.availability()
 
 
 _ENGINE_REGISTRY: Dict[str, EngineEntry] = {}
@@ -815,18 +723,15 @@ def register_engine(
     valid_kwargs: Sequence[str] = (),
     description: str = "",
     error_model: str = "exact",
-    priority: int = 0,
-    availability: Optional[Callable[[], Optional[str]]] = None,
 ) -> None:
     """Register a transform engine under ``kind``.
 
     ``factory(degree, **kwargs)`` must return a :class:`NegacyclicTransform`;
     ``valid_kwargs`` lists every keyword argument the factory accepts, so
     :func:`make_transform` can reject typos instead of silently forwarding
-    bogus options.  ``availability`` lets an optional-dependency backend
-    register unconditionally while still reporting *why* it cannot run here
-    — see :class:`EngineEntry` for the capability fields.  Re-registering a
-    kind replaces the previous entry.
+    bogus options; ``error_model`` is the family :func:`engine_for` keeps a
+    key within (see :class:`EngineEntry`).  Re-registering a kind replaces
+    the previous entry.
     """
     if not kind:
         raise ValueError("engine kind must be a non-empty string")
@@ -836,93 +741,63 @@ def register_engine(
         valid_kwargs=frozenset(valid_kwargs),
         description=description,
         error_model=error_model,
-        priority=priority,
-        availability=availability,
     )
 
 
 def available_engines() -> Dict[str, Optional[str]]:
     """Every registered engine kind → ``None`` (usable) or why it is not.
 
-    A registered-but-unavailable backend (one whose availability probe
-    fails, or a quarantined kind) is **reported with its reason** instead of
-    silently omitted — ``{"compiled": "quarantined: JIT self-check", ...}``.
-    The mapping iterates in sorted kind order, so callers may treat it as a
+    A quarantined kind is **reported with its reason** instead of silently
+    omitted — ``{"compiled": "quarantined: JIT self-check", ...}``.  The
+    mapping iterates in sorted kind order, so callers may treat it as a
     sequence of kinds (membership tests, ``", ".join``).
     """
-    return {kind: _ENGINE_REGISTRY[kind].unavailable_reason()
-            for kind in sorted(_ENGINE_REGISTRY)}
+    return {
+        kind: f"quarantined: {_QUARANTINED[kind]}" if kind in _QUARANTINED else None
+        for kind in sorted(_ENGINE_REGISTRY)
+    }
 
 
-def usable_engines() -> List[str]:
-    """The registered engine kinds that are constructible here, sorted."""
-    return [kind for kind, reason in available_engines().items() if reason is None]
-
-
-def describe_engines() -> List[str]:
-    """Human-readable one-line status per registered engine (CLI listings)."""
-    lines = []
-    for kind, reason in available_engines().items():
-        entry = _ENGINE_REGISTRY[kind]
-        status = "available" if reason is None else f"UNAVAILABLE ({reason})"
-        lines.append(
-            f"{kind:>10}  [{entry.error_model:>6}]  {status}"
-            + (f" — {entry.description}" if entry.description else "")
-        )
-    return lines
+def _registry_status() -> str:
+    return ", ".join(
+        f"{kind}: {reason or 'available'}" for kind, reason in available_engines().items()
+    )
 
 
 def engine_entry(kind: str) -> EngineEntry:
-    """Look up a registry entry; unknown kinds list the valid alternatives."""
+    """Look up a registry entry; unknown kinds list the registry's status."""
     try:
         return _ENGINE_REGISTRY[kind]
     except KeyError:
-        raise ValueError(
-            f"unknown transform kind: {kind!r} (valid kinds: "
-            f"{', '.join(available_engines())})"
+        raise UnsupportedEngine(
+            f"unknown transform kind: {kind!r} (registered engines: "
+            f"{_registry_status()})"
         ) from None
 
 
-def select_best_engine(
-    error_model: Optional[str] = None,
-    for_spec: Optional["TransformSpec"] = None,
-) -> str:
-    """The best *available* engine kind, by capability and priority.
+def engine_for(spec: TransformSpec) -> TransformSpec:
+    """The spec of the engine that runs a key recorded under ``spec``.
 
-    Selection order: among the registered engines whose availability probe
-    passes and whose error model is the one ``error_model`` names (or
-    ``for_spec``'s engine has; ``fft64`` when neither is given), the entry
-    with the highest ``priority`` wins (ties break deterministically, by
-    kind).
-
-    Every family only ever selects within itself: a key generated under
-    ``"double"`` (``fft64``) is evaluated bit-identically by any ``fft64``
-    engine, and ``"exact"`` / ``"approx"`` keys stay on their own engines.
-
-    This is what ``FheContext(key, engine="auto")``, ``tools/serve.py
-    --engine auto`` and the engine benchmarks route through.
+    The one place an engine kind is chosen: ``spec`` itself while its kind
+    is usable; while that kind is quarantined, the bare spec of the other
+    usable registered kind of the same error model (the first by kind name,
+    should there be several) — a ``double`` key is evaluated bit-identically
+    by any ``fft64`` engine, and ``exact`` / ``approx`` keys never leave
+    their own family.  Anything else — an unknown kind, or no usable engine
+    of that error model — is an :class:`UnsupportedEngine`.
     """
-    if for_spec is not None:
-        if error_model is not None:
-            raise ValueError("pass either error_model or for_spec, not both")
-        error_model = engine_entry(for_spec.kind).error_model
-    elif error_model is None:
-        error_model = "fft64"
-    candidates = [
-        entry
-        for entry in _ENGINE_REGISTRY.values()
-        if entry.error_model == error_model and entry.unavailable_reason() is None
-    ]
-    if not candidates:
-        detail = ", ".join(
-            f"{kind}: {reason or 'ok'}" for kind, reason in available_engines().items()
-        )
-        raise ValueError(
-            f"no available engine for error model {error_model!r} "
-            f"(registered engines: {detail})"
-        )
-    best = max(candidates, key=lambda entry: (entry.priority, entry.kind))
-    return best.kind
+    error_model = engine_entry(spec.kind).error_model
+    engines = available_engines()
+    if engines[spec.kind] is None:
+        return spec
+    for kind, reason in engines.items():
+        if reason is None and _ENGINE_REGISTRY[kind].error_model == error_model:
+            return TransformSpec(kind)
+    raise UnsupportedEngine(
+        f"transform engine {spec.kind!r} is {engines[spec.kind]} and no other "
+        f"usable engine has its error model {error_model!r} (registered "
+        f"engines: {_registry_status()})"
+    )
 
 
 def make_transform(kind: str, degree: int, **kwargs) -> NegacyclicTransform:
@@ -931,35 +806,22 @@ def make_transform(kind: str, degree: int, **kwargs) -> NegacyclicTransform:
 
     Keyword arguments are validated against the engine's registered option
     set before the factory runs, so a typo like ``twiddel_bits`` fails with
-    the offending engine named and its accepted options listed (plus which
-    *other* engine accepts the kwarg, when one does) instead of being
-    silently dropped or crashing deep inside the engine constructor.
-    Unavailable engines fail here with their availability reason.
+    the offending engine named and its accepted options listed instead of
+    being silently dropped or crashing deep inside the engine constructor.
+    A quarantined engine fails here with its quarantine reason.
     """
     entry = engine_entry(kind)
     unknown = sorted(set(kwargs) - entry.valid_kwargs)
     if unknown:
         valid = ", ".join(sorted(entry.valid_kwargs)) or "(none)"
-        hints = []
-        for name in unknown:
-            owners = sorted(
-                other.kind
-                for other in _ENGINE_REGISTRY.values()
-                if other.kind != kind and name in other.valid_kwargs
-            )
-            if owners:
-                hints.append(f"{name!r} is accepted by {', '.join(owners)}")
         raise ValueError(
             f"unknown option(s) {unknown} for transform engine {kind!r}; "
             f"engine {kind!r} accepts: {valid}"
-            + (f" ({'; '.join(hints)})" if hints else "")
         )
-    reason = entry.unavailable_reason()
-    if reason is not None:
-        usable = ", ".join(usable_engines()) or "(none)"
-        raise ValueError(
-            f"transform engine {kind!r} is registered but unavailable here: "
-            f"{reason}; usable engines: {usable}"
+    if kind in _QUARANTINED:
+        raise UnsupportedEngine(
+            f"transform engine {kind!r} is registered but unavailable here "
+            f"(registered engines: {_registry_status()})"
         )
     return entry.factory(degree, **kwargs)
 
@@ -989,7 +851,6 @@ register_engine(
     DoubleFFTNegacyclicTransform,
     description="double-precision floating-point FFT (TFHE-library baseline)",
     error_model="fft64",
-    priority=0,
 )
 register_engine(
     "approx",
@@ -1001,11 +862,10 @@ register_engine(
 register_engine(
     "compiled",
     _compiled_factory,
-    valid_kwargs=("block_size", "parallel", "require_numba"),
+    valid_kwargs=("parallel", "require_numba"),
     description=(
         "compiled CPU fast path: Numba-jitted twist/fold/contract kernels "
-        "when Numba imports, cache-blocked NumPy otherwise (always registers)"
+        "when Numba imports, in-place NumPy accumulation otherwise"
     ),
     error_model="fft64",
-    priority=10,
 )

@@ -33,9 +33,9 @@ from repro.tfhe.tlwe import TlweBatch
 from repro.tfhe.transform import (
     DoubleFFTNegacyclicTransform,
     EngineFault,
+    available_engines,
     clear_engine_quarantine,
     make_transform,
-    usable_engines,
 )
 
 PARAMS = TEST_TINY
@@ -213,7 +213,7 @@ class TestEngineSeamUnderFaults:
             clear_engine_quarantine()
 
 
-@pytest.mark.parametrize("kind", usable_engines())
+@pytest.mark.parametrize("kind", available_engines())
 def test_a_released_context_frees_its_workspace_without_a_gc_pass(kind):
     """The base binder's closure points back at the workspace it was bound in;
     ``release`` clears the workspace so that cycle does not hold the pools."""

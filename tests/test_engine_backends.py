@@ -1,8 +1,8 @@
 """Cross-engine property suite: every registered backend honours its contract.
 
-The engine registry carries capabilities (error model, priority,
-availability), and every engine promises a specific numerical contract
-relative to the ``"double"`` reference:
+The engine registry records each engine's error model, and every engine
+promises a specific numerical contract relative to the ``"double"``
+reference:
 
 * ``"exact"`` engines agree with the naive ground truth bit for bit;
 * ``"fft64"`` engines (double, compiled) are **bit-identical to each
@@ -11,45 +11,52 @@ relative to the ``"double"`` reference:
   Figure-8 error budget.
 
 Every test here parameterizes over **all registered engines** and skips
-unavailable ones with the registry's own reason string; the availability
-layer itself is exercised through a ``ghost`` backend whose probe always
-fails (no in-tree engine has an optional hard dependency).  Coverage spans the
-full stack: raw external products, gate bootstrap + keyswitch on both
-rotators (classical CMux and BKU m=2), programmable-bootstrap LUTs,
-worker-pool sharding under a non-default engine, the auto-selection layer,
-and the serving front's ``unsupported_engine`` error path.
+unavailable (quarantined) ones with the registry's own reason string.
+Coverage spans the full stack: raw external products, gate bootstrap +
+keyswitch on both rotators (classical CMux and BKU m=2),
+programmable-bootstrap LUTs, worker-pool sharding under a non-default engine,
+the one engine decision (:func:`repro.tfhe.transform.engine_for`) and what the
+serving front makes of it.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.runtime import FheContext, WorkerPool
-from repro.runtime.context import resolve_engine
-from repro.runtime.protocol import ServerError, ServingClient
+from repro.runtime import (
+    BatchScheduler,
+    FheContext,
+    FheServer,
+    ResilientClient,
+    WorkerPool,
+)
+from repro.runtime.protocol import ServerError, ServingClient, pack_parts
 from repro.runtime.scheduler import SchedulerStats, execute_rows
 from repro.tfhe.bootstrap import programmable_bootstrap
 from repro.tfhe.gates import PLAINTEXT_GATES, decrypt_bit, encrypt_bit
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import decrypt_digit, encrypt_digit
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
+from repro.tfhe.serialize import from_bytes, to_bytes
 from repro.tfhe.tgsw import tgsw_encrypt, tgsw_external_product, tgsw_transform
 from repro.tfhe.tlwe import tlwe_encrypt, tlwe_key_generate, tlwe_phase
 from repro.tfhe.torus import double_to_torus32, torus_distance
-from repro.tfhe import transform as transform_module
 from repro.tfhe.transform import (
     DoubleFFTNegacyclicTransform,
-    EngineEntry,
+    EngineFault,
     NaiveNegacyclicTransform,
     TransformSpec,
+    UnsupportedEngine,
     available_engines,
+    clear_engine_quarantine,
     engine_entry,
+    engine_for,
     make_transform,
-    select_best_engine,
-    usable_engines,
+    quarantine_engine,
 )
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
@@ -80,79 +87,115 @@ def _bit_identical(xs, ys) -> bool:
     )
 
 
-GHOST_REASON = "ghost: not installed"
-
-
 @pytest.fixture
-def ghost_engine(monkeypatch):
-    """A registered backend that can never run here: top priority in the
-    ``fft64`` family, an availability probe that always gives a reason."""
-    entry = EngineEntry(
-        kind="ghost",
-        factory=DoubleFFTNegacyclicTransform,
-        valid_kwargs=frozenset(),
-        error_model="fft64",
-        priority=99,
-        availability=lambda: GHOST_REASON,
-    )
-    monkeypatch.setitem(transform_module._ENGINE_REGISTRY, "ghost", entry)
-    return entry.kind
+def quarantine():
+    """``quarantine(kind, reason)`` for the test, lifted again afterwards."""
+    try:
+        yield quarantine_engine
+    finally:
+        clear_engine_quarantine()
 
 
 # --------------------------------------------------------------------------- #
-# registry capability layer                                                   #
+# the registry and the one engine decision                                    #
 # --------------------------------------------------------------------------- #
 
 
-class TestCapabilityReporting:
-    def test_optional_backends_register_with_reasons(self, ghost_engine):
-        engines = available_engines()
-        # The compiled fast path always registers AND is always usable (its
-        # NumPy fallback needs nothing optional); a backend that cannot run
-        # still registers, with a human-readable reason.
-        assert engines["compiled"] is None
-        assert engines[ghost_engine] == GHOST_REASON
-        assert ghost_engine not in usable_engines()
+class TestRegistry:
+    def test_quarantined_engine_reports_and_refuses_with_its_reason(self, quarantine):
+        assert available_engines()["compiled"] is None
+        quarantine("compiled", "JIT self-check")
+        assert available_engines()["compiled"] == "quarantined: JIT self-check"
+        with pytest.raises(UnsupportedEngine, match="registered but unavailable") as excinfo:
+            make_transform("compiled", TEST_TINY.N)
+        assert "compiled: quarantined: JIT self-check" in str(excinfo.value)
 
-    def test_usable_engines_is_the_available_subset(self):
-        engines = available_engines()
-        assert usable_engines() == [k for k, r in engines.items() if r is None]
-
-    def test_selection_prefers_priority_within_family(self, ghost_engine):
-        # compiled (prio 10) > double (0) within fft64; the unavailable ghost
-        # (prio 99) is never selected.
-        assert select_best_engine() == "compiled"
-        assert select_best_engine(error_model="fft64") == "compiled"
-        assert select_best_engine(for_spec=TransformSpec.from_options("double")) == (
-            "compiled"
-        )
-
-    def test_exact_and_approx_select_within_themselves(self):
-        assert select_best_engine(error_model="exact") == "naive"
-        assert select_best_engine(error_model="approx") == "approx"
-
-    def test_no_engine_for_unknown_error_model(self):
-        with pytest.raises(ValueError, match="no available engine"):
-            select_best_engine(error_model="fft128")
-
-    def test_unavailable_engine_fails_with_reason(self, ghost_engine):
-        with pytest.raises(ValueError, match="registered but unavailable") as excinfo:
-            make_transform(ghost_engine, TEST_TINY.N)
-        assert GHOST_REASON in str(excinfo.value)
-
-    def test_cross_engine_kwarg_hint(self):
-        # A kwarg that belongs to a *different* engine names its owner.
-        with pytest.raises(ValueError, match=r"'block_size' is accepted by compiled"):
-            make_transform("double", TEST_TINY.N, block_size=4)
+    def test_unknown_option_names_the_engine_and_what_it_accepts(self):
+        with pytest.raises(ValueError, match=r"engine 'double' accepts: \(none\)"):
+            make_transform("double", TEST_TINY.N, parallel=True)
 
     def test_compiled_spec_round_trips_options(self):
-        engine = make_transform("compiled", TEST_TINY.N, block_size=1024)
+        engine = make_transform("compiled", TEST_TINY.N, parallel=True)
         spec = engine.spec()
-        assert spec.kind == "compiled"
-        assert spec.options()["block_size"] == 1024
+        assert spec == TransformSpec.from_options("compiled", parallel=True)
         rebuilt = TransformSpec.from_json(spec.to_json()).create(TEST_TINY.N)
         assert rebuilt.engine_kind == "compiled"
         assert rebuilt.spec() == spec
+
+
+class TestEngineFor:
+    """The key's recorded spec decides; quarantine moves it to the family twin."""
+
+    def test_a_usable_kind_is_the_spec_itself_options_included(self):
+        for kind in ALL_ENGINES:
+            assert engine_for(TransformSpec(kind)) == TransformSpec(kind)
+        spec = TransformSpec.from_options("approx", twiddle_bits=24)
+        assert engine_for(spec) is spec
+
+    @pytest.mark.parametrize(
+        "recorded, twin", [("double", "compiled"), ("compiled", "double")]
+    )
+    def test_quarantine_moves_a_key_to_its_family_twin(self, quarantine, recorded, twin):
+        quarantine(recorded, "fault")
+        for _ in range(3):  # the same answer every time
+            assert engine_for(TransformSpec(recorded)) == TransformSpec(twin)
+        # The twin's own keys are unaffected.
+        assert engine_for(TransformSpec(twin)) == TransformSpec(twin)
+
+    def test_twin_takes_none_of_the_recorded_options(self, quarantine):
+        quarantine("compiled", "fault")
+        spec = TransformSpec.from_options("compiled", parallel=True)
+        assert engine_for(spec) == TransformSpec("double")
+
+    @pytest.mark.parametrize("kind", ("naive", "approx"))
+    def test_no_engine_crosses_error_models(self, quarantine, kind):
+        quarantine(kind, "fault")
+        with pytest.raises(UnsupportedEngine, match="no other usable engine") as excinfo:
+            engine_for(TransformSpec(kind))
+        assert f"{kind}: quarantined: fault" in str(excinfo.value)
+
+    def test_whole_family_quarantined_is_refused(self, quarantine):
+        quarantine("double", "first")
+        quarantine("compiled", "second")
+        with pytest.raises(UnsupportedEngine, match="fft64"):
+            engine_for(TransformSpec("double"))
+
+    def test_unknown_kind_is_refused_with_the_registry_status(self):
+        with pytest.raises(UnsupportedEngine, match="unknown transform kind") as excinfo:
+            engine_for(TransformSpec("fictional"))
+        assert "compiled: available" in str(excinfo.value)
+
+    def test_context_of_a_quarantined_kind_builds_on_the_twin(self, quarantine):
+        secret, cloud = _gate_keys(1)
+        cloud = from_bytes(to_bytes(cloud))  # as uploaded: spec only, no engine
+        quarantine("double", "fault")
+        context = FheContext(cloud)
+        assert context.engine.engine_kind == "compiled"
+        out = context.evaluator().gate(
+            "nand", encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
+        )
+        assert decrypt_bit(secret, out) == 0
+
+    def test_failover_refuses_when_no_twin_remains(self, quarantine):
+        _, cloud = _gate_keys(1)
+        context = FheContext(cloud, engine=NaiveNegacyclicTransform(cloud.params.N))
+        with pytest.raises(EngineFault, match="no compatible fallback"):
+            context.failover("exact engine fault")
+        assert context.engine.engine_kind == "naive"
+
+    @pytest.mark.parametrize(
+        "function",
+        (
+            FheServer.__init__,
+            BatchScheduler.__init__,
+            BatchScheduler.register_client,
+            ServingClient.register_key,
+            ResilientClient.register_key,
+        ),
+        ids=lambda function: function.__qualname__,
+    )
+    def test_nothing_else_takes_an_engine(self, function):
+        assert "engine" not in inspect.signature(function).parameters
 
 
 # --------------------------------------------------------------------------- #
@@ -315,11 +358,6 @@ class TestWorkerPoolEngines:
         # non-default engines.
         assert _bit_identical(sharded, inline)
 
-    def test_auto_engine_resolves_through_selection(self):
-        _, cloud = _gate_keys(1)
-        engine = resolve_engine(cloud, engine="auto")
-        assert engine.engine_kind == select_best_engine(for_spec=cloud.transform_spec)
-
 
 # --------------------------------------------------------------------------- #
 # serving front: engine requests over the wire                                #
@@ -327,41 +365,76 @@ class TestWorkerPoolEngines:
 
 
 class TestServerEngineRequests:
-    def test_unknown_engine_rejected_with_catalog(self, server_factory):
-        secret, cloud = _gate_keys(1)
+    def test_reply_reports_the_engine_the_key_records(self, server_factory):
+        secret, cloud = generate_keys(
+            TEST_TINY, make_transform("compiled", TEST_TINY.N), rng=97, eager=False
+        )
         server = server_factory()
         with ServingClient(port=server.port) as client:
-            with pytest.raises(ServerError) as excinfo:
-                client.register_key(cloud, engine="fictional")
-            assert excinfo.value.kind == "unsupported_engine"
-            assert "registered engines" in str(excinfo.value)
-            assert "compiled" in str(excinfo.value)
-
-    def test_unavailable_engine_rejected_with_reason(self, server_factory, ghost_engine):
-        secret, cloud = _gate_keys(1)
-        server = server_factory()
-        with ServingClient(port=server.port) as client:
-            with pytest.raises(ServerError) as excinfo:
-                client.register_key(cloud, engine=ghost_engine)
-            assert excinfo.value.kind == "unsupported_engine"
-            assert GHOST_REASON in str(excinfo.value)
-
-    def test_requested_engine_used_and_reported(self, server_factory):
-        secret, cloud = _gate_keys(1)
-        server = server_factory()
-        with ServingClient(port=server.port) as client:
-            info = client.register_key(cloud, engine="compiled")
+            info = client.register_key(cloud)
             assert info["engine_kind"] == "compiled"
             out = client.gate(
                 "nand", encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
             )
             assert decrypt_bit(secret, out) == 0
 
-    def test_auto_engine_reports_selection(self, server_factory):
+    def test_key_of_a_quarantined_kind_registers_on_the_twin(
+        self, server_factory, quarantine
+    ):
+        # After a failover quarantined ``double``, a new tenant's double key
+        # must still register (this died with an untyped ``internal`` error).
         secret, cloud = _gate_keys(1)
         server = server_factory()
+        quarantine("double", "engine fault on another tenant's flush")
         with ServingClient(port=server.port) as client:
-            info = client.register_key(cloud, engine="auto")
-            assert info["engine_kind"] == select_best_engine(
-                for_spec=cloud.transform_spec
+            info = client.register_key(cloud)
+            assert info["engine_kind"] == "compiled"
+            assert client.metrics()["engines_quarantined"] == {
+                "double": "engine fault on another tenant's flush"
+            }
+            out = client.gate(
+                "nand", encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 0, rng=2)
             )
+            assert decrypt_bit(secret, out) == 1
+
+    def test_no_usable_engine_of_the_family_is_unsupported_engine(
+        self, server_factory, quarantine
+    ):
+        _, cloud = _gate_keys(1)
+        server = server_factory()
+        quarantine("double", "first")
+        quarantine("compiled", "second")
+        with ServingClient(port=server.port) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.register_key(cloud)
+            assert excinfo.value.kind == "unsupported_engine"
+            assert not excinfo.value.retryable
+            assert "compiled: quarantined: second" in str(excinfo.value)
+            # A typed refusal, not a broken connection or a half registration.
+            clear_engine_quarantine()
+            assert client.register_key(cloud)["engine_kind"] == "double"
+
+    def test_uploaded_key_of_an_unknown_kind_is_unsupported_engine(self, server_factory):
+        _, cloud = _gate_keys(1)
+        blob = to_bytes(cloud)
+        assert blob.count(b'"kind":"double"') == 1
+        server = server_factory()
+        with ServingClient(port=server.port) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.call(
+                    "register_key",
+                    pack_parts([blob.replace(b'"kind":"double"', b'"kind":"doubel"')]),
+                )
+            assert excinfo.value.kind == "unsupported_engine"
+            assert "unknown transform kind: 'doubel'" in str(excinfo.value)
+            assert "compiled: available" in str(excinfo.value)
+
+    def test_an_engine_field_on_the_wire_is_refused_not_ignored(self, server_factory):
+        _, cloud = _gate_keys(1)
+        server = server_factory()
+        with ServingClient(port=server.port) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.call("register_key", pack_parts([to_bytes(cloud)]), engine="naive")
+            assert excinfo.value.kind == "bad_request"
+            assert "engine" in str(excinfo.value)
+            assert client.register_key(cloud)["engine_kind"] == "double"

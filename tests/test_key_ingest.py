@@ -363,7 +363,7 @@ def _expected_frame(raw, cloud):
 def test_both_clients_put_the_joined_frame_on_the_wire(peer, tiny_wire_keys):
     _, cloud = tiny_wire_keys
     with ServingClient(port=peer.port) as client:
-        assert client.register_key(cloud, engine="double")["params"] == "peer"
+        assert client.register_key(cloud)["params"] == "peer"
     with ResilientClient(port=peer.port, session="tok") as client:
         assert client.register_key(cloud)["params"] == "peer"
         client._drop_connection()
@@ -376,7 +376,7 @@ def test_both_clients_put_the_joined_frame_on_the_wire(peer, tiny_wire_keys):
         assert raw == expected
         headers.append(header)
     assert [h["op"] for h in headers] == ["register_key"] * 3
-    assert headers[0]["engine"] == "double" and headers[1]["session"] == "tok"
+    assert "engine" not in headers[0] and headers[1]["session"] == "tok"
 
 
 def test_the_joins_are_the_joins_of_the_piece_builder(tiny_wire_keys):

@@ -23,7 +23,6 @@ import pytest
 
 from repro.runtime.protocol import (
     DEFAULT_MAX_FRAME,
-    LEGACY_MAGIC,
     MAGIC,
     MAX_HEADER_LEN,
     BadHeader,
@@ -32,7 +31,6 @@ from repro.runtime.protocol import (
     FrameTooLarge,
     ProtocolError,
     TruncatedFrame,
-    UnsupportedVersion,
     encode_frame,
     pack_parts,
     read_frame,
@@ -161,13 +159,11 @@ def test_oversized_header_prefix_refused():
         _read_from_bytes(prefix)
 
 
-def test_legacy_magic_rejected_typed():
-    # A v1 (pre-CRC) peer is told apart from random garbage: its magic is
-    # recognised and refused with the version error, not BadMagic.
-    # Pad past the (larger) v2 prefix size: a real v1 peer keeps streaming,
-    # so the reader always gets its 20 prefix bytes before judging them.
-    prefix = struct.pack("<4sIQ", LEGACY_MAGIC, 2, 0) + b"{}" + b"\x00" * 8
-    with pytest.raises(UnsupportedVersion):
+def test_retired_protocol_magic_is_a_bad_magic_like_any_other():
+    # No legacy reader: a protocol-1 peer (magic ``rTFS``, 16-byte prefix, no
+    # checksum) is a foreign stream, refused exactly as random garbage is.
+    prefix = struct.pack("<4sIQ", b"rTFS", 2, 0) + b"{}" + b"\x00" * 8
+    with pytest.raises(BadMagic, match="bad frame magic b'rTFS'"):
         _read_from_bytes(prefix)
 
 

@@ -524,12 +524,14 @@ class TestResidentKeys:
         prebuilt = FheContext(cloud)
         assert scheduler.register_client("a", prebuilt) is prebuilt
         assert scheduler.register_client("b", prebuilt) is prebuilt
-        # Neither the raw key nor a second context over it is "the same object".
-        assert scheduler.register_client("c", cloud) is not prebuilt
-        assert scheduler.register_client("d", FheContext(cloud)) is not prebuilt
-        assert len(scheduler.residents) == 3
+        # A second context over the key is not "the same object"...
+        assert scheduler.register_client("c", FheContext(cloud)) is not prebuilt
+        assert len(scheduler.residents) == 2
+        # ...while the key itself is held already, whoever built its context.
+        assert scheduler.register_client("d", cloud) is prebuilt
+        assert len(scheduler.residents) == 2
 
-    def test_different_keys_policies_and_unrollings_do_not_share(self):
+    def test_different_keys_and_unrollings_do_not_share(self):
         engine = DoubleFFTNegacyclicTransform(TEST_TINY.N)
         secret = generate_secret_key(TEST_TINY, rng=90)
         cloud = generate_cloud_key(secret, engine, 1, rng=91, eager=False)
@@ -539,14 +541,35 @@ class TestResidentKeys:
         contexts = [
             scheduler.register_client("base", cloud),
             scheduler.register_client("other-key", other),
-            scheduler.register_client("other-engine", _wire_copy(cloud), engine="naive"),
             scheduler.register_client("unrolled", unrolled),
         ]
-        assert len({id(context) for context in contexts}) == 4
-        assert len(scheduler.residents) == 4
-        # ...while the same key under the same requested engine does.
-        again = scheduler.register_client("naive-twin", _wire_copy(cloud), engine="naive")
-        assert again is contexts[2]
+        assert len({id(context) for context in contexts}) == 3
+        assert len(scheduler.residents) == 3
+
+    def test_the_same_key_always_lands_on_one_resident(self):
+        # Nothing but the key's arrays decides: not who registers, not when,
+        # not which engine the resident runs on by now.
+        _, cloud = generate_keys(
+            TEST_TINY, DoubleFFTNegacyclicTransform(TEST_TINY.N), rng=93, eager=False
+        )
+        scheduler = BatchScheduler()
+        try:
+            first = scheduler.register_client("a", _wire_copy(cloud))
+            assert scheduler.register_client("b", _wire_copy(cloud)) is first
+            assert first.failover("injected") == "compiled"
+            assert scheduler.register_client("c", _wire_copy(cloud)) is first
+            assert len(scheduler.residents) == 1
+            # A different key of the quarantined kind gets its own resident,
+            # on the twin as well.
+            _, other = generate_keys(
+                TEST_TINY, DoubleFFTNegacyclicTransform(TEST_TINY.N), rng=94, eager=False
+            )
+            fresh = scheduler.register_client("d", _wire_copy(other))
+            assert fresh is not first
+            assert fresh.engine.engine_kind == "compiled"
+            assert len(scheduler.residents) == 2
+        finally:
+            clear_engine_quarantine()
 
     def test_same_cloud_key_is_exact_and_compares_cheapest_first(
         self, tiny_keys_naive, monkeypatch

@@ -366,10 +366,11 @@ def _raw_exchange(port: int, payload: bytes) -> tuple:
     "payload",
     [
         b"GARBAGE-NOT-A-FRAME-AT-ALL",           # bad magic
-        struct.pack("<4sIQ", b"rTFS", 10, 0),    # truncated header
-        struct.pack("<4sIQ", b"rTFS", 4, 1 << 60) + b"null",  # oversized body
+        struct.pack("<4sIQ", b"rTF2", 10, 0),    # truncated prefix
+        struct.pack("<4sIQI", b"rTF2", 4, 1 << 60, 0) + b"null",  # oversized body
+        struct.pack("<4sIQI", b"rTFS", 2, 0, 0) + b"{}",  # retired protocol 1
     ],
-    ids=["bad-magic", "truncated", "oversized-prefix"],
+    ids=["bad-magic", "truncated", "oversized-prefix", "retired-magic"],
 )
 def test_malformed_stream_gets_error_then_close(server_factory, payload):
     server = server_factory()
@@ -377,6 +378,8 @@ def test_malformed_stream_gets_error_then_close(server_factory, payload):
     assert closed  # a desynchronised stream is always dropped ...
     if header is not None:  # ... after a best-effort protocol error frame
         assert header["error"]["kind"] == "protocol"
+        if payload.startswith(b"rTFS"):  # no legacy reader: a foreign magic
+            assert "bad frame magic" in header["error"]["message"]
     # The server is still healthy for the next connection.
     with ServingClient(port=server.port) as client:
         assert client.hello()["server"] == "repro-serve"

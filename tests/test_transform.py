@@ -76,24 +76,6 @@ class TestDoubleTransform:
         merged = transform.backward(transform.spectrum_add(sa, sb))
         assert np.array_equal(merged, a.astype(np.int64) + b.astype(np.int64))
 
-    def test_multiply_accumulate_matches_sum_of_products(self):
-        rng = np.random.default_rng(3)
-        transform = DoubleFFTNegacyclicTransform(DEGREE)
-        ints = [rng.integers(-512, 512, DEGREE) for _ in range(3)]
-        toruses = [rng.integers(-(2**31), 2**31, DEGREE).astype(np.int32) for _ in range(3)]
-        spectra = [transform.forward(t) for t in toruses]
-        got = transform.multiply_accumulate(ints, spectra)
-        expected = np.zeros(DEGREE, dtype=np.int64)
-        for i, t in zip(ints, toruses):
-            expected += negacyclic_convolution(i, t).astype(np.int64)
-        expected = (expected & 0xFFFFFFFF).astype(np.uint32).astype(np.int32)
-        assert np.array_equal(got, expected)
-
-    def test_mismatched_accumulate_lengths_raise(self):
-        transform = DoubleFFTNegacyclicTransform(DEGREE)
-        with pytest.raises(ValueError):
-            transform.multiply_accumulate([np.zeros(DEGREE)], [])
-
 
 class TestFactory:
     def test_known_kinds(self):
@@ -116,8 +98,10 @@ class TestEngineRegistry:
     def test_builtin_kinds_registered(self):
         assert {"naive", "double", "approx"} <= set(available_engines())
 
-    def test_unknown_kind_error_lists_valid_kinds(self):
-        with pytest.raises(ValueError, match="valid kinds:.*approx.*double.*naive"):
+    def test_unknown_kind_error_lists_registered_engines(self):
+        with pytest.raises(
+            ValueError, match="registered engines:.*approx.*double.*naive"
+        ):
             make_transform("ntt", DEGREE)
 
     def test_bogus_kwarg_rejected_with_valid_options(self):
@@ -127,14 +111,6 @@ class TestEngineRegistry:
             match=r"twiddel_bits.*engine 'approx' accepts:.*twiddle_bits",
         ):
             make_transform("approx", DEGREE, twiddel_bits=32)
-
-    def test_bogus_kwarg_hints_at_owning_engine(self):
-        # A kwarg that belongs to a *different* engine gets a redirect hint.
-        with pytest.raises(
-            ValueError,
-            match=r"'twiddle_bits' is accepted by approx",
-        ):
-            make_transform("double", DEGREE, twiddle_bits=24)
 
     def test_engine_without_options_rejects_any_kwarg(self):
         # Historically silently-crashing deep in the constructor; now a
@@ -172,18 +148,19 @@ class TestEngineRegistry:
         assert DoubleFFTNegacyclicTransform(DEGREE).spec() == TransformSpec("double")
 
 
-class TestVectorisedMultiplyAccumulate:
-    @pytest.mark.parametrize("kind", ["naive", "double", "approx"])
-    def test_one_forward_call_per_accumulate(self, kind):
+class TestContractAccumulate:
+    @pytest.mark.parametrize("kind", ["naive", "double", "approx", "compiled"])
+    def test_one_stacked_pass_computes_the_sum_of_products(self, kind):
         rng = np.random.default_rng(5)
         transform = make_transform(kind, DEGREE)
         ints = [rng.integers(-64, 64, DEGREE) for _ in range(4)]
         toruses = [
             rng.integers(-(2**31), 2**31, DEGREE).astype(np.int32) for _ in range(4)
         ]
-        spectra = [transform.forward(t) for t in toruses]
+        # A packed (rows, columns=1, spectral) tensor, as a TGSW sample's is.
+        tensor = transform.spectrum_expand(transform.forward(np.stack(toruses)), -2)
         transform.reset_stats()
-        got = transform.multiply_accumulate(ints, spectra)
+        got = transform.contract_accumulate(np.stack(ints), tensor)[0]
         # The decomposed rows are stacked into one forward and one stacked
         # pointwise product + reduction, not one spectrum per term.
         assert transform.stats.forward_calls == 1
@@ -201,32 +178,10 @@ class TestVectorisedMultiplyAccumulate:
             )
         from repro.tfhe.torus import torus32_from_int64
 
-        expected = torus32_from_int64(reference.backward(acc))
-        assert np.array_equal(got, expected)
-
-    def test_empty_accumulate_returns_zero(self):
-        transform = make_transform("naive", DEGREE)
-        assert np.array_equal(
-            transform.multiply_accumulate([], []), np.zeros(DEGREE, dtype=np.int32)
-        )
-
-    @pytest.mark.parametrize("kind", ["naive", "double", "approx"])
-    def test_batched_polys_broadcast_against_scalar_spectra(self, kind):
-        # Mixed batchiness (stacked polynomials, single-polynomial spectra)
-        # must keep broadcasting per term like the historical loop did.
-        rng = np.random.default_rng(6)
-        transform = make_transform(kind, DEGREE)
-        polys = [rng.integers(-64, 64, (4, DEGREE)) for _ in range(3)]
-        toruses = [
-            rng.integers(-(2**31), 2**31, DEGREE).astype(np.int32) for _ in range(3)
-        ]
-        spectra = [transform.forward(t) for t in toruses]
-        got = transform.multiply_accumulate(polys, spectra)
-        assert got.shape == (4, DEGREE)
-        reference = make_transform(kind, DEGREE)
-        for row in range(4):
-            row_spectra = [reference.forward(t) for t in toruses]
-            expected = reference.multiply_accumulate(
-                [p[row] for p in polys], row_spectra
+        assert np.array_equal(got, torus32_from_int64(reference.backward(acc)))
+        if kind != "approx":  # ...and, where the engine is exact, the truth.
+            truth = sum(
+                negacyclic_convolution(i, t).astype(np.int64)
+                for i, t in zip(ints, toruses)
             )
-            assert np.array_equal(got[row], expected)
+            assert np.array_equal(got, torus32_from_int64(truth))

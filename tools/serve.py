@@ -7,7 +7,8 @@ bootstrapping rows across worker processes sharing the cloud-key spectrum
 cache via shared memory.  Clients connect with
 :class:`repro.runtime.protocol.ServingClient`, upload their cloud key, and
 exchange serialized artifacts over length-prefixed frames — see
-``examples/serving_clients.py`` for the client side.
+``examples/serving_clients.py`` for the client side.  Each key is evaluated
+on the transform engine recorded in it (chosen at keygen, ``tools/keygen.py``).
 
 Run:  PYTHONPATH=src python tools/serve.py --port 8470 --workers 4
 """
@@ -79,16 +80,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        help=(
-            "transform engine for registered keys: a registry kind "
-            "(naive, double, approx, compiled), 'auto' to pick the best "
-            "available backend per key, or omit to honour each key's "
-            "recorded spec"
-        ),
-    )
-    parser.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
@@ -98,31 +89,7 @@ def main(argv=None) -> int:
             "force-stops immediately"
         ),
     )
-    parser.add_argument(
-        "--list-engines",
-        action="store_true",
-        help="print every registered engine backend (with availability) and exit",
-    )
     args = parser.parse_args(argv)
-
-    from repro.tfhe.transform import available_engines, describe_engines
-
-    if args.list_engines:
-        for line in describe_engines():
-            print(line)
-        return 0
-    if args.engine is not None and args.engine != "auto":
-        engines = available_engines()
-        if args.engine not in engines:
-            parser.error(
-                f"unknown engine {args.engine!r}; registered engines: "
-                + ", ".join(engines)
-            )
-        if engines[args.engine] is not None:
-            parser.error(
-                f"engine {args.engine!r} is unavailable here: "
-                f"{engines[args.engine]} (see --list-engines)"
-            )
 
     pool = (
         WorkerPool(args.workers, task_timeout=args.task_timeout)
@@ -140,7 +107,6 @@ def main(argv=None) -> int:
                 flush_interval=args.flush_interval,
                 max_rows_per_call=args.max_rows_per_call,
                 max_frame=args.max_frame,
-                engine=args.engine,
                 drain_timeout=args.drain_timeout,
             )
         )
