@@ -1,6 +1,6 @@
 """Compiler pipeline: gate reduction and bootstraps/sec on a traced program.
 
-The PR-5 tentpole traces ordinary Python arithmetic into a netlist and
+The compiler traces ordinary Python arithmetic into a netlist and
 shrinks it with the :class:`repro.compiler.PassManager` pipeline (constant
 folding, NOT/COPY absorption, CSE, depth rebalancing, DCE).  Every removed
 gate is a removed bootstrapping — the dominant cost of TFHE gate evaluation
@@ -22,10 +22,22 @@ Both circuits are verified against plaintext co-simulation (every pass is
 checked semantics-preserving, and the encrypted outputs are decrypted and
 compared) before any number is reported.
 
+A second table says what the compiler does per pass and per circuit: for the
+fifteen circuits of :data:`CORPUS`, under :data:`DEFAULT_PIPELINE` and
+:data:`LUT_PIPELINE`, the bootstrappings, depth and executor levels left,
+the compile time (``verify=False``, best of three), the largest lut
+``weight_cost``, and how many of its applications each pass changed the
+circuit in (``PassStats.changed``).  Passes that changed no corpus circuit
+are named under the table.  :data:`GREEDY_LUT_PIPELINE` keeps what the
+greedy per-root ``lutify`` left of the same circuits, the yardstick the
+cover may never exceed on any row.
+
 Acceptance gate: >= 20% live-gate reduction (override with
 ``COMPILER_GATE_REDUCTION_MIN``) and an optimized wall-clock win >= the
 ``COMPILER_SPEEDUP_MIN`` floor (default 1.2x; CI shared runners are
-timing-noisy).  Results land in ``results/compiler.txt`` and
+timing-noisy); on every corpus row ``LUT_PIPELINE`` is no larger and no
+deeper than ``DEFAULT_PIPELINE`` or the greedy table.  Results land in
+``results/compiler.txt`` and
 schema-consistent ``results/BENCH_compiler.json`` (see ``tools/bench.py``).
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_compiler.py -q -s
@@ -37,10 +49,19 @@ import os
 import time
 
 from repro.compiler import FheUint, PassManager, fhe_max, simulate, trace
-from repro.compiler.passes import circuit_depth, live_gate_count
+from repro.compiler.sim import verify_equivalent
+from repro.compiler.passes import (
+    DEFAULT_PIPELINE,
+    LUT_PIPELINE,
+    PASSES,
+    circuit_depth,
+    live_gate_count,
+)
+from repro.tfhe import netlist
 from repro.tfhe.circuits import decrypt_integer, encrypt_integer
 from repro.tfhe.executor import CircuitExecutor, schedule_circuit
 from repro.tfhe.keys import generate_keys
+from repro.tfhe.lut import boolean_lut_spec
 from repro.tfhe.params import TEST_TINY
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform
 from repro.utils.benchio import make_entry, write_bench_json
@@ -58,6 +79,144 @@ def traced_benchmark_circuit():
         FheUint(WIDTH, "b"),
         FheUint(WIDTH, "c"),
     )
+
+
+def _traced(fn, width, names):
+    return lambda: trace(fn, *(FheUint(width, name) for name in names))
+
+
+#: The corpus the compiler is measured over (the contract of tests/test_lut.py).
+CORPUS = {
+    "adder8": lambda: netlist.adder_netlist(8),
+    "adder16": lambda: netlist.adder_netlist(16),
+    "sub8": lambda: netlist.subtractor_netlist(8),
+    "mul4": lambda: netlist.multiplier_netlist(4),
+    "mul8": lambda: netlist.multiplier_netlist(8),
+    "gt8": lambda: netlist.greater_than_netlist(8),
+    "eq8": lambda: netlist.equal_netlist(8),
+    "max8": lambda: netlist.maximum_netlist(8),
+    "min8": lambda: netlist.minimum_netlist(8),
+    "abs8": lambda: netlist.absolute_netlist(8),
+    "neg8": lambda: netlist.negate_netlist(8),
+    "sel8": lambda: netlist.select_netlist(8),
+    "traced_mul8": _traced(lambda a, b: a * b, 8, "ab"),
+    "traced_mul16": _traced(lambda a, b: a * b, 16, "ab"),
+    "traced_max16": traced_benchmark_circuit,
+}
+
+#: ``(bootstraps, depth, compile ms)`` that ``LUT_PIPELINE`` read with the
+#: greedy per-root ``lutify`` (commit 8c15eb9; the times are minima of 3 x 5
+#: compiles on the 2-core box that wrote results/compiler.txt, run
+#: alternately with this commit, so compare them with that file only).
+GREEDY_LUT_PIPELINE = {
+    "adder8": (34, 8, 9.5),
+    "adder16": (74, 16, 20.1),
+    "sub8": (44, 8, 14.3),
+    "mul4": (17, 5, 7.5),
+    "mul8": (113, 13, 44.2),
+    "gt8": (8, 8, 8.3),
+    "eq8": (15, 4, 4.6),
+    "max8": (30, 10, 19.3),
+    "min8": (30, 10, 19.2),
+    "abs8": (13, 7, 8.0),
+    "neg8": (12, 6, 3.5),
+    "sel8": (24, 2, 2.3),
+    "traced_mul8": (113, 13, 45.3),
+    "traced_mul16": (593, 29, 215.0),
+    "traced_max16": (310, 19, 128.4),
+}
+
+COMPILE_BEST_OF = 3
+
+
+def corpus_table():
+    """Compile every corpus circuit under both pipelines; rows of plain numbers."""
+    rows = {"default": {}, "lut": {}}
+    for label, pipeline in (("default", DEFAULT_PIPELINE), ("lut", LUT_PIPELINE)):
+        for name, build in CORPUS.items():
+            circuit = build()
+            manager = PassManager(passes=pipeline)
+            compile_ms = float("inf")
+            for _ in range(COMPILE_BEST_OF):
+                start = time.perf_counter()
+                lowered = manager.run(circuit)
+                compile_ms = min(compile_ms, 1e3 * (time.perf_counter() - start))
+            verify_equivalent(circuit, lowered, trials=8, rng=0)
+            rows[label][name] = {
+                "bootstraps": live_gate_count(lowered),
+                "depth": circuit_depth(lowered),
+                "levels": schedule_circuit(lowered).depth,
+                "compile_ms": compile_ms,
+                "max_weight_cost": max(
+                    (
+                        boolean_lut_spec(node.value, len(node.args)).weight_cost
+                        for node in lowered.nodes
+                        if node.op == "lut"
+                    ),
+                    default=0,
+                ),
+                "sweeps": len(manager.stats) // len(pipeline),
+                "pass_changes": {
+                    pass_name: sum(
+                        s.changed for s in manager.stats if s.name == pass_name
+                    )
+                    for pass_name in dict.fromkeys(pipeline)
+                },
+            }
+    return rows
+
+
+def render_corpus(rows):
+    """The corpus table as text lines."""
+    lines = [
+        "Corpus: what each pipeline leaves of each circuit "
+        f"(compile = best of {COMPILE_BEST_OF}, verify=False; "
+        "greedy = the per-root lutify this cover replaced)",
+        "",
+    ]
+    for label, pipeline in (("default", DEFAULT_PIPELINE), ("lut", LUT_PIPELINE)):
+        passes = list(dict.fromkeys(pipeline))
+        lines.append(f"{label.upper()}_PIPELINE = {' '.join(pipeline)}")
+        header = (
+            f"{'circuit':>13} {'boots':>6} {'depth':>6} {'levels':>7} "
+            f"{'ms':>7} {'wcost':>6} {'sweeps':>7}  "
+            + " ".join(f"{p:>7}" for p in passes)
+        )
+        if label == "lut":
+            header += f"  {'greedy boots/depth/ms':>22}"
+        lines.append(header)
+        for name, row in rows[label].items():
+            line = (
+                f"{name:>13} {row['bootstraps']:>6} {row['depth']:>6} "
+                f"{row['levels']:>7} {row['compile_ms']:>7.1f} "
+                f"{row['max_weight_cost']:>6} {row['sweeps']:>7}  "
+                + " ".join(f"{row['pass_changes'][p]:>7}" for p in passes)
+            )
+            if label == "lut":
+                boots, depth, ms = GREEDY_LUT_PIPELINE[name]
+                line += f"  {boots:>10}/{depth}/{ms:.1f}"
+            lines.append(line)
+        total = sum(row["bootstraps"] for row in rows[label].values())
+        lines.append(f"{'total':>13} {total:>6}")
+        lines.append("")
+    lines.append(
+        "pass columns: applications (one per sweep) in which the pass changed "
+        "the circuit's node count, live gates or depth."
+    )
+    idle = [
+        name
+        for name in PASSES
+        if not any(
+            row["pass_changes"].get(name, 0)
+            for table in rows.values()
+            for row in table.values()
+        )
+    ]
+    lines.append(
+        "passes that changed no corpus circuit under either pipeline: "
+        + (", ".join(idle) if idle else "none")
+    )
+    return lines
 
 
 def run(record_result=None):
@@ -140,6 +299,11 @@ def run(record_result=None):
             }
             for s in manager.stats
         ],
+        "corpus": corpus_table(),
+        "corpus_greedy_lut": {
+            name: {"bootstraps": boots, "depth": depth, "compile_ms": ms}
+            for name, (boots, depth, ms) in GREEDY_LUT_PIPELINE.items()
+        },
     }
 
     lines = [
@@ -163,6 +327,8 @@ def run(record_result=None):
         "every pass co-simulated semantics-preserving; encrypted outputs of "
         "both circuits decrypted and checked against plaintext simulation "
         f"before timing; best-of-{BEST_OF} timings.",
+        "",
+        *render_corpus(extra["corpus"]),
     ]
     if record_result is not None:
         record_result("compiler", "\n".join(lines))
@@ -189,3 +355,11 @@ def test_compiler_gate_reduction_and_speedup(record_result):
     )
     assert extra["depth_optimized"] <= extra["depth_traced"]
     assert extra["levels_optimized"] <= extra["levels_traced"]
+    # The cover never pays for its luts: no corpus row larger or deeper than
+    # the gate-only pipeline, or than the greedy pass it replaced.
+    for name, row in extra["corpus"]["lut"].items():
+        plain = extra["corpus"]["default"][name]
+        greedy_boots, greedy_depth, _ = GREEDY_LUT_PIPELINE[name]
+        assert row["bootstraps"] <= min(plain["bootstraps"], greedy_boots), name
+        assert row["depth"] <= min(plain["depth"], greedy_depth), name
+    assert sum(row["bootstraps"] for row in extra["corpus"]["lut"].values()) <= 950

@@ -1,8 +1,8 @@
 """An encrypted integer calculator on programmable bootstrapping.
 
 The boolean frontend computes ``a * b`` by shift-add over encrypted bits —
-113 gate bootstrappings at 8 bit.  This example runs the same arithmetic on
-radix-encoded integers instead: each ciphertext digit carries
+83 bootstrappings at 8 bit after the LUT pipeline.  This example runs the
+same arithmetic on radix-encoded integers instead: each ciphertext digit carries
 ``message_bits`` of payload plus ``carry_bits`` of headroom, additions are
 digit-wise linear (zero bootstraps until carries must be normalised), and a
 multiply is one batched partial-product lookup plus carry-propagation

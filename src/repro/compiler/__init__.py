@@ -15,7 +15,7 @@ The compiler turns an ordinary Python function into an optimized
   symbolic types and :func:`trace`;
 * :mod:`repro.compiler.passes` — the :class:`PassManager` pipeline
   (constant folding, NOT/COPY absorption, CSE, depth rebalancing, LUT
-  clustering, DCE);
+  mapping, DCE);
 * :mod:`repro.compiler.radix` — the digit-LUT lowering: :func:`trace_radix`
   records the same functions as :class:`RadixProgram` ops for
   :class:`repro.tfhe.integers.RadixEvaluator`;

@@ -24,6 +24,9 @@ output names and widths are unchanged) and the plaintext semantics
               trees, combining earliest-ready operands first, which shortens
               the level count :class:`repro.tfhe.executor.CircuitExecutor`
               must serialize.
+``lutify``  — technology mapping (:data:`LUT_PIPELINE` only): one cut-based
+              cover of the netlist by k-input ``lut`` nodes, depth-optimal
+              first, then fewest bootstrappings, then least noise.
 ``dce``     — dead-node elimination: everything outside the live cone of
               the outputs is dropped (the rewrite-level generalisation of
               :meth:`repro.tfhe.netlist.Circuit.live_nodes`).
@@ -38,12 +41,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.sim import verify_equivalent
 from repro.tfhe.gates import PLAINTEXT_GATES
 from repro.tfhe.lut import MAX_LUT_ARITY, boolean_lut_spec
-from repro.tfhe.netlist import BOOTSTRAPPED_OPS, Circuit, Node
+from repro.tfhe.netlist import Circuit, Node
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -105,39 +109,33 @@ BALANCEABLE_OPS = frozenset(("and", "or", "xor"))
 
 
 def _restrict_lut(
-    table: int, args: Sequence[int], known: Dict[int, int]
+    table: int, wires: Sequence[int], known: Dict[int, int]
 ) -> Tuple[int, List[int]]:
-    """Restrict a lut truth table on constant inputs and prune dead ones.
+    """Restrict a lut table on constant wires, merge repeated ones, prune dead ones.
 
-    Returns ``(reduced_table, kept_positions)`` where ``kept_positions`` are
-    the argument indices the restricted function still depends on (order
-    preserved).  Restriction can only *lower* the affine realisation cost of
-    a feasible table (fixing an input folds its weight into the offset;
-    pruned inputs had weight zero), so the reduced table is always accepted
-    by :meth:`repro.tfhe.netlist.Circuit.lut` again.
+    ``known`` maps a wire to its constant bit; a wire listed twice is one
+    variable (the table is read along that diagonal).  Returns
+    ``(reduced_table, kept_wires)``: the distinct wires the restricted
+    function still depends on, in first-use order.  The reduced table is
+    always accepted by :meth:`repro.tfhe.netlist.Circuit.lut` again: fixing
+    an input folds its weight into the offset, a pruned input had weight
+    zero, and two merged inputs add their weights modulo 8 (checked over
+    every realisable table of arity 2-4 and every pair of pins).
     """
-    free = [i for i, a in enumerate(args) if a not in known]
-    fixed_index = 0
-    for i, a in enumerate(args):
-        if a in known:
-            fixed_index |= known[a] << i
+    free = [w for w in dict.fromkeys(wires) if w not in known]
     outputs: List[int] = []
     for m in range(1 << len(free)):
-        index = fixed_index
-        for j, position in enumerate(free):
-            index |= ((m >> j) & 1) << position
+        value = {**known, **{w: (m >> j) & 1 for j, w in enumerate(free)}}
+        index = sum(value[w] << i for i, w in enumerate(wires))
         outputs.append((table >> index) & 1)
-    kept: List[int] = []
-    for j, position in enumerate(free):
-        if any(
-            outputs[m] != outputs[m ^ (1 << j)] for m in range(len(outputs))
-        ):
-            kept.append(j)
+    kept = [
+        j
+        for j in range(len(free))
+        if any(outputs[m] != outputs[m ^ (1 << j)] for m in range(len(outputs)))
+    ]
     reduced = 0
     for m in range(1 << len(kept)):
-        index = 0
-        for slot, j in enumerate(kept):
-            index |= ((m >> slot) & 1) << j
+        index = sum(((m >> slot) & 1) << j for slot, j in enumerate(kept))
         reduced |= outputs[index] << m
     return reduced, [free[j] for j in kept]
 
@@ -225,9 +223,9 @@ def fold_constants(circuit: Circuit) -> Circuit:
     constant, an alias of the live input, or a NOT of it (the four possible
     single-variable truth tables).  A gate whose two inputs map to the *same*
     wire restricts along the diagonal the same way (``xnor(x, x)`` → 1,
-    ``and(x, x)`` → ``x``, ``nand(x, x)`` → ``not x``).  A three-gate mux
-    whose select folded to a constant reduces to the selected branch through
-    exactly these rules.
+    ``and(x, x)`` → ``x``, ``nand(x, x)`` → ``not x``), and so does a ``lut``
+    that lists one wire twice.  A three-gate mux whose select folded to a
+    constant reduces to the selected branch through exactly these rules.
     """
     rebuild = _Rebuild(circuit)
     known: Dict[int, int] = {}
@@ -256,21 +254,22 @@ def fold_constants(circuit: Circuit) -> Circuit:
                 else rebuild.new.copy(rebuild.wire_map[arg])
             )
         elif node.op == "lut":
-            table, kept = _restrict_lut(node.value, node.args, known)
+            table, kept = _restrict_lut(
+                node.value,
+                [rebuild.wire_map[a] for a in node.args],
+                {rebuild.wire_map[a]: known[a] for a in node.args if a in known},
+            )
             if not kept:
                 value = table & 1
                 known[node.node_id] = value
                 rebuild.wire_map[node.node_id] = rebuild.const(value)
             elif len(kept) == 1:
-                free_wire = rebuild.wire_map[node.args[kept[0]]]
                 if table == 0b10:  # identity in the surviving input
-                    rebuild.wire_map[node.node_id] = free_wire
+                    rebuild.wire_map[node.node_id] = kept[0]
                 else:  # 0b01: negation (constant tables have no kept inputs)
-                    rebuild.wire_map[node.node_id] = rebuild.new.not_(free_wire)
+                    rebuild.wire_map[node.node_id] = rebuild.new.not_(kept[0])
             else:
-                rebuild.wire_map[node.node_id] = rebuild.new.lut(
-                    table, [rebuild.wire_map[node.args[p]] for p in kept]
-                )
+                rebuild.wire_map[node.node_id] = rebuild.new.lut(table, kept)
         else:
             a, b = node.args
             if a in known and b in known:
@@ -503,116 +502,202 @@ def rebalance_depth(circuit: Circuit) -> Circuit:
 
 
 # --------------------------------------------------------------------------- #
-#: Node kinds lutify may pull into a cone (everything except inputs/consts).
-_ABSORBABLE_OPS = frozenset(BOOTSTRAPPED_OPS) | {"lut", "not", "copy"}
+#: Cuts a node keeps for its fan-outs to merge, besides its own wire and its
+#: fan-in cut (priority cuts: shallowest first, then fewest leaves).
+CUTS_PER_NODE = 8
+
+#: ``op`` → its table in ``lut`` bit order; the 2-input gates both ways round.
+_LOCAL_TABLE: Dict[str, int] = {
+    op: sum(f(m & 1, m >> 1) << m for m in range(4)) for op, f in PLAINTEXT_GATES.items()
+}
+_GATE_FOR_TABLE: Dict[int, str] = {table: op for op, table in _LOCAL_TABLE.items()}
+_LOCAL_TABLE.update({"not": 0b01, "copy": 0b10})
 
 
-def lutify(circuit: Circuit, max_arity: int = MAX_LUT_ARITY) -> Circuit:
-    """Cluster single-output gate cones into k-input ``lut`` nodes.
+@lru_cache(maxsize=None)
+def _cone_table(local: int, pins: Tuple, arity: int) -> Tuple[int, Tuple[int, ...]]:
+    """Table of a node over ``arity`` cone leaves, reduced to its support.
 
-    Greedy cone growing, roots visited outputs-first: starting from each
-    bootstrapped node, a fan-in leaf is absorbed into the cone when (a) it
-    is an interior node (gate, lut, NOT or COPY — never an input or
-    constant), (b) the widened cut stays within ``max_arity`` inputs, and
-    (c) the cone's truth table keeps a single-bootstrap realisation
-    (:func:`repro.tfhe.lut.boolean_lut_spec`) — the feasibility invariant
-    that makes every accepted expansion executable.  Absorption *duplicates*
-    logic rather than consuming it: each cone only ever replaces its root
-    with one lut, so shared interiors may be pulled into several cones
-    (``xor(a, b)`` folds into both the sum and carry cones of a full adder);
-    whichever interiors end up unreferenced are swept by the ``dce`` pass
-    that must follow.  Replacing one bootstrapped root by one lut is
-    cost-neutral at worst, so the pass is monotone in bootstrappings; a cone
-    is only committed when it covers at least two bootstrapped nodes, which
-    is when an actual saving is possible.
-
-    Run *after* ``fold``/``absorb``/``cse`` (see :data:`LUT_PIPELINE`):
-    those passes canonicalise the netlist so cones are maximal, and ``dce``
-    afterwards sweeps the absorbed interiors.
+    The node computes ``local`` over its fan-ins; fan-in ``i`` computes
+    ``pins[i] = (table, positions)``, its own table over the cone leaves at
+    ``positions``.  Returns ``(table, kept_positions)``.
     """
+    out = 0
+    for m in range(1 << arity):
+        index = 0
+        for i, (table, positions) in enumerate(pins):
+            sub = sum(((m >> p) & 1) << j for j, p in enumerate(positions))
+            index |= ((table >> sub) & 1) << i
+        out |= ((local >> index) & 1) << m
+    table, kept = _restrict_lut(out, range(arity), {})
+    return table, tuple(kept)
 
-    def cone_table(members: set, root: int, leaves: List[int]) -> int:
-        """Truth table of the cone over its cut (exhaustive, ≤ 2^4 points)."""
-        member_nodes = [circuit.node(m) for m in sorted(members)]
-        table = 0
-        for m in range(1 << len(leaves)):
-            values = {leaf: (m >> i) & 1 for i, leaf in enumerate(leaves)}
-            for n in member_nodes:
-                if n.op == "not":
-                    values[n.node_id] = 1 - values[n.args[0]]
-                elif n.op == "copy":
-                    values[n.node_id] = values[n.args[0]]
-                elif n.op == "lut":
-                    index = sum(values[a] << i for i, a in enumerate(n.args))
-                    values[n.node_id] = (n.value >> index) & 1
-                else:
-                    values[n.node_id] = PLAINTEXT_GATES[n.op](
-                        values[n.args[0]], values[n.args[1]]
-                    )
-            table |= values[root] << m
-        return table
 
-    def cone_leaves(members: frozenset) -> List[int]:
-        """The cut of a member set: non-member args, in first-use order."""
-        leaves: List[int] = []
-        for m in sorted(members):
-            for a in circuit.node(m).args:
-                if a not in members and a not in leaves:
-                    leaves.append(a)
-        return leaves
+def lutify(circuit: Circuit) -> Circuit:
+    """Cover the netlist with ``lut`` nodes: cut-based technology mapping.
 
-    cones: Dict[int, Tuple[int, List[int]]] = {}
-    state_budget = 256  # states explored per root; cones are tiny in practice
-    for node in reversed(circuit.nodes):
-        nid = node.node_id
-        if not node.is_bootstrapped:
-            continue
-        # Bounded DFS over member sets: intermediate states may be infeasible
-        # (the 4-input cut of a growing majority cone is not realisable even
-        # though the final 3-input one is), so feasibility selects the best
-        # committed cone rather than gating every expansion step.
-        best: Optional[Tuple[int, int, frozenset, List[int]]] = None
-        start = frozenset((nid,))
-        stack = [start]
-        seen = {start}
-        explored = 0
-        while stack and explored < state_budget:
-            members = stack.pop()
-            explored += 1
-            leaves = cone_leaves(members)
-            boot = sum(1 for m in members if circuit.node(m).is_bootstrapped)
-            if boolean_lut_spec(cone_table(members, nid, leaves), len(leaves)):
-                candidate = (boot, -len(leaves), members, leaves)
-                if best is None or candidate[:2] > best[:2]:
-                    best = candidate
-            for leaf in leaves:
-                if circuit.node(leaf).op not in _ABSORBABLE_OPS:
-                    continue
-                trial = members | {leaf}
-                if trial in seen:
-                    continue
-                trial_leaves = cone_leaves(trial)
-                if not trial_leaves or len(trial_leaves) > max_arity:
-                    continue
-                seen.add(trial)
-                stack.append(trial)
-        if best is not None and best[0] >= 2:
-            _, _, members, leaves = best
-            cones[nid] = (cone_table(members, nid, leaves), leaves)
+    The objective, in this order: never deeper than the depth-optimal
+    cover; among those, fewest bootstrappings; among those, least noise
+    (smallest ``weight_cost``, then fewest leaves).
 
-    rebuild = _Rebuild(circuit)
+    *Cuts.*  In SSA order every node gets the cuts of at most
+    :data:`repro.tfhe.lut.MAX_LUT_ARITY` leaves that merging one cut per
+    fan-in produces, each with the cone's truth table reduced to the leaves
+    it depends on.  Constants are cuts with no leaf, so they are evaluated
+    inside the cone; a node that has a cut of one leaf or none *is* that
+    wire, its NOT or a constant (every NOT/COPY, ``and(x, 1)``,
+    ``xor(x, x)``): it costs no bootstrapping, never becomes a leaf, and
+    its fan-outs look through it.  At most :data:`CUTS_PER_NODE` cuts are
+    kept besides the fan-in cut.  A cut can be chosen when
+    :func:`repro.tfhe.lut.boolean_lut_spec` realises its table; the fan-in
+    cut of a gate or ``lut`` always is one, so no node ever costs more than
+    the bootstrapping it costs now.
+
+    *Cover.*  One sweep picks the shallowest cut per node (depth-optimal
+    arrival times) and fixes the depth; required times walk back from the
+    outputs; then, never exceeding them, a sweep by area flow and a sweep
+    by exact local area (reference counting: the bootstrappings a cut
+    would add to the cover as it stands) choose the cuts that are emitted.
+    A per-root greedy cannot do this: whether absorbing a cone saves
+    anything depends on whether another root's leaves keep it alive.
+
+    A chosen 2-leaf cut is emitted as the gate with that table, a wider one
+    as a ``lut``; nodes outside the cover are not emitted.  Deterministic.
+    """
+    count = len(circuit.nodes)
+    cuts: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in range(count)]
+    options: List[List[Tuple[Tuple[int, ...], int, int]]] = [[] for _ in range(count)]
+    arrival = [0] * count
+    gates: List[int] = []
+
+    def depth_of(leaves: Sequence[int]) -> int:
+        return 1 + max((arrival[leaf] for leaf in leaves), default=-1)
+
     for node in circuit.nodes:
         nid = node.node_id
-        if node.op == "input":
+        if node.op in ("input", "const"):
+            cuts[nid] = [((nid,), 0b10) if node.op == "input" else ((), node.value)]
             continue
-        if nid in cones:
-            table, leaves = cones[nid]
-            rebuild.wire_map[nid] = rebuild.new.lut(
-                table, [rebuild.wire_map[w] for w in leaves]
+        merged: Dict[Tuple[int, ...], Tuple] = {(): ()}
+        for arg in node.args:
+            step: Dict[Tuple[int, ...], Tuple] = {}
+            for leaves, picked in merged.items():
+                for cut in cuts[arg]:
+                    union = tuple(sorted({*leaves, *cut[0]}))
+                    if len(union) <= MAX_LUT_ARITY and union not in step:
+                        step[union] = picked + (cut,)
+            merged = step
+        local = node.value if node.op == "lut" else _LOCAL_TABLE[node.op]
+        found: Dict[Tuple[int, ...], int] = {}
+        for union, picked in merged.items():
+            pins = tuple(
+                (table, tuple(union.index(leaf) for leaf in leaves))
+                for leaves, table in picked
             )
+            table, kept = _cone_table(local, pins, len(union))
+            found.setdefault(tuple(union[p] for p in kept), table)
+        alias = next((cut for cut in found.items() if len(cut[0]) < 2), None)
+        wider = [cut for cut in found.items() if len(cut[0]) > 1]
+        if alias is not None:  # a constant, a wire or its NOT
+            head = [alias]
+            arrival[nid] = depth_of(alias[0]) - 1
+        else:  # its own wire for the fan-outs, its fan-in cut (found first) for itself
+            head = [((nid,), 0b10), wider.pop(0)]
+        wider.sort(key=lambda cut: (depth_of(cut[0]), len(cut[0])))
+        cuts[nid] = head + wider[:CUTS_PER_NODE]
+        if alias is None:
+            gates.append(nid)
+            for leaves, table in cuts[nid][1:]:
+                spec = boolean_lut_spec(table, len(leaves))
+                if spec is not None:
+                    options[nid].append((leaves, table, spec.weight_cost))
+
+    refs = [0] * count
+    for node in circuit.nodes:
+        for arg in node.args:
+            refs[arg] += 1
+    required = [float("inf")] * count
+    flow = [0.0] * count
+    choice: List[Optional[Tuple[Tuple[int, ...], int, int]]] = [None] * count
+    outputs = [w for wires in circuit.output_wires.values() for w in wires]
+    roots = [cuts[w][0][0][0] for w in outputs if cuts[w][0][0]]
+
+    def walk(nid: int, delta: int) -> int:
+        """(De)reference ``nid``'s chosen cone; returns the bootstrappings moved."""
+        area, stack = 0, [nid]
+        while stack:
+            area += 1
+            for leaf in choice[stack.pop()][0]:
+                refs[leaf] += delta
+                # A gate that just entered (left) the cover takes its cone along.
+                if refs[leaf] == max(delta, 0) and choice[leaf] is not None:
+                    stack.append(leaf)
+        return area
+
+    def flow_of(option) -> float:
+        return 1 + sum(flow[leaf] for leaf in option[0])
+
+    def exact_area(nid: int, option) -> int:
+        choice[nid] = option
+        area = walk(nid, +1)
+        walk(nid, -1)
+        return area
+
+    def sweep(rank: Callable, exact: bool = False) -> None:
+        """Choose every gate's best admissible cut by ``rank``, in SSA order."""
+        for nid in gates:
+            if exact and refs[nid]:
+                walk(nid, -1)
+            choice[nid] = best = min(
+                (o for o in options[nid] if depth_of(o[0]) <= required[nid]),
+                key=lambda o: (*rank(nid, o), o[2], len(o[0])),
+            )
+            if exact and refs[nid]:
+                walk(nid, +1)
+            arrival[nid] = depth_of(best[0])
+            flow[nid] = flow_of(best) / max(1, refs[nid])
+
+    def cover(depth: int) -> None:
+        """Reference counts and required times of the cover the choices imply."""
+        for nid in range(count):
+            refs[nid], required[nid] = 0, float("inf")
+        for root in roots:
+            refs[root] += 1
+            required[root] = depth
+        for nid in reversed(gates):
+            if refs[nid]:
+                for leaf in choice[nid][0]:
+                    refs[leaf] += 1
+                    required[leaf] = min(required[leaf], required[nid] - 1)
+
+    sweep(lambda nid, o: (depth_of(o[0]), flow_of(o)))
+    depth = max((arrival[root] for root in roots), default=0)
+    cover(depth)
+    sweep(lambda nid, o: (flow_of(o),))
+    cover(depth)
+    sweep(lambda nid, o: (exact_area(nid, o),), exact=True)
+
+    rebuild = _Rebuild(circuit)
+    for nid in gates:
+        if refs[nid]:
+            leaves, table, _ = choice[nid]
+            args = [rebuild.wire_map[leaf] for leaf in leaves]
+            rebuild.wire_map[nid] = (
+                rebuild.new.gate(_GATE_FOR_TABLE[table], *args)
+                if len(args) == 2
+                else rebuild.new.lut(table, args)
+            )
+    inverted: Dict[int, int] = {}
+    for wire in outputs:
+        leaves, table = cuts[wire][0]
+        if not leaves:
+            rebuild.wire_map[wire] = rebuild.const(table)
+        elif table == 0b10:
+            rebuild.wire_map[wire] = rebuild.wire_map[leaves[0]]
         else:
-            args = [rebuild.wire_map[a] for a in node.args]
-            rebuild.wire_map[nid] = rebuild.emit_like(node, args)
+            if leaves[0] not in inverted:
+                inverted[leaves[0]] = rebuild.new.not_(rebuild.wire_map[leaves[0]])
+            rebuild.wire_map[wire] = inverted[leaves[0]]
     return rebuild.finish()
 
 
@@ -635,10 +720,10 @@ PASSES: Dict[str, Callable[[Circuit], Circuit]] = {
 #: netlist, a second CSE merges tree substructure, and DCE renumbers last.
 DEFAULT_PIPELINE: Tuple[str, ...] = ("fold", "absorb", "cse", "balance", "cse", "dce")
 
-#: Pipeline with LUT clustering: lutify runs *after* the gate-level cleanup
-#: (cones are grown over a canonical, deduplicated netlist — folding or CSE
-#: after lutify would see opaque tables and miss rewrites) and *before* DCE,
-#: which sweeps the gate interiors the cones absorbed.
+#: Pipeline with LUT mapping: lutify runs *after* the gate-level cleanup
+#: (the cover is computed over a canonical, deduplicated netlist — folding
+#: or CSE after lutify would see opaque tables and miss rewrites); DCE stays
+#: last as in :data:`DEFAULT_PIPELINE`.
 LUT_PIPELINE: Tuple[str, ...] = (
     "fold",
     "absorb",

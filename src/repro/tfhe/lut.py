@@ -15,7 +15,8 @@ slices ``t`` and ``t + 4`` are forced to carry *complementary* outputs — not
 every truth table admits weights that respect this, so the spec search simply
 reports infeasible tables and the compiler leaves those cones as plain gates.
 The classic wins are feasible: XOR3 (weights ``2,2,2``), MAJ3 (``1,1,1``),
-and with them a full adder in two bootstrappings instead of five.
+and with them a full adder in two bootstrappings instead of five —
+``lutify`` lowers ``adder_netlist(8)`` to 16 bootstrappings at depth 8.
 
 The searched weight/offset space reproduces the affine forms of all stock
 gates (every entry of :data:`repro.tfhe.gates.MIXED_GATE_SPECS` is the arity-2
