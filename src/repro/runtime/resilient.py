@@ -79,6 +79,8 @@ class RetryStats:
     resubmitted: int = 0
     retries: int = 0
     backoff_seconds: float = 0.0
+    #: Requests abandoned with :class:`DeadlineExceeded`.
+    deadlines_exceeded: int = 0
 
 
 @dataclass
@@ -131,7 +133,6 @@ class ResilientClient:
         max_frame: int = DEFAULT_MAX_FRAME,
         rng: Optional[random.Random] = None,
         sleep: Callable[[float], None] = time.sleep,
-        telemetry: Optional[Any] = None,
     ) -> None:
         if max_attempts <= 0:
             raise ValueError("max_attempts must be positive")
@@ -155,14 +156,6 @@ class ResilientClient:
         self._key: Optional[Any] = None  # the registered cloud key, replayed by _recover
         self._register_header: Optional[Dict[str, Any]] = None
         self.stats = RetryStats()
-        #: Optional :class:`repro.telemetry.Telemetry` bundle; when set, the
-        #: RetryStats counters are mirrored into its registry under
-        #: ``fhe_client_*`` names (stats stay authoritative either way).
-        self.telemetry = telemetry
-
-    def _count(self, name: str, help_text: str, amount: float = 1, **labels) -> None:
-        if self.telemetry is not None:
-            self.telemetry.count(name, help_text, amount=amount, **labels)
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -195,11 +188,7 @@ class ResilientClient:
         )
         if self.stats.connects:
             self.stats.reconnects += 1
-            self._count(
-                "fhe_client_reconnects_total", "Re-dials after a dropped connection."
-            )
         self.stats.connects += 1
-        self._count("fhe_client_connects_total", "Connections dialled (incl. first).")
         self._client = client
         try:
             self._recover(client)
@@ -226,10 +215,6 @@ class ResilientClient:
             self._send(client, request_id)
             if self.stats.reconnects:
                 self.stats.resubmitted += 1
-                self._count(
-                    "fhe_client_resubmits_total",
-                    "Unacknowledged requests replayed after a reconnect.",
-                )
 
     def _send(self, client: ServingClient, request_id: int) -> None:
         pending = self._pending[request_id]
@@ -246,11 +231,6 @@ class ResilientClient:
         delay = min(self.max_delay, self.base_delay * (2 ** max(0, attempt - 1)))
         delay *= 0.5 + self._rng.random()  # jitter in [0.5, 1.5)
         self.stats.backoff_seconds += delay
-        self._count(
-            "fhe_client_backoff_seconds_total",
-            "Total seconds slept in retry backoff.",
-            amount=delay,
-        )
         self._sleep(delay)
 
     # -- core request machinery -------------------------------------------
@@ -305,10 +285,7 @@ class ResilientClient:
                 and time.monotonic() > pending.deadline_at
             ):
                 self._pending.pop(request_id, None)
-                self._count(
-                    "fhe_client_deadline_exceeded_total",
-                    "Requests abandoned because their deadline budget ran out.",
-                )
+                self.stats.deadlines_exceeded += 1
                 raise DeadlineExceeded(
                     f"request {request_id} ({pending.op}) exceeded its deadline "
                     f"after {attempts} retryable failure(s)"
@@ -319,12 +296,6 @@ class ResilientClient:
                 raise last_error
             if attempts:
                 self.stats.retries += 1
-                kind = type(last_error).__name__ if last_error is not None else "unknown"
-                self._count(
-                    "fhe_client_retries_total",
-                    "Retry attempts, labeled by the error that forced them.",
-                    kind=kind,
-                )
                 self._backoff(attempts)
             try:
                 client = self._ensure_connected()

@@ -66,6 +66,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.runtime.context import FheContext, same_cloud_key
@@ -224,10 +225,6 @@ def execute_rows(
             stats.batched_calls += 1
             stats.max_rows_per_call = max(stats.max_rows_per_call, len(part))
         if metered:
-            tel.count(
-                "fhe_batched_calls_total",
-                "Mixed-gate batched bootstrapping calls issued.",
-            )
             tel.observe(
                 "fhe_rows_per_call",
                 len(part),
@@ -390,7 +387,8 @@ class _CircuitJob:
 
 @dataclass
 class SchedulerStats:
-    """Aggregate throughput counters of one :class:`BatchScheduler`."""
+    """Aggregate throughput counters of one :class:`BatchScheduler`: their
+    only store, read at scrape by the families in ``_STATS_FAMILIES``."""
 
     flushes: int = 0
     #: Batched bootstrapping calls issued (one per chunk of a round's rows).
@@ -418,15 +416,28 @@ class SchedulerStats:
             return 0.0
         return self.rows_bootstrapped / self.batched_calls
 
-    def reset(self) -> None:
-        self.flushes = 0
-        self.batched_calls = 0
-        self.rows_bootstrapped = 0
-        self.max_rows_per_call = 0
-        self.jobs_completed = 0
-        self.jobs_aborted = 0
-        self.engine_failovers = 0
-        self.inline_fallbacks = 0
+
+#: ``(family, field, help)``: the counters a scheduler with telemetry reads
+#: from its :class:`SchedulerStats` and, under a worker pool, from the
+#: pool's :class:`repro.runtime.workers.PoolStats`.
+_STATS_FAMILIES = (
+    ("fhe_flushes_total", "flushes", "Scheduler flush invocations."),
+    ("fhe_rows_bootstrapped_total", "rows_bootstrapped", "Ciphertext rows bootstrapped."),
+    ("fhe_batched_calls_total", "batched_calls", "Mixed-gate batched bootstrapping calls issued."),
+    ("fhe_jobs_completed_total", "jobs_completed", "Jobs fully resolved."),
+    ("fhe_engine_failovers_total", "engine_failovers", "Engine quarantines mid-flush."),
+    ("fhe_inline_fallbacks_total", "inline_fallbacks", "Rounds degraded to in-process."),
+)
+_POOL_STATS_FAMILIES = (
+    ("fhe_pool_worker_restarts_total", "workers_restarted", "Pool workers killed and respawned."),
+    ("fhe_pool_breaker_trips_total", "breaker_trips", "Refork circuit-breaker openings."),
+    ("fhe_pool_tasks_retried_total", "tasks_retried", "Pool tasks requeued after faults."),
+    (
+        "fhe_pool_inline_fallbacks_total",
+        "inline_fallbacks",
+        "Rounds run in-process while the breaker was open.",
+    ),
+)
 
 
 class EvaluationSession:
@@ -604,13 +615,18 @@ class BatchScheduler:
         self.telemetry = telemetry
         if telemetry is not None:
             self.dispatcher.telemetry = telemetry
+            if telemetry.metrics_enabled:
+                bound = [(self.stats, _STATS_FAMILIES)]
+                pool_stats = getattr(self.dispatcher, "stats", None)  # a worker pool's
+                if pool_stats is not None:
+                    bound.append((pool_stats, _POOL_STATS_FAMILIES))
+                for stats, families in bound:
+                    for name, field, help_text in families:
+                        telemetry.registry.bind_counter(
+                            name, help_text, partial(getattr, stats, field)
+                        )
 
     # -- telemetry helpers ---------------------------------------------------
-    def _count(self, name: str, help_text: str, amount: float = 1, **labels) -> None:
-        """Increment a registry counter iff metrics are enabled."""
-        if self.telemetry is not None:
-            self.telemetry.count(name, help_text, amount=amount, **labels)
-
     @property
     def _traced(self) -> bool:
         return self.telemetry is not None and self.telemetry.tracer.enabled
@@ -720,39 +736,17 @@ class BatchScheduler:
             job.submit_perf = time.perf_counter()
             # Start of the job's current coalescing window (reset per round).
             job.wait_from = job.submit_perf
-        # A job can resolve at submit time without costing any bootstraps —
-        # e.g. an optimized circuit whose live outputs are constant wires or
-        # COPY/NOT chains only (zero bootstrapped levels).  Count it here,
-        # since flush() will simply drop it from the queue.
-        if job.done:
-            self.stats.jobs_completed += 1
-            self._count(
-                "fhe_jobs_submitted_total", "Jobs accepted by the scheduler.", op=op
-            )
-            self._count("fhe_jobs_completed_total", "Jobs fully resolved.")
-            if traced:
-                tel.tracer.record(
-                    "enqueue",
-                    job.trace_id,
-                    start=job.submit_wall,
-                    duration=0.0,
-                    attrs={"op": op, "client": client_id},
-                )
-                tel.tracer.record(
-                    "job", job.trace_id, start=job.submit_wall, duration=0.0
-                )
-            return
         if (
-            self.max_pending_jobs is not None
+            not job.done
+            and self.max_pending_jobs is not None
             and self.pending_jobs >= self.max_pending_jobs
         ):
             raise SchedulerBusy(
                 f"scheduler queue is full ({self.max_pending_jobs} pending "
                 f"jobs); flush before submitting more"
             )
-        self._count(
-            "fhe_jobs_submitted_total", "Jobs accepted by the scheduler.", op=op
-        )
+        if tel is not None:
+            tel.count("fhe_jobs_submitted_total", "Jobs accepted by the scheduler.", op=op)
         if traced:
             tel.tracer.record(
                 "enqueue",
@@ -761,6 +755,15 @@ class BatchScheduler:
                 duration=0.0,
                 attrs={"op": op, "client": client_id},
             )
+        # A job can resolve at submit time without costing any bootstraps —
+        # e.g. an optimized circuit whose live outputs are constant wires or
+        # COPY/NOT chains only (zero bootstrapped levels).  Count it here,
+        # since flush() will simply drop it from the queue.
+        if job.done:
+            self.stats.jobs_completed += 1
+            if traced:
+                tel.tracer.record("job", job.trace_id, start=job.submit_wall, duration=0.0)
+            return
         self._clients[client_id].queues[client_id].append(job)
         self._pending += 1
 
@@ -826,7 +829,6 @@ class BatchScheduler:
         except EngineFault as exc:
             context.failover(str(exc))
             self.stats.engine_failovers += 1
-            self._count("fhe_engine_failovers_total", "Engine quarantines mid-flush.")
             self._republish(resident)
             try:
                 return self.dispatcher.run_rows(
@@ -843,18 +845,12 @@ class BatchScheduler:
                 # context is healthy in this process, so finish the round
                 # inline rather than fail jobs a single process can compute.
                 self.stats.inline_fallbacks += 1
-                self._count(
-                    "fhe_inline_fallbacks_total", "Rounds degraded to in-process."
-                )
                 with _round_scope(context, round_ctx):
                     return execute_rows(
                         context, rows, self.stats, self.max_rows_per_call
                     )
         except WorkerPoolError:
             self.stats.inline_fallbacks += 1
-            self._count(
-                "fhe_inline_fallbacks_total", "Rounds degraded to in-process."
-            )
             try:
                 with _round_scope(context, round_ctx):
                     return execute_rows(
@@ -864,9 +860,6 @@ class BatchScheduler:
                 # The pool failed *because* the engine is sick everywhere.
                 context.failover(str(exc))
                 self.stats.engine_failovers += 1
-                self._count(
-                    "fhe_engine_failovers_total", "Engine quarantines mid-flush."
-                )
                 self._republish(resident)
                 with _round_scope(context, round_ctx):
                     return execute_rows(
@@ -888,7 +881,6 @@ class BatchScheduler:
         exactly-once settle semantics) instead of corrupting the round.
         """
         self.stats.flushes += 1
-        self._count("fhe_flushes_total", "Scheduler flush invocations.")
         tel = self.telemetry
         traced = self._traced
         total_rows = 0
@@ -942,7 +934,6 @@ class BatchScheduler:
                         job.wait_from = time.perf_counter()
                     if job.done and not was_done:
                         self.stats.jobs_completed += 1
-                        self._count("fhe_jobs_completed_total", "Jobs fully resolved.")
                         if traced and getattr(job, "trace_id", None) is not None:
                             tel.tracer.record(
                                 "job",
@@ -967,12 +958,6 @@ class BatchScheduler:
                 "no queued job produces"
             )
         self.stats.rows_bootstrapped += total_rows
-        if total_rows:
-            self._count(
-                "fhe_rows_bootstrapped_total",
-                "Ciphertext rows bootstrapped.",
-                amount=total_rows,
-            )
         return total_rows
 
     def _record_coalesce(self, contributions: List[Tuple[object, int]]):

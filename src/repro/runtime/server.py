@@ -98,6 +98,9 @@ _COALESCE_WAIT_BUCKETS = (
 #: in milliseconds, a first ``paper-110bit`` key under a worker pool packs
 #: its segment for seconds.
 _REGISTER_KEY_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
+#: Entries each latency ring (flush, coalescing wait, ``register_key``)
+#: keeps for the ``metrics`` percentiles and deadline shedding.
+_LATENCY_WINDOW = 512
 
 
 def _percentile(values: List[float], q: float, default: float = 0.0) -> float:
@@ -221,7 +224,6 @@ class FheServer:
         flush_interval: float = 0.002,
         max_rows_per_call: Optional[int] = None,
         max_frame: int = DEFAULT_MAX_FRAME,
-        latency_window: int = 512,
         session_cache_size: int = 256,
         session_ttl: float = 300.0,
         telemetry: bool = True,
@@ -241,7 +243,6 @@ class FheServer:
         self.max_inflight = max_inflight
         self.flush_interval = flush_interval
         self.max_frame = max_frame
-        self.latency_window = latency_window
         self._server: Optional[asyncio.base_events.Server] = None
         self._flusher: Optional[asyncio.Task] = None
         self._lock = asyncio.Lock()
@@ -280,14 +281,8 @@ class FheServer:
         self._jobs_shed = 0
         #: client id → job-op requests served (the ``top_sessions`` view).
         self._session_jobs: Dict[str, int] = {}
-
-    # ------------------------------------------------------------------ #
-    # telemetry helpers                                                  #
-    # ------------------------------------------------------------------ #
-
-    def _tel_count(self, name: str, help_text: str, amount: float = 1, **labels) -> None:
         if self.telemetry is not None:
-            self.telemetry.count(name, help_text, amount=amount, **labels)
+            self._bind_metrics(self.telemetry)
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
@@ -422,16 +417,11 @@ class FheServer:
         elapsed = self._queue_emptied - begin
         self._busy_seconds += elapsed
         self._flush_seconds.append(elapsed)
-        del self._flush_seconds[: -self.latency_window]
+        del self._flush_seconds[:-_LATENCY_WINDOW]
         self._window_seconds.append(waited)
-        del self._window_seconds[: -self.latency_window]
+        del self._window_seconds[:-_LATENCY_WINDOW]
         tel = self.telemetry
         if tel is not None and tel.metrics_enabled:
-            tel.count(
-                "fhe_server_busy_seconds_total",
-                "Monotonic seconds the flusher spent bootstrapping.",
-                amount=elapsed,
-            )
             tel.observe(
                 "fhe_flush_seconds",
                 elapsed,
@@ -510,17 +500,9 @@ class FheServer:
     def metrics(self) -> Dict[str, Any]:
         """Live snapshot: throughput, queue depth, latency, worker health."""
         stats = self.scheduler.stats
-        uptime = time.monotonic() - self._started_at if self._started_at else 0.0
+        uptime = self._uptime()
         residents = self.scheduler.residents
-        # Busy time comes from the registry when telemetry is on — the
-        # flusher feeds the counter from the same monotonic measurements, so
-        # the legacy view and the Prometheus exposition can never disagree.
         busy = self._busy_seconds
-        tel = self.telemetry
-        if tel is not None and tel.metrics_enabled:
-            family = tel.registry.get("fhe_server_busy_seconds_total")
-            if family is not None:
-                busy = family.value
         snapshot: Dict[str, Any] = {
             "uptime_seconds": uptime,
             "busy_fraction": busy / uptime if uptime else 0.0,
@@ -585,54 +567,79 @@ class FheServer:
             }
         return snapshot
 
-    def _refresh_gauges(self) -> None:
-        """Point-in-time gauges, refreshed at exposition time (scrape pull)."""
-        tel = self.telemetry
-        assert tel is not None
-        reg = tel.registry
-        uptime = time.monotonic() - self._started_at if self._started_at else 0.0
-        reg.gauge("fhe_server_uptime_seconds", "Seconds since start()").set(uptime)
-        reg.gauge("fhe_server_draining", "1 while a graceful drain is running.").set(
-            1.0 if self._draining else 0.0
+    def _uptime(self) -> float:
+        return time.monotonic() - self._started_at if self._started_at else 0.0
+
+    def _bind_metrics(self, tel: Telemetry) -> None:
+        """Expose the server's own counters and point-in-time state as
+        registry families read at scrape; nothing here is stored twice."""
+        counter, gauge = tel.registry.bind_counter, tel.registry.bind_gauge
+        scheduler = self.scheduler
+        counter(
+            "fhe_server_busy_seconds_total",
+            "Monotonic seconds the flusher spent bootstrapping.",
+            lambda: self._busy_seconds,
         )
-        reg.gauge("fhe_connections", "Live client connections.").set(
-            len(self._connections)
+        counter(
+            "fhe_jobs_deduped_total",
+            "Requests answered without re-executing.",
+            lambda: self._jobs_deduped,
         )
-        reg.gauge("fhe_sessions_active", "Durable sessions held.").set(
-            len(self._sessions)
+        counter(
+            "fhe_jobs_shed_total",
+            "Jobs rejected up front by deadline shedding.",
+            lambda: self._jobs_shed,
         )
-        reg.gauge("fhe_queue_depth", "Scheduler jobs pending flush.").set(
-            self.scheduler.pending_jobs
+        counter(
+            "fhe_trace_spans_dropped_total",
+            "Spans the bounded trace ring dropped to make room.",
+            lambda: tel.tracer.dropped,
         )
-        reg.gauge("fhe_awaiting_results", "Requests awaiting a flushed reply.").set(
-            len(self._waiters)
+        gauge("fhe_server_uptime_seconds", "Seconds since start()", self._uptime)
+        gauge(
+            "fhe_server_draining",
+            "1 while a graceful drain is running.",
+            lambda: self._draining,
         )
-        residents = self.scheduler.residents
-        reg.gauge("fhe_resident_keys", "Distinct cloud keys held resident.").set(
-            len(residents)
+        gauge("fhe_connections", "Live client connections.", lambda: len(self._connections))
+        gauge("fhe_sessions_active", "Durable sessions held.", lambda: len(self._sessions))
+        gauge("fhe_queue_depth", "Scheduler jobs pending flush.", lambda: scheduler.pending_jobs)
+        gauge(
+            "fhe_awaiting_results",
+            "Requests awaiting a flushed reply.",
+            lambda: len(self._waiters),
         )
-        reg.gauge(
+        gauge(
+            "fhe_resident_keys",
+            "Distinct cloud keys held resident.",
+            lambda: len(scheduler.residents),
+        )
+        gauge(
             "fhe_resident_key_bytes",
             "Bytes of resident cloud keys and their spectrum caches (by shape); "
             "an upload lands in the buffer its arrays view, so RSS grows by this.",
-        ).set(sum(r.context.resident_bytes for r in residents))
-        dispatcher = self.scheduler.dispatcher
-        health = getattr(dispatcher, "health", None)
-        if health is not None:
-            reg.gauge("fhe_pool_workers_alive", "Pool workers currently alive.").set(
-                sum(1 for w in health if w.alive)
+            lambda: sum(r.context.resident_bytes for r in scheduler.residents),
+        )
+        pool = scheduler.dispatcher
+        if getattr(pool, "health", None) is not None:
+            gauge(
+                "fhe_pool_workers_alive",
+                "Pool workers currently alive.",
+                lambda: sum(1 for w in pool.health if w.alive),
             )
-            reg.gauge(
-                "fhe_pool_breaker_open", "1 while the refork breaker is open."
-            ).set(1.0 if getattr(dispatcher, "breaker_open", False) else 0.0)
+            gauge(
+                "fhe_pool_breaker_open",
+                "1 while the refork breaker is open.",
+                lambda: pool.breaker_open,
+            )
 
     def render_prometheus(self) -> str:
-        """The ``metrics_prom`` payload: gauges refreshed, registry rendered."""
+        """The ``metrics_prom`` payload: the registry rendered, bound
+        families read now."""
         if self.telemetry is None:
             raise _RequestError(
                 "unsupported", "this server was started with telemetry disabled"
             )
-        self._refresh_gauges()
         return self.telemetry.render_prometheus()
 
     # ------------------------------------------------------------------ #
@@ -865,17 +872,11 @@ class FheServer:
             cached = sess.results.get(request_id)
             if cached is not None:
                 self._jobs_deduped += 1
-                self._tel_count(
-                    "fhe_jobs_deduped_total", "Requests answered without re-executing."
-                )
                 await self._reply(conn, request_id, ("ok",) + cached, header)
                 return
             inflight = sess.inflight.get(request_id)
             if inflight is not None:
                 self._jobs_deduped += 1
-                self._tel_count(
-                    "fhe_jobs_deduped_total", "Requests answered without re-executing."
-                )
                 await self._reply(
                     conn, request_id, await asyncio.shield(inflight), header
                 )
@@ -909,7 +910,8 @@ class FheServer:
         op = header.get("op")
         if not isinstance(op, str):
             raise _RequestError("protocol", "request header lacks a string 'op' field")
-        self._tel_count("fhe_requests_total", "Requests dispatched by op.", op=op)
+        if self.telemetry is not None:
+            self.telemetry.count("fhe_requests_total", "Requests dispatched by op.", op=op)
         if op == "hello":
             return {"server": "repro-serve", "protocol": PROTOCOL_VERSION}, b""
         if op == "metrics":
@@ -951,7 +953,7 @@ class FheServer:
     def _note_register_key(self, elapsed: float) -> None:
         """What one accepted ``register_key`` cost, header parsed to reply queued."""
         self._register_seconds.append(elapsed)
-        del self._register_seconds[: -self.latency_window]
+        del self._register_seconds[:-_LATENCY_WINDOW]
         tel = self.telemetry
         if tel is not None and tel.metrics_enabled:
             tel.observe(
@@ -1008,9 +1010,6 @@ class FheServer:
         ) + _percentile(self._flush_seconds, 0.50)
         if deadline_ms / 1000.0 < eta:
             self._jobs_shed += 1
-            self._tel_count(
-                "fhe_jobs_shed_total", "Jobs rejected up front by deadline shedding."
-            )
             raise _RequestError(
                 "shed",
                 f"deadline of {deadline_ms:.0f}ms cannot be met "

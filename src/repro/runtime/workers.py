@@ -96,7 +96,8 @@ class WorkerPoolError(RuntimeError):
 
 @dataclass
 class PoolStats:
-    """Pool-wide dispatch and fault counters."""
+    """Pool-wide dispatch and fault counters (their only store: a scheduler
+    with telemetry binds registry families that read them at scrape)."""
 
     tasks_dispatched: int = 0
     tasks_completed: int = 0
@@ -108,16 +109,6 @@ class PoolStats:
     breaker_trips: int = 0
     #: ``run_rows`` calls executed in-process because the breaker was open.
     inline_fallbacks: int = 0
-
-    def reset(self) -> None:
-        self.tasks_dispatched = 0
-        self.tasks_completed = 0
-        self.tasks_retried = 0
-        self.workers_restarted = 0
-        self.results_rejected = 0
-        self.rows_executed = 0
-        self.breaker_trips = 0
-        self.inline_fallbacks = 0
 
 
 @dataclass
@@ -575,7 +566,6 @@ class WorkerPool(RowDispatcher):
         except Exception:
             pass
         self.stats.workers_restarted += 1
-        self._count("fhe_pool_worker_restarts_total", "Pool workers killed and respawned.")
         self._record_restart()
         replacement = self._spawn()
         self._workers[self._workers.index(worker)] = replacement
@@ -594,9 +584,6 @@ class WorkerPool(RowDispatcher):
         ):
             self._breaker_open_until = now + self.breaker_cooldown
             self.stats.breaker_trips += 1
-            self._count(
-                "fhe_pool_breaker_trips_total", "Refork circuit-breaker openings."
-            )
 
     @property
     def breaker_open(self) -> bool:
@@ -729,10 +716,6 @@ class WorkerPool(RowDispatcher):
             # A refork storm tripped the breaker: don't feed work to a pool
             # whose workers keep dying — run the round in-process instead.
             self.stats.inline_fallbacks += 1
-            self._count(
-                "fhe_pool_inline_fallbacks_total",
-                "Rounds run in-process while the breaker was open.",
-            )
             with _round_scope(context, round_ctx):
                 return execute_rows(context, rows, stats, max_rows_per_call)
         if client_id not in self._segments:
@@ -777,11 +760,6 @@ class WorkerPool(RowDispatcher):
         return tasks
 
     # -- telemetry -----------------------------------------------------------
-    def _count(self, name: str, help_text: str, amount: float = 1, **labels) -> None:
-        """Increment a registry counter iff a telemetry sink is attached."""
-        if self.telemetry is not None:
-            self.telemetry.count(name, help_text, amount=amount, **labels)
-
     def _ingest_payload(self, task: _Task, payload) -> None:
         """Adopt one traced task's shipped spans and engine-call deltas."""
         tel = self.telemetry
@@ -798,7 +776,7 @@ class WorkerPool(RowDispatcher):
             for direction in ("forward", "backward"):
                 delta = engine.get(direction, 0)
                 if isinstance(delta, int) and delta > 0:
-                    self._count(
+                    tel.count(
                         "fhe_engine_transform_calls_total",
                         "Negacyclic transform invocations by direction.",
                         amount=delta,
@@ -965,11 +943,6 @@ class WorkerPool(RowDispatcher):
         tel = self.telemetry
         if tel is not None:
             if tel.metrics_enabled and calls:
-                tel.count(
-                    "fhe_batched_calls_total",
-                    "Mixed-gate batched bootstrapping calls issued.",
-                    amount=calls,
-                )
                 remaining = len(task.rows)
                 while remaining > 0:
                     tel.observe(
@@ -998,7 +971,6 @@ class WorkerPool(RowDispatcher):
     def _requeue(self, task: _Task, pending: List[_Task], reason: str) -> None:
         task.retries += 1
         self.stats.tasks_retried += 1
-        self._count("fhe_pool_tasks_retried_total", "Pool tasks requeued after faults.")
         if task.retries > self.max_retries:
             detail = getattr(task, "error", "")
             summary = (

@@ -87,7 +87,7 @@ class Telemetry:
         self.registry = MetricsRegistry()
         self.tracer = Tracer(ring_size=ring_size, enabled=bool(tracing))
         self._round = threading.local()
-        #: Bound-series cache for the hot-path helpers below: resolving a
+        #: Series cache for the hot-path helpers below: resolving a
         #: series through the registry costs two locks plus label-name
         #: validation, which is real money when charged per *job*.  Children
         #: are reset in place by ``registry.reset()``, so cached handles
@@ -96,7 +96,7 @@ class Telemetry:
         self._series_cache: dict = {}
 
     # -- hot-path metric helpers --------------------------------------------
-    def _bound_series(self, kind: str, name: str, help_text: str, labels, **kw):
+    def _cached_series(self, kind: str, name: str, help_text: str, labels, **kw):
         key = (name, labels)
         child = self._series_cache.get(key)
         if child is None:
@@ -118,15 +118,8 @@ class Telemetry:
         """
         if not self.metrics_enabled:
             return
-        if not labels:  # fast path: most hot-site counters are unlabeled
-            child = self._series_cache.get(name)
-            if child is None:
-                child = self._bound_series("counter", name, help_text, ())
-                self._series_cache[name] = child
-            child.inc(amount)
-            return
         items = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        self._bound_series("counter", name, help_text, items).inc(amount)
+        self._cached_series("counter", name, help_text, items).inc(amount)
 
     def observe(
         self,
@@ -140,7 +133,7 @@ class Telemetry:
         if not self.metrics_enabled:
             return
         items = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        self._bound_series(
+        self._cached_series(
             "histogram", name, help_text, items, buckets=buckets
         ).observe(value)
 

@@ -4,9 +4,9 @@
 <repro.telemetry.metrics.MetricsRegistry.snapshot>` into the Prometheus
 text format (version 0.0.4) the server's ``metrics_prom`` op returns::
 
-    # HELP fhe_rows_bootstrapped_total Ciphertext rows bootstrapped.
-    # TYPE fhe_rows_bootstrapped_total counter
-    fhe_rows_bootstrapped_total 4096
+    # HELP fhe_jobs_submitted_total Jobs accepted by the scheduler.
+    # TYPE fhe_jobs_submitted_total counter
+    fhe_jobs_submitted_total{op="gate"} 4096
     # TYPE fhe_flush_seconds histogram
     fhe_flush_seconds_bucket{le="0.005"} 3
     ...

@@ -1,15 +1,15 @@
 """Dependency-free metrics primitives: counters, gauges, histograms.
 
-The runtime has grown several ad-hoc counter bags —
-:class:`repro.runtime.scheduler.SchedulerStats`,
-:class:`repro.runtime.workers.PoolStats`, the per-engine
-:class:`repro.tfhe.transform.TransformStats`, and the
-:class:`repro.runtime.server.FheServer` busy-time/latency window.  This
-module is the **single sink** those feeds converge into: a
-:class:`MetricsRegistry` of named metric families, each either a
-:class:`Counter` (monotone), :class:`Gauge` (set-to-current) or
-:class:`Histogram` (bucketed distribution), optionally fanned out into
-labeled series (``counter.labels(engine="double").inc()``).
+A :class:`MetricsRegistry` holds named families — :class:`Counter`
+(monotone), :class:`Gauge` (set-to-current) or :class:`Histogram`
+(bucketed distribution), optionally fanned out into labeled series
+(``counter.labels(engine="double").inc()``).  A count the runtime already
+keeps in a field (``SchedulerStats``, ``PoolStats``, the server's busy time
+and dedup/shed counts, the tracer's dropped spans) is stored there only:
+its family is **bound** to a reader of the field
+(:meth:`MetricsRegistry.bind_counter` / ``bind_gauge``) that every snapshot
+evaluates, so a scrape and the field cannot disagree.  The registry stores
+what no field holds: the histograms and the labeled counters.
 
 Design constraints, in order:
 
@@ -20,10 +20,9 @@ Design constraints, in order:
   the family's lock (mutations are tiny — a float add — so contention is
   negligible next to a bootstrap).
 * **Snapshot/reset.**  :meth:`MetricsRegistry.snapshot` returns a plain
-  nested-dict copy (JSON-able, stable ordering) that the Prometheus/text
-  renderer in :mod:`repro.telemetry.exposition` and the server's legacy
-  ``metrics()`` dict are both views over; :meth:`MetricsRegistry.reset`
-  zeroes every series in place (tests, bench isolation).
+  nested-dict copy (JSON-able, stable ordering, bound families read now)
+  that :mod:`repro.telemetry.exposition` renders; :meth:`MetricsRegistry.reset`
+  zeroes every stored series in place (tests, bench isolation).
 
 Histogram semantics follow Prometheus: bucket bounds are **inclusive upper
 edges** (``le``) — an observation equal to a bound lands in that bound's
@@ -38,7 +37,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -104,7 +103,7 @@ class _Family:
     A family declared with no label names has exactly one child (the empty
     label tuple) and the value methods (``inc``/``set``/``observe``) proxy
     to it, so unlabeled metrics read naturally:
-    ``registry.counter("fhe_flushes_total", "...").inc()``.
+    ``registry.counter("fhe_example_total", "...").inc()``.
     """
 
     kind = "untyped"
@@ -204,10 +203,6 @@ class Counter(_Family):
     def inc(self, amount: float = 1.0) -> None:
         self._solo().inc(amount)
 
-    @property
-    def value(self) -> float:
-        return self._solo().value
-
 
 class _GaugeValue:
     __slots__ = ("_value", "_lock")
@@ -253,9 +248,27 @@ class Gauge(_Family):
     def dec(self, amount: float = 1.0) -> None:
         self._solo().dec(amount)
 
+
+class _BoundValue:
+    """The one series of a bound family: its owner's field, read on demand."""
+
+    __slots__ = ("_name", "_read")
+
+    def __init__(self, name: str, read: Callable[[], float]) -> None:
+        self._name = name
+        self._read = read
+
     @property
     def value(self) -> float:
-        return self._solo().value
+        return float(self._read())
+
+    def inc(self, *_args: float) -> None:
+        raise MetricError(f"metric {self._name!r} is bound: update its owner's state")
+
+    dec = set = inc
+
+    def reset(self) -> None:
+        """Nothing to zero: the owner's state is the store."""
 
 
 class _HistogramValue:
@@ -404,9 +417,25 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._declare(Histogram, name, help, labelnames, buckets=buckets)
 
-    def get(self, name: str) -> Optional[_Family]:
+    def bind_counter(self, name: str, help: str, read: Callable[[], float]) -> Counter:
+        """Declare an unlabeled counter whose value is ``read()`` at snapshot.
+
+        What ``read`` returns is the only store: the family refuses
+        ``inc``/``set``, :meth:`reset` leaves it alone, and a name binds once
+        (binding a declared name raises :class:`MetricError`).
+        """
+        return self._bind(Counter(name, help, ()), read)
+
+    def bind_gauge(self, name: str, help: str, read: Callable[[], float]) -> Gauge:
+        """Declare an unlabeled gauge read at snapshot (see :meth:`bind_counter`)."""
+        return self._bind(Gauge(name, help, ()), read)
+
+    def _bind(self, family, read: Callable[[], float]):
+        family._series[()] = _BoundValue(family.name, read)
         with self._lock:
-            return self._families.get(name)
+            if self._families.setdefault(family.name, family) is not family:
+                raise MetricError(f"metric {family.name!r} is already declared")
+        return family
 
     def families(self) -> List[_Family]:
         with self._lock:

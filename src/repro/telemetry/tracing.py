@@ -30,7 +30,8 @@ recorded once with the round's first trace id as primary and the full
 participant list in ``attrs["traces"]`` — :meth:`Tracer.spans_for` resolves
 membership either way.
 
-The ring is bounded (``ring_size``, oldest dropped first) and lock-guarded;
+The ring is bounded (``ring_size``, oldest dropped first and counted in
+:attr:`Tracer.dropped`) and lock-guarded;
 spans recorded inside worker processes cross the task pipe as plain tuples
 (:meth:`Span.to_tuple` / :meth:`Tracer.ingest`).  Export targets:
 :meth:`Tracer.export_json` (plain span dicts) and
@@ -174,6 +175,8 @@ class Tracer:
         self.ring_size = ring_size
         self._ring: "deque[Span]" = deque(maxlen=ring_size)
         self._lock = threading.Lock()
+        #: Spans pushed out of the full ring to make room (never reset).
+        self.dropped = 0
         self._counter = itertools.count(1)
         # pid captured once: getpid() is a real syscall, too expensive per
         # span id.  Safe across fork because workers always build a *fresh*
@@ -214,16 +217,19 @@ class Tracer:
             duration,
             attrs,
         )
-        with self._lock:
-            self._ring.append(span)
+        self._append(span)
         return span.span_id
 
     def ingest(self, data: Sequence) -> None:
         """Adopt one :meth:`Span.to_tuple` record (e.g. from a worker pipe)."""
         if not self.enabled:
             return
-        span = Span.from_tuple(data)
+        self._append(Span.from_tuple(data))
+
+    def _append(self, span: Span) -> None:
         with self._lock:
+            if len(self._ring) == self.ring_size:
+                self.dropped += 1
             self._ring.append(span)
 
     # -- reading ------------------------------------------------------------

@@ -33,6 +33,8 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.runtime import ResilientClient, WorkerPool
+from repro.runtime.chaos import FlakyEngine
 from repro.runtime.protocol import (
     DEFAULT_MAX_FRAME,
     ServerBusy,
@@ -50,7 +52,7 @@ from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
 from repro.tfhe.serialize import circuit_to_json, to_bytes
-from repro.tfhe.transform import DoubleFFTNegacyclicTransform
+from repro.tfhe.transform import DoubleFFTNegacyclicTransform, clear_engine_quarantine
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
@@ -527,6 +529,79 @@ def _scrape(client) -> dict:
         for name, family in families.items()
         if family["type"] != "histogram"
     }
+
+
+#: ``metrics()`` keys → the Prometheus family counting the same events.
+METRICS_TWINS = {
+    "flushes": "fhe_flushes_total",
+    "rows_bootstrapped": "fhe_rows_bootstrapped_total",
+    "jobs_completed": "fhe_jobs_completed_total",
+    "jobs_deduped": "fhe_jobs_deduped_total",
+    "jobs_shed": "fhe_jobs_shed_total",
+    "engine_failovers": "fhe_engine_failovers_total",
+    "inline_fallbacks": "fhe_inline_fallbacks_total",
+}
+POOL_TWINS = {
+    "tasks_retried": "fhe_pool_tasks_retried_total",
+    "workers_restarted": "fhe_pool_worker_restarts_total",
+    "breaker_trips": "fhe_pool_breaker_trips_total",
+    "inline_fallbacks": "fhe_pool_inline_fallbacks_total",
+}
+
+
+def test_metrics_and_the_scrape_count_every_event_once(server_factory, wire_keys):
+    """A reconnect that re-registers its session's key, a pool task retry
+    (whose restart trips the breaker), an engine failover on the breaker's
+    inline path and a deadline-shed job: afterwards every ``metrics()`` count
+    equals its Prometheus twin."""
+    secret, cloud = wire_keys
+    ca, cb = encrypt_bit(secret, 1, rng=800), encrypt_bit(secret, 1, rng=801)
+    # Spawn 0 dies on its first task: one retry, one restart — and with a
+    # threshold of one restart the breaker opens, so later rounds run inline.
+    pool = WorkerPool(
+        2,
+        task_timeout=60.0,
+        breaker_threshold=1,
+        breaker_cooldown=3600.0,
+        fault_plans={0: {"crash_on_task": 0}},
+    )
+    try:
+        server = server_factory(dispatcher=pool, flush_interval=0.02)
+        with ResilientClient(port=server.port, base_delay=0.001) as client:
+            client.register_key(cloud)
+            assert decrypt_bit(secret, client.gate("nand", ca, cb)) == 0
+            assert pool.breaker_open
+
+            # The next inline round faults on its first transform call: the
+            # scheduler quarantines the kind, fails over and replays it.
+            (resident,) = server.scheduler.residents
+            context = resident.context
+            context.engine = FlakyEngine(context.engine, masquerade_kind="compiled")
+            context.release()  # rebuild the spectrum cache on the flaky engine
+
+            client._client._sock.shutdown(socket.SHUT_RDWR)
+            assert decrypt_bit(secret, client.gate("and", ca, cb)) == 1
+            assert client.stats.reconnects == 1
+
+        with ServingClient(port=server.port) as observer:
+            with pytest.raises(ServerError) as excinfo:
+                observer.call("gate", b"", gate="nand", deadline_ms=0)
+            assert excinfo.value.kind == "shed"
+            metrics = server.metrics()
+            scraped = _scrape(observer)
+    finally:
+        pool.close()
+        clear_engine_quarantine()
+
+    # Each event happened once, so the parity below is not between zeros.
+    assert [metrics[key] for key in ("jobs_deduped", "jobs_shed", "engine_failovers")] == [1] * 3
+    assert [metrics["pool"][key] for key in ("tasks_retried", "breaker_trips")] == [1] * 2
+    for key, family in METRICS_TWINS.items():
+        assert metrics[key] == scraped.get(family), key
+    for key, family in POOL_TWINS.items():
+        assert metrics["pool"][key] == scraped.get(family), key
+    busy = metrics["busy_fraction"] * metrics["uptime_seconds"]
+    assert busy == pytest.approx(scraped["fhe_server_busy_seconds_total"], rel=1e-9)
 
 
 def test_connections_uploading_one_key_share_a_resident_and_its_calls(

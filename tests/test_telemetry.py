@@ -1,8 +1,8 @@
 """The unified telemetry subsystem: registry, tracing, exposition, end-to-end.
 
-Unit layers first (metric families, histogram bucket-edge semantics, the
-Prometheus render→parse round trip, the tracer ring), then the integration
-properties PR 10 is really about:
+Unit layers first (metric families, bound families, histogram bucket-edge
+semantics, the Prometheus render→parse round trip, the tracer ring), then
+the integration properties:
 
 * a traced job submitted through an **inline** scheduler leaves the full
   span taxonomy in the ring, correctly parented;
@@ -13,22 +13,32 @@ properties PR 10 is really about:
 * a :class:`ResilientClient` disconnect mid-request resubmits under the
   *same* trace id, so the server records one trace with two reply attempts;
 * ``FheServer.metrics()`` keeps its legacy dict shape (the ops-tooling
-  contract) while gaining the registry-backed uptime/busy numbers.
+  contract);
+* every counter has one store: a family with a field twin reads the field
+  at scrape, and nothing in ``src/`` writes such a family.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import math
+import re
 import socket
 import struct
 import time
+import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.runtime import BatchScheduler, WorkerPool
 from repro.runtime.protocol import ServingClient, pack_parts, unpack_parts
-from repro.runtime.resilient import ResilientClient
+from repro.runtime.resilient import DeadlineExceeded, ResilientClient
+from repro.runtime.scheduler import InlineDispatcher, RowDispatcher, execute_rows
+from repro.runtime.server import FheServer
+from repro.runtime.workers import PoolStats
 from repro.telemetry import (
     MetricError,
     MetricsRegistry,
@@ -186,6 +196,35 @@ def test_telemetry_hot_path_helpers():
     assert off.registry.snapshot() == {}
 
 
+def test_bound_family_reads_its_owner_and_refuses_updates():
+    """A bound family is its owner's field read at snapshot: present at zero
+    before its first event, refusing inc/set, untouched by reset, bound once."""
+    state = {"events": 0, "depth": 3}
+    tel = Telemetry()
+    reg = tel.registry
+    events = reg.bind_counter("fhe_events_total", "events", lambda: state["events"])
+    depth = reg.bind_gauge("fhe_depth", "depth", lambda: state["depth"])
+
+    text = tel.render_prometheus()
+    assert "fhe_events_total 0\n" in text and "fhe_depth 3\n" in text
+    state["events"] = 5
+    assert reg.snapshot()["fhe_events_total"]["series"][0]["value"] == 5
+
+    for update in (events.inc, depth.set, depth.inc, depth.dec):
+        with pytest.raises(MetricError):
+            update(1)
+    with pytest.raises(MetricError):
+        tel.count("fhe_events_total")  # the hot-path helper cannot write it either
+    reg.reset()
+    assert reg.snapshot()["fhe_events_total"]["series"][0]["value"] == 5
+
+    with pytest.raises(MetricError):
+        reg.bind_counter("fhe_events_total", "again", lambda: 0)
+    reg.counter("fhe_stored_total").inc()
+    with pytest.raises(MetricError):
+        reg.bind_gauge("fhe_stored_total", "a stored name", lambda: 0)
+
+
 # --------------------------------------------------------------------------- #
 # tracer                                                                      #
 # --------------------------------------------------------------------------- #
@@ -197,6 +236,7 @@ def test_tracer_ring_is_bounded_and_filterable():
         tracer.record(f"s{i}", trace_id=f"t{i % 2}", start=float(i), duration=0.1)
     spans = tracer.spans()
     assert [s.name for s in spans] == ["s3", "s4", "s5", "s6"]  # oldest dropped
+    assert tracer.dropped == 3  # ...and counted
     assert [s.name for s in tracer.spans("t0")] == ["s4", "s6"]
     assert tracer.trace_ids() == ["t1", "t0"]
 
@@ -236,6 +276,12 @@ def test_tracer_exports_and_pipe_tuples():
     assert [s.name for s in other.spans("t")] == ["job", "keyswitch"]
     with pytest.raises(ValueError):
         other.ingest((1, 2, 3, 4, 5, 6, 7))
+
+    # An ingested span that overflows the ring is counted like a recorded one.
+    small = Tracer(ring_size=1)
+    for record in [s.to_tuple() for s in tracer.spans()]:
+        small.ingest(record)
+    assert [s.name for s in small.spans()] == ["keyswitch"] and small.dropped == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -295,6 +341,47 @@ def test_inline_scheduler_records_full_taxonomy(wire_keys):
     assert snap["fhe_flushes_total"]["series"][0]["value"] >= 1
     assert snap["fhe_rows_bootstrapped_total"]["series"][0]["value"] >= 4
     assert snap["fhe_rows_per_call"]["series"][0]["count"] >= 1
+
+
+#: Each counter family a scheduler binds → the ``SchedulerStats`` field it reads.
+SCHEDULER_TWINS = {
+    "fhe_flushes_total": "flushes",
+    "fhe_rows_bootstrapped_total": "rows_bootstrapped",
+    "fhe_batched_calls_total": "batched_calls",
+    "fhe_jobs_completed_total": "jobs_completed",
+    "fhe_engine_failovers_total": "engine_failovers",
+    "fhe_inline_fallbacks_total": "inline_fallbacks",
+}
+
+
+def test_scheduler_registry_reads_its_stats_fields(wire_keys):
+    """Library use: the registry a scheduler reports into shows its stats,
+    field for field, before and after work (one store, read twice)."""
+    secret, cloud = wire_keys
+    tel = Telemetry()
+    scheduler = BatchScheduler(telemetry=tel, max_rows_per_call=2)
+
+    def assert_twins():
+        snap = tel.registry.snapshot()
+        for family, field in SCHEDULER_TWINS.items():
+            (series,) = snap[family]["series"]
+            assert series["value"] == getattr(scheduler.stats, field), family
+
+    assert_twins()  # present at zero before the first event
+    scheduler.register_client("tenant", cloud)
+    session = scheduler.session("tenant")
+    first = session.submit_gate(
+        "and", encrypt_bit(secret, 1, rng=560), encrypt_bit(secret, 1, rng=561)
+    )
+    for i in range(3):
+        session.submit_gate(
+            "or", encrypt_bit(secret, i & 1, rng=562 + i), encrypt_bit(secret, 0, rng=570 + i)
+        )
+    chained = session.submit_gate("xor", first, first)
+    scheduler.flush()
+    assert decrypt_bit(secret, chained.result()) == 0
+    assert scheduler.stats.batched_calls > scheduler.stats.flushes > 0
+    assert_twins()
 
 
 def test_untraced_scheduler_records_nothing(wire_keys):
@@ -511,15 +598,12 @@ def test_resilient_retry_keeps_one_trace_two_reply_attempts(
         assert client.stats.reconnects >= 1
 
 
-def test_resilient_client_counts_into_registry(server_factory, wire_keys):
-    """With a Telemetry bundle attached, the retry machinery mirrors its
-    bookkeeping into fhe_client_* counters."""
+def test_resilient_client_stats_keep_the_retry_bookkeeping(server_factory, wire_keys):
+    """``client.stats`` is where the retry machinery counts: dials,
+    re-dials, replays and abandoned deadlines."""
     secret, cloud = wire_keys
     server = server_factory(flush_interval=0.02)
-    tel = Telemetry()
-    with ResilientClient(
-        port=server.port, base_delay=0.001, telemetry=tel
-    ) as client:
+    with ResilientClient(port=server.port, base_delay=0.001) as client:
         client.register_key(cloud)
         out = client.gate(
             "and", encrypt_bit(secret, 1, rng=550), encrypt_bit(secret, 1, rng=551)
@@ -530,8 +614,98 @@ def test_resilient_client_counts_into_registry(server_factory, wire_keys):
             "xor", encrypt_bit(secret, 1, rng=552), encrypt_bit(secret, 0, rng=553)
         )
         assert decrypt_bit(secret, out) == 1
+        with pytest.raises(DeadlineExceeded):
+            client.call("hello", deadline=1e-9)
 
-    snap = tel.registry.snapshot()
-    assert snap["fhe_client_connects_total"]["series"][0]["value"] >= 2
-    assert snap["fhe_client_reconnects_total"]["series"][0]["value"] >= 1
-    assert snap["fhe_client_resubmits_total"]["series"][0]["value"] >= 1
+    assert client.stats.connects >= 2
+    assert client.stats.reconnects >= 1
+    assert client.stats.resubmitted >= 1
+    assert client.stats.deadlines_exceeded == 1
+
+
+# --------------------------------------------------------------------------- #
+# one store per counter                                                       #
+# --------------------------------------------------------------------------- #
+
+#: Every family read from a field at scrape: the scheduler's, a worker
+#: pool's, the server's own counters and gauges, and the trace ring's drops.
+BOUND_FAMILIES = frozenset(SCHEDULER_TWINS) | {
+    "fhe_pool_worker_restarts_total",
+    "fhe_pool_breaker_trips_total",
+    "fhe_pool_tasks_retried_total",
+    "fhe_pool_inline_fallbacks_total",
+    "fhe_server_busy_seconds_total",
+    "fhe_jobs_deduped_total",
+    "fhe_jobs_shed_total",
+    "fhe_trace_spans_dropped_total",
+    "fhe_server_uptime_seconds",
+    "fhe_server_draining",
+    "fhe_connections",
+    "fhe_sessions_active",
+    "fhe_queue_depth",
+    "fhe_awaiting_results",
+    "fhe_resident_keys",
+    "fhe_resident_key_bytes",
+    "fhe_pool_workers_alive",
+    "fhe_pool_breaker_open",
+}
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+class _PoolShaped(RowDispatcher):
+    """What the scheduler and server look for on a worker pool, no processes."""
+
+    def __init__(self) -> None:
+        self.stats = PoolStats()
+        self.health = []
+        self.breaker_open = False
+
+
+def test_every_bound_family_is_written_in_one_place():
+    """A fresh server's registry holds exactly the bound families (stored
+    ones appear at their first event); each name occurs once in ``src/`` —
+    at its binding — and no ``count``/``inc``/``set`` call names one."""
+    server = FheServer(dispatcher=_PoolShaped())
+    registry = server.telemetry.registry
+    assert {family.name for family in registry.families()} == BOUND_FAMILIES
+    for family in registry.families():
+        with pytest.raises(MetricError):
+            family.inc(1)
+
+    sources = {path: path.read_text() for path in sorted(SRC.rglob("*.py"))}
+    everywhere = "\n".join(sources.values())
+    for name in BOUND_FAMILIES:
+        assert len(re.findall(rf"\b{name}\b", everywhere)) == 1, name
+
+    writers = []
+    for path, text in sources.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # escapes in docstrings are not at issue
+            tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("count", "inc", "set")
+            ):
+                continue
+            receiver = node.func.value
+            args = node.args[:1] + (receiver.args[:1] if isinstance(receiver, ast.Call) else [])
+            named = {a.value for a in args if isinstance(a, ast.Constant)}
+            if named & BOUND_FAMILIES:
+                writers.append(f"{path.name}:{node.lineno}")
+    assert writers == []
+
+
+def _parameters(function):
+    return list(inspect.signature(function).parameters)
+
+
+def test_signatures_the_benchmark_and_callers_rely_on():
+    run_rows = ["self", "client_id", "context", "rows", "stats", "max_rows_per_call", "round_ctx"]
+    for dispatcher in (RowDispatcher, InlineDispatcher, WorkerPool):
+        assert _parameters(dispatcher.run_rows) == run_rows, dispatcher
+    assert _parameters(execute_rows) == ["context", "rows", "stats", "max_rows_per_call"]
+    assert "telemetry" not in _parameters(ResilientClient.__init__)
+    assert "latency_window" not in _parameters(FheServer.__init__)
