@@ -626,11 +626,6 @@ class BatchScheduler:
                             name, help_text, partial(getattr, stats, field)
                         )
 
-    # -- telemetry helpers ---------------------------------------------------
-    @property
-    def _traced(self) -> bool:
-        return self.telemetry is not None and self.telemetry.tracer.enabled
-
     # -- client management ---------------------------------------------------
     @property
     def residents(self) -> List[ResidentKey]:
@@ -727,8 +722,7 @@ class BatchScheduler:
         trace_id: Optional[str] = None,
     ) -> None:
         tel = self.telemetry
-        traced = tel is not None and tel.tracer.enabled
-        if traced:
+        if tel is not None:
             tid = trace_id or tel.tracer.new_trace_id()
             job.trace_id = tid
             job.handle.trace_id = tid
@@ -747,7 +741,6 @@ class BatchScheduler:
             )
         if tel is not None:
             tel.count("fhe_jobs_submitted_total", "Jobs accepted by the scheduler.", op=op)
-        if traced:
             tel.tracer.record(
                 "enqueue",
                 job.trace_id,
@@ -761,7 +754,7 @@ class BatchScheduler:
         # since flush() will simply drop it from the queue.
         if job.done:
             self.stats.jobs_completed += 1
-            if traced:
+            if tel is not None:
                 tel.tracer.record("job", job.trace_id, start=job.submit_wall, duration=0.0)
             return
         self._clients[client_id].queues[client_id].append(job)
@@ -882,7 +875,7 @@ class BatchScheduler:
         """
         self.stats.flushes += 1
         tel = self.telemetry
-        traced = self._traced
+        traced = tel is not None
         total_rows = 0
         while True:
             progressed = False
@@ -964,8 +957,8 @@ class BatchScheduler:
         """Record each job's ``coalesce_wait`` span and mint the round ctx.
 
         Returns ``(trace ids, flush span id)`` for the round, or ``None``
-        when no contributing job carries a trace (tracing was enabled after
-        they were submitted).
+        when no contributing job carries a trace (telemetry was attached
+        after they were submitted).
         """
         tel = self.telemetry
         now_wall = time.time()

@@ -20,14 +20,16 @@ matched up).
 
 Isolation and backpressure:
 
-* **Per-connection key namespace.**  Each connection registers *its own*
-  cloud key under a private client id; operands are validated against that
-  key's dimension and job handles cannot cross client ids (enforced by the
-  scheduler).  One connection can never read, or compute under, another's
-  key material — the cross-client-leakage property the fuzz suite checks.
-  Connections that upload the *identical* key (one tenant, many sockets)
-  share one resident context and one batched call per round; identity is an
-  exact array comparison, never a digest, so sharing cannot be forged.
+* **One record per client.**  Every request runs under its connection's
+  :class:`_SessionState` — private to the connection, or a ``session``
+  token's durable record — which registers *its own* cloud key under its
+  client id; operands are validated against that key's dimension and job
+  handles cannot cross client ids (enforced by the scheduler).  One client
+  can never read, or compute under, another's key material — the
+  cross-client-leakage property the fuzz suite checks.  Clients that upload
+  the *identical* key (one tenant, many sockets) share one resident context
+  and one batched call per round; identity is an exact array comparison,
+  never a digest, so sharing cannot be forged.
 * **Bounded queue, reject semantics.**  The scheduler is built with
   ``max_pending_jobs``; a submission beyond it fails fast with a ``busy``
   error frame the client can retry after its in-flight work drains.
@@ -120,22 +122,31 @@ class _RequestError(Exception):
 
 
 class _SessionState:
-    """Server-side state for one client *session*, surviving reconnects.
+    """Server-side state for one client — the server's only per-client record.
 
-    A client that sends a ``session`` token in its request headers gets a
-    durable identity: its key registration, a bounded cache of success
-    replies keyed by request id (so retried requests are answered from the
-    cache — exactly-once results under at-least-once delivery), and an
-    inflight map deduplicating *concurrent* duplicates of the same request.
-    Token-less connections keep the historical ephemeral behaviour.
+    A connection starts under a *private* record — no token, no reply
+    cache, its connection id as scheduler client id — released (key and
+    all) when the connection closes.  The first request that carries a
+    ``session`` token swaps it for that token's *durable* record (refused
+    once the private record has registered a key), which survives
+    reconnects until it has been disconnected for ``session_ttl``: its key
+    registration and a bounded cache of success replies keyed by request id
+    (so retried requests are answered from the cache — exactly-once results
+    under at-least-once delivery).  Both kinds keep an inflight map
+    deduplicating *concurrent* duplicates of the same request.
     """
 
-    def __init__(self, token: str, cache_size: int) -> None:
+    def __init__(
+        self, client_id: str, token: Optional[str] = None, cache_size: int = 0
+    ) -> None:
         self.token = token
-        #: Scheduler client id — session-scoped, so a reconnect reuses the
-        #: same registered context instead of re-warming a new one.
-        self.client_id = f"sess-{token}"
+        #: Scheduler client id — a durable record's is session-scoped, so a
+        #: reconnect reuses the same registered context.
+        self.client_id = client_id
         self.cache_size = cache_size
+        #: Set when a first ``register_key`` starts — before its first await,
+        #: so no token can swap the record out from under it — and cleared
+        #: again if that registration fails.
         self.registered = False
         self.register_reply: Optional[Tuple[Dict[str, Any], bytes]] = None
         #: request id → (reply header, reply body); success replies only —
@@ -144,8 +155,11 @@ class _SessionState:
         #: request id → future resolving to this request's outcome tuple;
         #: a concurrent duplicate awaits it instead of re-executing.
         self.inflight: Dict[int, asyncio.Future] = {}
-        self.refs = 0
+        #: Live connections under this record (it is built for the first).
+        self.refs = 1
         self.last_seen = time.monotonic()
+        #: Job-op requests served (the ``top_sessions`` view).
+        self.jobs = 0
 
     def remember(self, request_id: int, header: Dict[str, Any], body: bytes) -> None:
         self.results[request_id] = (header, body)
@@ -161,18 +175,16 @@ class _SessionState:
 
 
 class _Connection:
-    """Per-connection state: its writer, key namespace and inflight bound."""
+    """Per-connection state: its writer, inflight bound and client record."""
 
     def __init__(self, conn_id: str, writer: asyncio.StreamWriter, max_inflight: int) -> None:
         self.conn_id = conn_id
-        #: Scheduler namespace — the connection id until a session token
-        #: binds this connection to a durable session's client id.
-        self.client_id = conn_id
         self.writer = writer
         self.write_lock = asyncio.Lock()
         self.inflight = asyncio.Semaphore(max_inflight)
-        self.registered = False
-        self.session: Optional[_SessionState] = None
+        #: The record every request of this connection runs under: private
+        #: until a ``session`` token swaps in that token's durable record.
+        self.session = _SessionState(conn_id)
         self.tasks: set = set()
 
 
@@ -199,9 +211,10 @@ class FheServer:
         queued job and the flush that runs it (more concurrent clients per
         batched call).  The window closes early once the queue holds as
         many jobs as the server counted in flight at the end of the
-        previous flush — nobody is left to wait for; that count is
-        forgotten after the queue has sat empty for ``flush_interval``, so
-        a cold or idle server waits the whole window.
+        previous flush (or at the last departure of a client holding a
+        key) — nobody is left to wait for; that count is forgotten after
+        the queue has sat empty for ``flush_interval``, so a cold or idle
+        server waits the whole window.
     max_rows_per_call:
         Forwarded to the scheduler: chunk bound for one batched bootstrap.
     max_frame:
@@ -211,7 +224,8 @@ class FheServer:
         window).  Clients advance it faster via the ``ack`` header field.
     session_ttl:
         Seconds a disconnected session's state (key registration, reply
-        cache) is retained before it is reaped.
+        cache) is retained; the next departure of any client after that
+        reaps it.
     """
 
     def __init__(
@@ -226,12 +240,9 @@ class FheServer:
         max_frame: int = DEFAULT_MAX_FRAME,
         session_cache_size: int = 256,
         session_ttl: float = 300.0,
-        telemetry: bool = True,
     ) -> None:
-        #: Unified metrics + tracing sink (``telemetry=False`` keeps every
-        #: instrumentation site behind a single ``is None`` check — the
-        #: zero-overhead-when-disabled contract asserted by the bench).
-        self.telemetry: Optional[Telemetry] = Telemetry() if telemetry else None
+        #: Unified metrics + tracing sink, always on.
+        self.telemetry = Telemetry()
         self.scheduler = BatchScheduler(
             max_rows_per_call=max_rows_per_call,
             dispatcher=dispatcher,
@@ -248,7 +259,8 @@ class FheServer:
         self._lock = asyncio.Lock()
         self._work_ready = asyncio.Event()
         #: Set when the open coalescing window has nothing left to wait for:
-        #: by ``_submit`` (the population is queued), by the window's timer
+        #: by ``_submit`` (the population is queued), by the departure of a
+        #: client it was waiting for, by the window's timer
         #: (``flush_interval`` passed) or by ``drain``.
         self._window_closed = asyncio.Event()
         #: Monotonic time the first job of the open window queued, or None.
@@ -257,7 +269,8 @@ class FheServer:
         self._jobs_inflight = 0
         #: ``_jobs_inflight`` at the end of the last flush — the jobs it ran
         #: plus those that blocked on the lock meanwhile, i.e. every job that
-        #: can arrive in the next window.  None while unknown.
+        #: can arrive in the next window — or at the last departure of a
+        #: client holding a key.  None while unknown.
         self._population: Optional[int] = None
         #: Monotonic time the last flush ended; the population expires once
         #: the queue has sat empty for ``flush_interval`` past it.
@@ -279,10 +292,7 @@ class FheServer:
         self._drain_seconds: Optional[float] = None
         self._jobs_deduped = 0
         self._jobs_shed = 0
-        #: client id → job-op requests served (the ``top_sessions`` view).
-        self._session_jobs: Dict[str, int] = {}
-        if self.telemetry is not None:
-            self._bind_metrics(self.telemetry)
+        self._bind_metrics(self.telemetry)
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
@@ -389,12 +399,10 @@ class FheServer:
                 await self._flush_queued()
 
     async def _flush_queued(self) -> None:
-        """One flush of everything queued (lock held).
+        """One flush of everything queued (lock held, flusher only).
 
         Consumes the open window, runs the scheduler off-loop, re-measures
-        who is around for the next window and resolves the waiters — for the
-        flusher, and for a departing connection whose queued jobs nobody
-        else would run.
+        who is around for the next window and resolves the waiters.
         """
         self._work_ready.clear()
         self._window_closed.clear()
@@ -420,20 +428,18 @@ class FheServer:
         del self._flush_seconds[:-_LATENCY_WINDOW]
         self._window_seconds.append(waited)
         del self._window_seconds[:-_LATENCY_WINDOW]
-        tel = self.telemetry
-        if tel is not None and tel.metrics_enabled:
-            tel.observe(
-                "fhe_flush_seconds",
-                elapsed,
-                "Wall time of one scheduler flush.",
-                buckets=DEFAULT_LATENCY_BUCKETS,
-            )
-            tel.observe(
-                "fhe_coalesce_wait_seconds",
-                waited,
-                "First queued job to the start of the flush that ran it.",
-                buckets=_COALESCE_WAIT_BUCKETS,
-            )
+        self.telemetry.observe(
+            "fhe_flush_seconds",
+            elapsed,
+            "Wall time of one scheduler flush.",
+            buckets=DEFAULT_LATENCY_BUCKETS,
+        )
+        self.telemetry.observe(
+            "fhe_coalesce_wait_seconds",
+            waited,
+            "First queued job to the start of the flush that ran it.",
+            buckets=_COALESCE_WAIT_BUCKETS,
+        )
         self._resolve_waiters()
 
     def _resolve_waiters(self) -> None:
@@ -503,6 +509,10 @@ class FheServer:
         uptime = self._uptime()
         residents = self.scheduler.residents
         busy = self._busy_seconds
+        # Live records only: durable sessions and open connections' own.
+        records = list(self._sessions.values()) + [
+            c.session for c in self._connections.values() if c.session.token is None
+        ]
         snapshot: Dict[str, Any] = {
             "uptime_seconds": uptime,
             "busy_fraction": busy / uptime if uptime else 0.0,
@@ -531,13 +541,11 @@ class FheServer:
             "inline_fallbacks": stats.inline_fallbacks,
             "draining": self._draining,
             "drain_seconds": self._drain_seconds or 0.0,
-            "top_sessions": sorted(
-                (
-                    {"client": client, "jobs": jobs}
-                    for client, jobs in self._session_jobs.items()
-                ),
-                key=lambda entry: -entry["jobs"],
-            )[:5],
+            "top_sessions": [
+                {"client": record.client_id, "jobs": record.jobs}
+                for record in sorted(records, key=lambda r: -r.jobs)[:5]
+                if record.jobs
+            ],
         }
         snapshot["engines_quarantined"] = quarantined_engines()
         dispatcher = self.scheduler.dispatcher
@@ -636,10 +644,6 @@ class FheServer:
     def render_prometheus(self) -> str:
         """The ``metrics_prom`` payload: the registry rendered, bound
         families read now."""
-        if self.telemetry is None:
-            raise _RequestError(
-                "unsupported", "this server was started with telemetry disabled"
-            )
         return self.telemetry.render_prometheus()
 
     # ------------------------------------------------------------------ #
@@ -686,28 +690,25 @@ class FheServer:
             await self._cleanup_connection(conn)
 
     async def _cleanup_connection(self, conn: _Connection) -> None:
+        """Every departure's teardown; the reader has already awaited each
+        request of ``conn``, so none of its jobs is queued."""
         self._connections.pop(conn.conn_id, None)
-        if conn.session is not None:
-            # Durable session: keep its registration and reply cache alive
-            # for a reconnect; reap only after session_ttl of disuse.
-            conn.session.refs -= 1
-            conn.session.last_seen = time.monotonic()
-            async with self._lock:
-                self._reap_sessions()
-        elif conn.registered:
-            async with self._lock:
-                try:
-                    if self.scheduler.pending_jobs:
-                        # Orphaned jobs (client gone before its results):
-                        # drain them so the queues stay clean, drop results.
-                        # Whoever stays is re-measured, as after any flush.
-                        await self._flush_queued()
-                    # force=True: a job enqueued after that flush (racing
-                    # request task) gets failed with JobAborted instead of
-                    # wedging the teardown — satellite of the abort path.
-                    self.scheduler.deregister_client(conn.conn_id, force=True)
-                except Exception:  # pragma: no cover - best-effort teardown
-                    pass
+        record = conn.session
+        record.refs -= 1
+        record.last_seen = time.monotonic()
+        async with self._lock:
+            if record.token is None:
+                self._release(record)
+            self._reap_sessions()
+            if record.registered:
+                # One client fewer to wait for: re-measure who is around, as
+                # after a flush, and stop holding the open window for it.
+                self._population = self._jobs_inflight
+                if (
+                    self._window_opened is not None
+                    and self.scheduler.pending_jobs >= self._population
+                ):
+                    self._window_closed.set()
         try:
             conn.writer.close()
             await conn.writer.wait_closed()
@@ -722,12 +723,15 @@ class FheServer:
             for t, sess in self._sessions.items()
             if sess.refs <= 0 and now - sess.last_seen > self.session_ttl
         ]:
-            sess = self._sessions.pop(token)
-            if sess.registered:
-                try:
-                    self.scheduler.deregister_client(sess.client_id, force=True)
-                except Exception:  # pragma: no cover - best-effort teardown
-                    pass
+            self._release(self._sessions.pop(token))
+
+    def _release(self, record: _SessionState) -> None:
+        """Deregister a departed record's key, if it holds one (lock held)."""
+        if record.registered:
+            try:
+                self.scheduler.deregister_client(record.client_id, force=True)
+            except Exception:  # pragma: no cover - best-effort teardown
+                pass
 
     async def _send(
         self, conn: _Connection, header: Dict[str, Any], body: bytes = b""
@@ -755,29 +759,33 @@ class FheServer:
     # request dispatch                                                   #
     # ------------------------------------------------------------------ #
 
-    def _bind_session(
-        self, conn: _Connection, header: Dict[str, Any]
-    ) -> Optional[_SessionState]:
-        """Resolve the request's ``session`` token to durable session state."""
+    def _bind_session(self, conn: _Connection, header: Dict[str, Any]) -> _SessionState:
+        """The record this request runs under: the connection's, or — on the
+        first ``session`` token — that token's durable record swapped in."""
         token = header.get("session")
         if token is None:
             return conn.session
         if not isinstance(token, str) or not token:
             raise _RequestError("protocol", "'session' must be a non-empty string")
-        if conn.session is not None:
-            if conn.session.token != token:
-                raise _RequestError(
-                    "protocol", "connection is already bound to a different session"
-                )
+        if token == conn.session.token:
             return conn.session
+        if conn.session.token is not None:
+            raise _RequestError(
+                "protocol", "connection is already bound to a different session"
+            )
+        if conn.session.registered:
+            raise _RequestError(
+                "protocol",
+                "a 'session' token must come before register_key: "
+                "this connection already registered a key without one",
+            )
         sess = self._sessions.get(token)
         if sess is None:
-            sess = _SessionState(token, self.session_cache_size)
+            sess = _SessionState(f"sess-{token}", token, self.session_cache_size)
             self._sessions[token] = sess
-        sess.refs += 1
-        sess.last_seen = time.monotonic()
+        else:
+            sess.refs += 1
         conn.session = sess
-        conn.client_id = sess.client_id
         return sess
 
     async def _execute(
@@ -818,21 +826,14 @@ class FheServer:
         too, so one logical job that was delivered twice shows one trace
         with two ``reply`` spans — the signature the chaos suite asserts on.
         """
-        tel = self.telemetry
         trace_id = header.get("trace")
-        if (
-            tel is None
-            or not tel.tracer.enabled
-            or header.get("op") not in _JOB_OPS
-            or not isinstance(trace_id, str)
-            or not trace_id
-        ):
+        if header.get("op") not in _JOB_OPS or not isinstance(trace_id, str) or not trace_id:
             await self._send_outcome(conn, request_id, outcome)
             return
         start_wall = time.time()
         start_perf = time.perf_counter()
         await self._send_outcome(conn, request_id, outcome)
-        tel.tracer.record(
+        self.telemetry.tracer.record(
             "reply",
             trace_id,
             start=start_wall,
@@ -846,28 +847,19 @@ class FheServer:
         request_id = header.get("id")
         if not isinstance(request_id, int):
             request_id = -1
-        tel = self.telemetry
-        if (
-            tel is not None
-            and tel.tracer.enabled
-            and header.get("op") in _JOB_OPS
-            and not (isinstance(header.get("trace"), str) and header.get("trace"))
+        if header.get("op") in _JOB_OPS and not (
+            isinstance(header.get("trace"), str) and header.get("trace")
         ):
             # Job without a client-supplied trace id: mint one server-side so
             # the whole enqueue → flush → reply path still joins one trace.
-            header["trace"] = tel.tracer.new_trace_id()
+            header["trace"] = self.telemetry.tracer.new_trace_id()
         try:
             if not isinstance(header.get("id"), int):
                 raise _RequestError("protocol", "request header lacks an integer 'id'")
             sess = self._bind_session(conn, header)
-            if sess is None:
-                await self._reply(
-                    conn, request_id, await self._execute(conn, header, body), header
-                )
-                return
             # Idempotent path: a retried request id is answered from the
-            # session's reply cache (or by awaiting the in-flight original)
-            # instead of executing twice.
+            # record's reply cache (or by awaiting the in-flight original)
+            # instead of executing twice.  A private record caches nothing.
             sess.prune_acked(header.get("ack"))
             cached = sess.results.get(request_id)
             if cached is not None:
@@ -910,8 +902,7 @@ class FheServer:
         op = header.get("op")
         if not isinstance(op, str):
             raise _RequestError("protocol", "request header lacks a string 'op' field")
-        if self.telemetry is not None:
-            self.telemetry.count("fhe_requests_total", "Requests dispatched by op.", op=op)
+        self.telemetry.count("fhe_requests_total", "Requests dispatched by op.", op=op)
         if op == "hello":
             return {"server": "repro-serve", "protocol": PROTOCOL_VERSION}, b""
         if op == "metrics":
@@ -932,9 +923,7 @@ class FheServer:
             )
         if op in _JOB_OPS:
             self._check_deadline(header)
-            self._session_jobs[conn.client_id] = (
-                self._session_jobs.get(conn.client_id, 0) + 1
-            )
+            conn.session.jobs += 1
         if op == "register_key":
             begin = time.monotonic()
             reply = await self._op_register_key(conn, header, body)
@@ -954,14 +943,12 @@ class FheServer:
         """What one accepted ``register_key`` cost, header parsed to reply queued."""
         self._register_seconds.append(elapsed)
         del self._register_seconds[:-_LATENCY_WINDOW]
-        tel = self.telemetry
-        if tel is not None and tel.metrics_enabled:
-            tel.observe(
-                "fhe_register_key_seconds",
-                elapsed,
-                "One register_key request, header parsed to reply queued.",
-                buckets=_REGISTER_KEY_BUCKETS,
-            )
+        self.telemetry.observe(
+            "fhe_register_key_seconds",
+            elapsed,
+            "One register_key request, header parsed to reply queued.",
+            buckets=_REGISTER_KEY_BUCKETS,
+        )
 
     def _op_trace_export(self, header: Dict[str, Any]) -> Tuple[Dict[str, Any], bytes]:
         """Export the trace ring: Chrome trace-event (default) or span JSON.
@@ -971,10 +958,6 @@ class FheServer:
         ``"json"`` (plain span dicts).
         """
         tel = self.telemetry
-        if tel is None or not tel.tracer.enabled:
-            raise _RequestError(
-                "unsupported", "this server was started with telemetry disabled"
-            )
         trace_id = header.get("trace")
         if trace_id is not None and not isinstance(trace_id, str):
             raise _RequestError("bad_request", "'trace' must be a string trace id")
@@ -1017,14 +1000,12 @@ class FheServer:
             )
 
     def _context(self, conn: _Connection) -> FheContext:
-        registered = conn.registered or (
-            conn.session is not None and conn.session.registered
-        )
-        if not registered:
+        try:
+            return self.scheduler.client_context(conn.session.client_id)
+        except KeyError:
             raise _RequestError(
                 "no_key", "register_key must precede homomorphic operations"
-            )
-        return self.scheduler.client_context(conn.client_id)
+            ) from None
 
     def _artifact(self, data: bytes, expected_type, what: str, decode=from_bytes):
         try:
@@ -1065,45 +1046,48 @@ class FheServer:
         # in place: nothing else holds that buffer, so both branches adopt it
         # (a same-key duplicate is one transient key, compared and dropped).
         (key_bytes,) = unpack_parts(body, expected=1)
-        if sess is not None and sess.registered:
+        if sess.registered:
+            if sess.token is None:
+                raise _RequestError(
+                    "bad_request", "this connection already registered a key"
+                )
             # Idempotent re-registration after a reconnect: the same key
             # gets the cached reply; a different key is a hard error (the
             # session's queued results were computed under the old key).
             # "Same" is the scheduler's exact identity, never a checksum.
             cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key", from_owned_buffer)
+            if sess.register_reply is None:
+                raise _RequestError("busy", "this session's key is still registering")
             held = self.scheduler.client_context(sess.client_id).cloud_key
             if not same_cloud_key(held, cloud):
                 raise _RequestError(
                     "bad_request", "session already registered a different key"
                 )
-            conn.registered = True
-            assert sess.register_reply is not None
             self._jobs_deduped += 1
             return dict(sess.register_reply[0]), sess.register_reply[1]
-        if conn.registered:
-            raise _RequestError("bad_request", "this connection already registered a key")
         cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key", from_owned_buffer)
+        sess.registered = True  # before the first await: see _SessionState
         loop = asyncio.get_running_loop()
-        async with self._lock:
-            # Off-loop: a first-time key builds its context (and, for a
-            # worker pool, packs the shared segment); a key already resident
-            # is compared array by array and attached.
-            try:
+        try:
+            async with self._lock:
+                # Off-loop: a first-time key builds its context (and, for a
+                # worker pool, packs the shared segment); a key already
+                # resident is compared array by array and attached.
                 context = await loop.run_in_executor(
-                    None, self.scheduler.register_client, conn.client_id, cloud
+                    None, self.scheduler.register_client, sess.client_id, cloud
                 )
-            except UnsupportedEngine as exc:
+        except Exception as exc:
+            sess.registered = False
+            if isinstance(exc, UnsupportedEngine):
                 raise _RequestError("unsupported_engine", str(exc)) from None
-            conn.registered = True
+            raise
         reply = {
             "params": context.params.name,
             "unroll_factor": context.unroll_factor,
             "engine": type(context.engine).__name__,
             "engine_kind": context.engine.engine_kind,
         }
-        if sess is not None:
-            sess.registered = True
-            sess.register_reply = (dict(reply), b"")
+        sess.register_reply = (dict(reply), b"")
         return reply, b""
 
     async def _op_gate(
@@ -1115,7 +1099,7 @@ class FheServer:
         part_a, part_b = unpack_parts(body, expected=2)
         ca = self._check_sample(conn, self._artifact(part_a, LweSample, "operand a"), "operand a")
         cb = self._check_sample(conn, self._artifact(part_b, LweSample, "operand b"), "operand b")
-        session = self.scheduler.session(conn.client_id)
+        session = self.scheduler.session(conn.session.client_id)
         trace_id = header.get("trace") if isinstance(header.get("trace"), str) else None
         try:
             result = await self._submit(
@@ -1142,7 +1126,7 @@ class FheServer:
             )
             for i, part in enumerate(parts)
         ]
-        session = self.scheduler.session(conn.client_id)
+        session = self.scheduler.session(conn.session.client_id)
         trace_id = header.get("trace") if isinstance(header.get("trace"), str) else None
         try:
             result = await self._submit(
@@ -1181,7 +1165,7 @@ class FheServer:
         for name, wires in circuit.input_wires.items():
             inputs[name] = bits[cursor : cursor + len(wires)]
             cursor += len(wires)
-        session = self.scheduler.session(conn.client_id)
+        session = self.scheduler.session(conn.session.client_id)
         trace_id = header.get("trace") if isinstance(header.get("trace"), str) else None
         try:
             outputs = await self._submit(

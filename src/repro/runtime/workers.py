@@ -336,8 +336,6 @@ def _worker_main(
                 segment = segments.pop(client_id, None)
                 if segment is not None:
                     segment.close()
-            elif kind == "ping":
-                conn.send(("pong", spawn_index))
             elif kind == "rows":
                 _, task_id, client_id, rows, max_rows_per_call, trace_ctx = message
                 try:
@@ -357,9 +355,7 @@ def _worker_main(
                         # metrics-less ring and ship them back as tuples;
                         # engine-call deltas ride along so the parent's
                         # registry stays the single metrics sink.
-                        worker_tel = Telemetry(
-                            metrics=False, tracing=True, ring_size=256
-                        )
+                        worker_tel = Telemetry(metrics=False, ring_size=256)
                         engine_before = context.engine.stats.snapshot()
                         context.telemetry = worker_tel
                         try:
@@ -765,12 +761,11 @@ class WorkerPool(RowDispatcher):
         tel = self.telemetry
         if tel is None or not isinstance(payload, dict):
             return
-        if tel.tracer.enabled:
-            for span_tuple in payload.get("spans", ()):
-                try:
-                    tel.tracer.ingest(span_tuple)
-                except (ValueError, TypeError):
-                    continue  # malformed span from a sick worker: drop, keep rest
+        for span_tuple in payload.get("spans", ()):
+            try:
+                tel.tracer.ingest(span_tuple)
+            except (ValueError, TypeError):
+                continue  # malformed span from a sick worker: drop, keep rest
         engine = payload.get("engine")
         if tel.metrics_enabled and isinstance(engine, dict):
             for direction in ("forward", "backward"):
@@ -953,7 +948,7 @@ class WorkerPool(RowDispatcher):
                     )
                     remaining -= per_call
             self._ingest_payload(task, payload)
-            if tel.tracer.enabled and task.trace_ctx is not None:
+            if task.trace_ctx is not None:
                 trace_ids, flush_span_id = task.trace_ctx
                 attrs = {"worker": worker.spawn_index, "rows": len(task.rows)}
                 if len(trace_ids) > 1:

@@ -9,11 +9,12 @@ gauges, histograms; rendered by the server's ``metrics_prom`` op via
 batch-level code (one blind rotation serving many jobs) attribute its spans
 to every participating trace.
 
-Wiring pattern (zero overhead when disabled):
+Wiring pattern:
 
-* ``BatchScheduler(telemetry=...)`` / ``FheServer(telemetry=True)`` opt the
-  runtime in; a scheduler built without telemetry keeps every
-  instrumentation site behind a single ``is None`` check.
+* An ``FheServer`` always builds one bundle and hands it to its scheduler;
+  a library ``BatchScheduler(telemetry=None)`` is the one way to run
+  without, keeping every instrumentation site behind a single ``is None``
+  check.
 * The scheduler mirrors the bundle onto each registered
   :class:`repro.runtime.context.FheContext` (``context.telemetry``), which
   is how the innermost layer — :class:`repro.tfhe.gates.BatchGateEvaluator`
@@ -21,8 +22,8 @@ Wiring pattern (zero overhead when disabled):
 * During one flush round the dispatcher wraps execution in
   :meth:`Telemetry.stage_round`; inside it, :meth:`Telemetry.stage` times
   the ``engine_contract`` / ``keyswitch`` stages and records them against
-  the round's traces.  With no active round (or tracing disabled)
-  ``stage()`` is a no-op timing nothing.
+  the round's traces.  With no active round ``stage()`` is a no-op timing
+  nothing.
 * Worker processes build a private, metrics-less ``Telemetry`` per traced
   task and ship the recorded spans back over the result pipe as tuples
   (:meth:`repro.telemetry.tracing.Span.to_tuple`); the parent pool ingests
@@ -72,20 +73,14 @@ __all__ = [
 class Telemetry:
     """One registry + one tracer + the active stage-round state.
 
-    ``metrics`` / ``tracing`` gate the two halves independently (a worker
-    process traces without keeping a registry; a metrics-only deployment
-    skips span recording entirely).
+    ``metrics=False`` turns the hot-path metric helpers into no-ops: a
+    worker process traces without keeping a registry.
     """
 
-    def __init__(
-        self,
-        metrics: bool = True,
-        tracing: bool = True,
-        ring_size: int = 4096,
-    ) -> None:
+    def __init__(self, metrics: bool = True, ring_size: int = 4096) -> None:
         self.metrics_enabled = bool(metrics)
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(ring_size=ring_size, enabled=bool(tracing))
+        self.tracer = Tracer(ring_size=ring_size)
         self._round = threading.local()
         #: Series cache for the hot-path helpers below: resolving a
         #: series through the registry costs two locks plus label-name
@@ -143,11 +138,6 @@ class Telemetry:
         """The thread's active ``(trace ids, parent span id)`` round, if any."""
         return getattr(self._round, "ctx", None)
 
-    @property
-    def tracing_active(self) -> bool:
-        """True iff spans recorded *now* would land in a round's traces."""
-        return self.tracer.enabled and self.round_ctx is not None
-
     @contextmanager
     def stage_round(
         self,
@@ -174,10 +164,10 @@ class Telemetry:
     def stage(self, name: str, **attrs: Any) -> Iterator[None]:
         """Time one batch-level stage and record it against the round.
 
-        Outside an active round (or with tracing disabled) this costs two
-        attribute reads and times nothing.
+        Outside an active round this costs one attribute read and times
+        nothing.
         """
-        ctx = self.round_ctx if self.tracer.enabled else None
+        ctx = self.round_ctx
         if ctx is None:
             yield
             return

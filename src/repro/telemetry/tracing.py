@@ -27,8 +27,8 @@ span                meaning
 Batch-level spans (``flush``, ``worker_dispatch``, ``engine_contract``,
 ``keyswitch``) cover *every* job coalesced into the round, so they are
 recorded once with the round's first trace id as primary and the full
-participant list in ``attrs["traces"]`` — :meth:`Tracer.spans_for` resolves
-membership either way.
+participant list in ``attrs["traces"]`` — :meth:`Tracer.spans` filtered
+to one trace resolves membership either way.
 
 The ring is bounded (``ring_size``, oldest dropped first and counted in
 :attr:`Tracer.dropped`) and lock-guarded;
@@ -49,10 +49,9 @@ import itertools
 import json
 import os
 import threading
-import time
 import uuid
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Span", "Tracer"]
 
@@ -162,16 +161,11 @@ class Span:
 
 
 class Tracer:
-    """Bounded ring of :class:`Span` records plus id generation.
+    """Bounded ring of :class:`Span` records plus id generation."""
 
-    ``enabled=False`` turns every record call into an early return, so a
-    disabled tracer costs one attribute read per instrumentation site.
-    """
-
-    def __init__(self, ring_size: int = 4096, enabled: bool = True) -> None:
+    def __init__(self, ring_size: int = 4096) -> None:
         if ring_size <= 0:
             raise ValueError("ring_size must be positive")
-        self.enabled = enabled
         self.ring_size = ring_size
         self._ring: "deque[Span]" = deque(maxlen=ring_size)
         self._lock = threading.Lock()
@@ -204,10 +198,8 @@ class Tracer:
         parent_id: Optional[str] = None,
         span_id: Optional[str] = None,
         attrs: Optional[Dict[str, Any]] = None,
-    ) -> Optional[str]:
-        """Append one span; returns its id (``None`` when disabled)."""
-        if not self.enabled:
-            return None
+    ) -> str:
+        """Append one span; returns its id."""
         span = Span(
             trace_id,
             span_id or self.new_span_id(),
@@ -222,8 +214,6 @@ class Tracer:
 
     def ingest(self, data: Sequence) -> None:
         """Adopt one :meth:`Span.to_tuple` record (e.g. from a worker pipe)."""
-        if not self.enabled:
-            return
         self._append(Span.from_tuple(data))
 
     def _append(self, span: Span) -> None:
@@ -240,9 +230,6 @@ class Tracer:
         if trace_id is None:
             return spans
         return [span for span in spans if span.in_trace(trace_id)]
-
-    def spans_for(self, trace_id: str) -> List[Span]:
-        return self.spans(trace_id)
 
     def trace_ids(self) -> List[str]:
         """Distinct primary trace ids, oldest first."""
@@ -265,8 +252,3 @@ class Tracer:
         pid = os.getpid()
         events = [span.to_chrome_event(pid) for span in self.spans(trace_id)]
         return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
-
-
-def wall_and_perf() -> Tuple[float, float]:
-    """The (wall-clock, perf-counter) pair instrumentation sites start from."""
-    return time.time(), time.perf_counter()

@@ -319,33 +319,12 @@ def lwe_batch_decrypt_digits(
     )
 
 
-def lwe_batch_add(x: LweBatch, y: LweBatch) -> LweBatch:
-    """Elementwise homomorphic addition of two batches."""
-    a = torus32_from_int64(x.a.astype(np.int64) + y.a.astype(np.int64))
-    b = torus32_from_int64(x.b.astype(np.int64) + y.b.astype(np.int64))
-    return LweBatch(a=a, b=b)
-
-
-def lwe_batch_sub(x: LweBatch, y: LweBatch) -> LweBatch:
-    """Elementwise homomorphic subtraction of two batches."""
-    a = torus32_from_int64(x.a.astype(np.int64) - y.a.astype(np.int64))
-    b = torus32_from_int64(x.b.astype(np.int64) - y.b.astype(np.int64))
-    return LweBatch(a=a, b=b)
-
-
 def lwe_batch_negate(x: LweBatch) -> LweBatch:
     """Elementwise homomorphic negation of a batch."""
     return LweBatch(
         a=torus32_from_int64(-x.a.astype(np.int64)),
         b=torus32_from_int64(-x.b.astype(np.int64)),
     )
-
-
-def lwe_batch_scale(scalar: int, x: LweBatch) -> LweBatch:
-    """Multiply every ciphertext of a batch by a small public integer."""
-    a = torus32_from_int64(int(scalar) * x.a.astype(np.int64))
-    b = torus32_from_int64(int(scalar) * x.b.astype(np.int64))
-    return LweBatch(a=a, b=b)
 
 
 def lwe_batch_concat(batches) -> LweBatch:
@@ -365,9 +344,3 @@ def lwe_batch_concat(batches) -> LweBatch:
         a=np.concatenate([batch.a for batch in batches], axis=0),
         b=np.concatenate([batch.b for batch in batches], axis=0),
     )
-
-
-def lwe_batch_add_constant(x: LweBatch, constant) -> LweBatch:
-    """Add a public torus constant (scalar or ``(B,)``) to a batch's messages."""
-    b = torus32_from_int64(x.b.astype(np.int64) + np.asarray(constant, dtype=np.int64))
-    return LweBatch(a=x.a.copy(), b=b)

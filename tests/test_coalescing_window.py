@@ -207,8 +207,8 @@ def test_departed_client_costs_the_survivor_one_window(server_factory, wire_keys
     dispatcher = RecordingDispatcher()
     server = server_factory(dispatcher=dispatcher, flush_interval=WINDOW)
     survivor = ServingClient(port=server.port)
-    # A durable session: its teardown keeps the key and flushes nothing, so
-    # the only thing its departure changes is who is left to wait for.
+    # A durable session: its teardown keeps the key for a reconnect, so the
+    # only thing its departure changes is who is left to wait for.
     leaver = ServingClient(port=server.port, session="leaver")
     try:
         survivor.register_key(cloud)
@@ -242,16 +242,19 @@ def test_departed_client_costs_the_survivor_one_window(server_factory, wire_keys
     assert server._jobs_inflight == 0
 
 
-def test_departed_clients_own_flush_remeasures_who_is_around(server_factory, wire_keys):
-    """A plain connection's teardown flushes what is queued — here the
-    survivor's job, which was waiting for the leaver.  That flush re-measures
-    the population like any other, so the survivor's next gate waits for
-    nobody (before: for the rest of the window the departed client opened)."""
+def test_departed_clients_own_flush_remeasures_who_is_around(
+    server_factory, wire_keys, leaver_session=None
+):
+    """The teardown of a client that held a key re-measures who is around:
+    the population becomes the job requests still in flight, and the open
+    window closes once they are all queued — here the survivor's job, which
+    was waiting for the leaver, runs at once and its next gate waits for
+    nobody (not for the rest of the window the departed client opened)."""
     secret, cloud = wire_keys
     dispatcher = RecordingDispatcher()
     server = server_factory(dispatcher=dispatcher, flush_interval=WINDOW)
     survivor = ServingClient(port=server.port)
-    leaver = ServingClient(port=server.port)
+    leaver = ServingClient(port=server.port, session=leaver_session)
     try:
         survivor.register_key(cloud)
         leaver.register_key(cloud)
@@ -266,7 +269,7 @@ def test_departed_clients_own_flush_remeasures_who_is_around(server_factory, wir
         request = survivor.submit_gate("nand", ca, cb)
         assert _wait_until(lambda: len(server._waiters) == 1)
         assert dispatcher.widths == [2]  # ... so the lone job is held back
-        leaver.close()  # its teardown flush is what runs the survivor's job
+        leaver.close()  # its teardown closes the window the survivor's job is in
         assert decrypt_bit(secret, survivor.gate_result(request)) == want
         assert dispatcher.calls[1][0] - submitted < WINDOW - SLACK
 
@@ -278,6 +281,14 @@ def test_departed_clients_own_flush_remeasures_who_is_around(server_factory, wir
         leaver.close()
     assert _wait_until(lambda: not server._connections)
     assert server._jobs_inflight == 0
+
+
+def test_departed_session_holder_remeasures_who_is_around(server_factory, wire_keys):
+    """The same departure by a client holding a ``session`` token: its key
+    stays for a reconnect, but nobody waits for it any more."""
+    test_departed_clients_own_flush_remeasures_who_is_around(
+        server_factory, wire_keys, leaver_session="leaver"
+    )
 
 
 def test_burst_after_idle_coalesces_like_a_cold_server(server_factory, wire_keys):

@@ -159,7 +159,7 @@ def test_failed_operand_fails_the_dependent_job_only(tiny_keys_naive):
 def test_empty_round_returns_no_rows_and_counts_nothing(tiny_keys_naive, make_dispatcher):
     _, cloud = tiny_keys_naive
     context = FheContext(cloud)
-    context.telemetry = Telemetry(metrics=True, tracing=False)
+    context.telemetry = Telemetry()
     stats = SchedulerStats()
     dispatcher = make_dispatcher()
     try:

@@ -44,6 +44,7 @@ from repro.runtime.protocol import (
     pack_parts,
     read_frame,
 )
+from repro.runtime.server import _Connection, _SessionState
 from repro.telemetry import parse_prometheus_text
 from repro.tfhe.gates import decrypt_bit, encrypt_bit
 from repro.tfhe.integers import RadixInt, decrypt_radix, encrypt_radix
@@ -691,6 +692,73 @@ def test_session_reregistration_compares_keys_not_checksums(
         header, _ = client.result(honest)
         assert header["params"] == info["params"]  # the same key still reconnects
     assert len(server.scheduler.residents) == 1
+
+
+# --------------------------------------------------------------------------- #
+# one record per client                                                       #
+# --------------------------------------------------------------------------- #
+
+
+def test_a_connection_runs_under_one_record():
+    conn = _Connection("conn7", writer=None, max_inflight=1)
+    assert isinstance(conn.session, _SessionState)
+    record = conn.session
+    assert (record.client_id, record.token, record.cache_size) == ("conn7", None, 0)
+    assert not hasattr(conn, "registered") and not hasattr(conn, "client_id")
+
+
+def test_token_after_register_key_is_refused_and_the_key_still_leaves(
+    server_factory, wire_keys
+):
+    """A plain connection's key lives under its private record: a ``session``
+    token arriving after ``register_key`` is a typed protocol error, the
+    connection keeps computing, and its key leaves when it closes."""
+    secret, cloud = wire_keys
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        with pytest.raises(ServerError) as excinfo:
+            client.call("hello", session="late")
+        assert excinfo.value.kind == "protocol"
+        out = client.gate("nand", encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2))
+        assert decrypt_bit(secret, out) == 0
+    assert _wait_until(lambda: not server._connections)
+    with ServingClient(port=server.port) as observer:
+        assert _scrape(observer)["fhe_resident_keys"] == 0
+        assert observer.metrics()["sessions"] == 0
+
+
+def test_an_expired_session_is_reaped_at_any_departure(server_factory, wire_keys):
+    _secret, cloud = wire_keys
+    server = server_factory(session_ttl=0.05)
+    with ServingClient(port=server.port, session="gone") as client:
+        client.register_key(cloud)
+    assert _wait_until(lambda: not server._connections)
+    time.sleep(0.1)  # past the TTL; only plain clients come and go from here
+    with ServingClient(port=server.port) as passerby:
+        passerby.hello()
+    assert _wait_until(lambda: not server._connections)
+    with ServingClient(port=server.port) as observer:
+        assert _scrape(observer)["fhe_resident_keys"] == 0
+        assert observer.metrics()["sessions"] == 0
+
+
+def test_closed_plain_connections_leave_no_state(server_factory, wire_keys):
+    secret, cloud = wire_keys
+    server = server_factory()
+    for i in range(20):
+        with ServingClient(port=server.port) as client:
+            client.register_key(cloud)
+            out = client.gate(
+                "or", encrypt_bit(secret, 0, rng=900 + i), encrypt_bit(secret, 1, rng=950 + i)
+            )
+            assert decrypt_bit(secret, out) == 1
+    assert _wait_until(lambda: not server._connections)
+    assert server.scheduler.residents == [] and server._sessions == {}
+    with ServingClient(port=server.port) as observer:
+        metrics = observer.metrics()
+    assert metrics["top_sessions"] == []
+    assert (metrics["clients"], metrics["sessions"]) == (0, 0)
 
 
 # --------------------------------------------------------------------------- #

@@ -246,10 +246,6 @@ def test_tracer_ring_is_bounded_and_filterable():
     )
     assert "flush" in [s.name for s in tracer.spans("t1")]
 
-    disabled = Tracer(enabled=False)
-    assert disabled.record("x", trace_id="t", start=0.0, duration=0.0) is None
-    assert disabled.spans() == []
-
 
 def test_tracer_exports_and_pipe_tuples():
     tracer = Tracer()
@@ -525,23 +521,6 @@ def test_server_metrics_keeps_legacy_shape(server_factory, wire_keys):
         assert isinstance(metrics["top_sessions"], list)
 
 
-def test_telemetry_disabled_server_still_serves(server_factory, wire_keys):
-    secret, cloud = wire_keys
-    server = server_factory(telemetry=False, flush_interval=0.02)
-    with ServingClient(port=server.port) as client:
-        client.register_key(cloud)
-        out = client.gate(
-            "or", encrypt_bit(secret, 0, rng=530), encrypt_bit(secret, 1, rng=531)
-        )
-        assert decrypt_bit(secret, out) == 1
-        metrics = client.metrics()  # legacy view works without the registry
-        assert metrics["jobs_completed"] >= 1
-        from repro.runtime.protocol import ServerError
-
-        with pytest.raises(ServerError):
-            client.call("metrics_prom")
-
-
 def test_resilient_retry_keeps_one_trace_two_reply_attempts(
     server_factory, wire_keys
 ):
@@ -709,3 +688,23 @@ def test_signatures_the_benchmark_and_callers_rely_on():
     assert _parameters(execute_rows) == ["context", "rows", "stats", "max_rows_per_call"]
     assert "telemetry" not in _parameters(ResilientClient.__init__)
     assert "latency_window" not in _parameters(FheServer.__init__)
+
+
+def test_observability_has_no_off_switch():
+    """The server always observes and a tracer always records; a worker's
+    metrics-less bundle is the one half-state left."""
+    assert _parameters(FheServer.__init__) == [
+        "self",
+        "dispatcher",
+        "host",
+        "port",
+        "max_pending_jobs",
+        "max_inflight",
+        "flush_interval",
+        "max_rows_per_call",
+        "max_frame",
+        "session_cache_size",
+        "session_ttl",
+    ]
+    assert _parameters(Telemetry.__init__) == ["self", "metrics", "ring_size"]
+    assert _parameters(Tracer.__init__) == ["self", "ring_size"]
