@@ -11,12 +11,18 @@ submitted work, holds a coalescing window open so concurrent clients' jobs
 land in the same flush — until the queue holds every job request the server
 has seen in flight, or ``flush_interval`` at the latest — then runs
 ``scheduler.flush()`` in the default thread-pool executor while holding the
-submit lock — the event loop stays responsive (handshakes, metrics, frame
-parsing) but no job can be enqueued while the queues are being drained.
-Completed :class:`JobHandle`\\ s resolve ``asyncio`` futures that per-request
-handler tasks are awaiting, so replies go out as soon as their flush
-completes, in any order (the protocol's request ids keep pipelined clients
-matched up).
+scheduler lock — the event loop stays responsive (handshakes, metrics,
+frame parsing) but nothing touches the queues while they are being drained.
+
+A ``gate``, ``lut`` or ``circuit`` request is a *record*, not a task: the
+connection's reader validates and decodes it and submits its job in the
+same turn it reads the frame (a request read while the lock is held is
+parked and submitted the moment the lock is released), and the flusher
+answers the record when its flush resolves the job — every frame one flush
+answers for one connection leaves in one write.  The other ops (``hello``,
+``metrics``, ``metrics_prom``, ``trace_export``, ``register_key``,
+``radix_add``) run as one task each.  Replies go out in any order; the
+protocol's request ids keep pipelined clients matched up.
 
 Isolation and backpressure:
 
@@ -34,9 +40,10 @@ Isolation and backpressure:
   ``max_pending_jobs``; a submission beyond it fails fast with a ``busy``
   error frame the client can retry after its in-flight work drains.
 * **Bounded reads, await semantics.**  A connection may have at most
-  ``max_inflight`` requests being processed; past that the server simply
-  stops reading its socket (TCP backpressure), so a slow or flooding client
-  stalls itself, never the server's memory.
+  ``max_inflight`` requests read and not yet answered; past that — or while
+  its unread replies fill the transport's buffer — the server simply stops
+  reading its socket (TCP backpressure), so a slow or flooding client stalls
+  itself, never the server's memory.
 * A malformed frame (bad magic, oversized prefix, truncated stream) gets
   one best-effort error frame and the connection is closed — after a
   framing error the byte stream is not trustworthy.  Application-level
@@ -47,11 +54,13 @@ Isolation and backpressure:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import signal
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +75,6 @@ from repro.runtime.scheduler import (
 from repro.runtime.protocol import (
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
-    BadHeader,
     ProtocolError,
     encode_frame,
     pack_parts,
@@ -76,6 +84,7 @@ from repro.runtime.protocol import (
 from repro.tfhe.integers import RadixEvaluator, RadixInt
 from repro.tfhe.keys import TFHECloudKey
 from repro.tfhe.lwe import LweBatch, LweSample
+from repro.tfhe.netlist import Circuit
 from repro.telemetry import DEFAULT_LATENCY_BUCKETS, Telemetry
 from repro.tfhe.serialize import (
     SerializationError,
@@ -90,6 +99,12 @@ __all__ = ["FheServer", "serve"]
 
 #: Ops that represent homomorphic work (traced, per-session accounted).
 _JOB_OPS = frozenset({"gate", "lut", "circuit", "radix_add"})
+#: Job ops the reader submits as records and the flusher answers.
+_RECORD_OPS = frozenset({"gate", "lut", "circuit"})
+#: Ops that stay answerable during a drain.
+_INTROSPECTION_OPS = frozenset({"hello", "metrics", "metrics_prom", "trace_export"})
+#: Ops that run as a task of their own.
+_TASK_OPS = _INTROSPECTION_OPS | {"register_key", "radix_add"}
 
 #: ``fhe_coalesce_wait_seconds`` bounds: an early-closed window is tens of
 #: microseconds, a full default one 2 ms.
@@ -103,6 +118,15 @@ _REGISTER_KEY_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.
 #: Entries each latency ring (flush, coalescing wait, ``register_key``)
 #: keeps for the ``metrics`` percentiles and deadline shedding.
 _LATENCY_WINDOW = 512
+
+#: A request's outcome: ``("ok", reply header, reply body)`` or
+#: ``("err", kind, message)``.
+_Outcome = Tuple[str, Any, Any]
+#: A reply's header and body.
+_Reply = Tuple[Dict[str, Any], bytes]
+#: A job request decoded: the call that submits its job, and the encoder
+#: of the reply from the job's result.
+_Job = Tuple[Callable[[], JobHandle], Callable[[Any], _Reply]]
 
 
 def _percentile(values: List[float], q: float, default: float = 0.0) -> float:
@@ -119,6 +143,38 @@ class _RequestError(Exception):
         super().__init__(message)
         self.kind = kind
         self.message = message
+
+
+def _failure(exc: Exception) -> _Outcome:
+    """The error outcome a request that raised ``exc`` is answered with."""
+    if isinstance(exc, _RequestError):
+        return ("err", exc.kind, exc.message)
+    if isinstance(exc, JobAborted):
+        return ("err", "aborted", str(exc))
+    if isinstance(exc, (ProtocolError, SerializationError)):
+        return ("err", "bad_request", str(exc))
+    return ("err", "internal", f"{type(exc).__name__}: {exc}")
+
+
+def _job_failure(exc: Exception) -> _Outcome:
+    """The error outcome of a job whose result raised ``exc``: a ValueError
+    there is the request's (an unknown gate, an infeasible table)."""
+    if isinstance(exc, ValueError):
+        return ("err", "bad_request", str(exc))
+    return _failure(exc)
+
+
+def _sample_reply(result: LweSample) -> _Reply:
+    return {}, pack_parts([to_bytes(result)])
+
+
+def _circuit_reply(circuit: Circuit, outputs: Dict[str, List[LweSample]]) -> _Reply:
+    ordered: List[LweSample] = []
+    for name in circuit.output_wires:
+        ordered.extend(outputs[name])
+    return {
+        "outputs": {n: len(w) for n, w in circuit.output_wires.items()}
+    }, pack_parts([to_bytes(LweBatch.from_samples(ordered))])
 
 
 class _SessionState:
@@ -144,17 +200,17 @@ class _SessionState:
         #: reconnect reuses the same registered context.
         self.client_id = client_id
         self.cache_size = cache_size
-        #: Set when a first ``register_key`` starts — before its first await,
-        #: so no token can swap the record out from under it — and cleared
-        #: again if that registration fails.
+        #: Set when a first ``register_key`` is read — in the reader's turn,
+        #: so no session token read after it can swap the record out from
+        #: under it — and cleared again if that registration fails.
         self.registered = False
         self.register_reply: Optional[Tuple[Dict[str, Any], bytes]] = None
         #: request id → (reply header, reply body); success replies only —
         #: errors are never cached, so a retry re-executes them.
         self.results: "OrderedDict[int, Tuple[Dict[str, Any], bytes]]" = OrderedDict()
-        #: request id → future resolving to this request's outcome tuple;
-        #: a concurrent duplicate awaits it instead of re-executing.
-        self.inflight: Dict[int, asyncio.Future] = {}
+        #: request id → the :class:`_Record` answering it; a concurrent
+        #: duplicate joins it instead of re-executing.
+        self.inflight: Dict[int, "_Record"] = {}
         #: Live connections under this record (it is built for the first).
         self.refs = 1
         self.last_seen = time.monotonic()
@@ -174,14 +230,48 @@ class _SessionState:
             del self.results[request_id]
 
 
+class _Record:
+    """One request being answered, and every delivery waiting for its reply.
+
+    A job record (``gate``, ``lut``, ``circuit``) carries the call that
+    submits its job, the scheduler's handle once it is submitted, and the
+    encoder that turns the handle's result into the reply; the flusher
+    answers it.  Any other op's record is answered by the task that runs it.
+    A concurrent duplicate of the request is one more ``(connection, trace
+    id)`` delivery on the original's record, never a second execution.
+    """
+
+    __slots__ = ("session", "request_id", "op", "deliveries", "submit", "handle", "encode")
+
+    def __init__(
+        self,
+        session: _SessionState,
+        request_id: int,
+        op: str,
+        conn: "_Connection",
+        trace: Optional[str],
+    ) -> None:
+        self.session = session
+        self.request_id = request_id
+        self.op = op
+        self.deliveries: List[Tuple[_Connection, Optional[str]]] = [(conn, trace)]
+        self.submit: Optional[Callable[[], JobHandle]] = None
+        self.handle: Optional[JobHandle] = None
+        self.encode: Optional[Callable[[Any], _Reply]] = None
+
+
 class _Connection:
-    """Per-connection state: its writer, inflight bound and client record."""
+    """Per-connection state: its writer, inflight bound, client record and
+    the tasks of its non-job requests."""
 
     def __init__(self, conn_id: str, writer: asyncio.StreamWriter, max_inflight: int) -> None:
         self.conn_id = conn_id
         self.writer = writer
-        self.write_lock = asyncio.Lock()
+        #: One slot per request read and not yet answered: the reader stops
+        #: when none is free, and a departure takes every slot back before
+        #: its teardown runs.
         self.inflight = asyncio.Semaphore(max_inflight)
+        self.max_inflight = max_inflight
         #: The record every request of this connection runs under: private
         #: until a ``session`` token swaps in that token's durable record.
         self.session = _SessionState(conn_id)
@@ -204,8 +294,8 @@ class FheServer:
         Bound on the scheduler queue; submissions past it are rejected
         with a ``busy`` error frame.
     max_inflight:
-        Bound on concurrently-processed requests per connection; past it
-        the server stops reading that socket until replies drain.
+        Bound on requests read and not yet answered per connection; past it
+        the server stops reading that socket until replies go out.
     flush_interval:
         Ceiling, in seconds, of the coalescing window between the first
         queued job and the flush that runs it (more concurrent clients per
@@ -256,31 +346,41 @@ class FheServer:
         self.max_frame = max_frame
         self._server: Optional[asyncio.base_events.Server] = None
         self._flusher: Optional[asyncio.Task] = None
+        #: Held by whoever touches the scheduler off the loop (a flush, a key
+        #: registration, a radix add) or deregisters a client; see
+        #: :meth:`_exclusive`.
         self._lock = asyncio.Lock()
         self._work_ready = asyncio.Event()
         #: Set when the open coalescing window has nothing left to wait for:
-        #: by ``_submit`` (the population is queued), by the departure of a
-        #: client it was waiting for, by the window's timer
+        #: when a queued job completes the population, by the departure of
+        #: a client it was waiting for, by the window's timer
         #: (``flush_interval`` passed) or by ``drain``.
         self._window_closed = asyncio.Event()
         #: Monotonic time the first job of the open window queued, or None.
         self._window_opened: Optional[float] = None
-        #: Job requests between entering ``_submit`` and leaving it.
+        #: Job records accepted (submitted or parked) and not yet answered.
         self._jobs_inflight = 0
         #: ``_jobs_inflight`` at the end of the last flush — the jobs it ran
-        #: plus those that blocked on the lock meanwhile, i.e. every job that
-        #: can arrive in the next window — or at the last departure of a
-        #: client holding a key.  None while unknown.
+        #: plus those parked meanwhile, i.e. every job that can arrive in the
+        #: next window — or at the last departure of a client holding a key.
+        #: None while unknown.
         self._population: Optional[int] = None
         #: Monotonic time the last flush ended; the population expires once
         #: the queue has sat empty for ``flush_interval`` past it.
         self._queue_emptied = 0.0
-        self._waiters: List[Tuple[JobHandle, asyncio.Future]] = []
+        #: Job records submitted to the scheduler, awaiting their flush.
+        self._waiters: List[_Record] = []
+        #: Job records read while the lock was held, submitted on release.
+        self._parked: List[_Record] = []
         self._connections: Dict[str, _Connection] = {}
         self._conn_counter = 0
         self._flush_seconds: List[float] = []
         #: Waited coalescing windows, one per flush (same ring bound).
         self._window_seconds: List[float] = []
+        #: Estimated time to result for deadline shedding — the median
+        #: window plus the median flush, recomputed when a flush ends (the
+        #: only time the rings change); the whole window before the first.
+        self._eta = flush_interval
         #: ``register_key`` requests, header parsed to reply queued.
         self._register_seconds: List[float] = []
         self._busy_seconds = 0.0
@@ -310,7 +410,7 @@ class FheServer:
         self._flusher = asyncio.create_task(self._flush_loop())
 
     async def stop(self) -> None:
-        """Close the listener, all connections, and fail pending futures."""
+        """Close the listener and all connections, and fail every job record."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -324,7 +424,8 @@ class FheServer:
             self._flusher = None
         for conn in list(self._connections.values()):
             conn.writer.close()
-        self._fail_waiters(RuntimeError("server stopped"))
+        records, self._waiters, self._parked = self._waiters + self._parked, [], []
+        self._fail(records, RuntimeError("server stopped"))
 
     async def drain(self, timeout: Optional[float] = 30.0) -> float:
         """Graceful drain: stop admitting work, finish everything accepted.
@@ -332,10 +433,11 @@ class FheServer:
         Closes the listener, pushes a ``draining`` event frame to every
         connected client (so retrying clients fail over instead of queueing
         on a dying server), rejects new job submissions with a retryable
-        ``draining`` error, and waits until the scheduler queue, the reply
-        waiters and every in-flight request task have resolved — every job
-        accepted before the drain started gets its reply.  Returns the
-        drain duration in seconds (also surfaced in :meth:`metrics`).
+        ``draining`` error, and waits until the scheduler queue, the job
+        records (submitted or parked) and every request task have resolved
+        — every job accepted before the drain started gets its reply.
+        Returns the drain duration in seconds (also surfaced in
+        :meth:`metrics`).
         """
         begin = time.monotonic()
         self._draining = True
@@ -343,15 +445,11 @@ class FheServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for conn in list(self._connections.values()):
-            try:
-                await self._send(conn, {"event": "draining"})
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+        event = encode_frame({"event": "draining"})
+        self._write({conn: [(event, None)] for conn in self._connections.values()})
         deadline = None if timeout is None else begin + timeout
         while True:
-            async with self._lock:
-                idle = not self.scheduler.pending_jobs and not self._waiters
+            idle = not (self.scheduler.pending_jobs or self._waiters or self._parked)
             if idle and all(not c.tasks for c in self._connections.values()):
                 break
             if deadline is not None and time.monotonic() > deadline:
@@ -387,40 +485,51 @@ class FheServer:
             await self._work_ready.wait()
             # Coalescing window: let concurrently-arriving jobs join this
             # flush instead of paying one flush each.  One event ends it —
-            # set by _submit once everyone known to be around has queued, by
-            # this timer at the flush_interval ceiling, or by drain().
+            # set once everyone known to be around has queued, by this
+            # timer at the flush_interval ceiling, or by drain().
             if self.flush_interval:
                 timer = loop.call_later(self.flush_interval, self._window_closed.set)
                 try:
                     await self._window_closed.wait()
                 finally:
                     timer.cancel()
-            async with self._lock:
+            async with self._exclusive():
                 await self._flush_queued()
+
+    @contextlib.asynccontextmanager
+    async def _exclusive(self):
+        """Hold the scheduler lock; job records read meanwhile are parked
+        and submitted, in arrival order, the moment it is released."""
+        try:
+            async with self._lock:
+                yield
+        finally:
+            self._admit_parked()
 
     async def _flush_queued(self) -> None:
         """One flush of everything queued (lock held, flusher only).
 
         Consumes the open window, runs the scheduler off-loop, re-measures
-        who is around for the next window and resolves the waiters.
+        who is around for the next window and answers the settled records.
         """
         self._work_ready.clear()
         self._window_closed.clear()
         opened, self._window_opened = self._window_opened, None
         if not self.scheduler.pending_jobs:
-            self._resolve_waiters()
+            self._answer_waiters()
             return
         begin = time.monotonic()
         waited = begin - opened if opened is not None else 0.0
         try:
             await asyncio.get_running_loop().run_in_executor(None, self.scheduler.flush)
         except Exception as exc:  # noqa: BLE001 - surfaced per-request
-            self._fail_waiters(exc)
+            records, self._waiters = self._waiters, []
+            self._fail(records, exc)
             return
         self._queue_emptied = time.monotonic()
-        # Requests this flush answers are still inside _submit (their
-        # futures resolve below), and so is every one that blocked on
-        # the lock meanwhile: the population of the next window.
+        # The records this flush answers are still counted (they are
+        # answered below), and so is every one parked meanwhile: the
+        # population of the next window.
         self._population = self._jobs_inflight
         elapsed = self._queue_emptied - begin
         self._busy_seconds += elapsed
@@ -428,6 +537,9 @@ class FheServer:
         del self._flush_seconds[:-_LATENCY_WINDOW]
         self._window_seconds.append(waited)
         del self._window_seconds[:-_LATENCY_WINDOW]
+        self._eta = _percentile(self._window_seconds, 0.50) + _percentile(
+            self._flush_seconds, 0.50
+        )
         self.telemetry.observe(
             "fhe_flush_seconds",
             elapsed,
@@ -440,52 +552,69 @@ class FheServer:
             "First queued job to the start of the flush that ran it.",
             buckets=_COALESCE_WAIT_BUCKETS,
         )
-        self._resolve_waiters()
+        self._answer_waiters()
 
-    def _resolve_waiters(self) -> None:
+    def _answer_waiters(self) -> None:
+        """Answer every submitted record whose job has settled."""
+        replies: Dict[_Connection, List] = {}
         unresolved = []
-        for handle, future in self._waiters:
-            if future.cancelled():
+        for record in self._waiters:
+            if not record.handle.done:
+                unresolved.append(record)
                 continue
-            if handle.done:
-                try:
-                    future.set_result(handle.result())
-                except Exception as exc:  # aborted / failed handle
-                    future.set_exception(exc)
-            else:
-                unresolved.append((handle, future))
-        self._waiters = unresolved
-
-    def _fail_waiters(self, exc: BaseException) -> None:
-        for _, future in self._waiters:
-            if not future.cancelled() and not future.done():
-                future.set_exception(exc)
-        self._waiters = []
-
-    async def _submit(self, submit_fn) -> Any:
-        """Enqueue one job under the lock and await its flushed result."""
-        loop = asyncio.get_running_loop()
-        self._jobs_inflight += 1
-        try:
-            async with self._lock:
-                try:
-                    handle = submit_fn()
-                except SchedulerBusy as exc:
-                    raise _RequestError("busy", str(exc)) from None
-                future: asyncio.Future = loop.create_future()
-                self._waiters.append((handle, future))
-                self._note_queued()
-            try:
-                return await future
-            except JobAborted as exc:
-                raise _RequestError("aborted", str(exc)) from None
-        finally:
-            # Also on cancellation or a failed submit: a leaked count would
-            # keep every later window open to its ceiling.
             self._jobs_inflight -= 1
+            try:
+                result = record.handle.result()
+            except Exception as exc:  # aborted / failed job
+                outcome: _Outcome = _job_failure(exc)
+            else:
+                try:
+                    outcome = ("ok", *record.encode(result))
+                except Exception as exc:  # noqa: BLE001 - unencodable result
+                    outcome = _failure(exc)
+            self._settle(record, outcome, replies)
+        self._waiters = unresolved
+        self._write(replies)
+
+    def _fail(self, records: List[_Record], exc: Exception) -> None:
+        replies: Dict[_Connection, List] = {}
+        for record in records:
+            self._jobs_inflight -= 1
+            self._settle(record, _job_failure(exc), replies)
+        self._write(replies)
+
+    def _submit_record(self, record: _Record) -> None:
+        """Submit a job record now, or park it while the lock is held."""
+        if self._lock.locked():
+            self._parked.append(record)
+        else:
+            self._enqueue(record)
+        self._jobs_inflight += 1
+
+    def _admit_parked(self) -> None:
+        if self._lock.locked():  # its holder admits them on release
+            return
+        parked, self._parked = self._parked, []
+        for record in parked:
+            try:
+                self._enqueue(record)
+            except Exception as exc:  # noqa: BLE001 - one request, one error frame
+                self._jobs_inflight -= 1
+                self._settle(record, _failure(exc))
+
+    def _enqueue(self, record: _Record) -> None:
+        """Submit a record's job to the scheduler (lock free, on the loop)."""
+        try:
+            record.handle = record.submit()
+        except SchedulerBusy as exc:
+            raise _RequestError("busy", str(exc)) from None
+        except ValueError as exc:  # unknown gate name, infeasible table / arity
+            raise _RequestError("bad_request", str(exc)) from None
+        self._waiters.append(record)
+        self._note_queued()
 
     def _note_queued(self) -> None:
-        """A job was queued (lock held): open the window, or close it."""
+        """A job was queued (lock free): open the window, or close it."""
         if self._window_opened is None:
             self._window_opened = time.monotonic()
             if self._window_opened - self._queue_emptied > self.flush_interval:
@@ -521,7 +650,7 @@ class FheServer:
             "resident_keys": len(residents),
             "resident_key_bytes": sum(r.context.resident_bytes for r in residents),
             "queue_depth": self.scheduler.pending_jobs,
-            "awaiting_results": len(self._waiters),
+            "awaiting_results": self._awaiting_results(),
             "flushes": stats.flushes,
             "rows_bootstrapped": stats.rows_bootstrapped,
             "jobs_completed": stats.jobs_completed,
@@ -575,6 +704,9 @@ class FheServer:
             }
         return snapshot
 
+    def _awaiting_results(self) -> int:
+        return len(self._waiters) + len(self._parked)
+
     def _uptime(self) -> float:
         return time.monotonic() - self._started_at if self._started_at else 0.0
 
@@ -615,7 +747,7 @@ class FheServer:
         gauge(
             "fhe_awaiting_results",
             "Requests awaiting a flushed reply.",
-            lambda: len(self._waiters),
+            self._awaiting_results,
         )
         gauge(
             "fhe_resident_keys",
@@ -661,42 +793,47 @@ class FheServer:
         try:
             while True:
                 # Await semantics: stop *reading* once max_inflight requests
-                # are being processed — the kernel socket buffer, then the
-                # client, absorb the backpressure.
+                # are unanswered, or while the peer leaves its replies unread
+                # — the kernel socket buffer, then the client, absorb the
+                # backpressure.
                 await conn.inflight.acquire()
                 try:
+                    await writer.drain()
                     header, body = await read_frame_async(reader, self.max_frame)
+                except ProtocolError as exc:
+                    self._deliver(conn, -1, None, None, ("err", "protocol", str(exc)))
+                    break  # the stream is desynchronised: drop the peer
                 except (EOFError, ConnectionError):
                     conn.inflight.release()
                     break
-                except ProtocolError as exc:
+                except asyncio.CancelledError:
                     conn.inflight.release()
-                    await self._send_error(conn, -1, "protocol", str(exc))
-                    break  # the stream is desynchronised: drop the peer
-                task = asyncio.create_task(self._run_request(conn, header, body))
-                conn.tasks.add(task)
-                task.add_done_callback(conn.tasks.discard)
-                # The request owns its body now: a key upload that turns out
-                # to be a duplicate is freed with it, not at the next frame.
+                    raise
+                self._accept(conn, header, body)
+                # A task's request owns its body now: a key upload that turns
+                # out to be a duplicate is freed with it, not at the next frame.
                 del header, body
+            # Every request holds a slot until its reply is written: holding
+            # them all, every request of this connection has been answered.
+            for _ in range(conn.max_inflight):
+                await conn.inflight.acquire()
         except asyncio.CancelledError:
-            # Server stopping with this connection live: end the reader
-            # quietly (asyncio's stream callback would log the cancellation
-            # as an error otherwise) and let the finally clean up.
+            # Server stopping with this connection live — stop() has failed
+            # every job record and the loop is cancelling every task — so
+            # tear down without waiting for replies, and quietly (asyncio's
+            # stream callback would log the cancellation as an error).
             pass
         finally:
-            if conn.tasks:
-                await asyncio.gather(*conn.tasks, return_exceptions=True)
             await self._cleanup_connection(conn)
 
     async def _cleanup_connection(self, conn: _Connection) -> None:
-        """Every departure's teardown; the reader has already awaited each
-        request of ``conn``, so none of its jobs is queued."""
+        """Every departure's teardown; every request of ``conn`` has been
+        answered (or failed by :meth:`stop`), so none of its jobs is queued."""
         self._connections.pop(conn.conn_id, None)
         record = conn.session
         record.refs -= 1
         record.last_seen = time.monotonic()
-        async with self._lock:
+        async with self._exclusive():
             if record.token is None:
                 self._release(record)
             self._reap_sessions()
@@ -733,31 +870,189 @@ class FheServer:
             except Exception:  # pragma: no cover - best-effort teardown
                 pass
 
-    async def _send(
-        self, conn: _Connection, header: Dict[str, Any], body: bytes = b""
-    ) -> None:
-        frame = encode_frame(header, body)
-        async with conn.write_lock:
-            conn.writer.write(frame)
-            try:
-                await conn.writer.drain()
-            except (ConnectionError, OSError):  # peer vanished mid-reply
-                pass
+    # ------------------------------------------------------------------ #
+    # replies                                                            #
+    # ------------------------------------------------------------------ #
 
-    async def _send_error(
-        self, conn: _Connection, request_id: int, kind: str, message: str
+    def _settle(
+        self,
+        record: _Record,
+        outcome: _Outcome,
+        replies: Optional[Dict[_Connection, List]] = None,
     ) -> None:
-        try:
-            await self._send(
-                conn,
-                {"id": request_id, "error": {"kind": kind, "message": message}},
-            )
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
+        """Answer every delivery of ``record`` — written now, or gathered
+        into ``replies`` for one write per connection."""
+        sess = record.session
+        if sess.inflight.get(record.request_id) is record:
+            del sess.inflight[record.request_id]
+        if outcome[0] == "ok":
+            # Cache BEFORE sending: if the peer vanished mid-reply, the
+            # computed result still answers the retry.
+            sess.remember(record.request_id, outcome[1], outcome[2])
+        for conn, trace in record.deliveries:
+            self._deliver(conn, record.request_id, record.op, trace, outcome, replies)
+
+    def _deliver(
+        self,
+        conn: _Connection,
+        request_id: int,
+        op: Optional[str],
+        trace: Optional[str],
+        outcome: _Outcome,
+        replies: Optional[Dict[_Connection, List]] = None,
+    ) -> None:
+        """One reply frame for one request of ``conn``, which frees its slot.
+
+        A traced delivery records one ``reply`` span when its frame is
+        written, so a retried request answered from the reply cache shows
+        one trace with two ``reply`` spans — the signature the chaos suite
+        asserts on.
+        """
+        if outcome[0] == "ok":
+            reply_header = dict(outcome[1])
+            reply_header["id"] = request_id
+            frame = encode_frame(reply_header, outcome[2])
+        else:
+            error = {"kind": outcome[1], "message": outcome[2]}
+            frame = encode_frame({"id": request_id, "error": error})
+        span = None
+        if trace is not None:
+            span = (trace, {"op": op, "status": outcome[0], "request": request_id})
+        conn.inflight.release()
+        if replies is None:
+            self._write({conn: [(frame, span)]})
+        else:
+            replies.setdefault(conn, []).append((frame, span))
+
+    def _write(self, replies: Dict[_Connection, List]) -> None:
+        """Each connection's frames in one write, then their ``reply`` spans."""
+        tracer = self.telemetry.tracer
+        for conn, frames in replies.items():
+            start_wall = time.time()
+            start_perf = time.perf_counter()
+            if not conn.writer.is_closing():  # a departed peer reads nothing
+                data = frames[0][0] if len(frames) == 1 else b"".join(f for f, _ in frames)
+                conn.writer.write(data)
+            duration = time.perf_counter() - start_perf
+            for _frame, span in frames:
+                if span is not None:
+                    tracer.record(
+                        "reply", span[0], start=start_wall, duration=duration, attrs=span[1]
+                    )
 
     # ------------------------------------------------------------------ #
     # request dispatch                                                   #
     # ------------------------------------------------------------------ #
+
+    def _accept(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> None:
+        """Take one request in the reader's turn: answer it from the reply
+        cache, join it to its in-flight original, submit it as a job record,
+        or start the task that runs it."""
+        request_id = header.get("id")
+        op = header.get("op")
+        trace = None
+        if op in _JOB_OPS:
+            trace = header.get("trace")
+            if not (isinstance(trace, str) and trace):
+                # Mint one server-side so the whole enqueue → flush → reply
+                # path still joins one trace.
+                trace = header["trace"] = self.telemetry.tracer.new_trace_id()
+        if not isinstance(request_id, int):
+            outcome = ("err", "protocol", "request header lacks an integer 'id'")
+            self._deliver(conn, -1, op, trace, outcome)
+            return
+        try:
+            sess = self._bind_session(conn, header)
+            # Idempotent path: a retried request id is answered from the
+            # record's reply cache (or joins its in-flight original)
+            # instead of executing twice.  A private record caches nothing.
+            sess.prune_acked(header.get("ack"))
+            cached = sess.results.get(request_id)
+            if cached is not None:
+                self._jobs_deduped += 1
+                self._deliver(conn, request_id, op, trace, ("ok", *cached))
+                return
+            original = sess.inflight.get(request_id)
+            if original is not None:
+                self._jobs_deduped += 1
+                original.deliveries.append((conn, trace))
+                return
+            record = _Record(sess, request_id, self._admit(conn, header), conn, trace)
+            if op in _RECORD_OPS:
+                record.submit, record.encode = self._job(conn, header, body)
+                self._submit_record(record)
+            else:
+                if op == "register_key":
+                    # Claimed in the reader's turn, so a session token read
+                    # after it is refused as if the key were registered.
+                    work = self._op_register_key(sess, header, body, not sess.registered)
+                    sess.registered = True
+                else:
+                    work = self._dispatch(conn, op, header, body)
+                task = asyncio.create_task(self._run_task(record, work))
+                conn.tasks.add(task)
+                task.add_done_callback(conn.tasks.discard)
+            sess.inflight[request_id] = record
+        except Exception as exc:  # noqa: BLE001 - one request, one error frame
+            self._deliver(conn, request_id, op, trace, _failure(exc))
+
+    def _admit(self, conn: _Connection, header: Dict[str, Any]) -> str:
+        """The checks a new request passes before it runs; returns its op."""
+        op = header.get("op")
+        if not isinstance(op, str):
+            raise _RequestError("protocol", "request header lacks a string 'op' field")
+        self.telemetry.count("fhe_requests_total", "Requests dispatched by op.", op=op)
+        if op in _INTROSPECTION_OPS:
+            return op
+        if self._draining:
+            # Introspection stays up during a drain; work admission stops.
+            raise _RequestError(
+                "draining", "server is draining and no longer accepts new work"
+            )
+        if op in _JOB_OPS:
+            self._check_deadline(header)
+            conn.session.jobs += 1
+        if op not in _RECORD_OPS and op not in _TASK_OPS:
+            raise _RequestError("unsupported", f"unknown op {op!r}")
+        return op
+
+    async def _run_task(self, record: _Record, work: Awaitable) -> None:
+        outcome: _Outcome = ("err", "aborted", "request cancelled before completion")
+        try:
+            outcome = ("ok", *await work)
+        except Exception as exc:  # noqa: BLE001 - one request, one error frame
+            outcome = _failure(exc)
+        finally:
+            self._settle(record, outcome)
+
+    async def _dispatch(
+        self, conn: _Connection, op: str, header: Dict[str, Any], body: bytes
+    ) -> _Reply:
+        """Run an op that keeps a task of its own (``register_key`` aside)."""
+        if op == "hello":
+            return {"server": "repro-serve", "protocol": PROTOCOL_VERSION}, b""
+        if op == "metrics":
+            return {"metrics": self.metrics()}, b""
+        if op == "metrics_prom":
+            # Prometheus text exposition; like "metrics", introspection stays
+            # available during a drain.
+            return (
+                {"content_type": "text/plain; version=0.0.4"},
+                self.render_prometheus().encode("utf-8"),
+            )
+        if op == "trace_export":
+            return self._op_trace_export(header)
+        return await self._op_radix_add(conn, body)
+
+    def _job(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> _Job:
+        """A job op's request, validated and decoded: the call that submits
+        its job and the encoder of its reply."""
+        op = header["op"]
+        if op == "gate":
+            return self._op_gate(conn, header, body)
+        if op == "lut":
+            return self._op_lut(conn, header, body)
+        return self._op_circuit(conn, header, body)
 
     def _bind_session(self, conn: _Connection, header: Dict[str, Any]) -> _SessionState:
         """The record this request runs under: the connection's, or — on the
@@ -788,157 +1083,6 @@ class FheServer:
         conn.session = sess
         return sess
 
-    async def _execute(
-        self, conn: _Connection, header: Dict[str, Any], body: bytes
-    ) -> Tuple:
-        """Run one dispatch, folding every failure into an outcome tuple.
-
-        Outcomes are plain values — ``("ok", header, body)`` or
-        ``("err", kind, message)`` — so duplicate-request futures never hold
-        exceptions (which asyncio would warn about when unretrieved).
-        """
-        try:
-            reply_header, reply_body = await self._dispatch(conn, header, body)
-        except _RequestError as exc:
-            return ("err", exc.kind, exc.message)
-        except (ProtocolError, SerializationError) as exc:
-            return ("err", "bad_request", str(exc))
-        except Exception as exc:  # noqa: BLE001 - one request, one error frame
-            return ("err", "internal", f"{type(exc).__name__}: {exc}")
-        return ("ok", reply_header, reply_body)
-
-    async def _send_outcome(
-        self, conn: _Connection, request_id: int, outcome: Tuple
-    ) -> None:
-        if outcome[0] == "ok":
-            reply_header = dict(outcome[1])
-            reply_header["id"] = request_id
-            await self._send(conn, reply_header, outcome[2])
-        else:
-            await self._send_error(conn, request_id, outcome[1], outcome[2])
-
-    async def _reply(
-        self, conn: _Connection, request_id: int, outcome: Tuple, header: Dict[str, Any]
-    ) -> None:
-        """Send one outcome frame, recording a ``reply`` span for job ops.
-
-        A retried request answered from the dedup cache passes through here
-        too, so one logical job that was delivered twice shows one trace
-        with two ``reply`` spans — the signature the chaos suite asserts on.
-        """
-        trace_id = header.get("trace")
-        if header.get("op") not in _JOB_OPS or not isinstance(trace_id, str) or not trace_id:
-            await self._send_outcome(conn, request_id, outcome)
-            return
-        start_wall = time.time()
-        start_perf = time.perf_counter()
-        await self._send_outcome(conn, request_id, outcome)
-        self.telemetry.tracer.record(
-            "reply",
-            trace_id,
-            start=start_wall,
-            duration=time.perf_counter() - start_perf,
-            attrs={"op": header.get("op"), "status": outcome[0], "request": request_id},
-        )
-
-    async def _run_request(
-        self, conn: _Connection, header: Dict[str, Any], body: bytes
-    ) -> None:
-        request_id = header.get("id")
-        if not isinstance(request_id, int):
-            request_id = -1
-        if header.get("op") in _JOB_OPS and not (
-            isinstance(header.get("trace"), str) and header.get("trace")
-        ):
-            # Job without a client-supplied trace id: mint one server-side so
-            # the whole enqueue → flush → reply path still joins one trace.
-            header["trace"] = self.telemetry.tracer.new_trace_id()
-        try:
-            if not isinstance(header.get("id"), int):
-                raise _RequestError("protocol", "request header lacks an integer 'id'")
-            sess = self._bind_session(conn, header)
-            # Idempotent path: a retried request id is answered from the
-            # record's reply cache (or by awaiting the in-flight original)
-            # instead of executing twice.  A private record caches nothing.
-            sess.prune_acked(header.get("ack"))
-            cached = sess.results.get(request_id)
-            if cached is not None:
-                self._jobs_deduped += 1
-                await self._reply(conn, request_id, ("ok",) + cached, header)
-                return
-            inflight = sess.inflight.get(request_id)
-            if inflight is not None:
-                self._jobs_deduped += 1
-                await self._reply(
-                    conn, request_id, await asyncio.shield(inflight), header
-                )
-                return
-            future: asyncio.Future = asyncio.get_running_loop().create_future()
-            sess.inflight[request_id] = future
-            outcome: Tuple = ("err", "aborted", "request cancelled before completion")
-            try:
-                outcome = await self._execute(conn, header, body)
-            finally:
-                sess.inflight.pop(request_id, None)
-                if outcome[0] == "ok":
-                    # Cache BEFORE sending: if the peer vanished mid-reply,
-                    # the computed result still answers the retry.
-                    sess.remember(request_id, outcome[1], outcome[2])
-                if not future.done():
-                    future.set_result(outcome)
-            await self._reply(conn, request_id, outcome, header)
-        except _RequestError as exc:
-            await self._send_error(conn, request_id, exc.kind, exc.message)
-        except (ProtocolError, SerializationError) as exc:
-            await self._send_error(conn, request_id, "bad_request", str(exc))
-        except Exception as exc:  # noqa: BLE001 - one request, one error frame
-            await self._send_error(conn, request_id, "internal", f"{type(exc).__name__}: {exc}")
-        finally:
-            conn.inflight.release()
-
-    async def _dispatch(
-        self, conn: _Connection, header: Dict[str, Any], body: bytes
-    ) -> Tuple[Dict[str, Any], bytes]:
-        op = header.get("op")
-        if not isinstance(op, str):
-            raise _RequestError("protocol", "request header lacks a string 'op' field")
-        self.telemetry.count("fhe_requests_total", "Requests dispatched by op.", op=op)
-        if op == "hello":
-            return {"server": "repro-serve", "protocol": PROTOCOL_VERSION}, b""
-        if op == "metrics":
-            return {"metrics": self.metrics()}, b""
-        if op == "metrics_prom":
-            # Prometheus text exposition; like "metrics", introspection stays
-            # available during a drain.
-            return (
-                {"content_type": "text/plain; version=0.0.4"},
-                self.render_prometheus().encode("utf-8"),
-            )
-        if op == "trace_export":
-            return self._op_trace_export(header)
-        if self._draining:
-            # Introspection stays up during a drain; work admission stops.
-            raise _RequestError(
-                "draining", "server is draining and no longer accepts new work"
-            )
-        if op in _JOB_OPS:
-            self._check_deadline(header)
-            conn.session.jobs += 1
-        if op == "register_key":
-            begin = time.monotonic()
-            reply = await self._op_register_key(conn, header, body)
-            self._note_register_key(time.monotonic() - begin)
-            return reply
-        if op == "gate":
-            return await self._op_gate(conn, header, body)
-        if op == "lut":
-            return await self._op_lut(conn, header, body)
-        if op == "circuit":
-            return await self._op_circuit(conn, header, body)
-        if op == "radix_add":
-            return await self._op_radix_add(conn, body)
-        raise _RequestError("unsupported", f"unknown op {op!r}")
-
     def _note_register_key(self, elapsed: float) -> None:
         """What one accepted ``register_key`` cost, header parsed to reply queued."""
         self._register_seconds.append(elapsed)
@@ -950,7 +1094,7 @@ class FheServer:
             buckets=_REGISTER_KEY_BUCKETS,
         )
 
-    def _op_trace_export(self, header: Dict[str, Any]) -> Tuple[Dict[str, Any], bytes]:
+    def _op_trace_export(self, header: Dict[str, Any]) -> _Reply:
         """Export the trace ring: Chrome trace-event (default) or span JSON.
 
         ``trace`` narrows the export to one trace id; ``format`` selects
@@ -981,22 +1125,20 @@ class FheServer:
         A client may send ``deadline_ms`` (its remaining per-request
         budget); when the estimated time-to-result — the median coalescing
         window recent flushes waited (``flush_interval`` before the first
-        flush) plus the median flush latency — already exceeds it, the job
-        is shed up front with a typed non-retryable error instead of burning
-        a bootstrap whose reply the client will have abandoned.
+        flush) plus the median flush latency, kept in ``_eta`` — already
+        exceeds it, the job is shed up front with a typed non-retryable
+        error instead of burning a bootstrap whose reply the client will
+        have abandoned.
         """
         deadline_ms = header.get("deadline_ms")
         if not isinstance(deadline_ms, (int, float)) or isinstance(deadline_ms, bool):
             return
-        eta = _percentile(
-            self._window_seconds, 0.50, default=self.flush_interval
-        ) + _percentile(self._flush_seconds, 0.50)
-        if deadline_ms / 1000.0 < eta:
+        if deadline_ms / 1000.0 < self._eta:
             self._jobs_shed += 1
             raise _RequestError(
                 "shed",
                 f"deadline of {deadline_ms:.0f}ms cannot be met "
-                f"(estimated time to result {eta * 1000.0:.1f}ms)",
+                f"(estimated time to result {self._eta * 1000.0:.1f}ms)",
             )
 
     def _context(self, conn: _Connection) -> FheContext:
@@ -1033,66 +1175,70 @@ class FheServer:
     # -- ops ------------------------------------------------------------
 
     async def _op_register_key(
-        self, conn: _Connection, header: Dict[str, Any], body: bytes
-    ) -> Tuple[Dict[str, Any], bytes]:
-        if "engine" in header:
-            raise _RequestError(
-                "bad_request",
-                "register_key takes no 'engine' field: a key runs on the "
-                "engine its own transform spec records (choose it at keygen)",
-            )
-        sess = conn.session
-        # The key's arrays *are* the request body where the frame was received
-        # in place: nothing else holds that buffer, so both branches adopt it
-        # (a same-key duplicate is one transient key, compared and dropped).
-        (key_bytes,) = unpack_parts(body, expected=1)
-        if sess.registered:
-            if sess.token is None:
-                raise _RequestError(
-                    "bad_request", "this connection already registered a key"
-                )
-            # Idempotent re-registration after a reconnect: the same key
-            # gets the cached reply; a different key is a hard error (the
-            # session's queued results were computed under the old key).
-            # "Same" is the scheduler's exact identity, never a checksum.
-            cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key", from_owned_buffer)
-            if sess.register_reply is None:
-                raise _RequestError("busy", "this session's key is still registering")
-            held = self.scheduler.client_context(sess.client_id).cloud_key
-            if not same_cloud_key(held, cloud):
-                raise _RequestError(
-                    "bad_request", "session already registered a different key"
-                )
-            self._jobs_deduped += 1
-            return dict(sess.register_reply[0]), sess.register_reply[1]
-        cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key", from_owned_buffer)
-        sess.registered = True  # before the first await: see _SessionState
-        loop = asyncio.get_running_loop()
+        self, sess: _SessionState, header: Dict[str, Any], body: bytes, claimed: bool
+    ) -> _Reply:
+        """Register ``sess``'s key — or, on a durable record that holds one,
+        answer a reconnect's re-registration.
+
+        ``claimed``: the record was unregistered when this request was read,
+        and :meth:`_accept` marked it registered then; the claim is given
+        back if the registration fails.
+        """
+        begin = time.monotonic()
         try:
-            async with self._lock:
-                # Off-loop: a first-time key builds its context (and, for a
-                # worker pool, packs the shared segment); a key already
-                # resident is compared array by array and attached.
-                context = await loop.run_in_executor(
-                    None, self.scheduler.register_client, sess.client_id, cloud
+            if "engine" in header:
+                raise _RequestError(
+                    "bad_request",
+                    "register_key takes no 'engine' field: a key runs on the "
+                    "engine its own transform spec records (choose it at keygen)",
                 )
+            # The key's arrays *are* the request body where the frame was
+            # received in place: nothing else holds that buffer, so both
+            # branches adopt it (a same-key duplicate is one transient key,
+            # compared and dropped).
+            (key_bytes,) = unpack_parts(body, expected=1)
+            if not claimed and sess.token is None:
+                raise _RequestError("bad_request", "this connection already registered a key")
+            cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key", from_owned_buffer)
+            if claimed:
+                async with self._exclusive():
+                    # Off-loop: a first-time key builds its context (and, for
+                    # a worker pool, packs the shared segment); a key already
+                    # resident is compared array by array and attached.
+                    context = await asyncio.get_running_loop().run_in_executor(
+                        None, self.scheduler.register_client, sess.client_id, cloud
+                    )
+                reply = {
+                    "params": context.params.name,
+                    "unroll_factor": context.unroll_factor,
+                    "engine": type(context.engine).__name__,
+                    "engine_kind": context.engine.engine_kind,
+                }
+                sess.register_reply = (dict(reply), b"")
+            else:
+                # Idempotent re-registration after a reconnect: the same key
+                # gets the cached reply; a different key is a hard error (the
+                # session's queued results were computed under the old key).
+                # "Same" is the scheduler's exact identity, never a checksum.
+                if sess.register_reply is None:
+                    raise _RequestError("busy", "this session's key is still registering")
+                held = self.scheduler.client_context(sess.client_id).cloud_key
+                if not same_cloud_key(held, cloud):
+                    raise _RequestError(
+                        "bad_request", "session already registered a different key"
+                    )
+                self._jobs_deduped += 1
+                reply = dict(sess.register_reply[0])
         except Exception as exc:
-            sess.registered = False
+            if claimed:
+                sess.registered = False
             if isinstance(exc, UnsupportedEngine):
                 raise _RequestError("unsupported_engine", str(exc)) from None
             raise
-        reply = {
-            "params": context.params.name,
-            "unroll_factor": context.unroll_factor,
-            "engine": type(context.engine).__name__,
-            "engine_kind": context.engine.engine_kind,
-        }
-        sess.register_reply = (dict(reply), b"")
+        self._note_register_key(time.monotonic() - begin)
         return reply, b""
 
-    async def _op_gate(
-        self, conn: _Connection, header: Dict[str, Any], body: bytes
-    ) -> Tuple[Dict[str, Any], bytes]:
+    def _op_gate(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> _Job:
         name = header.get("gate")
         if not isinstance(name, str):
             raise _RequestError("bad_request", "gate op needs a string 'gate' field")
@@ -1100,18 +1246,10 @@ class FheServer:
         ca = self._check_sample(conn, self._artifact(part_a, LweSample, "operand a"), "operand a")
         cb = self._check_sample(conn, self._artifact(part_b, LweSample, "operand b"), "operand b")
         session = self.scheduler.session(conn.session.client_id)
-        trace_id = header.get("trace") if isinstance(header.get("trace"), str) else None
-        try:
-            result = await self._submit(
-                lambda: session.submit_gate(name, ca, cb, trace_id=trace_id)
-            )
-        except ValueError as exc:  # unknown gate name
-            raise _RequestError("bad_request", str(exc)) from None
-        return {}, pack_parts([to_bytes(result)])
+        trace_id = header["trace"]
+        return lambda: session.submit_gate(name, ca, cb, trace_id=trace_id), _sample_reply
 
-    async def _op_lut(
-        self, conn: _Connection, header: Dict[str, Any], body: bytes
-    ) -> Tuple[Dict[str, Any], bytes]:
+    def _op_lut(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> _Job:
         table = header.get("table")
         if not isinstance(table, int):
             raise _RequestError("bad_request", "lut op needs an integer 'table' field")
@@ -1127,18 +1265,10 @@ class FheServer:
             for i, part in enumerate(parts)
         ]
         session = self.scheduler.session(conn.session.client_id)
-        trace_id = header.get("trace") if isinstance(header.get("trace"), str) else None
-        try:
-            result = await self._submit(
-                lambda: session.submit_lut(table, operands, trace_id=trace_id)
-            )
-        except ValueError as exc:  # infeasible table / arity
-            raise _RequestError("bad_request", str(exc)) from None
-        return {}, pack_parts([to_bytes(result)])
+        trace_id = header["trace"]
+        return lambda: session.submit_lut(table, operands, trace_id=trace_id), _sample_reply
 
-    async def _op_circuit(
-        self, conn: _Connection, header: Dict[str, Any], body: bytes
-    ) -> Tuple[Dict[str, Any], bytes]:
+    def _op_circuit(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> _Job:
         circuit_obj = header.get("circuit")
         if not isinstance(circuit_obj, dict):
             raise _RequestError("bad_request", "circuit op needs a JSON 'circuit' field")
@@ -1166,23 +1296,15 @@ class FheServer:
             inputs[name] = bits[cursor : cursor + len(wires)]
             cursor += len(wires)
         session = self.scheduler.session(conn.session.client_id)
-        trace_id = header.get("trace") if isinstance(header.get("trace"), str) else None
-        try:
-            outputs = await self._submit(
-                lambda: session.submit_circuit(circuit, inputs, trace_id=trace_id)
-            )
-        except ValueError as exc:
-            raise _RequestError("bad_request", str(exc)) from None
-        ordered: List[LweSample] = []
-        for name in circuit.output_wires:
-            ordered.extend(outputs[name])
-        return {
-            "outputs": {n: len(w) for n, w in circuit.output_wires.items()}
-        }, pack_parts([to_bytes(LweBatch.from_samples(ordered))])
+        trace_id = header["trace"]
+        return (
+            lambda: session.submit_circuit(circuit, inputs, trace_id=trace_id),
+            partial(_circuit_reply, circuit),
+        )
 
     async def _op_radix_add(
         self, conn: _Connection, body: bytes
-    ) -> Tuple[Dict[str, Any], bytes]:
+    ) -> _Reply:
         part_x, part_y = unpack_parts(body, expected=2)
         x = self._artifact(part_x, RadixInt, "operand x")
         y = self._artifact(part_y, RadixInt, "operand y")
@@ -1193,7 +1315,7 @@ class FheServer:
                 self._check_sample(conn, digit, f"operand {name} digit {i}")
         context = self._context(conn)
         loop = asyncio.get_running_loop()
-        async with self._lock:
+        async with self._exclusive():
             # Runs on the connection's own context; carry propagation (if
             # the bounds demand it) bootstraps in-process, so serialize it
             # with flushes via the same lock.

@@ -49,7 +49,6 @@ import itertools
 import json
 import os
 import threading
-import uuid
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -57,6 +56,26 @@ __all__ = ["Span", "Tracer"]
 
 #: Span field order on the wire (worker → parent pipe tuples).
 _TUPLE_FIELDS = ("trace_id", "span_id", "parent_id", "name", "start", "duration")
+
+
+def _trace_id_prefix() -> str:
+    """This process's trace-id prefix: its pid and 48 random bits, joined by
+    dots — a character the clients' ``uuid4().hex`` trace ids never hold."""
+    return f"{os.getpid():x}.{os.urandom(6).hex()}."
+
+
+_trace_prefix = _trace_id_prefix()
+_trace_counter = itertools.count(1)
+
+
+def _reseed_trace_ids() -> None:
+    """Give a forked child its own prefix, so its ids never repeat the parent's."""
+    global _trace_prefix, _trace_counter
+    _trace_prefix = _trace_id_prefix()
+    _trace_counter = itertools.count(1)
+
+
+os.register_at_fork(after_in_child=_reseed_trace_ids)
 
 
 #: Shared attrs for spans recorded without any: every such span aliasing one
@@ -181,7 +200,8 @@ class Tracer:
     # -- ids ----------------------------------------------------------------
     @staticmethod
     def new_trace_id() -> str:
-        return uuid.uuid4().hex
+        # Like a span id, a per-process prefix plus a counter: no syscall.
+        return f"{_trace_prefix}{next(_trace_counter):x}"
 
     def new_span_id(self) -> str:
         # pid-qualified so ids minted in forked workers never collide with

@@ -26,7 +26,13 @@ sockets and shared segments take piece by piece; readers return independent
 owning arrays (:func:`from_bytes`) — or, for the one caller whose buffer
 exists only to become the artifact, views of that buffer wherever its bytes
 already are an aligned native int32 array (:func:`from_owned_buffer`; same
-validation body, same values).  Cloud
+validation body, same values).  Ciphertexts of one shape share one header,
+so both directions remember it: a reader keeps the *validated* layout of
+each exact header byte string it has accepted (a hit still checks magic,
+container version, artifact kind and the exact payload length, with the
+same error text; any other header is validated in full), and a writer keeps
+the header bytes of each (artifact kind, shapes) pair; both caches are
+bounded.  Cloud
 keys serialize their *coefficient-domain* TGSW material plus the
 :class:`repro.tfhe.transform.TransformSpec` of the engine they were generated
 for; the spectrum cache is deliberately **not** serialized — the
@@ -56,8 +62,10 @@ import json
 import math
 import pathlib
 import struct
+import threading
 from dataclasses import asdict
-from typing import Any, BinaryIO, Dict, List, Tuple, Union
+from types import MappingProxyType
+from typing import Any, BinaryIO, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -90,6 +98,11 @@ CONTAINER_VERSION = 1
 
 _PREFIX = struct.Struct("<4sBI")
 _HEADER_JSON = json.JSONEncoder(separators=(",", ":")).encode
+#: The payloads' one dtype on the wire, and the native int32 readers return.
+_WIRE_INT32 = np.dtype("<i4")
+_INT32 = np.dtype(np.int32)
+#: A sample's scalar ``b`` as its payload stores it.
+_WIRE_B = struct.Struct("<i")
 #: No artifact stores an array of higher rank (the cloud-key stacks are 4-d).
 _MAX_RANK = 4
 #: What parsing a hostile header dict into parameter objects can raise
@@ -102,6 +115,40 @@ Buffer = Union[bytes, bytearray, memoryview]
 
 class SerializationError(ValueError):
     """Raised for malformed archives, version mismatches or unserializable keys."""
+
+
+class _Layout(NamedTuple):
+    """A validated container header: what the bytes after it must hold."""
+
+    #: The header minus its directory, read-only (every reader shares it).
+    meta: Mapping[str, Any]
+    #: ``(name, shape, byte offset, int32 count)`` per array, in order.
+    arrays: Tuple[Tuple[str, Tuple[int, ...], int, int], ...]
+    #: Bytes of the whole container, prefix to last payload.
+    size: int
+    #: ``(rows, n)`` when the directory is a ciphertext's own — an
+    #: ``lwe_sample``'s ``a (n,), b ()`` (``rows`` is ``None``) or an
+    #: ``lwe_batch``'s ``a (rows, n), b (rows,)`` — so :func:`from_bytes`
+    #: builds it from one copy of its payload; ``None`` for anything else.
+    ciphertext: Optional[Tuple[Optional[int], int]]
+
+
+#: Entries each codec cache keeps; past it the oldest is dropped, so no
+#: stream of distinct headers can grow either one.
+_CACHE_BOUND = 256
+#: Exact header bytes → the layout validated for them (decode).
+_LAYOUTS: Dict[bytes, _Layout] = {}
+#: (format, version, artifact kind, *(name, shape)) → prefix + header
+#: (encode; built by :func:`_head` only).
+_HEADS: Dict[tuple, bytes] = {}
+_CACHE_LOCK = threading.Lock()
+
+
+def _remember(cache: Dict[Any, Any], key: Any, value: Any) -> None:
+    with _CACHE_LOCK:
+        if len(cache) >= _CACHE_BOUND:
+            cache.pop(next(iter(cache)))
+        cache[key] = value
 
 
 # --------------------------------------------------------------------------- #
@@ -142,24 +189,40 @@ def _encode(meta: Dict[str, Any], arrays: Dict[str, Any]) -> List[Any]:
     payload per row.  A non-int32 array is refused, never cast — an ``astype``
     would silently wrap torus values.
     """
-    directory, payloads = [], []
+    shapes, payloads = [], []
     for name, entry in arrays.items():
         stacked = isinstance(entry, _Stacked)
         for array in entry if stacked else (entry,):
-            if not isinstance(array, np.ndarray) or array.dtype != np.int32:
+            if not isinstance(array, np.ndarray) or array.dtype != _INT32:
                 kind = getattr(array, "dtype", type(array).__name__)
                 raise SerializationError(f"refusing to write {name!r} as {kind}: int32 only")
-            payloads.append(np.ascontiguousarray(array, dtype="<i4").reshape(-1))
+            payloads.append(np.ascontiguousarray(array, dtype=_WIRE_INT32).ravel())
         if not stacked:
-            directory.append([name, list(entry.shape)])
+            shapes.append((name, entry.shape))
         elif entry and all(row.shape == entry[0].shape for row in entry):
-            directory.append([name, [len(entry), *entry[0].shape]])
+            shapes.append((name, (len(entry), *entry[0].shape)))
         else:
             raise SerializationError(f"refusing to stack no or unequal arrays as {name!r}")
-    header = _HEADER_JSON(
-        {"format": FORMAT, "version": FORMAT_VERSION, **meta, "arrays": directory}
-    ).encode("utf-8")
-    return [_PREFIX.pack(MAGIC, CONTAINER_VERSION, len(header)) + header, *payloads]
+    return [_head(meta, shapes), *payloads]
+
+
+def _head(meta: Dict[str, Any], shapes: Sequence[Tuple[str, Tuple[int, ...]]]) -> bytes:
+    """Prefix + header of a container of ``(name, shape)`` arrays under ``meta``.
+
+    A header that is the artifact kind and its shapes alone (a ciphertext's)
+    is built once per distinct such pair and then reused (:data:`_HEADS`).
+    """
+    key = (FORMAT, FORMAT_VERSION, meta["artifact"], *shapes) if len(meta) == 1 else None
+    head = _HEADS.get(key) if key is not None else None
+    if head is None:
+        directory = [[name, list(shape)] for name, shape in shapes]
+        header = _HEADER_JSON(
+            {"format": FORMAT, "version": FORMAT_VERSION, **meta, "arrays": directory}
+        ).encode("utf-8")
+        head = _PREFIX.pack(MAGIC, CONTAINER_VERSION, len(header)) + header
+        if key is not None:
+            _remember(_HEADS, key, head)
+    return head
 
 
 def _write_archive(path: PathLike, meta: Dict[str, Any], arrays: Dict[str, Any]) -> None:
@@ -194,6 +257,29 @@ def _decode(data: Buffer, expected_artifact: str | None = None, adopt: bool = Fa
     already an aligned, native-endian, writable int32 array is returned as
     that view and only the others are copied.
     """
+    view, layout = _layout(data, expected_artifact)
+    return layout.meta, _arrays(view, layout, adopt)
+
+
+def _arrays(view: memoryview, layout: _Layout, adopt: bool = False) -> Dict[str, np.ndarray]:
+    arrays = {}
+    for name, shape, start, count in layout.arrays:
+        flat = np.frombuffer(view, _WIRE_INT32, count, start)
+        if adopt and flat.flags.aligned and flat.flags.writeable and flat.dtype.isnative:
+            arrays[name] = flat.reshape(shape)
+        else:
+            arrays[name] = flat.reshape(shape).astype(_INT32)
+    return arrays
+
+
+def _layout(data: Buffer, expected_artifact: str | None = None) -> Tuple[memoryview, _Layout]:
+    """``data`` as bytes and the validated layout of the container they hold.
+
+    A header byte string accepted before skips its parse and directory walk
+    (:data:`_LAYOUTS`) when its artifact kind and the exact size still fit;
+    otherwise it is validated in full again, so every refusal is
+    :func:`_validate`'s own.
+    """
     view = _byte_view(data)
     if len(view) < _PREFIX.size:
         raise SerializationError(f"truncated artifact: only {len(view)} bytes")
@@ -207,8 +293,25 @@ def _decode(data: Buffer, expected_artifact: str | None = None, adopt: bool = Fa
     offset = _PREFIX.size + header_len
     if offset > len(view):
         raise SerializationError(f"header length {header_len} overruns {len(view)} bytes")
+    header = view[_PREFIX.size : offset].tobytes()
+    layout = _LAYOUTS.get(header)
+    if (
+        layout is None
+        or layout.size != len(view)
+        or (expected_artifact is not None and layout.meta.get("artifact") != expected_artifact)
+    ):
+        # A header met for the first time, or a container its layout does
+        # not fit: the full check, which raises any refusal.
+        layout = _validate(header, offset, len(view), expected_artifact)
+        _remember(_LAYOUTS, header, layout)
+    return view, layout
+
+
+def _validate(header: bytes, offset: int, size: int, expected_artifact: str | None) -> _Layout:
+    """The full check of a header met for the first time, against the
+    ``size`` bytes of its container (payloads start at ``offset``)."""
     try:
-        meta = json.loads(str(view[_PREFIX.size : offset], "utf-8"))
+        meta = json.loads(str(header, "utf-8"))
     except (ValueError, RecursionError) as exc:
         raise SerializationError(f"malformed header: {exc}") from exc
     if not isinstance(meta, dict) or not isinstance(meta.get("arrays"), list):
@@ -218,35 +321,37 @@ def _decode(data: Buffer, expected_artifact: str | None = None, adopt: bool = Fa
         if want is not None and meta.get(field) != want:
             got = meta.get(field)
             raise SerializationError(f"archive {field} is {got!r}, expected {want!r}")
-    layout: Dict[str, Tuple[List[int], int]] = {}
+    arrays: Dict[str, Tuple[Tuple[int, ...], int, int]] = {}
     for entry in meta.pop("arrays"):
         if not (
             isinstance(entry, list)
             and len(entry) == 2
             and isinstance(entry[0], str)
-            and entry[0] not in layout
+            and entry[0] not in arrays
             and isinstance(entry[1], list)
             and len(entry[1]) <= _MAX_RANK
             and all(type(dim) is int and dim >= 0 for dim in entry[1])
         ):
             raise SerializationError(f"malformed or duplicate directory entry {entry!r}")
         name, shape = entry
-        layout[name] = (shape, offset)
-        offset += 4 * math.prod(shape)
-        if offset > len(view):
+        count = math.prod(shape)
+        arrays[name] = (tuple(shape), offset, count)
+        offset += 4 * count
+        if offset > size:
             raise SerializationError(
-                f"truncated artifact: {name!r} {shape} ends at byte {offset} of {len(view)}"
+                f"truncated artifact: {name!r} {shape} ends at byte {offset} of {size}"
             )
-    if offset != len(view):
-        raise SerializationError(f"{len(view) - offset} trailing bytes after the payloads")
-    arrays = {}
-    for name, (shape, start) in layout.items():
-        flat = np.frombuffer(view, "<i4", math.prod(shape), start)
-        if adopt and flat.flags.aligned and flat.flags.writeable and flat.dtype.isnative:
-            arrays[name] = flat.reshape(shape)
-        else:
-            arrays[name] = flat.reshape(shape).astype(np.int32)
-    return meta, arrays
+    if offset != size:
+        raise SerializationError(f"{size - offset} trailing bytes after the payloads")
+    entries = tuple((name, *placed) for name, placed in arrays.items())
+    ciphertext = None
+    if tuple(name for name, *_ in entries) == ("a", "b"):
+        a, b = entries[0][1], entries[1][1]
+        if meta.get("artifact") == "lwe_sample" and len(a) == 1 and b == ():
+            ciphertext = (None, a[0])
+        elif meta.get("artifact") == "lwe_batch" and len(a) == 2 and b == a[:1]:
+            ciphertext = a
+    return _Layout(MappingProxyType(meta), entries, offset, ciphertext)
 
 
 def _read_archive(path: PathLike, expected_artifact: str | None = None):
@@ -276,13 +381,16 @@ def _require(arrays: Dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarr
 # --------------------------------------------------------------------------- #
 
 
-def save_secret_key(path: PathLike, secret: TFHESecretKey) -> None:
-    """Write a client secret key (LWE + ring key bits; extracted key is derived)."""
-    _write_archive(
-        path,
+def _secret_key_archive(secret: TFHESecretKey):
+    return (
         {"artifact": "secret_key", "params": asdict(secret.params)},
         {"lwe_key": secret.lwe_key.key, "tlwe_key": secret.tlwe_key.key},
     )
+
+
+def save_secret_key(path: PathLike, secret: TFHESecretKey) -> None:
+    """Write a client secret key (LWE + ring key bits; extracted key is derived)."""
+    _write_archive(path, *_secret_key_archive(secret))
 
 
 def _secret_key_from_archive(meta, arrays) -> TFHESecretKey:
@@ -302,12 +410,7 @@ def load_secret_key(path: PathLike) -> TFHESecretKey:
     return _secret_key_from_archive(*_read_archive(path, "secret_key"))
 
 
-def save_cloud_key(path: PathLike, cloud: TFHECloudKey) -> None:
-    """Write a cloud key: coefficient-domain TGSW material + transform spec.
-
-    Keys generated with an unregistered ad-hoc engine (``transform_spec`` is
-    ``None``) cannot be rebuilt elsewhere and are rejected.
-    """
+def _cloud_key_archive(cloud: TFHECloudKey):
     if cloud.transform_spec is None:
         raise SerializationError(
             "cloud key was generated with an unregistered engine and cannot "
@@ -333,7 +436,16 @@ def save_cloud_key(path: PathLike, cloud: TFHECloudKey) -> None:
         arrays["unrolled_key"] = _Stacked(
             sample.data for group in cloud.unrolled_groups for sample in group.samples
         )
-    _write_archive(path, meta, arrays)
+    return meta, arrays
+
+
+def save_cloud_key(path: PathLike, cloud: TFHECloudKey) -> None:
+    """Write a cloud key: coefficient-domain TGSW material + transform spec.
+
+    Keys generated with an unregistered ad-hoc engine (``transform_spec`` is
+    ``None``) cannot be rebuilt elsewhere and are rejected.
+    """
+    _write_archive(path, *_cloud_key_archive(cloud))
 
 
 def _cloud_key_from_archive(meta, arrays) -> TFHECloudKey:
@@ -390,10 +502,13 @@ def load_cloud_key(path: PathLike) -> TFHECloudKey:
 # --------------------------------------------------------------------------- #
 
 
+def _lwe_sample_archive(sample: LweSample):
+    return {"artifact": "lwe_sample"}, {"a": sample.a, "b": np.asarray(sample.b)}
+
+
 def save_lwe_sample(path: PathLike, sample: LweSample) -> None:
     """Write a single LWE ciphertext."""
-    arrays = {"a": sample.a, "b": np.asarray(sample.b)}
-    _write_archive(path, {"artifact": "lwe_sample"}, arrays)
+    _write_archive(path, *_lwe_sample_archive(sample))
 
 
 def _lwe_sample_from_archive(_meta, arrays) -> LweSample:
@@ -406,9 +521,13 @@ def load_lwe_sample(path: PathLike) -> LweSample:
     return _lwe_sample_from_archive(*_read_archive(path, "lwe_sample"))
 
 
+def _lwe_batch_archive(batch: LweBatch):
+    return {"artifact": "lwe_batch"}, {"a": batch.a, "b": batch.b}
+
+
 def save_lwe_batch(path: PathLike, batch: LweBatch) -> None:
     """Write a batch of LWE ciphertexts."""
-    _write_archive(path, {"artifact": "lwe_batch"}, {"a": batch.a, "b": batch.b})
+    _write_archive(path, *_lwe_batch_archive(batch))
 
 
 def _lwe_batch_from_archive(_meta, arrays) -> LweBatch:
@@ -421,15 +540,8 @@ def load_lwe_batch(path: PathLike) -> LweBatch:
     return _lwe_batch_from_archive(*_read_archive(path, "lwe_batch"))
 
 
-def save_radix_int(path: PathLike, value: RadixInt) -> None:
-    """Write a radix-decomposed integer ciphertext.
-
-    The digit rows are stacked like an LWE batch; the header carries the
-    digit encoding and the per-digit noise-growth bounds, both of which the
-    server side needs to keep scheduling carry propagation correctly.
-    """
-    _write_archive(
-        path,
+def _radix_int_archive(value: RadixInt):
+    return (
         {
             "artifact": "radix_int",
             "encoding": asdict(value.encoding),
@@ -440,6 +552,16 @@ def save_radix_int(path: PathLike, value: RadixInt) -> None:
             "b": np.stack([np.asarray(digit.b) for digit in value.digits]),
         },
     )
+
+
+def save_radix_int(path: PathLike, value: RadixInt) -> None:
+    """Write a radix-decomposed integer ciphertext.
+
+    The digit rows are stacked like an LWE batch; the header carries the
+    digit encoding and the per-digit noise-growth bounds, both of which the
+    server side needs to keep scheduling carry propagation correctly.
+    """
+    _write_archive(path, *_radix_int_archive(value))
 
 
 def _radix_int_from_archive(meta, arrays) -> RadixInt:
@@ -464,12 +586,13 @@ def load_radix_int(path: PathLike) -> RadixInt:
 # dispatching save/load                                                       #
 # --------------------------------------------------------------------------- #
 
-_SAVERS = (
-    (TFHESecretKey, save_secret_key),
-    (TFHECloudKey, save_cloud_key),
-    (LweBatch, save_lwe_batch),
-    (LweSample, save_lwe_sample),
-    (RadixInt, save_radix_int),
+#: Type → its ``(meta, arrays)`` builder; ciphertexts first, they are the traffic.
+_ARCHIVES = (
+    (LweSample, _lwe_sample_archive),
+    (LweBatch, _lwe_batch_archive),
+    (RadixInt, _radix_int_archive),
+    (TFHESecretKey, _secret_key_archive),
+    (TFHECloudKey, _cloud_key_archive),
 )
 
 _LOADERS = {
@@ -488,13 +611,16 @@ def _from_archive(meta: Dict[str, Any], arrays: Dict[str, np.ndarray]):
     return _LOADERS[artifact](meta, arrays)
 
 
+def _archive(obj):
+    for cls, archive in _ARCHIVES:
+        if isinstance(obj, cls):
+            return archive(obj)
+    raise SerializationError(f"cannot serialize objects of type {type(obj).__name__}")
+
+
 def save(path: PathLike, obj) -> None:
     """Write any supported artifact, dispatching on its type."""
-    for cls, saver in _SAVERS:
-        if isinstance(obj, cls):
-            saver(path, obj)
-            return
-    raise SerializationError(f"cannot serialize objects of type {type(obj).__name__}")
+    _write_archive(path, *_archive(obj))
 
 
 def load(path: PathLike):
@@ -502,28 +628,45 @@ def load(path: PathLike):
     return _from_archive(*_read_archive(path))
 
 
-class _Pieces(list):
-    """A write-only handle that keeps the buffers it is handed."""
-
-    writelines = list.extend
-
-
 def to_pieces(obj) -> List[Any]:
     """Any supported artifact as the buffers :func:`to_bytes` would join:
     prefix + header, then the artifact's own arrays — nothing is copied."""
-    pieces = _Pieces()
-    save(pieces, obj)
-    return pieces
+    return _encode(*_archive(obj))
 
 
 def to_bytes(obj) -> bytes:
-    """Serialize any supported artifact to an in-memory byte string."""
+    """Serialize any supported artifact to an in-memory byte string.
+
+    A sample whose ``a`` is an int32 vector and ``b`` an int32 scalar — every
+    ciphertext the runtime produces — is the wire's traffic: its
+    :func:`_head` is joined with its payload directly, without the general
+    walk over the artifact's arrays (same bytes).
+    """
+    if type(obj) is LweSample:
+        a, b = obj.a, obj.b
+        if type(a) is np.ndarray and a.dtype == _INT32 and a.ndim == 1 and type(b) is np.int32:
+            head = _head({"artifact": "lwe_sample"}, (("a", a.shape), ("b", ())))
+            return b"".join((head, np.ascontiguousarray(a, dtype=_WIRE_INT32), _WIRE_B.pack(b)))
     return b"".join(to_pieces(obj))
 
 
 def from_bytes(data: Buffer):
-    """Deserialize an artifact from any buffer holding :func:`to_bytes` output."""
-    return _from_archive(*_decode(data))
+    """Deserialize an artifact from any buffer holding :func:`to_bytes` output.
+
+    A ciphertext in its own directory layout is built from one copy of its
+    payload: ``a`` (and a batch's ``b``) are views of that copy, never of
+    ``data``.
+    """
+    view, layout = _layout(data)
+    if layout.ciphertext is None:
+        return _from_archive(layout.meta, _arrays(view, layout))
+    rows, n = layout.ciphertext
+    start = layout.arrays[0][2]
+    if rows is None:
+        payload = np.frombuffer(view, _WIRE_INT32, n + 1, start).astype(_INT32)
+        return LweSample(a=payload[:n], b=payload[n])
+    payload = np.frombuffer(view, _WIRE_INT32, rows * (n + 1), start).astype(_INT32)
+    return LweBatch(a=payload[: rows * n].reshape(rows, n), b=payload[rows * n :])
 
 
 def from_owned_buffer(data: Buffer):

@@ -166,9 +166,7 @@ def test_two_closed_loop_clients_out_of_phase_ride_together(
         # is running — as far out of phase as two clients can be.
         assert dispatcher.entered.wait(10.0)
         b.start()
-        assert _wait_until(
-            lambda: sum(len(c.tasks) for c in server._connections.values()) == 2
-        )
+        assert _wait_until(lambda: server.metrics()["awaiting_results"] == 2)
         release.set()
         a.join(30.0)
         b.join(30.0)

@@ -8,6 +8,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -372,6 +373,162 @@ class TestCorruptArchives:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"a lying directory made the reader allocate {peak} bytes"
+
+
+class TestCorruptArchivesOnAWarmCache(TestCorruptArchives):
+    """The same refusals with every valid header of the suite already cached."""
+
+    @pytest.fixture(autouse=True)
+    def _warm(self, tiny_keys_naive):
+        secret, cloud = tiny_keys_naive
+        objs = [
+            secret,
+            cloud,
+            encrypt_bit(secret, 1, rng=1),
+            encrypt_bit_batch(secret, [1, 0], rng=2),
+            TestRadixIntRoundTrip._value(secret),
+        ]
+        for blob in [*MICRO_BLOBS.values(), *(to_bytes(obj) for obj in objs)]:
+            from_bytes(blob)
+
+
+def _cold():
+    serialize._LAYOUTS.clear()
+    serialize._HEADS.clear()
+
+
+def _read(data):
+    """What reading ``data`` gives: its re-encoding, or the refusal's text."""
+    try:
+        return "ok", to_bytes(from_bytes(data))
+    except SerializationError as exc:
+        return "refused", str(exc)
+
+
+class TestCodecCaches:
+    """The header caches change no byte and no error — only the cost."""
+
+    @pytest.mark.parametrize("name", sorted(MICRO_BLOBS))
+    def test_encoding_is_byte_identical_cold_and_warm(self, name):
+        obj = from_bytes(MICRO_BLOBS[name])
+        _cold()
+        cold = to_bytes(obj)
+        assert to_bytes(obj) == cold == MICRO_BLOBS[name]
+        assert to_bytes(from_bytes(cold)) == cold  # decoded warm, too
+
+    def test_a_warm_sample_header_writes_any_int32_sample_and_refuses_the_rest(self):
+        a = np.arange(-16, 16, dtype=np.int32)
+        for sample in (
+            LweSample(a=a[::2], b=np.int32(-2**31)),  # strided view
+            LweSample(a=a[:16], b=np.int32(2**31 - 1)),
+        ):
+            _cold()
+            cold = to_bytes(sample)
+            assert to_bytes(sample) == cold
+            loaded = from_bytes(cold)
+            assert np.array_equal(loaded.a, sample.a) and loaded.b == sample.b
+        for bad in (
+            LweSample(a=a[:16].astype(np.int64), b=np.int32(1)),
+            LweSample(a=a[:16], b=1),
+            LweSample(a=a[:16], b=np.int64(1)),
+        ):
+            with pytest.raises(SerializationError, match="int32 only"):
+                to_bytes(bad)
+
+    def test_a_samples_shortcut_writes_what_the_general_walk_writes(self):
+        """``to_bytes`` joins a sample's header and payload directly;
+        ``to_pieces`` walks its arrays.  Either may fill the header cache
+        the other then reads: the bytes are the same every way round."""
+        sample = from_bytes(MICRO_BLOBS["lwe_sample"])
+
+        def shortcut():
+            return to_bytes(sample)
+
+        def walked():
+            return b"".join(serialize.to_pieces(sample))
+
+        for first, second in ((shortcut, walked), (walked, shortcut)):
+            _cold()
+            assert first() == second() == MICRO_BLOBS["lwe_sample"]
+
+    def test_corrupt_containers_read_the_same_cold_and_warm(self, edit_artifact):
+        corpus = []
+        for blob in MICRO_BLOBS.values():
+            corpus.extend(blob[:cut] for cut in range(0, len(blob), 7))
+            corpus.append(blob + b"\x00")
+        edits = [
+            lambda m: m["arrays"].pop(),
+            lambda m: m["arrays"].__setitem__(1, ["b", [2]]),
+            lambda m: m.__setitem__("version", 2),
+            lambda m: m.__setitem__("artifact", "bogus"),
+        ]
+        corpus.extend(edit_artifact(MICRO_BLOBS["lwe_batch"], edit) for edit in edits)
+        for bad in corpus:
+            _cold()
+            cold = _read(bad)
+            for blob in MICRO_BLOBS.values():
+                from_bytes(blob)
+            assert _read(bad) == cold
+
+    def test_a_header_one_byte_off_is_validated_in_full(self):
+        for name in ("lwe_sample", "lwe_batch", "radix_int"):
+            blob = MICRO_BLOBS[name]
+            for position in range(9, _payload_start(blob)):
+                for flip in (0x01, 0x20):
+                    bad = bytearray(blob)
+                    bad[position] ^= flip
+                    _cold()
+                    cold = _read(bytes(bad))
+                    from_bytes(blob)  # the true header is cached ...
+                    assert _read(bytes(bad)) == cold, (name, position, flip)
+
+    def test_a_warm_ciphertext_is_its_own_copy(self):
+        for name in ("lwe_sample", "lwe_batch"):
+            buffer = bytearray(MICRO_BLOBS[name])
+            backing = np.frombuffer(buffer, dtype=np.uint8)
+            for _ in range(2):  # cold, then warm
+                loaded = from_bytes(buffer)
+                for array in (loaded.a, np.asarray(loaded.b)):
+                    assert array.dtype == np.int32 and not np.shares_memory(array, backing)
+                assert loaded.a.flags.writeable
+            assert to_bytes(loaded) == MICRO_BLOBS[name]
+
+    def test_threads_sharing_the_caches_past_their_bound_read_right(self):
+        """More threads than cores, a short switch interval and more shapes
+        than the caches hold: every round trip is exact and the bound holds."""
+        errors = []
+
+        def churn(offset):
+            try:
+                for i in range(1500):
+                    n = 1 + (offset + 7 * i) % (2 * serialize._CACHE_BOUND)
+                    sample = LweSample(a=np.full(n, n, dtype=np.int32), b=np.int32(-n))
+                    loaded = from_bytes(to_bytes(sample))
+                    assert loaded.a.shape == (n,) and (loaded.a == n).all() and loaded.b == -n
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(serialize._LAYOUTS) <= serialize._CACHE_BOUND
+        assert len(serialize._HEADS) <= serialize._CACHE_BOUND
+
+    def test_distinct_headers_do_not_grow_the_caches_past_their_bound(self):
+        for n in range(1, 10_001):
+            sample = LweSample(a=np.zeros(n, dtype=np.int32), b=np.int32(n))
+            assert from_bytes(to_bytes(sample)).b == n
+        assert len(serialize._LAYOUTS) == serialize._CACHE_BOUND
+        assert len(serialize._HEADS) == serialize._CACHE_BOUND
 
 
 def _payload_start(blob):

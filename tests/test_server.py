@@ -17,6 +17,7 @@ front-end queue unboundedly:
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import io
 import json
@@ -26,6 +27,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 import weakref
 import zlib
@@ -34,17 +36,21 @@ import numpy as np
 import pytest
 
 from repro.runtime import ResilientClient, WorkerPool
+from repro.runtime import server as server_module
 from repro.runtime.chaos import FlakyEngine
 from repro.runtime.protocol import (
     DEFAULT_MAX_FRAME,
+    JobShed,
     ServerBusy,
     ServerError,
     ServingClient,
     encode_frame,
     pack_parts,
     read_frame,
+    read_frame_async,
+    unpack_parts,
 )
-from repro.runtime.server import _Connection, _SessionState
+from repro.runtime.server import FheServer, _Connection, _SessionState
 from repro.telemetry import parse_prometheus_text
 from repro.tfhe.gates import decrypt_bit, encrypt_bit
 from repro.tfhe.integers import RadixInt, decrypt_radix, encrypt_radix
@@ -52,7 +58,7 @@ from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
-from repro.tfhe.serialize import circuit_to_json, to_bytes
+from repro.tfhe.serialize import circuit_to_json, from_bytes, to_bytes
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform, clear_engine_quarantine
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
@@ -350,6 +356,32 @@ def test_unknown_op_and_missing_fields(server_factory, wire_keys):
         with pytest.raises(ServerError) as excinfo:
             client.call("gate", pack_parts([b"", b""]))  # no 'gate' field
         assert excinfo.value.kind == "bad_request"
+
+
+def test_a_server_side_value_error_is_internal_not_bad_request(
+    server_factory, wire_keys, monkeypatch
+):
+    """A ValueError the request caused (an unknown gate name, refused at
+    submit) is ``bad_request``; one raised by the server's own machinery is
+    ``internal`` — the client's request was well formed."""
+    secret, cloud = wire_keys
+    server = server_factory()
+    body, _ = _nand_body(secret, 0)
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        with pytest.raises(ServerError) as excinfo:
+            client.call("gate", body, gate="frobnicate")
+        assert excinfo.value.kind == "bad_request"
+
+    def broken_register(*_args):
+        raise ValueError("scheduler fault")
+
+    monkeypatch.setattr(server.scheduler, "register_client", broken_register)
+    with ServingClient(port=server.port) as client:
+        with pytest.raises(ServerError) as excinfo:
+            client.register_key(cloud)
+        assert excinfo.value.kind == "internal"
+        assert "scheduler fault" in str(excinfo.value)
 
 
 def _raw_exchange(port: int, payload: bytes) -> tuple:
@@ -759,6 +791,196 @@ def test_closed_plain_connections_leave_no_state(server_factory, wire_keys):
         metrics = observer.metrics()
     assert metrics["top_sessions"] == []
     assert (metrics["clients"], metrics["sessions"]) == (0, 0)
+
+
+# --------------------------------------------------------------------------- #
+# job requests are records                                                    #
+# --------------------------------------------------------------------------- #
+
+
+def _on_loop(server, call):
+    """Run ``call()`` on the server's event loop and wait until it has run."""
+    done = threading.Event()
+
+    def run():
+        try:
+            call()
+        finally:
+            done.set()
+
+    server._flusher.get_loop().call_soon_threadsafe(run)
+    assert done.wait(10.0)
+
+
+def _nand_body(secret, index):
+    a, b = index & 1, (index >> 1) & 1
+    operands = [encrypt_bit(secret, a, rng=3000 + 2 * index), encrypt_bit(secret, b, rng=3001 + 2 * index)]
+    return pack_parts([to_bytes(c) for c in operands]), 1 - (a & b)
+
+
+def test_a_gate_burst_creates_no_task(server_factory, wire_keys):
+    """64 pipelined gates on one connection: the reader submits each as a
+    record and the flusher answers it — no asyncio Task per request."""
+    secret, cloud = wire_keys
+    server = server_factory()
+    loop = server._flusher.get_loop()
+    created = []
+
+    def counting_factory(task_loop, coro, **kwargs):
+        created.append(getattr(coro, "__qualname__", repr(coro)))
+        return asyncio.Task(coro, loop=task_loop, **kwargs)
+
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        _on_loop(server, lambda: loop.set_task_factory(counting_factory))
+        try:
+            requests = []
+            for index in range(64):
+                body, want = _nand_body(secret, index)
+                requests.append((client.submit("gate", body, gate="nand"), want))
+            for request, want in requests:
+                assert decrypt_bit(secret, client.gate_result(request)) == want
+        finally:
+            _on_loop(server, lambda: loop.set_task_factory(None))
+    assert created == []
+
+
+def test_the_replies_of_one_flush_leave_in_one_write(server_factory, wire_keys):
+    secret, cloud = wire_keys
+    server = server_factory(flush_interval=0.3)  # cold: the window runs to its ceiling
+    burst = 8
+    writes = []
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        (conn,) = server._connections.values()
+        transport = conn.writer.transport
+        write = transport.write
+
+        def counting_write(data):
+            writes.append(bytes(data))
+            write(data)
+
+        _on_loop(server, lambda: setattr(transport, "write", counting_write))
+        flushes = server.scheduler.stats.flushes
+        requests = []
+        for index in range(burst):
+            body, want = _nand_body(secret, index)
+            requests.append((client.submit("gate", body, gate="nand"), want))
+        for request, want in requests:
+            assert decrypt_bit(secret, client.gate_result(request)) == want
+        assert server.scheduler.stats.flushes == flushes + 1
+    (data,) = writes
+    assert data.count(b"rTF2") == burst
+
+
+def test_a_session_duplicate_in_flight_is_answered_from_the_original(
+    server_factory, wire_keys
+):
+    """The same request id under the same session token, sent from a second
+    connection while the first is still in flight: one execution, two
+    replies carrying the original's result, one ``reply`` span each."""
+    secret, cloud = wire_keys
+    server = server_factory(flush_interval=0.3)
+    body, want = _nand_body(secret, 3)
+    with ServingClient(port=server.port, session="dup") as first, ServingClient(
+        port=server.port, session="dup"
+    ) as second:
+        first.register_key(cloud)
+        stats = server.scheduler.stats
+        completed, rows = stats.jobs_completed, stats.rows_bootstrapped
+        first.submit("gate", body, request_id=50, gate="nand", trace="dup-trace")
+        assert _wait_until(lambda: server.metrics()["awaiting_results"] == 1)
+        second.submit("gate", body, request_id=50, gate="nand", trace="dup-trace")
+        replies = [client.result(50)[1] for client in (first, second)]
+        assert replies[0] == replies[1]
+        assert decrypt_bit(secret, from_bytes(unpack_parts(replies[0])[0])) == want
+        assert (stats.jobs_completed, stats.rows_bootstrapped) == (completed + 1, rows + 1)
+        assert server.metrics()["jobs_deduped"] == 1
+    def count(name):
+        return [s.name for s in server.telemetry.tracer.spans("dup-trace")].count(name)
+
+    # A reply span is recorded just after its frame is written: poll for it.
+    assert _wait_until(lambda: count("reply") == 2)
+    assert count("job") == 1
+
+
+def test_a_departure_with_gates_outstanding_leaves_nothing(server_factory, wire_keys):
+    secret, cloud = wire_keys
+    server = server_factory(flush_interval=0.2)
+    client = ServingClient(port=server.port)
+    client.register_key(cloud)
+    for index in range(16):
+        body, _ = _nand_body(secret, index)
+        client.submit("gate", body, gate="nand")
+    client.close()  # gone with every gate outstanding
+    assert _wait_until(lambda: not server._connections)
+    with ServingClient(port=server.port) as observer:
+        scraped = _scrape(observer)
+        metrics = observer.metrics()
+    assert (scraped["fhe_resident_keys"], scraped["fhe_awaiting_results"]) == (0, 0)
+    assert (metrics["resident_keys"], metrics["awaiting_results"]) == (0, 0)
+
+
+def test_a_reader_cancelled_at_shutdown_still_tears_down(wire_keys):
+    """``asyncio.run(serve(...))`` stops the server, then cancels every
+    reader still parked in a read: the reader gives back the slot it holds
+    and its connection's teardown runs, instead of waiting for that slot."""
+    secret, cloud = wire_keys
+    server = FheServer(port=0, flush_interval=5.0)  # cold: the gate stays queued
+    torn_down = []
+    cleanup = server._cleanup_connection
+
+    async def counted_cleanup(conn):
+        await cleanup(conn)
+        torn_down.append(conn.conn_id)
+
+    server._cleanup_connection = counted_cleanup
+
+    async def main():
+        await server.start()
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        writer.write(
+            encode_frame({"op": "register_key", "id": 1}, pack_parts([to_bytes(cloud)]))
+        )
+        assert "error" not in (await read_frame_async(reader))[0]
+        body, _ = _nand_body(secret, 0)
+        writer.write(encode_frame({"op": "gate", "id": 2, "gate": "nand"}, body))
+        while server.metrics()["awaiting_results"] != 1:
+            await asyncio.sleep(0.01)
+        await server.stop()
+        # Returns with the client still connected: asyncio.run cancels the
+        # server's reader, parked in its next read.
+
+    runner = threading.Thread(target=asyncio.run, args=(main(),), daemon=True)
+    runner.start()
+    runner.join(20.0)
+    assert not runner.is_alive(), "the cancelled reader never tore its connection down"
+    assert torn_down == ["conn1"] and not server._connections
+    assert server.metrics()["resident_keys"] == 0
+
+
+def test_deadline_shedding_reads_one_estimate_between_flushes(
+    server_factory, wire_keys, monkeypatch
+):
+    """The latency rings change only when a flush ends, so the estimate is
+    computed there: requests carrying ``deadline_ms`` between two flushes
+    never sort a ring."""
+    secret, cloud = wire_keys
+    server = server_factory(flush_interval=0.5)
+    sorts = []
+    percentile = server_module._percentile
+    monkeypatch.setattr(
+        server_module, "_percentile", lambda *args, **kw: sorts.append(args) or percentile(*args, **kw)
+    )
+    body, _ = _nand_body(secret, 0)
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        requests = [client.submit("gate", body, gate="nand", deadline_ms=1) for _ in range(20)]
+        for request in requests:
+            with pytest.raises(JobShed):
+                client.result(request)
+        assert len(sorts) <= 1
+        assert server.metrics()["jobs_shed"] == 20
 
 
 # --------------------------------------------------------------------------- #

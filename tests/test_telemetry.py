@@ -24,6 +24,7 @@ import ast
 import inspect
 import json
 import math
+import os
 import re
 import socket
 import struct
@@ -278,6 +279,31 @@ def test_tracer_exports_and_pipe_tuples():
     for record in [s.to_tuple() for s in tracer.spans()]:
         small.ingest(record)
     assert [s.name for s in small.spans()] == ["keyswitch"] and small.dropped == 1
+
+
+def test_trace_ids_are_unique_and_never_a_clients():
+    ids = {Tracer().new_trace_id() for _ in range(100_000)}
+    assert len(ids) == 100_000
+    # Clients mint uuid4().hex: 32 hex digits, never a dot.
+    assert all("." in trace_id and len(trace_id) < 32 for trace_id in ids)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_mints_trace_ids_of_its_own():
+    Tracer.new_trace_id()  # the counter has moved before the fork
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: mint, report, leave without pytest's teardown
+        try:
+            os.write(write_end, json.dumps([Tracer.new_trace_id() for _ in range(100)]).encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    parent = {Tracer.new_trace_id() for _ in range(100)}
+    with os.fdopen(read_end, "rb") as pipe:
+        child = set(json.loads(pipe.read()))
+    os.waitpid(pid, 0)
+    assert len(child) == 100 and not child & parent
 
 
 # --------------------------------------------------------------------------- #
