@@ -12,10 +12,7 @@ the numbers and print paper-style tables:
   DVQTF decryption-failure study of Section 4.3;
 * :mod:`repro.analysis.comparison` — Figures 9, 10 and 11 (latency,
   throughput and throughput/Watt across platforms and BKU factors) and
-  Table 2 (power and area);
-* :mod:`repro.analysis.backend_comparison` — the runnable engine backends
-  lined up against the modeled CPU/GPU/MATCHA platforms (modeled vs
-  measured speedups, fed by ``benchmarks/bench_engines.py``).
+  Table 2 (power and area).
 """
 
 from repro.analysis.schemes import table1_rows, render_table1
@@ -28,10 +25,6 @@ from repro.analysis.comparison import (
     render_figure10,
     render_figure11,
     render_table2,
-)
-from repro.analysis.backend_comparison import (
-    backend_comparison,
-    render_backend_comparison,
 )
 
 __all__ = [
@@ -49,6 +42,4 @@ __all__ = [
     "render_figure10",
     "render_figure11",
     "render_table2",
-    "backend_comparison",
-    "render_backend_comparison",
 ]

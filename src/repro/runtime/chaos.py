@@ -13,9 +13,9 @@ an exact, declared point, so a failing chaos test replays identically:
 * :class:`FlakyEngine` — a transform engine that delegates every operation
   to a real base engine bit-identically, but raises
   :class:`repro.tfhe.transform.EngineFault` on the Nth transform call.  It
-  masquerades as a registered engine kind, so
-  :meth:`repro.runtime.context.FheContext.failover` quarantines that kind
-  and falls back within the error-model family.
+  reports the base engine's spec, so
+  :meth:`repro.runtime.context.FheContext.failover` rebuilds a fresh,
+  unwrapped engine of that kind.
 * :class:`SlowDispatcher` — wraps a :class:`RowDispatcher`, sleeping before
   each round (slow flushes for deadline/drain tests).
 
@@ -259,9 +259,9 @@ class FlakyEngine(NegacyclicTransform):
     implementation, so results computed around the fault stay bit-identical
     to the base engine.
 
-    ``masquerade_kind`` sets the instance's ``engine_kind`` (default: the
-    base engine's), which is what
-    :meth:`repro.runtime.context.FheContext.failover` quarantines.
+    The proxy carries the base engine's ``engine_kind`` and options, so its
+    :meth:`spec` is the base engine's — what
+    :meth:`repro.runtime.context.FheContext.failover` rebuilds from.
     """
 
     def __init__(
@@ -269,7 +269,6 @@ class FlakyEngine(NegacyclicTransform):
         base: NegacyclicTransform,
         fail_on_call: int = 1,
         fail_forever: bool = False,
-        masquerade_kind: Optional[str] = None,
     ) -> None:
         super().__init__(base.degree)
         self.base = base
@@ -278,12 +277,8 @@ class FlakyEngine(NegacyclicTransform):
         self.calls = 0
         self.faults_raised = 0
         self.stats = base.stats  # one shared op counter, as callers expect
-        if masquerade_kind is not None or base.engine_kind is not None:
-            # Instance attribute shadowing the ClassVar: failover reads it
-            # through ``spec()`` and quarantines this kind in the registry.
-            self.engine_kind = (
-                masquerade_kind if masquerade_kind is not None else base.engine_kind
-            )
+        # Instance attribute shadowing the ClassVar (None for an ad-hoc base).
+        self.engine_kind = base.engine_kind
 
     def _tick(self) -> None:
         self.calls += 1

@@ -7,10 +7,9 @@ that data into evaluation state, the way the paper's accelerator keeps the
 bootstrapping key resident next to the datapath and streams ciphertexts past
 it:
 
-* the transform engine is the one the key's recorded spec names
-  (:func:`repro.tfhe.transform.engine_for`), or an instance supplied
-  explicitly — e.g. to evaluate a ``double``-generated key with the
-  ``approx`` engine for error studies;
+* the transform engine is built from the key's recorded spec, or an
+  instance supplied explicitly — e.g. to evaluate a ``double``-generated key
+  with the ``approx`` engine for error studies;
 * every bootstrapping-key row is ``forward()``-transformed into the Lagrange
   domain **exactly once per context** and cached inside the blind rotator —
   the *cloud-key spectrum cache*.  Gates only ever transform the small
@@ -49,13 +48,7 @@ from repro.tfhe.keys import (
 from repro.tfhe.keyswitch import KeySwitchKey
 from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.tgsw import BootstrapWorkspace, TgswSample, tgsw_transform
-from repro.tfhe.transform import (
-    EngineFault,
-    NegacyclicTransform,
-    UnsupportedEngine,
-    engine_for,
-    quarantine_engine,
-)
+from repro.tfhe.transform import EngineFault, NegacyclicTransform
 from repro.utils.rng import SeedLike, make_rng
 
 
@@ -104,8 +97,8 @@ def resolve_engine(
 
     An already-built :class:`NegacyclicTransform` instance (in-process error
     studies, a pool worker rebuilding its parent's engine) is returned as-is;
-    ``None`` builds the engine :func:`repro.tfhe.transform.engine_for` names
-    for the key's recorded ``transform_spec``.
+    ``None`` builds the key's recorded ``transform_spec`` (an unregistered
+    kind raises :class:`repro.tfhe.transform.UnsupportedEngine`).
     """
     if engine is not None:
         return engine
@@ -115,7 +108,7 @@ def resolve_engine(
             "cloud key records no transform spec (ad-hoc engine); "
             "pass an engine instance explicitly"
         )
-    return engine_for(spec).create(cloud_key.params.N)
+    return spec.create(cloud_key.params.N)
 
 
 class FheContext:
@@ -150,7 +143,7 @@ class FheContext:
         #: evaluators, every scheduler flush) — allocated once, reused for
         #: the lifetime of the context.
         self.workspace = BootstrapWorkspace()
-        #: How many times :meth:`failover` swapped this context's engine.
+        #: How many times :meth:`failover` rebuilt this context's engine.
         self.engine_failovers = 0
         #: Optional :class:`repro.telemetry.Telemetry` bundle; set by the
         #: scheduler on registration so the innermost evaluator layer can
@@ -213,38 +206,26 @@ class FheContext:
         self._rotator = rotator
         self.cached_tgsw_samples = int(cached_tgsw_samples)
 
-    def failover(self, reason: str = "engine fault") -> str:
-        """Quarantine the current engine kind and rebuild on its family twin.
+    def failover(self, reason: str = "engine fault") -> None:
+        """Rebuild the engine from its own spec after a runtime fault.
 
         Called when the engine raises :class:`repro.tfhe.transform.EngineFault`
-        mid-evaluation (JIT self-check failure, device error).  The faulting
-        kind is quarantined in the registry,
-        :func:`repro.tfhe.transform.engine_for` names the engine that runs
-        its keys meanwhile, and this context's derived state — spectrum
-        cache, evaluators, workspace — is reset so it is rebuilt lazily on
-        the new engine.  Within the ``fft64`` family the replay is
-        bit-identical (the cross-engine suite's contract).
+        mid-evaluation.  A fresh instance of the same kind and options
+        replaces it, and this context's derived state — spectrum cache,
+        evaluators, workspace — is released so it is rebuilt lazily on the
+        new engine; the replay is bit-identical to an unfaulted run.
 
-        Returns the new engine kind.  Raises :class:`EngineFault` when the
-        engine is ad-hoc (no registry kind to quarantine or match against)
-        or no usable engine of its error model remains.
+        Raises :class:`EngineFault` when the engine is ad-hoc (no spec to
+        rebuild from).
         """
         spec = self.engine.spec()
         if spec is None:
             raise EngineFault(
-                f"cannot fail over an ad-hoc (unregistered) engine: {reason}"
+                f"cannot rebuild an ad-hoc (unregistered) engine: {reason}"
             )
-        quarantine_engine(spec.kind, reason)
-        try:
-            self.engine = engine_for(spec).create(self.params.N)
-        except UnsupportedEngine as exc:
-            raise EngineFault(
-                f"engine {spec.kind!r} quarantined ({reason}) and no "
-                f"compatible fallback remains: {exc}"
-            ) from None
+        self.engine = spec.create(self.params.N)
         self.release()
         self.engine_failovers += 1
-        return self.engine.engine_kind
 
     def release(self) -> None:
         """Drop everything derived from the key: spectrum cache, evaluators,

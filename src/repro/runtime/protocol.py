@@ -601,12 +601,9 @@ class ServingClient:
         """Upload this connection's cloud key (its serialized artifact).
 
         The server evaluates the key on the engine its ``transform_spec``
-        records — or, while that kind is quarantined there, on the usable
-        engine of the same error model; the reply header reports the one in
-        use (``engine_kind``).  If no such engine exists the call raises a
-        :class:`ServerError` of kind ``unsupported_engine`` whose message
-        lists every backend's status (e.g. ``compiled: quarantined: JIT
-        self-check``).
+        records; the reply header reports it (``engine_kind``).  A kind the
+        server has not registered raises a :class:`ServerError` of kind
+        ``unsupported_engine`` whose message lists the registered kinds.
         """
         header, _ = self.call("register_key", parts_pieces([to_pieces(cloud_key)]))
         return header

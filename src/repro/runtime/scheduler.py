@@ -241,8 +241,7 @@ def record_engine_deltas(tel, engine, before) -> None:
     """Mirror an engine's transform-call deltas into the registry.
 
     ``before`` is an earlier :meth:`TransformStats.snapshot`; the counter
-    carries the engine kind as a label so a failover's engine swap shows up
-    as a second labeled series rather than a reset.
+    carries the engine kind as a label, one series per kind in use.
     """
     after = engine.stats.snapshot()
     kind = getattr(engine, "engine_kind", None) or "unknown"
@@ -402,8 +401,8 @@ class SchedulerStats:
     #: Jobs failed with a typed error (force-deregistration aborts, and jobs
     #: whose operand handle had failed).
     jobs_aborted: int = 0
-    #: Times a faulting engine was quarantined and its client's context
-    #: rebuilt on a fallback engine mid-flush.
+    #: Times a faulting engine was rebuilt from its own spec mid-flush and
+    #: the round replayed on it.
     engine_failovers: int = 0
     #: Rounds that fell back to in-process execution after the row
     #: dispatcher (worker pool) exhausted its retry budget.
@@ -425,7 +424,7 @@ _STATS_FAMILIES = (
     ("fhe_rows_bootstrapped_total", "rows_bootstrapped", "Ciphertext rows bootstrapped."),
     ("fhe_batched_calls_total", "batched_calls", "Mixed-gate batched bootstrapping calls issued."),
     ("fhe_jobs_completed_total", "jobs_completed", "Jobs fully resolved."),
-    ("fhe_engine_failovers_total", "engine_failovers", "Engine quarantines mid-flush."),
+    ("fhe_engine_failovers_total", "engine_failovers", "Engine rebuilds mid-flush."),
     ("fhe_inline_fallbacks_total", "inline_fallbacks", "Rounds degraded to in-process."),
 )
 _POOL_STATS_FAMILIES = (
@@ -773,8 +772,8 @@ class BatchScheduler:
     # -- execution -------------------------------------------------------------
     def _republish(self, resident: ResidentKey) -> None:
         """Re-register a resident key with the dispatcher after its context's
-        engine changed (a worker pool republishes the shared key segment so
-        workers rebuild their contexts on the new engine spec)."""
+        engine was rebuilt (a worker pool republishes the shared key segment
+        so workers rebuild their contexts on fresh engines too)."""
         try:
             self.dispatcher.deregister_client(resident.label)
         except Exception:  # noqa: BLE001 - the old registration may be gone
@@ -788,12 +787,12 @@ class BatchScheduler:
 
         * :class:`repro.tfhe.transform.EngineFault` (from an inline engine,
           or re-raised by a worker pool whose task exhausted retries on one)
-          quarantines the faulting engine kind, fails the resident's context
-          over to the other usable engine of its error-model family
+          rebuilds the resident's engine from its own spec
           (:meth:`FheContext.failover`), republishes the context to the
           dispatcher and replays the round there — once, for every client
           sharing the key.  No partial results from the faulted attempt are
-          used, so the replay is bit-identical within the ``fft64`` family.
+          used, so the replay is bit-identical.  If the rebuilt engine
+          faults in process too, the round fails with that ``EngineFault``.
         * ``WorkerPoolError`` (pool retry budget exhausted for a non-engine
           fault) degrades the round to in-process :func:`execute_rows` —
           the pool's health problem must not fail client jobs that a single

@@ -93,7 +93,7 @@ from repro.tfhe.serialize import (
     from_owned_buffer,
     to_bytes,
 )
-from repro.tfhe.transform import UnsupportedEngine, quarantined_engines
+from repro.tfhe.transform import UnsupportedEngine
 
 __all__ = ["FheServer", "serve"]
 
@@ -676,7 +676,6 @@ class FheServer:
                 if record.jobs
             ],
         }
-        snapshot["engines_quarantined"] = quarantined_engines()
         dispatcher = self.scheduler.dispatcher
         pool_stats = getattr(dispatcher, "stats", None)
         health = getattr(dispatcher, "health", None)

@@ -160,8 +160,8 @@ def _pack_client_segment(context: FheContext) -> shared_memory.SharedMemory:
                     "degree": first.degree,
                 }
     # Record the parent context's engine spec so workers rebuild the SAME
-    # engine even when it is not the one the key records (a context failed
-    # over to the family twin, or built on an engine instance in process).
+    # engine even when it is not the one the key records (a context built on
+    # an engine instance in process, e.g. ``approx`` over a ``double`` key).
     # Ad-hoc engines have no spec; workers then fall back to the key's.
     engine_spec = context.engine.spec()
     header = json.dumps(
@@ -383,7 +383,7 @@ def _worker_main(
                     result = _apply_fault(plan, task_index, result)
                 except EngineFault:
                     # Tagged so the parent can distinguish "this worker's
-                    # engine is sick" (quarantine + failover upstream) from
+                    # engine is sick" (engine rebuild upstream) from
                     # a generic task fault (requeue to another worker).
                     result = ("err", task_id, traceback.format_exc(), "engine_fault")
                 except Exception:  # noqa: BLE001 - report, let parent decide

@@ -645,51 +645,22 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
 class EngineFault(RuntimeError):
     """A transform engine failed *at runtime* (after construction).
 
-    Raised when an engine that constructed fine later misbehaves — a JIT
-    kernel failing its self-check, a device error mid-transform, a poisoned
-    buffer.  The fault is typed (rather than a bare ``RuntimeError``) so the
-    runtime can react structurally: :meth:`repro.runtime.context.FheContext.failover`
-    quarantines the faulting kind in the registry and rebuilds the evaluation
-    state on the engine :func:`engine_for` names instead — the other usable
-    kind of the same error model — and the batch scheduler retries the
-    affected rows there.  Retryable by construction: no partial results escape.
+    Raised when an engine that constructed fine later misbehaves — a device
+    error mid-transform, a poisoned buffer.  The fault is typed (rather than
+    a bare ``RuntimeError``) so the runtime can react structurally:
+    :meth:`repro.runtime.context.FheContext.failover` rebuilds the evaluation
+    state on a fresh engine of the same spec, and the batch scheduler replays
+    the affected rows there once.  Retryable by construction: no partial
+    results escape.
     """
 
     retryable = True
 
 
 class UnsupportedEngine(ValueError):
-    """No engine here can run what was asked for: the kind is not registered,
-    or it is quarantined and no usable kind shares its error model.  The
-    message carries the registry's status; the serving front answers it with
-    a non-retryable ``unsupported_engine`` error frame."""
-
-
-#: Engine kinds quarantined after a runtime fault → the reason string.
-#: Quarantine is process-wide registry state (matching the registry itself):
-#: a quarantined kind reports as unavailable, so :func:`engine_for` routes
-#: its keys to the family twin and ``make_transform`` refuses it until
-#: :func:`clear_engine_quarantine`.
-_QUARANTINED: Dict[str, str] = {}
-
-
-def quarantine_engine(kind: str, reason: str = "engine fault") -> None:
-    """Mark a registered engine kind unavailable after a runtime fault."""
-    engine_entry(kind)  # validate the kind before poisoning the map
-    _QUARANTINED[kind] = str(reason) or "engine fault"
-
-
-def clear_engine_quarantine(kind: Optional[str] = None) -> None:
-    """Lift the quarantine of ``kind`` (or of every kind when ``None``)."""
-    if kind is None:
-        _QUARANTINED.clear()
-    else:
-        _QUARANTINED.pop(kind, None)
-
-
-def quarantined_engines() -> Dict[str, str]:
-    """Currently quarantined engine kinds → reason (sorted by kind)."""
-    return {kind: _QUARANTINED[kind] for kind in sorted(_QUARANTINED)}
+    """The kind asked for is not registered here.  The message lists the
+    registered kinds; the serving front answers it with a non-retryable
+    ``unsupported_engine`` error frame."""
 
 
 @dataclass(frozen=True)
@@ -700,9 +671,7 @@ class EngineEntry:
     numerical contract its results satisfy:
 
     * ``"exact"``: exact integer arithmetic (no error at all);
-    * ``"fft64"``: double-precision FFT, **bit-identical** to the
-      ``"double"`` reference engine (the compiled CPU fast path makes
-      this promise and the cross-engine suite enforces it);
+    * ``"fft64"``: double-precision FFT (the ``"double"`` engine);
     * ``"approx"``: MATCHA's approximate integer FFT error model
       (validated against the Figure-8 error budget, not bit-identity).
     """
@@ -729,9 +698,9 @@ def register_engine(
     ``factory(degree, **kwargs)`` must return a :class:`NegacyclicTransform`;
     ``valid_kwargs`` lists every keyword argument the factory accepts, so
     :func:`make_transform` can reject typos instead of silently forwarding
-    bogus options; ``error_model`` is the family :func:`engine_for` keeps a
-    key within (see :class:`EngineEntry`).  Re-registering a kind replaces
-    the previous entry.
+    bogus options; ``error_model`` names the numerical contract of its
+    results (see :class:`EngineEntry`).  Re-registering a kind replaces the
+    previous entry.
     """
     if not kind:
         raise ValueError("engine kind must be a non-empty string")
@@ -744,71 +713,29 @@ def register_engine(
     )
 
 
-def available_engines() -> Dict[str, Optional[str]]:
-    """Every registered engine kind → ``None`` (usable) or why it is not.
-
-    A quarantined kind is **reported with its reason** instead of silently
-    omitted — ``{"compiled": "quarantined: JIT self-check", ...}``.  The
-    mapping iterates in sorted kind order, so callers may treat it as a
-    sequence of kinds (membership tests, ``", ".join``).
-    """
-    return {
-        kind: f"quarantined: {_QUARANTINED[kind]}" if kind in _QUARANTINED else None
-        for kind in sorted(_ENGINE_REGISTRY)
-    }
-
-
-def _registry_status() -> str:
-    return ", ".join(
-        f"{kind}: {reason or 'available'}" for kind, reason in available_engines().items()
-    )
+def available_engines() -> Tuple[str, ...]:
+    """Every registered engine kind, sorted."""
+    return tuple(sorted(_ENGINE_REGISTRY))
 
 
 def engine_entry(kind: str) -> EngineEntry:
-    """Look up a registry entry; unknown kinds list the registry's status."""
+    """Look up a registry entry; unknown kinds list the registered ones."""
     try:
         return _ENGINE_REGISTRY[kind]
     except KeyError:
         raise UnsupportedEngine(
             f"unknown transform kind: {kind!r} (registered engines: "
-            f"{_registry_status()})"
+            f"{', '.join(available_engines())})"
         ) from None
 
 
-def engine_for(spec: TransformSpec) -> TransformSpec:
-    """The spec of the engine that runs a key recorded under ``spec``.
-
-    The one place an engine kind is chosen: ``spec`` itself while its kind
-    is usable; while that kind is quarantined, the bare spec of the other
-    usable registered kind of the same error model (the first by kind name,
-    should there be several) — a ``double`` key is evaluated bit-identically
-    by any ``fft64`` engine, and ``exact`` / ``approx`` keys never leave
-    their own family.  Anything else — an unknown kind, or no usable engine
-    of that error model — is an :class:`UnsupportedEngine`.
-    """
-    error_model = engine_entry(spec.kind).error_model
-    engines = available_engines()
-    if engines[spec.kind] is None:
-        return spec
-    for kind, reason in engines.items():
-        if reason is None and _ENGINE_REGISTRY[kind].error_model == error_model:
-            return TransformSpec(kind)
-    raise UnsupportedEngine(
-        f"transform engine {spec.kind!r} is {engines[spec.kind]} and no other "
-        f"usable engine has its error model {error_model!r} (registered "
-        f"engines: {_registry_status()})"
-    )
-
-
 def make_transform(kind: str, degree: int, **kwargs) -> NegacyclicTransform:
-    """Instantiate a registered engine (``"naive"``, ``"double"``, ``"approx"``,
-    ``"compiled"``, ...).
+    """Instantiate a registered engine (``"naive"``, ``"double"``, ``"approx"``).
 
     Keyword arguments are validated against the engine's registered option
     set before the factory runs, so a typo like ``twiddel_bits`` fails with
     the offending engine named and its accepted options listed instead of
     being silently dropped or crashing deep inside the engine constructor.
-    A quarantined engine fails here with its quarantine reason.
     """
     entry = engine_entry(kind)
     unknown = sorted(set(kwargs) - entry.valid_kwargs)
@@ -818,11 +745,6 @@ def make_transform(kind: str, degree: int, **kwargs) -> NegacyclicTransform:
             f"unknown option(s) {unknown} for transform engine {kind!r}; "
             f"engine {kind!r} accepts: {valid}"
         )
-    if kind in _QUARANTINED:
-        raise UnsupportedEngine(
-            f"transform engine {kind!r} is registered but unavailable here "
-            f"(registered engines: {_registry_status()})"
-        )
     return entry.factory(degree, **kwargs)
 
 
@@ -831,13 +753,6 @@ def _approx_factory(degree: int, **kwargs) -> NegacyclicTransform:
     from repro.core.integer_fft import ApproximateNegacyclicTransform
 
     return ApproximateNegacyclicTransform(degree, **kwargs)
-
-
-def _compiled_factory(degree: int, **kwargs) -> NegacyclicTransform:
-    # Lazy import keeps the (optional) Numba probe off the module import path.
-    from repro.tfhe.engine_compiled import CompiledNegacyclicTransform
-
-    return CompiledNegacyclicTransform(degree, **kwargs)
 
 
 register_engine(
@@ -858,14 +773,4 @@ register_engine(
     valid_kwargs=("twiddle_bits", "target_msb"),
     description="MATCHA's approximate multiplication-less integer FFT",
     error_model="approx",
-)
-register_engine(
-    "compiled",
-    _compiled_factory,
-    valid_kwargs=("parallel", "require_numba"),
-    description=(
-        "compiled CPU fast path: Numba-jitted twist/fold/contract kernels "
-        "when Numba imports, in-place NumPy accumulation otherwise"
-    ),
-    error_model="fft64",
 )

@@ -34,7 +34,6 @@ from repro.tfhe.transform import (
     DoubleFFTNegacyclicTransform,
     EngineFault,
     available_engines,
-    clear_engine_quarantine,
     make_transform,
 )
 
@@ -183,34 +182,31 @@ class TestEngineSeamUnderFaults:
             (encrypt_bit(secret, a, rng=770 + 2 * i), encrypt_bit(secret, b, rng=771 + 2 * i))
             for i, (a, b) in enumerate([(1, 1), (1, 0), (0, 1), (0, 0)])
         ]
-        try:
-            scheduler = BatchScheduler()
-            scheduler.register_client("chaos", cloud)
-            context = scheduler.client_context("chaos")
-            # n forwards build the spectrum cache; the fault lands on step 6.
-            flaky = FlakyEngine(
-                context.engine, fail_on_call=PARAMS.n + 6, masquerade_kind="compiled"
-            )
-            context.engine = flaky
-            faulted_workspace = context.workspace
-            session = scheduler.session("chaos")
-            handles = [session.submit_gate("nand", ca, cb) for ca, cb in operands]
-            scheduler.flush()
-            assert flaky.faults_raised == 1 and flaky.calls == PARAMS.n + 6
-            assert scheduler.stats.engine_failovers == 1
-            assert context.workspace is not faulted_workspace
-            assert faulted_workspace.nbytes == 0  # released, not left to the GC
-            want = FheContext(cloud).batch_evaluator(len(operands)).gate_rows(
-                ["nand"] * len(operands),
-                LweBatch.from_samples([ca for ca, _ in operands]),
-                LweBatch.from_samples([cb for _, cb in operands]),
-            )
-            for row, handle in enumerate(handles):
-                got = handle.result()
-                assert np.array_equal(got.a, want.a[row])
-                assert np.int32(got.b) == want.b[row]
-        finally:
-            clear_engine_quarantine()
+        scheduler = BatchScheduler()
+        scheduler.register_client("chaos", cloud)
+        context = scheduler.client_context("chaos")
+        # n forwards build the spectrum cache; the fault lands on step 6.
+        flaky = FlakyEngine(context.engine, fail_on_call=PARAMS.n + 6)
+        context.engine = flaky
+        faulted_workspace = context.workspace
+        session = scheduler.session("chaos")
+        handles = [session.submit_gate("nand", ca, cb) for ca, cb in operands]
+        scheduler.flush()
+        assert flaky.faults_raised == 1 and flaky.calls == PARAMS.n + 6
+        assert scheduler.stats.engine_failovers == context.engine_failovers == 1
+        # The same kind, on a fresh engine object.
+        assert context.engine is not flaky and context.engine.engine_kind == "double"
+        assert context.workspace is not faulted_workspace
+        assert faulted_workspace.nbytes == 0  # released, not left to the GC
+        want = FheContext(cloud).batch_evaluator(len(operands)).gate_rows(
+            ["nand"] * len(operands),
+            LweBatch.from_samples([ca for ca, _ in operands]),
+            LweBatch.from_samples([cb for _, cb in operands]),
+        )
+        for row, handle in enumerate(handles):
+            got = handle.result()
+            assert np.array_equal(got.a, want.a[row])
+            assert np.int32(got.b) == want.b[row]
 
 
 @pytest.mark.parametrize("kind", available_engines())

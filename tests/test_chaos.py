@@ -34,8 +34,8 @@ from repro.tfhe.params import TEST_TINY
 from repro.tfhe.serialize import from_bytes, to_bytes
 from repro.tfhe.transform import (
     DoubleFFTNegacyclicTransform,
-    clear_engine_quarantine,
-    quarantined_engines,
+    TransformSpec,
+    make_transform,
 )
 
 BITS = [(True, True), (True, False), (False, True), (False, False)]
@@ -200,37 +200,38 @@ def test_multi_client_disconnects_zero_loss(server_factory, wire_keys):
 
 
 def test_flaky_engine_failover_bitidentical(wire_keys):
-    """An engine that faults mid-batch is quarantined; the scheduler fails
-    the context over within the fft64 family and replays the round — the
-    results match a clean run exactly."""
+    """An engine that faults mid-batch is rebuilt from its own spec and the
+    scheduler replays the round on it — the results match a clean run
+    exactly."""
     secret, cloud = wire_keys
     pairs = _encrypt_pairs(secret, seed=500)
-    try:
-        # Clean reference on an untouched scheduler/engine.
-        reference = BatchScheduler()
-        reference.register_client("ref", cloud)
-        session = reference.session("ref")
-        handles = [session.submit_gate("nand", ca, cb) for ca, cb in pairs]
-        reference.flush()
-        want = [decrypt_bit(secret, handle.result()) for handle in handles]
+    # Clean reference on an untouched scheduler/engine.
+    reference = BatchScheduler()
+    reference.register_client("ref", cloud)
+    session = reference.session("ref")
+    handles = [session.submit_gate("nand", ca, cb) for ca, cb in pairs]
+    reference.flush()
+    want = [handle.result() for handle in handles]
 
-        chaotic = BatchScheduler()
-        chaotic.register_client("chaos", cloud)
-        session = chaotic.session("chaos")
-        context = chaotic.client_context("chaos")
-        context.engine = FlakyEngine(
-            context.engine, fail_on_call=3, masquerade_kind="compiled"
-        )
-        handles = [session.submit_gate("nand", ca, cb) for ca, cb in pairs]
-        chaotic.flush()
-        got = [decrypt_bit(secret, handle.result()) for handle in handles]
+    chaotic = BatchScheduler()
+    chaotic.register_client("chaos", cloud)
+    session = chaotic.session("chaos")
+    context = chaotic.client_context("chaos")
+    flaky = FlakyEngine(context.engine, fail_on_call=3)
+    context.engine = flaky
+    faulted_workspace = context.workspace
+    handles = [session.submit_gate("nand", ca, cb) for ca, cb in pairs]
+    chaotic.flush()
+    got = [handle.result() for handle in handles]
 
-        assert got == want
-        assert chaotic.stats.engine_failovers == 1
-        assert "compiled" in quarantined_engines()
-        assert context.engine.engine_kind != "compiled"
-    finally:
-        clear_engine_quarantine()
+    assert all(
+        np.array_equal(g.a, w.a) and int(g.b) == int(w.b) for g, w in zip(got, want)
+    )
+    assert flaky.faults_raised == 1
+    assert chaotic.stats.engine_failovers == context.engine_failovers == 1
+    assert context.engine is not flaky and context.engine.engine_kind == "double"
+    assert context.workspace is not faulted_workspace
+    assert faulted_workspace.nbytes == 0
 
 
 def test_flaky_engine_that_never_faults_is_bit_identical_to_the_bare_engine(wire_keys):
@@ -254,6 +255,25 @@ def test_flaky_engine_that_never_faults_is_bit_identical_to_the_bare_engine(wire
     # The wrapped engine staged its intermediates through the context's
     # workspace — the argument the old fixed signature would have dropped.
     assert "transform" in flaky.workspace._pools
+
+
+@pytest.mark.parametrize(
+    "kind, options",
+    [("naive", {}), ("double", {}), ("approx", {"twiddle_bits": 24})],
+    ids=("naive", "double", "approx"),
+)
+def test_flaky_engine_reports_its_base_engines_spec(kind, options):
+    """What a failover rebuilds from: the wrapped engine's kind and options,
+    for an engine of every error model."""
+    base = make_transform(kind, TEST_TINY.N, **options)
+    flaky = FlakyEngine(base)
+    assert flaky.engine_kind == kind
+    assert flaky.spec() == base.spec() == TransformSpec.from_options(
+        kind, **base.engine_options()
+    )
+    rebuilt = flaky.spec().create(TEST_TINY.N)
+    assert type(rebuilt) is type(base)
+    assert rebuilt.engine_options() == base.engine_options()
 
 
 # --------------------------------------------------------------------------- #

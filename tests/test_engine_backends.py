@@ -1,26 +1,28 @@
 """Cross-engine property suite: every registered backend honours its contract.
 
-The engine registry records each engine's error model, and every engine
-promises a specific numerical contract relative to the ``"double"``
-reference:
+The engine registry records each engine's error model, one engine per model,
+and every engine promises a specific numerical contract relative to the
+``"double"`` reference:
 
-* ``"exact"`` engines agree with the naive ground truth bit for bit;
-* ``"fft64"`` engines (double, compiled) are **bit-identical to each
-  other** — the compiled fast path may be faster, never different;
-* ``"approx"`` engines only owe functional correctness within the
-  Figure-8 error budget.
+* ``"exact"`` (naive) agrees with the exact ground truth bit for bit;
+* ``"fft64"`` (double) is the reference itself;
+* ``"approx"`` only owes functional correctness within the Figure-8 error
+  budget.
 
-Every test here parameterizes over **all registered engines** and skips
-unavailable (quarantined) ones with the registry's own reason string.
-Coverage spans the full stack: raw external products, gate bootstrap +
-keyswitch on both rotators (classical CMux and BKU m=2),
-programmable-bootstrap LUTs, worker-pool sharding under a non-default engine,
-the one engine decision (:func:`repro.tfhe.transform.engine_for`) and what the
-serving front makes of it.
+Every test here parameterizes over **all registered engines**; the
+conformance tests add ``generic-double``, ``double``'s primitives reached
+through the base class's generic kernels, so ``double``'s buffered kernels
+are pinned to change nothing but speed.  Coverage spans the full stack: raw
+external products, gate bootstrap + keyswitch on both rotators (classical
+CMux and BKU m=2), programmable-bootstrap LUTs,
+worker-pool sharding under a non-default engine, the key's own spec as the
+one engine decision, an engine fault's rebuild on that spec, and what the
+serving front makes of both.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
 
@@ -34,6 +36,7 @@ from repro.runtime import (
     ResilientClient,
     WorkerPool,
 )
+from repro.runtime.chaos import FlakyEngine
 from repro.runtime.protocol import ServerError, ServingClient, pack_parts
 from repro.runtime.scheduler import SchedulerStats, execute_rows
 from repro.tfhe.bootstrap import programmable_bootstrap
@@ -41,28 +44,28 @@ from repro.tfhe.gates import PLAINTEXT_GATES, decrypt_bit, encrypt_bit
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import decrypt_digit, encrypt_digit
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
-from repro.tfhe.serialize import from_bytes, to_bytes
+from repro.tfhe.serialize import to_bytes
 from repro.tfhe.tgsw import tgsw_encrypt, tgsw_external_product, tgsw_transform
 from repro.tfhe.tlwe import tlwe_encrypt, tlwe_key_generate, tlwe_phase
 from repro.tfhe.torus import double_to_torus32, torus_distance
+from repro.tfhe import transform as transform_module
 from repro.tfhe.transform import (
     DoubleFFTNegacyclicTransform,
     EngineFault,
     NaiveNegacyclicTransform,
+    NegacyclicTransform,
     TransformSpec,
     UnsupportedEngine,
     available_engines,
-    clear_engine_quarantine,
     engine_entry,
-    engine_for,
     make_transform,
-    quarantine_engine,
+    register_engine,
 )
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
 #: Frozen at collection time: the suite runs over whatever is registered.
-ALL_ENGINES = tuple(sorted(available_engines()))
+ALL_ENGINES = available_engines()
 
 #: Non-default constructor options needed to make an engine exact enough
 #: for the functional assertions (the approx engine's default twiddle
@@ -70,14 +73,32 @@ ALL_ENGINES = tuple(sorted(available_engines()))
 ENGINE_KWARGS = {"approx": {"twiddle_bits": 64}}
 
 
-def _engine_or_skip(kind: str, degree: int):
-    reason = available_engines()[kind]
-    if reason is not None:
-        pytest.skip(f"engine {kind!r} unavailable: {reason}")
+class _GenericDouble(DoubleFFTNegacyclicTransform):
+    """``double``'s primitives through the base class's generic kernels.
+
+    Unregistered (no spec to rebuild from), and an ``fft64`` engine: it must
+    be bit-identical to ``double``, whose buffered ``contract_accumulate`` /
+    ``bind_contraction`` it does without.
+    """
+
+    engine_kind = None
+    contract_accumulate = NegacyclicTransform.contract_accumulate
+    bind_contraction = NegacyclicTransform.bind_contraction
+
+
+#: The registered engines plus the generic-kernel proxy of ``double``.
+CONFORMANCE_ENGINES = ALL_ENGINES + ("generic-double",)
+
+
+def _engine(kind: str, degree: int):
+    if kind == "generic-double":
+        return _GenericDouble(degree)
     return make_transform(kind, degree, **ENGINE_KWARGS.get(kind, {}))
 
 
 def _error_model(kind: str) -> str:
+    if kind == "generic-double":
+        return "fft64"
     return engine_entry(kind).error_model
 
 
@@ -87,101 +108,25 @@ def _bit_identical(xs, ys) -> bool:
     )
 
 
-@pytest.fixture
-def quarantine():
-    """``quarantine(kind, reason)`` for the test, lifted again afterwards."""
-    try:
-        yield quarantine_engine
-    finally:
-        clear_engine_quarantine()
-
-
 # --------------------------------------------------------------------------- #
 # the registry and the one engine decision                                    #
 # --------------------------------------------------------------------------- #
 
 
 class TestRegistry:
-    def test_quarantined_engine_reports_and_refuses_with_its_reason(self, quarantine):
-        assert available_engines()["compiled"] is None
-        quarantine("compiled", "JIT self-check")
-        assert available_engines()["compiled"] == "quarantined: JIT self-check"
-        with pytest.raises(UnsupportedEngine, match="registered but unavailable") as excinfo:
-            make_transform("compiled", TEST_TINY.N)
-        assert "compiled: quarantined: JIT self-check" in str(excinfo.value)
+    def test_one_engine_per_error_model(self):
+        assert available_engines() == ("approx", "double", "naive")
+        models = [engine_entry(kind).error_model for kind in available_engines()]
+        assert sorted(models) == ["approx", "exact", "fft64"]
 
     def test_unknown_option_names_the_engine_and_what_it_accepts(self):
         with pytest.raises(ValueError, match=r"engine 'double' accepts: \(none\)"):
             make_transform("double", TEST_TINY.N, parallel=True)
 
-    def test_compiled_spec_round_trips_options(self):
-        engine = make_transform("compiled", TEST_TINY.N, parallel=True)
-        spec = engine.spec()
-        assert spec == TransformSpec.from_options("compiled", parallel=True)
-        rebuilt = TransformSpec.from_json(spec.to_json()).create(TEST_TINY.N)
-        assert rebuilt.engine_kind == "compiled"
-        assert rebuilt.spec() == spec
-
-
-class TestEngineFor:
-    """The key's recorded spec decides; quarantine moves it to the family twin."""
-
-    def test_a_usable_kind_is_the_spec_itself_options_included(self):
-        for kind in ALL_ENGINES:
-            assert engine_for(TransformSpec(kind)) == TransformSpec(kind)
-        spec = TransformSpec.from_options("approx", twiddle_bits=24)
-        assert engine_for(spec) is spec
-
-    @pytest.mark.parametrize(
-        "recorded, twin", [("double", "compiled"), ("compiled", "double")]
-    )
-    def test_quarantine_moves_a_key_to_its_family_twin(self, quarantine, recorded, twin):
-        quarantine(recorded, "fault")
-        for _ in range(3):  # the same answer every time
-            assert engine_for(TransformSpec(recorded)) == TransformSpec(twin)
-        # The twin's own keys are unaffected.
-        assert engine_for(TransformSpec(twin)) == TransformSpec(twin)
-
-    def test_twin_takes_none_of_the_recorded_options(self, quarantine):
-        quarantine("compiled", "fault")
-        spec = TransformSpec.from_options("compiled", parallel=True)
-        assert engine_for(spec) == TransformSpec("double")
-
-    @pytest.mark.parametrize("kind", ("naive", "approx"))
-    def test_no_engine_crosses_error_models(self, quarantine, kind):
-        quarantine(kind, "fault")
-        with pytest.raises(UnsupportedEngine, match="no other usable engine") as excinfo:
-            engine_for(TransformSpec(kind))
-        assert f"{kind}: quarantined: fault" in str(excinfo.value)
-
-    def test_whole_family_quarantined_is_refused(self, quarantine):
-        quarantine("double", "first")
-        quarantine("compiled", "second")
-        with pytest.raises(UnsupportedEngine, match="fft64"):
-            engine_for(TransformSpec("double"))
-
-    def test_unknown_kind_is_refused_with_the_registry_status(self):
+    def test_unknown_kind_is_refused_with_the_registered_kinds(self):
         with pytest.raises(UnsupportedEngine, match="unknown transform kind") as excinfo:
-            engine_for(TransformSpec("fictional"))
-        assert "compiled: available" in str(excinfo.value)
-
-    def test_context_of_a_quarantined_kind_builds_on_the_twin(self, quarantine):
-        secret, cloud = _gate_keys(1)
-        cloud = from_bytes(to_bytes(cloud))  # as uploaded: spec only, no engine
-        quarantine("double", "fault")
-        context = FheContext(cloud)
-        assert context.engine.engine_kind == "compiled"
-        out = context.evaluator().gate(
-            "nand", encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
-        )
-        assert decrypt_bit(secret, out) == 0
-
-    def test_failover_refuses_when_no_twin_remains(self, quarantine):
-        _, cloud = _gate_keys(1)
-        context = FheContext(cloud, engine=NaiveNegacyclicTransform(cloud.params.N))
-        with pytest.raises(EngineFault, match="no compatible fallback"):
-            context.failover("exact engine fault")
-        assert context.engine.engine_kind == "naive"
+            TransformSpec("fictional").create(TEST_TINY.N)
+        assert "(registered engines: approx, double, naive)" in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "function",
@@ -196,6 +141,143 @@ class TestEngineFor:
     )
     def test_nothing_else_takes_an_engine(self, function):
         assert "engine" not in inspect.signature(function).parameters
+
+
+def _scheduled_nands(context, operands):
+    """One scheduler round of NANDs on ``context``: (scheduler, results)."""
+    scheduler = BatchScheduler()
+    scheduler.register_client("tenant", context)
+    session = scheduler.session("tenant")
+    handles = [session.submit_gate("nand", ca, cb) for ca, cb in operands]
+    scheduler.flush()
+    return scheduler, [handle.result() for handle in handles]
+
+
+BIT_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
+
+
+def _nand_operands(secret, seed: int):
+    return [
+        (
+            encrypt_bit(secret, a, rng=seed + 2 * i),
+            encrypt_bit(secret, b, rng=seed + 2 * i + 1),
+        )
+        for i, (a, b) in enumerate(BIT_PAIRS)
+    ]
+
+
+class TestEngineRebuild:
+    """An engine fault rebuilds the context on a fresh engine of its own spec."""
+
+    @pytest.mark.parametrize("kind", ALL_ENGINES)
+    def test_failover_rebuilds_the_same_spec_and_releases_the_derived_state(self, kind):
+        secret, cloud = _gate_keys(1)
+        engine = _engine(kind, cloud.params.N)
+        context = FheContext(cloud, engine=engine)
+        want = _gate_sweep(secret, context, "nand")
+        faulted = context.workspace
+        assert faulted.nbytes > 0 and context.spectra_cached
+        context.failover("injected")
+        assert context.engine is not engine
+        assert context.engine.spec() == engine.spec()  # options included
+        assert context.workspace is not faulted and faulted.nbytes == 0
+        assert not context.spectra_cached
+        assert context.engine_failovers == 1
+        got = _gate_sweep(secret, context, "nand")
+        assert _bit_identical([s for _, _, s in got], [s for _, _, s in want])
+
+    @pytest.mark.parametrize("kind", ALL_ENGINES)
+    def test_a_fault_mid_round_replays_bit_identically_on_the_same_kind(self, kind):
+        secret, cloud = _gate_keys(1)
+        operands = _nand_operands(secret, seed=600)
+        clean = FheContext(cloud, engine=_engine(kind, cloud.params.N))
+        _, want = _scheduled_nands(clean, operands)
+
+        context = FheContext(cloud, engine=_engine(kind, cloud.params.N))
+        spec = context.engine.spec()
+        # n forwards build the spectrum cache; the fault lands on step 3.
+        flaky = FlakyEngine(context.engine, fail_on_call=cloud.params.n + 3)
+        context.engine = flaky
+        scheduler, got = _scheduled_nands(context, operands)
+        assert flaky.faults_raised == 1
+        assert scheduler.stats.engine_failovers == context.engine_failovers == 1
+        assert context.engine is not flaky and type(context.engine) is type(flaky.base)
+        assert context.engine.spec() == spec  # options included
+        assert _bit_identical(got, want)
+
+    def test_a_later_fault_is_rebuilt_again(self):
+        # Nothing remembers a fault: the rebuilt engine's own fault gets the
+        # same treatment, and the kind keeps serving.
+        secret, cloud = _gate_keys(1)
+        operands = _nand_operands(secret, seed=620)
+        context = FheContext(cloud, engine=_engine("double", cloud.params.N))
+        scheduler = BatchScheduler()
+        scheduler.register_client("tenant", context)
+        want = [PLAINTEXT_GATES["nand"](a, b) for a, b in BIT_PAIRS]
+        for faults in (1, 2):
+            flaky = FlakyEngine(context.engine, fail_on_call=cloud.params.n + 1)
+            context.engine = flaky
+            context.release()  # rebuild the spectrum cache on the flaky engine
+            session = scheduler.session("tenant")
+            handles = [session.submit_gate("nand", ca, cb) for ca, cb in operands]
+            scheduler.flush()
+            assert flaky.faults_raised == 1
+            assert scheduler.stats.engine_failovers == context.engine_failovers == faults
+            assert type(context.engine) is DoubleFFTNegacyclicTransform
+            assert [decrypt_bit(secret, handle.result()) for handle in handles] == want
+
+    def test_an_ad_hoc_engine_cannot_be_rebuilt(self):
+        _, cloud = _gate_keys(1)
+        engine = _GenericDouble(cloud.params.N)
+        context = FheContext(cloud, engine=engine)
+        with pytest.raises(EngineFault, match="ad-hoc"):
+            context.failover("injected")
+        assert context.engine is engine
+        assert context.engine_failovers == 0
+
+    def test_an_engine_that_always_faults_fails_the_round_after_one_rebuild(
+        self, monkeypatch
+    ):
+        built = []
+
+        class AlwaysFaulty(DoubleFFTNegacyclicTransform):
+            engine_kind = "always-faulty"
+
+            def forward(self, coeffs):
+                raise EngineFault("injected: every instance faults")
+
+        def factory(degree):
+            built.append(AlwaysFaulty(degree))
+            return built[-1]
+
+        monkeypatch.setattr(
+            transform_module, "_ENGINE_REGISTRY", dict(transform_module._ENGINE_REGISTRY)
+        )
+        register_engine("always-faulty", factory, error_model="fft64")
+        secret, cloud = _gate_keys(1)
+        cloud = dataclasses.replace(cloud, transform_spec=TransformSpec("always-faulty"))
+        module_state = _module_state(transform_module)
+        scheduler = BatchScheduler()
+        context = scheduler.register_client("tenant", cloud)
+        scheduler.session("tenant").submit_gate(
+            "nand", encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 0, rng=2)
+        )
+        with pytest.raises(EngineFault, match="every instance faults"):
+            scheduler.flush()
+        assert len(built) == 2 and context.engine is built[1]
+        assert scheduler.stats.engine_failovers == context.engine_failovers == 1
+        # Nothing was written outside the context: the kind still builds.
+        assert _module_state(transform_module) == module_state
+        assert isinstance(make_transform("always-faulty", TEST_TINY.N), AlwaysFaulty)
+
+
+def _module_state(module) -> dict:
+    """A module's globals, with every dict among them copied."""
+    return {
+        name: dict(value) if isinstance(value, dict) else value
+        for name, value in vars(module).items()
+        if not name.startswith("__")
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -220,10 +302,10 @@ def ep_setup():
 
 
 class TestExternalProductConformance:
-    @pytest.mark.parametrize("kind", ALL_ENGINES)
+    @pytest.mark.parametrize("kind", CONFORMANCE_ENGINES)
     def test_external_product_honours_error_model(self, ep_setup, kind):
         naive, key, message, tgsw, tlwe, reference = ep_setup
-        engine = _engine_or_skip(kind, TEST_TINY.N)
+        engine = _engine(kind, TEST_TINY.N)
         product = tgsw_external_product(tgsw_transform(tgsw, engine), tlwe, engine)
 
         model = _error_model(kind)
@@ -265,10 +347,10 @@ def _gate_sweep(secret, context, name: str):
 
 class TestGateBootstrapConformance:
     @pytest.mark.parametrize("unroll", (1, 2), ids=("cmux", "bku-m2"))
-    @pytest.mark.parametrize("kind", ALL_ENGINES)
+    @pytest.mark.parametrize("kind", CONFORMANCE_ENGINES)
     def test_gate_and_keyswitch_per_rotator(self, kind, unroll):
         secret, cloud = _gate_keys(unroll)
-        engine = _engine_or_skip(kind, cloud.params.N)
+        engine = _engine(kind, cloud.params.N)
         context = FheContext(cloud, engine=engine)
         results = _gate_sweep(secret, context, "nand")
 
@@ -305,10 +387,10 @@ def _pbs_keys(unroll_factor: int):
 
 class TestProgrammableBootstrapConformance:
     @pytest.mark.parametrize("unroll", (1, 2), ids=("cmux", "bku-m2"))
-    @pytest.mark.parametrize("kind", ALL_ENGINES)
+    @pytest.mark.parametrize("kind", CONFORMANCE_ENGINES)
     def test_lut_per_engine_and_rotator(self, kind, unroll):
         secret, cloud = _pbs_keys(unroll)
-        engine = _engine_or_skip(kind, cloud.params.N)
+        engine = _engine(kind, cloud.params.N)
         context = FheContext(cloud, engine=engine)
         encoding = DigitEncoding(message_bits=2)
         table = [(v * v) % encoding.space for v in range(encoding.space)]
@@ -343,7 +425,7 @@ class TestWorkerPoolEngines:
     @pytest.mark.parametrize("kind", ALL_ENGINES)
     def test_sharded_flush_matches_inline_per_engine(self, kind):
         secret, cloud = _gate_keys(1)
-        engine = _engine_or_skip(kind, cloud.params.N)
+        engine = _engine(kind, cloud.params.N)
         context = FheContext(cloud, engine=engine)
         rows = []
         for i in range(6):
@@ -367,67 +449,82 @@ class TestWorkerPoolEngines:
 class TestServerEngineRequests:
     def test_reply_reports_the_engine_the_key_records(self, server_factory):
         secret, cloud = generate_keys(
-            TEST_TINY, make_transform("compiled", TEST_TINY.N), rng=97, eager=False
+            TEST_TINY, make_transform("naive", TEST_TINY.N), rng=97, eager=False
         )
         server = server_factory()
         with ServingClient(port=server.port) as client:
             info = client.register_key(cloud)
-            assert info["engine_kind"] == "compiled"
+            assert info["engine_kind"] == "naive"
             out = client.gate(
                 "nand", encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
             )
             assert decrypt_bit(secret, out) == 0
 
-    def test_key_of_a_quarantined_kind_registers_on_the_twin(
-        self, server_factory, quarantine
+    @pytest.mark.parametrize("kind", ALL_ENGINES)
+    def test_a_key_of_each_kind_serves_what_its_spec_computes_in_process(
+        self, server_factory, kind
     ):
-        # After a failover quarantined ``double``, a new tenant's double key
-        # must still register (this died with an untyped ``internal`` error).
+        # The approx key records a non-default twiddle width, which changes
+        # its output bits: bit identity shows the options crossed the wire,
+        # not just the kind.
         secret, cloud = _gate_keys(1)
+        options = {"twiddle_bits": 24} if kind == "approx" else {}
+        spec = TransformSpec.from_options(kind, **options)
+        uploaded = dataclasses.replace(cloud, transform_spec=spec)
+        operands = _nand_operands(secret, seed=640)
+        in_process = FheContext(cloud, engine=spec.create(cloud.params.N))
+        _, want = _scheduled_nands(in_process, operands)
         server = server_factory()
-        quarantine("double", "engine fault on another tenant's flush")
         with ServingClient(port=server.port) as client:
-            info = client.register_key(cloud)
-            assert info["engine_kind"] == "compiled"
-            assert client.metrics()["engines_quarantined"] == {
-                "double": "engine fault on another tenant's flush"
-            }
+            assert client.register_key(uploaded)["engine_kind"] == kind
+            got = [client.gate("nand", ca, cb) for ca, cb in operands]
+        assert _bit_identical(got, want)
+
+    def test_after_a_fault_the_kind_keeps_serving_new_keys(self, server_factory):
+        secret, cloud = _gate_keys(1)
+        other_secret, other = generate_keys(
+            TEST_TINY, DoubleFFTNegacyclicTransform(TEST_TINY.N), rng=98, eager=False
+        )
+        server = server_factory()
+        with ServingClient(port=server.port) as client:
+            client.register_key(cloud)
+            (resident,) = server.scheduler.residents
+            faulty = FlakyEngine(resident.context.engine)  # faults on its first call
+            resident.context.engine = faulty
+            resident.context.release()  # rebuild the spectrum cache on it
             out = client.gate(
                 "nand", encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 0, rng=2)
             )
             assert decrypt_bit(secret, out) == 1
+            assert faulty.faults_raised == 1
+            assert client.metrics()["engine_failovers"] == 1
+            assert resident.context.engine.engine_kind == "double"
+        assert make_transform("double", TEST_TINY.N).engine_kind == "double"
+        with ServingClient(port=server.port) as client:
+            assert client.register_key(other)["engine_kind"] == "double"
+            out = client.gate(
+                "and",
+                encrypt_bit(other_secret, 1, rng=3),
+                encrypt_bit(other_secret, 1, rng=4),
+            )
+            assert decrypt_bit(other_secret, out) == 1
 
-    def test_no_usable_engine_of_the_family_is_unsupported_engine(
-        self, server_factory, quarantine
+    @pytest.mark.parametrize("kind", ("doubel", "compiled"))
+    def test_uploaded_key_of_an_unknown_kind_is_unsupported_engine(
+        self, server_factory, kind
     ):
         _, cloud = _gate_keys(1)
+        uploaded = dataclasses.replace(cloud, transform_spec=TransformSpec(kind))
         server = server_factory()
-        quarantine("double", "first")
-        quarantine("compiled", "second")
         with ServingClient(port=server.port) as client:
             with pytest.raises(ServerError) as excinfo:
-                client.register_key(cloud)
+                client.register_key(uploaded)
             assert excinfo.value.kind == "unsupported_engine"
             assert not excinfo.value.retryable
-            assert "compiled: quarantined: second" in str(excinfo.value)
+            assert f"unknown transform kind: {kind!r}" in str(excinfo.value)
+            assert "(registered engines: approx, double, naive)" in str(excinfo.value)
             # A typed refusal, not a broken connection or a half registration.
-            clear_engine_quarantine()
             assert client.register_key(cloud)["engine_kind"] == "double"
-
-    def test_uploaded_key_of_an_unknown_kind_is_unsupported_engine(self, server_factory):
-        _, cloud = _gate_keys(1)
-        blob = to_bytes(cloud)
-        assert blob.count(b'"kind":"double"') == 1
-        server = server_factory()
-        with ServingClient(port=server.port) as client:
-            with pytest.raises(ServerError) as excinfo:
-                client.call(
-                    "register_key",
-                    pack_parts([blob.replace(b'"kind":"double"', b'"kind":"doubel"')]),
-                )
-            assert excinfo.value.kind == "unsupported_engine"
-            assert "unknown transform kind: 'doubel'" in str(excinfo.value)
-            assert "compiled: available" in str(excinfo.value)
 
     def test_an_engine_field_on_the_wire_is_refused_not_ignored(self, server_factory):
         _, cloud = _gate_keys(1)

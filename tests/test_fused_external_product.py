@@ -78,10 +78,11 @@ PARAMS = TEST_TINY
 ENGINES = ("naive", "double", "approx")
 #: Rotation edge powers: identity, boundary, negacyclic wrap, full cycle.
 EDGE_POWERS = (0, 1, PARAMS.N - 1, PARAMS.N, PARAMS.N + 3, 2 * PARAMS.N - 1, 2 * PARAMS.N)
-#: The step-kernel suite: every CPU engine (``compiled`` skips with the
-#: registry's reason when unusable) × the one-row slice path and two gather
-#: widths, powers drawn from the window edges with zero rows mixed in.
-KERNEL_ENGINES = ENGINES + ("compiled",)
+#: The step-kernel suite: every engine, plus ``pass-through`` (``double``'s
+#: arithmetic reached through the generic ``contract_accumulate``) × the
+#: one-row slice path and two gather widths, powers drawn from the window
+#: edges with zero rows mixed in.
+KERNEL_ENGINES = ENGINES + ("pass-through",)
 KERNEL_WIDTHS = (1, 2, 7)
 KERNEL_POWERS = (0, 1, PARAMS.N - 1, PARAMS.N, PARAMS.N + 1, 2 * PARAMS.N - 1)
 
@@ -90,13 +91,6 @@ def poly_mul_by_xk_minus_one(poly: np.ndarray, power: int) -> np.ndarray:
     """``(X^power − 1)·poly`` on the torus, by definition: the difference the
     step kernel must hand to the external product."""
     return poly_sub(poly_mul_by_xk(poly, power), poly)
-
-
-def _engine_or_skip(kind: str, degree: int):
-    reason = available_engines()[kind]
-    if reason is not None:
-        pytest.skip(f"engine {kind!r} unavailable: {reason}")
-    return make_transform(kind, degree)
 
 
 def _random_batch(rng, width: int, params=PARAMS) -> TlweBatch:
@@ -235,10 +229,47 @@ class TestBlindRotationBitIdentity:
         assert np.array_equal(fused_batch.data, reference_batch.data)
 
 
+class _PassThroughEngine(NegacyclicTransform):
+    """An ad-hoc engine delegating every primitive to a ``double`` engine.
+
+    It overrides nothing of ``contract_accumulate``, so the step kernel must
+    reach it through the base class's generic composition.
+    """
+
+    def __init__(self, degree: int) -> None:
+        super().__init__(degree)
+        self.base = DoubleFFTNegacyclicTransform(degree)
+        self.stats = self.base.stats
+
+    def forward(self, coeffs):
+        return self.base.forward(coeffs)
+
+    def backward(self, spectrum):
+        return self.base.backward(spectrum)
+
+    def spectrum_zero(self):
+        return self.base.spectrum_zero()
+
+    def spectrum_add(self, a, b):
+        return self.base.spectrum_add(a, b)
+
+    def spectrum_mul(self, a, b):
+        return self.base.spectrum_mul(a, b)
+
+    def spectrum_contract(self, stack, operand):
+        return self.base.spectrum_contract(stack, operand)
+
+
+def _step_engine(kind: str):
+    if kind == "pass-through":
+        return _PassThroughEngine(PARAMS.N)
+    return make_transform(kind, PARAMS.N)
+
+
 @pytest.fixture(scope="module", params=KERNEL_ENGINES)
 def kernel_setup(request):
     """One engine's transform, a TGSW selector and a full cloud key."""
-    transform = _engine_or_skip(request.param, PARAMS.N)
+    transform = _step_engine(request.param)
     key = tlwe_key_generate(PARAMS.tlwe, rng=131)
     selector = tgsw_transform(
         tgsw_encrypt(key, 1, PARAMS.tgsw, transform, rng=132), transform
@@ -505,45 +536,8 @@ class TestStepWorkspace:
         assert set(workspace._pools) == families | {"decompose"}
 
 
-class _PassThroughEngine(NegacyclicTransform):
-    """An ad-hoc engine delegating every primitive to a ``double`` engine.
-
-    It overrides nothing of ``contract_accumulate``, so the step kernel must
-    reach it through the base class's generic composition.
-    """
-
-    def __init__(self, degree: int) -> None:
-        super().__init__(degree)
-        self.base = DoubleFFTNegacyclicTransform(degree)
-        self.stats = self.base.stats
-
-    def forward(self, coeffs):
-        return self.base.forward(coeffs)
-
-    def backward(self, spectrum):
-        return self.base.backward(spectrum)
-
-    def spectrum_zero(self):
-        return self.base.spectrum_zero()
-
-    def spectrum_add(self, a, b):
-        return self.base.spectrum_add(a, b)
-
-    def spectrum_mul(self, a, b):
-        return self.base.spectrum_mul(a, b)
-
-    def spectrum_contract(self, stack, operand):
-        return self.base.spectrum_contract(stack, operand)
-
-
-def _step_engine(kind: str):
-    if kind == "pass-through":
-        return _PassThroughEngine(PARAMS.N)
-    return make_transform(kind, PARAMS.N)
-
-
 #: Every registered engine, plus an unregistered proxy.
-STEP_ENGINES = tuple(available_engines()) + ("pass-through",)
+STEP_ENGINES = available_engines() + ("pass-through",)
 
 
 class TestStepKernelAgainstTheEnginesOwnPrimitives:
@@ -551,9 +545,9 @@ class TestStepKernelAgainstTheEnginesOwnPrimitives:
 
     Whatever body ``contract_accumulate`` resolves to for an engine — the
     workspace-buffered one of ``double``, the generic composition every other
-    engine (and ``compiled``, whose kernels are its three overrides) takes —
-    its output must equal that engine's public primitives applied to the
-    decomposed ``(X^p − 1)·ACC``, with the logical transform counts.
+    engine takes — its output must equal that engine's public primitives
+    applied to the decomposed ``(X^p − 1)·ACC``, with the logical transform
+    counts.
     """
 
     @staticmethod
@@ -594,20 +588,6 @@ class TestStepKernelAgainstTheEnginesOwnPrimitives:
         assert np.array_equal(again.data, expected)
         assert np.array_equal(
             tgsw_batch_cmux_rotate(selector, batch, powers, engine).data, expected
-        )
-
-    def test_compiled_engine_keeps_its_own_kernels(self):
-        # It subclasses ``double`` but must not inherit the buffered body,
-        # which would bypass its forward/backward/spectrum_contract.
-        from repro.tfhe.engine_compiled import CompiledNegacyclicTransform
-
-        assert (
-            CompiledNegacyclicTransform.contract_accumulate
-            is NegacyclicTransform.contract_accumulate
-        )
-        assert (
-            DoubleFFTNegacyclicTransform.contract_accumulate
-            is not NegacyclicTransform.contract_accumulate
         )
 
     @pytest.mark.parametrize("width", KERNEL_WIDTHS)

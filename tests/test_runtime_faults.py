@@ -244,22 +244,17 @@ def test_scheduler_falls_back_inline_when_pool_exhausts(workload):
 
 
 def test_worker_engine_fault_triggers_failover():
-    """A deterministic worker-side EngineFault quarantines the engine kind.
+    """A deterministic worker-side EngineFault rebuilds the engine.
 
     Every worker attempt raises EngineFault, so retry exhaustion surfaces
-    EngineFault (not WorkerPoolError) to the scheduler, which quarantines
-    ``double``, rebuilds the context on the ``compiled`` fallback (same
-    fft64 family — bit-identical), republishes the client to the pool and
-    replays the round.
+    EngineFault (not WorkerPoolError) to the scheduler, which rebuilds the
+    context's ``double`` engine from its spec, republishes the client to the
+    pool and replays the round — bit-identically.
     """
     from repro.runtime.context import FheContext
     from repro.tfhe.keys import generate_keys
     from repro.tfhe.params import TEST_TINY
-    from repro.tfhe.transform import (
-        DoubleFFTNegacyclicTransform,
-        clear_engine_quarantine,
-        quarantined_engines,
-    )
+    from repro.tfhe.transform import DoubleFFTNegacyclicTransform
 
     secret, cloud = generate_keys(
         TEST_TINY,
@@ -274,27 +269,22 @@ def test_worker_engine_fault_triggers_failover():
     reference = execute_rows(FheContext(cloud), reference_rows, stats=SchedulerStats())
     # Spawns 0 and 1 cover both pre-failover attempts (max_retries=1); the
     # workers spawned for the post-failover replay carry no plan — the
-    # fault "lives in" the quarantined engine, as a real engine bug would.
+    # fault "lives in" the faulted engine instance, as a transient one would.
     plans = {0: {"engine_fault_always": True}, 1: {"engine_fault_always": True}}
-    try:
-        with WorkerPool(1, task_timeout=5.0, max_retries=1, fault_plans=plans) as pool:
-            scheduler = BatchScheduler(dispatcher=pool)
-            context = scheduler.register_client("tenant", cloud)
-            session = scheduler.session("tenant")
-            handles = [
-                session.submit_gate("nand", ca, cb) for ca, cb in zip(cas, cbs)
-            ]
-            scheduler.flush()
-            results = [handle.result() for handle in handles]
-            assert all(
-                _same_sample(got, want) for got, want in zip(results, reference)
-            )
-            assert scheduler.stats.engine_failovers == 1
-            assert "double" in quarantined_engines()
-            assert context.engine.engine_kind == "compiled"
-            assert scheduler.stats.jobs_completed == len(BITS_A)
-    finally:
-        clear_engine_quarantine()
+    with WorkerPool(1, task_timeout=5.0, max_retries=1, fault_plans=plans) as pool:
+        scheduler = BatchScheduler(dispatcher=pool)
+        context = scheduler.register_client("tenant", cloud)
+        engine, faulted_workspace = context.engine, context.workspace
+        session = scheduler.session("tenant")
+        handles = [session.submit_gate("nand", ca, cb) for ca, cb in zip(cas, cbs)]
+        scheduler.flush()
+        results = [handle.result() for handle in handles]
+        assert all(_same_sample(got, want) for got, want in zip(results, reference))
+        assert scheduler.stats.engine_failovers == context.engine_failovers == 1
+        assert context.engine is not engine and context.engine.engine_kind == "double"
+        assert context.workspace is not faulted_workspace
+        assert scheduler.stats.jobs_completed == len(BITS_A)
+        assert scheduler.stats.inline_fallbacks == 0  # replayed on the pool
 
 
 def test_fault_storm_many_flushes(workload):

@@ -26,11 +26,7 @@ from repro.tfhe.keys import generate_cloud_key, generate_keys, generate_secret_k
 from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.params import TEST_TINY
 from repro.tfhe.serialize import from_bytes, to_bytes
-from repro.tfhe.transform import (
-    DoubleFFTNegacyclicTransform,
-    NaiveNegacyclicTransform,
-    clear_engine_quarantine,
-)
+from repro.tfhe.transform import DoubleFFTNegacyclicTransform, NaiveNegacyclicTransform
 
 
 @pytest.fixture()
@@ -553,23 +549,22 @@ class TestResidentKeys:
             TEST_TINY, DoubleFFTNegacyclicTransform(TEST_TINY.N), rng=93, eager=False
         )
         scheduler = BatchScheduler()
-        try:
-            first = scheduler.register_client("a", _wire_copy(cloud))
-            assert scheduler.register_client("b", _wire_copy(cloud)) is first
-            assert first.failover("injected") == "compiled"
-            assert scheduler.register_client("c", _wire_copy(cloud)) is first
-            assert len(scheduler.residents) == 1
-            # A different key of the quarantined kind gets its own resident,
-            # on the twin as well.
-            _, other = generate_keys(
-                TEST_TINY, DoubleFFTNegacyclicTransform(TEST_TINY.N), rng=94, eager=False
-            )
-            fresh = scheduler.register_client("d", _wire_copy(other))
-            assert fresh is not first
-            assert fresh.engine.engine_kind == "compiled"
-            assert len(scheduler.residents) == 2
-        finally:
-            clear_engine_quarantine()
+        first = scheduler.register_client("a", _wire_copy(cloud))
+        assert scheduler.register_client("b", _wire_copy(cloud)) is first
+        engine = first.engine
+        first.failover("injected")
+        assert first.engine is not engine
+        assert scheduler.register_client("c", _wire_copy(cloud)) is first
+        assert len(scheduler.residents) == 1
+        # A different key of the same kind gets its own resident, on its
+        # own engine of that kind.
+        _, other = generate_keys(
+            TEST_TINY, DoubleFFTNegacyclicTransform(TEST_TINY.N), rng=94, eager=False
+        )
+        fresh = scheduler.register_client("d", _wire_copy(other))
+        assert fresh is not first
+        assert fresh.engine.engine_kind == "double"
+        assert len(scheduler.residents) == 2
 
     def test_same_cloud_key_is_exact_and_compares_cheapest_first(
         self, tiny_keys_naive, monkeypatch
@@ -652,29 +647,28 @@ class TestResidentKeys:
         secret, cloud = generate_keys(TEST_TINY, engine, rng=93, eager=False)
         operands = {"a": _gate_operands(secret, 760), "b": _gate_operands(secret, 770)}
         bare = FheContext(cloud).evaluator()
-        try:
-            scheduler = BatchScheduler()
-            context = scheduler.register_client("a", cloud)
-            scheduler.register_client("b", _wire_copy(cloud))
-            context.engine = FlakyEngine(
-                context.engine, fail_on_call=3, masquerade_kind="compiled"
-            )
-            handles = {
-                cid: scheduler.session(cid).submit_gate("xor", *operands[cid])
-                for cid in ("a", "b")
-            }
-            assert scheduler.flush() == 2
-            assert scheduler.stats.engine_failovers == 1
-            assert scheduler.stats.batched_calls == 1  # the faulted attempt issued none
-            assert scheduler.client_context("b") is context
-            assert context.engine.engine_kind != "compiled"
-            for cid in ("a", "b"):
-                want = bare.gate("xor", *operands[cid])
-                got = handles[cid].result()
-                assert np.array_equal(got.a, want.a)
-                assert np.int32(got.b) == np.int32(want.b)
-        finally:
-            clear_engine_quarantine()
+        scheduler = BatchScheduler()
+        context = scheduler.register_client("a", cloud)
+        scheduler.register_client("b", _wire_copy(cloud))
+        flaky = FlakyEngine(context.engine, fail_on_call=3)
+        context.engine = flaky
+        faulted_workspace = context.workspace
+        handles = {
+            cid: scheduler.session(cid).submit_gate("xor", *operands[cid])
+            for cid in ("a", "b")
+        }
+        assert scheduler.flush() == 2
+        assert scheduler.stats.engine_failovers == context.engine_failovers == 1
+        assert scheduler.stats.batched_calls == 1  # the faulted attempt issued none
+        assert scheduler.client_context("b") is context
+        assert context.engine is not flaky and context.engine.engine_kind == "double"
+        assert context.workspace is not faulted_workspace
+        assert faulted_workspace.nbytes == 0
+        for cid in ("a", "b"):
+            want = bare.gate("xor", *operands[cid])
+            got = handles[cid].result()
+            assert np.array_equal(got.a, want.a)
+            assert np.int32(got.b) == np.int32(want.b)
 
 
 class TestKeyMemoryLeavesWithItsLastClient:

@@ -33,7 +33,11 @@ from repro.tfhe.params import (
     TlweParams,
 )
 from repro.tfhe.serialize import SerializationError, from_bytes, to_bytes
-from repro.tfhe.transform import NaiveNegacyclicTransform
+from repro.tfhe.transform import (
+    NaiveNegacyclicTransform,
+    TransformSpec,
+    available_engines,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -854,26 +858,29 @@ class TestDispatchAndVersioning:
 
 
 class TestKeygenCli:
-    def test_generates_loadable_keypair(self, tmp_path):
-        result = subprocess.run(
+    @staticmethod
+    def _keygen(tmp_path, *args):
+        return subprocess.run(
             [
                 sys.executable,
                 str(ROOT / "tools" / "keygen.py"),
                 "--params",
                 "test-tiny",
-                "--engine",
-                "naive",
                 "--seed",
                 "3",
                 "--out-dir",
                 str(tmp_path),
                 "--prefix",
                 "t",
+                *args,
             ],
             capture_output=True,
             text=True,
             cwd=ROOT,
         )
+
+    def test_generates_loadable_keypair(self, tmp_path):
+        result = self._keygen(tmp_path, "--engine", "naive")
         assert result.returncode == 0, result.stderr
         secret = serialize.load_secret_key(tmp_path / "t.secret.tfhe")
         cloud = serialize.load_cloud_key(tmp_path / "t.cloud.tfhe")
@@ -881,6 +888,29 @@ class TestKeygenCli:
         ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
         out = FheContext(cloud).evaluator().and_(ca, cb)
         assert decrypt_bit(secret, out) == 1
+
+    def test_an_approx_key_records_its_twiddle_bits(self, tmp_path):
+        result = self._keygen(tmp_path, "--engine", "approx", "--twiddle-bits", "24")
+        assert result.returncode == 0, result.stderr
+        cloud = serialize.load_cloud_key(tmp_path / "t.cloud.tfhe")
+        assert cloud.transform_spec == TransformSpec.from_options(
+            "approx", twiddle_bits=24, target_msb=36
+        )
+        assert FheContext(cloud).engine.twiddle_bits == 24
+
+    def test_the_engine_choices_are_the_registered_kinds(self, tmp_path):
+        result = self._keygen(tmp_path, "--engine", "compiled")
+        assert result.returncode == 2
+        assert "invalid choice: 'compiled'" in result.stderr
+        for kind in available_engines():
+            assert kind in result.stderr
+        assert not any(tmp_path.iterdir())
+
+    def test_twiddle_bits_are_refused_for_a_non_approx_engine(self, tmp_path):
+        result = self._keygen(tmp_path, "--engine", "double", "--twiddle-bits", "24")
+        assert result.returncode == 2
+        assert "--twiddle-bits only applies to the approx engine" in result.stderr
+        assert not any(tmp_path.iterdir())
 
 
 class TestCircuitJsonRoundTrip:

@@ -59,7 +59,7 @@ from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
 from repro.tfhe.serialize import circuit_to_json, from_bytes, to_bytes
-from repro.tfhe.transform import DoubleFFTNegacyclicTransform, clear_engine_quarantine
+from repro.tfhe.transform import DoubleFFTNegacyclicTransform
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
@@ -606,15 +606,20 @@ def test_metrics_and_the_scrape_count_every_event_once(server_factory, wire_keys
             assert pool.breaker_open
 
             # The next inline round faults on its first transform call: the
-            # scheduler quarantines the kind, fails over and replays it.
+            # scheduler rebuilds the engine from its spec and replays it.
             (resident,) = server.scheduler.residents
             context = resident.context
-            context.engine = FlakyEngine(context.engine, masquerade_kind="compiled")
+            flaky = FlakyEngine(context.engine)
+            context.engine = flaky
             context.release()  # rebuild the spectrum cache on the flaky engine
+            faulted_workspace = context.workspace
 
             client._client._sock.shutdown(socket.SHUT_RDWR)
             assert decrypt_bit(secret, client.gate("and", ca, cb)) == 1
             assert client.stats.reconnects == 1
+            assert flaky.faults_raised == context.engine_failovers == 1
+            assert context.engine is not flaky and context.engine.engine_kind == "double"
+            assert context.workspace is not faulted_workspace
 
         with ServingClient(port=server.port) as observer:
             with pytest.raises(ServerError) as excinfo:
@@ -624,7 +629,6 @@ def test_metrics_and_the_scrape_count_every_event_once(server_factory, wire_keys
             scraped = _scrape(observer)
     finally:
         pool.close()
-        clear_engine_quarantine()
 
     # Each event happened once, so the parity below is not between zeros.
     assert [metrics[key] for key in ("jobs_deduped", "jobs_shed", "engine_failovers")] == [1] * 3

@@ -57,10 +57,6 @@ def _run_serving() -> None:
     _load_benchmark_module("bench_serving.py").run()
 
 
-def _run_engines() -> None:
-    _load_benchmark_module("bench_engines.py").run()
-
-
 def _run_telemetry() -> None:
     _load_benchmark_module("bench_telemetry_overhead.py").run()
 
@@ -72,7 +68,6 @@ BENCHES = {
     "batch_throughput": _run_batch_throughput,
     "circuit_levels": _run_circuit_levels,
     "compiler": _run_compiler,
-    "engines": _run_engines,
     "external_product": _run_external_product,
     "pbs": _run_pbs,
     "serving": _run_serving,

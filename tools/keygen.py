@@ -34,11 +34,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engine",
         default="double",
-        choices=sorted(available_engines()),
-        help=(
-            "transform engine recorded in the cloud key (default: double); "
-            "registered-but-unavailable backends fail with their reason"
-        ),
+        choices=available_engines(),
+        help="transform engine recorded in the cloud key (default: double)",
     )
     parser.add_argument(
         "--twiddle-bits",
