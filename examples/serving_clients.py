@@ -34,6 +34,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.runtime.protocol import ServingClient, pack_parts, unpack_parts  # noqa: E402
 from repro.runtime.resilient import ResilientClient  # noqa: E402
+from repro.telemetry import parse_prometheus_text  # noqa: E402
 from repro.tfhe.serialize import from_bytes, to_bytes  # noqa: E402
 from repro.tfhe.circuits import bits_to_int, encrypt_integer  # noqa: E402
 from repro.tfhe.gates import decrypt_bit, decrypt_bits, encrypt_bit  # noqa: E402
@@ -194,26 +195,31 @@ def main() -> None:
         for name in sorted(report):
             print(f"{name}: {report[name]}")
 
+        # The server's one read-out: its Prometheus scrape.
         with ServingClient(port=port) as client:
-            metrics = client.metrics()
+            _, body = client.call("metrics_prom")
+        scraped = {
+            name: sum(value for sample, _labels, value in family["samples"] if sample == name)
+            for name, family in parse_prometheus_text(body.decode("utf-8")).items()
+        }
+        rows = scraped["fhe_rows_bootstrapped_total"]
+        busy = scraped["fhe_server_busy_seconds_total"]
+        calls = scraped["fhe_batched_calls_total"]
         print(
             f"{args.clients} clients in {elapsed:.2f} s | server: "
-            f"{metrics['rows_bootstrapped']} rows in {metrics['flushes']} flushes, "
-            f"{metrics['bootstraps_per_sec']:.0f} bootstraps/s, "
-            f"mean fill {metrics['mean_rows_per_call']:.1f} rows/call"
+            f"{rows:.0f} rows in {scraped['fhe_flushes_total']:.0f} flushes, "
+            f"{rows / busy if busy else 0.0:.0f} bootstraps/s, "
+            f"mean fill {rows / calls if calls else 0.0:.1f} rows/call"
         )
-        if args.resilient:
+        print(
+            f"sessions: {scraped['fhe_sessions_active']:.0f} held, "
+            f"{scraped['fhe_jobs_deduped_total']:.0f} deduped retries, "
+            f"{scraped['fhe_jobs_completed_total']:.0f} jobs each executed exactly once"
+        )
+        if "fhe_pool_workers_alive" in scraped:
             print(
-                f"resilience: {metrics['sessions']} sessions, "
-                f"{metrics['jobs_deduped']} deduped retries, "
-                f"{metrics['jobs_completed']} jobs each executed exactly once"
-            )
-        if "pool" in metrics:
-            pool = metrics["pool"]
-            print(
-                f"worker pool: {pool['num_workers']} workers, "
-                f"{pool['tasks_completed']} tasks, "
-                f"{pool['workers_restarted']} restarts"
+                f"worker pool: {scraped['fhe_pool_workers_alive']:.0f} workers alive, "
+                f"{scraped['fhe_pool_worker_restarts_total']:.0f} restarts"
             )
         print("all clients verified their results")
     finally:

@@ -653,8 +653,3 @@ class ServingClient:
         """Homomorphic addition of two wire-borne radix integers."""
         _, body = self.call("radix_add", pack_parts([to_bytes(x), to_bytes(y)]))
         return from_bytes(unpack_parts(body, expected=1)[0])
-
-    def metrics(self) -> Dict[str, Any]:
-        """The server's live metrics snapshot (see ``FheServer.metrics``)."""
-        header, _ = self.call("metrics")
-        return header["metrics"]

@@ -389,7 +389,3 @@ class ResilientClient:
             "radix_add", pack_parts([to_bytes(x), to_bytes(y)]), deadline=deadline
         )
         return from_bytes(unpack_parts(body, expected=1)[0])
-
-    def metrics(self) -> Dict[str, Any]:
-        header, _ = self.call("metrics")
-        return header["metrics"]

@@ -424,6 +424,7 @@ _STATS_FAMILIES = (
     ("fhe_rows_bootstrapped_total", "rows_bootstrapped", "Ciphertext rows bootstrapped."),
     ("fhe_batched_calls_total", "batched_calls", "Mixed-gate batched bootstrapping calls issued."),
     ("fhe_jobs_completed_total", "jobs_completed", "Jobs fully resolved."),
+    ("fhe_jobs_aborted_total", "jobs_aborted", "Jobs failed with a typed error."),
     ("fhe_engine_failovers_total", "engine_failovers", "Engine rebuilds mid-flush."),
     ("fhe_inline_fallbacks_total", "inline_fallbacks", "Rounds degraded to in-process."),
 )

@@ -11,7 +11,7 @@ submitted work, holds a coalescing window open so concurrent clients' jobs
 land in the same flush — until the queue holds every job request the server
 has seen in flight, or ``flush_interval`` at the latest — then runs
 ``scheduler.flush()`` in the default thread-pool executor while holding the
-scheduler lock — the event loop stays responsive (handshakes, metrics,
+scheduler lock — the event loop stays responsive (handshakes, scrapes,
 frame parsing) but nothing touches the queues while they are being drained.
 
 A ``gate``, ``lut`` or ``circuit`` request is a *record*, not a task: the
@@ -20,9 +20,9 @@ same turn it reads the frame (a request read while the lock is held is
 parked and submitted the moment the lock is released), and the flusher
 answers the record when its flush resolves the job — every frame one flush
 answers for one connection leaves in one write.  The other ops (``hello``,
-``metrics``, ``metrics_prom``, ``trace_export``, ``register_key``,
-``radix_add``) run as one task each.  Replies go out in any order; the
-protocol's request ids keep pipelined clients matched up.
+``metrics_prom``, ``trace_export``, ``register_key``, ``radix_add``) run as
+one task each.  Replies go out in any order; the protocol's request ids
+keep pipelined clients matched up.
 
 Isolation and backpressure:
 
@@ -97,12 +97,12 @@ from repro.tfhe.transform import UnsupportedEngine
 
 __all__ = ["FheServer", "serve"]
 
-#: Ops that represent homomorphic work (traced, per-session accounted).
+#: Ops that represent homomorphic work (traced, deadline-checked).
 _JOB_OPS = frozenset({"gate", "lut", "circuit", "radix_add"})
 #: Job ops the reader submits as records and the flusher answers.
 _RECORD_OPS = frozenset({"gate", "lut", "circuit"})
 #: Ops that stay answerable during a drain.
-_INTROSPECTION_OPS = frozenset({"hello", "metrics", "metrics_prom", "trace_export"})
+_INTROSPECTION_OPS = frozenset({"hello", "metrics_prom", "trace_export"})
 #: Ops that run as a task of their own.
 _TASK_OPS = _INTROSPECTION_OPS | {"register_key", "radix_add"}
 
@@ -115,8 +115,8 @@ _COALESCE_WAIT_BUCKETS = (
 #: in milliseconds, a first ``paper-110bit`` key under a worker pool packs
 #: its segment for seconds.
 _REGISTER_KEY_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
-#: Entries each latency ring (flush, coalescing wait, ``register_key``)
-#: keeps for the ``metrics`` percentiles and deadline shedding.
+#: Entries each latency ring (flush, coalescing wait) keeps for deadline
+#: shedding's estimate.
 _LATENCY_WINDOW = 512
 
 #: A request's outcome: ``("ok", reply header, reply body)`` or
@@ -214,8 +214,6 @@ class _SessionState:
         #: Live connections under this record (it is built for the first).
         self.refs = 1
         self.last_seen = time.monotonic()
-        #: Job-op requests served (the ``top_sessions`` view).
-        self.jobs = 0
 
     def remember(self, request_id: int, header: Dict[str, Any], body: bytes) -> None:
         self.results[request_id] = (header, body)
@@ -381,15 +379,12 @@ class FheServer:
         #: window plus the median flush, recomputed when a flush ends (the
         #: only time the rings change); the whole window before the first.
         self._eta = flush_interval
-        #: ``register_key`` requests, header parsed to reply queued.
-        self._register_seconds: List[float] = []
         self._busy_seconds = 0.0
         self._started_at: Optional[float] = None
         self.session_cache_size = session_cache_size
         self.session_ttl = session_ttl
         self._sessions: Dict[str, _SessionState] = {}
         self._draining = False
-        self._drain_seconds: Optional[float] = None
         self._jobs_deduped = 0
         self._jobs_shed = 0
         self._bind_metrics(self.telemetry)
@@ -436,8 +431,7 @@ class FheServer:
         ``draining`` error, and waits until the scheduler queue, the job
         records (submitted or parked) and every request task have resolved
         — every job accepted before the drain started gets its reply.
-        Returns the drain duration in seconds (also surfaced in
-        :meth:`metrics`).
+        Returns the drain duration in seconds.
         """
         begin = time.monotonic()
         self._draining = True
@@ -458,8 +452,7 @@ class FheServer:
             self._work_ready.set()
             self._window_closed.set()
             await asyncio.sleep(0.005)
-        self._drain_seconds = time.monotonic() - begin
-        return self._drain_seconds
+        return time.monotonic() - begin
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -631,77 +624,6 @@ class FheServer:
     # ------------------------------------------------------------------ #
     # metrics                                                            #
     # ------------------------------------------------------------------ #
-
-    def metrics(self) -> Dict[str, Any]:
-        """Live snapshot: throughput, queue depth, latency, worker health."""
-        stats = self.scheduler.stats
-        uptime = self._uptime()
-        residents = self.scheduler.residents
-        busy = self._busy_seconds
-        # Live records only: durable sessions and open connections' own.
-        records = list(self._sessions.values()) + [
-            c.session for c in self._connections.values() if c.session.token is None
-        ]
-        snapshot: Dict[str, Any] = {
-            "uptime_seconds": uptime,
-            "busy_fraction": busy / uptime if uptime else 0.0,
-            "connections": len(self._connections),
-            "clients": sum(len(r.queues) for r in residents),
-            "resident_keys": len(residents),
-            "resident_key_bytes": sum(r.context.resident_bytes for r in residents),
-            "queue_depth": self.scheduler.pending_jobs,
-            "awaiting_results": self._awaiting_results(),
-            "flushes": stats.flushes,
-            "rows_bootstrapped": stats.rows_bootstrapped,
-            "jobs_completed": stats.jobs_completed,
-            "mean_rows_per_call": stats.mean_rows_per_call,
-            "bootstraps_per_sec": (
-                stats.rows_bootstrapped / busy if busy else 0.0
-            ),
-            "flush_latency_p50": _percentile(self._flush_seconds, 0.50),
-            "flush_latency_p99": _percentile(self._flush_seconds, 0.99),
-            "coalesce_wait_p50": _percentile(self._window_seconds, 0.50),
-            "register_key_p50": _percentile(self._register_seconds, 0.50),
-            "sessions": len(self._sessions),
-            "jobs_deduped": self._jobs_deduped,
-            "jobs_shed": self._jobs_shed,
-            "jobs_aborted": stats.jobs_aborted,
-            "engine_failovers": stats.engine_failovers,
-            "inline_fallbacks": stats.inline_fallbacks,
-            "draining": self._draining,
-            "drain_seconds": self._drain_seconds or 0.0,
-            "top_sessions": [
-                {"client": record.client_id, "jobs": record.jobs}
-                for record in sorted(records, key=lambda r: -r.jobs)[:5]
-                if record.jobs
-            ],
-        }
-        dispatcher = self.scheduler.dispatcher
-        pool_stats = getattr(dispatcher, "stats", None)
-        health = getattr(dispatcher, "health", None)
-        if health is not None and pool_stats is not None:
-            snapshot["pool"] = {
-                "num_workers": getattr(dispatcher, "num_workers", None),
-                "tasks_dispatched": pool_stats.tasks_dispatched,
-                "tasks_completed": pool_stats.tasks_completed,
-                "tasks_retried": pool_stats.tasks_retried,
-                "workers_restarted": pool_stats.workers_restarted,
-                "results_rejected": pool_stats.results_rejected,
-                "breaker_trips": pool_stats.breaker_trips,
-                "inline_fallbacks": pool_stats.inline_fallbacks,
-                "breaker_open": bool(getattr(dispatcher, "breaker_open", False)),
-                "workers": [
-                    {
-                        "spawn_index": w.spawn_index,
-                        "pid": w.pid,
-                        "alive": w.alive,
-                        "tasks_completed": w.tasks_completed,
-                        "faults": w.faults,
-                    }
-                    for w in health
-                ],
-            }
-        return snapshot
 
     def _awaiting_results(self) -> int:
         return len(self._waiters) + len(self._parked)
@@ -976,7 +898,7 @@ class FheServer:
                 self._jobs_deduped += 1
                 original.deliveries.append((conn, trace))
                 return
-            record = _Record(sess, request_id, self._admit(conn, header), conn, trace)
+            record = _Record(sess, request_id, self._admit(header), conn, trace)
             if op in _RECORD_OPS:
                 record.submit, record.encode = self._job(conn, header, body)
                 self._submit_record(record)
@@ -995,7 +917,7 @@ class FheServer:
         except Exception as exc:  # noqa: BLE001 - one request, one error frame
             self._deliver(conn, request_id, op, trace, _failure(exc))
 
-    def _admit(self, conn: _Connection, header: Dict[str, Any]) -> str:
+    def _admit(self, header: Dict[str, Any]) -> str:
         """The checks a new request passes before it runs; returns its op."""
         op = header.get("op")
         if not isinstance(op, str):
@@ -1010,7 +932,6 @@ class FheServer:
             )
         if op in _JOB_OPS:
             self._check_deadline(header)
-            conn.session.jobs += 1
         if op not in _RECORD_OPS and op not in _TASK_OPS:
             raise _RequestError("unsupported", f"unknown op {op!r}")
         return op
@@ -1030,11 +951,9 @@ class FheServer:
         """Run an op that keeps a task of its own (``register_key`` aside)."""
         if op == "hello":
             return {"server": "repro-serve", "protocol": PROTOCOL_VERSION}, b""
-        if op == "metrics":
-            return {"metrics": self.metrics()}, b""
         if op == "metrics_prom":
-            # Prometheus text exposition; like "metrics", introspection stays
-            # available during a drain.
+            # Prometheus text exposition: the server's one read-out, served
+            # during a drain like every introspection op.
             return (
                 {"content_type": "text/plain; version=0.0.4"},
                 self.render_prometheus().encode("utf-8"),
@@ -1084,8 +1003,6 @@ class FheServer:
 
     def _note_register_key(self, elapsed: float) -> None:
         """What one accepted ``register_key`` cost, header parsed to reply queued."""
-        self._register_seconds.append(elapsed)
-        del self._register_seconds[:-_LATENCY_WINDOW]
         self.telemetry.observe(
             "fhe_register_key_seconds",
             elapsed,

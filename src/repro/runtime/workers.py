@@ -3,7 +3,7 @@
 The :class:`repro.runtime.scheduler.BatchScheduler` front-end coalesces many
 sessions' jobs into one row list per flush round; the rows of that list are
 embarrassingly parallel (each is an independent bootstrapping — the batch
-path is row-wise bit-identical to the sequential path, the PR 1 property).
+path is row-wise bit-identical to the sequential path).
 :class:`WorkerPool` is the :class:`repro.runtime.scheduler.RowDispatcher`
 that shards those rows across ``num_workers`` OS processes, so the runtime
 stops being capped by one Python interpreter:
@@ -583,19 +583,14 @@ class WorkerPool(RowDispatcher):
 
     @property
     def breaker_open(self) -> bool:
-        """Whether the refork circuit breaker is currently open.
+        """Whether the refork circuit breaker is open now.
 
-        Reading the property past the cooldown closes the breaker
-        (half-open) and clears the restart history, so only a *fresh*
-        restart storm can re-trip it.
+        Reading it changes nothing — a scrape reads it on the event loop
+        while a flush may be recording a restart; only :meth:`run_rows`
+        closes a breaker whose cooldown has passed.
         """
-        if self._breaker_open_until is None:
-            return False
-        if self._clock() < self._breaker_open_until:
-            return True
-        self._breaker_open_until = None
-        self._restart_times.clear()
-        return False
+        until = self._breaker_open_until
+        return until is not None and self._clock() < until
 
     def close(self) -> None:
         """Stop all workers and release every shared segment."""
@@ -714,6 +709,11 @@ class WorkerPool(RowDispatcher):
             self.stats.inline_fallbacks += 1
             with _round_scope(context, round_ctx):
                 return execute_rows(context, rows, stats, max_rows_per_call)
+        if self._breaker_open_until is not None:
+            # Past the cooldown the breaker half-opens: it closes with a
+            # cleared restart history, so only a fresh storm re-trips it.
+            self._breaker_open_until = None
+            self._restart_times.clear()
         if client_id not in self._segments:
             # Standalone use (no scheduler register hook ran): publish now.
             self.register_client(client_id, context)

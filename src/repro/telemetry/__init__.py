@@ -2,7 +2,8 @@
 
 One :class:`Telemetry` bundle carries the two sinks the runtime reports
 into — a :class:`repro.telemetry.metrics.MetricsRegistry` (counters,
-gauges, histograms; rendered by the server's ``metrics_prom`` op via
+bound gauges, histograms; rendered by the server's ``metrics_prom`` op — its
+one read-out — via
 :func:`repro.telemetry.exposition.render_prometheus`) and a
 :class:`repro.telemetry.tracing.Tracer` (bounded span ring; exported by the
 ``trace_export`` op) — plus the *stage round* plumbing that lets
@@ -40,9 +41,6 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     ROWS_PER_CALL_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
     MetricError,
     MetricsRegistry,
 )
@@ -56,9 +54,6 @@ from repro.telemetry.exposition import (
 __all__ = [
     "Telemetry",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricError",
     "Span",
     "Tracer",

@@ -1,15 +1,16 @@
 """Dependency-free metrics primitives: counters, gauges, histograms.
 
 A :class:`MetricsRegistry` holds named families — :class:`Counter`
-(monotone), :class:`Gauge` (set-to-current) or :class:`Histogram`
-(bucketed distribution), optionally fanned out into labeled series
-(``counter.labels(engine="double").inc()``).  A count the runtime already
-keeps in a field (``SchedulerStats``, ``PoolStats``, the server's busy time
-and dedup/shed counts, the tracer's dropped spans) is stored there only:
-its family is **bound** to a reader of the field
+(monotone), :class:`Gauge` (point-in-time) or :class:`Histogram`
+(bucketed distribution), a counter or histogram optionally fanned out
+into labeled series (``counter.labels(engine="double").inc()``).  A count
+the runtime already keeps in a field (``SchedulerStats``, ``PoolStats``,
+the server's busy time and dedup/shed counts, the tracer's dropped spans)
+is stored there only: its family is **bound** to a reader of the field
 (:meth:`MetricsRegistry.bind_counter` / ``bind_gauge``) that every snapshot
-evaluates, so a scrape and the field cannot disagree.  The registry stores
-what no field holds: the histograms and the labeled counters.
+evaluates, so a scrape and the field cannot disagree; every gauge is bound.
+The registry stores what no field holds: the histograms and the labeled
+counters.
 
 Design constraints, in order:
 
@@ -101,50 +102,36 @@ class _Family:
     """One named metric family: shared metadata + labeled child series.
 
     A family declared with no label names has exactly one child (the empty
-    label tuple) and the value methods (``inc``/``set``/``observe``) proxy
-    to it, so unlabeled metrics read naturally:
+    label tuple) — ``solo``, when it is bound — and the value methods
+    (``inc``/``observe``) proxy to it, so unlabeled metrics read naturally:
     ``registry.counter("fhe_example_total", "...").inc()``.
     """
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str, labelnames: Sequence[str]) -> None:
+    def __init__(
+        self, name: str, help: str, labelnames: Sequence[str], solo: Any = None
+    ) -> None:
         self.name = _check_name(name)
         self.help = help
         self.labelnames = _check_labelnames(labelnames)
         self._lock = threading.Lock()
         self._series: "Dict[Tuple[str, ...], Any]" = {}
         if not self.labelnames:
-            self._series[()] = self._new_child()
+            self._series[()] = solo if solo is not None else self._new_child()
 
     def _new_child(self):
-        raise NotImplementedError
+        raise MetricError(f"metric {self.name!r} stores nothing: bind it to its owner")
 
-    def labels(self, *labelvalues: str, **labelkw: str):
-        """The child series for one label-value combination (created lazily)."""
-        if labelvalues and labelkw:
-            raise MetricError("pass label values positionally or by name, not both")
-        if labelkw:
-            try:
-                values = tuple(str(labelkw[name]) for name in self.labelnames)
-            except KeyError as exc:
-                raise MetricError(
-                    f"metric {self.name!r} has labels {self.labelnames!r}; "
-                    f"missing {exc.args[0]!r}"
-                ) from None
-            if len(labelkw) != len(self.labelnames):
-                extra = set(labelkw) - set(self.labelnames)
-                raise MetricError(
-                    f"metric {self.name!r} has labels {self.labelnames!r}; "
-                    f"unexpected {sorted(extra)!r}"
-                )
-        else:
-            values = tuple(str(v) for v in labelvalues)
-        if len(values) != len(self.labelnames):
+    def labels(self, **labelkw: str):
+        """The child series for one label-value combination (created lazily),
+        every label passed by name."""
+        if set(labelkw) != set(self.labelnames):
             raise MetricError(
-                f"metric {self.name!r} expects {len(self.labelnames)} label "
-                f"value(s) {self.labelnames!r}, got {len(values)}"
+                f"metric {self.name!r} has labels {self.labelnames!r}, "
+                f"got {sorted(labelkw)!r}"
             )
+        values = tuple(str(labelkw[name]) for name in self.labelnames)
         with self._lock:
             child = self._series.get(values)
             if child is None:
@@ -179,7 +166,7 @@ class _CounterValue:
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
-            raise MetricError("counters only go up; use a Gauge for deltas")
+            raise MetricError("counters only go up")
         with self._lock:
             self._value += amount
 
@@ -204,49 +191,12 @@ class Counter(_Family):
         self._solo().inc(amount)
 
 
-class _GaugeValue:
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self) -> None:
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-
 class Gauge(_Family):
-    """Set-to-current value (queue depth, workers alive, breaker state)."""
+    """Point-in-time value (queue depth, workers alive, breaker state), read
+    from its owner at snapshot: declared only by
+    :meth:`MetricsRegistry.bind_gauge`."""
 
     kind = "gauge"
-
-    def _new_child(self) -> _GaugeValue:
-        return _GaugeValue()
-
-    def set(self, value: float) -> None:
-        self._solo().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._solo().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._solo().dec(amount)
 
 
 class _BoundValue:
@@ -264,8 +214,6 @@ class _BoundValue:
 
     def inc(self, *_args: float) -> None:
         raise MetricError(f"metric {self._name!r} is bound: update its owner's state")
-
-    dec = set = inc
 
     def reset(self) -> None:
         """Nothing to zero: the owner's state is the store."""
@@ -303,25 +251,6 @@ class _HistogramValue:
             out.append((le, running))
         return out
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper edge of the bucket
-        containing the q-th observation; linear within the bucket is not
-        attempted — good enough for a dashboard)."""
-        with self._lock:
-            total = self.count
-            counts = list(self.counts)
-        if total == 0:
-            return 0.0
-        target = q * total
-        running = 0
-        for i, n in enumerate(counts):
-            running += n
-            if running >= target and n:
-                if i < len(self.bounds):
-                    return self.bounds[i]
-                return float("inf")
-        return float("inf")
-
     def reset(self) -> None:
         with self._lock:
             self.counts = [0] * (len(self.bounds) + 1)
@@ -356,9 +285,6 @@ class Histogram(_Family):
 
     def observe(self, value: float) -> None:
         self._solo().observe(value)
-
-    def quantile(self, q: float) -> float:
-        return self._solo().quantile(q)
 
 
 class MetricsRegistry:
@@ -405,9 +331,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Counter:
         return self._declare(Counter, name, help, labelnames)
 
-    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Gauge:
-        return self._declare(Gauge, name, help, labelnames)
-
     def histogram(
         self,
         name: str,
@@ -421,17 +344,17 @@ class MetricsRegistry:
         """Declare an unlabeled counter whose value is ``read()`` at snapshot.
 
         What ``read`` returns is the only store: the family refuses
-        ``inc``/``set``, :meth:`reset` leaves it alone, and a name binds once
+        ``inc``, :meth:`reset` leaves it alone, and a name binds once
         (binding a declared name raises :class:`MetricError`).
         """
-        return self._bind(Counter(name, help, ()), read)
+        return self._bind(Counter, name, help, read)
 
     def bind_gauge(self, name: str, help: str, read: Callable[[], float]) -> Gauge:
         """Declare an unlabeled gauge read at snapshot (see :meth:`bind_counter`)."""
-        return self._bind(Gauge(name, help, ()), read)
+        return self._bind(Gauge, name, help, read)
 
-    def _bind(self, family, read: Callable[[], float]):
-        family._series[()] = _BoundValue(family.name, read)
+    def _bind(self, cls, name: str, help: str, read: Callable[[], float]):
+        family = cls(name, help, (), _BoundValue(name, read))
         with self._lock:
             if self._families.setdefault(family.name, family) is not family:
                 raise MetricError(f"metric {family.name!r} is already declared")

@@ -21,7 +21,7 @@ same number of — now batched — gate evaluations.  Use
 :func:`encrypt_integers` / :func:`decrypt_integers` to move between integer
 lists and bit planes.
 
-Since PR 2 each helper is a thin wrapper over the netlist subsystem: the
+Each helper is a thin wrapper over the netlist subsystem: the
 block is built once per width as a :class:`repro.tfhe.netlist.Circuit`
 (memoised) and evaluated gate by gate with
 :func:`repro.tfhe.executor.execute`, which emits exactly the historical gate

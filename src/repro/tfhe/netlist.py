@@ -1,10 +1,9 @@
 """Circuit netlists: a gate-level IR for multi-gate encrypted circuits.
 
-PR 1 gave the repository a batched bootstrapping engine
-(:class:`repro.tfhe.gates.BatchGateEvaluator`), but the circuit helpers of
-:mod:`repro.tfhe.circuits` still *emitted* gates strictly one after another,
-so only the data-parallel batch axis (many words) ever reached the engine.
-This module adds the missing representation: a :class:`Circuit` is a small
+The batched bootstrapping engine (:class:`repro.tfhe.gates.BatchGateEvaluator`)
+runs many rows per call, but helpers that *emit* gates strictly one after
+another only ever fill the data-parallel batch axis (many words).  This
+module is the representation that exposes the rest: a :class:`Circuit` is a small
 SSA-style netlist — every node is one Boolean operation producing one named
 wire — that a scheduler can analyse *before* anything is evaluated.
 

@@ -104,6 +104,31 @@ def edit_artifact():
     return edit
 
 
+def scrape(source) -> dict:
+    """A server's one read-out, flattened for assertions.
+
+    ``source`` is a client (it sends ``metrics_prom``) or anything in
+    process with ``render_prometheus()`` (an ``FheServer``, a ``Telemetry``).
+    Returns every counter and gauge family summed over its series, plus each
+    histogram's ``<name>_count`` and ``<name>_sum``.
+    """
+    from repro.telemetry import parse_prometheus_text
+
+    if hasattr(source, "render_prometheus"):
+        text = source.render_prometheus()
+    else:
+        _, body = source.call("metrics_prom")
+        text = body.decode("utf-8")
+    flat: dict = {}
+    for name, family in parse_prometheus_text(text).items():
+        for sample, _labels, value in family["samples"]:
+            if family["type"] != "histogram":
+                flat[name] = flat.get(name, 0.0) + value
+            elif sample in (f"{name}_count", f"{name}_sum"):
+                flat[sample] = flat.get(sample, 0.0) + value
+    return flat
+
+
 @pytest.fixture
 def server_factory():
     """Start :class:`repro.runtime.FheServer` instances on background loops.

@@ -16,6 +16,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import scrape
 
 from repro.runtime.chaos import ChaosProxy, FlakyEngine, SlowDispatcher
 from repro.runtime.context import FheContext
@@ -117,11 +118,11 @@ def test_corrupt_and_dropped_frames_recovered(server_factory, wire_keys):
             assert got == _expected("nand")
             assert client.stats.reconnects == 2
             assert client.stats.resubmitted >= 1
-            metrics = client.metrics()
+            scraped = scrape(client)
         assert proxy.connections == 3
     # Exactly-once: 4 gates were executed as 4 jobs despite the resends.
-    assert metrics["jobs_completed"] == 4
-    assert metrics["jobs_deduped"] >= 1
+    assert scraped["fhe_jobs_completed_total"] == 4
+    assert scraped["fhe_jobs_deduped_total"] >= 1
 
 
 def test_truncated_frame_recovered(server_factory, wire_keys):
@@ -189,9 +190,9 @@ def test_multi_client_disconnects_zero_loss(server_factory, wire_keys):
     assert errors == []
     assert results["alpha"] == _expected("nand")
     assert results["beta"] == _expected("xor")
-    metrics = server.metrics()
-    assert metrics["jobs_completed"] == 8  # 4 per client, each exactly once
-    assert metrics["sessions"] == 2
+    scraped = scrape(server)
+    assert scraped["fhe_jobs_completed_total"] == 8  # 4 per client, each exactly once
+    assert scraped["fhe_sessions_active"] == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -326,10 +327,10 @@ def test_drain_resolves_accepted_then_refuses(server_factory, wire_keys):
         assert excinfo.value.kind == "draining"
         assert excinfo.value.retryable
 
-        metrics = server.metrics()
-        assert metrics["draining"] is True
-        assert metrics["drain_seconds"] == pytest.approx(drain_seconds)
-        assert metrics["jobs_completed"] == len(pairs)
+        # The scrape is introspection: still served, over the wire, mid-drain.
+        scraped = scrape(client)
+        assert scraped["fhe_server_draining"] == 1
+        assert scraped["fhe_jobs_completed_total"] == len(pairs)
 
         # The listener is closed: fresh connections are refused.
         with pytest.raises(OSError):
@@ -354,7 +355,7 @@ def test_deadline_shedding_under_slow_flush(server_factory, wire_keys):
             )
         assert excinfo.value.kind == "shed"
         assert not excinfo.value.retryable
-        assert server.metrics()["jobs_shed"] == 1
+        assert scrape(server)["fhe_jobs_shed_total"] == 1
         # Introspection is never shed.
         header = client.hello()
         assert header["server"] == "repro-serve"

@@ -17,6 +17,7 @@ import threading
 import time
 
 import pytest
+from conftest import scrape
 
 from repro.runtime.protocol import (
     ServerError,
@@ -123,8 +124,7 @@ def test_lone_closed_loop_client_pays_the_window_once(server_factory, wire_keys)
         assert max(waits[1:]) < SLACK
         assert dispatcher.widths == [1] * 6
 
-        # The same waits, as the operator sees them.
-        assert client.metrics()["coalesce_wait_p50"] < SLACK
+        # The same waits, as the operator sees them: five within SLACK.
         _, text = client.call("metrics_prom")
         family = parse_prometheus_text(text.decode("utf-8"))[
             "fhe_coalesce_wait_seconds"
@@ -166,7 +166,7 @@ def test_two_closed_loop_clients_out_of_phase_ride_together(
         # is running — as far out of phase as two clients can be.
         assert dispatcher.entered.wait(10.0)
         b.start()
-        assert _wait_until(lambda: server.metrics()["awaiting_results"] == 2)
+        assert _wait_until(lambda: scrape(server)["fhe_awaiting_results"] == 2)
         release.set()
         a.join(30.0)
         b.join(30.0)
@@ -322,7 +322,9 @@ def test_deadline_estimate_uses_the_window_actually_paid(server_factory, wire_ke
         for i in range(4):
             _timed_gate(client, secret, i)
         ca, cb, want = _operands(secret, 4)
-        deadline_ms = (client.metrics()["flush_latency_p50"] + 0.1) * 1000.0
+        scraped = scrape(client)
+        flush_mean = scraped["fhe_flush_seconds_sum"] / scraped["fhe_flush_seconds_count"]
+        deadline_ms = (flush_mean + 0.1) * 1000.0
         _, body = client.call(
             "gate",
             pack_parts([to_bytes(ca), to_bytes(cb)]),
@@ -330,7 +332,7 @@ def test_deadline_estimate_uses_the_window_actually_paid(server_factory, wire_ke
             deadline_ms=deadline_ms,
         )
         assert decrypt_bit(secret, from_bytes(unpack_parts(body)[0])) == want
-        assert server.metrics()["jobs_shed"] == 0
+        assert scrape(client)["fhe_jobs_shed_total"] == 0
 
 
 def test_drain_closes_the_open_window(server_factory, wire_keys):

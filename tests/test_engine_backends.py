@@ -28,6 +28,7 @@ import inspect
 
 import numpy as np
 import pytest
+from conftest import scrape
 
 from repro.runtime import (
     BatchScheduler,
@@ -497,7 +498,7 @@ class TestServerEngineRequests:
             )
             assert decrypt_bit(secret, out) == 1
             assert faulty.faults_raised == 1
-            assert client.metrics()["engine_failovers"] == 1
+            assert scrape(client)["fhe_engine_failovers_total"] == 1
             assert resident.context.engine.engine_kind == "double"
         assert make_transform("double", TEST_TINY.N).engine_kind == "double"
         with ServingClient(port=server.port) as client:

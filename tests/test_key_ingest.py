@@ -21,6 +21,7 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import scrape
 
 from test_allocation import _traced_peak
 from test_serialize import MICRO_BLOBS
@@ -427,7 +428,7 @@ def test_server_peak_while_registering_is_the_key_itself(server_factory, medium_
     peak = _traced_peak(lambda: replies.append(_raw_call(server.port, again)))
     assert replies[1]["params"] == TEST_MEDIUM.name
     assert peak <= 1.25 * len(key_bytes)
-    assert server.metrics()["resident_keys"] == 1
+    assert scrape(server)["fhe_resident_keys"] == 1
 
 
 @pytest.mark.parametrize("make", [ServingClient, ResilientClient])
@@ -483,7 +484,7 @@ def test_gates_a_lut_and_a_circuit_match_the_scalar_evaluator(
             want = execute(circuit, scalar, {"a": a, "b": b})["sum"]
             assert len(got) == len(want) == width + 1
             assert all(_same(g, w) for g, w in zip(got, want))
-            assert client.metrics()["register_key_p50"] > 0.0
+            assert scrape(client)["fhe_register_key_seconds_count"] == 1
 
 
 # --------------------------------------------------------------------------- #

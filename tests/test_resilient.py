@@ -13,6 +13,7 @@ import random
 import socket
 
 import pytest
+from conftest import scrape
 
 from repro.runtime.protocol import JobShed, ServerError, ServingClient
 from repro.runtime.resilient import DeadlineExceeded, ResilientClient
@@ -110,8 +111,7 @@ def test_shed_job_raises_jobshed_without_retry(server_factory, wire_keys):
         with pytest.raises(JobShed):
             client.gate("nand", ca, cb, deadline=0.001)
         assert client.stats.retries == 0
-        metrics = client.metrics()
-        assert metrics["jobs_shed"] >= 1
+        assert scrape(client)["fhe_jobs_shed_total"] >= 1
 
 
 def test_reconnect_reregisters_and_resubmits(server_factory, wire_keys):
@@ -134,10 +134,10 @@ def test_reconnect_reregisters_and_resubmits(server_factory, wire_keys):
         assert client.stats.reconnects >= 1
         assert client.stats.resubmitted >= 1
 
-        metrics = client.metrics()
-        assert metrics["sessions"] == 1
+        scraped = scrape(client)
+        assert scraped["fhe_sessions_active"] == 1
         # The replayed register_key was answered from the session cache.
-        assert metrics["jobs_deduped"] >= 1
+        assert scraped["fhe_jobs_deduped_total"] >= 1
 
 
 def test_session_token_defaults_unique():
@@ -177,4 +177,4 @@ def test_plain_client_can_share_session_token(server_factory, wire_keys):
     second.close()
 
     assert body_retry == body_first  # cached, not re-executed
-    assert server.metrics()["jobs_deduped"] >= 1
+    assert scrape(server)["fhe_jobs_deduped_total"] >= 1

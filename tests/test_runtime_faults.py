@@ -22,9 +22,11 @@ import time
 
 import numpy as np
 import pytest
+from conftest import scrape
 
 from repro.runtime import BatchScheduler, WorkerPool, WorkerPoolError
 from repro.runtime.scheduler import SchedulerStats, execute_rows
+from repro.runtime.server import FheServer
 from repro.tfhe.gates import encrypt_bit
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
@@ -230,6 +232,38 @@ def test_breaker_trips_on_restart_storm_and_degrades_inline(workload):
         outputs = pool.run_rows("tenant", context, rows, SchedulerStats())
         assert all(_same_sample(got, want) for got, want in zip(outputs, reference))
         assert pool.stats.breaker_trips == 1  # no re-trip without a new storm
+
+
+def test_a_scrape_leaves_the_breaker_as_it_found_it(workload):
+    """The breaker gauge is read on the event loop while a flush may be
+    recording a restart: a scrape past the cooldown reads 0 and changes
+    nothing — the next round is what half-opens the breaker."""
+    context, _cas, _cbs, rows, reference = workload
+    clock = [0.0]
+    with WorkerPool(
+        1,
+        task_timeout=5.0,
+        max_retries=2,
+        breaker_threshold=1,
+        breaker_window=10.0,
+        breaker_cooldown=5.0,
+        clock=lambda: clock[0],
+        fault_plans={0: {"crash_on_task": 0}},
+    ) as pool:
+        pool.run_rows("tenant", context, rows, SchedulerStats())
+        assert pool.stats.breaker_trips == 1
+        server = FheServer(dispatcher=pool)
+        assert scrape(server)["fhe_pool_breaker_open"] == 1
+        clock[0] += 6.0  # past the cooldown
+        open_until, history = pool._breaker_open_until, list(pool._restart_times)
+        for _ in range(2):
+            assert scrape(server)["fhe_pool_breaker_open"] == 0
+        assert pool._breaker_open_until == open_until is not None
+        assert list(pool._restart_times) == history != []
+        outputs = pool.run_rows("tenant", context, rows, SchedulerStats())
+        assert all(_same_sample(got, want) for got, want in zip(outputs, reference))
+        assert pool._breaker_open_until is None and not pool._restart_times
+        assert pool.stats.inline_fallbacks == 0  # the half-open round ran on the pool
 
 
 def test_scheduler_falls_back_inline_when_pool_exhausts(workload):

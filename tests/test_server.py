@@ -34,6 +34,7 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import scrape
 
 from repro.runtime import ResilientClient, WorkerPool
 from repro.runtime import server as server_module
@@ -51,7 +52,6 @@ from repro.runtime.protocol import (
     unpack_parts,
 )
 from repro.runtime.server import FheServer, _Connection, _SessionState
-from repro.telemetry import parse_prometheus_text
 from repro.tfhe.gates import decrypt_bit, encrypt_bit
 from repro.tfhe.integers import RadixInt, decrypt_radix, encrypt_radix
 from repro.tfhe.keys import generate_keys
@@ -112,12 +112,28 @@ def test_hello_register_gate_lut_circuit(server_factory, wire_keys):
         )
         assert total == (a_val + b_val) % (1 << width)
 
-        metrics = client.metrics()
-        assert metrics["jobs_completed"] >= 3
-        assert metrics["queue_depth"] == 0
-        assert metrics["rows_bootstrapped"] > 0
-        assert metrics["bootstraps_per_sec"] > 0
-        assert metrics["connections"] == 1
+        scraped = scrape(client)
+        assert scraped["fhe_jobs_completed_total"] >= 3
+        assert scraped["fhe_queue_depth"] == 0
+        assert scraped["fhe_rows_bootstrapped_total"] > 0
+        assert scraped["fhe_server_busy_seconds_total"] > 0
+        assert scraped["fhe_connections"] == 1
+
+
+def test_the_json_metrics_op_is_gone(server_factory, wire_keys):
+    """The scrape is the one read-out: a ``metrics`` request is refused as
+    an unknown op — typed, not retryable — and the connection serves on."""
+    secret, cloud = wire_keys
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        with pytest.raises(ServerError) as excinfo:
+            client.call("metrics")
+        assert excinfo.value.kind == "unsupported" and not excinfo.value.retryable
+        out = client.gate("nand", encrypt_bit(secret, 1, rng=5), encrypt_bit(secret, 1, rng=6))
+        assert decrypt_bit(secret, out) == 0
+    for owner in (FheServer, ServingClient, ResilientClient):
+        assert not hasattr(owner, "metrics"), owner
 
 
 def test_pipelined_requests_match_out_of_order(server_factory, wire_keys):
@@ -554,39 +570,11 @@ def _wait_until(predicate, timeout=30.0):
     return predicate()
 
 
-def _scrape(client) -> dict:
-    _, text = client.call("metrics_prom")
-    families = parse_prometheus_text(text.decode("utf-8"))
-    return {
-        name: sum(value for _sample, _labels, value in family["samples"])
-        for name, family in families.items()
-        if family["type"] != "histogram"
-    }
-
-
-#: ``metrics()`` keys → the Prometheus family counting the same events.
-METRICS_TWINS = {
-    "flushes": "fhe_flushes_total",
-    "rows_bootstrapped": "fhe_rows_bootstrapped_total",
-    "jobs_completed": "fhe_jobs_completed_total",
-    "jobs_deduped": "fhe_jobs_deduped_total",
-    "jobs_shed": "fhe_jobs_shed_total",
-    "engine_failovers": "fhe_engine_failovers_total",
-    "inline_fallbacks": "fhe_inline_fallbacks_total",
-}
-POOL_TWINS = {
-    "tasks_retried": "fhe_pool_tasks_retried_total",
-    "workers_restarted": "fhe_pool_worker_restarts_total",
-    "breaker_trips": "fhe_pool_breaker_trips_total",
-    "inline_fallbacks": "fhe_pool_inline_fallbacks_total",
-}
-
-
-def test_metrics_and_the_scrape_count_every_event_once(server_factory, wire_keys):
+def test_the_scrape_counts_every_event_once(server_factory, wire_keys):
     """A reconnect that re-registers its session's key, a pool task retry
     (whose restart trips the breaker), an engine failover on the breaker's
-    inline path and a deadline-shed job: afterwards every ``metrics()`` count
-    equals its Prometheus twin."""
+    inline path and a deadline-shed job: the scrape counts each once, and
+    every family reads its one store."""
     secret, cloud = wire_keys
     ca, cb = encrypt_bit(secret, 1, rng=800), encrypt_bit(secret, 1, rng=801)
     # Spawn 0 dies on its first task: one retry, one restart — and with a
@@ -625,20 +613,31 @@ def test_metrics_and_the_scrape_count_every_event_once(server_factory, wire_keys
             with pytest.raises(ServerError) as excinfo:
                 observer.call("gate", b"", gate="nand", deadline_ms=0)
             assert excinfo.value.kind == "shed"
-            metrics = server.metrics()
-            scraped = _scrape(observer)
+            scraped = scrape(observer)
+            stats, pool_stats = server.scheduler.stats, pool.stats
+            stores = {
+                "fhe_flushes_total": stats.flushes,
+                "fhe_rows_bootstrapped_total": stats.rows_bootstrapped,
+                "fhe_jobs_completed_total": stats.jobs_completed,
+                "fhe_inline_fallbacks_total": stats.inline_fallbacks,
+                "fhe_pool_worker_restarts_total": pool_stats.workers_restarted,
+                "fhe_pool_inline_fallbacks_total": pool_stats.inline_fallbacks,
+                "fhe_server_busy_seconds_total": server._busy_seconds,
+            }
     finally:
         pool.close()
 
-    # Each event happened once, so the parity below is not between zeros.
-    assert [metrics[key] for key in ("jobs_deduped", "jobs_shed", "engine_failovers")] == [1] * 3
-    assert [metrics["pool"][key] for key in ("tasks_retried", "breaker_trips")] == [1] * 2
-    for key, family in METRICS_TWINS.items():
-        assert metrics[key] == scraped.get(family), key
-    for key, family in POOL_TWINS.items():
-        assert metrics["pool"][key] == scraped.get(family), key
-    busy = metrics["busy_fraction"] * metrics["uptime_seconds"]
-    assert busy == pytest.approx(scraped["fhe_server_busy_seconds_total"], rel=1e-9)
+    for family in (
+        "fhe_jobs_deduped_total",
+        "fhe_jobs_shed_total",
+        "fhe_engine_failovers_total",
+        "fhe_pool_tasks_retried_total",
+        "fhe_pool_breaker_trips_total",
+    ):
+        assert scraped[family] == 1, family
+    assert scraped["fhe_pool_inline_fallbacks_total"] >= 1  # the breaker's rounds
+    for family, value in stores.items():
+        assert scraped[family] == pytest.approx(value, rel=1e-9), family
 
 
 def test_connections_uploading_one_key_share_a_resident_and_its_calls(
@@ -662,20 +661,17 @@ def test_connections_uploading_one_key_share_a_resident_and_its_calls(
         for client, request, want in requests:
             assert decrypt_bit(secret, client.gate_result(request)) == want
 
-        scraped = _scrape(first)
-        assert scraped["fhe_resident_keys"] == 1
+        scraped = scrape(first)
+        assert scraped["fhe_resident_keys"] == 1 and len(residents[0].queues) == 2
         assert scraped["fhe_resident_key_bytes"] == residents[0].context.resident_bytes
         assert scraped["fhe_rows_bootstrapped_total"] == 2 * burst
         assert scraped["fhe_batched_calls_total"] < 2 * burst  # rows of both rode together
-        metrics = first.metrics()
-        assert (metrics["clients"], metrics["resident_keys"]) == (2, 1)
-        assert metrics["resident_key_bytes"] == scraped["fhe_resident_key_bytes"]
 
     assert _wait_until(lambda: not server._connections)
     assert server.scheduler.residents == []
     with ServingClient(port=server.port) as observer:
-        assert _scrape(observer)["fhe_resident_keys"] == 0
-        assert observer.metrics()["resident_key_bytes"] == 0
+        scraped = scrape(observer)
+    assert (scraped["fhe_resident_keys"], scraped["fhe_resident_key_bytes"]) == (0, 0)
 
 
 def test_disconnect_releases_the_key_without_a_gc_pass(server_factory, wire_keys):
@@ -760,8 +756,8 @@ def test_token_after_register_key_is_refused_and_the_key_still_leaves(
         assert decrypt_bit(secret, out) == 0
     assert _wait_until(lambda: not server._connections)
     with ServingClient(port=server.port) as observer:
-        assert _scrape(observer)["fhe_resident_keys"] == 0
-        assert observer.metrics()["sessions"] == 0
+        scraped = scrape(observer)
+    assert (scraped["fhe_resident_keys"], scraped["fhe_sessions_active"]) == (0, 0)
 
 
 def test_an_expired_session_is_reaped_at_any_departure(server_factory, wire_keys):
@@ -775,8 +771,8 @@ def test_an_expired_session_is_reaped_at_any_departure(server_factory, wire_keys
         passerby.hello()
     assert _wait_until(lambda: not server._connections)
     with ServingClient(port=server.port) as observer:
-        assert _scrape(observer)["fhe_resident_keys"] == 0
-        assert observer.metrics()["sessions"] == 0
+        scraped = scrape(observer)
+    assert (scraped["fhe_resident_keys"], scraped["fhe_sessions_active"]) == (0, 0)
 
 
 def test_closed_plain_connections_leave_no_state(server_factory, wire_keys):
@@ -792,9 +788,9 @@ def test_closed_plain_connections_leave_no_state(server_factory, wire_keys):
     assert _wait_until(lambda: not server._connections)
     assert server.scheduler.residents == [] and server._sessions == {}
     with ServingClient(port=server.port) as observer:
-        metrics = observer.metrics()
-    assert metrics["top_sessions"] == []
-    assert (metrics["clients"], metrics["sessions"]) == (0, 0)
+        scraped = scrape(observer)
+    assert (scraped["fhe_resident_keys"], scraped["fhe_sessions_active"]) == (0, 0)
+    assert scraped["fhe_connections"] == 1  # the observer's own
 
 
 # --------------------------------------------------------------------------- #
@@ -893,13 +889,13 @@ def test_a_session_duplicate_in_flight_is_answered_from_the_original(
         stats = server.scheduler.stats
         completed, rows = stats.jobs_completed, stats.rows_bootstrapped
         first.submit("gate", body, request_id=50, gate="nand", trace="dup-trace")
-        assert _wait_until(lambda: server.metrics()["awaiting_results"] == 1)
+        assert _wait_until(lambda: scrape(server)["fhe_awaiting_results"] == 1)
         second.submit("gate", body, request_id=50, gate="nand", trace="dup-trace")
         replies = [client.result(50)[1] for client in (first, second)]
         assert replies[0] == replies[1]
         assert decrypt_bit(secret, from_bytes(unpack_parts(replies[0])[0])) == want
         assert (stats.jobs_completed, stats.rows_bootstrapped) == (completed + 1, rows + 1)
-        assert server.metrics()["jobs_deduped"] == 1
+        assert scrape(server)["fhe_jobs_deduped_total"] == 1
     def count(name):
         return [s.name for s in server.telemetry.tracer.spans("dup-trace")].count(name)
 
@@ -919,10 +915,8 @@ def test_a_departure_with_gates_outstanding_leaves_nothing(server_factory, wire_
     client.close()  # gone with every gate outstanding
     assert _wait_until(lambda: not server._connections)
     with ServingClient(port=server.port) as observer:
-        scraped = _scrape(observer)
-        metrics = observer.metrics()
+        scraped = scrape(observer)
     assert (scraped["fhe_resident_keys"], scraped["fhe_awaiting_results"]) == (0, 0)
-    assert (metrics["resident_keys"], metrics["awaiting_results"]) == (0, 0)
 
 
 def test_a_reader_cancelled_at_shutdown_still_tears_down(wire_keys):
@@ -949,7 +943,7 @@ def test_a_reader_cancelled_at_shutdown_still_tears_down(wire_keys):
         assert "error" not in (await read_frame_async(reader))[0]
         body, _ = _nand_body(secret, 0)
         writer.write(encode_frame({"op": "gate", "id": 2, "gate": "nand"}, body))
-        while server.metrics()["awaiting_results"] != 1:
+        while scrape(server)["fhe_awaiting_results"] != 1:
             await asyncio.sleep(0.01)
         await server.stop()
         # Returns with the client still connected: asyncio.run cancels the
@@ -960,7 +954,7 @@ def test_a_reader_cancelled_at_shutdown_still_tears_down(wire_keys):
     runner.join(20.0)
     assert not runner.is_alive(), "the cancelled reader never tore its connection down"
     assert torn_down == ["conn1"] and not server._connections
-    assert server.metrics()["resident_keys"] == 0
+    assert scrape(server)["fhe_resident_keys"] == 0
 
 
 def test_deadline_shedding_reads_one_estimate_between_flushes(
@@ -984,7 +978,7 @@ def test_deadline_shedding_reads_one_estimate_between_flushes(
             with pytest.raises(JobShed):
                 client.result(request)
         assert len(sorts) <= 1
-        assert server.metrics()["jobs_shed"] == 20
+        assert scrape(server)["fhe_jobs_shed_total"] == 20
 
 
 # --------------------------------------------------------------------------- #

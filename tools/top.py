@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """``top`` for the serving front: a plain-text live telemetry dashboard.
 
-Polls a running server's ``metrics_prom`` (Prometheus text) and ``metrics``
-(JSON snapshot) ops and redraws a compact status block: throughput
+Polls a running server's ``metrics_prom`` op (Prometheus text, the
+server's one read-out) and redraws a compact status block: throughput
 (bootstraps/sec, jobs completed), flush latency quantiles estimated from
 the ``fhe_flush_seconds`` histogram, worker-pool health (workers alive,
-breaker state, restarts, retries), engine failovers, and the busiest
-sessions.  No curses — just ANSI clear-screen between refreshes, so it
+breaker state, restarts, retries), engine failovers, and the requests
+the server answered without running (deduped) or refused up front
+(shed).  No curses — just ANSI clear-screen between refreshes, so it
 works in any terminal and in CI logs (``--once`` prints a single frame
 and exits).
 
@@ -79,7 +80,7 @@ def histogram_quantile(families, name, q):
     return buckets[-1][0]
 
 
-def render_frame(families, snapshot):
+def render_frame(families):
     """One dashboard frame as a list of lines."""
     uptime = _scalar(families, "fhe_server_uptime_seconds")
     busy = _scalar(families, "fhe_server_busy_seconds_total")
@@ -119,12 +120,6 @@ def render_frame(families, snapshot):
         f"failovers {int(failovers):3d}",
         f"shield   deduped {int(deduped):6d}   shed {int(shed):6d}",
     ]
-    top_sessions = (snapshot or {}).get("top_sessions") or []
-    if top_sessions:
-        busiest = "   ".join(
-            f"{entry['client']}:{entry['jobs']}" for entry in top_sessions
-        )
-        lines.append(f"sessions {busiest}")
     return lines
 
 
@@ -145,9 +140,7 @@ def main(argv=None) -> int:
     with ServingClient(args.host, args.port, timeout=30.0) as client:
         while True:
             _, body = client.call("metrics_prom")
-            families = parse_prometheus_text(body.decode("utf-8"))
-            snapshot = client.metrics()
-            frame = render_frame(families, snapshot)
+            frame = render_frame(parse_prometheus_text(body.decode("utf-8")))
             if not args.once:
                 sys.stdout.write("\x1b[2J\x1b[H")
             print("\n".join(frame), flush=True)
