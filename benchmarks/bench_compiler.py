@@ -32,11 +32,11 @@ are named under the table.  :data:`GREEDY_LUT_PIPELINE` keeps what the
 greedy per-root ``lutify`` left of the same circuits, the yardstick the
 cover may never exceed on any row.
 
-Acceptance gate: >= 20% live-gate reduction (override with
-``COMPILER_GATE_REDUCTION_MIN``) and an optimized wall-clock win >= the
-``COMPILER_SPEEDUP_MIN`` floor (default 1.2x; CI shared runners are
-timing-noisy); on every corpus row ``LUT_PIPELINE`` is no larger and no
-deeper than ``DEFAULT_PIPELINE`` or the greedy table.  Results land in
+Acceptance gate, counted rather than timed: >= :data:`MIN_GATE_REDUCTION`
+live-gate reduction, and on every corpus row ``LUT_PIPELINE`` is no larger
+and no deeper than ``DEFAULT_PIPELINE`` or the greedy table.  The wall-clock
+win is printed, not gated; the served end-to-end number for a LUT-lowered
+circuit is the ledger's ``circuit_lut_medium`` workload.  Results land in
 ``results/compiler.txt`` and
 schema-consistent ``results/BENCH_compiler.json`` (see ``tools/bench.py``).
 
@@ -45,7 +45,6 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_compiler.py -q -s
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.compiler import FheUint, PassManager, fhe_max, simulate, trace
@@ -68,6 +67,8 @@ from repro.utils.benchio import make_entry, write_bench_json
 
 WIDTH = 16
 BEST_OF = 2
+#: Share of the traced program's live gates the default pipeline must remove.
+MIN_GATE_REDUCTION = 0.20
 INPUTS = {"a": 51213, "b": 7_312, "c": 61_000}
 
 
@@ -340,18 +341,11 @@ def run(record_result=None):
     return entries, extra
 
 
-def test_compiler_gate_reduction_and_speedup(record_result):
-    entries, extra = run(record_result)
-    reduction_floor = float(os.environ.get("COMPILER_GATE_REDUCTION_MIN", "0.20"))
-    speedup_floor = float(os.environ.get("COMPILER_SPEEDUP_MIN", "1.2"))
-    assert extra["gate_reduction"] >= reduction_floor, (
+def test_compiler_gate_reduction_and_corpus(record_result):
+    _, extra = run(record_result)
+    assert extra["gate_reduction"] >= MIN_GATE_REDUCTION, (
         f"optimizer removed only {100 * extra['gate_reduction']:.1f}% of live "
-        f"gates (required {100 * reduction_floor:.1f}%)"
-    )
-    entry = entries[0]
-    assert entry["speedup"] >= speedup_floor, (
-        f"optimized circuit is only {entry['speedup']:.2f}x the traced "
-        f"wall-clock (required {speedup_floor}x)"
+        f"gates (required {100 * MIN_GATE_REDUCTION:.1f}%)"
     )
     assert extra["depth_optimized"] <= extra["depth_traced"]
     assert extra["levels_optimized"] <= extra["levels_traced"]

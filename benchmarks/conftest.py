@@ -1,9 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper.  Besides the
-pytest-benchmark timing, each bench writes its rendered table to
-``results/<name>.txt`` (and prints it), so the paper-style output survives the
-run and can be diffed against EXPERIMENTS.md.
+Every benchmark here regenerates a table or figure of the paper, the DVQTF
+failure study, the compiler corpus table, the cycle-model ablation or the
+telemetry-overhead gate; the system's own speed is measured by the ledger
+(``benchmarks/ledger/``).  Each bench writes its rendered table to
+``results/<name>.txt`` (and prints it), so the output survives the run.
 """
 
 from __future__ import annotations

@@ -216,7 +216,7 @@ class UnrolledBlindRotator:
     Both run over the ``(B, k+1, N)`` accumulator stack with one bundle per
     row (:meth:`rotate` is :meth:`rotate_batch` on a one-row view);
     :meth:`rotate_reference` / :meth:`rotate_batch_reference` are the
-    per-(row, col) oracle for property tests and benchmarks.
+    per-(row, col) oracle for property tests.
     """
 
     def __init__(
@@ -357,7 +357,7 @@ class UnrolledBlindRotator:
             self.external_products += 1
         return acc
 
-    # -- pre-fusion ground truth (property tests / benchmark baseline) -------
+    # -- pre-fusion ground truth (property tests) --------------------------
     def rotate_reference(self, accumulator: TlweSample, bara: np.ndarray) -> TlweSample:
         """The historical rotation: per-(row, col) bundles + per-plane EP."""
         params = self.key.params

@@ -121,7 +121,7 @@ class CmuxBlindRotator:
     this rotator), so a step resolves nothing and allocates only the
     accumulator it returns.
     :meth:`rotate_reference` / :meth:`rotate_batch_reference` are the
-    per-digit-plane oracle for property tests and benchmarks.
+    per-digit-plane oracle for property tests.
     """
 
     def __init__(
@@ -176,12 +176,11 @@ class CmuxBlindRotator:
             kernel.count(ran)
         return TlweBatch(acc.view(np.int32))
 
-    # -- per-digit-plane oracle (property tests / benchmark baseline) --------
+    # -- per-digit-plane oracle (property tests) -----------------------------
     def rotate_reference(self, accumulator: TlweSample, bara: np.ndarray) -> TlweSample:
         """The reference step: materialised rotation + per-digit-plane CMux.
 
-        Rotates row by row (unlike the vectorised :func:`tlwe_rotate`), which
-        is the baseline the external-product benchmark measures against.
+        Rotates row by row (unlike the vectorised :func:`tlwe_rotate`).
         """
         from repro.tfhe.polynomial import poly_mul_by_xk
 

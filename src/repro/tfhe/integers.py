@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.tfhe.bootstrap import programmable_bootstrap_batch
-from repro.tfhe.gates import GateCounters
 from repro.tfhe.lwe import (
     LweBatch,
     LweKey,
@@ -142,16 +141,15 @@ class RadixEvaluator:
     """Homomorphic integer arithmetic on :class:`RadixInt` values.
 
     Needs an evaluation context (a :class:`repro.runtime.context.FheContext`)
-    and the digit encoding shared by all operands.  Bootstraps are tallied in
-    :attr:`counters` so benchmarks can compare against the boolean-circuit
-    baseline.
+    and the digit encoding shared by all operands.  Every lookup row is a
+    bootstrap row of the context, tallied in
+    ``context.batch_evaluator(1).counters.bootstraps``.
     """
 
     def __init__(self, context, encoding: DigitEncoding) -> None:
         encoding.validate_for(context.params)
         self.context = context
         self.encoding = encoding
-        self.counters = GateCounters()
 
     # -- encoding-derived budgets -------------------------------------------
     @property
@@ -188,7 +186,6 @@ class RadixEvaluator:
     def _pbs(self, samples: Sequence[LweSample], tables) -> List[LweSample]:
         """One fused batched blind rotation over ``len(samples)`` LUT rows."""
         batch = LweBatch.from_samples(samples)
-        self.counters.bootstraps += batch.batch_size
         out = programmable_bootstrap_batch(self.context, batch, tables, self.encoding)
         return out.to_samples()
 

@@ -167,7 +167,7 @@ def _keyswitch_totals_reference(ks: KeySwitchKey, a: np.ndarray) -> np.ndarray:
 
     Kept verbatim as the reference of the blocked accumulation in
     :func:`_keyswitch_totals` (integer addition is exact, so the two agree
-    mod ``2^32``) and as the benchmark's pre-fusion baseline epilogue.
+    mod ``2^32``).
     """
     params = ks.params
     base_bits = params.base_bits

@@ -25,8 +25,7 @@ produces every output column at once
 The engine counters are topped up to the *logical* per-polynomial transform
 counts of the fused calls, so the Figure-1 FFT/IFFT breakdown reports the
 same numbers as the per-digit-plane loop of
-:func:`tgsw_external_product_reference` (the property-test and benchmark
-ground truth).
+:func:`tgsw_external_product_reference` (the property-test ground truth).
 
 Bound kernels
 -------------
@@ -604,9 +603,8 @@ def _external_product_rows_reference(
 
     One forward per decomposed digit plane, a Python ``rows × (k+1)`` double
     loop of pointwise mul/adds, one backward per output column.  Kept verbatim
-    as the bit-identity ground truth for the fused kernel (property tests and
-    the external-product benchmark baseline); the BKU reference bundle builder
-    feeds it directly.
+    as the bit-identity ground truth for the fused kernel in the property
+    tests; the BKU reference bundle builder feeds it directly.
     """
     k = mask_count
     decomposed: List[np.ndarray] = []

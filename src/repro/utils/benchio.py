@@ -1,9 +1,10 @@
 """Schema-consistent benchmark result files (``results/BENCH_*.json``).
 
-Every benchmark that tracks the performance trajectory across PRs writes its
-machine-readable results through :func:`write_bench_json`, so downstream
-tooling can diff bootstraps/sec between revisions without caring which bench
-produced the number.  The schema (``repro-bench/1``)::
+The compiler corpus benchmark and the telemetry-overhead gate write their
+machine-readable results through :func:`write_bench_json`, so tooling can
+diff them between revisions.  The system's own speed is measured end to end
+by the declared benchmark (``benchmarks/ledger/``), not here.  The schema
+(``repro-bench/1``)::
 
     {
       "schema": "repro-bench/1",
@@ -24,9 +25,9 @@ produced the number.  The schema (``repro-bench/1``)::
       "extra": { ... free-form per-bench detail ... }
     }
 
-``tools/bench.py`` is the unified CLI runner around this module: it executes
-the registered benchmarks and validates existing result files against the
-schema (what CI does after the bench jobs).
+``tools/bench.py`` is the CLI runner around this module: it executes the
+registered benchmarks and validates their result files against the schema
+(what CI does after the compiler benchmark).
 """
 
 from __future__ import annotations

@@ -353,21 +353,22 @@ class TestGateBootstrapConformance:
         secret, cloud = _gate_keys(unroll)
         engine = _engine(kind, cloud.params.N)
         context = FheContext(cloud, engine=engine)
-        results = _gate_sweep(secret, context, "nand")
+        for gate in ("nand", "xor"):
+            results = _gate_sweep(secret, context, gate)
 
-        # Functional correctness for every engine and rotator (the gate
-        # bootstrap path runs blind rotation AND the keyswitch).
-        for bit_a, bit_b, sample in results:
-            assert decrypt_bit(secret, sample) == PLAINTEXT_GATES["nand"](bit_a, bit_b)
+            # Functional correctness for every engine and rotator (the gate
+            # bootstrap path runs blind rotation AND the keyswitch).
+            for bit_a, bit_b, sample in results:
+                assert decrypt_bit(secret, sample) == PLAINTEXT_GATES[gate](bit_a, bit_b)
 
-        if _error_model(kind) == "fft64":
-            ref_context = FheContext(
-                cloud, engine=DoubleFFTNegacyclicTransform(cloud.params.N)
-            )
-            reference = _gate_sweep(secret, ref_context, "nand")
-            assert _bit_identical(
-                [s for _, _, s in results], [s for _, _, s in reference]
-            )
+            if _error_model(kind) == "fft64":
+                ref_context = FheContext(
+                    cloud, engine=DoubleFFTNegacyclicTransform(cloud.params.N)
+                )
+                reference = _gate_sweep(secret, ref_context, gate)
+                assert _bit_identical(
+                    [s for _, _, s in results], [s for _, _, s in reference]
+                )
 
 
 # --------------------------------------------------------------------------- #

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Unified benchmark runner for the machine-readable perf trajectory.
+"""Runner for the benchmarks that write machine-readable results.
 
-Every registered benchmark measures bootstraps/sec against a baseline and
-writes ``results/BENCH_<name>.json`` in the shared ``repro-bench/1`` schema
-(engine, batch width, bootstraps/sec, speedup, git rev — see
-:mod:`repro.utils.benchio`), so the perf trajectory stays diffable across
-PRs regardless of which bench produced a number.
+Two benchmarks write ``results/BENCH_<name>.json`` in the shared
+``repro-bench/1`` schema (engine, batch width, bootstraps/sec, speedup, git
+rev — see :mod:`repro.utils.benchio`): the compiler corpus table and the
+telemetry-overhead gate.  The system's speed is measured end to end by the
+declared benchmark, ``benchmarks/ledger/run.py``.
 
 Run:      PYTHONPATH=src python tools/bench.py [name ...]   # default: all
 List:     python tools/bench.py --list
-Validate: python tools/bench.py --validate                  # existing BENCH_*.json
+Validate: python tools/bench.py --validate                  # each BENCH_<name>.json
 """
 
 from __future__ import annotations
@@ -33,56 +33,17 @@ def _load_benchmark_module(filename: str):
     return module
 
 
-def _run_external_product() -> None:
-    _load_benchmark_module("bench_external_product.py").run()
-
-
-def _run_compiler() -> None:
-    _load_benchmark_module("bench_compiler.py").run()
-
-
-def _run_pbs() -> None:
-    _load_benchmark_module("bench_programmable_bootstrap.py").run()
-
-
-def _run_batch_throughput() -> None:
-    _load_benchmark_module("bench_batch_throughput.py").run()
-
-
-def _run_circuit_levels() -> None:
-    _load_benchmark_module("bench_circuit_levels.py").run()
-
-
-def _run_serving() -> None:
-    _load_benchmark_module("bench_serving.py").run()
-
-
-def _run_telemetry() -> None:
-    _load_benchmark_module("bench_telemetry_overhead.py").run()
-
-
-#: name -> zero-argument runner writing results/BENCH_<name>.json.
-#: (`runtime` is produced by the pytest-driven scheduler bench; it is
-#: validated here but executed through pytest because it needs fixtures.)
+#: name -> benchmark script whose ``run()`` writes results/BENCH_<name>.json.
 BENCHES = {
-    "batch_throughput": _run_batch_throughput,
-    "circuit_levels": _run_circuit_levels,
-    "compiler": _run_compiler,
-    "external_product": _run_external_product,
-    "pbs": _run_pbs,
-    "serving": _run_serving,
-    "telemetry": _run_telemetry,
+    "compiler": "bench_compiler.py",
+    "telemetry": "bench_telemetry_overhead.py",
 }
 
 
 def validate_all() -> int:
-    results = ROOT / "results"
-    paths = sorted(results.glob("BENCH_*.json"))
-    if not paths:
-        print("no results/BENCH_*.json files found", file=sys.stderr)
-        return 1
     status = 0
-    for path in paths:
+    for name in sorted(BENCHES):
+        path = ROOT / "results" / f"BENCH_{name}.json"
         try:
             benchio.validate_file(path)
             print(f"ok      {path.relative_to(ROOT)}")
@@ -99,7 +60,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--validate",
         action="store_true",
-        help="validate existing results/BENCH_*.json files against the schema",
+        help="validate each registered results/BENCH_<name>.json against the schema",
     )
     args = parser.parse_args(argv)
 
@@ -119,7 +80,7 @@ def main(argv=None) -> int:
             )
             return 2
         print(f"== {name} ==")
-        BENCHES[name]()
+        _load_benchmark_module(BENCHES[name]).run()
     return 0
 
 
