@@ -19,81 +19,50 @@ The package is organised as:
   gate-shrinking :class:`PassManager` optimization pipeline.
 """
 
-from repro.tfhe import (
-    PAPER_110BIT,
-    TEST_MEDIUM,
-    TEST_SMALL,
-    TEST_TINY,
-    BatchGateEvaluator,
-    Circuit,
-    CircuitExecutor,
-    LweBatch,
-    TFHEGateEvaluator,
-    TFHEParameters,
-    decrypt_bit,
-    decrypt_bit_batch,
-    decrypt_bits,
-    encrypt_bit,
-    encrypt_bit_batch,
-    encrypt_bits,
-    generate_keys,
-    make_transform,
-    schedule_circuit,
-)
-from repro.runtime import BatchScheduler, EvaluationSession, FheContext
-from repro.compiler import (
-    FheBool,
-    FheUint,
-    FheUint4,
-    FheUint8,
-    FheUint16,
-    FheUint32,
-    PassManager,
-    fhe_abs,
-    fhe_max,
-    fhe_min,
-    fhe_select,
-    optimize,
-    trace,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.4.0"
 
-__all__ = [
-    "BatchScheduler",
-    "EvaluationSession",
-    "FheBool",
-    "FheContext",
-    "FheUint",
-    "FheUint4",
-    "FheUint8",
-    "FheUint16",
-    "FheUint32",
-    "PassManager",
-    "fhe_abs",
-    "fhe_max",
-    "fhe_min",
-    "fhe_select",
-    "optimize",
-    "trace",
-    "PAPER_110BIT",
-    "TEST_MEDIUM",
-    "TEST_SMALL",
-    "TEST_TINY",
-    "BatchGateEvaluator",
-    "Circuit",
-    "CircuitExecutor",
-    "LweBatch",
-    "TFHEGateEvaluator",
-    "TFHEParameters",
-    "decrypt_bit",
-    "decrypt_bit_batch",
-    "decrypt_bits",
-    "encrypt_bit",
-    "encrypt_bit_batch",
-    "encrypt_bits",
-    "generate_keys",
-    "make_transform",
-    "schedule_circuit",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".tfhe": (
+            "PAPER_110BIT",
+            "TEST_MEDIUM",
+            "TEST_SMALL",
+            "TEST_TINY",
+            "BatchGateEvaluator",
+            "Circuit",
+            "CircuitExecutor",
+            "LweBatch",
+            "TFHEGateEvaluator",
+            "TFHEParameters",
+            "decrypt_bit",
+            "decrypt_bit_batch",
+            "decrypt_bits",
+            "encrypt_bit",
+            "encrypt_bit_batch",
+            "encrypt_bits",
+            "generate_keys",
+            "make_transform",
+            "schedule_circuit",
+        ),
+        ".runtime": ("BatchScheduler", "EvaluationSession", "FheContext"),
+        ".compiler": (
+            "FheBool",
+            "FheUint",
+            "FheUint4",
+            "FheUint8",
+            "FheUint16",
+            "FheUint32",
+            "PassManager",
+            "fhe_abs",
+            "fhe_max",
+            "fhe_min",
+            "fhe_select",
+            "optimize",
+            "trace",
+        ),
+    },
+)
+__all__.append("__version__")

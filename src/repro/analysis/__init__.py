@@ -15,31 +15,21 @@ the numbers and print paper-style tables:
   Table 2 (power and area).
 """
 
-from repro.analysis.schemes import table1_rows, render_table1
-from repro.analysis.breakdown import gate_latency_breakdown, render_figure1
-from repro.analysis.fft_sweep import fft_error_sweep, render_figure8, depth_first_comparison
-from repro.analysis.noise_tables import table3_rows, render_table3
-from repro.analysis.comparison import (
-    platform_comparison,
-    render_figure9,
-    render_figure10,
-    render_figure11,
-    render_table2,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "table1_rows",
-    "render_table1",
-    "gate_latency_breakdown",
-    "render_figure1",
-    "fft_error_sweep",
-    "render_figure8",
-    "depth_first_comparison",
-    "table3_rows",
-    "render_table3",
-    "platform_comparison",
-    "render_figure9",
-    "render_figure10",
-    "render_figure11",
-    "render_table2",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".schemes": ("table1_rows", "render_table1"),
+        ".breakdown": ("gate_latency_breakdown", "render_figure1"),
+        ".fft_sweep": ("fft_error_sweep", "render_figure8", "depth_first_comparison"),
+        ".noise_tables": ("table3_rows", "render_table3"),
+        ".comparison": (
+            "platform_comparison",
+            "render_figure9",
+            "render_figure10",
+            "render_figure11",
+            "render_table2",
+        ),
+    },
+)

@@ -1,4 +1,4 @@
-"""Modeled vs measured: the telemetry traces read back as Figure 1.
+r"""Modeled vs measured: the telemetry traces read back as Figure 1.
 
 :mod:`repro.analysis.breakdown` reproduces the paper's Figure-1 latency
 taxonomy from an operation-count model.  This module closes the loop from

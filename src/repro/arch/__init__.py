@@ -20,21 +20,16 @@ flow graph (DFG), abstracting the hardware into an architecture description
 * :mod:`repro.arch.memory` — scratchpad, crossbar and HBM bandwidth models.
 """
 
-from repro.arch.ops import OpType
-from repro.arch.dfg import DataFlowGraph, DfgNode
-from repro.arch.gate_compiler import compile_gate_dfg
-from repro.arch.architecture import ArchitectureDescription, matcha_architecture
-from repro.arch.scheduler import ListScheduler, ScheduleResult
-from repro.arch.energy import matcha_area_power_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OpType",
-    "DataFlowGraph",
-    "DfgNode",
-    "compile_gate_dfg",
-    "ArchitectureDescription",
-    "matcha_architecture",
-    "ListScheduler",
-    "ScheduleResult",
-    "matcha_area_power_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".ops": ("OpType",),
+        ".dfg": ("DataFlowGraph", "DfgNode"),
+        ".gate_compiler": ("compile_gate_dfg",),
+        ".architecture": ("ArchitectureDescription", "matcha_architecture"),
+        ".scheduler": ("ListScheduler", "ScheduleResult"),
+        ".energy": ("matcha_area_power_table",),
+    },
+)

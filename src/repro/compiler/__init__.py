@@ -23,90 +23,56 @@ The compiler turns an ordinary Python function into an optimized
   every pass is verified against.
 """
 
-from repro.compiler.frontend import (
-    FheBool,
-    FheUint,
-    FheUint4,
-    FheUint8,
-    FheUint16,
-    FheUint32,
-    FheValue,
-    TraceError,
-    fhe_abs,
-    fhe_max,
-    fhe_min,
-    fhe_select,
-    trace,
-)
-from repro.compiler.passes import (
-    DEFAULT_PIPELINE,
-    LUT_PIPELINE,
-    OptimizationError,
-    PASSES,
-    PassManager,
-    PassStats,
-    circuit_depth,
-    live_gate_count,
-    lutify,
-    optimize,
-)
-from repro.compiler.radix import (
-    RadixBool,
-    RadixOp,
-    RadixProgram,
-    RadixTraceError,
-    RadixUint,
-    RadixUint8,
-    RadixUint16,
-    RadixValue,
-    trace_radix,
-    verify_against_boolean,
-)
-from repro.compiler.sim import (
-    EquivalenceError,
-    random_inputs,
-    simulate,
-    simulate_bits,
-    verify_equivalent,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_PIPELINE",
-    "EquivalenceError",
-    "LUT_PIPELINE",
-    "FheBool",
-    "FheUint",
-    "FheUint4",
-    "FheUint8",
-    "FheUint16",
-    "FheUint32",
-    "FheValue",
-    "OptimizationError",
-    "PASSES",
-    "PassManager",
-    "PassStats",
-    "RadixBool",
-    "RadixOp",
-    "RadixProgram",
-    "RadixTraceError",
-    "RadixUint",
-    "RadixUint8",
-    "RadixUint16",
-    "RadixValue",
-    "TraceError",
-    "circuit_depth",
-    "fhe_abs",
-    "fhe_max",
-    "fhe_min",
-    "fhe_select",
-    "live_gate_count",
-    "lutify",
-    "optimize",
-    "random_inputs",
-    "simulate",
-    "simulate_bits",
-    "trace",
-    "trace_radix",
-    "verify_against_boolean",
-    "verify_equivalent",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".frontend": (
+            "FheBool",
+            "FheUint",
+            "FheUint4",
+            "FheUint8",
+            "FheUint16",
+            "FheUint32",
+            "FheValue",
+            "TraceError",
+            "fhe_abs",
+            "fhe_max",
+            "fhe_min",
+            "fhe_select",
+            "trace",
+        ),
+        ".passes": (
+            "DEFAULT_PIPELINE",
+            "LUT_PIPELINE",
+            "OptimizationError",
+            "PASSES",
+            "PassManager",
+            "PassStats",
+            "circuit_depth",
+            "live_gate_count",
+            "lutify",
+            "optimize",
+        ),
+        ".radix": (
+            "RadixBool",
+            "RadixOp",
+            "RadixProgram",
+            "RadixTraceError",
+            "RadixUint",
+            "RadixUint8",
+            "RadixUint16",
+            "RadixValue",
+            "trace_radix",
+            "verify_against_boolean",
+        ),
+        ".sim": (
+            "EquivalenceError",
+            "random_inputs",
+            "simulate",
+            "simulate_bits",
+            "verify_equivalent",
+        ),
+    },
+)

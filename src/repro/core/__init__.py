@@ -16,23 +16,18 @@
 * :mod:`repro.core.accelerator` — the functional MATCHA accelerator facade.
 """
 
-from repro.core.lifting import DyadicCoefficient, LiftingRotation, LiftingRotationArray
-from repro.core.integer_fft import ApproximateNegacyclicTransform
-from repro.core.bku import (
-    UnrolledBlindRotator,
-    UnrolledBootstrappingKey,
-    generate_unrolled_bootstrapping_key,
-)
-from repro.core.accelerator import MatchaAccelerator, MatchaConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DyadicCoefficient",
-    "LiftingRotation",
-    "LiftingRotationArray",
-    "ApproximateNegacyclicTransform",
-    "UnrolledBlindRotator",
-    "UnrolledBootstrappingKey",
-    "generate_unrolled_bootstrapping_key",
-    "MatchaAccelerator",
-    "MatchaConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".lifting": ("DyadicCoefficient", "LiftingRotation", "LiftingRotationArray"),
+        ".integer_fft": ("ApproximateNegacyclicTransform",),
+        ".bku": (
+            "UnrolledBlindRotator",
+            "UnrolledBootstrappingKey",
+            "generate_unrolled_bootstrapping_key",
+        ),
+        ".accelerator": ("MatchaAccelerator", "MatchaConfig"),
+    },
+)

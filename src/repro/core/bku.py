@@ -27,7 +27,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.tfhe.bootstrap import _accumulator_data, _rotation_amounts
-from repro.tfhe.keys import RawUnrolledGroup, TFHESecretKey
+from repro.tfhe.keys import RawUnrolledGroup, TFHESecretKey, group_indices
 from repro.tfhe.params import TFHEParameters
 from repro.tfhe.tgsw import (
     BootstrapWorkspace,
@@ -43,19 +43,6 @@ from repro.tfhe.tgsw import (
 from repro.tfhe.tlwe import TlweBatch, TlweSample
 from repro.tfhe.transform import NegacyclicTransform, Spectrum
 from repro.utils.rng import SeedLike, make_rng
-
-
-def group_indices(n: int, unroll_factor: int) -> List[List[int]]:
-    """Partition the LWE key indices ``0..n-1`` into groups of ``m`` bits.
-
-    The last group may be smaller when ``m`` does not divide ``n``.
-    """
-    if unroll_factor < 1:
-        raise ValueError("unroll factor must be >= 1")
-    return [
-        list(range(start, min(start + unroll_factor, n)))
-        for start in range(0, n, unroll_factor)
-    ]
 
 
 def indicator_message(bits: Sequence[int], pattern: int) -> int:

@@ -15,22 +15,17 @@ Figure 9/10/11 benches can sweep them uniformly:
   scheduler of :mod:`repro.arch`.
 """
 
-from repro.platforms.base import Platform, PlatformReport
-from repro.platforms.cpu import CpuPlatform
-from repro.platforms.gpu import GpuPlatform
-from repro.platforms.fpga import FpgaPlatform
-from repro.platforms.asic import AsicPlatform
-from repro.platforms.matcha import MatchaPlatform
-from repro.platforms.registry import all_platforms, get_platform
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Platform",
-    "PlatformReport",
-    "CpuPlatform",
-    "GpuPlatform",
-    "FpgaPlatform",
-    "AsicPlatform",
-    "MatchaPlatform",
-    "all_platforms",
-    "get_platform",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("Platform", "PlatformReport"),
+        ".cpu": ("CpuPlatform",),
+        ".gpu": ("GpuPlatform",),
+        ".fpga": ("FpgaPlatform",),
+        ".asic": ("AsicPlatform",),
+        ".matcha": ("MatchaPlatform",),
+        ".registry": ("all_platforms", "get_platform"),
+    },
+)

@@ -40,63 +40,37 @@ Keys and ciphertexts move between clients and a scheduler-running server via
 :mod:`repro.tfhe.serialize`.
 """
 
-from repro.runtime.chaos import ChaosProxy, FlakyEngine, SlowDispatcher
-from repro.runtime.context import FheContext
-from repro.runtime.protocol import (
-    ChecksumMismatch,
-    JobAbortedError,
-    JobShed,
-    ProtocolError,
-    ServerBusy,
-    ServerDraining,
-    ServerError,
-    ServingClient,
-    error_class_for_kind,
-)
-from repro.runtime.resilient import DeadlineExceeded, ResilientClient, RetryStats
-from repro.runtime.scheduler import (
-    BatchScheduler,
-    EvaluationSession,
-    InlineDispatcher,
-    JobAborted,
-    JobHandle,
-    RowDispatcher,
-    SchedulerBusy,
-    SchedulerStats,
-    execute_rows,
-)
-from repro.runtime.server import FheServer
-from repro.runtime.workers import PoolStats, WorkerHealth, WorkerPool, WorkerPoolError
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchScheduler",
-    "ChaosProxy",
-    "ChecksumMismatch",
-    "DeadlineExceeded",
-    "EvaluationSession",
-    "FheContext",
-    "FheServer",
-    "FlakyEngine",
-    "InlineDispatcher",
-    "JobAborted",
-    "JobAbortedError",
-    "JobHandle",
-    "JobShed",
-    "PoolStats",
-    "ProtocolError",
-    "ResilientClient",
-    "RetryStats",
-    "RowDispatcher",
-    "SchedulerBusy",
-    "SchedulerStats",
-    "ServerBusy",
-    "ServerDraining",
-    "ServerError",
-    "ServingClient",
-    "SlowDispatcher",
-    "WorkerHealth",
-    "WorkerPool",
-    "WorkerPoolError",
-    "error_class_for_kind",
-    "execute_rows",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".chaos": ("ChaosProxy", "FlakyEngine", "SlowDispatcher"),
+        ".context": ("FheContext",),
+        ".protocol": (
+            "ChecksumMismatch",
+            "JobAbortedError",
+            "JobShed",
+            "ProtocolError",
+            "ServerBusy",
+            "ServerDraining",
+            "ServerError",
+            "ServingClient",
+            "error_class_for_kind",
+        ),
+        ".resilient": ("DeadlineExceeded", "ResilientClient", "RetryStats"),
+        ".scheduler": (
+            "BatchScheduler",
+            "EvaluationSession",
+            "InlineDispatcher",
+            "JobAborted",
+            "JobHandle",
+            "RowDispatcher",
+            "SchedulerBusy",
+            "SchedulerStats",
+            "execute_rows",
+        ),
+        ".server": ("FheServer",),
+        ".workers": ("PoolStats", "WorkerHealth", "WorkerPool", "WorkerPoolError"),
+    },
+)

@@ -1264,7 +1264,6 @@ async def serve(
     """
     server = FheServer(dispatcher=dispatcher, host=host, port=port, **kwargs)
     await server.start()
-    print(f"repro-serve listening on {server.host}:{server.port}", flush=True)
     loop = asyncio.get_running_loop()
     stopping = asyncio.Event()
     force_stop = asyncio.Event()
@@ -1283,6 +1282,9 @@ async def serve(
         except (NotImplementedError, RuntimeError):  # non-Unix / nested loop
             pass
     try:
+        # Only now: a supervisor may signal the moment it reads this line,
+        # and that signal must start a drain, not kill the process.
+        print(f"repro-serve listening on {server.host}:{server.port}", flush=True)
         if handled:
             await stopping.wait()
             print("repro-serve draining...", flush=True)

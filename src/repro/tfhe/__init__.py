@@ -10,199 +10,117 @@ The polynomial-multiplication engine is pluggable (see
 FFT lives in :mod:`repro.core.integer_fft` and plugs into the same interface.
 """
 
-from repro.tfhe.params import (
-    PAPER_110BIT,
-    PARAMETER_SETS,
-    TEST_MEDIUM,
-    TEST_PBS,
-    TEST_SMALL,
-    TEST_TINY,
-    DigitEncoding,
-    TFHEParameters,
-    get_parameters,
-)
-from repro.tfhe.bootstrap import (
-    encode_lut,
-    programmable_bootstrap,
-    programmable_bootstrap_batch,
-)
-from repro.tfhe.integers import (
-    RadixEvaluator,
-    RadixInt,
-    decrypt_radix,
-    encrypt_radix,
-    radix_digits,
-    radix_value,
-    trivial_radix,
-)
-from repro.tfhe.lut import (
-    MAX_LUT_ARITY,
-    BooleanLutSpec,
-    boolean_lut_spec,
-    lut_table_bit,
-    lut_test_vector,
-)
-from repro.tfhe.keys import (
-    TFHECloudKey,
-    TFHESecretKey,
-    generate_cloud_key,
-    generate_keys,
-    generate_secret_key,
-)
-from repro.tfhe.gates import (
-    BatchGateEvaluator,
-    TFHEGateEvaluator,
-    decrypt_bit,
-    decrypt_bit_batch,
-    decrypt_bits,
-    encrypt_bit,
-    encrypt_bit_batch,
-    encrypt_bits,
-)
-from repro.tfhe.lwe import (
-    LweBatch,
-    LweSample,
-    decrypt_digit,
-    encrypt_digit,
-    lwe_batch_decrypt_digits,
-    lwe_batch_encrypt_digits,
-)
-from repro.tfhe.netlist import (
-    Circuit,
-    absolute_netlist,
-    adder_netlist,
-    equal_netlist,
-    greater_than_netlist,
-    maximum_netlist,
-    minimum_netlist,
-    multiplier_netlist,
-    negate_netlist,
-    select_netlist,
-    shift_left_netlist,
-    shift_right_netlist,
-    subtractor_netlist,
-)
-from repro.tfhe.executor import (
-    CircuitExecutor,
-    LevelSchedule,
-    execute,
-    schedule_circuit,
-)
-from repro.tfhe.serialize import (
-    SerializationError,
-    circuit_from_json,
-    circuit_to_json,
-    load,
-    load_circuit,
-    load_cloud_key,
-    load_lwe_batch,
-    load_lwe_sample,
-    load_radix_int,
-    load_secret_key,
-    save,
-    save_circuit,
-    save_cloud_key,
-    save_lwe_batch,
-    save_lwe_sample,
-    save_radix_int,
-    save_secret_key,
-)
-from repro.tfhe.tlwe import TlweBatch, TlweSample
-from repro.tfhe.transform import (
-    DoubleFFTNegacyclicTransform,
-    NaiveNegacyclicTransform,
-    NegacyclicTransform,
-    TransformSpec,
-    available_engines,
-    make_transform,
-    register_engine,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Circuit",
-    "CircuitExecutor",
-    "LevelSchedule",
-    "absolute_netlist",
-    "adder_netlist",
-    "equal_netlist",
-    "execute",
-    "greater_than_netlist",
-    "maximum_netlist",
-    "minimum_netlist",
-    "multiplier_netlist",
-    "negate_netlist",
-    "schedule_circuit",
-    "select_netlist",
-    "shift_left_netlist",
-    "shift_right_netlist",
-    "subtractor_netlist",
-    "PAPER_110BIT",
-    "PARAMETER_SETS",
-    "TEST_MEDIUM",
-    "TEST_PBS",
-    "TEST_SMALL",
-    "TEST_TINY",
-    "DigitEncoding",
-    "TFHEParameters",
-    "get_parameters",
-    "MAX_LUT_ARITY",
-    "BooleanLutSpec",
-    "boolean_lut_spec",
-    "lut_table_bit",
-    "lut_test_vector",
-    "encode_lut",
-    "programmable_bootstrap",
-    "programmable_bootstrap_batch",
-    "RadixEvaluator",
-    "RadixInt",
-    "decrypt_radix",
-    "encrypt_radix",
-    "radix_digits",
-    "radix_value",
-    "trivial_radix",
-    "decrypt_digit",
-    "encrypt_digit",
-    "lwe_batch_decrypt_digits",
-    "lwe_batch_encrypt_digits",
-    "TFHECloudKey",
-    "TFHESecretKey",
-    "generate_cloud_key",
-    "generate_keys",
-    "generate_secret_key",
-    "BatchGateEvaluator",
-    "TFHEGateEvaluator",
-    "LweBatch",
-    "LweSample",
-    "TlweBatch",
-    "TlweSample",
-    "decrypt_bit",
-    "decrypt_bit_batch",
-    "decrypt_bits",
-    "encrypt_bit",
-    "encrypt_bit_batch",
-    "encrypt_bits",
-    "DoubleFFTNegacyclicTransform",
-    "NaiveNegacyclicTransform",
-    "NegacyclicTransform",
-    "TransformSpec",
-    "available_engines",
-    "make_transform",
-    "register_engine",
-    "SerializationError",
-    "circuit_from_json",
-    "circuit_to_json",
-    "load",
-    "load_circuit",
-    "load_cloud_key",
-    "load_lwe_batch",
-    "load_lwe_sample",
-    "load_radix_int",
-    "load_secret_key",
-    "save",
-    "save_circuit",
-    "save_cloud_key",
-    "save_lwe_batch",
-    "save_lwe_sample",
-    "save_radix_int",
-    "save_secret_key",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".params": (
+            "PAPER_110BIT",
+            "PARAMETER_SETS",
+            "TEST_MEDIUM",
+            "TEST_PBS",
+            "TEST_SMALL",
+            "TEST_TINY",
+            "DigitEncoding",
+            "TFHEParameters",
+            "get_parameters",
+        ),
+        ".bootstrap": (
+            "encode_lut",
+            "programmable_bootstrap",
+            "programmable_bootstrap_batch",
+        ),
+        ".integers": (
+            "RadixEvaluator",
+            "RadixInt",
+            "decrypt_radix",
+            "encrypt_radix",
+            "radix_digits",
+            "radix_value",
+            "trivial_radix",
+        ),
+        ".lut": (
+            "MAX_LUT_ARITY",
+            "BooleanLutSpec",
+            "boolean_lut_spec",
+            "lut_table_bit",
+            "lut_test_vector",
+        ),
+        ".keys": (
+            "TFHECloudKey",
+            "TFHESecretKey",
+            "generate_cloud_key",
+            "generate_keys",
+            "generate_secret_key",
+        ),
+        ".gates": (
+            "BatchGateEvaluator",
+            "TFHEGateEvaluator",
+            "decrypt_bit",
+            "decrypt_bit_batch",
+            "decrypt_bits",
+            "encrypt_bit",
+            "encrypt_bit_batch",
+            "encrypt_bits",
+        ),
+        ".lwe": (
+            "LweBatch",
+            "LweSample",
+            "decrypt_digit",
+            "encrypt_digit",
+            "lwe_batch_decrypt_digits",
+            "lwe_batch_encrypt_digits",
+        ),
+        ".netlist": (
+            "Circuit",
+            "absolute_netlist",
+            "adder_netlist",
+            "equal_netlist",
+            "greater_than_netlist",
+            "maximum_netlist",
+            "minimum_netlist",
+            "multiplier_netlist",
+            "negate_netlist",
+            "select_netlist",
+            "shift_left_netlist",
+            "shift_right_netlist",
+            "subtractor_netlist",
+        ),
+        ".executor": (
+            "CircuitExecutor",
+            "LevelSchedule",
+            "execute",
+            "schedule_circuit",
+        ),
+        ".serialize": (
+            "SerializationError",
+            "circuit_from_json",
+            "circuit_to_json",
+            "load",
+            "load_circuit",
+            "load_cloud_key",
+            "load_lwe_batch",
+            "load_lwe_sample",
+            "load_radix_int",
+            "load_secret_key",
+            "save",
+            "save_circuit",
+            "save_cloud_key",
+            "save_lwe_batch",
+            "save_lwe_sample",
+            "save_radix_int",
+            "save_secret_key",
+        ),
+        ".tlwe": ("TlweBatch", "TlweSample"),
+        ".transform": (
+            "DoubleFFTNegacyclicTransform",
+            "NaiveNegacyclicTransform",
+            "NegacyclicTransform",
+            "TransformSpec",
+            "available_engines",
+            "make_transform",
+            "register_engine",
+        ),
+    },
+)

@@ -44,6 +44,19 @@ class TFHESecretKey:
     extracted_key: LweKey
 
 
+def group_indices(n: int, unroll_factor: int) -> List[List[int]]:
+    """Partition the LWE key indices ``0..n-1`` into groups of ``m`` bits.
+
+    The last group may be smaller when ``m`` does not divide ``n``.
+    """
+    if unroll_factor < 1:
+        raise ValueError("unroll factor must be >= 1")
+    return [
+        list(range(start, min(start + unroll_factor, n)))
+        for start in range(0, n, unroll_factor)
+    ]
+
+
 @dataclass
 class RawUnrolledGroup:
     """Coefficient-domain BKU key material of one group of secret-key bits.

@@ -69,9 +69,8 @@ from typing import Any, BinaryIO, Dict, List, Mapping, NamedTuple, Optional, Seq
 
 import numpy as np
 
-from repro.core.bku import group_indices
 from repro.tfhe.integers import RadixInt
-from repro.tfhe.keys import RawUnrolledGroup, TFHECloudKey, TFHESecretKey
+from repro.tfhe.keys import RawUnrolledGroup, TFHECloudKey, TFHESecretKey, group_indices
 from repro.tfhe.keyswitch import KeySwitchKey
 from repro.tfhe.lwe import LweBatch, LweKey, LweSample
 from repro.tfhe.netlist import Circuit, Node

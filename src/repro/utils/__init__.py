@@ -1,21 +1,18 @@
 """Shared utilities: bit manipulation, deterministic RNG and text tables."""
 
-from repro.utils.bits import (
-    bit_length,
-    is_power_of_two,
-    signed_digit_expansion,
-    to_signed_32,
-    to_signed_64,
-)
-from repro.utils.rng import make_rng
-from repro.utils.tables import format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "bit_length",
-    "is_power_of_two",
-    "signed_digit_expansion",
-    "to_signed_32",
-    "to_signed_64",
-    "make_rng",
-    "format_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bits": (
+            "bit_length",
+            "is_power_of_two",
+            "signed_digit_expansion",
+            "to_signed_32",
+            "to_signed_64",
+        ),
+        ".rng": ("make_rng",),
+        ".tables": ("format_table",),
+    },
+)

@@ -8,11 +8,14 @@ examples and the benchmark harness all pin seeds through this function.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-SeedLike = Union[None, int, np.random.Generator]
+#: A seed, or a generator to draw from.  The generator is a forward reference
+#: so that importing this module does not load ``numpy.random``: only a
+#: process that draws randomness pays for it (a server never does).
+SeedLike = Union[None, int, "np.random.Generator"]
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:

@@ -21,6 +21,7 @@ import asyncio
 import gc
 import io
 import json
+import os
 import pathlib
 import signal
 import socket
@@ -1016,3 +1017,34 @@ def test_serve_cli_max_frame_admits_frames_above_the_default(raised):
         process.send_signal(signal.SIGTERM)
         process.wait(timeout=30.0)
         process.stdout.close()
+
+
+#: A server whose ``print`` sends it SIGTERM as it announces "listening".
+_SIGNAL_AT_LISTENING = """
+import asyncio, builtins, os, signal
+from repro.runtime import server
+
+def print_then_signal(*args, **kwargs):
+    builtins.print(*args, **kwargs)
+    if "listening on" in str(args[0]):
+        os.kill(os.getpid(), signal.SIGTERM)
+
+server.print = print_then_signal
+asyncio.run(server.serve(port=0))
+"""
+
+
+def test_a_sigterm_at_the_listening_line_drains():
+    """A supervisor may signal the moment it reads "listening": by then the
+    handlers are installed, so the server drains and exits 0 instead of
+    dying of the signal with its accepted jobs lost."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _SIGNAL_AT_LISTENING],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60.0,
+    )
+    assert result.returncode == 0, (result.returncode, result.stdout, result.stderr)
+    assert "repro-serve draining" in result.stdout
