@@ -17,7 +17,8 @@ This layer turns the TFHE substrate into something a server can run:
 * :class:`repro.runtime.workers.WorkerPool` — a fault-tolerant
   ``multiprocessing`` row dispatcher: flush rows shard across worker
   processes that map the cloud-key spectrum cache from shared memory;
-  crashes, hangs and poisoned results requeue instead of corrupting.
+  crashes, hangs and poisoned results requeue instead of corrupting, and
+  what the pool cannot finish it reports to the scheduler's fault ladder.
 * :class:`repro.runtime.server.FheServer` /
   :class:`repro.runtime.protocol.ServingClient` — the network front: an
   asyncio socket server speaking CRC-protected length-prefixed frames that
@@ -68,9 +69,10 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "RowDispatcher",
             "SchedulerBusy",
             "SchedulerStats",
+            "WorkerPoolError",
             "execute_rows",
         ),
         ".server": ("FheServer",),
-        ".workers": ("PoolStats", "WorkerHealth", "WorkerPool", "WorkerPoolError"),
+        ".workers": ("PoolStats", "WorkerHealth", "WorkerPool"),
     },
 )

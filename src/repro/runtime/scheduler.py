@@ -38,11 +38,14 @@ Model
   operands)`` tuples.  Jobs whose operands resolved in an earlier round
   become ready in the next, so chained work schedules level-by-level across
   all sessions in lockstep.
-* :func:`execute_rows` is what finally runs a row list, in whichever process
+* :func:`measure_rows` is what finally runs a row list, in whichever process
   the dispatcher picked: per chunk of at most ``max_rows_per_call`` rows, one
   stack of operands and one :meth:`repro.tfhe.gates.BatchGateEvaluator.rows`
   call (row → spec → affine pass → ``bootstrap_rows``).  Gate rows and lut
-  rows differ only in the spec each row resolves to.
+  rows differ only in the spec each row resolves to.  It returns a
+  :class:`RoundAccount` (call widths, transform calls, spans) that
+  :func:`execute_rows` records in-process and a worker ships home, so every
+  round is counted once, by the same helper, wherever it ran.
 
 The front-end owns the job graph (handles, readiness, rounds), the per-key
 coalescing and the admission control; *where* rows run is the
@@ -53,6 +56,10 @@ coalescing and the admission control; *where* rows run is the
 * :class:`repro.runtime.workers.WorkerPool` shards the rows of one round
   across a pool of worker processes (rows of one batched bootstrapping are
   embarrassingly parallel), requeueing rows lost to worker crashes.
+
+A dispatcher reports faults; the scheduler's one ladder
+(``_run_rows_resilient``) is the only code that replays a round, fails an
+engine over or runs a round in-process.
 
 Admission control: a scheduler built with ``max_pending_jobs`` bounds its
 queue — submissions beyond the bound raise :class:`SchedulerBusy` instead of
@@ -65,7 +72,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -198,72 +205,102 @@ def execute_rows(
 ) -> List[LweSample]:
     """Bootstrap one round's rows against ``context`` and return the outputs.
 
-    This is the single-process execution kernel shared by the inline
-    dispatcher and by every pool worker.  Each chunk of at most
-    ``max_rows_per_call`` rows is one stack of operands and one
-    :meth:`repro.tfhe.gates.BatchGateEvaluator.rows` call, whatever mix of
-    gate and lut rows it holds.  Output row ``i`` corresponds to input row
-    ``i`` regardless of chunking, and the results are bit-identical however
-    the row list is split (every batched row equals the scalar evaluator's).
+    The in-process path: :func:`measure_rows` runs the rows, and the
+    :class:`RoundAccount` it returns is recorded into ``stats`` and the
+    context's telemetry.  A pool worker runs the same :func:`measure_rows`
+    and ships the account home, where the parent records it the same way.
     An empty row list returns ``[]`` without touching the engine or any
     counter.
     """
     rows = list(rows)
     if not rows:
         return []
-    evaluator = context.batch_evaluator(1)  # the row path takes any row count
-    outputs: List[LweSample] = []
-    chunk = max_rows_per_call or len(rows)
-    tel = getattr(context, "telemetry", None)
-    metered = tel is not None and tel.metrics_enabled
-    if metered:
-        engine_before = context.engine.stats.snapshot()
-    for start in range(0, len(rows), chunk):
-        part = rows[start : start + chunk]
-        result = evaluator.rows(*split_rows(part, LweBatch.from_samples))
-        if stats is not None:
-            stats.batched_calls += 1
-            stats.max_rows_per_call = max(stats.max_rows_per_call, len(part))
-        if metered:
-            tel.observe(
-                "fhe_rows_per_call",
-                len(part),
-                "Coalesced batch width per bootstrapping call.",
-                buckets=ROWS_PER_CALL_BUCKETS,
-            )
-        outputs.extend(result.to_samples())
-    if metered:
-        record_engine_deltas(tel, context.engine, engine_before)
+    outputs, account = measure_rows(context, rows, max_rows_per_call)
+    account.record(stats, getattr(context, "telemetry", None))
     return outputs
 
 
-def record_engine_deltas(tel, engine, before) -> None:
-    """Mirror an engine's transform-call deltas into the registry.
+def measure_rows(
+    context: FheContext, rows: List[Row], max_rows_per_call: Optional[int] = None
+) -> Tuple[List[LweSample], "RoundAccount"]:
+    """Run a non-empty row list and report what it cost.
 
-    ``before`` is an earlier :meth:`TransformStats.snapshot`; the counter
-    carries the engine kind as a label, one series per kind in use.
+    Each chunk of at most ``max_rows_per_call`` rows is one stack of
+    operands and one :meth:`repro.tfhe.gates.BatchGateEvaluator.rows` call,
+    whatever mix of gate and lut rows it holds.  Output row ``i``
+    corresponds to input row ``i`` regardless of chunking, and the results
+    are bit-identical however the row list is split (every batched row
+    equals the scalar evaluator's).  Nothing is counted here: the returned
+    account is, by whoever holds the counters.
     """
+    evaluator = context.batch_evaluator(1)  # the row path takes any row count
+    engine = context.engine
+    before = engine.stats.snapshot()
+    outputs: List[LweSample] = []
+    widths: List[int] = []
+    chunk = max_rows_per_call or len(rows)
+    for start in range(0, len(rows), chunk):
+        part = rows[start : start + chunk]
+        outputs.extend(evaluator.rows(*split_rows(part, LweBatch.from_samples)).to_samples())
+        widths.append(len(part))
     after = engine.stats.snapshot()
-    kind = getattr(engine, "engine_kind", None) or "unknown"
-    help_text = "Negacyclic transform invocations by direction."
-    forward = after.forward_calls - before.forward_calls
-    backward = after.backward_calls - before.backward_calls
-    if forward > 0:
-        tel.count(
-            "fhe_engine_transform_calls_total",
-            help_text,
-            amount=forward,
-            engine=kind,
-            direction="forward",
-        )
-    if backward > 0:
-        tel.count(
-            "fhe_engine_transform_calls_total",
-            help_text,
-            amount=backward,
-            engine=kind,
-            direction="backward",
-        )
+    account = RoundAccount(
+        widths,
+        getattr(engine, "engine_kind", None) or "unknown",
+        after.forward_calls - before.forward_calls,
+        after.backward_calls - before.backward_calls,
+    )
+    return outputs, account
+
+
+@dataclass
+class RoundAccount:
+    """What one execution of a row list measured, wherever it ran."""
+
+    #: Rows per batched bootstrapping call, in call order.
+    widths: List[int]
+    #: ``engine_kind`` of the engine that ran the calls.
+    engine: str
+    forward_calls: int
+    backward_calls: int
+    #: Spans recorded in another process (:meth:`Span.to_tuple` records);
+    #: in-process spans are in the ring already.
+    spans: List[Tuple] = field(default_factory=list)
+
+    def record(self, stats: Optional["SchedulerStats"], tel) -> None:
+        """Fold the account into ``stats`` and the ``tel`` registry and ring
+        (either may be ``None``)."""
+        if stats is not None:
+            stats.batched_calls += len(self.widths)
+            stats.max_rows_per_call = max(stats.max_rows_per_call, *self.widths)
+        if tel is None:
+            return
+        for width in self.widths:
+            tel.observe(
+                "fhe_rows_per_call",
+                width,
+                "Coalesced batch width per bootstrapping call.",
+                buckets=ROWS_PER_CALL_BUCKETS,
+            )
+        for direction, calls in (
+            ("forward", self.forward_calls),
+            ("backward", self.backward_calls),
+        ):
+            if calls > 0:
+                tel.count(
+                    "fhe_engine_transform_calls_total",
+                    "Negacyclic transform invocations by direction.",
+                    amount=calls,
+                    engine=self.engine,
+                    direction=direction,
+                )
+        for span in self.spans:
+            tel.tracer.ingest(span)
+
+
+class WorkerPoolError(RuntimeError):
+    """A dispatcher refused a round or could not finish it (an open breaker,
+    a spent retry budget); the scheduler then runs the round in-process."""
 
 
 class RowDispatcher:
@@ -275,9 +312,12 @@ class RowDispatcher:
     ``run_rows`` must return one output per input row, in input order, and
     must be bit-identical to :func:`execute_rows` — the dispatcher decides
     *where* rows run (inline, worker processes), never *what* they compute.
-    Implementations update ``stats`` (``batched_calls`` /
-    ``max_rows_per_call``) to reflect the batched bootstrapping calls they
-    actually issued.
+    Implementations record the :class:`RoundAccount` of every execution
+    into ``stats`` and :attr:`telemetry` once the round has succeeded.  A
+    dispatcher reports faults and recovers from none: it raises
+    :class:`WorkerPoolError` when it cannot run the round and
+    :class:`repro.tfhe.transform.EngineFault` when an engine faulted, and
+    the scheduler alone replays, fails over or runs the round in-process.
 
     ``round_ctx`` is the scheduler's tracing context for the round —
     ``(trace ids, flush span id)`` or ``None`` — so the execution side can
@@ -286,8 +326,8 @@ class RowDispatcher:
     """
 
     #: Optional :class:`repro.telemetry.Telemetry` sink; mirrored here by
-    #: the owning scheduler so pool-side accounting lands in the same
-    #: registry and trace ring.
+    #: the owning scheduler so accounts measured out of process land in the
+    #: same registry and trace ring.
     telemetry = None
 
     def run_rows(
@@ -404,8 +444,8 @@ class SchedulerStats:
     #: Times a faulting engine was rebuilt from its own spec mid-flush and
     #: the round replayed on it.
     engine_failovers: int = 0
-    #: Rounds that fell back to in-process execution after the row
-    #: dispatcher (worker pool) exhausted its retry budget.
+    #: Rounds the scheduler finished in-process after the dispatcher refused
+    #: or failed them (every such round once).
     inline_fallbacks: int = 0
 
     @property
@@ -432,11 +472,6 @@ _POOL_STATS_FAMILIES = (
     ("fhe_pool_worker_restarts_total", "workers_restarted", "Pool workers killed and respawned."),
     ("fhe_pool_breaker_trips_total", "breaker_trips", "Refork circuit-breaker openings."),
     ("fhe_pool_tasks_retried_total", "tasks_retried", "Pool tasks requeued after faults."),
-    (
-        "fhe_pool_inline_fallbacks_total",
-        "inline_fallbacks",
-        "Rounds run in-process while the breaker was open.",
-    ),
 )
 
 
@@ -615,16 +650,15 @@ class BatchScheduler:
         self.telemetry = telemetry
         if telemetry is not None:
             self.dispatcher.telemetry = telemetry
-            if telemetry.metrics_enabled:
-                bound = [(self.stats, _STATS_FAMILIES)]
-                pool_stats = getattr(self.dispatcher, "stats", None)  # a worker pool's
-                if pool_stats is not None:
-                    bound.append((pool_stats, _POOL_STATS_FAMILIES))
-                for stats, families in bound:
-                    for name, field, help_text in families:
-                        telemetry.registry.bind_counter(
-                            name, help_text, partial(getattr, stats, field)
-                        )
+            bound = [(self.stats, _STATS_FAMILIES)]
+            pool_stats = getattr(self.dispatcher, "stats", None)  # a worker pool's
+            if pool_stats is not None:
+                bound.append((pool_stats, _POOL_STATS_FAMILIES))
+            for stats, families in bound:
+                for name, attr, help_text in families:
+                    telemetry.registry.bind_counter(
+                        name, help_text, partial(getattr, stats, attr)
+                    )
 
     # -- client management ---------------------------------------------------
     @property
@@ -784,80 +818,47 @@ class BatchScheduler:
     def _run_rows_resilient(
         self, resident: ResidentKey, rows: List[Row], round_ctx=None
     ) -> List[LweSample]:
-        """Dispatch one round's rows, surviving engine faults and pool failure.
+        """Run one round's rows down the one fault ladder.
 
-        * :class:`repro.tfhe.transform.EngineFault` (from an inline engine,
-          or re-raised by a worker pool whose task exhausted retries on one)
-          rebuilds the resident's engine from its own spec
-          (:meth:`FheContext.failover`), republishes the context to the
-          dispatcher and replays the round there — once, for every client
-          sharing the key.  No partial results from the faulted attempt are
-          used, so the replay is bit-identical.  If the rebuilt engine
-          faults in process too, the round fails with that ``EngineFault``.
-        * ``WorkerPoolError`` (pool retry budget exhausted for a non-engine
-          fault) degrades the round to in-process :func:`execute_rows` —
-          the pool's health problem must not fail client jobs that a single
-          process can still compute correctly.
-
-        Both paths are counted in :class:`SchedulerStats`
-        (``engine_failovers`` / ``inline_fallbacks``) and surfaced through
-        the server's metrics endpoint.
+        The round runs on the dispatcher.  An
+        :class:`repro.tfhe.transform.EngineFault` rebuilds the resident's
+        engine from its own spec (:meth:`FheContext.failover`), republishes
+        the key to the dispatcher and replays the round where it faulted —
+        at most one rebuild per round, for every client sharing the key.  A
+        :class:`WorkerPoolError`, or an ``EngineFault`` after the rebuild,
+        moves the round in-process, counted once in ``inline_fallbacks``;
+        an ``EngineFault`` after the rebuild *in-process* fails the round.
+        No partial results of a faulted attempt are used, so every replay
+        is bit-identical.
         """
-        # Imported here: workers.py imports this module at import time.
-        from repro.runtime.workers import WorkerPoolError
-
         context = resident.context
-        # Omit the kwarg entirely for untraced rounds so pre-telemetry
-        # RowDispatcher implementations keep working unchanged.
-        ctx_kwargs = {} if round_ctx is None else {"round_ctx": round_ctx}
-        try:
-            return self.dispatcher.run_rows(
-                resident.label,
-                context,
-                rows,
-                self.stats,
-                self.max_rows_per_call,
-                **ctx_kwargs,
-            )
-        except EngineFault as exc:
-            context.failover(str(exc))
-            self.stats.engine_failovers += 1
-            self._republish(resident)
+        in_process = rebuilt = False
+        while True:
             try:
+                if in_process:
+                    with _round_scope(context, round_ctx):
+                        return execute_rows(
+                            context, rows, self.stats, self.max_rows_per_call
+                        )
                 return self.dispatcher.run_rows(
                     resident.label,
                     context,
                     rows,
                     self.stats,
                     self.max_rows_per_call,
-                    **ctx_kwargs,
+                    round_ctx=round_ctx,
                 )
-            except (EngineFault, WorkerPoolError):
-                # The replay faulted too — the dispatcher itself is sick
-                # (e.g. a pool whose workers keep dying).  The failed-over
-                # context is healthy in this process, so finish the round
-                # inline rather than fail jobs a single process can compute.
-                self.stats.inline_fallbacks += 1
-                with _round_scope(context, round_ctx):
-                    return execute_rows(
-                        context, rows, self.stats, self.max_rows_per_call
-                    )
-        except WorkerPoolError:
-            self.stats.inline_fallbacks += 1
-            try:
-                with _round_scope(context, round_ctx):
-                    return execute_rows(
-                        context, rows, self.stats, self.max_rows_per_call
-                    )
-            except EngineFault as exc:
-                # The pool failed *because* the engine is sick everywhere.
-                context.failover(str(exc))
-                self.stats.engine_failovers += 1
-                self._republish(resident)
-                with _round_scope(context, round_ctx):
-                    return execute_rows(
-                        context, rows, self.stats, self.max_rows_per_call
-                    )
+            except (EngineFault, WorkerPoolError) as exc:
+                if isinstance(exc, EngineFault) and not rebuilt:
+                    rebuilt = True
+                    context.failover(str(exc))
+                    self.stats.engine_failovers += 1
+                    self._republish(resident)
+                elif in_process:
+                    raise
+                else:
+                    in_process = True
+                    self.stats.inline_fallbacks += 1
 
     def flush(self) -> int:
         """Run every pending job to completion; returns the rows bootstrapped.

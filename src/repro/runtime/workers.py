@@ -28,9 +28,17 @@ stops being capped by one Python interpreter:
   pipe), exceeds the task timeout, or returns a result that fails
   validation (wrong task id, wrong row count, malformed ciphertexts) is
   killed and respawned, and its task is requeued to a healthy worker — up
-  to ``max_retries`` times per task, after which :class:`WorkerPoolError`
-  propagates rather than returning silently wrong results.  A lost worker
+  to ``max_retries`` times per task, after which
+  :class:`repro.runtime.scheduler.WorkerPoolError` propagates rather than
+  returning silently wrong results.  A worker whose engine raised
+  :class:`EngineFault` is replaced too, and the fault is raised at once:
+  rebuilding the engine is the scheduler's business.  A lost worker
   therefore degrades throughput, never correctness.
+* **One account.**  Every task runs
+  :func:`repro.runtime.scheduler.measure_rows` and ships back its
+  :class:`repro.runtime.scheduler.RoundAccount` (call widths, transform
+  calls, spans); once the round has succeeded the parent records each
+  account into the scheduler's stats and registry, as the inline path does.
 * **Health tracking.**  :attr:`WorkerPool.health` exposes per-worker
   liveness/task/fault counters and :attr:`WorkerPool.stats` the pool-wide
   dispatch/retry/restart totals; the serving front surfaces both through
@@ -64,14 +72,15 @@ import numpy as np
 
 from repro.runtime.context import FheContext
 from repro.runtime.scheduler import (
+    RoundAccount,
     RowDispatcher,
     Row,
     SchedulerStats,
+    WorkerPoolError,
     _round_scope,
-    execute_rows,
+    measure_rows,
 )
 from repro.telemetry import Telemetry
-from repro.telemetry.metrics import ROWS_PER_CALL_BUCKETS
 from repro.tfhe.bootstrap import CmuxBlindRotator
 from repro.tfhe.lwe import LweSample
 from repro.tfhe.serialize import from_bytes, to_pieces
@@ -81,17 +90,12 @@ from repro.tfhe.transform import EngineFault, TransformSpec
 __all__ = [
     "WorkerHealth",
     "WorkerPool",
-    "WorkerPoolError",
     "PoolStats",
 ]
 
 #: Alignment of the spectral tensor inside a shared segment (numpy wants the
 #: buffer offset aligned to the itemsize; 16 covers complex128).
 _ALIGN = 16
-
-
-class WorkerPoolError(RuntimeError):
-    """A task could not be completed within the pool's retry budget."""
 
 
 @dataclass
@@ -103,12 +107,9 @@ class PoolStats:
     tasks_completed: int = 0
     tasks_retried: int = 0
     workers_restarted: int = 0
-    results_rejected: int = 0
     rows_executed: int = 0
     #: Times the circuit breaker opened after a restart storm.
     breaker_trips: int = 0
-    #: ``run_rows`` calls executed in-process because the breaker was open.
-    inline_fallbacks: int = 0
 
 
 @dataclass
@@ -283,13 +284,13 @@ def _apply_fault(plan: Dict[str, Any], task_index: int, result_msg: Tuple):
         raise EngineFault("injected engine fault")
     if plan.get("poison_on_task") == task_index:
         mode = plan.get("poison_mode", "short")
-        kind, task_id, outputs, row_count, payload = result_msg
+        kind, task_id, outputs, account = result_msg
         if mode == "short":  # drop a row: row-count mismatch
-            return (kind, task_id, outputs[:-1], row_count, payload)
+            return (kind, task_id, outputs[:-1], account)
         if mode == "wrong_task":  # answer a task that was never asked
-            return (kind, task_id + 10_000, outputs, row_count, payload)
+            return (kind, task_id + 10_000, outputs, account)
         if mode == "garbage":  # structurally broken ciphertexts
-            return (kind, task_id, [object()] * len(outputs), row_count, payload)
+            return (kind, task_id, [object()] * len(outputs), account)
         raise ValueError(f"unknown poison mode {mode!r}")
     return result_msg
 
@@ -307,6 +308,9 @@ def _worker_main(
     # private tracker that later "cleans up" segments the parent still owns.
     resource_tracker.register = lambda name, rtype: None  # this process only
     plan = fault_plan or {}
+    # The worker's span ring: what a traced task records leaves with its
+    # account; the parent's registry is the one metrics sink.
+    telemetry = Telemetry(ring_size=256)
     segments: Dict[str, shared_memory.SharedMemory] = {}
     contexts: Dict[str, FheContext] = {}
     names: Dict[str, str] = dict(registry)
@@ -344,48 +348,17 @@ def _worker_main(
                         segment = _attach_segment(names[client_id])
                         segments[client_id] = segment
                         context = _context_from_segment(segment)
+                        context.telemetry = telemetry
                         contexts[client_id] = context
-                    payload = None
-                    if trace_ctx is None:
-                        outputs = execute_rows(
-                            context, rows, max_rows_per_call=max_rows_per_call
-                        )
-                    else:
-                        # Traced task: record stage spans into a private,
-                        # metrics-less ring and ship them back as tuples;
-                        # engine-call deltas ride along so the parent's
-                        # registry stays the single metrics sink.
-                        worker_tel = Telemetry(metrics=False, ring_size=256)
-                        engine_before = context.engine.stats.snapshot()
-                        context.telemetry = worker_tel
-                        try:
-                            with _round_scope(context, trace_ctx):
-                                outputs = execute_rows(
-                                    context,
-                                    rows,
-                                    max_rows_per_call=max_rows_per_call,
-                                )
-                        finally:
-                            context.telemetry = None
-                        engine_after = context.engine.stats.snapshot()
-                        payload = {
-                            "spans": worker_tel.drain_span_tuples(),
-                            "engine": {
-                                "kind": getattr(context.engine, "engine_kind", None)
-                                or "unknown",
-                                "forward": engine_after.forward_calls
-                                - engine_before.forward_calls,
-                                "backward": engine_after.backward_calls
-                                - engine_before.backward_calls,
-                            },
-                        }
-                    result = ("ok", task_id, outputs, len(rows), payload)
-                    result = _apply_fault(plan, task_index, result)
+                    telemetry.tracer.clear()  # no span of a failed task rides along
+                    with _round_scope(context, trace_ctx):
+                        outputs, account = measure_rows(context, rows, max_rows_per_call)
+                    account.spans = telemetry.drain_span_tuples()
+                    result = _apply_fault(plan, task_index, ("ok", task_id, outputs, account))
                 except EngineFault:
-                    # Tagged so the parent can distinguish "this worker's
-                    # engine is sick" (engine rebuild upstream) from
-                    # a generic task fault (requeue to another worker).
-                    result = ("err", task_id, traceback.format_exc(), "engine_fault")
+                    # Not a task fault: the parent raises it at once, and the
+                    # scheduler rebuilds the engine.
+                    result = ("engine_fault", task_id, traceback.format_exc())
                 except Exception:  # noqa: BLE001 - report, let parent decide
                     result = ("err", task_id, traceback.format_exc())
                 task_index += 1
@@ -411,17 +384,10 @@ class _Task:
 
     task_id: int
     client_id: str
-    start: int
     rows: List[Row]
     retries: int = 0
-    #: ``max_rows_per_call`` in force when the task was dispatched (for the
-    #: parent-side accounting of worker-issued batched calls).
-    chunk_limit: Optional[int] = None
     #: Last worker-side traceback, surfaced by :class:`WorkerPoolError`.
     error: str = ""
-    #: Classification of the last worker-side error (``"engine_fault"`` when
-    #: the worker's engine raised :class:`EngineFault`; empty otherwise).
-    error_kind: str = ""
     #: The round's tracing context ``(trace ids, flush span id)``, shipped
     #: to the worker inside the task tuple (``None`` untraced).
     trace_ctx: Optional[Tuple] = None
@@ -475,11 +441,12 @@ class WorkerPool(RowDispatcher):
         The refork **circuit breaker**: when ``breaker_threshold`` worker
         restarts happen within ``breaker_window`` seconds, the breaker
         opens for ``breaker_cooldown`` seconds — while open, ``run_rows``
-        executes in-process (the inline path) instead of touching the pool,
-        bounding a refork storm instead of burning CPU respawning workers
-        that keep dying.  After the cooldown the breaker closes with a
-        cleared restart history (half-open: the next run probes the pool;
-        a fresh storm re-trips).  ``breaker_threshold=None`` disables.
+        raises :class:`WorkerPoolError` without touching the pool (the
+        scheduler runs the round in-process), bounding a refork storm
+        instead of burning CPU respawning workers that keep dying.  After
+        the cooldown the breaker closes with a cleared restart history
+        (half-open: the next run probes the pool; a fresh storm re-trips).
+        ``breaker_threshold=None`` disables.
     clock:
         Monotonic time source for the breaker (injectable for deterministic
         tests); defaults to :func:`time.monotonic`.
@@ -695,8 +662,10 @@ class WorkerPool(RowDispatcher):
         Bit-identical to :func:`repro.runtime.scheduler.execute_rows` on the
         same row list: sharding only changes *where* each row's bootstrap
         runs.  Worker faults (crash, hang, poisoned result) requeue the
-        affected chunk; ``WorkerPoolError`` is raised once a chunk exhausts
-        ``max_retries``.
+        affected chunk; :class:`WorkerPoolError` is raised once a chunk
+        exhausts ``max_retries`` or while the breaker is open, and
+        :class:`EngineFault` as soon as a worker's engine faults.  Every
+        worker that faulted has been replaced when this returns or raises.
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
@@ -705,10 +674,8 @@ class WorkerPool(RowDispatcher):
             return []
         if self.breaker_open:
             # A refork storm tripped the breaker: don't feed work to a pool
-            # whose workers keep dying — run the round in-process instead.
-            self.stats.inline_fallbacks += 1
-            with _round_scope(context, round_ctx):
-                return execute_rows(context, rows, stats, max_rows_per_call)
+            # whose workers keep dying.
+            raise WorkerPoolError("the refork circuit breaker is open")
         if self._breaker_open_until is not None:
             # Past the cooldown the breaker half-opens: it closes with a
             # cleared restart history, so only a fresh storm re-trips it.
@@ -718,23 +685,25 @@ class WorkerPool(RowDispatcher):
             # Standalone use (no scheduler register hook ran): publish now.
             self.register_client(client_id, context)
         tasks = self._make_tasks(client_id, rows, round_ctx)
-        results: Dict[int, List[LweSample]] = {}
+        results: Dict[int, Tuple[List[LweSample], RoundAccount]] = {}
         pending: List[_Task] = list(tasks)
         outstanding = 0
         try:
             while pending or outstanding:
-                outstanding += self._assign(pending, client_id, max_rows_per_call)
+                outstanding += self._assign(pending, max_rows_per_call)
                 if not outstanding:
                     if pending:  # no live worker accepted work: all just died
                         continue
                     break
-                outstanding -= self._collect(results, pending, stats)
+                outstanding -= self._collect(results, pending)
         except (WorkerPoolError, EngineFault):
             self._reset_busy_workers()
             raise
         ordered: List[LweSample] = []
         for task in tasks:
-            ordered.extend(results[task.task_id])
+            outputs, account = results[task.task_id]
+            ordered.extend(outputs)
+            account.record(stats, self.telemetry)
         self.stats.rows_executed += len(rows)
         return ordered
 
@@ -748,51 +717,23 @@ class WorkerPool(RowDispatcher):
         start = 0
         for i in range(count):
             size = base + (1 if i < extra else 0)
-            task = _Task(self._next_task_id, client_id, start, rows[start : start + size])
-            task.trace_ctx = round_ctx
+            chunk = rows[start : start + size]
+            tasks.append(_Task(self._next_task_id, client_id, chunk, trace_ctx=round_ctx))
             self._next_task_id += 1
-            tasks.append(task)
             start += size
         return tasks
 
-    # -- telemetry -----------------------------------------------------------
-    def _ingest_payload(self, task: _Task, payload) -> None:
-        """Adopt one traced task's shipped spans and engine-call deltas."""
-        tel = self.telemetry
-        if tel is None or not isinstance(payload, dict):
-            return
-        for span_tuple in payload.get("spans", ()):
-            try:
-                tel.tracer.ingest(span_tuple)
-            except (ValueError, TypeError):
-                continue  # malformed span from a sick worker: drop, keep rest
-        engine = payload.get("engine")
-        if tel.metrics_enabled and isinstance(engine, dict):
-            for direction in ("forward", "backward"):
-                delta = engine.get(direction, 0)
-                if isinstance(delta, int) and delta > 0:
-                    tel.count(
-                        "fhe_engine_transform_calls_total",
-                        "Negacyclic transform invocations by direction.",
-                        amount=delta,
-                        engine=str(engine.get("kind", "unknown")),
-                        direction=direction,
-                    )
-
-    def _assign(
-        self, pending: List[_Task], client_id: str, max_rows_per_call: Optional[int]
-    ) -> int:
+    def _assign(self, pending: List[_Task], max_rows_per_call: Optional[int]) -> int:
         """Hand queued tasks to idle workers; returns how many were sent."""
         sent = 0
-        for index, worker in enumerate(list(self._workers)):
+        for worker in list(self._workers):
             if not pending:
                 break
             if worker.task is not None:
                 continue
             if not worker.alive:
                 worker = self._replace(worker)
-            task = pending.pop(0)
-            task.chunk_limit = max_rows_per_call
+            task = worker.task = pending.pop(0)
             task.sent_wall = time.time()
             task.sent_perf = time.perf_counter()
             try:
@@ -807,11 +748,10 @@ class WorkerPool(RowDispatcher):
                     )
                 )
             except (OSError, ValueError, BrokenPipeError):
-                worker.faults += 1
-                self._requeue(task, pending, f"worker {worker.spawn_index} pipe broke")
-                self._replace(worker)
+                self._requeue(
+                    self._retire(worker), pending, f"worker {worker.spawn_index} pipe broke"
+                )
                 continue
-            worker.task = task
             worker.deadline = (
                 time.monotonic() + self.task_timeout
                 if self.task_timeout is not None
@@ -822,10 +762,7 @@ class WorkerPool(RowDispatcher):
         return sent
 
     def _collect(
-        self,
-        results: Dict[int, List[LweSample]],
-        pending: List[_Task],
-        stats: SchedulerStats,
+        self, results: Dict[int, Tuple[List[LweSample], RoundAccount]], pending: List[_Task]
     ) -> int:
         """Wait for one wave of results/faults; returns tasks taken off workers."""
         busy = [w for w in self._workers if w.task is not None]
@@ -842,143 +779,108 @@ class WorkerPool(RowDispatcher):
         settled = 0
         for conn in ready:
             worker = next(w for w in busy if w.conn is conn)
-            task = worker.task
+            settled += 1
             try:
                 message = conn.recv()
             except (EOFError, OSError):
-                worker.faults += 1
-                worker.task = None
-                self._requeue(task, pending, f"worker {worker.spawn_index} died")
-                self._replace(worker)
-                settled += 1
+                self._requeue(self._retire(worker), pending, f"worker {worker.spawn_index} died")
                 continue
-            if self._accept(worker, task, message, results, stats):
+            if isinstance(message, tuple) and message[:1] == ("engine_fault",):
+                self._retire(worker)
+                raise EngineFault(f"worker {worker.spawn_index}: {message[-1]}")
+            if self._accept(worker, message, results):
                 worker.task = None
                 worker.deadline = None
                 worker.done += 1
                 self.stats.tasks_completed += 1
-                settled += 1
             else:
-                worker.task = None
                 self._requeue(
-                    task, pending, f"worker {worker.spawn_index} returned a bad result"
+                    self._retire(worker),
+                    pending,
+                    f"worker {worker.spawn_index} returned a bad result",
                 )
-                self._replace(worker)
-                settled += 1
         # Deadline sweep: hung workers are indistinguishable from slow ones
         # except by the clock, so expiry is treated as a crash.
         if self.task_timeout is not None:
             now = time.monotonic()
             for worker in busy:
-                if worker.task is not None and worker.deadline is not None and now > worker.deadline:
-                    task = worker.task
-                    worker.task = None
-                    worker.faults += 1
-                    self._requeue(
-                        task, pending, f"worker {worker.spawn_index} timed out"
-                    )
-                    self._replace(worker)
+                if worker.task is not None and now > worker.deadline:
                     settled += 1
+                    self._requeue(
+                        self._retire(worker), pending, f"worker {worker.spawn_index} timed out"
+                    )
         return settled
 
     def _accept(
         self,
         worker: _Worker,
-        task: _Task,
         message,
-        results: Dict[int, List[LweSample]],
-        stats: SchedulerStats,
+        results: Dict[int, Tuple[List[LweSample], RoundAccount]],
     ) -> bool:
         """Validate one worker reply; False means 'treat as a fault'."""
-        if not isinstance(message, tuple) or len(message) < 2:
-            self.stats.results_rejected += 1
+        task = worker.task
+        if not isinstance(message, tuple) or len(message) < 3:
             return False
         if message[0] == "err":
             # A worker-side exception is a task fault: requeue (a transient
             # fault clears on retry; a deterministic one exhausts retries and
             # surfaces the traceback through WorkerPoolError).
-            worker.faults += 1
-            self.stats.results_rejected += 1
-            task.error = message[2] if len(message) > 2 else "unknown worker error"
-            task.error_kind = message[3] if len(message) > 3 else ""
+            task.error = message[2]
             return False
-        if message[0] != "ok" or len(message) != 5:
-            self.stats.results_rejected += 1
+        if message[0] != "ok" or len(message) != 4:
             return False
-        _, task_id, outputs, row_count, payload = message
-        if task_id != task.task_id or row_count != len(task.rows):
-            self.stats.results_rejected += 1
+        _, task_id, outputs, account = message
+        if task_id != task.task_id or not isinstance(account, RoundAccount):
             return False
         if not isinstance(outputs, list) or len(outputs) != len(task.rows):
-            self.stats.results_rejected += 1
             return False
         dimension = None
         for output in outputs:
             if not isinstance(output, LweSample):
-                self.stats.results_rejected += 1
                 return False
             a = np.asarray(output.a)
             if a.ndim != 1 or a.dtype != np.int32:
-                self.stats.results_rejected += 1
                 return False
             if dimension is None:
                 dimension = a.shape[0]
             elif a.shape[0] != dimension:
-                self.stats.results_rejected += 1
                 return False
-        results[task.task_id] = outputs
-        # Account the batched bootstrapping calls the worker actually issued.
-        per_call = max_rows = len(task.rows)
-        if task.chunk_limit:
-            per_call = min(per_call, task.chunk_limit)
-            max_rows = per_call
-        calls = -(-len(task.rows) // per_call) if per_call else 0
-        stats.batched_calls += calls
-        stats.max_rows_per_call = max(stats.max_rows_per_call, max_rows)
+        results[task.task_id] = (outputs, account)
         tel = self.telemetry
-        if tel is not None:
-            if tel.metrics_enabled and calls:
-                remaining = len(task.rows)
-                while remaining > 0:
-                    tel.observe(
-                        "fhe_rows_per_call",
-                        min(per_call, remaining),
-                        "Coalesced batch width per bootstrapping call.",
-                        buckets=ROWS_PER_CALL_BUCKETS,
-                    )
-                    remaining -= per_call
-            self._ingest_payload(task, payload)
-            if task.trace_ctx is not None:
-                trace_ids, flush_span_id = task.trace_ctx
-                attrs = {"worker": worker.spawn_index, "rows": len(task.rows)}
-                if len(trace_ids) > 1:
-                    attrs["traces"] = list(trace_ids)
-                tel.tracer.record(
-                    "worker_dispatch",
-                    trace_ids[0],
-                    start=task.sent_wall,
-                    duration=time.perf_counter() - task.sent_perf,
-                    parent_id=flush_span_id,
-                    attrs=attrs,
-                )
+        if tel is not None and task.trace_ctx is not None:
+            trace_ids, flush_span_id = task.trace_ctx
+            attrs = {"worker": worker.spawn_index, "rows": len(task.rows)}
+            if len(trace_ids) > 1:
+                attrs["traces"] = list(trace_ids)
+            tel.tracer.record(
+                "worker_dispatch",
+                trace_ids[0],
+                start=task.sent_wall,
+                duration=time.perf_counter() - task.sent_perf,
+                parent_id=flush_span_id,
+                attrs=attrs,
+            )
         return True
+
+    def _retire(self, worker: _Worker) -> _Task:
+        """Replace a worker that died, hung or answered with a fault; returns
+        the task it held.  Runs before anything can raise, so a faulted
+        worker never looks idle to the next round."""
+        task = worker.task
+        worker.task = None
+        worker.faults += 1
+        self._replace(worker)
+        return task
 
     def _requeue(self, task: _Task, pending: List[_Task], reason: str) -> None:
         task.retries += 1
         self.stats.tasks_retried += 1
         if task.retries > self.max_retries:
-            detail = getattr(task, "error", "")
-            summary = (
+            raise WorkerPoolError(
                 f"task {task.task_id} ({len(task.rows)} rows for client "
                 f"{task.client_id!r}) failed {task.retries} times; last "
-                f"fault: {reason}" + (f"\n{detail}" if detail else "")
+                f"fault: {reason}" + (f"\n{task.error}" if task.error else "")
             )
-            if task.error_kind == "engine_fault":
-                # The worker's *engine* faulted deterministically — surface
-                # that as EngineFault so the scheduler fails the engine over
-                # instead of falling back inline onto the same broken kind.
-                raise EngineFault(summary)
-            raise WorkerPoolError(summary)
         pending.append(task)
 
     def _reset_busy_workers(self) -> None:

@@ -25,10 +25,10 @@ Wiring pattern:
   the ``engine_contract`` / ``keyswitch`` stages and records them against
   the round's traces.  With no active round ``stage()`` is a no-op timing
   nothing.
-* Worker processes build a private, metrics-less ``Telemetry`` per traced
-  task and ship the recorded spans back over the result pipe as tuples
-  (:meth:`repro.telemetry.tracing.Span.to_tuple`); the parent pool ingests
-  them into its own ring.
+* A worker process keeps one ``Telemetry`` of its own for its span ring;
+  a task's spans leave as tuples
+  (:meth:`repro.telemetry.tracing.Span.to_tuple`) inside the round's
+  account, and the parent ingests them into its ring.
 """
 
 from __future__ import annotations
@@ -66,14 +66,9 @@ __all__ = [
 
 
 class Telemetry:
-    """One registry + one tracer + the active stage-round state.
+    """One registry + one tracer + the active stage-round state."""
 
-    ``metrics=False`` turns the hot-path metric helpers into no-ops: a
-    worker process traces without keeping a registry.
-    """
-
-    def __init__(self, metrics: bool = True, ring_size: int = 4096) -> None:
-        self.metrics_enabled = bool(metrics)
+    def __init__(self, ring_size: int = 4096) -> None:
         self.registry = MetricsRegistry()
         self.tracer = Tracer(ring_size=ring_size)
         self._round = threading.local()
@@ -101,13 +96,11 @@ class Telemetry:
     def count(
         self, name: str, help_text: str = "", amount: float = 1.0, **labels: Any
     ) -> None:
-        """Increment a (possibly labeled) counter; no-op when metrics are off.
+        """Increment a (possibly labeled) counter.
 
         The resolved child series is cached, so steady-state cost is one
         dict lookup and one locked float add.
         """
-        if not self.metrics_enabled:
-            return
         items = tuple(sorted((k, str(v)) for k, v in labels.items()))
         self._cached_series("counter", name, help_text, items).inc(amount)
 
@@ -119,9 +112,7 @@ class Telemetry:
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
         **labels: Any,
     ) -> None:
-        """Observe into a (possibly labeled) histogram; no-op when off."""
-        if not self.metrics_enabled:
-            return
+        """Observe into a (possibly labeled) histogram."""
         items = tuple(sorted((k, str(v)) for k, v in labels.items()))
         self._cached_series(
             "histogram", name, help_text, items, buckets=buckets

@@ -25,9 +25,11 @@ import pytest
 from conftest import scrape
 
 from repro.runtime import BatchScheduler, WorkerPool, WorkerPoolError
-from repro.runtime.scheduler import SchedulerStats, execute_rows
+from repro.runtime import scheduler as scheduler_module
+from repro.runtime.scheduler import RowDispatcher, SchedulerStats, execute_rows
 from repro.runtime.server import FheServer
-from repro.tfhe.gates import encrypt_bit
+from repro.tfhe.gates import decrypt_bit, encrypt_bit
+from repro.tfhe.transform import EngineFault
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
@@ -218,12 +220,14 @@ def test_breaker_trips_on_restart_storm_and_degrades_inline(workload):
         assert pool.stats.workers_restarted == 3
         assert pool.stats.breaker_trips == 1
         assert pool.breaker_open
-        # While open, run_rows computes in-process — bit-identically — and
-        # touches no worker.
+        # While open, run_rows refuses the round and touches no worker; the
+        # scheduler runs it in-process — bit-identically — and counts it.
         done_before = sum(w.tasks_completed for w in pool.health)
-        outputs = pool.run_rows("tenant", context, rows, SchedulerStats())
-        assert all(_same_sample(got, want) for got, want in zip(outputs, reference))
-        assert pool.stats.inline_fallbacks == 1
+        with pytest.raises(WorkerPoolError, match="breaker is open"):
+            pool.run_rows("tenant", context, rows, SchedulerStats())
+        scheduler, results = _run_with_pool(workload, pool)
+        assert all(_same_sample(got, want) for got, want in zip(results, reference))
+        assert scheduler.stats.inline_fallbacks == 1
         assert sum(w.tasks_completed for w in pool.health) == done_before
         # Past the cooldown the breaker half-opens (restart history cleared)
         # and the pool serves again.
@@ -260,10 +264,11 @@ def test_a_scrape_leaves_the_breaker_as_it_found_it(workload):
             assert scrape(server)["fhe_pool_breaker_open"] == 0
         assert pool._breaker_open_until == open_until is not None
         assert list(pool._restart_times) == history != []
+        completed = pool.stats.tasks_completed
         outputs = pool.run_rows("tenant", context, rows, SchedulerStats())
         assert all(_same_sample(got, want) for got, want in zip(outputs, reference))
         assert pool._breaker_open_until is None and not pool._restart_times
-        assert pool.stats.inline_fallbacks == 0  # the half-open round ran on the pool
+        assert pool.stats.tasks_completed == completed + 1  # the half-open round ran on the pool
 
 
 def test_scheduler_falls_back_inline_when_pool_exhausts(workload):
@@ -278,12 +283,12 @@ def test_scheduler_falls_back_inline_when_pool_exhausts(workload):
 
 
 def test_worker_engine_fault_triggers_failover():
-    """A deterministic worker-side EngineFault rebuilds the engine.
+    """A worker-side EngineFault rebuilds the engine.
 
-    Every worker attempt raises EngineFault, so retry exhaustion surfaces
-    EngineFault (not WorkerPoolError) to the scheduler, which rebuilds the
-    context's ``double`` engine from its spec, republishes the client to the
-    pool and replays the round — bit-identically.
+    The pool does not retry it: the fault reaches the scheduler at once,
+    which rebuilds the context's ``double`` engine from its spec,
+    republishes the client to the pool and replays the round there —
+    bit-identically.
     """
     from repro.runtime.context import FheContext
     from repro.tfhe.keys import generate_keys
@@ -301,10 +306,10 @@ def test_worker_engine_fault_triggers_failover():
     cbs = [encrypt_bit(secret, b, rng=540 + i) for i, b in enumerate(BITS_B)]
     reference_rows = [("gate", "nand", ca, cb) for ca, cb in zip(cas, cbs)]
     reference = execute_rows(FheContext(cloud), reference_rows, stats=SchedulerStats())
-    # Spawns 0 and 1 cover both pre-failover attempts (max_retries=1); the
-    # workers spawned for the post-failover replay carry no plan — the
-    # fault "lives in" the faulted engine instance, as a transient one would.
-    plans = {0: {"engine_fault_always": True}, 1: {"engine_fault_always": True}}
+    # Spawn 0 faults on every task; its replacement, which serves the
+    # post-failover replay, carries no plan — the fault "lives in" the
+    # faulted engine instance, as a transient one would.
+    plans = {0: {"engine_fault_always": True}}
     with WorkerPool(1, task_timeout=5.0, max_retries=1, fault_plans=plans) as pool:
         scheduler = BatchScheduler(dispatcher=pool)
         context = scheduler.register_client("tenant", cloud)
@@ -319,6 +324,8 @@ def test_worker_engine_fault_triggers_failover():
         assert context.workspace is not faulted_workspace
         assert scheduler.stats.jobs_completed == len(BITS_A)
         assert scheduler.stats.inline_fallbacks == 0  # replayed on the pool
+        assert pool.stats.tasks_retried == 0  # an engine fault is not retried
+        assert pool.stats.workers_restarted == 1
 
 
 def test_fault_storm_many_flushes(workload):
@@ -342,3 +349,108 @@ def test_fault_storm_many_flushes(workload):
         assert pool.stats.rows_executed == 3 * len(BITS_A)
         assert pool.stats.workers_restarted == 2
         assert all(worker.alive for worker in pool.health)
+
+
+LAST_ATTEMPT_FAULTS = {
+    "hang": ({"hang_on_task": 0}, "timed out"),
+    "error": ({"error_on_task": 0}, "injected worker fault"),
+    "poison": ({"poison_on_task": 0, "poison_mode": "short"}, "bad result"),
+    "crash": ({"crash_on_task": 0}, "died"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LAST_ATTEMPT_FAULTS))
+def test_a_worker_that_faults_on_the_last_attempt_is_replaced(workload, fault):
+    """The round that spends the retry budget still replaces the worker that
+    faulted, so the next round never lands on a hung or lying worker."""
+    context, _cas, _cbs, rows, reference = workload
+    plan, reason = LAST_ATTEMPT_FAULTS[fault]
+    with WorkerPool(1, task_timeout=1.0, max_retries=0, fault_plans={0: plan}) as pool:
+        with pytest.raises(WorkerPoolError, match=reason):
+            pool.run_rows("tenant", context, rows, SchedulerStats())
+        assert pool.stats.workers_restarted == 1
+        assert [worker.spawn_index for worker in pool.health] == [1]
+        outputs = pool.run_rows("tenant", context, rows, SchedulerStats())
+        assert all(_same_sample(got, want) for got, want in zip(outputs, reference))
+        assert pool.stats.workers_restarted == 1
+        assert pool.stats.tasks_completed == 1
+
+
+class _ScriptedDispatcher(RowDispatcher):
+    """Runs each attempt as the shared script says: ``ok``, or raise."""
+
+    def __init__(self, script, attempts) -> None:
+        self.script = script
+        self.attempts = attempts
+        self.registrations = 0
+
+    def register_client(self, client_id, context) -> None:
+        self.registrations += 1
+
+    def run_rows(self, client_id, context, rows, stats, max_rows_per_call=None, round_ctx=None):
+        return _attempt("dispatcher", self.script, self.attempts, context, rows, stats)
+
+
+def _attempt(where, script, attempts, context, rows, stats):
+    outcome = script.pop(0)
+    attempts.append((where, outcome))
+    if outcome == "EF":
+        raise EngineFault(f"scripted fault: {where}")
+    if outcome == "WPE":
+        raise WorkerPoolError("scripted pool failure")
+    return execute_rows(context, rows, stats)
+
+
+#: Each path down the scheduler's fault ladder: the outcome of every attempt
+#: in order (``d`` on the dispatcher, ``p`` in-process), then the engine
+#: rebuilds and in-process rounds it must count, and whether the round fails.
+LADDER = {
+    "ok": ([("d", "ok")], 0, 0, False),
+    "EF-replay-ok": ([("d", "EF"), ("d", "ok")], 1, 0, False),
+    "EF-replay-EF-in-process": ([("d", "EF"), ("d", "EF"), ("p", "ok")], 1, 1, False),
+    "WPE-in-process": ([("d", "WPE"), ("p", "ok")], 0, 1, False),
+    "WPE-in-process-EF-rebuild-in-process": (
+        [("d", "WPE"), ("p", "EF"), ("p", "ok")], 1, 1, False
+    ),
+    "deterministic-EF-fails-the-round": (
+        [("d", "EF"), ("d", "EF"), ("p", "EF")], 1, 1, True
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(LADDER))
+def test_the_fault_ladder(tiny_keys_naive, monkeypatch, path):
+    """One round's every attempt, rebuild and in-process fallback, in order:
+    at most one rebuild (each republishes the key), the in-process step
+    counted once, and an engine fault after the rebuild in-process fails the
+    round."""
+    secret, cloud = tiny_keys_naive
+    steps, rebuilds, in_process, fails = LADDER[path]
+    script = [outcome for _where, outcome in steps]
+    attempts = []
+    monkeypatch.setattr(
+        scheduler_module,
+        "execute_rows",
+        lambda context, rows, stats=None, max_rows_per_call=None: _attempt(
+            "in-process", script, attempts, context, rows, stats
+        ),
+    )
+    dispatcher = _ScriptedDispatcher(script, attempts)
+    scheduler = BatchScheduler(dispatcher=dispatcher)
+    context = scheduler.register_client("tenant", cloud)
+    handle = scheduler.session("tenant").submit_gate(
+        "nand", encrypt_bit(secret, 1, rng=610), encrypt_bit(secret, 1, rng=611)
+    )
+    if fails:
+        with pytest.raises(EngineFault, match="in-process"):
+            scheduler.flush()
+    else:
+        scheduler.flush()
+        assert decrypt_bit(secret, handle.result()) == 0
+    where = {"d": "dispatcher", "p": "in-process"}
+    assert attempts == [(where[w], outcome) for w, outcome in steps]
+    assert script == []
+    assert scheduler.stats.engine_failovers == context.engine_failovers == rebuilds
+    assert dispatcher.registrations == 1 + rebuilds
+    assert scheduler.stats.inline_fallbacks == in_process
+    assert scheduler.stats.jobs_completed == (0 if fails else 1)

@@ -21,10 +21,12 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import scrape
 
 from repro.runtime import BatchScheduler, WorkerPool
 from repro.runtime.context import FheContext
-from repro.runtime.scheduler import SchedulerStats, execute_rows
+from repro.runtime.scheduler import InlineDispatcher, SchedulerStats, execute_rows
+from repro.telemetry import Telemetry
 from repro.runtime.workers import (
     _attach_segment,
     _context_from_segment,
@@ -317,3 +319,44 @@ def test_scheduler_deregister_refuses_pending(tiny_keys_naive):
     scheduler.deregister_client("c")
     with pytest.raises(KeyError):
         scheduler.client_context("c")
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+def test_one_account_per_round(tiny_keys_naive, pooled, traced):
+    """A round's calls, widths and transform calls reach the scrape once,
+    as ``execute_rows`` records them for each slice the dispatcher ran —
+    in the parent or in a worker, traced or not."""
+    secret, cloud = tiny_keys_naive
+    rows, _ = _mixed_rows(secret, 8)
+    chunk = 3
+    slices = [rows[:4], rows[4:]] if pooled else [rows]
+    want = Telemetry()
+    want_stats = SchedulerStats()
+    reference = FheContext(cloud)
+    reference.rotator  # the spectrum cache is built before the round, as a registration does
+    reference.telemetry = want
+    for part in slices:
+        execute_rows(reference, part, want_stats, chunk)
+
+    tel = Telemetry()
+    dispatcher = WorkerPool(2, task_timeout=60.0) if pooled else InlineDispatcher()
+    try:
+        scheduler = BatchScheduler(max_rows_per_call=chunk, dispatcher=dispatcher, telemetry=tel)
+        context = scheduler.register_client("c", cloud)
+        context.rotator
+        (resident,) = scheduler.residents
+        round_ctx = (("trace-0",), "span-0") if traced else None
+        dispatcher.run_rows(
+            resident.label, context, rows, scheduler.stats, chunk, round_ctx=round_ctx
+        )
+    finally:
+        getattr(dispatcher, "close", lambda: None)()
+
+    got = scrape(tel)
+    assert got["fhe_batched_calls_total"] == want_stats.batched_calls == (4 if pooled else 3)
+    got_snap, want_snap = tel.registry.snapshot(), want.registry.snapshot()
+    for family in ("fhe_rows_per_call", "fhe_engine_transform_calls_total"):
+        assert got_snap[family]["series"] == want_snap[family]["series"], family
+    assert got["fhe_engine_transform_calls_total"] > 0
+    assert scheduler.stats.max_rows_per_call == want_stats.max_rows_per_call == chunk

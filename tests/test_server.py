@@ -573,13 +573,15 @@ def _wait_until(predicate, timeout=30.0):
 
 def test_the_scrape_counts_every_event_once(server_factory, wire_keys):
     """A reconnect that re-registers its session's key, a pool task retry
-    (whose restart trips the breaker), an engine failover on the breaker's
-    inline path and a deadline-shed job: the scrape counts each once, and
-    every family reads its one store."""
+    (whose restart trips the breaker), an engine failover on the round the
+    scheduler runs in-process while the breaker is open, and a
+    deadline-shed job: the scrape counts each once, and every family reads
+    its one store."""
     secret, cloud = wire_keys
     ca, cb = encrypt_bit(secret, 1, rng=800), encrypt_bit(secret, 1, rng=801)
     # Spawn 0 dies on its first task: one retry, one restart — and with a
-    # threshold of one restart the breaker opens, so later rounds run inline.
+    # threshold of one restart the breaker opens, so the pool refuses later
+    # rounds and the scheduler runs them in-process.
     pool = WorkerPool(
         2,
         task_timeout=60.0,
@@ -594,8 +596,8 @@ def test_the_scrape_counts_every_event_once(server_factory, wire_keys):
             assert decrypt_bit(secret, client.gate("nand", ca, cb)) == 0
             assert pool.breaker_open
 
-            # The next inline round faults on its first transform call: the
-            # scheduler rebuilds the engine from its spec and replays it.
+            # The next in-process round faults on its first transform call:
+            # the scheduler rebuilds the engine from its spec and replays it.
             (resident,) = server.scheduler.residents
             context = resident.context
             flaky = FlakyEngine(context.engine)
@@ -622,7 +624,6 @@ def test_the_scrape_counts_every_event_once(server_factory, wire_keys):
                 "fhe_jobs_completed_total": stats.jobs_completed,
                 "fhe_inline_fallbacks_total": stats.inline_fallbacks,
                 "fhe_pool_worker_restarts_total": pool_stats.workers_restarted,
-                "fhe_pool_inline_fallbacks_total": pool_stats.inline_fallbacks,
                 "fhe_server_busy_seconds_total": server._busy_seconds,
             }
     finally:
@@ -636,7 +637,7 @@ def test_the_scrape_counts_every_event_once(server_factory, wire_keys):
         "fhe_pool_breaker_trips_total",
     ):
         assert scraped[family] == 1, family
-    assert scraped["fhe_pool_inline_fallbacks_total"] >= 1  # the breaker's rounds
+    assert scraped["fhe_inline_fallbacks_total"] >= 1  # the breaker's rounds
     for family, value in stores.items():
         assert scraped[family] == pytest.approx(value, rel=1e-9), family
 

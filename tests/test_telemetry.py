@@ -195,11 +195,6 @@ def test_telemetry_hot_path_helpers():
     tel.count("fhe_x_total")
     assert tel.registry.snapshot()["fhe_x_total"]["series"][0]["value"] == 1
 
-    off = Telemetry(metrics=False)
-    off.count("fhe_x_total")
-    off.observe("fhe_z_seconds", 1.0)
-    assert off.registry.snapshot() == {}
-
 
 def test_bound_family_reads_its_owner_and_refuses_updates():
     """A bound family is its owner's field read at snapshot: present at zero
@@ -637,7 +632,6 @@ BOUND_FAMILIES = frozenset(SCHEDULER_TWINS) | {
     "fhe_pool_worker_restarts_total",
     "fhe_pool_breaker_trips_total",
     "fhe_pool_tasks_retried_total",
-    "fhe_pool_inline_fallbacks_total",
     "fhe_server_busy_seconds_total",
     "fhe_jobs_deduped_total",
     "fhe_jobs_shed_total",
@@ -719,8 +713,8 @@ def test_signatures_the_benchmark_and_callers_rely_on():
 
 
 def test_observability_has_no_off_switch():
-    """The server always observes and a tracer always records; a worker's
-    metrics-less bundle is the one half-state left."""
+    """The server always observes, a bundle always keeps metrics and a
+    tracer always records."""
     assert _parameters(FheServer.__init__) == [
         "self",
         "dispatcher",
@@ -734,5 +728,5 @@ def test_observability_has_no_off_switch():
         "session_cache_size",
         "session_ttl",
     ]
-    assert _parameters(Telemetry.__init__) == ["self", "metrics", "ring_size"]
+    assert _parameters(Telemetry.__init__) == ["self", "ring_size"]
     assert _parameters(Tracer.__init__) == ["self", "ring_size"]
