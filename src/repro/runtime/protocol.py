@@ -107,8 +107,9 @@ __all__ = [
 #: Frame magic of the CRC-protected frame layout (protocol 2 onwards).
 MAGIC = b"rTF2"
 #: Bumped on incompatible wire changes; ``hello`` reports it.  Version 3:
-#: same frames, bodies carry format-3 artifacts (flat container, not npz).
-PROTOCOL_VERSION = 3
+#: same frames, bodies carry flat-container artifacts (not npz); version 4:
+#: container 2 (version and artifact kind in the prefix, not the JSON).
+PROTOCOL_VERSION = 4
 #: Hard ceiling on ``header_len`` (headers are small JSON objects; circuit
 #: JSON rides here too, hence megabyte-scale rather than kilobyte-scale).
 MAX_HEADER_LEN = 8 * 1024 * 1024

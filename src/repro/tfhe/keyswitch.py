@@ -113,10 +113,13 @@ def _keyswitch_totals(ks: KeySwitchKey, a: np.ndarray, workspace=None) -> np.nda
     mod ``2^32``, so the wrapping uint32 accumulation is exact.
 
     The digits of every coefficient become flat row indices into
-    :attr:`KeySwitchKey.table` once; the rows are then gathered a block at a
-    time into one fixed-size buffer (the ``workspace``'s, else a fresh one) and
-    reduced into the total, so peak memory is the block plus ``O(B)`` rows —
-    never the ``(B, n_in·t, n_out + 1)`` gather.
+    :attr:`KeySwitchKey.table` once, digit-major: ``(n_in·t, B)``.  The rows
+    are then gathered a block at a time into one fixed-size buffer (the
+    ``workspace``'s, else a fresh one) as ``(run, ciphertexts, n_out + 1)``
+    and reduced over their long first axis into the total, so each add spans
+    a whole group of ciphertext rows rather than one key row, and peak memory
+    is the block plus ``O(B)`` rows — never the ``(n_in·t, B, n_out + 1)``
+    gather.
     """
     params = ks.params
     base_bits = params.base_bits
@@ -132,11 +135,11 @@ def _keyswitch_totals(ks: KeySwitchKey, a: np.ndarray, workspace=None) -> np.nda
     if 32 - base_bits * t - 1 >= 0:
         rounded += np.uint32(1 << (32 - base_bits * t - 1))
     shifts = np.arange(32 - base_bits, 32 - base_bits * (t + 1), -base_bits, dtype=np.uint32)
-    index = np.empty((batch, n_in, t), dtype=np.intp)
-    np.right_shift(rounded[:, :, None], shifts, out=index)
+    index = np.empty((n_in, t, batch), dtype=np.intp)
+    np.right_shift(rounded.T[:, None, :], shifts[:, None], out=index)
     index &= params.base - 1
-    index += np.arange(0, n_in * t * params.base, params.base, dtype=np.intp).reshape(n_in, t)
-    index = index.reshape(batch, n_in * t)
+    index += np.arange(0, n_in * t * params.base, params.base, dtype=np.intp).reshape(n_in, t, 1)
+    index = index.reshape(n_in * t, batch)
 
     if workspace is None:
         block = np.empty(KEYSWITCH_BLOCK_WORDS, dtype=np.int32)
@@ -148,16 +151,16 @@ def _keyswitch_totals(ks: KeySwitchKey, a: np.ndarray, workspace=None) -> np.nda
     totals = np.zeros((batch, width), dtype=np.uint32)
     partial = np.empty((group, width), dtype=np.uint32)
     for first in range(0, batch, group):
-        rows = index[first : first + group]
+        rows = index[:, first : first + group]
         total = totals[first : first + group]
-        subtotal = partial[: len(rows)]
+        subtotal = partial[: rows.shape[1]]
         for start in range(0, n_in * t, run):
-            chosen = rows[:, start : start + run]
+            chosen = rows[start : start + run]
             gathered = block[: chosen.size * width].reshape(chosen.shape + (width,))
             # Indices are in range by construction; any mode but "raise"
             # lets `take` write straight into `out` unbuffered.
             table.take(chosen, axis=0, out=gathered, mode="clip")
-            np.add.reduce(gathered.view(np.uint32), axis=1, dtype=np.uint32, out=subtotal)
+            np.add.reduce(gathered.view(np.uint32), axis=0, dtype=np.uint32, out=subtotal)
             total += subtotal
     return totals
 

@@ -6,34 +6,37 @@ key to a server, and exchanges ciphertexts as files or byte streams.  On disk,
 on the wire and in the worker pool's shared segment an artifact is the same
 self-delimiting byte string::
 
-    magic "rTFA" | container version u8 | header_len u32 | header JSON
-    | the arrays' little-endian int32 payloads, in directory order
+    magic "rTFA" | container version u8 | artifact kind u8 | header_len u32
+    | header JSON | the arrays' little-endian int32 payloads, in directory order
 
-    {"format": "repro-tfhe", "version": 3, "artifact": "lwe_sample",
-     "arrays": [["a", [630]], ["b", []]]}
+    {"arrays": [["a", [630]], ["b", []]]}
 
-The compact JSON header carries format, version, artifact kind, the artifact's
-own metadata and the ``arrays`` directory of ``[name, shape]`` entries, each
-owning ``4·prod(shape)`` payload bytes.  Every array is int32: the dtype
-belongs to the container, so writers refuse anything else rather than cast it
-and readers have no dtype to trust.  A reader checks prefix, header and the
-whole directory against the bytes present (**no trailing bytes**) before it
-builds one array, and each loader checks its entries against the shapes its
-own header implies; every failure is a :class:`SerializationError`.  Writers
-produce the container as a list of buffers (:func:`to_pieces`: prefix +
-header, then the caller's own arrays) that :func:`to_bytes` joins and files,
-sockets and shared segments take piece by piece; readers return independent
-owning arrays (:func:`from_bytes`) — or, for the one caller whose buffer
-exists only to become the artifact, views of that buffer wherever its bytes
-already are an aligned native int32 array (:func:`from_owned_buffer`; same
-validation body, same values).  Ciphertexts of one shape share one header,
-so both directions remember it: a reader keeps the *validated* layout of
-each exact header byte string it has accepted (a hit still checks magic,
-container version, artifact kind and the exact payload length, with the
-same error text; any other header is validated in full), and a writer keeps
-the header bytes of each (artifact kind, shapes) pair; both caches are
-bounded.  Cloud
-keys serialize their *coefficient-domain* TGSW material plus the
+The prefix states once what every artifact shares: the container version
+(:data:`CONTAINER_VERSION`, the one version of byte layout and header schema
+alike) and the artifact kind (one byte of :data:`_KINDS`, which maps it to
+the kind's writer and loader).  The compact JSON header carries only the
+artifact's own metadata and the ``arrays`` directory of ``[name, shape]``
+entries, each owning ``4·prod(shape)`` payload bytes.  Every array is int32:
+the dtype belongs to the container, so writers refuse anything else rather
+than cast it and readers have no dtype to trust.  A reader checks the prefix
+first — a read that expects one kind refuses another before any JSON is
+parsed — then header and the whole directory against the bytes present
+(**no trailing bytes**) before it builds one array, and each loader checks
+its entries against the shapes its own header implies; every failure is a
+:class:`SerializationError`.  Writers produce the container as a list of
+buffers (:func:`to_pieces`: prefix + header, then the caller's own arrays)
+that :func:`to_bytes` joins and files, sockets and shared segments take piece
+by piece; readers return independent owning arrays (:func:`from_bytes`) — or,
+for the one caller whose buffer exists only to become the artifact, views of
+that buffer wherever its bytes already are an aligned native int32 array
+(:func:`from_owned_buffer`; same validation body, same values).  Ciphertexts
+of one shape share one header, so both directions remember it: a reader
+keeps the *validated* layout of each (kind byte, exact header bytes) pair it
+has accepted (a hit still checks magic, container version, kind and the
+exact payload length, with the same error text; any other header is
+validated in full), and a writer keeps the prefix + header of each (kind
+byte, shapes) pair; both caches are bounded.  Cloud keys serialize their
+*coefficient-domain* TGSW material plus the
 :class:`repro.tfhe.transform.TransformSpec` of the engine they were generated
 for; the spectrum cache is deliberately **not** serialized — the
 :class:`repro.runtime.context.FheContext` that loads the key rebuilds it
@@ -42,8 +45,9 @@ for; the spectrum cache is deliberately **not** serialized — the
 Five artifact kinds are supported: ``secret_key``, ``cloud_key``,
 ``lwe_sample``, ``lwe_batch`` and ``radix_int`` (a radix-decomposed integer
 ciphertext: its digit rows plus the digit encoding and noise-bound metadata
-needed to resume homomorphic evaluation).  :func:`save` / :func:`load`
-dispatch on the object / header; the per-artifact functions are also public.
+needed to resume homomorphic evaluation).  :func:`save` dispatches on the
+object's type and :func:`load` on the kind byte; the per-artifact functions
+are also public.
 
 Compiled circuits travel as *JSON text* rather than in the container — a
 netlist is pure structure (no arrays) and a human-diffable artifact is worth
@@ -65,7 +69,19 @@ import struct
 import threading
 from dataclasses import asdict
 from types import MappingProxyType
-from typing import Any, BinaryIO, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    BinaryIO,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -86,16 +102,16 @@ from repro.tfhe.tgsw import TgswSample
 from repro.tfhe.tlwe import TlweKey, tlwe_extract_lwe_key
 from repro.tfhe.transform import TransformSpec
 
-#: Format name carried by every artifact header.
-FORMAT = "repro-tfhe"
-#: Current format version; loaders reject any other.  Version 2 added the
-#: ``radix_int`` artifact; version 3 replaced npz with the flat container.
-FORMAT_VERSION = 3
-#: First bytes of every artifact, and the version of the byte layout itself.
+#: First bytes of every artifact.
 MAGIC = b"rTFA"
-CONTAINER_VERSION = 1
+#: The one version of an artifact — byte layout and header schema alike;
+#: readers refuse any other.  Container 1 also restated the format name, a
+#: format version (3) and the artifact kind in its JSON header; before it,
+#: format versions 1-2 were npz archives.
+CONTAINER_VERSION = 2
 
-_PREFIX = struct.Struct("<4sBI")
+#: magic, container version, artifact kind, header_len.
+_PREFIX = struct.Struct("<4sBBI")
 _HEADER_JSON = json.JSONEncoder(separators=(",", ":")).encode
 #: The payloads' one dtype on the wire, and the native int32 readers return.
 _WIRE_INT32 = np.dtype("<i4")
@@ -119,6 +135,8 @@ class SerializationError(ValueError):
 class _Layout(NamedTuple):
     """A validated container header: what the bytes after it must hold."""
 
+    #: The artifact kind byte of the prefix (a key of :data:`_KINDS`).
+    kind: int
     #: The header minus its directory, read-only (every reader shares it).
     meta: Mapping[str, Any]
     #: ``(name, shape, byte offset, int32 count)`` per array, in order.
@@ -135,10 +153,10 @@ class _Layout(NamedTuple):
 #: Entries each codec cache keeps; past it the oldest is dropped, so no
 #: stream of distinct headers can grow either one.
 _CACHE_BOUND = 256
-#: Exact header bytes → the layout validated for them (decode).
-_LAYOUTS: Dict[bytes, _Layout] = {}
-#: (format, version, artifact kind, *(name, shape)) → prefix + header
-#: (encode; built by :func:`_head` only).
+#: (kind byte, exact header bytes) → the layout validated for them (decode).
+_LAYOUTS: Dict[Tuple[int, bytes], _Layout] = {}
+#: (kind byte, *(name, shape)) → prefix + header of a header that is the
+#: directory alone (encode; built by :func:`_head` only).
 _HEADS: Dict[tuple, bytes] = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -179,7 +197,7 @@ class _Stacked(list):
     """Equally shaped arrays written as their ``np.stack`` — without building it."""
 
 
-def _encode(meta: Dict[str, Any], arrays: Dict[str, Any]) -> List[Any]:
+def _encode(kind: int, meta: Dict[str, Any], arrays: Dict[str, Any]) -> List[Any]:
     """The container as a list of buffers: prefix + header, then the payloads.
 
     The payloads are the caller's own arrays (C-contiguous int32 is the rule,
@@ -202,34 +220,36 @@ def _encode(meta: Dict[str, Any], arrays: Dict[str, Any]) -> List[Any]:
             shapes.append((name, (len(entry), *entry[0].shape)))
         else:
             raise SerializationError(f"refusing to stack no or unequal arrays as {name!r}")
-    return [_head(meta, shapes), *payloads]
+    return [_head(kind, meta, shapes), *payloads]
 
 
-def _head(meta: Dict[str, Any], shapes: Sequence[Tuple[str, Tuple[int, ...]]]) -> bytes:
-    """Prefix + header of a container of ``(name, shape)`` arrays under ``meta``.
+def _head(
+    kind: int, meta: Dict[str, Any], shapes: Sequence[Tuple[str, Tuple[int, ...]]]
+) -> bytes:
+    """Prefix + header of a ``kind`` container of ``(name, shape)`` arrays
+    under ``meta``.
 
-    A header that is the artifact kind and its shapes alone (a ciphertext's)
-    is built once per distinct such pair and then reused (:data:`_HEADS`).
+    A header that is its directory alone (a ciphertext's) is built once per
+    distinct (kind, shapes) pair and then reused (:data:`_HEADS`).
     """
-    key = (FORMAT, FORMAT_VERSION, meta["artifact"], *shapes) if len(meta) == 1 else None
+    key = None if meta else (kind, *shapes)
     head = _HEADS.get(key) if key is not None else None
     if head is None:
         directory = [[name, list(shape)] for name, shape in shapes]
-        header = _HEADER_JSON(
-            {"format": FORMAT, "version": FORMAT_VERSION, **meta, "arrays": directory}
-        ).encode("utf-8")
-        head = _PREFIX.pack(MAGIC, CONTAINER_VERSION, len(header)) + header
+        header = _HEADER_JSON({**meta, "arrays": directory}).encode("utf-8")
+        head = _PREFIX.pack(MAGIC, CONTAINER_VERSION, kind, len(header)) + header
         if key is not None:
             _remember(_HEADS, key, head)
     return head
 
 
-def _write_archive(path: PathLike, meta: Dict[str, Any], arrays: Dict[str, Any]) -> None:
+def _write_archive(path: PathLike, obj, artifact: str | None = None) -> None:
+    """Write ``obj`` as :func:`_pieces` encodes it."""
     if isinstance(path, (str, pathlib.Path)):
         with open(path, "wb") as handle:
-            handle.writelines(_encode(meta, arrays))
+            handle.writelines(_pieces(obj, artifact))
     else:
-        path.writelines(_encode(meta, arrays))
+        path.writelines(_pieces(obj, artifact))
 
 
 def _byte_view(data: Buffer) -> memoryview:
@@ -246,7 +266,7 @@ def _byte_view(data: Buffer) -> memoryview:
 
 
 def _decode(data: Buffer, expected_artifact: str | None = None, adopt: bool = False):
-    """Validate a container held in any buffer and return ``(meta, arrays)``.
+    """Validate a container held in any buffer and return ``(layout, arrays)``.
 
     Prefix, header and the whole directory are checked against the bytes
     present before the first array is built, so a directory that lies about
@@ -257,7 +277,7 @@ def _decode(data: Buffer, expected_artifact: str | None = None, adopt: bool = Fa
     that view and only the others are copied.
     """
     view, layout = _layout(data, expected_artifact)
-    return layout.meta, _arrays(view, layout, adopt)
+    return layout, _arrays(view, layout, adopt)
 
 
 def _arrays(view: memoryview, layout: _Layout, adopt: bool = False) -> Dict[str, np.ndarray]:
@@ -274,52 +294,55 @@ def _arrays(view: memoryview, layout: _Layout, adopt: bool = False) -> Dict[str,
 def _layout(data: Buffer, expected_artifact: str | None = None) -> Tuple[memoryview, _Layout]:
     """``data`` as bytes and the validated layout of the container they hold.
 
-    A header byte string accepted before skips its parse and directory walk
-    (:data:`_LAYOUTS`) when its artifact kind and the exact size still fit;
-    otherwise it is validated in full again, so every refusal is
-    :func:`_validate`'s own.
+    The prefix is checked first: magic, container version and the kind byte,
+    which an ``expected_artifact`` read compares before any JSON is parsed.
+    A (kind, header) pair accepted before skips its parse and directory walk
+    (:data:`_LAYOUTS`) when the exact size still fits; otherwise it is
+    validated in full again, so every refusal is :func:`_validate`'s own.
     """
     view = _byte_view(data)
     if len(view) < _PREFIX.size:
         raise SerializationError(f"truncated artifact: only {len(view)} bytes")
-    magic, container, header_len = _PREFIX.unpack_from(view)
-    if magic != MAGIC or container != CONTAINER_VERSION:
-        npz = " — an npz archive: format versions 1-2, which this build no longer reads"
+    magic, version, kind, header_len = _PREFIX.unpack_from(view)
+    if magic != MAGIC or version != CONTAINER_VERSION:
+        retired = ""
+        if magic[:2] == b"PK":
+            retired = "an npz archive (format versions 1-2)"
+        elif magic == MAGIC and version == 1:
+            retired = "container 1 / format 3"
         raise SerializationError(
             f"not a version-{CONTAINER_VERSION} {MAGIC!r} container (starts {magic!r}, "
-            f"version {container})" + (npz if magic[:2] == b"PK" else "")
+            f"version {version})"
+            + (f" — {retired}, which this build no longer reads" if retired else "")
+        )
+    if kind not in _KINDS:
+        raise SerializationError(f"unknown artifact kind byte {kind}")
+    if expected_artifact is not None and _KINDS[kind].name != expected_artifact:
+        raise SerializationError(
+            f"artifact kind is {_KINDS[kind].name!r}, expected {expected_artifact!r}"
         )
     offset = _PREFIX.size + header_len
     if offset > len(view):
         raise SerializationError(f"header length {header_len} overruns {len(view)} bytes")
-    header = view[_PREFIX.size : offset].tobytes()
-    layout = _LAYOUTS.get(header)
-    if (
-        layout is None
-        or layout.size != len(view)
-        or (expected_artifact is not None and layout.meta.get("artifact") != expected_artifact)
-    ):
+    key = (kind, view[_PREFIX.size : offset].tobytes())
+    layout = _LAYOUTS.get(key)
+    if layout is None or layout.size != len(view):
         # A header met for the first time, or a container its layout does
         # not fit: the full check, which raises any refusal.
-        layout = _validate(header, offset, len(view), expected_artifact)
-        _remember(_LAYOUTS, header, layout)
+        layout = _validate(*key, offset, len(view))
+        _remember(_LAYOUTS, key, layout)
     return view, layout
 
 
-def _validate(header: bytes, offset: int, size: int, expected_artifact: str | None) -> _Layout:
-    """The full check of a header met for the first time, against the
-    ``size`` bytes of its container (payloads start at ``offset``)."""
+def _validate(kind: int, header: bytes, offset: int, size: int) -> _Layout:
+    """The full check of a ``kind`` header met for the first time, against
+    the ``size`` bytes of its container (payloads start at ``offset``)."""
     try:
         meta = json.loads(str(header, "utf-8"))
     except (ValueError, RecursionError) as exc:
         raise SerializationError(f"malformed header: {exc}") from exc
     if not isinstance(meta, dict) or not isinstance(meta.get("arrays"), list):
         raise SerializationError("header must be a JSON object with an 'arrays' list")
-    expected = {"format": FORMAT, "version": FORMAT_VERSION, "artifact": expected_artifact}
-    for field, want in expected.items():
-        if want is not None and meta.get(field) != want:
-            got = meta.get(field)
-            raise SerializationError(f"archive {field} is {got!r}, expected {want!r}")
     arrays: Dict[str, Tuple[Tuple[int, ...], int, int]] = {}
     for entry in meta.pop("arrays"):
         if not (
@@ -346,18 +369,18 @@ def _validate(header: bytes, offset: int, size: int, expected_artifact: str | No
     ciphertext = None
     if tuple(name for name, *_ in entries) == ("a", "b"):
         a, b = entries[0][1], entries[1][1]
-        if meta.get("artifact") == "lwe_sample" and len(a) == 1 and b == ():
+        if kind == _SAMPLE and len(a) == 1 and b == ():
             ciphertext = (None, a[0])
-        elif meta.get("artifact") == "lwe_batch" and len(a) == 2 and b == a[:1]:
+        elif kind == _BATCH and len(a) == 2 and b == a[:1]:
             ciphertext = a
-    return _Layout(MappingProxyType(meta), entries, offset, ciphertext)
+    return _Layout(kind, MappingProxyType(meta), entries, offset, ciphertext)
 
 
 def _read_archive(path: PathLike, expected_artifact: str | None = None):
-    """Read a whole file (or binary handle) and :func:`_decode` it."""
+    """The artifact in a whole file (or binary handle), read by :func:`_load`."""
     if isinstance(path, (str, pathlib.Path)):
-        return _decode(pathlib.Path(path).read_bytes(), expected_artifact)
-    return _decode(path.read(), expected_artifact)
+        return _load(pathlib.Path(path).read_bytes(), expected_artifact)
+    return _load(path.read(), expected_artifact)
 
 
 def _require(arrays: Dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
@@ -382,14 +405,14 @@ def _require(arrays: Dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarr
 
 def _secret_key_archive(secret: TFHESecretKey):
     return (
-        {"artifact": "secret_key", "params": asdict(secret.params)},
+        {"params": asdict(secret.params)},
         {"lwe_key": secret.lwe_key.key, "tlwe_key": secret.tlwe_key.key},
     )
 
 
 def save_secret_key(path: PathLike, secret: TFHESecretKey) -> None:
     """Write a client secret key (LWE + ring key bits; extracted key is derived)."""
-    _write_archive(path, *_secret_key_archive(secret))
+    _write_archive(path, secret, "secret_key")
 
 
 def _secret_key_from_archive(meta, arrays) -> TFHESecretKey:
@@ -406,7 +429,7 @@ def _secret_key_from_archive(meta, arrays) -> TFHESecretKey:
 
 def load_secret_key(path: PathLike) -> TFHESecretKey:
     """Read a secret key; the extracted ring-LWE key is re-derived on load."""
-    return _secret_key_from_archive(*_read_archive(path, "secret_key"))
+    return _read_archive(path, "secret_key")
 
 
 def _cloud_key_archive(cloud: TFHECloudKey):
@@ -417,7 +440,6 @@ def _cloud_key_archive(cloud: TFHECloudKey):
             "(see repro.tfhe.transform.available_engines)"
         )
     meta: Dict[str, Any] = {
-        "artifact": "cloud_key",
         "params": asdict(cloud.params),
         "unroll_factor": cloud.unroll_factor,
         "transform": cloud.transform_spec.to_json(),
@@ -444,7 +466,7 @@ def save_cloud_key(path: PathLike, cloud: TFHECloudKey) -> None:
     Keys generated with an unregistered ad-hoc engine (``transform_spec`` is
     ``None``) cannot be rebuilt elsewhere and are rejected.
     """
-    _write_archive(path, *_cloud_key_archive(cloud))
+    _write_archive(path, cloud, "cloud_key")
 
 
 def _cloud_key_from_archive(meta, arrays) -> TFHECloudKey:
@@ -493,7 +515,7 @@ def _cloud_key_from_archive(meta, arrays) -> TFHECloudKey:
 
 def load_cloud_key(path: PathLike) -> TFHECloudKey:
     """Read a cloud key.  The spectrum cache is rebuilt lazily on first use."""
-    return _cloud_key_from_archive(*_read_archive(path, "cloud_key"))
+    return _read_archive(path, "cloud_key")
 
 
 # --------------------------------------------------------------------------- #
@@ -502,12 +524,12 @@ def load_cloud_key(path: PathLike) -> TFHECloudKey:
 
 
 def _lwe_sample_archive(sample: LweSample):
-    return {"artifact": "lwe_sample"}, {"a": sample.a, "b": np.asarray(sample.b)}
+    return {}, {"a": sample.a, "b": np.asarray(sample.b)}
 
 
 def save_lwe_sample(path: PathLike, sample: LweSample) -> None:
     """Write a single LWE ciphertext."""
-    _write_archive(path, *_lwe_sample_archive(sample))
+    _write_archive(path, sample, "lwe_sample")
 
 
 def _lwe_sample_from_archive(_meta, arrays) -> LweSample:
@@ -517,16 +539,16 @@ def _lwe_sample_from_archive(_meta, arrays) -> LweSample:
 
 def load_lwe_sample(path: PathLike) -> LweSample:
     """Read a single LWE ciphertext."""
-    return _lwe_sample_from_archive(*_read_archive(path, "lwe_sample"))
+    return _read_archive(path, "lwe_sample")
 
 
 def _lwe_batch_archive(batch: LweBatch):
-    return {"artifact": "lwe_batch"}, {"a": batch.a, "b": batch.b}
+    return {}, {"a": batch.a, "b": batch.b}
 
 
 def save_lwe_batch(path: PathLike, batch: LweBatch) -> None:
     """Write a batch of LWE ciphertexts."""
-    _write_archive(path, *_lwe_batch_archive(batch))
+    _write_archive(path, batch, "lwe_batch")
 
 
 def _lwe_batch_from_archive(_meta, arrays) -> LweBatch:
@@ -536,16 +558,12 @@ def _lwe_batch_from_archive(_meta, arrays) -> LweBatch:
 
 def load_lwe_batch(path: PathLike) -> LweBatch:
     """Read a batch of LWE ciphertexts."""
-    return _lwe_batch_from_archive(*_read_archive(path, "lwe_batch"))
+    return _read_archive(path, "lwe_batch")
 
 
 def _radix_int_archive(value: RadixInt):
     return (
-        {
-            "artifact": "radix_int",
-            "encoding": asdict(value.encoding),
-            "bounds": list(value.bounds),
-        },
+        {"encoding": asdict(value.encoding), "bounds": list(value.bounds)},
         {
             "a": np.stack([digit.a for digit in value.digits]),
             "b": np.stack([np.asarray(digit.b) for digit in value.digits]),
@@ -560,7 +578,7 @@ def save_radix_int(path: PathLike, value: RadixInt) -> None:
     digit encoding and the per-digit noise-growth bounds, both of which the
     server side needs to keep scheduling carry propagation correctly.
     """
-    _write_archive(path, *_radix_int_archive(value))
+    _write_archive(path, value, "radix_int")
 
 
 def _radix_int_from_archive(meta, arrays) -> RadixInt:
@@ -578,59 +596,85 @@ def _radix_int_from_archive(meta, arrays) -> RadixInt:
 
 def load_radix_int(path: PathLike) -> RadixInt:
     """Read a radix-decomposed integer ciphertext."""
-    return _radix_int_from_archive(*_read_archive(path, "radix_int"))
+    return _read_archive(path, "radix_int")
 
 
 # --------------------------------------------------------------------------- #
 # dispatching save/load                                                       #
 # --------------------------------------------------------------------------- #
 
-#: Type → its ``(meta, arrays)`` builder; ciphertexts first, they are the traffic.
-_ARCHIVES = (
-    (LweSample, _lwe_sample_archive),
-    (LweBatch, _lwe_batch_archive),
-    (RadixInt, _radix_int_archive),
-    (TFHESecretKey, _secret_key_archive),
-    (TFHECloudKey, _cloud_key_archive),
-)
 
-_LOADERS = {
-    "secret_key": _secret_key_from_archive,
-    "cloud_key": _cloud_key_from_archive,
-    "lwe_sample": _lwe_sample_from_archive,
-    "lwe_batch": _lwe_batch_from_archive,
-    "radix_int": _radix_int_from_archive,
+class _Kind(NamedTuple):
+    """One artifact kind: its name, the type it writes, its writer and loader."""
+
+    name: str
+    cls: type
+    #: object → ``(meta, arrays)``
+    archive: Callable[[Any], Tuple[Dict[str, Any], Dict[str, Any]]]
+    #: ``(meta, arrays)`` → object
+    load: Callable[[Mapping[str, Any], Dict[str, np.ndarray]], Any]
+
+
+#: Kind bytes of the two ciphertexts, the traffic.
+_SAMPLE, _BATCH = 1, 2
+#: Kind byte → its writer and loader.  A byte, once given, is never reused:
+#: it is what a stored artifact says it is.  :func:`_pieces` finds an
+#: object's kind by walking this table in order — ciphertexts first.
+_KINDS: Dict[int, _Kind] = {
+    _SAMPLE: _Kind("lwe_sample", LweSample, _lwe_sample_archive, _lwe_sample_from_archive),
+    _BATCH: _Kind("lwe_batch", LweBatch, _lwe_batch_archive, _lwe_batch_from_archive),
+    3: _Kind("radix_int", RadixInt, _radix_int_archive, _radix_int_from_archive),
+    4: _Kind("secret_key", TFHESecretKey, _secret_key_archive, _secret_key_from_archive),
+    5: _Kind("cloud_key", TFHECloudKey, _cloud_key_archive, _cloud_key_from_archive),
 }
+_KIND_BYTES = {kind.name: byte for byte, kind in _KINDS.items()}
 
 
-def _from_archive(meta: Dict[str, Any], arrays: Dict[str, np.ndarray]):
-    artifact = meta.get("artifact")
-    if not isinstance(artifact, str) or artifact not in _LOADERS:
-        raise SerializationError(f"unknown artifact kind {artifact!r}")
-    return _LOADERS[artifact](meta, arrays)
+def _pieces(obj, artifact: str | None = None) -> List[Any]:
+    """``obj`` as container pieces: written as the kind ``artifact`` names,
+    else as the kind of its type."""
+    if artifact is not None:
+        kind = _KIND_BYTES[artifact]
+    else:
+        kind = next((byte for byte, entry in _KINDS.items() if isinstance(obj, entry.cls)), None)
+        if kind is None:
+            raise SerializationError(f"cannot serialize objects of type {type(obj).__name__}")
+    return _encode(kind, *_KINDS[kind].archive(obj))
 
 
-def _archive(obj):
-    for cls, archive in _ARCHIVES:
-        if isinstance(obj, cls):
-            return archive(obj)
-    raise SerializationError(f"cannot serialize objects of type {type(obj).__name__}")
+def _load(data: Buffer, expected_artifact: str | None = None):
+    """The artifact ``data`` holds, read by the loader of its kind byte.
+
+    A ciphertext in its own directory layout is built from one copy of its
+    payload: ``a`` (and a batch's ``b``) are views of that copy, never of
+    ``data``.
+    """
+    view, layout = _layout(data, expected_artifact)
+    if layout.ciphertext is None:
+        return _KINDS[layout.kind].load(layout.meta, _arrays(view, layout))
+    rows, n = layout.ciphertext
+    start = layout.arrays[0][2]
+    if rows is None:
+        payload = np.frombuffer(view, _WIRE_INT32, n + 1, start).astype(_INT32)
+        return LweSample(a=payload[:n], b=payload[n])
+    payload = np.frombuffer(view, _WIRE_INT32, rows * (n + 1), start).astype(_INT32)
+    return LweBatch(a=payload[: rows * n].reshape(rows, n), b=payload[rows * n :])
 
 
 def save(path: PathLike, obj) -> None:
     """Write any supported artifact, dispatching on its type."""
-    _write_archive(path, *_archive(obj))
+    _write_archive(path, obj)
 
 
 def load(path: PathLike):
-    """Read any supported artifact, dispatching on the archive header."""
-    return _from_archive(*_read_archive(path))
+    """Read any supported artifact, dispatching on its kind byte."""
+    return _read_archive(path)
 
 
 def to_pieces(obj) -> List[Any]:
     """Any supported artifact as the buffers :func:`to_bytes` would join:
     prefix + header, then the artifact's own arrays — nothing is copied."""
-    return _encode(*_archive(obj))
+    return _pieces(obj)
 
 
 def to_bytes(obj) -> bytes:
@@ -644,28 +688,15 @@ def to_bytes(obj) -> bytes:
     if type(obj) is LweSample:
         a, b = obj.a, obj.b
         if type(a) is np.ndarray and a.dtype == _INT32 and a.ndim == 1 and type(b) is np.int32:
-            head = _head({"artifact": "lwe_sample"}, (("a", a.shape), ("b", ())))
+            head = _head(_SAMPLE, {}, (("a", a.shape), ("b", ())))
             return b"".join((head, np.ascontiguousarray(a, dtype=_WIRE_INT32), _WIRE_B.pack(b)))
     return b"".join(to_pieces(obj))
 
 
 def from_bytes(data: Buffer):
-    """Deserialize an artifact from any buffer holding :func:`to_bytes` output.
-
-    A ciphertext in its own directory layout is built from one copy of its
-    payload: ``a`` (and a batch's ``b``) are views of that copy, never of
-    ``data``.
-    """
-    view, layout = _layout(data)
-    if layout.ciphertext is None:
-        return _from_archive(layout.meta, _arrays(view, layout))
-    rows, n = layout.ciphertext
-    start = layout.arrays[0][2]
-    if rows is None:
-        payload = np.frombuffer(view, _WIRE_INT32, n + 1, start).astype(_INT32)
-        return LweSample(a=payload[:n], b=payload[n])
-    payload = np.frombuffer(view, _WIRE_INT32, rows * (n + 1), start).astype(_INT32)
-    return LweBatch(a=payload[: rows * n].reshape(rows, n), b=payload[rows * n :])
+    """Deserialize an artifact from any buffer holding :func:`to_bytes` output
+    (a ciphertext from one copy of its payload, see :func:`_load`)."""
+    return _load(data)
 
 
 def from_owned_buffer(data: Buffer):
@@ -677,15 +708,17 @@ def from_owned_buffer(data: Buffer):
     buffer exists only to become the artifact (the server's ``register_key``);
     everyone else wants :func:`from_bytes`.
     """
-    return _from_archive(*_decode(data, adopt=True))
+    layout, arrays = _decode(data, adopt=True)
+    return _KINDS[layout.kind].load(layout.meta, arrays)
 
 
 # --------------------------------------------------------------------------- #
 # circuit netlists (JSON)                                                     #
 # --------------------------------------------------------------------------- #
 
-#: Magic string of the circuit JSON family (distinct from the npz family so a
-#: circuit file can never be mistaken for a key archive and vice versa).
+#: Format name of the circuit JSON family (JSON text, never an ``rTFA``
+#: container, so a circuit file can never be mistaken for a key archive and
+#: vice versa).
 CIRCUIT_FORMAT = "repro-tfhe-circuit"
 #: Current circuit format version; :func:`circuit_from_json` rejects others.
 #: Version 2 added ``lut`` nodes, which carry both ``args`` (the inputs, LSB

@@ -78,28 +78,32 @@ def tiny_evaluator(tiny_keys_naive):
 
 @pytest.fixture(scope="session")
 def edit_artifact():
-    """``edit(blob, mutate=None, payload=None) -> blob`` for corruption tests.
+    """``edit(blob, mutate=None, payload=None, version=None, kind=None) -> blob``
+    for corruption tests.
 
     Splits a :mod:`repro.tfhe.serialize` container by hand (the byte layout is
     the contract under test), lets ``mutate(header_dict)`` edit the JSON
-    header in place, optionally replaces the payload bytes, and re-packs it
-    under a correct ``header_len`` — so a test reaches the check it aims at
-    instead of tripping the prefix check.
+    header in place, optionally replaces the payload bytes, the container
+    version byte or the artifact kind byte, and re-packs it under a correct
+    ``header_len`` — so a test reaches the check it aims at instead of
+    tripping the prefix check.
     """
     import json
     import struct
 
-    prefix = struct.Struct("<4sBI")
+    prefix = struct.Struct("<4sBBI")
 
-    def edit(blob, mutate=None, payload=None):
-        magic, container, header_len = prefix.unpack_from(blob)
+    def edit(blob, mutate=None, payload=None, version=None, kind=None):
+        magic, old_version, old_kind, header_len = prefix.unpack_from(blob)
         end = prefix.size + header_len
         meta = json.loads(bytes(blob[prefix.size : end]))
         if mutate is not None:
             mutate(meta)
         header = json.dumps(meta, separators=(",", ":")).encode("utf-8")
         body = bytes(blob[end:]) if payload is None else payload
-        return prefix.pack(magic, container, len(header)) + header + body
+        version = old_version if version is None else version
+        kind = old_kind if kind is None else kind
+        return prefix.pack(magic, version, kind, len(header)) + header + body
 
     return edit
 

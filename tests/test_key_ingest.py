@@ -135,7 +135,7 @@ def test_adopted_arrays_are_the_receive_buffer(name):
     part = _received(blob)
     backing = np.frombuffer(part.obj, dtype=np.uint8)
     _, owned = serialize._decode(blob)
-    meta, adopted = serialize._decode(part, adopt=True)
+    _, adopted = serialize._decode(part, adopt=True)
     assert adopted.keys() == owned.keys() and adopted
     for key, array in adopted.items():
         assert np.shares_memory(array, backing), (name, key)
@@ -198,8 +198,6 @@ def _directory_lies():
         lambda m: m["arrays"].__setitem__(0, ["a", [2**40, 4]]),
         lambda m: m["arrays"].__setitem__(0, ["a", [2**62, 2**62]]),
         lambda m: m["arrays"].append(["c", [2**31]]),
-        lambda m: m.__setitem__("version", 2),
-        lambda m: m.__setitem__("artifact", "bogus"),
         lambda m: m.pop("arrays"),
     ]
 
@@ -209,7 +207,10 @@ def test_malformed_containers_read_the_same_through_both_entries(edit_artifact):
     for blob in MICRO_BLOBS.values():
         corpus.extend(blob[:cut] for cut in range(len(blob)))
         corpus.append(blob + b"\x00")
-    corpus.extend(edit_artifact(MICRO_BLOBS["lwe_batch"], lie) for lie in _directory_lies())
+    batch = MICRO_BLOBS["lwe_batch"]
+    corpus.extend(edit_artifact(batch, lie) for lie in _directory_lies())
+    corpus.extend(edit_artifact(batch, version=version) for version in (1, 3))
+    corpus.extend(edit_artifact(batch, kind=kind) for kind in (0, 1, 0xEE))
     corpus.append(b"PK\x03\x04" + bytes(40))
     for bad in corpus:
         want = _message(from_bytes, bad)

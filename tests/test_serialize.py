@@ -292,7 +292,7 @@ class TestCorruptArchives:
                 from_bytes(edit_artifact(blob, lambda m: m["arrays"].pop())[:-cut])
 
     def test_version_skew_rejected_for_every_kind(
-        self, tmp_path, tiny_keys_naive, monkeypatch
+        self, tmp_path, tiny_keys_naive, edit_artifact
     ):
         secret, cloud = tiny_keys_naive
         objs = {
@@ -302,13 +302,35 @@ class TestCorruptArchives:
             "batch.tfhe": encrypt_bit_batch(secret, [1, 0], rng=66),
             "radix.tfhe": TestRadixIntRoundTrip._value(secret),
         }
-        monkeypatch.setattr(serialize, "FORMAT_VERSION", 2)
-        for name, obj in objs.items():
-            serialize.save(tmp_path / name, obj)
-        monkeypatch.undo()
-        for name in objs:
-            with pytest.raises(SerializationError, match="version"):
-                serialize.load(tmp_path / name)
+        for version in (0, 1, serialize.CONTAINER_VERSION + 1, 255):
+            for name, obj in objs.items():
+                path = tmp_path / name
+                path.write_bytes(edit_artifact(to_bytes(obj), version=version))
+                with pytest.raises(SerializationError, match=f"version {version}"):
+                    serialize.load(path)
+
+    def test_old_container_refused_by_name(self, tmp_path):
+        """Container 1 stated format 3 and the kind in its JSON header: refused,
+        and the error names it."""
+        payload = struct.pack("<17i", *range(17))
+        header = (
+            b'{"format":"repro-tfhe","version":3,"artifact":"lwe_sample",'
+            b'"arrays":[["a",[16]],["b",[]]]}'
+        )
+        old = struct.pack("<4sBI", b"rTFA", 1, len(header)) + header + payload
+        with pytest.raises(SerializationError, match="container 1 / format 3"):
+            from_bytes(old)
+        path = tmp_path / "old.tfhe"
+        path.write_bytes(old)
+        for read in (serialize.load, serialize.load_lwe_sample):
+            with pytest.raises(SerializationError, match="container 1 / format 3"):
+                read(path)
+
+    def test_kind_skew_rejected_from_the_prefix(self, edit_artifact):
+        for name, blob in MICRO_BLOBS.items():
+            for kind in (0, 6, 255):
+                with pytest.raises(SerializationError, match=f"kind byte {kind}$"):
+                    from_bytes(edit_artifact(blob, kind=kind))
 
     def test_old_npz_archive_refused_by_name(self, tmp_path, tiny_keys_naive):
         """Format versions 1-2 were npz: refused, and the error says so."""
@@ -332,11 +354,13 @@ class TestCorruptArchives:
     def test_prefix_corruption_rejected(self):
         blob = MICRO_BLOBS["lwe_sample"]
         bad_magic = b"rTFB" + blob[4:]
-        bad_container = blob[:4] + b"\x02" + blob[5:]
-        long_header = blob[:5] + (len(blob)).to_bytes(4, "little") + blob[9:]
+        bad_container = blob[:4] + b"\x03" + blob[5:]
+        bad_kind = blob[:5] + b"\x09" + blob[6:]
+        long_header = blob[:6] + (len(blob)).to_bytes(4, "little") + blob[10:]
         for bad, match in (
             (bad_magic, "container"),
-            (bad_container, "version 2"),
+            (bad_container, "version 3"),
+            (bad_kind, "kind byte 9"),
             (long_header, "header length"),
         ):
             with pytest.raises(SerializationError, match=match):
@@ -344,7 +368,7 @@ class TestCorruptArchives:
 
     def test_header_must_be_a_json_object_with_a_directory(self, edit_artifact):
         blob = MICRO_BLOBS["lwe_sample"]
-        prefix, payload = blob[:5], blob[-20:]
+        prefix, payload = blob[:6], blob[-20:]
         for header in (b"[1,2]", b"{not json", b"\xff\xfe", b"{}", b"[" * 100_000):
             bad = prefix + len(header).to_bytes(4, "little") + header + payload
             with pytest.raises(SerializationError, match="header"):
@@ -461,12 +485,13 @@ class TestCodecCaches:
             corpus.extend(blob[:cut] for cut in range(0, len(blob), 7))
             corpus.append(blob + b"\x00")
         edits = [
-            lambda m: m["arrays"].pop(),
-            lambda m: m["arrays"].__setitem__(1, ["b", [2]]),
-            lambda m: m.__setitem__("version", 2),
-            lambda m: m.__setitem__("artifact", "bogus"),
+            {"mutate": lambda m: m["arrays"].pop()},
+            {"mutate": lambda m: m["arrays"].__setitem__(1, ["b", [2]])},
+            {"version": 1},
+            {"kind": 0xEE},
+            {"kind": 1},  # a batch's directory under the sample's kind byte
         ]
-        corpus.extend(edit_artifact(MICRO_BLOBS["lwe_batch"], edit) for edit in edits)
+        corpus.extend(edit_artifact(MICRO_BLOBS["lwe_batch"], **edit) for edit in edits)
         for bad in corpus:
             _cold()
             cold = _read(bad)
@@ -477,7 +502,8 @@ class TestCodecCaches:
     def test_a_header_one_byte_off_is_validated_in_full(self):
         for name in ("lwe_sample", "lwe_batch", "radix_int"):
             blob = MICRO_BLOBS[name]
-            for position in range(9, _payload_start(blob)):
+            # the kind byte, then every byte of the header
+            for position in (5, *range(10, _payload_start(blob))):
                 for flip in (0x01, 0x20):
                     bad = bytearray(blob)
                     bad[position] ^= flip
@@ -536,11 +562,11 @@ class TestCodecCaches:
 
 
 def _payload_start(blob):
-    return 9 + int.from_bytes(blob[5:9], "little")
+    return 10 + int.from_bytes(blob[6:10], "little")
 
 
 def _directory(blob):
-    return json.loads(blob[9 : _payload_start(blob)])["arrays"]
+    return json.loads(blob[10 : _payload_start(blob)])["arrays"]
 
 
 class TestContainerBytes:
@@ -554,31 +580,27 @@ class TestContainerBytes:
         """Spelled out byte for byte, so the next format change is explicit
         (and the ledger's byte-identical wire totals keep meaning something)."""
 
-        def golden(header, *int32s):
+        def golden(kind, header, *int32s):
             return (
-                b"rTFA\x01"
+                b"rTFA\x02"
+                + bytes([kind])
                 + struct.pack("<I", len(header))
                 + header
                 + struct.pack(f"<{len(int32s)}i", *int32s)
             )
 
         sample = LweSample(a=np.array(self.A[:16], dtype=np.int32), b=np.int32(self.B[0]))
-        header = (
-            b'{"format":"repro-tfhe","version":3,"artifact":"lwe_sample",'
-            b'"arrays":[["a",[16]],["b",[]]]}'
-        )
-        assert to_bytes(sample) == golden(header, *self.A[:16], self.B[0])
-        assert len(to_bytes(sample)) == 9 + 90 + 4 * 17 <= 4 * 17 + 128
+        header = b'{"arrays":[["a",[16]],["b",[]]]}'
+        blob = to_bytes(sample)
+        assert blob == golden(1, header, *self.A[:16], self.B[0])
+        assert len(blob) == 10 + len(header) + 4 * (16 + 1) == 10 + 32 + 68 <= 4 * 17 + 48
 
         batch = LweBatch(
             a=np.array(self.A, dtype=np.int32).reshape(3, 16),
             b=np.array(self.B, dtype=np.int32),
         )
-        header = (
-            b'{"format":"repro-tfhe","version":3,"artifact":"lwe_batch",'
-            b'"arrays":[["a",[3,16]],["b",[3]]]}'
-        )
-        assert to_bytes(batch) == golden(header, *self.A, *self.B)
+        header = b'{"arrays":[["a",[3,16]],["b",[3]]]}'
+        assert to_bytes(batch) == golden(2, header, *self.A, *self.B)
 
     def test_encoding_is_deterministic_and_layout_independent(self):
         artifacts = _micro_artifacts()  # regenerated from the same seeds
@@ -755,9 +777,9 @@ class TestFuzz:
         _loads_or_refuses(data)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.binary(max_size=256))
-    def test_arbitrary_header_behind_a_valid_prefix(self, header):
-        blob = b"rTFA\x01" + len(header).to_bytes(4, "little") + header
+    @given(st.integers(0, 255), st.binary(max_size=256))
+    def test_arbitrary_header_behind_a_valid_prefix(self, kind, header):
+        blob = struct.pack("<4sBBI", b"rTFA", 2, kind, len(header)) + header
         _loads_or_refuses(blob)
         _loads_or_refuses(blob + MICRO_BLOBS["lwe_sample"][-20:])
 
@@ -786,7 +808,7 @@ class TestFuzz:
         """A well-formed container whose header lies in one field, at any depth."""
         blob = MICRO_BLOBS[name]
         start = _payload_start(blob)
-        meta = json.loads(blob[9:start])
+        meta = json.loads(blob[10:start])
         node = meta
         while True:
             key = data.draw(st.sampled_from(sorted(node)))
@@ -796,9 +818,7 @@ class TestFuzz:
             node[key] = value
             break
         header = json.dumps(meta).encode("utf-8")
-        _loads_or_refuses(
-            struct.pack("<4sBI", b"rTFA", 1, len(header)) + header + blob[start:]
-        )
+        _loads_or_refuses(blob[:6] + len(header).to_bytes(4, "little") + header + blob[start:])
 
 
 class TestDispatchAndVersioning:
@@ -821,22 +841,20 @@ class TestDispatchAndVersioning:
         loaded = serialize.from_bytes(serialize.to_bytes(sample))
         assert np.array_equal(loaded.a, sample.a)
 
-    def test_version_mismatch_rejected(self, tmp_path, tiny_keys_naive, monkeypatch):
+    def test_version_mismatch_rejected(self, tmp_path, tiny_keys_naive, edit_artifact):
         secret, _ = tiny_keys_naive
         path = tmp_path / "future.tfhe"
-        monkeypatch.setattr(serialize, "FORMAT_VERSION", serialize.FORMAT_VERSION + 1)
-        serialize.save_lwe_sample(path, encrypt_bit(secret, 1, rng=26))
-        monkeypatch.undo()
+        blob = to_bytes(encrypt_bit(secret, 1, rng=26))
+        path.write_bytes(edit_artifact(blob, version=serialize.CONTAINER_VERSION + 1))
         with pytest.raises(SerializationError, match="version"):
             serialize.load_lwe_sample(path)
 
-    def test_unknown_format_rejected(self, tmp_path, tiny_keys_naive, monkeypatch):
+    def test_unknown_format_rejected(self, tmp_path, tiny_keys_naive):
+        """The magic is the format: someone else's is refused."""
         secret, _ = tiny_keys_naive
         path = tmp_path / "alien.tfhe"
-        monkeypatch.setattr(serialize, "FORMAT", "someone-elses-format")
-        serialize.save_lwe_sample(path, encrypt_bit(secret, 1, rng=27))
-        monkeypatch.undo()
-        with pytest.raises(SerializationError, match="format"):
+        path.write_bytes(b"XTFA" + to_bytes(encrypt_bit(secret, 1, rng=27))[4:])
+        with pytest.raises(SerializationError, match="container"):
             serialize.load(path)
 
     def test_wrong_artifact_kind_rejected(self, tmp_path, tiny_keys_naive):
@@ -845,6 +863,22 @@ class TestDispatchAndVersioning:
         serialize.save_lwe_sample(path, encrypt_bit(secret, 1, rng=28))
         with pytest.raises(SerializationError, match="expected"):
             serialize.load_secret_key(path)
+
+    def test_wrong_kind_is_refused_before_the_header_is_parsed(self, monkeypatch):
+        def no_json(*args, **kwargs):
+            raise AssertionError("the header was parsed")
+
+        _cold()
+        monkeypatch.setattr(json, "loads", no_json)
+        for read, name in (
+            (serialize.load_secret_key, "cloud_key"),
+            (serialize.load_cloud_key, "secret_key"),
+        ):
+            with pytest.raises(SerializationError, match=f"is '{name}', expected"):
+                read(io.BytesIO(MICRO_BLOBS[name]))
+        monkeypatch.undo()
+        secret = serialize.load_secret_key(io.BytesIO(MICRO_BLOBS["secret_key"]))
+        assert isinstance(secret, TFHESecretKey)
 
     def test_not_an_archive_rejected(self, tmp_path):
         path = tmp_path / "noise.tfhe"
@@ -1027,4 +1061,8 @@ class TestCircuitJsonRoundTrip:
             serialize.circuit_from_json(json.dumps(payload))
 
     def test_circuit_format_is_distinct_from_artifact_family(self):
-        assert serialize.CIRCUIT_FORMAT != serialize.FORMAT
+        text = serialize.circuit_to_json(self._circuit())
+        with pytest.raises(SerializationError, match="container"):
+            from_bytes(text.encode("utf-8"))
+        with pytest.raises(SerializationError, match="circuit JSON"):
+            serialize.circuit_from_json(MICRO_BLOBS["lwe_sample"])

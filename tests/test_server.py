@@ -252,8 +252,8 @@ def test_bad_artifact_version_is_a_clean_error(server_factory, wire_keys, edit_a
     _secret, cloud = wire_keys
     server = server_factory()
     with ServingClient(port=server.port) as client:
-        bad = edit_artifact(to_bytes(cloud), lambda m: m.__setitem__("version", 99))
-        assert "version" in _bad_request(client, "register_key", [bad])
+        bad = edit_artifact(to_bytes(cloud), version=99)
+        assert "version 99" in _bad_request(client, "register_key", [bad])
 
 
 def test_old_npz_key_is_a_clean_error(server_factory, wire_keys):
