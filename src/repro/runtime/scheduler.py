@@ -23,26 +23,26 @@ Model
   incompatible — so the scheduler groups work per resident key: every
   client of one key rides in the same batched call.  Queues, handles and
   aborts stay per client, and a handle never crosses client ids.
-* ``submit_gate``/``submit_lut``/``submit_circuit`` enqueue work and return
-  handles (futures); linear operations (NOT/constant/copy) resolve
-  immediately, they never cost a bootstrap.  Operands may be *handles* of
+* ``submit_gate``/``submit_lut``/``submit_circuit``/``submit_radix_add``
+  enqueue work and return handles (futures); linear operations
+  (NOT/constant/copy) resolve immediately, they never cost a bootstrap.  Operands may be *handles* of
   earlier jobs of the same client, so chains of gates schedule like circuit
   levels.  A job whose operand handle failed fails with the same typed
   exception and leaves the queue; nobody else's flush is affected.
 * ``flush()`` drains the queue in rounds: each round gathers, per resident
   key, every row every ready job of every sharing client wants bootstrapped
-  next — a gate or lut job is
-  one row, a circuit job contributes the current wave of its
-  :class:`repro.tfhe.executor.LevelWalker` — and hands them to the
-  dispatcher as one list of ``("gate", name, ca, cb)`` / ``("lut", table,
-  operands)`` tuples.  Jobs whose operands resolved in an earlier round
-  become ready in the next, so chained work schedules level-by-level across
+  next — a gate or lut job is one row, a multi-round job (a circuit's
+  :func:`repro.tfhe.executor.walk_levels`, a radix add's
+  :meth:`repro.tfhe.integers.RadixEvaluator.add_steps`) the rows its
+  generator yields next — and hands them to the dispatcher as one list of
+  ``("gate", …)`` / ``("lut", …)`` / ``("digit", …)`` tuples.  Jobs whose
+  operands resolved in an earlier round become ready in the next, so chained work schedules level-by-level across
   all sessions in lockstep.
 * :func:`measure_rows` is what finally runs a row list, in whichever process
   the dispatcher picked: per chunk of at most ``max_rows_per_call`` rows, one
   stack of operands and one :meth:`repro.tfhe.gates.BatchGateEvaluator.rows`
-  call (row → spec → affine pass → ``bootstrap_rows``).  Gate rows and lut
-  rows differ only in the spec each row resolves to.  It returns a
+  call (row → spec → affine pass → ``bootstrap_rows``).  Gate, lut and
+  digit rows differ only in the spec each row resolves to.  It returns a
   :class:`RoundAccount` (call widths, transform calls, spans) that
   :func:`execute_rows` records in-process and a worker ships home, so every
   round is counted once, by the same helper, wherever it ran.
@@ -74,13 +74,14 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.runtime.context import FheContext, same_cloud_key
 from repro.telemetry.metrics import ROWS_PER_CALL_BUCKETS
 from repro.tfhe.transform import EngineFault
-from repro.tfhe.executor import LevelSchedule, LevelWalker, schedule_circuit
+from repro.tfhe.executor import LevelSchedule, schedule_circuit, walk_levels
 from repro.tfhe.gates import Row, row_spec, split_rows
+from repro.tfhe.integers import RadixEvaluator, RadixInt
 from repro.tfhe.keys import TFHECloudKey
 from repro.tfhe.lwe import (
     LweBatch,
@@ -400,28 +401,33 @@ class _RowJob:
         self.handle._resolve(outputs[0])
 
 
-class _CircuitJob:
-    """One netlist walked level by level; each round contributes one wave."""
+class _StepsJob:
+    """One multi-round job: a generator that yields each round's rows, is
+    sent their outputs, and returns the job's result."""
 
-    def __init__(self, walker: LevelWalker, handle: JobHandle) -> None:
-        self.walker = walker
+    def __init__(self, steps: Generator, handle: JobHandle) -> None:
+        self.steps = steps
         self.handle = handle
-        self._settle()
+        self._send(None)  # an error here is the submission's
 
     @property
     def done(self) -> bool:
         return self.handle.done
 
     def pending_rows(self) -> List[Row]:
-        return [] if self.done else self.walker.rows()
+        return [] if self.done else self.rows
 
     def deliver(self, outputs: Sequence[LweSample]) -> None:
-        self.walker.advance(outputs)
-        self._settle()
+        try:
+            self._send(outputs)
+        except Exception as exc:  # noqa: BLE001 - the job's own, not the flush's
+            self.handle._fail(exc)
 
-    def _settle(self) -> None:
-        if self.walker.done:
-            self.handle._resolve(self.walker.outputs())
+    def _send(self, outputs: Optional[Sequence[LweSample]]) -> None:
+        try:
+            self.rows = self.steps.send(outputs)
+        except StopIteration as stop:
+            self.handle._resolve(stop.value)
 
 
 @dataclass
@@ -436,10 +442,10 @@ class SchedulerStats:
     rows_bootstrapped: int = 0
     #: Widest single batched call seen so far.
     max_rows_per_call: int = 0
-    #: Jobs (single-gate or whole-circuit) fully completed.
+    #: Jobs (one row, or every round of a multi-round job) fully completed.
     jobs_completed: int = 0
-    #: Jobs failed with a typed error (force-deregistration aborts, and jobs
-    #: whose operand handle had failed).
+    #: Jobs failed with a typed error (force-deregistration aborts, jobs
+    #: whose operand handle had failed, multi-round jobs that raised).
     jobs_aborted: int = 0
     #: Times a faulting engine was rebuilt from its own spec mid-flush and
     #: the round replayed on it.
@@ -594,8 +600,19 @@ class EvaluationSession:
                     "pending job handles"
                 )
             resolved[name] = word
-        job = _CircuitJob(LevelWalker(schedule, resolved, self), handle)
+        job = _StepsJob(walk_levels(schedule, resolved, self), handle)
         self.scheduler._enqueue(self.client_id, job, op="circuit", trace_id=trace_id)
+        return handle
+
+    def submit_radix_add(
+        self, x: RadixInt, y: RadixInt, trace_id: Optional[str] = None
+    ) -> JobHandle:
+        """Queue ``x + y``: each carry round its bounds force is one round of
+        digit rows.  Bad operands raise ``ValueError`` here, or fail the
+        handle when only a later round finds them."""
+        handle = JobHandle(self.client_id)
+        job = _StepsJob(RadixEvaluator(self.context, x.encoding).add_steps(x, y), handle)
+        self.scheduler._enqueue(self.client_id, job, op="radix_add", trace_id=trace_id)
         return handle
 
 
@@ -927,6 +944,9 @@ class BatchScheduler:
                         # Next coalescing window (multi-level jobs) starts now.
                         job.wait_from = time.perf_counter()
                     if job.done and not was_done:
+                        if job.handle.failed:  # its generator raised
+                            self.stats.jobs_aborted += 1
+                            continue
                         self.stats.jobs_completed += 1
                         if traced and getattr(job, "trace_id", None) is not None:
                             tel.tracer.record(

@@ -14,15 +14,16 @@ has seen in flight, or ``flush_interval`` at the latest — then runs
 scheduler lock — the event loop stays responsive (handshakes, scrapes,
 frame parsing) but nothing touches the queues while they are being drained.
 
-A ``gate``, ``lut`` or ``circuit`` request is a *record*, not a task: the
-connection's reader validates and decodes it and submits its job in the
-same turn it reads the frame (a request read while the lock is held is
-parked and submitted the moment the lock is released), and the flusher
+A ``gate``, ``lut``, ``circuit`` or ``radix_add`` request is a *record*, not
+a task: the connection's reader validates and decodes it and submits its job
+in the same turn it reads the frame (a request read while the lock is held
+is parked and submitted the moment the lock is released), and the flusher
 answers the record when its flush resolves the job — every frame one flush
-answers for one connection leaves in one write.  The other ops (``hello``,
-``metrics_prom``, ``trace_export``, ``register_key``, ``radix_add``) run as
-one task each.  Replies go out in any order; the protocol's request ids
-keep pipelined clients matched up.
+answers for one connection leaves in one write, and every bootstrap the
+server runs is a row of some flush.  The other ops (``hello``,
+``metrics_prom``, ``trace_export``, ``register_key``) run as one task each.
+Replies go out in any order; the protocol's request ids keep pipelined
+clients matched up.
 
 Isolation and backpressure:
 
@@ -81,7 +82,7 @@ from repro.runtime.protocol import (
     read_frame_async,
     unpack_parts,
 )
-from repro.tfhe.integers import RadixEvaluator, RadixInt
+from repro.tfhe.integers import RadixInt
 from repro.tfhe.keys import TFHECloudKey
 from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.netlist import Circuit
@@ -97,14 +98,13 @@ from repro.tfhe.transform import UnsupportedEngine
 
 __all__ = ["FheServer", "serve"]
 
-#: Ops that represent homomorphic work (traced, deadline-checked).
+#: Ops that represent homomorphic work (traced, deadline-checked): records
+#: the reader submits and the flusher answers.
 _JOB_OPS = frozenset({"gate", "lut", "circuit", "radix_add"})
-#: Job ops the reader submits as records and the flusher answers.
-_RECORD_OPS = frozenset({"gate", "lut", "circuit"})
 #: Ops that stay answerable during a drain.
 _INTROSPECTION_OPS = frozenset({"hello", "metrics_prom", "trace_export"})
 #: Ops that run as a task of their own.
-_TASK_OPS = _INTROSPECTION_OPS | {"register_key", "radix_add"}
+_TASK_OPS = _INTROSPECTION_OPS | {"register_key"}
 
 #: ``fhe_coalesce_wait_seconds`` bounds: an early-closed window is tens of
 #: microseconds, a full default one 2 ms.
@@ -164,7 +164,7 @@ def _job_failure(exc: Exception) -> _Outcome:
     return _failure(exc)
 
 
-def _sample_reply(result: LweSample) -> _Reply:
+def _artifact_reply(result: Any) -> _Reply:
     return {}, pack_parts([to_bytes(result)])
 
 
@@ -231,10 +231,10 @@ class _SessionState:
 class _Record:
     """One request being answered, and every delivery waiting for its reply.
 
-    A job record (``gate``, ``lut``, ``circuit``) carries the call that
-    submits its job, the scheduler's handle once it is submitted, and the
-    encoder that turns the handle's result into the reply; the flusher
-    answers it.  Any other op's record is answered by the task that runs it.
+    A job record (``gate``, ``lut``, ``circuit``, ``radix_add``) carries the
+    call that submits its job, the scheduler's handle once it is submitted,
+    and the encoder that turns the handle's result into the reply; the
+    flusher answers it.  Any other op's record is answered by the task that runs it.
     A concurrent duplicate of the request is one more ``(connection, trace
     id)`` delivery on the original's record, never a second execution.
     """
@@ -345,8 +345,7 @@ class FheServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._flusher: Optional[asyncio.Task] = None
         #: Held by whoever touches the scheduler off the loop (a flush, a key
-        #: registration, a radix add) or deregisters a client; see
-        #: :meth:`_exclusive`.
+        #: registration) or deregisters a client; see :meth:`_exclusive`.
         self._lock = asyncio.Lock()
         self._work_ready = asyncio.Event()
         #: Set when the open coalescing window has nothing left to wait for:
@@ -899,7 +898,7 @@ class FheServer:
                 original.deliveries.append((conn, trace))
                 return
             record = _Record(sess, request_id, self._admit(header), conn, trace)
-            if op in _RECORD_OPS:
+            if op in _JOB_OPS:
                 record.submit, record.encode = self._job(conn, header, body)
                 self._submit_record(record)
             else:
@@ -909,7 +908,7 @@ class FheServer:
                     work = self._op_register_key(sess, header, body, not sess.registered)
                     sess.registered = True
                 else:
-                    work = self._dispatch(conn, op, header, body)
+                    work = self._dispatch(op, header)
                 task = asyncio.create_task(self._run_task(record, work))
                 conn.tasks.add(task)
                 task.add_done_callback(conn.tasks.discard)
@@ -932,7 +931,7 @@ class FheServer:
             )
         if op in _JOB_OPS:
             self._check_deadline(header)
-        if op not in _RECORD_OPS and op not in _TASK_OPS:
+        if op not in _JOB_OPS and op not in _TASK_OPS:
             raise _RequestError("unsupported", f"unknown op {op!r}")
         return op
 
@@ -945,10 +944,8 @@ class FheServer:
         finally:
             self._settle(record, outcome)
 
-    async def _dispatch(
-        self, conn: _Connection, op: str, header: Dict[str, Any], body: bytes
-    ) -> _Reply:
-        """Run an op that keeps a task of its own (``register_key`` aside)."""
+    async def _dispatch(self, op: str, header: Dict[str, Any]) -> _Reply:
+        """Answer an introspection op."""
         if op == "hello":
             return {"server": "repro-serve", "protocol": PROTOCOL_VERSION}, b""
         if op == "metrics_prom":
@@ -958,9 +955,7 @@ class FheServer:
                 {"content_type": "text/plain; version=0.0.4"},
                 self.render_prometheus().encode("utf-8"),
             )
-        if op == "trace_export":
-            return self._op_trace_export(header)
-        return await self._op_radix_add(conn, body)
+        return self._op_trace_export(header)
 
     def _job(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> _Job:
         """A job op's request, validated and decoded: the call that submits
@@ -970,7 +965,9 @@ class FheServer:
             return self._op_gate(conn, header, body)
         if op == "lut":
             return self._op_lut(conn, header, body)
-        return self._op_circuit(conn, header, body)
+        if op == "circuit":
+            return self._op_circuit(conn, header, body)
+        return self._op_radix_add(conn, header, body)
 
     def _bind_session(self, conn: _Connection, header: Dict[str, Any]) -> _SessionState:
         """The record this request runs under: the connection's, or — on the
@@ -1163,7 +1160,7 @@ class FheServer:
         cb = self._check_sample(conn, self._artifact(part_b, LweSample, "operand b"), "operand b")
         session = self.scheduler.session(conn.session.client_id)
         trace_id = header["trace"]
-        return lambda: session.submit_gate(name, ca, cb, trace_id=trace_id), _sample_reply
+        return lambda: session.submit_gate(name, ca, cb, trace_id=trace_id), _artifact_reply
 
     def _op_lut(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> _Job:
         table = header.get("table")
@@ -1182,7 +1179,7 @@ class FheServer:
         ]
         session = self.scheduler.session(conn.session.client_id)
         trace_id = header["trace"]
-        return lambda: session.submit_lut(table, operands, trace_id=trace_id), _sample_reply
+        return lambda: session.submit_lut(table, operands, trace_id=trace_id), _artifact_reply
 
     def _op_circuit(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> _Job:
         circuit_obj = header.get("circuit")
@@ -1218,9 +1215,7 @@ class FheServer:
             partial(_circuit_reply, circuit),
         )
 
-    async def _op_radix_add(
-        self, conn: _Connection, body: bytes
-    ) -> _Reply:
+    def _op_radix_add(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> _Job:
         part_x, part_y = unpack_parts(body, expected=2)
         x = self._artifact(part_x, RadixInt, "operand x")
         y = self._artifact(part_y, RadixInt, "operand y")
@@ -1229,21 +1224,9 @@ class FheServer:
         for name, operand in (("x", x), ("y", y)):
             for i, digit in enumerate(operand.digits):
                 self._check_sample(conn, digit, f"operand {name} digit {i}")
-        context = self._context(conn)
-        loop = asyncio.get_running_loop()
-        async with self._exclusive():
-            # Runs on the connection's own context; carry propagation (if
-            # the bounds demand it) bootstraps in-process, so serialize it
-            # with flushes via the same lock.
-            def _add() -> RadixInt:
-                evaluator = RadixEvaluator(context, x.encoding)
-                return evaluator.add(x, y)
-
-            try:
-                result = await loop.run_in_executor(None, _add)
-            except ValueError as exc:
-                raise _RequestError("bad_request", str(exc)) from None
-        return {}, pack_parts([to_bytes(result)])
+        session = self.scheduler.session(conn.session.client_id)
+        trace_id = header["trace"]
+        return lambda: session.submit_radix_add(x, y, trace_id=trace_id), _artifact_reply
 
 
 async def serve(

@@ -9,11 +9,11 @@ independent bootstrapped nodes.  This is the paper's compile-to-DFG /
 solve-dependencies flow (Section 5) applied to whole circuits instead of the
 inside of one gate.
 
-:class:`LevelWalker` is the one traversal of such a schedule: it hands out the
-current wave as bootstrap rows (``("gate", name, ca, cb)`` / ``("lut", table,
-operands)``), takes the wave's outputs back, and resolves the linear nodes in
-between.  It never bootstraps anything itself, so whoever drives it decides
-where the rows run:
+:func:`walk_levels` is the one traversal of such a schedule: a generator that
+yields each wave as bootstrap rows (``("gate", name, ca, cb)`` / ``("lut",
+table, operands)``), is sent the wave's outputs, resolves the linear nodes in
+between and returns the circuit's outputs.  It never bootstraps anything
+itself, so whoever drives it decides where the rows run:
 
 * :meth:`CircuitExecutor.run` packs each wave, over all words of the data
   batch, into **one** :meth:`repro.tfhe.gates.BatchGateEvaluator.rows` call —
@@ -23,9 +23,9 @@ where the rows run:
   (level parallelism) and the data batch multiplies it again (word
   parallelism); :func:`repro.core.pipeline.circuit_level_cycles` is the
   analytic counterpart on the accelerator model.
-* the scheduler's circuit job (:mod:`repro.runtime.scheduler`) contributes
-  each wave to the flush round it is ready in, where it coalesces with every
-  other row of the same client.
+* the scheduler's multi-round job (:mod:`repro.runtime.scheduler`)
+  contributes each wave to the flush round it is ready in, where it
+  coalesces with every other row of the same key.
 
 :func:`execute` is the eager reference (works with the scalar and the batched
 evaluator alike); the test-suite property-checks that all three produce the
@@ -35,10 +35,10 @@ same output ciphertexts bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Generator, List, Mapping, Sequence, Tuple
 
 from repro.arch.ops import OpType
-from repro.tfhe.gates import BatchGateEvaluator, Row, split_rows
+from repro.tfhe.gates import BatchGateEvaluator, Row, run_steps, split_rows
 from repro.tfhe.lwe import LweBatch, LweSample, lwe_batch_concat
 from repro.tfhe.netlist import Circuit, Node
 
@@ -160,70 +160,36 @@ def _linear_node(evaluator, node: Node, operands: Sequence):
     return evaluator.copy(operands[0])
 
 
-class LevelWalker:
-    """Walks one :class:`LevelSchedule` wave by wave.
-
-    ``linear`` is whatever provides ``constant``/``not_``/``copy`` over the
-    wire values — a :class:`BatchGateEvaluator` for bit planes, a scheduler
-    session for scalar samples; the walker is otherwise indifferent to what
-    a wire carries.  :meth:`rows` is the current wave, :meth:`advance` takes
-    its outputs (one per row, same order) and settles every linear node up
-    to the next wave; once :attr:`done`, :meth:`outputs` is the result.
-    """
-
-    def __init__(
-        self, schedule: LevelSchedule, inputs: Mapping[str, Sequence], linear
-    ) -> None:
-        self.schedule = schedule
-        self.linear = linear
-        circuit = schedule.circuit
-        self.values = _gather_inputs(
-            circuit, inputs, circuit.live_nodes(schedule.output_names)
-        )
-        self.level = 0
-        self._settle_linear()
-
-    @property
-    def done(self) -> bool:
-        return self.level == self.schedule.depth
-
-    def _settle_linear(self) -> None:
-        circuit = self.schedule.circuit
-        while True:
-            for nid in self.schedule.linear[self.level]:
+def walk_levels(
+    schedule: LevelSchedule, inputs: Mapping[str, Sequence], linear
+) -> Generator[List[Row], Sequence, Dict[str, List]]:
+    """Walk one :class:`LevelSchedule` as a multi-round job: yields each
+    non-empty wave's rows, is sent their outputs (one per row, same order)
+    and returns ``{output name: wires}``.  ``linear`` settles the nodes in
+    between — anything with ``constant``/``not_``/``copy`` over the wire
+    values: a :class:`BatchGateEvaluator` for bit planes, a scheduler
+    session for scalar samples."""
+    circuit = schedule.circuit
+    values = _gather_inputs(circuit, inputs, circuit.live_nodes(schedule.output_names))
+    for settled, wave in zip(schedule.linear, schedule.waves + ((),)):
+        for nid in settled:
+            node = circuit.node(nid)
+            if node.op != "input":  # inputs were gathered up front
+                values[nid] = _linear_node(linear, node, [values[a] for a in node.args])
+        if wave:  # an empty wave costs no call
+            rows: List[Row] = []
+            for nid in wave:
                 node = circuit.node(nid)
-                if node.op != "input":  # inputs were gathered up front
-                    self.values[nid] = _linear_node(
-                        self.linear, node, [self.values[a] for a in node.args]
-                    )
-            if self.done or self.schedule.waves[self.level]:
-                return
-            self.level += 1  # an empty wave costs no call
-
-    def rows(self) -> List[Row]:
-        """The current wave as bootstrap rows, in wave order."""
-        rows: List[Row] = []
-        for nid in self.schedule.waves[self.level]:
-            node = self.schedule.circuit.node(nid)
-            operands = tuple(self.values[a] for a in node.args)
-            if node.op == "lut":
-                rows.append(("lut", node.value, operands))
-            else:
-                rows.append(("gate", node.op, *operands))
-        return rows
-
-    def advance(self, outputs: Sequence) -> None:
-        """Store the current wave's outputs and move to the next wave."""
-        self.values.update(zip(self.schedule.waves[self.level], outputs))
-        self.level += 1
-        self._settle_linear()
-
-    def outputs(self) -> Dict[str, List]:
-        circuit = self.schedule.circuit
-        return {
-            name: [self.values[w] for w in circuit.output_wires[name]]
-            for name in self.schedule.output_names
-        }
+                operands = tuple(values[a] for a in node.args)
+                if node.op == "lut":
+                    rows.append(("lut", node.value, operands))
+                else:
+                    rows.append(("gate", node.op, *operands))
+            values.update(zip(wave, (yield rows)))
+    return {
+        name: [values[w] for w in circuit.output_wires[name]]
+        for name in schedule.output_names
+    }
 
 
 def execute(
@@ -330,17 +296,14 @@ class CircuitExecutor:
                         f"input {name!r} has batch width {plane.batch_size}, "
                         f"executor expects {words}"
                     )
-        walker = LevelWalker(schedule, inputs, self.evaluator)
-        while not walker.done:
-            ops, operands = split_rows(walker.rows(), lwe_batch_concat)
-            out = self.evaluator.rows(
-                [op for op in ops for _ in range(words)], operands
-            )
+
+        def run_wave(rows: List[Row]) -> List[LweBatch]:
+            ops, operands = split_rows(rows, lwe_batch_concat)
+            out = self.evaluator.rows([op for op in ops for _ in range(words)], operands)
             self.level_calls += 1
-            walker.advance(
-                [out.rows(i * words, (i + 1) * words) for i in range(len(ops))]
-            )
-        return walker.outputs()
+            return [out.rows(i * words, (i + 1) * words) for i in range(len(ops))]
+
+        return run_steps(walk_levels(schedule, inputs, self.evaluator), run_wave)
 
     def run_samples(
         self,

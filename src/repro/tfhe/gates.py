@@ -5,13 +5,14 @@ input ciphertexts, then one blind rotation against a test polynomial
 (Section 2, ``Logic[c0, c1]``).  A *row* names the function and its operands;
 everything that evaluates one goes through the same four steps:
 
-1. :func:`row_spec` resolves the row's function — a gate name, or a
-   ``(truth table, arity)`` pair — to ``(offset in eighths, weights, test
-   vector)``.  A two-input gate is a lookup with a fixed all-``mu`` test
-   vector and the weights of :data:`MIXED_GATE_SPECS` (e.g. NAND is
-   ``(0, 1/8) − c_a − c_b``); a lut takes its weights and slice-valued vector
-   from :mod:`repro.tfhe.lut`.  This is the only place the two differ, and
-   where the ±1/8 encoding's 8-ary message-space rating is checked.
+1. :func:`row_spec` resolves the row's function (a :data:`RowOp`) to
+   ``(offset in eighths, weights, test vector)``.  A two-input gate is a
+   lookup with a fixed all-``mu`` test vector and the weights of
+   :data:`MIXED_GATE_SPECS` (e.g. NAND is ``(0, 1/8) − c_a − c_b``); a lut
+   takes its weights and slice-valued vector from :mod:`repro.tfhe.lut`; a
+   digit row is the identity against an :func:`encode_lut` vector, bit for
+   bit a ``programmable_bootstrap_batch`` row.  This is the only place the
+   three differ, and where the ±1/8 encoding's 8-ary rating is checked.
 2. :func:`affine_rows` forms ``offset·MU + Σ wᵢ·cᵢ`` for a whole batch of
    rows of any mix of arities in one vectorised pass.
 3. :meth:`BatchGateEvaluator.bootstrap_rows` blind-rotates, extracts and
@@ -22,8 +23,8 @@ everything that evaluates one goes through the same four steps:
    their rows too, so a row of the wrong dimension is refused, the stages
    are traced and the bootstraps are counted here for every caller.
 4. :meth:`BatchGateEvaluator.rows` is steps 1–3 for one batch;
-   :func:`split_rows` packs ``("gate", …)`` / ``("lut", …)`` row tuples into
-   its arguments.
+   :func:`split_rows` packs ``("gate", …)`` / ``("lut", …)`` / ``("digit",
+   …)`` row tuples into its arguments.
 
 :class:`TFHEGateEvaluator` runs the same spec through the *scalar* sample
 arithmetic, the scalar :func:`repro.tfhe.bootstrap.blind_rotate_and_extract`
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Generator, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from repro.tfhe.bootstrap import (
     _require_gate_space,
     blind_rotate_and_extract,
     blind_rotate_and_extract_batch,
+    encode_lut,
     make_test_vector,
 )
 from repro.tfhe.keyswitch import keyswitch_apply, keyswitch_apply_batch
@@ -65,7 +67,7 @@ from repro.tfhe.lwe import (
     lwe_scale,
 )
 from repro.tfhe.lut import BooleanLutSpec, boolean_lut_spec, lut_test_vector
-from repro.tfhe.params import TFHEParameters
+from repro.tfhe.params import DigitEncoding, TFHEParameters
 from repro.tfhe.torus import double_to_torus32, torus32_from_int64
 from repro.utils.rng import SeedLike, make_rng
 
@@ -88,14 +90,15 @@ MIXED_GATE_SPECS: Dict[str, Tuple[int, int, int]] = {
     "xnor": (-2, -2, -2),
 }
 
-#: The function of one bootstrapped row: a gate name, or ``(truth table,
-#: arity)`` for a lookup.
-RowOp = Union[str, Tuple[int, int]]
+#: The function of one bootstrapped row: a gate name, ``(truth table,
+#: arity)`` for a lookup, or ``(encoding, table tuple)`` for a digit lookup.
+RowOp = Union[str, Tuple[int, int], Tuple[DigitEncoding, Tuple[int, ...]]]
 
 #: One bootstrap row with its operands: ``("gate", name, ca, cb)`` for a
-#: two-input gate, ``("lut", table, operands)`` for a k-input lookup.  The
-#: operands are scalar samples, or bit planes of one common width.
-Row = Union[Tuple[str, str, object, object], Tuple[str, int, Tuple[object, ...]]]
+#: two-input gate, ``("lut", table, operands)`` for a k-input lookup,
+#: ``("digit", (encoding, table), sample)`` for a digit lookup.  The operands
+#: are scalar samples, or bit planes of one common width.
+Row = Union[Tuple[str, str, object, object], Tuple[str, object, object]]
 
 
 def _gate_spec(name: str) -> Tuple[int, int, int]:
@@ -122,14 +125,20 @@ def row_spec(
     """``(offset in eighths, weights, test vector)`` of one bootstrapped row.
 
     Raises ``ValueError`` for an unknown gate, a table with no
-    single-bootstrap realisation, or a parameter set not rated for the 8-ary
-    message space every ±1/8 row needs.  The vectors are memoised per ring,
-    so rows of equal function share one vector *object*.
+    single-bootstrap realisation, a parameter set not rated for the 8-ary
+    message space every ±1/8 row needs, or a digit table it cannot encode.
+    The vectors are memoised per ring, so rows of equal function share one
+    vector *object*.
     """
-    _require_gate_space(params)
     if isinstance(op, str):
+        _require_gate_space(params)
         offset, *weights = _gate_spec(op)
         return offset, tuple(weights), make_test_vector(params, int(MU))
+    if isinstance(op[0], DigitEncoding):
+        encoding, table = op
+        vector = encode_lut(params, table, encoding.message_bits, encoding.carry_bits)
+        return 0, (1,), vector
+    _require_gate_space(params)
     spec = require_lut_spec(*op)
     return spec.offset_eighths, spec.weights, lut_test_vector(params, spec)
 
@@ -196,6 +205,19 @@ def split_rows(
         stack(operands[j] if j < len(operands) else operands[0] for _, operands in split)
         for j in range(arity)
     ]
+
+
+def run_steps(steps: Generator, run: Callable[[List[Row]], Sequence]):
+    """Drive a multi-round job in-process — a generator that yields each
+    round's rows (a circuit's levels, a radix add's carry rounds), is sent
+    their outputs and returns its result: ``run`` bootstraps one round."""
+    outputs = None
+    while True:
+        try:
+            rows = steps.send(outputs)
+        except StopIteration as stop:
+            return stop.value
+        outputs = run(rows)
 
 
 def _require_dimension(params: TFHEParameters, dimension: int) -> None:
@@ -417,9 +439,9 @@ class BatchGateEvaluator(_BootstrappedGates):
     def rows(self, ops: Iterable[RowOp], operands: Sequence[LweBatch]) -> LweBatch:
         """Evaluate a possibly *different* function on every row — one bootstrapping.
 
-        ``ops[i]`` (a gate name or ``(truth table, arity)``) is applied to
-        row ``i`` of the operand batches; ``operands[j]`` holds operand ``j``
-        of every row, and a row ignores the positions past its arity.  The
+        ``ops[i]`` (any :data:`RowOp`) is applied to row ``i`` of the operand
+        batches; ``operands[j]`` holds operand ``j`` of every row, and a row
+        ignores the positions past its arity.  The
         affine combinations are one vectorised pass and all rows share one
         fused blind rotation, so a dependency level of a circuit — whose
         nodes are independent but heterogeneous — costs the same as a

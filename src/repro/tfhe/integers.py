@@ -11,7 +11,8 @@ the standard radix recipe:
 * **Carry propagation is a lookup.**  Once a digit's bound approaches ``P``,
   one programmable bootstrap per digit splits it into ``v mod B`` (kept) and
   ``v div B`` (added to the next digit); both lookups ride one batched blind
-  rotation per digit.
+  rotation per digit.  The ``*_steps`` methods yield these carry rounds as
+  ``("digit", …)`` rows, for the scheduler to serve a ``radix_add``.
 * **Multiplication packs digit pairs.**  ``p = B·x_i + y_j`` fits one digit
   when ``carry_bits >= message_bits``, so every partial-product low/high digit
   is a single LUT row and *all* of them share one batched blind rotation; the
@@ -29,9 +30,10 @@ needs to renormalise without overflowing the torus slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.tfhe.bootstrap import programmable_bootstrap_batch
+from repro.tfhe.gates import Row, run_steps, split_rows
 from repro.tfhe.lwe import (
     LweBatch,
     LweKey,
@@ -189,11 +191,10 @@ class RadixEvaluator:
         out = programmable_bootstrap_batch(self.context, batch, tables, self.encoding)
         return out.to_samples()
 
-    def _split_tables(self) -> Tuple[List[int], List[int]]:
-        base, space = self.encoding.base, self.encoding.space
-        lo = [v % base for v in range(space)]
-        hi = [v // base for v in range(space)]
-        return lo, hi
+    def _run_rows(self, rows: List[Row]) -> List[LweSample]:
+        """One round of a multi-round job on the context's row path."""
+        evaluator = self.context.batch_evaluator(1)
+        return evaluator.rows(*split_rows(rows, LweBatch.from_samples)).to_samples()
 
     # -- carry propagation ---------------------------------------------------
     def propagate(self, x: RadixInt) -> RadixInt:
@@ -204,13 +205,19 @@ class RadixEvaluator:
         Digits already known to be below ``B`` with no incoming carry are
         passed through untouched.
         """
+        return run_steps(self.propagate_steps(x), self._run_rows)
+
+    def propagate_steps(self, x: RadixInt) -> Generator[List[Row], list, RadixInt]:
+        """:meth:`propagate` as a multi-round job: yields each carry round's
+        digit rows, is sent their outputs, returns the result."""
         limit = self.max_accumulator_bound
         if any(b > limit for b in x.bounds):
             raise ValueError(
                 f"digit bounds {x.bounds} exceed the propagation budget {limit}"
             )
-        base = self.encoding.base
-        lo_table, hi_table = self._split_tables()
+        base, space = self.encoding.base, self.encoding.space
+        lo = (self.encoding, tuple(v % base for v in range(space)))
+        hi = (self.encoding, tuple(v // base for v in range(space)))
         out: List[LweSample] = []
         out_bounds: List[int] = []
         carry: Optional[LweSample] = None
@@ -227,14 +234,14 @@ class RadixEvaluator:
                 out_bounds.append(s_bound)
                 carry, carry_bound = None, 0
             elif last:
-                (lo,) = self._pbs([s], [lo_table])
-                out.append(lo)
+                (low,) = yield [("digit", lo, s)]
+                out.append(low)
                 out_bounds.append(base - 1)
             else:
-                lo, hi = self._pbs([s, s], [lo_table, hi_table])
-                out.append(lo)
+                low, carry = yield [("digit", lo, s), ("digit", hi, s)]
+                out.append(low)
                 out_bounds.append(base - 1)
-                carry, carry_bound = hi, s_bound // base
+                carry_bound = s_bound // base
         return RadixInt(digits=out, bounds=tuple(out_bounds), encoding=self.encoding)
 
     # -- linear ops (no bootstrapping) ---------------------------------------
@@ -253,16 +260,20 @@ class RadixEvaluator:
         bounds fit the carry budget; otherwise the wider operand(s) are carry
         propagated first.
         """
+        return run_steps(self.add_steps(x, y), self._run_rows)
+
+    def add_steps(self, x: RadixInt, y: RadixInt) -> Generator[List[Row], list, RadixInt]:
+        """:meth:`add` as a multi-round job (no round when the bounds fit)."""
         self._check_pair(x, y, "add")
         limit = self.max_accumulator_bound
         if max(bx + by for bx, by in zip(x.bounds, y.bounds)) > limit:
             if not x.is_normalized:
-                x = self.propagate(x)
+                x = yield from self.propagate_steps(x)
             if (
                 max(bx + by for bx, by in zip(x.bounds, y.bounds)) > limit
                 and not y.is_normalized
             ):
-                y = self.propagate(y)
+                y = yield from self.propagate_steps(y)
             if max(bx + by for bx, by in zip(x.bounds, y.bounds)) > limit:
                 self._require_carry_room("add")
         digits = [lwe_add(a, b) for a, b in zip(x.digits, y.digits)]

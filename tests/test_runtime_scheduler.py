@@ -1,4 +1,4 @@
-"""BatchScheduler: cross-session coalescing of gate and circuit jobs."""
+"""BatchScheduler: cross-session coalescing of gate, circuit and radix-add jobs."""
 
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ from repro.tfhe.gates import (
 )
 from repro.tfhe.keys import generate_cloud_key, generate_keys, generate_secret_key
 from repro.tfhe.netlist import adder_netlist
-from repro.tfhe.params import TEST_TINY
+from repro.tfhe.integers import RadixEvaluator, RadixInt, decrypt_radix, encrypt_radix
+from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
 from repro.tfhe.serialize import from_bytes, to_bytes
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform, NaiveNegacyclicTransform
 
@@ -246,6 +247,63 @@ class TestCircuitJobs:
                 adder_netlist(1),
                 {"a": [pending], "b": [encrypt_bit(secret, 1, rng=3)]},
             )
+
+
+class TestRadixAddJobs:
+    """A radix add is a multi-round job: each carry round of the propagation
+    its bounds force is one round of digit rows on the scheduler."""
+
+    ENCODING = DigitEncoding(message_bits=2, carry_bits=2)
+
+    @pytest.fixture(scope="class")
+    def pbs_keys(self):
+        return generate_keys(TEST_PBS, unroll_factor=1, rng=71, eager=False)
+
+    def _operand(self, secret, value, rng, bound):
+        x = encrypt_radix(secret.lwe_key, value, 4, self.ENCODING, rng=rng)
+        return RadixInt(x.digits, bounds=(bound,) * 4, encoding=self.ENCODING)
+
+    def test_the_first_carry_round_carries_a_gate(self, pbs_keys):
+        """Bounds of 9 on both operands force x's propagation: 2+2+2+1 digit
+        rows in 4 carry rounds; the gate rides the first."""
+        secret, cloud = pbs_keys
+        scheduler = BatchScheduler()
+        scheduler.register_client("alice", cloud)
+        session = scheduler.session("alice")
+        x, y = self._operand(secret, 57, 1, 9), self._operand(secret, 123, 2, 9)
+        total = session.submit_radix_add(x, y)
+        gate = session.submit_gate(
+            "nand", encrypt_bit(secret, 1, rng=3), encrypt_bit(secret, 1, rng=4)
+        )
+        assert scheduler.flush() == 8
+        assert scheduler.stats.batched_calls == 4
+        assert scheduler.stats.max_rows_per_call == 3
+        assert scheduler.stats.jobs_completed == 2
+        assert decrypt_bit(secret, gate.result()) == 0
+        assert decrypt_radix(secret.lwe_key, total.result()) == (57 + 123) % 4**4
+        oracle = RadixEvaluator(FheContext(cloud), self.ENCODING).add(x, y)
+        assert to_bytes(total.result()) == to_bytes(oracle)
+
+    def test_an_operand_over_budget_fails_its_handle_not_the_flush(self, pbs_keys):
+        """y's bound of 14 exceeds the propagation budget of 12, and the add
+        finds out only after x's carry rounds ran: the handle fails with the
+        budget's ValueError, the flush returns and the gate beside it
+        resolves."""
+        secret, cloud = pbs_keys
+        scheduler = BatchScheduler()
+        scheduler.register_client("alice", cloud)
+        session = scheduler.session("alice")
+        x, y = self._operand(secret, 57, 1, 9), self._operand(secret, 123, 2, 14)
+        total = session.submit_radix_add(x, y)
+        gate = session.submit_gate(
+            "and", encrypt_bit(secret, 1, rng=3), encrypt_bit(secret, 1, rng=4)
+        )
+        assert scheduler.flush() == 8
+        assert decrypt_bit(secret, gate.result()) == 1
+        with pytest.raises(ValueError, match="propagation budget 12"):
+            total.result()
+        assert (scheduler.stats.jobs_completed, scheduler.stats.jobs_aborted) == (1, 1)
+        assert scheduler.pending_jobs == 0
 
 
 class TestLutJobs:

@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 from conftest import scrape
 
-from repro.runtime import ResilientClient, WorkerPool
+from repro.runtime import FheContext, ResilientClient, WorkerPool
 from repro.runtime import server as server_module
 from repro.runtime.chaos import FlakyEngine
 from repro.runtime.protocol import (
@@ -54,7 +54,7 @@ from repro.runtime.protocol import (
 )
 from repro.runtime.server import FheServer, _Connection, _SessionState
 from repro.tfhe.gates import decrypt_bit, encrypt_bit
-from repro.tfhe.integers import RadixInt, decrypt_radix, encrypt_radix
+from repro.tfhe.integers import RadixEvaluator, RadixInt, decrypt_radix, encrypt_radix
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.netlist import adder_netlist
@@ -157,16 +157,90 @@ def test_pipelined_requests_match_out_of_order(server_factory, wire_keys):
             assert decrypt_bit(secret, client.gate_result(request_id)) == a ^ b
 
 
-def test_radix_add_over_the_wire(server_factory):
-    encoding = DigitEncoding(message_bits=2, carry_bits=2)
-    secret, cloud = generate_keys(TEST_PBS, unroll_factor=1, rng=71, eager=False)
+RADIX_ENCODING = DigitEncoding(message_bits=2, carry_bits=2)
+
+
+@pytest.fixture(scope="module")
+def pbs_keys():
+    """One TEST_PBS keypair: rated for the 2+2-bit digit encoding."""
+    return generate_keys(TEST_PBS, unroll_factor=1, rng=71, eager=False)
+
+
+def _radix_operands(secret, y_bound=9):
+    """57 + 123 whose bounds force carry propagation: x's digits at 9 sum
+    past the budget of 12, so x is propagated in 4 carry rounds (7 rows)."""
+    x = encrypt_radix(secret.lwe_key, 57, 4, RADIX_ENCODING, rng=1)
+    y = encrypt_radix(secret.lwe_key, 123, 4, RADIX_ENCODING, rng=2)
+    return (
+        RadixInt(x.digits, bounds=(9,) * 4, encoding=RADIX_ENCODING),
+        RadixInt(y.digits, bounds=(y_bound,) * 4, encoding=RADIX_ENCODING),
+    )
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["inline", "pool"])
+def test_radix_add_over_the_wire(server_factory, pbs_keys, workers):
+    secret, cloud = pbs_keys
+    x, y = _radix_operands(secret)
+    oracle = RadixEvaluator(FheContext(cloud), RADIX_ENCODING).add(x, y)
+    pool = WorkerPool(workers, task_timeout=60.0) if workers else None
+    try:
+        server = server_factory(dispatcher=pool)
+        with ServingClient(port=server.port) as client:
+            client.register_key(cloud)
+            total = client.radix_add(x, y)
+            assert decrypt_radix(secret.lwe_key, total) == (57 + 123) % RADIX_ENCODING.base**4
+            assert to_bytes(total) == to_bytes(oracle)
+            assert scrape(client)["fhe_rows_bootstrapped_total"] == 7
+    finally:
+        if pool is not None:
+            pool.close()
+
+
+def test_a_radix_adds_bootstraps_are_in_the_scrape(server_factory, pbs_keys):
+    """Every bootstrap of a wire add is a row of some flush."""
+    secret, cloud = pbs_keys
     server = server_factory()
     with ServingClient(port=server.port) as client:
         client.register_key(cloud)
-        x = encrypt_radix(secret.lwe_key, 57, 4, encoding, rng=1)
-        y = encrypt_radix(secret.lwe_key, 123, 4, encoding, rng=2)
-        total = client.radix_add(x, y)
-        assert decrypt_radix(secret.lwe_key, total) == (57 + 123) % encoding.base**4
+        client.radix_add(*_radix_operands(secret))
+        (resident,) = server.scheduler.residents
+        bootstraps = resident.context.batch_evaluator(1).counters.bootstraps
+        assert bootstraps == 7
+        assert scrape(client)["fhe_rows_bootstrapped_total"] == bootstraps
+
+
+def test_an_engine_fault_during_a_radix_add_is_replayed(server_factory, pbs_keys):
+    secret, cloud = pbs_keys
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        (resident,) = server.scheduler.residents
+        context = resident.context
+        context.engine = FlakyEngine(context.engine, fail_on_call=3)
+        context.release()  # rebuild the spectrum cache on the flaky engine
+        total = client.radix_add(*_radix_operands(secret))
+        assert decrypt_radix(secret.lwe_key, total) == (57 + 123) % RADIX_ENCODING.base**4
+        assert server.scheduler.stats.engine_failovers == 1
+
+
+def test_a_radix_add_over_budget_fails_alone_in_its_flush(server_factory, pbs_keys):
+    """y's bound of 14 is over the propagation budget of 12, which the add
+    finds only after x's carry rounds ran: its request is a ``bad_request``
+    naming the budget, and another connection's gate in the same flush
+    still decrypts."""
+    secret, cloud = pbs_keys
+    x, y = _radix_operands(secret, y_bound=14)
+    server = server_factory(flush_interval=0.25)
+    with ServingClient(port=server.port) as adder, ServingClient(port=server.port) as other:
+        adder.register_key(cloud)
+        other.register_key(cloud)
+        gate = other.submit_gate(
+            "nand", encrypt_bit(secret, 1, rng=3), encrypt_bit(secret, 1, rng=4)
+        )
+        message = _bad_request(adder, "radix_add", [to_bytes(x), to_bytes(y)])
+        assert "propagation budget 12" in message
+        assert decrypt_bit(secret, other.gate_result(gate)) == 0
+        assert server.scheduler.stats.flushes == 1
 
 
 # --------------------------------------------------------------------------- #
