@@ -248,9 +248,10 @@ class FheContext:
     def resident_bytes(self) -> int:
         """Bytes this context keeps resident, by arithmetic over its shapes.
 
-        The cloud key's int32 arrays (TGSW coefficients + key-switching
-        table) plus, once built, the spectrum cache at one complex128 per
-        evaluation point (``N/2`` per polynomial).  Workspace scratch is not
+        The cloud key's int32 arrays (TGSW coefficients + the
+        ``(k·N, t, base − 1, n + 1)`` key-switching table) plus, once built,
+        the spectrum cache at one complex128 per evaluation point (``N/2``
+        per polynomial).  Workspace scratch is not
         counted — it tracks the widest batch seen, not the key.
         """
         params = self.params

@@ -6,10 +6,12 @@ Algorithm 1) converts it back to the original ``n``-dimensional LWE key so the
 output of one gate can feed the next.
 
 The key-switching key encrypts, for every bit ``i`` of the input key, every
-digit position ``j`` and every digit value ``v``, the torus element
-``v · key_in[i] / base^j``.  Switching decomposes each mask coefficient of the
-input sample into ``t`` base-``2^basebit`` digits and subtracts the matching
-key-switching samples.
+digit position ``j`` and every non-zero digit value ``v = 1 … base − 1``, the
+torus element ``v · key_in[i] / base^(j+1)``.  Switching decomposes each mask
+coefficient of the input sample into ``t`` base-``2^basebit`` digits and
+subtracts the matching key-switching samples; a zero digit contributes
+nothing, so it has no sample (as in the TFHE library), which keeps the key a
+quarter smaller at ``base = 4`` and adds no key noise for a zero digit.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from repro.utils.rng import SeedLike, make_rng
 class KeySwitchKey:
     """Key-switching key from an input LWE key to an output LWE key.
 
-    ``data`` has shape ``(n_in, t, base, n_out + 1)``: the last axis packs the
-    mask ``a`` (first ``n_out`` entries) and the body ``b`` (last entry) of
-    each key-switching sample.
+    ``data`` has shape ``(n_in, t, base − 1, n_out + 1)``: entry
+    ``[i, j, v − 1]`` is the sample of digit value ``v ≥ 1``, and its last
+    axis packs the mask ``a`` (first ``n_out`` entries) and the body ``b``
+    (last entry).  Digit 0 has no sample.
     """
 
     params: KeySwitchParams
@@ -41,11 +44,11 @@ class KeySwitchKey:
 
     @property
     def table(self) -> np.ndarray:
-        """``data`` as C-contiguous ``(n_in·t·base, n_out + 1)`` sample rows.
+        """``data`` as C-contiguous ``(n_in·t·(base − 1), n_out + 1)`` sample rows.
 
-        Row ``(i·t + j)·base + v`` is sample ``(i, j, v)``.  A view of a
-        contiguous key; a key built on a non-contiguous ``data`` is copied
-        once, here, not on every switch.
+        Row ``(i·t + j)·(base − 1) + v − 1`` is the sample of digit ``v`` at
+        ``(i, j)``.  A view of a contiguous key; a key built on a
+        non-contiguous ``data`` is copied once, here, not on every switch.
         """
         if self._table is None:
             data = np.ascontiguousarray(self.data)
@@ -63,22 +66,22 @@ def keyswitch_key_generate(
     rng = make_rng(rng)
     n_in = input_key.dimension
     n_out = output_key.dimension
-    base = params.base
+    digits = params.base - 1  # v = 1 … base − 1; digit 0 has no sample
     t = params.length
 
-    data = np.zeros((n_in, t, base, n_out + 1), dtype=np.int32)
+    data = np.zeros((n_in, t, digits, n_out + 1), dtype=np.int32)
     in_bits = input_key.key.astype(np.int64)
     out_bits = output_key.key.astype(np.int64)
 
     # Vectorised generation: sample all masks and noises in one shot.
     a = rng.integers(
-        low=-(2**31), high=2**31, size=(n_in, t, base, n_out), dtype=np.int64
+        low=-(2**31), high=2**31, size=(n_in, t, digits, n_out), dtype=np.int64
     )
     noise = np.round(
-        rng.normal(0.0, params.noise_stddev, size=(n_in, t, base)) * (2.0**32)
+        rng.normal(0.0, params.noise_stddev, size=(n_in, t, digits)) * (2.0**32)
     ).astype(np.int64)
 
-    digit_values = np.arange(base, dtype=np.int64)
+    digit_values = np.arange(1, params.base, dtype=np.int64)
     for j in range(t):
         shift = 32 - params.base_bits * (j + 1)
         if shift < 0:
@@ -113,7 +116,12 @@ def _keyswitch_totals(ks: KeySwitchKey, a: np.ndarray, workspace=None) -> np.nda
     mod ``2^32``, so the wrapping uint32 accumulation is exact.
 
     The digits of every coefficient become flat row indices into
-    :attr:`KeySwitchKey.table` once, digit-major: ``(n_in·t, B)``.  The rows
+    :attr:`KeySwitchKey.table` once, digit-major: ``(n_in·t, B)``.  A zero
+    digit has no sample, so it points at table row 0 — a quarter of the
+    reads at ``base = 4`` hit that one cache-resident row — and ``table[0]``
+    times each ciphertext's count of zero digits is subtracted from its
+    total at the end (exact mod ``2^32``).  The table stays a view of
+    ``data``: no zero row is appended, which would copy the key.  The rows
     are then gathered a block at a time into one fixed-size buffer (the
     ``workspace``'s, else a fresh one) as ``(run, ciphertexts, n_out + 1)``
     and reduced over their long first axis into the total, so each add spans
@@ -138,8 +146,14 @@ def _keyswitch_totals(ks: KeySwitchKey, a: np.ndarray, workspace=None) -> np.nda
     index = np.empty((n_in, t, batch), dtype=np.intp)
     np.right_shift(rounded.T[:, None, :], shifts[:, None], out=index)
     index &= params.base - 1
-    index += np.arange(0, n_in * t * params.base, params.base, dtype=np.intp).reshape(n_in, t, 1)
     index = index.reshape(n_in * t, batch)
+    nonzero = index != 0
+    zero_count = n_in * t - np.add.reduce(nonzero.view(np.uint8), axis=0, dtype=np.uint32)
+    # Digit v ≥ 1 at (i, j) is row (i·t + j)·(base − 1) + v − 1; digit 0 is row 0.
+    per_position = params.base - 1  # table rows of one (i, j)
+    index += np.arange(-1, n_in * t * per_position - 1, per_position, dtype=np.intp)[:, None]
+    index *= nonzero
+    del nonzero
 
     if workspace is None:
         block = np.empty(KEYSWITCH_BLOCK_WORDS, dtype=np.int32)
@@ -162,53 +176,8 @@ def _keyswitch_totals(ks: KeySwitchKey, a: np.ndarray, workspace=None) -> np.nda
             table.take(chosen, axis=0, out=gathered, mode="clip")
             np.add.reduce(gathered.view(np.uint32), axis=0, dtype=np.uint32, out=subtotal)
             total += subtotal
+    totals -= zero_count[:, None] * table[0].view(np.uint32)
     return totals
-
-
-def _keyswitch_totals_reference(ks: KeySwitchKey, a: np.ndarray) -> np.ndarray:
-    """The historical per-digit-level accumulation (ground truth).
-
-    Kept verbatim as the reference of the blocked accumulation in
-    :func:`_keyswitch_totals` (integer addition is exact, so the two agree
-    mod ``2^32``).
-    """
-    params = ks.params
-    base_bits = params.base_bits
-    t = params.length
-    mask = params.base - 1
-    rounding = 1 << (32 - base_bits * t - 1) if 32 - base_bits * t - 1 >= 0 else 0
-    a_in = ((a.astype(np.int64) & 0xFFFFFFFF) + rounding) & 0xFFFFFFFF
-
-    rows = np.arange(ks.input_dimension)
-    totals = np.zeros(a_in.shape[:-1] + (ks.output_dimension + 1,), dtype=np.int64)
-    for j in range(t):
-        shift = 32 - base_bits * (j + 1)
-        digits = ((a_in >> shift) & mask).astype(np.int64)  # (..., n_in)
-        selected = ks.data[rows, j, digits]  # (..., n_in, n_out + 1)
-        totals += selected.sum(axis=-2, dtype=np.int64)
-    return totals
-
-
-def keyswitch_apply_reference(ks: KeySwitchKey, sample: LweSample) -> LweSample:
-    """Key switch through the historical per-level loop (test/bench baseline)."""
-    if sample.dimension != ks.input_dimension:
-        raise ValueError("sample dimension does not match key-switching key")
-    n_out = ks.output_dimension
-    totals = _keyswitch_totals_reference(ks, sample.a)
-    a_out = torus32_from_int64(-totals[:n_out])
-    b_out = torus32_from_int64(int(np.int64(sample.b)) - int(totals[n_out]))
-    return LweSample(a=a_out, b=np.int32(b_out))
-
-
-def keyswitch_apply_batch_reference(ks: KeySwitchKey, batch: LweBatch) -> LweBatch:
-    """Batched key switch through the historical per-level loop (baseline)."""
-    if batch.dimension != ks.input_dimension:
-        raise ValueError("sample dimension does not match key-switching key")
-    n_out = ks.output_dimension
-    totals = _keyswitch_totals_reference(ks, batch.a)  # (B, n_out + 1)
-    a_out = torus32_from_int64(-totals[..., :n_out])
-    b_out = torus32_from_int64(batch.b.astype(np.int64) - totals[..., n_out])
-    return LweBatch(a=a_out, b=b_out)
 
 
 def keyswitch_apply(ks: KeySwitchKey, sample: LweSample, workspace=None) -> LweSample:
@@ -226,8 +195,9 @@ def keyswitch_apply_batch(ks: KeySwitchKey, batch: LweBatch, workspace=None) -> 
     """Switch a whole batch of samples through one blocked accumulation.
 
     ``workspace`` (a :class:`repro.tfhe.tgsw.BootstrapWorkspace`) lends the
-    gather block; without one the call allocates its own.  Bit-identical to
-    applying :func:`keyswitch_apply_reference` to every row.
+    gather block; without one the call allocates its own.  Exact: each row
+    equals, mod ``2^32``, the integer sum over its non-zero digits' samples
+    (``tests/keyswitch_oracle.py`` spells that sum out).
     """
     if batch.dimension != ks.input_dimension:
         raise ValueError("sample dimension does not match key-switching key")

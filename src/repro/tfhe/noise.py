@@ -183,7 +183,15 @@ class TfheNoiseModel:
         return self.iterations * per_iteration
 
     def keyswitch_variance(self) -> float:
-        """Noise added by the final key switch."""
+        """Noise added by the final key switch — an upper bound.
+
+        It counts one key sample per digit and each coefficient's whole
+        decomposition error.  A zero digit selects no sample (the key has
+        none for it: a ``(base − 1)/base`` share of the key term is what a
+        uniform mask draws), and a rounding error only reaches the output
+        where the input key bit is 1, so the measured variance sits below
+        this (``tests/test_keyswitch.py::TestKeySwitchNoise``).
+        """
         p = self.params
         ks = p.keyswitch
         big_n = p.k * p.N

@@ -41,6 +41,9 @@ byte, shapes) pair; both caches are bounded.  Cloud keys serialize their
 for; the spectrum cache is deliberately **not** serialized — the
 :class:`repro.runtime.context.FheContext` that loads the key rebuilds it
 (once), which also allows evaluating a loaded key under a different engine.
+Their key-switching key is the ``(k·N, t, base − 1, n + 1)`` entry
+``keyswitch`` (digit 0 has no sample); a key of the earlier ``base``-digit
+layout is refused by that shape check, with the expected shape in the error.
 
 Five artifact kinds are supported: ``secret_key``, ``cloud_key``,
 ``lwe_sample``, ``lwe_batch`` and ``radix_int`` (a radix-decomposed integer
@@ -474,7 +477,7 @@ def _cloud_key_from_archive(meta, arrays) -> TFHECloudKey:
     k, big_n, ks = params.k, params.N, params.keyswitch
     keyswitch_key = KeySwitchKey(
         params=ks,
-        data=_require(arrays, "keyswitch", (k * big_n, ks.length, ks.base, params.n + 1)),
+        data=_require(arrays, "keyswitch", (k * big_n, ks.length, ks.base - 1, params.n + 1)),
         input_dimension=k * big_n,
         output_dimension=params.n,
     )

@@ -55,12 +55,12 @@ def _traced_peak(run) -> int:
 
 @pytest.fixture(scope="module")
 def paper_shaped_key() -> KeySwitchKey:
-    """A ``paper-110bit``-shaped key-switching key (zeros: 82 MB of untouched
+    """A ``paper-110bit``-shaped key-switching key (zeros: 62 MB of untouched
     pages — the accumulation's memory behaviour does not depend on the values)."""
     params = PAPER_110BIT
     n_in, n_out = params.k * params.N, params.n
     ks = params.keyswitch
-    data = np.zeros((n_in, ks.length, ks.base, n_out + 1), dtype=np.int32)
+    data = np.zeros((n_in, ks.length, ks.base - 1, n_out + 1), dtype=np.int32)
     return KeySwitchKey(params=ks, data=data, input_dimension=n_in, output_dimension=n_out)
 
 

@@ -7,7 +7,8 @@ blind-rotation step kernel built on it (``X^p·ACC`` read as a window of
 scratch) must be **bit-identical** to the per-digit-plane reference loop for
 every engine, every batch width and both rotators.  These tests pin that down
 against the reference implementations kept in-tree (``tgsw_*_reference`` /
-``rotate[_batch]_reference`` / ``keyswitch_apply_reference``), including
+``rotate[_batch]_reference``; the key switch against the digit-by-digit
+oracle of ``keyswitch_oracle``), including
 rotation edge powers, per-row test vectors, workspace aliasing across calls
 and the logical transform counters.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from keyswitch_oracle import keyswitch_apply_batch_oracle, keyswitch_apply_oracle
 from repro.core.bku import UnrolledBlindRotator, generate_unrolled_bootstrapping_key
 from repro.tfhe.bootstrap import (
     CmuxBlindRotator,
@@ -26,11 +28,7 @@ from repro.tfhe.bootstrap import (
     programmable_bootstrap_batch,
 )
 from repro.tfhe.keys import generate_keys, generate_secret_key
-from repro.tfhe.keyswitch import (
-    keyswitch_apply,
-    keyswitch_apply_batch,
-    keyswitch_apply_reference,
-)
+from repro.tfhe.keyswitch import keyswitch_apply, keyswitch_apply_batch
 from repro.tfhe.lwe import (
     LweBatch,
     decrypt_digit,
@@ -759,13 +757,11 @@ class TestKeyswitchGather:
                 secret.extracted_key, gate_message(i % 2), rng=120 + i
             )
             fused = keyswitch_apply(cloud_key.keyswitch_key, sample)
-            reference = keyswitch_apply_reference(cloud_key.keyswitch_key, sample)
+            reference = keyswitch_apply_oracle(cloud_key.keyswitch_key, sample)
             assert np.array_equal(fused.a, reference.a)
             assert np.int32(fused.b) == np.int32(reference.b)
 
     def test_chunked_batch_matches_scalar_and_reference(self, cloud):
-        from repro.tfhe.keyswitch import keyswitch_apply_batch_reference
-
         secret, cloud_key = cloud
         samples = [
             lwe_encrypt(secret.extracted_key, gate_message(i % 2), rng=200 + i)
@@ -773,7 +769,7 @@ class TestKeyswitchGather:
         ]
         batch = LweBatch.from_samples(samples)
         switched = keyswitch_apply_batch(cloud_key.keyswitch_key, batch)
-        reference = keyswitch_apply_batch_reference(cloud_key.keyswitch_key, batch)
+        reference = keyswitch_apply_batch_oracle(cloud_key.keyswitch_key, batch)
         assert np.array_equal(switched.a, reference.a)
         assert np.array_equal(switched.b, reference.b)
         for i, sample in enumerate(samples):

@@ -147,6 +147,19 @@ def test_adopted_arrays_are_the_receive_buffer(name):
     assert to_bytes(from_bytes(part)) == blob
 
 
+def test_an_adopted_keyswitch_table_is_a_view_of_the_frame(tiny_wire_keys):
+    """The key switch reads the received bytes: no row is appended to the
+    table (that would copy the key), and the table is ``data`` reshaped."""
+    _, cloud = tiny_wire_keys
+    blob = to_bytes(cloud)
+    part = _received(blob)
+    ks = from_owned_buffer(part).keyswitch_key
+    backing = np.frombuffer(part.obj, dtype=np.uint8)
+    assert ks.data.shape[2] == TEST_TINY.keyswitch.base - 1
+    assert np.shares_memory(ks.table, ks.data) and np.shares_memory(ks.table, backing)
+    assert np.array_equal(ks.table, cloud.keyswitch_key.table)
+
+
 @pytest.mark.parametrize("name", sorted(MICRO_BLOBS))
 def test_unadoptable_buffers_fall_back_to_owning_copies(name):
     blob = MICRO_BLOBS[name]

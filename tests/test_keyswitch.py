@@ -1,8 +1,19 @@
-"""Tests for LWE key switching."""
+"""Tests for LWE key switching.
+
+The kernel is compared with :mod:`keyswitch_oracle`, the digit-by-digit
+accumulation that skips zero digits.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
+from keyswitch_oracle import (
+    keyswitch_apply_batch_oracle,
+    keyswitch_apply_oracle,
+    keyswitch_totals_oracle,
+)
 from repro.tfhe import keyswitch
 from repro.tfhe.keyswitch import (
     KeySwitchKey,
@@ -12,16 +23,17 @@ from repro.tfhe.keyswitch import (
 )
 from repro.tfhe.lwe import (
     LweBatch,
+    LweSample,
     gate_message,
     lwe_decrypt_bit,
     lwe_encrypt,
     lwe_key_generate,
     lwe_noise,
-    lwe_phase,
 )
+from repro.tfhe.noise import TfheNoiseModel
 from repro.tfhe.params import TEST_SMALL, TEST_TINY, KeySwitchParams
 from repro.tfhe.tgsw import BootstrapWorkspace
-from repro.tfhe.torus import torus_distance
+from repro.tfhe.torus import torus32_from_int64, torus32_to_double
 
 
 @pytest.fixture(scope="module")
@@ -38,27 +50,35 @@ def keys():
 class TestKeyGeneration:
     def test_key_shape(self, keys):
         params, input_key, output_key, ks = keys
-        base = params.keyswitch.base
         assert ks.data.shape == (
             input_key.dimension,
             params.keyswitch.length,
-            base,
+            params.keyswitch.base - 1,
             output_key.dimension + 1,
         )
+        assert np.shares_memory(ks.table, ks.data)
 
     def test_dimensions_recorded(self, keys):
         _, input_key, output_key, ks = keys
         assert ks.input_dimension == input_key.dimension
         assert ks.output_dimension == output_key.dimension
 
-    def test_zero_digit_rows_encrypt_zero(self, keys):
-        """The v = 0 entries must encrypt 0 so skipped digits add only noise."""
-        _, _, output_key, ks = keys
-        row = ks.data[0, 0, 0]
-        from repro.tfhe.lwe import LweSample
-
-        sample = LweSample(a=row[:-1], b=np.int32(row[-1]))
-        assert float(torus_distance(lwe_phase(output_key, sample), 0)) < 1e-3
+    def test_entry_v_minus_one_encrypts_digit_v(self, keys):
+        """``data[i, j, v − 1]`` encrypts ``v · key_in[i] / base^(j+1)``."""
+        params, input_key, output_key, ks = keys
+        ks_params = params.keyswitch
+        base_bits, t, base = ks_params.base_bits, ks_params.length, ks_params.base
+        data = ks.data.astype(np.int64)
+        phase = data[..., -1] - data[..., :-1] @ output_key.key.astype(np.int64)
+        values = np.arange(1, base, dtype=np.int64)
+        shifts = 32 - base_bits * np.arange(1, t + 1, dtype=np.int64)
+        message = (
+            input_key.key.astype(np.int64)[:, None, None]
+            * values[None, None, :]
+            << shifts[None, :, None]
+        )
+        error = torus32_to_double(torus32_from_int64(phase - message))
+        assert np.max(np.abs(error)) < 8 * ks_params.noise_stddev
 
 
 class TestKeySwitching:
@@ -103,29 +123,7 @@ class TestWrapAroundMasks:
     reduced back onto the 32-bit torus before digit extraction.
     """
 
-    def _reference_apply(self, ks, sample):
-        """Digit-by-digit scalar reference with explicit mod-2^32 arithmetic."""
-        params = ks.params
-        t = params.length
-        base_bits = params.base_bits
-        n_out = ks.output_dimension
-        rounding = 1 << (32 - base_bits * t - 1) if 32 - base_bits * t - 1 >= 0 else 0
-        totals = np.zeros(n_out + 1, dtype=np.int64)
-        for i in range(ks.input_dimension):
-            a_in = ((int(np.int64(sample.a[i])) & 0xFFFFFFFF) + rounding) % (1 << 32)
-            for j in range(t):
-                digit = (a_in >> (32 - base_bits * (j + 1))) & (params.base - 1)
-                totals += ks.data[i, j, digit].astype(np.int64)
-        from repro.tfhe.torus import torus32_from_int64
-        from repro.tfhe.lwe import LweSample
-
-        a_out = torus32_from_int64(-totals[:n_out])
-        b_out = torus32_from_int64(int(np.int64(sample.b)) - int(totals[n_out]))
-        return LweSample(a=a_out, b=np.int32(b_out))
-
     def test_wraparound_sample_matches_reference(self, keys):
-        from repro.tfhe.lwe import LweSample
-
         _, input_key, _, ks = keys
         n_in = input_key.dimension
         # Every mask coefficient sits right at the wrap-around boundary, so the
@@ -135,7 +133,7 @@ class TestWrapAroundMasks:
         a[1::3] = np.int32(-(2**31))
         sample = LweSample(a=a, b=np.int32(1234567))
         switched = keyswitch_apply(ks, sample)
-        reference = self._reference_apply(ks, sample)
+        reference = keyswitch_apply_oracle(ks, sample)
         assert np.array_equal(switched.a, reference.a)
         assert int(switched.b) == int(reference.b)
 
@@ -153,8 +151,6 @@ class TestWrapAroundMasks:
                 delta = int(np.int64(target) - np.int64(sample.a[idx]))
                 delta_total += delta * int(input_key.key[idx])
                 sample.a[idx] = target
-            from repro.tfhe.torus import torus32_from_int64
-
             sample.b = np.int32(torus32_from_int64(int(np.int64(sample.b)) + delta_total))
             assert lwe_decrypt_bit(output_key, keyswitch_apply(ks, sample)) == bit
 
@@ -172,7 +168,7 @@ class TestTinyParameters:
 
 
 class TestBlockedAccumulation:
-    """The blocked uint32 accumulation against the per-level int64 reference."""
+    """The blocked uint32 accumulation against the digit-by-digit int64 oracle."""
 
     N_IN, N_OUT = 24, 9
 
@@ -180,7 +176,7 @@ class TestBlockedAccumulation:
     def _synthetic_key(ks_params, n_in, n_out, seed):
         rng = np.random.default_rng(seed)
         data = rng.integers(
-            -(2**31), 2**31, (n_in, ks_params.length, ks_params.base, n_out + 1)
+            -(2**31), 2**31, (n_in, ks_params.length, ks_params.base - 1, n_out + 1)
         ).astype(np.int32)
         return KeySwitchKey(
             params=ks_params, data=data, input_dimension=n_in, output_dimension=n_out
@@ -232,14 +228,87 @@ class TestBlockedAccumulation:
         )
         a = self._masks(np.random.default_rng(71 + batch), batch, self.N_IN, ks_params)
         totals = keyswitch._keyswitch_totals(ks, a)
-        reference = keyswitch._keyswitch_totals_reference(ks, a)
+        reference = keyswitch_totals_oracle(ks, a)
         assert totals.dtype == np.uint32
         assert totals.shape == (batch, self.N_OUT + 1)
         assert np.array_equal(totals, (reference & 0xFFFFFFFF).astype(np.uint32))
         b = np.random.default_rng(72).integers(-(2**31), 2**31, batch).astype(np.int32)
         switched = keyswitch_apply_batch(ks, LweBatch(a=a, b=b))
-        expected = keyswitch.keyswitch_apply_batch_reference(ks, LweBatch(a=a, b=b))
+        expected = keyswitch_apply_batch_oracle(ks, LweBatch(a=a, b=b))
         assert switched.a.dtype == switched.b.dtype == np.int32
+        assert np.array_equal(switched.a, expected.a)
+        assert np.array_equal(switched.b, expected.b)
+
+    @staticmethod
+    def _digit_extremes(ks_params):
+        """Coefficients whose rounded digits are all 0, and one whose are all ``base − 1``."""
+        kept = ks_params.base_bits * ks_params.length
+        half_ulp = 1 << (31 - kept) if kept < 32 else 0
+        # 0, the top of the zero bucket, and −half_ulp, which the rounding
+        # carries round the torus to 0; all ones once rounded.
+        zero_digits = [0] + ([half_ulp - 1, -half_ulp] if half_ulp else [])
+        return np.array(zero_digits, dtype=np.int32), np.int32(-half_ulp - 1)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize(
+        "ks_params",
+        [
+            KeySwitchParams(base_bits=2, length=3, noise_stddev=0.0),
+            KeySwitchParams(base_bits=4, length=8, noise_stddev=0.0),
+        ],
+        ids=["2x3", "4x8-no-rounding"],
+    )
+    def test_a_mask_of_zero_digits_switches_to_its_body_alone(self, ks_params, batch):
+        """No sample is selected, so the correction must cancel every row-0 read."""
+        ks = self._synthetic_key(ks_params, self.N_IN, self.N_OUT, seed=80)
+        zero_digits, _ = self._digit_extremes(ks_params)
+        rng = np.random.default_rng(81)
+        a = rng.choice(zero_digits, (batch, self.N_IN)).astype(np.int32)
+        b = rng.integers(-(2**31), 2**31, batch).astype(np.int32)
+        switched = keyswitch_apply_batch(ks, LweBatch(a=a, b=b))
+        assert not switched.a.any()
+        assert np.array_equal(switched.b, b)
+
+    def test_a_zero_mask_switches_to_its_body_alone_under_a_real_key(self, keys):
+        _, input_key, output_key, ks = keys
+        switched = keyswitch_apply(
+            ks, LweSample(a=np.zeros(input_key.dimension, dtype=np.int32), b=np.int32(-7))
+        )
+        assert np.array_equal(switched.a, np.zeros(output_key.dimension, dtype=np.int32))
+        assert switched.b == -7
+
+    @pytest.mark.parametrize("batch", [1, 3, 65])
+    @pytest.mark.parametrize(
+        "ks_params",
+        [
+            KeySwitchParams(base_bits=2, length=3, noise_stddev=0.0),
+            KeySwitchParams(base_bits=4, length=8, noise_stddev=0.0),
+        ],
+        ids=["2x3", "4x8-no-rounding"],
+    )
+    @pytest.mark.parametrize("block_rows", [4096, 24, 7, 50])
+    def test_zero_full_and_wrapping_digits_match_the_oracle(
+        self, monkeypatch, ks_params, batch, block_rows
+    ):
+        """Zero-digit counts from none to every digit, under every block shape."""
+        ks = self._synthetic_key(ks_params, self.N_IN, self.N_OUT, seed=82)
+        monkeypatch.setattr(
+            keyswitch, "KEYSWITCH_BLOCK_WORDS", block_rows * (self.N_OUT + 1)
+        )
+        zero_digits, full = self._digit_extremes(ks_params)
+        rng = np.random.default_rng(83 + batch)
+        values = np.concatenate([zero_digits, [full, -1, 2**31 - 1, -(2**31)]]).astype(np.int32)
+        a = rng.choice(values, (batch, self.N_IN)).astype(np.int32)
+        a[0] = zero_digits[-1]  # every digit 0
+        if batch > 1:
+            a[1] = full  # no digit 0
+            a[2:, ::3] = rng.integers(-(2**31), 2**31, a[2:, ::3].shape)
+        b = rng.integers(-(2**31), 2**31, batch).astype(np.int32)
+        totals = keyswitch._keyswitch_totals(ks, a)
+        reference = keyswitch_totals_oracle(ks, a)
+        assert np.array_equal(totals, (reference & 0xFFFFFFFF).astype(np.uint32))
+        switched = keyswitch_apply_batch(ks, LweBatch(a=a, b=b))
+        expected = keyswitch_apply_batch_oracle(ks, LweBatch(a=a, b=b))
         assert np.array_equal(switched.a, expected.a)
         assert np.array_equal(switched.b, expected.b)
 
@@ -257,7 +326,7 @@ class TestBlockedAccumulation:
             assert set(workspace._pools) == {"keyswitch"}
             assert workspace.nbytes == 4 * keyswitch.KEYSWITCH_BLOCK_WORDS
         for sample, switched in results:
-            expected = keyswitch.keyswitch_apply_batch_reference(ks, sample)
+            expected = keyswitch_apply_batch_oracle(ks, sample)
             assert np.array_equal(switched.a, expected.a)
             assert np.array_equal(switched.b, expected.b)
             assert not np.shares_memory(switched.a, workspace._pools["keyswitch"])
@@ -266,7 +335,7 @@ class TestBlockedAccumulation:
         _, input_key, _, ks = keys
         sample = lwe_encrypt(input_key, gate_message(1), rng=75)
         switched = keyswitch_apply(ks, sample)
-        reference = keyswitch.keyswitch_apply_reference(ks, sample)
+        reference = keyswitch_apply_oracle(ks, sample)
         assert np.array_equal(switched.a, reference.a)
         assert switched.b == reference.b
         assert isinstance(switched.b, np.int32)
@@ -288,7 +357,7 @@ class TestBlockedAccumulation:
         first = keyswitch_apply_batch(strided, sample)
         second = keyswitch_apply_batch(strided, sample)
         assert strided.table is table  # the one flattened copy, cached
-        expected = keyswitch.keyswitch_apply_batch_reference(strided, sample)
+        expected = keyswitch_apply_batch_oracle(strided, sample)
         for switched in (first, second):
             assert np.array_equal(switched.a, expected.a)
             assert np.array_equal(switched.b, expected.b)
@@ -302,3 +371,34 @@ class TestBlockedAccumulation:
         other = self._synthetic_key(ks_params, self.N_IN, self.N_OUT, seed=79)
         replaced = replace(first, data=other.data)
         assert np.shares_memory(replaced.table, other.data)
+
+
+class TestKeySwitchNoise:
+    """The measured key-switch error against ``TfheNoiseModel.keyswitch_variance``.
+
+    The model counts one key sample per digit and every coefficient's full
+    rounding error, so it bounds the error from above: a zero digit selects
+    no sample, and a rounding error only counts where the key bit is 1.
+    """
+
+    SAMPLES = 2000
+
+    def test_error_variance_of_noise_free_inputs_is_within_the_model(self, keys):
+        params, input_key, output_key, ks = keys
+        rng = np.random.default_rng(90)
+        a = rng.integers(-(2**31), 2**31, (self.SAMPLES, input_key.dimension)).astype(np.int32)
+        mu = rng.integers(-(2**31), 2**31, self.SAMPLES)
+        # Noise-free inputs: the phase under the input key is exactly mu.
+        b = torus32_from_int64(a.astype(np.int64) @ input_key.key.astype(np.int64) + mu)
+        switched = keyswitch_apply_batch(ks, LweBatch(a=a, b=b))
+        phase = switched.b.astype(np.int64) - switched.a.astype(np.int64) @ output_key.key.astype(
+            np.int64
+        )
+        error = torus32_to_double(torus32_from_int64(phase - mu))
+        variance = float(np.mean(error**2))
+        model = TfheNoiseModel(params).keyswitch_variance()
+        # N·s²/σ² is χ²_N for Gaussian errors: mean N, standard deviation
+        # √(2N).  Six standard deviations of slack: 1 + 6·√(2/N) ≈ 1.19.
+        slack = 1 + 6 * math.sqrt(2 / self.SAMPLES)
+        assert variance <= model * slack
+        assert variance > 0

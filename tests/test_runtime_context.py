@@ -30,11 +30,11 @@ from repro.tfhe.gates import (
     decrypt_bit,
     encrypt_bit,
 )
-from repro.tfhe.keys import generate_keys
-from repro.tfhe.keyswitch import keyswitch_apply
+from repro.tfhe.keys import TFHECloudKey, generate_keys
+from repro.tfhe.keyswitch import KeySwitchKey, keyswitch_apply
 from repro.tfhe.lwe import lwe_add, lwe_encrypt_trivial, lwe_scale, lwe_sub
-from repro.tfhe.params import TEST_TINY
-from repro.tfhe.tgsw import tgsw_transform
+from repro.tfhe.params import PAPER_110BIT, TEST_TINY
+from repro.tfhe.tgsw import TgswSample, tgsw_transform
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform, NaiveNegacyclicTransform
 
 
@@ -224,6 +224,30 @@ class TestContextSurface:
         after = context.evaluator().nand(ca, cb)  # same contract as after failover()
         assert context.cached_tgsw_samples == TEST_TINY.n
         assert np.array_equal(after.a, before.a) and np.int32(after.b) == np.int32(before.b)
+
+    def test_a_paper_context_is_154_927_104_bytes(self):
+        """TGSW coefficients 30 965 760 + key-switching table 62 029 824 (no
+        digit-0 samples) + spectra 61 931 520, on a zero key of paper shape."""
+        params = PAPER_110BIT
+        n_in, ks = params.k * params.N, params.keyswitch
+        rows = (params.k + 1) * params.l
+        coefficients = np.zeros((params.n, rows, params.k + 1, params.N), dtype=np.int32)
+        cloud = TFHECloudKey(
+            params=params,
+            keyswitch_key=KeySwitchKey(
+                params=ks,
+                data=np.zeros((n_in, ks.length, ks.base - 1, params.n + 1), dtype=np.int32),
+                input_dimension=n_in,
+                output_dimension=params.n,
+            ),
+            unroll_factor=1,
+            transform_spec=None,
+            bootstrapping_key=[TgswSample(data=row, params=params.tgsw) for row in coefficients],
+        )
+        context = FheContext(cloud, engine=DoubleFFTNegacyclicTransform(params.N))
+        assert context.resident_bytes == 30_965_760 + 62_029_824
+        context.rotator
+        assert context.resident_bytes == 154_927_104
 
     def test_resident_bytes_is_the_shape_arithmetic(self):
         engine = DoubleFFTNegacyclicTransform(TEST_TINY.N)

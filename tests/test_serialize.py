@@ -32,7 +32,7 @@ from repro.tfhe.params import (
     TgswParams,
     TlweParams,
 )
-from repro.tfhe.serialize import SerializationError, from_bytes, to_bytes
+from repro.tfhe.serialize import SerializationError, from_bytes, from_owned_buffer, to_bytes
 from repro.tfhe.transform import (
     NaiveNegacyclicTransform,
     TransformSpec,
@@ -713,8 +713,9 @@ class TestLoaderChecks:
     def test_cloud_key_shapes_are_checked_against_its_own_params(self, edit_artifact):
         n, big_n, k, l = MICRO.n, MICRO.N, MICRO.k, MICRO.l
         ks = MICRO.keyswitch
+        digits = 2**ks.base_bits - 1  # digit 0 has no sample
         assert _directory(MICRO_BLOBS["cloud_key"]) == [
-            ["keyswitch", [k * big_n, ks.length, 2**ks.base_bits, n + 1]],
+            ["keyswitch", [k * big_n, ks.length, digits, n + 1]],
             ["bootstrapping_key", [n, (k + 1) * l, k + 1, big_n]],
         ]
 
@@ -725,8 +726,8 @@ class TestLoaderChecks:
             # the ring degree disagrees with N=8 (was: fails in the first gate's kernel)
             ("cloud_key", reshape(1, [n, (k + 1) * l, 2 * (k + 1), big_n // 2])),
             ("cloud_key", reshape(1, [n * 2, (k + 1) * l, k + 1, big_n // 2])),
-            ("cloud_key", reshape(0, [k * big_n * ks.length, 2**ks.base_bits, n + 1])),
-            ("cloud_key", reshape(0, [k * big_n, ks.length * 2**ks.base_bits, 1, n + 1])),
+            ("cloud_key", reshape(0, [k * big_n * ks.length, digits, n + 1])),
+            ("cloud_key", reshape(0, [k * big_n, 1, ks.length * digits, n + 1])),
             ("cloud_key_m2", reshape(1, [3, (k + 1) * l, k + 1, 2 * big_n])),
         ]
         for name, lie in same_bytes:
@@ -735,7 +736,7 @@ class TestLoaderChecks:
         # a 0-d keyswitch entry (was an IndexError)
         blob = MICRO_BLOBS["cloud_key"]
         start = _payload_start(blob)
-        ks_bytes = 4 * k * big_n * ks.length * 2**ks.base_bits * (n + 1)
+        ks_bytes = 4 * k * big_n * ks.length * digits * (n + 1)
         scalar_ks = edit_artifact(
             blob, reshape(0, []), payload=blob[start : start + 4] + blob[start + ks_bytes :]
         )
@@ -749,12 +750,33 @@ class TestLoaderChecks:
                 )
             )
 
+    @pytest.mark.parametrize("decode", [from_bytes, from_owned_buffer])
+    @pytest.mark.parametrize("name", ["cloud_key", "cloud_key_m2"])
+    def test_a_key_with_digit_zero_samples_is_refused_by_name(self, decode, name):
+        """The earlier ``base``-digit layout is refused by its directory shape,
+        the error naming the shape this container expects; no version moved."""
+        blob = old_layout_key(_micro_artifacts()[name])
+        n, big_n, k, ks = MICRO.n, MICRO.N, MICRO.k, MICRO.keyswitch
+        assert _directory(blob)[0] == ["keyswitch", [k * big_n, ks.length, ks.base, n + 1]]
+        expected = f"expected {(k * big_n, ks.length, ks.base - 1, n + 1)}"
+        with pytest.raises(SerializationError, match="'keyswitch' has rank") as caught:
+            decode(bytearray(blob))
+        assert expected in str(caught.value)
+
     def test_secret_key_shapes_are_checked(self, edit_artifact):
         blob = MICRO_BLOBS["secret_key"]
         with pytest.raises(SerializationError, match="'tlwe_key' has rank"):
             from_bytes(
                 edit_artifact(blob, lambda m: m["arrays"][1].__setitem__(1, [MICRO.N]))
             )
+
+
+def old_layout_key(cloud) -> bytes:
+    """``cloud`` in a container whose key-switching key still has digit-0 samples."""
+    ks = cloud.keyswitch_key
+    n_in, t, _, width = ks.data.shape
+    old = np.zeros((n_in, t, ks.params.base, width), dtype=np.int32)
+    return to_bytes(replace(cloud, keyswitch_key=replace(ks, data=old)))
 
 
 _ARTIFACT_TYPES = (TFHESecretKey, TFHECloudKey, LweSample, LweBatch, RadixInt)

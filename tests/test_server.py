@@ -36,6 +36,7 @@ import zlib
 import numpy as np
 import pytest
 from conftest import scrape
+from test_serialize import old_layout_key
 
 from repro.runtime import FheContext, ResilientClient, WorkerPool
 from repro.runtime import server as server_module
@@ -338,6 +339,26 @@ def test_old_npz_key_is_a_clean_error(server_factory, wire_keys):
     server = server_factory()
     with ServingClient(port=server.port) as client:
         assert "npz" in _bad_request(client, "register_key", [out.getvalue()])
+
+
+def test_a_key_with_digit_zero_samples_is_refused_by_its_shape(server_factory, wire_keys):
+    """A key of the earlier ``(k·N, t, base, n+1)`` key-switching layout is a
+    typed, non-retryable refusal naming the expected shape, and the same
+    connection then registers the current key and serves a gate."""
+    secret, cloud = wire_keys
+    ks = TEST_TINY.keyswitch
+    expected = (TEST_TINY.k * TEST_TINY.N, ks.length, ks.base - 1, TEST_TINY.n + 1)
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        request = client.submit("register_key", pack_parts([old_layout_key(cloud)]))
+        with pytest.raises(ServerError) as excinfo:
+            client.result(request)
+        assert excinfo.value.kind == "bad_request" and not excinfo.value.retryable
+        assert "'keyswitch' has rank 4" in str(excinfo.value)
+        assert f"expected {expected}" in str(excinfo.value)
+        client.register_key(cloud)
+        ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
+        assert decrypt_bit(secret, client.gate("nand", ca, cb)) == 0
 
 
 def test_malformed_key_header_is_a_bad_request_not_internal(
