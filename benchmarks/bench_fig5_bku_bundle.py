@@ -1,13 +1,10 @@
 """Figures 4-5: bootstrapping-key unrolling truth table and bundle construction."""
 
-from repro.core.bku import (
-    UnrolledBlindRotator,
-    bootstrapping_key_size_bytes,
-    generate_unrolled_bootstrapping_key,
-    indicator_message,
-)
-from repro.tfhe.keys import generate_secret_key
+from repro.arch.memory import bootstrapping_key_bytes
+from repro.core.bku import UnrolledBlindRotator
+from repro.tfhe.keys import generate_bootstrapping_key, generate_secret_key, indicator_message
 from repro.tfhe.params import PAPER_110BIT, TEST_TINY
+from repro.tfhe.tgsw import tgsw_transform
 from repro.tfhe.transform import NaiveNegacyclicTransform
 from repro.utils.tables import format_table
 import numpy as np
@@ -41,15 +38,16 @@ def test_fig5_bundle_construction(benchmark, record_result):
     params = TEST_TINY
     transform = NaiveNegacyclicTransform(params.N)
     secret = generate_secret_key(params, rng=1)
-    key = generate_unrolled_bootstrapping_key(secret, transform, 2, rng=2)
-    rotator = UnrolledBlindRotator(key, transform)
+    key = generate_bootstrapping_key(secret, transform, 2, rng=2)
+    spectra = [tgsw_transform(sample, transform) for sample in key]
+    rotator = UnrolledBlindRotator(spectra, params, 2, transform)
     bara = (np.arange(params.n, dtype=np.int64) % (2 * params.N))[None]  # one row
 
-    bundle = benchmark(rotator.build_bundle, key.groups[0], bara)
+    bundle = benchmark(rotator.build_bundle, rotator.groups[0], bara)
     assert bundle.rows == (params.k + 1) * params.l
 
     rows = [
-        [m, (1 << m) - 1, f"{bootstrapping_key_size_bytes(PAPER_110BIT, m) / 2**20:.1f} MiB"]
+        [m, (1 << m) - 1, f"{bootstrapping_key_bytes(PAPER_110BIT, m, transformed=False) / 2**20:.1f} MiB"]
         for m in (1, 2, 3, 4, 5)
     ]
     text = format_table(

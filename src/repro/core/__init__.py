@@ -23,11 +23,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         ".lifting": ("DyadicCoefficient", "LiftingRotation", "LiftingRotationArray"),
         ".integer_fft": ("ApproximateNegacyclicTransform",),
-        ".bku": (
-            "UnrolledBlindRotator",
-            "UnrolledBootstrappingKey",
-            "generate_unrolled_bootstrapping_key",
-        ),
+        ".bku": ("UnrolledBlindRotator",),
         ".accelerator": ("MatchaAccelerator", "MatchaConfig"),
     },
 )

@@ -27,7 +27,7 @@ what ``TFHEGateEvaluator(cloud)`` and ``generate_cloud_key(eager=True)`` use.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.tfhe.keys import (
 )
 from repro.tfhe.keyswitch import KeySwitchKey
 from repro.tfhe.lwe import LweBatch, LweSample
-from repro.tfhe.tgsw import BootstrapWorkspace, TgswSample, tgsw_transform
+from repro.tfhe.tgsw import BootstrapWorkspace, TransformedTgswSample, tgsw_transform
 from repro.tfhe.transform import EngineFault, NegacyclicTransform
 from repro.utils.rng import SeedLike, make_rng
 
@@ -70,23 +70,12 @@ def same_cloud_key(a: TFHECloudKey, b: TFHECloudKey) -> bool:
         b.transform_spec,
     ):
         return False
-    samples_a, samples_b = _tgsw_samples(a), _tgsw_samples(b)
+    samples_a, samples_b = a.bootstrapping_key, b.bootstrapping_key
     return (
         len(samples_a) == len(samples_b)
         and all(np.array_equal(x.data, y.data) for x, y in zip(samples_a, samples_b))
         and np.array_equal(a.keyswitch_key.data, b.keyswitch_key.data)
     )
-
-
-def _tgsw_samples(cloud_key: TFHECloudKey) -> List[TgswSample]:
-    """Every coefficient-domain TGSW sample of a key, classical or unrolled."""
-    if cloud_key.bootstrapping_key is not None:
-        return cloud_key.bootstrapping_key
-    return [
-        sample
-        for group in cloud_key.unrolled_groups or ()
-        for sample in group.samples
-    ]
 
 
 def resolve_engine(
@@ -136,8 +125,6 @@ class FheContext:
         self._rotator: Optional[BlindRotator] = None
         self._scalar_evaluator: Optional[TFHEGateEvaluator] = None
         self._batch_evaluators: Dict[int, BatchGateEvaluator] = {}
-        #: TGSW samples held in the spectrum cache (0 until first use).
-        self.cached_tgsw_samples = 0
         #: Scratch buffers of the fused external-product kernel, shared by
         #: every bootstrapping this context runs (all rotator steps, all
         #: evaluators, every scheduler flush) — allocated once, reused for
@@ -179,7 +166,9 @@ class FheContext:
     def rotator(self) -> BlindRotator:
         """The blind rotator over the spectrum-cached bootstrapping key."""
         if self._rotator is None:
-            self._rotator = self._build_rotator()
+            self.install_spectra(
+                [tgsw_transform(sample, self.engine) for sample in self.cloud_key.bootstrapping_key]
+            )
         return self._rotator
 
     @property
@@ -187,24 +176,37 @@ class FheContext:
         """Whether the cloud-key spectrum cache has been built yet."""
         return self._rotator is not None
 
-    def install_rotator(self, rotator: BlindRotator, cached_tgsw_samples: int) -> None:
-        """Adopt an externally built blind rotator for this context.
+    @property
+    def cached_tgsw_samples(self) -> int:
+        """TGSW samples held in the spectrum cache (0 until first use)."""
+        return 0 if self._rotator is None else len(self._rotator.bootstrapping_key)
 
-        Used by :mod:`repro.runtime.workers`: a pool worker reconstructs the
-        rotator from spectral tensors that live in a read-only shared-memory
-        segment, so every worker process maps the *same* physical cloud-key
-        spectrum cache instead of forward-transforming its own copy.  The
-        installed rotator must have been built for this context's cloud key
-        and engine; installing over an already-built cache is refused (the
-        two caches would silently diverge from the context's counters).
+    def install_spectra(self, spectra: Sequence[TransformedTgswSample]) -> None:
+        """Build this context's blind rotator over transformed key samples.
+
+        The one place a rotator is built: :attr:`rotator` passes the
+        forward transforms of the cloud key's samples; a pool worker
+        (:mod:`repro.runtime.workers`) passes read-only views into a
+        shared-memory segment, so every worker process maps the *same*
+        physical cloud-key spectrum cache instead of forward-transforming
+        its own copy.  ``spectra`` must be this key's samples in this
+        context's engine; installing over an already-built cache is refused
+        (the two caches would silently diverge).
         """
         if self._rotator is not None:
             raise RuntimeError(
-                "context already built its spectrum cache; install_rotator "
+                "context already built its spectrum cache; install_spectra "
                 "must run before the first bootstrap"
             )
-        self._rotator = rotator
-        self.cached_tgsw_samples = int(cached_tgsw_samples)
+        if self.unroll_factor == 1:
+            self._rotator = CmuxBlindRotator(spectra, self.engine, workspace=self.workspace)
+            return
+        # Imported lazily: repro.core builds on repro.tfhe, not the reverse.
+        from repro.core.bku import UnrolledBlindRotator
+
+        self._rotator = UnrolledBlindRotator(
+            spectra, self.params, self.unroll_factor, self.engine, workspace=self.workspace
+        )
 
     def failover(self, reason: str = "engine fault") -> None:
         """Rebuild the engine from its own spec after a runtime fault.
@@ -240,7 +242,6 @@ class FheContext:
         self._rotator = None
         self._scalar_evaluator = None
         self._batch_evaluators = {}
-        self.cached_tgsw_samples = 0
         self.workspace.clear()
         self.workspace = BootstrapWorkspace()
 
@@ -258,31 +259,9 @@ class FheContext:
         tgsw_polys = (params.k + 1) * params.l * (params.k + 1)
         return (
             self.cloud_key.keyswitch_key.data.nbytes
-            + self.cloud_key.tgsw_sample_count * tgsw_polys * params.N * 4
+            + len(self.cloud_key.bootstrapping_key) * tgsw_polys * params.N * 4
             + self.cached_tgsw_samples * tgsw_polys * (params.N // 2) * 16
         )
-
-    def _build_rotator(self) -> BlindRotator:
-        cloud = self.cloud_key
-        if cloud.unroll_factor == 1:
-            if cloud.bootstrapping_key is None:
-                raise ValueError("cloud key carries no bootstrapping key material")
-            transformed = [
-                tgsw_transform(sample, self.engine)
-                for sample in cloud.bootstrapping_key
-            ]
-            self.cached_tgsw_samples = len(transformed)
-            return CmuxBlindRotator(transformed, self.engine, workspace=self.workspace)
-        if cloud.unrolled_groups is None:
-            raise ValueError("cloud key carries no unrolled key material")
-        # Imported lazily: repro.core builds on repro.tfhe, not the reverse.
-        from repro.core.bku import UnrolledBlindRotator, transform_unrolled_key
-
-        key = transform_unrolled_key(
-            cloud.unrolled_groups, self.params, cloud.unroll_factor, self.engine
-        )
-        self.cached_tgsw_samples = key.tgsw_key_count
-        return UnrolledBlindRotator(key, self.engine, workspace=self.workspace)
 
     # -- evaluation entry points ---------------------------------------------
     def evaluator(self) -> TFHEGateEvaluator:

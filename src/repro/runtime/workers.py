@@ -12,17 +12,18 @@ stops being capped by one Python interpreter:
   ``BatchScheduler`` one per *resident key*, however many clients share
   it — the parent writes one
   :class:`multiprocessing.shared_memory.SharedMemory` segment holding the serialized cloud key (the :mod:`repro.tfhe.serialize`
-  artifact, byte for byte what travels on the wire) and — for the
-  classical rotator under a plain-ndarray engine — the *packed spectral
-  tensors* of the parent's spectrum cache.  Workers map the segment and
-  build their :class:`repro.runtime.context.FheContext` around zero-copy
-  read-only views into those shared pages
-  (:meth:`repro.runtime.context.FheContext.install_rotator`), so ``k``
+  artifact, byte for byte what travels on the wire) and — under a
+  plain-ndarray engine — the *packed spectral tensors* of the parent's
+  spectrum cache, one per TGSW sample of the flat bootstrapping key, for
+  either rotator.  Workers map the segment and build their
+  :class:`repro.runtime.context.FheContext` around zero-copy read-only
+  views into those shared pages
+  (:meth:`repro.runtime.context.FheContext.install_spectra`), so ``k``
   workers share one physical copy of the bootstrapping-key spectra instead
-  of forward-transforming ``k`` private ones.  BKU-unrolled keys and the
-  approximate integer engine (whose spectra carry per-row fixed-point
-  scales) fall back to rebuilding the cache from the shared key bytes —
-  correctness is engine/rotator independent, only the sharing depth varies.
+  of forward-transforming ``k`` private ones.  The approximate integer
+  engine (whose spectra carry per-row fixed-point scales) falls back to
+  rebuilding the cache from the shared key bytes — correctness is engine
+  independent, only the sharing depth varies.
 * **Crash → requeue, not corruption.**  Each worker owns a duplex pipe and
   at most one outstanding task.  A worker that dies mid-task (EOF/broken
   pipe), exceeds the task timeout, or returns a result that fails
@@ -81,7 +82,6 @@ from repro.runtime.scheduler import (
     measure_rows,
 )
 from repro.telemetry import Telemetry
-from repro.tfhe.bootstrap import CmuxBlindRotator
 from repro.tfhe.lwe import LweSample
 from repro.tfhe.serialize import from_bytes, to_pieces
 from repro.tfhe.tgsw import TransformedTgswSample
@@ -138,28 +138,24 @@ def _pack_client_segment(context: FheContext) -> shared_memory.SharedMemory:
     Layout: ``u64 header_len | header JSON | cloud-key artifact bytes |
     (aligned) packed spectral tensor bytes``.  The spectrum section is
     present only when the parent's cache is a stack of plain ndarrays of one
-    dtype/shape (classical rotator, naive/double engines); otherwise workers
+    dtype/shape (naive/double engines, either rotator); otherwise workers
     rebuild their cache from the key bytes.
     """
     key_pieces = [memoryview(p).cast("B") for p in to_pieces(context.cloud_key)]
     key_len = sum(len(piece) for piece in key_pieces)
     spectrum_meta: Optional[Dict[str, Any]] = None
-    tensors: List[np.ndarray] = []
-    if context.cloud_key.unroll_factor == 1:
-        rotator = context.rotator  # builds the parent cache once
-        if isinstance(rotator, CmuxBlindRotator):
-            tensors = [sample.tensor for sample in rotator.bootstrapping_key]
-            if all(isinstance(t, np.ndarray) for t in tensors) and (
-                len({(t.shape, t.dtype.str) for t in tensors}) == 1
-            ):
-                first = rotator.bootstrapping_key[0]
-                spectrum_meta = {
-                    "dtype": tensors[0].dtype.str,
-                    "shape": [len(tensors), *tensors[0].shape],
-                    "rows": first.rows,
-                    "mask_count": first.mask_count,
-                    "degree": first.degree,
-                }
+    key = context.rotator.bootstrapping_key  # builds the parent cache once
+    tensors = [sample.tensor for sample in key]
+    if all(isinstance(t, np.ndarray) for t in tensors) and (
+        len({(t.shape, t.dtype.str) for t in tensors}) == 1
+    ):
+        spectrum_meta = {
+            "dtype": tensors[0].dtype.str,
+            "shape": [len(tensors), *tensors[0].shape],
+            "rows": key[0].rows,
+            "mask_count": key[0].mask_count,
+            "degree": key[0].degree,
+        }
     # Record the parent context's engine spec so workers rebuild the SAME
     # engine even when it is not the one the key records (a context built on
     # an engine instance in process, e.g. ``approx`` over a ``double`` key).
@@ -244,21 +240,17 @@ def _context_from_segment(segment: shared_memory.SharedMemory) -> FheContext:
             offset=_align(key_offset + key_len),
         )
         tensor.setflags(write=False)
-        samples = [
-            TransformedTgswSample(
-                tensor=tensor[i],
-                params=cloud.params.tgsw,
-                mask_count=int(meta["mask_count"]),
-                degree=int(meta["degree"]),
-                rows=int(meta["rows"]),
-            )
-            for i in range(shape[0])
-        ]
-        context.install_rotator(
-            CmuxBlindRotator(
-                samples, context.engine, workspace=context.workspace
-            ),
-            cached_tgsw_samples=len(samples),
+        context.install_spectra(
+            [
+                TransformedTgswSample(
+                    tensor=tensor[i],
+                    params=cloud.params.tgsw,
+                    mask_count=int(meta["mask_count"]),
+                    degree=int(meta["degree"]),
+                    rows=int(meta["rows"]),
+                )
+                for i in range(shape[0])
+            ]
         )
     return context
 

@@ -20,7 +20,7 @@ key's default evaluation state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.tfhe.keyswitch import KeySwitchKey, keyswitch_key_generate
 from repro.tfhe.lwe import LweKey, lwe_key_generate
@@ -57,34 +57,23 @@ def group_indices(n: int, unroll_factor: int) -> List[List[int]]:
     ]
 
 
-@dataclass
-class RawUnrolledGroup:
-    """Coefficient-domain BKU key material of one group of secret-key bits.
-
-    ``samples[pattern - 1]`` is the TGSW encryption of the indicator product
-    of ``pattern`` (patterns are ``1 .. 2^size − 1``), still in the
-    coefficient domain — the serializable counterpart of
-    :class:`repro.core.bku.UnrolledKeyGroup`.
-    """
-
-    indices: List[int]
-    samples: List[TgswSample]
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    @property
-    def pattern_count(self) -> int:
-        return (1 << self.size) - 1
+def indicator_message(bits: Sequence[int], pattern: int) -> int:
+    """The plaintext ``Π s_j^{p_j} (1 − s_j)^{1 − p_j}`` for a bit pattern."""
+    product = 1
+    for j, bit in enumerate(bits):
+        selected = (pattern >> j) & 1
+        product *= bit if selected else (1 - bit)
+    return product
 
 
 @dataclass
 class TFHECloudKey:
     """The server-side (public) evaluation key material — pure data.
 
-    Exactly one of ``bootstrapping_key`` (classical, ``unroll_factor == 1``)
-    and ``unrolled_groups`` (BKU, ``unroll_factor >= 2``) is populated.
+    ``bootstrapping_key`` is one flat list of coefficient-domain TGSW samples
+    for every unroll factor (see :func:`generate_bootstrapping_key`): at
+    ``unroll_factor == 1`` one per key bit, under BKU the ``2^|g| − 1``
+    indicator encryptions of each group ``g`` in turn.
     ``transform_spec`` records the engine the key was generated for (``None``
     for ad-hoc engines, e.g. test proxies — such keys still evaluate through
     the attached engine instance but cannot be serialized).
@@ -99,8 +88,7 @@ class TFHECloudKey:
     keyswitch_key: KeySwitchKey
     unroll_factor: int
     transform_spec: Optional[TransformSpec]
-    bootstrapping_key: Optional[List[TgswSample]] = None
-    unrolled_groups: Optional[List[RawUnrolledGroup]] = None
+    bootstrapping_key: List[TgswSample]
     #: Engine instance the key was generated with (kept so the default
     #: context reuses it — same counters, bit-identical behaviour); rebuilt
     #: from ``transform_spec`` after deserialization.
@@ -117,15 +105,6 @@ class TFHECloudKey:
             self._context = FheContext(self, engine=self._engine)
         return self._context
 
-    @property
-    def tgsw_sample_count(self) -> int:
-        """Number of TGSW ciphertexts in the bootstrapping key material."""
-        if self.bootstrapping_key is not None:
-            return len(self.bootstrapping_key)
-        if self.unrolled_groups is not None:
-            return sum(group.pattern_count for group in self.unrolled_groups)
-        return 0
-
 
 def generate_secret_key(
     params: TFHEParameters, rng: SeedLike = None
@@ -140,25 +119,33 @@ def generate_secret_key(
     )
 
 
-def generate_bootstrapping_key_material(
+def generate_bootstrapping_key(
     secret: TFHESecretKey,
     transform: NegacyclicTransform,
+    unroll_factor: int,
     rng: SeedLike = None,
 ) -> List[TgswSample]:
-    """The classical bootstrapping key, coefficient domain: one TGSW per key bit."""
+    """The bootstrapping key, coefficient domain, as one flat TGSW list.
+
+    For each group ``g`` of :func:`group_indices` in turn, the encryptions of
+    the indicators of patterns ``1 … 2^|g| − 1`` (Figure 5).  At
+    ``unroll_factor == 1`` the one indicator of a group is its key bit, so
+    this is the classical key: one TGSW sample per bit.
+    """
     rng = make_rng(rng)
     params = secret.params
-    key_bits = secret.lwe_key.key
+    key_bits = [int(bit) for bit in secret.lwe_key.key]
     return [
         tgsw_encrypt(
             secret.tlwe_key,
-            int(key_bits[i]),
+            indicator_message([key_bits[i] for i in indices], pattern),
             params.tgsw,
             transform,
             noise_stddev=params.tlwe.noise_stddev,
             rng=rng,
         )
-        for i in range(params.n)
+        for indices in group_indices(params.n, unroll_factor)
+        for pattern in range(1, 1 << len(indices))
     ]
 
 
@@ -172,33 +159,18 @@ def generate_cloud_key(
     """Derive the server-side evaluation key from a secret key.
 
     ``unroll_factor`` selects the blind-rotation strategy: ``1`` generates the
-    classical per-bit key, ``m >= 2`` the BKU key material of
-    :mod:`repro.core.bku` with ``2^m − 1`` TGSW samples per group of ``m``
-    LWE key bits.  With ``eager=True`` (the default) the key's default
-    evaluation context is built immediately — the bootstrapping-key spectra
-    are transformed here, at key-generation time; pass ``eager=False`` to
-    defer the spectrum cache to first use (what
-    :func:`repro.tfhe.serialize.load_cloud_key` does).
+    classical per-bit key, ``m >= 2`` the BKU key of :mod:`repro.core.bku`
+    with ``2^m − 1`` TGSW samples per group of ``m`` LWE key bits.  With
+    ``eager=True`` (the default) the key's default evaluation context is
+    built immediately — the bootstrapping-key spectra are transformed here,
+    at key-generation time; pass ``eager=False`` to defer the spectrum cache
+    to first use (what :func:`repro.tfhe.serialize.load_cloud_key` does).
     """
     rng = make_rng(rng)
     params = secret.params
     if transform is None:
         transform = make_transform("double", params.N)
-    if unroll_factor < 1:
-        raise ValueError("unroll factor must be >= 1")
-
-    if unroll_factor == 1:
-        bootstrapping_key = generate_bootstrapping_key_material(secret, transform, rng)
-        unrolled_groups = None
-    else:
-        # Imported lazily: repro.core builds on repro.tfhe, not the reverse.
-        from repro.core.bku import generate_unrolled_key_material
-
-        unrolled_groups = generate_unrolled_key_material(
-            secret, transform, unroll_factor, rng
-        )
-        bootstrapping_key = None
-
+    bootstrapping_key = generate_bootstrapping_key(secret, transform, unroll_factor, rng)
     keyswitch_key = keyswitch_key_generate(
         secret.extracted_key, secret.lwe_key, params.keyswitch, rng
     )
@@ -208,7 +180,6 @@ def generate_cloud_key(
         unroll_factor=unroll_factor,
         transform_spec=transform.spec(),
         bootstrapping_key=bootstrapping_key,
-        unrolled_groups=unrolled_groups,
         _engine=transform,
     )
     if eager:

@@ -89,7 +89,7 @@ from typing import (
 import numpy as np
 
 from repro.tfhe.integers import RadixInt
-from repro.tfhe.keys import RawUnrolledGroup, TFHECloudKey, TFHESecretKey, group_indices
+from repro.tfhe.keys import TFHECloudKey, TFHESecretKey, group_indices
 from repro.tfhe.keyswitch import KeySwitchKey
 from repro.tfhe.lwe import LweBatch, LweKey, LweSample
 from repro.tfhe.netlist import Circuit, Node
@@ -447,19 +447,12 @@ def _cloud_key_archive(cloud: TFHECloudKey):
         "unroll_factor": cloud.unroll_factor,
         "transform": cloud.transform_spec.to_json(),
     }
-    arrays: Dict[str, Any] = {"keyswitch": cloud.keyswitch_key.data}
-    if cloud.unroll_factor == 1:
-        if cloud.bootstrapping_key is None:
-            raise SerializationError("cloud key carries no bootstrapping key material")
-        arrays["bootstrapping_key"] = _Stacked(s.data for s in cloud.bootstrapping_key)
-    else:
-        if cloud.unrolled_groups is None:
-            raise SerializationError("cloud key carries no unrolled key material")
-        # Group boundaries are deterministic (group_indices(n, m)), so the
-        # flat sample stack plus the unroll factor fully describe the key.
-        arrays["unrolled_key"] = _Stacked(
-            sample.data for group in cloud.unrolled_groups for sample in group.samples
-        )
+    # Group boundaries are deterministic (group_indices(n, m)), so the flat
+    # sample stack plus the unroll factor fully describe the key.
+    arrays: Dict[str, Any] = {
+        "keyswitch": cloud.keyswitch_key.data,
+        "bootstrapping_key": _Stacked(s.data for s in cloud.bootstrapping_key),
+    }
     return meta, arrays
 
 
@@ -484,35 +477,16 @@ def _cloud_key_from_archive(meta, arrays) -> TFHECloudKey:
     try:  # n is pinned to real bytes by now, so the group list is bounded
         unroll_factor = int(meta["unroll_factor"])
         spec = TransformSpec.from_json(meta["transform"])
-        groups = group_indices(params.n, unroll_factor)
+        samples = sum((1 << len(g)) - 1 for g in group_indices(params.n, unroll_factor))
     except _HEADER_ERRORS as exc:
         raise SerializationError(f"malformed cloud key header: {exc!r}") from exc
-    tgsw_shape = ((k + 1) * params.l, k + 1, big_n)
-    bootstrapping_key = None
-    unrolled_groups = None
-    if unroll_factor == 1:
-        stacked = _require(arrays, "bootstrapping_key", (params.n, *tgsw_shape))
-        bootstrapping_key = [TgswSample(data=row, params=params.tgsw) for row in stacked]
-    else:
-        counts = [(1 << len(indices)) - 1 for indices in groups]
-        flat = iter(_require(arrays, "unrolled_key", (sum(counts), *tgsw_shape)))
-        unrolled_groups = [
-            RawUnrolledGroup(
-                indices=list(indices),
-                samples=[
-                    TgswSample(data=next(flat), params=params.tgsw)
-                    for _ in range(count)
-                ],
-            )
-            for indices, count in zip(groups, counts)
-        ]
+    stacked = _require(arrays, "bootstrapping_key", (samples, (k + 1) * params.l, k + 1, big_n))
     return TFHECloudKey(
         params=params,
         keyswitch_key=keyswitch_key,
         unroll_factor=unroll_factor,
         transform_spec=spec,
-        bootstrapping_key=bootstrapping_key,
-        unrolled_groups=unrolled_groups,
+        bootstrapping_key=[TgswSample(data=row, params=params.tgsw) for row in stacked],
     )
 
 

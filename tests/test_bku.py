@@ -3,21 +3,29 @@
 import numpy as np
 import pytest
 
-from repro.core.bku import (
-    UnrolledBlindRotator,
-    bootstrapping_key_size_bytes,
-    generate_unrolled_bootstrapping_key,
+from repro.arch.memory import bootstrapping_key_bytes, tgsw_ciphertext_bytes
+from repro.core.bku import UnrolledBlindRotator, pattern_exponent, x_power_minus_one_polynomial
+from repro.tfhe.gates import MU, PLAINTEXT_GATES, TFHEGateEvaluator, decrypt_bit, encrypt_bit
+from repro.tfhe.keys import (
+    generate_bootstrapping_key,
+    generate_cloud_key,
+    generate_secret_key,
     group_indices,
     indicator_message,
-    pattern_exponent,
-    x_power_minus_one_polynomial,
 )
-from repro.tfhe.gates import MU, PLAINTEXT_GATES, TFHEGateEvaluator, decrypt_bit, encrypt_bit
-from repro.tfhe.keys import generate_cloud_key, generate_keys, generate_secret_key
 from repro.tfhe.lwe import gate_message, lwe_encrypt, lwe_phase
 from repro.tfhe.params import TEST_TINY
 from repro.tfhe.bootstrap import blind_rotate_and_extract, make_test_vector
+from repro.tfhe.tgsw import tgsw_transform
 from repro.tfhe.transform import NaiveNegacyclicTransform
+
+
+def _rotator(m: int, secret_seed: int, key_seed: int) -> tuple:
+    transform = NaiveNegacyclicTransform(TEST_TINY.N)
+    secret = generate_secret_key(TEST_TINY, rng=secret_seed)
+    key = generate_bootstrapping_key(secret, transform, m, rng=key_seed)
+    spectra = [tgsw_transform(sample, transform) for sample in key]
+    return secret, UnrolledBlindRotator(spectra, TEST_TINY, m, transform)
 
 
 class TestGrouping:
@@ -85,20 +93,44 @@ class TestXPowerMinusOne:
 class TestUnrolledKeyMaterial:
     @pytest.mark.parametrize("m,expected_keys", [(1, 1), (2, 3), (3, 7), (4, 15)])
     def test_keys_per_group(self, m, expected_keys):
-        transform = NaiveNegacyclicTransform(TEST_TINY.N)
-        secret = generate_secret_key(TEST_TINY, rng=81)
-        key = generate_unrolled_bootstrapping_key(secret, transform, m, rng=82)
-        assert key.groups[0].pattern_count == expected_keys
-        assert key.unroll_factor == m
+        _, rotator = _rotator(m, 81, 82)
+        indices, keys = rotator.groups[0]
+        assert indices == list(range(m))
+        assert len(keys) == expected_keys
+        assert rotator.unroll_factor == m
 
     def test_group_count_is_ceil_n_over_m(self):
-        transform = NaiveNegacyclicTransform(TEST_TINY.N)
-        secret = generate_secret_key(TEST_TINY, rng=83)
-        key = generate_unrolled_bootstrapping_key(secret, transform, 3, rng=84)
-        assert key.external_products_per_bootstrap == -(-TEST_TINY.n // 3)
+        _, rotator = _rotator(3, 83, 84)
+        assert rotator.external_products_per_bootstrap == -(-TEST_TINY.n // 3)
+
+    def test_groups_slice_the_flat_key_in_order(self):
+        _, rotator = _rotator(3, 83, 84)
+        flat = [key for _, keys in rotator.groups for key in keys]
+        assert len(flat) == len(rotator.bootstrapping_key)
+        assert all(a is b for a, b in zip(flat, rotator.bootstrapping_key))
+
+    def test_a_key_of_the_wrong_length_is_refused(self):
+        _, rotator = _rotator(2, 83, 84)
+        with pytest.raises(ValueError, match="holds 24 TGSW samples, got 23"):
+            UnrolledBlindRotator(
+                rotator.bootstrapping_key[:-1], TEST_TINY, 2, rotator.transform
+            )
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_key_length_matches_the_memory_model(self, m):
+        """The flat key's bytes are ``arch.memory``'s coefficient-domain size."""
+        secret = generate_secret_key(TEST_TINY, rng=87)
+        cloud = generate_cloud_key(
+            secret, NaiveNegacyclicTransform(TEST_TINY.N), m, rng=88, eager=False
+        )
+        assert len(cloud.bootstrapping_key) * tgsw_ciphertext_bytes(
+            TEST_TINY, transformed=False
+        ) == bootstrapping_key_bytes(TEST_TINY, m, transformed=False)
 
     def test_key_size_grows_exponentially_with_m(self):
-        sizes = [bootstrapping_key_size_bytes(TEST_TINY, m) for m in (1, 2, 3, 4)]
+        sizes = [
+            bootstrapping_key_bytes(TEST_TINY, m, transformed=False) for m in (1, 2, 3, 4)
+        ]
         assert sizes[1] > sizes[0]
         assert sizes[2] >= 1.5 * sizes[1]
         assert sizes[3] >= 1.5 * sizes[2]
@@ -110,10 +142,7 @@ class TestUnrolledKeyMaterial:
 class TestUnrolledBlindRotation:
     @pytest.mark.parametrize("m", [2, 3])
     def test_bootstrap_sign_correct(self, m):
-        transform = NaiveNegacyclicTransform(TEST_TINY.N)
-        secret = generate_secret_key(TEST_TINY, rng=85)
-        key = generate_unrolled_bootstrapping_key(secret, transform, m, rng=86)
-        rotator = UnrolledBlindRotator(key, transform)
+        secret, rotator = _rotator(m, 85, 86)
         for bit in (0, 1):
             sample = lwe_encrypt(secret.lwe_key, gate_message(bit), rng=87 + bit)
             extracted = blind_rotate_and_extract(
@@ -123,15 +152,12 @@ class TestUnrolledBlindRotation:
             assert (int(phase) > 0) == bool(bit)
 
     def test_rotator_counters_advance(self):
-        transform = NaiveNegacyclicTransform(TEST_TINY.N)
-        secret = generate_secret_key(TEST_TINY, rng=89)
-        key = generate_unrolled_bootstrapping_key(secret, transform, 2, rng=90)
-        rotator = UnrolledBlindRotator(key, transform)
+        secret, rotator = _rotator(2, 89, 90)
         sample = lwe_encrypt(secret.lwe_key, gate_message(1), rng=91)
         blind_rotate_and_extract(
             sample, make_test_vector(TEST_TINY, int(MU)), rotator, TEST_TINY
         )
-        assert rotator.external_products == key.external_products_per_bootstrap
+        assert rotator.external_products == rotator.external_products_per_bootstrap
         assert rotator.bundles_built == rotator.external_products
 
 

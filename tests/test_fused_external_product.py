@@ -7,8 +7,9 @@ blind-rotation step kernel built on it (``X^p·ACC`` read as a window of
 scratch) must be **bit-identical** to the per-digit-plane reference loop for
 every engine, every batch width and both rotators.  These tests pin that down
 against the reference implementations kept in-tree (``tgsw_*_reference`` /
-``rotate[_batch]_reference``; the key switch against the digit-by-digit
-oracle of ``keyswitch_oracle``), including
+``CmuxBlindRotator.rotate[_batch]_reference``; the BKU rotator against the
+per-(row, col) oracle of ``bku_oracle``, the key switch against the
+digit-by-digit oracle of ``keyswitch_oracle``), including
 rotation edge powers, per-row test vectors, workspace aliasing across calls
 and the logical transform counters.
 """
@@ -18,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bku_oracle import rotate_batch_oracle, rotate_oracle
 from keyswitch_oracle import keyswitch_apply_batch_oracle, keyswitch_apply_oracle
-from repro.core.bku import UnrolledBlindRotator, generate_unrolled_bootstrapping_key
+from repro.core.bku import UnrolledBlindRotator
 from repro.tfhe.bootstrap import (
     CmuxBlindRotator,
     blind_rotate_and_extract_batch,
@@ -27,7 +29,7 @@ from repro.tfhe.bootstrap import (
     programmable_bootstrap,
     programmable_bootstrap_batch,
 )
-from repro.tfhe.keys import generate_keys, generate_secret_key
+from repro.tfhe.keys import generate_bootstrapping_key, generate_keys, generate_secret_key
 from repro.tfhe.keyswitch import keyswitch_apply, keyswitch_apply_batch
 from repro.tfhe.lwe import (
     LweBatch,
@@ -178,6 +180,13 @@ class TestCmuxRotateEdgePowers:
         assert np.array_equal(fused.data, reference.data)
 
 
+def _unrolled_rotator(engine, unroll_factor: int = 2) -> UnrolledBlindRotator:
+    secret = generate_secret_key(PARAMS, rng=91)
+    key = generate_bootstrapping_key(secret, engine, unroll_factor, rng=92)
+    spectra = [tgsw_transform(sample, engine) for sample in key]
+    return UnrolledBlindRotator(spectra, PARAMS, unroll_factor, engine)
+
+
 class TestBlindRotationBitIdentity:
     def test_cmux_rotator_fused_vs_reference(self, setup):
         transform, _, _, _ = setup
@@ -206,16 +215,14 @@ class TestBlindRotationBitIdentity:
     def test_unrolled_rotator_fused_vs_reference(self, setup):
         transform, _, _, _ = setup
         engine = make_transform(transform.engine_kind, PARAMS.N)
-        secret = generate_secret_key(PARAMS, rng=91)
-        key = generate_unrolled_bootstrapping_key(secret, engine, 2, rng=92)
-        rotator = UnrolledBlindRotator(key, engine)
+        rotator = _unrolled_rotator(engine)
         rng = np.random.default_rng(93)
         bara = rng.integers(0, 2 * PARAMS.N, PARAMS.n, dtype=np.int64)
         acc = TlweSample(
             rng.integers(-(2**31), 2**31, (PARAMS.k + 1, PARAMS.N)).astype(np.int32)
         )
         fused = rotator.rotate(acc.copy(), bara)
-        reference = rotator.rotate_reference(acc.copy(), bara)
+        reference = rotate_oracle(rotator, acc.copy(), bara)
         assert _sample_equal(fused, reference)
 
         batch_bara = rng.integers(0, 2 * PARAMS.N, (2, PARAMS.n), dtype=np.int64)
@@ -223,7 +230,7 @@ class TestBlindRotationBitIdentity:
             rng.integers(-(2**31), 2**31, (2, PARAMS.k + 1, PARAMS.N)).astype(np.int32)
         )
         fused_batch = rotator.rotate_batch(batch.copy(), batch_bara)
-        reference_batch = rotator.rotate_batch_reference(batch.copy(), batch_bara)
+        reference_batch = rotate_batch_oracle(rotator, batch.copy(), batch_bara)
         assert np.array_equal(fused_batch.data, reference_batch.data)
 
 
@@ -638,6 +645,35 @@ class TestBootstrapCounters:
             sample = TlweSample(batch.data[0])
             assert counts(lambda: rotator.rotate(sample, bara[0])) == expected
             assert counts(lambda: rotator.rotate_reference(sample, bara[0])) == expected
+
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    def test_counts_per_unrolled_blind_rotation(self, width):
+        """One logical external product per group, plus the bundles' factor
+        transforms and multiply-adds — what the per-(row, col) oracle counts."""
+        transform = make_transform("double", PARAMS.N)
+        rotator = _unrolled_rotator(transform)
+        rng = np.random.default_rng(212)
+        bara = rng.integers(1, 2 * PARAMS.N, (width, PARAMS.n), dtype=np.int64)
+        bara[:, 2:4] = 0  # every pattern of the second group vanishes
+        rows, cols = (PARAMS.k + 1) * PARAMS.l, PARAMS.k + 1
+        groups = len(rotator.groups)
+        batch = _random_batch(rng, width)
+
+        def counts(run):
+            transform.reset_stats()
+            run()
+            stats = transform.stats
+            return stats.forward_calls, stats.backward_calls, stats.pointwise_ops
+
+        fused = counts(lambda: rotator.rotate_batch(batch, bara))
+        assert fused == counts(lambda: rotate_batch_oracle(rotator, batch, bara))
+        assert fused[1] == groups * cols
+        assert fused[2] == (groups + 3 * (groups - 1)) * 2 * rows * cols
+        assert rotator.external_products == groups
+        if width == 1:
+            sample = TlweSample(batch.data[0])
+            assert counts(lambda: rotator.rotate(sample, bara[0])) == fused
+            assert counts(lambda: rotate_oracle(rotator, sample, bara[0])) == fused
 
 
 class TestLogicalCounters:

@@ -109,7 +109,7 @@ class TestSpectrumCacheCounters:
         fresh = NaiveNegacyclicTransform(params.N)
         context = FheContext(cloud, engine=fresh)
         _ = context.rotator
-        key_samples = cloud.tgsw_sample_count
+        key_samples = len(cloud.bootstrapping_key)
         assert key_samples == 3 * ((params.n + 1) // 2)  # (2^2-1) per group
         # One forward per key sample plus one for the identity gadget h.
         assert fresh.stats.forward_calls == key_samples + 1

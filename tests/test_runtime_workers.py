@@ -8,9 +8,9 @@ bootstrap runs, never its bits (rows are independent by the PR 1 batch
 property, and workers rebuild — or map — exactly the parent's key state).
 
 Also covered here: the shared-segment format (spectra are shared zero-copy
-for the classical rotator under plain-ndarray engines, rebuilt from key
-bytes for BKU and the approximate integer engine), registry lifecycle, and
-the pool's stats/health accounting in the fault-free path.
+for either rotator under plain-ndarray engines, rebuilt from key bytes for
+the approximate integer engine), registry lifecycle, and the pool's
+stats/health accounting in the fault-free path.
 """
 
 from __future__ import annotations
@@ -116,37 +116,40 @@ def test_scheduler_flush_through_pool(request, fixture):
     assert inline.stats.jobs_completed == pooled.stats.jobs_completed == 3
 
 
-def test_spectrum_is_shared_for_plain_engines(tiny_keys_naive, small_keys_double):
-    """Classical rotator + plain-ndarray engine → spectra ride the segment."""
-    for _, cloud in (tiny_keys_naive, small_keys_double):
-        context = cloud.default_context()
-        segment = _pack_client_segment(context)
-        try:
-            header = _segment_header(segment)
-            assert header["spectrum"] is not None
-            assert header["spectrum"]["shape"][0] == context.cached_tgsw_samples
-        finally:
-            segment.close()
-            segment.unlink()
+@pytest.mark.parametrize(
+    "fixture", ["tiny_keys_naive", "tiny_keys_naive_m2", "small_keys_double"]
+)
+def test_spectrum_is_shared_for_plain_engines(request, fixture):
+    """Plain-ndarray engine → spectra ride the segment, for either rotator."""
+    _, cloud = request.getfixturevalue(fixture)
+    context = cloud.default_context()
+    segment = _pack_client_segment(context)
+    try:
+        header = _segment_header(segment)
+        assert header["spectrum"] is not None
+        assert header["spectrum"]["shape"][0] == context.cached_tgsw_samples
+        assert context.cached_tgsw_samples == len(cloud.bootstrapping_key)
+    finally:
+        segment.close()
+        segment.unlink()
 
 
-def test_spectrum_falls_back_for_bku_and_approx(
-    tiny_keys_naive_m2, small_keys_approx_m2
-):
-    """BKU keys and IntegerSpectrum tensors rebuild from key bytes instead."""
-    for _, cloud in (tiny_keys_naive_m2, small_keys_approx_m2):
-        context = cloud.default_context()
-        segment = _pack_client_segment(context)
-        try:
-            assert _segment_header(segment)["spectrum"] is None
-        finally:
-            segment.close()
-            segment.unlink()
+def test_spectrum_falls_back_for_approx(small_keys_approx_m2):
+    """IntegerSpectrum tensors rebuild from key bytes instead."""
+    _, cloud = small_keys_approx_m2
+    context = cloud.default_context()
+    segment = _pack_client_segment(context)
+    try:
+        assert _segment_header(segment)["spectrum"] is None
+    finally:
+        segment.close()
+        segment.unlink()
 
 
-def test_context_from_segment_matches_parent(tiny_keys_naive):
+@pytest.mark.parametrize("fixture", ["tiny_keys_naive", "tiny_keys_naive_m2"])
+def test_context_from_segment_matches_parent(request, fixture):
     """A worker-side rebuilt context bootstraps bit-identically in-parent."""
-    secret, cloud = tiny_keys_naive
+    secret, cloud = request.getfixturevalue(fixture)
     parent = cloud.default_context()
     segment = _pack_client_segment(parent)
     try:
@@ -156,16 +159,17 @@ def test_context_from_segment_matches_parent(tiny_keys_naive):
             # The shared-spectrum path installed the rotator without a
             # single forward transform of bootstrapping-key material.
             assert rebuilt.spectra_cached
+            assert type(rebuilt.rotator) is type(parent.rotator)
             assert rebuilt.cached_tgsw_samples == parent.cached_tgsw_samples
             sample = encrypt_bit(secret, 1, rng=777)
             want = parent.bootstrap(sample)
             got = rebuilt.bootstrap(sample)
             assert np.array_equal(got.a, want.a) and int(got.b) == int(want.b)
             # The mapped spectra are read-only views into shared pages.
-            tensor = rebuilt.rotator.bootstrapping_key[0].tensor
-            assert not tensor.flags.writeable
+            for key in rebuilt.rotator.bootstrapping_key:
+                assert not key.tensor.flags.writeable
             with pytest.raises((ValueError, RuntimeError)):
-                tensor[...] = 0
+                rebuilt.rotator.bootstrapping_key[0].tensor[...] = 0
         finally:
             attached.close()
     finally:
@@ -173,12 +177,12 @@ def test_context_from_segment_matches_parent(tiny_keys_naive):
         segment.unlink()
 
 
-def test_install_rotator_refuses_after_cache_build(tiny_keys_naive):
+def test_install_spectra_refuses_after_cache_build(tiny_keys_naive):
     _, cloud = tiny_keys_naive
     context = FheContext(cloud)
     rotator = context.rotator  # builds the cache
     with pytest.raises(RuntimeError, match="already built"):
-        context.install_rotator(rotator, cached_tgsw_samples=1)
+        context.install_spectra(rotator.bootstrapping_key)
 
 
 def test_pool_stats_and_chunking(tiny_keys_naive):

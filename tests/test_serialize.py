@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import pathlib
@@ -111,7 +112,7 @@ class TestCloudKeyRoundTrip:
         serialize.save_cloud_key(path, cloud)
         loaded = serialize.load_cloud_key(path)
         assert loaded.unroll_factor == 2
-        assert loaded.tgsw_sample_count == cloud.tgsw_sample_count
+        assert len(loaded.bootstrapping_key) == len(cloud.bootstrapping_key) == 24
         ca, cb = encrypt_bit(secret, 1, rng=7), encrypt_bit(secret, 1, rng=8)
         expected = cloud.default_context().evaluator().and_(ca, cb)
         got = FheContext(loaded).evaluator().and_(ca, cb)
@@ -125,6 +126,34 @@ class TestCloudKeyRoundTrip:
         cloud.transform_spec = None
         with pytest.raises(SerializationError, match="unregistered engine"):
             serialize.save_cloud_key(tmp_path / "bad.tfhe", cloud)
+
+
+def _seeded_tiny_key(unroll_factor: int) -> TFHECloudKey:
+    engine = NaiveNegacyclicTransform(TEST_TINY.N)
+    _, cloud = generate_keys(TEST_TINY, engine, unroll_factor=unroll_factor, rng=38, eager=False)
+    return cloud
+
+
+class TestCloudKeyBytes:
+    """SHA-256 pins of seeded ``test-tiny`` keys: key generation draws the
+    same randomness in the same order whatever the key's in-memory layout."""
+
+    def test_an_m1_container_is_pinned_byte_for_byte(self):
+        blob = to_bytes(_seeded_tiny_key(1))
+        assert len(blob) == 572883
+        assert hashlib.sha256(blob).hexdigest() == (
+            "cda00457d5371d77b73810969585953a042021c2ac0385206b44bab1bd9d9850"
+        )
+
+    def test_an_m2_payload_is_pinned_byte_for_byte(self):
+        """The payload only — key-switching table, then the stacked TGSW
+        samples in group-major pattern order; the directory names them."""
+        blob = to_bytes(_seeded_tiny_key(2))
+        payload = blob[_payload_start(blob) :]
+        assert len(payload) == 4 * (64 * 4 * 31 * 17 + 24 * 4 * 2 * 64)
+        assert hashlib.sha256(payload).hexdigest() == (
+            "cec51f726bc129a0a26eca28689eace45fc9fde63ff3d1ce8d9089e94c919661"
+        )
 
 
 class TestCiphertextRoundTrip:
@@ -763,6 +792,17 @@ class TestLoaderChecks:
             decode(bytearray(blob))
         assert expected in str(caught.value)
 
+    @pytest.mark.parametrize("decode", [from_bytes, from_owned_buffer])
+    def test_an_unrolled_key_entry_is_refused_by_name(self, decode):
+        """The earlier BKU layout, its TGSW stack under ``unrolled_key``, is
+        refused by its directory, naming the entry every key now carries."""
+        blob = old_unrolled_key(_micro_artifacts()["cloud_key_m2"])
+        assert [name for name, _ in _directory(blob)] == ["keyswitch", "unrolled_key"]
+        with pytest.raises(
+            SerializationError, match="archive is missing the 'bootstrapping_key' entry"
+        ):
+            decode(bytearray(blob))
+
     def test_secret_key_shapes_are_checked(self, edit_artifact):
         blob = MICRO_BLOBS["secret_key"]
         with pytest.raises(SerializationError, match="'tlwe_key' has rank"):
@@ -777,6 +817,14 @@ def old_layout_key(cloud) -> bytes:
     n_in, t, _, width = ks.data.shape
     old = np.zeros((n_in, t, ks.params.base, width), dtype=np.int32)
     return to_bytes(replace(cloud, keyswitch_key=replace(ks, data=old)))
+
+
+def old_unrolled_key(cloud) -> bytes:
+    """``cloud`` (``m >= 2``) in a container naming its TGSW stack ``unrolled_key``."""
+    blob = to_bytes(cloud)
+    start = _payload_start(blob)
+    header = blob[10:start].replace(b'"bootstrapping_key"', b'"unrolled_key"')
+    return blob[:6] + struct.pack("<I", len(header)) + header + blob[start:]
 
 
 _ARTIFACT_TYPES = (TFHESecretKey, TFHECloudKey, LweSample, LweBatch, RadixInt)

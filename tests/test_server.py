@@ -36,7 +36,7 @@ import zlib
 import numpy as np
 import pytest
 from conftest import scrape
-from test_serialize import old_layout_key
+from test_serialize import old_layout_key, old_unrolled_key
 
 from repro.runtime import FheContext, ResilientClient, WorkerPool
 from repro.runtime import server as server_module
@@ -356,6 +356,25 @@ def test_a_key_with_digit_zero_samples_is_refused_by_its_shape(server_factory, w
         assert excinfo.value.kind == "bad_request" and not excinfo.value.retryable
         assert "'keyswitch' has rank 4" in str(excinfo.value)
         assert f"expected {expected}" in str(excinfo.value)
+        client.register_key(cloud)
+        ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
+        assert decrypt_bit(secret, client.gate("nand", ca, cb)) == 0
+
+
+def test_an_unrolled_key_entry_is_refused_by_name(server_factory):
+    """A BKU key of the earlier layout, its TGSW stack under ``unrolled_key``,
+    is a typed, non-retryable refusal naming ``bootstrapping_key``, and the
+    same connection then registers the current key and serves a gate."""
+    secret, cloud = generate_keys(
+        TEST_TINY, DoubleFFTNegacyclicTransform(TEST_TINY.N), 2, rng=62, eager=False
+    )
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        request = client.submit("register_key", pack_parts([old_unrolled_key(cloud)]))
+        with pytest.raises(ServerError) as excinfo:
+            client.result(request)
+        assert excinfo.value.kind == "bad_request" and not excinfo.value.retryable
+        assert "missing the 'bootstrapping_key' entry" in str(excinfo.value)
         client.register_key(cloud)
         ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
         assert decrypt_bit(secret, client.gate("nand", ca, cb)) == 0
