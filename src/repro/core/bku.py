@@ -35,7 +35,7 @@ from repro.tfhe.tgsw import (
     tgsw_identity,
     tgsw_transform,
 )
-from repro.tfhe.tlwe import TlweBatch, TlweSample
+from repro.tfhe.tlwe import TlweBatch
 from repro.tfhe.transform import NegacyclicTransform
 
 #: One group of the key: its LWE key indices and the transformed TGSW
@@ -84,7 +84,7 @@ class UnrolledBlindRotator:
     2. *external product* (EP core): ``ACC ← BKB ⊡ ACC``.
 
     Both run over the ``(B, k+1, N)`` accumulator stack with one bundle per
-    row (:meth:`rotate` is :meth:`rotate_batch` on a one-row view).
+    row, through the rotator's one entry, :meth:`rotate_batch`.
 
     The rotator is built from the same flat list of transformed TGSW samples
     a :class:`repro.tfhe.bootstrap.CmuxBlindRotator` takes — the key's
@@ -180,11 +180,6 @@ class UnrolledBlindRotator:
         )
 
     # -- pipeline stage 2: the EP core --------------------------------------
-    def rotate(self, accumulator: TlweSample, bara: np.ndarray) -> TlweSample:
-        """Blind-rotate one accumulator: :meth:`rotate_batch` on a 1-row view."""
-        batch = TlweBatch(accumulator.data[None])
-        return TlweSample(self.rotate_batch(batch, np.asarray(bara)[None]).data[0])
-
     def rotate_batch(self, accumulators: TlweBatch, bara: np.ndarray) -> TlweBatch:
         """BKU blind rotation: per group, one batched bundle then one product.
 

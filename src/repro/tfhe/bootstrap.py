@@ -9,11 +9,12 @@ each step an external product) dominates the latency of every gate; its FFT
 and IFFT kernels are the target of MATCHA's approximate integer transforms.
 
 This module holds lines 2–8 of the algorithm —
-:func:`blind_rotate_and_extract_batch` and its scalar twin — and the test
-polynomials they rotate (:func:`make_test_vector`, :func:`encode_lut`).  The
-key switch that completes a bootstrapping is composed with them in exactly one
-place, :meth:`repro.tfhe.gates.BatchGateEvaluator.bootstrap_rows`; the
-programmable bootstraps here hand their rows to it.
+:func:`blind_rotate_and_extract_batch`, over a batch of any width — and the
+test polynomials it rotates (:func:`make_test_vector`, :func:`encode_lut`).
+The key switch that completes a bootstrapping is composed with it in exactly
+one place, :meth:`repro.tfhe.gates.BatchGateEvaluator.bootstrap_rows`; the
+programmable bootstraps here hand their rows to it, and a single sample is a
+one-row batch.
 
 Two blind-rotation strategies are provided:
 
@@ -26,10 +27,10 @@ Two blind-rotation strategies are provided:
   (Figure 5), ``m`` secret-key bits per external product using a bundle built
   from ``2^m − 1`` TGSW keys.  MATCHA's pipelined datapath targets this form.
 
-Both rotate a ``(B, k+1, N)`` accumulator stack; their scalar ``rotate`` is
-``rotate_batch`` on a one-row view.  Rotation inputs are checked once per
-call: integer rotation amounts, one per row and key bit, and int32
-accumulators of the key's ``(k+1, N)``.
+Both rotate a ``(B, k+1, N)`` accumulator stack through their one entry,
+``rotate_batch``.  Rotation inputs are checked once per call: integer
+rotation amounts, one per row and key bit, and int32 accumulators of the
+key's ``(k+1, N)``.
 """
 
 from __future__ import annotations
@@ -41,22 +42,12 @@ import numpy as np
 
 from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.params import DigitEncoding, TFHEParameters
-from repro.tfhe.tgsw import (
-    BootstrapWorkspace,
-    TransformedTgswSample,
-    _StepKernel,
-    tgsw_batch_cmux_reference,
-    tgsw_cmux_reference,
-)
+from repro.tfhe.tgsw import BootstrapWorkspace, TransformedTgswSample, _StepKernel
 from repro.tfhe.tlwe import (
     TlweBatch,
-    TlweSample,
     tlwe_batch_rotate,
     tlwe_batch_sample_extract,
     tlwe_batch_trivial,
-    tlwe_rotate,
-    tlwe_sample_extract,
-    tlwe_trivial,
 )
 from repro.tfhe.torus import modswitch_from_torus32, modswitch_to_torus32
 from repro.tfhe.transform import NegacyclicTransform
@@ -65,12 +56,9 @@ from repro.tfhe.transform import NegacyclicTransform
 class BlindRotator(Protocol):
     """Strategy interface for the blind-rotation loop of Algorithm 1."""
 
-    def rotate(self, accumulator: TlweSample, bara: np.ndarray) -> TlweSample:
-        """Homomorphically multiply the accumulator by ``X^{Σ ā_i·s_i}``."""
-        ...
-
     def rotate_batch(self, accumulators: TlweBatch, bara: np.ndarray) -> TlweBatch:
-        """Blind-rotate a whole stack of accumulators, ``bara`` of shape ``(B, n)``."""
+        """Multiply every accumulator of the ``(B, k+1, N)`` stack by its own
+        ``X^{Σ ā_i·s_i}``, ``bara`` of shape ``(B, n)``."""
         ...
 
     @property
@@ -112,16 +100,13 @@ class CmuxBlindRotator:
     """Classical blind rotation: one CMux (external product) per key bit.
 
     Every step is the one step kernel of :mod:`repro.tfhe.tgsw` over the
-    ``(B, k+1, N)`` accumulator stack (:meth:`rotate` is :meth:`rotate_batch`
-    on a one-row view) — ``X^{ā_i}·ACC`` read as a window of
+    ``(B, k+1, N)`` accumulator stack — ``X^{ā_i}·ACC`` read as a window of
     ``[ACC, −ACC, ACC]``, the external product one stacked
     forward/contract/backward.  A rotation fetches the kernel bound to its
     batch shape once from the :class:`repro.tfhe.tgsw.BootstrapWorkspace`
     shared across all ``n`` steps (and across every bootstrapping that reuses
     this rotator), so a step resolves nothing and allocates only the
     accumulator it returns.
-    :meth:`rotate_reference` / :meth:`rotate_batch_reference` are the
-    per-digit-plane oracle for property tests.
     """
 
     def __init__(
@@ -137,11 +122,6 @@ class CmuxBlindRotator:
     @property
     def external_products_per_bootstrap(self) -> int:
         return len(self.bootstrapping_key)
-
-    def rotate(self, accumulator: TlweSample, bara: np.ndarray) -> TlweSample:
-        """Blind-rotate one accumulator: :meth:`rotate_batch` on a 1-row view."""
-        batch = TlweBatch(accumulator.data[None])
-        return TlweSample(self.rotate_batch(batch, np.asarray(bara)[None]).data[0])
 
     def rotate_batch(self, accumulators: TlweBatch, bara: np.ndarray) -> TlweBatch:
         """Rotate every in-flight accumulator in lockstep over the key bits.
@@ -175,43 +155,6 @@ class CmuxBlindRotator:
         finally:
             kernel.count(ran)
         return TlweBatch(acc.view(np.int32))
-
-    # -- per-digit-plane oracle (property tests) -----------------------------
-    def rotate_reference(self, accumulator: TlweSample, bara: np.ndarray) -> TlweSample:
-        """The reference step: materialised rotation + per-digit-plane CMux.
-
-        Rotates row by row (unlike the vectorised :func:`tlwe_rotate`).
-        """
-        from repro.tfhe.polynomial import poly_mul_by_xk
-
-        acc = accumulator
-        for i, bk_i in enumerate(self.bootstrapping_key):
-            power = int(bara[i])
-            if power == 0:
-                continue
-            rotated = TlweSample(
-                np.stack(
-                    [
-                        poly_mul_by_xk(acc.data[row], power)
-                        for row in range(acc.data.shape[0])
-                    ]
-                ).astype(np.int32)
-            )
-            acc = tgsw_cmux_reference(bk_i, rotated, acc, self.transform)
-        return acc
-
-    def rotate_batch_reference(
-        self, accumulators: TlweBatch, bara: np.ndarray
-    ) -> TlweBatch:
-        """Batched reference blind rotation (ground truth)."""
-        acc = accumulators
-        for i, bk_i in enumerate(self.bootstrapping_key):
-            powers = bara[:, i]
-            if not powers.any():
-                continue
-            rotated = tlwe_batch_rotate(acc, powers)
-            acc = tgsw_batch_cmux_reference(bk_i, rotated, acc, self.transform)
-        return acc
 
 
 def make_test_vector(params: TFHEParameters, mu: int) -> np.ndarray:
@@ -292,39 +235,13 @@ def _encode_lut_cached(
     return vector
 
 
-def modswitch_sample(sample: LweSample, degree: int) -> tuple[int, np.ndarray]:
-    """Rescale a sample's coefficients from the torus to ``Z_{2N}`` (Rounding).
-
-    Returns ``(b̄, ā)`` as used by Algorithm 1 line 2.
-    """
-    space = 2 * degree
-    barb = int(modswitch_from_torus32(sample.b, space))
-    bara = np.asarray(modswitch_from_torus32(sample.a, space), dtype=np.int64)
-    return barb, bara
-
-
 def modswitch_batch(batch: LweBatch, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised rounding of a batch: returns ``(b̄ (B,), ā (B, n))``."""
+    """Rescale every row from the torus to ``Z_{2N}`` (Rounding, Algorithm 1
+    line 2): returns ``(b̄ (B,), ā (B, n))``."""
     space = 2 * degree
     barb = np.asarray(modswitch_from_torus32(batch.b, space), dtype=np.int64)
     bara = np.asarray(modswitch_from_torus32(batch.a, space), dtype=np.int64)
     return barb, bara
-
-
-def blind_rotate_and_extract(
-    sample: LweSample,
-    test_vector: np.ndarray,
-    rotator: BlindRotator,
-    params: TFHEParameters,
-) -> LweSample:
-    """Lines 2–8 of Algorithm 1: rounding, blind rotation and sample extraction."""
-    degree = params.N
-    barb, bara = modswitch_sample(sample, degree)
-    accumulator = tlwe_trivial(test_vector, params.k)
-    if barb != 0:
-        accumulator = tlwe_rotate(accumulator, -barb)
-    accumulator = rotator.rotate(accumulator, bara)
-    return tlwe_sample_extract(accumulator, index=0)
 
 
 def blind_rotate_and_extract_batch(
@@ -338,9 +255,8 @@ def blind_rotate_and_extract_batch(
     ``test_vector`` is either one shared ``(N,)`` polynomial or a ``(B, N)``
     stack giving every row its *own* test vector — one blind rotation can mix
     rows that bootstrap against different lookup tables (boolean gates next
-    to programmable digit LUTs).  Bit-identical to looping
-    :func:`blind_rotate_and_extract` over the rows; only the NumPy dispatch
-    overhead is amortised across the batch.
+    to programmable digit LUTs).  Rows are independent: a row comes out the
+    same whatever else shares its batch, so one sample is a one-row batch.
     """
     degree = params.N
     barb, bara = modswitch_batch(batch, degree)

@@ -19,17 +19,17 @@ everything that evaluates one goes through the same four steps:
    key-switches the batch — one shared test vector when every row carries
    the same one, a per-row stack otherwise.  It is the one place the three
    stages are composed: ``FheContext.bootstrap[_batch]``, the programmable
-   bootstraps of :mod:`repro.tfhe.bootstrap` and the radix integers hand it
-   their rows too, so a row of the wrong dimension is refused, the stages
-   are traced and the bootstraps are counted here for every caller.
+   bootstraps of :mod:`repro.tfhe.bootstrap`, the radix integers and the
+   scalar :class:`TFHEGateEvaluator` hand it their rows too, so a row of the
+   wrong dimension is refused, the stages are traced and the bootstraps are
+   counted here for every caller.
 4. :meth:`BatchGateEvaluator.rows` is steps 1–3 for one batch;
    :func:`split_rows` packs ``("gate", …)`` / ``("lut", …)`` / ``("digit",
    …)`` row tuples into its arguments.
 
-:class:`TFHEGateEvaluator` runs the same spec through the *scalar* sample
-arithmetic, the scalar :func:`repro.tfhe.bootstrap.blind_rotate_and_extract`
-and ``keyswitch_apply`` — the only other composition of the three stages,
-kept as the reference the batched path is bit-identical to, row for row.
+:class:`TFHEGateEvaluator` is :meth:`BatchGateEvaluator.rows` on one-row
+views of its scalar operands.  What a row must come out as is the tests'
+business: their oracles spell out each stage independently of these kernels.
 ``NOT`` and ``COPY``/``CONSTANT`` are purely linear and need no
 bootstrapping, which is why the paper reports the latency of the
 bootstrapped gates only.
@@ -45,18 +45,16 @@ import numpy as np
 
 from repro.tfhe.bootstrap import (
     _require_gate_space,
-    blind_rotate_and_extract,
     blind_rotate_and_extract_batch,
     encode_lut,
     make_test_vector,
 )
-from repro.tfhe.keyswitch import keyswitch_apply, keyswitch_apply_batch
+from repro.tfhe.keyswitch import keyswitch_apply_batch
 from repro.tfhe.keys import TFHECloudKey, TFHESecretKey
 from repro.tfhe.lwe import (
     LweBatch,
     LweSample,
     gate_message,
-    lwe_add,
     lwe_batch_decrypt_bits,
     lwe_batch_negate,
     lwe_batch_trivial,
@@ -64,7 +62,6 @@ from repro.tfhe.lwe import (
     lwe_encrypt,
     lwe_encrypt_trivial,
     lwe_negate,
-    lwe_scale,
 )
 from repro.tfhe.lut import BooleanLutSpec, boolean_lut_spec, lut_test_vector
 from repro.tfhe.params import DigitEncoding, TFHEParameters
@@ -354,23 +351,12 @@ class TFHEGateEvaluator(_BootstrappedGates):
         self.counters = GateCounters()
 
     def _apply(self, op: RowOp, operands: Sequence[LweSample]) -> LweSample:
-        """One row on scalar samples: affine chain, then the scalar bootstrap."""
-        params = self.context.params
-        offset, weights, test_vector = row_spec(params, op)
-        _require_dimension(params, operands[0].dimension)
+        """One row: :meth:`BatchGateEvaluator.rows` on one-row views of the operands."""
+        planes = [LweBatch(a=x.a[None], b=np.asarray(x.b)[None]) for x in operands]
+        out = self.context.batch_evaluator(1).rows([op], planes)
         self.counters.gates += 1
         self.counters.bootstraps += 1
-        combined = lwe_encrypt_trivial(
-            operands[0].dimension, torus32_from_int64(offset * int(MU))
-        )
-        for weight, operand in zip(weights, operands):
-            combined = lwe_add(combined, lwe_scale(weight, operand))
-        extracted = blind_rotate_and_extract(
-            combined, test_vector, self.context.rotator, params
-        )
-        return keyswitch_apply(
-            self.context.keyswitch_key, extracted, self.context.workspace
-        )
+        return out[0]
 
     # -- linear (bootstrapping-free) gates ----------------------------------
     def constant(self, bit: int) -> LweSample:
@@ -464,8 +450,9 @@ class BatchGateEvaluator(_BootstrappedGates):
             offsets, [w + (0,) * (arity - len(w)) for w in weights], operands
         )
         shared = all(vector is vectors[0] for vector in vectors)
+        out = self.bootstrap_rows(combined, vectors[0] if shared else np.stack(vectors))
         self.counters.gates += len(ops)
-        return self.bootstrap_rows(combined, vectors[0] if shared else np.stack(vectors))
+        return out
 
     def gate_rows(self, names, ca: LweBatch, cb: LweBatch) -> LweBatch:
         """:meth:`rows` for two-input gates: ``names[i]`` on row ``i`` of ``ca``/``cb``."""
@@ -483,7 +470,6 @@ class BatchGateEvaluator(_BootstrappedGates):
         the key's LWE dimension.
         """
         _require_dimension(self.context.params, combined.dimension)
-        self.counters.bootstraps += combined.batch_size
         tel = getattr(self.context, "telemetry", None)
         # Telemetry.stage is itself a no-op outside a traced round.
         stage = tel.stage if tel is not None else (lambda name, **attrs: nullcontext())
@@ -492,9 +478,11 @@ class BatchGateEvaluator(_BootstrappedGates):
                 combined, test_vectors, self.context.rotator, self.context.params
             )
         with stage("keyswitch", rows=combined.batch_size):
-            return keyswitch_apply_batch(
+            out = keyswitch_apply_batch(
                 self.context.keyswitch_key, extracted, self.context.workspace
             )
+        self.counters.bootstraps += combined.batch_size
+        return out
 
     def gate_test_vector(self) -> np.ndarray:
         """The shared all-``mu`` test vector of the plain boolean gates."""

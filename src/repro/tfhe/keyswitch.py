@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.tfhe.lwe import LweBatch, LweKey, LweSample
+from repro.tfhe.lwe import LweBatch, LweKey
 from repro.tfhe.params import KeySwitchParams
 from repro.tfhe.torus import torus32_from_int64
 from repro.utils.rng import SeedLike, make_rng
@@ -178,17 +178,6 @@ def _keyswitch_totals(ks: KeySwitchKey, a: np.ndarray, workspace=None) -> np.nda
             total += subtotal
     totals -= zero_count[:, None] * table[0].view(np.uint32)
     return totals
-
-
-def keyswitch_apply(ks: KeySwitchKey, sample: LweSample, workspace=None) -> LweSample:
-    """Switch ``sample`` (under the input key) to the output key.
-
-    :func:`keyswitch_apply_batch` on a one-row view.
-    """
-    switched = keyswitch_apply_batch(
-        ks, LweBatch(a=sample.a[None], b=np.asarray(sample.b)[None]), workspace
-    )
-    return LweSample(a=switched.a[0], b=np.int32(switched.b[0]))
 
 
 def keyswitch_apply_batch(ks: KeySwitchKey, batch: LweBatch, workspace=None) -> LweBatch:

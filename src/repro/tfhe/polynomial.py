@@ -8,50 +8,17 @@ NumPy ``int32``/``int64`` coefficient vectors of length ``N`` with coefficient
 The quotient by ``X^N + 1`` makes multiplication *negacyclic*: ``X^N = -1``,
 so rotating a polynomial by ``k`` positions negates the coefficients that wrap
 around.  This module provides the exact (schoolbook) negacyclic product used
-as ground truth by the FFT engines, together with the rotation and
-add/subtract primitives that the bootstrapping loop needs.
+as ground truth by the FFT engines, the add/subtract primitives of the TLWE
+operations, and :func:`poly_mul_by_xk`, the rotation written out that the
+batched rotations (``tlwe_batch_rotate``, the blind-rotation step) are
+checked against.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro.tfhe.torus import torus32_from_int64
-
-
-@lru_cache(maxsize=None)
-def _coefficient_index(degree: int) -> np.ndarray:
-    """The cached (read-only) coefficient index table ``[0, 1, ..., N-1]``.
-
-    Negacyclic rotations are gathers over this table: coefficient ``i`` of
-    ``X^p · poly`` comes from coefficient ``(i - p) mod N`` with a sign flip
-    on wrap-around.  Precomputing the base table once per ring degree keeps
-    the per-step rotation work of the blind-rotation loop down to the gather
-    itself.
-    """
-    index = np.arange(degree, dtype=np.int64)
-    index.setflags(write=False)
-    return index
-
-
-def _rotation_tables(degree: int, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gather/sign index tables for multiplication by ``X^powers``.
-
-    ``powers`` is an int64 array (already reduced mod ``2N``) whose shape
-    broadcasts against the rotated stack's batch axes.  Returns ``(src,
-    negate)`` with ``src[..., i]`` the source coefficient index of output
-    coefficient ``i`` and ``negate[..., i]`` a boolean marking the
-    coefficients whose negacyclic sign is ``−1``.
-    """
-    col = _coefficient_index(degree)
-    negate_all = powers >= degree
-    shift = powers % degree
-    src = (col - shift[..., None]) % degree
-    wrapped = col < shift[..., None]
-    negate = wrapped ^ negate_all[..., None]
-    return src, negate
 
 
 def zero_torus_polynomial(degree: int) -> np.ndarray:
@@ -120,42 +87,6 @@ def poly_mul_by_xk(poly: np.ndarray, power: int) -> np.ndarray:
     if negate_all:
         rotated = -rotated
     return torus32_from_int64(rotated) if wrap else rotated
-
-
-def poly_mul_by_xk_powers(polys: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Rotate a stack of torus polynomials, each by its *own* power of ``X``.
-
-    ``polys`` has shape ``(..., N)`` and ``powers`` must broadcast against the
-    leading (batch) axes ``polys.shape[:-1]`` — e.g. rotate a batched TLWE
-    sample of shape ``(B, k+1, N)`` with per-ciphertext powers of shape
-    ``(B, 1)``.  Bit-identical to calling :func:`poly_mul_by_xk` on every
-    batch element with its own power, with the same dtype contract: ``int32``
-    stacks are torus polynomials (wrap-around), ``int64`` stacks are plain
-    integer polynomials, anything else is rejected.
-    """
-    polys = np.asarray(polys)
-    if polys.dtype == np.int32:
-        wrap = True
-    elif polys.dtype == np.int64:
-        wrap = False
-    else:
-        raise TypeError(
-            f"poly_mul_by_xk_powers expects int32 or int64 input, got {polys.dtype}"
-        )
-    degree = polys.shape[-1]
-    powers = np.asarray(powers, dtype=np.int64) % (2 * degree)
-    src, negate = _rotation_tables(degree, powers)
-    shape = np.broadcast_shapes(polys.shape, src.shape)
-    rotated = np.take_along_axis(
-        np.broadcast_to(polys, shape), np.broadcast_to(src, shape), axis=-1
-    )
-    if wrap:
-        # Torus stacks rotate entirely in uint32: negation mod 2^32 *is* the
-        # negacyclic sign flip followed by the torus reduction.
-        unsigned = rotated.view(np.uint32)
-        return np.where(negate, -unsigned, unsigned).view(np.int32)
-    product = np.where(negate, np.int64(-1), np.int64(1)) * rotated.astype(np.int64)
-    return product
 
 
 def negacyclic_convolution(int_poly: np.ndarray, torus_poly: np.ndarray) -> np.ndarray:

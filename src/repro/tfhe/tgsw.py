@@ -24,8 +24,8 @@ produces every output column at once
 (:meth:`repro.tfhe.transform.NegacyclicTransform.contract_accumulate`).
 The engine counters are topped up to the *logical* per-polynomial transform
 counts of the fused calls, so the Figure-1 FFT/IFFT breakdown reports the
-same numbers as the per-digit-plane loop of
-:func:`tgsw_external_product_reference` (the property-test ground truth).
+same numbers as a per-digit-plane loop would (``tests/tgsw_oracle.py`` spells
+that loop out; the kernels must agree with it bit for bit).
 
 Bound kernels
 -------------
@@ -41,8 +41,7 @@ module and the engines.  :func:`gadget_decompose_rows` and
 A blind-rotation step ``ACC ← CMux(BK_i, X^p·ACC, ACC)`` is
 :class:`_StepKernel`, the same kernel behind a rotation window, over
 ``(B, k+1, N)`` accumulators with one power per row
-(:func:`tgsw_batch_cmux_rotate`; :func:`tgsw_cmux_rotate` is the same kernel
-on a one-row view).  ``X^p·ACC`` is never built by index tables: it is the
+(:func:`tgsw_batch_cmux_rotate`).  ``X^p·ACC`` is never built by index tables: it is the
 length-``N`` window starting at ``(−p) mod 2N`` of the uint32 buffer
 ``[ACC, −ACC, ACC]``, filled with the decomposition offset already added, so
 ``window − ACC`` is the offset-added ``(X^p − 1)·ACC`` the digit extraction
@@ -66,7 +65,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.tfhe.params import TgswParams, TlweParams
-from repro.tfhe.tlwe import TlweBatch, TlweKey, TlweSample, tlwe_encrypt
+from repro.tfhe.tlwe import TlweBatch, TlweKey, tlwe_encrypt
 from repro.tfhe.torus import torus32_from_int64
 from repro.tfhe.transform import NegacyclicTransform, Spectrum
 from repro.utils.rng import SeedLike, make_rng
@@ -115,8 +114,7 @@ class TransformedTgswSample:
     consumes — no per-row/per-column Python lists anywhere on the hot path.
 
     The historical per-polynomial view is recoverable through
-    ``transform.spectrum_take_col(transform.spectrum_index(tensor, row), col)``
-    (what the reference external product uses).
+    ``transform.spectrum_take_col(transform.spectrum_index(tensor, row), col)``.
     """
 
     tensor: Spectrum
@@ -582,83 +580,9 @@ def tgsw_transform(
     )
 
 
-def _reference_row_col(
-    tgsw: TransformedTgswSample, transform: NegacyclicTransform, row: int, col: int
-) -> Spectrum:
-    """The historical per-polynomial spectrum view of a packed TGSW tensor."""
-    return transform.spectrum_take_col(
-        transform.spectrum_index(tgsw.tensor, row), col
-    )
-
-
-def _external_product_rows_reference(
-    spectra: List[List[Spectrum]],
-    params: TgswParams,
-    mask_count: int,
-    degree: int,
-    data: np.ndarray,
-    transform: NegacyclicTransform,
-) -> np.ndarray:
-    """The pre-fusion external-product loop on a per-row/per-column spectra list.
-
-    One forward per decomposed digit plane, a Python ``rows × (k+1)`` double
-    loop of pointwise mul/adds, one backward per output column.  Kept verbatim
-    as the bit-identity ground truth for the fused kernel in the property
-    tests; the BKU reference bundle builder feeds it directly.
-    """
-    k = mask_count
-    decomposed: List[np.ndarray] = []
-    for block in range(k + 1):
-        digits = gadget_decompose(data[..., block, :], params)
-        decomposed.extend(digits[j] for j in range(params.decomp_length))
-
-    dec_spectra = [transform.forward(d) for d in decomposed]
-
-    result = np.zeros(data.shape[:-2] + (k + 1, degree), dtype=np.int32)
-    for col in range(k + 1):
-        acc = transform.spectrum_zero()
-        for row in range(len(spectra)):
-            acc = transform.spectrum_add(
-                acc, transform.spectrum_mul(dec_spectra[row], spectra[row][col])
-            )
-        result[..., col, :] = torus32_from_int64(transform.backward(acc))
-    return result
-
-
-def _external_product_data_reference(
-    tgsw: TransformedTgswSample,
-    data: np.ndarray,
-    transform: NegacyclicTransform,
-) -> np.ndarray:
-    """Pre-fusion external product on a packed operand (test/bench baseline)."""
-    spectra = [
-        [_reference_row_col(tgsw, transform, row, col) for col in range(tgsw.mask_count + 1)]
-        for row in range(tgsw.rows)
-    ]
-    return _external_product_rows_reference(
-        spectra, tgsw.params, tgsw.mask_count, tgsw.degree, data, transform
-    )
-
-
 def _check_compatible(tgsw: TransformedTgswSample, tlwe) -> None:
     if tlwe.degree != tgsw.degree or tlwe.mask_count != tgsw.mask_count:
         raise ValueError("TGSW and TLWE operands are incompatible")
-
-
-def tgsw_external_product(
-    tgsw: TransformedTgswSample,
-    tlwe: TlweSample,
-    transform: NegacyclicTransform,
-    workspace: Optional[BootstrapWorkspace] = None,
-) -> TlweSample:
-    """The external product ``TGSW ⊡ TLWE → TLWE`` (Algorithm 1 line 7).
-
-    :func:`tgsw_batch_external_product` on a one-row view.  Pass a
-    :class:`BootstrapWorkspace` to reuse the kernel and its scratch across
-    calls.
-    """
-    batch = TlweBatch(tlwe.data[None])
-    return TlweSample(tgsw_batch_external_product(tgsw, batch, transform, workspace).data[0])
 
 
 def tgsw_batch_external_product(
@@ -674,8 +598,7 @@ def tgsw_batch_external_product(
     goes through one stacked forward, the contraction against the operand's
     packed spectral tensor and one stacked backward.  The tensor may itself
     carry a batch axis (a batched BKU bundle, one per row), which broadcasts
-    inside the contraction.  Bit-identical to applying
-    :func:`tgsw_external_product_reference` per ciphertext.
+    inside the contraction.
     """
     _check_compatible(tgsw, tlwe)
     data = tlwe.data
@@ -683,94 +606,6 @@ def tgsw_batch_external_product(
     result = kernel.product(data.view(np.uint32), tgsw.tensor)
     kernel.count(1)
     return TlweBatch(result.view(np.int32))
-
-
-def tgsw_external_product_reference(
-    tgsw: TransformedTgswSample,
-    tlwe: TlweSample,
-    transform: NegacyclicTransform,
-) -> TlweSample:
-    """The pre-fusion external product (one forward per digit plane, one
-    backward per column) — the bit-identity ground truth of the fused kernel."""
-    _check_compatible(tgsw, tlwe)
-    return TlweSample(_external_product_data_reference(tgsw, tlwe.data, transform))
-
-
-def tgsw_batch_external_product_reference(
-    tgsw: TransformedTgswSample,
-    tlwe: TlweBatch,
-    transform: NegacyclicTransform,
-) -> TlweBatch:
-    """Batched :func:`tgsw_external_product_reference` (test/bench baseline)."""
-    _check_compatible(tgsw, tlwe)
-    return TlweBatch(_external_product_data_reference(tgsw, tlwe.data, transform))
-
-
-def tgsw_cmux(
-    selector: TransformedTgswSample,
-    if_true: TlweSample,
-    if_false: TlweSample,
-    transform: NegacyclicTransform,
-    workspace: Optional[BootstrapWorkspace] = None,
-) -> TlweSample:
-    """Homomorphic multiplexer: returns ``if_true`` when the selector encrypts 1.
-
-    ``CMux(C, d1, d0) = C ⊡ (d1 - d0) + d0``.  The classical (non-unrolled)
-    blind rotation is a chain of CMux operations — for the specific rotation
-    form ``CMux(C, X^p·ACC, ACC)`` use :func:`tgsw_cmux_rotate`, which never
-    materialises the rotated branch.
-    """
-    from repro.tfhe.tlwe import tlwe_add, tlwe_sub
-
-    difference = tlwe_sub(if_true, if_false)
-    product = tgsw_external_product(selector, difference, transform, workspace)
-    return tlwe_add(product, if_false)
-
-
-def tgsw_cmux_reference(
-    selector: TransformedTgswSample,
-    if_true: TlweSample,
-    if_false: TlweSample,
-    transform: NegacyclicTransform,
-) -> TlweSample:
-    """CMux through the pre-fusion external product (ground truth)."""
-    from repro.tfhe.tlwe import tlwe_add, tlwe_sub
-
-    difference = tlwe_sub(if_true, if_false)
-    product = tgsw_external_product_reference(selector, difference, transform)
-    return tlwe_add(product, if_false)
-
-
-def tgsw_cmux_rotate(
-    selector: TransformedTgswSample,
-    accumulator: TlweSample,
-    power: int,
-    transform: NegacyclicTransform,
-    workspace: Optional[BootstrapWorkspace] = None,
-) -> TlweSample:
-    """One blind-rotation step ``CMux(BK, X^power·ACC, ACC)`` on one sample.
-
-    The step kernel of :func:`tgsw_batch_cmux_rotate` on a 1-row view.
-    Bit-identical to ``tgsw_cmux(selector, tlwe_rotate(acc, power), acc,
-    transform)``.
-    """
-    batch = TlweBatch(accumulator.data[None])
-    stepped = tgsw_batch_cmux_rotate(selector, batch, [power], transform, workspace)
-    return TlweSample(stepped.data[0])
-
-
-def tgsw_batch_cmux_reference(
-    selector: TransformedTgswSample,
-    if_true: TlweBatch,
-    if_false: TlweBatch,
-    transform: NegacyclicTransform,
-) -> TlweBatch:
-    """Batched CMux through the pre-fusion external product (ground truth)."""
-    from repro.tfhe.tlwe import tlwe_batch_add, tlwe_batch_sub
-
-    difference = tlwe_batch_sub(if_true, if_false)
-    product = tgsw_batch_external_product_reference(selector, difference, transform)
-    return tlwe_batch_add(product, if_false)
 
 
 def tgsw_batch_cmux_rotate(
@@ -784,9 +619,9 @@ def tgsw_batch_cmux_rotate(
 
     Every ciphertext of the ``(B, k+1, N)`` batch rotates by its own power.
     Rows whose power reduces to zero mod ``2N`` contribute an exactly-zero
-    difference, so their accumulators come back unchanged.  Bit-identical to
-    ``tgsw_batch_cmux_reference(selector, tlwe_batch_rotate(acc, powers), acc,
-    transform)``.
+    difference, so their accumulators come back unchanged.  The CMux
+    ``BK ⊡ (X^{p_b}·ACC_b − ACC_b) + ACC_b`` with the difference never
+    materialised.
     """
     _check_compatible(selector, accumulators)
     starts = -np.asarray(powers, dtype=np.int64) % (2 * accumulators.degree)

@@ -17,14 +17,9 @@ from typing import List
 
 import numpy as np
 
-from repro.tfhe.lwe import LweBatch, LweKey, LweSample
+from repro.tfhe.lwe import LweBatch, LweKey
 from repro.tfhe.params import LweParams, TlweParams
-from repro.tfhe.polynomial import (
-    poly_add,
-    poly_mul_by_xk,
-    poly_mul_by_xk_powers,
-    poly_sub,
-)
+from repro.tfhe.polynomial import poly_add, poly_sub
 from repro.tfhe.torus import gaussian_torus32, torus32_from_int64, uniform_torus32
 from repro.tfhe.transform import NegacyclicTransform
 from repro.utils.rng import SeedLike, make_rng
@@ -65,8 +60,8 @@ class TlweBatch:
     """A batch of ``B`` ring TLWE ciphertexts: ``data`` has shape ``(B, k+1, N)``.
 
     The batched blind rotation carries one accumulator per in-flight
-    bootstrapping; all batched operations are bit-identical to looping the
-    scalar :class:`TlweSample` path over the rows.
+    bootstrapping; every operation treats the rows independently, so one
+    ciphertext is a one-row batch.
     """
 
     data: np.ndarray  # int32[B, (k+1), N]
@@ -128,19 +123,6 @@ def tlwe_key_generate(params: TlweParams, rng: SeedLike = None) -> TlweKey:
     return TlweKey(params=params, key=key)
 
 
-def tlwe_zero(params: TlweParams) -> TlweSample:
-    """The all-zero (trivial, noiseless) sample."""
-    return TlweSample(np.zeros((params.mask_count + 1, params.degree), dtype=np.int32))
-
-
-def tlwe_trivial(message: np.ndarray, mask_count: int) -> TlweSample:
-    """Trivial (noiseless, keyless) encryption of a polynomial message."""
-    message = np.asarray(message, dtype=np.int32)
-    data = np.zeros((mask_count + 1, message.shape[0]), dtype=np.int32)
-    data[-1] = message
-    return TlweSample(data)
-
-
 def tlwe_encrypt(
     key: TlweKey,
     message: np.ndarray,
@@ -173,27 +155,6 @@ def tlwe_phase(
     return torus32_from_int64(phase)
 
 
-def tlwe_add(x: TlweSample, y: TlweSample) -> TlweSample:
-    """Homomorphic addition of two ring samples."""
-    return TlweSample(poly_add(x.data, y.data))
-
-
-def tlwe_sub(x: TlweSample, y: TlweSample) -> TlweSample:
-    """Homomorphic subtraction of two ring samples."""
-    return TlweSample(poly_sub(x.data, y.data))
-
-
-def tlwe_rotate(sample: TlweSample, power: int) -> TlweSample:
-    """Multiply every polynomial of the sample by ``X^power`` (mod ``X^N+1``).
-
-    Rotating a sample rotates its message; this is the ``X^{b̄}·(0, testv)``
-    initialisation and the per-iteration rotation of Algorithm 1.  The whole
-    ``(k+1, N)`` stack rotates in one vectorised call (bit-identical to
-    rotating each row on its own — :func:`poly_mul_by_xk` is batch-aware).
-    """
-    return TlweSample(poly_mul_by_xk(sample.data, power))
-
-
 def tlwe_extract_lwe_key(key: TlweKey) -> LweKey:
     """Extract the scalar LWE key corresponding to a ring key (KeyExtract).
 
@@ -205,30 +166,6 @@ def tlwe_extract_lwe_key(key: TlweKey) -> LweKey:
         dimension=int(flat.shape[0]), noise_stddev=key.params.noise_stddev
     )
     return LweKey(params=params, key=flat)
-
-
-def tlwe_sample_extract(sample: TlweSample, index: int = 0) -> LweSample:
-    """Extract the coefficient ``index`` of the message as a scalar LWE sample.
-
-    This is the ``SampleExtract`` step of Algorithm 1: the constant (or
-    ``index``-th) coefficient of the accumulator's message becomes a scalar
-    LWE ciphertext under the extracted key.
-    """
-    k = sample.mask_count
-    degree = sample.degree
-    if not 0 <= index < degree:
-        raise ValueError("extraction index out of range")
-    a = np.zeros(k * degree, dtype=np.int32)
-    for j in range(k):
-        row = sample.a[j].astype(np.int64)
-        extracted = np.empty(degree, dtype=np.int64)
-        # coefficient of s_j[t] in the phase of coefficient `index` is
-        # a_j[index - t] for t <= index and -a_j[N + index - t] for t > index.
-        extracted[: index + 1] = row[index::-1]
-        if index + 1 < degree:
-            extracted[index + 1 :] = -row[:index:-1]
-        a[j * degree : (j + 1) * degree] = torus32_from_int64(extracted)
-    return LweSample(a=a, b=np.int32(sample.b[index]))
 
 
 # --------------------------------------------------------------------------- #
@@ -260,23 +197,31 @@ def tlwe_batch_sub(x: TlweBatch, y: TlweBatch) -> TlweBatch:
 def tlwe_batch_rotate(batch: TlweBatch, powers: np.ndarray) -> TlweBatch:
     """Multiply ciphertext ``i`` of the batch by ``X^{powers[i]}`` (mod ``X^N+1``).
 
-    Unlike :func:`tlwe_rotate` every ciphertext gets its *own* power — this is
-    the per-gate rotation amount of a batched blind rotation.  Bit-identical
-    to rotating each sample separately.
+    Every ciphertext gets its *own* power — this is the ``X^{−b̄}·(0, testv)``
+    initialisation of Algorithm 1, one rotation amount per in-flight gate.
+    ``X^p·c`` is read the way the blind-rotation step reads it: the
+    length-``N`` window starting at ``(−p) mod 2N`` of the uint32 words
+    ``[c, −c, c]`` (negation mod 2^32 *is* the negacyclic sign flip), so the
+    whole batch is one concatenation and one sliding-window gather.
     """
     powers = np.asarray(powers, dtype=np.int64)
     if powers.shape != (batch.batch_size,):
         raise ValueError("one rotation power per batched ciphertext is required")
-    rotated = poly_mul_by_xk_powers(batch.data, powers[:, None])
-    return TlweBatch(rotated.astype(np.int32))
+    words = np.asarray(batch.data, dtype=np.int32).view(np.uint32)
+    degree = words.shape[-1]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([words, -words, words], axis=-1), degree, axis=-1
+    )
+    rotated = windows[np.arange(len(powers)), :, -powers % (2 * degree)]
+    return TlweBatch(rotated.view(np.int32))
 
 
 def tlwe_batch_sample_extract(batch: TlweBatch, index: int = 0) -> LweBatch:
-    """Vectorised ``SampleExtract``: coefficient ``index`` of every ciphertext.
+    """``SampleExtract`` (Algorithm 1): coefficient ``index`` of every
+    ciphertext's message as a scalar LWE ciphertext under the extracted key.
 
     All ``k`` mask polynomials of every batched ciphertext extract in one
-    vectorised pass (no per-``k`` Python loop); bit-identical to looping
-    :func:`tlwe_sample_extract` over the rows.
+    vectorised pass (no per-``k`` Python loop).
     """
     k = batch.mask_count
     degree = batch.degree

@@ -43,7 +43,8 @@ The fused external-product core lives here too: ``spectrum_contract``
 contracts a stacked digit spectrum against a packed ``(rows, ..., k+1, N/2)``
 TGSW tensor and ``contract_accumulate`` wraps one stacked forward, the
 contraction and one stacked backward —
-:func:`repro.tfhe.tgsw.tgsw_external_product` routes through it.  The base
+:func:`repro.tfhe.tgsw.tgsw_batch_external_product` and the blind-rotation
+step :func:`repro.tfhe.tgsw.tgsw_batch_cmux_rotate` route through it.  The base
 class composes the engine's own three methods; the double-precision engine
 runs the same operations through buffers of the caller's
 :class:`repro.tfhe.tgsw.BootstrapWorkspace`, so a blind-rotation step
@@ -330,8 +331,8 @@ class NegacyclicTransform(abc.ABC):
         goes through **one** ``forward``, one :meth:`spectrum_contract` and
         **one** ``backward``; the result is the ``(..., k+1, N)`` torus
         coefficient array of every output column at once.
-        :func:`repro.tfhe.tgsw.tgsw_external_product` routes through this
-        single implementation.
+        :func:`repro.tfhe.tgsw.tgsw_batch_external_product` routes through
+        this single implementation.
 
         ``addend`` is an int32 torus array of the result's shape (the CMux
         add-back ``ACC``) added to the product before its single reduction
@@ -625,7 +626,7 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         historical per-row ``acc = add(acc, mul(...))`` fold — adding to the
         initial zero is exact, so starting from the first product is
         bit-identical.  The property suite pins this down against the
-        per-row reference loop for every engine.
+        per-row loop of ``tests/tgsw_oracle.py`` for every engine.
         """
         self.stats.pointwise_ops += 2
         stack = np.asarray(stack)

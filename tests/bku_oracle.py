@@ -3,10 +3,10 @@
 :meth:`repro.core.bku.UnrolledBlindRotator.rotate_batch` builds each group's
 bundle as one packed tensor (one broadcast multiply-add per pattern) and runs
 it through the bound product kernel.  This oracle does it the pre-fusion way:
-the bundle as a ``rows × (k+1)`` list of spectra, each pattern's term added
+each pattern's factor ``X^{e_p} − 1`` built coefficient by coefficient, the
+bundle as a ``rows × (k+1)`` list of spectra with each pattern's term added
 polynomial by polynomial, then the per-digit-plane external product of
-:func:`repro.tfhe.tgsw._external_product_rows_reference`.  The rotator must
-agree with it bit for bit.
+:mod:`tgsw_oracle`.  The rotator must agree with it bit for bit.
 """
 
 from __future__ import annotations
@@ -15,22 +15,33 @@ from typing import List
 
 import numpy as np
 
-from repro.core.bku import KeyGroup, UnrolledBlindRotator, x_power_minus_one_polynomials
-from repro.tfhe.tgsw import _external_product_rows_reference, _reference_row_col
-from repro.tfhe.tlwe import TlweBatch, TlweSample
-from repro.tfhe.transform import Spectrum
+from tgsw_oracle import external_product_rows_oracle, row_col_spectrum
 
 
-def build_bundle_oracle(
-    rotator: UnrolledBlindRotator, group: KeyGroup, bara: np.ndarray
-) -> List[List[Spectrum]]:
-    """One group's bundle ``h + Σ_p (X^{e_p} − 1)·BK_p`` as per-(row, col) spectra."""
+def x_power_minus_one_oracle(degree: int, powers: np.ndarray) -> np.ndarray:
+    """``X^p − 1`` mod ``X^N + 1`` for every entry ``p`` of ``powers``, as
+    int64 polynomials of shape ``powers.shape + (N,)``."""
+    powers = np.asarray(powers, dtype=np.int64)
+    polys = np.zeros(powers.shape + (degree,), dtype=np.int64)
+    for index in np.ndindex(powers.shape):
+        power = int(powers[index]) % (2 * degree)
+        polys[index][0] -= 1
+        if power < degree:
+            polys[index][power] += 1
+        else:
+            polys[index][power - degree] -= 1
+    return polys
+
+
+def build_bundle_oracle(rotator, group, bara: np.ndarray) -> List[list]:
+    """One group's bundle ``h + Σ_p (X^{e_p} − 1)·BK_p`` as a ``rows × (k+1)``
+    list of per-polynomial spectra."""
     indices, keys = group
     transform = rotator.transform
     identity = rotator._identity_spectra
     rows, cols = identity.rows, identity.mask_count + 1
     bundle = [
-        [transform.spectrum_copy(_reference_row_col(identity, transform, r, c)) for c in range(cols)]
+        [transform.spectrum_copy(row_col_spectrum(identity, transform, r, c)) for c in range(cols)]
         for r in range(rows)
     ]
     degree = rotator.params.N
@@ -40,36 +51,26 @@ def build_bundle_oracle(
         exponents = group_bara @ bits
         if not np.any(exponents % (2 * degree)):
             continue
-        factor_spec = transform.forward(x_power_minus_one_polynomials(degree, exponents))
+        factor_spec = transform.forward(x_power_minus_one_oracle(degree, exponents))
         key = keys[pattern - 1]
         for r in range(rows):
             for c in range(cols):
                 bundle[r][c] = transform.spectrum_add(
                     bundle[r][c],
-                    transform.spectrum_mul(factor_spec, _reference_row_col(key, transform, r, c)),
+                    transform.spectrum_mul(factor_spec, row_col_spectrum(key, transform, r, c)),
                 )
     return bundle
 
 
-def _rotate_data_oracle(rotator: UnrolledBlindRotator, data: np.ndarray, bara) -> np.ndarray:
+def rotate_batch_oracle(rotator, accumulators, bara: np.ndarray):
+    """Blind-rotate a ``(B, k+1, N)`` :class:`repro.tfhe.tlwe.TlweBatch`
+    through a :class:`repro.core.bku.UnrolledBlindRotator`'s key, ``bara`` of
+    shape ``(B, n)``; returned as the same type."""
     params = rotator.params
+    data = accumulators.data
     for group in rotator.groups:
         bundle = build_bundle_oracle(rotator, group, np.asarray(bara))
-        data = _external_product_rows_reference(
+        data = external_product_rows_oracle(
             bundle, params.tgsw, params.k, params.N, data, rotator.transform
         )
-    return data
-
-
-def rotate_oracle(
-    rotator: UnrolledBlindRotator, accumulator: TlweSample, bara: np.ndarray
-) -> TlweSample:
-    """Blind-rotate one accumulator, ``bara`` of shape ``(n,)``."""
-    return TlweSample(_rotate_data_oracle(rotator, accumulator.data, bara))
-
-
-def rotate_batch_oracle(
-    rotator: UnrolledBlindRotator, accumulators: TlweBatch, bara: np.ndarray
-) -> TlweBatch:
-    """Blind-rotate a ``(B, k+1, N)`` stack, ``bara`` of shape ``(B, n)``."""
-    return TlweBatch(_rotate_data_oracle(rotator, accumulators.data, bara))
+    return type(accumulators)(data)

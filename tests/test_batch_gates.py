@@ -1,14 +1,17 @@
 """Batch-equivalence tests for the full gate-bootstrapping stack.
 
 Row ``i`` of every batched operation must be bit-identical to running the
-scalar path on row ``i`` — across both blind-rotation strategies (classical
-CMux and BKU) and all three polynomial-multiplication engines.
+scalar path on row ``i``, and both to the oracle composition of
+``bootstrap_oracle`` — across both blind-rotation strategies (classical CMux
+and BKU) and all three polynomial-multiplication engines.
 """
 
 import numpy as np
 import pytest
 
-from repro.tfhe.bootstrap import blind_rotate_and_extract, make_test_vector
+from bootstrap_oracle import bootstrap_oracle
+from keyswitch_oracle import keyswitch_apply_batch_oracle
+from repro.tfhe.bootstrap import make_test_vector
 from repro.tfhe.circuits import add, decrypt_integers, encrypt_integers, select
 from repro.tfhe.gates import (
     MU,
@@ -19,7 +22,7 @@ from repro.tfhe.gates import (
     encrypt_bit,
     encrypt_bit_batch,
 )
-from repro.tfhe.keyswitch import keyswitch_apply, keyswitch_apply_batch
+from repro.tfhe.keyswitch import keyswitch_apply_batch
 from repro.tfhe.lwe import LweBatch, lwe_batch_encrypt, lwe_encrypt, gate_message
 from repro.tfhe.params import TEST_SMALL
 
@@ -51,16 +54,11 @@ class TestBatchedBootstrap:
 
         context = cloud.default_context()
         out = context.bootstrap_batch(batch)
-        # The scalar composition: scalar rounding/extraction, then key switch.
         test_vector = make_test_vector(cloud.params, int(MU))
-        refs = [
-            keyswitch_apply(
-                cloud.keyswitch_key,
-                blind_rotate_and_extract(s, test_vector, context.rotator, cloud.params),
-            )
-            for s in samples
-        ]
-        _assert_batch_equals_samples(out, refs)
+        expected = bootstrap_oracle(
+            batch, test_vector, context.rotator, cloud.keyswitch_key, cloud.params
+        )
+        _assert_batch_equals_samples(out, expected.to_samples())
         _assert_batch_equals_samples(out, [context.bootstrap(s) for s in samples])
 
     def test_batch_roundtrip_containers(self, backend):
@@ -73,7 +71,7 @@ class TestBatchedBootstrap:
 
 
 class TestBatchedKeySwitch:
-    def test_keyswitch_apply_batch_matches_loop(self, small_keys_double):
+    def test_keyswitch_apply_batch_matches_oracle(self, small_keys_double):
         secret, cloud = small_keys_double
         rng = np.random.default_rng(2000)
         messages = np.array(
@@ -81,8 +79,8 @@ class TestBatchedKeySwitch:
         )
         batch = lwe_batch_encrypt(secret.extracted_key, messages, rng=rng)
         switched = keyswitch_apply_batch(cloud.keyswitch_key, batch)
-        refs = [keyswitch_apply(cloud.keyswitch_key, batch[i]) for i in range(len(batch))]
-        _assert_batch_equals_samples(switched, refs)
+        expected = keyswitch_apply_batch_oracle(cloud.keyswitch_key, batch)
+        _assert_batch_equals_samples(switched, expected.to_samples())
 
     def test_keyswitch_apply_batch_wraparound_rows(self, small_keys_double):
         """Rows whose mask sits at the torus wrap-around switch identically."""
@@ -94,8 +92,8 @@ class TestBatchedKeySwitch:
         a[2, ::2] = np.int32(-(2**31))
         batch = LweBatch(a=a, b=np.array([1, -1, 2**30], dtype=np.int32))
         switched = keyswitch_apply_batch(cloud.keyswitch_key, batch)
-        refs = [keyswitch_apply(cloud.keyswitch_key, batch[i]) for i in range(3)]
-        _assert_batch_equals_samples(switched, refs)
+        expected = keyswitch_apply_batch_oracle(cloud.keyswitch_key, batch)
+        _assert_batch_equals_samples(switched, expected.to_samples())
 
     def test_dimension_mismatch_rejected(self, small_keys_double):
         secret, cloud = small_keys_double

@@ -14,8 +14,8 @@ from repro.tfhe.polynomial import (
     negacyclic_convolution,
     negacyclic_convolution_int64,
     poly_mul_by_xk,
-    poly_mul_by_xk_powers,
 )
+from repro.tfhe.tlwe import TlweBatch, tlwe_batch_rotate
 from repro.tfhe.transform import make_transform
 
 ENGINES = ("naive", "double", "approx")
@@ -201,31 +201,11 @@ class TestBatchedPolynomialOps:
             assert np.array_equal(rotated[i], poly_mul_by_xk(polys[i], 9))
 
     @pytest.mark.parametrize("offset", [0, 1, DEGREE - 1, DEGREE, 2 * DEGREE - 1])
-    def test_poly_mul_by_xk_powers_matches_loop(self, rng, offset):
-        polys = _random_torus_polys(rng, (BATCH,), DEGREE)
+    def test_tlwe_batch_rotate_matches_loop(self, rng, offset):
+        """Each ciphertext of a ``(B, 3, N)`` stack by its own power, all
+        three of its polynomials alike."""
+        batch = TlweBatch(_random_torus_polys(rng, (BATCH, 3), DEGREE))
         powers = (rng.integers(0, 2 * DEGREE, size=BATCH) + offset).astype(np.int64)
-        batched = poly_mul_by_xk_powers(polys, powers)
+        rotated = tlwe_batch_rotate(batch, powers)
         for i in range(BATCH):
-            assert np.array_equal(batched[i], poly_mul_by_xk(polys[i], int(powers[i])))
-
-    def test_poly_mul_by_xk_powers_preserves_int64(self, rng):
-        """Regression: int64 stacks must not be truncated through int32."""
-        polys = rng.integers(-(2**40), 2**40, size=(BATCH, DEGREE)).astype(np.int64)
-        powers = rng.integers(0, 2 * DEGREE, size=BATCH).astype(np.int64)
-        batched = poly_mul_by_xk_powers(polys, powers)
-        assert batched.dtype == np.int64
-        for i in range(BATCH):
-            assert np.array_equal(batched[i], poly_mul_by_xk(polys[i], int(powers[i])))
-        with pytest.raises(TypeError):
-            poly_mul_by_xk_powers(polys.astype(np.float64), powers)
-
-    def test_poly_mul_by_xk_powers_broadcasts_rows(self, rng):
-        """(B, 1) powers rotate every row of a (B, R, N) stack identically."""
-        polys = _random_torus_polys(rng, (BATCH, 3), DEGREE)
-        powers = rng.integers(0, 2 * DEGREE, size=(BATCH, 1)).astype(np.int64)
-        batched = poly_mul_by_xk_powers(polys, powers)
-        for i in range(BATCH):
-            for r in range(3):
-                assert np.array_equal(
-                    batched[i, r], poly_mul_by_xk(polys[i, r], int(powers[i, 0]))
-                )
+            assert np.array_equal(rotated.data[i], poly_mul_by_xk(batch.data[i], int(powers[i])))

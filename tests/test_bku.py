@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bootstrap_oracle import extract_oracle
 from repro.arch.memory import bootstrapping_key_bytes, tgsw_ciphertext_bytes
 from repro.core.bku import UnrolledBlindRotator, pattern_exponent, x_power_minus_one_polynomial
 from repro.tfhe.gates import MU, PLAINTEXT_GATES, TFHEGateEvaluator, decrypt_bit, encrypt_bit
@@ -13,11 +14,17 @@ from repro.tfhe.keys import (
     group_indices,
     indicator_message,
 )
-from repro.tfhe.lwe import gate_message, lwe_encrypt, lwe_phase
+from repro.tfhe.lwe import LweBatch, gate_message, lwe_encrypt, lwe_phase
 from repro.tfhe.params import TEST_TINY
-from repro.tfhe.bootstrap import blind_rotate_and_extract, make_test_vector
+from repro.tfhe.bootstrap import blind_rotate_and_extract_batch, make_test_vector
 from repro.tfhe.tgsw import tgsw_transform
 from repro.tfhe.transform import NaiveNegacyclicTransform
+
+
+def _extract(rotator, sample, extract=blind_rotate_and_extract_batch) -> LweBatch:
+    """Lines 2–8 of Algorithm 1 on one sample, as a one-row batch."""
+    row = LweBatch(a=sample.a[None], b=np.asarray(sample.b)[None])
+    return extract(row, make_test_vector(TEST_TINY, int(MU)), rotator, TEST_TINY)
 
 
 def _rotator(m: int, secret_seed: int, key_seed: int) -> tuple:
@@ -145,18 +152,16 @@ class TestUnrolledBlindRotation:
         secret, rotator = _rotator(m, 85, 86)
         for bit in (0, 1):
             sample = lwe_encrypt(secret.lwe_key, gate_message(bit), rng=87 + bit)
-            extracted = blind_rotate_and_extract(
-                sample, make_test_vector(TEST_TINY, int(MU)), rotator, TEST_TINY
-            )
-            phase = lwe_phase(secret.extracted_key, extracted)
+            extracted = _extract(rotator, sample)
+            phase = lwe_phase(secret.extracted_key, extracted[0])
             assert (int(phase) > 0) == bool(bit)
+            expected = _extract(rotator, sample, extract_oracle)
+            assert np.array_equal(extracted.a, expected.a)
+            assert np.array_equal(extracted.b, expected.b)
 
     def test_rotator_counters_advance(self):
         secret, rotator = _rotator(2, 89, 90)
-        sample = lwe_encrypt(secret.lwe_key, gate_message(1), rng=91)
-        blind_rotate_and_extract(
-            sample, make_test_vector(TEST_TINY, int(MU)), rotator, TEST_TINY
-        )
+        _extract(rotator, lwe_encrypt(secret.lwe_key, gate_message(1), rng=91))
         assert rotator.external_products == rotator.external_products_per_bootstrap
         assert rotator.bundles_built == rotator.external_products
 

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from bootstrap_oracle import extract_oracle
 from repro.tfhe.bootstrap import (
-    blind_rotate_and_extract,
+    blind_rotate_and_extract_batch,
     make_test_vector,
-    modswitch_sample,
+    modswitch_batch,
 )
 from repro.tfhe.gates import MU
 from repro.tfhe.lwe import (
+    LweBatch,
     gate_message,
     lwe_decrypt_bit,
     lwe_encrypt,
@@ -29,31 +31,37 @@ class TestTestVector:
         assert testv.shape == (TEST_TINY.N,)
 
 
+def _row(sample) -> LweBatch:
+    return LweBatch(a=sample.a[None], b=np.asarray(sample.b)[None])
+
+
 class TestModSwitch:
     def test_rescales_to_2n(self, tiny_keys_naive):
         secret, _ = tiny_keys_naive
         sample = lwe_encrypt(secret.lwe_key, gate_message(1), rng=70)
-        barb, bara = modswitch_sample(sample, TEST_TINY.N)
-        assert 0 <= barb < 2 * TEST_TINY.N
-        assert bara.shape == (TEST_TINY.n,)
+        barb, bara = modswitch_batch(_row(sample), TEST_TINY.N)
+        assert barb.shape == (1,) and 0 <= barb[0] < 2 * TEST_TINY.N
+        assert bara.shape == (1, TEST_TINY.n)
         assert bara.min() >= 0 and bara.max() < 2 * TEST_TINY.N
 
     def test_trivial_sample_maps_message(self):
         sample = lwe_encrypt_trivial(TEST_TINY.n, gate_message(1))
-        barb, bara = modswitch_sample(sample, TEST_TINY.N)
+        barb, bara = modswitch_batch(_row(sample), TEST_TINY.N)
         # +1/8 of the torus is N/4 in Z_{2N}.
-        assert barb == TEST_TINY.N // 4
+        assert barb[0] == TEST_TINY.N // 4
         assert not bara.any()
 
 
 def _extract(cloud, sample):
-    """Lines 2–8 against the all-``MU`` test vector (no key switch)."""
-    return blind_rotate_and_extract(
-        sample,
-        make_test_vector(TEST_TINY, int(MU)),
-        cloud.default_context().rotator,
-        TEST_TINY,
-    )
+    """Lines 2–8 against the all-``MU`` test vector (no key switch), checked
+    against the oracle composition of the same lines."""
+    row, test_vector = _row(sample), make_test_vector(TEST_TINY, int(MU))
+    rotator = cloud.default_context().rotator
+    extracted = blind_rotate_and_extract_batch(row, test_vector, rotator, TEST_TINY)
+    expected = extract_oracle(row, test_vector, rotator, TEST_TINY)
+    assert np.array_equal(extracted.a, expected.a)
+    assert np.array_equal(extracted.b, expected.b)
+    return extracted[0]
 
 
 class TestBlindRotateAndExtract:
@@ -103,8 +111,8 @@ class TestGateBootstrap:
 
 
 class TestRotateInputValidation:
-    """``bara`` must be ``(B, ≥ n)``: one typed error, both entry points of
-    both rotators (classical CMux and BKU ``m = 2``)."""
+    """``bara`` must be ``(B, ≥ n)``: one typed error from the one entry,
+    ``rotate_batch``, of both rotators (classical CMux and BKU ``m = 2``)."""
 
     @pytest.fixture(params=["tiny_keys_naive", "tiny_keys_naive_m2"], ids=["cmux", "bku-m2"])
     def rotator(self, request):
@@ -118,8 +126,6 @@ class TestRotateInputValidation:
     def test_too_few_rotation_amounts_raise_the_same_value_error(self, rotator):
         short = np.ones(TEST_TINY.n - 1, dtype=np.int64)
         batch = self._accumulators(2)
-        with pytest.raises(ValueError, match="one rotation amount per row and key bit"):
-            rotator.rotate(batch[0], short)
         with pytest.raises(ValueError, match="one rotation amount per row and key bit"):
             rotator.rotate_batch(batch, np.stack([short, short]))
 
@@ -136,7 +142,6 @@ class TestRotateInputValidation:
         exact = rotator.rotate_batch(batch, full[None])
         padded = rotator.rotate_batch(batch, np.append(full, 9)[None])
         assert np.array_equal(exact.data, padded.data)
-        assert np.array_equal(rotator.rotate(batch[0], np.append(full, 9)).data, exact.data[0])
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_non_integer_rotation_amounts_are_refused(self, rotator, width):
@@ -148,8 +153,6 @@ class TestRotateInputValidation:
         for bad in (amounts + 0.4, amounts.astype(np.float32), amounts > 3):
             with pytest.raises(ValueError, match=f"integers mod 2N: got dtype {bad.dtype}"):
                 rotator.rotate_batch(batch, bad)
-        with pytest.raises(ValueError, match="integers mod 2N: got dtype float64"):
-            rotator.rotate(batch[0], amounts[0] + 0.4)
         for dtype in (np.int32, np.uint16):
             assert np.array_equal(
                 rotator.rotate_batch(batch, amounts.astype(dtype)).data,

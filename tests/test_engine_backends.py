@@ -29,6 +29,7 @@ import inspect
 import numpy as np
 import pytest
 from conftest import scrape
+from tgsw_oracle import external_product_oracle
 
 from repro.runtime import (
     BatchScheduler,
@@ -46,8 +47,8 @@ from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import decrypt_digit, encrypt_digit
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
 from repro.tfhe.serialize import to_bytes
-from repro.tfhe.tgsw import tgsw_encrypt, tgsw_external_product, tgsw_transform
-from repro.tfhe.tlwe import tlwe_encrypt, tlwe_key_generate, tlwe_phase
+from repro.tfhe.tgsw import tgsw_batch_external_product, tgsw_encrypt, tgsw_transform
+from repro.tfhe.tlwe import TlweBatch, tlwe_encrypt, tlwe_key_generate, tlwe_phase
 from repro.tfhe.torus import double_to_torus32, torus_distance
 from repro.tfhe import transform as transform_module
 from repro.tfhe.transform import (
@@ -293,11 +294,11 @@ def ep_setup():
     key = tlwe_key_generate(TEST_TINY.tlwe, rng=81)
     message = np.full(TEST_TINY.N, double_to_torus32(0.125), dtype=np.int32)
     tgsw = tgsw_encrypt(key, 1, TEST_TINY.tgsw, naive, rng=82)
-    tlwe = tlwe_encrypt(key, message, naive, rng=83)
+    tlwe = TlweBatch(tlwe_encrypt(key, message, naive, rng=83).data[None])
     double = DoubleFFTNegacyclicTransform(TEST_TINY.N)
     reference = {
-        "exact": tgsw_external_product(tgsw_transform(tgsw, naive), tlwe, naive),
-        "fft64": tgsw_external_product(tgsw_transform(tgsw, double), tlwe, double),
+        "exact": external_product_oracle(tgsw_transform(tgsw, naive), tlwe, naive),
+        "fft64": external_product_oracle(tgsw_transform(tgsw, double), tlwe, double),
     }
     return naive, key, message, tgsw, tlwe, reference
 
@@ -307,7 +308,7 @@ class TestExternalProductConformance:
     def test_external_product_honours_error_model(self, ep_setup, kind):
         naive, key, message, tgsw, tlwe, reference = ep_setup
         engine = _engine(kind, TEST_TINY.N)
-        product = tgsw_external_product(tgsw_transform(tgsw, engine), tlwe, engine)
+        product = tgsw_batch_external_product(tgsw_transform(tgsw, engine), tlwe, engine)
 
         model = _error_model(kind)
         if model == "exact":
@@ -315,7 +316,7 @@ class TestExternalProductConformance:
         elif model == "fft64":
             assert np.array_equal(product.data, reference["fft64"].data)
         # Every model, including approx, still owes functional correctness.
-        phase = tlwe_phase(key, product, naive)
+        phase = tlwe_phase(key, product[0], naive)
         assert torus_distance(phase, message).max() < 2e-2
 
 

@@ -1,7 +1,8 @@
 """Tests for LWE key switching.
 
 The kernel is compared with :mod:`keyswitch_oracle`, the digit-by-digit
-accumulation that skips zero digits.
+accumulation that skips zero digits.  A single sample is switched as a
+one-row batch.
 """
 
 import math
@@ -15,12 +16,7 @@ from keyswitch_oracle import (
     keyswitch_totals_oracle,
 )
 from repro.tfhe import keyswitch
-from repro.tfhe.keyswitch import (
-    KeySwitchKey,
-    keyswitch_apply,
-    keyswitch_apply_batch,
-    keyswitch_key_generate,
-)
+from repro.tfhe.keyswitch import KeySwitchKey, keyswitch_apply_batch, keyswitch_key_generate
 from repro.tfhe.lwe import (
     LweBatch,
     LweSample,
@@ -34,6 +30,11 @@ from repro.tfhe.noise import TfheNoiseModel
 from repro.tfhe.params import TEST_SMALL, TEST_TINY, KeySwitchParams
 from repro.tfhe.tgsw import BootstrapWorkspace
 from repro.tfhe.torus import torus32_from_int64, torus32_to_double
+
+
+def keyswitch_one(ks: KeySwitchKey, sample: LweSample) -> LweSample:
+    """The kernel on one sample: a one-row view in, row 0 out."""
+    return keyswitch_apply_batch(ks, LweBatch(a=sample.a[None], b=np.asarray(sample.b)[None]))[0]
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +87,7 @@ class TestKeySwitching:
     def test_switched_sample_decrypts_under_new_key(self, keys, bit):
         _, input_key, output_key, ks = keys
         sample = lwe_encrypt(input_key, gate_message(bit), rng=54 + bit)
-        switched = keyswitch_apply(ks, sample)
+        switched = keyswitch_one(ks, sample)
         assert switched.dimension == output_key.dimension
         assert lwe_decrypt_bit(output_key, switched) == bit
 
@@ -94,14 +95,14 @@ class TestKeySwitching:
         _, input_key, output_key, ks = keys
         mu = gate_message(1)
         sample = lwe_encrypt(input_key, mu, rng=60)
-        switched = keyswitch_apply(ks, sample)
+        switched = keyswitch_one(ks, sample)
         assert abs(lwe_noise(output_key, switched, mu)) < 1.0 / 32.0
 
     def test_dimension_mismatch_rejected(self, keys):
         _, _, output_key, ks = keys
         bad = lwe_encrypt(output_key, gate_message(0), rng=61)
         with pytest.raises(ValueError):
-            keyswitch_apply(ks, bad)
+            keyswitch_one(ks, bad)
 
     def test_many_samples_roundtrip(self, keys):
         _, input_key, output_key, ks = keys
@@ -110,7 +111,7 @@ class TestKeySwitching:
         for i in range(20):
             bit = int(rng.integers(0, 2))
             sample = lwe_encrypt(input_key, gate_message(bit), rng=rng)
-            if lwe_decrypt_bit(output_key, keyswitch_apply(ks, sample)) != bit:
+            if lwe_decrypt_bit(output_key, keyswitch_one(ks, sample)) != bit:
                 failures += 1
         assert failures == 0
 
@@ -118,7 +119,7 @@ class TestKeySwitching:
 class TestWrapAroundMasks:
     """Regression: mask coefficients near the torus wrap-around.
 
-    ``keyswitch_apply`` adds a rounding offset to the unsigned mask
+    The key switch adds a rounding offset to the unsigned mask
     coefficients; for ``a ≈ 2^32 − 1`` the sum carries into bit 32 and must be
     reduced back onto the 32-bit torus before digit extraction.
     """
@@ -132,7 +133,7 @@ class TestWrapAroundMasks:
         a[::3] = np.int32(2**31 - 1)
         a[1::3] = np.int32(-(2**31))
         sample = LweSample(a=a, b=np.int32(1234567))
-        switched = keyswitch_apply(ks, sample)
+        switched = keyswitch_one(ks, sample)
         reference = keyswitch_apply_oracle(ks, sample)
         assert np.array_equal(switched.a, reference.a)
         assert int(switched.b) == int(reference.b)
@@ -152,7 +153,7 @@ class TestWrapAroundMasks:
                 delta_total += delta * int(input_key.key[idx])
                 sample.a[idx] = target
             sample.b = np.int32(torus32_from_int64(int(np.int64(sample.b)) + delta_total))
-            assert lwe_decrypt_bit(output_key, keyswitch_apply(ks, sample)) == bit
+            assert lwe_decrypt_bit(output_key, keyswitch_one(ks, sample)) == bit
 
 
 class TestTinyParameters:
@@ -164,7 +165,7 @@ class TestTinyParameters:
         output_key = lwe_key_generate(params.lwe, rng=64)
         ks = keyswitch_key_generate(input_key, output_key, params.keyswitch, rng=65)
         sample = lwe_encrypt(input_key, gate_message(1), rng=66)
-        assert lwe_decrypt_bit(output_key, keyswitch_apply(ks, sample)) == 1
+        assert lwe_decrypt_bit(output_key, keyswitch_one(ks, sample)) == 1
 
 
 class TestBlockedAccumulation:
@@ -271,7 +272,7 @@ class TestBlockedAccumulation:
 
     def test_a_zero_mask_switches_to_its_body_alone_under_a_real_key(self, keys):
         _, input_key, output_key, ks = keys
-        switched = keyswitch_apply(
+        switched = keyswitch_one(
             ks, LweSample(a=np.zeros(input_key.dimension, dtype=np.int32), b=np.int32(-7))
         )
         assert np.array_equal(switched.a, np.zeros(output_key.dimension, dtype=np.int32))
@@ -331,10 +332,10 @@ class TestBlockedAccumulation:
             assert np.array_equal(switched.b, expected.b)
             assert not np.shares_memory(switched.a, workspace._pools["keyswitch"])
 
-    def test_scalar_apply_is_the_batch_on_one_row(self, keys):
+    def test_one_row_matches_the_oracle(self, keys):
         _, input_key, _, ks = keys
         sample = lwe_encrypt(input_key, gate_message(1), rng=75)
-        switched = keyswitch_apply(ks, sample)
+        switched = keyswitch_one(ks, sample)
         reference = keyswitch_apply_oracle(ks, sample)
         assert np.array_equal(switched.a, reference.a)
         assert switched.b == reference.b

@@ -5,8 +5,10 @@ row holds for the other on every entry point: the 8-ary message-space check,
 an empty round, a failed operand, and — on random compiler-produced
 netlists — the output ciphertexts of the three circuit drivers.  Rotate →
 extract → key switch is composed in one place, so what that place does — the
-dimension check, the stage spans, the bootstrap count — holds for digit rows
-and raw refreshes as well, and nothing else in ``src`` composes it again.
+dimension check, the stage spans, the bootstrap count — holds for digit rows,
+raw refreshes and the scalar evaluator as well, and nothing else in ``src``
+composes it again: what a row must come out as is pinned by the oracle
+composition of ``bootstrap_oracle``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bootstrap_oracle import bootstrap_oracle
 from repro.compiler.passes import DEFAULT_PIPELINE, LUT_PIPELINE, PassManager
 from repro.runtime.context import FheContext
 from repro.runtime.scheduler import (
@@ -34,17 +37,28 @@ from repro.telemetry import Telemetry
 from repro.tfhe.bootstrap import programmable_bootstrap_batch
 from repro.tfhe.executor import CircuitExecutor, execute
 from repro.tfhe.gates import (
+    MU,
+    PLAINTEXT_GATES,
     BatchGateEvaluator,
     TFHEGateEvaluator,
     decrypt_bit,
     encrypt_bit,
     encrypt_bits,
+    row_spec,
 )
 from repro.tfhe.integers import RadixEvaluator, encrypt_radix
 from repro.tfhe.keys import generate_keys
-from repro.tfhe.lwe import LweBatch, LweSample, encrypt_digit
+from repro.tfhe.lwe import (
+    LweBatch,
+    LweSample,
+    encrypt_digit,
+    lwe_add,
+    lwe_encrypt_trivial,
+    lwe_scale,
+)
 from repro.tfhe.netlist import Circuit, adder_netlist
 from repro.tfhe.params import TEST_TINY, DigitEncoding
+from repro.tfhe.torus import torus32_from_int64
 from repro.tfhe.transform import NaiveNegacyclicTransform
 
 from test_compiler_passes import _random_netlist
@@ -249,6 +263,42 @@ def test_wrong_dimension_rows_are_refused_by_both_evaluators(request, keys, extr
     with pytest.raises(ValueError, match=message):
         FheContext(cloud).bootstrap(wrong)
     assert scalar.counters.bootstraps == batch.counters.bootstraps == 0
+    assert scalar.counters.gates == batch.counters.gates == 0
+
+
+def _oracle_row(context, op, operands) -> LweSample:
+    """One row built only from independent parts: the scalar affine chain,
+    then the oracle bootstrap."""
+    offset, weights, test_vector = row_spec(context.params, op)
+    combined = lwe_encrypt_trivial(context.params.n, torus32_from_int64(offset * int(MU)))
+    for weight, operand in zip(weights, operands):
+        combined = lwe_add(combined, lwe_scale(weight, operand))
+    row = LweBatch.from_samples([combined])
+    return bootstrap_oracle(
+        row, test_vector, context.rotator, context.keyswitch_key, context.params
+    )[0]
+
+
+@pytest.mark.parametrize(
+    "keys", ["tiny_keys_naive", "tiny_keys_naive_m2", "small_keys_double", "small_keys_approx_m2"]
+)
+def test_scalar_evaluator_rows_equal_the_oracle_composition(request, keys):
+    secret, cloud = request.getfixturevalue(keys)
+    context = cloud.default_context()
+    evaluator = TFHEGateEvaluator(cloud)
+    a, b, c = encrypt_bits(secret, [1, 0, 1], rng=50)
+    rows = [
+        (name, [a, b], evaluator.gate(name, a, b), PLAINTEXT_GATES[name](1, 0))
+        for name in sorted(PLAINTEXT_GATES)
+    ]
+    # 0x96 is the three-input parity.
+    rows.append(((0x96, 3), [a, b, c], evaluator.lut(0x96, [a, b, c]), 0))
+    for op, inputs, got, bit in rows:
+        expected = _oracle_row(context, op, inputs)
+        assert np.array_equal(got.a, expected.a), op
+        assert got.b == expected.b, op
+        assert decrypt_bit(secret, got) == bit, op
+    assert evaluator.counters.gates == evaluator.counters.bootstraps == len(rows)
 
 
 #: Base-4 digits with a digit of carry room.  ``test-tiny`` cannot resolve the
@@ -323,14 +373,11 @@ def test_every_caller_of_the_composition_is_traced_and_counted(
 
 
 #: The kernels of the two halves of a bootstrapping → the module that defines
-#: each.  Besides that module, only the one batched composition and its
-#: scalar reference may call them: anything else that pairs a blind rotation
-#: with a key switch bypasses the dimension check, the spans and the counters
-#: above.
+#: each.  Besides that module, only the one batched composition may call
+#: them: anything else that pairs a blind rotation with a key switch bypasses
+#: the dimension check, the spans and the counters above.
 KERNEL_HOME = {
-    "keyswitch_apply": "tfhe/keyswitch.py",
     "keyswitch_apply_batch": "tfhe/keyswitch.py",
-    "blind_rotate_and_extract": "tfhe/bootstrap.py",
     "blind_rotate_and_extract_batch": "tfhe/bootstrap.py",
 }
 
@@ -351,7 +398,4 @@ def test_only_the_row_path_composes_rotation_with_key_switch():
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 if KERNEL_HOME.get(name, module) != module:
                     callers.add((module, scope.name))
-    assert callers == {
-        ("tfhe/gates.py", "_apply"),
-        ("tfhe/gates.py", "bootstrap_rows"),
-    }
+    assert callers == {("tfhe/gates.py", "bootstrap_rows")}

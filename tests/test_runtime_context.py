@@ -3,9 +3,10 @@
 The two load-bearing properties of the runtime refactor:
 
 * gate outputs through a context (cached key spectra) are **bit-identical**
-  to the uncached reference path that re-transforms the bootstrapping key
-  from its coefficient-domain material for every gate — checked exhaustively
-  over all ten gate kinds and all four input combinations;
+  to the oracle bootstrap of ``bootstrap_oracle`` against a bootstrapping
+  key re-transformed from its coefficient-domain material for every gate —
+  checked exhaustively over all ten gate kinds and all four input
+  combinations;
 * each cloud-key TGSW sample is ``forward()``-transformed **exactly once per
   context**, proven by the engine's invocation counters.
 """
@@ -15,12 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bootstrap_oracle import bootstrap_oracle
 from repro.runtime import FheContext
-from repro.tfhe.bootstrap import (
-    CmuxBlindRotator,
-    blind_rotate_and_extract,
-    make_test_vector,
-)
+from repro.tfhe.bootstrap import CmuxBlindRotator, make_test_vector
 from repro.tfhe.circuits import add, decrypt_integer, encrypt_integer
 from repro.tfhe.executor import CircuitExecutor
 from repro.tfhe.gates import (
@@ -31,15 +29,15 @@ from repro.tfhe.gates import (
     encrypt_bit,
 )
 from repro.tfhe.keys import TFHECloudKey, generate_keys
-from repro.tfhe.keyswitch import KeySwitchKey, keyswitch_apply
-from repro.tfhe.lwe import lwe_add, lwe_encrypt_trivial, lwe_scale, lwe_sub
+from repro.tfhe.keyswitch import KeySwitchKey
+from repro.tfhe.lwe import LweBatch, lwe_add, lwe_encrypt_trivial, lwe_scale, lwe_sub
 from repro.tfhe.params import PAPER_110BIT, TEST_TINY
 from repro.tfhe.tgsw import TgswSample, tgsw_transform
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform, NaiveNegacyclicTransform
 
 
 def _uncached_gate(cloud, name, ca, cb):
-    """Reference path: re-transform the key material and bootstrap directly."""
+    """Reference path: re-transform the key material and bootstrap through the oracle."""
     engine = NaiveNegacyclicTransform(cloud.params.N)
     rotator = CmuxBlindRotator(
         [tgsw_transform(sample, engine) for sample in cloud.bootstrapping_key],
@@ -51,10 +49,13 @@ def _uncached_gate(cloud, name, ca, cb):
     combined = lwe_encrypt_trivial(ca.dimension, np.int32(offset * int(MU)))
     combined = lwe_add(combined, lwe_scale(coef_a, ca))
     combined = lwe_add(combined, lwe_scale(coef_b, cb))
-    extracted = blind_rotate_and_extract(
-        combined, make_test_vector(cloud.params, int(MU)), rotator, cloud.params
-    )
-    return keyswitch_apply(cloud.keyswitch_key, extracted)
+    return bootstrap_oracle(
+        LweBatch.from_samples([combined]),
+        make_test_vector(cloud.params, int(MU)),
+        rotator,
+        cloud.keyswitch_key,
+        cloud.params,
+    )[0]
 
 
 class TestCachedSpectraBitIdentical:

@@ -1,4 +1,7 @@
-"""Tests for TGSW: gadget decomposition, external product and CMux."""
+"""Tests for TGSW: gadget decomposition, external product and CMux.
+
+A single TLWE operand enters the batched kernels as a one-row batch.
+"""
 
 import numpy as np
 import pytest
@@ -10,18 +13,21 @@ from repro.tfhe.tgsw import (
     gadget_decompose,
     gadget_recompose,
     gadget_values,
-    tgsw_cmux,
+    tgsw_batch_cmux_rotate,
+    tgsw_batch_external_product,
     tgsw_encrypt,
     tgsw_encrypt_zero,
-    tgsw_external_product,
     tgsw_identity,
     tgsw_transform,
 )
 from repro.tfhe.tlwe import (
+    TlweBatch,
+    tlwe_batch_add,
+    tlwe_batch_sub,
+    tlwe_batch_trivial,
     tlwe_encrypt,
     tlwe_key_generate,
     tlwe_phase,
-    tlwe_trivial,
 )
 from repro.tfhe.torus import double_to_torus32, torus_distance
 from repro.tfhe.transform import NaiveNegacyclicTransform
@@ -38,6 +44,11 @@ def setup():
 
 def message_poly(value=0.125):
     return np.full(PARAMS.N, double_to_torus32(value), dtype=np.int32)
+
+
+def trivial(message) -> TlweBatch:
+    """A one-row batch of the trivial encryption of ``message``."""
+    return tlwe_batch_trivial(message, PARAMS.k, 1)
 
 
 class TestGadgetDecomposition:
@@ -105,9 +116,9 @@ class TestExternalProduct:
         transform, key = setup
         tgsw = tgsw_encrypt(key, bit, PARAMS.tgsw, transform, rng=36 + bit)
         message = message_poly()
-        tlwe = tlwe_encrypt(key, message, transform, rng=38)
-        product = tgsw_external_product(tgsw_transform(tgsw, transform), tlwe, transform)
-        phase = tlwe_phase(key, product, transform)
+        tlwe = TlweBatch(tlwe_encrypt(key, message, transform, rng=38).data[None])
+        product = tgsw_batch_external_product(tgsw_transform(tgsw, transform), tlwe, transform)
+        phase = tlwe_phase(key, product[0], transform)
         expected = message if bit else np.zeros_like(message)
         assert torus_distance(phase, expected).max() < 2e-2
 
@@ -115,17 +126,16 @@ class TestExternalProduct:
         transform, key = setup
         identity = tgsw_transform(tgsw_identity(PARAMS.tlwe, PARAMS.tgsw), transform)
         message = message_poly()
-        trivial = tlwe_trivial(message, PARAMS.k)
-        product = tgsw_external_product(identity, trivial, transform)
-        phase = tlwe_phase(key, product, transform)
+        product = tgsw_batch_external_product(identity, trivial(message), transform)
+        phase = tlwe_phase(key, product[0], transform)
         assert torus_distance(phase, message).max() < 1e-3
 
     def test_incompatible_operands_raise(self, setup):
         transform, key = setup
         tgsw = tgsw_transform(tgsw_identity(PARAMS.tlwe, PARAMS.tgsw), transform)
-        bad = tlwe_trivial(np.zeros(PARAMS.N * 2, dtype=np.int32), PARAMS.k)
+        bad = trivial(np.zeros(PARAMS.N * 2, dtype=np.int32))
         with pytest.raises(ValueError):
-            tgsw_external_product(tgsw, bad, transform)
+            tgsw_batch_external_product(tgsw, bad, transform)
 
 
 class TestCMux:
@@ -136,10 +146,12 @@ class TestCMux:
             tgsw_encrypt(key, selector_bit, PARAMS.tgsw, transform, rng=40 + selector_bit),
             transform,
         )
-        if_true = tlwe_trivial(message_poly(0.25), PARAMS.k)
-        if_false = tlwe_trivial(message_poly(-0.25), PARAMS.k)
-        result = tgsw_cmux(selector, if_true, if_false, transform)
-        phase = tlwe_phase(key, result, transform)
+        if_true, if_false = trivial(message_poly(0.25)), trivial(message_poly(-0.25))
+        # CMux(C, d1, d0) = C ⊡ (d1 − d0) + d0
+        product = tgsw_batch_external_product(
+            selector, tlwe_batch_sub(if_true, if_false), transform
+        )
+        phase = tlwe_phase(key, tlwe_batch_add(product, if_false)[0], transform)
         expected = message_poly(0.25) if selector_bit else message_poly(-0.25)
         assert torus_distance(phase, expected).max() < 2e-2
 
@@ -150,9 +162,6 @@ class TestCMux:
             tgsw_encrypt(key, 1, PARAMS.tgsw, transform, rng=42), transform
         )
         testv = message_poly(0.125)
-        acc = tlwe_trivial(testv, PARAMS.k)
-        from repro.tfhe.tlwe import tlwe_rotate
-
-        result = tgsw_cmux(selector, tlwe_rotate(acc, 5), acc, transform)
-        phase = tlwe_phase(key, result, transform)
+        result = tgsw_batch_cmux_rotate(selector, trivial(testv), [5], transform)
+        phase = tlwe_phase(key, result[0], transform)
         assert torus_distance(phase, poly_mul_by_xk(testv, 5)).max() < 2e-2

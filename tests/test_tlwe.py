@@ -1,4 +1,7 @@
-"""Tests for ring TLWE encryption, rotation and sample extraction."""
+"""Tests for ring TLWE encryption, rotation and sample extraction.
+
+A single ciphertext goes through the batched helpers as a one-row batch.
+"""
 
 import numpy as np
 import pytest
@@ -7,17 +10,17 @@ from repro.tfhe.lwe import lwe_phase
 from repro.tfhe.params import TEST_SMALL, TEST_TINY
 from repro.tfhe.polynomial import poly_mul_by_xk
 from repro.tfhe.tlwe import (
+    TlweBatch,
     TlweSample,
-    tlwe_add,
+    tlwe_batch_add,
+    tlwe_batch_rotate,
+    tlwe_batch_sample_extract,
+    tlwe_batch_sub,
+    tlwe_batch_trivial,
     tlwe_encrypt,
     tlwe_extract_lwe_key,
     tlwe_key_generate,
     tlwe_phase,
-    tlwe_rotate,
-    tlwe_sample_extract,
-    tlwe_sub,
-    tlwe_trivial,
-    tlwe_zero,
 )
 from repro.tfhe.torus import double_to_torus32, torus_distance
 from repro.tfhe.transform import NaiveNegacyclicTransform
@@ -35,28 +38,44 @@ def message_poly(degree, value=0.125):
     return np.full(degree, double_to_torus32(value), dtype=np.int32)
 
 
+def _row(sample: TlweSample) -> TlweBatch:
+    return TlweBatch(sample.data[None])
+
+
+def _trivial(message, mask_count: int) -> TlweSample:
+    return tlwe_batch_trivial(message, mask_count, 1)[0]
+
+
+def _zero(params) -> TlweSample:
+    return TlweSample(np.zeros((params.mask_count + 1, params.degree), dtype=np.int32))
+
+
 class TestKeyAndStructure:
     def test_key_shape_and_binarity(self, setup):
         params, _, key = setup
         assert key.key.shape == (params.mask_count, params.degree)
         assert set(np.unique(key.key)).issubset({0, 1})
 
-    def test_zero_sample_shape(self, setup):
+    def test_trivial_batch_shape(self, setup):
         params, _, _ = setup
-        sample = tlwe_zero(params)
-        assert sample.data.shape == (params.mask_count + 1, params.degree)
-        assert not sample.data.any()
+        batch = tlwe_batch_trivial(np.zeros(params.degree, dtype=np.int32), params.mask_count, 3)
+        assert batch.data.shape == (3, params.mask_count + 1, params.degree)
+        assert batch.data.dtype == np.int32
+        assert not batch.data.any()
 
     def test_trivial_sample_stores_message_in_body(self, setup):
         params, _, _ = setup
         msg = message_poly(params.degree)
-        sample = tlwe_trivial(msg, params.mask_count)
-        assert np.array_equal(sample.b, msg)
-        assert not sample.a.any()
+        per_row = np.stack([msg, -msg])
+        for message, width in ((msg, 2), (per_row, 2)):
+            batch = tlwe_batch_trivial(message, params.mask_count, width)
+            bodies = np.broadcast_to(message, (width, params.degree))
+            assert np.array_equal(batch.data[:, -1], bodies)
+            assert not batch.data[:, :-1].any()
 
     def test_accessors(self, setup):
         params, _, _ = setup
-        sample = tlwe_zero(params)
+        sample = _zero(params)
         assert sample.mask_count == params.mask_count
         assert sample.degree == params.degree
 
@@ -74,7 +93,7 @@ class TestEncryption:
         msg = message_poly(params.degree)
         c1 = tlwe_encrypt(key, msg, transform, rng=23)
         c2 = tlwe_encrypt(key, msg, transform, rng=24)
-        total_phase = tlwe_phase(key, tlwe_add(c1, c2), transform)
+        total_phase = tlwe_phase(key, tlwe_batch_add(_row(c1), _row(c2))[0], transform)
         expected = np.full(params.degree, 2 * int(double_to_torus32(0.125)), dtype=np.int64)
         assert torus_distance(total_phase, expected.astype(np.int32)).max() < 1e-3
 
@@ -82,13 +101,13 @@ class TestEncryption:
         params, transform, key = setup
         msg = message_poly(params.degree)
         c1 = tlwe_encrypt(key, msg, transform, rng=25)
-        diff_phase = tlwe_phase(key, tlwe_sub(c1, c1), transform)
+        diff_phase = tlwe_phase(key, tlwe_batch_sub(_row(c1), _row(c1))[0], transform)
         assert torus_distance(diff_phase, np.zeros(params.degree, dtype=np.int32)).max() == 0
 
     def test_trivial_phase_is_message(self, setup):
         params, transform, key = setup
         msg = message_poly(params.degree)
-        sample = tlwe_trivial(msg, params.mask_count)
+        sample = _trivial(msg, params.mask_count)
         assert np.array_equal(tlwe_phase(key, sample, transform), msg)
 
 
@@ -98,18 +117,25 @@ class TestRotation:
         msg = np.zeros(params.degree, dtype=np.int32)
         msg[0] = double_to_torus32(0.125)
         ct = tlwe_encrypt(key, msg, transform, rng=26)
-        rotated_phase = tlwe_phase(key, tlwe_rotate(ct, 3), transform)
+        rotated_phase = tlwe_phase(key, tlwe_batch_rotate(_row(ct), [3])[0], transform)
         assert torus_distance(rotated_phase, poly_mul_by_xk(msg, 3)).max() < 1e-3
 
     def test_rotation_by_zero_is_identity(self, setup):
         params, _, _ = setup
-        sample = tlwe_trivial(message_poly(params.degree), params.mask_count)
-        assert np.array_equal(tlwe_rotate(sample, 0).data, sample.data)
+        batch = _row(_trivial(message_poly(params.degree), params.mask_count))
+        assert np.array_equal(tlwe_batch_rotate(batch, [0]).data, batch.data)
 
     def test_rotation_by_2n_is_identity(self, setup):
         params, _, _ = setup
-        sample = tlwe_trivial(message_poly(params.degree), params.mask_count)
-        assert np.array_equal(tlwe_rotate(sample, 2 * params.degree).data, sample.data)
+        batch = _row(_trivial(message_poly(params.degree), params.mask_count))
+        assert np.array_equal(tlwe_batch_rotate(batch, [2 * params.degree]).data, batch.data)
+
+    def test_batch_rotate_needs_one_power_per_ciphertext(self, setup):
+        params, _, _ = setup
+        batch = tlwe_batch_trivial(message_poly(params.degree), params.mask_count, 2)
+        for powers in ([1], [1, 2, 3], [[1], [2]]):
+            with pytest.raises(ValueError, match="one rotation power per batched ciphertext"):
+                tlwe_batch_rotate(batch, powers)
 
 
 class TestSampleExtract:
@@ -121,7 +147,7 @@ class TestSampleExtract:
         poly_phase = tlwe_phase(key, ct, transform)
         extracted_key = tlwe_extract_lwe_key(key)
         for index in (0, 1, params.degree // 2, params.degree - 1):
-            extracted = tlwe_sample_extract(ct, index)
+            extracted = tlwe_batch_sample_extract(_row(ct), index)[0]
             scalar_phase = lwe_phase(extracted_key, extracted)
             assert float(torus_distance(scalar_phase, poly_phase[index])) == 0.0
 
@@ -131,13 +157,12 @@ class TestSampleExtract:
 
     def test_extract_index_out_of_range(self, setup):
         params, _, _ = setup
-        sample = tlwe_zero(params)
         with pytest.raises(ValueError):
-            tlwe_sample_extract(sample, params.degree)
+            tlwe_batch_sample_extract(_row(_zero(params)), params.degree)
 
     def test_copy_is_independent(self, setup):
         params, _, _ = setup
-        sample = tlwe_zero(params)
+        sample = _zero(params)
         clone = sample.copy()
         clone.data[0, 0] = 5
         assert sample.data[0, 0] == 0

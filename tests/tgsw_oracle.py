@@ -1,0 +1,126 @@
+"""The external product, the CMux and the classical blind rotation written out
+per digit plane: the oracle of the fused kernels.
+
+:func:`repro.tfhe.tgsw.tgsw_batch_external_product` decomposes all ``k+1``
+blocks into one digit stack and runs one stacked forward, one contraction and
+one stacked backward; :func:`repro.tfhe.tgsw.tgsw_batch_cmux_rotate` reads
+``X^p·ACC`` as a window and adds ``ACC`` back inside the product's wrap; and
+:meth:`repro.tfhe.bootstrap.CmuxBlindRotator.rotate_batch` chains that step
+over the key bits.  This oracle does it the pre-fusion way: the TGSW operand
+as a ``rows × (k+1)`` list of per-polynomial spectra, one forward per digit
+plane of the int64 :func:`repro.tfhe.tgsw.gadget_decompose`, a Python double
+loop of pointwise multiply-adds, one backward per output column; the CMux as
+``C ⊡ (d1 − d0) + d0``; and each row's rotation materialised on its own with
+:func:`repro.tfhe.polynomial.poly_mul_by_xk`.  The kernels must agree with it
+bit for bit and count the same logical transforms.
+
+:func:`sample_extract_oracle` is ``SampleExtract`` one mask polynomial at a
+time, the oracle of :func:`repro.tfhe.tlwe.tlwe_batch_sample_extract`.
+"""
+
+from __future__ import annotations
+
+from typing import List
+
+import numpy as np
+
+from repro.tfhe.lwe import LweSample
+from repro.tfhe.polynomial import poly_add, poly_mul_by_xk, poly_sub
+from repro.tfhe.tgsw import gadget_decompose
+from repro.tfhe.tlwe import TlweBatch, TlweSample
+from repro.tfhe.torus import torus32_from_int64
+from repro.tfhe.transform import Spectrum
+
+
+def row_col_spectrum(tgsw, transform, row: int, col: int) -> Spectrum:
+    """Polynomial ``(row, col)`` of a packed TGSW tensor, as its own spectrum."""
+    return transform.spectrum_take_col(transform.spectrum_index(tgsw.tensor, row), col)
+
+
+def external_product_rows_oracle(
+    spectra: List[List[Spectrum]], params, mask_count: int, degree: int, data, transform
+) -> np.ndarray:
+    """``spectra ⊡ data`` for a ``rows × (k+1)`` list of spectra and TLWE data
+    of shape ``(..., k+1, N)``: one forward per digit plane, one backward per
+    output column."""
+    decomposed: List[np.ndarray] = []
+    for block in range(mask_count + 1):
+        digits = gadget_decompose(data[..., block, :], params)
+        decomposed.extend(digits[j] for j in range(params.decomp_length))
+    dec_spectra = [transform.forward(d) for d in decomposed]
+
+    result = np.zeros(data.shape[:-2] + (mask_count + 1, degree), dtype=np.int32)
+    for col in range(mask_count + 1):
+        acc = transform.spectrum_zero()
+        for row in range(len(spectra)):
+            acc = transform.spectrum_add(
+                acc, transform.spectrum_mul(dec_spectra[row], spectra[row][col])
+            )
+        result[..., col, :] = torus32_from_int64(transform.backward(acc))
+    return result
+
+
+def _external_product_data(tgsw, data: np.ndarray, transform) -> np.ndarray:
+    spectra = [
+        [row_col_spectrum(tgsw, transform, row, col) for col in range(tgsw.mask_count + 1)]
+        for row in range(tgsw.rows)
+    ]
+    return external_product_rows_oracle(
+        spectra, tgsw.params, tgsw.mask_count, tgsw.degree, data, transform
+    )
+
+
+def _cmux_data(selector, if_true: np.ndarray, if_false: np.ndarray, transform) -> np.ndarray:
+    difference = poly_sub(if_true, if_false)
+    return poly_add(_external_product_data(selector, difference, transform), if_false)
+
+
+def external_product_oracle(tgsw, tlwe, transform):
+    """``tgsw ⊡ tlwe`` for a :class:`TlweSample` or a :class:`TlweBatch`
+    (returned as the same type)."""
+    return type(tlwe)(_external_product_data(tgsw, tlwe.data, transform))
+
+
+def cmux_oracle(selector, if_true, if_false, transform):
+    """``CMux(C, d1, d0) = C ⊡ (d1 − d0) + d0`` on samples or batches."""
+    return type(if_true)(_cmux_data(selector, if_true.data, if_false.data, transform))
+
+
+def rotate_rows_oracle(data: np.ndarray, powers) -> np.ndarray:
+    """Ciphertext ``i`` of a ``(B, k+1, N)`` stack times ``X^{powers[i]}``, row by row."""
+    return np.stack([poly_mul_by_xk(row, int(p)) for row, p in zip(data, powers)])
+
+
+def cmux_blind_rotate_oracle(rotator, accumulators: TlweBatch, bara: np.ndarray) -> TlweBatch:
+    """A :class:`repro.tfhe.bootstrap.CmuxBlindRotator` rotation of a
+    ``(B, k+1, N)`` stack, ``bara`` of shape ``(B, n)``: per key bit, every row
+    rotated on its own, then the per-digit-plane CMux.  A key bit at which
+    every row's amount is ``0 mod 2N`` is skipped, as the rotator skips it."""
+    data = accumulators.data
+    bara = np.asarray(bara)
+    for i, bk_i in enumerate(rotator.bootstrapping_key):
+        powers = bara[:, i]
+        if not np.any(powers % (2 * data.shape[-1])):
+            continue
+        data = _cmux_data(bk_i, rotate_rows_oracle(data, powers), data, rotator.transform)
+    return TlweBatch(data)
+
+
+def sample_extract_oracle(sample: TlweSample, index: int = 0) -> LweSample:
+    """Coefficient ``index`` of the message of ``sample`` as a scalar LWE
+    sample under the extracted key, one mask polynomial at a time."""
+    k = sample.mask_count
+    degree = sample.degree
+    if not 0 <= index < degree:
+        raise ValueError("extraction index out of range")
+    a = np.zeros(k * degree, dtype=np.int32)
+    for j in range(k):
+        row = sample.a[j].astype(np.int64)
+        extracted = np.empty(degree, dtype=np.int64)
+        # The coefficient of s_j[t] in the phase of coefficient `index` is
+        # a_j[index − t] for t ≤ index and −a_j[N + index − t] for t > index.
+        extracted[: index + 1] = row[index::-1]
+        if index + 1 < degree:
+            extracted[index + 1 :] = -row[:index:-1]
+        a[j * degree : (j + 1) * degree] = torus32_from_int64(extracted)
+    return LweSample(a=a, b=np.int32(sample.b[index]))
