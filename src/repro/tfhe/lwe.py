@@ -9,12 +9,27 @@ Besides the scalar :class:`LweSample` this module provides :class:`LweBatch`,
 a stack of ``B`` independent ciphertexts stored as contiguous arrays, plus the
 matching vectorised linear operations (``lwe_batch_*``).  Batched results are
 bit-identical to applying the scalar operation to each element of the stack.
+
+A fresh encryption does not draw its mask word by word: it draws a 128-bit
+``seed`` (four int32 words) per row from the caller's ``rng`` and expands it
+with :func:`lwe_masks` (SHAKE-128 under a fixed domain tag).  The ciphertext
+keeps the seed, so :mod:`repro.tfhe.serialize` writes ``seed`` + ``b`` — 20
+bytes of payload whatever ``n`` — and a reader regenerates ``a``.  While a
+seed is set, ``a`` is read-only, so no in-place edit can leave a stale seed
+behind; :meth:`LweSample.copy` gives a writable, unseeded ciphertext.  Every
+derived ciphertext (a sum, a key switch, a bootstrap) carries no seed.
+
+Security: the seed is public, like the mask it stands for, and the mask's
+pseudorandomness rests on SHAKE-128.  Seeds and noise come from the caller's
+NumPy ``rng`` (PCG64 — not a CSPRNG), so a deployment passes one seeded from
+:mod:`secrets` (``np.random.default_rng(secrets.randbits(128))``).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -30,20 +45,89 @@ from repro.tfhe.torus import (
 )
 from repro.utils.rng import SeedLike, make_rng
 
+#: int32 words of a mask seed (128 bits).
+SEED_WORDS = 4
+#: Prefixed to every seed before expansion, so a mask stream can never be
+#: mistaken for another use of SHAKE-128 with the same 16 bytes.
+_MASK_DOMAIN = b"repro-tfhe/lwe-mask/v1\x00"
+_MASK_XOF = hashlib.shake_128(_MASK_DOMAIN)
+_SEED_BYTES = 4 * SEED_WORDS
+#: Seeds are hashed, and masks read, as little-endian words on every platform.
+_WORD = np.dtype("<i4")
+
+
+def lwe_masks(seeds, n: int) -> np.ndarray:
+    """The uniform masks that 128-bit seeds expand to (read-only int32).
+
+    ``seeds`` is int32 of shape ``(4,)`` or ``(B, 4)``; the result has shape
+    ``(n,)`` or ``(B, n)``.  A row's mask is the first ``4n`` bytes of
+    SHAKE-128 over :data:`_MASK_DOMAIN` then the seed's 16 little-endian
+    bytes, read as little-endian int32 — the same words on every platform.
+    The one expander of fresh masks: encryption and every reader call it.
+    """
+    seeds = np.asarray(seeds)
+    if seeds.dtype != np.int32 or seeds.shape[-1:] != (SEED_WORDS,) or seeds.ndim > 2:
+        raise ValueError(
+            f"seeds must be int32 of shape (4,) or (B, 4), not {seeds.dtype} {seeds.shape}"
+        )
+    if type(n) is not int or n < 1:
+        raise ValueError(f"mask length must be a positive int, not {n!r}")
+    raw = seeds.astype(_WORD, copy=False).tobytes()
+    streams = []
+    for start in range(0, len(raw), _SEED_BYTES):
+        xof = _MASK_XOF.copy()
+        xof.update(raw[start : start + _SEED_BYTES])
+        streams.append(xof.digest(4 * n))
+    masks = np.frombuffer(b"".join(streams), _WORD).astype(np.int32, copy=False)
+    if masks.flags.writeable:  # a big-endian host's converted copy
+        masks.flags.writeable = False
+    return masks if seeds.ndim == 1 else masks.reshape(len(seeds), n)
+
+
+def _read_only(array) -> np.ndarray:
+    """``array`` if it already is a read-only ndarray, else a read-only view."""
+    if type(array) is np.ndarray and not array.flags.writeable:
+        return array
+    view = np.asarray(array).view()
+    view.flags.writeable = False
+    return view
+
+
+def _seed(seed, shape) -> np.ndarray:
+    seed = _read_only(seed)
+    if seed.dtype != np.int32 or seed.shape != shape:
+        raise ValueError(f"seed must be int32 of shape {shape}, not {seed.dtype} {seed.shape}")
+    return seed
+
 
 @dataclass
 class LweSample:
-    """A scalar LWE ciphertext ``(a, b)`` over the discretised torus."""
+    """A scalar LWE ciphertext ``(a, b)`` over the discretised torus.
+
+    ``seed`` (int32[4]) is set on a fresh encryption only: ``a`` is then
+    ``lwe_masks(seed, n)`` and read-only, and the sample is written as its
+    seed.
+    """
 
     a: np.ndarray  # int32[n]
     b: np.int32
+    seed: Optional[np.ndarray] = None  # int32[4]
+
+    def __post_init__(self) -> None:
+        if self.seed is not None:
+            self.seed = _seed(self.seed, (SEED_WORDS,))
+            self.a = _read_only(self.a)
+
+    def __reduce__(self):
+        # Through __init__, so an unpickled seeded sample's ``a`` is read-only too.
+        return (LweSample, (self.a, self.b, self.seed))
 
     @property
     def dimension(self) -> int:
         return int(self.a.shape[0])
 
     def copy(self) -> "LweSample":
-        """A deep copy (fresh arrays, same ciphertext value)."""
+        """A deep copy (fresh, writable arrays, same ciphertext value, no seed)."""
         return LweSample(self.a.copy(), np.int32(self.b))
 
 
@@ -54,11 +138,21 @@ class LweBatch:
     ``a`` has shape ``(B, n)`` and ``b`` shape ``(B,)``; row ``i`` is the
     ciphertext ``(a[i], b[i])``.  The batch axis only amortises dispatch
     overhead — every batched operation is bit-identical to looping the scalar
-    one over the rows.
+    one over the rows.  ``seed`` (int32[B, 4]) is set when every row is a
+    fresh encryption: ``a`` is then ``lwe_masks(seed, n)`` and read-only.
     """
 
     a: np.ndarray  # int32[B, n]
     b: np.ndarray  # int32[B]
+    seed: Optional[np.ndarray] = None  # int32[B, 4]
+
+    def __post_init__(self) -> None:
+        if self.seed is not None:
+            self.seed = _seed(self.seed, (self.a.shape[0], SEED_WORDS))
+            self.a = _read_only(self.a)
+
+    def __reduce__(self):
+        return (LweBatch, (self.a, self.b, self.seed))
 
     @property
     def batch_size(self) -> int:
@@ -72,20 +166,27 @@ class LweBatch:
         return self.batch_size
 
     def __getitem__(self, index: int) -> LweSample:
-        return LweSample(a=self.a[index].copy(), b=np.int32(self.b[index]))
+        seed = None if self.seed is None else self.seed[index].copy()
+        return LweSample(a=self.a[index].copy(), b=np.int32(self.b[index]), seed=seed)
 
     def copy(self) -> "LweBatch":
-        """A deep copy of the whole batch."""
+        """A deep copy of the whole batch (writable, no seeds)."""
         return LweBatch(self.a.copy(), self.b.copy())
 
     @classmethod
     def from_samples(cls, samples: Iterable[LweSample]) -> "LweBatch":
+        """Stack samples as rows; seeds are kept when every sample has one."""
         samples = list(samples)
         if not samples:
             raise ValueError("cannot build an empty batch")
         a = np.stack([s.a for s in samples]).astype(np.int32)
         b = np.array([np.int32(s.b) for s in samples], dtype=np.int32)
-        return cls(a=a, b=b)
+        seeds = [s.seed for s in samples]
+        seed = None
+        if all(x is not None for x in seeds):
+            # Every seed is int32 (4,): their concatenation is their stack, cheaper.
+            seed = np.concatenate(seeds).reshape(-1, SEED_WORDS)
+        return cls(a=a, b=b, seed=seed)
 
     def to_samples(self) -> List[LweSample]:
         """Unpack the batch into independent scalar samples (row order)."""
@@ -95,7 +196,8 @@ class LweBatch:
         """A copy of rows ``[start, stop)`` as a new, independent batch."""
         if not (0 <= start < stop <= self.batch_size):
             raise ValueError("row range out of bounds")
-        return LweBatch(a=self.a[start:stop].copy(), b=self.b[start:stop].copy())
+        seed = None if self.seed is None else self.seed[start:stop].copy()
+        return LweBatch(a=self.a[start:stop].copy(), b=self.b[start:stop].copy(), seed=seed)
 
 
 @dataclass
@@ -123,14 +225,16 @@ def lwe_encrypt(
     noise_stddev: float | None = None,
     rng: SeedLike = None,
 ) -> LweSample:
-    """Encrypt a torus message: ``b = a·s + e + message``."""
+    """Encrypt a torus message: ``b = a·s + e + message``, with ``a`` the
+    expansion of a seed drawn from ``rng`` (kept on the sample)."""
     rng = make_rng(rng)
     stddev = key.params.noise_stddev if noise_stddev is None else noise_stddev
-    a = uniform_torus32(key.dimension, rng)
+    seed = uniform_torus32(SEED_WORDS, rng)
+    a = lwe_masks(seed, key.dimension)
     noise = gaussian_torus32(stddev, size=None, rng=rng)
     phase = int(np.dot(a.astype(np.int64), key.key.astype(np.int64)))
     b = torus32_from_int64(phase + int(noise) + int(np.int64(message)))
-    return LweSample(a=a, b=np.int32(b))
+    return LweSample(a=a, b=np.int32(b), seed=seed)
 
 
 def lwe_encrypt_trivial(dimension: int, message: np.int32) -> LweSample:
@@ -269,18 +373,20 @@ def lwe_batch_encrypt(
     noise_stddev: float | None = None,
     rng: SeedLike = None,
 ) -> LweBatch:
-    """Encrypt a vector of torus messages as one batch (vectorised sampling)."""
+    """Encrypt a vector of torus messages as one batch (vectorised sampling,
+    one seed per row)."""
     rng = make_rng(rng)
     messages = np.asarray(messages, dtype=np.int32)
     if messages.ndim != 1:
         raise ValueError("messages must be a 1-D array of torus values")
     stddev = key.params.noise_stddev if noise_stddev is None else noise_stddev
     batch = messages.shape[0]
-    a = uniform_torus32((batch, key.dimension), rng)
+    seed = uniform_torus32((batch, SEED_WORDS), rng)
+    a = lwe_masks(seed, key.dimension)
     noise = gaussian_torus32(stddev, size=batch, rng=rng)
     phase = a.astype(np.int64) @ key.key.astype(np.int64)
     b = torus32_from_int64(phase + noise.astype(np.int64) + messages.astype(np.int64))
-    return LweBatch(a=a, b=b.astype(np.int32))
+    return LweBatch(a=a, b=b.astype(np.int32), seed=seed)
 
 
 def lwe_batch_phase(key: LweKey, batch: LweBatch) -> np.ndarray:

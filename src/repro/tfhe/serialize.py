@@ -9,7 +9,8 @@ self-delimiting byte string::
     magic "rTFA" | container version u8 | artifact kind u8 | header_len u32
     | header JSON | the arrays' little-endian int32 payloads, in directory order
 
-    {"arrays": [["a", [630]], ["b", []]]}
+    {"arrays": [["a", [630]], ["b", []]]}              (a derived sample)
+    {"n": 630, "arrays": [["seed", [4]], ["b", []]]}   (a fresh sample)
 
 The prefix states once what every artifact shares: the container version
 (:data:`CONTAINER_VERSION`, the one version of byte layout and header schema
@@ -35,8 +36,8 @@ keeps the *validated* layout of each (kind byte, exact header bytes) pair it
 has accepted (a hit still checks magic, container version, kind and the
 exact payload length, with the same error text; any other header is
 validated in full), and a writer keeps the prefix + header of each (kind
-byte, shapes) pair; both caches are bounded.  Cloud keys serialize their
-*coefficient-domain* TGSW material plus the
+byte, a seeded ciphertext's ``n``, shapes); both caches are bounded.  Cloud
+keys serialize their *coefficient-domain* TGSW material plus the
 :class:`repro.tfhe.transform.TransformSpec` of the engine they were generated
 for; the spectrum cache is deliberately **not** serialized — the
 :class:`repro.runtime.context.FheContext` that loads the key rebuilds it
@@ -48,7 +49,17 @@ layout is refused by that shape check, with the expected shape in the error.
 Five artifact kinds are supported: ``secret_key``, ``cloud_key``,
 ``lwe_sample``, ``lwe_batch`` and ``radix_int`` (a radix-decomposed integer
 ciphertext: its digit rows plus the digit encoding and noise-bound metadata
-needed to resume homomorphic evaluation).  :func:`save` dispatches on the
+needed to resume homomorphic evaluation).  An ``lwe_sample`` or
+``lwe_batch`` that carries a seed — every fresh encryption, see
+:func:`repro.tfhe.lwe.lwe_masks` — is written as ``seed`` (``(4,)`` or
+``(rows, 4)``) + ``b`` with its ``n`` in the header: 72 bytes for a
+``paper-110bit`` operand instead of 2567.  A reader refuses a seeded header
+whose ``n`` is not an integer, whose seed has the wrong shape, whose
+directory holds both ``a`` and ``seed`` (or neither), or whose mask would
+exceed :data:`MAX_SEEDED_DIMENSION` / :data:`MAX_SEEDED_WORDS` — all before
+any XOF output is produced — and otherwise expands ``a`` from the seed.
+Derived ciphertexts (every bootstrapped reply) keep the ``a`` layout; so do
+a ``radix_int``'s digits.  :func:`save` dispatches on the
 object's type and :func:`load` on the kind byte; the per-artifact functions
 are also public.
 
@@ -91,7 +102,7 @@ import numpy as np
 from repro.tfhe.integers import RadixInt
 from repro.tfhe.keys import TFHECloudKey, TFHESecretKey, group_indices
 from repro.tfhe.keyswitch import KeySwitchKey
-from repro.tfhe.lwe import LweBatch, LweKey, LweSample
+from repro.tfhe.lwe import SEED_WORDS, LweBatch, LweKey, LweSample, lwe_masks
 from repro.tfhe.netlist import Circuit, Node
 from repro.tfhe.params import (
     DigitEncoding,
@@ -123,6 +134,13 @@ _INT32 = np.dtype(np.int32)
 _WIRE_B = struct.Struct("<i")
 #: No artifact stores an array of higher rank (the cloud-key stacks are 4-d).
 _MAX_RANK = 4
+#: The largest ``n`` a seeded ciphertext's header may state, and the most
+#: mask words (``rows × n``) one seeded container may expand to: a reader
+#: refuses anything larger before it produces one byte of XOF output, so
+#: 20 bytes of payload cannot make it write more than 16 MiB.  Every shipped
+#: parameter set fits far below both (``paper-110bit``: n = 630).
+MAX_SEEDED_DIMENSION = 1 << 14
+MAX_SEEDED_WORDS = 1 << 22
 #: What parsing a hostile header dict into parameter objects can raise
 #: (``OverflowError``: JSON admits ``Infinity``, ``int()`` does not).
 _HEADER_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
@@ -146,11 +164,12 @@ class _Layout(NamedTuple):
     arrays: Tuple[Tuple[str, Tuple[int, ...], int, int], ...]
     #: Bytes of the whole container, prefix to last payload.
     size: int
-    #: ``(rows, n)`` when the directory is a ciphertext's own — an
-    #: ``lwe_sample``'s ``a (n,), b ()`` (``rows`` is ``None``) or an
-    #: ``lwe_batch``'s ``a (rows, n), b (rows,)`` — so :func:`from_bytes`
-    #: builds it from one copy of its payload; ``None`` for anything else.
-    ciphertext: Optional[Tuple[Optional[int], int]]
+    #: ``(rows, n, seeded)`` when the directory is a ciphertext's own — an
+    #: ``lwe_sample``'s ``a (n,), b ()`` or ``seed (4,), b ()`` (``rows`` is
+    #: ``None``), or an ``lwe_batch``'s ``a (rows, n), b (rows,)`` or
+    #: ``seed (rows, 4), b (rows,)`` — so :func:`from_bytes` builds it from
+    #: one copy of its payload; ``None`` for anything else.
+    ciphertext: Optional[Tuple[Optional[int], int, bool]]
 
 
 #: Entries each codec cache keeps; past it the oldest is dropped, so no
@@ -158,8 +177,9 @@ class _Layout(NamedTuple):
 _CACHE_BOUND = 256
 #: (kind byte, exact header bytes) → the layout validated for them (decode).
 _LAYOUTS: Dict[Tuple[int, bytes], _Layout] = {}
-#: (kind byte, *(name, shape)) → prefix + header of a header that is the
-#: directory alone (encode; built by :func:`_head` only).
+#: (kind byte, *meta items, *(name, shape)) → prefix + header of a header
+#: whose meta holds ints only — a ciphertext's: nothing, or a seeded one's
+#: ``n`` (encode; built by :func:`_head` only).
 _HEADS: Dict[tuple, bytes] = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -232,10 +252,12 @@ def _head(
     """Prefix + header of a ``kind`` container of ``(name, shape)`` arrays
     under ``meta``.
 
-    A header that is its directory alone (a ciphertext's) is built once per
-    distinct (kind, shapes) pair and then reused (:data:`_HEADS`).
+    A ciphertext's header — its directory, plus ``n`` when seeded — is
+    built once per distinct (kind, meta, shapes) and then reused
+    (:data:`_HEADS`).
     """
-    key = None if meta else (kind, *shapes)
+    cacheable = all(type(value) is int for value in meta.values())
+    key = (kind, *meta.items(), *shapes) if cacheable else None
     head = _HEADS.get(key) if key is not None else None
     if head is None:
         directory = [[name, list(shape)] for name, shape in shapes]
@@ -370,13 +392,47 @@ def _validate(kind: int, header: bytes, offset: int, size: int) -> _Layout:
         raise SerializationError(f"{size - offset} trailing bytes after the payloads")
     entries = tuple((name, *placed) for name, placed in arrays.items())
     ciphertext = None
-    if tuple(name for name, *_ in entries) == ("a", "b"):
-        a, b = entries[0][1], entries[1][1]
-        if kind == _SAMPLE and len(a) == 1 and b == ():
-            ciphertext = (None, a[0])
-        elif kind == _BATCH and len(a) == 2 and b == a[:1]:
-            ciphertext = a
+    if kind in (_SAMPLE, _BATCH):
+        ciphertext = _ciphertext(kind, meta, entries)
     return _Layout(kind, MappingProxyType(meta), entries, offset, ciphertext)
+
+
+def _ciphertext(
+    kind: int, meta: Dict[str, Any], entries
+) -> Optional[Tuple[Optional[int], int, bool]]:
+    """:attr:`_Layout.ciphertext` of an ``lwe_sample`` / ``lwe_batch``
+    directory, which carries its mask ``a`` or its ``seed`` — not both, not
+    neither.  A seeded header is refused here unless its ``n`` and its seed
+    shape are sound and the mask fits :data:`MAX_SEEDED_DIMENSION` /
+    :data:`MAX_SEEDED_WORDS`, so no reader expands an unbounded mask."""
+    shapes = {name: shape for name, shape, *_ in entries}
+    names = tuple(shapes)
+    batch = kind == _BATCH
+    if "seed" not in shapes:
+        if "a" not in shapes:
+            raise SerializationError("archive is missing the 'a' entry and has no 'seed'")
+        a, b = shapes["a"], shapes.get("b")
+        if names == ("a", "b") and len(a) == 1 + batch and b == a[:batch]:
+            return (a[0] if batch else None, a[-1], False)
+        return None  # the loader names what is wrong
+    if "a" in shapes:
+        raise SerializationError("a ciphertext carries its mask 'a' or its 'seed', not both")
+    n, seed = meta.get("n"), shapes["seed"]
+    if type(n) is not int or n < 1:
+        raise SerializationError(f"a seeded ciphertext's header needs an integer n >= 1, not {n!r}")
+    if len(seed) != 1 + batch or seed[-1] != SEED_WORDS:
+        want = "(rows, 4)" if batch else "(4,)"
+        raise SerializationError(f"'seed' has shape {seed}, expected {want}")
+    rows = seed[0] if batch else None
+    if n > MAX_SEEDED_DIMENSION or (rows or 1) * n > MAX_SEEDED_WORDS:
+        what = f"batch of {rows} rows" if batch else "sample"
+        raise SerializationError(
+            f"a seeded {what} of n = {n} exceeds the expansion bound "
+            f"(n <= {MAX_SEEDED_DIMENSION}, rows × n <= {MAX_SEEDED_WORDS})"
+        )
+    if names == ("seed", "b") and shapes["b"] == seed[:batch]:
+        return (rows, n, True)
+    return None
 
 
 def _read_archive(path: PathLike, expected_artifact: str | None = None):
@@ -501,6 +557,8 @@ def load_cloud_key(path: PathLike) -> TFHECloudKey:
 
 
 def _lwe_sample_archive(sample: LweSample):
+    if sample.seed is not None:
+        return {"n": sample.dimension}, {"seed": sample.seed, "b": np.asarray(sample.b)}
     return {}, {"a": sample.a, "b": np.asarray(sample.b)}
 
 
@@ -509,9 +567,12 @@ def save_lwe_sample(path: PathLike, sample: LweSample) -> None:
     _write_archive(path, sample, "lwe_sample")
 
 
-def _lwe_sample_from_archive(_meta, arrays) -> LweSample:
-    a, b = _require(arrays, "a", (None,)), _require(arrays, "b", ())
-    return LweSample(a=a, b=np.int32(b))
+def _lwe_sample_from_archive(meta, arrays) -> LweSample:
+    b = np.int32(_require(arrays, "b", ()))
+    if "seed" in arrays:  # shape and n were checked by _ciphertext
+        seed = _require(arrays, "seed", (SEED_WORDS,))
+        return LweSample(a=lwe_masks(seed, meta["n"]), b=b, seed=seed)
+    return LweSample(a=_require(arrays, "a", (None,)), b=b)
 
 
 def load_lwe_sample(path: PathLike) -> LweSample:
@@ -520,6 +581,8 @@ def load_lwe_sample(path: PathLike) -> LweSample:
 
 
 def _lwe_batch_archive(batch: LweBatch):
+    if batch.seed is not None:
+        return {"n": batch.dimension}, {"seed": batch.seed, "b": batch.b}
     return {}, {"a": batch.a, "b": batch.b}
 
 
@@ -528,7 +591,16 @@ def save_lwe_batch(path: PathLike, batch: LweBatch) -> None:
     _write_archive(path, batch, "lwe_batch")
 
 
-def _lwe_batch_from_archive(_meta, arrays) -> LweBatch:
+def _lwe_batch_from_archive(meta, arrays) -> LweBatch:
+    if "seed" in arrays:  # shape and n were checked by _ciphertext
+        seed = _require(arrays, "seed", (None, SEED_WORDS))
+        b = _require(arrays, "b", (seed.shape[0],))
+        return LweBatch(a=lwe_masks(seed, meta["n"]), b=b, seed=seed)
+    return _rows(arrays)
+
+
+def _rows(arrays) -> LweBatch:
+    """The ``a (rows, n), b (rows,)`` entries as a batch."""
     a = _require(arrays, "a", (None, None))
     return LweBatch(a=a, b=_require(arrays, "b", (a.shape[0],)))
 
@@ -539,6 +611,8 @@ def load_lwe_batch(path: PathLike) -> LweBatch:
 
 
 def _radix_int_archive(value: RadixInt):
+    # Digits are written with their masks, seeded or not: only the two
+    # ciphertext kinds carry seeds.
     return (
         {"encoding": asdict(value.encoding), "bounds": list(value.bounds)},
         {
@@ -559,7 +633,7 @@ def save_radix_int(path: PathLike, value: RadixInt) -> None:
 
 
 def _radix_int_from_archive(meta, arrays) -> RadixInt:
-    batch = _lwe_batch_from_archive(meta, arrays)
+    batch = _rows(arrays)
     try:
         encoding = DigitEncoding(
             message_bits=int(meta["encoding"]["message_bits"]),
@@ -623,19 +697,26 @@ def _load(data: Buffer, expected_artifact: str | None = None):
     """The artifact ``data`` holds, read by the loader of its kind byte.
 
     A ciphertext in its own directory layout is built from one copy of its
-    payload: ``a`` (and a batch's ``b``) are views of that copy, never of
-    ``data``.
+    payload: ``a`` or ``seed`` (and a batch's ``b``) are views of that copy,
+    never of ``data``; a seeded one's ``a`` is expanded from its seed.
     """
     view, layout = _layout(data, expected_artifact)
     if layout.ciphertext is None:
         return _KINDS[layout.kind].load(layout.meta, _arrays(view, layout))
-    rows, n = layout.ciphertext
+    rows, n, seeded = layout.ciphertext
+    width = SEED_WORDS if seeded else n
     start = layout.arrays[0][2]
     if rows is None:
-        payload = np.frombuffer(view, _WIRE_INT32, n + 1, start).astype(_INT32)
-        return LweSample(a=payload[:n], b=payload[n])
-    payload = np.frombuffer(view, _WIRE_INT32, rows * (n + 1), start).astype(_INT32)
-    return LweBatch(a=payload[: rows * n].reshape(rows, n), b=payload[rows * n :])
+        payload = np.frombuffer(view, _WIRE_INT32, width + 1, start).astype(_INT32)
+        words, b = payload[:width], payload[width]
+        if seeded:
+            return LweSample(a=lwe_masks(words, n), b=b, seed=words)
+        return LweSample(a=words, b=b)
+    payload = np.frombuffer(view, _WIRE_INT32, rows * (width + 1), start).astype(_INT32)
+    words, b = payload[: rows * width].reshape(rows, width), payload[rows * width :]
+    if seeded:
+        return LweBatch(a=lwe_masks(words, n), b=b, seed=words)
+    return LweBatch(a=words, b=b)
 
 
 def save(path: PathLike, obj) -> None:
@@ -659,14 +740,19 @@ def to_bytes(obj) -> bytes:
 
     A sample whose ``a`` is an int32 vector and ``b`` an int32 scalar — every
     ciphertext the runtime produces — is the wire's traffic: its
-    :func:`_head` is joined with its payload directly, without the general
-    walk over the artifact's arrays (same bytes).
+    :func:`_head` is joined with its payload (its seed, if it has one, else
+    ``a``) directly, without the general walk over the artifact's arrays
+    (same bytes).
     """
     if type(obj) is LweSample:
-        a, b = obj.a, obj.b
+        a, b, seed = obj.a, obj.b, obj.seed
         if type(a) is np.ndarray and a.dtype == _INT32 and a.ndim == 1 and type(b) is np.int32:
-            head = _head(_SAMPLE, {}, (("a", a.shape), ("b", ())))
-            return b"".join((head, np.ascontiguousarray(a, dtype=_WIRE_INT32), _WIRE_B.pack(b)))
+            if seed is None:
+                head, words = _head(_SAMPLE, {}, (("a", a.shape), ("b", ()))), a
+            else:
+                meta = {"n": a.shape[0]}
+                head, words = _head(_SAMPLE, meta, (("seed", seed.shape), ("b", ()))), seed
+            return b"".join((head, np.ascontiguousarray(words, dtype=_WIRE_INT32), _WIRE_B.pack(b)))
     return b"".join(to_pieces(obj))
 
 

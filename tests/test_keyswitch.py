@@ -143,7 +143,8 @@ class TestWrapAroundMasks:
         _, input_key, output_key, ks = keys
         rng = np.random.default_rng(77)
         for bit in (0, 1):
-            sample = lwe_encrypt(input_key, gate_message(bit), rng=rng)
+            # A fresh sample's mask is its seed's read-only expansion: edit a copy.
+            sample = lwe_encrypt(input_key, gate_message(bit), rng=rng).copy()
             # Push a few coefficients to the boundary and patch b to keep the
             # phase: adding delta to a_i adds delta * s_i to a·s.
             delta_total = 0

@@ -1,17 +1,25 @@
 """Tests for scalar LWE encryption and its homomorphic linear operations."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tfhe.lwe import (
+    SEED_WORDS,
+    LweBatch,
+    LweSample,
     gate_message,
     lwe_add,
     lwe_add_constant,
+    lwe_batch_decrypt_bits,
+    lwe_batch_encrypt,
     lwe_decrypt_bit,
     lwe_encrypt,
     lwe_encrypt_trivial,
     lwe_key_generate,
+    lwe_masks,
     lwe_negate,
     lwe_noise,
     lwe_phase,
@@ -115,6 +123,105 @@ class TestHomomorphicLinearOps:
         clone = sample.copy()
         clone.a[0] += 1
         assert clone.a[0] != sample.a[0]
+
+
+class TestSeededMasks:
+    """A fresh encryption's mask is its seed's expansion, and stays so."""
+
+    def _batch(self, key, bits=(1, 0, 1, 1)):
+        return lwe_batch_encrypt(key, [gate_message(b) for b in bits], rng=17)
+
+    def test_a_fresh_sample_is_its_seed_expanded_and_read_only(self, key):
+        sample = lwe_encrypt(key, gate_message(1), rng=16)
+        assert sample.seed.dtype == np.int32 and sample.seed.shape == (SEED_WORDS,)
+        assert np.array_equal(sample.a, lwe_masks(sample.seed, key.dimension))
+        assert not sample.a.flags.writeable and not sample.seed.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sample.a[0] += 1
+        assert lwe_decrypt_bit(key, sample) == 1
+
+    def test_a_fresh_batch_is_its_seeds_expanded_and_read_only(self, key):
+        batch = self._batch(key)
+        assert batch.seed.shape == (4, SEED_WORDS)
+        assert np.array_equal(batch.a, lwe_masks(batch.seed, key.dimension))
+        for row in range(4):
+            assert np.array_equal(batch.a[row], lwe_masks(batch.seed[row], key.dimension))
+        assert not batch.a.flags.writeable and not batch.seed.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            batch.a[1, 2] = 0
+        assert lwe_batch_decrypt_bits(key, batch).tolist() == [1, 0, 1, 1]
+
+    def test_copy_is_writable_and_unseeded(self, key):
+        sample = lwe_encrypt(key, gate_message(0), rng=18)
+        batch = self._batch(key)
+        for fresh in (sample, batch):
+            clone = fresh.copy()
+            assert clone.seed is None and clone.a.flags.writeable
+            assert np.array_equal(clone.a, fresh.a) and np.array_equal(clone.b, fresh.b)
+            assert not np.shares_memory(clone.a, fresh.a)
+
+    def test_seeds_survive_every_row_view(self, key):
+        batch = self._batch(key)
+        samples = batch.to_samples()
+        for row, sample in enumerate(samples):
+            assert np.array_equal(sample.seed, batch.seed[row])
+            assert np.array_equal(batch[row].seed, batch.seed[row])
+            assert not sample.a.flags.writeable
+        rows = batch.rows(1, 3)
+        assert np.array_equal(rows.seed, batch.seed[1:3]) and not rows.a.flags.writeable
+        restacked = LweBatch.from_samples(samples)
+        assert np.array_equal(restacked.seed, batch.seed)
+        assert np.array_equal(restacked.a, batch.a) and not restacked.a.flags.writeable
+
+    def test_seeds_are_kept_only_when_every_row_has_one(self, key):
+        samples = self._batch(key).to_samples()
+        mixed = LweBatch.from_samples(samples[:2] + [samples[2].copy()])
+        assert mixed.seed is None and mixed.a.flags.writeable
+        assert mixed[0].seed is None and mixed.rows(0, 2).seed is None
+        assert all(s.seed is None for s in mixed.to_samples())
+        assert mixed.copy().seed is None
+
+    def test_derived_ciphertexts_carry_no_seed(self, key):
+        x = lwe_encrypt(key, gate_message(1), rng=19)
+        y = lwe_encrypt(key, gate_message(0), rng=20)
+        for derived in (lwe_add(x, y), lwe_sub(x, y), lwe_negate(x), lwe_scale(3, x),
+                        lwe_add_constant(x, gate_message(1))):
+            assert derived.seed is None and derived.a.flags.writeable
+
+    def test_a_pickled_seeded_ciphertext_keeps_its_seed_and_read_only_mask(self, key):
+        """What the worker pool's pipes carry."""
+        for fresh in (lwe_encrypt(key, gate_message(1), rng=21), self._batch(key)):
+            for copy in (fresh, fresh.copy()):
+                clone = pickle.loads(pickle.dumps(copy))
+                assert type(clone) is type(copy) and np.array_equal(clone.a, copy.a)
+                assert np.array_equal(clone.b, copy.b)
+                if copy.seed is None:
+                    assert clone.seed is None and clone.a.flags.writeable
+                else:
+                    assert np.array_equal(clone.seed, copy.seed)
+                    assert not clone.a.flags.writeable and not clone.seed.flags.writeable
+
+    def test_the_expander_is_deterministic_and_refuses_malformed_seeds(self):
+        seeds = np.arange(8, dtype=np.int32).reshape(2, SEED_WORDS)
+        masks = lwe_masks(seeds, 37)
+        assert masks.shape == (2, 37) and masks.dtype == np.int32
+        assert np.array_equal(masks, lwe_masks(seeds.copy(), 37))
+        assert np.array_equal(lwe_masks(seeds[1], 37), masks[1])
+        assert np.array_equal(lwe_masks(seeds[0], 5), masks[0, :5])  # one XOF stream
+        assert not np.array_equal(masks[0], masks[1])
+        for bad in (seeds.astype(np.int64), seeds[:, :3], seeds[None], np.int32(7)):
+            with pytest.raises(ValueError, match="seeds must be int32"):
+                lwe_masks(bad, 8)
+        for n in (0, -1, 8.0, True):
+            with pytest.raises(ValueError, match="positive int"):
+                lwe_masks(seeds, n)
+
+    def test_a_seed_of_the_wrong_shape_is_refused_at_construction(self, key):
+        a = np.zeros(key.dimension, dtype=np.int32)
+        with pytest.raises(ValueError, match="seed must be int32"):
+            LweSample(a=a, b=np.int32(0), seed=np.zeros(3, dtype=np.int32))
+        with pytest.raises(ValueError, match="seed must be int32"):
+            LweBatch(a=a[None], b=np.zeros(1, np.int32), seed=np.zeros((2, 4), np.int32))
 
 
 class TestGateMessage:

@@ -12,11 +12,15 @@ depend only on the seeded key and input streams; should a NumPy release ever
 change ``Generator.normal``, rebuild the fixture's noise from ``rng.integers``
 rather than loosening the comparison.
 
-Re-recorded once since, when the key-switching key lost its digit-0 samples:
-every key-switched output moved (25 digests; ``scheduler.depth0`` runs no
-bootstrap and kept its value).  The equalities the recorded values implied
+Re-recorded twice since.  When the key-switching key lost its digit-0
+samples, every key-switched output moved (25 digests; ``scheduler.depth0``
+runs no bootstrap and kept its value).  When fresh encryptions started
+drawing a 128-bit seed per row and expanding it with ``lwe_masks`` (SHAKE-128)
+instead of drawing the mask itself, every input ciphertext moved, and with it
+all 26 digests — ``scheduler.depth0`` too, whose copied input is one of
+them; the keys did not move.  The equalities the recorded values implied
 between paths are pinned on their own by
-:func:`test_paths_that_must_agree_do`, which held before and after.
+:func:`test_paths_that_must_agree_do`, which held before and after both.
 """
 
 from __future__ import annotations
@@ -55,32 +59,32 @@ DIGIT_TABLES = tuple(
 )
 
 GOLDEN = {
-    "batch.gate": "504ee3d3c8339de9fc91f0c9c8181292dbc8838e92681fc9bf5ca4ad746db044",
-    "batch.gate_rows": "20ff8063f647539e5e730b8201156224adbbd174152373a821e89d5a3e51ee1d",
-    "batch.lut": "f8b5e954183a1f7bc3e004b75f4288b06bb6c3f53a56d09fb6ca2161839cf796",
-    "bku2.gate_rows": "6c3c2114fa1e03a1a8161eaf144c0257b167af122e4a4be654ae808fad7f84a1",
-    "bku2.scalar": "0ddd236db34b9ebf983b074a76da619f11a66c48008e4d632294d2f8f02a793e",
-    "context.bootstrap": "b69de33c4467448e1db143536fb65615e90e2a6d8c30b2da82f045314f4bce80",
-    "context.bootstrap_batch": "c10dac2c7c757933fbbf27a1d4081f7f4d53933bfe9563afaf45df308ee7efb1",
-    "execute.eager": "b2ef8d0efe98f68323f13bfd7302d9a33465e3724c3ac70b35dbe9193d924a17",
-    "execute_rows.gates[1]": "20ff8063f647539e5e730b8201156224adbbd174152373a821e89d5a3e51ee1d",
-    "execute_rows.gates[3]": "20ff8063f647539e5e730b8201156224adbbd174152373a821e89d5a3e51ee1d",
-    "execute_rows.gates[None]": "20ff8063f647539e5e730b8201156224adbbd174152373a821e89d5a3e51ee1d",
-    "execute_rows.mixed[1]": "8d6149fb2e4fc0fd82e95f726891e5e3343cf4e1203bbf1eb654f7efbf198e5b",
-    "execute_rows.mixed[3]": "8d6149fb2e4fc0fd82e95f726891e5e3343cf4e1203bbf1eb654f7efbf198e5b",
-    "execute_rows.mixed[None]": "8d6149fb2e4fc0fd82e95f726891e5e3343cf4e1203bbf1eb654f7efbf198e5b",
-    "executor.run": "06e7abefbff5aec414ae7f44fc28322b79608a5cd2455ba37b3c53c4888b93c3",
-    "executor.run_samples": "b2ef8d0efe98f68323f13bfd7302d9a33465e3724c3ac70b35dbe9193d924a17",
-    "pbs.batch[per-row]": "2c99978878ad9c5c31765979a2c44636aff01b38d3dae9a396353b6afaaf8b17",
-    "pbs.batch[shared]": "a0c2284e553508f1af046ee695bf1e81589300e4d33911cd8b7aa6d1ca546c01",
-    "pbs.scalar": "2c99978878ad9c5c31765979a2c44636aff01b38d3dae9a396353b6afaaf8b17",
-    "radix.add+propagate": "75251621288e5f135270438cc42baaa3187bb84a1a3a7503ce80f6d3a830e888",
-    "radix.gt": "804adb255d3e68b8d768c5019d6a8880611646aa9816b41dfa254a7767fee73d",
-    "radix.mul": "95917b925def39cd4ef283386517cdb285c87842de341a337a73118250353873",
-    "scalar": "5d80d7f4ffb769ebea89a54e2d62fd6733016c052d0421d2669553c3c66f1d3f",
-    "scheduler.chain": "c55ee925015a4f71eec3507bb1ff9783001790074179aa316a69f952f4c22312",
-    "scheduler.circuit": "b2ef8d0efe98f68323f13bfd7302d9a33465e3724c3ac70b35dbe9193d924a17",
-    "scheduler.depth0": "e42d7f00cfe0ce6a564ba0eeae2bec9cb50f9ad82d10994e649eb4418ed88510",
+    "batch.gate": "add12e7356c9cb4545afd385b4362f88a68331d05d611138916542f16288db89",
+    "batch.gate_rows": "1a163cfe62827e3486057c1725d96ea8119a6a71f7b135ccd67685933a749b7c",
+    "batch.lut": "a604e8fecdf5d185b27a0d99e80726991a1d2e746e1711dc3e5d0678f52a9062",
+    "bku2.gate_rows": "5c858859fa44010b162b90b02c4edfa00079890e31df0097907af8c473a1a874",
+    "bku2.scalar": "8ac6d1619db8217ea4b98dcefa0e5360aa10686f73998d7aeea90878ad7ea7a1",
+    "context.bootstrap": "8f58af1e5d927dcbcbe96b59329bf15f4f35b767969797e6c653886ca0a0314c",
+    "context.bootstrap_batch": "2a265ff1714fcde830be777fcd3f127fe370ec9273a630a739b7cd2fa7eb2c53",
+    "execute.eager": "4cd762d6048db3df52a377f50890d7df89a7f628193d475fec3443f08783cc29",
+    "execute_rows.gates[1]": "1a163cfe62827e3486057c1725d96ea8119a6a71f7b135ccd67685933a749b7c",
+    "execute_rows.gates[3]": "1a163cfe62827e3486057c1725d96ea8119a6a71f7b135ccd67685933a749b7c",
+    "execute_rows.gates[None]": "1a163cfe62827e3486057c1725d96ea8119a6a71f7b135ccd67685933a749b7c",
+    "execute_rows.mixed[1]": "b80cd688987ca4ddfa3c8d6fb593b7ca4f610aea62d3052c0ff7fd6a5e99a99a",
+    "execute_rows.mixed[3]": "b80cd688987ca4ddfa3c8d6fb593b7ca4f610aea62d3052c0ff7fd6a5e99a99a",
+    "execute_rows.mixed[None]": "b80cd688987ca4ddfa3c8d6fb593b7ca4f610aea62d3052c0ff7fd6a5e99a99a",
+    "executor.run": "640be3ece36a5a9416f1d89f32c19a3c60f47024cc2f165db001f52037fd1feb",
+    "executor.run_samples": "4cd762d6048db3df52a377f50890d7df89a7f628193d475fec3443f08783cc29",
+    "pbs.batch[per-row]": "e6a9b7aad2441f611a8ee31d4205081a931d549a88defcbfc6e8b00ba182424d",
+    "pbs.batch[shared]": "3a0ba720600abf373c8ddca969ca59b574e4633f55966dba8c042b68240453cc",
+    "pbs.scalar": "e6a9b7aad2441f611a8ee31d4205081a931d549a88defcbfc6e8b00ba182424d",
+    "radix.add+propagate": "80fab2df7e9380b8abed42083dd9f8bee7c5ac6881fa6c60d8ac8fb8d1d812cd",
+    "radix.gt": "70fbf41ee4640dc52fa9b41f5535a7e297bae0d0dc8b223587b20401bccb3e95",
+    "radix.mul": "76c4ebe49da9c4300f9994aa0c3cc465421adf1351192e7242bab5ea2eb2e015",
+    "scalar": "7529bf14c603ebb3a17232cf2ba56fb852de852e9f5121bbbc78fc8c566a3511",
+    "scheduler.chain": "52d59cf7dc61613d5555857558dbe7fe5ed07dd648765628414041d9929c584c",
+    "scheduler.circuit": "4cd762d6048db3df52a377f50890d7df89a7f628193d475fec3443f08783cc29",
+    "scheduler.depth0": "b73a1ea8db5a17cb23c5fd47f5402d1c3f70e44570989ae7c11d485523d85ac0",
 }
 
 

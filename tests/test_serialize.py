@@ -20,11 +20,26 @@ from hypothesis import strategies as st
 
 from repro.runtime import FheContext
 from repro.tfhe import serialize
-from repro.tfhe.gates import PLAINTEXT_GATES, decrypt_bit, encrypt_bit, encrypt_bit_batch
+from repro.tfhe.gates import (
+    PLAINTEXT_GATES,
+    decrypt_bit,
+    decrypt_bit_batch,
+    encrypt_bit,
+    encrypt_bit_batch,
+)
 from repro.tfhe.integers import RadixInt, encrypt_radix
 from repro.tfhe.keys import TFHECloudKey, TFHESecretKey, generate_keys
-from repro.tfhe.lwe import LweBatch, LweSample
+from repro.tfhe.lwe import (
+    LweBatch,
+    LweSample,
+    gate_message,
+    lwe_encrypt,
+    lwe_key_generate,
+    lwe_masks,
+)
 from repro.tfhe.params import (
+    PARAMETER_SETS,
+    PAPER_110BIT,
     TEST_TINY,
     DigitEncoding,
     KeySwitchParams,
@@ -56,16 +71,21 @@ MICRO = TFHEParameters(
 
 
 def _micro_artifacts():
-    """One valid artifact of every kind (both cloud-key layouts), by name."""
+    """One valid artifact of every kind (both cloud-key layouts, and both
+    ciphertext layouts: a fresh one's seed and a derived one's mask), by name."""
     engine = NaiveNegacyclicTransform(MICRO.N)
     secret, cloud = generate_keys(MICRO, engine, rng=3, eager=False)
     _, unrolled = generate_keys(MICRO, engine, unroll_factor=2, rng=3, eager=False)
+    sample = encrypt_bit(secret, 1, rng=5)
+    batch = encrypt_bit_batch(secret, [1, 0, 1], rng=6)
     return {
         "secret_key": secret,
         "cloud_key": cloud,
         "cloud_key_m2": unrolled,
-        "lwe_sample": encrypt_bit(secret, 1, rng=5),
-        "lwe_batch": encrypt_bit_batch(secret, [1, 0, 1], rng=6),
+        "lwe_sample": sample,
+        "lwe_sample_a": sample.copy(),
+        "lwe_batch": batch,
+        "lwe_batch_a": batch.copy(),
         "radix_int": encrypt_radix(secret.lwe_key, 9, 2, DigitEncoding(2, 1), rng=7),
     }
 
@@ -154,6 +174,148 @@ class TestCloudKeyBytes:
         assert hashlib.sha256(payload).hexdigest() == (
             "cec51f726bc129a0a26eca28689eace45fc9fde63ff3d1ce8d9089e94c919661"
         )
+
+
+class TestSeededCiphertextBytes:
+    """SHA-256 pins of fresh ``test-tiny`` ciphertexts under the key of
+    :class:`TestCloudKeyBytes`: the seed draw, the expander's domain tag and
+    word order, and the seeded layout cannot drift unnoticed."""
+
+    @pytest.fixture(scope="class")
+    def secret(self):
+        secret, _ = generate_keys(
+            TEST_TINY, NaiveNegacyclicTransform(TEST_TINY.N), rng=38, eager=False
+        )
+        return secret
+
+    def test_the_expander_is_pinned(self):
+        """SHAKE-128 over the domain tag and the seed's little-endian bytes."""
+        seed = np.array([1, -2, 3, -(2**31)], dtype=np.int32)
+        masks = lwe_masks(seed, 630)
+        xof = hashlib.shake_128(b"repro-tfhe/lwe-mask/v1\x00" + seed.astype("<i4").tobytes())
+        assert masks.astype("<i4").tobytes() == xof.digest(4 * 630)
+        assert hashlib.sha256(masks.astype("<i4").tobytes()).hexdigest() == (
+            "c74a1fa776fb61ff6a35668a6e1051e563b874df57b047cb9664a416e0f654eb"
+        )
+
+    def test_a_seeded_sample_is_pinned_byte_for_byte(self, secret):
+        blob = to_bytes(encrypt_bit(secret, 1, rng=39))
+        assert blob[10:-20] == b'{"n":16,"arrays":[["seed",[4]],["b",[]]]}'
+        assert hashlib.sha256(blob).hexdigest() == (
+            "0a870872817e7b02896dd0dcef2cc5ccc352fc37f36fa3a979a76bb69adfc77f"
+        )
+
+    def test_a_seeded_batch_is_pinned_byte_for_byte(self, secret):
+        blob = to_bytes(encrypt_bit_batch(secret, [1, 0, 1], rng=40))
+        assert blob[10:-60] == b'{"n":16,"arrays":[["seed",[3,4]],["b",[3]]]}'
+        assert hashlib.sha256(blob).hexdigest() == (
+            "f4420c6f8424508231183c08e282f358e51b9dccfc297606f05c8ebb8c425c58"
+        )
+
+
+class TestSeededCiphertexts:
+    """A fresh ciphertext crosses the wire as its seed and comes back whole."""
+
+    def test_a_paper_operand_is_72_bytes_instead_of_2567(self):
+        key = lwe_key_generate(PAPER_110BIT.lwe, rng=1)
+        sample = lwe_encrypt(key, gate_message(1), rng=2)
+        assert len(to_bytes(sample)) == 72
+        assert len(to_bytes(sample.copy())) == 2567
+        header = b'{"n":630,"arrays":[["seed",[16,4]],["b",[16]]]}'
+        assert len(to_bytes(LweBatch.from_samples([sample] * 16))) == 10 + len(header) + 16 * 20
+
+    @pytest.mark.parametrize(
+        "keys",
+        ["tiny_keys_naive", "tiny_keys_naive_m2", "small_keys_double", "small_keys_approx_m2"],
+    )
+    def test_round_trip_is_byte_identical_and_decrypts(self, keys, request):
+        secret, cloud = request.getfixturevalue(keys)
+        sample = encrypt_bit(secret, 1, rng=41)
+        batch = encrypt_bit_batch(secret, [0, 1, 1, 0, 1], rng=42)
+        for fresh in (sample, batch):
+            blob = to_bytes(fresh)
+            assert b'"seed"' in blob and b'"a"' not in blob
+            for decode in (from_bytes, from_owned_buffer):
+                loaded = decode(bytearray(blob))
+                assert type(loaded) is type(fresh) and to_bytes(loaded) == blob
+                assert np.array_equal(loaded.seed, fresh.seed)
+                assert np.array_equal(loaded.a, fresh.a) and np.array_equal(loaded.b, fresh.b)
+                assert not loaded.a.flags.writeable
+        ca, cb = from_bytes(to_bytes(sample)), from_bytes(to_bytes(batch))[2]
+        assert decrypt_bit(secret, ca) == 1 and decrypt_bit(secret, cb) == 1
+        assert decrypt_bit_batch(secret, from_bytes(to_bytes(batch))) == [0, 1, 1, 0, 1]
+        reply = FheContext(cloud).evaluator().nand(ca, cb)
+        assert reply.seed is None and b'"a"' in to_bytes(reply)  # derived: the mask layout
+        assert decrypt_bit(secret, from_bytes(to_bytes(reply))) == 0
+
+    def test_every_shipped_parameter_set_fits_the_expansion_bounds(self):
+        for params in PARAMETER_SETS.values():
+            # fresh samples live under the LWE key or, in tests, the extracted key
+            assert max(params.n, params.k * params.N) <= serialize.MAX_SEEDED_DIMENSION
+            assert 1024 * params.n <= serialize.MAX_SEEDED_WORDS
+
+
+def _seeded(kind: int, meta: dict, directory: list, words: int) -> bytes:
+    """A hand-built ciphertext container with ``words`` zero payload words."""
+    header = json.dumps({**meta, "arrays": directory}, separators=(",", ":")).encode()
+    return struct.pack("<4sBBI", b"rTFA", 2, kind, len(header)) + header + bytes(4 * words)
+
+
+class TestSeededHeaderChecks:
+    """A seeded header is refused before the expander runs, whichever reader."""
+
+    BOUND_N = serialize.MAX_SEEDED_DIMENSION
+    #: The fewest rows of the largest admissible ``n`` that exceed the word bound.
+    ROWS = serialize.MAX_SEEDED_WORDS // serialize.MAX_SEEDED_DIMENSION + 1
+    REFUSED = [
+        ("n = bound + 1", 1, {"n": BOUND_N + 1}, [["seed", [4]], ["b", []]], 5, "expansion bound"),
+        ("n = 2**62", 1, {"n": 2**62}, [["seed", [4]], ["b", []]], 5, "expansion bound"),
+        ("rows × n", 2, {"n": BOUND_N}, [["seed", [ROWS, 4]], ["b", [ROWS]]], 5 * ROWS,
+         "expansion bound"),
+        ("n missing", 1, {}, [["seed", [4]], ["b", []]], 5, "integer n"),
+        ("n float", 1, {"n": 16.0}, [["seed", [4]], ["b", []]], 5, "integer n"),
+        ("n string", 1, {"n": "16"}, [["seed", [4]], ["b", []]], 5, "integer n"),
+        ("n bool", 2, {"n": True}, [["seed", [1, 4]], ["b", [1]]], 5, "integer n"),
+        ("n zero", 1, {"n": 0}, [["seed", [4]], ["b", []]], 5, "integer n"),
+        ("n negative", 2, {"n": -4}, [["seed", [1, 4]], ["b", [1]]], 5, "integer n"),
+        ("sample seed (5,)", 1, {"n": 16}, [["seed", [5]], ["b", []]], 6, "'seed' has shape"),
+        ("sample seed (1, 4)", 1, {"n": 16}, [["seed", [1, 4]], ["b", []]], 5, "'seed' has shape"),
+        ("batch seed (4,)", 2, {"n": 16}, [["seed", [4]], ["b", [1]]], 5, "'seed' has shape"),
+        ("batch seed (2, 3)", 2, {"n": 16}, [["seed", [2, 3]], ["b", [2]]], 8, "'seed' has shape"),
+        ("both a and seed", 1, {"n": 4}, [["a", [4]], ["seed", [4]], ["b", []]], 9, "not both"),
+        ("neither", 1, {"n": 4}, [["b", []]], 1, "no 'seed'"),
+        ("neither, batch", 2, {}, [["b", [2]]], 2, "no 'seed'"),
+        ("b rows disagree", 2, {"n": 16}, [["seed", [2, 4]], ["b", [1]]], 9,
+         "'b' has rank 1 and shape"),
+        ("b missing", 1, {"n": 16}, [["seed", [4]]], 4, "missing the 'b' entry"),
+    ]
+
+    @pytest.mark.parametrize("decode", [from_bytes, from_owned_buffer])
+    @pytest.mark.parametrize("case", REFUSED, ids=[case[0] for case in REFUSED])
+    def test_refused_before_any_expansion(self, decode, case, monkeypatch):
+        _, kind, meta, directory, words, match = case
+        blob = _seeded(kind, meta, directory, words)
+
+        def expander_must_not_run(*_args):
+            raise AssertionError("the mask expander ran on a refused header")
+
+        monkeypatch.setattr(serialize, "lwe_masks", expander_must_not_run)
+        for _ in range(2):  # a refused header is never cached: refused again
+            with pytest.raises(SerializationError, match=match):
+                decode(bytearray(blob))
+
+    def test_the_bound_itself_is_admitted(self):
+        rows = self.ROWS - 1
+        blob = _seeded(2, {"n": self.BOUND_N}, [["seed", [rows, 4]], ["b", [rows]]], 5 * rows)
+        batch = from_bytes(blob)
+        assert batch.a.shape == (rows, self.BOUND_N)
+        assert np.array_equal(batch.a[0], lwe_masks(np.zeros(4, np.int32), self.BOUND_N))
+
+    def test_a_radix_int_never_expands_a_seed(self):
+        meta = {"n": 4, "encoding": {"message_bits": 2, "carry_bits": 1}, "bounds": [0]}
+        blob = _seeded(3, meta, [["seed", [1, 4]], ["b", [1]]], 5)
+        with pytest.raises(SerializationError, match="missing the 'a' entry"):
+            from_bytes(blob)
 
 
 class TestCiphertextRoundTrip:
@@ -271,7 +433,7 @@ class TestCorruptArchives:
         path = tmp_path / "ct.tfhe"
         serialize.save_lwe_sample(path, encrypt_bit(secret, 1, rng=61))
         blob = path.read_bytes()
-        for cut in (len(blob) // 2, 100, 10):
+        for cut in (len(blob) // 2, len(blob) - 1, 10):
             path.write_bytes(blob[:cut])
             with pytest.raises(SerializationError):
                 serialize.load_lwe_sample(path)
@@ -296,14 +458,16 @@ class TestCorruptArchives:
 
     def test_wrong_rank_rejected(self, tiny_keys_naive, edit_artifact):
         secret, _ = tiny_keys_naive
-        blob = to_bytes(encrypt_bit_batch(secret, [1, 0], rng=63))
+        batch = encrypt_bit_batch(secret, [1, 0], rng=63)
 
-        def ravel_a(meta):
+        def ravel_first(meta):
             name, (rows, n) = meta["arrays"][0]
             meta["arrays"][0] = [name, [rows * n]]
 
         with pytest.raises(SerializationError, match="rank"):
-            from_bytes(edit_artifact(blob, ravel_a))
+            from_bytes(edit_artifact(to_bytes(batch.copy()), ravel_first))
+        with pytest.raises(SerializationError, match=r"'seed' has shape \(8,\)"):
+            from_bytes(edit_artifact(to_bytes(batch), ravel_first))
 
     def test_vector_b_on_a_single_sample_rejected(self, tiny_keys_naive, edit_artifact):
         secret, _ = tiny_keys_naive
@@ -529,7 +693,7 @@ class TestCodecCaches:
             assert _read(bad) == cold
 
     def test_a_header_one_byte_off_is_validated_in_full(self):
-        for name in ("lwe_sample", "lwe_batch", "radix_int"):
+        for name in ("lwe_sample", "lwe_sample_a", "lwe_batch", "lwe_batch_a", "radix_int"):
             blob = MICRO_BLOBS[name]
             # the kind byte, then every byte of the header
             for position in (5, *range(10, _payload_start(blob))):
@@ -542,14 +706,20 @@ class TestCodecCaches:
                     assert _read(bytes(bad)) == cold, (name, position, flip)
 
     def test_a_warm_ciphertext_is_its_own_copy(self):
-        for name in ("lwe_sample", "lwe_batch"):
+        """A derived ciphertext's ``a`` is a writable copy; a seeded one's is
+        its expansion, read-only, and so is its seed."""
+        for name in ("lwe_sample", "lwe_sample_a", "lwe_batch", "lwe_batch_a"):
             buffer = bytearray(MICRO_BLOBS[name])
             backing = np.frombuffer(buffer, dtype=np.uint8)
             for _ in range(2):  # cold, then warm
                 loaded = from_bytes(buffer)
-                for array in (loaded.a, np.asarray(loaded.b)):
+                arrays = [loaded.a, np.asarray(loaded.b)]
+                if loaded.seed is not None:
+                    arrays.append(loaded.seed)
+                for array in arrays:
                     assert array.dtype == np.int32 and not np.shares_memory(array, backing)
-                assert loaded.a.flags.writeable
+                assert loaded.a.flags.writeable == name.endswith("_a")
+                assert (loaded.seed is None) == name.endswith("_a")
             assert to_bytes(loaded) == MICRO_BLOBS[name]
 
     def test_threads_sharing_the_caches_past_their_bound_read_right(self):
@@ -637,7 +807,9 @@ class TestContainerBytes:
             assert to_bytes(obj) == MICRO_BLOBS[name], name
         batch = artifacts["lwe_batch"]
         strided = LweBatch(a=np.asfortranarray(batch.a), b=batch.b[::1])
-        assert to_bytes(strided) == MICRO_BLOBS["lwe_batch"]
+        assert to_bytes(strided) == MICRO_BLOBS["lwe_batch_a"]
+        seeded = LweBatch(a=batch.a, b=batch.b[::1], seed=np.asfortranarray(batch.seed))
+        assert to_bytes(seeded) == MICRO_BLOBS["lwe_batch"]
 
     @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
     def test_decoded_arrays_are_owned_writable_int32(self, wrap):

@@ -380,6 +380,35 @@ def test_an_unrolled_key_entry_is_refused_by_name(server_factory):
         assert decrypt_bit(secret, client.gate("nand", ca, cb)) == 0
 
 
+def test_a_hostile_seeded_operand_is_refused_and_the_connection_serves_on(
+    server_factory, wire_keys, edit_artifact
+):
+    """A seeded operand whose header asks for more mask than the expansion
+    bound, or for a mask of another dimension, is a typed, non-retryable
+    ``bad_request``; the same connection then serves a NAND of fresh
+    (seeded) operands that decrypts."""
+    secret, cloud = wire_keys
+    fresh = to_bytes(encrypt_bit(secret, 1, rng=3))
+    assert b'"seed"' in fresh
+    hostile = [
+        (edit_artifact(fresh, lambda m: m.__setitem__("n", 2**40)), "expansion bound"),
+        (edit_artifact(fresh, lambda m: m.__setitem__("n", "16")), "integer n"),
+        (edit_artifact(fresh, lambda m: m.__setitem__("n", TEST_TINY.n + 1)), "dimension"),
+    ]
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        for bad, match in hostile:
+            request = client.submit("gate", pack_parts([bad, fresh]), gate="nand")
+            with pytest.raises(ServerError) as excinfo:
+                client.result(request)
+            assert excinfo.value.kind == "bad_request" and not excinfo.value.retryable
+            assert match in str(excinfo.value)
+        ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
+        assert ca.seed is not None and cb.seed is not None
+        assert decrypt_bit(secret, client.gate("nand", ca, cb)) == 0
+
+
 def test_malformed_key_header_is_a_bad_request_not_internal(
     server_factory, wire_keys, edit_artifact
 ):
