@@ -23,7 +23,11 @@ answers for one connection leaves in one write, and every bootstrap the
 server runs is a row of some flush.  The other ops (``hello``,
 ``metrics_prom``, ``trace_export``, ``register_key``) run as one task each.
 Replies go out in any order; the protocol's request ids keep pipelined
-clients matched up.
+clients matched up.  A ``gate``, ``lut`` or ``circuit`` reply is rounded to
+the top 16 bits of each mask word first (:func:`repro.tfhe.lwe.lwe_round_mask`,
+which the serializer then writes as packed halves) when the key's parameter
+set can afford it: :meth:`repro.tfhe.noise.TfheNoiseModel.reply_rounding_fits`,
+decided once when the key registers.  A ``radix_add`` reply is not rounded.
 
 Isolation and backpressure:
 
@@ -84,8 +88,9 @@ from repro.runtime.protocol import (
 )
 from repro.tfhe.integers import RadixInt
 from repro.tfhe.keys import TFHECloudKey
-from repro.tfhe.lwe import LweBatch, LweSample
+from repro.tfhe.lwe import LweBatch, LweSample, lwe_round_mask
 from repro.tfhe.netlist import Circuit
+from repro.tfhe.noise import TfheNoiseModel
 from repro.telemetry import DEFAULT_LATENCY_BUCKETS, Telemetry
 from repro.tfhe.serialize import (
     SerializationError,
@@ -168,13 +173,20 @@ def _artifact_reply(result: Any) -> _Reply:
     return {}, pack_parts([to_bytes(result)])
 
 
-def _circuit_reply(circuit: Circuit, outputs: Dict[str, List[LweSample]]) -> _Reply:
+def _rounded_reply(result: LweSample) -> _Reply:
+    return _artifact_reply(lwe_round_mask(result))
+
+
+def _circuit_reply(
+    circuit: Circuit, rounded: bool, outputs: Dict[str, List[LweSample]]
+) -> _Reply:
     ordered: List[LweSample] = []
     for name in circuit.output_wires:
         ordered.extend(outputs[name])
+    batch = LweBatch.from_samples(ordered)
     return {
         "outputs": {n: len(w) for n, w in circuit.output_wires.items()}
-    }, pack_parts([to_bytes(LweBatch.from_samples(ordered))])
+    }, pack_parts([to_bytes(lwe_round_mask(batch) if rounded else batch)])
 
 
 class _SessionState:
@@ -205,6 +217,10 @@ class _SessionState:
         #: under it — and cleared again if that registration fails.
         self.registered = False
         self.register_reply: Optional[Tuple[Dict[str, Any], bytes]] = None
+        #: Whether this record's gate, LUT and circuit replies are rounded
+        #: (:meth:`TfheNoiseModel.reply_rounding_fits` of its key's
+        #: parameters), set when its key registers.
+        self.rounds_replies = False
         #: request id → (reply header, reply body); success replies only —
         #: errors are never cached, so a retry re-executes them.
         self.results: "OrderedDict[int, Tuple[Dict[str, Any], bytes]]" = OrderedDict()
@@ -1114,6 +1130,9 @@ class FheServer:
                 raise _RequestError("bad_request", "this connection already registered a key")
             cloud = self._artifact(key_bytes, TFHECloudKey, "cloud key", from_owned_buffer)
             if claimed:
+                # Before the context exists, so no reply under it is encoded
+                # before this is known.
+                sess.rounds_replies = TfheNoiseModel(cloud.params).reply_rounding_fits()
                 async with self._exclusive():
                     # Off-loop: a first-time key builds its context (and, for
                     # a worker pool, packs the shared segment); a key already
@@ -1160,7 +1179,8 @@ class FheServer:
         cb = self._check_sample(conn, self._artifact(part_b, LweSample, "operand b"), "operand b")
         session = self.scheduler.session(conn.session.client_id)
         trace_id = header["trace"]
-        return lambda: session.submit_gate(name, ca, cb, trace_id=trace_id), _artifact_reply
+        reply = _rounded_reply if conn.session.rounds_replies else _artifact_reply
+        return lambda: session.submit_gate(name, ca, cb, trace_id=trace_id), reply
 
     def _op_lut(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> _Job:
         table = header.get("table")
@@ -1179,7 +1199,8 @@ class FheServer:
         ]
         session = self.scheduler.session(conn.session.client_id)
         trace_id = header["trace"]
-        return lambda: session.submit_lut(table, operands, trace_id=trace_id), _artifact_reply
+        reply = _rounded_reply if conn.session.rounds_replies else _artifact_reply
+        return lambda: session.submit_lut(table, operands, trace_id=trace_id), reply
 
     def _op_circuit(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> _Job:
         circuit_obj = header.get("circuit")
@@ -1212,7 +1233,7 @@ class FheServer:
         trace_id = header["trace"]
         return (
             lambda: session.submit_circuit(circuit, inputs, trace_id=trace_id),
-            partial(_circuit_reply, circuit),
+            partial(_circuit_reply, circuit, conn.session.rounds_replies),
         )
 
     def _op_radix_add(self, conn: _Connection, header: Dict[str, Any], body: bytes) -> _Job:

@@ -19,6 +19,12 @@ seed is set, ``a`` is read-only, so no in-place edit can leave a stale seed
 behind; :meth:`LweSample.copy` gives a writable, unseeded ciphertext.  Every
 derived ciphertext (a sum, a key switch, a bootstrap) carries no seed.
 
+A derived ciphertext bound for a client or for another bootstrap may be
+rounded first: :func:`lwe_round_mask` keeps the top :data:`ROUNDED_MASK_BITS`
+bits of every mask word (a public modulus switch, like the first step of a
+bootstrap, so no key is involved), and :mod:`repro.tfhe.serialize` then
+writes the mask's high halves only.
+
 Security: the seed is public, like the mask it stands for, and the mask's
 pseudorandomness rests on SHAKE-128.  Seeds and noise come from the caller's
 NumPy ``rng`` (PCG64 — not a CSPRNG), so a deployment passes one seeded from
@@ -54,6 +60,11 @@ _MASK_XOF = hashlib.shake_128(_MASK_DOMAIN)
 _SEED_BYTES = 4 * SEED_WORDS
 #: Seeds are hashed, and masks read, as little-endian words on every platform.
 _WORD = np.dtype("<i4")
+#: Bits of each mask word that :func:`lwe_round_mask` keeps: the high half
+#: word, which is what :mod:`repro.tfhe.serialize`'s ``a_hi`` layout stores.
+ROUNDED_MASK_BITS = 16
+_ROUND_HALF = np.uint32(1 << (31 - ROUNDED_MASK_BITS))
+_KEPT_BITS = np.uint32(2**32 - 2 ** (32 - ROUNDED_MASK_BITS))
 
 
 def lwe_masks(seeds, n: int) -> np.ndarray:
@@ -300,6 +311,21 @@ def lwe_add_constant(x: LweSample, constant: np.int32) -> LweSample:
     """Add a public torus constant to the message of an LWE sample."""
     b = torus32_from_int64(int(np.int64(x.b)) + int(np.int64(constant)))
     return LweSample(a=x.a.copy(), b=np.int32(b))
+
+
+def lwe_round_mask(x):
+    """``x`` (a sample or a batch) with every mask word rounded to its top
+    :data:`ROUNDED_MASK_BITS` bits: ``a ← (a + 2¹⁵) & 0xFFFF0000``, wrapping.
+
+    ``b`` stays exact and the result carries no seed.  The phase moves by
+    ``−Σ (a'_i − a_i)·s_i``, each term uniform in ``[−2⁻¹⁷, 2⁻¹⁷)`` on the
+    torus (:meth:`repro.tfhe.noise.TfheNoiseModel.reply_rounding_variance`).
+    """
+    rounded = np.asarray(x.a, dtype=np.int32).view(np.uint32) + _ROUND_HALF
+    rounded &= _KEPT_BITS
+    if isinstance(x, LweBatch):
+        return LweBatch(a=rounded.view(np.int32), b=np.array(x.b, dtype=np.int32))
+    return LweSample(a=rounded.view(np.int32), b=np.int32(x.b))
 
 
 def gate_message(bit: int) -> np.int32:

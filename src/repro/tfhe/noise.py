@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.tfhe.lwe import ROUNDED_MASK_BITS
 from repro.tfhe.params import DigitEncoding, TFHEParameters
 
 #: Decision margin of gate bootstrapping on the real torus: phases sit at odd
@@ -31,6 +32,10 @@ from repro.tfhe.params import DigitEncoding, TFHEParameters
 #: taken into account (the XOR-style gates scale inputs by two, which the
 #: per-gate margin below accounts for).
 GATE_DECISION_MARGIN = 1.0 / 16.0
+
+#: The largest share of the next bootstrap's mod-switch variance that
+#: rounding a reply's mask (:func:`repro.tfhe.lwe.lwe_round_mask`) may add.
+REPLY_ROUNDING_SHARE = 0.01
 
 
 def digit_decision_margin(encoding: DigitEncoding) -> float:
@@ -140,6 +145,23 @@ class TfheNoiseModel:
         N = self.params.N
         per_coefficient = (1.0 / (4.0 * N)) ** 2 / 3.0
         return (n / 2.0 + 1.0) * per_coefficient
+
+    def reply_rounding_variance(self) -> float:
+        """Phase variance that :func:`repro.tfhe.lwe.lwe_round_mask` adds.
+
+        Each mask word is rounded to a multiple of ``2^-b`` (``b`` =
+        :data:`repro.tfhe.lwe.ROUNDED_MASK_BITS`); the error is uniform over
+        one step, variance ``2^-2b / 12``, and as in the mod switch only the
+        coefficients with ``s_i = 1`` (half of them on average) propagate.
+        """
+        step = 2.0**-ROUNDED_MASK_BITS
+        return (self.params.n / 2.0) * step**2 / 12.0
+
+    def reply_rounding_fits(self) -> bool:
+        """Whether rounding a reply adds at most :data:`REPLY_ROUNDING_SHARE`
+        of the variance the next bootstrap's own rounding adds anyway."""
+        share = REPLY_ROUNDING_SHARE * self.modswitch_rounding_variance()
+        return self.reply_rounding_variance() <= share
 
     def external_product_variance_per_iteration(self) -> float:
         """Noise added by one external product with a bundle of ``2^m − 1`` keys.

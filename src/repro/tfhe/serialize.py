@@ -11,6 +11,7 @@ self-delimiting byte string::
 
     {"arrays": [["a", [630]], ["b", []]]}              (a derived sample)
     {"n": 630, "arrays": [["seed", [4]], ["b", []]]}   (a fresh sample)
+    {"n": 630, "arrays": [["a_hi", [315]], ["b", []]]} (a rounded reply)
 
 The prefix states once what every artifact shares: the container version
 (:data:`CONTAINER_VERSION`, the one version of byte layout and header schema
@@ -36,10 +37,10 @@ keeps the *validated* layout of each (kind byte, exact header bytes) pair it
 has accepted (a hit still checks magic, container version, kind and the
 exact payload length, with the same error text; any other header is
 validated in full), and a writer keeps the prefix + header of each (kind
-byte, a seeded ciphertext's ``n``, shapes); both caches are bounded.  Cloud
-keys serialize their *coefficient-domain* TGSW material plus the
-:class:`repro.tfhe.transform.TransformSpec` of the engine they were generated
-for; the spectrum cache is deliberately **not** serialized — the
+byte, a seeded or halved ciphertext's ``n``, shapes); both caches are
+bounded.  Cloud keys serialize their *coefficient-domain* TGSW material plus
+the :class:`repro.tfhe.transform.TransformSpec` of the engine they were
+generated for; the spectrum cache is deliberately **not** serialized — the
 :class:`repro.runtime.context.FheContext` that loads the key rebuilds it
 (once), which also allows evaluating a loaded key under a different engine.
 Their key-switching key is the ``(k·N, t, base − 1, n + 1)`` entry
@@ -58,10 +59,20 @@ whose ``n`` is not an integer, whose seed has the wrong shape, whose
 directory holds both ``a`` and ``seed`` (or neither), or whose mask would
 exceed :data:`MAX_SEEDED_DIMENSION` / :data:`MAX_SEEDED_WORDS` — all before
 any XOF output is produced — and otherwise expands ``a`` from the seed.
-Derived ciphertexts (every bootstrapped reply) keep the ``a`` layout; so do
-a ``radix_int``'s digits.  :func:`save` dispatches on the
-object's type and :func:`load` on the kind byte; the per-artifact functions
-are also public.
+An unseeded ``lwe_sample`` or ``lwe_batch`` whose mask words all have zero
+low halves — a reply rounded by :func:`repro.tfhe.lwe.lwe_round_mask` — is
+written as ``a_hi`` (``(⌈n/2⌉,)`` or ``(rows, ⌈n/2⌉)``) + ``b`` with its
+``n`` in the header: each int32 word packs two high halves, little-endian,
+an odd ``n``'s last word padded with a zero half, and a reader shifts them
+back (1318 bytes for a ``paper-110bit`` reply instead of 2567).  The layout
+is chosen by the mask's value, so it is lossless and carries no flag; a
+reader refuses an ``a_hi`` header whose ``n`` is not an integer ≥ 1, whose
+shape is not ``⌈n/2⌉`` halves per row, whose batch ``b`` disagrees with
+the rows, or that also holds ``a`` or ``seed``, before it builds an array,
+and a non-zero pad half when it unpacks.  Any other derived ciphertext
+keeps the ``a`` layout, and a ``radix_int``'s digits always do.
+:func:`save` dispatches on the object's type and :func:`load` on the kind
+byte; the per-artifact functions are also public.
 
 Compiled circuits travel as *JSON text* rather than in the container — a
 netlist is pure structure (no arrays) and a human-diffable artifact is worth
@@ -80,6 +91,7 @@ import json
 import math
 import pathlib
 import struct
+import sys
 import threading
 from dataclasses import asdict
 from types import MappingProxyType
@@ -141,6 +153,14 @@ _MAX_RANK = 4
 #: parameter set fits far below both (``paper-110bit``: n = 630).
 MAX_SEEDED_DIMENSION = 1 << 14
 MAX_SEEDED_WORDS = 1 << 22
+#: The entries a ciphertext's mask may travel as, one per ciphertext: the
+#: words themselves, a fresh one's seed, or a rounded one's high halves.
+_MASK_FORMS = ("a", "seed", "a_hi")
+#: Which of a native int32's two native uint16s is its low half: a mask
+#: whose low halves are all zero is written as ``a_hi``, its high halves as
+#: little-endian uint16s.
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
+_WIRE_HALF = np.dtype("<u2")
 #: What parsing a hostile header dict into parameter objects can raise
 #: (``OverflowError``: JSON admits ``Infinity``, ``int()`` does not).
 _HEADER_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
@@ -164,12 +184,12 @@ class _Layout(NamedTuple):
     arrays: Tuple[Tuple[str, Tuple[int, ...], int, int], ...]
     #: Bytes of the whole container, prefix to last payload.
     size: int
-    #: ``(rows, n, seeded)`` when the directory is a ciphertext's own — an
-    #: ``lwe_sample``'s ``a (n,), b ()`` or ``seed (4,), b ()`` (``rows`` is
-    #: ``None``), or an ``lwe_batch``'s ``a (rows, n), b (rows,)`` or
-    #: ``seed (rows, 4), b (rows,)`` — so :func:`from_bytes` builds it from
-    #: one copy of its payload; ``None`` for anything else.
-    ciphertext: Optional[Tuple[Optional[int], int, bool]]
+    #: ``(rows, n, form)`` when the directory is a ciphertext's own — an
+    #: ``lwe_sample``'s ``form (width,), b ()`` (``rows`` is ``None``) or an
+    #: ``lwe_batch``'s ``form (rows, width), b (rows,)``, where ``form`` is
+    #: the mask's entry, one of :data:`_MASK_FORMS` — so :func:`from_bytes`
+    #: builds it from one copy of its payload; ``None`` for anything else.
+    ciphertext: Optional[Tuple[Optional[int], int, str]]
 
 
 #: Entries each codec cache keeps; past it the oldest is dropped, so no
@@ -178,8 +198,8 @@ _CACHE_BOUND = 256
 #: (kind byte, exact header bytes) → the layout validated for them (decode).
 _LAYOUTS: Dict[Tuple[int, bytes], _Layout] = {}
 #: (kind byte, *meta items, *(name, shape)) → prefix + header of a header
-#: whose meta holds ints only — a ciphertext's: nothing, or a seeded one's
-#: ``n`` (encode; built by :func:`_head` only).
+#: whose meta holds ints only — a ciphertext's: nothing, or a seeded or
+#: halved one's ``n`` (encode; built by :func:`_head` only).
 _HEADS: Dict[tuple, bytes] = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -252,9 +272,9 @@ def _head(
     """Prefix + header of a ``kind`` container of ``(name, shape)`` arrays
     under ``meta``.
 
-    A ciphertext's header — its directory, plus ``n`` when seeded — is
-    built once per distinct (kind, meta, shapes) and then reused
-    (:data:`_HEADS`).
+    A ciphertext's header — its directory, plus ``n`` when seeded or
+    halved — is built once per distinct (kind, meta, shapes) and then
+    reused (:data:`_HEADS`).
     """
     cacheable = all(type(value) is int for value in meta.values())
     key = (kind, *meta.items(), *shapes) if cacheable else None
@@ -399,40 +419,85 @@ def _validate(kind: int, header: bytes, offset: int, size: int) -> _Layout:
 
 def _ciphertext(
     kind: int, meta: Dict[str, Any], entries
-) -> Optional[Tuple[Optional[int], int, bool]]:
+) -> Optional[Tuple[Optional[int], int, str]]:
     """:attr:`_Layout.ciphertext` of an ``lwe_sample`` / ``lwe_batch``
-    directory, which carries its mask ``a`` or its ``seed`` — not both, not
-    neither.  A seeded header is refused here unless its ``n`` and its seed
-    shape are sound and the mask fits :data:`MAX_SEEDED_DIMENSION` /
-    :data:`MAX_SEEDED_WORDS`, so no reader expands an unbounded mask."""
+    directory, which carries its mask as exactly one of :data:`_MASK_FORMS`.
+    A seeded header is refused here unless its ``n`` and its seed shape are
+    sound and the mask fits :data:`MAX_SEEDED_DIMENSION` /
+    :data:`MAX_SEEDED_WORDS`, so no reader expands an unbounded mask; a
+    halved one unless its ``n``, its shape and its directory are sound."""
     shapes = {name: shape for name, shape, *_ in entries}
     names = tuple(shapes)
     batch = kind == _BATCH
-    if "seed" not in shapes:
-        if "a" not in shapes:
-            raise SerializationError("archive is missing the 'a' entry and has no 'seed'")
-        a, b = shapes["a"], shapes.get("b")
-        if names == ("a", "b") and len(a) == 1 + batch and b == a[:batch]:
-            return (a[0] if batch else None, a[-1], False)
+    forms = [form for form in _MASK_FORMS if form in shapes]
+    if not forms:
+        raise SerializationError("archive is missing the 'a' entry and has no 'seed' or 'a_hi'")
+    if len(forms) > 1:
+        raise SerializationError(
+            "a ciphertext carries its mask 'a', its 'seed' or its halves 'a_hi', "
+            f"not both {forms[0]!r} and {forms[1]!r}"
+        )
+    (form,) = forms
+    mask, b = shapes[form], shapes.get("b")
+    if form == "a":
+        if names == ("a", "b") and len(mask) == 1 + batch and b == mask[:batch]:
+            return (mask[0] if batch else None, mask[-1], form)
         return None  # the loader names what is wrong
-    if "a" in shapes:
-        raise SerializationError("a ciphertext carries its mask 'a' or its 'seed', not both")
-    n, seed = meta.get("n"), shapes["seed"]
+    n = meta.get("n")
     if type(n) is not int or n < 1:
-        raise SerializationError(f"a seeded ciphertext's header needs an integer n >= 1, not {n!r}")
-    if len(seed) != 1 + batch or seed[-1] != SEED_WORDS:
-        want = "(rows, 4)" if batch else "(4,)"
-        raise SerializationError(f"'seed' has shape {seed}, expected {want}")
-    rows = seed[0] if batch else None
-    if n > MAX_SEEDED_DIMENSION or (rows or 1) * n > MAX_SEEDED_WORDS:
+        raise SerializationError(f"a {form!r} ciphertext's header needs an integer n >= 1, not {n!r}")
+    width = SEED_WORDS if form == "seed" else (n + 1) // 2
+    if len(mask) != 1 + batch or mask[-1] != width:
+        want = f"(rows, {width})" if batch else f"({width},)"
+        raise SerializationError(f"{form!r} has shape {mask}, expected {want}")
+    rows = mask[0] if batch else None
+    if form == "seed" and (n > MAX_SEEDED_DIMENSION or (rows or 1) * n > MAX_SEEDED_WORDS):
         what = f"batch of {rows} rows" if batch else "sample"
         raise SerializationError(
             f"a seeded {what} of n = {n} exceeds the expansion bound "
             f"(n <= {MAX_SEEDED_DIMENSION}, rows × n <= {MAX_SEEDED_WORDS})"
         )
-    if names == ("seed", "b") and shapes["b"] == seed[:batch]:
-        return (rows, n, True)
-    return None
+    if names == (form, "b") and b == mask[:batch]:
+        return (rows, n, form)
+    if form == "seed":
+        return None
+    raise SerializationError(
+        f"an 'a_hi' ciphertext's directory is a_hi {mask}, b {mask[:batch]}; "
+        f"got {', '.join(f'{name} {shape}' for name, shape in shapes.items())}"
+    )
+
+
+def _pack_halves(high: np.ndarray) -> np.ndarray:
+    """High halves (native uint16, ``(..., n)``) as the int32 words of an
+    ``a_hi`` entry: two to a word, the earlier in the low half, an odd row
+    padded with a zero half."""
+    n = high.shape[-1]
+    halves = np.zeros((*high.shape[:-1], n + n % 2), _WIRE_HALF)
+    halves[..., :n] = high
+    return halves.view(_WIRE_INT32).astype(_INT32, copy=False)
+
+
+def _unpack_halves(halves: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` mask words per row of an ``a_hi`` entry's halves
+    (``<u2``, ``(..., 2·⌈n/2⌉)``) — a new int32 array; a pad half must be
+    zero."""
+    if n % 2 and np.count_nonzero(halves[..., n]):
+        raise SerializationError(f"an 'a_hi' of n = {n} has a non-zero pad half")
+    mask = halves[..., :n].astype(np.uint32)
+    mask <<= 16
+    return mask.view(np.int32)
+
+
+def _mask_entry(a) -> Tuple[Dict[str, int], str, Any]:
+    """An unseeded ciphertext's mask as ``(meta, entry name, payload)``:
+    ``a_hi`` with its ``n`` when every word's low half is zero, else ``a``.
+    Anything but a non-empty int32 ndarray is left to :func:`_encode` to
+    write or refuse."""
+    if type(a) is np.ndarray and a.dtype == _INT32 and a.size:
+        halves = np.ascontiguousarray(a).view(np.uint16)
+        if not np.count_nonzero(halves[..., _LOW_HALF::2]):
+            return {"n": a.shape[-1]}, "a_hi", _pack_halves(halves[..., 1 - _LOW_HALF :: 2])
+    return {}, "a", a
 
 
 def _read_archive(path: PathLike, expected_artifact: str | None = None):
@@ -559,7 +624,8 @@ def load_cloud_key(path: PathLike) -> TFHECloudKey:
 def _lwe_sample_archive(sample: LweSample):
     if sample.seed is not None:
         return {"n": sample.dimension}, {"seed": sample.seed, "b": np.asarray(sample.b)}
-    return {}, {"a": sample.a, "b": np.asarray(sample.b)}
+    meta, name, words = _mask_entry(sample.a)
+    return meta, {name: words, "b": np.asarray(sample.b)}
 
 
 def save_lwe_sample(path: PathLike, sample: LweSample) -> None:
@@ -572,6 +638,8 @@ def _lwe_sample_from_archive(meta, arrays) -> LweSample:
     if "seed" in arrays:  # shape and n were checked by _ciphertext
         seed = _require(arrays, "seed", (SEED_WORDS,))
         return LweSample(a=lwe_masks(seed, meta["n"]), b=b, seed=seed)
+    if "a_hi" in arrays:  # shape, n and directory were checked by _ciphertext
+        return LweSample(a=_unpack_halves(_wire_halves(arrays["a_hi"]), meta["n"]), b=b)
     return LweSample(a=_require(arrays, "a", (None,)), b=b)
 
 
@@ -583,7 +651,8 @@ def load_lwe_sample(path: PathLike) -> LweSample:
 def _lwe_batch_archive(batch: LweBatch):
     if batch.seed is not None:
         return {"n": batch.dimension}, {"seed": batch.seed, "b": batch.b}
-    return {}, {"a": batch.a, "b": batch.b}
+    meta, name, words = _mask_entry(batch.a)
+    return meta, {name: words, "b": batch.b}
 
 
 def save_lwe_batch(path: PathLike, batch: LweBatch) -> None:
@@ -596,7 +665,15 @@ def _lwe_batch_from_archive(meta, arrays) -> LweBatch:
         seed = _require(arrays, "seed", (None, SEED_WORDS))
         b = _require(arrays, "b", (seed.shape[0],))
         return LweBatch(a=lwe_masks(seed, meta["n"]), b=b, seed=seed)
+    if "a_hi" in arrays:  # shape, n and directory were checked by _ciphertext
+        halves = _wire_halves(arrays["a_hi"])
+        return LweBatch(a=_unpack_halves(halves, meta["n"]), b=arrays["b"])
     return _rows(arrays)
+
+
+def _wire_halves(words: np.ndarray) -> np.ndarray:
+    """An ``a_hi`` entry's int32 words as the ``<u2`` halves they carry."""
+    return np.ascontiguousarray(words, dtype=_WIRE_INT32).view(_WIRE_HALF)
 
 
 def _rows(arrays) -> LweBatch:
@@ -698,25 +775,31 @@ def _load(data: Buffer, expected_artifact: str | None = None):
 
     A ciphertext in its own directory layout is built from one copy of its
     payload: ``a`` or ``seed`` (and a batch's ``b``) are views of that copy,
-    never of ``data``; a seeded one's ``a`` is expanded from its seed.
+    never of ``data``; a seeded one's ``a`` is expanded from its seed, a
+    halved one's unpacked from ``data`` into an array of its own.
     """
     view, layout = _layout(data, expected_artifact)
     if layout.ciphertext is None:
         return _KINDS[layout.kind].load(layout.meta, _arrays(view, layout))
-    rows, n, seeded = layout.ciphertext
-    width = SEED_WORDS if seeded else n
+    rows, n, form = layout.ciphertext
+    width = layout.arrays[0][1][-1]
     start = layout.arrays[0][2]
+    if form == "a_hi":
+        count = rows or 1
+        halves = np.frombuffer(view, _WIRE_HALF, count * 2 * width, start)
+        b = np.frombuffer(view, _WIRE_INT32, count, start + 4 * count * width).astype(_INT32)
+        if rows is None:
+            return LweSample(a=_unpack_halves(halves, n), b=b[0])
+        return LweBatch(a=_unpack_halves(halves.reshape(rows, 2 * width), n), b=b)
     if rows is None:
         payload = np.frombuffer(view, _WIRE_INT32, width + 1, start).astype(_INT32)
-        words, b = payload[:width], payload[width]
-        if seeded:
-            return LweSample(a=lwe_masks(words, n), b=b, seed=words)
-        return LweSample(a=words, b=b)
-    payload = np.frombuffer(view, _WIRE_INT32, rows * (width + 1), start).astype(_INT32)
-    words, b = payload[: rows * width].reshape(rows, width), payload[rows * width :]
-    if seeded:
-        return LweBatch(a=lwe_masks(words, n), b=b, seed=words)
-    return LweBatch(a=words, b=b)
+        words, b, cls = payload[:width], payload[width], LweSample
+    else:
+        payload = np.frombuffer(view, _WIRE_INT32, rows * (width + 1), start).astype(_INT32)
+        words, b, cls = payload[: rows * width].reshape(rows, width), payload[rows * width :], LweBatch
+    if form == "seed":
+        return cls(a=lwe_masks(words, n), b=b, seed=words)
+    return cls(a=words, b=b)
 
 
 def save(path: PathLike, obj) -> None:
@@ -741,17 +824,17 @@ def to_bytes(obj) -> bytes:
     A sample whose ``a`` is an int32 vector and ``b`` an int32 scalar — every
     ciphertext the runtime produces — is the wire's traffic: its
     :func:`_head` is joined with its payload (its seed, if it has one, else
-    ``a``) directly, without the general walk over the artifact's arrays
-    (same bytes).
+    its mask as :func:`_mask_entry` writes it) directly, without the general
+    walk over the artifact's arrays (same bytes).
     """
     if type(obj) is LweSample:
         a, b, seed = obj.a, obj.b, obj.seed
         if type(a) is np.ndarray and a.dtype == _INT32 and a.ndim == 1 and type(b) is np.int32:
             if seed is None:
-                head, words = _head(_SAMPLE, {}, (("a", a.shape), ("b", ()))), a
+                meta, name, words = _mask_entry(a)
             else:
-                meta = {"n": a.shape[0]}
-                head, words = _head(_SAMPLE, meta, (("seed", seed.shape), ("b", ()))), seed
+                meta, name, words = {"n": a.shape[0]}, "seed", seed
+            head = _head(_SAMPLE, meta, ((name, words.shape), ("b", ())))
             return b"".join((head, np.ascontiguousarray(words, dtype=_WIRE_INT32), _WIRE_B.pack(b)))
     return b"".join(to_pieces(obj))
 

@@ -4,7 +4,13 @@ import pytest
 
 from repro.arch.gate_compiler import compile_gate_dfg, gate_workloads
 from repro.arch.ops import OpType
+from repro.runtime import FheContext
+from repro.tfhe.bootstrap import modswitch_batch
+from repro.tfhe.gates import decrypt_bit, encrypt_bit, gate_affine_batch
+from repro.tfhe.keys import generate_keys, group_indices
+from repro.tfhe.lwe import LweBatch
 from repro.tfhe.params import PAPER_110BIT, TEST_SMALL
+from repro.tfhe.transform import make_transform
 
 
 class TestWorkloads:
@@ -75,3 +81,57 @@ class TestCompiledGraph:
         n1 = len(compile_gate_dfg(PAPER_110BIT, unroll_factor=1))
         n2 = len(compile_gate_dfg(PAPER_110BIT, unroll_factor=2))
         assert n2 < n1
+
+
+class TestModelAgainstTheKernel:
+    """:func:`gate_workloads` against the transforms one NAND really runs.
+
+    The model charges every one of its ``iterations`` external products
+    ``(k+1)·l`` forward transforms (the decomposed digits) and ``k+1``
+    backward ones.  The kernel skips a step whose rotation amounts ``ā_i``
+    (``Z_{2N}`` after the mod switch) are all zero — the step would multiply
+    by ``X^0 − 1 = 0`` — so the count is the model's less those steps,
+    computed here from the operands.
+    """
+
+    @staticmethod
+    def _counted_nand(kind, unroll_factor):
+        params = TEST_SMALL
+        secret, cloud = generate_keys(
+            params, make_transform(kind, params.N), unroll_factor=unroll_factor,
+            rng=80 + unroll_factor, eager=False,
+        )
+        ca, cb = encrypt_bit(secret, 1, rng=0), encrypt_bit(secret, 0, rng=1)
+        combined = gate_affine_batch(
+            "nand", LweBatch.from_samples([ca]), LweBatch.from_samples([cb])
+        )
+        _, bara = modswitch_batch(combined, params.N)
+        idle = sum(
+            1 for group in group_indices(params.n, unroll_factor) if not bara[0, list(group)].any()
+        )
+        engine = make_transform(kind, params.N)
+        context = FheContext(cloud, engine=engine)
+        context.rotator  # the key's spectra, outside the count
+        engine.reset_stats()
+        out = context.evaluator().nand(ca, cb)
+        assert decrypt_bit(secret, out) == 1
+        work = gate_workloads(params, unroll_factor)
+        ran = work.iterations - idle
+        model = (ran * (params.k + 1) * params.l, ran * (params.k + 1))
+        return (engine.stats.forward_calls, engine.stats.backward_calls), model, idle
+
+    @pytest.mark.parametrize("kind", ["double", "approx"])
+    def test_one_nand_at_m1_runs_what_the_model_counts(self, kind):
+        counted, model, idle = self._counted_nand(kind, 1)
+        assert idle == 1  # these operands exercise the skip
+        assert counted == model == (186, 62)  # 32 steps, 1 idle: 31 × 6, 31 × 2
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="each BKU bundle still costs a forward transform per pattern: "
+        "+49 % forward at m = 2, +109 % at m = 3 (ROADMAP item 2)",
+    )
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_nand_at_m_above_1_runs_what_the_model_counts(self, m):
+        counted, model, _ = self._counted_nand("double", m)
+        assert counted == model

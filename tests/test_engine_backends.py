@@ -44,7 +44,7 @@ from repro.runtime.scheduler import SchedulerStats, execute_rows
 from repro.tfhe.bootstrap import programmable_bootstrap
 from repro.tfhe.gates import PLAINTEXT_GATES, decrypt_bit, encrypt_bit
 from repro.tfhe.keys import generate_keys
-from repro.tfhe.lwe import decrypt_digit, encrypt_digit
+from repro.tfhe.lwe import decrypt_digit, encrypt_digit, lwe_round_mask
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
 from repro.tfhe.serialize import to_bytes
 from repro.tfhe.tgsw import tgsw_batch_external_product, tgsw_encrypt, tgsw_transform
@@ -481,7 +481,19 @@ class TestServerEngineRequests:
         with ServingClient(port=server.port) as client:
             assert client.register_key(uploaded)["engine_kind"] == kind
             got = [client.gate("nand", ca, cb) for ca, cb in operands]
-        assert _bit_identical(got, want)
+            # A reply is the in-process result with its mask rounded: it
+            # decrypts, travels as packed halves, and bootstraps again as
+            # an operand.
+            assert _bit_identical(got, [lwe_round_mask(w) for w in want])
+            assert [decrypt_bit(secret, reply) for reply in got] == [
+                1 - (a & b) for a, b in BIT_PAIRS
+            ]
+            assert all(b'"a_hi"' in to_bytes(reply) for reply in got)
+            again = [client.gate("nand", got[i], got[-1 - i]) for i in range(len(got))]
+            assert [decrypt_bit(secret, reply) for reply in again] == [
+                1 - ((1 - (a & b)) & (1 - (c & d)))
+                for (a, b), (c, d) in zip(BIT_PAIRS, BIT_PAIRS[::-1])
+            ]
 
     def test_after_a_fault_the_kind_keeps_serving_new_keys(self, server_factory):
         secret, cloud = _gate_keys(1)

@@ -23,6 +23,7 @@ from repro.tfhe.lwe import (
     lwe_negate,
     lwe_noise,
     lwe_phase,
+    lwe_round_mask,
     lwe_scale,
     lwe_sub,
 )
@@ -222,6 +223,25 @@ class TestSeededMasks:
             LweSample(a=a, b=np.int32(0), seed=np.zeros(3, dtype=np.int32))
         with pytest.raises(ValueError, match="seed must be int32"):
             LweBatch(a=a[None], b=np.zeros(1, np.int32), seed=np.zeros((2, 4), np.int32))
+
+
+class TestRoundMask:
+    def test_each_word_moves_by_at_most_half_a_step_and_b_stays(self, key):
+        fresh = lwe_batch_encrypt(key, np.zeros(4, np.int32), rng=12)
+        for x in (fresh, fresh[1], fresh.copy()):
+            rounded = lwe_round_mask(x)
+            assert type(rounded) is type(x) and rounded.seed is None
+            moved = torus32_from_int64(rounded.a.astype(np.int64) - x.a)
+            assert np.abs(moved.astype(np.int64)).max() <= 2**15
+            assert not (rounded.a & 0xFFFF).any()
+            assert np.array_equal(rounded.b, x.b)
+            assert np.array_equal(lwe_round_mask(rounded).a, rounded.a)  # idempotent
+        assert fresh.seed is not None  # the input is left as it was
+
+    def test_the_top_of_the_torus_wraps_to_the_bottom(self):
+        a = np.array([2**31 - 1, 2**31 - 2**15, 2**31 - 2**15 - 1, -(2**15), -(2**15) - 1], np.int32)
+        rounded = lwe_round_mask(LweSample(a=a, b=np.int32(0))).a
+        assert rounded.tolist() == [-(2**31), -(2**31), 2**31 - 2**16, 0, -(2**16)]
 
 
 class TestGateMessage:

@@ -1,16 +1,23 @@
 """Tests for the analytic noise model (Table 3 / Section 4.3)."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.runtime import FheContext
+from repro.tfhe.gates import encrypt_bit_batch
+from repro.tfhe.lwe import lwe_batch_phase, lwe_round_mask
 from repro.tfhe.noise import (
     GATE_DECISION_MARGIN,
+    REPLY_ROUNDING_SHARE,
     NoiseBudget,
     TfheNoiseModel,
     max_safe_fft_error,
 )
-from repro.tfhe.params import PAPER_110BIT, TEST_SMALL
+from repro.tfhe.params import PAPER_110BIT, PARAMETER_SETS, TEST_SMALL
+from repro.tfhe.torus import torus32_from_int64, torus32_to_double
 
 
 class TestBudgetArithmetic:
@@ -116,3 +123,49 @@ class TestFftErrorBudget:
 
     def test_small_parameters_have_budget_too(self):
         assert max_safe_fft_error(TEST_SMALL, 2) > 0
+
+
+class TestReplyRounding:
+    """Rounding a reply's mask to 16 bits, against the next bootstrap's own
+    mod-switch rounding (which it must not noticeably add to)."""
+
+    @pytest.mark.parametrize("name", sorted(PARAMETER_SETS))
+    def test_every_shipped_set_can_afford_it(self, name):
+        model = TfheNoiseModel(PARAMETER_SETS[name])
+        assert model.reply_rounding_variance() <= (
+            REPLY_ROUNDING_SHARE * model.modswitch_rounding_variance()
+        )
+        assert model.reply_rounding_fits()
+
+    def test_the_shares_at_the_documented_sets(self):
+        shares = {
+            name: TfheNoiseModel(PARAMETER_SETS[name]).reply_rounding_variance()
+            / TfheNoiseModel(PARAMETER_SETS[name]).modswitch_rounding_variance()
+            for name in ("paper-110bit", "test-medium", "test-small")
+        }
+        assert shares["paper-110bit"] == pytest.approx(0.00097, rel=0.01)
+        assert shares["test-medium"] == pytest.approx(0.00024, rel=0.02)
+        assert shares["test-small"] == pytest.approx(0.000014, rel=0.03)
+
+    def test_a_set_that_cannot_afford_it_is_refused(self):
+        # The wider the ring, the finer the next mod switch rounds, and the
+        # more a 16-bit reply adds to it: the share is ≈ 4·N²·2⁻³² whatever
+        # n, so N = 4096 (1.6 %) is the first ring past 1 %.
+        for degree, fits in ((2048, True), (4096, False)):
+            wide = replace(TEST_SMALL, tlwe=replace(TEST_SMALL.tlwe, degree=degree))
+            assert TfheNoiseModel(wide).reply_rounding_fits() is fits
+
+    def test_measured_phase_error_of_rounded_bootstrap_outputs(self, small_keys_double):
+        secret, cloud = small_keys_double
+        rows = 1024
+        rng = np.random.default_rng(41)
+        ca = encrypt_bit_batch(secret, rng.integers(0, 2, rows), rng=42)
+        cb = encrypt_bit_batch(secret, rng.integers(0, 2, rows), rng=43)
+        outputs = FheContext(cloud).batch_evaluator(rows).gate_rows(["nand"] * rows, ca, cb)
+        rounded = lwe_round_mask(outputs)
+        assert np.array_equal(rounded.b, outputs.b)
+        before = lwe_batch_phase(secret.lwe_key, outputs).astype(np.int64)
+        after = lwe_batch_phase(secret.lwe_key, rounded).astype(np.int64)
+        error = torus32_to_double(torus32_from_int64(after - before))
+        ratio = float(np.var(error)) / TfheNoiseModel(TEST_SMALL).reply_rounding_variance()
+        assert 0.5 <= ratio <= 2.0

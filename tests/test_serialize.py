@@ -36,10 +36,12 @@ from repro.tfhe.lwe import (
     lwe_encrypt,
     lwe_key_generate,
     lwe_masks,
+    lwe_round_mask,
 )
 from repro.tfhe.params import (
     PARAMETER_SETS,
     PAPER_110BIT,
+    TEST_SMALL,
     TEST_TINY,
     DigitEncoding,
     KeySwitchParams,
@@ -71,8 +73,9 @@ MICRO = TFHEParameters(
 
 
 def _micro_artifacts():
-    """One valid artifact of every kind (both cloud-key layouts, and both
-    ciphertext layouts: a fresh one's seed and a derived one's mask), by name."""
+    """One valid artifact of every kind (both cloud-key layouts, and the three
+    ciphertext layouts: a fresh one's seed, a derived one's mask and a
+    rounded one's halves), by name."""
     engine = NaiveNegacyclicTransform(MICRO.N)
     secret, cloud = generate_keys(MICRO, engine, rng=3, eager=False)
     _, unrolled = generate_keys(MICRO, engine, unroll_factor=2, rng=3, eager=False)
@@ -86,6 +89,8 @@ def _micro_artifacts():
         "lwe_sample_a": sample.copy(),
         "lwe_batch": batch,
         "lwe_batch_a": batch.copy(),
+        "lwe_sample_hi": lwe_round_mask(sample),
+        "lwe_batch_hi": lwe_round_mask(batch),
         "radix_int": encrypt_radix(secret.lwe_key, 9, 2, DigitEncoding(2, 1), rng=7),
     }
 
@@ -314,6 +319,137 @@ class TestSeededHeaderChecks:
     def test_a_radix_int_never_expands_a_seed(self):
         meta = {"n": 4, "encoding": {"message_bits": 2, "carry_bits": 1}, "bounds": [0]}
         blob = _seeded(3, meta, [["seed", [1, 4]], ["b", [1]]], 5)
+        with pytest.raises(SerializationError, match="missing the 'a' entry"):
+            from_bytes(blob)
+
+
+class TestRoundedCiphertexts:
+    """A rounded reply (:func:`lwe_round_mask`) travels as its high halves."""
+
+    def test_a_paper_reply_is_1318_bytes_instead_of_2567(self):
+        key = lwe_key_generate(PAPER_110BIT.lwe, rng=1)
+        reply = lwe_encrypt(key, gate_message(1), rng=2).copy()
+        assert len(to_bytes(reply)) == 2567
+        rounded = to_bytes(lwe_round_mask(reply))
+        assert rounded[10:-1264] == b'{"n":630,"arrays":[["a_hi",[315]],["b",[]]]}'
+        assert len(rounded) == 1318
+        assert len(rounded) <= 4 * -(-PAPER_110BIT.n // 2) + 72
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 630])
+    def test_a_rounded_sample_and_batch_round_trip_byte_for_byte(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.integers(-(2**31), 2**31, (3, n)).astype(np.int32)
+        a[0, 0] = -(2**31)  # rounds to itself; a word near the top wraps
+        a[1, 0] = 2**31 - 2**14
+        batch = LweBatch(a=a, b=rng.integers(-(2**31), 2**31, 3).astype(np.int32))
+        rounded = lwe_round_mask(batch)
+        assert rounded.a[1, 0] == -(2**31)
+        for ciphertext in (rounded, rounded[1]):
+            blob = to_bytes(ciphertext)
+            assert b'"a_hi"' in blob and b'"a"' not in blob
+            assert blob == b"".join(serialize.to_pieces(ciphertext))
+            for decode in (from_bytes, from_owned_buffer):
+                loaded = decode(bytearray(blob))
+                assert type(loaded) is type(ciphertext) and to_bytes(loaded) == blob
+                assert np.array_equal(loaded.a, ciphertext.a)
+                assert np.array_equal(loaded.b, ciphertext.b)
+                assert loaded.seed is None and loaded.a.flags.writeable
+
+    def test_an_unrounded_derived_ciphertext_writes_its_full_mask(self, small_keys_double):
+        secret, cloud = small_keys_double
+        ca, cb = encrypt_bit(secret, 1, rng=51), encrypt_bit(secret, 1, rng=52)
+        reply = FheContext(cloud).evaluator().nand(ca, cb)
+        blob = to_bytes(reply)
+        assert blob[10:-4 * (TEST_SMALL.n + 1)] == b'{"arrays":[["a",[32]],["b",[]]]}'
+        rounded = to_bytes(lwe_round_mask(reply))
+        assert b'"a_hi"' in rounded and len(rounded) < len(blob)
+        for wire in (blob, rounded):
+            assert decrypt_bit(secret, from_bytes(wire)) == 0
+
+    def test_a_rounded_test_small_reply_is_pinned_byte_for_byte(self):
+        """The rounding, the packing (two high halves per little-endian word)
+        and the header, under the exact engine so every platform agrees."""
+        secret, cloud = generate_keys(
+            TEST_SMALL, NaiveNegacyclicTransform(TEST_SMALL.N), rng=53, eager=False
+        )
+        ca, cb = encrypt_bit(secret, 1, rng=54), encrypt_bit(secret, 0, rng=55)
+        reply = lwe_round_mask(FheContext(cloud).evaluator().nand(ca, cb))
+        blob = to_bytes(reply)
+        assert blob[:10] == b"rTFA\x02\x01" + struct.pack("<I", 42)
+        assert blob[10:52] == b'{"n":32,"arrays":[["a_hi",[16]],["b",[]]]}'
+        halves = np.frombuffer(blob[52:-4], "<u2")
+        assert np.array_equal(halves.astype(np.uint32) << 16, reply.a.view(np.uint32))
+        assert blob[-4:] == struct.pack("<i", reply.b)
+        assert len(blob) == 52 + 2 * 32 + 4 == 120
+        assert decrypt_bit(secret, from_bytes(blob)) == 1
+        assert hashlib.sha256(blob).hexdigest() == (
+            "a5885aece877e85ec4e16cffd781ee9e585e06b5acf80e53d242acc7316aa5e6"
+        )
+
+
+class TestHalvedHeaderChecks:
+    """An ``a_hi`` header is refused before any array is built, whichever reader."""
+
+    REFUSED = [
+        ("a_hi and a", 1, {"n": 4}, [["a", [4]], ["a_hi", [2]], ["b", []]], 7, "not both"),
+        ("a_hi and seed", 1, {"n": 4}, [["seed", [4]], ["a_hi", [2]], ["b", []]], 7, "not both"),
+        ("batch a_hi and a", 2, {"n": 4}, [["a_hi", [1, 2]], ["a", [1, 4]], ["b", [1]]], 7,
+         "not both"),
+        ("n missing", 1, {}, [["a_hi", [2]], ["b", []]], 3, "integer n"),
+        ("n float", 1, {"n": 4.0}, [["a_hi", [2]], ["b", []]], 3, "integer n"),
+        ("n string", 2, {"n": "4"}, [["a_hi", [1, 2]], ["b", [1]]], 3, "integer n"),
+        ("n bool", 1, {"n": True}, [["a_hi", [1]], ["b", []]], 2, "integer n"),
+        ("n zero", 1, {"n": 0}, [["a_hi", [0]], ["b", []]], 1, "integer n"),
+        ("n negative", 2, {"n": -2}, [["a_hi", [1, 1]], ["b", [1]]], 2, "integer n"),
+        ("n = 16, 9 words", 1, {"n": 16}, [["a_hi", [9]], ["b", []]], 10, "'a_hi' has shape"),
+        ("n = 15, 7 words", 1, {"n": 15}, [["a_hi", [7]], ["b", []]], 8, "'a_hi' has shape"),
+        ("n = 16, 16 words", 2, {"n": 16}, [["a_hi", [2, 16]], ["b", [2]]], 34,
+         "'a_hi' has shape"),
+        ("sample of rank 2", 1, {"n": 16}, [["a_hi", [1, 8]], ["b", []]], 9, "'a_hi' has shape"),
+        ("batch of rank 1", 2, {"n": 16}, [["a_hi", [8]], ["b", [1]]], 9, "'a_hi' has shape"),
+        ("b rows disagree", 2, {"n": 16}, [["a_hi", [2, 8]], ["b", [1]]], 17, "directory"),
+        ("b rank on a sample", 1, {"n": 16}, [["a_hi", [8]], ["b", [1]]], 9, "directory"),
+        ("b missing", 2, {"n": 16}, [["a_hi", [2, 8]]], 16, "directory"),
+        ("an extra entry", 1, {"n": 2}, [["a_hi", [1]], ["b", []], ["c", []]], 3, "directory"),
+    ]
+
+    @pytest.mark.parametrize("decode", [from_bytes, from_owned_buffer])
+    @pytest.mark.parametrize("case", REFUSED, ids=[case[0] for case in REFUSED])
+    def test_refused_before_any_array_is_built(self, decode, case, monkeypatch):
+        _, kind, meta, directory, words, match = case
+        blob = _seeded(kind, meta, directory, words)
+
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("an array was built for a refused header")
+
+        monkeypatch.setattr(serialize, "_arrays", must_not_run)
+        monkeypatch.setattr(serialize, "_unpack_halves", must_not_run)
+        for _ in range(2):  # a refused header is never cached: refused again
+            with pytest.raises(SerializationError, match=match):
+                decode(bytearray(blob))
+
+    @pytest.mark.parametrize("decode", [from_bytes, from_owned_buffer])
+    @pytest.mark.parametrize("kind, rows", [(1, None), (2, 3)])
+    def test_an_odd_n_needs_a_zero_pad_half(self, decode, kind, rows):
+        n, width = 15, 8
+        shape = [width] if rows is None else [rows, width]
+        b = [] if rows is None else [rows]
+        blob = bytearray(_seeded(kind, {"n": n}, [["a_hi", shape], ["b", b]], (rows or 1) * (width + 1)))
+        start = _payload_start(blob)
+        # Row 0's pad half: the high half of its last word.
+        blob[start + 4 * width - 2 : start + 4 * width] = b"\xff\xff"
+        blob[start : start + 2] = b"\x01\x00"  # a real half, which is kept
+        with pytest.raises(SerializationError, match="non-zero pad half"):
+            decode(bytearray(blob))
+        blob[start + 4 * width - 2 : start + 4 * width] = b"\x00\x00"
+        loaded = decode(bytearray(blob))
+        assert loaded.a.shape == ((n,) if rows is None else (rows, n))
+        assert loaded.a.reshape(-1, n)[0, 0] == 1 << 16
+        assert to_bytes(loaded) == bytes(blob)
+
+    def test_a_radix_int_never_reads_halves(self):
+        meta = {"n": 4, "encoding": {"message_bits": 2, "carry_bits": 1}, "bounds": [0]}
+        blob = _seeded(3, meta, [["a_hi", [1, 2]], ["b", [1]]], 3)
         with pytest.raises(SerializationError, match="missing the 'a' entry"):
             from_bytes(blob)
 
@@ -693,7 +829,10 @@ class TestCodecCaches:
             assert _read(bad) == cold
 
     def test_a_header_one_byte_off_is_validated_in_full(self):
-        for name in ("lwe_sample", "lwe_sample_a", "lwe_batch", "lwe_batch_a", "radix_int"):
+        for name in (
+            "lwe_sample", "lwe_sample_a", "lwe_sample_hi",
+            "lwe_batch", "lwe_batch_a", "lwe_batch_hi", "radix_int",
+        ):
             blob = MICRO_BLOBS[name]
             # the kind byte, then every byte of the header
             for position in (5, *range(10, _payload_start(blob))):
@@ -706,9 +845,13 @@ class TestCodecCaches:
                     assert _read(bytes(bad)) == cold, (name, position, flip)
 
     def test_a_warm_ciphertext_is_its_own_copy(self):
-        """A derived ciphertext's ``a`` is a writable copy; a seeded one's is
-        its expansion, read-only, and so is its seed."""
-        for name in ("lwe_sample", "lwe_sample_a", "lwe_batch", "lwe_batch_a"):
+        """A derived ciphertext's ``a`` is a writable copy (a halved one's its
+        unpacking); a seeded one's is its expansion, read-only, and so is its
+        seed."""
+        for name in (
+            "lwe_sample", "lwe_sample_a", "lwe_sample_hi",
+            "lwe_batch", "lwe_batch_a", "lwe_batch_hi",
+        ):
             buffer = bytearray(MICRO_BLOBS[name])
             backing = np.frombuffer(buffer, dtype=np.uint8)
             for _ in range(2):  # cold, then warm
@@ -718,8 +861,9 @@ class TestCodecCaches:
                     arrays.append(loaded.seed)
                 for array in arrays:
                     assert array.dtype == np.int32 and not np.shares_memory(array, backing)
-                assert loaded.a.flags.writeable == name.endswith("_a")
-                assert (loaded.seed is None) == name.endswith("_a")
+                derived = name.endswith(("_a", "_hi"))
+                assert loaded.a.flags.writeable == derived
+                assert (loaded.seed is None) == derived
             assert to_bytes(loaded) == MICRO_BLOBS[name]
 
     def test_threads_sharing_the_caches_past_their_bound_read_right(self):

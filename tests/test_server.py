@@ -32,6 +32,7 @@ import threading
 import time
 import weakref
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ from repro.runtime.server import FheServer, _Connection, _SessionState
 from repro.tfhe.gates import decrypt_bit, encrypt_bit
 from repro.tfhe.integers import RadixEvaluator, RadixInt, decrypt_radix, encrypt_radix
 from repro.tfhe.keys import generate_keys
-from repro.tfhe.lwe import LweBatch, LweSample
+from repro.tfhe.lwe import LweBatch, LweSample, lwe_round_mask
 from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
 from repro.tfhe.serialize import circuit_to_json, from_bytes, to_bytes
@@ -120,6 +121,52 @@ def test_hello_register_gate_lut_circuit(server_factory, wire_keys):
         assert scraped["fhe_rows_bootstrapped_total"] > 0
         assert scraped["fhe_server_busy_seconds_total"] > 0
         assert scraped["fhe_connections"] == 1
+
+
+def _reply_blob(client, request_id) -> bytes:
+    """The one artifact a job's reply body carries, as the wire had it."""
+    _, body = client.result(request_id)
+    (blob,) = unpack_parts(body, expected=1)
+    return bytes(blob)
+
+
+def test_gate_lut_and_circuit_replies_travel_rounded_as_halves(server_factory, wire_keys):
+    """A reply is the in-process result with its mask rounded
+    (``lwe_round_mask``), written as ``a_hi``; sent back, it is an operand."""
+    secret, cloud = wire_keys
+    evaluator = FheContext(cloud).evaluator()
+    ca, cb = encrypt_bit(secret, 1, rng=31), encrypt_bit(secret, 1, rng=32)
+    bits = [encrypt_bit(secret, bit, rng=33 + i) for i, bit in enumerate((1, 0, 1, 1))]
+    circuit = adder_netlist(2)
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        gate = _reply_blob(client, client.submit_gate("nand", ca, cb))
+        assert gate == to_bytes(lwe_round_mask(evaluator.nand(ca, cb)))
+        lut = _reply_blob(client, client.submit_lut(0b0110, bits[:2]))
+        assert lut == to_bytes(lwe_round_mask(evaluator.lut(0b0110, bits[:2])))
+        adder = _reply_blob(client, client.submit_circuit(circuit, LweBatch.from_samples(bits)))
+        for blob in (gate, lut, adder):
+            assert b'"a_hi"' in blob and b'"a"' not in blob
+        total = from_bytes(adder)
+        assert sum(decrypt_bit(secret, s) << i for i, s in enumerate(total.to_samples())) == 1 + 3
+        # Rounded replies as operands: the next bootstrap reads them as any other.
+        again = client.gate("xor", from_bytes(gate), from_bytes(lut))
+        assert decrypt_bit(secret, again) == 0 ^ 1
+
+
+def test_a_ring_too_wide_to_afford_rounding_keeps_the_full_mask(server_factory, wire_keys):
+    """At N = 4096 rounding to 16 bits would add more than 1 % of the next
+    mod switch's variance, so the server leaves that key's replies whole."""
+    wide = replace(TEST_TINY, name="wide-ring", tlwe=replace(TEST_TINY.tlwe, degree=4096))
+    secret, cloud = generate_keys(wide, DoubleFFTNegacyclicTransform(wide.N), rng=62, eager=False)
+    ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
+    server = server_factory()
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        blob = _reply_blob(client, client.submit_gate("nand", ca, cb))
+        assert blob == to_bytes(FheContext(cloud).evaluator().nand(ca, cb))
+        assert b'"a"' in blob and decrypt_bit(secret, from_bytes(blob)) == 0
 
 
 def test_the_json_metrics_op_is_gone(server_factory, wire_keys):
