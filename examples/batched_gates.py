@@ -10,8 +10,9 @@ instead of once per ciphertext.  The outputs are bit-identical to evaluating
 the gates one at a time.
 
 The demo NANDs ``batch`` ciphertext pairs both ways, checks the results
-agree, then adds two vectors of encrypted integers with the batched
-ripple-carry adder.
+agree, then adds two vectors of encrypted integers with the ripple-carry
+adder netlist run by :class:`repro.tfhe.executor.CircuitExecutor` — one row
+per word, one batched call per dependency level.
 
 Run:  PYTHONPATH=src python examples/batched_gates.py [--batch 64]
 """
@@ -23,9 +24,16 @@ import time
 
 import numpy as np
 
-from repro import TEST_TINY, BatchGateEvaluator, TFHEGateEvaluator, generate_keys
-from repro.tfhe.circuits import add, decrypt_integers, encrypt_integers
+from repro import (
+    TEST_TINY,
+    BatchGateEvaluator,
+    CircuitExecutor,
+    TFHEGateEvaluator,
+    generate_keys,
+)
+from repro.tfhe.circuits import decrypt_integers, encrypt_integers
 from repro.tfhe.gates import decrypt_bit_batch, encrypt_bit_batch
+from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform
 
 
@@ -72,14 +80,14 @@ def main() -> None:
     b_vals = [int(v) for v in rng.integers(0, 2 ** (width - 1), batch)]
     a_planes = encrypt_integers(secret, a_vals, width, rng=5)
     b_planes = encrypt_integers(secret, b_vals, width, rng=6)
+    executor = CircuitExecutor(batched)
     start = time.perf_counter()
-    total = add(batched, a_planes, b_planes)
+    total = executor.run(adder_netlist(width), {"a": a_planes, "b": b_planes})["sum"]
     adder_s = time.perf_counter() - start
     sums = decrypt_integers(secret, total)
     ok = sums == [x + y for x, y in zip(a_vals, b_vals)]
-    gates = batched.counters.gates
     print(f"adder x{batch:<4}  : {width}-bit ripple carry in {adder_s:5.2f} s "
-          f"({gates} logical gates total)   all sums correct: {ok}")
+          f"({executor.level_calls} batched calls)   all sums correct: {ok}")
 
 
 if __name__ == "__main__":

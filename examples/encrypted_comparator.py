@@ -1,9 +1,10 @@
 """Encrypted maximum: compare two encrypted integers and select the larger one.
 
 Demonstrates a second multi-gate workload on the public API: a bit-serial
-greater-than comparator followed by a MUX tree, all on ciphertexts.  The
-server never learns the inputs, the comparison result, or which operand was
-selected.
+greater-than comparator followed by a row of multiplexers, written as a
+:class:`repro.tfhe.netlist.Circuit` and run on ciphertexts by
+:class:`repro.tfhe.executor.CircuitExecutor`.  The server never learns the
+inputs, the comparison result, or which operand was selected.
 
 Run:  python examples/encrypted_comparator.py --width 4 --a 11 --b 6
 """
@@ -14,32 +15,24 @@ import argparse
 import time
 from typing import List
 
-from repro import TEST_SMALL, generate_keys
-from repro.tfhe.gates import TFHEGateEvaluator, decrypt_bit, decrypt_bits, encrypt_bits
-from repro.tfhe.lwe import LweSample
+from repro import TEST_SMALL, BatchGateEvaluator, CircuitExecutor, generate_keys
+from repro.tfhe.gates import decrypt_bit, decrypt_bits, encrypt_bits
+from repro.tfhe.netlist import Circuit
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform
 
 
-def greater_than(
-    evaluator: TFHEGateEvaluator, a_bits: List[LweSample], b_bits: List[LweSample]
-) -> LweSample:
-    """Encrypted ``a > b`` for LSB-first bit vectors of equal width."""
-    result = evaluator.constant(0)
-    for cipher_a, cipher_b in zip(a_bits, b_bits):  # LSB to MSB
-        bits_equal = evaluator.xnor(cipher_a, cipher_b)
-        a_wins_here = evaluator.andyn(cipher_a, cipher_b)  # a AND (NOT b)
-        result = evaluator.mux(bits_equal, result, a_wins_here)
-    return result
-
-
-def select(
-    evaluator: TFHEGateEvaluator,
-    condition: LweSample,
-    if_true: List[LweSample],
-    if_false: List[LweSample],
-) -> List[LweSample]:
-    """Encrypted element-wise MUX over two bit vectors."""
-    return [evaluator.mux(condition, t, f) for t, f in zip(if_true, if_false)]
+def maximum_circuit(width: int) -> Circuit:
+    """Outputs ``gt`` (``a > b``) and ``max`` for LSB-first words of ``width`` bits."""
+    c = Circuit(f"max{width}")
+    a, b = c.inputs("a", width), c.inputs("b", width)
+    a_greater = c.constant(0)
+    for bit_a, bit_b in zip(a, b):  # LSB to MSB
+        bits_equal = c.gate("xnor", bit_a, bit_b)
+        a_wins_here = c.gate("andyn", bit_a, bit_b)  # a AND (NOT b)
+        a_greater = c.mux(bits_equal, a_greater, a_wins_here)
+    c.output("gt", [a_greater])
+    c.output("max", [c.mux(a_greater, x, y) for x, y in zip(a, b)])
+    return c
 
 
 def to_bits(value: int, width: int) -> List[int]:
@@ -63,24 +56,23 @@ def main() -> None:
     secret_key, cloud_key = generate_keys(
         params, DoubleFFTNegacyclicTransform(params.N), unroll_factor=1, rng=3
     )
-    evaluator = TFHEGateEvaluator(cloud_key)
+    executor = CircuitExecutor(BatchGateEvaluator(cloud_key, batch_size=1))
 
     cipher_a = encrypt_bits(secret_key, to_bits(a, args.width), rng=4)
     cipher_b = encrypt_bits(secret_key, to_bits(b, args.width), rng=5)
 
     start = time.perf_counter()
-    a_greater = greater_than(evaluator, cipher_a, cipher_b)
-    cipher_max = select(evaluator, a_greater, cipher_a, cipher_b)
+    out = executor.run_samples(maximum_circuit(args.width), {"a": cipher_a, "b": cipher_b})
     elapsed = time.perf_counter() - start
 
-    decrypted_flag = decrypt_bit(secret_key, a_greater)
-    decrypted_max = from_bits(decrypt_bits(secret_key, cipher_max))
+    decrypted_flag = decrypt_bit(secret_key, out["gt"][0])
+    decrypted_max = from_bits(decrypt_bits(secret_key, out["max"]))
     print(f"a = {a}, b = {b}")
     print(f"encrypted (a > b)  -> {decrypted_flag}   (expected {int(a > b)})")
     print(f"encrypted max(a,b) -> {decrypted_max}   (expected {max(a, b)})")
     print(
-        f"{evaluator.counters.bootstraps} bootstrapped gates in {elapsed:.2f} s "
-        "on the functional simulator"
+        f"{executor.evaluator.counters.bootstraps} bootstrapped gates in "
+        f"{executor.level_calls} batched calls, {elapsed:.2f} s on the functional simulator"
     )
     assert decrypted_max == max(a, b)
 

@@ -23,8 +23,7 @@ Arithmetic is unsigned and wraps modulo ``2**width``, matching
 :func:`repro.tfhe.circuits.int_to_bits`; comparison results are
 :class:`FheBool` (one wire) and can select between words via
 :func:`fhe_select`.  The traced :class:`~repro.tfhe.netlist.Circuit` runs
-unchanged through :func:`repro.tfhe.executor.execute`,
-:class:`repro.tfhe.executor.CircuitExecutor` and
+unchanged through :class:`repro.tfhe.executor.CircuitExecutor` and
 :meth:`repro.runtime.scheduler.EvaluationSession.submit_circuit` — optimize
 it first with :class:`repro.compiler.passes.PassManager`.
 """

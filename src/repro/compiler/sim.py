@@ -8,8 +8,8 @@ semantics-preserving by simulating the circuit before and after the rewrite
 over randomized inputs (:func:`verify_equivalent`), and the benchmark /
 example compare encrypted executions against :func:`simulate` outputs.
 
-Simulation is deliberately eager and dead-code-free — only the live cone of
-the requested outputs is evaluated, mirroring :func:`repro.tfhe.executor.execute`.
+Simulation is dead-code-free — only the live cone of the requested outputs
+is evaluated, as :class:`repro.tfhe.executor.CircuitExecutor` does.
 """
 
 from __future__ import annotations

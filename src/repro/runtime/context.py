@@ -14,9 +14,9 @@ it:
   domain **exactly once per context** and cached inside the blind rotator —
   the *cloud-key spectrum cache*.  Gates only ever transform the small
   decomposed accumulator polynomials;
-* evaluators, batch evaluators and circuit executors hang off the context and
-  share the cache, so scalar gates, batched gates and level-parallel circuit
-  runs all hit the same resident key spectra;
+* evaluators and batch evaluators hang off the context and share the
+  cache, so scalar gates, batched gates and level-parallel circuit runs
+  (``CircuitExecutor.for_context``) all hit the same resident key spectra;
 * :meth:`FheContext.bootstrap` / :meth:`FheContext.bootstrap_batch` refresh
   raw samples through the batch evaluator's ``bootstrap_rows`` — the same
   rotate → extract → key-switch composition every gate row takes.
@@ -275,12 +275,6 @@ class FheContext:
         if batch_size not in self._batch_evaluators:
             self._batch_evaluators[batch_size] = BatchGateEvaluator(self, batch_size)
         return self._batch_evaluators[batch_size]
-
-    def executor(self, batch_size: int):
-        """A level-parallel circuit executor over ``batch_size`` words."""
-        from repro.tfhe.executor import CircuitExecutor
-
-        return CircuitExecutor(self.batch_evaluator(batch_size))
 
     def bootstrap(self, sample: LweSample, mu: Optional[int] = None) -> LweSample:
         """Gate-bootstrap one sample: :meth:`bootstrap_batch` on a one-row batch."""

@@ -90,7 +90,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".executor": (
             "CircuitExecutor",
             "LevelSchedule",
-            "execute",
             "schedule_circuit",
         ),
         ".serialize": (

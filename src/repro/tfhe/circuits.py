@@ -1,44 +1,22 @@
-"""Reusable encrypted-circuit building blocks.
+"""Integer encode/decode helpers for encrypted circuits.
 
-The paper motivates MATCHA with gate-level encrypted computing (e.g. the
-TFHE RISC-V processor runs thousands of bootstrapped gates per instruction).
-This module packages the standard combinational blocks a downstream user
-needs to build such workloads on top of :class:`repro.tfhe.gates.TFHEGateEvaluator`:
-integer encode/decode helpers, a ripple-carry adder/subtractor, comparators,
-a multiplexer over bit vectors and an equality test.
+A word is a list of bits ordered LSB first: scalar :class:`LweSample` bits
+for one word (:func:`encrypt_integer` / :func:`decrypt_integer`), or
+:class:`LweBatch` *bit planes* for many — plane ``i`` holds bit ``i`` of
+every word (:func:`encrypt_integers` / :func:`decrypt_integers`).  The
+word-level circuits are the netlists of :mod:`repro.tfhe.netlist`, run by
+:class:`repro.tfhe.executor.CircuitExecutor`::
 
-All functions take and return lists of LWE ciphertexts ordered LSB first, so
-they compose freely; every gate they emit is a bootstrapped TFHE gate, which
-keeps the depth unlimited.
-
-The blocks are polymorphic over the evaluator: pass a
-:class:`repro.tfhe.gates.TFHEGateEvaluator` and lists of scalar
-:class:`LweSample` bits to process one word, or a
-:class:`repro.tfhe.gates.BatchGateEvaluator` and lists of
-:class:`repro.tfhe.lwe.LweBatch` *bit planes* (plane ``i`` holds bit ``i`` of
-every word in the batch) to process ``batch_size`` independent words with the
-same number of — now batched — gate evaluations.  Use
-:func:`encrypt_integers` / :func:`decrypt_integers` to move between integer
-lists and bit planes.
-
-Each helper is a thin wrapper over the netlist subsystem: the
-block is built once per width as a :class:`repro.tfhe.netlist.Circuit`
-(memoised) and evaluated gate by gate with
-:func:`repro.tfhe.executor.execute`, which emits exactly the historical gate
-sequence — outputs are bit-identical to the pre-netlist implementation.  To
-run the *same* circuits level-parallel (one batched bootstrapping per
-dependency level instead of per gate), hand the netlist to
-:class:`repro.tfhe.executor.CircuitExecutor` instead.
+    executor = CircuitExecutor.for_context(context, batch_size=len(lhs))
+    planes = {"a": encrypt_integers(secret, lhs, 8), "b": encrypt_integers(secret, rhs, 8)}
+    sums = decrypt_integers(secret, executor.run(adder_netlist(8), planes)["sum"])
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.tfhe import netlist
-from repro.tfhe.executor import execute
 from repro.tfhe.gates import (
-    TFHEGateEvaluator,
     decrypt_bit_batch,
     decrypt_bits,
     encrypt_bit_batch,
@@ -47,24 +25,6 @@ from repro.tfhe.gates import (
 from repro.tfhe.keys import TFHESecretKey
 from repro.tfhe.lwe import LweBatch, LweSample
 from repro.utils.rng import SeedLike, make_rng
-
-
-def _as_evaluator(evaluator):
-    """Accept an evaluator or an ``FheContext`` (coerced to its scalar evaluator).
-
-    Duck-typed on the context surface (``evaluator()`` + ``rotator``) so this
-    module stays independent of :mod:`repro.runtime`; gate evaluators pass
-    through unchanged, so batched evaluators keep working too.  ``rotator``
-    is probed on the *type* — it is a lazy property and a plain ``hasattr``
-    on the instance would build the spectrum cache as a side effect.
-    """
-    if hasattr(evaluator, "gate"):
-        return evaluator
-    if hasattr(type(evaluator), "evaluator") and hasattr(type(evaluator), "rotator"):
-        return evaluator.evaluator()
-    raise TypeError(
-        f"expected a gate evaluator or an FheContext, got {type(evaluator).__name__}"
-    )
 
 
 def int_to_bits(value: int, width: int) -> List[int]:
@@ -97,9 +57,9 @@ def encrypt_integers(
     """Encrypt a list of unsigned integers as ``width`` LSB-first *bit planes*.
 
     Plane ``i`` is an :class:`LweBatch` whose row ``j`` encrypts bit ``i`` of
-    ``values[j]`` — the layout the batched circuit blocks consume: feeding the
-    planes to :func:`add` with a ``BatchGateEvaluator`` adds all ``len(values)``
-    pairs of integers at once.
+    ``values[j]`` — the layout :meth:`CircuitExecutor.run
+    <repro.tfhe.executor.CircuitExecutor.run>` consumes: feeding the planes
+    of two lists to an adder netlist adds all ``len(values)`` pairs at once.
     """
     if not values:
         raise ValueError("at least one value is required")
@@ -112,104 +72,14 @@ def encrypt_integers(
 
 
 def decrypt_integers(secret: TFHESecretKey, planes: Sequence[LweBatch]) -> List[int]:
-    """Decrypt LSB-first bit planes back to one integer per batch row."""
+    """Decrypt LSB-first bit planes back to one integer per batch row.
+
+    Raises ``ValueError`` for no planes or planes of different widths.
+    """
+    if not planes:
+        raise ValueError("at least one bit plane is required")
+    widths = {plane.batch_size for plane in planes}
+    if len(widths) > 1:
+        raise ValueError(f"bit planes have different batch widths {sorted(widths)}")
     plane_bits = [decrypt_bit_batch(secret, plane) for plane in planes]
-    batch = len(plane_bits[0])
-    return [bits_to_int([plane[j] for plane in plane_bits]) for j in range(batch)]
-
-
-def _check_widths(a: Sequence[LweSample], b: Sequence[LweSample]) -> None:
-    if len(a) != len(b):
-        raise ValueError("operand widths differ")
-    if not a:
-        raise ValueError("operands must have at least one bit")
-
-
-def full_adder(
-    evaluator: TFHEGateEvaluator, a: LweSample, b: LweSample, carry: LweSample
-) -> Tuple[LweSample, LweSample]:
-    """One full-adder stage; returns ``(sum, carry_out)`` (5 bootstrapped gates)."""
-    evaluator = _as_evaluator(evaluator)
-    a_xor_b = evaluator.xor(a, b)
-    total = evaluator.xor(a_xor_b, carry)
-    carry_out = evaluator.or_(evaluator.and_(a, b), evaluator.and_(a_xor_b, carry))
-    return total, carry_out
-
-
-def add(
-    evaluator: TFHEGateEvaluator,
-    a: Sequence[LweSample],
-    b: Sequence[LweSample],
-) -> List[LweSample]:
-    """Ripple-carry addition; returns ``width + 1`` bits (the last is the carry)."""
-    _check_widths(a, b)
-    circuit = netlist.adder_netlist(len(a))
-    return execute(circuit, _as_evaluator(evaluator), {"a": a, "b": b})["sum"]
-
-
-def negate(evaluator: TFHEGateEvaluator, a: Sequence[LweSample]) -> List[LweSample]:
-    """Two's-complement negation (invert and add one), same width as the input."""
-    if not a:
-        raise ValueError("operands must have at least one bit")
-    circuit = netlist.negate_netlist(len(a))
-    return execute(circuit, _as_evaluator(evaluator), {"a": a})["neg"]
-
-
-def subtract(
-    evaluator: TFHEGateEvaluator,
-    a: Sequence[LweSample],
-    b: Sequence[LweSample],
-) -> List[LweSample]:
-    """Two's-complement subtraction ``a - b`` truncated to the operand width."""
-    _check_widths(a, b)
-    circuit = netlist.subtractor_netlist(len(a))
-    return execute(circuit, _as_evaluator(evaluator), {"a": a, "b": b})["diff"]
-
-
-def equal(
-    evaluator: TFHEGateEvaluator,
-    a: Sequence[LweSample],
-    b: Sequence[LweSample],
-) -> LweSample:
-    """Encrypted equality test (AND of per-bit XNORs)."""
-    _check_widths(a, b)
-    circuit = netlist.equal_netlist(len(a))
-    return execute(circuit, _as_evaluator(evaluator), {"a": a, "b": b})["eq"][0]
-
-
-def greater_than(
-    evaluator: TFHEGateEvaluator,
-    a: Sequence[LweSample],
-    b: Sequence[LweSample],
-) -> LweSample:
-    """Encrypted unsigned comparison ``a > b`` (bit-serial, LSB to MSB)."""
-    _check_widths(a, b)
-    circuit = netlist.greater_than_netlist(len(a))
-    return execute(circuit, _as_evaluator(evaluator), {"a": a, "b": b})["gt"][0]
-
-
-def select(
-    evaluator: TFHEGateEvaluator,
-    condition: LweSample,
-    if_true: Sequence[LweSample],
-    if_false: Sequence[LweSample],
-) -> List[LweSample]:
-    """Vector multiplexer: returns ``if_true`` when ``condition`` encrypts 1."""
-    _check_widths(if_true, if_false)
-    circuit = netlist.select_netlist(len(if_true))
-    return execute(
-        circuit,
-        _as_evaluator(evaluator),
-        {"cond": [condition], "if_true": if_true, "if_false": if_false},
-    )["out"]
-
-
-def maximum(
-    evaluator: TFHEGateEvaluator,
-    a: Sequence[LweSample],
-    b: Sequence[LweSample],
-) -> List[LweSample]:
-    """Encrypted unsigned maximum of two integers."""
-    _check_widths(a, b)
-    circuit = netlist.maximum_netlist(len(a))
-    return execute(circuit, _as_evaluator(evaluator), {"a": a, "b": b})["max"]
+    return [bits_to_int(word) for word in zip(*plane_bits)]

@@ -18,18 +18,15 @@ itself, so whoever drives it decides where the rows run:
 * :meth:`CircuitExecutor.run` packs each wave, over all words of the data
   batch, into **one** :meth:`repro.tfhe.gates.BatchGateEvaluator.rows` call —
   a single affine pass, blind rotation, extraction and key switch over
-  ``nodes_in_wave × words`` rows.  Against the eager node-by-node path it
-  wins twice: the wave width multiplies the row count of every batched call
-  (level parallelism) and the data batch multiplies it again (word
-  parallelism); :func:`repro.core.pipeline.circuit_level_cycles` is the
-  analytic counterpart on the accelerator model.
+  ``nodes_in_wave × words`` rows.  The wave width multiplies the row count
+  of every batched call (level parallelism) and the data batch multiplies
+  it again (word parallelism); :func:`repro.core.pipeline.circuit_level_cycles`
+  is the analytic counterpart on the accelerator model.
 * the scheduler's multi-round job (:mod:`repro.runtime.scheduler`)
   contributes each wave to the flush round it is ready in, where it
   coalesces with every other row of the same key.
 
-:func:`execute` is the eager reference (works with the scalar and the batched
-evaluator alike); the test-suite property-checks that all three produce the
-same output ciphertexts bit for bit.
+:class:`CircuitExecutor` is the one in-process way to evaluate a netlist.
 """
 
 from __future__ import annotations
@@ -192,41 +189,6 @@ def walk_levels(
     }
 
 
-def execute(
-    circuit: Circuit,
-    evaluator,
-    inputs: Mapping[str, Sequence],
-    outputs: Sequence[str] | None = None,
-) -> Dict[str, List]:
-    """Eager gate-by-gate evaluation of a netlist (the reference path).
-
-    ``evaluator`` may be a :class:`repro.tfhe.gates.TFHEGateEvaluator` with
-    scalar :class:`LweSample` input bits or a
-    :class:`repro.tfhe.gates.BatchGateEvaluator` with :class:`LweBatch` bit
-    planes — the netlist only invokes the shared evaluator surface
-    (``gate``/``not_``/``copy``/``constant``).  Gates are issued one at a
-    time in SSA order, exactly like the historical helpers of
-    :mod:`repro.tfhe.circuits`; only the live cone of the requested outputs
-    is evaluated.  Returns ``{output name: list of bit ciphertexts}``.
-    """
-    output_names = tuple(outputs) if outputs is not None else tuple(circuit.output_wires)
-    live = circuit.live_nodes(output_names)
-    values = _gather_inputs(circuit, inputs, live)
-    for node in circuit.nodes:
-        if node.node_id not in live or node.op == "input":
-            continue
-        operands = [values[a] for a in node.args]
-        if node.op == "lut":
-            values[node.node_id] = evaluator.lut(node.value, operands)
-        elif node.is_bootstrapped:
-            values[node.node_id] = evaluator.gate(node.op, *operands)
-        else:
-            values[node.node_id] = _linear_node(evaluator, node, operands)
-    return {
-        name: [values[w] for w in circuit.output_wires[name]] for name in output_names
-    }
-
-
 class CircuitExecutor:
     """Runs levelized circuits on the batched bootstrapping engine.
 
@@ -277,7 +239,7 @@ class CircuitExecutor:
         ``inputs`` maps input names to LSB-first lists of ``batch_size``-row
         bit planes (see :func:`repro.tfhe.circuits.encrypt_integers`).  Pass
         a precomputed ``schedule`` to amortise scheduling across runs.
-        Results are bit-identical to :func:`execute` on the same inputs.
+        Single-word scalar bits go to :meth:`run_samples` instead.
         """
         if schedule is None:
             schedule = schedule_circuit(circuit, outputs)
@@ -291,6 +253,11 @@ class CircuitExecutor:
         words = self.batch_size
         for name in circuit.input_wires:
             for plane in inputs.get(name, ()):
+                if not isinstance(plane, LweBatch):
+                    raise ValueError(
+                        f"input {name!r} holds {type(plane).__name__} bits, not "
+                        f"LweBatch bit planes; pass single samples to run_samples"
+                    )
                 if plane.batch_size != words:
                     raise ValueError(
                         f"input {name!r} has batch width {plane.batch_size}, "

@@ -322,18 +322,6 @@ class _BootstrappedGates:
         """Homomorphic XNOR: bootstrap of ``(0, −1/4) − 2·(ca + cb)``."""
         return self.gate("xnor", ca, cb)
 
-    def mux(self, sel, if_true, if_false):
-        """Homomorphic multiplexer ``sel ? if_true : if_false``.
-
-        Implemented as ``OR(AND(sel, if_true), ANDNY(sel, if_false))`` — three
-        bootstrapped gates.  (The TFHE library has a cheaper two-bootstrap MUX
-        using an intermediate key switch; the composition used here is the
-        simplest correct form.)
-        """
-        picked_true = self.and_(sel, if_true)
-        picked_false = self.andny(sel, if_false)
-        return self.or_(picked_true, picked_false)
-
 
 class TFHEGateEvaluator(_BootstrappedGates):
     """Evaluates homomorphic Boolean gates with a given cloud key.
@@ -387,13 +375,9 @@ class BatchGateEvaluator(_BootstrappedGates):
     concurrent bootstrappings).  Row ``i`` of every output is bit-identical
     to running :class:`TFHEGateEvaluator` on row ``i`` of the inputs.
 
-    The method names mirror :class:`TFHEGateEvaluator`, so the circuit
-    building blocks of :mod:`repro.tfhe.circuits` work unchanged with either
-    evaluator — with this one they process ``batch_size`` independent words
-    at a time::
-
-        evaluator = BatchGateEvaluator(cloud, batch_size=64)
-        sums = circuits.add(evaluator, a_bit_planes, b_bit_planes)
+    The method names mirror :class:`TFHEGateEvaluator`.  A whole circuit
+    runs through :class:`repro.tfhe.executor.CircuitExecutor`, which packs
+    each dependency level of it, over ``batch_size`` words, into one call.
 
     :meth:`rows`, :meth:`gate_rows` and :meth:`bootstrap_rows` accept **any**
     row count, not just ``batch_size``: the level executor and the scheduler

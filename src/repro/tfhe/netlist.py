@@ -26,9 +26,9 @@ Construction is explicit and cheap::
 
 Word-level constructors (:func:`adder_netlist`, :func:`subtractor_netlist`,
 :func:`equal_netlist`, :func:`greater_than_netlist`, :func:`select_netlist`,
-:func:`maximum_netlist`, :func:`negate_netlist`) re-express the classic
-helpers of :mod:`repro.tfhe.circuits` gate-for-gate, so evaluating a netlist
-is bit-identical to the historical eager path.  The compiler frontend
+:func:`maximum_netlist`, :func:`negate_netlist`) are the library's word
+circuits; :class:`repro.tfhe.executor.CircuitExecutor` runs them level by
+level.  The compiler frontend
 (:mod:`repro.compiler.frontend`) lowers to the same ``*_into`` builders, so
 traced programs and hand-built netlists share one gate vocabulary; the
 word-level operations it needs beyond the classic set — shift-and-add
@@ -100,9 +100,8 @@ class Circuit:
     wires, matching the convention of :mod:`repro.tfhe.circuits`.
 
     The structure is evaluation-free — nothing here touches ciphertexts.
-    :func:`repro.tfhe.executor.execute` runs a circuit gate by gate with any
-    evaluator, and :class:`repro.tfhe.executor.CircuitExecutor` runs it level
-    by level through the batched bootstrapping engine.
+    :class:`repro.tfhe.executor.CircuitExecutor` runs a circuit level by
+    level through the batched bootstrapping engine.
     """
 
     def __init__(self, name: str = "circuit") -> None:
@@ -187,10 +186,11 @@ class Circuit:
     def mux(self, sel: int, if_true: int, if_false: int) -> int:
         """Multiplexer ``sel ? if_true : if_false``, lowered to three gates.
 
-        The lowering — ``OR(AND(sel, t), ANDNY(sel, f))`` — matches the
-        evaluators' ``mux`` composition exactly, but exposes the two AND legs
-        as *independent* gates, so the level scheduler can run them in the
-        same batched bootstrapping call.
+        The lowering — ``OR(AND(sel, t), ANDNY(sel, f))`` — exposes the two
+        AND legs as *independent* gates, so the level scheduler runs them in
+        the same batched bootstrapping call.  (The TFHE library's MUX costs
+        two bootstraps plus an intermediate key switch; this form needs only
+        gate rows.)
         """
         picked_true = self.gate("and", sel, if_true)
         picked_false = self.gate("andny", sel, if_false)

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from bootstrap_oracle import bootstrap_oracle
+from circuit_oracle import circuit_oracle, mux_oracle
 from keyswitch_oracle import keyswitch_apply_batch_oracle
 from repro.tfhe.bootstrap import make_test_vector
-from repro.tfhe.circuits import add, decrypt_integers, encrypt_integers, select
+from repro.tfhe.circuits import decrypt_integers, encrypt_integers
+from repro.tfhe.executor import CircuitExecutor
 from repro.tfhe.gates import (
     MU,
     BatchGateEvaluator,
@@ -24,6 +26,7 @@ from repro.tfhe.gates import (
 )
 from repro.tfhe.keyswitch import keyswitch_apply_batch
 from repro.tfhe.lwe import LweBatch, lwe_batch_encrypt, lwe_encrypt, gate_message
+from repro.tfhe.netlist import adder_netlist, select_netlist
 from repro.tfhe.params import TEST_SMALL
 
 
@@ -136,8 +139,8 @@ class TestBatchGateEvaluator:
         sel = encrypt_bit_batch(secret, [0, 1, 0, 1], rng=320)
         t = encrypt_bit_batch(secret, [1, 1, 0, 0], rng=321)
         f = encrypt_bit_batch(secret, [0, 0, 1, 1], rng=322)
-        out = batched.mux(sel, t, f)
-        refs = [scalar.mux(sel[i], t[i], f[i]) for i in range(4)]
+        out = mux_oracle(batched, sel, t, f)
+        refs = [mux_oracle(scalar, sel[i], t[i], f[i]) for i in range(4)]
         _assert_batch_equals_samples(out, refs)
 
     def test_linear_gates_and_constants(self, tiny_keys_naive):
@@ -169,16 +172,16 @@ class TestBatchGateEvaluator:
 
 
 class TestBatchedCircuits:
-    """The circuit blocks are evaluator-polymorphic: bit planes + batches."""
+    """Netlists over bit planes: ``run`` processes one word per batch row."""
 
     def test_batched_ripple_carry_adder(self, tiny_keys_naive):
         secret, cloud = tiny_keys_naive
         width = 3
         lhs, rhs = [1, 3, 5, 7], [2, 4, 1, 0]
-        evaluator = BatchGateEvaluator(cloud, batch_size=len(lhs))
+        executor = CircuitExecutor(BatchGateEvaluator(cloud, batch_size=len(lhs)))
         a = encrypt_integers(secret, lhs, width, rng=400)
         b = encrypt_integers(secret, rhs, width, rng=401)
-        total = add(evaluator, a, b)
+        total = executor.run(adder_netlist(width), {"a": a, "b": b})["sum"]
         assert len(total) == width + 1
         assert decrypt_integers(secret, total) == [x + y for x, y in zip(lhs, rhs)]
 
@@ -186,25 +189,25 @@ class TestBatchedCircuits:
         secret, cloud = tiny_keys_naive
         width = 2
         lhs, rhs = [1, 2, 3], [3, 2, 1]
-        batched = BatchGateEvaluator(cloud, batch_size=3)
+        executor = CircuitExecutor(BatchGateEvaluator(cloud, batch_size=3))
         a_planes = encrypt_integers(secret, lhs, width, rng=410)
         b_planes = encrypt_integers(secret, rhs, width, rng=411)
-        batched_sum = add(batched, a_planes, b_planes)
+        batched_sum = executor.run(adder_netlist(width), {"a": a_planes, "b": b_planes})["sum"]
 
         scalar = TFHEGateEvaluator(cloud)
         for row in range(3):
             a_bits = [plane[row] for plane in a_planes]
             b_bits = [plane[row] for plane in b_planes]
-            scalar_sum = add(scalar, a_bits, b_bits)
-            for plane, ref in zip(batched_sum, scalar_sum):
+            scalar_sum = circuit_oracle(adder_netlist(width), scalar, {"a": a_bits, "b": b_bits})
+            for plane, ref in zip(batched_sum, scalar_sum["sum"], strict=True):
                 assert np.array_equal(plane.a[row], ref.a)
                 assert int(plane.b[row]) == int(ref.b)
 
     def test_batched_select(self, tiny_keys_naive):
         secret, cloud = tiny_keys_naive
-        evaluator = BatchGateEvaluator(cloud, batch_size=2)
+        executor = CircuitExecutor(BatchGateEvaluator(cloud, batch_size=2))
         cond = encrypt_bit_batch(secret, [1, 0], rng=420)
         t = encrypt_integers(secret, [2, 2], 2, rng=421)
         f = encrypt_integers(secret, [1, 1], 2, rng=422)
-        picked = select(evaluator, cond, t, f)
-        assert decrypt_integers(secret, picked) == [2, 1]
+        picked = executor.run(select_netlist(2), {"cond": [cond], "if_true": t, "if_false": f})
+        assert decrypt_integers(secret, picked["out"]) == [2, 1]

@@ -2,7 +2,7 @@
 
 The wiring contract of the subsystem: anything :func:`repro.compiler.trace`
 produces — before or after :class:`repro.compiler.PassManager` — must run
-unchanged through the eager executor, the level-parallel
+unchanged through the gate-by-gate ``circuit_oracle``, the level-parallel
 :class:`repro.tfhe.executor.CircuitExecutor`, and
 :meth:`repro.runtime.scheduler.EvaluationSession.submit_circuit`, and agree
 with plaintext co-simulation.
@@ -10,6 +10,7 @@ with plaintext co-simulation.
 
 import pytest
 
+from circuit_oracle import circuit_oracle
 from repro.compiler import (
     FheUint,
     FheUint4,
@@ -28,7 +29,7 @@ from repro.tfhe.circuits import (
     encrypt_integer,
     encrypt_integers,
 )
-from repro.tfhe.executor import CircuitExecutor, execute, schedule_circuit
+from repro.tfhe.executor import CircuitExecutor, schedule_circuit
 from repro.tfhe.gates import TFHEGateEvaluator
 from repro.tfhe.serialize import circuit_from_json, circuit_to_json
 
@@ -61,7 +62,7 @@ class TestEncryptedExecution:
         _, optimized = traced_pair
         evaluator = TFHEGateEvaluator(cloud)
         a, b = 13, 6
-        out = execute(
+        out = circuit_oracle(
             optimized,
             evaluator,
             {
@@ -115,7 +116,7 @@ class TestEncryptedExecution:
         _, optimized = traced_pair
         shipped = circuit_from_json(circuit_to_json(optimized))
         evaluator = TFHEGateEvaluator(cloud)
-        out = execute(
+        out = circuit_oracle(
             shipped,
             evaluator,
             {
@@ -146,7 +147,7 @@ class TestEncryptedExecution:
         assert live_gate_count(circuit) == 0
         bits = encrypt_integer(secret, 4, WIDTH, rng=61)
         evaluator = TFHEGateEvaluator(cloud)
-        eager = execute(circuit, evaluator, {"a": bits})
+        eager = circuit_oracle(circuit, evaluator, {"a": bits})
         assert decrypt_integer(secret, eager["out"]) == 9
 
         executor = CircuitExecutor.for_context(cloud.default_context(), batch_size=1)

@@ -4,16 +4,19 @@ The load-bearing properties: (1) a :class:`LevelSchedule` is a valid
 dependency levelling of the netlist, (2) ``gate_rows`` — the mixed-gate
 batched bootstrapping the executor feeds — is bit-identical to the scalar
 evaluator per row, and (3) the levelized executor's output ciphertexts are
-bit-identical to the eager gate-by-gate path for every circuit helper,
-property-tested over random integers.
+bit-identical, row by row, to the gate-by-gate walk of ``circuit_oracle`` on
+every corpus circuit and every word-level netlist constructor.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circuit_oracle import circuit_oracle
+from test_lut import CORPUS
+from repro.tfhe import netlist
 from repro.tfhe.circuits import decrypt_integers, encrypt_integers
-from repro.tfhe.executor import CircuitExecutor, execute, schedule_circuit
+from repro.tfhe.executor import CircuitExecutor, schedule_circuit
 from repro.tfhe.gates import (
     MIXED_GATE_SPECS,
     BatchGateEvaluator,
@@ -21,7 +24,10 @@ from repro.tfhe.gates import (
     encrypt_bit,
     encrypt_bit_batch,
 )
+from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import LweBatch, lwe_batch_concat
+from repro.tfhe.params import TEST_TINY
+from repro.tfhe.transform import DoubleFFTNegacyclicTransform
 from repro.tfhe.netlist import (
     Circuit,
     adder_netlist,
@@ -175,11 +181,16 @@ class TestLevelizedEquivalence:
             "a": self._planes(secret, a_vals, rng),
             "b": self._planes(secret, b_vals, rng),
         }
-        eager = execute(circuit, BatchGateEvaluator(cloud, self.WORDS), inputs)
         executor = CircuitExecutor(BatchGateEvaluator(cloud, self.WORDS))
         levelized = executor.run(circuit, inputs)
-        for plane_eager, plane_level in zip(eager[output], levelized[output]):
-            assert_batches_identical(plane_eager, plane_level)
+        scalar = TFHEGateEvaluator(cloud)
+        for row in range(self.WORDS):
+            bits = {name: [plane[row] for plane in planes] for name, planes in inputs.items()}
+            eager = circuit_oracle(circuit, scalar, bits)[output]
+            assert_batches_identical(
+                LweBatch.from_samples(eager),
+                LweBatch.from_samples(plane[row] for plane in levelized[output]),
+            )
 
     def test_level_calls_equal_schedule_depth(self, tiny_keys_naive):
         secret, cloud = tiny_keys_naive
@@ -234,6 +245,70 @@ class TestLevelizedEquivalence:
             executor.run_samples(adder_netlist(1), {"a": [], "b": []})
 
 
+#: Every word-level constructor of :mod:`repro.tfhe.netlist`, at a small width.
+NETLISTS = {
+    "adder": lambda: netlist.adder_netlist(3),
+    "negate": lambda: netlist.negate_netlist(3),
+    "subtractor": lambda: netlist.subtractor_netlist(3),
+    "equal": lambda: netlist.equal_netlist(3),
+    "greater_than": lambda: netlist.greater_than_netlist(3),
+    "select": lambda: netlist.select_netlist(3),
+    "maximum": lambda: netlist.maximum_netlist(3),
+    "minimum": lambda: netlist.minimum_netlist(3),
+    "multiplier": lambda: netlist.multiplier_netlist(3),
+    "absolute": lambda: netlist.absolute_netlist(3),
+    "shift_left": lambda: netlist.shift_left_netlist(3, 1),
+    "shift_right": lambda: netlist.shift_right_netlist(3, 2),
+}
+CIRCUITS = {**{f"corpus.{name}": build for name, (build, _, _) in CORPUS.items()}, **NETLISTS}
+
+
+@pytest.fixture(scope="module")
+def tiny_keys_double():
+    """``test-tiny`` under the ``double`` engine: the gate-by-gate walk of
+    the whole corpus is ≈ 2.6k scalar bootstraps, 5x cheaper than ``naive``."""
+    return generate_keys(TEST_TINY, DoubleFFTNegacyclicTransform(TEST_TINY.N), rng=42)
+
+
+def _same(left, right) -> bool:
+    return left.keys() == right.keys() and all(
+        np.array_equal(x.a, y.a) and int(x.b) == int(y.b)
+        for name in left
+        for x, y in zip(left[name], right[name], strict=True)
+    )
+
+
+class TestEveryNetlistMatchesTheOracle:
+    """``run`` over bit planes, ``run_samples`` per word and the gate-by-gate
+    oracle return the same bytes on every circuit the library builds."""
+
+    WORDS = 2
+
+    def test_every_constructor_is_listed(self):
+        constructors = {n[: -len("_netlist")] for n in dir(netlist) if n.endswith("_netlist")}
+        assert constructors == set(NETLISTS)
+
+    @pytest.mark.parametrize("name", sorted(CIRCUITS))
+    def test_levels_match_the_gate_by_gate_walk(self, tiny_keys_double, name):
+        secret, cloud = tiny_keys_double
+        circuit = CIRCUITS[name]()
+        rng = np.random.default_rng(sorted(CIRCUITS).index(name))
+        planes = {
+            input_name: [
+                encrypt_bit_batch(secret, rng.integers(0, 2, self.WORDS), rng) for _ in wires
+            ]
+            for input_name, wires in circuit.input_wires.items()
+        }
+        ran = CircuitExecutor(BatchGateEvaluator(cloud, self.WORDS)).run(circuit, planes)
+        single = CircuitExecutor(BatchGateEvaluator(cloud, 1))
+        for row in range(self.WORDS):
+            bits = {key: [plane[row] for plane in value] for key, value in planes.items()}
+            levelized = single.run_samples(circuit, bits)
+            assert _same(levelized, {key: [p[row] for p in value] for key, value in ran.items()})
+            if row == 0:
+                assert _same(levelized, circuit_oracle(circuit, TFHEGateEvaluator(cloud), bits))
+
+
 class TestExecutorErrors:
     def test_missing_input_rejected(self, tiny_keys_naive):
         secret, cloud = tiny_keys_naive
@@ -265,6 +340,17 @@ class TestExecutorErrors:
                     "b": encrypt_integers(secret, [1], 2, rng=34),
                 },
             )
+
+    def test_scalar_bits_are_refused_by_run(self, tiny_keys_naive):
+        secret, cloud = tiny_keys_naive
+        executor = CircuitExecutor(BatchGateEvaluator(cloud, batch_size=1))
+        bits = {
+            "a": [encrypt_bit(secret, 1, rng=39), encrypt_bit(secret, 0, rng=40)],
+            "b": [encrypt_bit(secret, 0, rng=41), encrypt_bit(secret, 1, rng=42)],
+        }
+        with pytest.raises(ValueError, match="input 'a' holds LweSample bits.*run_samples"):
+            executor.run(adder_netlist(2), bits)
+        assert executor.level_calls == 0
 
     def test_schedule_with_conflicting_outputs_rejected(self, tiny_keys_naive):
         secret, cloud = tiny_keys_naive

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.tfhe.executor import CircuitExecutor
 from repro.tfhe.gates import (
     PLAINTEXT_GATES,
     TFHEGateEvaluator,
@@ -10,6 +11,7 @@ from repro.tfhe.gates import (
     encrypt_bit,
     encrypt_bits,
 )
+from repro.tfhe.netlist import select_netlist
 
 ALL_INPUT_PAIRS = [(a, b) for a in (0, 1) for b in (0, 1)]
 
@@ -84,12 +86,14 @@ class TestLinearGates:
 
 class TestMux:
     @pytest.mark.parametrize("sel", [0, 1])
-    def test_mux_selects(self, tiny_keys_naive, tiny_evaluator, sel):
-        secret, _ = tiny_keys_naive
+    def test_mux_selects(self, tiny_keys_naive, sel):
+        secret, cloud = tiny_keys_naive
         csel = encrypt_bit(secret, sel, rng=800 + sel)
         ct = encrypt_bit(secret, 1, rng=810)
         cf = encrypt_bit(secret, 0, rng=811)
-        result = tiny_evaluator.mux(csel, ct, cf)
+        executor = CircuitExecutor.for_context(cloud.default_context(), 1)
+        inputs = {"cond": [csel], "if_true": [ct], "if_false": [cf]}
+        (result,) = executor.run_samples(select_netlist(1), inputs)["out"]
         assert decrypt_bit(secret, result) == (1 if sel else 0)
 
 

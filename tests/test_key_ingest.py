@@ -21,6 +21,7 @@ import zlib
 
 import numpy as np
 import pytest
+from circuit_oracle import circuit_oracle
 from conftest import scrape
 
 from test_allocation import _traced_peak
@@ -43,7 +44,6 @@ from repro.runtime.protocol import (
 from repro.runtime.resilient import ResilientClient
 from repro.runtime.workers import WorkerPool, _pack_client_segment
 from repro.tfhe import serialize
-from repro.tfhe.executor import execute
 from repro.tfhe.gates import TFHEGateEvaluator, encrypt_bit
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import LweBatch, lwe_round_mask
@@ -497,7 +497,7 @@ def test_gates_a_lut_and_a_circuit_match_the_scalar_evaluator(
             a = [encrypt_bit(secret, (5 >> i) & 1, rng=400 + i) for i in range(width)]
             b = [encrypt_bit(secret, (6 >> i) & 1, rng=500 + i) for i in range(width)]
             got = client.run_circuit(circuit, LweBatch.from_samples(a + b)).to_samples()
-            want = execute(circuit, scalar, {"a": a, "b": b})["sum"]
+            want = circuit_oracle(circuit, scalar, {"a": a, "b": b})["sum"]
             assert len(got) == len(want) == width + 1
             assert all(_same(g, w) for g, w in zip(got, want))
             assert scrape(client)["fhe_register_key_seconds_count"] == 1

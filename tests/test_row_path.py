@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bootstrap_oracle import bootstrap_oracle
+from circuit_oracle import circuit_oracle
 from repro.compiler.passes import DEFAULT_PIPELINE, LUT_PIPELINE, PassManager
 from repro.runtime.context import FheContext
 from repro.runtime.scheduler import (
@@ -35,7 +36,7 @@ from repro.runtime.scheduler import (
 from repro.runtime.workers import WorkerPool
 from repro.telemetry import Telemetry
 from repro.tfhe.bootstrap import programmable_bootstrap_batch
-from repro.tfhe.executor import CircuitExecutor, execute
+from repro.tfhe.executor import CircuitExecutor
 from repro.tfhe.gates import (
     MU,
     PLAINTEXT_GATES,
@@ -200,7 +201,7 @@ def _same_ciphertexts(left, right) -> bool:
 
 
 def _assert_drivers_agree(cloud, circuit, inputs):
-    eager = execute(circuit, TFHEGateEvaluator(cloud), inputs)
+    eager = circuit_oracle(circuit, TFHEGateEvaluator(cloud), inputs)
     levelized = CircuitExecutor(BatchGateEvaluator(cloud, 1)).run_samples(circuit, inputs)
     scheduler = BatchScheduler(max_rows_per_call=5)
     scheduler.register_client("alice", cloud)

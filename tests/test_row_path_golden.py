@@ -21,6 +21,10 @@ all 26 digests — ``scheduler.depth0`` too, whose copied input is one of
 them; the keys did not move.  The equalities the recorded values implied
 between paths are pinned on their own by
 :func:`test_paths_that_must_agree_do`, which held before and after both.
+
+``execute.eager`` keeps the label and the value it had while the library
+still shipped a gate-by-gate ``execute``; the same walk is now the tests'
+``circuit_oracle``, and ``scalar``'s multiplexer is ``mux_oracle``.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ from dataclasses import replace
 
 import pytest
 
+from circuit_oracle import circuit_oracle, mux_oracle
 from repro.runtime.context import FheContext
 from repro.runtime.scheduler import BatchScheduler, execute_rows
 from repro.tfhe.bootstrap import programmable_bootstrap, programmable_bootstrap_batch
-from repro.tfhe.executor import CircuitExecutor, execute
+from repro.tfhe.executor import CircuitExecutor
 from repro.tfhe.gates import (
     MU,
     BatchGateEvaluator,
@@ -142,7 +147,7 @@ def digests(tiny_keys_naive, tiny_keys_naive_m2):
     scalar = TFHEGateEvaluator(cloud)
     out["scalar"] = digest(
         [scalar.gate(name, bits[0], bits[1]) for name in GATES]
-        + [scalar.mux(bits[2], bits[3], bits[4])]
+        + [mux_oracle(scalar, bits[2], bits[3], bits[4])]
         + [scalar.lut(table, bits[:arity]) for table, arity in LUTS]
     )
 
@@ -183,7 +188,7 @@ def digests(tiny_keys_naive, tiny_keys_naive_m2):
     out["executor.run_samples"] = digest(
         flatten(CircuitExecutor.for_context(context, 1).run_samples(circuit, bit_inputs))
     )
-    out["execute.eager"] = digest(flatten(execute(circuit, scalar, bit_inputs)))
+    out["execute.eager"] = digest(flatten(circuit_oracle(circuit, scalar, bit_inputs)))
 
     scheduler = BatchScheduler()
     scheduler.register_client("alice", cloud)

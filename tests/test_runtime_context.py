@@ -19,7 +19,7 @@ import pytest
 from bootstrap_oracle import bootstrap_oracle
 from repro.runtime import FheContext
 from repro.tfhe.bootstrap import CmuxBlindRotator, make_test_vector
-from repro.tfhe.circuits import add, decrypt_integer, encrypt_integer
+from repro.tfhe.circuits import decrypt_integer, encrypt_integer
 from repro.tfhe.executor import CircuitExecutor
 from repro.tfhe.gates import (
     MU,
@@ -31,6 +31,7 @@ from repro.tfhe.gates import (
 from repro.tfhe.keys import TFHECloudKey, generate_keys
 from repro.tfhe.keyswitch import KeySwitchKey
 from repro.tfhe.lwe import LweBatch, lwe_add, lwe_encrypt_trivial, lwe_scale, lwe_sub
+from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.params import PAPER_110BIT, TEST_TINY
 from repro.tfhe.tgsw import TgswSample, tgsw_transform
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform, NaiveNegacyclicTransform
@@ -148,7 +149,7 @@ class TestContextSurface:
         assert executor.evaluator is context.batch_evaluator(4)
 
     def test_evaluator_dispatch_does_not_build_the_cache(self):
-        # Building evaluators (and circuit coercion) must stay free of the
+        # Building evaluators (and a circuit executor) must stay free of the
         # spectrum-cache side effect: a server doing only linear operations
         # never pays the key-transform cost.
         secret, context = FheContext.generate(
@@ -156,9 +157,7 @@ class TestContextSurface:
         )
         evaluator = context.evaluator()
         evaluator.not_(evaluator.constant(1))
-        from repro.tfhe.circuits import _as_evaluator
-
-        _as_evaluator(context)
+        CircuitExecutor.for_context(context, 1)
         assert not context.spectra_cached
 
     def test_generate_classmethod(self):
@@ -172,12 +171,13 @@ class TestContextSurface:
         assert context.spectra_cached
         assert decrypt_bit(secret, out) == 1
 
-    def test_circuit_blocks_accept_a_context(self, tiny_keys_naive):
+    def test_circuits_run_on_a_context(self, tiny_keys_naive):
         secret, cloud = tiny_keys_naive
         context = cloud.default_context()
         a = encrypt_integer(secret, 5, 4, rng=41)
         b = encrypt_integer(secret, 6, 4, rng=42)
-        total = add(context, a, b)
+        executor = CircuitExecutor.for_context(context, 1)
+        total = executor.run_samples(adder_netlist(4), {"a": a, "b": b})["sum"]
         assert decrypt_integer(secret, total) == 11
 
     def test_context_bootstrap_matches_evaluator(self, tiny_keys_naive):
