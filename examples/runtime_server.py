@@ -23,15 +23,11 @@ import time
 
 from repro.tfhe.circuits import bits_to_int, encrypt_integer
 from repro.tfhe.gates import decrypt_bit, decrypt_bits, encrypt_bit
-from repro.tfhe.keys import generate_keys
+from repro.tfhe.keys import TFHECloudKey, generate_keys
+from repro.tfhe.lwe import LweSample
 from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.params import TEST_TINY
-from repro.tfhe.serialize import (
-    load_cloud_key,
-    load_lwe_sample,
-    save_cloud_key,
-    save_lwe_sample,
-)
+from repro.tfhe.serialize import load, save
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform
 from repro.runtime import BatchScheduler
 
@@ -58,7 +54,7 @@ def main() -> None:
             params, transform, unroll_factor=1, rng=seed, eager=False
         )
         cloud_path = workdir / f"{name}.cloud.tfhe"
-        save_cloud_key(cloud_path, cloud)
+        save(cloud_path, cloud)
         clients[name] = {"secret": secret, "cloud_path": cloud_path}
         print(
             f"{name}: cloud key serialized to {cloud_path.name} "
@@ -68,7 +64,9 @@ def main() -> None:
     # --- server side: load keys, open sessions, coalesce jobs ---------------
     scheduler = BatchScheduler()
     for name, entry in clients.items():
-        scheduler.register_client(name, load_cloud_key(entry["cloud_path"]))
+        cloud = load(entry["cloud_path"])
+        assert isinstance(cloud, TFHECloudKey), f"{entry['cloud_path']} holds no cloud key"
+        scheduler.register_client(name, cloud)
 
     jobs = []
     for name, entry in clients.items():
@@ -78,8 +76,9 @@ def main() -> None:
             session = scheduler.session(name)
             bit_a, bit_b = i & 1, (i >> 1) & 1
             ct_path = workdir / f"{name}.gate{i}.tfhe"
-            save_lwe_sample(ct_path, encrypt_bit(secret, bit_a, rng=100 + i))
-            ca = load_lwe_sample(ct_path)  # ciphertexts travel as files too
+            save(ct_path, encrypt_bit(secret, bit_a, rng=100 + i))
+            ca = load(ct_path)  # ciphertexts travel as files too
+            assert isinstance(ca, LweSample), f"{ct_path} holds no LWE sample"
             cb = encrypt_bit(secret, bit_b, rng=200 + i)
             handle = session.submit_gate("nand", ca, cb)
             jobs.append(("gate", name, (bit_a, bit_b), handle))
@@ -111,8 +110,10 @@ def main() -> None:
         if kind == "gate":
             bit_a, bit_b = payload
             result_path = workdir / f"{name}.result.tfhe"
-            save_lwe_sample(result_path, handle.result())
-            got = decrypt_bit(secret, load_lwe_sample(result_path))
+            save(result_path, handle.result())
+            reply = load(result_path)
+            assert isinstance(reply, LweSample), f"{result_path} holds no LWE sample"
+            got = decrypt_bit(secret, reply)
             expected = 1 - (bit_a & bit_b)
             status = "ok" if got == expected else "WRONG"
             print(f"{name}: NAND({bit_a}, {bit_b}) -> {got} [{status}]")

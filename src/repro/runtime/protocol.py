@@ -52,8 +52,10 @@ not an accident; resending the same request would fail the same way.
 
 :class:`ServingClient` is the synchronous reference client used by the
 examples, benchmarks and tests; :class:`repro.runtime.resilient.ResilientClient`
-wraps it with reconnect/backoff/resubmission.  The server side reads frames
-with the ``*_async`` helpers on :mod:`asyncio` streams.
+wraps it with reconnect/backoff/resubmission; both encode each op's request
+with its ``*_request`` function and read its reply with :func:`reply_artifact`.
+The server side reads frames with the ``*_async`` helpers on :mod:`asyncio`
+streams.
 """
 
 from __future__ import annotations
@@ -99,6 +101,11 @@ __all__ = [
     "parts_pieces",
     "pack_parts",
     "unpack_parts",
+    "gate_request",
+    "lut_request",
+    "circuit_request",
+    "radix_add_request",
+    "reply_artifact",
     "read_frame",
     "read_frame_async",
     "ServingClient",
@@ -486,6 +493,43 @@ def unpack_parts(body: bytes, expected: Optional[int] = None) -> List[memoryview
 
 
 # --------------------------------------------------------------------------- #
+# op requests and replies                                                     #
+# --------------------------------------------------------------------------- #
+
+#: One op's request as every client sends it: ``(op, body, header fields)``.
+Request = Tuple[str, bytes, Dict[str, Any]]
+
+
+def gate_request(name: str, ca: LweSample, cb: LweSample) -> Request:
+    """A two-input gate: both operands as body parts, the gate's name as a field."""
+    return "gate", pack_parts([to_bytes(ca), to_bytes(cb)]), {"gate": name}
+
+
+def lut_request(table: int, operands: Sequence[LweSample]) -> Request:
+    """A programmable-bootstrap LUT: the operands as body parts, the truth
+    table as a field."""
+    return "lut", pack_parts([to_bytes(op) for op in operands]), {"table": int(table)}
+
+
+def circuit_request(circuit: Circuit, inputs: LweBatch) -> Request:
+    """A compiled netlist (circuit JSON, a field) over one batch of its input
+    bits in declaration order; the reply batch holds its output bits so."""
+    fields = {"circuit": json.loads(circuit_to_json(circuit))}
+    return "circuit", pack_parts([to_bytes(inputs)]), fields
+
+
+def radix_add_request(x, y) -> Request:
+    """A homomorphic addition of two radix integers, each a body part."""
+    return "radix_add", pack_parts([to_bytes(x), to_bytes(y)]), {}
+
+
+def reply_artifact(body) -> Any:
+    """The one artifact a ``gate``, ``lut``, ``circuit`` or ``radix_add``
+    reply body carries."""
+    return from_bytes(unpack_parts(body, expected=1)[0])
+
+
+# --------------------------------------------------------------------------- #
 # synchronous client                                                          #
 # --------------------------------------------------------------------------- #
 
@@ -610,47 +654,36 @@ class ServingClient:
         return header
 
     def submit_gate(self, name: str, ca: LweSample, cb: LweSample) -> int:
-        return self.submit(
-            "gate", pack_parts([to_bytes(ca), to_bytes(cb)]), gate=name
-        )
+        op, body, fields = gate_request(name, ca, cb)
+        return self.submit(op, body, **fields)
 
     def gate_result(self, request_id: int) -> LweSample:
+        """The reply of a submitted ``gate``, ``lut`` or ``circuit``."""
         _, body = self.result(request_id)
-        return from_bytes(unpack_parts(body, expected=1)[0])
+        return reply_artifact(body)
 
     def gate(self, name: str, ca: LweSample, cb: LweSample) -> LweSample:
         """One homomorphic gate round trip."""
         return self.gate_result(self.submit_gate(name, ca, cb))
 
     def submit_lut(self, table: int, operands: Sequence[LweSample]) -> int:
-        return self.submit(
-            "lut",
-            pack_parts([to_bytes(op) for op in operands]),
-            table=int(table),
-        )
+        op, body, fields = lut_request(table, operands)
+        return self.submit(op, body, **fields)
 
     def lut(self, table: int, operands: Sequence[LweSample]) -> LweSample:
         """One programmable-bootstrap LUT round trip."""
-        _, body = self.result(self.submit_lut(table, operands))
-        return from_bytes(unpack_parts(body, expected=1)[0])
+        return self.gate_result(self.submit_lut(table, operands))
 
     def submit_circuit(self, circuit: Circuit, inputs: LweBatch) -> int:
-        """Run a compiled netlist over one batch of input bits.
-
-        ``inputs`` carries the circuit's input bits in declaration order;
-        the reply batch carries the output bits in declaration order.
-        """
-        return self.submit(
-            "circuit",
-            pack_parts([to_bytes(inputs)]),
-            circuit=json.loads(circuit_to_json(circuit)),
-        )
+        """Run a compiled netlist over one batch of input bits
+        (see :func:`circuit_request`)."""
+        op, body, fields = circuit_request(circuit, inputs)
+        return self.submit(op, body, **fields)
 
     def run_circuit(self, circuit: Circuit, inputs: LweBatch) -> LweBatch:
-        _, body = self.result(self.submit_circuit(circuit, inputs))
-        return from_bytes(unpack_parts(body, expected=1)[0])
+        return self.gate_result(self.submit_circuit(circuit, inputs))
 
     def radix_add(self, x, y):
         """Homomorphic addition of two wire-borne radix integers."""
-        _, body = self.call("radix_add", pack_parts([to_bytes(x), to_bytes(y)]))
-        return from_bytes(unpack_parts(body, expected=1)[0])
+        op, body, fields = radix_add_request(x, y)
+        return self.gate_result(self.submit(op, body, **fields))

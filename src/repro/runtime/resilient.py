@@ -35,26 +35,24 @@ import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
-import json
 import uuid
 
 from repro.runtime.protocol import (
     DEFAULT_MAX_FRAME,
     ProtocolError,
+    Request,
     ServerError,
     ServingClient,
-    pack_parts,
+    circuit_request,
+    gate_request,
+    lut_request,
     parts_pieces,
-    unpack_parts,
+    radix_add_request,
+    reply_artifact,
 )
 from repro.tfhe.lwe import LweBatch, LweSample
-from repro.tfhe.serialize import (
-    Circuit,
-    circuit_to_json,
-    from_bytes,
-    to_bytes,
-    to_pieces,
-)
+from repro.tfhe.netlist import Circuit
+from repro.tfhe.serialize import to_pieces
 
 __all__ = ["DeadlineExceeded", "ResilientClient", "RetryStats"]
 
@@ -344,6 +342,11 @@ class ResilientClient:
         self._register_header = dict(header)
         return header
 
+    def _round_trip(self, request: Request, deadline: Optional[float]) -> Any:
+        op, body, fields = request
+        _, reply = self.call(op, body, deadline=deadline, **fields)
+        return reply_artifact(reply)
+
     def gate(
         self,
         name: str,
@@ -351,13 +354,7 @@ class ResilientClient:
         cb: LweSample,
         deadline: Optional[float] = None,
     ) -> LweSample:
-        _, body = self.call(
-            "gate",
-            pack_parts([to_bytes(ca), to_bytes(cb)]),
-            deadline=deadline,
-            gate=name,
-        )
-        return from_bytes(unpack_parts(body, expected=1)[0])
+        return self._round_trip(gate_request(name, ca, cb), deadline)
 
     def lut(
         self,
@@ -365,27 +362,12 @@ class ResilientClient:
         operands: Sequence[LweSample],
         deadline: Optional[float] = None,
     ) -> LweSample:
-        _, body = self.call(
-            "lut",
-            pack_parts([to_bytes(op) for op in operands]),
-            deadline=deadline,
-            table=int(table),
-        )
-        return from_bytes(unpack_parts(body, expected=1)[0])
+        return self._round_trip(lut_request(table, operands), deadline)
 
     def run_circuit(
         self, circuit: Circuit, inputs: LweBatch, deadline: Optional[float] = None
     ) -> LweBatch:
-        _, body = self.call(
-            "circuit",
-            pack_parts([to_bytes(inputs)]),
-            deadline=deadline,
-            circuit=json.loads(circuit_to_json(circuit)),
-        )
-        return from_bytes(unpack_parts(body, expected=1)[0])
+        return self._round_trip(circuit_request(circuit, inputs), deadline)
 
     def radix_add(self, x, y, deadline: Optional[float] = None):
-        _, body = self.call(
-            "radix_add", pack_parts([to_bytes(x), to_bytes(y)]), deadline=deadline
-        )
-        return from_bytes(unpack_parts(body, expected=1)[0])
+        return self._round_trip(radix_add_request(x, y), deadline)

@@ -98,18 +98,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "circuit_to_json",
             "load",
             "load_circuit",
-            "load_cloud_key",
-            "load_lwe_batch",
-            "load_lwe_sample",
-            "load_radix_int",
-            "load_secret_key",
             "save",
             "save_circuit",
-            "save_cloud_key",
-            "save_lwe_batch",
-            "save_lwe_sample",
-            "save_radix_int",
-            "save_secret_key",
         ),
         ".tlwe": ("TlweBatch", "TlweSample"),
         ".transform": (

@@ -164,7 +164,7 @@ def generate_cloud_key(
     ``eager=True`` (the default) the key's default evaluation context is
     built immediately — the bootstrapping-key spectra are transformed here,
     at key-generation time; pass ``eager=False`` to defer the spectrum cache
-    to first use (what :func:`repro.tfhe.serialize.load_cloud_key` does).
+    to first use (what a key read by :func:`repro.tfhe.serialize.load` gets).
     """
     rng = make_rng(rng)
     params = secret.params

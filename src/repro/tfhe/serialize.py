@@ -21,17 +21,18 @@ artifact's own metadata and the ``arrays`` directory of ``[name, shape]``
 entries, each owning ``4·prod(shape)`` payload bytes.  Every array is int32:
 the dtype belongs to the container, so writers refuse anything else rather
 than cast it and readers have no dtype to trust.  A reader checks the prefix
-first — a read that expects one kind refuses another before any JSON is
-parsed — then header and the whole directory against the bytes present
+first, then header and the whole directory against the bytes present
 (**no trailing bytes**) before it builds one array, and each loader checks
 its entries against the shapes its own header implies; every failure is a
-:class:`SerializationError`.  Writers produce the container as a list of
-buffers (:func:`to_pieces`: prefix + header, then the caller's own arrays)
-that :func:`to_bytes` joins and files, sockets and shared segments take piece
-by piece; readers return independent owning arrays (:func:`from_bytes`) — or,
-for the one caller whose buffer exists only to become the artifact, views of
-that buffer wherever its bytes already are an aligned native int32 array
-(:func:`from_owned_buffer`; same validation body, same values).  Ciphertexts
+:class:`SerializationError`.  Each kind has one writer and one loader, both
+in :data:`_KINDS`, and every entry below reaches them through it.  Writers
+produce the container as a list of buffers (:func:`to_pieces`: prefix +
+header, then the caller's own arrays) that :func:`to_bytes` joins and files,
+sockets and shared segments take piece by piece; readers return independent
+owning arrays (:func:`from_bytes`) — or, for the one caller whose buffer
+exists only to become the artifact, views of that buffer wherever its bytes
+already are an aligned native int32 array (:func:`from_owned_buffer`; same
+validation body, same values).  Ciphertexts
 of one shape share one header, so both directions remember it: a reader
 keeps the *validated* layout of each (kind byte, exact header bytes) pair it
 has accepted (a hit still checks magic, container version, kind and the
@@ -54,25 +55,21 @@ needed to resume homomorphic evaluation).  An ``lwe_sample`` or
 ``lwe_batch`` that carries a seed — every fresh encryption, see
 :func:`repro.tfhe.lwe.lwe_masks` — is written as ``seed`` (``(4,)`` or
 ``(rows, 4)``) + ``b`` with its ``n`` in the header: 72 bytes for a
-``paper-110bit`` operand instead of 2567.  A reader refuses a seeded header
-whose ``n`` is not an integer, whose seed has the wrong shape, whose
-directory holds both ``a`` and ``seed`` (or neither), or whose mask would
-exceed :data:`MAX_SEEDED_DIMENSION` / :data:`MAX_SEEDED_WORDS` — all before
-any XOF output is produced — and otherwise expands ``a`` from the seed.
-An unseeded ``lwe_sample`` or ``lwe_batch`` whose mask words all have zero
-low halves — a reply rounded by :func:`repro.tfhe.lwe.lwe_round_mask` — is
-written as ``a_hi`` (``(⌈n/2⌉,)`` or ``(rows, ⌈n/2⌉)``) + ``b`` with its
+``paper-110bit`` operand instead of 2567; a reader expands ``a`` from the
+seed.  An unseeded ``lwe_sample`` or ``lwe_batch`` whose mask words all have
+zero low halves — a reply rounded by :func:`repro.tfhe.lwe.lwe_round_mask` —
+is written as ``a_hi`` (``(⌈n/2⌉,)`` or ``(rows, ⌈n/2⌉)``) + ``b`` with its
 ``n`` in the header: each int32 word packs two high halves, little-endian,
 an odd ``n``'s last word padded with a zero half, and a reader shifts them
 back (1318 bytes for a ``paper-110bit`` reply instead of 2567).  The layout
-is chosen by the mask's value, so it is lossless and carries no flag; a
-reader refuses an ``a_hi`` header whose ``n`` is not an integer ≥ 1, whose
-shape is not ``⌈n/2⌉`` halves per row, whose batch ``b`` disagrees with
-the rows, or that also holds ``a`` or ``seed``, before it builds an array,
-and a non-zero pad half when it unpacks.  Any other derived ciphertext
-keeps the ``a`` layout, and a ``radix_int``'s digits always do.
-:func:`save` dispatches on the object's type and :func:`load` on the kind
-byte; the per-artifact functions are also public.
+is chosen by the mask's value, so it is lossless and carries no flag.  Any
+other derived ciphertext keeps the ``a`` layout, and a ``radix_int``'s
+digits always do.  A reader accepts a ciphertext directory only as the one
+writer writes it (:func:`_ciphertext` states the rules): a seeded one is
+refused before any XOF output is produced, a halved one before any array
+is built, and a non-zero pad half when it unpacks.  :func:`save`
+dispatches on the object's type and :func:`load` on the kind byte; a caller
+that needs one kind checks the type of what it read.
 
 Compiled circuits travel as *JSON text* rather than in the container — a
 netlist is pure structure (no arrays) and a human-diffable artifact is worth
@@ -184,11 +181,12 @@ class _Layout(NamedTuple):
     arrays: Tuple[Tuple[str, Tuple[int, ...], int, int], ...]
     #: Bytes of the whole container, prefix to last payload.
     size: int
-    #: ``(rows, n, form)`` when the directory is a ciphertext's own — an
-    #: ``lwe_sample``'s ``form (width,), b ()`` (``rows`` is ``None``) or an
-    #: ``lwe_batch``'s ``form (rows, width), b (rows,)``, where ``form`` is
-    #: the mask's entry, one of :data:`_MASK_FORMS` — so :func:`from_bytes`
-    #: builds it from one copy of its payload; ``None`` for anything else.
+    #: ``(rows, n, form)`` of an ``lwe_sample`` — ``form (width,), b ()``,
+    #: ``rows`` is ``None`` — or an ``lwe_batch`` — ``form (rows, width),
+    #: b (rows,)`` — where ``form`` is the mask's entry, one of
+    #: :data:`_MASK_FORMS` (a layout of either kind has no other directory),
+    #: so :func:`_load` builds it from one run of its payload; ``None`` for
+    #: the other kinds.
     ciphertext: Optional[Tuple[Optional[int], int, str]]
 
 
@@ -197,9 +195,9 @@ class _Layout(NamedTuple):
 _CACHE_BOUND = 256
 #: (kind byte, exact header bytes) → the layout validated for them (decode).
 _LAYOUTS: Dict[Tuple[int, bytes], _Layout] = {}
-#: (kind byte, *meta items, *(name, shape)) → prefix + header of a header
-#: whose meta holds ints only — a ciphertext's: nothing, or a seeded or
-#: halved one's ``n`` (encode; built by :func:`_head` only).
+#: (kind byte, *meta items, *(name, shape)) → prefix + header of a
+#: ciphertext, whose meta is nothing or a seeded or halved one's ``n``
+#: (encode; built by :func:`_head` only).
 _HEADS: Dict[tuple, bytes] = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -274,27 +272,25 @@ def _head(
 
     A ciphertext's header — its directory, plus ``n`` when seeded or
     halved — is built once per distinct (kind, meta, shapes) and then
-    reused (:data:`_HEADS`).
+    reused (:data:`_HEADS`); before it is first built, the reader's own
+    check (:func:`_ciphertext`) must accept it, so no writer emits a
+    ciphertext that no reader reads.
     """
-    cacheable = all(type(value) is int for value in meta.values())
-    key = (kind, *meta.items(), *shapes) if cacheable else None
-    head = _HEADS.get(key) if key is not None else None
+    ciphertext = kind in (_SAMPLE, _BATCH)
+    key = (kind, *meta.items(), *shapes) if ciphertext else None
+    head = _HEADS.get(key) if ciphertext else None
     if head is None:
+        if ciphertext:
+            try:
+                _ciphertext(kind, meta, shapes)
+            except SerializationError as exc:
+                raise SerializationError(f"refusing to write what no reader reads: {exc}") from None
         directory = [[name, list(shape)] for name, shape in shapes]
         header = _HEADER_JSON({**meta, "arrays": directory}).encode("utf-8")
         head = _PREFIX.pack(MAGIC, CONTAINER_VERSION, kind, len(header)) + header
-        if key is not None:
+        if ciphertext:
             _remember(_HEADS, key, head)
     return head
-
-
-def _write_archive(path: PathLike, obj, artifact: str | None = None) -> None:
-    """Write ``obj`` as :func:`_pieces` encodes it."""
-    if isinstance(path, (str, pathlib.Path)):
-        with open(path, "wb") as handle:
-            handle.writelines(_pieces(obj, artifact))
-    else:
-        path.writelines(_pieces(obj, artifact))
 
 
 def _byte_view(data: Buffer) -> memoryview:
@@ -310,37 +306,34 @@ def _byte_view(data: Buffer) -> memoryview:
         ) from None
 
 
-def _decode(data: Buffer, expected_artifact: str | None = None, adopt: bool = False):
-    """Validate a container held in any buffer and return ``(layout, arrays)``.
+def _int32s(view: memoryview, count: int, start: int, adopt: bool) -> np.ndarray:
+    """The ``count`` int32 words of ``view`` from byte ``start``: an owning,
+    writable native copy — unless the caller gives the buffer up
+    (``adopt``) and they already are an aligned, native-endian, writable
+    int32 array, when they are returned as that view."""
+    flat = np.frombuffer(view, _WIRE_INT32, count, start)
+    if adopt and flat.flags.aligned and flat.flags.writeable and flat.dtype.isnative:
+        return flat
+    return flat.astype(_INT32)
 
-    Prefix, header and the whole directory are checked against the bytes
-    present before the first array is built, so a directory that lies about
-    its shapes cannot make this allocate.  Each array is one ``np.frombuffer``
-    view plus one owning copy: int32, writable, independent of ``data`` —
-    unless the caller gives the buffer up (``adopt``), when a slice that is
-    already an aligned, native-endian, writable int32 array is returned as
-    that view and only the others are copied.
+
+def _arrays(view: memoryview, layout: _Layout, adopt: bool) -> Dict[str, np.ndarray]:
+    """Every entry of a validated layout by name, as :func:`_int32s` builds it.
+
+    Prefix, header and the whole directory were checked against the bytes
+    present before this runs, so a directory that lies about its shapes
+    cannot make it allocate.
     """
-    view, layout = _layout(data, expected_artifact)
-    return layout, _arrays(view, layout, adopt)
+    return {
+        name: _int32s(view, count, start, adopt).reshape(shape)
+        for name, shape, start, count in layout.arrays
+    }
 
 
-def _arrays(view: memoryview, layout: _Layout, adopt: bool = False) -> Dict[str, np.ndarray]:
-    arrays = {}
-    for name, shape, start, count in layout.arrays:
-        flat = np.frombuffer(view, _WIRE_INT32, count, start)
-        if adopt and flat.flags.aligned and flat.flags.writeable and flat.dtype.isnative:
-            arrays[name] = flat.reshape(shape)
-        else:
-            arrays[name] = flat.reshape(shape).astype(_INT32)
-    return arrays
-
-
-def _layout(data: Buffer, expected_artifact: str | None = None) -> Tuple[memoryview, _Layout]:
+def _layout(data: Buffer) -> Tuple[memoryview, _Layout]:
     """``data`` as bytes and the validated layout of the container they hold.
 
-    The prefix is checked first: magic, container version and the kind byte,
-    which an ``expected_artifact`` read compares before any JSON is parsed.
+    The prefix is checked first: magic, container version and the kind byte.
     A (kind, header) pair accepted before skips its parse and directory walk
     (:data:`_LAYOUTS`) when the exact size still fits; otherwise it is
     validated in full again, so every refusal is :func:`_validate`'s own.
@@ -362,10 +355,6 @@ def _layout(data: Buffer, expected_artifact: str | None = None) -> Tuple[memoryv
         )
     if kind not in _KINDS:
         raise SerializationError(f"unknown artifact kind byte {kind}")
-    if expected_artifact is not None and _KINDS[kind].name != expected_artifact:
-        raise SerializationError(
-            f"artifact kind is {_KINDS[kind].name!r}, expected {expected_artifact!r}"
-        )
     offset = _PREFIX.size + header_len
     if offset > len(view):
         raise SerializationError(f"header length {header_len} overruns {len(view)} bytes")
@@ -411,23 +400,19 @@ def _validate(kind: int, header: bytes, offset: int, size: int) -> _Layout:
     if offset != size:
         raise SerializationError(f"{size - offset} trailing bytes after the payloads")
     entries = tuple((name, *placed) for name, placed in arrays.items())
-    ciphertext = None
-    if kind in (_SAMPLE, _BATCH):
-        ciphertext = _ciphertext(kind, meta, entries)
+    ciphertext = _ciphertext(kind, meta, entries) if kind in (_SAMPLE, _BATCH) else None
     return _Layout(kind, MappingProxyType(meta), entries, offset, ciphertext)
 
 
-def _ciphertext(
-    kind: int, meta: Dict[str, Any], entries
-) -> Optional[Tuple[Optional[int], int, str]]:
+def _ciphertext(kind: int, meta: Dict[str, Any], entries) -> Tuple[Optional[int], int, str]:
     """:attr:`_Layout.ciphertext` of an ``lwe_sample`` / ``lwe_batch``
-    directory, which carries its mask as exactly one of :data:`_MASK_FORMS`.
-    A seeded header is refused here unless its ``n`` and its seed shape are
-    sound and the mask fits :data:`MAX_SEEDED_DIMENSION` /
-    :data:`MAX_SEEDED_WORDS`, so no reader expands an unbounded mask; a
-    halved one unless its ``n``, its shape and its directory are sound."""
+    directory, or its refusal: the directory must be what
+    :func:`_ciphertext_archive` writes — the mask as exactly one of
+    :data:`_MASK_FORMS`, then ``b`` of the mask's rows, nothing else.  A
+    seeded or halved header must also state a sound ``n``, and a seeded
+    mask fit :data:`MAX_SEEDED_DIMENSION` / :data:`MAX_SEEDED_WORDS`, so no
+    reader expands an unbounded mask."""
     shapes = {name: shape for name, shape, *_ in entries}
-    names = tuple(shapes)
     batch = kind == _BATCH
     forms = [form for form in _MASK_FORMS if form in shapes]
     if not forms:
@@ -438,18 +423,18 @@ def _ciphertext(
             f"not both {forms[0]!r} and {forms[1]!r}"
         )
     (form,) = forms
-    mask, b = shapes[form], shapes.get("b")
+    mask = shapes[form]
     if form == "a":
-        if names == ("a", "b") and len(mask) == 1 + batch and b == mask[:batch]:
-            return (mask[0] if batch else None, mask[-1], form)
-        return None  # the loader names what is wrong
-    n = meta.get("n")
-    if type(n) is not int or n < 1:
-        raise SerializationError(f"a {form!r} ciphertext's header needs an integer n >= 1, not {n!r}")
-    width = SEED_WORDS if form == "seed" else (n + 1) // 2
+        width = n = mask[-1] if mask else None
+    else:
+        n = meta.get("n")
+        if type(n) is not int or n < 1:
+            raise SerializationError(f"a {form!r} ciphertext's header needs an integer n >= 1, not {n!r}")
+        width = SEED_WORDS if form == "seed" else (n + 1) // 2
     if len(mask) != 1 + batch or mask[-1] != width:
-        want = f"(rows, {width})" if batch else f"({width},)"
-        raise SerializationError(f"{form!r} has shape {mask}, expected {want}")
+        want = "*" if form == "a" else width
+        want = f"(rows, {want})" if batch else f"({want},)"
+        raise SerializationError(f"{form!r} has shape {mask} (rank {len(mask)}), expected {want}")
     rows = mask[0] if batch else None
     if form == "seed" and (n > MAX_SEEDED_DIMENSION or (rows or 1) * n > MAX_SEEDED_WORDS):
         what = f"batch of {rows} rows" if batch else "sample"
@@ -457,12 +442,18 @@ def _ciphertext(
             f"a seeded {what} of n = {n} exceeds the expansion bound "
             f"(n <= {MAX_SEEDED_DIMENSION}, rows × n <= {MAX_SEEDED_WORDS})"
         )
-    if names == (form, "b") and b == mask[:batch]:
+    rows_b = mask[:batch]
+    if tuple(shapes.items()) == ((form, mask), ("b", rows_b)):
         return (rows, n, form)
-    if form == "seed":
-        return None
+    b = shapes.get("b")
+    if b is None:
+        problem = "archive is missing the 'b' entry"
+    elif b != rows_b:
+        problem = f"archive entry 'b' has rank {len(b)} and shape {b}, expected {rows_b}"
+    else:
+        problem = "archive holds other entries than its mask and 'b', in that order"
     raise SerializationError(
-        f"an 'a_hi' ciphertext's directory is a_hi {mask}, b {mask[:batch]}; "
+        f"{problem}: an {_KINDS[kind].name} directory is {form} {mask}, b {rows_b}; "
         f"got {', '.join(f'{name} {shape}' for name, shape in shapes.items())}"
     )
 
@@ -491,20 +482,13 @@ def _unpack_halves(halves: np.ndarray, n: int) -> np.ndarray:
 def _mask_entry(a) -> Tuple[Dict[str, int], str, Any]:
     """An unseeded ciphertext's mask as ``(meta, entry name, payload)``:
     ``a_hi`` with its ``n`` when every word's low half is zero, else ``a``.
-    Anything but a non-empty int32 ndarray is left to :func:`_encode` to
-    write or refuse."""
+    Anything but a non-empty int32 ndarray is left to
+    :func:`_ciphertext_archive` to write as ``a`` or refuse."""
     if type(a) is np.ndarray and a.dtype == _INT32 and a.size:
         halves = np.ascontiguousarray(a).view(np.uint16)
         if not np.count_nonzero(halves[..., _LOW_HALF::2]):
             return {"n": a.shape[-1]}, "a_hi", _pack_halves(halves[..., 1 - _LOW_HALF :: 2])
     return {}, "a", a
-
-
-def _read_archive(path: PathLike, expected_artifact: str | None = None):
-    """The artifact in a whole file (or binary handle), read by :func:`_load`."""
-    if isinstance(path, (str, pathlib.Path)):
-        return _load(pathlib.Path(path).read_bytes(), expected_artifact)
-    return _load(path.read(), expected_artifact)
 
 
 def _require(arrays: Dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
@@ -527,16 +511,13 @@ def _require(arrays: Dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarr
 # --------------------------------------------------------------------------- #
 
 
-def _secret_key_archive(secret: TFHESecretKey):
-    return (
+def _secret_key_archive(kind: int, secret: TFHESecretKey) -> List[Any]:
+    """A client secret key: LWE + ring key bits (the extracted key is derived)."""
+    return _encode(
+        kind,
         {"params": asdict(secret.params)},
         {"lwe_key": secret.lwe_key.key, "tlwe_key": secret.tlwe_key.key},
     )
-
-
-def save_secret_key(path: PathLike, secret: TFHESecretKey) -> None:
-    """Write a client secret key (LWE + ring key bits; extracted key is derived)."""
-    _write_archive(path, secret, "secret_key")
 
 
 def _secret_key_from_archive(meta, arrays) -> TFHESecretKey:
@@ -551,12 +532,12 @@ def _secret_key_from_archive(meta, arrays) -> TFHESecretKey:
     )
 
 
-def load_secret_key(path: PathLike) -> TFHESecretKey:
-    """Read a secret key; the extracted ring-LWE key is re-derived on load."""
-    return _read_archive(path, "secret_key")
+def _cloud_key_archive(kind: int, cloud: TFHECloudKey) -> List[Any]:
+    """A cloud key: coefficient-domain TGSW material + transform spec.
 
-
-def _cloud_key_archive(cloud: TFHECloudKey):
+    Keys generated with an unregistered ad-hoc engine (``transform_spec`` is
+    ``None``) cannot be rebuilt elsewhere and are refused.
+    """
     if cloud.transform_spec is None:
         raise SerializationError(
             "cloud key was generated with an unregistered engine and cannot "
@@ -574,16 +555,7 @@ def _cloud_key_archive(cloud: TFHECloudKey):
         "keyswitch": cloud.keyswitch_key.data,
         "bootstrapping_key": _Stacked(s.data for s in cloud.bootstrapping_key),
     }
-    return meta, arrays
-
-
-def save_cloud_key(path: PathLike, cloud: TFHECloudKey) -> None:
-    """Write a cloud key: coefficient-domain TGSW material + transform spec.
-
-    Keys generated with an unregistered ad-hoc engine (``transform_spec`` is
-    ``None``) cannot be rebuilt elsewhere and are rejected.
-    """
-    _write_archive(path, cloud, "cloud_key")
+    return _encode(kind, meta, arrays)
 
 
 def _cloud_key_from_archive(meta, arrays) -> TFHECloudKey:
@@ -611,69 +583,32 @@ def _cloud_key_from_archive(meta, arrays) -> TFHECloudKey:
     )
 
 
-def load_cloud_key(path: PathLike) -> TFHECloudKey:
-    """Read a cloud key.  The spectrum cache is rebuilt lazily on first use."""
-    return _read_archive(path, "cloud_key")
-
-
 # --------------------------------------------------------------------------- #
 # ciphertexts                                                                 #
 # --------------------------------------------------------------------------- #
 
 
-def _lwe_sample_archive(sample: LweSample):
-    if sample.seed is not None:
-        return {"n": sample.dimension}, {"seed": sample.seed, "b": np.asarray(sample.b)}
-    meta, name, words = _mask_entry(sample.a)
-    return meta, {name: words, "b": np.asarray(sample.b)}
+def _ciphertext_archive(kind: int, ct: Union[LweSample, LweBatch]) -> List[Any]:
+    """An ``lwe_sample`` / ``lwe_batch`` as its cached :func:`_head`, its mask
+    entry's payload and ``b``'s — the only writer of either kind.
 
-
-def save_lwe_sample(path: PathLike, sample: LweSample) -> None:
-    """Write a single LWE ciphertext."""
-    _write_archive(path, sample, "lwe_sample")
-
-
-def _lwe_sample_from_archive(meta, arrays) -> LweSample:
-    b = np.int32(_require(arrays, "b", ()))
-    if "seed" in arrays:  # shape and n were checked by _ciphertext
-        seed = _require(arrays, "seed", (SEED_WORDS,))
-        return LweSample(a=lwe_masks(seed, meta["n"]), b=b, seed=seed)
-    if "a_hi" in arrays:  # shape, n and directory were checked by _ciphertext
-        return LweSample(a=_unpack_halves(_wire_halves(arrays["a_hi"]), meta["n"]), b=b)
-    return LweSample(a=_require(arrays, "a", (None,)), b=b)
-
-
-def load_lwe_sample(path: PathLike) -> LweSample:
-    """Read a single LWE ciphertext."""
-    return _read_archive(path, "lwe_sample")
-
-
-def _lwe_batch_archive(batch: LweBatch):
-    if batch.seed is not None:
-        return {"n": batch.dimension}, {"seed": batch.seed, "b": batch.b}
-    meta, name, words = _mask_entry(batch.a)
-    return meta, {name: words, "b": batch.b}
-
-
-def save_lwe_batch(path: PathLike, batch: LweBatch) -> None:
-    """Write a batch of LWE ciphertexts."""
-    _write_archive(path, batch, "lwe_batch")
-
-
-def _lwe_batch_from_archive(meta, arrays) -> LweBatch:
-    if "seed" in arrays:  # shape and n were checked by _ciphertext
-        seed = _require(arrays, "seed", (None, SEED_WORDS))
-        b = _require(arrays, "b", (seed.shape[0],))
-        return LweBatch(a=lwe_masks(seed, meta["n"]), b=b, seed=seed)
-    if "a_hi" in arrays:  # shape, n and directory were checked by _ciphertext
-        halves = _wire_halves(arrays["a_hi"])
-        return LweBatch(a=_unpack_halves(halves, meta["n"]), b=arrays["b"])
-    return _rows(arrays)
-
-
-def _wire_halves(words: np.ndarray) -> np.ndarray:
-    """An ``a_hi`` entry's int32 words as the ``<u2`` halves they carry."""
-    return np.ascontiguousarray(words, dtype=_WIRE_INT32).view(_WIRE_HALF)
+    A fresh ciphertext's mask travels as its seed (with its ``n``), any
+    other as :func:`_mask_entry` chooses.  A field that is not int32 is
+    refused, never cast, and so is a directory :func:`_ciphertext` would
+    refuse (checked by :func:`_head`).
+    """
+    a, b, seed = ct.a, ct.b, ct.seed
+    if seed is None:
+        meta, name, words = _mask_entry(a)
+    else:
+        meta, name, words = {"n": a.shape[-1]}, "seed", seed
+    if getattr(words, "dtype", None) != _INT32 or getattr(b, "dtype", None) != _INT32:
+        field, value = (name, words) if getattr(words, "dtype", None) != _INT32 else ("b", b)
+        what = getattr(value, "dtype", type(value).__name__)
+        raise SerializationError(f"refusing to write {field!r} as {what}: int32 only")
+    head = _head(kind, meta, ((name, words.shape), ("b", b.shape)))
+    tail = np.ascontiguousarray(b, dtype=_WIRE_INT32) if kind == _BATCH else _WIRE_B.pack(b)
+    return [head, np.ascontiguousarray(words, dtype=_WIRE_INT32), tail]
 
 
 def _rows(arrays) -> LweBatch:
@@ -682,31 +617,22 @@ def _rows(arrays) -> LweBatch:
     return LweBatch(a=a, b=_require(arrays, "b", (a.shape[0],)))
 
 
-def load_lwe_batch(path: PathLike) -> LweBatch:
-    """Read a batch of LWE ciphertexts."""
-    return _read_archive(path, "lwe_batch")
+def _radix_int_archive(kind: int, value: RadixInt) -> List[Any]:
+    """A radix-decomposed integer ciphertext.
 
-
-def _radix_int_archive(value: RadixInt):
-    # Digits are written with their masks, seeded or not: only the two
-    # ciphertext kinds carry seeds.
-    return (
+    The digit rows are stacked like an LWE batch — with their masks, seeded
+    or not: only the two ciphertext kinds carry seeds.  The header carries
+    the digit encoding and the per-digit noise-growth bounds, both of which
+    the server side needs to keep scheduling carry propagation correctly.
+    """
+    return _encode(
+        kind,
         {"encoding": asdict(value.encoding), "bounds": list(value.bounds)},
         {
             "a": np.stack([digit.a for digit in value.digits]),
             "b": np.stack([np.asarray(digit.b) for digit in value.digits]),
         },
     )
-
-
-def save_radix_int(path: PathLike, value: RadixInt) -> None:
-    """Write a radix-decomposed integer ciphertext.
-
-    The digit rows are stacked like an LWE batch; the header carries the
-    digit encoding and the per-digit noise-growth bounds, both of which the
-    server side needs to keep scheduling carry propagation correctly.
-    """
-    _write_archive(path, value, "radix_int")
 
 
 def _radix_int_from_archive(meta, arrays) -> RadixInt:
@@ -722,11 +648,6 @@ def _radix_int_from_archive(meta, arrays) -> RadixInt:
         raise SerializationError(f"malformed radix metadata: {exc}") from exc
 
 
-def load_radix_int(path: PathLike) -> RadixInt:
-    """Read a radix-decomposed integer ciphertext."""
-    return _read_archive(path, "radix_int")
-
-
 # --------------------------------------------------------------------------- #
 # dispatching save/load                                                       #
 # --------------------------------------------------------------------------- #
@@ -737,66 +658,55 @@ class _Kind(NamedTuple):
 
     name: str
     cls: type
-    #: object → ``(meta, arrays)``
-    archive: Callable[[Any], Tuple[Dict[str, Any], Dict[str, Any]]]
-    #: ``(meta, arrays)`` → object
-    load: Callable[[Mapping[str, Any], Dict[str, np.ndarray]], Any]
+    #: ``(kind byte, object)`` → container pieces
+    write: Callable[[int, Any], List[Any]]
+    #: ``(meta, arrays)`` → object; ``None`` for the two ciphertext kinds,
+    #: which :func:`_load` builds from their :attr:`_Layout.ciphertext`.
+    load: Optional[Callable[[Mapping[str, Any], Dict[str, np.ndarray]], Any]]
 
 
 #: Kind bytes of the two ciphertexts, the traffic.
 _SAMPLE, _BATCH = 1, 2
 #: Kind byte → its writer and loader.  A byte, once given, is never reused:
-#: it is what a stored artifact says it is.  :func:`_pieces` finds an
-#: object's kind by walking this table in order — ciphertexts first.
+#: it is what a stored artifact says it is.
 _KINDS: Dict[int, _Kind] = {
-    _SAMPLE: _Kind("lwe_sample", LweSample, _lwe_sample_archive, _lwe_sample_from_archive),
-    _BATCH: _Kind("lwe_batch", LweBatch, _lwe_batch_archive, _lwe_batch_from_archive),
+    _SAMPLE: _Kind("lwe_sample", LweSample, _ciphertext_archive, None),
+    _BATCH: _Kind("lwe_batch", LweBatch, _ciphertext_archive, None),
     3: _Kind("radix_int", RadixInt, _radix_int_archive, _radix_int_from_archive),
     4: _Kind("secret_key", TFHESecretKey, _secret_key_archive, _secret_key_from_archive),
     5: _Kind("cloud_key", TFHECloudKey, _cloud_key_archive, _cloud_key_from_archive),
 }
-_KIND_BYTES = {kind.name: byte for byte, kind in _KINDS.items()}
+#: Type → ``(kind byte, writer)``: how :func:`to_pieces` finds an object's kind.
+_WRITERS = {entry.cls: (kind, entry.write) for kind, entry in _KINDS.items()}
 
 
-def _pieces(obj, artifact: str | None = None) -> List[Any]:
-    """``obj`` as container pieces: written as the kind ``artifact`` names,
-    else as the kind of its type."""
-    if artifact is not None:
-        kind = _KIND_BYTES[artifact]
-    else:
-        kind = next((byte for byte, entry in _KINDS.items() if isinstance(obj, entry.cls)), None)
-        if kind is None:
-            raise SerializationError(f"cannot serialize objects of type {type(obj).__name__}")
-    return _encode(kind, *_KINDS[kind].archive(obj))
-
-
-def _load(data: Buffer, expected_artifact: str | None = None):
+def _load(data: Buffer, adopt: bool = False):
     """The artifact ``data`` holds, read by the loader of its kind byte.
 
-    A ciphertext in its own directory layout is built from one copy of its
-    payload: ``a`` or ``seed`` (and a batch's ``b``) are views of that copy,
-    never of ``data``; a seeded one's ``a`` is expanded from its seed, a
-    halved one's unpacked from ``data`` into an array of its own.
+    Its arrays are built as :func:`_int32s` builds them, with ``adopt``.  A
+    ciphertext is built here from one run of its payload: ``a`` or ``seed``
+    (and ``b``) are slices of it; a seeded one's ``a`` is expanded from its
+    seed, a halved one's unpacked from ``data`` into an array of its own.
     """
-    view, layout = _layout(data, expected_artifact)
+    view, layout = _layout(data)
     if layout.ciphertext is None:
-        return _KINDS[layout.kind].load(layout.meta, _arrays(view, layout))
+        return _KINDS[layout.kind].load(layout.meta, _arrays(view, layout, adopt))
     rows, n, form = layout.ciphertext
-    width = layout.arrays[0][1][-1]
-    start = layout.arrays[0][2]
+    _, mask, start, count = layout.arrays[0]
     if form == "a_hi":
-        count = rows or 1
-        halves = np.frombuffer(view, _WIRE_HALF, count * 2 * width, start)
-        b = np.frombuffer(view, _WIRE_INT32, count, start + 4 * count * width).astype(_INT32)
+        halves = np.frombuffer(view, _WIRE_HALF, 2 * count, start)
         if rows is None:
-            return LweSample(a=_unpack_halves(halves, n), b=b[0])
-        return LweBatch(a=_unpack_halves(halves.reshape(rows, 2 * width), n), b=b)
-    if rows is None:
-        payload = np.frombuffer(view, _WIRE_INT32, width + 1, start).astype(_INT32)
-        words, b, cls = payload[:width], payload[width], LweSample
+            words, b = _unpack_halves(halves, n), _int32s(view, 1, start + 4 * count, adopt)[0]
+        else:
+            words = _unpack_halves(halves.reshape(rows, 2 * mask[1]), n)
+            b = _int32s(view, rows, start + 4 * count, adopt)
+    elif rows is None:
+        payload = _int32s(view, count + 1, start, adopt)
+        words, b = payload[:count], payload[count]
     else:
-        payload = np.frombuffer(view, _WIRE_INT32, rows * (width + 1), start).astype(_INT32)
-        words, b, cls = payload[: rows * width].reshape(rows, width), payload[rows * width :], LweBatch
+        payload = _int32s(view, count + rows, start, adopt)
+        words, b = payload[:count].reshape(mask), payload[count:]
+    cls = LweSample if rows is None else LweBatch
     if form == "seed":
         return cls(a=lwe_masks(words, n), b=b, seed=words)
     return cls(a=words, b=b)
@@ -804,44 +714,40 @@ def _load(data: Buffer, expected_artifact: str | None = None):
 
 def save(path: PathLike, obj) -> None:
     """Write any supported artifact, dispatching on its type."""
-    _write_archive(path, obj)
+    pieces = to_pieces(obj)
+    if isinstance(path, (str, pathlib.Path)):
+        with open(path, "wb") as handle:
+            handle.writelines(pieces)
+    else:
+        path.writelines(pieces)
 
 
 def load(path: PathLike):
     """Read any supported artifact, dispatching on its kind byte."""
-    return _read_archive(path)
+    if isinstance(path, (str, pathlib.Path)):
+        return _load(pathlib.Path(path).read_bytes())
+    return _load(path.read())
 
 
 def to_pieces(obj) -> List[Any]:
-    """Any supported artifact as the buffers :func:`to_bytes` would join:
-    prefix + header, then the artifact's own arrays — nothing is copied."""
-    return _pieces(obj)
+    """Any supported artifact, written by the kind of its type, as the
+    buffers :func:`to_bytes` joins: prefix + header, then the artifact's own
+    arrays — nothing is copied."""
+    try:
+        kind, write = _WRITERS[type(obj)]
+    except KeyError:
+        raise SerializationError(f"cannot serialize objects of type {type(obj).__name__}") from None
+    return write(kind, obj)
 
 
 def to_bytes(obj) -> bytes:
-    """Serialize any supported artifact to an in-memory byte string.
-
-    A sample whose ``a`` is an int32 vector and ``b`` an int32 scalar — every
-    ciphertext the runtime produces — is the wire's traffic: its
-    :func:`_head` is joined with its payload (its seed, if it has one, else
-    its mask as :func:`_mask_entry` writes it) directly, without the general
-    walk over the artifact's arrays (same bytes).
-    """
-    if type(obj) is LweSample:
-        a, b, seed = obj.a, obj.b, obj.seed
-        if type(a) is np.ndarray and a.dtype == _INT32 and a.ndim == 1 and type(b) is np.int32:
-            if seed is None:
-                meta, name, words = _mask_entry(a)
-            else:
-                meta, name, words = {"n": a.shape[0]}, "seed", seed
-            head = _head(_SAMPLE, meta, ((name, words.shape), ("b", ())))
-            return b"".join((head, np.ascontiguousarray(words, dtype=_WIRE_INT32), _WIRE_B.pack(b)))
+    """Serialize any supported artifact to an in-memory byte string."""
     return b"".join(to_pieces(obj))
 
 
 def from_bytes(data: Buffer):
     """Deserialize an artifact from any buffer holding :func:`to_bytes` output
-    (a ciphertext from one copy of its payload, see :func:`_load`)."""
+    into arrays of its own (see :func:`_load`)."""
     return _load(data)
 
 
@@ -854,8 +760,7 @@ def from_owned_buffer(data: Buffer):
     buffer exists only to become the artifact (the server's ``register_key``);
     everyone else wants :func:`from_bytes`.
     """
-    layout, arrays = _decode(data, adopt=True)
-    return _KINDS[layout.kind].load(layout.meta, arrays)
+    return _load(data, adopt=True)
 
 
 # --------------------------------------------------------------------------- #

@@ -25,7 +25,13 @@ from circuit_oracle import circuit_oracle
 from conftest import scrape
 
 from test_allocation import _traced_peak
-from test_serialize import MICRO_BLOBS
+from test_serialize import (
+    MICRO_BLOBS,
+    _directory,
+    _read,
+    artifact_arrays,
+    read_only_by_contract,
+)
 
 from repro.runtime import protocol
 from repro.runtime.protocol import (
@@ -43,7 +49,6 @@ from repro.runtime.protocol import (
 )
 from repro.runtime.resilient import ResilientClient
 from repro.runtime.workers import WorkerPool, _pack_client_segment
-from repro.tfhe import serialize
 from repro.tfhe.gates import TFHEGateEvaluator, encrypt_bit
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import LweBatch, lwe_round_mask
@@ -131,19 +136,25 @@ def _message(decode, data):
 
 @pytest.mark.parametrize("name", sorted(MICRO_BLOBS))
 def test_adopted_arrays_are_the_receive_buffer(name):
+    """An array the loader keeps as its directory entry's words views the
+    buffer; an expanded or unpacked mask and a radix integer's digit rows
+    are arrays of their own either way."""
     blob = MICRO_BLOBS[name]
     part = _received(blob)
     backing = np.frombuffer(part.obj, dtype=np.uint8)
-    _, owned = serialize._decode(blob)
-    _, adopted = serialize._decode(part, adopt=True)
+    owned = artifact_arrays(from_bytes(blob))
+    loaded = from_owned_buffer(part)
+    adopted = artifact_arrays(loaded)
     assert adopted.keys() == owned.keys() and adopted
+    entries = {entry for entry, _ in _directory(blob)}
     for key, array in adopted.items():
-        assert np.shares_memory(array, backing), (name, key)
+        viewed = key.split("[")[0] in entries
+        assert np.shares_memory(array, backing) == viewed, (name, key)
         assert array.dtype == np.int32 and array.dtype.isnative, (name, key)
-        assert array.flags.aligned and array.flags.writeable, (name, key)
-        assert array.flags.c_contiguous and not array.flags.owndata, (name, key)
+        assert array.flags.aligned and array.flags.c_contiguous, (name, key)
+        assert array.flags.writeable != read_only_by_contract(loaded, key), (name, key)
         assert np.array_equal(array, owned[key]), (name, key)
-    assert to_bytes(from_owned_buffer(part)) == blob
+    assert to_bytes(loaded) == blob
     assert to_bytes(from_bytes(part)) == blob
 
 
@@ -163,14 +174,16 @@ def test_an_adopted_keyswitch_table_is_a_view_of_the_frame(tiny_wire_keys):
 @pytest.mark.parametrize("name", sorted(MICRO_BLOBS))
 def test_unadoptable_buffers_fall_back_to_owning_copies(name):
     blob = MICRO_BLOBS[name]
-    _, owned = serialize._decode(blob)
+    owned = artifact_arrays(from_bytes(blob))
     for data in (_landed(blob, skew=1), _landed(blob, skew=2), blob, memoryview(blob)):
-        _, arrays = serialize._decode(data, adopt=True)
-        for key, array in arrays.items():
-            assert array.flags.owndata and array.flags.writeable, (name, key)
+        backing = np.frombuffer(data, dtype=np.uint8)
+        loaded = from_owned_buffer(data)
+        for key, array in artifact_arrays(loaded).items():
+            assert not np.shares_memory(array, backing), (name, key)
+            assert array.flags.writeable != read_only_by_contract(loaded, key), (name, key)
             assert array.flags.aligned and array.dtype == np.int32, (name, key)
             assert np.array_equal(array, owned[key]), (name, key)
-        assert to_bytes(from_owned_buffer(data)) == blob
+        assert to_bytes(loaded) == blob
 
 
 @pytest.mark.parametrize("decode", [from_bytes, from_owned_buffer])
@@ -230,11 +243,11 @@ def test_malformed_containers_read_the_same_through_both_entries(edit_artifact):
         # Writable and aligned: adoption is what would happen if it passed.
         assert _message(from_owned_buffer, _landed(bad)) == want
         assert _message(from_owned_buffer, bad) == want
-    for name, blob in MICRO_BLOBS.items():
-        wrong = "lwe_batch" if name.startswith("lwe_sample") else "lwe_sample"
-        want = _message(lambda data: serialize._decode(data, wrong), blob)
-        got = _message(lambda data: serialize._decode(data, wrong, adopt=True), _landed(blob))
-        assert got == want and "expected" in want
+    # Every artifact under every kind byte: one reader per kind, either entry.
+    for blob in MICRO_BLOBS.values():
+        for kind in range(1, 6):
+            data = edit_artifact(blob, kind=kind)
+            assert _read(_landed(data), from_owned_buffer) == _read(data)
 
 
 # --------------------------------------------------------------------------- #

@@ -98,12 +98,39 @@ def _micro_artifacts():
 MICRO_BLOBS = {name: to_bytes(obj) for name, obj in _micro_artifacts().items()}
 
 
+def artifact_arrays(artifact):
+    """A loaded artifact's arrays by name: its keys' entries, a cloud key's
+    TGSW stack row by row (``bootstrapping_key[i]``), a ciphertext's ``a``
+    (whatever form its mask travelled in), its seed and a batch's ``b``, and
+    a radix integer's digit masks (``digit[i]``)."""
+    if isinstance(artifact, TFHESecretKey):
+        return {"lwe_key": artifact.lwe_key.key, "tlwe_key": artifact.tlwe_key.key}
+    if isinstance(artifact, TFHECloudKey):
+        rows = enumerate(artifact.bootstrapping_key)
+        return {"keyswitch": artifact.keyswitch_key.data,
+                **{f"bootstrapping_key[{i}]": row.data for i, row in rows}}
+    if isinstance(artifact, RadixInt):
+        return {f"digit[{i}]": digit.a for i, digit in enumerate(artifact.digits)}
+    arrays = {"a": artifact.a}
+    if artifact.seed is not None:
+        arrays["seed"] = artifact.seed
+    if isinstance(artifact, LweBatch):
+        arrays["b"] = artifact.b
+    return arrays
+
+
+def read_only_by_contract(artifact, key):
+    """A fresh ciphertext's mask and seed are read-only (see ``LweSample``)."""
+    return getattr(artifact, "seed", None) is not None and key in ("a", "seed")
+
+
 class TestSecretKeyRoundTrip:
     def test_fields_and_decryption_survive(self, tmp_path, tiny_keys_naive):
         secret, _ = tiny_keys_naive
         path = tmp_path / "secret.tfhe"
-        serialize.save_secret_key(path, secret)
-        loaded = serialize.load_secret_key(path)
+        serialize.save(path, secret)
+        loaded = serialize.load(path)
+        assert isinstance(loaded, TFHESecretKey)
         assert loaded.params == secret.params
         assert np.array_equal(loaded.lwe_key.key, secret.lwe_key.key)
         assert np.array_equal(loaded.tlwe_key.key, secret.tlwe_key.key)
@@ -116,8 +143,9 @@ class TestCloudKeyRoundTrip:
     def test_classical_key_evaluates_bit_identically(self, tmp_path, tiny_keys_naive):
         secret, cloud = tiny_keys_naive
         path = tmp_path / "cloud.tfhe"
-        serialize.save_cloud_key(path, cloud)
-        loaded = serialize.load_cloud_key(path)
+        serialize.save(path, cloud)
+        loaded = serialize.load(path)
+        assert isinstance(loaded, TFHECloudKey)
         assert loaded.params == cloud.params
         assert loaded.unroll_factor == 1
         assert loaded.transform_spec == cloud.transform_spec
@@ -134,8 +162,8 @@ class TestCloudKeyRoundTrip:
     def test_unrolled_key_evaluates_bit_identically(self, tmp_path, tiny_keys_naive_m2):
         secret, cloud = tiny_keys_naive_m2
         path = tmp_path / "cloud-m2.tfhe"
-        serialize.save_cloud_key(path, cloud)
-        loaded = serialize.load_cloud_key(path)
+        serialize.save(path, cloud)
+        loaded = serialize.load(path)
         assert loaded.unroll_factor == 2
         assert len(loaded.bootstrapping_key) == len(cloud.bootstrapping_key) == 24
         ca, cb = encrypt_bit(secret, 1, rng=7), encrypt_bit(secret, 1, rng=8)
@@ -150,7 +178,7 @@ class TestCloudKeyRoundTrip:
         _, cloud = generate_keys(TEST_TINY, engine, rng=13)
         cloud.transform_spec = None
         with pytest.raises(SerializationError, match="unregistered engine"):
-            serialize.save_cloud_key(tmp_path / "bad.tfhe", cloud)
+            serialize.save(tmp_path / "bad.tfhe", cloud)
 
 
 def _seeded_tiny_key(unroll_factor: int) -> TFHECloudKey:
@@ -447,6 +475,13 @@ class TestHalvedHeaderChecks:
         assert loaded.a.reshape(-1, n)[0, 0] == 1 << 16
         assert to_bytes(loaded) == bytes(blob)
 
+    def test_an_empty_halved_batch_reads_the_same_both_ways(self):
+        blob = _seeded(2, {"n": 16}, [["a_hi", [0, 8]], ["b", [0]]], 0)
+        for decode in (from_bytes, from_owned_buffer):
+            loaded = decode(bytearray(blob))
+            assert type(loaded) is LweBatch
+            assert loaded.a.shape == (0, 16) and loaded.b.shape == (0,)
+
     def test_a_radix_int_never_reads_halves(self):
         meta = {"n": 4, "encoding": {"message_bits": 2, "carry_bits": 1}, "bounds": [0]}
         blob = _seeded(3, meta, [["a_hi", [1, 2]], ["b", [1]]], 3)
@@ -459,8 +494,8 @@ class TestCiphertextRoundTrip:
         secret, _ = tiny_keys_naive
         sample = encrypt_bit(secret, 1, rng=21)
         path = tmp_path / "ct.tfhe"
-        serialize.save_lwe_sample(path, sample)
-        loaded = serialize.load_lwe_sample(path)
+        serialize.save(path, sample)
+        loaded = serialize.load(path)
         assert isinstance(loaded, LweSample)
         assert np.array_equal(loaded.a, sample.a)
         assert np.int32(loaded.b) == np.int32(sample.b)
@@ -469,8 +504,8 @@ class TestCiphertextRoundTrip:
         secret, _ = tiny_keys_naive
         batch = encrypt_bit_batch(secret, [0, 1, 1, 0], rng=22)
         path = tmp_path / "batch.tfhe"
-        serialize.save_lwe_batch(path, batch)
-        loaded = serialize.load_lwe_batch(path)
+        serialize.save(path, batch)
+        loaded = serialize.load(path)
         assert isinstance(loaded, LweBatch)
         assert np.array_equal(loaded.a, batch.a)
         assert np.array_equal(loaded.b, batch.b)
@@ -495,8 +530,9 @@ class TestRadixIntRoundTrip:
         secret, _ = tiny_keys_naive
         x = self._value(secret)
         path = tmp_path / "radix.tfhe"
-        serialize.save_radix_int(path, x)
-        loaded = serialize.load_radix_int(path)
+        serialize.save(path, x)
+        loaded = serialize.load(path)
+        assert isinstance(loaded, RadixInt)
         assert loaded.encoding == x.encoding
         assert loaded.bounds == x.bounds
         assert loaded.width == x.width
@@ -514,8 +550,8 @@ class TestRadixIntRoundTrip:
             digits=x.digits, bounds=(7, 11, 3, 15), encoding=x.encoding
         )
         path = tmp_path / "radix-wide.tfhe"
-        serialize.save_radix_int(path, grown)
-        assert serialize.load_radix_int(path).bounds == (7, 11, 3, 15)
+        serialize.save(path, grown)
+        assert serialize.load(path).bounds == (7, 11, 3, 15)
 
     def test_dispatch_recognises_radix_ints(self, tmp_path, tiny_keys_naive):
         from repro.tfhe.integers import RadixInt
@@ -567,12 +603,12 @@ class TestCorruptArchives:
     def test_truncated_file_rejected(self, tmp_path, tiny_keys_naive):
         secret, _ = tiny_keys_naive
         path = tmp_path / "ct.tfhe"
-        serialize.save_lwe_sample(path, encrypt_bit(secret, 1, rng=61))
+        serialize.save(path, encrypt_bit(secret, 1, rng=61))
         blob = path.read_bytes()
         for cut in (len(blob) // 2, len(blob) - 1, 10):
             path.write_bytes(blob[:cut])
             with pytest.raises(SerializationError):
-                serialize.load_lwe_sample(path)
+                serialize.load(path)
 
     def test_wrong_dtype_payload_rejected(self, tiny_keys_naive, edit_artifact):
         """The container has no dtype to lie about: an int64/float64 payload
@@ -620,6 +656,34 @@ class TestCorruptArchives:
             with pytest.raises(SerializationError, match=f"missing the '{name}' entry"):
                 from_bytes(edit_artifact(blob, lambda m: m["arrays"].pop())[:-cut])
 
+    @pytest.mark.parametrize(
+        "name, directory",
+        [
+            ("lwe_sample_a", "a (4,), b (), junk (3,)"),
+            ("lwe_sample", "seed (4,), b (), junk (3,)"),
+            ("lwe_batch_a", "a (3, 4), b (3,), junk (3,)"),
+        ],
+    )
+    def test_an_extra_directory_entry_is_refused(self, name, directory, edit_artifact, monkeypatch):
+        """A ciphertext whose directory holds more than its writer writes is
+        refused, naming the directory — by both readers, the same way, and
+        before a seed is expanded — not loaded with the entry dropped."""
+        blob = edit_artifact(MICRO_BLOBS[name], lambda m: m["arrays"].append(["junk", [3]]))
+        blob += bytes(4 * 3)
+
+        def expander_must_not_run(*_args):
+            raise AssertionError("the mask expander ran on a refused header")
+
+        monkeypatch.setattr(serialize, "lwe_masks", expander_must_not_run)
+        messages = set()
+        for decode in (from_bytes, from_owned_buffer):
+            for _ in range(2):  # a refused header is never cached: refused again
+                with pytest.raises(SerializationError, match="other entries") as caught:
+                    decode(bytearray(blob))
+                messages.add(str(caught.value))
+        (message,) = messages
+        assert message.endswith(f"got {directory}")
+
     def test_version_skew_rejected_for_every_kind(
         self, tmp_path, tiny_keys_naive, edit_artifact
     ):
@@ -651,9 +715,9 @@ class TestCorruptArchives:
             from_bytes(old)
         path = tmp_path / "old.tfhe"
         path.write_bytes(old)
-        for read in (serialize.load, serialize.load_lwe_sample):
+        for source in (path, io.BytesIO(old)):
             with pytest.raises(SerializationError, match="container 1 / format 3"):
-                read(path)
+                serialize.load(source)
 
     def test_kind_skew_rejected_from_the_prefix(self, edit_artifact):
         for name, blob in MICRO_BLOBS.items():
@@ -754,10 +818,10 @@ def _cold():
     serialize._HEADS.clear()
 
 
-def _read(data):
+def _read(data, decode=from_bytes):
     """What reading ``data`` gives: its re-encoding, or the refusal's text."""
     try:
-        return "ok", to_bytes(from_bytes(data))
+        return "ok", to_bytes(decode(data))
     except SerializationError as exc:
         return "refused", str(exc)
 
@@ -792,21 +856,18 @@ class TestCodecCaches:
             with pytest.raises(SerializationError, match="int32 only"):
                 to_bytes(bad)
 
-    def test_a_samples_shortcut_writes_what_the_general_walk_writes(self):
-        """``to_bytes`` joins a sample's header and payload directly;
-        ``to_pieces`` walks its arrays.  Either may fill the header cache
-        the other then reads: the bytes are the same every way round."""
-        sample = from_bytes(MICRO_BLOBS["lwe_sample"])
+    @pytest.mark.parametrize("name", sorted(MICRO_BLOBS))
+    def test_to_bytes_is_the_join_of_to_pieces(self, name):
+        """Either entry may fill the header cache the other then reads: the
+        bytes are the same every way round, cold and warm."""
+        obj = from_bytes(MICRO_BLOBS[name])
 
-        def shortcut():
-            return to_bytes(sample)
+        def joined(artifact):
+            return b"".join(serialize.to_pieces(artifact))
 
-        def walked():
-            return b"".join(serialize.to_pieces(sample))
-
-        for first, second in ((shortcut, walked), (walked, shortcut)):
+        for first, second in ((to_bytes, joined), (joined, to_bytes)):
             _cold()
-            assert first() == second() == MICRO_BLOBS["lwe_sample"]
+            assert first(obj) == second(obj) == MICRO_BLOBS[name]
 
     def test_corrupt_containers_read_the_same_cold_and_warm(self, edit_artifact):
         corpus = []
@@ -960,14 +1021,16 @@ class TestContainerBytes:
         for name, blob in MICRO_BLOBS.items():
             buffer = bytearray(blob)
             backing = np.frombuffer(buffer, dtype=np.uint8)
-            _, arrays = serialize._decode(wrap(buffer))
+            loaded = from_bytes(wrap(buffer))
+            arrays = artifact_arrays(loaded)
             assert arrays, name
             for key, array in arrays.items():
                 assert array.dtype == np.int32, (name, key)
-                assert array.flags.writeable and array.flags.owndata, (name, key)
+                writable = not read_only_by_contract(loaded, key)
+                assert array.flags.writeable == writable, (name, key)
                 assert array.flags.c_contiguous and array.flags.aligned, (name, key)
                 assert not np.shares_memory(array, backing), (name, key)
-            assert to_bytes(from_bytes(wrap(buffer))) == blob, name
+            assert to_bytes(loaded) == blob, name
 
     def test_binary_handles_round_trip(self, tiny_keys_naive):
         secret, _ = tiny_keys_naive
@@ -1006,6 +1069,21 @@ class TestContainerBytes:
         path = tmp_path / "never.tfhe"
         with pytest.raises(SerializationError, match="int32"):
             serialize.save(path, refused[0])
+
+    def test_writers_refuse_a_ciphertext_no_reader_reads(self):
+        """A mask or ``b`` of the wrong rank for its kind is refused when
+        written, not written as a container every reader refuses."""
+        a = np.arange(12, dtype=np.int32)
+        refused = [
+            LweSample(a=a.reshape(3, 4), b=np.int32(1)),
+            LweSample(a=a, b=np.array([1], dtype=np.int32)),
+            LweBatch(a=a, b=np.array([1], dtype=np.int32)),
+            LweBatch(a=a.reshape(3, 4), b=np.arange(2, dtype=np.int32)),
+            LweBatch(a=a.reshape(3, 4), b=np.int32(1)),
+        ]
+        for obj in refused:
+            with pytest.raises(SerializationError, match="refusing to write what no reader reads"):
+                to_bytes(obj)
 
 
 class TestLoaderChecks:
@@ -1233,7 +1311,7 @@ class TestDispatchAndVersioning:
         blob = to_bytes(encrypt_bit(secret, 1, rng=26))
         path.write_bytes(edit_artifact(blob, version=serialize.CONTAINER_VERSION + 1))
         with pytest.raises(SerializationError, match="version"):
-            serialize.load_lwe_sample(path)
+            serialize.load(path)
 
     def test_unknown_format_rejected(self, tmp_path, tiny_keys_naive):
         """The magic is the format: someone else's is refused."""
@@ -1243,28 +1321,17 @@ class TestDispatchAndVersioning:
         with pytest.raises(SerializationError, match="container"):
             serialize.load(path)
 
-    def test_wrong_artifact_kind_rejected(self, tmp_path, tiny_keys_naive):
+    def test_wrong_artifact_kind_rejected(self, tmp_path, tiny_keys_naive, edit_artifact):
+        """The kind byte decides what a file holds; a directory of another
+        kind under it is refused by that kind's reader."""
         secret, _ = tiny_keys_naive
         path = tmp_path / "ct.tfhe"
-        serialize.save_lwe_sample(path, encrypt_bit(secret, 1, rng=28))
-        with pytest.raises(SerializationError, match="expected"):
-            serialize.load_secret_key(path)
-
-    def test_wrong_kind_is_refused_before_the_header_is_parsed(self, monkeypatch):
-        def no_json(*args, **kwargs):
-            raise AssertionError("the header was parsed")
-
-        _cold()
-        monkeypatch.setattr(json, "loads", no_json)
-        for read, name in (
-            (serialize.load_secret_key, "cloud_key"),
-            (serialize.load_cloud_key, "secret_key"),
-        ):
-            with pytest.raises(SerializationError, match=f"is '{name}', expected"):
-                read(io.BytesIO(MICRO_BLOBS[name]))
-        monkeypatch.undo()
-        secret = serialize.load_secret_key(io.BytesIO(MICRO_BLOBS["secret_key"]))
-        assert isinstance(secret, TFHESecretKey)
+        serialize.save(path, encrypt_bit(secret, 1, rng=28))
+        assert type(serialize.load(path)) is LweSample
+        for kind, match in ((2, r"'seed' has shape \(4,\)"), (4, "malformed 'params'")):
+            path.write_bytes(edit_artifact(to_bytes(encrypt_bit(secret, 1, rng=28)), kind=kind))
+            with pytest.raises(SerializationError, match=match):
+                serialize.load(path)
 
     def test_not_an_archive_rejected(self, tmp_path):
         path = tmp_path / "noise.tfhe"
@@ -1302,8 +1369,9 @@ class TestKeygenCli:
     def test_generates_loadable_keypair(self, tmp_path):
         result = self._keygen(tmp_path, "--engine", "naive")
         assert result.returncode == 0, result.stderr
-        secret = serialize.load_secret_key(tmp_path / "t.secret.tfhe")
-        cloud = serialize.load_cloud_key(tmp_path / "t.cloud.tfhe")
+        secret = serialize.load(tmp_path / "t.secret.tfhe")
+        cloud = serialize.load(tmp_path / "t.cloud.tfhe")
+        assert isinstance(secret, TFHESecretKey) and isinstance(cloud, TFHECloudKey)
         # The pair matches: a fresh encryption survives a bootstrapped gate.
         ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
         out = FheContext(cloud).evaluator().and_(ca, cb)
@@ -1312,7 +1380,7 @@ class TestKeygenCli:
     def test_an_approx_key_records_its_twiddle_bits(self, tmp_path):
         result = self._keygen(tmp_path, "--engine", "approx", "--twiddle-bits", "24")
         assert result.returncode == 0, result.stderr
-        cloud = serialize.load_cloud_key(tmp_path / "t.cloud.tfhe")
+        cloud = serialize.load(tmp_path / "t.cloud.tfhe")
         assert cloud.transform_spec == TransformSpec.from_options(
             "approx", twiddle_bits=24, target_msb=36
         )

@@ -19,7 +19,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.tfhe.keys import generate_keys  # noqa: E402
 from repro.tfhe.params import PARAMETER_SETS  # noqa: E402
-from repro.tfhe.serialize import save_cloud_key, save_secret_key  # noqa: E402
+from repro.tfhe.serialize import save  # noqa: E402
 from repro.tfhe.transform import available_engines, make_transform  # noqa: E402
 
 
@@ -80,8 +80,8 @@ def main(argv=None) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     secret_path = args.out_dir / f"{args.prefix}.secret.tfhe"
     cloud_path = args.out_dir / f"{args.prefix}.cloud.tfhe"
-    save_secret_key(secret_path, secret)
-    save_cloud_key(cloud_path, cloud)
+    save(secret_path, secret)
+    save(cloud_path, cloud)
     for path in (secret_path, cloud_path):
         print(f"wrote {path} ({path.stat().st_size / 1024:.1f} KiB)")
     print("keep the .secret.tfhe private; ship only the .cloud.tfhe to the server")
