@@ -133,26 +133,14 @@ class _TimingTransformProxy(NegacyclicTransform):
         self.backward_seconds += time.perf_counter() - start
         return result
 
-    def spectrum_zero(self):
-        return self.inner.spectrum_zero()
-
     def spectrum_add(self, a, b):
         return self.inner.spectrum_add(a, b)
 
     def spectrum_mul(self, a, b):
         return self.inner.spectrum_mul(a, b)
 
-    def spectrum_copy(self, a):
-        return self.inner.spectrum_copy(a)
-
-    def spectrum_index(self, spectrum, index):
-        return self.inner.spectrum_index(spectrum, index)
-
     def spectrum_expand(self, spectrum, axis):
         return self.inner.spectrum_expand(spectrum, axis)
-
-    def spectrum_take_col(self, spectrum, col):
-        return self.inner.spectrum_take_col(spectrum, col)
 
     def spectrum_contract(self, stack, operand):
         return self.inner.spectrum_contract(stack, operand)

@@ -119,9 +119,6 @@ class UnrolledBlindRotator:
             )
         identity = tgsw_identity(params.tlwe, params.tgsw)
         self._identity_spectra = tgsw_transform(identity, transform)
-        #: Counters mirrored by the pipeline/latency models.
-        self.bundles_built = 0
-        self.external_products = 0
 
     @property
     def external_products_per_bootstrap(self) -> int:
@@ -136,14 +133,12 @@ class UnrolledBlindRotator:
         between the row and column axes: ``(rows, B, k+1, N/2)``.  Each
         non-vanishing pattern contributes **one** broadcast spectral
         multiply-add over the whole ``rows × (k+1)`` key tensor instead of a
-        per-polynomial Python double loop; the engine counters are topped up
-        to the logical per-polynomial pointwise counts.  A per-ciphertext
-        exponent that reduces to zero yields an exactly-zero factor
-        polynomial, so the term vanishes for that ciphertext alone —
-        bit-identical to skipping it; the explicit skip below only fires when
-        the term vanishes for the *whole* stack.
+        per-polynomial Python double loop.  A per-ciphertext exponent that
+        reduces to zero yields an exactly-zero factor polynomial, so the term
+        vanishes for that ciphertext alone — bit-identical to skipping it; the
+        explicit skip below only fires when the term vanishes for the *whole*
+        stack.
         """
-        self.bundles_built += 1
         indices, keys = group
         transform = self.transform
         identity = self._identity_spectra
@@ -152,8 +147,9 @@ class UnrolledBlindRotator:
         degree = self.params.N
         group_bara = np.asarray(bara)[:, indices].astype(np.int64)  # (B, size)
         # Open the batch axis between rows and columns so the per-ciphertext
-        # pattern terms broadcast against it.
-        bundle = transform.spectrum_expand(transform.spectrum_copy(identity.tensor), 1)
+        # pattern terms broadcast against it (a view: spectra are never
+        # mutated, every term builds a new bundle).
+        bundle = transform.spectrum_expand(identity.tensor, 1)
         for pattern in range(1, 1 << len(indices)):
             bits = ((pattern >> np.arange(len(indices))) & 1).astype(np.int64)
             exponents = group_bara @ bits  # (B,)
@@ -168,9 +164,6 @@ class UnrolledBlindRotator:
             bundle = transform.spectrum_add(
                 bundle, transform.spectrum_mul(factor_spec, key_tensor)
             )
-            # One broadcast mul + one add covered rows·cols polynomial pairs;
-            # top the counters up to the logical per-polynomial counts.
-            transform.stats.pointwise_ops += 2 * rows * cols - 2
         return TransformedTgswSample(
             tensor=bundle,
             params=self.params.tgsw,
@@ -185,20 +178,13 @@ class UnrolledBlindRotator:
 
         A rotation fetches the product kernel bound to its batch shape once
         (as :class:`repro.tfhe.bootstrap.CmuxBlindRotator` fetches its step
-        kernel); the engine counters are topped up once, to one logical
-        external product per group that ran — also when a group raises.
+        kernel).
         """
         params = self.params
         data = _accumulator_data(accumulators, params.k, params.N)
         bara = _rotation_amounts(bara, len(data), params.n)
         kernel = _ProductKernel.fetch(self.workspace, self.transform, params.tgsw, data.shape)
         acc = data.view(np.uint32)
-        ran = 0
-        try:
-            for group in self.groups:
-                acc = kernel.product(acc, self.build_bundle(group, bara).tensor)
-                ran += 1
-        finally:
-            kernel.count(ran)
-            self.external_products += ran
+        for group in self.groups:
+            acc = kernel.product(acc, self.build_bundle(group, bara).tensor)
         return TlweBatch(acc.view(np.int32))

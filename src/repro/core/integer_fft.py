@@ -142,10 +142,10 @@ class ApproximateNegacyclicTransform(NegacyclicTransform):
 
     def forward(self, coeffs: np.ndarray) -> IntegerSpectrum:
         """Coefficients → Lagrange domain (the paper's IFFT kernel)."""
-        self.stats.forward_calls += 1
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape[-1] != self.degree:
             raise ValueError("polynomial degree mismatch")
+        self.stats.forward_polys += coeffs.size // self.degree
         half = self._half
         batch = coeffs.shape[:-1]
         scale_bits = self._choose_scale(coeffs)
@@ -173,11 +173,11 @@ class ApproximateNegacyclicTransform(NegacyclicTransform):
 
     def backward(self, spectrum: IntegerSpectrum) -> np.ndarray:
         """Lagrange domain → int64 coefficients (the paper's FFT kernel)."""
-        self.stats.backward_calls += 1
         half = self._half
         values = np.asarray(spectrum.values, dtype=np.complex128)
         if values.shape[-1] != half:
             raise ValueError("spectrum length mismatch")
+        self.stats.backward_polys += values.size // half
         batch = values.shape[:-1]
         re = values.real.copy()
         im = values.imag.copy()
@@ -209,11 +209,7 @@ class ApproximateNegacyclicTransform(NegacyclicTransform):
     # ------------------------------------------------------------------ #
     # spectrum algebra                                                    #
     # ------------------------------------------------------------------ #
-    def spectrum_zero(self) -> IntegerSpectrum:
-        return IntegerSpectrum(np.zeros(self._half, dtype=np.complex128), 0)
-
     def spectrum_add(self, a: IntegerSpectrum, b: IntegerSpectrum) -> IntegerSpectrum:
-        self.stats.pointwise_ops += 1
         if a.values.ndim == 1 and b.values.ndim == 1:
             # The all-zero spectrum is the exact additive identity regardless
             # of scale.
@@ -257,7 +253,6 @@ class ApproximateNegacyclicTransform(NegacyclicTransform):
         return IntegerSpectrum(a_out + b_out, scale)
 
     def spectrum_mul(self, a: IntegerSpectrum, b: IntegerSpectrum) -> IntegerSpectrum:
-        self.stats.pointwise_ops += 1
         product = a.values * b.values
         if a.values.ndim == 1 and b.values.ndim == 1:
             combined = a.scale_bits + b.scale_bits
@@ -271,20 +266,10 @@ class ApproximateNegacyclicTransform(NegacyclicTransform):
         values = np.round(product.real) + 1j * np.round(product.imag)
         return IntegerSpectrum(values, np.zeros(values.shape[:-1], dtype=np.int64))
 
-    def spectrum_copy(self, a: IntegerSpectrum) -> IntegerSpectrum:
-        return a.copy()
-
     def engine_options(self):
         return {"twiddle_bits": self.twiddle_bits, "target_msb": self.target_msb}
 
     # -- stacked-spectrum helpers ------------------------------------------
-    def spectrum_index(self, spectrum: IntegerSpectrum, index) -> IntegerSpectrum:
-        scale = spectrum.scale_bits
-        if isinstance(scale, np.ndarray):
-            picked = scale[index]
-            scale = int(picked) if np.ndim(picked) == 0 else picked
-        return IntegerSpectrum(spectrum.values[index], scale)
-
     def spectrum_expand(self, spectrum: IntegerSpectrum, axis: int) -> IntegerSpectrum:
         values = np.expand_dims(spectrum.values, axis)
         scale = spectrum.scale_bits
@@ -294,18 +279,10 @@ class ApproximateNegacyclicTransform(NegacyclicTransform):
             scale = np.expand_dims(scale, axis + 1 if axis < 0 else axis)
         return IntegerSpectrum(values, scale)
 
-    def spectrum_take_col(self, spectrum: IntegerSpectrum, col: int) -> IntegerSpectrum:
-        values = spectrum.values[..., col, :]
-        scale = spectrum.scale_bits
-        if isinstance(scale, np.ndarray):
-            picked = scale[..., col]
-            scale = int(picked) if np.ndim(picked) == 0 else picked
-        return IntegerSpectrum(values, scale)
-
     def spectrum_contract(
         self, stack: IntegerSpectrum, operand: IntegerSpectrum
     ) -> IntegerSpectrum:
-        """Fused contraction: one stacked product + one reduction (two ops).
+        """Fused contraction: one stacked product + one reduction.
 
         Every per-row product is normalised to scale 0 with the exact
         rounding of :meth:`spectrum_mul` (division by an exact power of two,
@@ -314,7 +291,6 @@ class ApproximateNegacyclicTransform(NegacyclicTransform):
         single bit — matching the historical equal-scale ``spectrum_add``
         fold of the external product.
         """
-        self.stats.pointwise_ops += 2
         s_vals = stack.values
         o_vals = operand.values
         if s_vals.shape[0] == 0:

@@ -313,26 +313,14 @@ class FlakyEngine(NegacyclicTransform):
     def backward(self, spectrum):
         return self.base.backward(spectrum)
 
-    def spectrum_zero(self):
-        return self.base.spectrum_zero()
-
     def spectrum_add(self, a, b):
         return self.base.spectrum_add(a, b)
 
     def spectrum_mul(self, a, b):
         return self.base.spectrum_mul(a, b)
 
-    def spectrum_copy(self, a):
-        return self.base.spectrum_copy(a)
-
     def spectrum_expand(self, spectrum, axis):
         return self.base.spectrum_expand(spectrum, axis)
-
-    def spectrum_take_col(self, spectrum, col):
-        return self.base.spectrum_take_col(spectrum, col)
-
-    def spectrum_index(self, spectrum, index):
-        return self.base.spectrum_index(spectrum, index)
 
     def spectrum_contract(self, stack, operand):
         return self.base.spectrum_contract(stack, operand)

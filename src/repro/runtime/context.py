@@ -130,8 +130,6 @@ class FheContext:
         #: evaluators, every scheduler flush) — allocated once, reused for
         #: the lifetime of the context.
         self.workspace = BootstrapWorkspace()
-        #: How many times :meth:`failover` rebuilt this context's engine.
-        self.engine_failovers = 0
         #: Optional :class:`repro.telemetry.Telemetry` bundle; set by the
         #: scheduler on registration so the innermost evaluator layer can
         #: record per-stage spans without an argument threaded through
@@ -215,7 +213,9 @@ class FheContext:
         mid-evaluation.  A fresh instance of the same kind and options
         replaces it, and this context's derived state — spectrum cache,
         evaluators, workspace — is released so it is rebuilt lazily on the
-        new engine; the replay is bit-identical to an unfaulted run.
+        new engine; the replay is bit-identical to an unfaulted run.  The
+        scheduler that calls it counts the rebuild
+        (:attr:`repro.runtime.scheduler.SchedulerStats.engine_failovers`).
 
         Raises :class:`EngineFault` when the engine is ad-hoc (no spec to
         rebuild from).
@@ -227,7 +227,6 @@ class FheContext:
             )
         self.engine = spec.create(self.params.N)
         self.release()
-        self.engine_failovers += 1
 
     def release(self) -> None:
         """Drop everything derived from the key: spectrum cache, evaluators,

@@ -101,6 +101,7 @@ __all__ = [
     "parts_pieces",
     "pack_parts",
     "unpack_parts",
+    "register_key_request",
     "gate_request",
     "lut_request",
     "circuit_request",
@@ -496,8 +497,15 @@ def unpack_parts(body: bytes, expected: Optional[int] = None) -> List[memoryview
 # op requests and replies                                                     #
 # --------------------------------------------------------------------------- #
 
-#: One op's request as every client sends it: ``(op, body, header fields)``.
-Request = Tuple[str, bytes, Dict[str, Any]]
+#: One op's request as every client sends it: ``(op, body, header fields)``;
+#: the body is bytes or a list of buffers sent back to back.
+Request = Tuple[str, Union[Buffer, Sequence[Buffer]], Dict[str, Any]]
+
+
+def register_key_request(cloud_key) -> Request:
+    """A cloud key upload: its serialized artifact as the one body part, as
+    pieces, so the key's arrays are sent without being joined first."""
+    return "register_key", parts_pieces([to_pieces(cloud_key)]), {}
 
 
 def gate_request(name: str, ca: LweSample, cb: LweSample) -> Request:
@@ -650,7 +658,8 @@ class ServingClient:
         server has not registered raises a :class:`ServerError` of kind
         ``unsupported_engine`` whose message lists the registered kinds.
         """
-        header, _ = self.call("register_key", parts_pieces([to_pieces(cloud_key)]))
+        op, body, fields = register_key_request(cloud_key)
+        header, _ = self.call(op, body, **fields)
         return header
 
     def submit_gate(self, name: str, ca: LweSample, cb: LweSample) -> int:

@@ -46,13 +46,12 @@ from repro.runtime.protocol import (
     circuit_request,
     gate_request,
     lut_request,
-    parts_pieces,
     radix_add_request,
+    register_key_request,
     reply_artifact,
 )
 from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.netlist import Circuit
-from repro.tfhe.serialize import to_pieces
 
 __all__ = ["DeadlineExceeded", "ResilientClient", "RetryStats"]
 
@@ -201,7 +200,8 @@ class ResilientClient:
         if self._key is not None and self._register_header is not None:
             # Idempotent on the server: same session + same key fingerprint
             # returns the cached registration reply.
-            client.call("register_key", parts_pieces([to_pieces(self._key)]))
+            op, body, fields = register_key_request(self._key)
+            client.call(op, body, **fields)
             self._next_id = client._next_id
         # Replies salvaged off the dead connection answer their requests
         # without a round trip.
@@ -338,7 +338,8 @@ class ResilientClient:
     def register_key(self, cloud_key) -> Dict[str, Any]:
         """Upload the cloud key; re-registered automatically after reconnects."""
         self._key = cloud_key
-        header, _ = self.call("register_key", parts_pieces([to_pieces(cloud_key)]))
+        op, body, fields = register_key_request(cloud_key)
+        header, _ = self.call(op, body, **fields)
         self._register_header = dict(header)
         return header
 

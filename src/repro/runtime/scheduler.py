@@ -43,7 +43,7 @@ Model
   stack of operands and one :meth:`repro.tfhe.gates.BatchGateEvaluator.rows`
   call (row → spec → affine pass → ``bootstrap_rows``).  Gate, lut and
   digit rows differ only in the spec each row resolves to.  It returns a
-  :class:`RoundAccount` (call widths, transform calls, spans) that
+  :class:`RoundAccount` (call widths, transformed polynomials, spans) that
   :func:`execute_rows` records in-process and a worker ships home, so every
   round is counted once, by the same helper, wherever it ran.
 
@@ -248,8 +248,8 @@ def measure_rows(
     account = RoundAccount(
         widths,
         getattr(engine, "engine_kind", None) or "unknown",
-        after.forward_calls - before.forward_calls,
-        after.backward_calls - before.backward_calls,
+        after.forward_polys - before.forward_polys,
+        after.backward_polys - before.backward_polys,
     )
     return outputs, account
 
@@ -262,8 +262,9 @@ class RoundAccount:
     widths: List[int]
     #: ``engine_kind`` of the engine that ran the calls.
     engine: str
-    forward_calls: int
-    backward_calls: int
+    #: Polynomials the engine forward- / backward-transformed.
+    forward_polys: int
+    backward_polys: int
     #: Spans recorded in another process (:meth:`Span.to_tuple` records);
     #: in-process spans are in the ring already.
     spans: List[Tuple] = field(default_factory=list)
@@ -283,15 +284,15 @@ class RoundAccount:
                 "Coalesced batch width per bootstrapping call.",
                 buckets=ROWS_PER_CALL_BUCKETS,
             )
-        for direction, calls in (
-            ("forward", self.forward_calls),
-            ("backward", self.backward_calls),
+        for direction, polys in (
+            ("forward", self.forward_polys),
+            ("backward", self.backward_polys),
         ):
-            if calls > 0:
+            if polys > 0:
                 tel.count(
                     "fhe_engine_transform_calls_total",
-                    "Negacyclic transform invocations by direction.",
-                    amount=calls,
+                    "Polynomials the negacyclic transforms converted, by direction.",
+                    amount=polys,
                     engine=self.engine,
                     direction=direction,
                 )

@@ -37,8 +37,8 @@ stops being capped by one Python interpreter:
   therefore degrades throughput, never correctness.
 * **One account.**  Every task runs
   :func:`repro.runtime.scheduler.measure_rows` and ships back its
-  :class:`repro.runtime.scheduler.RoundAccount` (call widths, transform
-  calls, spans); once the round has succeeded the parent records each
+  :class:`repro.runtime.scheduler.RoundAccount` (call widths, transformed
+  polynomials, spans); once the round has succeeded the parent records each
   account into the scheduler's stats and registry, as the inline path does.
 * **Health tracking.**  :attr:`WorkerPool.health` exposes per-worker
   liveness/task/fault counters and :attr:`WorkerPool.stats` the pool-wide

@@ -129,8 +129,7 @@ class CmuxBlindRotator:
         A step at which every row's rotation amount is zero is skipped; a
         zero row inside an active step contributes an exactly-zero
         ``(X^0 − 1)·ACC`` difference, so its accumulator passes through
-        unchanged.  The engine counters are topped up once, to one logical
-        external product per step that ran — also when a step raises.
+        unchanged.
         """
         if not self.bootstrapping_key:
             return accumulators
@@ -146,14 +145,9 @@ class CmuxBlindRotator:
         kernel = _StepKernel.fetch(self.workspace, self.transform, first.params, data.shape)
         step = kernel.step
         acc = data.view(np.uint32)
-        ran = 0
-        try:
-            for bk_i, start, step_active in zip(self.bootstrapping_key, starts, active):
-                if step_active:
-                    acc = step(acc, bk_i.tensor, start)
-                    ran += 1
-        finally:
-            kernel.count(ran)
+        for bk_i, start, step_active in zip(self.bootstrapping_key, starts, active):
+            if step_active:
+                acc = step(acc, bk_i.tensor, start)
         return TlweBatch(acc.view(np.int32))
 
 

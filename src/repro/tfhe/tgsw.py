@@ -22,10 +22,10 @@ stack, the stack goes through one stacked ``forward``, one
 ``(rows, ..., k+1, N/2)`` spectral tensor, and one stacked ``backward``
 produces every output column at once
 (:meth:`repro.tfhe.transform.NegacyclicTransform.contract_accumulate`).
-The engine counters are topped up to the *logical* per-polynomial transform
-counts of the fused calls, so the Figure-1 FFT/IFFT breakdown reports the
-same numbers as a per-digit-plane loop would (``tests/tgsw_oracle.py`` spells
-that loop out; the kernels must agree with it bit for bit).
+The engine counts the polynomials of its stacked calls, so the Figure-1
+FFT/IFFT breakdown reads the same numbers as a per-digit-plane loop would
+(``tests/tgsw_oracle.py`` spells that loop out; the kernels must agree with
+it bit for bit).
 
 Bound kernels
 -------------
@@ -112,9 +112,6 @@ class TransformedTgswSample:
     coefficient-domain ``(rows, k+1, N)`` data produces, and the layout
     :meth:`repro.tfhe.transform.NegacyclicTransform.spectrum_contract`
     consumes — no per-row/per-column Python lists anywhere on the hot path.
-
-    The historical per-polynomial view is recoverable through
-    ``transform.spectrum_take_col(transform.spectrum_index(tensor, row), col)``.
     """
 
     tensor: Spectrum
@@ -318,7 +315,7 @@ class _ProductKernel:
     """
 
     __slots__ = (
-        "transform", "rows", "cols", "offset", "shifts", "mask", "half_base",
+        "offset", "shifts", "mask", "half_base",
         "shifted", "scratch", "lower", "planes", "digits", "stack", "contract",
     )  # fmt: skip
 
@@ -340,8 +337,6 @@ class _ProductKernel:
         # uint32 stack with its row axis split into (block, digit).
         self.planes = scratch.transpose((ndim - 2, 0, *range(1, ndim - 2), ndim - 1))
         self.stack = digits.view(np.uint32).reshape((blocks, length) + digits.shape[1:])
-        self.transform = transform
-        self.rows, self.cols = blocks * length, blocks
         self.contract = (
             None if transform is None
             else transform.bind_contraction(digits.shape, blocks, workspace)
@@ -377,17 +372,6 @@ class _ProductKernel:
         """``tensor ⊡ words``: decompose, then the engine's fused core — one
         stacked forward, one contraction, one stacked backward."""
         return self.contract(self.decompose(words), tensor)
-
-    def count(self, products: int) -> None:
-        """Top the engine counters up to the logical per-polynomial counts of
-        ``products`` fused calls (each counted itself as one forward, one
-        two-op contraction and one backward): one forward per digit plane,
-        one backward per column — what the Figure-1 FFT/IFFT breakdown and
-        the spectrum-cache accounting report."""
-        stats = self.transform.stats
-        stats.forward_calls += products * (self.rows - 1)
-        stats.backward_calls += products * (self.cols - 1)
-        stats.pointwise_ops += products * (2 * self.rows * self.cols - 2)
 
 
 class _StepKernel(_ProductKernel):
@@ -604,7 +588,6 @@ def tgsw_batch_external_product(
     data = tlwe.data
     kernel = _ProductKernel.fetch(workspace, transform, tgsw.params, data.shape)
     result = kernel.product(data.view(np.uint32), tgsw.tensor)
-    kernel.count(1)
     return TlweBatch(result.view(np.int32))
 
 
@@ -631,5 +614,4 @@ def tgsw_batch_cmux_rotate(
     kernel = _StepKernel.fetch(workspace, transform, selector.params, data.shape)
     start = int(starts[0]) if len(starts) == 1 else starts
     result = kernel.step(data.view(np.uint32), selector.tensor, start)
-    kernel.count(1)
     return TlweBatch(result.view(np.int32))

@@ -17,12 +17,10 @@ pluggable interface:
 
 Naming note: following the TFHE library (and the paper's Figure 1), the
 *forward* direction (coefficients → Lagrange) is the "IFFT" kernel and the
-*backward* direction (Lagrange → coefficients) is the "FFT" kernel.  The
-instrumentation counters therefore expose ``forward``/``backward`` counts that
-map onto the paper's IFFT/FFT counts.
+*backward* direction (Lagrange → coefficients) is the "FFT" kernel.
 
-Batch semantics
----------------
+Batch semantics and counting
+----------------------------
 
 Every engine is *batch-vectorised*: ``forward``/``backward`` and the
 ``spectrum_*`` algebra accept stacks of polynomials/spectra of shape
@@ -32,12 +30,13 @@ engine).  Leading batch axes of two spectrum operands broadcast against each
 other, so a batched accumulator can be combined with a single pre-transformed
 bootstrapping-key spectrum.  Batched results are bit-identical to looping the
 corresponding single-polynomial calls — the batch axis only amortises the
-Python/NumPy dispatch overhead, it never changes the arithmetic.  The
-invocation counters count *calls*, not batch elements; callers that need
-per-ciphertext operation counts multiply by the batch width.  (The fused
-external product of :mod:`repro.tfhe.tgsw` additionally tops the counters up
-to the *logical* per-polynomial transform counts of its fused calls, so the
-Figure-1 breakdown keeps seeing the paper's FFT/IFFT numbers.)
+Python/NumPy dispatch overhead, it never changes the arithmetic.
+
+:class:`TransformStats` counts *polynomials*, the unit of the paper's
+Figure 1 and of :func:`repro.arch.gate_compiler.gate_workloads`: every engine
+adds the number of polynomials it forward- or backward-transforms, batch
+axes included, and nothing else moves the counters.  One external product of
+a ``B``-row batch is ``B·(k+1)·l`` forwards and ``B·(k+1)`` backwards.
 
 The fused external-product core lives here too: ``spectrum_contract``
 contracts a stacked digit spectrum against a packed ``(rows, ..., k+1, N/2)``
@@ -53,7 +52,8 @@ times (the ``n`` steps of a blind rotation) asks the engine once for a *bound
 contraction* (:meth:`NegacyclicTransform.bind_contraction`) and calls that:
 the base binder closes over ``contract_accumulate`` — every engine and proxy
 that overrides it keeps seeing each call — and the double-precision engine
-returns its fused core as a closure over the workspace views, resolved once.
+returns its fused core as a closure over the workspace views, resolved once
+(its polynomial counts too).
 """
 
 from __future__ import annotations
@@ -151,21 +151,19 @@ def _into(out: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TransformStats:
-    """Invocation counters used by the latency-breakdown experiment (Fig. 1)."""
+    """Polynomials an engine has transformed, per direction (Fig. 1's unit)."""
 
-    forward_calls: int = 0
-    backward_calls: int = 0
-    pointwise_ops: int = 0
+    forward_polys: int = 0
+    backward_polys: int = 0
 
     def reset(self) -> None:
         """Zero all counters (start of a measurement window)."""
-        self.forward_calls = 0
-        self.backward_calls = 0
-        self.pointwise_ops = 0
+        self.forward_polys = 0
+        self.backward_polys = 0
 
     def snapshot(self) -> "TransformStats":
         """An independent copy of the current counter values."""
-        return TransformStats(self.forward_calls, self.backward_calls, self.pointwise_ops)
+        return TransformStats(self.forward_polys, self.backward_polys)
 
 
 @dataclass(frozen=True)
@@ -244,20 +242,12 @@ class NegacyclicTransform(abc.ABC):
 
     # -- spectrum algebra --------------------------------------------------
     @abc.abstractmethod
-    def spectrum_zero(self) -> Spectrum:
-        """The spectrum of the zero polynomial."""
-
-    @abc.abstractmethod
     def spectrum_add(self, a: Spectrum, b: Spectrum) -> Spectrum:
         """Pointwise addition of two spectra."""
 
     @abc.abstractmethod
     def spectrum_mul(self, a: Spectrum, b: Spectrum) -> Spectrum:
         """Pointwise multiplication of two spectra (ring product)."""
-
-    def spectrum_copy(self, a: Spectrum) -> Spectrum:
-        """An independent copy of a spectrum."""
-        return np.array(a, copy=True)
 
     # -- stacked-spectrum helpers ------------------------------------------
     def spectrum_expand(self, spectrum: Spectrum, axis: int) -> Spectrum:
@@ -270,23 +260,6 @@ class NegacyclicTransform(abc.ABC):
         batch shape aligned.
         """
         return np.expand_dims(np.asarray(spectrum), axis)
-
-    def spectrum_take_col(self, spectrum: Spectrum, col: int) -> Spectrum:
-        """Slice output column ``col`` out of a packed ``(..., k+1, N/2)`` tensor.
-
-        The packed TGSW layout keeps the output-column axis second to last;
-        this accessor recovers the historical per-column spectrum view.
-        """
-        return np.asarray(spectrum)[..., col, :]
-
-    def spectrum_index(self, spectrum: Spectrum, index) -> Spectrum:
-        """The sub-spectrum at ``index`` of a stacked spectrum.
-
-        ``forward`` over a stack of polynomials returns a stacked spectrum;
-        this accessor slices out one element (a view is fine — spectra are
-        treated as immutable).  Engines with non-array spectra override it.
-        """
-        return spectrum[index]
 
     @abc.abstractmethod
     def spectrum_contract(self, stack: Spectrum, operand: Spectrum) -> Spectrum:
@@ -303,11 +276,7 @@ class NegacyclicTransform(abc.ABC):
 
         The row accumulation is **sequential** (a left fold in row order), so
         floating-point engines stay bit-identical to a per-row
-        ``spectrum_add``/``spectrum_mul`` loop.  Implementations count the
-        contraction as one stacked product plus one reduction (two pointwise
-        ops — call semantics, like every other batched primitive); callers
-        that need logical per-polynomial counts top the counters up
-        themselves.
+        ``spectrum_add``/``spectrum_mul`` loop.
         """
 
     # -- convenience -------------------------------------------------------
@@ -381,7 +350,7 @@ class NegacyclicTransform(abc.ABC):
         return contract
 
     def reset_stats(self) -> None:
-        """Reset the engine's invocation counters."""
+        """Reset the engine's polynomial counters."""
         self.stats.reset()
 
 
@@ -397,35 +366,30 @@ class NaiveNegacyclicTransform(NegacyclicTransform):
     engine_kind = "naive"
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        self.stats.forward_calls += 1
         coeffs = np.asarray(coeffs, dtype=np.int64)
         if coeffs.shape[-1] != self.degree:
             raise ValueError("polynomial degree mismatch")
+        self.stats.forward_polys += coeffs.size // self.degree
         return coeffs.copy()
 
     def backward(self, spectrum: np.ndarray) -> np.ndarray:
-        self.stats.backward_calls += 1
-        return np.asarray(spectrum, dtype=np.int64).copy()
-
-    def spectrum_zero(self) -> np.ndarray:
-        return np.zeros(self.degree, dtype=np.int64)
+        coeffs = np.array(spectrum, dtype=np.int64)
+        self.stats.backward_polys += coeffs.size // self.degree
+        return coeffs
 
     def spectrum_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.stats.pointwise_ops += 1
         return a + b
 
     def spectrum_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.stats.pointwise_ops += 1
         return negacyclic_convolution_int64(a, b)
 
     def spectrum_contract(self, stack: np.ndarray, operand: np.ndarray) -> np.ndarray:
-        """Fused contraction: one stacked product + one reduction (two ops).
+        """Fused contraction: one stacked product + one reduction.
 
         Exact integer arithmetic, so the accumulation order is immaterial:
         one broadcast negacyclic product over all rows, then one reduction
         along the row axis.
         """
-        self.stats.pointwise_ops += 2
         stack = np.asarray(stack, dtype=np.int64)
         operand = np.asarray(operand, dtype=np.int64)
         if stack.shape[0] == 0:
@@ -482,10 +446,10 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         return out
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        self.stats.forward_calls += 1
         coeffs = np.asarray(coeffs)
         if coeffs.shape[-1] != self.degree:
             raise ValueError("polynomial degree mismatch")
+        self.stats.forward_polys += coeffs.size // self.degree
         half = self._half
         # Build the folded complex array by direct component assignment (the
         # casts to float64 and the twist product are bit-identical to the
@@ -498,9 +462,9 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         return self._ifft(folded)
 
     def backward(self, spectrum: np.ndarray) -> np.ndarray:
-        self.stats.backward_calls += 1
         half = self._half
         spectrum = np.asarray(spectrum, dtype=np.complex128)
+        self.stats.backward_polys += spectrum.size // half
         folded = self._fft(spectrum)
         folded *= self._untwist_normalised
         # Round-half-even while still complex (componentwise, identical to
@@ -541,7 +505,8 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         (so bit-identical to them), each writing into a buffer the
         ``workspace`` owns; the low 32-bit words of the rounded coefficients
         plus ``addend`` — one wrapping uint32 add — are the only fresh array.
-        The workspace caches the closure per shape and engine.
+        The polynomials a call transforms are counted by two constant
+        increments.  The workspace caches the closure per shape and engine.
         """
         if workspace is None:
             return super().bind_contraction(stack_shape, cols)
@@ -574,12 +539,13 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         # the batched spectra: length-1 batch axes opened after the rows.
         operand_ndim = products.ndim
         unbatched = products.shape[:1] + (1,) * (operand_ndim - 3) + products.shape[-2:]
+        # Digit polynomials in, output-column polynomials out, per call.
+        forward_polys, backward_polys = folded.size // half, accumulator.size // half
 
         def contract(int_stack, tensor, addend=None):
             stats = self.stats
-            stats.forward_calls += 1
-            stats.pointwise_ops += 2
-            stats.backward_calls += 1
+            stats.forward_polys += forward_polys
+            stats.backward_polys += backward_polys
             # forward: fold (p_s, p_{s+N/2}) into one complex sample, twist, IFFT.
             folded_real[...] = int_stack[..., :half]
             folded_imag[...] = int_stack[..., half:]
@@ -605,19 +571,14 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
 
         return contract
 
-    def spectrum_zero(self) -> np.ndarray:
-        return np.zeros(self._half, dtype=np.complex128)
-
     def spectrum_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.stats.pointwise_ops += 1
         return a + b
 
     def spectrum_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.stats.pointwise_ops += 1
         return a * b
 
     def spectrum_contract(self, stack: np.ndarray, operand: np.ndarray) -> np.ndarray:
-        """Fused contraction: one stacked product + one reduction (two ops).
+        """Fused contraction: one stacked product + one reduction.
 
         ``np.add.reduce`` over the leading (row) axis accumulates the row
         slices **sequentially in row order** (NumPy's pairwise summation only
@@ -628,7 +589,6 @@ class DoubleFFTNegacyclicTransform(NegacyclicTransform):
         bit-identical.  The property suite pins this down against the
         per-row loop of ``tests/tgsw_oracle.py`` for every engine.
         """
-        self.stats.pointwise_ops += 2
         stack = np.asarray(stack)
         operand = np.asarray(operand)
         if stack.shape[0] == 0:

@@ -40,10 +40,7 @@ def build_bundle_oracle(rotator, group, bara: np.ndarray) -> List[list]:
     transform = rotator.transform
     identity = rotator._identity_spectra
     rows, cols = identity.rows, identity.mask_count + 1
-    bundle = [
-        [transform.spectrum_copy(row_col_spectrum(identity, transform, r, c)) for c in range(cols)]
-        for r in range(rows)
-    ]
+    bundle = [[row_col_spectrum(identity, r, c) for c in range(cols)] for r in range(rows)]
     degree = rotator.params.N
     group_bara = np.asarray(bara)[..., indices].astype(np.int64)
     for pattern in range(1, 1 << len(indices)):
@@ -57,7 +54,7 @@ def build_bundle_oracle(rotator, group, bara: np.ndarray) -> List[list]:
             for c in range(cols):
                 bundle[r][c] = transform.spectrum_add(
                     bundle[r][c],
-                    transform.spectrum_mul(factor_spec, row_col_spectrum(key, transform, r, c)),
+                    transform.spectrum_mul(factor_spec, row_col_spectrum(key, r, c)),
                 )
     return bundle
 

@@ -88,14 +88,16 @@ class TestModelAgainstTheKernel:
 
     The model charges every one of its ``iterations`` external products
     ``(k+1)·l`` forward transforms (the decomposed digits) and ``k+1``
-    backward ones.  The kernel skips a step whose rotation amounts ``ā_i``
-    (``Z_{2N}`` after the mod switch) are all zero — the step would multiply
-    by ``X^0 − 1 = 0`` — so the count is the model's less those steps,
-    computed here from the operands.
+    backward ones, per polynomial — the unit the engines count in.  The
+    kernel skips a step whose rotation amounts ``ā_i`` (``Z_{2N}`` after the
+    mod switch) are all zero — the step would multiply by ``X^0 − 1 = 0`` —
+    so the count is the model's less those steps, computed here from the
+    operands.  ``copies`` rows of the same NAND in one batch cost ``copies``
+    times one row.
     """
 
     @staticmethod
-    def _counted_nand(kind, unroll_factor):
+    def _counted_nand(kind, unroll_factor, copies=1):
         params = TEST_SMALL
         secret, cloud = generate_keys(
             params, make_transform(kind, params.N), unroll_factor=unroll_factor,
@@ -113,18 +115,28 @@ class TestModelAgainstTheKernel:
         context = FheContext(cloud, engine=engine)
         context.rotator  # the key's spectra, outside the count
         engine.reset_stats()
-        out = context.evaluator().nand(ca, cb)
-        assert decrypt_bit(secret, out) == 1
+        out = context.batch_evaluator(1).gate_rows(
+            ["nand"] * copies,
+            LweBatch.from_samples([ca] * copies),
+            LweBatch.from_samples([cb] * copies),
+        )
+        assert [decrypt_bit(secret, sample) for sample in out.to_samples()] == [1] * copies
         work = gate_workloads(params, unroll_factor)
         ran = work.iterations - idle
         model = (ran * (params.k + 1) * params.l, ran * (params.k + 1))
-        return (engine.stats.forward_calls, engine.stats.backward_calls), model, idle
+        return (engine.stats.forward_polys, engine.stats.backward_polys), model, idle
 
     @pytest.mark.parametrize("kind", ["double", "approx"])
     def test_one_nand_at_m1_runs_what_the_model_counts(self, kind):
         counted, model, idle = self._counted_nand(kind, 1)
         assert idle == 1  # these operands exercise the skip
         assert counted == model == (186, 62)  # 32 steps, 1 idle: 31 × 6, 31 × 2
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    @pytest.mark.parametrize("kind", ["double", "approx"])
+    def test_a_batch_of_nands_counts_every_row(self, kind, copies):
+        counted, _, _ = self._counted_nand(kind, 1, copies)
+        assert counted == (186 * copies, 62 * copies)
 
     @pytest.mark.xfail(
         strict=True,

@@ -159,11 +159,16 @@ class TestUnrolledBlindRotation:
             assert np.array_equal(extracted.a, expected.a)
             assert np.array_equal(extracted.b, expected.b)
 
-    def test_rotator_counters_advance(self):
+    def test_one_external_product_per_group(self):
+        """Only the groups' external products backward-transform: one
+        polynomial per output column each."""
         secret, rotator = _rotator(2, 89, 90)
+        rotator.transform.reset_stats()
         _extract(rotator, lwe_encrypt(secret.lwe_key, gate_message(1), rng=91))
-        assert rotator.external_products == rotator.external_products_per_bootstrap
-        assert rotator.bundles_built == rotator.external_products
+        per_product = TEST_TINY.k + 1
+        assert rotator.transform.stats.backward_polys == (
+            rotator.external_products_per_bootstrap * per_product
+        )
 
 
 class TestUnrolledGates:

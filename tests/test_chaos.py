@@ -229,7 +229,7 @@ def test_flaky_engine_failover_bitidentical(wire_keys):
         np.array_equal(g.a, w.a) and int(g.b) == int(w.b) for g, w in zip(got, want)
     )
     assert flaky.faults_raised == 1
-    assert chaotic.stats.engine_failovers == context.engine_failovers == 1
+    assert chaotic.stats.engine_failovers == 1
     assert context.engine is not flaky and context.engine.engine_kind == "double"
     assert context.workspace is not faulted_workspace
     assert faulted_workspace.nbytes == 0

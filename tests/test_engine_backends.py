@@ -184,7 +184,6 @@ class TestEngineRebuild:
         assert context.engine.spec() == engine.spec()  # options included
         assert context.workspace is not faulted and faulted.nbytes == 0
         assert not context.spectra_cached
-        assert context.engine_failovers == 1
         got = _gate_sweep(secret, context, "nand")
         assert _bit_identical([s for _, _, s in got], [s for _, _, s in want])
 
@@ -202,7 +201,7 @@ class TestEngineRebuild:
         context.engine = flaky
         scheduler, got = _scheduled_nands(context, operands)
         assert flaky.faults_raised == 1
-        assert scheduler.stats.engine_failovers == context.engine_failovers == 1
+        assert scheduler.stats.engine_failovers == 1
         assert context.engine is not flaky and type(context.engine) is type(flaky.base)
         assert context.engine.spec() == spec  # options included
         assert _bit_identical(got, want)
@@ -224,7 +223,7 @@ class TestEngineRebuild:
             handles = [session.submit_gate("nand", ca, cb) for ca, cb in operands]
             scheduler.flush()
             assert flaky.faults_raised == 1
-            assert scheduler.stats.engine_failovers == context.engine_failovers == faults
+            assert scheduler.stats.engine_failovers == faults
             assert type(context.engine) is DoubleFFTNegacyclicTransform
             assert [decrypt_bit(secret, handle.result()) for handle in handles] == want
 
@@ -235,7 +234,6 @@ class TestEngineRebuild:
         with pytest.raises(EngineFault, match="ad-hoc"):
             context.failover("injected")
         assert context.engine is engine
-        assert context.engine_failovers == 0
 
     def test_an_engine_that_always_faults_fails_the_round_after_one_rebuild(
         self, monkeypatch
@@ -267,7 +265,7 @@ class TestEngineRebuild:
         with pytest.raises(EngineFault, match="every instance faults"):
             scheduler.flush()
         assert len(built) == 2 and context.engine is built[1]
-        assert scheduler.stats.engine_failovers == context.engine_failovers == 1
+        assert scheduler.stats.engine_failovers == 1
         # Nothing was written outside the context: the kind still builds.
         assert _module_state(transform_module) == module_state
         assert isinstance(make_transform("always-faulty", TEST_TINY.N), AlwaysFaulty)

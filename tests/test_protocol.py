@@ -35,8 +35,12 @@ from repro.runtime.protocol import (
     pack_parts,
     read_frame,
     read_frame_async,
+    register_key_request,
     unpack_parts,
 )
+from repro.tfhe.keys import generate_keys
+from repro.tfhe.params import TEST_TINY
+from repro.tfhe.serialize import to_bytes
 
 _PREFIX = struct.Struct("<4sIQI")
 
@@ -224,6 +228,14 @@ def test_parts_round_trip():
     parts = [b"", b"a", b"b" * 1000]
     assert unpack_parts(pack_parts(parts)) == parts
     assert unpack_parts(pack_parts([]), expected=0) == []
+
+
+def test_a_register_key_request_is_the_key_as_one_part():
+    """The pieces the clients send join to ``pack_parts([to_bytes(key)])``."""
+    _, cloud = generate_keys(TEST_TINY, rng=5, eager=False)
+    op, body, fields = register_key_request(cloud)
+    assert (op, fields) == ("register_key", {})
+    assert b"".join(bytes(piece) for piece in body) == pack_parts([to_bytes(cloud)])
 
 
 def test_parts_are_views_of_the_body():

@@ -86,22 +86,25 @@ class TestSpectrumCacheCounters:
 
         fresh = DoubleFFTNegacyclicTransform(params.N)
         context = FheContext(cloud, engine=fresh)
-        assert fresh.stats.forward_calls == 0  # lazily built
+        assert fresh.stats.forward_polys == 0  # lazily built
 
         _ = context.rotator
-        # One vectorised forward per TGSW sample: all n key rows cached now.
-        assert fresh.stats.forward_calls == params.n
+        # Every polynomial of all n key rows is cached now: (k+1)·l TLWE
+        # rows of k+1 polynomials each per TGSW sample.
+        rows = (params.k + 1) * params.l
+        key_polys = len(cloud.bootstrapping_key) * rows * (params.k + 1)
+        assert fresh.stats.forward_polys == key_polys
         assert context.cached_tgsw_samples == params.n
 
         evaluator = context.evaluator()
-        per_gate = params.n * (params.k + 1) * params.l  # decomposition IFFTs
+        per_gate = params.n * rows  # decomposition IFFTs, one per digit plane
         ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 0, rng=2)
         evaluator.nand(ca, cb)
-        assert fresh.stats.forward_calls == params.n + per_gate
+        assert fresh.stats.forward_polys == key_polys + per_gate
         evaluator.xor(ca, cb)
         # The second gate adds only its own decomposition transforms — the
         # cloud-key rows were transformed exactly once for this context.
-        assert fresh.stats.forward_calls == params.n + 2 * per_gate
+        assert fresh.stats.forward_polys == key_polys + 2 * per_gate
 
     def test_unrolled_key_rows_transformed_exactly_once(self):
         params = TEST_TINY
@@ -113,16 +116,17 @@ class TestSpectrumCacheCounters:
         _ = context.rotator
         key_samples = len(cloud.bootstrapping_key)
         assert key_samples == 3 * ((params.n + 1) // 2)  # (2^2-1) per group
-        # One forward per key sample plus one for the identity gadget h.
-        assert fresh.stats.forward_calls == key_samples + 1
-        baseline = fresh.stats.forward_calls
+        # Every polynomial of every key sample, plus the identity gadget h.
+        per_sample = (params.k + 1) * params.l * (params.k + 1)
+        assert fresh.stats.forward_polys == (key_samples + 1) * per_sample
+        baseline = fresh.stats.forward_polys
 
         evaluator = context.evaluator()
         ca, cb = encrypt_bit(secret, 1, rng=3), encrypt_bit(secret, 1, rng=4)
         out = evaluator.and_(ca, cb)
-        first_gate = fresh.stats.forward_calls - baseline
+        first_gate = fresh.stats.forward_polys - baseline
         out2 = evaluator.and_(ca, cb)
-        second_gate = fresh.stats.forward_calls - baseline - first_gate
+        second_gate = fresh.stats.forward_polys - baseline - first_gate
         assert first_gate == second_gate  # no hidden key re-transforms
         assert decrypt_bit(secret, out) == 1
         assert np.array_equal(out.a, out2.a)
@@ -215,12 +219,13 @@ class TestContextSurface:
         ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
         before = context.evaluator().nand(ca, cb)
         workspace, evaluator = context.workspace, context.evaluator()
+        engine = context.engine
 
         context.release()
         assert not context.spectra_cached and context.cached_tgsw_samples == 0
         assert context.workspace is not workspace
         assert context.evaluator() is not evaluator
-        assert context.engine_failovers == 0  # a release is not a failover
+        assert context.engine is engine  # a release is not a failover
 
         after = context.evaluator().nand(ca, cb)  # same contract as after failover()
         assert context.cached_tgsw_samples == TEST_TINY.n

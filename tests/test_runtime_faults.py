@@ -319,7 +319,7 @@ def test_worker_engine_fault_triggers_failover():
         scheduler.flush()
         results = [handle.result() for handle in handles]
         assert all(_same_sample(got, want) for got, want in zip(results, reference))
-        assert scheduler.stats.engine_failovers == context.engine_failovers == 1
+        assert scheduler.stats.engine_failovers == 1
         assert context.engine is not engine and context.engine.engine_kind == "double"
         assert context.workspace is not faulted_workspace
         assert scheduler.stats.jobs_completed == len(BITS_A)
@@ -450,7 +450,7 @@ def test_the_fault_ladder(tiny_keys_naive, monkeypatch, path):
     where = {"d": "dispatcher", "p": "in-process"}
     assert attempts == [(where[w], outcome) for w, outcome in steps]
     assert script == []
-    assert scheduler.stats.engine_failovers == context.engine_failovers == rebuilds
+    assert scheduler.stats.engine_failovers == rebuilds
     assert dispatcher.registrations == 1 + rebuilds
     assert scheduler.stats.inline_fallbacks == in_process
     assert scheduler.stats.jobs_completed == (0 if fails else 1)

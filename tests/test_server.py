@@ -55,6 +55,7 @@ from repro.runtime.protocol import (
     unpack_parts,
 )
 from repro.runtime.server import FheServer, _Connection, _SessionState
+from repro.telemetry import parse_prometheus_text
 from repro.tfhe.gates import decrypt_bit, encrypt_bit
 from repro.tfhe.integers import RadixEvaluator, RadixInt, decrypt_radix, encrypt_radix
 from repro.tfhe.keys import generate_keys
@@ -798,7 +799,7 @@ def test_the_scrape_counts_every_event_once(server_factory, wire_keys):
             client._client._sock.shutdown(socket.SHUT_RDWR)
             assert decrypt_bit(secret, client.gate("and", ca, cb)) == 1
             assert client.stats.reconnects == 1
-            assert flaky.faults_raised == context.engine_failovers == 1
+            assert flaky.faults_raised == server.scheduler.stats.engine_failovers == 1
             assert context.engine is not flaky and context.engine.engine_kind == "double"
             assert context.workspace is not faulted_workspace
 
@@ -1063,6 +1064,44 @@ def test_the_replies_of_one_flush_leave_in_one_write(server_factory, wire_keys):
         assert server.scheduler.stats.flushes == flushes + 1
     (data,) = writes
     assert data.count(b"rTF2") == burst
+
+
+def _transformed_polys(server) -> tuple:
+    """``fhe_engine_transform_calls_total`` by direction: (forward, backward)."""
+    family = parse_prometheus_text(server.render_prometheus()).get(
+        "fhe_engine_transform_calls_total", {"samples": []}
+    )
+    totals = {"forward": 0.0, "backward": 0.0}
+    for _, labels, value in family["samples"]:
+        totals[labels["direction"]] += value
+    return totals["forward"], totals["backward"]
+
+
+def test_a_served_flush_counts_the_polynomials_of_every_row(server_factory, wire_keys):
+    """The transform family counts polynomials: a flush of four copies of one
+    NAND moves it by four times what a flush of one moves."""
+    secret, cloud = wire_keys
+    server = server_factory(flush_interval=0.3)  # cold: the burst rides together
+    body, want = _nand_body(secret, 1)
+
+    def flush_of(rows):
+        flushes = server.scheduler.stats.flushes
+        before = _transformed_polys(server)
+        requests = [client.submit("gate", body, gate="nand") for _ in range(rows)]
+        for request in requests:
+            assert decrypt_bit(secret, client.gate_result(request)) == want
+        assert server.scheduler.stats.flushes == flushes + 1
+        after = _transformed_polys(server)
+        return after[0] - before[0], after[1] - before[1]
+
+    with ServingClient(port=server.port) as client:
+        client.register_key(cloud)
+        (resident,) = server.scheduler.residents
+        resident.context.rotator  # the key's spectra, outside both flushes
+        four = flush_of(4)
+        one = flush_of(1)
+    assert one[0] > 0 and one[1] > 0
+    assert four == (4 * one[0], 4 * one[1])
 
 
 def test_a_session_duplicate_in_flight_is_answered_from_the_original(

@@ -31,14 +31,17 @@ class TestNaiveTransform:
         transform = NaiveNegacyclicTransform(DEGREE)
         assert np.array_equal(transform.multiply(a, b), negacyclic_convolution(a, b))
 
-    def test_stats_count_calls(self):
+    def test_stats_count_polynomials(self):
         a, b = random_polys()
         transform = NaiveNegacyclicTransform(DEGREE)
         transform.multiply(a, b)
-        assert transform.stats.forward_calls == 2
-        assert transform.stats.backward_calls == 1
+        assert transform.stats.forward_polys == 2
+        assert transform.stats.backward_polys == 1
         transform.reset_stats()
-        assert transform.stats.forward_calls == 0
+        assert transform.stats.forward_polys == 0
+        # A stack counts every polynomial in it, batch axes included.
+        transform.backward(transform.forward(np.zeros((3, 2, DEGREE), dtype=np.int64)))
+        assert (transform.stats.forward_polys, transform.stats.backward_polys) == (6, 6)
 
     def test_degree_must_be_power_of_two(self):
         with pytest.raises(ValueError):
@@ -161,21 +164,19 @@ class TestContractAccumulate:
         tensor = transform.spectrum_expand(transform.forward(np.stack(toruses)), -2)
         transform.reset_stats()
         got = transform.contract_accumulate(np.stack(ints), tensor)[0]
-        # The decomposed rows are stacked into one forward and one stacked
-        # pointwise product + reduction, not one spectrum per term.
-        assert transform.stats.forward_calls == 1
-        assert transform.stats.backward_calls == 1
-        assert transform.stats.pointwise_ops == 2  # one mul + one reduction
-        # The result still matches the per-term reference.
+        # One stacked forward of the four rows, one backward of the column.
+        assert transform.stats.forward_polys == 4
+        assert transform.stats.backward_polys == 1
+        # The result still matches the per-term reference, folded from the
+        # first product.
         reference = make_transform(kind, DEGREE)
-        acc = reference.spectrum_zero()
-        for poly, torus in zip(ints, toruses):
-            acc = reference.spectrum_add(
-                acc,
-                reference.spectrum_mul(
-                    reference.forward(poly), reference.forward(torus)
-                ),
-            )
+        spectra = [
+            reference.spectrum_mul(reference.forward(poly), reference.forward(torus))
+            for poly, torus in zip(ints, toruses)
+        ]
+        acc = spectra[0]
+        for product in spectra[1:]:
+            acc = reference.spectrum_add(acc, product)
         from repro.tfhe.torus import torus32_from_int64
 
         assert np.array_equal(got, torus32_from_int64(reference.backward(acc)))

@@ -9,10 +9,11 @@ one stacked backward; :func:`repro.tfhe.tgsw.tgsw_batch_cmux_rotate` reads
 over the key bits.  This oracle does it the pre-fusion way: the TGSW operand
 as a ``rows × (k+1)`` list of per-polynomial spectra, one forward per digit
 plane of the int64 :func:`repro.tfhe.tgsw.gadget_decompose`, a Python double
-loop of pointwise multiply-adds, one backward per output column; the CMux as
+loop of pointwise multiply-adds folded from each column's first product, one
+backward per output column; the CMux as
 ``C ⊡ (d1 − d0) + d0``; and each row's rotation materialised on its own with
 :func:`repro.tfhe.polynomial.poly_mul_by_xk`.  The kernels must agree with it
-bit for bit and count the same logical transforms.
+bit for bit and count the same transformed polynomials.
 
 :func:`sample_extract_oracle` is ``SampleExtract`` one mask polynomial at a
 time, the oracle of :func:`repro.tfhe.tlwe.tlwe_batch_sample_extract`.
@@ -24,6 +25,7 @@ from typing import List
 
 import numpy as np
 
+from repro.core.integer_fft import IntegerSpectrum
 from repro.tfhe.lwe import LweSample
 from repro.tfhe.polynomial import poly_add, poly_mul_by_xk, poly_sub
 from repro.tfhe.tgsw import gadget_decompose
@@ -32,9 +34,18 @@ from repro.tfhe.torus import torus32_from_int64
 from repro.tfhe.transform import Spectrum
 
 
-def row_col_spectrum(tgsw, transform, row: int, col: int) -> Spectrum:
-    """Polynomial ``(row, col)`` of a packed TGSW tensor, as its own spectrum."""
-    return transform.spectrum_take_col(transform.spectrum_index(tgsw.tensor, row), col)
+def row_col_spectrum(tgsw, row: int, col: int) -> Spectrum:
+    """Polynomial ``(row, col)`` of a packed ``(rows, ..., k+1, N/2)`` TGSW
+    tensor, as its own spectrum (a view; an approximate-engine spectrum keeps
+    the polynomial's own fixed-point scale)."""
+    tensor = tgsw.tensor
+    if not isinstance(tensor, IntegerSpectrum):
+        return tensor[row, ..., col, :]
+    scale = tensor.scale_bits
+    if isinstance(scale, np.ndarray):
+        scale = scale[row, ..., col]
+        scale = int(scale) if scale.ndim == 0 else scale
+    return IntegerSpectrum(tensor.values[row, ..., col, :], scale)
 
 
 def external_product_rows_oracle(
@@ -51,8 +62,8 @@ def external_product_rows_oracle(
 
     result = np.zeros(data.shape[:-2] + (mask_count + 1, degree), dtype=np.int32)
     for col in range(mask_count + 1):
-        acc = transform.spectrum_zero()
-        for row in range(len(spectra)):
+        acc = transform.spectrum_mul(dec_spectra[0], spectra[0][col])
+        for row in range(1, len(spectra)):
             acc = transform.spectrum_add(
                 acc, transform.spectrum_mul(dec_spectra[row], spectra[row][col])
             )
@@ -62,7 +73,7 @@ def external_product_rows_oracle(
 
 def _external_product_data(tgsw, data: np.ndarray, transform) -> np.ndarray:
     spectra = [
-        [row_col_spectrum(tgsw, transform, row, col) for col in range(tgsw.mask_count + 1)]
+        [row_col_spectrum(tgsw, row, col) for col in range(tgsw.mask_count + 1)]
         for row in range(tgsw.rows)
     ]
     return external_product_rows_oracle(
