@@ -37,8 +37,7 @@ live-gate reduction, and on every corpus row ``LUT_PIPELINE`` is no larger
 and no deeper than ``DEFAULT_PIPELINE`` or the greedy table.  The wall-clock
 win is printed, not gated; the served end-to-end number for a LUT-lowered
 circuit is the ledger's ``circuit_lut_medium`` workload.  Results land in
-``results/compiler.txt`` and
-schema-consistent ``results/BENCH_compiler.json`` (see ``tools/bench.py``).
+``results/compiler.txt``.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_compiler.py -q -s
 """
@@ -63,7 +62,6 @@ from repro.tfhe.keys import generate_keys
 from repro.tfhe.lut import boolean_lut_spec
 from repro.tfhe.params import TEST_TINY
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform
-from repro.utils.benchio import make_entry, write_bench_json
 
 WIDTH = 16
 BEST_OF = 2
@@ -270,41 +268,13 @@ def run(record_result=None):
     traced_bs = gates_before / seconds["traced"]
     optimized_bs = gates_before / seconds["optimized"]
 
-    entries = [
-        make_entry(
-            label="optimized_vs_traced",
-            engine="double",
-            params=params.name,
-            batch_width=1,
-            bootstraps_per_sec=optimized_bs,
-            baseline_bootstraps_per_sec=traced_bs,
-        ),
-    ]
     extra = {
-        "expression": "max(a*3 + b, b - c)",
-        "width": WIDTH,
-        "gates_traced": gates_before,
-        "gates_optimized": gates_after,
         "gate_reduction": reduction,
         "depth_traced": depth_before,
         "depth_optimized": depth_after,
         "levels_traced": schedules["traced"][1].depth,
         "levels_optimized": schedules["optimized"][1].depth,
-        "passes": [
-            {
-                "name": s.name,
-                "gates_before": s.gates_before,
-                "gates_after": s.gates_after,
-                "depth_before": s.depth_before,
-                "depth_after": s.depth_after,
-            }
-            for s in manager.stats
-        ],
         "corpus": corpus_table(),
-        "corpus_greedy_lut": {
-            name: {"bootstraps": boots, "depth": depth, "compile_ms": ms}
-            for name, (boots, depth, ms) in GREEDY_LUT_PIPELINE.items()
-        },
     }
 
     lines = [
@@ -335,14 +305,11 @@ def run(record_result=None):
         record_result("compiler", "\n".join(lines))
     else:
         print("\n".join(lines))
-
-    path = write_bench_json("compiler", entries, extra=extra)
-    print(f"[written to {path}]")
-    return entries, extra
+    return extra
 
 
 def test_compiler_gate_reduction_and_corpus(record_result):
-    _, extra = run(record_result)
+    extra = run(record_result)
     assert extra["gate_reduction"] >= MIN_GATE_REDUCTION, (
         f"optimizer removed only {100 * extra['gate_reduction']:.1f}% of live "
         f"gates (required {100 * MIN_GATE_REDUCTION:.1f}%)"

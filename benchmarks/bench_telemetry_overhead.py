@@ -19,8 +19,8 @@ bare throughput (default floor: 5% overhead, env-overridable).  Timings
 are best-of-``BEST_OF`` over a freshly filled queue each round, so the
 comparison sees identical rows either way.
 
-Results land in ``results/BENCH_telemetry.json`` (``repro-bench/1``
-schema); the measured overhead fraction is in the ``extra`` block.
+Results land in ``results/telemetry.txt``, the measured overhead fraction
+among them.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_telemetry_overhead.py -q -s
 """
@@ -37,7 +37,6 @@ from repro.tfhe.gates import encrypt_bit
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.params import TEST_MEDIUM
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform
-from repro.utils.benchio import make_entry, write_bench_json
 
 #: TEST_MEDIUM (not tiny): each flush must be dominated by real bootstrap
 #: work — the production ratio the 5% contract is about — or GC-cycle and
@@ -107,33 +106,11 @@ def run(record_result=None):
     full_bs = JOBS / full_best
     overhead = 1.0 - full_bs / bare_bs
 
-    entries = [
-        make_entry(
-            label="telemetry-off",
-            engine="double",
-            params=params.name,
-            batch_width=JOBS,
-            bootstraps_per_sec=bare_bs,
-            baseline_bootstraps_per_sec=bare_bs,
-        ),
-        make_entry(
-            label="telemetry-on",
-            engine="double",
-            params=params.name,
-            batch_width=JOBS,
-            bootstraps_per_sec=full_bs,
-            baseline_bootstraps_per_sec=bare_bs,
-        ),
-    ]
-    snapshot = telemetry.registry.snapshot()
     extra = {
-        "jobs_per_flush": JOBS,
-        "best_of": BEST_OF,
         "overhead_fraction": overhead,
         "overhead_max": TELEMETRY_OVERHEAD_MAX,
-        "seconds": {"telemetry-off": bare_best, "telemetry-on": full_best},
         "spans_recorded": len(telemetry.tracer.spans()),
-        "metric_families": len(snapshot),
+        "metric_families": len(telemetry.registry.snapshot()),
     }
 
     lines = [
@@ -155,14 +132,11 @@ def run(record_result=None):
         record_result("telemetry", "\n".join(lines))
     else:
         print("\n".join(lines))
-
-    path = write_bench_json("telemetry", entries, extra=extra)
-    print(f"[written to {path}]")
-    return entries, extra
+    return extra
 
 
 def test_telemetry_overhead(record_result):
-    _, extra = run(record_result)
+    extra = run(record_result)
     assert extra["overhead_fraction"] <= extra["overhead_max"], (
         f"telemetry costs {extra['overhead_fraction'] * 100.0:.1f}% of scheduler "
         f"throughput (floor {extra['overhead_max'] * 100.0:.0f}%) — an "

@@ -26,15 +26,13 @@ dispatch`` residue,
                           the batching cost is visible next to the crypto
 ========================  ====================================================
 
-Spans can come from three places: a live :class:`repro.telemetry.Tracer`,
-the JSON of a server ``trace_export`` reply, or a Chrome trace-event file
-saved from one.
+Spans can come from a live :class:`repro.telemetry.Tracer` or the JSON of a
+server ``trace_export`` reply.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, Mapping, Optional
 
 from repro.analysis.breakdown import (
     CPU_EPILOGUE_SECONDS,
@@ -47,7 +45,6 @@ from repro.utils.tables import format_table
 __all__ = [
     "SERVING_STAGES",
     "stage_totals",
-    "spans_from_chrome",
     "measure_serving_breakdown",
     "render_measured_vs_modeled",
 ]
@@ -61,31 +58,6 @@ SERVING_STAGES = (
     "keyswitch",
     "reply",
 )
-
-
-def spans_from_chrome(doc: Any) -> List[Dict[str, Any]]:
-    """Normalise a Chrome trace-event document into span dicts.
-
-    ``doc`` may be the parsed document, its JSON text, or a file path.
-    Returns dicts with ``name`` and ``duration`` (seconds) keys — the shape
-    :func:`stage_totals` consumes.
-    """
-    if isinstance(doc, (str, bytes)):
-        text = str(doc)
-        if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.loads(text)
-    events = doc["traceEvents"] if isinstance(doc, Mapping) else doc
-    spans = []
-    for event in events:
-        if event.get("ph") != "X":
-            continue
-        spans.append(
-            {"name": event["name"], "duration": float(event.get("dur", 0.0)) / 1e6}
-        )
-    return spans
 
 
 def _span_fields(span: Any) -> tuple:

@@ -68,11 +68,6 @@ class ScheduleResult:
     def total_energy_j(self) -> float:
         return self.dynamic_energy_j + self.static_energy_j
 
-    @property
-    def average_power_w(self) -> float:
-        seconds = self.latency_seconds
-        return self.total_energy_j / seconds if seconds else 0.0
-
     def breakdown_fraction(self, ops: Tuple[OpType, ...]) -> float:
         """Fraction of total scheduled cycles spent in the given op classes."""
         total = sum(self.cycles_by_op.values())

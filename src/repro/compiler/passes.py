@@ -722,17 +722,9 @@ DEFAULT_PIPELINE: Tuple[str, ...] = ("fold", "absorb", "cse", "balance", "cse", 
 
 #: Pipeline with LUT mapping: lutify runs *after* the gate-level cleanup
 #: (the cover is computed over a canonical, deduplicated netlist — folding
-#: or CSE after lutify would see opaque tables and miss rewrites); DCE stays
-#: last as in :data:`DEFAULT_PIPELINE`.
-LUT_PIPELINE: Tuple[str, ...] = (
-    "fold",
-    "absorb",
-    "cse",
-    "balance",
-    "cse",
-    "lutify",
-    "dce",
-)
+#: or CSE after lutify would see opaque tables and miss rewrites) and last:
+#: it emits only the nodes the cover references, so no DCE follows it.
+LUT_PIPELINE: Tuple[str, ...] = ("fold", "absorb", "cse", "balance", "cse", "lutify")
 
 
 @dataclass(frozen=True)
@@ -746,10 +738,6 @@ class PassStats:
     gates_after: int
     depth_before: int
     depth_after: int
-
-    @property
-    def gates_removed(self) -> int:
-        return self.gates_before - self.gates_after
 
     @property
     def changed(self) -> bool:

@@ -69,8 +69,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "LweSample",
             "decrypt_digit",
             "encrypt_digit",
-            "lwe_batch_decrypt_digits",
-            "lwe_batch_encrypt_digits",
         ),
         ".netlist": (
             "Circuit",

@@ -426,31 +426,6 @@ def lwe_batch_decrypt_bits(key: LweKey, batch: LweBatch) -> np.ndarray:
     return (lwe_batch_phase(key, batch) > 0).astype(np.int64)
 
 
-def lwe_batch_encrypt_digits(
-    key: LweKey,
-    values,
-    encoding: DigitEncoding,
-    noise_stddev: float | None = None,
-    rng: SeedLike = None,
-) -> LweBatch:
-    """Encrypt a vector of radix digits as one batch (one row per digit)."""
-    messages = np.array(
-        [digit_message(int(v), encoding) for v in np.asarray(values).ravel()],
-        dtype=np.int32,
-    )
-    return lwe_batch_encrypt(key, messages, noise_stddev, rng)
-
-
-def lwe_batch_decrypt_digits(
-    key: LweKey, batch: LweBatch, encoding: DigitEncoding
-) -> np.ndarray:
-    """Decrypt a batch of digit ciphertexts to their ``(B,)`` plaintext slots."""
-    phases = lwe_batch_phase(key, batch)
-    return np.asarray(
-        modswitch_from_torus32(phases, encoding.torus_space), dtype=np.int64
-    )
-
-
 def lwe_batch_negate(x: LweBatch) -> LweBatch:
     """Elementwise homomorphic negation of a batch."""
     return LweBatch(

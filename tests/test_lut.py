@@ -12,6 +12,7 @@ from repro.compiler.passes import (
     PASSES,
     PassManager,
     circuit_depth,
+    eliminate_dead_nodes,
     live_gate_count,
     lutify,
 )
@@ -192,6 +193,7 @@ def test_lutify_preserves_semantics_and_saves_bootstraps():
         assert circuit_depth(clustered) <= circuit_depth(circuit), name
         _lut_specs(clustered)
         assert circuit_to_json(lutify(circuit)) == circuit_to_json(clustered), name
+        assert circuit_to_json(eliminate_dead_nodes(clustered)) == circuit_to_json(clustered), name
 
 
 def test_lut_pipeline_reduces_adder_bootstraps():
@@ -271,7 +273,7 @@ def test_lutify_leaves_infeasible_cones_as_gates():
 def test_lutify_takes_the_circuit_only():
     assert list(inspect.signature(lutify).parameters) == ["circuit"]
     assert list(PASSES) == ["fold", "absorb", "cse", "balance", "lutify", "dce"]
-    assert LUT_PIPELINE == ("fold", "absorb", "cse", "balance", "cse", "lutify", "dce")
+    assert LUT_PIPELINE == ("fold", "absorb", "cse", "balance", "cse", "lutify")
 
 
 @pytest.mark.parametrize(
