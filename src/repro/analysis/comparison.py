@@ -52,11 +52,6 @@ class ComparisonResult:
         return 1.0 - m2 / m1
 
     @property
-    def cpu_best_unroll(self) -> int:
-        supported = [r for r in self.reports["CPU"] if r.supported]
-        return min(supported, key=lambda r: r.gate_latency_ms).unroll_factor
-
-    @property
     def matcha_best_latency_unroll(self) -> int:
         supported = [r for r in self.reports["MATCHA"] if r.supported]
         return min(supported, key=lambda r: r.gate_latency_ms).unroll_factor

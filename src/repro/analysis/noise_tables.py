@@ -1,20 +1,14 @@
-"""Table 3 (noise comparison), the Section 4.3 DVQTF failure study, and the
-per-LUT-width digit-margin table of the programmable-bootstrapping layer."""
+"""Table 3 (noise comparison) and the Section 4.3 DVQTF failure study."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.core.fft_error import polynomial_product_error
 from repro.core.integer_fft import ApproximateNegacyclicTransform
-from repro.tfhe.noise import (
-    TfheNoiseModel,
-    digit_decision_margin,
-    max_safe_fft_error,
-)
-from repro.tfhe.params import DigitEncoding, PAPER_110BIT, TFHEParameters
+from repro.tfhe.noise import TfheNoiseModel, max_safe_fft_error
+from repro.tfhe.params import PAPER_110BIT, TFHEParameters
 from repro.utils.rng import SeedLike
 from repro.utils.tables import format_table
 
@@ -131,93 +125,6 @@ def dvqtf_failure_study(
             )
         )
     return rows
-
-
-@dataclass(frozen=True)
-class DigitMarginRow:
-    """One (encoding, unroll factor) point of the digit-margin table."""
-
-    message_bits: int
-    carry_bits: int
-    unroll_factor: int
-    margin: float
-    noise_stddev: float
-    sigmas_of_headroom: float
-    failure_probability: float
-
-    @property
-    def fits(self) -> bool:
-        """Whether the encoding clears the 4σ rating bar."""
-        return self.sigmas_of_headroom >= 4.0
-
-
-def digit_margin_study(
-    params: TFHEParameters,
-    encodings: Sequence[DigitEncoding] = (
-        DigitEncoding(message_bits=2, carry_bits=0),
-        DigitEncoding(message_bits=2, carry_bits=2),
-        DigitEncoding(message_bits=3, carry_bits=0),
-        DigitEncoding(message_bits=3, carry_bits=3),
-        DigitEncoding(message_bits=4, carry_bits=0),
-        DigitEncoding(message_bits=4, carry_bits=2),
-    ),
-    unroll_factors: Sequence[int] = (1, 2),
-) -> List[DigitMarginRow]:
-    """Per-LUT-width noise margins of programmable bootstrapping.
-
-    For every digit encoding the digit decision margin is ``1/(4P)`` — it
-    halves per extra plaintext bit while the bootstrap output noise stays
-    fixed, which is exactly the carry-budget trade-off: the rows show how
-    many σ of headroom each (message, carry) split leaves under ``params``,
-    and hence which encodings :func:`repro.tfhe.noise.validate_digit_encoding`
-    admits.  Structural fit (``message_space`` rating, ``N`` divisibility)
-    is *not* checked here so the table can also show why a split fails.
-    """
-    rows: List[DigitMarginRow] = []
-    for encoding in encodings:
-        for m in unroll_factors:
-            model = TfheNoiseModel(params, unroll_factor=m)
-            budget = model.digit_budget(encoding)
-            sigma = math.sqrt(
-                budget.total_variance + model.modswitch_rounding_variance()
-            )
-            margin = digit_decision_margin(encoding)
-            rows.append(
-                DigitMarginRow(
-                    message_bits=encoding.message_bits,
-                    carry_bits=encoding.carry_bits,
-                    unroll_factor=m,
-                    margin=margin,
-                    noise_stddev=sigma,
-                    sigmas_of_headroom=margin / sigma if sigma else float("inf"),
-                    failure_probability=model.digit_failure_probability(encoding),
-                )
-            )
-    return rows
-
-
-def render_digit_margins(
-    params: TFHEParameters, rows: Sequence[DigitMarginRow] | None = None, **kwargs
-) -> str:
-    """Text rendering of the per-LUT-width digit-margin table."""
-    rows = rows if rows is not None else digit_margin_study(params, **kwargs)
-    table_rows = [
-        [
-            f"{r.message_bits}+{r.carry_bits}",
-            r.unroll_factor,
-            f"{r.margin:.2e}",
-            f"{r.noise_stddev:.2e}",
-            f"{r.sigmas_of_headroom:.1f}",
-            f"{r.failure_probability:.2e}",
-            "yes" if r.fits else "no",
-        ]
-        for r in rows
-    ]
-    return format_table(
-        ["digit bits", "m", "margin 1/(4P)", "noise stddev", "headroom (sigma)", "P[fail]", "fits"],
-        table_rows,
-        title=f"Programmable bootstrapping digit margins under {params.name}.",
-    )
 
 
 def render_dvqtf_study(rows: Sequence[DvqtfStudyRow] | None = None, **kwargs) -> str:

@@ -45,11 +45,6 @@ def table1_rows() -> List[List[str]]:
     ]
 
 
-def fastest_bootstrapping() -> SchemeEntry:
-    """The scheme with the fastest bootstrapping (the paper's argument for TFHE)."""
-    return min(TABLE1_SCHEMES, key=lambda e: e.bootstrapping_seconds)
-
-
 def bootstrapping_speedup_over(scheme: str) -> float:
     """How much faster TFHE's bootstrapping is than the named scheme's."""
     table = {e.scheme: e for e in TABLE1_SCHEMES}

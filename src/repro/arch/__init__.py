@@ -17,7 +17,7 @@ flow graph (DFG), abstracting the hardware into an architecture description
   maps a DFG onto an AD and reports cycles, utilisation and energy;
 * :mod:`repro.arch.energy` — component power/area models and the Table 2
   breakdown;
-* :mod:`repro.arch.memory` — scratchpad, crossbar and HBM bandwidth models.
+* :mod:`repro.arch.memory` — TGSW and bootstrapping-key footprints.
 """
 
 from repro._lazy import lazy_exports

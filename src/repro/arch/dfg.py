@@ -131,29 +131,6 @@ class DataFlowGraph:
         """Number of dependency levels (the critical path in ``cost`` units)."""
         return max(self.node_levels(cost).values(), default=0)
 
-    def critical_path_work(self) -> float:
-        """Longest path through the graph, weighted by node work."""
-        longest: Dict[int, float] = {}
-        for nid in self.topological_order():
-            node = self._nodes[nid]
-            incoming = max((longest[p] for p in node.predecessors), default=0.0)
-            longest[nid] = incoming + node.work
-        return max(longest.values(), default=0.0)
-
-    def work_by_op(self) -> Dict[OpType, float]:
-        """Total work per operation type (inputs to the breakdown figures)."""
-        totals: Dict[OpType, float] = {}
-        for node in self._nodes.values():
-            totals[node.op] = totals.get(node.op, 0.0) + node.work
-        return totals
-
-    def count_by_op(self) -> Dict[OpType, int]:
-        """Node counts per operation type."""
-        counts: Dict[OpType, int] = {}
-        for node in self._nodes.values():
-            counts[node.op] = counts.get(node.op, 0) + 1
-        return counts
-
     def validate(self) -> None:
         """Structural sanity checks (acyclic, consistent edge lists)."""
         self.topological_order()

@@ -6,17 +6,16 @@ area per component at 2 GHz.  We cannot rerun synthesis, so this module
 
 * records the Table 2 component breakdown as structured data (and checks that
   the sub-totals and totals are internally consistent), and
-* provides a first-order parametric model (logic power/area proportional to
-  lane counts, SRAM power/area proportional to capacity with a bank overhead)
-  that is anchored to the Table 2 values, so the ablation benches can ask
-  "what if MATCHA had 4 EP cores?" or "what if the scratchpad were 8 MB?" and
-  get answers that move in the right direction.
+* scales the per-pipeline rows linearly with the EP-core and TGSW-cluster
+  counts, anchored to the Table 2 values, so the ablation benches can ask
+  "what if MATCHA had 4 EP cores?" and get answers that move in the right
+  direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -127,40 +126,3 @@ def matcha_area_power_table(
     return AcceleratorEnvelope(
         components=components, total_power_w=total_power, total_area_mm2=total_area
     )
-
-
-def sram_power_area(capacity_kb: float, banks: int) -> Dict[str, float]:
-    """First-order SRAM estimator anchored to the Table 2 SPM row.
-
-    Power and area scale linearly with capacity, with a 3 % per-bank overhead
-    for decoders and peripheral logic.  The anchor point is the 4 MB, 32-bank
-    scratchpad (3.52 W, 3.25 mm²).
-    """
-    if capacity_kb <= 0 or banks <= 0:
-        raise ValueError("capacity and bank count must be positive")
-    anchor_kb = 4096.0
-    anchor_banks = 32
-    scale = capacity_kb / anchor_kb
-    bank_overhead = 1.0 + 0.03 * (banks - anchor_banks) / anchor_banks
-    return {
-        "power_w": SPM.power_w * scale * bank_overhead,
-        "area_mm2": SPM.area_mm2 * scale * bank_overhead,
-    }
-
-
-def logic_power_area(lanes: int, reference_lanes: int, reference: ComponentSpec) -> Dict[str, float]:
-    """First-order logic estimator: power/area proportional to lane count."""
-    if lanes <= 0 or reference_lanes <= 0:
-        raise ValueError("lane counts must be positive")
-    scale = lanes / reference_lanes
-    return {
-        "power_w": reference.power_w * scale,
-        "area_mm2": reference.area_mm2 * scale,
-    }
-
-
-def gate_energy_joules(power_w: float, latency_s: float) -> float:
-    """Energy of one gate given accelerator power and gate latency."""
-    if power_w < 0 or latency_s < 0:
-        raise ValueError("power and latency must be non-negative")
-    return power_w * latency_s

@@ -1,21 +1,11 @@
-"""Memory-system models: scratchpad, register banks, crossbar and HBM.
+"""Key footprints: TGSW ciphertexts and the bootstrapping key.
 
-Three memory effects matter for MATCHA:
-
-* the bootstrapping key grows exponentially with the BKU factor ``m`` and
-  never fits in the 4 MB scratchpad, so it streams from HBM2 at 640 GB/s —
-  this stream bounds how aggressively ``m`` can be raised;
-* the TGSW clusters see sequential accesses (two register banks suffice,
-  read one while writing the other) whereas the FFT/IFFT kernels see
-  irregular accesses (eight banks per EP core) — Section 4.2/4.3;
-* all compute units reach the scratchpad through bit-sliced crossbars whose
-  bandwidth must cover the accumulator traffic.
+The bootstrapping key grows exponentially with the BKU factor ``m`` and
+never fits in the 4 MB scratchpad, so it streams from HBM2 at 640 GB/s —
+this stream bounds how aggressively ``m`` can be raised (Section 4.2).
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from repro.tfhe.params import TFHEParameters
 
@@ -52,99 +42,3 @@ def bootstrapping_key_bytes(
     if remainder:
         keys += (1 << remainder) - 1
     return keys * tgsw_ciphertext_bytes(params, transformed)
-
-
-def keyswitch_key_bytes(params: TFHEParameters) -> int:
-    """Size of the LWE key-switching key in bytes."""
-    ks = params.keyswitch
-    return params.k * params.N * ks.length * ks.base * (params.n + 1) * 4
-
-
-def hbm_stream_seconds(num_bytes: float, bandwidth_bytes_per_s: float) -> float:
-    """Time to stream ``num_bytes`` from HBM at the given bandwidth."""
-    if bandwidth_bytes_per_s <= 0:
-        raise ValueError("bandwidth must be positive")
-    return float(num_bytes) / bandwidth_bytes_per_s
-
-
-def fits_in_spm(num_bytes: float, spm_kb: float = 4096.0) -> bool:
-    """Whether a working set fits in the scratchpad."""
-    return float(num_bytes) <= spm_kb * 1024.0
-
-
-@dataclass(frozen=True)
-class BankConflictModel:
-    """Probabilistic bank-conflict model for a multi-banked memory.
-
-    ``accesses_per_cycle`` independent accesses hit ``banks`` banks uniformly
-    at random; the expected slowdown is the expected maximum occupancy of any
-    bank, which we approximate with the standard balls-into-bins expectation.
-    Sequential access streams (the TGSW clusters) should use
-    ``sequential=True``, which removes conflicts entirely — that is exactly
-    why a TGSW cluster needs only two register banks while an EP core needs
-    eight (Section 4.3).
-    """
-
-    banks: int
-    accesses_per_cycle: int
-    sequential: bool = False
-
-    def expected_conflict_factor(self) -> float:
-        """Expected slowdown factor (serving cycles over conflict-free cycles).
-
-        The conflict-free service time of ``n`` accesses over ``b`` banks is
-        ``n / b`` cycles; with random bank targets the banks load unevenly and
-        the busiest bank paces the service.  The expected maximum load is
-        approximated with the standard balls-into-bins bound
-        ``n/b + sqrt(2 (n/b) ln b)``.
-        """
-        if self.banks <= 0:
-            raise ValueError("bank count must be positive")
-        if self.accesses_per_cycle <= 1 or self.sequential:
-            return 1.0
-        n, b = float(self.accesses_per_cycle), float(self.banks)
-        ideal = n / b
-        max_load = ideal + math.sqrt(2.0 * max(ideal, 1.0) * math.log(b)) if b > 1 else n
-        return max(1.0, max_load / max(ideal, 1e-12))
-
-    def service_cycles(self) -> float:
-        """Expected cycles to serve one cycle's worth of accesses.
-
-        This is the absolute metric that improves with more banks (the
-        conflict *factor* above is relative to an ideal that itself improves).
-        """
-        if self.banks <= 0:
-            raise ValueError("bank count must be positive")
-        if self.accesses_per_cycle <= 0:
-            return 0.0
-        ideal = self.accesses_per_cycle / self.banks
-        if self.sequential:
-            return max(1.0, ideal)
-        return max(1.0, ideal * self.expected_conflict_factor())
-
-
-@dataclass(frozen=True)
-class CrossbarModel:
-    """A bit-sliced crossbar between cores/clusters and the scratchpad."""
-
-    ports_in: int
-    ports_out: int
-    width_bits: int = 256
-    clock_hz: float = 2.0e9
-
-    @property
-    def bandwidth_bytes_per_s(self) -> float:
-        """Aggregate bandwidth with every output port busy each cycle."""
-        return self.ports_out * (self.width_bits / 8.0) * self.clock_hz
-
-    def transfer_seconds(self, num_bytes: float) -> float:
-        return float(num_bytes) / self.bandwidth_bytes_per_s
-
-
-def matcha_crossbars(clock_hz: float = 2.0e9) -> dict:
-    """The two 8x32 crossbars plus the 8x8 core-to-core crossbar of Table 2."""
-    return {
-        "spm_to_cores": CrossbarModel(ports_in=32, ports_out=8, clock_hz=clock_hz),
-        "cores_to_spm": CrossbarModel(ports_in=8, ports_out=32, clock_hz=clock_hz),
-        "core_to_core": CrossbarModel(ports_in=8, ports_out=8, clock_hz=clock_hz),
-    }

@@ -10,7 +10,7 @@ longest downstream path (in cycles); ready nodes are dispatched to the
 earliest-available instance of the functional-unit class that supports their
 operation.  The result records the makespan, per-unit busy time and
 utilisation, per-operation-class cycle totals (used for the Figure 1
-breakdown) and the dynamic + static energy.
+breakdown) and the dynamic energy.
 """
 
 from __future__ import annotations
@@ -59,21 +59,6 @@ class ScheduleResult:
             capacity = self.makespan_cycles * unit_map[name].count
             result[name] = busy / capacity if capacity else 0.0
         return result
-
-    @property
-    def static_energy_j(self) -> float:
-        return self.architecture.static_power_w * self.latency_seconds
-
-    @property
-    def total_energy_j(self) -> float:
-        return self.dynamic_energy_j + self.static_energy_j
-
-    def breakdown_fraction(self, ops: Tuple[OpType, ...]) -> float:
-        """Fraction of total scheduled cycles spent in the given op classes."""
-        total = sum(self.cycles_by_op.values())
-        if not total:
-            return 0.0
-        return sum(self.cycles_by_op.get(op, 0.0) for op in ops) / total
 
 
 class ListScheduler:

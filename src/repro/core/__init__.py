@@ -21,7 +21,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".lifting": ("DyadicCoefficient", "LiftingRotation", "LiftingRotationArray"),
+        ".lifting": ("DyadicCoefficient", "LiftingRotationArray"),
         ".integer_fft": ("ApproximateNegacyclicTransform",),
         ".bku": ("UnrolledBlindRotator",),
         ".accelerator": ("MatchaAccelerator", "MatchaConfig"),

@@ -18,14 +18,12 @@ TGSW-cluster/EP-core pipelines at 2 GHz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.core.integer_fft import ApproximateNegacyclicTransform
 from repro.tfhe.gates import TFHEGateEvaluator
-from repro.tfhe.keys import TFHECloudKey, TFHESecretKey, generate_cloud_key
+from repro.tfhe.keys import TFHECloudKey
 from repro.tfhe.params import PAPER_110BIT, TFHEParameters
-from repro.utils.rng import SeedLike
 
 
 @dataclass(frozen=True)
@@ -67,25 +65,8 @@ class MatchaAccelerator:
         )
 
     # -- functional side -----------------------------------------------------
-    def build_cloud_key(
-        self, secret: TFHESecretKey, rng: SeedLike = None
-    ) -> TFHECloudKey:
-        """Derive the evaluation key used when gates run on this accelerator.
-
-        The key material is transformed with the accelerator's approximate
-        integer FFT and unrolled with the configured BKU factor.
-        """
-        if secret.params is not self.params and secret.params != self.params:
-            raise ValueError("secret key parameters do not match the accelerator")
-        return generate_cloud_key(
-            secret,
-            transform=self.transform,
-            unroll_factor=self.config.unroll_factor,
-            rng=rng,
-        )
-
     def evaluator(self, cloud_key: TFHECloudKey) -> TFHEGateEvaluator:
-        """A gate evaluator bound to a cloud key built by this accelerator."""
+        """A gate evaluator bound to a cloud key built with :attr:`transform`."""
         return TFHEGateEvaluator(cloud_key)
 
     # -- modelling side --------------------------------------------------------
@@ -103,9 +84,3 @@ class MatchaAccelerator:
             clock_hz=self.config.clock_hz,
         )
         return platform.report(self.config.unroll_factor)
-
-    def area_and_power(self):
-        """The Table 2 component breakdown for this configuration."""
-        from repro.arch.energy import matcha_area_power_table
-
-        return matcha_area_power_table()

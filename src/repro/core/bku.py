@@ -43,21 +43,6 @@ from repro.tfhe.transform import NegacyclicTransform
 KeyGroup = Tuple[List[int], List[TransformedTgswSample]]
 
 
-def pattern_exponent(bara: Sequence[int], indices: Sequence[int], pattern: int) -> int:
-    """The rotation exponent ``e_p = Σ_{j: p_j = 1} ā_{indices[j]}``."""
-    return int(sum(int(bara[indices[j]]) for j in range(len(indices)) if (pattern >> j) & 1))
-
-
-def x_power_minus_one_polynomial(degree: int, power: int) -> np.ndarray:
-    """The integer polynomial ``X^power − 1`` reduced modulo ``X^N + 1``."""
-    poly = np.zeros(degree, dtype=np.int64)
-    poly[0] -= 1
-    power = int(power) % (2 * degree)
-    sign = 1 if power < degree else -1
-    poly[power % degree] += sign
-    return poly
-
-
 def x_power_minus_one_polynomials(degree: int, powers: np.ndarray) -> np.ndarray:
     """A stack of ``X^power − 1`` polynomials, one row per entry of ``powers``.
 
@@ -119,10 +104,6 @@ class UnrolledBlindRotator:
             )
         identity = tgsw_identity(params.tlwe, params.tgsw)
         self._identity_spectra = tgsw_transform(identity, transform)
-
-    @property
-    def external_products_per_bootstrap(self) -> int:
-        return len(self.groups)
 
     # -- pipeline stage 1: the TGSW cluster --------------------------------
     def build_bundle(self, group: KeyGroup, bara: np.ndarray) -> TransformedTgswSample:

@@ -123,12 +123,3 @@ class ConjugatePairFFT:
             self.stats.butterflies += 2
         self.stats.completion_order.append(n)
         return result
-
-
-def reference_dft(values: np.ndarray, sign: int = 1) -> np.ndarray:
-    """Direct ``O(n^2)`` DFT used to validate the conjugate-pair flow."""
-    values = np.asarray(values, dtype=np.complex128)
-    n = values.shape[0]
-    k = np.arange(n)
-    kernel = np.exp(sign * 2j * np.pi * np.outer(k, k) / n)
-    return kernel @ values

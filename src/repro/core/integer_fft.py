@@ -37,7 +37,7 @@ Implementation notes
   butterfly datapath.
 * The vectorised rotation uses exactly quantised dyadic coefficients and
   round-to-nearest products.  The scalar shift/add datapath
-  (:meth:`repro.core.lifting.DyadicCoefficient.apply_shift_add`) is validated
+  (``shift_add_apply`` in ``tests/lifting_oracle.py``) is validated
   against it in the unit tests; the two differ only in the final-bit rounding
   convention.
 """

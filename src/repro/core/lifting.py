@@ -30,7 +30,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.bits import shift_add_apply, signed_digit_expansion
+from repro.utils.bits import signed_digit_expansion
 
 
 @dataclass(frozen=True)
@@ -68,103 +68,6 @@ class DyadicCoefficient:
     def adder_count(self) -> int:
         """Number of shifted operands a butterfly core adds for this coefficient."""
         return len(self.shift_add_terms())
-
-    def apply(self, operand: np.ndarray) -> np.ndarray:
-        """``round(coefficient * operand)`` — the lifting-step product.
-
-        This is the arithmetic the accelerator realises with shifters and
-        adders; the vectorised model computes it as a rounded product of the
-        *exactly quantised* coefficient, which matches the shift/add result up
-        to the floor-vs-round convention of the final bit (validated against
-        :meth:`apply_shift_add` in the tests).
-        """
-        return np.round(np.asarray(operand, dtype=np.float64) * self.value)
-
-    def apply_shift_add(self, operand: int) -> int:
-        """Bit-exact scalar shift/add evaluation (the hardware datapath)."""
-        return shift_add_apply(int(operand), self.shift_add_terms())
-
-
-def _reduce_angle(angle: float) -> Tuple[int, float]:
-    """Split ``angle`` into an exact quarter-turn count and a small residual.
-
-    Returns ``(quarter_turns, residual)`` with ``residual`` in
-    ``[-pi/4, pi/4]`` and ``quarter_turns`` in ``{0, 1, 2, 3}`` such that
-    ``angle ≡ quarter_turns · pi/2 + residual (mod 2·pi)``.
-    """
-    quarter = round(angle / (math.pi / 2.0))
-    residual = angle - quarter * (math.pi / 2.0)
-    return quarter % 4, residual
-
-
-def _apply_quarter_turns(
-    re: np.ndarray, im: np.ndarray, quarter: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply an exact rotation by ``quarter * 90`` degrees (sign flips/swaps)."""
-    if quarter == 0:
-        return re, im
-    if quarter == 1:
-        return -im, re
-    if quarter == 2:
-        return -re, -im
-    if quarter == 3:
-        return im, -re
-    raise ValueError("quarter turns must be in {0, 1, 2, 3}")
-
-
-@dataclass(frozen=True)
-class LiftingRotation:
-    """A plane rotation by a fixed angle realised with three lifting steps."""
-
-    angle: float
-    beta: int
-
-    def __post_init__(self) -> None:
-        quarter, residual = _reduce_angle(self.angle)
-        object.__setattr__(self, "_quarter", quarter)
-        object.__setattr__(
-            self, "_tan_half", DyadicCoefficient.from_float(math.tan(residual / 2.0), self.beta)
-        )
-        object.__setattr__(
-            self, "_sin", DyadicCoefficient.from_float(math.sin(residual), self.beta)
-        )
-
-    @property
-    def quarter_turns(self) -> int:
-        return self._quarter  # type: ignore[attr-defined]
-
-    @property
-    def tan_half(self) -> DyadicCoefficient:
-        return self._tan_half  # type: ignore[attr-defined]
-
-    @property
-    def sin(self) -> DyadicCoefficient:
-        return self._sin  # type: ignore[attr-defined]
-
-    def adder_count(self) -> int:
-        """Total shift/add operand count of the three lifting steps."""
-        return 2 * self.tan_half.adder_count() + self.sin.adder_count()
-
-    def forward(self, re: int, im: int) -> Tuple[int, int]:
-        """Rotate an integer point by ``angle`` (scalar, rounded lifting steps)."""
-        re, im = _apply_quarter_turns(np.float64(re), np.float64(im), self.quarter_turns)
-        re = float(re)
-        im = float(im)
-        re = re - float(self.tan_half.apply(im))
-        im = im + float(self.sin.apply(re))
-        re = re - float(self.tan_half.apply(im))
-        return int(re), int(im)
-
-    def inverse(self, re: int, im: int) -> Tuple[int, int]:
-        """Exactly undo :meth:`forward` (perfect reconstruction)."""
-        re = float(re)
-        im = float(im)
-        re = re + float(self.tan_half.apply(im))
-        im = im - float(self.sin.apply(re))
-        re = re + float(self.tan_half.apply(im))
-        back = (4 - self.quarter_turns) % 4
-        re, im = _apply_quarter_turns(np.float64(re), np.float64(im), back)
-        return int(re), int(im)
 
 
 class LiftingRotationArray:

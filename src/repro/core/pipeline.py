@@ -11,12 +11,6 @@ by the architecture model (:mod:`repro.arch`); here we only reason about how
 the two stages overlap, how the pipeline fills and drains, and how well the
 stages balance as ``m`` grows — the paper's argument for why the workloads
 "can be approximately balanced by adjusting m".
-
-:func:`steady_state_throughput` additionally models *batched* serving: a
-pipeline pair that interleaves ``batch_width`` independent bootstrappings pays
-the pipeline-fill latency once per batch, mirroring how the functional
-simulator's :class:`repro.tfhe.gates.BatchGateEvaluator` amortises per-gate
-dispatch overhead across a batch of ciphertexts.
 """
 
 from __future__ import annotations
@@ -75,17 +69,6 @@ class PipelineSchedule:
         total = self.total_cycles
         return sequential / total if total else 1.0
 
-    @property
-    def stage_utilisation(self) -> dict:
-        """Fraction of the steady-state time each stage is busy."""
-        bottleneck = self.stage_times.bottleneck_cycles
-        if bottleneck == 0:
-            return {"tgsw_cluster": 0.0, "ep_core": 0.0}
-        return {
-            "tgsw_cluster": self.stage_times.tgsw_cluster_cycles / bottleneck,
-            "ep_core": self.stage_times.ep_core_cycles / bottleneck,
-        }
-
 
 def schedule_bootstrapping(
     iterations: int,
@@ -96,117 +79,3 @@ def schedule_bootstrapping(
     if iterations < 0:
         raise ValueError("iteration count must be non-negative")
     return PipelineSchedule(iterations=iterations, stage_times=stage_times, pipelined=pipelined)
-
-
-def steady_state_throughput(
-    stage_times: PipelineStageTimes,
-    iterations: int,
-    pipeline_count: int,
-    clock_hz: float,
-    batch_width: int = 1,
-) -> float:
-    """Gates per second of ``pipeline_count`` independent bootstrapping pipelines.
-
-    Each TGSW-cluster/EP-core pair processes a different gate (the blind
-    rotation itself is sequential), so the accelerator throughput scales with
-    the number of pairs.
-
-    ``batch_width`` models a pipeline pair that interleaves ``batch_width``
-    independent bootstrappings back to back (the hardware analogue of the
-    functional simulator's :class:`repro.tfhe.gates.BatchGateEvaluator`): the
-    pipeline-fill latency of the first stage is paid once per *batch* instead
-    of once per *gate*, so throughput approaches the bottleneck-stage bound
-    ``clock / (iterations · bottleneck)`` as the batch grows.
-    """
-    if pipeline_count <= 0 or clock_hz <= 0:
-        raise ValueError("pipeline count and clock must be positive")
-    if batch_width <= 0:
-        raise ValueError("batch width must be positive")
-    schedule = schedule_bootstrapping(iterations, stage_times, pipelined=True)
-    if schedule.total_cycles == 0:
-        return float("inf")
-    # One fill of the first stage per batch, then the bottleneck stage paces
-    # all iterations of all batched gates (Figure 6(b), extended over gates).
-    steady = iterations * stage_times.bottleneck_cycles
-    batch_cycles = schedule.total_cycles + (batch_width - 1) * steady
-    gate_seconds = batch_cycles / (batch_width * clock_hz)
-    return pipeline_count / gate_seconds
-
-
-def batching_speedup(
-    stage_times: PipelineStageTimes, iterations: int, batch_width: int
-) -> float:
-    """Throughput gain of batching ``batch_width`` gates per pipeline vs one."""
-    single = steady_state_throughput(stage_times, iterations, 1, 1.0, batch_width=1)
-    batched = steady_state_throughput(stage_times, iterations, 1, 1.0, batch_width=batch_width)
-    return batched / single
-
-
-def circuit_level_cycles(
-    level_widths,
-    stage_times: PipelineStageTimes,
-    iterations: int,
-    batch_width: int = 1,
-    pipeline_count: int = 1,
-) -> float:
-    """Predicted cycles to run a levelized circuit on the accelerator.
-
-    ``level_widths`` is the gates-per-level profile of a
-    :class:`repro.tfhe.executor.LevelSchedule` (``schedule.level_widths``).
-    The gates of one level are independent, so their ``width × batch_width``
-    bootstrappings spread over ``pipeline_count`` TGSW-cluster/EP-core pairs
-    (the paper's pipeline slices) and stream back to back within each pair —
-    one pipeline fill per level, then ``ceil(rows / pipeline_count)``
-    bootstrappings at the bottleneck-stage rate.  Levels are serialised on
-    their data dependencies.  This is the analytic counterpart of the
-    functional executor's one-batched-call-per-level strategy.
-    """
-    if batch_width <= 0:
-        raise ValueError("batch width must be positive")
-    if pipeline_count <= 0:
-        raise ValueError("pipeline count must be positive")
-    fill = schedule_bootstrapping(iterations, stage_times, pipelined=True).total_cycles
-    steady = iterations * stage_times.bottleneck_cycles
-    fill -= steady  # total_cycles = fill of the first stage + one steady pass
-    total = 0.0
-    for width in level_widths:
-        if width < 0:
-            raise ValueError("level widths must be non-negative")
-        rows = width * batch_width
-        if rows:
-            per_slice = -(-rows // pipeline_count)
-            total += fill + per_slice * steady
-    return total
-
-
-def circuit_levelized_speedup(
-    level_widths,
-    stage_times: PipelineStageTimes,
-    iterations: int,
-    batch_width: int = 1,
-    pipeline_count: int = 1,
-) -> float:
-    """Predicted gain of level-parallel execution over eager gate-by-gate.
-
-    The eager baseline follows the dependency-chained single-stream
-    execution of the historical circuit helpers: every gate of every word
-    bootstraps separately on one pipeline pair, paying the pipeline fill
-    ``sum(level_widths) × batch_width`` times and leaving the other slices
-    idle.  The levelized executor pays one fill per dependency level and
-    spreads each level's independent bootstrappings over all
-    ``pipeline_count`` slices — the wider the level (and the larger the word
-    batch), the closer the gain gets to ``pipeline_count`` times the fill
-    amortisation.
-    """
-    gates = sum(level_widths)
-    if gates == 0:
-        return 1.0
-    eager = (
-        gates
-        * batch_width
-        * schedule_bootstrapping(iterations, stage_times, pipelined=True).total_cycles
-    )
-    levelized = circuit_level_cycles(
-        level_widths, stage_times, iterations, batch_width, pipeline_count
-    )
-    return eager / levelized if levelized else 1.0

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-import numpy as np
 
 from repro.core.lifting import DyadicCoefficient
 
@@ -76,22 +75,8 @@ class TwiddleFactorBuffer:
         self.reads += 1
         return self._entries[index % self.size]
 
-    def peek(self, index: int) -> QuantisedTwiddle:
-        """Read a twiddle without counting (used by tests)."""
-        return self._entries[index % self.size]
-
     def reset_reads(self) -> None:
         self.reads = 0
-
-    def max_quantisation_error(self) -> float:
-        return max(entry.quantisation_error() for entry in self._entries.values())
-
-
-def stage_angles(size: int, stage_length: int, sign: int = 1) -> np.ndarray:
-    """Butterfly angles of one radix-2 stage of a ``size``-point transform."""
-    if stage_length < 2 or stage_length > size:
-        raise ValueError("stage length out of range")
-    return sign * 2.0 * np.pi * np.arange(stage_length // 2) / stage_length
 
 
 def breadth_first_twiddle_reads(size: int) -> int:
@@ -130,9 +115,3 @@ def twiddle_read_counts(size: int) -> Dict[str, int]:
         "conjugate_pair_reads": depth,
         "reduction_factor": breadth / depth if depth else float("inf"),
     }
-
-
-def dvqtf_table(size: int, twiddle_bits: int, sign: int = 1) -> np.ndarray:
-    """The full quantised twiddle table as complex values (testing helper)."""
-    buffer = TwiddleFactorBuffer(size, twiddle_bits, sign)
-    return np.array([buffer.peek(k).value for k in range(size)], dtype=np.complex128)

@@ -26,6 +26,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".fpga": ("FpgaPlatform",),
         ".asic": ("AsicPlatform",),
         ".matcha": ("MatchaPlatform",),
-        ".registry": ("all_platforms", "get_platform"),
+        ".registry": ("all_platforms",),
     },
 )

@@ -78,10 +78,3 @@ class Platform(abc.ABC):
     def sweep(self, unroll_factors: Iterable[int] = (1, 2, 3, 4)) -> List[PlatformReport]:
         """Reports across a range of BKU factors (the x-axis of Figures 9-11)."""
         return [self.report(m) for m in unroll_factors]
-
-    def best_report(self, unroll_factors: Iterable[int] = (1, 2, 3, 4)) -> PlatformReport:
-        """The report with the highest throughput among supported factors."""
-        supported = [r for r in self.sweep(unroll_factors) if r.supported]
-        if not supported:
-            raise ValueError(f"{self.name} supports none of the requested factors")
-        return max(supported, key=lambda r: r.throughput_gates_per_s)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.platforms.asic import AsicPlatform
 from repro.platforms.base import Platform
@@ -22,12 +22,3 @@ def all_platforms(params: TFHEParameters = PAPER_110BIT) -> List[Platform]:
         FpgaPlatform(),
         AsicPlatform(),
     ]
-
-
-def get_platform(name: str, params: TFHEParameters = PAPER_110BIT) -> Platform:
-    """Look up one platform by its display name (case-insensitive)."""
-    table: Dict[str, Platform] = {p.name.lower(): p for p in all_platforms(params)}
-    key = name.lower()
-    if key not in table:
-        raise KeyError(f"unknown platform {name!r}; known: {sorted(table)}")
-    return table[key]

@@ -28,7 +28,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         ".bootstrap": (
             "encode_lut",
-            "programmable_bootstrap",
             "programmable_bootstrap_batch",
         ),
         ".integers": (
@@ -44,7 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "MAX_LUT_ARITY",
             "BooleanLutSpec",
             "boolean_lut_spec",
-            "lut_table_bit",
             "lut_test_vector",
         ),
         ".keys": (
@@ -81,8 +79,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "multiplier_netlist",
             "negate_netlist",
             "select_netlist",
-            "shift_left_netlist",
-            "shift_right_netlist",
             "subtractor_netlist",
         ),
         ".executor": (
@@ -95,9 +91,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "circuit_from_json",
             "circuit_to_json",
             "load",
-            "load_circuit",
             "save",
-            "save_circuit",
         ),
         ".tlwe": ("TlweBatch", "TlweSample"),
         ".transform": (

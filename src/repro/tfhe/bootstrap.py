@@ -40,7 +40,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.tfhe.lwe import LweBatch, LweSample
+from repro.tfhe.lwe import LweBatch
 from repro.tfhe.params import DigitEncoding, TFHEParameters
 from repro.tfhe.tgsw import BootstrapWorkspace, TransformedTgswSample, _StepKernel
 from repro.tfhe.tlwe import (
@@ -59,11 +59,6 @@ class BlindRotator(Protocol):
     def rotate_batch(self, accumulators: TlweBatch, bara: np.ndarray) -> TlweBatch:
         """Multiply every accumulator of the ``(B, k+1, N)`` stack by its own
         ``X^{Σ ā_i·s_i}``, ``bara`` of shape ``(B, n)``."""
-        ...
-
-    @property
-    def external_products_per_bootstrap(self) -> int:
-        """Number of external products one blind rotation performs."""
         ...
 
 
@@ -118,10 +113,6 @@ class CmuxBlindRotator:
         self.bootstrapping_key = list(bootstrapping_key)
         self.transform = transform
         self.workspace = workspace if workspace is not None else BootstrapWorkspace()
-
-    @property
-    def external_products_per_bootstrap(self) -> int:
-        return len(self.bootstrapping_key)
 
     def rotate_batch(self, accumulators: TlweBatch, bara: np.ndarray) -> TlweBatch:
         """Rotate every in-flight accumulator in lockstep over the key bits.
@@ -272,18 +263,6 @@ def _require_gate_space(params: TFHEParameters) -> None:
 # --------------------------------------------------------------------------- #
 # programmable bootstrapping                                                  #
 # --------------------------------------------------------------------------- #
-
-
-def programmable_bootstrap(
-    context, sample: LweSample, table, encoding: DigitEncoding
-) -> LweSample:
-    """Evaluate ``table[digit]`` homomorphically on one digit ciphertext.
-
-    :func:`programmable_bootstrap_batch` on a one-row batch.  The output is a
-    fresh digit ciphertext of ``table[digit]``.
-    """
-    row = LweBatch.from_samples([sample])
-    return programmable_bootstrap_batch(context, row, table, encoding)[0]
 
 
 def programmable_bootstrap_batch(

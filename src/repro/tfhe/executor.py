@@ -20,8 +20,7 @@ itself, so whoever drives it decides where the rows run:
   a single affine pass, blind rotation, extraction and key switch over
   ``nodes_in_wave × words`` rows.  The wave width multiplies the row count
   of every batched call (level parallelism) and the data batch multiplies
-  it again (word parallelism); :func:`repro.core.pipeline.circuit_level_cycles`
-  is the analytic counterpart on the accelerator model.
+  it again (word parallelism).
 * the scheduler's multi-round job (:mod:`repro.runtime.scheduler`)
   contributes each wave to the flush round it is ready in, where it
   coalesces with every other row of the same key.
@@ -80,13 +79,6 @@ class LevelSchedule:
     def max_width(self) -> int:
         """Widest level (peak number of concurrent bootstrappings)."""
         return max(self.level_widths, default=0)
-
-    def width_histogram(self) -> Dict[int, int]:
-        """``width → number of levels with that many gates``."""
-        histogram: Dict[int, int] = {}
-        for width in self.level_widths:
-            histogram[width] = histogram.get(width, 0) + 1
-        return dict(sorted(histogram.items()))
 
 
 def schedule_circuit(

@@ -480,16 +480,6 @@ class BatchGateEvaluator(_BootstrappedGates):
             self.batch_size, self.context.params.n, gate_message(bit)
         )
 
-    def constants(self, bits) -> LweBatch:
-        """Trivial encryptions of per-row public bits (shape ``(batch_size,)``)."""
-        bits = np.asarray(bits, dtype=np.int64)
-        if bits.shape != (self.batch_size,):
-            raise ValueError("one public bit per batch row is required")
-        self.counters.gates += self.batch_size
-        mu = np.int64(MU)
-        messages = np.where(bits != 0, mu, -mu).astype(np.int32)
-        return lwe_batch_trivial(self.batch_size, self.context.params.n, messages)
-
     def not_(self, ca: LweBatch) -> LweBatch:
         """Homomorphic NOT: plain negation, no bootstrapping."""
         self._check(ca)

@@ -64,19 +64,6 @@ class BooleanLutSpec:
         """Input-noise amplification factor ``Σ w_i²`` of the affine stage."""
         return sum(w * w for w in self.weights)
 
-    def evaluate(self, bits: Tuple[int, ...]) -> int:
-        """Plaintext evaluation (used by tests and the co-simulator)."""
-        index = sum(int(b) << i for i, b in enumerate(bits))
-        return (self.table >> index) & 1
-
-
-def lut_table_bit(table: int, bits) -> int:
-    """Read one truth-table output: ``bits[0]`` indexes the least bit."""
-    index = 0
-    for i, b in enumerate(bits):
-        index |= (int(b) & 1) << i
-    return (table >> index) & 1
-
 
 @lru_cache(maxsize=None)
 def _candidates(arity: int) -> Tuple[Tuple[Tuple[int, ...], int, Tuple[int, ...]], ...]:

@@ -286,13 +286,6 @@ def lwe_add(x: LweSample, y: LweSample) -> LweSample:
     return LweSample(a=a, b=np.int32(b))
 
 
-def lwe_sub(x: LweSample, y: LweSample) -> LweSample:
-    """Homomorphic subtraction of two LWE samples."""
-    a = torus32_from_int64(x.a.astype(np.int64) - y.a.astype(np.int64))
-    b = torus32_from_int64(int(np.int64(x.b)) - int(np.int64(y.b)))
-    return LweSample(a=a, b=np.int32(b))
-
-
 def lwe_negate(x: LweSample) -> LweSample:
     """Homomorphic negation of an LWE sample."""
     a = torus32_from_int64(-x.a.astype(np.int64))
@@ -391,28 +384,6 @@ def lwe_batch_trivial(batch_size: int, dimension: int, message) -> LweBatch:
     a = np.zeros((batch_size, dimension), dtype=np.int32)
     b = np.broadcast_to(np.asarray(message, dtype=np.int32), (batch_size,)).copy()
     return LweBatch(a=a, b=b)
-
-
-def lwe_batch_encrypt(
-    key: LweKey,
-    messages: np.ndarray,
-    noise_stddev: float | None = None,
-    rng: SeedLike = None,
-) -> LweBatch:
-    """Encrypt a vector of torus messages as one batch (vectorised sampling,
-    one seed per row)."""
-    rng = make_rng(rng)
-    messages = np.asarray(messages, dtype=np.int32)
-    if messages.ndim != 1:
-        raise ValueError("messages must be a 1-D array of torus values")
-    stddev = key.params.noise_stddev if noise_stddev is None else noise_stddev
-    batch = messages.shape[0]
-    seed = uniform_torus32((batch, SEED_WORDS), rng)
-    a = lwe_masks(seed, key.dimension)
-    noise = gaussian_torus32(stddev, size=batch, rng=rng)
-    phase = a.astype(np.int64) @ key.key.astype(np.int64)
-    b = torus32_from_int64(phase + noise.astype(np.int64) + messages.astype(np.int64))
-    return LweBatch(a=a, b=b.astype(np.int32), seed=seed)
 
 
 def lwe_batch_phase(key: LweKey, batch: LweBatch) -> np.ndarray:

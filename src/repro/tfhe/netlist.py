@@ -219,11 +219,6 @@ class Circuit:
         """Number of bootstrapped gates in the netlist."""
         return sum(1 for n in self.nodes if n.is_bootstrapped)
 
-    @property
-    def linear_count(self) -> int:
-        """Number of linear (bootstrap-free) nodes."""
-        return sum(1 for n in self.nodes if n.op in LINEAR_OPS)
-
     def input_width(self, name: str) -> int:
         """Bit width of a declared input word."""
         return len(self.input_wires[name])
@@ -514,24 +509,4 @@ def absolute_netlist(width: int) -> Circuit:
     c = Circuit(f"abs{width}")
     a = c.inputs("a", width)
     c.output("abs", absolute_into(c, a))
-    return c
-
-
-@lru_cache(maxsize=None)
-def shift_left_netlist(width: int, amount: int) -> Circuit:
-    """Constant logical left shift ``a << amount`` (zero fill), output ``shifted``."""
-    _require_width(width)
-    c = Circuit(f"shl{width}_{amount}")
-    a = c.inputs("a", width)
-    c.output("shifted", shift_left_into(c, a, amount))
-    return c
-
-
-@lru_cache(maxsize=None)
-def shift_right_netlist(width: int, amount: int) -> Circuit:
-    """Constant logical right shift ``a >> amount`` (zero fill), output ``shifted``."""
-    _require_width(width)
-    c = Circuit(f"shr{width}_{amount}")
-    a = c.inputs("a", width)
-    c.output("shifted", shift_right_into(c, a, amount))
     return c

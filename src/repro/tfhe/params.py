@@ -43,11 +43,6 @@ class TlweParams:
         if not 0 <= self.noise_stddev < 1:
             raise ValueError("noise stddev must lie in [0, 1)")
 
-    @property
-    def extracted_lwe_dimension(self) -> int:
-        """Dimension of the LWE key extracted from the ring key."""
-        return self.degree * self.mask_count
-
 
 @dataclass(frozen=True)
 class TgswParams:

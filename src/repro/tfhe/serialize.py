@@ -78,8 +78,7 @@ more than a binary one for compiler output.  :func:`circuit_to_json` /
 under the same versioning discipline (``repro-tfhe-circuit`` format header,
 version rejection, structural validation on load), so a client can trace and
 optimize a program once and ship the artifact to the runtime exactly like
-keys and ciphertexts; :func:`save_circuit` / :func:`load_circuit` are the
-path-level helpers.
+keys and ciphertexts.
 """
 
 from __future__ import annotations
@@ -895,13 +894,3 @@ def circuit_from_json(text: Union[str, bytes]) -> Circuit:
                     f"output word {name!r} references wire {wire}"
                 )
     return circuit
-
-
-def save_circuit(path: Union[str, pathlib.Path], circuit: Circuit) -> None:
-    """Write a netlist as a versioned JSON file (pretty-printed for diffing)."""
-    pathlib.Path(path).write_text(circuit_to_json(circuit, indent=2) + "\n")
-
-
-def load_circuit(path: Union[str, pathlib.Path]) -> Circuit:
-    """Read a netlist written by :func:`save_circuit`."""
-    return circuit_from_json(pathlib.Path(path).read_text())

@@ -204,11 +204,6 @@ class BootstrapWorkspace:
         self._entries = {}
 
     @property
-    def buffer_count(self) -> int:
-        """Number of pools currently held (one per family in use)."""
-        return len(self._pools)
-
-    @property
     def nbytes(self) -> int:
         """Total bytes held by the workspace."""
         return sum(pool.nbytes for pool in self._pools.values())
@@ -232,33 +227,6 @@ def decomposition_offset(params: TgswParams) -> int:
         if shift >= 0:
             offset += half_base << shift
     return offset & 0xFFFFFFFF
-
-
-def gadget_decompose(
-    poly: np.ndarray, params: TgswParams
-) -> np.ndarray:
-    """Signed gadget decomposition of a torus polynomial.
-
-    Returns an ``(l, N)`` int32 array of digits in ``[-Bg/2, Bg/2)`` such that
-    ``Σ_j digits[j]·Bg^{-j-1}`` approximates every coefficient of ``poly`` up
-    to the decomposition rounding error ``<= Bg^{-l}/2``.
-
-    ``poly`` may be a stack ``(..., N)``; the digit array then has shape
-    ``(l, ..., N)`` so ``digits[j]`` is the ``j``-th digit plane of the whole
-    stack.
-    """
-    base_bits = params.decomp_base_bits
-    mask = (1 << base_bits) - 1
-    half_base = 1 << (base_bits - 1)
-    offset = decomposition_offset(params)
-
-    poly = np.asarray(poly)
-    shifted = (poly.astype(np.int64) & 0xFFFFFFFF) + offset
-    digits = np.empty((params.decomp_length,) + poly.shape, dtype=np.int32)
-    for j in range(params.decomp_length):
-        shift = 32 - (j + 1) * base_bits
-        digits[j] = (((shifted >> shift) & mask) - half_base).astype(np.int32)
-    return digits
 
 
 @lru_cache(maxsize=32)
@@ -450,25 +418,17 @@ def gadget_decompose_rows(
 
     All digit planes extract in **one** broadcast shift/mask/subtract over a
     ``(l, ..., k+1, N)`` scratch tensor, entirely in uint32 — bit-identical
-    to the reference int64 path of :func:`gadget_decompose` per block: the
-    offset-add carry past bit 31 only ever reaches digit positions the
-    per-digit mask discards, and the ``− Bg/2`` wrap-around reinterprets as
-    exactly the signed digit.  The stack is the ``workspace``'s buffer (pure
-    input scratch — the engines read it during ``forward``), overwritten by
-    the next decomposition of any shape through the same workspace.
+    to the reference int64 path per block (``gadget_decompose`` in
+    ``tests/tgsw_oracle.py``): the offset-add carry past bit 31 only ever
+    reaches digit positions the per-digit mask discards, and the ``− Bg/2``
+    wrap-around reinterprets as exactly the signed digit.  The stack is the
+    ``workspace``'s buffer (pure input scratch — the engines read it during
+    ``forward``), overwritten by the next decomposition of any shape through
+    the same workspace.
     """
     data = np.asarray(data)
     kernel = _ProductKernel.fetch(workspace, None, params, data.shape)
     return kernel.decompose(data.view(np.uint32))
-
-
-def gadget_recompose(digits: np.ndarray, params: TgswParams) -> np.ndarray:
-    """Recompose decomposition digits back onto the torus (for testing)."""
-    gadget = gadget_values(params).astype(np.int64)
-    total = np.zeros(digits.shape[1:], dtype=np.int64)
-    for j in range(params.decomp_length):
-        total += digits[j].astype(np.int64) * gadget[j]
-    return torus32_from_int64(total)
 
 
 def tgsw_encrypt_zero(

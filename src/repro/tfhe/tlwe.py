@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.tfhe.lwe import LweBatch, LweKey
 from repro.tfhe.params import LweParams, TlweParams
-from repro.tfhe.polynomial import poly_add, poly_sub
 from repro.tfhe.torus import gaussian_torus32, torus32_from_int64, uniform_torus32
 from repro.tfhe.transform import NegacyclicTransform
 from repro.utils.rng import SeedLike, make_rng
@@ -145,16 +144,6 @@ def tlwe_encrypt(
     return TlweSample(data)
 
 
-def tlwe_phase(
-    key: TlweKey, sample: TlweSample, transform: NegacyclicTransform
-) -> np.ndarray:
-    """The phase polynomial ``b - Σ a_j·s_j`` (message plus noise)."""
-    phase = sample.b.astype(np.int64)
-    for j in range(key.mask_count):
-        phase -= transform.multiply(key.key[j], sample.a[j]).astype(np.int64)
-    return torus32_from_int64(phase)
-
-
 def tlwe_extract_lwe_key(key: TlweKey) -> LweKey:
     """Extract the scalar LWE key corresponding to a ring key (KeyExtract).
 
@@ -182,16 +171,6 @@ def tlwe_batch_trivial(message: np.ndarray, mask_count: int, batch_size: int) ->
     data = np.zeros((batch_size, mask_count + 1, degree), dtype=np.int32)
     data[:, -1, :] = message
     return TlweBatch(data)
-
-
-def tlwe_batch_add(x: TlweBatch, y: TlweBatch) -> TlweBatch:
-    """Elementwise homomorphic addition of two batches."""
-    return TlweBatch(poly_add(x.data, y.data))
-
-
-def tlwe_batch_sub(x: TlweBatch, y: TlweBatch) -> TlweBatch:
-    """Elementwise homomorphic subtraction of two batches."""
-    return TlweBatch(poly_sub(x.data, y.data))
 
 
 def tlwe_batch_rotate(batch: TlweBatch, powers: np.ndarray) -> TlweBatch:

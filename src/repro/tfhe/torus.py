@@ -73,36 +73,6 @@ def modswitch_from_torus32(phase: ArrayLike, space: int) -> np.ndarray:
     return ((phase + interval // 2) // interval % space).astype(np.int64)
 
 
-def torus32_add(a: ArrayLike, b: ArrayLike) -> np.ndarray:
-    """Add two torus elements (wrap-around int32 addition)."""
-    total = np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-    return torus32_from_int64(total)
-
-
-def torus32_sub(a: ArrayLike, b: ArrayLike) -> np.ndarray:
-    """Subtract two torus elements (wrap-around int32 subtraction)."""
-    diff = np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)
-    return torus32_from_int64(diff)
-
-
-def torus32_scale(scalar: ArrayLike, value: ArrayLike) -> np.ndarray:
-    """Multiply torus elements by (signed) integers, with wrap-around."""
-    product = np.asarray(scalar, dtype=np.int64) * np.asarray(value, dtype=np.int64)
-    return torus32_from_int64(product)
-
-
-def approx_phase(phase: ArrayLike, message_bits: int) -> np.ndarray:
-    """Round a torus phase to the closest multiple of ``2^-message_bits``.
-
-    Used by the gadget-decomposition offset computation and by decryption: the
-    noise below the message resolution is rounded away.
-    """
-    phase = np.asarray(phase, dtype=np.int32).astype(np.int64)
-    interval = 1 << (TORUS_BITS - message_bits)
-    rounded = ((phase + interval // 2) // interval) * interval
-    return torus32_from_int64(rounded)
-
-
 def gaussian_torus32(
     stddev: float, size, rng: SeedLike = None
 ) -> np.ndarray:
@@ -131,5 +101,5 @@ def torus_distance(a: ArrayLike, b: ArrayLike) -> np.ndarray:
     The distance is the length of the shorter arc, expressed as a real number
     in ``[0, 1/2]``.  Used by noise-measurement tests.
     """
-    diff = torus32_sub(a, b)
-    return np.abs(torus32_to_double(diff))
+    diff = np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)
+    return np.abs(torus32_to_double(torus32_from_int64(diff)))

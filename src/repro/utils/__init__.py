@@ -5,13 +5,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".bits": (
-            "bit_length",
-            "is_power_of_two",
-            "signed_digit_expansion",
-            "to_signed_32",
-            "to_signed_64",
-        ),
+        ".bits": ("bit_length", "is_power_of_two", "signed_digit_expansion"),
         ".rng": ("make_rng",),
         ".tables": ("format_table",),
     },

@@ -3,18 +3,12 @@
 The approximate multiplication-less FFT replaces every twiddle-factor
 multiplication with additions and binary shifts.  The helpers in this module
 convert dyadic coefficients into the shift/add schedule actually executed by a
-MATCHA butterfly core, and provide the 32/64-bit wrap-around conversions that
-the torus arithmetic relies on.
+MATCHA butterfly core.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
-
-import numpy as np
-
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def is_power_of_two(value: int) -> bool:
@@ -25,22 +19,6 @@ def is_power_of_two(value: int) -> bool:
 def bit_length(value: int) -> int:
     """Number of bits needed to represent ``abs(value)``."""
     return int(abs(int(value))).bit_length()
-
-
-def to_signed_32(value: int) -> int:
-    """Reduce an integer modulo 2^32 into the signed int32 range."""
-    value &= _MASK32
-    if value >= 1 << 31:
-        value -= 1 << 32
-    return value
-
-
-def to_signed_64(value: int) -> int:
-    """Reduce an integer modulo 2^64 into the signed int64 range."""
-    value &= _MASK64
-    if value >= 1 << 63:
-        value -= 1 << 64
-    return value
 
 
 def signed_digit_expansion(numerator: int, beta: int) -> List[Tuple[int, int]]:
@@ -70,36 +48,3 @@ def signed_digit_expansion(numerator: int, beta: int) -> List[Tuple[int, int]]:
         position += 1
     terms.reverse()
     return terms
-
-
-def evaluate_signed_digits(terms: List[Tuple[int, int]]) -> float:
-    """Evaluate a signed-digit expansion back into a float (for testing)."""
-    return float(sum(sign * 2.0 ** (-shift) for sign, shift in terms))
-
-
-def shift_add_apply(value: int, terms: List[Tuple[int, int]]) -> int:
-    """Apply a signed-digit (shift/add) schedule to an integer operand.
-
-    This is the scalar, bit-exact model of what a MATCHA butterfly core does:
-    ``value * (numerator / 2**beta)`` computed as a sum of arithmetic right
-    shifts.  Shifts use floor semantics, matching a hardware arithmetic
-    shifter; the accumulated result is the integer the hardware would produce
-    before any final rounding.
-    """
-    accumulator = 0
-    for sign, shift in terms:
-        if shift >= 0:
-            accumulator += sign * (int(value) >> shift)
-        else:
-            accumulator += sign * (int(value) << (-shift))
-    return accumulator
-
-
-def wrap_int32(array: np.ndarray) -> np.ndarray:
-    """Wrap an integer array into int32 with modulo-2^32 semantics."""
-    return np.asarray(array, dtype=np.int64).astype(np.uint32).astype(np.int32)
-
-
-def wrap_int64(array: np.ndarray) -> np.ndarray:
-    """Wrap an integer array into int64 with modulo-2^64 semantics."""
-    return np.asarray(array).astype(np.uint64).astype(np.int64)

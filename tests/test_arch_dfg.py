@@ -1,7 +1,6 @@
 """Tests for the data-flow-graph substrate."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.arch.dfg import DataFlowGraph
 from repro.arch.ops import OpType
@@ -59,36 +58,6 @@ class TestTopology:
 
     def test_validate_passes_for_acyclic_graph(self):
         linear_chain([1, 2]).validate()
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=20))
-    def test_critical_path_of_chain_is_total_work(self, works):
-        dfg = linear_chain(works)
-        assert dfg.critical_path_work() == pytest.approx(sum(works))
-
-    def test_critical_path_of_diamond(self):
-        dfg = DataFlowGraph()
-        src = dfg.add_node(OpType.POLY_LINEAR, 1.0)
-        left = dfg.add_node(OpType.IFFT, 10.0, predecessors=[src])
-        right = dfg.add_node(OpType.IFFT, 3.0, predecessors=[src])
-        dfg.add_node(OpType.FFT, 1.0, predecessors=[left, right])
-        assert dfg.critical_path_work() == pytest.approx(12.0)
-
-
-class TestAggregation:
-    def test_work_by_op(self):
-        dfg = DataFlowGraph()
-        dfg.add_node(OpType.IFFT, 5.0)
-        dfg.add_node(OpType.IFFT, 7.0)
-        dfg.add_node(OpType.FFT, 2.0)
-        totals = dfg.work_by_op()
-        assert totals[OpType.IFFT] == 12.0
-        assert totals[OpType.FFT] == 2.0
-
-    def test_count_by_op(self):
-        dfg = DataFlowGraph()
-        dfg.add_node(OpType.KEYSWITCH, 5.0)
-        dfg.add_node(OpType.KEYSWITCH, 5.0)
-        assert dfg.count_by_op()[OpType.KEYSWITCH] == 2
 
 
 class TestLevelize:

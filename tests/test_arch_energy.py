@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.arch.energy import (
-    EP_CORE,
-    SPM,
-    TGSW_CLUSTER,
-    gate_energy_joules,
-    logic_power_area,
-    matcha_area_power_table,
-    sram_power_area,
-)
+from repro.arch.energy import EP_CORE, TGSW_CLUSTER, matcha_area_power_table
 
 
 class TestTable2:
@@ -39,34 +31,3 @@ class TestTable2:
         assert half.total_power_w < full.total_power_w
         # Shared components do not scale away entirely.
         assert half.total_power_w > 0.4 * full.total_power_w
-
-
-class TestEstimators:
-    def test_sram_estimator_anchored_to_spm(self):
-        estimate = sram_power_area(4096, 32)
-        assert estimate["power_w"] == pytest.approx(SPM.power_w)
-        assert estimate["area_mm2"] == pytest.approx(SPM.area_mm2)
-
-    def test_sram_scales_with_capacity(self):
-        small = sram_power_area(1024, 32)
-        large = sram_power_area(8192, 32)
-        assert large["power_w"] > small["power_w"]
-        assert large["area_mm2"] > small["area_mm2"]
-
-    def test_sram_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            sram_power_area(0, 32)
-
-    def test_logic_estimator_scales_linearly(self):
-        base = logic_power_area(16, 16, TGSW_CLUSTER)
-        double = logic_power_area(32, 16, TGSW_CLUSTER)
-        assert double["power_w"] == pytest.approx(2 * base["power_w"])
-
-    def test_logic_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            logic_power_area(0, 16, TGSW_CLUSTER)
-
-    def test_gate_energy(self):
-        assert gate_energy_joules(40.0, 0.2e-3) == pytest.approx(8.0e-3)
-        with pytest.raises(ValueError):
-            gate_energy_joules(-1.0, 0.1)

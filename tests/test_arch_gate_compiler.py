@@ -1,5 +1,7 @@
 """Tests for the TFHE-gate-to-DFG compiler."""
 
+from collections import Counter
+
 import pytest
 
 from repro.arch.gate_compiler import compile_gate_dfg, gate_workloads
@@ -11,6 +13,11 @@ from repro.tfhe.keys import generate_keys, group_indices
 from repro.tfhe.lwe import LweBatch
 from repro.tfhe.params import PAPER_110BIT, TEST_SMALL
 from repro.tfhe.transform import make_transform
+
+
+def count_by_op(dfg):
+    """Node counts per operation type."""
+    return Counter(node.op for node in dfg.nodes())
 
 
 class TestWorkloads:
@@ -46,34 +53,34 @@ class TestCompiledGraph:
     def test_transform_counts_per_iteration(self):
         params = TEST_SMALL
         dfg = compile_gate_dfg(params, unroll_factor=1)
-        counts = dfg.count_by_op()
+        counts = count_by_op(dfg)
         iterations = params.n
         assert counts[OpType.IFFT] == iterations * (params.k + 1) * params.l
         assert counts[OpType.FFT] == iterations * (params.k + 1)
 
     def test_forward_to_backward_ratio_matches_paper(self):
         """The paper quotes an FFT:IFFT invocation ratio of roughly 1:3-4."""
-        counts = compile_gate_dfg(PAPER_110BIT, unroll_factor=1).count_by_op()
+        counts = count_by_op(compile_gate_dfg(PAPER_110BIT, unroll_factor=1))
         ratio = counts[OpType.IFFT] / counts[OpType.FFT]
         assert 2.5 <= ratio <= 4.5
 
     def test_bundle_nodes_scale_with_m(self):
-        c2 = compile_gate_dfg(TEST_SMALL, unroll_factor=2).count_by_op()
-        c3 = compile_gate_dfg(TEST_SMALL, unroll_factor=3).count_by_op()
+        c2 = count_by_op(compile_gate_dfg(TEST_SMALL, unroll_factor=2))
+        c3 = count_by_op(compile_gate_dfg(TEST_SMALL, unroll_factor=3))
         per_iter_2 = c2[OpType.TGSW_SCALE] / gate_workloads(TEST_SMALL, 2).iterations
         per_iter_3 = c3[OpType.TGSW_SCALE] / gate_workloads(TEST_SMALL, 3).iterations
         assert per_iter_2 == 3
         assert per_iter_3 == 7
 
     def test_keyswitch_optional(self):
-        with_ks = compile_gate_dfg(TEST_SMALL, include_keyswitch=True).count_by_op()
-        without_ks = compile_gate_dfg(TEST_SMALL, include_keyswitch=False).count_by_op()
+        with_ks = count_by_op(compile_gate_dfg(TEST_SMALL, include_keyswitch=True))
+        without_ks = count_by_op(compile_gate_dfg(TEST_SMALL, include_keyswitch=False))
         assert OpType.KEYSWITCH in with_ks
         assert OpType.KEYSWITCH not in without_ks
 
     def test_memory_traffic_optional(self):
-        with_mem = compile_gate_dfg(TEST_SMALL, include_memory_traffic=True).count_by_op()
-        without_mem = compile_gate_dfg(TEST_SMALL, include_memory_traffic=False).count_by_op()
+        with_mem = count_by_op(compile_gate_dfg(TEST_SMALL, include_memory_traffic=True))
+        without_mem = count_by_op(compile_gate_dfg(TEST_SMALL, include_memory_traffic=False))
         assert OpType.HBM_TRANSFER in with_mem
         assert OpType.HBM_TRANSFER not in without_mem
 

@@ -9,12 +9,9 @@ raw array bits (``np.array_equal``), not tolerances.
 import numpy as np
 import pytest
 
+from tgsw_oracle import negacyclic_convolution, poly_mul_by_xk
 from repro.core.integer_fft import ApproximateNegacyclicTransform, IntegerSpectrum
-from repro.tfhe.polynomial import (
-    negacyclic_convolution,
-    negacyclic_convolution_int64,
-    poly_mul_by_xk,
-)
+from repro.tfhe.polynomial import negacyclic_convolution_int64
 from repro.tfhe.tlwe import TlweBatch, tlwe_batch_rotate
 from repro.tfhe.transform import make_transform
 

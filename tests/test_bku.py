@@ -5,7 +5,7 @@ import pytest
 
 from bootstrap_oracle import extract_oracle
 from repro.arch.memory import bootstrapping_key_bytes, tgsw_ciphertext_bytes
-from repro.core.bku import UnrolledBlindRotator, pattern_exponent, x_power_minus_one_polynomial
+from repro.core.bku import UnrolledBlindRotator, x_power_minus_one_polynomials
 from repro.tfhe.gates import MU, PLAINTEXT_GATES, TFHEGateEvaluator, decrypt_bit, encrypt_bit
 from repro.tfhe.keys import (
     generate_bootstrapping_key,
@@ -73,27 +73,21 @@ class TestIndicators:
             zero_pattern = int(all(b == 0 for b in bits))
             assert total + zero_pattern == 1
 
-    def test_pattern_exponent_sums_selected_coefficients(self):
-        bara = np.array([10, 20, 30, 40])
-        assert pattern_exponent(bara, [2, 3], 0b01) == 30
-        assert pattern_exponent(bara, [2, 3], 0b10) == 40
-        assert pattern_exponent(bara, [2, 3], 0b11) == 70
-
 
 class TestXPowerMinusOne:
     def test_zero_power_is_zero_polynomial(self):
-        assert not x_power_minus_one_polynomial(8, 0).any()
+        assert not x_power_minus_one_polynomials(8, [0])[0].any()
 
     def test_small_power(self):
-        poly = x_power_minus_one_polynomial(8, 3)
+        poly = x_power_minus_one_polynomials(8, [3])[0]
         assert poly[0] == -1 and poly[3] == 1
 
     def test_wrapped_power_is_negated(self):
-        poly = x_power_minus_one_polynomial(8, 11)  # X^11 = -X^3
+        poly = x_power_minus_one_polynomials(8, [11])[0]  # X^11 = -X^3
         assert poly[0] == -1 and poly[3] == -1
 
     def test_power_equal_to_degree(self):
-        poly = x_power_minus_one_polynomial(8, 8)  # X^8 = -1 -> -2 at position 0
+        poly = x_power_minus_one_polynomials(8, [8])[0]  # X^8 = -1 -> -2 at position 0
         assert poly[0] == -2
 
 
@@ -108,7 +102,7 @@ class TestUnrolledKeyMaterial:
 
     def test_group_count_is_ceil_n_over_m(self):
         _, rotator = _rotator(3, 83, 84)
-        assert rotator.external_products_per_bootstrap == -(-TEST_TINY.n // 3)
+        assert len(rotator.groups) == -(-TEST_TINY.n // 3)
 
     def test_groups_slice_the_flat_key_in_order(self):
         _, rotator = _rotator(3, 83, 84)
@@ -167,7 +161,7 @@ class TestUnrolledBlindRotation:
         _extract(rotator, lwe_encrypt(secret.lwe_key, gate_message(1), rng=91))
         per_product = TEST_TINY.k + 1
         assert rotator.transform.stats.backward_polys == (
-            rotator.external_products_per_bootstrap * per_product
+            len(rotator.groups) * per_product
         )
 
 

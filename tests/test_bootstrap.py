@@ -105,10 +105,6 @@ class TestGateBootstrap:
         twice = context.bootstrap(context.bootstrap(sample))
         assert lwe_decrypt_bit(secret.lwe_key, twice) == 1
 
-    def test_rotator_counts_external_products(self, tiny_keys_naive):
-        _, cloud = tiny_keys_naive
-        assert cloud.default_context().rotator.external_products_per_bootstrap == TEST_TINY.n
-
 
 class TestRotateInputValidation:
     """``bara`` must be ``(B, ≥ n)``: one typed error from the one entry,

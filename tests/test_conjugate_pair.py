@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.conjugate_pair import ConjugatePairFFT, reference_dft
+from repro.core.conjugate_pair import ConjugatePairFFT
+
+
+def reference_dft(values: np.ndarray, sign: int = 1) -> np.ndarray:
+    """Direct ``O(n^2)`` DFT used to validate the conjugate-pair flow."""
+    values = np.asarray(values, dtype=np.complex128)
+    n = values.shape[0]
+    k = np.arange(n)
+    kernel = np.exp(sign * 2j * np.pi * np.outer(k, k) / n)
+    return kernel @ values
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ import inspect
 import numpy as np
 import pytest
 from conftest import scrape
-from tgsw_oracle import external_product_oracle
+from tgsw_oracle import external_product_oracle, tlwe_phase
 
 from repro.runtime import (
     BatchScheduler,
@@ -41,14 +41,14 @@ from repro.runtime import (
 from repro.runtime.chaos import FlakyEngine
 from repro.runtime.protocol import ServerError, ServingClient, pack_parts
 from repro.runtime.scheduler import SchedulerStats, execute_rows
-from repro.tfhe.bootstrap import programmable_bootstrap
+from repro.tfhe.bootstrap import programmable_bootstrap_batch
 from repro.tfhe.gates import PLAINTEXT_GATES, decrypt_bit, encrypt_bit
 from repro.tfhe.keys import generate_keys
-from repro.tfhe.lwe import decrypt_digit, encrypt_digit, lwe_round_mask
+from repro.tfhe.lwe import LweBatch, decrypt_digit, encrypt_digit, lwe_round_mask
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
 from repro.tfhe.serialize import to_bytes
 from repro.tfhe.tgsw import tgsw_batch_external_product, tgsw_encrypt, tgsw_transform
-from repro.tfhe.tlwe import TlweBatch, tlwe_encrypt, tlwe_key_generate, tlwe_phase
+from repro.tfhe.tlwe import TlweBatch, tlwe_encrypt, tlwe_key_generate
 from repro.tfhe.torus import double_to_torus32, torus_distance
 from repro.tfhe import transform as transform_module
 from repro.tfhe.transform import (
@@ -399,7 +399,9 @@ class TestProgrammableBootstrapConformance:
         outputs = []
         for value in range(encoding.space):
             sample = encrypt_digit(secret.lwe_key, value, encoding, rng=400 + value)
-            out = programmable_bootstrap(context, sample, table, encoding)
+            out = programmable_bootstrap_batch(
+                context, LweBatch.from_samples([sample]), table, encoding
+            )[0]
             assert decrypt_digit(secret.lwe_key, out, encoding) == table[value]
             outputs.append(out)
 
@@ -411,9 +413,9 @@ class TestProgrammableBootstrapConformance:
                 sample = encrypt_digit(
                     secret.lwe_key, value, encoding, rng=400 + value
                 )
-                ref = programmable_bootstrap(
-                    ref_context, sample, table, encoding
-                )
+                ref = programmable_bootstrap_batch(
+                    ref_context, LweBatch.from_samples([sample]), table, encoding
+                )[0]
                 assert np.array_equal(out.a, ref.a) and int(out.b) == int(ref.b)
 
 

@@ -75,13 +75,6 @@ class TestSchedule:
         schedule = schedule_circuit(adder_netlist(16))
         assert schedule.depth < schedule.gate_count / 2
 
-    def test_width_histogram_sums_to_depth(self):
-        schedule = schedule_circuit(maximum_netlist(4))
-        assert sum(schedule.width_histogram().values()) == schedule.depth
-        assert sum(w * n for w, n in schedule.width_histogram().items()) == (
-            schedule.gate_count
-        )
-
     def test_linear_only_circuit_has_no_waves(self):
         c = Circuit()
         a = c.inputs("a", 2)
@@ -257,8 +250,6 @@ NETLISTS = {
     "minimum": lambda: netlist.minimum_netlist(3),
     "multiplier": lambda: netlist.multiplier_netlist(3),
     "absolute": lambda: netlist.absolute_netlist(3),
-    "shift_left": lambda: netlist.shift_left_netlist(3, 1),
-    "shift_right": lambda: netlist.shift_right_netlist(3, 2),
 }
 CIRCUITS = {**{f"corpus.{name}": build for name, (build, _, _) in CORPUS.items()}, **NETLISTS}
 

@@ -27,14 +27,20 @@ from tgsw_oracle import (
     cmux_blind_rotate_oracle,
     cmux_oracle,
     external_product_oracle,
+    buffer_count,
+    gadget_decompose,
+    poly_add,
+    poly_mul_by_xk,
+    poly_sub,
     rotate_rows_oracle,
     sample_extract_oracle,
+    tlwe_batch_add,
+    tlwe_batch_sub,
 )
 from repro.core.bku import UnrolledBlindRotator
 from repro.tfhe.bootstrap import (
     CmuxBlindRotator,
     encode_lut,
-    programmable_bootstrap,
     programmable_bootstrap_batch,
 )
 from repro.tfhe.keys import generate_bootstrapping_key, generate_keys, generate_secret_key
@@ -47,7 +53,6 @@ from repro.tfhe.lwe import (
     lwe_encrypt,
 )
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
-from repro.tfhe.polynomial import poly_add, poly_mul_by_xk, poly_sub
 from repro.tfhe.tgsw import (
     BootstrapWorkspace,
     gadget_decompose_rows,
@@ -59,10 +64,8 @@ from repro.tfhe.tgsw import (
 from repro.tfhe.tlwe import (
     TlweBatch,
     TlweSample,
-    tlwe_batch_add,
     tlwe_batch_rotate,
     tlwe_batch_sample_extract,
-    tlwe_batch_sub,
     tlwe_encrypt,
     tlwe_key_generate,
 )
@@ -403,7 +406,9 @@ class TestPerRowTestVectors:
         assert np.array_equal(fused.a, reference.a)
         assert np.array_equal(fused.b, reference.b)
         for row, (sample, table, digit) in enumerate(zip(samples, tables, digits)):
-            scalar = programmable_bootstrap(context, sample, table, self.ENCODING)
+            scalar = programmable_bootstrap_batch(
+                context, LweBatch.from_samples([sample]), table, self.ENCODING
+            )[0]
             assert np.array_equal(fused.a[row], scalar.a)
             assert np.int32(fused.b[row]) == np.int32(scalar.b)
             assert decrypt_digit(secret.lwe_key, scalar, self.ENCODING) == table[digit]
@@ -441,12 +446,12 @@ class TestWorkspace:
         transform, _, selector, tlwe = setup
         workspace = BootstrapWorkspace()
         _step(selector, tlwe, 3, transform, workspace)
-        count, nbytes = workspace.buffer_count, workspace.nbytes
+        count, nbytes = buffer_count(workspace), workspace.nbytes
         assert count > 0
         assert nbytes > 0
         for power in (1, PARAMS.N - 1, PARAMS.N):
             _step(selector, tlwe, power, transform, workspace)
-        assert (workspace.buffer_count, workspace.nbytes) == (count, nbytes)
+        assert (buffer_count(workspace), workspace.nbytes) == (count, nbytes)
 
     def test_scratch_memory_tracks_the_widest_batch_not_the_number_of_widths(self, setup):
         transform, _, selector, _ = setup
@@ -711,7 +716,6 @@ class TestLogicalCounters:
 
 class TestDigitStack:
     def test_gadget_decompose_rows_matches_per_block_reference(self):
-        from repro.tfhe.tgsw import gadget_decompose
 
         rng = np.random.default_rng(104)
         for batch_shape in ((), (3,)):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from tgsw_oracle import negacyclic_convolution
 from repro.core.integer_fft import ApproximateNegacyclicTransform, IntegerSpectrum
-from repro.tfhe.polynomial import negacyclic_convolution, negacyclic_convolution_int64
+from repro.tfhe.polynomial import negacyclic_convolution_int64
 from repro.tfhe.torus import TORUS_SCALE
 
 DEGREE = 256

@@ -14,7 +14,6 @@ from repro.tfhe.lwe import (
     lwe_add,
     lwe_add_constant,
     lwe_batch_decrypt_bits,
-    lwe_batch_encrypt,
     lwe_decrypt_bit,
     lwe_encrypt,
     lwe_encrypt_trivial,
@@ -25,7 +24,6 @@ from repro.tfhe.lwe import (
     lwe_phase,
     lwe_round_mask,
     lwe_scale,
-    lwe_sub,
 )
 from repro.tfhe.params import TEST_SMALL, TEST_TINY
 from repro.tfhe.torus import double_to_torus32, torus32_from_int64, torus_distance
@@ -91,12 +89,6 @@ class TestHomomorphicLinearOps:
         total = lwe_add(c1, c2)
         assert float(torus_distance(lwe_phase(key, total), np.int32(2 * eighth))) < 1e-3
 
-    def test_sub_cancels(self, key):
-        mu = gate_message(1)
-        c1 = lwe_encrypt(key, mu, rng=10)
-        diff = lwe_sub(c1, c1)
-        assert float(torus_distance(lwe_phase(key, diff), 0)) < 1e-9
-
     def test_negate_flips_sign(self, key):
         mu = gate_message(1)
         sample = lwe_encrypt(key, mu, rng=12)
@@ -130,7 +122,9 @@ class TestSeededMasks:
     """A fresh encryption's mask is its seed's expansion, and stays so."""
 
     def _batch(self, key, bits=(1, 0, 1, 1)):
-        return lwe_batch_encrypt(key, [gate_message(b) for b in bits], rng=17)
+        return LweBatch.from_samples(
+            [lwe_encrypt(key, gate_message(b), rng=17 + i) for i, b in enumerate(bits)]
+        )
 
     def test_a_fresh_sample_is_its_seed_expanded_and_read_only(self, key):
         sample = lwe_encrypt(key, gate_message(1), rng=16)
@@ -185,7 +179,7 @@ class TestSeededMasks:
     def test_derived_ciphertexts_carry_no_seed(self, key):
         x = lwe_encrypt(key, gate_message(1), rng=19)
         y = lwe_encrypt(key, gate_message(0), rng=20)
-        for derived in (lwe_add(x, y), lwe_sub(x, y), lwe_negate(x), lwe_scale(3, x),
+        for derived in (lwe_add(x, y), lwe_negate(x), lwe_scale(3, x),
                         lwe_add_constant(x, gate_message(1))):
             assert derived.seed is None and derived.a.flags.writeable
 
@@ -227,7 +221,7 @@ class TestSeededMasks:
 
 class TestRoundMask:
     def test_each_word_moves_by_at_most_half_a_step_and_b_stays(self, key):
-        fresh = lwe_batch_encrypt(key, np.zeros(4, np.int32), rng=12)
+        fresh = LweBatch.from_samples([lwe_encrypt(key, np.int32(0), rng=12 + i) for i in range(4)])
         for x in (fresh, fresh[1], fresh.copy()):
             rounded = lwe_round_mask(x)
             assert type(rounded) is type(x) and rounded.seed is None

@@ -68,9 +68,6 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             KeySwitchParams(base_bits=2, length=0, noise_stddev=1e-5)
 
-    def test_extracted_dimension(self):
-        assert PAPER_110BIT.tlwe.extracted_lwe_dimension == 1024
-
 
 class TestRegistry:
     def test_all_sets_registered(self):

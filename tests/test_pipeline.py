@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.core.pipeline import (
-    PipelineStageTimes,
-    batching_speedup,
-    circuit_level_cycles,
-    circuit_levelized_speedup,
-    schedule_bootstrapping,
-    steady_state_throughput,
-)
+from repro.core.pipeline import PipelineStageTimes, schedule_bootstrapping
 
 
 class TestStageTimes:
@@ -53,133 +46,3 @@ class TestSchedule:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             schedule_bootstrapping(-1, PipelineStageTimes(10, 10))
-
-    def test_utilisation_of_bottleneck_is_one(self):
-        schedule = schedule_bootstrapping(10, PipelineStageTimes(100, 60))
-        util = schedule.stage_utilisation
-        assert util["tgsw_cluster"] == 1.0
-        assert util["ep_core"] == pytest.approx(0.6)
-
-
-class TestThroughput:
-    def test_scales_with_pipeline_count(self):
-        times = PipelineStageTimes(100, 80)
-        one = steady_state_throughput(times, 100, 1, 2.0e9)
-        eight = steady_state_throughput(times, 100, 8, 2.0e9)
-        assert eight == pytest.approx(8 * one)
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            steady_state_throughput(PipelineStageTimes(1, 1), 10, 0, 2.0e9)
-        with pytest.raises(ValueError):
-            steady_state_throughput(PipelineStageTimes(1, 1), 10, 1, 0.0)
-        with pytest.raises(ValueError):
-            steady_state_throughput(PipelineStageTimes(1, 1), 10, 1, 2.0e9, batch_width=0)
-
-
-class TestBatchedThroughput:
-    TIMES = PipelineStageTimes(tgsw_cluster_cycles=100, ep_core_cycles=80)
-
-    def test_batch_width_one_matches_unbatched_model(self):
-        single = steady_state_throughput(self.TIMES, 100, 4, 2.0e9)
-        explicit = steady_state_throughput(self.TIMES, 100, 4, 2.0e9, batch_width=1)
-        assert explicit == pytest.approx(single)
-
-    def test_throughput_grows_monotonically_with_batch_width(self):
-        rates = [
-            steady_state_throughput(self.TIMES, 100, 1, 2.0e9, batch_width=w)
-            for w in (1, 8, 64, 256)
-        ]
-        assert all(lo < hi for lo, hi in zip(rates, rates[1:]))
-
-    def test_batched_throughput_approaches_bottleneck_bound(self):
-        """As the batch grows the fill cost vanishes and only the bottleneck paces."""
-        clock = 2.0e9
-        iterations = 100
-        bound = clock / (iterations * self.TIMES.bottleneck_cycles)
-        big = steady_state_throughput(self.TIMES, iterations, 1, clock, batch_width=4096)
-        assert big < bound
-        assert big == pytest.approx(bound, rel=0.01)
-
-    def test_batching_speedup_is_fill_amortisation(self):
-        # fill = 100 cycles, steady = 100 * 100 cycles: speedup is tiny when
-        # the fill is already negligible per gate.
-        assert batching_speedup(self.TIMES, 100, 64) == pytest.approx(
-            (100 + 100 * 100) / (100 / 64 + 100 * 100), rel=1e-9
-        )
-        # With a single iteration the fill dominates and batching nearly
-        # doubles the rate (fill ≈ bottleneck here).
-        assert batching_speedup(self.TIMES, 1, 4096) > 1.9
-
-
-class TestCircuitLevelModel:
-    """Analytic model of the level-parallel circuit executor."""
-
-    TIMES = PipelineStageTimes(tgsw_cluster_cycles=100, ep_core_cycles=100)
-
-    def test_one_level_one_gate_is_single_bootstrap(self):
-        single = schedule_bootstrapping(10, self.TIMES).total_cycles
-        assert circuit_level_cycles([1], self.TIMES, 10) == pytest.approx(single)
-
-    def test_levels_pay_one_fill_each(self):
-        fill = self.TIMES.tgsw_cluster_cycles
-        steady = 10 * self.TIMES.bottleneck_cycles
-        # Two levels of widths 3 and 1: 4 gates pace at the steady rate but
-        # only 2 pipeline fills are paid (one per level).
-        assert circuit_level_cycles([3, 1], self.TIMES, 10) == pytest.approx(
-            2 * fill + 4 * steady
-        )
-
-    def test_empty_levels_cost_nothing(self):
-        assert circuit_level_cycles([0, 0], self.TIMES, 10) == 0.0
-        assert circuit_level_cycles([], self.TIMES, 10) == 0.0
-
-    def test_batch_width_multiplies_rows_not_fills(self):
-        one = circuit_level_cycles([2], self.TIMES, 10, batch_width=1)
-        four = circuit_level_cycles([2], self.TIMES, 10, batch_width=4)
-        steady = 10 * self.TIMES.bottleneck_cycles
-        assert four - one == pytest.approx((8 - 2) * steady)
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            circuit_level_cycles([1], self.TIMES, 10, batch_width=0)
-        with pytest.raises(ValueError):
-            circuit_level_cycles([-1], self.TIMES, 10)
-
-    def test_speedup_grows_with_level_width(self):
-        narrow = circuit_levelized_speedup([1] * 8, self.TIMES, 4)
-        wide = circuit_levelized_speedup([8], self.TIMES, 4)
-        assert wide > narrow >= 1.0
-
-    def test_speedup_compounds_with_batch_width(self):
-        widths = [16, 2, 1] * 10
-        lo = circuit_levelized_speedup(widths, self.TIMES, 4, batch_width=1)
-        hi = circuit_levelized_speedup(widths, self.TIMES, 4, batch_width=16)
-        assert hi > lo
-
-    def test_empty_circuit_has_unit_speedup(self):
-        assert circuit_levelized_speedup([], self.TIMES, 10) == 1.0
-
-    def test_speedup_bounded_by_fill_over_steady_recovery(self):
-        # Speedup can never exceed the all-in-one-level bound.
-        widths = [4, 4, 4]
-        best = circuit_levelized_speedup([12], self.TIMES, 3)
-        actual = circuit_levelized_speedup(widths, self.TIMES, 3)
-        assert 1.0 <= actual <= best
-
-    def test_pipeline_count_spreads_levels(self):
-        # A width-8 level on 8 slices paces like a width-1 level on one.
-        spread = circuit_level_cycles([8], self.TIMES, 10, pipeline_count=8)
-        single = circuit_level_cycles([1], self.TIMES, 10, pipeline_count=1)
-        assert spread == pytest.approx(single)
-
-    def test_pipeline_count_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            circuit_level_cycles([1], self.TIMES, 10, pipeline_count=0)
-
-    def test_wide_levels_approach_slice_count_speedup(self):
-        # Very wide levels + negligible fill: speedup tends to pipeline_count.
-        speedup = circuit_levelized_speedup(
-            [512] * 4, self.TIMES, 100, pipeline_count=8
-        )
-        assert speedup == pytest.approx(8.0, rel=0.05)

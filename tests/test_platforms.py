@@ -11,10 +11,15 @@ from repro.platforms import (
     GpuPlatform,
     MatchaPlatform,
     all_platforms,
-    get_platform,
 )
 from repro.platforms import calibration as cal
 from repro.tfhe.params import PAPER_110BIT
+
+
+def best_report(platform, unroll_factors=(1, 2, 3, 4)):
+    """The report with the highest throughput among supported factors."""
+    supported = [r for r in platform.sweep(unroll_factors) if r.supported]
+    return max(supported, key=lambda r: r.throughput_gates_per_s)
 
 
 @pytest.fixture(scope="module")
@@ -111,13 +116,13 @@ class TestComparativeClaims:
     """The paper's headline cross-platform orderings (Section 6)."""
 
     def test_matcha_throughput_beats_gpu(self, matcha):
-        gpu_best = GpuPlatform().best_report().throughput_gates_per_s
-        matcha_best = matcha.best_report().throughput_gates_per_s
+        gpu_best = best_report(GpuPlatform()).throughput_gates_per_s
+        matcha_best = best_report(matcha).throughput_gates_per_s
         assert matcha_best > 1.5 * gpu_best
 
     def test_matcha_efficiency_beats_asic(self, matcha):
-        asic = AsicPlatform().best_report((1,)).throughput_per_watt
-        assert matcha.best_report().throughput_per_watt > 3.0 * asic
+        asic = best_report(AsicPlatform(), (1,)).throughput_per_watt
+        assert best_report(matcha).throughput_per_watt > 3.0 * asic
 
     def test_cpu_with_bku_beats_tve_throughput(self):
         """Figure 10: CPU at m = 2 overtakes the FPGA/ASIC baselines."""
@@ -127,18 +132,13 @@ class TestComparativeClaims:
 
     def test_gpu_efficiency_below_asic(self):
         """Figure 11: the GPU's best throughput/W stays below the ASIC's."""
-        gpu = GpuPlatform().best_report().throughput_per_watt
-        asic = AsicPlatform().best_report((1,)).throughput_per_watt
+        gpu = best_report(GpuPlatform()).throughput_per_watt
+        asic = best_report(AsicPlatform(), (1,)).throughput_per_watt
         assert gpu < asic
 
     def test_registry_contains_all_five(self):
         names = {p.name for p in all_platforms()}
         assert names == {"CPU", "GPU", "MATCHA", "FPGA", "ASIC"}
-
-    def test_registry_lookup(self):
-        assert get_platform("matcha").name == "MATCHA"
-        with pytest.raises(KeyError):
-            get_platform("tpu")
 
     def test_reports_have_finite_values(self):
         for platform in all_platforms():

@@ -20,7 +20,6 @@ from repro.core.integer_fft import ApproximateNegacyclicTransform
 from repro.runtime.context import FheContext
 from repro.tfhe.bootstrap import (
     encode_lut,
-    programmable_bootstrap,
     programmable_bootstrap_batch,
 )
 from repro.tfhe.gates import row_spec
@@ -152,7 +151,9 @@ def test_programmable_bootstrap_square_lut(engine, unroll_factor, message_bits, 
     table = [(v * v) % space for v in range(space)]
     for value in range(space):
         sample = encrypt_digit(secret.lwe_key, value, encoding, rng=rng)
-        out = programmable_bootstrap(context, sample, table, encoding)
+        out = programmable_bootstrap_batch(
+            context, LweBatch.from_samples([sample]), table, encoding
+        )[0]
         assert decrypt_digit(secret.lwe_key, out, encoding) == table[value], value
 
 
@@ -165,7 +166,9 @@ def test_programmable_bootstrap_identity_with_carry(engine, unroll_factor, rng):
     table = list(range(encoding.space))
     for value in range(encoding.space):
         sample = encrypt_digit(secret.lwe_key, value, encoding, rng=rng)
-        out = programmable_bootstrap(context, sample, table, encoding)
+        out = programmable_bootstrap_batch(
+            context, LweBatch.from_samples([sample]), table, encoding
+        )[0]
         assert decrypt_digit(secret.lwe_key, out, encoding) == value
 
 
@@ -185,7 +188,9 @@ def test_programmable_bootstrap_batch_matches_scalar(rng):
         context, LweBatch.from_samples(samples), tables, encoding
     )
     for i, (value, table, sample) in enumerate(zip(values, tables, samples)):
-        ref = programmable_bootstrap(context, sample, table, encoding)
+        ref = programmable_bootstrap_batch(
+            context, LweBatch.from_samples([sample]), table, encoding
+        )[0]
         assert np.array_equal(batch_out.a[i], ref.a)
         assert int(batch_out.b[i]) == int(ref.b)
         assert decrypt_digit(secret.lwe_key, ref, encoding) == table[value]
@@ -248,27 +253,6 @@ def test_margin_rejects_structural_misfits_first():
     # PAPER_110BIT is rated for the 8-ary gate space only.
     with pytest.raises(ValueError, match="rated for message_space=8"):
         validate_digit_encoding(PAPER_110BIT, DigitEncoding(2, 2))
-
-
-def test_margin_study_agrees_with_validator():
-    from repro.analysis.noise_tables import digit_margin_study, render_digit_margins
-
-    rows = digit_margin_study(TEST_PBS)
-    assert rows, "study produced no rows"
-    for row in rows:
-        encoding = DigitEncoding(row.message_bits, row.carry_bits)
-        if encoding.torus_space > TEST_PBS.message_space:
-            continue  # the study also tabulates structurally unrepresentable splits
-        fits = True
-        try:
-            validate_digit_encoding(
-                TEST_PBS, encoding, unroll_factor=row.unroll_factor
-            )
-        except ValueError:
-            fits = False
-        assert fits == row.fits, f"{row}"
-    rendered = render_digit_margins(TEST_PBS, rows)
-    assert TEST_PBS.name in rendered
 
 
 # --------------------------------------------------------------------------- #

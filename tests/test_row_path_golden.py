@@ -37,7 +37,7 @@ import pytest
 from circuit_oracle import circuit_oracle, mux_oracle
 from repro.runtime.context import FheContext
 from repro.runtime.scheduler import BatchScheduler, execute_rows
-from repro.tfhe.bootstrap import programmable_bootstrap, programmable_bootstrap_batch
+from repro.tfhe.bootstrap import programmable_bootstrap_batch
 from repro.tfhe.executor import CircuitExecutor
 from repro.tfhe.gates import (
     MU,
@@ -219,7 +219,7 @@ def digests(tiny_keys_naive, tiny_keys_naive_m2):
         for value in (0, 5, 10, 15)
     ]
     out["pbs.scalar"] = digest(
-        programmable_bootstrap(rated, digit, table, ENCODING)
+        programmable_bootstrap_batch(rated, LweBatch.from_samples([digit]), table, ENCODING)[0]
         for digit, table in zip(digits, DIGIT_TABLES)
     )
     stacked = LweBatch.from_samples(digits)

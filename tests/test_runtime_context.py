@@ -30,7 +30,7 @@ from repro.tfhe.gates import (
 )
 from repro.tfhe.keys import TFHECloudKey, generate_keys
 from repro.tfhe.keyswitch import KeySwitchKey
-from repro.tfhe.lwe import LweBatch, lwe_add, lwe_encrypt_trivial, lwe_scale, lwe_sub
+from repro.tfhe.lwe import LweBatch, lwe_add, lwe_encrypt_trivial, lwe_negate, lwe_scale
 from repro.tfhe.netlist import adder_netlist
 from repro.tfhe.params import PAPER_110BIT, TEST_TINY
 from repro.tfhe.tgsw import TgswSample, tgsw_transform
@@ -189,7 +189,7 @@ class TestContextSurface:
         context = cloud.default_context()
         ca, cb = encrypt_bit(secret, 1, rng=5), encrypt_bit(secret, 1, rng=6)
         combined = lwe_encrypt_trivial(ca.dimension, np.int32(int(MU)))
-        combined = lwe_sub(lwe_sub(combined, ca), cb)
+        combined = lwe_add(lwe_add(combined, lwe_negate(ca)), lwe_negate(cb))
         direct = context.bootstrap(combined)
         via_gate = context.evaluator().nand(ca, cb)
         assert np.array_equal(direct.a, via_gate.a)

@@ -1425,13 +1425,6 @@ class TestCircuitJsonRoundTrip:
         restored = serialize.circuit_from_json(serialize.circuit_to_json(circuit))
         verify_equivalent(circuit, restored, trials=20, rng=1)
 
-    def test_file_round_trip(self, tmp_path):
-        circuit = self._circuit()
-        path = tmp_path / "circuit.json"
-        serialize.save_circuit(path, circuit)
-        restored = serialize.load_circuit(path)
-        assert restored.nodes == circuit.nodes
-
     def test_unknown_format_rejected(self):
         import json
 

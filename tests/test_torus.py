@@ -6,15 +6,11 @@ from hypothesis import given, strategies as st
 
 from repro.tfhe.torus import (
     TORUS_SCALE,
-    approx_phase,
     double_to_torus32,
     gaussian_torus32,
     modswitch_from_torus32,
     modswitch_to_torus32,
-    torus32_add,
     torus32_from_int64,
-    torus32_scale,
-    torus32_sub,
     torus32_to_double,
     torus_distance,
     uniform_torus32,
@@ -44,45 +40,9 @@ class TestEncodingRoundtrip:
 
 
 class TestArithmetic:
-    @given(torus_ints, torus_ints)
-    def test_add_sub_inverse(self, a, b):
-        total = torus32_add(a, b)
-        assert int(torus32_sub(total, b)) == np.int32(a)
-
-    @given(torus_ints, torus_ints, torus_ints)
-    def test_add_associative(self, a, b, c):
-        left = torus32_add(torus32_add(a, b), c)
-        right = torus32_add(a, torus32_add(b, c))
-        assert int(left) == int(right)
-
-    @given(torus_ints)
-    def test_scale_by_one_is_identity(self, a):
-        assert int(torus32_scale(1, a)) == np.int32(a)
-
-    @given(torus_ints, st.integers(min_value=-8, max_value=8))
-    def test_scale_matches_repeated_addition(self, a, k):
-        expected = 0
-        for _ in range(abs(k)):
-            expected = torus32_add(expected, a)
-        if k < 0:
-            expected = torus32_sub(0, expected)
-        assert int(torus32_scale(k, a)) == int(expected)
-
     def test_wraparound_is_mod_2_32(self):
         assert int(torus32_from_int64(2**32 + 17)) == 17
         assert int(torus32_from_int64(-(2**32) - 17)) == -17
-
-
-class TestApproxPhase:
-    def test_rounds_to_message_grid(self):
-        mu = double_to_torus32(0.125)
-        noisy = torus32_add(mu, 1000)
-        assert int(approx_phase(noisy, 3)) == int(mu)
-
-    def test_large_noise_moves_to_next_point(self):
-        mu = double_to_torus32(0.125)
-        noisy = torus32_add(mu, double_to_torus32(0.09))
-        assert int(approx_phase(noisy, 3)) != int(mu)
 
 
 class TestSampling:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tfhe.polynomial import negacyclic_convolution
+from tgsw_oracle import negacyclic_convolution
 from repro.tfhe.transform import (
     DoubleFFTNegacyclicTransform,
     NaiveNegacyclicTransform,

@@ -7,8 +7,6 @@ from repro.core.twiddle import (
     TwiddleFactorBuffer,
     breadth_first_twiddle_reads,
     conjugate_pair_twiddle_reads,
-    dvqtf_table,
-    stage_angles,
     twiddle_read_counts,
 )
 
@@ -16,12 +14,16 @@ from repro.core.twiddle import (
 class TestTwiddleBuffer:
     def test_entries_are_unit_roots(self):
         buffer = TwiddleFactorBuffer(16, twiddle_bits=40)
-        values = np.array([buffer.peek(k).value for k in range(16)])
+        values = np.array([buffer.read(k).value for k in range(16)])
         assert np.allclose(np.abs(values), 1.0, atol=1e-6)
 
     def test_quantisation_error_decreases_with_bits(self):
-        coarse = TwiddleFactorBuffer(64, twiddle_bits=6).max_quantisation_error()
-        fine = TwiddleFactorBuffer(64, twiddle_bits=20).max_quantisation_error()
+        def max_error(twiddle_bits):
+            buffer = TwiddleFactorBuffer(64, twiddle_bits=twiddle_bits)
+            return max(buffer.read(k).quantisation_error() for k in range(64))
+
+        coarse = max_error(6)
+        fine = max_error(20)
         assert fine < coarse
 
     def test_reads_are_counted_and_resettable(self):
@@ -32,14 +34,9 @@ class TestTwiddleBuffer:
         buffer.reset_reads()
         assert buffer.reads == 0
 
-    def test_peek_does_not_count(self):
-        buffer = TwiddleFactorBuffer(8, twiddle_bits=16)
-        buffer.peek(2)
-        assert buffer.reads == 0
-
     def test_index_wraps(self):
         buffer = TwiddleFactorBuffer(8, twiddle_bits=16)
-        assert buffer.read(9).angle == buffer.peek(1).angle
+        assert buffer.read(9).angle == buffer.read(1).angle
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
@@ -48,20 +45,6 @@ class TestTwiddleBuffer:
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValueError):
             TwiddleFactorBuffer(8, twiddle_bits=16, sign=2)
-
-
-class TestStageAngles:
-    def test_count_is_half_stage_length(self):
-        assert stage_angles(64, 16).shape == (8,)
-
-    def test_sign_flips_angles(self):
-        plus = stage_angles(64, 16, sign=1)
-        minus = stage_angles(64, 16, sign=-1)
-        assert np.allclose(plus, -minus)
-
-    def test_out_of_range_stage_rejected(self):
-        with pytest.raises(ValueError):
-            stage_angles(64, 128)
 
 
 class TestReadAccounting:
@@ -76,8 +59,3 @@ class TestReadAccounting:
     def test_reduction_factor_at_least_two(self):
         counts = twiddle_read_counts(512)
         assert counts["reduction_factor"] >= 2.0
-
-    def test_dvqtf_table_matches_buffer(self):
-        table = dvqtf_table(16, twiddle_bits=12)
-        buffer = TwiddleFactorBuffer(16, twiddle_bits=12)
-        assert np.allclose(table, [buffer.peek(k).value for k in range(16)])

@@ -8,12 +8,18 @@ one stacked backward; :func:`repro.tfhe.tgsw.tgsw_batch_cmux_rotate` reads
 :meth:`repro.tfhe.bootstrap.CmuxBlindRotator.rotate_batch` chains that step
 over the key bits.  This oracle does it the pre-fusion way: the TGSW operand
 as a ``rows × (k+1)`` list of per-polynomial spectra, one forward per digit
-plane of the int64 :func:`repro.tfhe.tgsw.gadget_decompose`, a Python double
+plane of the int64 :func:`gadget_decompose`, a Python double
 loop of pointwise multiply-adds folded from each column's first product, one
 backward per output column; the CMux as
 ``C ⊡ (d1 − d0) + d0``; and each row's rotation materialised on its own with
-:func:`repro.tfhe.polynomial.poly_mul_by_xk`.  The kernels must agree with it
+:func:`poly_mul_by_xk`.  The kernels must agree with it
 bit for bit and count the same transformed polynomials.
+
+The ring and sample primitives it is written in live here too, as the tests'
+references: torus-polynomial add/subtract, the rotation ``poly_mul_by_xk``,
+the schoolbook torus product ``negacyclic_convolution`` (the ground truth of
+every engine), gadget decomposition and recomposition, the TLWE phase and
+batch add/subtract.
 
 :func:`sample_extract_oracle` is ``SampleExtract`` one mask polynomial at a
 time, the oracle of :func:`repro.tfhe.tlwe.tlwe_batch_sample_extract`.
@@ -27,11 +33,133 @@ import numpy as np
 
 from repro.core.integer_fft import IntegerSpectrum
 from repro.tfhe.lwe import LweSample
-from repro.tfhe.polynomial import poly_add, poly_mul_by_xk, poly_sub
-from repro.tfhe.tgsw import gadget_decompose
-from repro.tfhe.tlwe import TlweBatch, TlweSample
+from repro.tfhe.params import TgswParams
+from repro.tfhe.polynomial import negacyclic_convolution_int64
+from repro.tfhe.tgsw import decomposition_offset, gadget_values
+from repro.tfhe.tlwe import TlweBatch, TlweKey, TlweSample
 from repro.tfhe.torus import torus32_from_int64
-from repro.tfhe.transform import Spectrum
+from repro.tfhe.transform import NegacyclicTransform, Spectrum
+
+
+def poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient-wise torus addition (wrap-around int32)."""
+    return torus32_from_int64(a.astype(np.int64) + b.astype(np.int64))
+
+
+def poly_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient-wise torus subtraction (wrap-around int32)."""
+    return torus32_from_int64(a.astype(np.int64) - b.astype(np.int64))
+
+
+def poly_mul_by_xk(poly: np.ndarray, power: int) -> np.ndarray:
+    """Multiply a polynomial by ``X^power`` modulo ``X^N + 1``.
+
+    ``power`` may be any integer; it is reduced modulo ``2N`` because
+    ``X^{2N} = 1`` in the quotient ring.  Coefficients that wrap past the
+    degree boundary are negated (negacyclic rotation).
+
+    ``poly`` may be a stack of polynomials of shape ``(..., N)`` — every
+    polynomial in the stack is rotated by the same ``power``.  The dtype is
+    preserved: ``int32`` inputs are treated as torus polynomials (wrap-around
+    reduction), ``int64`` inputs as plain integer polynomials (no reduction);
+    other dtypes are rejected.
+    """
+    poly = np.asarray(poly)
+    if poly.dtype == np.int32:
+        wrap = True
+    elif poly.dtype == np.int64:
+        wrap = False
+    else:
+        raise TypeError(f"poly_mul_by_xk expects int32 or int64 input, got {poly.dtype}")
+    degree = poly.shape[-1]
+    power = int(power) % (2 * degree)
+    negate_all = power >= degree
+    shift = power % degree
+
+    rotated = np.empty(poly.shape, dtype=np.int64)
+    if shift == 0:
+        rotated[...] = poly
+    else:
+        rotated[..., shift:] = poly[..., : degree - shift]
+        rotated[..., :shift] = -poly[..., degree - shift :].astype(np.int64)
+    if negate_all:
+        rotated = -rotated
+    return torus32_from_int64(rotated) if wrap else rotated
+
+
+def negacyclic_convolution(int_poly: np.ndarray, torus_poly: np.ndarray) -> np.ndarray:
+    """Exact negacyclic product of an integer polynomial and a torus polynomial.
+
+    Schoolbook ``O(N^2)`` evaluation used as the ground truth the FFT engines
+    are validated against.
+
+    Both operands may carry leading batch axes ``(..., N)`` (broadcast against
+    each other); the product is taken along the last axis.  The result is
+    reduced onto the 32-bit torus.
+    """
+    return torus32_from_int64(negacyclic_convolution_int64(int_poly, torus_poly))
+
+
+def gadget_decompose(
+    poly: np.ndarray, params: TgswParams
+) -> np.ndarray:
+    """Signed gadget decomposition of a torus polynomial.
+
+    Returns an ``(l, N)`` int32 array of digits in ``[-Bg/2, Bg/2)`` such that
+    ``Σ_j digits[j]·Bg^{-j-1}`` approximates every coefficient of ``poly`` up
+    to the decomposition rounding error ``<= Bg^{-l}/2``.
+
+    ``poly`` may be a stack ``(..., N)``; the digit array then has shape
+    ``(l, ..., N)`` so ``digits[j]`` is the ``j``-th digit plane of the whole
+    stack.
+    """
+    base_bits = params.decomp_base_bits
+    mask = (1 << base_bits) - 1
+    half_base = 1 << (base_bits - 1)
+    offset = decomposition_offset(params)
+
+    poly = np.asarray(poly)
+    shifted = (poly.astype(np.int64) & 0xFFFFFFFF) + offset
+    digits = np.empty((params.decomp_length,) + poly.shape, dtype=np.int32)
+    for j in range(params.decomp_length):
+        shift = 32 - (j + 1) * base_bits
+        digits[j] = (((shifted >> shift) & mask) - half_base).astype(np.int32)
+    return digits
+
+
+def gadget_recompose(digits: np.ndarray, params: TgswParams) -> np.ndarray:
+    """Recompose decomposition digits back onto the torus."""
+    gadget = gadget_values(params).astype(np.int64)
+    total = np.zeros(digits.shape[1:], dtype=np.int64)
+    for j in range(params.decomp_length):
+        total += digits[j].astype(np.int64) * gadget[j]
+    return torus32_from_int64(total)
+
+
+def tlwe_phase(
+    key: TlweKey, sample: TlweSample, transform: NegacyclicTransform
+) -> np.ndarray:
+    """The phase polynomial ``b - Σ a_j·s_j`` (message plus noise)."""
+    phase = sample.b.astype(np.int64)
+    for j in range(key.mask_count):
+        phase -= transform.multiply(key.key[j], sample.a[j]).astype(np.int64)
+    return torus32_from_int64(phase)
+
+
+def tlwe_batch_add(x: TlweBatch, y: TlweBatch) -> TlweBatch:
+    """Elementwise homomorphic addition of two batches."""
+    return TlweBatch(poly_add(x.data, y.data))
+
+
+def tlwe_batch_sub(x: TlweBatch, y: TlweBatch) -> TlweBatch:
+    """Elementwise homomorphic subtraction of two batches."""
+    return TlweBatch(poly_sub(x.data, y.data))
+
+
+def buffer_count(workspace) -> int:
+    """Number of pools a :class:`repro.tfhe.tgsw.BootstrapWorkspace` holds
+    (one per family in use)."""
+    return len(workspace._pools)
 
 
 def row_col_spectrum(tgsw, row: int, col: int) -> Spectrum:
