@@ -57,6 +57,18 @@ class TestFunctionalExecution:
             got = decrypt_bit(secret, evaluator.nand(ca, cb))
             assert got == PLAINTEXT_GATES["nand"](a, b)
 
+    def test_cloud_key_uses_configured_unrolling(self, accelerator_setup):
+        _, _, cloud = accelerator_setup
+        assert cloud.unroll_factor == 2
+
+    def test_mismatched_parameters_rejected(self):
+        from repro.tfhe.params import TEST_TINY
+
+        accelerator = MatchaAccelerator(params=TEST_SMALL)
+        wrong_secret = generate_secret_key(TEST_TINY, rng=9)
+        with pytest.raises(ValueError):
+            generate_cloud_key(wrong_secret, transform=accelerator.transform)
+
 
 class TestModelingBridges:
     def test_performance_report(self):
@@ -66,3 +78,22 @@ class TestModelingBridges:
         assert report.unroll_factor == 3
         assert report.gate_latency_ms < 1.0
         assert report.throughput_gates_per_s > 1000
+
+    @pytest.mark.parametrize("unroll_factor", [1, 2, 3, 4])
+    def test_config_reaches_the_cycle_model(self, unroll_factor):
+        """Unroll factor, clock and pipeline count each reach the report."""
+        def report(**kwargs):
+            config = MatchaConfig(unroll_factor=unroll_factor, **kwargs)
+            return MatchaAccelerator(config=config).performance()
+
+        base = report()
+        assert base.unroll_factor == unroll_factor and base.supported
+        assert report(clock_hz=4.0e9).gate_latency_ms < base.gate_latency_ms
+        half = report(pipeline_count=4)
+        assert half.gate_latency_ms == pytest.approx(base.gate_latency_ms)
+        assert base.throughput_gates_per_s / 2 <= half.throughput_gates_per_s
+        assert half.throughput_gates_per_s < base.throughput_gates_per_s
+
+    def test_area_power_bridge(self):
+        """The performance report carries the Table 2 power envelope."""
+        assert MatchaAccelerator().performance().power_w == pytest.approx(39.98, abs=0.02)

@@ -1,6 +1,7 @@
 """Tests for the data-flow-graph substrate."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.arch.dfg import DataFlowGraph
 from repro.arch.ops import OpType
@@ -58,6 +59,19 @@ class TestTopology:
 
     def test_validate_passes_for_acyclic_graph(self):
         linear_chain([1, 2]).validate()
+
+    @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=20))
+    def test_critical_path_of_chain_is_total_work(self, works):
+        dfg = linear_chain(works)
+        assert dfg.depth(cost=lambda node: node.work) == sum(works)
+
+    def test_critical_path_of_diamond(self):
+        dfg = DataFlowGraph()
+        src = dfg.add_node(OpType.POLY_LINEAR, 1.0)
+        left = dfg.add_node(OpType.IFFT, 10.0, predecessors=[src])
+        right = dfg.add_node(OpType.IFFT, 3.0, predecessors=[src])
+        dfg.add_node(OpType.FFT, 1.0, predecessors=[left, right])
+        assert dfg.depth(cost=lambda node: node.work) == 12
 
 
 class TestLevelize:

@@ -94,6 +94,22 @@ class TestScheduleMetrics:
         result = ListScheduler(simple_architecture()).schedule(dfg)
         assert result.dynamic_energy_j > 0
 
+    def test_breakdown_fractions_sum_to_one(self):
+        """The Figure 1 buckets and the transfers partition every op a gate runs."""
+        from repro.arch.ops import BOOTSTRAP_OTHER_OPS, GATE_OPS, TRANSFORM_OPS
+
+        dfg = compile_gate_dfg(TEST_SMALL, unroll_factor=1)
+        result = ListScheduler(simple_architecture(fft_cores=2, throughput=100.0)).schedule(dfg)
+        buckets = (
+            TRANSFORM_OPS + BOOTSTRAP_OTHER_OPS + GATE_OPS
+            + (OpType.HBM_TRANSFER, OpType.SPM_TRANSFER)
+        )
+        assert len(set(buckets)) == len(buckets)
+        total = sum(result.cycles_by_op.values())
+        bucketed = sum(result.cycles_by_op.get(op, 0.0) for op in buckets)
+        assert bucketed == pytest.approx(total)
+        assert total > 0
+
     def test_no_unit_instance_overlaps(self):
         dfg = compile_gate_dfg(TEST_SMALL, unroll_factor=2)
         result = ListScheduler(simple_architecture(fft_cores=2, throughput=100.0)).schedule(dfg)

@@ -98,6 +98,11 @@ class TestGateBootstrap:
         assert refreshed.dimension == TEST_TINY.n
         assert lwe_decrypt_bit(secret.lwe_key, refreshed) == bit
 
+    def test_rotator_counts_external_products(self, tiny_keys_naive):
+        """Without unrolling, blind rotation runs one external product per key bit."""
+        _, cloud = tiny_keys_naive
+        assert len(cloud.default_context().rotator.bootstrapping_key) == TEST_TINY.n
+
     def test_bootstrap_is_idempotent_on_messages(self, tiny_keys_naive):
         secret, cloud = tiny_keys_naive
         sample = lwe_encrypt(secret.lwe_key, gate_message(1), rng=77)

@@ -71,6 +71,11 @@ class TestSchedule:
         assert schedule.max_width == 16
         assert schedule.mean_width > 1.0
 
+    def test_width_histogram_sums_to_depth(self):
+        schedule = schedule_circuit(maximum_netlist(4))
+        assert len(schedule.level_widths) == schedule.depth
+        assert sum(schedule.level_widths) == schedule.gate_count
+
     def test_depth_is_much_smaller_than_gate_count(self):
         schedule = schedule_circuit(adder_netlist(16))
         assert schedule.depth < schedule.gate_count / 2

@@ -32,6 +32,10 @@ class TestDyadicCoefficient:
         # Floor-per-term vs round-at-the-end: bounded by the term count.
         assert abs(shift_add - exact) <= coeff.adder_count() + 1
 
+    def test_apply_rounds_product(self):
+        coeff = DyadicCoefficient.from_float(0.25, 8)
+        assert [dyadic_apply(coeff, x) for x in (100, 101, -7)] == [25, 25, -2]
+
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
             DyadicCoefficient.from_float(0.5, -1)
@@ -57,6 +61,10 @@ class TestLiftingRotationScalar:
             fw = rotation.forward(re, im)
             assert rotation.inverse(*fw) == (re, im)
 
+    def test_adder_count_positive_for_nontrivial_angle(self):
+        rotation = LiftingRotation(angle=0.9, beta=16)
+        assert rotation.tan_half.adder_count() + rotation.sin.adder_count() > 0
+
     def test_quarter_turn_reduction_keeps_coefficients_small(self):
         rotation = LiftingRotation(angle=3.0, beta=32)
         assert abs(rotation.tan_half.value) <= math.tan(math.pi / 8) + 1e-6
@@ -73,6 +81,20 @@ class TestLiftingRotationArray:
         for idx, angle in enumerate(angles):
             scalar = LiftingRotation(angle=float(angle), beta=20)
             s_re, s_im = scalar.forward(54321, -11111)
+            assert abs(got_re[idx] - s_re) <= 1
+            assert abs(got_im[idx] - s_im) <= 1
+
+    @pytest.mark.parametrize("beta", [2, 4, 8, 12, 16, 24, 32, 40])
+    def test_matches_scalar_implementation_at_beta(self, beta):
+        angles = np.linspace(-6.0, 6.0, 25)
+        array_rotation = LiftingRotationArray(angles, beta=beta)
+        re = np.full(angles.shape, 987654.0)
+        im = np.full(angles.shape, -123457.0)
+        got_re, got_im = array_rotation.forward(re, im)
+        back_re, back_im = array_rotation.inverse(got_re, got_im)
+        assert np.array_equal(back_re, re) and np.array_equal(back_im, im)
+        for idx, angle in enumerate(angles):
+            s_re, s_im = LiftingRotation(angle=float(angle), beta=beta).forward(987654, -123457)
             assert abs(got_re[idx] - s_re) <= 1
             assert abs(got_im[idx] - s_im) <= 1
 

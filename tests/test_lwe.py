@@ -89,6 +89,12 @@ class TestHomomorphicLinearOps:
         total = lwe_add(c1, c2)
         assert float(torus_distance(lwe_phase(key, total), np.int32(2 * eighth))) < 1e-3
 
+    def test_sub_cancels(self, key):
+        mu = gate_message(1)
+        c1 = lwe_encrypt(key, mu, rng=10)
+        diff = lwe_add(c1, lwe_negate(c1))
+        assert float(torus_distance(lwe_phase(key, diff), 0)) < 1e-9
+
     def test_negate_flips_sign(self, key):
         mu = gate_message(1)
         sample = lwe_encrypt(key, mu, rng=12)

@@ -68,6 +68,12 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             KeySwitchParams(base_bits=2, length=0, noise_stddev=1e-5)
 
+    def test_extracted_dimension(self):
+        from repro.tfhe.tlwe import tlwe_extract_lwe_key, tlwe_key_generate
+
+        key = tlwe_extract_lwe_key(tlwe_key_generate(PAPER_110BIT.tlwe, rng=0))
+        assert key.params.dimension == 1024
+
 
 class TestRegistry:
     def test_all_sets_registered(self):

@@ -140,6 +140,14 @@ class TestComparativeClaims:
         names = {p.name for p in all_platforms()}
         assert names == {"CPU", "GPU", "MATCHA", "FPGA", "ASIC"}
 
+    def test_registry_lookup(self):
+        """Figure order, with the parameter set handed to the models that take one."""
+        from repro.tfhe.params import TEST_SMALL
+
+        platforms = all_platforms(TEST_SMALL)
+        assert [p.name for p in platforms] == ["CPU", "GPU", "MATCHA", "FPGA", "ASIC"]
+        assert all(p.params is TEST_SMALL for p in platforms[:3])
+
     def test_reports_have_finite_values(self):
         for platform in all_platforms():
             report = platform.report(1)

@@ -1425,6 +1425,13 @@ class TestCircuitJsonRoundTrip:
         restored = serialize.circuit_from_json(serialize.circuit_to_json(circuit))
         verify_equivalent(circuit, restored, trials=20, rng=1)
 
+    def test_file_round_trip(self, tmp_path):
+        circuit = self._circuit()
+        path = tmp_path / "circuit.json"
+        path.write_text(serialize.circuit_to_json(circuit, indent=2))
+        restored = serialize.circuit_from_json(path.read_bytes())
+        assert restored.nodes == circuit.nodes
+
     def test_unknown_format_rejected(self):
         import json
 

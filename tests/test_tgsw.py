@@ -14,9 +14,10 @@ from tgsw_oracle import (
     tlwe_batch_sub,
     tlwe_phase,
 )
-from repro.tfhe.params import TEST_TINY
+from repro.tfhe.params import TEST_TINY, TgswParams
 from repro.tfhe.tgsw import (
     decomposition_offset,
+    gadget_decompose_rows,
     gadget_values,
     tgsw_batch_cmux_rotate,
     tgsw_batch_external_product,
@@ -87,6 +88,40 @@ class TestGadgetDecomposition:
     def test_decompose_shape(self):
         poly = np.zeros(PARAMS.N, dtype=np.int32)
         assert gadget_decompose(poly, PARAMS.tgsw).shape == (PARAMS.l, PARAMS.N)
+
+
+#: ``(l, log2 Bg)`` gadget shapes, from one 31-bit digit to 32 one-bit digits.
+GADGET_SHAPES = [(1, 31), (1, 8), (2, 10), (2, 16), (3, 7), (3, 10), (4, 8), (5, 6), (8, 4), (32, 1)]
+
+
+@pytest.mark.parametrize("length,base_bits", GADGET_SHAPES)
+class TestGadgetShapes:
+    """The uint32 digit-stack kernel against the int64 reference, for every
+    gadget shape with ``l · log2 Bg <= 32``."""
+
+    @staticmethod
+    def data(length, base_bits):
+        rng = np.random.default_rng(length * 100 + base_bits)
+        return rng.integers(-(2**31), 2**31, (2, PARAMS.k + 1, PARAMS.N)).astype(np.int32)
+
+    def test_digit_stack_matches_the_reference(self, length, base_bits):
+        params = TgswParams(decomp_length=length, decomp_base_bits=base_bits)
+        data = self.data(length, base_bits)
+        stack = gadget_decompose_rows(data, params)
+        assert stack.shape == ((PARAMS.k + 1) * length, 2, PARAMS.N)
+        for block in range(PARAMS.k + 1):
+            digits = gadget_decompose(data[..., block, :], params)
+            for j in range(length):
+                assert np.array_equal(stack[block * length + j], digits[j])
+
+    def test_digits_are_bounded_and_recompose(self, length, base_bits):
+        params = TgswParams(decomp_length=length, decomp_base_bits=base_bits)
+        poly = self.data(length, base_bits)[0, 0]
+        digits = gadget_decompose(poly, params)
+        assert digits.min() >= -(params.base // 2)
+        assert digits.max() < params.base // 2
+        error = torus_distance(gadget_recompose(digits, params), poly).max()
+        assert error <= 2.0 ** (-length * base_bits) + 2.0**-31
 
 
 class TestTgswStructure:

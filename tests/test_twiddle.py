@@ -47,6 +47,24 @@ class TestTwiddleBuffer:
             TwiddleFactorBuffer(8, twiddle_bits=16, sign=2)
 
 
+@pytest.mark.parametrize("twiddle_bits", [4, 8, 12, 16, 24, 32])
+def test_quantisation_error_is_bounded_by_the_twiddle_bits(twiddle_bits):
+    """Each part rounds to the nearest multiple of 2^-bits, so a quantised
+    root of unity lies within sqrt(2)/2 · 2^-bits of the exact one."""
+    buffer = TwiddleFactorBuffer(64, twiddle_bits=twiddle_bits)
+    worst = max(buffer.read(k).quantisation_error() for k in range(64))
+    assert worst <= 2.0**-0.5 * 2.0**-twiddle_bits + 1e-15
+
+
+@pytest.mark.parametrize("log_size", range(2, 13))
+def test_read_counts_follow_the_closed_forms(log_size):
+    size = 1 << log_size
+    counts = twiddle_read_counts(size)
+    assert counts["breadth_first_reads"] == size // 2 * log_size
+    assert counts["conjugate_pair_reads"] == size // 4 * (log_size - 1)
+    assert counts["reduction_factor"] >= 2.0
+
+
 class TestReadAccounting:
     def test_breadth_first_formula(self):
         # N/2 butterflies per stage, log2 N stages.
