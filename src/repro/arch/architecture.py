@@ -2,7 +2,7 @@
 
 An :class:`ArchitectureDescription` lists the functional-unit classes of an
 accelerator (how many instances, which operations they execute, how much work
-one instance retires per cycle, start-up latency and energy per unit of work)
+one instance retires per cycle and its start-up latency)
 together with the memory system parameters.  The Figure 7 MATCHA instance is
 produced by :func:`matcha_architecture`; the scheduler
 (:mod:`repro.arch.scheduler`) maps gate DFGs onto any description, which the
@@ -19,8 +19,8 @@ in the regime the paper reports.  Relative behaviour across the BKU factor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Tuple
 
 from repro.arch.ops import OpType
 
@@ -36,8 +36,6 @@ class FunctionalUnitSpec:
     throughput_per_cycle: float
     #: Fixed pipeline start-up cost per scheduled node, in cycles.
     startup_cycles: float = 0.0
-    #: Dynamic energy per elementary work unit, in picojoules.
-    energy_per_work_pj: float = 1.0
 
     def __post_init__(self) -> None:
         if self.count <= 0:
@@ -74,7 +72,6 @@ class ArchitectureDescription:
     clock_hz: float
     units: Tuple[FunctionalUnitSpec, ...]
     memory: MemorySystemSpec = MemorySystemSpec()
-    static_power_w: float = 0.0
 
     def __post_init__(self) -> None:
         if self.clock_hz <= 0:
@@ -137,7 +134,6 @@ def matcha_architecture(
             ops=frozenset({OpType.IFFT}),
             throughput_per_cycle=butterflies_per_cycle,
             startup_cycles=16.0,
-            energy_per_work_pj=6.0,
         ),
         FunctionalUnitSpec(
             name="fft_core",
@@ -145,7 +141,6 @@ def matcha_architecture(
             ops=frozenset({OpType.FFT}),
             throughput_per_cycle=butterflies_per_cycle,
             startup_cycles=16.0,
-            energy_per_work_pj=6.0,
         ),
         FunctionalUnitSpec(
             name="ep_mac",
@@ -153,7 +148,6 @@ def matcha_architecture(
             ops=frozenset({OpType.POINTWISE_MAC, OpType.DECOMPOSE}),
             throughput_per_cycle=mac_lanes_per_ep * scale,
             startup_cycles=4.0,
-            energy_per_work_pj=3.0,
         ),
         FunctionalUnitSpec(
             name="tgsw_cluster",
@@ -161,7 +155,6 @@ def matcha_architecture(
             ops=frozenset({OpType.TGSW_SCALE, OpType.TGSW_ADD}),
             throughput_per_cycle=tgsw_lanes_per_cluster * scale,
             startup_cycles=4.0,
-            energy_per_work_pj=2.0,
         ),
         FunctionalUnitSpec(
             name="poly_unit",
@@ -176,7 +169,6 @@ def matcha_architecture(
             ),
             throughput_per_cycle=poly_unit_lanes * scale,
             startup_cycles=2.0,
-            energy_per_work_pj=0.8,
         ),
         FunctionalUnitSpec(
             name="hbm",
@@ -185,7 +177,6 @@ def matcha_architecture(
             # Work unit is bytes; per-cycle bandwidth at the given clock.
             throughput_per_cycle=hbm_bandwidth_bytes_per_s / clock_hz,
             startup_cycles=32.0,
-            energy_per_work_pj=7.0,
         ),
         FunctionalUnitSpec(
             name="gate_engine",
@@ -199,7 +190,6 @@ def matcha_architecture(
             ops=frozenset({OpType.BOOTSTRAPPED_GATE, OpType.LINEAR_GATE}),
             throughput_per_cycle=(1.0 / 20000.0) * scale,
             startup_cycles=0.0,
-            energy_per_work_pj=1.0e6,
         ),
     )
     return ArchitectureDescription(
@@ -207,5 +197,4 @@ def matcha_architecture(
         clock_hz=clock_hz,
         units=units,
         memory=MemorySystemSpec(hbm_bandwidth_bytes_per_s=hbm_bandwidth_bytes_per_s),
-        static_power_w=8.0,
     )

@@ -3,20 +3,22 @@
 The scheduler fills the role OpenCGRA plays in the paper: given the gate DFG
 and the architecture description it "computes the latency and the energy
 consumption of each TFHE logic operation by scheduling and mapping the DFG
-onto the AD" (Section 5).
+onto the AD" (Section 5).  This scheduler computes the latency; the paper's
+power and energy figures come from :mod:`repro.arch.energy` and
+:mod:`repro.platforms`.
 
 Algorithm: classic critical-path list scheduling.  Node priorities are the
 longest downstream path (in cycles); ready nodes are dispatched to the
 earliest-available instance of the functional-unit class that supports their
 operation.  The result records the makespan, per-unit busy time and
-utilisation, per-operation-class cycle totals (used for the Figure 1
-breakdown) and the dynamic energy.
+utilisation and per-operation-class cycle totals (used for the Figure 1
+breakdown).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.arch.architecture import ArchitectureDescription
@@ -45,7 +47,6 @@ class ScheduleResult:
     placements: List[ScheduledNode]
     busy_cycles_by_unit: Dict[str, float]
     cycles_by_op: Dict[OpType, float]
-    dynamic_energy_j: float
 
     @property
     def latency_seconds(self) -> float:
@@ -109,7 +110,6 @@ class ListScheduler:
         busy: Dict[str, float] = {unit.name: 0.0 for unit in self.architecture.units}
         cycles_by_op: Dict[OpType, float] = {}
         finish_time: Dict[int, float] = {}
-        dynamic_energy_pj = 0.0
         makespan = 0.0
 
         while ready_heap:
@@ -126,7 +126,6 @@ class ListScheduler:
             makespan = max(makespan, end)
             busy[unit.name] += duration
             cycles_by_op[node.op] = cycles_by_op.get(node.op, 0.0) + duration
-            dynamic_energy_pj += unit.energy_per_work_pj * node.work
             placements.append(
                 ScheduledNode(
                     node_id=nid,
@@ -155,5 +154,4 @@ class ListScheduler:
             placements=placements,
             busy_cycles_by_unit=busy,
             cycles_by_op=cycles_by_op,
-            dynamic_energy_j=dynamic_energy_pj * 1.0e-12,
         )

@@ -116,8 +116,9 @@ __all__ = [
 MAGIC = b"rTF2"
 #: Bumped on incompatible wire changes; ``hello`` reports it.  Version 3:
 #: same frames, bodies carry flat-container artifacts (not npz); version 4:
-#: container 2 (version and artifact kind in the prefix, not the JSON).
-PROTOCOL_VERSION = 4
+#: container 2 (version and artifact kind in the prefix, not the JSON);
+#: version 5: container 3 (a ciphertext's header is a binary head).
+PROTOCOL_VERSION = 5
 #: Hard ceiling on ``header_len`` (headers are small JSON objects; circuit
 #: JSON rides here too, hence megabyte-scale rather than kilobyte-scale).
 MAX_HEADER_LEN = 8 * 1024 * 1024

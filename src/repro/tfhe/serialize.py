@@ -7,40 +7,46 @@ on the wire and in the worker pool's shared segment an artifact is the same
 self-delimiting byte string::
 
     magic "rTFA" | container version u8 | artifact kind u8 | header_len u32
-    | header JSON | the arrays' little-endian int32 payloads, in directory order
-
-    {"arrays": [["a", [630]], ["b", []]]}              (a derived sample)
-    {"n": 630, "arrays": [["seed", [4]], ["b", []]]}   (a fresh sample)
-    {"n": 630, "arrays": [["a_hi", [315]], ["b", []]]} (a rounded reply)
+    | header | the arrays' little-endian int32 payloads, in order
 
 The prefix states once what every artifact shares: the container version
 (:data:`CONTAINER_VERSION`, the one version of byte layout and header schema
 alike) and the artifact kind (one byte of :data:`_KINDS`, which maps it to
-the kind's writer and loader).  The compact JSON header carries only the
-artifact's own metadata and the ``arrays`` directory of ``[name, shape]``
-entries, each owning ``4·prod(shape)`` payload bytes.  Every array is int32:
-the dtype belongs to the container, so writers refuse anything else rather
-than cast it and readers have no dtype to trust.  A reader checks the prefix
-first, then header and the whole directory against the bytes present
-(**no trailing bytes**) before it builds one array, and each loader checks
-its entries against the shapes its own header implies; every failure is a
-:class:`SerializationError`.  Each kind has one writer and one loader, both
-in :data:`_KINDS`, and every entry below reaches them through it.  Writers
-produce the container as a list of buffers (:func:`to_pieces`: prefix +
-header, then the caller's own arrays) that :func:`to_bytes` joins and files,
-sockets and shared segments take piece by piece; readers return independent
-owning arrays (:func:`from_bytes`) — or, for the one caller whose buffer
-exists only to become the artifact, views of that buffer wherever its bytes
-already are an aligned native int32 array (:func:`from_owned_buffer`; same
-validation body, same values).  Ciphertexts
-of one shape share one header, so both directions remember it: a reader
-keeps the *validated* layout of each (kind byte, exact header bytes) pair it
-has accepted (a hit still checks magic, container version, kind and the
-exact payload length, with the same error text; any other header is
-validated in full), and a writer keeps the prefix + header of each (kind
-byte, a seeded or halved ciphertext's ``n``, shapes); both caches are
-bounded.  Cloud keys serialize their *coefficient-domain* TGSW material plus
-the :class:`repro.tfhe.transform.TransformSpec` of the engine they were
+the kind's writer and loader).  A key's or a radix integer's header is
+compact JSON: the artifact's own metadata and the ``arrays`` directory of
+``[name, shape]`` entries, each owning ``4·prod(shape)`` payload bytes.  A
+ciphertext's header is a fixed little-endian binary head, because the form
+its mask travels in, its ``n`` and a batch's rows determine every shape::
+
+    form u16 | n u32               an lwe_sample (6 bytes), then mask, b
+    form u16 | n u32 | rows u32    an lwe_batch (10 bytes), then mask, b (rows,)
+
+    form 0  a     n words a row      a derived ciphertext
+    form 1  seed  4 words a row      a fresh one: a = lwe_masks(seed, n)
+    form 2  a_hi  ⌈n/2⌉ words a row  a rounded reply: two high halves a word
+
+Every array is int32: the dtype belongs to the container, so writers refuse
+anything else rather than cast it and readers have no dtype to trust.  A
+reader checks the prefix first, then the header and every shape it implies
+against the bytes present (**no trailing bytes**) before it builds one
+array, and each loader checks its entries against the shapes its own header
+implies; every failure is a :class:`SerializationError`.  Each kind has one
+writer and one loader, both in :data:`_KINDS`, and every entry below
+reaches them through it.  Writers produce the container as a list of
+buffers (:func:`to_pieces`: prefix + header, then the caller's own arrays)
+that :func:`to_bytes` joins and files, sockets and shared segments take
+piece by piece; readers return independent owning arrays
+(:func:`from_bytes`) — or, for the one caller whose buffer exists only to
+become the artifact, views of that buffer wherever its bytes already are an
+aligned native int32 array (:func:`from_owned_buffer`; same validation body,
+same values).  Ciphertexts of one shape share one head, so both directions
+remember it: a reader keeps the *validated* layout of each (kind byte,
+exact header bytes) pair it has accepted (a hit still checks magic,
+container version, kind and the exact payload length, with the same error
+text; any other header is validated in full), and a writer keeps the prefix
++ head of each (kind byte, form, shapes); both caches are bounded.  Cloud
+keys serialize their *coefficient-domain* TGSW material plus the
+:class:`repro.tfhe.transform.TransformSpec` of the engine they were
 generated for; the spectrum cache is deliberately **not** serialized — the
 :class:`repro.runtime.context.FheContext` that loads the key rebuilds it
 (once), which also allows evaluating a loaded key under a different engine.
@@ -53,23 +59,21 @@ Five artifact kinds are supported: ``secret_key``, ``cloud_key``,
 ciphertext: its digit rows plus the digit encoding and noise-bound metadata
 needed to resume homomorphic evaluation).  An ``lwe_sample`` or
 ``lwe_batch`` that carries a seed — every fresh encryption, see
-:func:`repro.tfhe.lwe.lwe_masks` — is written as ``seed`` (``(4,)`` or
-``(rows, 4)``) + ``b`` with its ``n`` in the header: 72 bytes for a
-``paper-110bit`` operand instead of 2567; a reader expands ``a`` from the
-seed.  An unseeded ``lwe_sample`` or ``lwe_batch`` whose mask words all have
-zero low halves — a reply rounded by :func:`repro.tfhe.lwe.lwe_round_mask` —
-is written as ``a_hi`` (``(⌈n/2⌉,)`` or ``(rows, ⌈n/2⌉)``) + ``b`` with its
-``n`` in the header: each int32 word packs two high halves, little-endian,
-an odd ``n``'s last word padded with a zero half, and a reader shifts them
-back (1318 bytes for a ``paper-110bit`` reply instead of 2567).  The layout
-is chosen by the mask's value, so it is lossless and carries no flag.  Any
-other derived ciphertext keeps the ``a`` layout, and a ``radix_int``'s
-digits always do.  A reader accepts a ciphertext directory only as the one
-writer writes it (:func:`_ciphertext` states the rules): a seeded one is
-refused before any XOF output is produced, a halved one before any array
-is built, and a non-zero pad half when it unpacks.  :func:`save`
-dispatches on the object's type and :func:`load` on the kind byte; a caller
-that needs one kind checks the type of what it read.
+:func:`repro.tfhe.lwe.lwe_masks` — is written as its seed: 36 bytes for an
+operand at any ``n`` (2540 for a ``paper-110bit`` one's full mask); a reader
+expands ``a`` from the seed.  An unseeded one whose mask words all have
+zero low halves — a reply rounded by :func:`repro.tfhe.lwe.lwe_round_mask`
+— is written as ``a_hi``: each int32 word packs two high halves,
+little-endian, an odd ``n``'s last word padded with a zero half, and a
+reader shifts them back (1280 bytes for a ``paper-110bit`` reply).  Any
+other derived ciphertext keeps the ``a`` form, and a ``radix_int``'s digits
+always do.  The form is chosen by the mask's value, so it is lossless, and
+a reader refuses the form the writer would not have chosen (an ``a`` mask
+of zero low halves, an ``a_hi`` batch of no rows) and any head
+:func:`_ciphertext` refuses — a seeded one before any XOF output is
+produced — and a non-zero pad half when it unpacks.  :func:`save` dispatches on the object's
+type and :func:`load` on the kind byte; a caller that needs one kind checks
+the type of what it read.
 
 Compiled circuits travel as *JSON text* rather than in the container — a
 netlist is pure structure (no arrays) and a human-diffable artifact is worth
@@ -100,7 +104,6 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -127,13 +130,21 @@ from repro.tfhe.transform import TransformSpec
 #: First bytes of every artifact.
 MAGIC = b"rTFA"
 #: The one version of an artifact — byte layout and header schema alike;
-#: readers refuse any other.  Container 1 also restated the format name, a
-#: format version (3) and the artifact kind in its JSON header; before it,
+#: readers refuse any other.
+CONTAINER_VERSION = 3
+#: Earlier containers, refused by name: container 2 gave every kind a JSON
+#: header, ciphertexts a directory; container 1 also restated the format
+#: name, a format version (3) and the artifact kind in it.  Before them,
 #: format versions 1-2 were npz archives.
-CONTAINER_VERSION = 2
+_RETIRED = {1: "container 1 / format 3", 2: "container 2 (JSON ciphertext headers)"}
 
 #: magic, container version, artifact kind, header_len.
 _PREFIX = struct.Struct("<4sBBI")
+#: Kind bytes of the two ciphertexts, the traffic, and each one's binary
+#: head: the mask's form (an index into :data:`_MASK_FORMS`), ``n``, and a
+#: batch's rows — 6 and 10 bytes, so the payloads start 4-byte aligned.
+_SAMPLE, _BATCH = 1, 2
+_HEAD = {_SAMPLE: struct.Struct("<HI"), _BATCH: struct.Struct("<HII")}
 _HEADER_JSON = json.JSONEncoder(separators=(",", ":")).encode
 #: The payloads' one dtype on the wire, and the native int32 readers return.
 _WIRE_INT32 = np.dtype("<i4")
@@ -149,8 +160,8 @@ _MAX_RANK = 4
 #: parameter set fits far below both (``paper-110bit``: n = 630).
 MAX_SEEDED_DIMENSION = 1 << 14
 MAX_SEEDED_WORDS = 1 << 22
-#: The entries a ciphertext's mask may travel as, one per ciphertext: the
-#: words themselves, a fresh one's seed, or a rounded one's high halves.
+#: The forms a ciphertext's mask may travel in, by head code: the words
+#: themselves, a fresh one's seed, or a rounded one's high halves.
 _MASK_FORMS = ("a", "seed", "a_hi")
 #: Which of a native int32's two native uint16s is its low half: a mask
 #: whose low halves are all zero is written as ``a_hi``, its high halves as
@@ -174,7 +185,8 @@ class _Layout(NamedTuple):
 
     #: The artifact kind byte of the prefix (a key of :data:`_KINDS`).
     kind: int
-    #: The header minus its directory, read-only (every reader shares it).
+    #: The JSON header minus its directory, read-only (every reader shares
+    #: it); empty for a ciphertext.
     meta: Mapping[str, Any]
     #: ``(name, shape, byte offset, int32 count)`` per array, in order.
     arrays: Tuple[Tuple[str, Tuple[int, ...], int, int], ...]
@@ -182,10 +194,9 @@ class _Layout(NamedTuple):
     size: int
     #: ``(rows, n, form)`` of an ``lwe_sample`` — ``form (width,), b ()``,
     #: ``rows`` is ``None`` — or an ``lwe_batch`` — ``form (rows, width),
-    #: b (rows,)`` — where ``form`` is the mask's entry, one of
-    #: :data:`_MASK_FORMS` (a layout of either kind has no other directory),
-    #: so :func:`_load` builds it from one run of its payload; ``None`` for
-    #: the other kinds.
+    #: b (rows,)`` — where ``form`` is one of :data:`_MASK_FORMS` (see
+    #: :func:`_shapes`), so :func:`_load` builds it from one run of its
+    #: payload; ``None`` for the other kinds.
     ciphertext: Optional[Tuple[Optional[int], int, str]]
 
 
@@ -194,9 +205,8 @@ class _Layout(NamedTuple):
 _CACHE_BOUND = 256
 #: (kind byte, exact header bytes) → the layout validated for them (decode).
 _LAYOUTS: Dict[Tuple[int, bytes], _Layout] = {}
-#: (kind byte, *meta items, *(name, shape)) → prefix + header of a
-#: ciphertext, whose meta is nothing or a seeded or halved one's ``n``
-#: (encode; built by :func:`_head` only).
+#: (kind byte, form, shapes of ``a``, of the mask's payload and of ``b``)
+#: → prefix + head of a ciphertext (encode; built by :func:`_head` only).
 _HEADS: Dict[tuple, bytes] = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -238,7 +248,8 @@ class _Stacked(list):
 
 
 def _encode(kind: int, meta: Dict[str, Any], arrays: Dict[str, Any]) -> List[Any]:
-    """The container as a list of buffers: prefix + header, then the payloads.
+    """A JSON-headed container as a list of buffers: prefix + header, then
+    the payloads.
 
     The payloads are the caller's own arrays (C-contiguous int32 is the rule,
     so nothing is copied here); whoever joins, writes or sends the list makes
@@ -246,7 +257,7 @@ def _encode(kind: int, meta: Dict[str, Any], arrays: Dict[str, Any]) -> List[Any
     payload per row.  A non-int32 array is refused, never cast — an ``astype``
     would silently wrap torus values.
     """
-    shapes, payloads = [], []
+    directory, payloads = [], []
     for name, entry in arrays.items():
         stacked = isinstance(entry, _Stacked)
         for array in entry if stacked else (entry,):
@@ -255,40 +266,41 @@ def _encode(kind: int, meta: Dict[str, Any], arrays: Dict[str, Any]) -> List[Any
                 raise SerializationError(f"refusing to write {name!r} as {kind}: int32 only")
             payloads.append(np.ascontiguousarray(array, dtype=_WIRE_INT32).ravel())
         if not stacked:
-            shapes.append((name, entry.shape))
+            directory.append([name, list(entry.shape)])
         elif entry and all(row.shape == entry[0].shape for row in entry):
-            shapes.append((name, (len(entry), *entry[0].shape)))
+            directory.append([name, [len(entry), *entry[0].shape]])
         else:
             raise SerializationError(f"refusing to stack no or unequal arrays as {name!r}")
-    return [_head(kind, meta, shapes), *payloads]
+    header = _HEADER_JSON({**meta, "arrays": directory}).encode("utf-8")
+    return [_PREFIX.pack(MAGIC, CONTAINER_VERSION, kind, len(header)) + header, *payloads]
 
 
-def _head(
-    kind: int, meta: Dict[str, Any], shapes: Sequence[Tuple[str, Tuple[int, ...]]]
-) -> bytes:
-    """Prefix + header of a ``kind`` container of ``(name, shape)`` arrays
-    under ``meta``.
+def _head(kind: int, form: str, a: tuple, words: tuple, b: tuple) -> bytes:
+    """Prefix + head of a ``kind`` ciphertext whose mask (shape ``a``)
+    travels as ``form`` (payload shape ``words``) beside ``b``.
 
-    A ciphertext's header — its directory, plus ``n`` when seeded or
-    halved — is built once per distinct (kind, meta, shapes) and then
-    reused (:data:`_HEADS`); before it is first built, the reader's own
-    check (:func:`_ciphertext`) must accept it, so no writer emits a
-    ciphertext that no reader reads.
+    Built once per distinct (kind, form, shapes) and then reused
+    (:data:`_HEADS`); before it is first built, the reader's own check
+    (:func:`_ciphertext`) must accept the head and the payloads must have
+    the shapes it implies, so no writer emits a ciphertext that no reader
+    reads.
     """
-    ciphertext = kind in (_SAMPLE, _BATCH)
-    key = (kind, *meta.items(), *shapes) if ciphertext else None
-    head = _HEADS.get(key) if ciphertext else None
+    key = (kind, form, a, words, b)
+    head = _HEADS.get(key)
     if head is None:
-        if ciphertext:
-            try:
-                _ciphertext(kind, meta, shapes)
-            except SerializationError as exc:
-                raise SerializationError(f"refusing to write what no reader reads: {exc}") from None
-        directory = [[name, list(shape)] for name, shape in shapes]
-        header = _HEADER_JSON({**meta, "arrays": directory}).encode("utf-8")
-        head = _PREFIX.pack(MAGIC, CONTAINER_VERSION, kind, len(header)) + header
-        if ciphertext:
-            _remember(_HEADS, key, head)
+        batch = kind == _BATCH
+        try:
+            if len(a) != 1 + batch:
+                raise SerializationError(f"a mask of shape {a} is not of rank {1 + batch}")
+            head = _HEAD[kind].pack(_MASK_FORMS.index(form), a[-1], *a[:batch])
+            rows, n, _ = _ciphertext(kind, head)
+            want = _shapes(form, n, rows)
+            if (words, b) != want:
+                raise SerializationError(f"{form} {words}, b {b} are not its head's {want}")
+        except SerializationError as exc:
+            raise SerializationError(f"refusing to write what no reader reads: {exc}") from None
+        head = _PREFIX.pack(MAGIC, CONTAINER_VERSION, kind, len(head)) + head
+        _remember(_HEADS, key, head)
     return head
 
 
@@ -345,8 +357,8 @@ def _layout(data: Buffer) -> Tuple[memoryview, _Layout]:
         retired = ""
         if magic[:2] == b"PK":
             retired = "an npz archive (format versions 1-2)"
-        elif magic == MAGIC and version == 1:
-            retired = "container 1 / format 3"
+        elif magic == MAGIC and version in _RETIRED:
+            retired = _RETIRED[version]
         raise SerializationError(
             f"not a version-{CONTAINER_VERSION} {MAGIC!r} container (starts {magic!r}, "
             f"version {version})"
@@ -370,27 +382,40 @@ def _layout(data: Buffer) -> Tuple[memoryview, _Layout]:
 def _validate(kind: int, header: bytes, offset: int, size: int) -> _Layout:
     """The full check of a ``kind`` header met for the first time, against
     the ``size`` bytes of its container (payloads start at ``offset``)."""
+    if kind in _HEAD:
+        rows, n, form = ciphertext = _ciphertext(kind, header)
+        entries = _place(zip((form, "b"), _shapes(form, n, rows)), offset, size)
+        return _Layout(kind, MappingProxyType({}), entries, size, ciphertext)
     try:
         meta = json.loads(str(header, "utf-8"))
     except (ValueError, RecursionError) as exc:
         raise SerializationError(f"malformed header: {exc}") from exc
     if not isinstance(meta, dict) or not isinstance(meta.get("arrays"), list):
         raise SerializationError("header must be a JSON object with an 'arrays' list")
-    arrays: Dict[str, Tuple[Tuple[int, ...], int, int]] = {}
+    shapes: Dict[str, Tuple[int, ...]] = {}
     for entry in meta.pop("arrays"):
         if not (
             isinstance(entry, list)
             and len(entry) == 2
             and isinstance(entry[0], str)
-            and entry[0] not in arrays
+            and entry[0] not in shapes
             and isinstance(entry[1], list)
             and len(entry[1]) <= _MAX_RANK
             and all(type(dim) is int and dim >= 0 for dim in entry[1])
         ):
             raise SerializationError(f"malformed or duplicate directory entry {entry!r}")
-        name, shape = entry
+        shapes[entry[0]] = tuple(entry[1])
+    return _Layout(kind, MappingProxyType(meta), _place(shapes.items(), offset, size), size, None)
+
+
+def _place(shapes, offset: int, size: int):
+    """``(name, shape, byte offset, int32 count)`` of each ``(name, shape)``,
+    laid end to end from ``offset`` — or the refusal when they do not fill
+    the container's ``size`` bytes exactly."""
+    entries = []
+    for name, shape in shapes:
         count = math.prod(shape)
-        arrays[name] = (tuple(shape), offset, count)
+        entries.append((name, shape, offset, count))
         offset += 4 * count
         if offset > size:
             raise SerializationError(
@@ -398,63 +423,43 @@ def _validate(kind: int, header: bytes, offset: int, size: int) -> _Layout:
             )
     if offset != size:
         raise SerializationError(f"{size - offset} trailing bytes after the payloads")
-    entries = tuple((name, *placed) for name, placed in arrays.items())
-    ciphertext = _ciphertext(kind, meta, entries) if kind in (_SAMPLE, _BATCH) else None
-    return _Layout(kind, MappingProxyType(meta), entries, offset, ciphertext)
+    return tuple(entries)
 
 
-def _ciphertext(kind: int, meta: Dict[str, Any], entries) -> Tuple[Optional[int], int, str]:
-    """:attr:`_Layout.ciphertext` of an ``lwe_sample`` / ``lwe_batch``
-    directory, or its refusal: the directory must be what
-    :func:`_ciphertext_archive` writes — the mask as exactly one of
-    :data:`_MASK_FORMS`, then ``b`` of the mask's rows, nothing else.  A
-    seeded or halved header must also state a sound ``n``, and a seeded
-    mask fit :data:`MAX_SEEDED_DIMENSION` / :data:`MAX_SEEDED_WORDS`, so no
-    reader expands an unbounded mask."""
-    shapes = {name: shape for name, shape, *_ in entries}
-    batch = kind == _BATCH
-    forms = [form for form in _MASK_FORMS if form in shapes]
-    if not forms:
-        raise SerializationError("archive is missing the 'a' entry and has no 'seed' or 'a_hi'")
-    if len(forms) > 1:
+def _ciphertext(kind: int, head: bytes) -> Tuple[Optional[int], int, str]:
+    """:attr:`_Layout.ciphertext` of an ``lwe_sample`` / ``lwe_batch`` head,
+    or its refusal: the head must be its kind's size and state a known form
+    and ``n >= 1``, and a seeded mask must fit :data:`MAX_SEEDED_DIMENSION`
+    / :data:`MAX_SEEDED_WORDS`, so no reader expands an unbounded mask."""
+    name, layout = _KINDS[kind].name, _HEAD[kind]
+    if len(head) != layout.size:
+        raise SerializationError(f"an {name} head is {layout.size} bytes, not {len(head)}")
+    code, n, *rows = layout.unpack(head)
+    rows = rows[0] if rows else None
+    if code >= len(_MASK_FORMS):
         raise SerializationError(
-            "a ciphertext carries its mask 'a', its 'seed' or its halves 'a_hi', "
-            f"not both {forms[0]!r} and {forms[1]!r}"
+            f"unknown ciphertext form {code} (0 = 'a', 1 = 'seed', 2 = 'a_hi')"
         )
-    (form,) = forms
-    mask = shapes[form]
-    if form == "a":
-        width = n = mask[-1] if mask else None
-    else:
-        n = meta.get("n")
-        if type(n) is not int or n < 1:
-            raise SerializationError(f"a {form!r} ciphertext's header needs an integer n >= 1, not {n!r}")
-        width = SEED_WORDS if form == "seed" else (n + 1) // 2
-    if len(mask) != 1 + batch or mask[-1] != width:
-        want = "*" if form == "a" else width
-        want = f"(rows, {want})" if batch else f"({want},)"
-        raise SerializationError(f"{form!r} has shape {mask} (rank {len(mask)}), expected {want}")
-    rows = mask[0] if batch else None
+    if n < 1:
+        raise SerializationError(f"an {name} head needs n >= 1, not {n}")
+    form = _MASK_FORMS[code]
+    if form == "a_hi" and rows == 0:
+        raise SerializationError("an empty lwe_batch travels as 'a', not 'a_hi'")
     if form == "seed" and (n > MAX_SEEDED_DIMENSION or (rows or 1) * n > MAX_SEEDED_WORDS):
-        what = f"batch of {rows} rows" if batch else "sample"
+        what = f"batch of {rows} rows" if rows is not None else "sample"
         raise SerializationError(
             f"a seeded {what} of n = {n} exceeds the expansion bound "
             f"(n <= {MAX_SEEDED_DIMENSION}, rows × n <= {MAX_SEEDED_WORDS})"
         )
-    rows_b = mask[:batch]
-    if tuple(shapes.items()) == ((form, mask), ("b", rows_b)):
-        return (rows, n, form)
-    b = shapes.get("b")
-    if b is None:
-        problem = "archive is missing the 'b' entry"
-    elif b != rows_b:
-        problem = f"archive entry 'b' has rank {len(b)} and shape {b}, expected {rows_b}"
-    else:
-        problem = "archive holds other entries than its mask and 'b', in that order"
-    raise SerializationError(
-        f"{problem}: an {_KINDS[kind].name} directory is {form} {mask}, b {rows_b}; "
-        f"got {', '.join(f'{name} {shape}' for name, shape in shapes.items())}"
-    )
+    return rows, n, form
+
+
+def _shapes(form: str, n: int, rows: Optional[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The payload shapes a ciphertext head states: its mask's as ``form``
+    (``n`` words, a seed's :data:`SEED_WORDS` or ``⌈n/2⌉`` halves' words a
+    row), then ``b``'s — a sample's ``()``, a batch's ``(rows,)``."""
+    width = SEED_WORDS if form == "seed" else (n + 1) // 2 if form == "a_hi" else n
+    return ((width,), ()) if rows is None else ((rows, width), (rows,))
 
 
 def _pack_halves(high: np.ndarray) -> np.ndarray:
@@ -478,16 +483,16 @@ def _unpack_halves(halves: np.ndarray, n: int) -> np.ndarray:
     return mask.view(np.int32)
 
 
-def _mask_entry(a) -> Tuple[Dict[str, int], str, Any]:
-    """An unseeded ciphertext's mask as ``(meta, entry name, payload)``:
-    ``a_hi`` with its ``n`` when every word's low half is zero, else ``a``.
-    Anything but a non-empty int32 ndarray is left to
-    :func:`_ciphertext_archive` to write as ``a`` or refuse."""
+def _mask_entry(a) -> Tuple[str, Any]:
+    """An unseeded ciphertext's mask as ``(form, payload)``: ``a_hi`` when
+    every word's low half is zero, else ``a``.  Anything but a non-empty
+    int32 ndarray is left to :func:`_ciphertext_archive` to write as ``a``
+    or refuse."""
     if type(a) is np.ndarray and a.dtype == _INT32 and a.size:
         halves = np.ascontiguousarray(a).view(np.uint16)
         if not np.count_nonzero(halves[..., _LOW_HALF::2]):
-            return {"n": a.shape[-1]}, "a_hi", _pack_halves(halves[..., 1 - _LOW_HALF :: 2])
-    return {}, "a", a
+            return "a_hi", _pack_halves(halves[..., 1 - _LOW_HALF :: 2])
+    return "a", a
 
 
 def _require(arrays: Dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
@@ -589,23 +594,20 @@ def _cloud_key_from_archive(meta, arrays) -> TFHECloudKey:
 
 def _ciphertext_archive(kind: int, ct: Union[LweSample, LweBatch]) -> List[Any]:
     """An ``lwe_sample`` / ``lwe_batch`` as its cached :func:`_head`, its mask
-    entry's payload and ``b``'s — the only writer of either kind.
+    payload and ``b``'s — the only writer of either kind.
 
-    A fresh ciphertext's mask travels as its seed (with its ``n``), any
-    other as :func:`_mask_entry` chooses.  A field that is not int32 is
-    refused, never cast, and so is a directory :func:`_ciphertext` would
-    refuse (checked by :func:`_head`).
+    A fresh ciphertext's mask travels as its seed, any other as
+    :func:`_mask_entry` chooses.  A field that is not int32 is refused,
+    never cast, and so are shapes :func:`_ciphertext` would refuse (checked
+    by :func:`_head`).
     """
     a, b, seed = ct.a, ct.b, ct.seed
-    if seed is None:
-        meta, name, words = _mask_entry(a)
-    else:
-        meta, name, words = {"n": a.shape[-1]}, "seed", seed
+    form, words = _mask_entry(a) if seed is None else ("seed", seed)
     if getattr(words, "dtype", None) != _INT32 or getattr(b, "dtype", None) != _INT32:
-        field, value = (name, words) if getattr(words, "dtype", None) != _INT32 else ("b", b)
+        field, value = (form, words) if getattr(words, "dtype", None) != _INT32 else ("b", b)
         what = getattr(value, "dtype", type(value).__name__)
         raise SerializationError(f"refusing to write {field!r} as {what}: int32 only")
-    head = _head(kind, meta, ((name, words.shape), ("b", b.shape)))
+    head = _head(kind, form, np.shape(a), words.shape, b.shape)
     tail = np.ascontiguousarray(b, dtype=_WIRE_INT32) if kind == _BATCH else _WIRE_B.pack(b)
     return [head, np.ascontiguousarray(words, dtype=_WIRE_INT32), tail]
 
@@ -664,8 +666,6 @@ class _Kind(NamedTuple):
     load: Optional[Callable[[Mapping[str, Any], Dict[str, np.ndarray]], Any]]
 
 
-#: Kind bytes of the two ciphertexts, the traffic.
-_SAMPLE, _BATCH = 1, 2
 #: Kind byte → its writer and loader.  A byte, once given, is never reused:
 #: it is what a stored artifact says it is.
 _KINDS: Dict[int, _Kind] = {
@@ -686,12 +686,18 @@ def _load(data: Buffer, adopt: bool = False):
     ciphertext is built here from one run of its payload: ``a`` or ``seed``
     (and ``b``) are slices of it; a seeded one's ``a`` is expanded from its
     seed, a halved one's unpacked from ``data`` into an array of its own.
+    An ``a`` mask the writer would have halved is refused, so every
+    ciphertext read re-encodes to the bytes it was read from.
     """
     view, layout = _layout(data)
     if layout.ciphertext is None:
         return _KINDS[layout.kind].load(layout.meta, _arrays(view, layout, adopt))
     rows, n, form = layout.ciphertext
     _, mask, start, count = layout.arrays[0]
+    if form == "a" and count:
+        lows = np.frombuffer(view, _WIRE_HALF, 2 * count, start)[::2]
+        if not np.count_nonzero(lows):
+            raise SerializationError("an 'a' mask whose low halves are all zero travels as 'a_hi'")
     if form == "a_hi":
         halves = np.frombuffer(view, _WIRE_HALF, 2 * count, start)
         if rows is None:

@@ -82,9 +82,11 @@ def edit_artifact():
     for corruption tests.
 
     Splits a :mod:`repro.tfhe.serialize` container by hand (the byte layout is
-    the contract under test), lets ``mutate(header_dict)`` edit the JSON
-    header in place, optionally replaces the payload bytes, the container
-    version byte or the artifact kind byte, and re-packs it under a correct
+    the contract under test), lets ``mutate(header_dict)`` edit its header in
+    place — a key's or radix integer's JSON, or a ciphertext's binary head as
+    ``{"form", "n"}`` (+ ``"rows"`` for a batch), repacked as a ``u16``
+    then ``u32`` words — optionally replaces the payload bytes, the container version
+    byte or the artifact kind byte, and re-packs it under a correct
     ``header_len`` — so a test reaches the check it aims at instead of
     tripping the prefix check.
     """
@@ -92,20 +94,38 @@ def edit_artifact():
     import struct
 
     prefix = struct.Struct("<4sBBI")
+    heads = {1: ("form", "n"), 2: ("form", "n", "rows")}
 
     def edit(blob, mutate=None, payload=None, version=None, kind=None):
         magic, old_version, old_kind, header_len = prefix.unpack_from(blob)
         end = prefix.size + header_len
-        meta = json.loads(bytes(blob[prefix.size : end]))
+        fields = heads.get(old_kind)
+        if fields:
+            layout = "<H" + "I" * (len(fields) - 1)
+            meta = dict(zip(fields, struct.unpack(layout, bytes(blob[prefix.size : end]))))
+        else:
+            meta = json.loads(bytes(blob[prefix.size : end]))
         if mutate is not None:
             mutate(meta)
-        header = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+        if fields:
+            header = struct.pack("<H" + "I" * (len(meta) - 1), *meta.values())
+        else:
+            header = json.dumps(meta, separators=(",", ":")).encode("utf-8")
         body = bytes(blob[end:]) if payload is None else payload
         version = old_version if version is None else version
         kind = old_kind if kind is None else kind
         return prefix.pack(magic, version, kind, len(header)) + header + body
 
     return edit
+
+
+def ciphertext_form(blob) -> str:
+    """The form an ``lwe_sample`` / ``lwe_batch`` container's mask travels
+    in, read from its binary head: ``a``, ``seed`` or ``a_hi``."""
+    import struct
+
+    assert blob[:4] == b"rTFA" and blob[5] in (1, 2), bytes(blob[:6])
+    return ("a", "seed", "a_hi")[struct.unpack_from("<H", blob, 10)[0]]
 
 
 def scrape(source) -> dict:

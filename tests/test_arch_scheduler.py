@@ -33,7 +33,7 @@ def simple_architecture(fft_cores=2, throughput=10.0):
             throughput,
         ),
     )
-    return ArchitectureDescription(name="simple", clock_hz=1.0e9, units=units, static_power_w=1.0)
+    return ArchitectureDescription(name="simple", clock_hz=1.0e9, units=units)
 
 
 class TestBasicScheduling:
@@ -87,12 +87,6 @@ class TestScheduleMetrics:
         result = ListScheduler(simple_architecture(fft_cores=2, throughput=100.0)).schedule(dfg)
         for value in result.utilisation_by_unit.values():
             assert 0.0 <= value <= 1.0 + 1e-9
-
-    def test_dynamic_energy_accumulates(self):
-        dfg = DataFlowGraph()
-        dfg.add_node(OpType.FFT, 1000.0)
-        result = ListScheduler(simple_architecture()).schedule(dfg)
-        assert result.dynamic_energy_j > 0
 
     def test_breakdown_fractions_sum_to_one(self):
         """The Figure 1 buckets and the transfers partition every op a gate runs."""

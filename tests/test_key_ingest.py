@@ -22,7 +22,7 @@ import zlib
 import numpy as np
 import pytest
 from circuit_oracle import circuit_oracle
-from conftest import scrape
+from conftest import ciphertext_form, scrape
 
 from test_allocation import _traced_peak
 from test_serialize import (
@@ -65,7 +65,7 @@ from repro.tfhe.transform import DoubleFFTNegacyclicTransform
 
 _PREFIX = struct.Struct("<4sIQI")
 #: A stream limit small enough that even the micro artifacts land in place.
-LIMIT = 64
+LIMIT = 32
 
 
 def _keys(params, seed):
@@ -136,7 +136,7 @@ def _message(decode, data):
 
 @pytest.mark.parametrize("name", sorted(MICRO_BLOBS))
 def test_adopted_arrays_are_the_receive_buffer(name):
-    """An array the loader keeps as its directory entry's words views the
+    """An array the loader keeps as its payload's words views the
     buffer; an expanded or unpacked mask and a radix integer's digit rows
     are arrays of their own either way."""
     blob = MICRO_BLOBS[name]
@@ -146,7 +146,10 @@ def test_adopted_arrays_are_the_receive_buffer(name):
     loaded = from_owned_buffer(part)
     adopted = artifact_arrays(loaded)
     assert adopted.keys() == owned.keys() and adopted
-    entries = {entry for entry, _ in _directory(blob)}
+    if name.startswith("lwe_"):
+        entries = {ciphertext_form(blob), "b"}
+    else:
+        entries = {entry for entry, _ in _directory(blob)}
     for key, array in adopted.items():
         viewed = key.split("[")[0] in entries
         assert np.shares_memory(array, backing) == viewed, (name, key)
@@ -188,7 +191,7 @@ def test_unadoptable_buffers_fall_back_to_owning_copies(name):
 
 @pytest.mark.parametrize("decode", [from_bytes, from_owned_buffer])
 def test_every_unreadable_buffer_is_a_serialization_error(decode):
-    blob = MICRO_BLOBS["lwe_batch_a"]  # 104 bytes: castable to int32 words
+    blob = MICRO_BLOBS["lwe_batch_a"]  # 80 bytes: castable to int32 words
     doubled = bytearray(2 * len(blob))
     doubled[::2] = blob
     strided = memoryview(doubled)[::2]
@@ -228,14 +231,27 @@ def _directory_lies():
     ]
 
 
+def _head_lies():
+    return [
+        lambda m: m.__setitem__("form", 3),
+        lambda m: m.__setitem__("n", 0),
+        lambda m: m.__setitem__("n", 2**32 - 1),
+        lambda m: m.__setitem__("rows", 2**32 - 1),
+        lambda m: m.__setitem__("rows", 2),
+        lambda m: m.pop("rows"),
+        lambda m: m.__setitem__("pad", 0),
+    ]
+
+
 def test_malformed_containers_read_the_same_through_both_entries(edit_artifact):
     corpus = []
     for blob in MICRO_BLOBS.values():
         corpus.extend(blob[:cut] for cut in range(len(blob)))
         corpus.append(blob + b"\x00")
+    corpus.extend(edit_artifact(MICRO_BLOBS["radix_int"], lie) for lie in _directory_lies())
     for batch in (MICRO_BLOBS["lwe_batch"], MICRO_BLOBS["lwe_batch_a"]):
-        corpus.extend(edit_artifact(batch, lie) for lie in _directory_lies())
-        corpus.extend(edit_artifact(batch, version=version) for version in (1, 3))
+        corpus.extend(edit_artifact(batch, lie) for lie in _head_lies())
+        corpus.extend(edit_artifact(batch, version=version) for version in (1, 2, 4))
         corpus.extend(edit_artifact(batch, kind=kind) for kind in (0, 1, 0xEE))
     corpus.append(b"PK\x03\x04" + bytes(40))
     for bad in corpus:

@@ -32,6 +32,7 @@ from repro.runtime.protocol import (
     ProtocolError,
     TruncatedFrame,
     encode_frame,
+    gate_request,
     pack_parts,
     read_frame,
     read_frame_async,
@@ -39,7 +40,8 @@ from repro.runtime.protocol import (
     unpack_parts,
 )
 from repro.tfhe.keys import generate_keys
-from repro.tfhe.params import TEST_TINY
+from repro.tfhe.lwe import gate_message, lwe_encrypt, lwe_key_generate, lwe_round_mask
+from repro.tfhe.params import PAPER_110BIT, TEST_SMALL, TEST_TINY
 from repro.tfhe.serialize import to_bytes
 
 _PREFIX = struct.Struct("<4sIQI")
@@ -341,3 +343,22 @@ def test_fuzz_parts_mutations():
             assert isinstance(parts, list)
         except ProtocolError:
             pass
+
+
+@pytest.mark.parametrize(
+    "params, request_bytes, reply_bytes",
+    [(TEST_SMALL, 146, 124), (PAPER_110BIT, 146, 1320)],
+    ids=lambda value: getattr(value, "name", None),
+)
+def test_the_wire_budget_of_one_gate(params, request_bytes, reply_bytes):
+    """One NAND's two frames, built as the client and the server build them:
+    the request over two fresh (seeded) operands, whatever ``n``, and the
+    reply of one rounded sample.  A codec or framing change shows here."""
+    key = lwe_key_generate(params.lwe, rng=1)
+    ca, cb = (lwe_encrypt(key, gate_message(bit), rng=2 + bit) for bit in (1, 0))
+    op, body, fields = gate_request("nand", ca, cb)
+    request = encode_frame({"op": op, "id": 1, **fields}, body)
+    reply = encode_frame({"id": 1}, pack_parts([to_bytes(lwe_round_mask(ca.copy()))]))
+    # frame prefix 20 + header JSON + part count 4 + 8 per part + parts
+    assert len(request) == 20 + 34 + 4 + 2 * (8 + 36) == request_bytes
+    assert len(reply) == 20 + 8 + 4 + 8 + 16 + 4 * -(-params.n // 2) + 4 == reply_bytes

@@ -36,7 +36,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import scrape
+from conftest import ciphertext_form, scrape
 from test_serialize import old_layout_key, old_unrolled_key
 
 from repro.runtime import FheContext, ResilientClient, WorkerPool
@@ -148,7 +148,7 @@ def test_gate_lut_and_circuit_replies_travel_rounded_as_halves(server_factory, w
         assert lut == to_bytes(lwe_round_mask(evaluator.lut(0b0110, bits[:2])))
         adder = _reply_blob(client, client.submit_circuit(circuit, LweBatch.from_samples(bits)))
         for blob in (gate, lut, adder):
-            assert b'"a_hi"' in blob and b'"a"' not in blob
+            assert ciphertext_form(blob) == "a_hi"
         total = from_bytes(adder)
         assert sum(decrypt_bit(secret, s) << i for i, s in enumerate(total.to_samples())) == 1 + 3
         # Rounded replies as operands: the next bootstrap reads them as any other.
@@ -167,7 +167,7 @@ def test_a_ring_too_wide_to_afford_rounding_keeps_the_full_mask(server_factory, 
         client.register_key(cloud)
         blob = _reply_blob(client, client.submit_gate("nand", ca, cb))
         assert blob == to_bytes(FheContext(cloud).evaluator().nand(ca, cb))
-        assert b'"a"' in blob and decrypt_bit(secret, from_bytes(blob)) == 0
+        assert ciphertext_form(blob) == "a" and decrypt_bit(secret, from_bytes(blob)) == 0
 
 
 def test_the_json_metrics_op_is_gone(server_factory, wire_keys):
@@ -431,16 +431,18 @@ def test_an_unrolled_key_entry_is_refused_by_name(server_factory):
 def test_a_hostile_seeded_operand_is_refused_and_the_connection_serves_on(
     server_factory, wire_keys, edit_artifact
 ):
-    """A seeded operand whose header asks for more mask than the expansion
-    bound, or for a mask of another dimension, is a typed, non-retryable
-    ``bad_request``; the same connection then serves a NAND of fresh
-    (seeded) operands that decrypts."""
+    """A seeded operand whose head asks for more mask than the expansion
+    bound, for no mask, for an unknown form or for a mask of another
+    dimension, is a typed, non-retryable ``bad_request``; the same
+    connection then serves a NAND of fresh (seeded) operands that
+    decrypts."""
     secret, cloud = wire_keys
     fresh = to_bytes(encrypt_bit(secret, 1, rng=3))
-    assert b'"seed"' in fresh
+    assert ciphertext_form(fresh) == "seed"
     hostile = [
-        (edit_artifact(fresh, lambda m: m.__setitem__("n", 2**40)), "expansion bound"),
-        (edit_artifact(fresh, lambda m: m.__setitem__("n", "16")), "integer n"),
+        (edit_artifact(fresh, lambda m: m.__setitem__("n", 2**32 - 1)), "expansion bound"),
+        (edit_artifact(fresh, lambda m: m.__setitem__("n", 0)), "n >= 1"),
+        (edit_artifact(fresh, lambda m: m.__setitem__("form", 3)), "unknown ciphertext form"),
         (edit_artifact(fresh, lambda m: m.__setitem__("n", TEST_TINY.n + 1)), "dimension"),
     ]
     server = server_factory()
@@ -481,7 +483,7 @@ def test_malformed_key_header_is_a_bad_request_not_internal(
 def test_inconsistent_shapes_are_refused_at_load(server_factory, wire_keys, edit_artifact):
     """A key whose arrays contradict its own params is refused by
     ``register_key`` (it used to be accepted and fail inside the first gate),
-    and a batch with more ``a`` rows than ``b`` entries by ``circuit``."""
+    and a batch whose head states fewer rows than it carries by ``circuit``."""
     secret, cloud = wire_keys
     n, big_n, k, l = TEST_TINY.n, TEST_TINY.N, TEST_TINY.k, TEST_TINY.l
 
@@ -498,13 +500,11 @@ def test_inconsistent_shapes_are_refused_at_load(server_factory, wire_keys, edit
         client.register_key(cloud)
         circuit = adder_netlist(1)
         bits = LweBatch.from_samples([encrypt_bit(secret, 1, rng=i) for i in range(3)])
-        lopsided = edit_artifact(
-            to_bytes(bits), lambda m: m["arrays"].__setitem__(1, ["b", [2]])
-        )[:-4]
+        lopsided = edit_artifact(to_bytes(bits), lambda m: m.__setitem__("rows", 2))
         message = _bad_request(
             client, "circuit", [lopsided], circuit=json.loads(circuit_to_json(circuit))
         )
-        assert "'b'" in message
+        assert "trailing bytes" in message
 
 
 def test_radix_operand_of_the_wrong_dimension_is_refused_before_any_bootstrap(
