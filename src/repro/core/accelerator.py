@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.integer_fft import ApproximateNegacyclicTransform
-from repro.tfhe.gates import TFHEGateEvaluator
-from repro.tfhe.keys import TFHECloudKey
 from repro.tfhe.params import PAPER_110BIT, TFHEParameters
 
 
@@ -64,12 +62,6 @@ class MatchaAccelerator:
             params.N, twiddle_bits=config.twiddle_bits
         )
 
-    # -- functional side -----------------------------------------------------
-    def evaluator(self, cloud_key: TFHECloudKey) -> TFHEGateEvaluator:
-        """A gate evaluator bound to a cloud key built with :attr:`transform`."""
-        return TFHEGateEvaluator(cloud_key)
-
-    # -- modelling side --------------------------------------------------------
     def performance(self):
         """Latency / throughput / power of this configuration (cycle model).
 

@@ -35,11 +35,6 @@ class QuantisedTwiddle:
     def value(self) -> complex:
         return complex(self.real.value, self.imag.value)
 
-    def quantisation_error(self) -> float:
-        """Distance between the quantised and the exact root of unity."""
-        exact = complex(math.cos(self.angle), math.sin(self.angle))
-        return abs(self.value - exact)
-
 
 class TwiddleFactorBuffer:
     """The twiddle-factor buffer of an FFT core (Figure 7(d)).

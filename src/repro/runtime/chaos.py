@@ -6,10 +6,10 @@ an exact, declared point, so a failing chaos test replays identically:
 * :class:`ChaosProxy` — a frame-aware TCP proxy between a client and the
   server.  Per accepted connection (by accept order) and per direction
   (``c2s`` / ``s2c``) a *plan* maps frame indices to actions: drop the
-  connection, truncate a frame mid-body, flip one bit (which the v2 CRC
-  must catch), or delay delivery.  The proxy parses only the length prefix
-  — never the checksum — so corrupted frames are forwarded intact for the
-  endpoint to reject.
+  connection, truncate a frame mid-body, flip one bit (which the frame CRC
+  must catch), or delay delivery.  The proxy parses only the layout byte
+  and the lengths — never the checksum — so corrupted frames are forwarded
+  intact for the endpoint to reject.
 * :class:`FlakyEngine` — a transform engine that delegates every operation
   to a real base engine bit-identically, but raises
   :class:`repro.tfhe.transform.EngineFault` on the Nth transform call.  It
@@ -33,7 +33,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.runtime.context import FheContext
-from repro.runtime.protocol import _PREFIX
+from repro.runtime.protocol import _HEAD, _tail_lengths, _tail_size
 from repro.runtime.scheduler import (
     Row,
     RowDispatcher,
@@ -228,19 +228,23 @@ class ChaosProxy:
 
     @staticmethod
     def _read_raw_frame(sock: socket.socket) -> Optional[bytes]:
-        """One raw v2 frame (prefix + header + body), unvalidated.
+        """One raw frame (prefix + extras + body), unvalidated.
 
-        Only the length fields are parsed — magic and CRC pass through
-        untouched so corruption injected upstream reaches the endpoint.
+        Only the layout byte and the lengths are parsed — magic and CRC
+        pass through untouched so corruption injected upstream reaches the
+        endpoint.
         """
-        prefix = _read_exact(sock, _PREFIX.size)
-        if prefix is None:
+        head = _read_exact(sock, _HEAD.size)
+        if head is None:
             return None
-        _magic, header_len, body_len, _crc = _PREFIX.unpack(prefix)
-        rest = _read_exact(sock, header_len + body_len)
+        tail = _read_exact(sock, _tail_size(head[-1]))
+        if tail is None:
+            return head  # truncated upstream: forward what exists
+        extras_len, body_len = _tail_lengths(head[-1], tail)
+        rest = _read_exact(sock, extras_len + body_len)
         if rest is None:
-            return prefix  # truncated upstream: forward what exists
-        return prefix + rest
+            return head + tail
+        return head + tail + rest
 
 
 # --------------------------------------------------------------------------- #

@@ -1,44 +1,75 @@
 """Wire protocol of the serving front: CRC-protected frames over a socket.
 
-One frame is::
+One frame (frame 3) is::
 
-    magic (4) | header_len u32 | body_len u64 | crc32 u32 | header JSON | body
+    magic "rTF3" (4) | crc32 u32 | op u8 | layout u8 | id | extras_len | body_len | extras JSON | body
 
-with little-endian fixed-width prefixes (matching the shared-memory segment
-layout in :mod:`repro.runtime.workers`).  The **header** is a UTF-8 JSON
-object — ``{"op": ..., "id": ...}`` plus op-specific fields — and the
-**body** carries binary payloads: the :mod:`repro.tfhe.serialize` artifacts
-(cloud keys, ciphertexts, radix integers) travel verbatim, so the wire format
-is exactly the on-disk format, and circuit JSON rides in the header.  A body
-holds one or more artifacts — a gate's two operands, a LUT's operand list —
-as :func:`pack_parts` parts (``u32 count | (u64 len | bytes)*``);
-:func:`unpack_parts` checks the count and every length and hands out
-zero-copy views of the body.  A frame is *built* as a list of buffers —
-:func:`frame_pieces` over :func:`parts_pieces` over
-:func:`repro.tfhe.serialize.to_pieces`, the checksum chained over the pieces
-— of which :func:`encode_frame`, :func:`pack_parts` and ``to_bytes`` are the
-joins; a cloud key is sent as those pieces and never joined.  The async
-reader takes a body its stream's buffer limit covers whole and receives a
-larger one in place, into one buffer whose end is 8-byte aligned, so the
-server's ``register_key`` can adopt it as the key's arrays
-(:func:`repro.tfhe.serialize.from_owned_buffer`).  The ``crc32`` field covers
-``header JSON + body``, so a bit-flipped frame is caught *before* any
-artifact is decoded — CRC32 detects every single-bit and burst-under-32-bit
-corruption, which the artifact reader's structural checks cannot (a flipped
-payload bit is still a valid ciphertext).
+little-endian throughout (matching the shared-memory segment layout in
+:mod:`repro.runtime.workers`).  The 10-byte head is fixed; the **layout**
+byte says how wide the three fields after it are, each the narrowest that
+holds its value:
+
+* bits 0-2, the id: 0 — no id (an unsolicited event, ``{"event": ...}``);
+  1 — id ``-1``, the reserved id of an error frame answering a frame whose
+  id was never read (the server's reply to a :class:`ProtocolError`); 2-5 —
+  a ``u8`` / ``u16`` / ``u32`` / ``u64`` id ``>= 0``.  A request always
+  carries one of those;
+* bits 3-4, ``extras_len``, and bits 5-6, ``body_len``: 0 — the part is
+  empty and the field absent; 1-3 — a ``u8`` / ``u16`` / ``u32`` length;
+* bit 7 is zero.
+
+The **op** byte is 0 for a reply (and an event) and 1-8 for the request
+ops ``hello``, ``register_key``, ``gate``, ``lut``, ``circuit``,
+``radix_add``, ``metrics_prom``, ``trace_export`` in that order; a code
+this side has no name for reads as the bare ``int`` (the server answers it
+``unsupported``), and an op name without a code is a :class:`ValueError`
+at encode time.  The **extras** are a UTF-8 JSON object of every header
+field but ``op`` and ``id`` — a gate's ``gate``, a LUT's ``table``, the
+circuit JSON, ``session``, ``ack``, ``trace``, a reply's ``error`` — and
+absent when there are none, as for a gate's reply.  The dict API is the
+same either way: :func:`encode_frame` takes ``{"op": ..., "id": ...,
+**extras}`` and :func:`read_frame` gives it back.  A NAND request with a
+one-byte id is 103 B on the wire at any ``n`` and its reply 98 B at
+``test-small`` (1296 B at ``paper-110bit``).
+
+The **body** carries binary payloads: the :mod:`repro.tfhe.serialize`
+artifacts (cloud keys, ciphertexts, radix integers) travel verbatim, so
+the wire format is exactly the on-disk format.  A body holds one or more
+artifacts — a gate's two operands, a LUT's operand list — as
+:func:`pack_parts` parts (``count | (len | bytes)*``, the count and each
+length an unsigned LEB128 varint); :func:`unpack_parts` checks the count
+and every length and hands out zero-copy views of the body.  A frame is
+*built* as a list of buffers — :func:`frame_pieces` over
+:func:`parts_pieces` over :func:`repro.tfhe.serialize.to_pieces`, the
+checksum chained over the pieces — of which :func:`encode_frame`,
+:func:`pack_parts` and ``to_bytes`` are the joins; a cloud key is sent as
+those pieces and never joined.  The async reader takes a body its stream's
+buffer limit covers whole and receives a larger one in place, into one
+buffer whose end is 8-byte aligned, so the server's ``register_key`` can
+adopt it as the key's arrays
+(:func:`repro.tfhe.serialize.from_owned_buffer`).  The ``crc32`` field
+covers every byte after it — op, layout, id, lengths, extras and body —
+so a bit-flipped frame is caught *before* any artifact is decoded or any
+reply is matched to its id — CRC32 detects every single-bit and
+burst-under-32-bit corruption, which the artifact reader's structural
+checks cannot (a flipped payload bit is still a valid ciphertext).
 
 Robustness contract (exercised by the protocol fuzz suite):
 
-* both length prefixes are bounded *before* any allocation —
-  ``header_len`` by :data:`MAX_HEADER_LEN`, the whole frame by the
+* a reader makes two fixed-size reads — the head, then the tail the
+  layout byte announces — and bounds both lengths *before* any allocation:
+  ``extras_len`` by :data:`MAX_HEADER_LEN`, the whole frame by the
   reader's ``max_frame`` (default :data:`DEFAULT_MAX_FRAME`) — so an
   adversarial prefix cannot balloon server memory;
 * a connection that ends mid-frame raises :class:`TruncatedFrame`, a bad
-  magic :class:`BadMagic`, a payload that fails its checksum
-  :class:`ChecksumMismatch`, an unparsable header :class:`BadHeader` — all
-  subclasses of :class:`ProtocolError`, which the server maps to one clean
-  error frame (or a connection close for desynchronised streams), never a
-  hang;
+  magic :class:`BadMagic` (a frame-2 peer's by name), a frame that fails
+  its checksum :class:`ChecksumMismatch`, a layout byte that is not the
+  narrowest for its fields, a request without an id or extras that are
+  not the one JSON encoding of a non-empty object without ``op`` and
+  ``id`` :class:`BadHeader` — all subclasses of :class:`ProtocolError`,
+  which the server maps to one clean error frame (or a connection close
+  for desynchronised streams), never a hang.  So a frame that reads
+  re-encodes to its own bytes;
 * responses echo the request ``id``, so a pipelined client can have many
   requests in flight and match replies out of order.
 
@@ -112,20 +143,47 @@ __all__ = [
     "ServingClient",
 ]
 
-#: Frame magic of the CRC-protected frame layout (protocol 2 onwards).
-MAGIC = b"rTF2"
+#: Frame magic of frame 3 (protocol 6 onwards).
+MAGIC = b"rTF3"
 #: Bumped on incompatible wire changes; ``hello`` reports it.  Version 3:
 #: same frames, bodies carry flat-container artifacts (not npz); version 4:
 #: container 2 (version and artifact kind in the prefix, not the JSON);
-#: version 5: container 3 (a ciphertext's header is a binary head).
-PROTOCOL_VERSION = 5
-#: Hard ceiling on ``header_len`` (headers are small JSON objects; circuit
+#: version 5: container 3 (a ciphertext's header is a binary head); version
+#: 6: frame 3 (op, id and lengths in a binary prefix, varint part lengths).
+PROTOCOL_VERSION = 6
+#: Earlier frame magics, refused by name.
+_RETIRED = {b"rTF2": "frame 2 (the JSON-header frame of protocol 5 and earlier)"}
+#: Hard ceiling on the extras JSON (headers are small JSON objects; circuit
 #: JSON rides here too, hence megabyte-scale rather than kilobyte-scale).
 MAX_HEADER_LEN = 8 * 1024 * 1024
-#: Default ceiling on a whole frame (prefixes + header + body).
+#: Default ceiling on a whole frame (prefix + extras + body).
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 
-_PREFIX = struct.Struct("<4sIQI")
+#: The fixed head of every frame: magic, crc32, op code, layout byte; the
+#: CRC covers the head's last two bytes and everything after them.
+_HEAD = struct.Struct("<4sIBB")
+#: The request ops by code, from 1; code 0 is a reply (or an event).
+_OPS = (
+    "hello",
+    "register_key",
+    "gate",
+    "lut",
+    "circuit",
+    "radix_add",
+    "metrics_prom",
+    "trace_export",
+)
+_OP_CODES = {name: code for code, name in enumerate(_OPS, 1)}
+#: Byte width of the id by its layout code: absent, -1, then u8 … u64.
+_ID_WIDTHS = (0, 0, 1, 2, 4, 8)
+#: Byte width of a length by its layout code: 0 (no field), u8, u16, u32.
+_LEN_WIDTHS = (0, 1, 2, 4)
+#: The narrowest layout code of an id >= 0 / a length, by its bit length.
+_ID_CODES = [2] * 9 + [3] * 8 + [4] * 16 + [5] * 32
+_LEN_CODES = [0] + [1] * 8 + [2] * 8 + [3] * 16
+#: The one JSON encoding of the extras, and their decoder.
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_JSON_DECODER = json.JSONDecoder()
 
 #: Anything with the buffer protocol; a *body* is one, or a list of them.
 Buffer = Any
@@ -152,7 +210,7 @@ class BadMagic(ProtocolError):
 
 
 class BadHeader(ProtocolError):
-    """The header bytes are not a JSON object with the required fields."""
+    """The prefix fields or the extras JSON are not the one encoding of a header."""
 
 
 class TruncatedFrame(ProtocolError):
@@ -265,24 +323,61 @@ def raise_for_reply(header: Dict[str, Any]) -> None:
 # --------------------------------------------------------------------------- #
 
 
+def _op_code(op: Any) -> int:
+    """The frame code of a request's ``op``; :class:`ValueError` if it has none."""
+    if isinstance(op, str):
+        code = _OP_CODES.get(op)
+    else:  # a bare code, as a frame whose op this side has no name for reads
+        code = op if type(op) is int and len(_OPS) < op < 256 else None
+    if code is None:
+        raise ValueError(f"op {op!r} has no frame code (the ops: {', '.join(_OPS)})")
+    return code
+
+
+def _id_code(header: Dict[str, Any], op_code: int) -> int:
+    request_id = header.get("id")
+    if type(request_id) is int and 0 <= request_id < 1 << 64:
+        return _ID_CODES[request_id.bit_length()]
+    if not op_code and "id" not in header:
+        return 0
+    if not op_code and type(request_id) is int and request_id == -1:
+        return 1
+    raise ValueError(
+        f"id {request_id!r} cannot be framed: a request's id is an int in "
+        f"[0, 2**64); a reply's may also be -1 or absent"
+    )
+
+
 def frame_pieces(
     header: Dict[str, Any], body: Union[Buffer, Sequence[Buffer]] = b""
 ) -> List[Buffer]:
-    """One frame as the buffers that make it up: ``prefix + header JSON``,
-    then the body's own — ``body`` is one buffer or a list of them (see
+    """One frame as the buffers that make it up: the prefix and the extras
+    JSON, then the body's own — ``body`` is one buffer or a list of them (see
     :func:`parts_pieces`), checksummed piece by piece and never joined here.
-    Sizes are validated before anything is built."""
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    if len(header_bytes) > MAX_HEADER_LEN:
-        raise FrameTooLarge(
-            f"header is {len(header_bytes)} bytes (max {MAX_HEADER_LEN})"
-        )
+    An ``op`` or ``id`` the prefix cannot carry raises :class:`ValueError`;
+    sizes are validated before anything is built."""
+    op_code = _op_code(header["op"]) if "op" in header else 0
+    id_code = _id_code(header, op_code)
+    extras = {key: value for key, value in header.items() if key != "op" and key != "id"}
+    extras_bytes = _JSON_ENCODER.encode(extras).encode("utf-8") if extras else b""
+    if len(extras_bytes) > MAX_HEADER_LEN:
+        raise FrameTooLarge(f"header is {len(extras_bytes)} bytes (max {MAX_HEADER_LEN})")
     pieces = list(body) if isinstance(body, (list, tuple)) else [body]
-    crc, body_len = zlib.crc32(header_bytes), 0
+    body_len = sum(memoryview(piece).nbytes for piece in pieces)
+    if body_len >> 32:
+        raise FrameTooLarge(f"body is {body_len} bytes (max {(1 << 32) - 1})")
+    extras_code = _LEN_CODES[len(extras_bytes).bit_length()]
+    body_code = _LEN_CODES[body_len.bit_length()]
+    layout = id_code | extras_code << 3 | body_code << 5
+    tail = b"".join((
+        (header["id"] if id_code > 1 else 0).to_bytes(_ID_WIDTHS[id_code], "little"),
+        len(extras_bytes).to_bytes(_LEN_WIDTHS[extras_code], "little"),
+        body_len.to_bytes(_LEN_WIDTHS[body_code], "little"),
+    ))
+    crc = zlib.crc32(extras_bytes, zlib.crc32(tail, zlib.crc32(bytes((op_code, layout)))))
     for piece in pieces:
         crc = zlib.crc32(piece, crc)
-        body_len += memoryview(piece).nbytes
-    return [_PREFIX.pack(MAGIC, len(header_bytes), body_len, crc) + header_bytes, *pieces]
+    return [_HEAD.pack(MAGIC, crc, op_code, layout) + tail + extras_bytes, *pieces]
 
 
 def encode_frame(header: Dict[str, Any], body: bytes = b"") -> bytes:
@@ -290,18 +385,46 @@ def encode_frame(header: Dict[str, Any], body: bytes = b"") -> bytes:
     return b"".join(frame_pieces(header, body))
 
 
-def _parse_prefix(prefix: bytes, max_frame: int) -> Tuple[int, int, int]:
-    magic, header_len, body_len, crc = _PREFIX.unpack(prefix)
+def _tail_size(layout: int) -> int:
+    """Bytes of the id and the two lengths a layout byte announces."""
+    return _ID_WIDTHS[layout & 7] + _LEN_WIDTHS[layout >> 3 & 3] + _LEN_WIDTHS[layout >> 5 & 3]
+
+
+def _tail_lengths(layout: int, tail: bytes) -> Tuple[int, int]:
+    """``(extras_len, body_len)`` of a frame's tail, unchecked."""
+    id_end = _ID_WIDTHS[layout & 7]
+    extras_end = id_end + _LEN_WIDTHS[layout >> 3 & 3]
+    return (
+        int.from_bytes(tail[id_end:extras_end], "little"),
+        int.from_bytes(tail[extras_end:], "little"),
+    )
+
+
+def _parse_head(head: bytes) -> Tuple[int, int]:
+    """A frame's fixed head → ``(crc, size of the tail it announces)``."""
+    magic, crc, _op, layout = _HEAD.unpack(head)
     if magic != MAGIC:
-        raise BadMagic(f"bad frame magic {magic!r} (expected {MAGIC!r})")
-    if header_len > MAX_HEADER_LEN:
-        raise FrameTooLarge(
-            f"header length {header_len} exceeds {MAX_HEADER_LEN}"
+        retired = _RETIRED.get(magic)
+        raise BadMagic(
+            f"bad frame magic {magic!r} (expected {MAGIC!r})"
+            + (f" — {retired}, which this build no longer reads" if retired else "")
         )
-    total = _PREFIX.size + header_len + body_len
+    if layout & 7 >= len(_ID_WIDTHS) or layout >> 7:
+        raise BadHeader(f"frame layout byte {layout:#04x} names no layout")
+    return crc, _tail_size(layout)
+
+
+def _parse_tail(head: bytes, tail: bytes, max_frame: int) -> Tuple[int, int, int]:
+    """The id and the two lengths a frame's tail holds, the lengths bounded
+    before anything is read into them."""
+    layout = head[-1]
+    extras_len, body_len = _tail_lengths(layout, tail)
+    if extras_len > MAX_HEADER_LEN:
+        raise FrameTooLarge(f"header length {extras_len} exceeds {MAX_HEADER_LEN}")
+    total = len(head) + len(tail) + extras_len + body_len
     if total > max_frame:
         raise FrameTooLarge(f"frame of {total} bytes exceeds {max_frame}")
-    return header_len, body_len, crc
+    return int.from_bytes(tail[: _ID_WIDTHS[layout & 7]], "little"), extras_len, body_len
 
 
 def _check_crc(actual: int, expected: int) -> None:
@@ -312,13 +435,41 @@ def _check_crc(actual: int, expected: int) -> None:
         )
 
 
-def _parse_header(header_bytes: bytes) -> Dict[str, Any]:
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise BadHeader(f"header is not valid JSON: {exc}") from None
-    if not isinstance(header, dict):
-        raise BadHeader("header must be a JSON object")
+def _header(head: bytes, request_id: int, extras: bytes, body_len: int) -> Dict[str, Any]:
+    """The header dict of a checksummed frame: op and id from the prefix,
+    the extras from their JSON.  Only the one encoding of a header is read."""
+    op_code, layout = head[-2], head[-1]
+    id_code = layout & 7
+    narrowest = (
+        (id_code if id_code < 2 else _ID_CODES[request_id.bit_length()])
+        | _LEN_CODES[len(extras).bit_length()] << 3
+        | _LEN_CODES[body_len.bit_length()] << 5
+    )
+    if narrowest != layout:
+        raise BadHeader(
+            f"frame layout byte {layout:#04x} is not the narrowest for its "
+            f"fields ({narrowest:#04x})"
+        )
+    if op_code and id_code < 2:
+        raise BadHeader(f"a request frame (op code {op_code}) carries no id")
+    header: Dict[str, Any] = {}
+    if op_code:
+        header["op"] = _OPS[op_code - 1] if op_code <= len(_OPS) else op_code
+    if id_code:
+        header["id"] = request_id if id_code > 1 else -1
+    if extras:
+        try:
+            text = extras.decode("utf-8")
+            fields, _ = _JSON_DECODER.raw_decode(text)
+            # Trailing bytes, spacing, escapes and repeated keys all fail this.
+            canonical = _JSON_ENCODER.encode(fields) == text
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise BadHeader(f"header is not valid JSON: {exc}") from None
+        if not isinstance(fields, dict):
+            raise BadHeader("header must be a JSON object")
+        if not (canonical and fields) or "op" in fields or "id" in fields:
+            raise BadHeader("header JSON is not the encoding of its fields")
+        header.update(fields)
     return header
 
 
@@ -365,15 +516,16 @@ def read_frame(
     Raises :class:`EOFError` on a clean close *between* frames and the
     :class:`ProtocolError` taxonomy on malformed ones.
     """
-    first = sock.recv(1)
-    if not first:
+    head = sock.recv(_HEAD.size)
+    if not head:
         raise EOFError("connection closed")
-    prefix = first + _recv_exactly(sock, _PREFIX.size - 1)
-    header_len, body_len, crc = _parse_prefix(prefix, max_frame)
-    header_bytes = _recv_exactly(sock, header_len)
-    body = _recv_exactly(sock, body_len) if body_len else b""
-    _check_crc(zlib.crc32(body, zlib.crc32(header_bytes)), crc)
-    return _parse_header(header_bytes), body
+    head += _recv_exactly(sock, _HEAD.size - len(head))
+    expected, tail_size = _parse_head(head)
+    tail = _recv_exactly(sock, tail_size)
+    request_id, extras_len, body_len = _parse_tail(head, tail, max_frame)
+    rest = _recv_exactly(sock, extras_len + body_len)
+    _check_crc(zlib.crc32(rest, zlib.crc32(tail, zlib.crc32(head[-2:]))), expected)
+    return _header(head, request_id, rest[:extras_len], body_len), rest[extras_len:]
 
 
 async def _receive_in_place(
@@ -415,47 +567,84 @@ async def read_frame_async(
     ``memoryview`` of the one buffer that ever holds it.
     """
     try:
-        prefix = await reader.readexactly(_PREFIX.size)
+        head = await reader.readexactly(_HEAD.size)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             raise EOFError("connection closed") from None
         raise TruncatedFrame(
             f"connection closed {len(exc.partial)} bytes into the frame prefix"
         ) from None
-    header_len, body_len, expected = _parse_prefix(prefix, max_frame)
+    expected, tail_size = _parse_head(head)
     try:
-        header_bytes = await reader.readexactly(header_len)
-        crc = zlib.crc32(header_bytes)
+        tail = await reader.readexactly(tail_size)
+        request_id, extras_len, body_len = _parse_tail(head, tail, max_frame)
+        crc = zlib.crc32(tail, zlib.crc32(head[-2:]))
         if body_len <= reader._limit:
-            body = await reader.readexactly(body_len) if body_len else b""
-            crc = zlib.crc32(body, crc)
+            rest = await reader.readexactly(extras_len + body_len)
+            extras, body = rest[:extras_len], rest[extras_len:]
+            crc = zlib.crc32(rest, crc)
         else:
-            body, crc = await _receive_in_place(reader, body_len, crc)
+            extras = await reader.readexactly(extras_len)
+            body, crc = await _receive_in_place(reader, body_len, zlib.crc32(extras, crc))
     except asyncio.IncompleteReadError as exc:
         raise TruncatedFrame(
             f"connection closed mid-frame ({len(exc.partial)} of "
             f"{exc.expected} bytes received)"
         ) from None
     _check_crc(crc, expected)
-    return _parse_header(header_bytes), body
+    return _header(head, request_id, extras, body_len), body
 
 
 # --------------------------------------------------------------------------- #
 # multi-part bodies                                                           #
 # --------------------------------------------------------------------------- #
 
+def _varint(value: int) -> bytes:
+    """``value`` as an unsigned LEB128 varint: seven bits a byte, low first."""
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _varint_at(view: memoryview, offset: int, what: str) -> Tuple[int, int]:
+    """The varint at ``offset`` and the offset after it; only the shortest
+    encoding of a value below ``2**64`` is read."""
+    if offset < len(view) and view[offset] < 0x80:  # one byte, the common case
+        return view[offset], offset + 1
+    value = shift = 0
+    while True:
+        if offset == len(view):
+            raise ProtocolError(f"{what} is cut off by the end of the body")
+        byte = view[offset]
+        offset += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            break
+        shift += 7
+        if shift >= 64:
+            raise ProtocolError(f"{what} runs past 64 bits")
+    if value >> 64:
+        raise ProtocolError(f"{what} runs past 64 bits")
+    if byte == 0 and shift:
+        raise ProtocolError(f"{what} is not in its shortest form")
+    return value, offset
+
 
 def parts_pieces(parts: Sequence[Union[Buffer, Sequence[Buffer]]]) -> List[Buffer]:
     """A delimited body as a list of buffers: the count, then each part's
-    length before the part's own buffer(s) — a part may itself be a list of
-    pieces (:func:`repro.tfhe.serialize.to_pieces`), which stay unjoined."""
-    pieces: List[Buffer] = [struct.pack("<I", len(parts))]
+    length before the part's own buffer(s), both as varints — a part may
+    itself be a list of pieces (:func:`repro.tfhe.serialize.to_pieces`),
+    which stay unjoined."""
+    pieces: List[Buffer] = [_varint(len(parts))]
     for part in parts:
         if isinstance(part, (list, tuple)):
-            pieces.append(struct.pack("<Q", sum(memoryview(b).nbytes for b in part)))
+            pieces.append(_varint(sum(memoryview(b).nbytes for b in part)))
             pieces.extend(part)
         else:
-            pieces.append(struct.pack("<Q", memoryview(part).nbytes))
+            pieces.append(_varint(memoryview(part).nbytes))
             pieces.append(part)
     return pieces
 
@@ -470,18 +659,12 @@ def unpack_parts(body: bytes, expected: Optional[int] = None) -> List[memoryview
     """Split a :func:`pack_parts` body into zero-copy views of it; strict
     about counts and lengths."""
     view = memoryview(body)
-    if len(view) < 4:
-        raise ProtocolError("multi-part body shorter than its count prefix")
-    (count,) = struct.unpack_from("<I", view, 0)
+    count, offset = _varint_at(view, 0, "the body's part count")
     if expected is not None and count != expected:
         raise ProtocolError(f"expected {expected} body parts, frame has {count}")
-    offset = 4
     parts: List[memoryview] = []
     for index in range(count):
-        if offset + 8 > len(view):
-            raise ProtocolError(f"body part {index} is missing its length prefix")
-        (length,) = struct.unpack_from("<Q", view, offset)
-        offset += 8
+        length, offset = _varint_at(view, offset, f"body part {index}'s length")
         if offset + length > len(view):
             raise ProtocolError(
                 f"body part {index} claims {length} bytes but only "

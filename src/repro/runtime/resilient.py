@@ -50,6 +50,7 @@ from repro.runtime.protocol import (
     register_key_request,
     reply_artifact,
 )
+from repro.runtime.protocol import _op_code
 from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.netlist import Circuit
 
@@ -244,6 +245,7 @@ class ResilientClient:
         A send failure here is absorbed: the request stays pending and
         :meth:`result` drives reconnection and resubmission.
         """
+        _op_code(op)  # an op no frame can carry fails here, before it is pending
         request_id = self._next_id
         self._next_id += 1
         budget = self.default_deadline if deadline is None else deadline

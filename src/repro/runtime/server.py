@@ -884,7 +884,8 @@ class FheServer:
         """Take one request in the reader's turn: answer it from the reply
         cache, join it to its in-flight original, submit it as a job record,
         or start the task that runs it."""
-        request_id = header.get("id")
+        # Only a reply frame, which is no request, may come without an id.
+        request_id = header.get("id", -1)
         op = header.get("op")
         trace = None
         if op in _JOB_OPS:
@@ -893,11 +894,9 @@ class FheServer:
                 # Mint one server-side so the whole enqueue → flush → reply
                 # path still joins one trace.
                 trace = header["trace"] = self.telemetry.tracer.new_trace_id()
-        if not isinstance(request_id, int):
-            outcome = ("err", "protocol", "request header lacks an integer 'id'")
-            self._deliver(conn, -1, op, trace, outcome)
-            return
         try:
+            if op is None:
+                raise _RequestError("protocol", "a reply frame is not a request")
             sess = self._bind_session(conn, header)
             # Idempotent path: a retried request id is answered from the
             # record's reply cache (or joins its in-flight original)
@@ -935,8 +934,8 @@ class FheServer:
     def _admit(self, header: Dict[str, Any]) -> str:
         """The checks a new request passes before it runs; returns its op."""
         op = header.get("op")
-        if not isinstance(op, str):
-            raise _RequestError("protocol", "request header lacks a string 'op' field")
+        if not isinstance(op, str):  # a code this build has no op for
+            raise _RequestError("unsupported", f"unknown op code {op!r}")
         self.telemetry.count("fhe_requests_total", "Requests dispatched by op.", op=op)
         if op in _INTROSPECTION_OPS:
             return op

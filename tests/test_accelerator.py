@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.accelerator import MatchaAccelerator, MatchaConfig
 from repro.core.integer_fft import ApproximateNegacyclicTransform
-from repro.tfhe.gates import PLAINTEXT_GATES, decrypt_bit, encrypt_bit
+from repro.tfhe.gates import PLAINTEXT_GATES, TFHEGateEvaluator, decrypt_bit, encrypt_bit
 from repro.tfhe.keys import generate_cloud_key, generate_secret_key
 from repro.tfhe.params import TEST_SMALL
 
@@ -50,7 +50,7 @@ class TestFunctionalExecution:
     def test_gates_decrypt_correctly(self, accelerator_setup):
         """Section 4.1: approximate FFTs cause no decryption errors."""
         accelerator, secret, cloud = accelerator_setup
-        evaluator = accelerator.evaluator(cloud)
+        evaluator = TFHEGateEvaluator(cloud)
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
             ca = encrypt_bit(secret, a, rng=10 + a)
             cb = encrypt_bit(secret, b, rng=20 + b)

@@ -47,6 +47,7 @@ from repro.runtime.protocol import (
     read_frame_async,
     unpack_parts,
 )
+from repro.runtime.protocol import _HEAD, _ID_WIDTHS, _tail_lengths, _tail_size
 from repro.runtime.resilient import ResilientClient
 from repro.runtime.workers import WorkerPool, _pack_client_segment
 from repro.tfhe.gates import TFHEGateEvaluator, encrypt_bit
@@ -63,9 +64,8 @@ from repro.tfhe.serialize import (
 )
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform
 
-_PREFIX = struct.Struct("<4sIQI")
 #: A stream limit small enough that even the micro artifacts land in place.
-LIMIT = 32
+LIMIT = 16
 
 
 def _keys(params, seed):
@@ -298,15 +298,14 @@ def test_the_only_size_rule_is_the_streams_own_limit(delta):
 
 @pytest.mark.parametrize("chunk", [0, 2, 4])
 def test_a_flipped_byte_in_any_chunk_is_a_checksum_mismatch(chunk):
-    header_bytes = b'{"op":"register_key","id":9}'
-    body = bytearray(_body(5 * 1000, seed=7))
-    claimed = zlib.crc32(bytes(body), zlib.crc32(header_bytes))
-    body[chunk * 1000 + 17] ^= 0x40
-    actual = zlib.crc32(bytes(body), zlib.crc32(header_bytes))
-    frame = _PREFIX.pack(protocol.MAGIC, len(header_bytes), len(body), claimed)
-    frame += header_bytes + bytes(body)
+    body = _body(5 * 1000, seed=7)
+    frame = bytearray(encode_frame({"op": "register_key", "id": 9}, body))
+    start = len(frame) - len(body)
+    claimed = int.from_bytes(frame[4:8], "little")
+    frame[start + chunk * 1000 + 17] ^= 0x40
+    actual = zlib.crc32(bytes(frame[8:]))
     with pytest.raises(ChecksumMismatch) as caught:
-        _receive(frame, limit=256, step=1000)
+        _receive(bytes(frame), limit=256, step=1000)
     assert str(caught.value) == (
         f"frame payload fails its checksum (crc32 {actual:#010x}, frame "
         f"claims {claimed:#010x}) — corrupted in transit; safe to resend"
@@ -325,12 +324,13 @@ def test_eof_mid_body_names_what_arrived():
 
 
 def test_a_declared_oversize_frame_is_refused_before_any_buffer_exists():
-    header_bytes = b'{"op":"register_key","id":1}'
-    prefix = _PREFIX.pack(protocol.MAGIC, len(header_bytes), 1 << 40, 0)
+    # A register_key request (op 2) with id 1, no extras and a u32 body
+    # length of ≈ 4 GiB: refused from the prefix; its CRC is never reached.
+    head = protocol.MAGIC + bytes(4) + bytes((2, 0x02 | 3 << 5)) + b"\x01"
     tracemalloc.start()
     try:
         with pytest.raises(FrameTooLarge, match="exceeds"):
-            _receive(prefix + header_bytes + bytes(64))
+            _receive(head + (0xFFFFFFF0).to_bytes(4, "little") + bytes(64))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -366,23 +366,24 @@ class _Peer:
 
     def _serve_one(self, conn):
         scratch = bytearray(1 << 16)
-        prefix = b""
-        while len(prefix) < _PREFIX.size:
-            got = conn.recv(_PREFIX.size - len(prefix))
+        head = b""
+        while len(head) < _HEAD.size:
+            got = conn.recv(_HEAD.size - len(head))
             if not got:
                 return False
-            prefix += got
-        _, header_len, body_len, _ = _PREFIX.unpack(prefix)
-        raw, header, remaining = [prefix], b"", header_len + body_len
+            head += got
+        layout = head[-1]
+        tail = conn.recv(_tail_size(layout), socket.MSG_WAITALL)
+        raw, remaining = [head, tail], sum(_tail_lengths(layout, tail))
         while remaining:
             got = conn.recv_into(scratch, min(remaining, len(scratch)))
             assert got, "client hung up mid-frame"
-            header += bytes(scratch[: min(got, header_len - len(header))])
             if self.keep:
                 raw.append(bytes(scratch[:got]))
             remaining -= got
         self.frames.append(b"".join(raw))
-        conn.sendall(encode_frame({"id": json.loads(header)["id"], "params": "peer"}))
+        request_id = int.from_bytes(tail[: _ID_WIDTHS[layout & 7]], "little")
+        conn.sendall(encode_frame({"id": request_id, "params": "peer"}))
         return True
 
     def close(self):
@@ -399,8 +400,7 @@ def peer():
 
 def _expected_frame(raw, cloud):
     """What the joined builders make of the header the client actually sent."""
-    _, header_len, _, _ = _PREFIX.unpack_from(raw)
-    header = json.loads(raw[_PREFIX.size : _PREFIX.size + header_len])
+    header, _ = _receive(raw)
     return header, encode_frame(header, pack_parts([to_bytes(cloud)]))
 
 
@@ -431,7 +431,7 @@ def test_the_joins_are_the_joins_of_the_piece_builder(tiny_wire_keys):
         assert b"".join(pieces) == to_bytes(obj)
         body = parts_pieces([pieces, to_bytes(sample)])
         assert b"".join(body) == pack_parts([to_bytes(obj), to_bytes(sample)])
-        header = {"op": "x", "id": 1}
+        header = {"op": "register_key", "id": 1}
         assert b"".join(frame_pieces(header, body)) == encode_frame(header, b"".join(body))
     # The key's arrays go out as they are: no piece is a copy of one.
     arrays = [cloud.keyswitch_key.data] + [s.data for s in cloud.bootstrapping_key]

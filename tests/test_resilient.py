@@ -91,9 +91,12 @@ def test_non_retryable_server_error_raises_immediately(server_factory):
     server = server_factory()
     with ResilientClient(port=server.port, max_attempts=8) as client:
         with pytest.raises(ServerError) as excinfo:
-            client.call("no_such_op")
+            client.call(200)  # an op code the server has no op for
         assert excinfo.value.kind == "unsupported"
         assert not excinfo.value.retryable
+        with pytest.raises(ValueError, match="no frame code"):
+            client.call("no_such_op")  # refused before it is pending
+        assert not client._pending
         # No retries were burned on a permanent failure.
         assert client.stats.retries == 0
         assert client.stats.connects == 1

@@ -44,6 +44,8 @@ from repro.runtime import server as server_module
 from repro.runtime.chaos import FlakyEngine
 from repro.runtime.protocol import (
     DEFAULT_MAX_FRAME,
+    MAGIC,
+    PROTOCOL_VERSION,
     JobShed,
     ServerBusy,
     ServerError,
@@ -171,14 +173,17 @@ def test_a_ring_too_wide_to_afford_rounding_keeps_the_full_mask(server_factory, 
 
 
 def test_the_json_metrics_op_is_gone(server_factory, wire_keys):
-    """The scrape is the one read-out: a ``metrics`` request is refused as
-    an unknown op — typed, not retryable — and the connection serves on."""
+    """The scrape is the one read-out: a ``metrics`` request has no frame
+    code, an op code the server has no op for is refused as an unknown op —
+    typed, not retryable — and the connection serves on."""
     secret, cloud = wire_keys
     server = server_factory()
     with ServingClient(port=server.port) as client:
         client.register_key(cloud)
-        with pytest.raises(ServerError) as excinfo:
+        with pytest.raises(ValueError, match="no frame code"):
             client.call("metrics")
+        with pytest.raises(ServerError) as excinfo:
+            client.call(9)
         assert excinfo.value.kind == "unsupported" and not excinfo.value.retryable
         out = client.gate("nand", encrypt_bit(secret, 1, rng=5), encrypt_bit(secret, 1, rng=6))
         assert decrypt_bit(secret, out) == 0
@@ -553,13 +558,27 @@ def test_wrong_artifact_type_rejected(server_factory, wire_keys):
         assert excinfo.value.kind == "bad_request"
 
 
+def test_a_reply_frame_sent_as_a_request_is_refused(server_factory):
+    """Only a reply or an event may come without an op (and an event without
+    an id): the server answers either ``protocol`` and serves on."""
+    server = server_factory()
+    refusal = {"kind": "protocol", "message": "a reply frame is not a request"}
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10.0) as sock:
+        for header, reply_id in (({"id": 5, "gate": "nand"}, 5), ({"event": "draining"}, -1)):
+            sock.sendall(encode_frame(header))
+            assert read_frame(sock) == ({"id": reply_id, "error": refusal}, b"")
+        sock.sendall(encode_frame({"op": "hello", "id": 6}))
+        assert read_frame(sock)[0]["protocol"] == PROTOCOL_VERSION
+
+
 def test_unknown_op_and_missing_fields(server_factory, wire_keys):
     _secret, cloud = wire_keys
     server = server_factory()
     with ServingClient(port=server.port) as client:
         with pytest.raises(ServerError) as excinfo:
-            client.call("frobnicate")
+            client.call(255)  # an op code with no op
         assert excinfo.value.kind == "unsupported"
+        assert str(excinfo.value) == "[unsupported] unknown op code 255"
         client.register_key(cloud)
         with pytest.raises(ServerError) as excinfo:
             client.call("gate", pack_parts([b"", b""]))  # no 'gate' field
@@ -609,11 +628,13 @@ def _raw_exchange(port: int, payload: bytes) -> tuple:
     "payload",
     [
         b"GARBAGE-NOT-A-FRAME-AT-ALL",           # bad magic
-        struct.pack("<4sIQ", b"rTF2", 10, 0),    # truncated prefix
-        struct.pack("<4sIQI", b"rTF2", 4, 1 << 60, 0) + b"null",  # oversized body
+        MAGIC + b"\x00" * 5,                    # truncated prefix
+        # a hello with id 0 and a u32 body length of ≈ 4 GiB
+        MAGIC + bytes(4) + b"\x01\x62\x00" + b"\xff" * 4,  # oversized body
         struct.pack("<4sIQI", b"rTFS", 2, 0, 0) + b"{}",  # retired protocol 1
+        struct.pack("<4sIQI", b"rTF2", 2, 0, 0) + b"{}",  # retired frame 2
     ],
-    ids=["bad-magic", "truncated", "oversized-prefix", "retired-magic"],
+    ids=["bad-magic", "truncated", "oversized-prefix", "retired-magic", "frame-2"],
 )
 def test_malformed_stream_gets_error_then_close(server_factory, payload):
     server = server_factory()
@@ -623,6 +644,8 @@ def test_malformed_stream_gets_error_then_close(server_factory, payload):
         assert header["error"]["kind"] == "protocol"
         if payload.startswith(b"rTFS"):  # no legacy reader: a foreign magic
             assert "bad frame magic" in header["error"]["message"]
+        if payload.startswith(b"rTF2"):
+            assert "frame 2" in header["error"]["message"]
     # The server is still healthy for the next connection.
     with ServingClient(port=server.port) as client:
         assert client.hello()["server"] == "repro-serve"
@@ -1063,7 +1086,7 @@ def test_the_replies_of_one_flush_leave_in_one_write(server_factory, wire_keys):
             assert decrypt_bit(secret, client.gate_result(request)) == want
         assert server.scheduler.stats.flushes == flushes + 1
     (data,) = writes
-    assert data.count(b"rTF2") == burst
+    assert data.count(MAGIC) == burst
 
 
 def _transformed_polys(server) -> tuple:

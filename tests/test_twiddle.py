@@ -1,5 +1,7 @@
 """Tests for twiddle-factor schedules, DVQTF quantisation and read accounting."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,11 @@ from repro.core.twiddle import (
 )
 
 
+def _quantisation_error(twiddle) -> float:
+    """Distance between a quantised root of unity and the exact one."""
+    return abs(twiddle.value - cmath.exp(1j * twiddle.angle))
+
+
 class TestTwiddleBuffer:
     def test_entries_are_unit_roots(self):
         buffer = TwiddleFactorBuffer(16, twiddle_bits=40)
@@ -20,7 +27,7 @@ class TestTwiddleBuffer:
     def test_quantisation_error_decreases_with_bits(self):
         def max_error(twiddle_bits):
             buffer = TwiddleFactorBuffer(64, twiddle_bits=twiddle_bits)
-            return max(buffer.read(k).quantisation_error() for k in range(64))
+            return max(_quantisation_error(buffer.read(k)) for k in range(64))
 
         coarse = max_error(6)
         fine = max_error(20)
@@ -52,7 +59,7 @@ def test_quantisation_error_is_bounded_by_the_twiddle_bits(twiddle_bits):
     """Each part rounds to the nearest multiple of 2^-bits, so a quantised
     root of unity lies within sqrt(2)/2 · 2^-bits of the exact one."""
     buffer = TwiddleFactorBuffer(64, twiddle_bits=twiddle_bits)
-    worst = max(buffer.read(k).quantisation_error() for k in range(64))
+    worst = max(_quantisation_error(buffer.read(k)) for k in range(64))
     assert worst <= 2.0**-0.5 * 2.0**-twiddle_bits + 1e-15
 
 
