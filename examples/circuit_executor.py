@@ -6,9 +6,9 @@ This demo:
 
 1. builds the ripple-carry adder and the maximum circuit as
    :class:`repro.tfhe.netlist.Circuit` netlists,
-2. levelizes them with :func:`repro.tfhe.executor.schedule_circuit` and
-   prints the gates-per-level profile (the paper's compile-to-DFG /
-   solve-dependencies flow, applied to whole circuits),
+2. buckets their levels with :func:`repro.tfhe.executor.schedule_circuit`
+   and prints the gates-per-level profile (the paper's solve-dependencies
+   flow, applied to whole circuits),
 3. runs them over a batch of encrypted words with
    :class:`repro.tfhe.executor.CircuitExecutor` — one mixed-gate batched
    bootstrapping per dependency level, where one call per gate would take

@@ -93,43 +93,18 @@ class DataFlowGraph:
             raise ValueError("data-flow graph contains a cycle")
         return order
 
-    def node_levels(self, cost=None) -> Dict[int, int]:
-        """ASAP dependency level of every node.
-
-        ``cost(node)`` is the integer depth a node adds along any path through
-        it (default 1 for every node); a node's level is the maximum level
-        among its predecessors plus its own cost.  Zero-cost nodes (e.g.
-        sources or linear circuit ops) share the level of their deepest
-        predecessor, which is exactly what the level-parallel circuit
-        executor needs: only bootstrapped gates advance the schedule.
-        """
-        if cost is None:
-            cost = lambda node: 1  # noqa: E731 - tiny default weight
+    def node_levels(self) -> Dict[int, int]:
+        """ASAP dependency level of every node: one more than the deepest of
+        its predecessors (a source sits at level 1)."""
         levels: Dict[int, int] = {}
         for nid in self.topological_order():
-            node = self._nodes[nid]
-            incoming = max((levels[p] for p in node.predecessors), default=0)
-            levels[nid] = incoming + int(cost(node))
+            incoming = max((levels[p] for p in self._nodes[nid].predecessors), default=0)
+            levels[nid] = incoming + 1
         return levels
 
-    def levelize(self, cost=None) -> List[List[int]]:
-        """Bucket node ids by ASAP level (``result[k]`` holds level-``k`` nodes).
-
-        Nodes within a bucket are mutually independent *given* the preceding
-        buckets, so every bucket can be issued as one parallel wave — the
-        dependency-solving step of the paper's compile flow, applied to whole
-        circuits.  Buckets are ordered by node id for determinism.
-        """
-        levels = self.node_levels(cost)
-        depth = max(levels.values(), default=0)
-        buckets: List[List[int]] = [[] for _ in range(depth + 1)]
-        for nid in sorted(levels):
-            buckets[levels[nid]].append(nid)
-        return buckets
-
-    def depth(self, cost=None) -> int:
-        """Number of dependency levels (the critical path in ``cost`` units)."""
-        return max(self.node_levels(cost).values(), default=0)
+    def depth(self) -> int:
+        """Number of dependency levels (the longest path, in nodes)."""
+        return max(self.node_levels().values(), default=0)
 
     def validate(self) -> None:
         """Structural sanity checks (acyclic, consistent edge lists)."""

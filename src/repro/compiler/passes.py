@@ -147,16 +147,7 @@ def _restrict_lut(
 
 def circuit_depth(circuit: Circuit, outputs: Optional[Sequence[str]] = None) -> int:
     """Bootstrapped critical-path length of the live cone (executor levels)."""
-    live = circuit.live_nodes(outputs)
-    level: Dict[int, int] = {}
-    depth = 0
-    for node in circuit.nodes:
-        if node.node_id not in live:
-            continue
-        base = max((level[a] for a in node.args), default=0)
-        level[node.node_id] = base + (1 if node.is_bootstrapped else 0)
-        depth = max(depth, level[node.node_id])
-    return depth
+    return max(circuit.levels(outputs).values(), default=0)
 
 
 def live_gate_count(circuit: Circuit, outputs: Optional[Sequence[str]] = None) -> int:

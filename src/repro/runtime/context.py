@@ -14,12 +14,10 @@ it:
   domain **exactly once per context** and cached inside the blind rotator —
   the *cloud-key spectrum cache*.  Gates only ever transform the small
   decomposed accumulator polynomials;
-* evaluators and batch evaluators hang off the context and share the
-  cache, so scalar gates, batched gates and level-parallel circuit runs
-  (``CircuitExecutor.for_context``) all hit the same resident key spectra;
-* :meth:`FheContext.bootstrap` / :meth:`FheContext.bootstrap_batch` refresh
-  raw samples through the batch evaluator's ``bootstrap_rows`` — the same
-  rotate → extract → key-switch composition every gate row takes.
+* batch evaluators hang off the context and share the cache, so scalar
+  gates (``TFHEGateEvaluator(context)``), batched gates and level-parallel
+  circuit runs (``CircuitExecutor.for_context``) all hit the same resident
+  key spectra through one ``bootstrap_rows``.
 
 ``TFHECloudKey.default_context()`` memoises one context on the key, which is
 what ``TFHEGateEvaluator(cloud)`` and ``generate_cloud_key(eager=True)`` use.
@@ -31,13 +29,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.tfhe.bootstrap import (
-    BlindRotator,
-    CmuxBlindRotator,
-    _require_gate_space,
-    make_test_vector,
-)
-from repro.tfhe.gates import MU, BatchGateEvaluator, TFHEGateEvaluator
+from repro.tfhe.bootstrap import BlindRotator, CmuxBlindRotator
+from repro.tfhe.gates import BatchGateEvaluator
 from repro.tfhe.keys import (
     TFHECloudKey,
     TFHEParameters,
@@ -46,7 +39,6 @@ from repro.tfhe.keys import (
     generate_secret_key,
 )
 from repro.tfhe.keyswitch import KeySwitchKey
-from repro.tfhe.lwe import LweBatch, LweSample
 from repro.tfhe.tgsw import BootstrapWorkspace, TransformedTgswSample, tgsw_transform
 from repro.tfhe.transform import EngineFault, NegacyclicTransform
 from repro.utils.rng import SeedLike, make_rng
@@ -123,7 +115,6 @@ class FheContext:
             )
         self.engine = engine
         self._rotator: Optional[BlindRotator] = None
-        self._scalar_evaluator: Optional[TFHEGateEvaluator] = None
         self._batch_evaluators: Dict[int, BatchGateEvaluator] = {}
         #: Scratch buffers of the fused external-product kernel, shared by
         #: every bootstrapping this context runs (all rotator steps, all
@@ -239,7 +230,6 @@ class FheContext:
         holds stays usable: everything is rebuilt lazily on next use.
         """
         self._rotator = None
-        self._scalar_evaluator = None
         self._batch_evaluators = {}
         self.workspace.clear()
         self.workspace = BootstrapWorkspace()
@@ -263,34 +253,11 @@ class FheContext:
         )
 
     # -- evaluation entry points ---------------------------------------------
-    def evaluator(self) -> TFHEGateEvaluator:
-        """The (memoised) scalar gate evaluator bound to this context."""
-        if self._scalar_evaluator is None:
-            self._scalar_evaluator = TFHEGateEvaluator(self)
-        return self._scalar_evaluator
-
     def batch_evaluator(self, batch_size: int) -> BatchGateEvaluator:
         """The (memoised, per-width) batched gate evaluator of this context."""
         if batch_size not in self._batch_evaluators:
             self._batch_evaluators[batch_size] = BatchGateEvaluator(self, batch_size)
         return self._batch_evaluators[batch_size]
-
-    def bootstrap(self, sample: LweSample, mu: Optional[int] = None) -> LweSample:
-        """Gate-bootstrap one sample: :meth:`bootstrap_batch` on a one-row batch."""
-        return self.bootstrap_batch(LweBatch.from_samples([sample]), mu)[0]
-
-    def bootstrap_batch(self, batch: LweBatch, mu: Optional[int] = None) -> LweBatch:
-        """Refresh every row to a fresh sample of ``±mu`` (default ``1/8``).
-
-        One call of the batch evaluator's ``bootstrap_rows`` against the
-        all-``mu`` test vector: row ``i`` comes back as ``+mu`` when its phase
-        is positive and ``−mu`` otherwise, under the original key and with
-        input-independent noise.
-        """
-        _require_gate_space(self.params)
-        test_vector = make_test_vector(self.params, int(MU) if mu is None else int(mu))
-        # The row path takes any row count, whatever the evaluator's width.
-        return self.batch_evaluator(1).bootstrap_rows(batch, test_vector)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

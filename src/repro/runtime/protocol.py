@@ -808,15 +808,19 @@ class ServingClient:
         return request_id
 
     def result(self, request_id: int) -> Tuple[Dict[str, Any], bytes]:
-        """Wait for the response to ``request_id``; raises server errors."""
+        """Wait for the response to ``request_id``; raises server errors,
+        including the id -1 error frame of a frame the server could not read
+        (its ``retryable`` says whether a resend may succeed)."""
         while request_id not in self._replies:
             header, body = read_frame(self._sock, self.max_frame)
             reply_id = header.get("id")
-            if not isinstance(reply_id, int):
+            if not isinstance(reply_id, int) or reply_id == -1:
+                # An id -1 error frame: the server could not read a frame of ours.
+                raise_for_reply(header)
                 if "event" in header:
                     self.events.append(header)  # unsolicited notice, not a reply
                     continue
-                raise BadHeader(f"response frame without an integer id: {header}")
+                raise BadHeader(f"response frame without a request id: {header}")
             self._replies[reply_id] = (header, body)
         header, body = self._replies.pop(request_id)
         raise_for_reply(header)

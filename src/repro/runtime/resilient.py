@@ -224,7 +224,14 @@ class ResilientClient:
         if pending.deadline_at is not None:
             remaining_ms = max(0.0, (pending.deadline_at - time.monotonic()) * 1000.0)
             fields["deadline_ms"] = remaining_ms
-        client.submit(pending.op, pending.body, request_id=request_id, **fields)
+        try:
+            client.submit(pending.op, pending.body, request_id=request_id, **fields)
+        except ValueError:
+            # ServingClient.submit builds the whole frame before it sends a
+            # byte (a ProtocolError is a ValueError): a request whose frame
+            # cannot be built never left, and a resend would fail the same way.
+            del self._pending[request_id]
+            raise
 
     def _backoff(self, attempt: int) -> None:
         delay = min(self.max_delay, self.base_delay * (2 ** max(0, attempt - 1)))
@@ -243,7 +250,9 @@ class ResilientClient:
         """Record one request as pending and (best-effort) send it.
 
         A send failure here is absorbed: the request stays pending and
-        :meth:`result` drives reconnection and resubmission.
+        :meth:`result` drives reconnection and resubmission.  A request whose
+        frame cannot be built (an oversized header, say) raises its
+        ``ProtocolError`` or ``ValueError`` here and is not kept.
         """
         _op_code(op)  # an op no frame can carry fails here, before it is pending
         request_id = self._next_id
@@ -269,6 +278,8 @@ class ResilientClient:
             if already_connected:
                 self._send(client, request_id)
         except (ConnectionError, OSError, ProtocolError, EOFError):
+            if request_id not in self._pending:
+                raise  # _send could not build its frame: nothing was sent
             self._drop_connection()  # result() will retry it
         return request_id
 
@@ -313,6 +324,8 @@ class ResilientClient:
                 self._drop_connection()
                 self._salvage.pop(request_id, None)  # the error frame answered it
             except (ConnectionError, OSError, EOFError, ProtocolError) as exc:
+                if request_id not in self._pending:
+                    raise  # _send could not build its frame: nothing was sent
                 # Transport fault: reconnect and resubmit everything that
                 # has no buffered reply yet.
                 attempts += 1

@@ -125,8 +125,8 @@ _REGISTER_KEY_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.
 _LATENCY_WINDOW = 512
 
 #: A request's outcome: ``("ok", reply header, reply body)`` or
-#: ``("err", kind, message)``.
-_Outcome = Tuple[str, Any, Any]
+#: ``("err", kind, message)``, which may add the error's ``retryable`` flag.
+_Outcome = Tuple[Any, ...]
 #: A reply's header and body.
 _Reply = Tuple[Dict[str, Any], bytes]
 #: A job request decoded: the call that submits its job, and the encoder
@@ -737,7 +737,9 @@ class FheServer:
                     await writer.drain()
                     header, body = await read_frame_async(reader, self.max_frame)
                 except ProtocolError as exc:
-                    self._deliver(conn, -1, None, None, ("err", "protocol", str(exc)))
+                    # A torn or corrupted frame may be resent; an oversized one not.
+                    outcome = ("err", "protocol", str(exc), exc.retryable)
+                    self._deliver(conn, -1, None, None, outcome)
                     break  # the stream is desynchronised: drop the peer
                 except (EOFError, ConnectionError):
                     conn.inflight.release()
@@ -849,7 +851,7 @@ class FheServer:
             reply_header["id"] = request_id
             frame = encode_frame(reply_header, outcome[2])
         else:
-            error = {"kind": outcome[1], "message": outcome[2]}
+            error = dict(zip(("kind", "message", "retryable"), outcome[1:]))
             frame = encode_frame({"id": request_id, "error": error})
         span = None
         if trace is not None:

@@ -26,10 +26,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "TFHEParameters",
             "get_parameters",
         ),
-        ".bootstrap": (
-            "encode_lut",
-            "programmable_bootstrap_batch",
-        ),
+        ".bootstrap": ("encode_lut",),
         ".integers": (
             "RadixEvaluator",
             "RadixInt",

@@ -12,9 +12,10 @@ This module holds lines 2–8 of the algorithm —
 :func:`blind_rotate_and_extract_batch`, over a batch of any width — and the
 test polynomials it rotates (:func:`make_test_vector`, :func:`encode_lut`).
 The key switch that completes a bootstrapping is composed with it in exactly
-one place, :meth:`repro.tfhe.gates.BatchGateEvaluator.bootstrap_rows`; the
-programmable bootstraps here hand their rows to it, and a single sample is a
-one-row batch.
+one place, :meth:`repro.tfhe.gates.BatchGateEvaluator.bootstrap_rows`; a
+programmable bootstrap is a ``("digit", (encoding, table), sample)`` row of
+:meth:`~repro.tfhe.gates.BatchGateEvaluator.rows` against an
+:func:`encode_lut` vector, and a single sample is a one-row batch.
 
 Two blind-rotation strategies are provided:
 
@@ -258,45 +259,3 @@ def _require_gate_space(params: TFHEParameters) -> None:
             f"gate bootstrapping needs the 8-ary message space but "
             f"{params.name!r} is rated for message_space={params.message_space}"
         )
-
-
-# --------------------------------------------------------------------------- #
-# programmable bootstrapping                                                  #
-# --------------------------------------------------------------------------- #
-
-
-def programmable_bootstrap_batch(
-    context, batch: LweBatch, tables, encoding: DigitEncoding
-) -> LweBatch:
-    """Batched programmable bootstrapping with a possibly different LUT per row.
-
-    Exactly the gate-bootstrapping pipeline with the all-``mu`` test vector
-    replaced by the redundant encoding of a lookup table (:func:`encode_lut`):
-    the digit rows go through the context's
-    :meth:`repro.tfhe.gates.BatchGateEvaluator.bootstrap_rows` like any other
-    bootstrap row.  ``tables`` is either one table applied to every row or a
-    sequence of ``batch_size`` tables; all rows share the single fused blind
-    rotation.  ``context`` is an :class:`repro.runtime.context.FheContext`
-    (duck-typed on ``params`` / ``batch_evaluator`` so this module stays
-    independent of the runtime layer).
-    """
-    params = context.params
-    tables = list(tables) if _is_table_sequence(tables) else [tables]
-    if len(tables) not in (1, batch.batch_size):
-        raise ValueError(
-            f"got {len(tables)} lookup tables for {batch.batch_size} rows"
-        )
-    vectors = [
-        encode_lut(params, table, encoding.message_bits, encoding.carry_bits)
-        for table in tables
-    ]
-    test_vector = vectors[0] if len(vectors) == 1 else np.stack(vectors)
-    # The row path takes any row count, whatever the evaluator's width.
-    return context.batch_evaluator(1).bootstrap_rows(batch, test_vector)
-
-
-def _is_table_sequence(tables) -> bool:
-    """Whether ``tables`` is a sequence of tables (vs one flat table)."""
-    if isinstance(tables, np.ndarray):
-        return tables.ndim == 2
-    return bool(tables) and not np.isscalar(tables[0]) and hasattr(tables[0], "__len__")

@@ -1,13 +1,11 @@
 """Level-parallel execution of circuit netlists.
 
 :func:`schedule_circuit` turns a :class:`repro.tfhe.netlist.Circuit` into a
-:class:`LevelSchedule`: the netlist is exported to the architecture package's
-:class:`repro.arch.dfg.DataFlowGraph` and levelized with its ASAP machinery —
-bootstrapped nodes (gates and luts) advance the level, linear nodes (inputs,
+:class:`LevelSchedule` by bucketing :meth:`~repro.tfhe.netlist.Circuit.levels`
+— bootstrapped nodes (gates and luts) advance the level, linear nodes (inputs,
 constants, NOT, copy) are free — so every level is a *wave* of mutually
-independent bootstrapped nodes.  This is the paper's compile-to-DFG /
-solve-dependencies flow (Section 5) applied to whole circuits instead of the
-inside of one gate.
+independent bootstrapped nodes.  This is the paper's solve-dependencies flow
+(Section 5) applied to whole circuits instead of the inside of one gate.
 
 :func:`walk_levels` is the one traversal of such a schedule: a generator that
 yields each wave as bootstrap rows (``("gate", name, ca, cb)`` / ``("lut",
@@ -33,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Mapping, Sequence, Tuple
 
-from repro.arch.ops import OpType
 from repro.tfhe.gates import BatchGateEvaluator, Row, run_steps, split_rows
 from repro.tfhe.lwe import LweBatch, LweSample, lwe_batch_concat
 from repro.tfhe.netlist import Circuit, Node
@@ -41,7 +38,7 @@ from repro.tfhe.netlist import Circuit, Node
 
 @dataclass(frozen=True)
 class LevelSchedule:
-    """A levelized execution plan for one circuit.
+    """A level-by-level execution plan for one circuit.
 
     ``waves[k]`` holds the bootstrapped gates of dependency level ``k + 1``;
     the gates of one wave are mutually independent, so the executor issues
@@ -86,35 +83,29 @@ def schedule_circuit(
 ) -> LevelSchedule:
     """Levelize the output cone of ``circuit`` into a :class:`LevelSchedule`.
 
-    The netlist is exported to a :class:`repro.arch.dfg.DataFlowGraph` and
-    bucketed with its ASAP ``levelize``; only bootstrapped gates carry level
-    cost, so NOT/copy/constant chains never lengthen the schedule.  Dead
-    nodes (outside the cone of the requested outputs) are dropped entirely.
+    The circuit is validated (an in-process netlist has no other check),
+    then its :meth:`~repro.tfhe.netlist.Circuit.levels` are bucketed in SSA
+    order; only bootstrapped gates advance a level, so NOT/copy/constant
+    chains never lengthen the schedule.  Dead nodes (outside the cone of the
+    requested outputs) are dropped entirely.
     """
+    circuit.validate()
     output_names = tuple(outputs) if outputs is not None else tuple(circuit.output_wires)
-    live = circuit.live_nodes(output_names)
-    dfg = circuit.to_dfg(output_names)
-    cost = lambda node: 1 if node.op is OpType.BOOTSTRAPPED_GATE else 0  # noqa: E731
-    buckets = dfg.levelize(cost)
-    waves: List[Tuple[int, ...]] = []
-    linear: List[Tuple[int, ...]] = []
-    for level, bucket in enumerate(buckets):
-        bucket = [nid for nid in bucket if nid in live]
-        waves_here = tuple(n for n in bucket if circuit.node(n).is_bootstrapped)
-        linear_here = tuple(n for n in bucket if not circuit.node(n).is_bootstrapped)
-        if level > 0:
-            waves.append(waves_here)
-        linear.append(linear_here)
-    # Drop trailing all-empty levels (possible when the deepest live node is
-    # linear); keep `linear` exactly one entry longer than `waves`.
-    while waves and not waves[-1] and not linear[len(waves)]:
-        waves.pop()
-        linear.pop()
+    levels = circuit.levels(output_names)
+    depth = max(levels.values(), default=0)
+    waves: List[List[int]] = [[] for _ in range(depth)]
+    linear: List[List[int]] = [[] for _ in range(depth + 1)]
+    for nid in sorted(levels):
+        level = levels[nid]
+        if circuit.node(nid).is_bootstrapped:
+            waves[level - 1].append(nid)
+        else:
+            linear[level].append(nid)
     return LevelSchedule(
         circuit=circuit,
         output_names=output_names,
-        waves=tuple(waves),
-        linear=tuple(linear),
+        waves=tuple(map(tuple, waves)),
+        linear=tuple(map(tuple, linear)),
     )
 
 
@@ -182,7 +173,7 @@ def walk_levels(
 
 
 class CircuitExecutor:
-    """Runs levelized circuits on the batched bootstrapping engine.
+    """Runs circuits level by level on the batched bootstrapping engine.
 
     The executor owns a :class:`repro.tfhe.gates.BatchGateEvaluator` whose
     ``batch_size`` is the number of *words* processed per run (wires carry

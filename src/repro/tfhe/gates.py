@@ -10,19 +10,19 @@ everything that evaluates one goes through the same four steps:
    lookup with a fixed all-``mu`` test vector and the weights of
    :data:`MIXED_GATE_SPECS` (e.g. NAND is ``(0, 1/8) − c_a − c_b``); a lut
    takes its weights and slice-valued vector from :mod:`repro.tfhe.lut`; a
-   digit row is the identity against an :func:`encode_lut` vector, bit for
-   bit a ``programmable_bootstrap_batch`` row.  This is the only place the
-   three differ, and where the ±1/8 encoding's 8-ary rating is checked.
+   digit row — a programmable bootstrap — is the identity against an
+   :func:`encode_lut` vector.  This is the only place the three differ, and
+   where the ±1/8 encoding's 8-ary rating is checked.
 2. :func:`affine_rows` forms ``offset·MU + Σ wᵢ·cᵢ`` for a whole batch of
    rows of any mix of arities in one vectorised pass.
 3. :meth:`BatchGateEvaluator.bootstrap_rows` blind-rotates, extracts and
    key-switches the batch — one shared test vector when every row carries
    the same one, a per-row stack otherwise.  It is the one place the three
-   stages are composed: ``FheContext.bootstrap[_batch]``, the programmable
-   bootstraps of :mod:`repro.tfhe.bootstrap`, the radix integers and the
-   scalar :class:`TFHEGateEvaluator` hand it their rows too, so a row of the
-   wrong dimension is refused, the stages are traced and the bootstraps are
-   counted here for every caller.
+   stages are composed: the radix integers' digit rows, the scalar
+   :class:`TFHEGateEvaluator` and a raw refresh against
+   :func:`make_test_vector` reach it too, so a row of the wrong dimension is
+   refused, the stages are traced and the bootstraps are counted here for
+   every caller.
 4. :meth:`BatchGateEvaluator.rows` is steps 1–3 for one batch;
    :func:`split_rows` packs ``("gate", …)`` / ``("lut", …)`` / ``("digit",
    …)`` row tuples into its arguments.

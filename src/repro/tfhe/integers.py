@@ -11,8 +11,9 @@ the standard radix recipe:
 * **Carry propagation is a lookup.**  Once a digit's bound approaches ``P``,
   one programmable bootstrap per digit splits it into ``v mod B`` (kept) and
   ``v div B`` (added to the next digit); both lookups ride one batched blind
-  rotation per digit.  The ``*_steps`` methods yield these carry rounds as
-  ``("digit", …)`` rows, for the scheduler to serve a ``radix_add``.
+  rotation per digit.  Every lookup is a ``("digit", (encoding, table),
+  sample)`` row of the context's row path; the ``*_steps`` methods yield the
+  carry rounds as such rows, for the scheduler to serve a ``radix_add``.
 * **Multiplication packs digit pairs.**  ``p = B·x_i + y_j`` fits one digit
   when ``carry_bits >= message_bits``, so every partial-product low/high digit
   is a single LUT row and *all* of them share one batched blind rotation; the
@@ -32,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from repro.tfhe.bootstrap import programmable_bootstrap_batch
 from repro.tfhe.gates import Row, run_steps, split_rows
 from repro.tfhe.lwe import (
     LweBatch,
@@ -185,14 +185,13 @@ class RadixEvaluator:
             )
 
     # -- bootstrap plumbing --------------------------------------------------
-    def _pbs(self, samples: Sequence[LweSample], tables) -> List[LweSample]:
-        """One fused batched blind rotation over ``len(samples)`` LUT rows."""
-        batch = LweBatch.from_samples(samples)
-        out = programmable_bootstrap_batch(self.context, batch, tables, self.encoding)
-        return out.to_samples()
+    def _lookup(self, table: Sequence[int], sample: LweSample) -> Row:
+        """The digit row that looks ``sample`` up in ``table``."""
+        return ("digit", (self.encoding, tuple(table)), sample)
 
     def _run_rows(self, rows: List[Row]) -> List[LweSample]:
-        """One round of a multi-round job on the context's row path."""
+        """One fused batched blind rotation over ``rows`` on the context's
+        row path (one round of a multi-round job)."""
         evaluator = self.context.batch_evaluator(1)
         return evaluator.rows(*split_rows(rows, LweBatch.from_samples)).to_samples()
 
@@ -344,20 +343,17 @@ class RadixEvaluator:
 
         lo_mul = [((p // base) * (p % base)) % base for p in range(space)]
         hi_mul = [((p // base) * (p % base)) // base for p in range(space)]
-        rows: List[LweSample] = []
-        tables: List[List[int]] = []
+        rows: List[Row] = []
         positions: List[int] = []
         for i in range(width):
             for j in range(width - i):
                 packed = self._pack(x.digits[i], y.digits[j])
-                rows.append(packed)
-                tables.append(lo_mul)
+                rows.append(self._lookup(lo_mul, packed))
                 positions.append(i + j)
                 if i + j + 1 < width:
-                    rows.append(packed)
-                    tables.append(hi_mul)
+                    rows.append(self._lookup(hi_mul, packed))
                     positions.append(i + j + 1)
-        products = self._pbs(rows, tables)
+        products = self._run_rows(rows)
 
         columns: List[List[LweSample]] = [[] for _ in range(width)]
         for position, sample in zip(positions, products):
@@ -417,7 +413,7 @@ class RadixEvaluator:
 
         sign_table = [trit(p // base, p % base) for p in range(space)]
         packed = [self._pack(xd, yd) for xd, yd in zip(x.digits, y.digits)]
-        trits = self._pbs(packed, sign_table)
+        trits = self._run_rows([self._lookup(sign_table, p) for p in packed])
 
         # r' = r unless r is still "equal so far", in which case the next trit
         # decides; the final fold collapses straight to the boolean answer.
@@ -427,12 +423,12 @@ class RadixEvaluator:
         remaining = list(reversed(trits[:-1]))
         if not remaining:
             final_map = [1 if v == 2 else 0 for v in range(space)]
-            (result,) = self._pbs([result], [final_map])
+            (result,) = self._run_rows([self._lookup(final_map, result)])
             return result
         for index, s in enumerate(remaining):
             combined = lwe_add(lwe_scale(3, result), s)
             table = fold_final if index == len(remaining) - 1 else fold
-            (result,) = self._pbs([combined], [table])
+            (result,) = self._run_rows([self._lookup(table, combined)])
         return result
 
     def eq(self, x: RadixInt, y: RadixInt) -> LweSample:
@@ -451,7 +447,7 @@ class RadixEvaluator:
         base, space = self.encoding.base, self.encoding.space
         eq_table = [1 if (p // base) == (p % base) else 0 for p in range(space)]
         packed = [self._pack(xd, yd) for xd, yd in zip(x.digits, y.digits)]
-        bits = self._pbs(packed, eq_table)
+        bits = self._run_rows([self._lookup(eq_table, p) for p in packed])
         limit = self.max_accumulator_bound
         while len(bits) > 1:
             group = bits[: min(len(bits), limit)]
@@ -460,6 +456,6 @@ class RadixEvaluator:
             for term in group[1:]:
                 total = lwe_add(total, term)
             all_set = [1 if v == len(group) else 0 for v in range(space)]
-            (folded,) = self._pbs([total], [all_set])
+            (folded,) = self._run_rows([self._lookup(all_set, total)])
             bits = [folded] + rest
         return bits[0]

@@ -11,9 +11,9 @@ The flow mirrors the paper's compilation pipeline (Section 5: "OpenCGRA first
 compiles a TFHE logic operation into a data flow graph, solves its
 dependencies, and removes structural hazards"), lifted one level up: instead
 of compiling the inside of one bootstrapped gate, we compile a whole circuit
-of bootstrapped gates, export it to :class:`repro.arch.dfg.DataFlowGraph`,
-and let :mod:`repro.tfhe.executor` pack every dependency level into a single
-batched bootstrapping call.
+of bootstrapped gates: :meth:`Circuit.levels` solves its dependencies in one
+pass over the SSA node list, and :mod:`repro.tfhe.executor` packs every
+dependency level into a single batched bootstrapping call.
 
 Construction is explicit and cheap::
 
@@ -38,12 +38,10 @@ constant shifts — live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.arch.dfg import DataFlowGraph
-from repro.arch.ops import OpType
 from repro.tfhe.gates import MIXED_GATE_SPECS
 from repro.tfhe.lut import MAX_LUT_ARITY, boolean_lut_spec
 
@@ -270,24 +268,23 @@ class Circuit:
                 if not 0 <= arg < node.node_id:
                     raise ValueError("netlist is not in SSA order")
 
-    def to_dfg(self, outputs: Sequence[str] | None = None) -> DataFlowGraph:
-        """Export the output cone as a :class:`repro.arch.dfg.DataFlowGraph`.
+    def levels(self, outputs: Sequence[str] | None = None) -> Dict[int, int]:
+        """Bootstrapped depth of every node in the cone of ``outputs``.
 
-        Bootstrapped gates become :data:`OpType.BOOTSTRAPPED_GATE` nodes with
-        unit work; sources and linear ops become zero-work
-        :data:`OpType.LINEAR_GATE` nodes.  Node ids are preserved (the DFG is
-        built over all netlist nodes in SSA order), so levels computed on the
-        DFG index straight back into the netlist; dead nodes simply have no
-        path to any live output.
+        One pass in SSA order: a node sits at the deepest level among its
+        arguments, plus one when it is bootstrapped — so sources and
+        NOT/copy chains never lengthen a path, and the nodes of one level
+        are mutually independent given the levels before it (the
+        dependency-solving step of the paper's compile flow, applied to a
+        whole circuit).  Dead nodes get no level.
         """
-        self.validate()
-        dfg = DataFlowGraph()
+        live = self.live_nodes(outputs)
+        levels: Dict[int, int] = {}
         for node in self.nodes:
-            op = OpType.BOOTSTRAPPED_GATE if node.is_bootstrapped else OpType.LINEAR_GATE
-            work = 1.0 if node.is_bootstrapped else 0.0
-            nid = dfg.add_node(op, work, tag=node.op, predecessors=node.args)
-            assert nid == node.node_id
-        return dfg
+            if node.node_id in live:
+                deepest = max((levels[arg] for arg in node.args), default=0)
+                levels[node.node_id] = deepest + node.is_bootstrapped
+        return levels
 
 
 # --------------------------------------------------------------------------- #

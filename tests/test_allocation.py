@@ -21,7 +21,7 @@ import pytest
 
 from repro.runtime.context import FheContext
 from repro.tfhe import keyswitch
-from repro.tfhe.bootstrap import CmuxBlindRotator, programmable_bootstrap_batch
+from repro.tfhe.bootstrap import CmuxBlindRotator
 from repro.tfhe.gates import encrypt_bit_batch
 from repro.tfhe.integers import RadixEvaluator, encrypt_radix
 from repro.tfhe.keys import generate_keys
@@ -215,7 +215,7 @@ def test_every_array_a_bound_kernel_holds_is_a_view_into_the_pools():
     assert sum(array.nbytes for array in outside) <= 8 * width + 4 * params.l + 32 * params.N
 
 
-@pytest.mark.parametrize("caller", ["programmable_bootstrap_batch", "RadixEvaluator.propagate"])
+@pytest.mark.parametrize("caller", ["digit_rows", "RadixEvaluator.propagate"])
 def test_warm_digit_bootstraps_borrow_the_context_gather_block(caller):
     """The parameters are small enough that everything a digit bootstrapping
     allocates itself — accumulators, row indices, results — is a fraction of
@@ -223,13 +223,13 @@ def test_warm_digit_bootstraps_borrow_the_context_gather_block(caller):
     was allocated: the call ran in the one its context already owns."""
     params, encoding = TEST_PBS, DigitEncoding(message_bits=2, carry_bits=2)
     secret, context = FheContext.generate(params, make_transform("double", params.N), rng=330)
-    if caller == "programmable_bootstrap_batch":
+    if caller == "digit_rows":
         rows = LweBatch.from_samples(
             encrypt_digit(secret.lwe_key, value, encoding, rng=331 + value)
             for value in (1, 6, 11, 12)
         )
-        table = [value * value % encoding.space for value in range(encoding.space)]
-        run = lambda: programmable_bootstrap_batch(context, rows, table, encoding)
+        square = (encoding, tuple(v * v % encoding.space for v in range(encoding.space)))
+        run = lambda: context.batch_evaluator(1).rows([square] * 4, [rows])
     else:
         radix = RadixEvaluator(context, encoding)
         x = encrypt_radix(secret.lwe_key, 0b111011, 3, encoding, rng=340)

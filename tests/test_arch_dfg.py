@@ -61,20 +61,19 @@ class TestTopology:
         linear_chain([1, 2]).validate()
 
     @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=20))
-    def test_critical_path_of_chain_is_total_work(self, works):
-        dfg = linear_chain(works)
-        assert dfg.depth(cost=lambda node: node.work) == sum(works)
+    def test_depth_of_chain_is_its_length(self, works):
+        assert linear_chain(works).depth() == len(works)
 
-    def test_critical_path_of_diamond(self):
+    def test_depth_of_diamond(self):
         dfg = DataFlowGraph()
         src = dfg.add_node(OpType.POLY_LINEAR, 1.0)
         left = dfg.add_node(OpType.IFFT, 10.0, predecessors=[src])
         right = dfg.add_node(OpType.IFFT, 3.0, predecessors=[src])
         dfg.add_node(OpType.FFT, 1.0, predecessors=[left, right])
-        assert dfg.depth(cost=lambda node: node.work) == 12
+        assert dfg.depth() == 3
 
 
-class TestLevelize:
+class TestNodeLevels:
     def diamond(self):
         # a -> b, c -> d (b and c independent)
         dfg = DataFlowGraph()
@@ -86,37 +85,20 @@ class TestLevelize:
 
     def test_diamond_levels(self):
         dfg, (a, b, c, d) = self.diamond()
-        buckets = dfg.levelize()
-        assert buckets[1] == [a]
-        assert buckets[2] == [b, c]
-        assert buckets[3] == [d]
+        assert dfg.node_levels() == {a: 1, b: 2, c: 2, d: 3}
         assert dfg.depth() == 3
 
-    def test_zero_cost_nodes_share_predecessor_level(self):
-        dfg = DataFlowGraph()
-        src = dfg.add_node(OpType.LINEAR_GATE, 0.0)
-        gate = dfg.add_node(OpType.BOOTSTRAPPED_GATE, 1.0, predecessors=[src])
-        inv = dfg.add_node(OpType.LINEAR_GATE, 0.0, predecessors=[gate])
-        cost = lambda n: 1 if n.op is OpType.BOOTSTRAPPED_GATE else 0
-        levels = dfg.node_levels(cost)
-        assert levels[src] == 0
-        assert levels[gate] == 1
-        assert levels[inv] == 1  # NOT rides along with its producer's level
-        assert dfg.depth(cost) == 1
-
-    def test_level_buckets_partition_all_nodes(self):
+    def test_every_node_has_a_level(self):
         dfg, _ = self.diamond()
-        buckets = dfg.levelize()
-        flattened = [nid for bucket in buckets for nid in bucket]
-        assert sorted(flattened) == [n.node_id for n in dfg.nodes()]
+        assert sorted(dfg.node_levels()) == [n.node_id for n in dfg.nodes()]
 
     def test_empty_graph(self):
         dfg = DataFlowGraph()
-        assert dfg.levelize() == [[]]
+        assert dfg.node_levels() == {}
         assert dfg.depth() == 0
 
-    def test_within_level_nodes_are_independent(self):
+    def test_a_node_sits_below_its_predecessors(self):
         dfg, _ = self.diamond()
-        for bucket in dfg.levelize():
-            for nid in bucket:
-                assert not (set(dfg.node(nid).predecessors) & set(bucket))
+        levels = dfg.node_levels()
+        for nid, level in levels.items():
+            assert all(levels[p] < level for p in dfg.node(nid).predecessors)

@@ -56,13 +56,16 @@ class TestBatchedBootstrap:
         batch = LweBatch.from_samples(samples)
 
         context = cloud.default_context()
-        out = context.bootstrap_batch(batch)
         test_vector = make_test_vector(cloud.params, int(MU))
+        refresh = context.batch_evaluator(1).bootstrap_rows
+        out = refresh(batch, test_vector)
         expected = bootstrap_oracle(
             batch, test_vector, context.rotator, cloud.keyswitch_key, cloud.params
         )
         _assert_batch_equals_samples(out, expected.to_samples())
-        _assert_batch_equals_samples(out, [context.bootstrap(s) for s in samples])
+        _assert_batch_equals_samples(
+            out, [refresh(LweBatch.from_samples([s]), test_vector)[0] for s in samples]
+        )
 
     def test_batch_roundtrip_containers(self, backend):
         secret, _ = backend

@@ -125,6 +125,26 @@ def test_corrupt_and_dropped_frames_recovered(server_factory, wire_keys):
     assert scraped["fhe_jobs_deduped_total"] >= 1
 
 
+def test_corrupted_request_is_resent_exactly_once(server_factory, wire_keys):
+    """A bit-flipped *request*: the server cannot read it, answers with a
+    retryable id -1 ``protocol`` error and drops the stream; the client
+    re-dials and resends what is unanswered, and every gate runs once."""
+    server = server_factory()
+    secret, cloud = wire_keys
+    # conn 0: frame 0 registers the key, frame 2 is the second gate
+    plans = {0: {"c2s": {2: {"action": "corrupt", "offset": -1}}}}
+    with ChaosProxy("127.0.0.1", server.port, plans) as proxy:
+        with ResilientClient(port=proxy.port, base_delay=0.001) as client:
+            client.register_key(cloud)
+            got = _run_gates(client, secret, _encrypt_pairs(secret), gate="and")
+            assert got == _expected("and")
+            assert client.stats.reconnects == 1
+            assert client.stats.resubmitted >= 1
+            scraped = scrape(client)
+        assert proxy.connections == 2
+    assert scraped["fhe_jobs_completed_total"] == 4
+
+
 def test_truncated_frame_recovered(server_factory, wire_keys):
     server = server_factory()
     secret, cloud = wire_keys

@@ -116,7 +116,7 @@ class TestComparisonsAndSelection:
         secret, executor = circuit_env
         high = encrypt_integer(secret, 3, 2, rng=110)
         low = encrypt_integer(secret, 1, 2, rng=111)
-        constant = executor.evaluator.context.evaluator().constant
+        constant = TFHEGateEvaluator(executor.evaluator.context).constant
         for bit, expected in ((1, 3), (0, 1)):
             chosen = executor.run_samples(
                 netlist.select_netlist(2),

@@ -41,8 +41,7 @@ from repro.runtime import (
 from repro.runtime.chaos import FlakyEngine
 from repro.runtime.protocol import ServerError, ServingClient, pack_parts
 from repro.runtime.scheduler import SchedulerStats, execute_rows
-from repro.tfhe.bootstrap import programmable_bootstrap_batch
-from repro.tfhe.gates import PLAINTEXT_GATES, decrypt_bit, encrypt_bit
+from repro.tfhe.gates import PLAINTEXT_GATES, TFHEGateEvaluator, decrypt_bit, encrypt_bit
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import LweBatch, decrypt_digit, encrypt_digit, lwe_round_mask
 from repro.tfhe.params import TEST_PBS, TEST_TINY, DigitEncoding
@@ -341,7 +340,7 @@ def _gate_sweep(secret, context, name: str):
         for bit_b in (0, 1):
             ca = encrypt_bit(secret, bit_a, rng=300 + bit_a)
             cb = encrypt_bit(secret, bit_b, rng=310 + bit_b)
-            out.append((bit_a, bit_b, context.evaluator().gate(name, ca, cb)))
+            out.append((bit_a, bit_b, TFHEGateEvaluator(context).gate(name, ca, cb)))
     return out
 
 
@@ -395,13 +394,12 @@ class TestProgrammableBootstrapConformance:
         context = FheContext(cloud, engine=engine)
         encoding = DigitEncoding(message_bits=2)
         table = [(v * v) % encoding.space for v in range(encoding.space)]
+        square = (encoding, tuple(table))
 
         outputs = []
         for value in range(encoding.space):
             sample = encrypt_digit(secret.lwe_key, value, encoding, rng=400 + value)
-            out = programmable_bootstrap_batch(
-                context, LweBatch.from_samples([sample]), table, encoding
-            )[0]
+            out = context.batch_evaluator(1).rows([square], [LweBatch.from_samples([sample])])[0]
             assert decrypt_digit(secret.lwe_key, out, encoding) == table[value]
             outputs.append(out)
 
@@ -413,8 +411,8 @@ class TestProgrammableBootstrapConformance:
                 sample = encrypt_digit(
                     secret.lwe_key, value, encoding, rng=400 + value
                 )
-                ref = programmable_bootstrap_batch(
-                    ref_context, LweBatch.from_samples([sample]), table, encoding
+                ref = ref_context.batch_evaluator(1).rows(
+                    [square], [LweBatch.from_samples([sample])]
                 )[0]
                 assert np.array_equal(out.a, ref.a) and int(out.b) == int(ref.b)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from circuit_oracle import circuit_oracle
 from test_lut import CORPUS
+from repro.compiler.passes import LUT_PIPELINE, circuit_depth, live_gate_count, optimize
 from repro.tfhe import netlist
 from repro.tfhe.circuits import decrypt_integers, encrypt_integers
 from repro.tfhe.executor import CircuitExecutor, schedule_circuit
@@ -30,6 +31,7 @@ from repro.tfhe.params import TEST_TINY
 from repro.tfhe.transform import DoubleFFTNegacyclicTransform
 from repro.tfhe.netlist import (
     Circuit,
+    Node,
     adder_netlist,
     greater_than_netlist,
     maximum_netlist,
@@ -79,6 +81,26 @@ class TestSchedule:
     def test_depth_is_much_smaller_than_gate_count(self):
         schedule = schedule_circuit(adder_netlist(16))
         assert schedule.depth < schedule.gate_count / 2
+
+    @pytest.mark.parametrize("name", [*CORPUS, "adder8-lut-pipeline"])
+    def test_depth_and_gates_are_the_compilers(self, name):
+        if name in CORPUS:
+            circuit = CORPUS[name][0]()
+        else:
+            circuit = optimize(adder_netlist(8), passes=LUT_PIPELINE)
+        schedule = schedule_circuit(circuit)
+        assert schedule.depth == circuit_depth(circuit)
+        assert schedule.gate_count == live_gate_count(circuit)
+
+    def test_a_netlist_out_of_ssa_order_is_refused(self):
+        c = Circuit()
+        a = c.inputs("a", 2)
+        first = c.gate("and", a[0], a[1])
+        later = c.gate("or", a[0], a[1])
+        c.nodes[first] = Node(first, "and", args=(a[0], later))  # reads ahead
+        c.output("out", [first])
+        with pytest.raises(ValueError, match="not in SSA order"):
+            schedule_circuit(c)
 
     def test_linear_only_circuit_has_no_waves(self):
         c = Circuit()

@@ -38,11 +38,8 @@ from tgsw_oracle import (
     tlwe_batch_sub,
 )
 from repro.core.bku import UnrolledBlindRotator
-from repro.tfhe.bootstrap import (
-    CmuxBlindRotator,
-    encode_lut,
-    programmable_bootstrap_batch,
-)
+from repro.tfhe.bootstrap import CmuxBlindRotator, encode_lut, make_test_vector
+from repro.tfhe.gates import MU
 from repro.tfhe.keys import generate_bootstrapping_key, generate_keys, generate_secret_key
 from repro.tfhe.keyswitch import keyswitch_apply_batch
 from repro.tfhe.lwe import (
@@ -366,10 +363,11 @@ class TestStepKernel:
             lwe_encrypt(secret.lwe_key, gate_message(i % 2), rng=170 + i)
             for i in range(width)
         ]
-        context = cloud.default_context()
-        batched = context.bootstrap_batch(LweBatch.from_samples(samples))
+        refresh = cloud.default_context().batch_evaluator(1).bootstrap_rows
+        vector = make_test_vector(cloud.params, int(MU))
+        batched = refresh(LweBatch.from_samples(samples), vector)
         for row, sample in enumerate(samples):
-            scalar = context.bootstrap(sample)
+            scalar = refresh(LweBatch.from_samples([sample]), vector)[0]
             assert np.array_equal(batched.a[row], scalar.a)
             assert np.int32(batched.b[row]) == np.int32(scalar.b)
 
@@ -386,7 +384,7 @@ class TestPerRowTestVectors:
         return generate_keys(TEST_PBS, transform, rng=181)
 
     @pytest.mark.parametrize("width", KERNEL_WIDTHS)
-    def test_programmable_bootstrap_batch_matches_reference(self, pbs, width):
+    def test_digit_rows_match_reference(self, pbs, width):
         secret, cloud = pbs
         context = cloud.default_context()
         digits = [(3 * row + 1) % self.ENCODING.space for row in range(width)]
@@ -396,7 +394,8 @@ class TestPerRowTestVectors:
             for row, digit in enumerate(digits)
         ]
         batch = LweBatch.from_samples(samples)
-        fused = programmable_bootstrap_batch(context, batch, tables, self.ENCODING)
+        rows = context.batch_evaluator(1).rows
+        fused = rows([(self.ENCODING, tuple(table)) for table in tables], [batch])
         vectors = np.stack(
             [encode_lut(TEST_PBS, table, self.ENCODING.message_bits) for table in tables]
         )
@@ -406,9 +405,7 @@ class TestPerRowTestVectors:
         assert np.array_equal(fused.a, reference.a)
         assert np.array_equal(fused.b, reference.b)
         for row, (sample, table, digit) in enumerate(zip(samples, tables, digits)):
-            scalar = programmable_bootstrap_batch(
-                context, LweBatch.from_samples([sample]), table, self.ENCODING
-            )[0]
+            scalar = rows([(self.ENCODING, tuple(table))], [LweBatch.from_samples([sample])])[0]
             assert np.array_equal(fused.a[row], scalar.a)
             assert np.int32(fused.b[row]) == np.int32(scalar.b)
             assert decrypt_digit(secret.lwe_key, scalar, self.ENCODING) == table[digit]

@@ -3,8 +3,9 @@
 Every package ``__init__`` but :mod:`repro.telemetry` resolves its public
 names on first access (:mod:`repro._lazy`), and the layers import downwards
 only, so a process that serves — ``tools/serve.py``, the ledger's launcher —
-never loads the compiler, the accelerator model, ``analysis``,
-``platforms``, :mod:`repro.core` or the chaos and resilient clients.  Each
+never loads the compiler, the accelerator model (:mod:`repro.arch`),
+``analysis``, ``platforms``, :mod:`repro.core` or the chaos and resilient
+clients.  Each
 closure check runs in a fresh interpreter, where nothing else has imported
 them first.
 """
@@ -39,10 +40,12 @@ PACKAGES = [
 #: What a serving process never loads: the compiler, the paper's analysis and
 #: platform models, the MATCHA core (integer FFT, BKU, pipeline, accelerator
 #: facade — a BKU key imports :mod:`repro.core.bku` when it registers), the
-#: accelerator model's architecture / scheduler / energy / memory, the test
-#: clients, and ``numpy.random`` (a server draws no randomness).
+#: accelerator model (its data-flow graphs, architecture, scheduler, energy
+#: and memory — a circuit's levels come from :meth:`Circuit.levels`), the
+#: test clients, and ``numpy.random`` (a server draws no randomness).
 NOT_SERVING = (
     "repro.analysis",
+    "repro.arch",
     "repro.compiler",
     "repro.core",
     "repro.platforms",
@@ -50,8 +53,6 @@ NOT_SERVING = (
     "repro.runtime.resilient",
     "numpy.random",
 )
-#: The two modules of :mod:`repro.arch` that :mod:`repro.tfhe` builds on.
-TFHE_ARCH = {"repro.arch", "repro.arch.ops", "repro.arch.dfg"}
 
 
 def loaded_after(statement: str) -> list:
@@ -75,11 +76,7 @@ def loaded_after(statement: str) -> list:
 
 
 def not_serving(modules: list) -> list:
-    return [
-        m
-        for m in modules
-        if m.startswith(NOT_SERVING) or (m.startswith("repro.arch") and m not in TFHE_ARCH)
-    ]
+    return [m for m in modules if m.startswith(NOT_SERVING)]
 
 
 def serve_tool_imports() -> str:
@@ -106,7 +103,8 @@ def test_the_serve_tool_loads_the_serving_stack_only():
 
 def test_tfhe_builds_on_no_higher_layer():
     """``tfhe`` ← ``core`` ← ``runtime``: every ``repro.tfhe`` module loads
-    without :mod:`repro.core`, :mod:`repro.runtime` or the accelerator model."""
+    without :mod:`repro.core`, :mod:`repro.runtime` or any :mod:`repro.arch`
+    module."""
     modules = sorted(p.stem for p in (SRC / "repro" / "tfhe").glob("*.py") if p.stem != "__init__")
     loaded = loaded_after("\n".join(f"import repro.tfhe.{m}" for m in modules))
     assert [m for m in loaded if m.startswith(("repro.core", "repro.runtime"))] == []

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.arch.ops import OpType
 from repro.tfhe.netlist import (
     BOOTSTRAPPED_OPS,
     LINEAR_OPS,
@@ -99,25 +98,36 @@ class TestBuilder:
         adder_netlist(3).validate()
 
 
-class TestDfgExport:
-    def test_ops_and_work_split_by_kind(self):
+class TestLevels:
+    def test_only_bootstrapped_nodes_advance_a_level(self):
         c = Circuit()
         a = c.inputs("a", 1)[0]
         b = c.inputs("b", 1)[0]
-        g = c.gate("and", a, c.not_(b))
-        c.output("out", [g])
-        dfg = c.to_dfg()
-        assert len(dfg) == len(c)
-        assert dfg.node(g).op is OpType.BOOTSTRAPPED_GATE
-        assert dfg.node(g).work == 1.0
-        linear = [n for n in dfg.nodes() if n.op is OpType.LINEAR_GATE]
-        assert all(n.work == 0.0 for n in linear)
+        inverted = c.not_(b)
+        g = c.gate("and", a, inverted)
+        copied = c.copy(c.not_(g))
+        h = c.lut(0b10, [copied])
+        c.output("out", [h, copied])
+        assert c.levels() == {a: 0, b: 0, inverted: 0, g: 1, g + 1: 1, copied: 1, h: 2}
 
-    def test_node_ids_are_preserved(self):
-        c = adder_netlist(2)
-        dfg = c.to_dfg()
-        for node in c.nodes:
-            assert dfg.node(node.node_id).tag == node.op
+    def test_dead_nodes_get_no_level(self):
+        c = Circuit()
+        a = c.inputs("a", 2)
+        kept = c.gate("xor", a[0], a[1])
+        dropped = c.gate("and", kept, a[0])
+        c.output("kept", [kept])
+        c.output("dropped", [dropped])
+        assert dropped not in c.levels(["kept"])
+        assert set(c.levels(["kept"])) == c.live_nodes(["kept"])
+        assert c.levels()[dropped] == 2
+
+    def test_a_level_depends_only_on_earlier_levels(self):
+        c = multiplier_netlist(4)
+        levels = c.levels()
+        for nid, level in levels.items():
+            node = c.node(nid)
+            deepest = max((levels[arg] for arg in node.args), default=0)
+            assert level == deepest + node.is_bootstrapped
 
 
 class TestLiveCone:

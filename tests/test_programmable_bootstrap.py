@@ -18,10 +18,7 @@ import pytest
 
 from repro.core.integer_fft import ApproximateNegacyclicTransform
 from repro.runtime.context import FheContext
-from repro.tfhe.bootstrap import (
-    encode_lut,
-    programmable_bootstrap_batch,
-)
+from repro.tfhe.bootstrap import encode_lut
 from repro.tfhe.gates import row_spec
 from repro.tfhe.lwe import (
     LweBatch,
@@ -58,6 +55,13 @@ def _pbs_backend(engine: str, unroll_factor: int):
     return FheContext.generate(
         TEST_PBS, transform, unroll_factor=unroll_factor, rng=seed
     )
+
+
+def digit_rows(context, samples, tables, encoding) -> LweBatch:
+    """Look row ``i`` of ``samples`` up in ``tables[i]``: one ``("digit", …)``
+    row each, all in one call of the context's row path."""
+    ops = [(encoding, tuple(table)) for table in tables]
+    return context.batch_evaluator(1).rows(ops, [LweBatch.from_samples(samples)])
 
 
 # --------------------------------------------------------------------------- #
@@ -151,9 +155,7 @@ def test_programmable_bootstrap_square_lut(engine, unroll_factor, message_bits, 
     table = [(v * v) % space for v in range(space)]
     for value in range(space):
         sample = encrypt_digit(secret.lwe_key, value, encoding, rng=rng)
-        out = programmable_bootstrap_batch(
-            context, LweBatch.from_samples([sample]), table, encoding
-        )[0]
+        out = digit_rows(context, [sample], [table], encoding)[0]
         assert decrypt_digit(secret.lwe_key, out, encoding) == table[value], value
 
 
@@ -166,13 +168,11 @@ def test_programmable_bootstrap_identity_with_carry(engine, unroll_factor, rng):
     table = list(range(encoding.space))
     for value in range(encoding.space):
         sample = encrypt_digit(secret.lwe_key, value, encoding, rng=rng)
-        out = programmable_bootstrap_batch(
-            context, LweBatch.from_samples([sample]), table, encoding
-        )[0]
+        out = digit_rows(context, [sample], [table], encoding)[0]
         assert decrypt_digit(secret.lwe_key, out, encoding) == value
 
 
-def test_programmable_bootstrap_batch_matches_scalar(rng):
+def test_digit_rows_batch_matches_scalar(rng):
     secret, context = _pbs_backend("double", 1)
     encoding = DigitEncoding(2, 2)
     space = encoding.space
@@ -184,42 +184,34 @@ def test_programmable_bootstrap_batch_matches_scalar(rng):
     ]
     values = [5, 11, 0, 15]
     samples = [encrypt_digit(secret.lwe_key, v, encoding, rng=rng) for v in values]
-    batch_out = programmable_bootstrap_batch(
-        context, LweBatch.from_samples(samples), tables, encoding
-    )
+    batch_out = digit_rows(context, samples, tables, encoding)
     for i, (value, table, sample) in enumerate(zip(values, tables, samples)):
-        ref = programmable_bootstrap_batch(
-            context, LweBatch.from_samples([sample]), table, encoding
-        )[0]
+        ref = digit_rows(context, [sample], [table], encoding)[0]
         assert np.array_equal(batch_out.a[i], ref.a)
         assert int(batch_out.b[i]) == int(ref.b)
         assert decrypt_digit(secret.lwe_key, ref, encoding) == table[value]
 
 
-def test_programmable_bootstrap_batch_shared_table(rng):
+def test_digit_rows_shared_table(rng):
     secret, context = _pbs_backend("double", 1)
     encoding = DigitEncoding(3)
     table = [(2 * v + 1) % encoding.space for v in range(encoding.space)]
     values = list(range(encoding.space))
     samples = [encrypt_digit(secret.lwe_key, v, encoding, rng=rng) for v in values]
-    out = programmable_bootstrap_batch(
-        context, LweBatch.from_samples(samples), table, encoding
-    )
+    out = digit_rows(context, samples, [table] * len(samples), encoding)
     decrypted = [
         decrypt_digit(secret.lwe_key, s, encoding) for s in out.to_samples()
     ]
     assert decrypted == [table[v] for v in values]
 
 
-def test_programmable_bootstrap_batch_table_count_mismatch(rng):
+def test_digit_rows_need_one_op_per_row(rng):
     secret, context = _pbs_backend("double", 1)
     encoding = DigitEncoding(2)
     table = list(range(encoding.space))
     samples = [encrypt_digit(secret.lwe_key, v, encoding, rng=rng) for v in (0, 1, 2)]
-    with pytest.raises(ValueError, match="2 lookup tables for 3 rows"):
-        programmable_bootstrap_batch(
-            context, LweBatch.from_samples(samples), [table, table], encoding
-        )
+    with pytest.raises(ValueError, match="one gate name per row"):
+        digit_rows(context, samples, [table, table], encoding)
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,13 @@ import socket
 import pytest
 from conftest import scrape
 
-from repro.runtime.protocol import JobShed, ServerError, ServingClient
+from repro.runtime.protocol import (
+    MAX_HEADER_LEN,
+    FrameTooLarge,
+    JobShed,
+    ServerError,
+    ServingClient,
+)
 from repro.runtime.resilient import DeadlineExceeded, ResilientClient
 from repro.tfhe.gates import decrypt_bit, encrypt_bit
 from repro.tfhe.keys import generate_keys
@@ -100,6 +106,38 @@ def test_non_retryable_server_error_raises_immediately(server_factory):
         # No retries were burned on a permanent failure.
         assert client.stats.retries == 0
         assert client.stats.connects == 1
+
+
+@pytest.mark.parametrize("connected", [False, True], ids=["first-request", "connected"])
+def test_a_frame_that_cannot_be_built_raises_from_submit(server_factory, connected):
+    """An oversized header fails while the frame is built, before a byte is
+    sent: resending it would fail the same way, so it is neither kept nor
+    retried, and the connection is dialled once."""
+    server = server_factory()
+    with ResilientClient(port=server.port, max_attempts=4, sleep=lambda _d: None) as client:
+        if connected:
+            client.hello()
+        with pytest.raises(FrameTooLarge, match="header is"):
+            client.submit("hello", pad="y" * (MAX_HEADER_LEN + 1))
+        assert not client._pending
+        assert (client.stats.connects, client.stats.reconnects) == (1, 0)
+        assert client.stats.retries == 0
+        assert client.hello()["server"] == "repro-serve"  # the client serves on
+        assert client.stats.retries == 0
+
+
+def test_a_frame_that_could_not_be_sent_yet_raises_once_it_is_built(server_factory):
+    """Submitted while the dial is refused, the request waits unbuilt; the
+    redial in ``result`` builds it, and its frame error raises there."""
+    server = server_factory()
+    client = ResilientClient(port=_dead_port(), timeout=5.0, sleep=lambda _d: None)
+    with client:
+        request = client.submit("hello", pad="y" * (MAX_HEADER_LEN + 1))
+        client.port = server.port
+        with pytest.raises(FrameTooLarge, match="header is"):
+            client.result(request)
+        assert not client._pending
+        assert (client.stats.connects, client.stats.retries) == (1, 0)
 
 
 def test_shed_job_raises_jobshed_without_retry(server_factory, wire_keys):

@@ -35,7 +35,7 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.workers import WorkerPool
 from repro.telemetry import Telemetry
-from repro.tfhe.bootstrap import programmable_bootstrap_batch
+from repro.tfhe.bootstrap import make_test_vector
 from repro.tfhe.executor import CircuitExecutor
 from repro.tfhe.gates import (
     MU,
@@ -99,9 +99,11 @@ ENTRY_POINTS = {
     "CircuitExecutor.run: lut node": lambda cloud, bits: CircuitExecutor(
         BatchGateEvaluator(cloud, 1)
     ).run_samples(_lut_circuit(), {"a": bits}),
-    "FheContext.bootstrap": lambda cloud, bits: FheContext(cloud).bootstrap(bits[0]),
-    "FheContext.bootstrap_batch": lambda cloud, bits: FheContext(cloud).bootstrap_batch(
-        LweBatch.from_samples(bits)
+    "TFHEGateEvaluator.nand on a context": lambda cloud, bits: TFHEGateEvaluator(
+        FheContext(cloud)
+    ).nand(bits[0], bits[1]),
+    "BatchGateEvaluator.gate_rows": lambda cloud, bits: BatchGateEvaluator(cloud, 1).gate_rows(
+        ["nand", "xor", "or"], LweBatch.from_samples(bits), LweBatch.from_samples(bits[::-1])
     ),
 }
 
@@ -262,7 +264,7 @@ def test_wrong_dimension_rows_are_refused_by_both_evaluators(request, keys, extr
     with pytest.raises(ValueError, match=message):
         batch.bootstrap_rows(plane, batch.gate_test_vector())
     with pytest.raises(ValueError, match=message):
-        FheContext(cloud).bootstrap(wrong)
+        TFHEGateEvaluator(FheContext(cloud)).nand(wrong, wrong)
     assert scalar.counters.bootstraps == batch.counters.bootstraps == 0
     assert scalar.counters.gates == batch.counters.gates == 0
 
@@ -316,16 +318,17 @@ def _digit_rows(secret, count):
     )
 
 
-def _bootstrap(secret, context, radix):
-    context.bootstrap(_digit_rows(secret, 1)[0])
+def _refresh(count):
+    def refresh(secret, context, radix):
+        vector = make_test_vector(context.params, int(MU))
+        context.batch_evaluator(1).bootstrap_rows(_digit_rows(secret, count), vector)
+
+    return refresh
 
 
-def _bootstrap_batch(secret, context, radix):
-    context.bootstrap_batch(_digit_rows(secret, 3))
-
-
-def _pbs_batch(secret, context, radix):
-    programmable_bootstrap_batch(context, _digit_rows(secret, 4), SQUARE, ENCODING)
+def _digit_lookups(secret, context, radix):
+    ops = [(ENCODING, tuple(SQUARE))] * 4
+    context.batch_evaluator(1).rows(ops, [_digit_rows(secret, 4)])
 
 
 def _propagate(secret, context, radix):
@@ -343,14 +346,22 @@ def _mul(secret, context, radix):
     radix.mul(x, y)
 
 
+def _gt(secret, context, radix):
+    """One call for the 3 sign rows, then one one-row fold per lower digit."""
+    x = encrypt_radix(secret.lwe_key, 0b011011, 3, ENCODING, rng=53)
+    y = encrypt_radix(secret.lwe_key, 0b100111, 3, ENCODING, rng=54)
+    radix.gt(x, y)
+
+
 @pytest.mark.parametrize(
     "call, calls, rows",  # the bootstrap_rows calls it makes, the rows they carry
     [
-        pytest.param(_bootstrap, 1, 1, id="FheContext.bootstrap"),
-        pytest.param(_bootstrap_batch, 1, 3, id="FheContext.bootstrap_batch"),
-        pytest.param(_pbs_batch, 1, 4, id="programmable_bootstrap_batch"),
+        pytest.param(_refresh(1), 1, 1, id="bootstrap_rows[1]"),
+        pytest.param(_refresh(3), 1, 3, id="bootstrap_rows[3]"),
+        pytest.param(_digit_lookups, 1, 4, id="digit_rows"),
         pytest.param(_propagate, 3, 5, id="RadixEvaluator.propagate"),
         pytest.param(_mul, 4, 13, id="RadixEvaluator.mul"),
+        pytest.param(_gt, 3, 5, id="RadixEvaluator.gt"),
     ],
 )
 def test_every_caller_of_the_composition_is_traced_and_counted(

@@ -2,12 +2,12 @@
 
 Every entry point that turns a gate, a lut, a digit lookup or a raw refresh
 into a bootstrapping — the scalar evaluator, the batched evaluator,
-``execute_rows``, the level-parallel executor, the scheduler's jobs,
-``FheContext.bootstrap[_batch]``, the programmable bootstraps, the radix
-integers, and both evaluators over a BKU (``unroll_factor=2``) twin key — is
-run on one seeded ``test-tiny`` key with the exact ``naive`` engine, and the
-sha256 of the output ciphertext bytes is compared with the value recorded
-before the paths were unified.  The engine is integer-exact, so the digests
+``execute_rows``, the level-parallel executor, the scheduler's jobs, a raw
+refresh through ``bootstrap_rows``, digit rows, the radix integers, and both
+evaluators over a BKU (``unroll_factor=2``) twin key — is run on one seeded
+``test-tiny`` key with the exact ``naive`` engine, and the sha256 of the
+output ciphertext bytes is compared with the value recorded before the paths
+were unified.  The engine is integer-exact, so the digests
 depend only on the seeded key and input streams; should a NumPy release ever
 change ``Generator.normal``, rebuild the fixture's noise from ``rng.integers``
 rather than loosening the comparison.
@@ -24,7 +24,12 @@ between paths are pinned on their own by
 
 ``execute.eager`` keeps the label and the value it had while the library
 still shipped a gate-by-gate ``execute``; the same walk is now the tests'
-``circuit_oracle``, and ``scalar``'s multiplexer is ``mux_oracle``.
+``circuit_oracle``, and ``scalar``'s multiplexer is ``mux_oracle``.  In the
+same way ``context.bootstrap*`` keep theirs from ``FheContext.bootstrap`` /
+``bootstrap_batch`` (now ``bootstrap_rows`` against ``make_test_vector``),
+``pbs.*`` theirs from ``programmable_bootstrap_batch`` (now ``("digit", …)``
+rows of ``rows``), and ``radix.*`` theirs from before ``mul`` and ``gt``
+sent their lookups as digit rows; none was re-recorded.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import pytest
 from circuit_oracle import circuit_oracle, mux_oracle
 from repro.runtime.context import FheContext
 from repro.runtime.scheduler import BatchScheduler, execute_rows
-from repro.tfhe.bootstrap import programmable_bootstrap_batch
+from repro.tfhe.bootstrap import make_test_vector
 from repro.tfhe.executor import CircuitExecutor
 from repro.tfhe.gates import (
     MU,
@@ -202,13 +207,16 @@ def digests(tiny_keys_naive, tiny_keys_naive_m2):
     out["scheduler.depth0"] = digest(flatten(depth0_handle.result()))
     out["scheduler.chain"] = digest([gate_handle.result(), lut_handle.result()])
 
+    refresh = context.batch_evaluator(1).bootstrap_rows
+    gate_vector = make_test_vector(cloud.params, int(MU))
+    half_vector = make_test_vector(cloud.params, int(MU) // 2)
     out["context.bootstrap"] = digest(
-        [context.bootstrap(bit) for bit in bits[:3]]
-        + [context.bootstrap(bits[3], mu=int(MU) // 2)]
+        [refresh(LweBatch.from_samples([bit]), gate_vector)[0] for bit in bits[:3]]
+        + [refresh(LweBatch.from_samples([bits[3]]), half_vector)[0]]
     )
     out["context.bootstrap_batch"] = digest(
-        context.bootstrap_batch(planes[0]).to_samples()
-        + context.bootstrap_batch(planes[1], mu=int(MU) // 2).to_samples()
+        refresh(planes[0], gate_vector).to_samples()
+        + refresh(planes[1], half_vector).to_samples()
     )
 
     rated = FheContext(
@@ -218,17 +226,15 @@ def digests(tiny_keys_naive, tiny_keys_naive_m2):
         encrypt_digit(secret.lwe_key, value, ENCODING, rng=9200 + value)
         for value in (0, 5, 10, 15)
     ]
+    lookups = [(ENCODING, tuple(table)) for table in DIGIT_TABLES]
+    digit_rows = rated.batch_evaluator(1).rows
     out["pbs.scalar"] = digest(
-        programmable_bootstrap_batch(rated, LweBatch.from_samples([digit]), table, ENCODING)[0]
-        for digit, table in zip(digits, DIGIT_TABLES)
+        digit_rows([op], [LweBatch.from_samples([digit])])[0]
+        for digit, op in zip(digits, lookups)
     )
     stacked = LweBatch.from_samples(digits)
-    out["pbs.batch[shared]"] = digest(
-        programmable_bootstrap_batch(rated, stacked, DIGIT_TABLES[0], ENCODING).to_samples()
-    )
-    out["pbs.batch[per-row]"] = digest(
-        programmable_bootstrap_batch(rated, stacked, DIGIT_TABLES, ENCODING).to_samples()
-    )
+    out["pbs.batch[shared]"] = digest(digit_rows(lookups[:1] * 4, [stacked]).to_samples())
+    out["pbs.batch[per-row]"] = digest(digit_rows(lookups, [stacked]).to_samples())
 
     radix = RadixEvaluator(rated, ENCODING)
     x = encrypt_radix(secret.lwe_key, 0b100111, 3, ENCODING, rng=9300)

@@ -64,7 +64,7 @@ class TestCachedSpectraBitIdentical:
     def test_all_gates_all_inputs_match_uncached_path(self, name, tiny_keys_naive):
         secret, cloud = tiny_keys_naive
         context = FheContext(cloud, engine=NaiveNegacyclicTransform(cloud.params.N))
-        evaluator = context.evaluator()
+        evaluator = TFHEGateEvaluator(context)
         for bit_a in (0, 1):
             for bit_b in (0, 1):
                 ca = encrypt_bit(secret, bit_a, rng=11 + bit_a)
@@ -96,7 +96,7 @@ class TestSpectrumCacheCounters:
         assert fresh.stats.forward_polys == key_polys
         assert context.cached_tgsw_samples == params.n
 
-        evaluator = context.evaluator()
+        evaluator = TFHEGateEvaluator(context)
         per_gate = params.n * rows  # decomposition IFFTs, one per digit plane
         ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 0, rng=2)
         evaluator.nand(ca, cb)
@@ -121,7 +121,7 @@ class TestSpectrumCacheCounters:
         assert fresh.stats.forward_polys == (key_samples + 1) * per_sample
         baseline = fresh.stats.forward_polys
 
-        evaluator = context.evaluator()
+        evaluator = TFHEGateEvaluator(context)
         ca, cb = encrypt_bit(secret, 1, rng=3), encrypt_bit(secret, 1, rng=4)
         out = evaluator.and_(ca, cb)
         first_gate = fresh.stats.forward_polys - baseline
@@ -142,7 +142,7 @@ class TestContextSurface:
         _, cloud = tiny_keys_naive
         context = cloud.default_context()
         assert TFHEGateEvaluator(cloud).context is context
-        assert context.evaluator() is context.evaluator()
+        assert TFHEGateEvaluator(context).context is context
         assert context.batch_evaluator(4) is context.batch_evaluator(4)
         assert context.batch_evaluator(4) is not context.batch_evaluator(8)
 
@@ -159,7 +159,7 @@ class TestContextSurface:
         secret, context = FheContext.generate(
             TEST_TINY, NaiveNegacyclicTransform(TEST_TINY.N), rng=8
         )
-        evaluator = context.evaluator()
+        evaluator = TFHEGateEvaluator(context)
         evaluator.not_(evaluator.constant(1))
         CircuitExecutor.for_context(context, 1)
         assert not context.spectra_cached
@@ -169,7 +169,7 @@ class TestContextSurface:
             TEST_TINY, NaiveNegacyclicTransform(TEST_TINY.N), rng=7
         )
         assert not context.spectra_cached  # lazy until first gate
-        out = context.evaluator().or_(
+        out = TFHEGateEvaluator(context).or_(
             encrypt_bit(secret, 0, rng=1), encrypt_bit(secret, 1, rng=2)
         )
         assert context.spectra_cached
@@ -190,8 +190,10 @@ class TestContextSurface:
         ca, cb = encrypt_bit(secret, 1, rng=5), encrypt_bit(secret, 1, rng=6)
         combined = lwe_encrypt_trivial(ca.dimension, np.int32(int(MU)))
         combined = lwe_add(lwe_add(combined, lwe_negate(ca)), lwe_negate(cb))
-        direct = context.bootstrap(combined)
-        via_gate = context.evaluator().nand(ca, cb)
+        vector = make_test_vector(cloud.params, int(MU))
+        refresh = context.batch_evaluator(1).bootstrap_rows
+        direct = refresh(LweBatch.from_samples([combined]), vector)[0]
+        via_gate = TFHEGateEvaluator(context).nand(ca, cb)
         assert np.array_equal(direct.a, via_gate.a)
         assert np.int32(direct.b) == np.int32(via_gate.b)
 
@@ -217,17 +219,17 @@ class TestContextSurface:
         secret, cloud = generate_keys(TEST_TINY, engine, rng=33, eager=False)
         context = FheContext(cloud)
         ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
-        before = context.evaluator().nand(ca, cb)
-        workspace, evaluator = context.workspace, context.evaluator()
+        before = TFHEGateEvaluator(context).nand(ca, cb)
+        workspace, evaluator = context.workspace, context.batch_evaluator(1)
         engine = context.engine
 
         context.release()
         assert not context.spectra_cached and context.cached_tgsw_samples == 0
         assert context.workspace is not workspace
-        assert context.evaluator() is not evaluator
+        assert context.batch_evaluator(1) is not evaluator
         assert context.engine is engine  # a release is not a failover
 
-        after = context.evaluator().nand(ca, cb)  # same contract as after failover()
+        after = TFHEGateEvaluator(context).nand(ca, cb)  # same contract as after failover()
         assert context.cached_tgsw_samples == TEST_TINY.n
         assert np.array_equal(after.a, before.a) and np.int32(after.b) == np.int32(before.b)
 

@@ -18,6 +18,7 @@ from repro.tfhe.circuits import bits_to_int, encrypt_integer
 from repro.tfhe.executor import schedule_circuit
 from repro.tfhe.gates import (
     PLAINTEXT_GATES,
+    TFHEGateEvaluator,
     decrypt_bit,
     decrypt_bits,
     encrypt_bit,
@@ -67,7 +68,7 @@ class TestGateCoalescing:
         self, scheduler, tiny_keys_naive
     ):
         secret, cloud = tiny_keys_naive
-        evaluator = cloud.default_context().evaluator()
+        evaluator = TFHEGateEvaluator(cloud)
         session = scheduler.session("alice")
         ca, cb = encrypt_bit(secret, 1, rng=31), encrypt_bit(secret, 0, rng=32)
         handles = {
@@ -324,7 +325,7 @@ class TestLutJobs:
         self, scheduler, tiny_keys_naive
     ):
         secret, cloud = tiny_keys_naive
-        evaluator = cloud.default_context().evaluator()
+        evaluator = TFHEGateEvaluator(cloud)
         inputs = [encrypt_bit(secret, b, rng=610 + i) for i, b in enumerate((1, 1, 0))]
         handle = scheduler.session("alice").submit_lut(0x96, inputs)
         scheduler.flush()
@@ -704,7 +705,7 @@ class TestResidentKeys:
         engine = DoubleFFTNegacyclicTransform(TEST_TINY.N)
         secret, cloud = generate_keys(TEST_TINY, engine, rng=93, eager=False)
         operands = {"a": _gate_operands(secret, 760), "b": _gate_operands(secret, 770)}
-        bare = FheContext(cloud).evaluator()
+        bare = TFHEGateEvaluator(FheContext(cloud))
         scheduler = BatchScheduler()
         context = scheduler.register_client("a", cloud)
         scheduler.register_client("b", _wire_copy(cloud))
@@ -770,7 +771,7 @@ class TestKeyMemoryLeavesWithItsLastClient:
         scheduler.deregister_client("a")
         assert not context.spectra_cached and context.cached_tgsw_samples == 0
 
-        again = context.evaluator().nand(ca, cb)
+        again = TFHEGateEvaluator(context).nand(ca, cb)
         assert context.spectra_cached
         assert np.array_equal(again.a, first.result().a)
         assert context.batch_evaluator(4) is context.batch_evaluator(4)

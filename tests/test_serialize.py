@@ -24,6 +24,7 @@ from repro.runtime import FheContext
 from repro.tfhe import serialize
 from repro.tfhe.gates import (
     PLAINTEXT_GATES,
+    TFHEGateEvaluator,
     decrypt_bit,
     decrypt_bit_batch,
     encrypt_bit,
@@ -153,8 +154,8 @@ class TestCloudKeyRoundTrip:
         assert loaded.transform_spec == cloud.transform_spec
         context = FheContext(loaded)
         ca, cb = encrypt_bit(secret, 1, rng=5), encrypt_bit(secret, 0, rng=6)
-        reference = cloud.default_context().evaluator()
-        evaluator = context.evaluator()
+        reference = TFHEGateEvaluator(cloud)
+        evaluator = TFHEGateEvaluator(context)
         for name in sorted(PLAINTEXT_GATES):
             expected = reference.gate(name, ca, cb)
             got = evaluator.gate(name, ca, cb)
@@ -169,8 +170,8 @@ class TestCloudKeyRoundTrip:
         assert loaded.unroll_factor == 2
         assert len(loaded.bootstrapping_key) == len(cloud.bootstrapping_key) == 24
         ca, cb = encrypt_bit(secret, 1, rng=7), encrypt_bit(secret, 1, rng=8)
-        expected = cloud.default_context().evaluator().and_(ca, cb)
-        got = FheContext(loaded).evaluator().and_(ca, cb)
+        expected = TFHEGateEvaluator(cloud).and_(ca, cb)
+        got = TFHEGateEvaluator(FheContext(loaded)).and_(ca, cb)
         assert np.array_equal(got.a, expected.a)
         assert np.int32(got.b) == np.int32(expected.b)
         assert decrypt_bit(secret, got) == 1
@@ -280,7 +281,7 @@ class TestSeededCiphertexts:
         ca, cb = from_bytes(to_bytes(sample)), from_bytes(to_bytes(batch))[2]
         assert decrypt_bit(secret, ca) == 1 and decrypt_bit(secret, cb) == 1
         assert decrypt_bit_batch(secret, from_bytes(to_bytes(batch))) == [0, 1, 1, 0, 1]
-        reply = FheContext(cloud).evaluator().nand(ca, cb)
+        reply = TFHEGateEvaluator(FheContext(cloud)).nand(ca, cb)
         assert reply.seed is None and ciphertext_form(to_bytes(reply)) == "a"  # derived
         assert decrypt_bit(secret, from_bytes(to_bytes(reply))) == 0
 
@@ -390,7 +391,7 @@ class TestRoundedCiphertexts:
     def test_an_unrounded_derived_ciphertext_writes_its_full_mask(self, small_keys_double):
         secret, cloud = small_keys_double
         ca, cb = encrypt_bit(secret, 1, rng=51), encrypt_bit(secret, 1, rng=52)
-        reply = FheContext(cloud).evaluator().nand(ca, cb)
+        reply = TFHEGateEvaluator(FheContext(cloud)).nand(ca, cb)
         blob = to_bytes(reply)
         assert blob[10:-4 * (TEST_SMALL.n + 1)] == struct.pack("<HI", 0, TEST_SMALL.n)
         rounded = to_bytes(lwe_round_mask(reply))
@@ -405,7 +406,7 @@ class TestRoundedCiphertexts:
             TEST_SMALL, NaiveNegacyclicTransform(TEST_SMALL.N), rng=53, eager=False
         )
         ca, cb = encrypt_bit(secret, 1, rng=54), encrypt_bit(secret, 0, rng=55)
-        reply = lwe_round_mask(FheContext(cloud).evaluator().nand(ca, cb))
+        reply = lwe_round_mask(TFHEGateEvaluator(FheContext(cloud)).nand(ca, cb))
         blob = to_bytes(reply)
         assert blob[:10] == b"rTFA\x03\x01" + struct.pack("<I", 6)
         assert blob[10:16] == struct.pack("<HI", 2, 32)
@@ -1508,7 +1509,7 @@ class TestKeygenCli:
         assert isinstance(secret, TFHESecretKey) and isinstance(cloud, TFHECloudKey)
         # The pair matches: a fresh encryption survives a bootstrapped gate.
         ca, cb = encrypt_bit(secret, 1, rng=1), encrypt_bit(secret, 1, rng=2)
-        out = FheContext(cloud).evaluator().and_(ca, cb)
+        out = TFHEGateEvaluator(FheContext(cloud)).and_(ca, cb)
         assert decrypt_bit(secret, out) == 1
 
     def test_an_approx_key_records_its_twiddle_bits(self, tmp_path):

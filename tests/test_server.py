@@ -58,7 +58,7 @@ from repro.runtime.protocol import (
 )
 from repro.runtime.server import FheServer, _Connection, _SessionState
 from repro.telemetry import parse_prometheus_text
-from repro.tfhe.gates import decrypt_bit, encrypt_bit
+from repro.tfhe.gates import TFHEGateEvaluator, decrypt_bit, encrypt_bit
 from repro.tfhe.integers import RadixEvaluator, RadixInt, decrypt_radix, encrypt_radix
 from repro.tfhe.keys import generate_keys
 from repro.tfhe.lwe import LweBatch, LweSample, lwe_round_mask
@@ -137,7 +137,7 @@ def test_gate_lut_and_circuit_replies_travel_rounded_as_halves(server_factory, w
     """A reply is the in-process result with its mask rounded
     (``lwe_round_mask``), written as ``a_hi``; sent back, it is an operand."""
     secret, cloud = wire_keys
-    evaluator = FheContext(cloud).evaluator()
+    evaluator = TFHEGateEvaluator(FheContext(cloud))
     ca, cb = encrypt_bit(secret, 1, rng=31), encrypt_bit(secret, 1, rng=32)
     bits = [encrypt_bit(secret, bit, rng=33 + i) for i, bit in enumerate((1, 0, 1, 1))]
     circuit = adder_netlist(2)
@@ -168,7 +168,7 @@ def test_a_ring_too_wide_to_afford_rounding_keeps_the_full_mask(server_factory, 
     with ServingClient(port=server.port) as client:
         client.register_key(cloud)
         blob = _reply_blob(client, client.submit_gate("nand", ca, cb))
-        assert blob == to_bytes(FheContext(cloud).evaluator().nand(ca, cb))
+        assert blob == to_bytes(TFHEGateEvaluator(FheContext(cloud)).nand(ca, cb))
         assert ciphertext_form(blob) == "a" and decrypt_bit(secret, from_bytes(blob)) == 0
 
 
@@ -649,6 +649,26 @@ def test_malformed_stream_gets_error_then_close(server_factory, payload):
     # The server is still healthy for the next connection.
     with ServingClient(port=server.port) as client:
         assert client.hello()["server"] == "repro-serve"
+
+
+def test_an_unreadable_frame_raises_a_typed_error_from_result(server_factory):
+    """The server answers a frame it cannot read with an id -1 error frame
+    whose ``retryable`` comes from the ``ProtocolError``: an oversized frame
+    is final, a corrupted one may be resent."""
+    server = server_factory(max_frame=4096)
+    with ServingClient(port=server.port) as client:
+        request = client.submit("hello", pad="y" * 10_000)
+        with pytest.raises(ServerError, match="frame of 10023 bytes exceeds 4096") as excinfo:
+            client.result(request)
+        assert excinfo.value.kind == "protocol" and not excinfo.value.retryable
+    with ServingClient(port=server.port) as client:
+        frame = bytearray(encode_frame({"op": "hello", "id": 0}))
+        frame[len(MAGIC)] ^= 0xFF  # the CRC no longer matches the frame
+        client._sock.sendall(bytes(frame))
+        with pytest.raises(ServerError, match="checksum") as excinfo:
+            client.result(0)
+        assert excinfo.value.kind == "protocol" and excinfo.value.retryable
+        assert not client._replies
 
 
 # --------------------------------------------------------------------------- #
